@@ -13,6 +13,20 @@ cargo build --release "${CARGO_FLAGS[@]}" --workspace
 echo "== tests =="
 cargo test -q "${CARGO_FLAGS[@]}" --workspace
 
+echo "== end-to-end benchmark, as the pipeline builds it (stand-alone package) =="
+# The workspace build above only proves `--bin e2e` of apio-bench. The
+# pipeline builds crates/bench/src/bin/e2e as a package of its own (own
+# lock file, own lints) against these crates, so a change to a trait or
+# type the benchmark uses has to be caught through that manifest.
+E2E_MANIFEST=crates/bench/src/bin/e2e/Cargo.toml
+CARGO_TARGET_DIR="$PWD/target/e2e-package" \
+    cargo build --release "${CARGO_FLAGS[@]}" --manifest-path "$E2E_MANIFEST"
+E2E_BIN="$PWD/target/e2e-package/release/e2e"
+# The verifier must still reject a wrong stamp and a snapshot-less
+# connector, and every workload must run and verify at smoke size.
+"$E2E_BIN" --selftest
+"$E2E_BIN" --smoke >/dev/null
+
 echo "== static analysis gate =="
 cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- lint
 # The machine-readable report must round-trip through the in-tree JSON
@@ -36,6 +50,11 @@ echo "== ring backend (backpressure, ordering, fault plumbing, lock-free hot pat
 # zero argolite::sync locks, reaper threads included.
 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test ring
 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test ring_lockfree
+
+echo "== one-copy write path (buffer ownership, recycling, stale bytes) =="
+# Includes the seeded take/give schedule sweep, which needs the explorer.
+APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" \
+    --features debug-invariants --test one_copy
 
 echo "== fault injection (chaos + resilience properties) =="
 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test chaos

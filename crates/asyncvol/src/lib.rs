@@ -8,12 +8,16 @@
 //! `argolite` execution streams (background threads), so the application
 //! thread returns as soon as the operation is *scheduled*:
 //!
-//! - **Writes** snapshot the caller's buffer into a connector-owned buffer
-//!   before returning — the non-zero-copy the paper calls *transactional
+//! - **Writes** leave the call with a connector-owned snapshot of the
+//!   caller's data — the non-zero-copy the paper calls *transactional
 //!   overhead* (`t_transact_overhead` in Eq. 2b). The snapshot is what
 //!   prevents data races between the application's next compute phase and
-//!   the background write. The actual container write runs on a background
-//!   stream, ordered after every earlier operation on the same dataset.
+//!   the background write. It costs one pass over the data into a
+//!   recycled buffer: the typed API's encode, whose buffer the connector
+//!   takes over ([`h5lite::Vol::dataset_write_owned`]), or a copy when a
+//!   caller hands in borrowed bytes (DESIGN.md §17). The actual container
+//!   write runs in the background, ordered after every earlier operation
+//!   on the same dataset.
 //! - **Reads** are blocking unless a prefetch is in flight or complete for
 //!   the same `(dataset, selection)`: [`AsyncVol::prefetch`] schedules
 //!   background reads of future time steps, and a later `dataset_read`
@@ -56,7 +60,7 @@ use argolite::sync::Mutex;
 use argolite::{Runtime, TaskHandle};
 use h5lite::ring::{Completion, CqeErr, Ring, RingOp, Submitted, WaitMode};
 use h5lite::{
-    Container, H5Error, ObjectId, Promise, ReadRequest, Request, Result, Selection, Vol,
+    recycle, Container, H5Error, ObjectId, Promise, ReadRequest, Request, Result, Selection, Vol,
 };
 
 pub mod batch;
@@ -74,6 +78,10 @@ pub use stats::{AsyncVolStats, OpKind, OpRecord};
 
 use breaker::{CircuitBreaker, ProbeGuard, Route};
 use retry::with_backoff;
+
+/// Pending-request count above which issue reaps finished entries, for
+/// both the task path's handles and the ring path's completions.
+const PENDING_GC_THRESHOLD: usize = 1024;
 
 /// How one write's snapshot travels to the background stream.
 enum Payload {
@@ -539,6 +547,9 @@ impl AsyncVol {
                 }
             }
         });
+        if let Some(RingOp::Write { data, .. }) = resubmit {
+            recycle::give(data); // gave up: the snapshot will not be resubmitted
+        }
         let io_secs = submitted.elapsed().as_secs_f64();
         stats.record_write(bytes, io_secs);
         // Same breaker resolution as the spawned-task path: only device
@@ -586,11 +597,7 @@ impl AsyncVol {
             };
             if let Some((req, pending)) = next {
                 settled += 1;
-                if let Some(err) = self.finish_ring(ctl, req, pending) {
-                    let cell: ErrorCell =
-                        Arc::new(Mutex::new_named("asyncvol.error_cell", Some(err)));
-                    self.inner.lock().errors.insert(req, cell);
-                }
+                self.finish_and_stow(ctl, req, pending);
             }
         }
         if settled > 0 {
@@ -607,39 +614,41 @@ impl AsyncVol {
         }
     }
 
-    /// The ring write path (DESIGN.md §14): snapshot and plan on the
-    /// caller's thread, submit one keyed ring entry, settle at wait time.
+    /// A write failed on the caller's thread before anything was
+    /// dispatched (planning, WAL append): resolve the probe riding on it
+    /// and count a device fault toward the breaker.
+    fn issue_failed(&self, probe_guard: Option<ProbeGuard>, e: &H5Error) {
+        match probe_guard {
+            Some(g) if e.is_device_fault() => g.device_fault(),
+            Some(g) => drop(g), // revert HalfOpen → Open
+            None if e.is_device_fault() => self.breaker.on_device_failure(false, &self.stats),
+            None => {}
+        }
+    }
+
+    /// The ring write path (DESIGN.md §14): plan on the caller's thread,
+    /// move the snapshot into one keyed ring entry, settle at wait time.
+    /// The reaper recycles the snapshot once it has landed. `t0` is when
+    /// the snapshot began, so the recorded overhead covers copy and plan.
+    #[allow(clippy::too_many_arguments)]
     fn ring_write(
         &self,
         ctl: &RingCtl,
         c: &Arc<Container>,
         ds: ObjectId,
         sel: &Selection,
-        data: &[u8],
-        mut probe_guard: Option<ProbeGuard>,
+        snapshot: Vec<u8>,
+        probe_guard: Option<ProbeGuard>,
+        t0: Instant,
     ) -> Result<Request> {
-        let bytes = data.len() as u64;
-        let t0 = Instant::now();
-        let mut snap_span = self.stats.tracer().span("vol.snapshot");
-        let buf = data.to_vec();
-        snap_span.set_event(Event::Snapshot {
-            bytes,
-            staged: false,
-        });
-        drop(snap_span);
+        let bytes = snapshot.len() as u64;
         // Metadata-only planning on the caller's thread; the data path
         // (the vectored writes) runs on the reaper.
         let segs = match c.plan_write_selection(ds, sel, bytes) {
             Ok(segs) => segs,
             Err(e) => {
-                // Synchronous issue failure, like a WAL append failure:
-                // resolve the probe and count device faults.
-                match probe_guard.take() {
-                    Some(g) if e.is_device_fault() => g.device_fault(),
-                    Some(g) => drop(g),
-                    None if e.is_device_fault() => self.breaker.on_device_failure(false, &self.stats),
-                    None => {}
-                }
+                recycle::give(snapshot);
+                self.issue_failed(probe_guard, &e);
                 return Err(e);
             }
         };
@@ -667,6 +676,9 @@ impl AsyncVol {
 
         let mut inner = self.inner.lock();
         Self::gc_locked(&mut inner);
+        // A producer that never waits must not grow the ring's pending
+        // maps without bound either.
+        let finished = Self::take_fulfilled_ring_locked(&mut inner);
         let req = inner.next_req;
         inner.next_req += 1;
         self.stats.record_queue_submitted();
@@ -674,7 +686,11 @@ impl AsyncVol {
         // per-key FIFO matches request order; the reaper drains without
         // ever taking this lock, so a full-ring block here still makes
         // progress.
-        let promise = Self::ring_submit_blocking(&ctl.ring, ds, RingOp::Write { data: buf, segs });
+        let op = RingOp::Write {
+            data: snapshot,
+            segs,
+        };
+        let promise = Self::ring_submit_blocking(&ctl.ring, ds, op);
         inner.ring_pending.insert(req, RingPending {
             promise,
             ds,
@@ -685,7 +701,54 @@ impl AsyncVol {
             probe: probe_guard,
         });
         inner.ring_by_ds.entry(ds).or_default().push(req);
+        drop(inner);
+        // Failures are stowed as deferred errors, as `settle_ring_ds`
+        // stows them, for the request's own `wait` or `wait_all`.
+        for (done, pending) in finished {
+            self.finish_and_stow(ctl, done, pending);
+        }
         Ok(Request(req))
+    }
+
+    /// Ring writes whose completion has **already arrived**, removed from
+    /// the pending maps in request order, once more than
+    /// [`PENDING_GC_THRESHOLD`] are pending; the caller settles them after
+    /// releasing the connector lock. Nothing here waits for the reaper,
+    /// so issue stays non-blocking. Per dataset the walk stops at the
+    /// first unfinished request: settlement order is request order.
+    fn take_fulfilled_ring_locked(inner: &mut ConnInner) -> Vec<(u64, RingPending)> {
+        let mut done = Vec::new();
+        if inner.ring_pending.len() <= PENDING_GC_THRESHOLD {
+            return done;
+        }
+        for order in inner.ring_by_ds.values_mut() {
+            let fulfilled = order
+                .iter()
+                .take_while(|req| {
+                    inner
+                        .ring_pending
+                        .get(req)
+                        .is_none_or(|p| p.promise.is_fulfilled())
+                })
+                .count();
+            for req in order.drain(..fulfilled) {
+                if let Some(pending) = inner.ring_pending.remove(&req) {
+                    done.push((req, pending));
+                }
+            }
+        }
+        inner.ring_by_ds.retain(|_, order| !order.is_empty());
+        done.sort_by_key(|(req, _)| *req);
+        done
+    }
+
+    /// [`finish_ring`](Self::finish_ring), holding a failure for the
+    /// request's own `wait` (or `wait_all`) to surface.
+    fn finish_and_stow(&self, ctl: &RingCtl, req: u64, pending: RingPending) {
+        if let Some(err) = self.finish_ring(ctl, req, pending) {
+            let cell: ErrorCell = Arc::new(Mutex::new_named("asyncvol.error_cell", Some(err)));
+            self.inner.lock().errors.insert(req, cell);
+        }
     }
 
     /// Schedule a background read of `(ds, sel)` so a later `dataset_read`
@@ -749,7 +812,7 @@ impl AsyncVol {
     /// Reap terminal entries so long-running applications that never call
     /// per-request `wait` don't grow the pending map without bound.
     fn gc_locked(inner: &mut ConnInner) {
-        if inner.pending.len() > 1024 {
+        if inner.pending.len() > PENDING_GC_THRESHOLD {
             inner.pending.retain(|_, h| !h.is_terminal());
             // Keep error cells that still have a pending handle or a
             // deferred failure to report; drop the clean, reaped ones.
@@ -759,6 +822,177 @@ impl AsyncVol {
                 .retain(|req, cell| pending.contains_key(req) || cell.lock().is_some());
         }
         inner.last_op.retain(|_, h| !h.is_terminal());
+    }
+
+    /// The one write body. `snapshot` yields the connector-owned buffer —
+    /// the caller's own (owned entry) or a recycled copy of it (borrowed
+    /// entry) — inside the `vol.snapshot` span. From there the buffer
+    /// belongs to exactly one holder at a time and is recycled by the
+    /// last: the ring reaper, the background task, or this thread (after
+    /// a WAL append, a degraded write, or a failed issue).
+    fn issue_write(
+        &self,
+        c: &Arc<Container>,
+        ds: ObjectId,
+        sel: &Selection,
+        bytes: u64,
+        snapshot: impl FnOnce() -> Vec<u8>,
+    ) -> Result<Request> {
+        let _vol_span = self.stats.tracer().span_with(
+            "vol.write",
+            Event::VolCall {
+                op: "write",
+                dataset: ds,
+                bytes,
+            },
+        );
+        // Registered before routing so every regime (ring, staged,
+        // degraded) publishes at this connector's settlement points.
+        self.register_tenant(c);
+        // The circuit breaker decides the regime first: degraded issues
+        // run synchronously on the caller's thread and are acknowledged
+        // only once durable.
+        let probe = match self.breaker.route(&self.stats) {
+            Route::Degraded => {
+                let data = snapshot();
+                let issued = self.degraded_write(c, ds, sel, &data);
+                recycle::give(data);
+                return issued;
+            }
+            Route::Async { probe } => probe,
+        };
+        // A dispatched probe must always resolve: the guard reports the
+        // outcome, and reverts HalfOpen → Open if dropped unresolved
+        // (a failed issue below, or a panicking probe task).
+        let probe_guard = probe.then(|| self.breaker.probe_guard(&self.stats));
+
+        let t0 = Instant::now();
+        let mut snap_span = self.stats.tracer().span("vol.snapshot");
+        let data = snapshot();
+        let staged = matches!(&self.staging, Staging::Device(_));
+        let payload = match &self.staging {
+            Staging::Dram => Payload::Dram(data),
+            Staging::Device(log) => {
+                // Onto the node-local staging device; the buffer is done
+                // with once the log has it.
+                let mut wal_span = self.stats.tracer().span("wal.append");
+                let appended = log.append(ds, sel, &data);
+                recycle::give(data);
+                match appended {
+                    Ok(extent) => {
+                        wal_span.set_event(Event::WalAppend {
+                            seq: extent.seq,
+                            bytes: extent.len,
+                        });
+                        Payload::Staged(log.clone(), extent)
+                    }
+                    Err(e) => {
+                        // Nothing was dispatched. A dead staging device
+                        // still counts toward the breaker — degraded mode
+                        // bypasses staging entirely, which is the remedy.
+                        self.issue_failed(probe_guard, &e);
+                        return Err(e);
+                    }
+                }
+            }
+        };
+        snap_span.set_event(Event::Snapshot { bytes, staged });
+        drop(snap_span);
+
+        // The ring path handles DRAM-staged writes when a ring is
+        // attached; device staging keeps the WAL pipeline (the log
+        // already decouples the caller from the device).
+        let payload = match (&self.ring, payload) {
+            (Some(ctl), Payload::Dram(data)) => {
+                return self.ring_write(ctl, c, ds, sel, data, probe_guard, t0)
+            }
+            (_, payload) => payload,
+        };
+        let overhead_secs = t0.elapsed().as_secs_f64();
+        self.stats.record_snapshot(bytes, overhead_secs);
+
+        let mut inner = self.inner.lock();
+        Self::gc_locked(&mut inner);
+        let req = inner.next_req;
+        inner.next_req += 1;
+        let deps: Vec<TaskHandle> = inner.last_op.get(&ds).cloned().into_iter().collect();
+
+        let c = c.clone();
+        let sel_task = sel.clone();
+        let stats = self.stats.clone();
+        let observer = self.observer.lock().clone();
+        let error_cell: ErrorCell = Arc::new(Mutex::new_named("asyncvol.error_cell", None));
+        let errors_task = error_cell.clone();
+        let policy = self.retry;
+        let breaker = self.breaker.clone();
+        stats.record_queue_submitted();
+        let handle = self.rt.spawn_dependent(&deps, move || {
+            let _exec_span = stats.tracer().span_with(
+                "vol.execute",
+                Event::VolCall {
+                    op: "execute",
+                    dataset: ds,
+                    bytes,
+                },
+            );
+            // One deadline covers the staged read-back and the container
+            // write; transient faults in either are retried with backoff.
+            let started = Instant::now();
+            let land = |salt: u64, buf: Vec<u8>| {
+                let landed = with_backoff(&policy, salt, started, &stats, || {
+                    c.write_selection(ds, &sel_task, &buf)
+                });
+                recycle::give(buf);
+                landed
+            };
+            let outcome: Result<()> = match payload {
+                Payload::Dram(buf) => land(req, buf),
+                Payload::Staged(log, extent) => {
+                    let landed = with_backoff(&policy, req, started, &stats, || log.read(extent))
+                        .and_then(|buf| land(!req, buf));
+                    // Replay is idempotent, so a failed flag write is not
+                    // a correctness problem — but it is a signal the
+                    // staging device is degrading, so count it.
+                    if landed.is_ok() && log.mark_applied(extent).is_err() {
+                        stats.record_wal_mark_failure();
+                    }
+                    landed
+                }
+            };
+            let io_secs = started.elapsed().as_secs_f64();
+            stats.record_write(bytes, io_secs);
+            // Resolve the breaker before notifying the observer, so a
+            // panicking observer cannot leave a probe unresolved. Only
+            // device faults move the breaker: a malformed request
+            // (shape/type mismatch) must not degrade the pipeline.
+            match (&outcome, probe_guard) {
+                (Ok(()), Some(g)) => g.success(),
+                (Err(e), Some(g)) if e.is_device_fault() => g.device_fault(),
+                (Err(_), Some(g)) => g.success(),
+                (Ok(()), None) => breaker.on_success(false, &stats),
+                (Err(e), None) if e.is_device_fault() => {
+                    breaker.on_device_failure(false, &stats)
+                }
+                (Err(_), None) => breaker.on_success(false, &stats),
+            }
+            if let Some(obs) = observer {
+                obs(&OpRecord {
+                    kind: OpKind::Write,
+                    bytes,
+                    io_secs,
+                    overhead_secs,
+                });
+            }
+            if let Err(e) = outcome {
+                *errors_task.lock() = Some(e);
+            }
+            stats.record_queue_completed();
+        });
+
+        inner.pending.insert(req, handle.clone());
+        inner.last_op.insert(ds, handle);
+        inner.errors.insert(req, error_cell);
+        Ok(Request(req))
     }
 
     /// Synchronous passthrough write, used while the circuit breaker has
@@ -845,173 +1079,25 @@ impl Vol for AsyncVol {
         sel: &Selection,
         data: &[u8],
     ) -> Result<Request> {
-        let _vol_span = self.stats.tracer().span_with(
-            "vol.write",
-            Event::VolCall {
-                op: "write",
-                dataset: ds,
-                bytes: data.len() as u64,
-            },
-        );
-        // Registered before routing so every regime (ring, staged,
-        // degraded) publishes at this connector's settlement points.
-        self.register_tenant(c);
-        // The circuit breaker decides the regime first: degraded issues
-        // run synchronously on the caller's thread and are acknowledged
-        // only once durable.
-        let probe = match self.breaker.route(&self.stats) {
-            Route::Degraded => return self.degraded_write(c, ds, sel, data),
-            Route::Async { probe } => probe,
-        };
-        // A dispatched probe must always resolve: the guard reports the
-        // outcome, and reverts HalfOpen → Open if dropped unresolved
-        // (staging append failure below, or a panicking probe task).
-        let probe_guard = if probe {
-            Some(self.breaker.probe_guard(&self.stats))
-        } else {
-            None
-        };
+        // The transactional overhead (Eq. 2b's t_transact_overhead) of a
+        // borrowed buffer: one copy into warm memory, after which the
+        // caller may reuse or mutate its own.
+        self.issue_write(c, ds, sel, data.len() as u64, || {
+            let mut snapshot = recycle::take(data.len());
+            snapshot.copy_from_slice(data);
+            snapshot
+        })
+    }
 
-        // The ring path handles DRAM-staged writes when a ring is
-        // attached; device staging keeps the WAL pipeline (the log
-        // already decouples the caller from the device).
-        if let (Some(ctl), Staging::Dram) = (&self.ring, &self.staging) {
-            return self.ring_write(ctl, c, ds, sel, data, probe_guard);
-        }
-        let mut probe_guard = probe_guard;
-
-        // The transactional overhead (Eq. 2b's t_transact_overhead): a
-        // synchronous copy out of the caller's buffer — into a heap
-        // snapshot (DRAM staging) or onto the node-local staging device —
-        // so the caller may immediately reuse or mutate its buffer.
-        let t0 = Instant::now();
-        let staged = matches!(&self.staging, Staging::Device(_));
-        let mut snap_span = self.stats.tracer().span("vol.snapshot");
-        let payload = match &self.staging {
-            Staging::Dram => Payload::Dram(data.to_vec()),
-            Staging::Device(log) => {
-                let mut wal_span = self.stats.tracer().span("wal.append");
-                match log.append(ds, sel, data) {
-                    Ok(extent) => {
-                        wal_span.set_event(Event::WalAppend {
-                            seq: extent.seq,
-                            bytes: extent.len,
-                        });
-                        Payload::Staged(log.clone(), extent)
-                    }
-                    Err(e) => {
-                        // The issue failed synchronously; nothing was
-                        // dispatched. A dead staging device still counts
-                        // toward the breaker — degraded mode bypasses
-                        // staging entirely, which is exactly the remedy.
-                        match probe_guard.take() {
-                            Some(g) if e.is_device_fault() => g.device_fault(),
-                            Some(g) => drop(g), // revert HalfOpen → Open
-                            None if e.is_device_fault() => {
-                                self.breaker.on_device_failure(false, &self.stats)
-                            }
-                            None => {}
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-        };
-        snap_span.set_event(Event::Snapshot {
-            bytes: data.len() as u64,
-            staged,
-        });
-        drop(snap_span);
-        let overhead_secs = t0.elapsed().as_secs_f64();
-        self.stats.record_snapshot(data.len() as u64, overhead_secs);
-
-        let mut inner = self.inner.lock();
-        Self::gc_locked(&mut inner);
-        let req = inner.next_req;
-        inner.next_req += 1;
-        let deps: Vec<TaskHandle> = inner.last_op.get(&ds).cloned().into_iter().collect();
-
-        let c = c.clone();
-        let sel_task = sel.clone();
-        let stats = self.stats.clone();
-        let observer = self.observer.lock().clone();
-        let error_cell: ErrorCell = Arc::new(Mutex::new_named("asyncvol.error_cell", None));
-        let errors_task = error_cell.clone();
-        let bytes = data.len() as u64;
-        let policy = self.retry;
-        let breaker = self.breaker.clone();
-        stats.record_queue_submitted();
-        let handle = self.rt.spawn_dependent(&deps, move || {
-            let _exec_span = stats.tracer().span_with(
-                "vol.execute",
-                Event::VolCall {
-                    op: "execute",
-                    dataset: ds,
-                    bytes,
-                },
-            );
-            // One deadline covers the staged read-back and the container
-            // write; transient faults in either are retried with backoff.
-            let started = Instant::now();
-            let outcome: Result<()> = match &payload {
-                Payload::Dram(buf) => with_backoff(&policy, req, started, &stats, || {
-                    c.write_selection(ds, &sel_task, buf)
-                }),
-                Payload::Staged(log, extent) => {
-                    match with_backoff(&policy, req, started, &stats, || log.read(*extent)) {
-                        Err(e) => Err(e),
-                        Ok(buf) => {
-                            with_backoff(&policy, !req, started, &stats, || {
-                                c.write_selection(ds, &sel_task, &buf)
-                            })
-                        }
-                    }
-                }
-            };
-            if outcome.is_ok() {
-                if let Payload::Staged(log, extent) = &payload {
-                    // Replay is idempotent, so a failed flag write is not
-                    // a correctness problem — but it is a signal the
-                    // staging device is degrading, so count it.
-                    if log.mark_applied(*extent).is_err() {
-                        stats.record_wal_mark_failure();
-                    }
-                }
-            }
-            let io_secs = started.elapsed().as_secs_f64();
-            stats.record_write(bytes, io_secs);
-            // Resolve the breaker before notifying the observer, so a
-            // panicking observer cannot leave a probe unresolved. Only
-            // device faults move the breaker: a malformed request
-            // (shape/type mismatch) must not degrade the pipeline.
-            match (&outcome, probe_guard) {
-                (Ok(()), Some(g)) => g.success(),
-                (Err(e), Some(g)) if e.is_device_fault() => g.device_fault(),
-                (Err(_), Some(g)) => g.success(),
-                (Ok(()), None) => breaker.on_success(false, &stats),
-                (Err(e), None) if e.is_device_fault() => {
-                    breaker.on_device_failure(false, &stats)
-                }
-                (Err(_), None) => breaker.on_success(false, &stats),
-            }
-            if let Some(obs) = observer {
-                obs(&OpRecord {
-                    kind: OpKind::Write,
-                    bytes,
-                    io_secs,
-                    overhead_secs,
-                });
-            }
-            if let Err(e) = outcome {
-                *errors_task.lock() = Some(e);
-            }
-            stats.record_queue_completed();
-        });
-
-        inner.pending.insert(req, handle.clone());
-        inner.last_op.insert(ds, handle);
-        inner.errors.insert(req, error_cell);
-        Ok(Request(req))
+    fn dataset_write_owned(
+        &self,
+        c: &Arc<Container>,
+        ds: ObjectId,
+        sel: &Selection,
+        data: Vec<u8>,
+    ) -> Result<Request> {
+        // The caller's buffer *is* the snapshot: nothing is copied.
+        self.issue_write(c, ds, sel, data.len() as u64, move || data)
     }
 
     fn dataset_read(
@@ -1130,11 +1216,14 @@ impl AsyncVol {
         // needs the full list of failed requests.
         let mut failures: Vec<(u64, String)> = Vec::new();
         if let Some(ctl) = &self.ring {
-            let ring_drained: Vec<(u64, RingPending)> = {
+            let mut ring_drained: Vec<(u64, RingPending)> = {
                 let mut inner = self.inner.lock();
                 inner.ring_by_ds.clear();
                 inner.ring_pending.drain().collect()
             };
+            // Request order, not map order: observer records and retries
+            // must not depend on the hasher.
+            ring_drained.sort_by_key(|(req, _)| *req);
             for (req, pending) in ring_drained {
                 if let Some(err) = self.finish_ring(ctl, req, pending) {
                     failures.push((req, err.to_string()));
@@ -1177,5 +1266,118 @@ impl AsyncVol {
             failures.len(),
             parts.join("; ")
         )))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use h5lite::ring::RingConfig;
+    use h5lite::{
+        container::ROOT_ID, Dataspace, Datatype, Hyperslab, IoVec, IoVecMut, Layout, MemBackend,
+        StorageBackend, COALESCE_WINDOW,
+    };
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A device with one bad block: any write touching `bad` fails for
+    /// good, however it is batched or replayed.
+    struct BadBlock {
+        inner: MemBackend,
+        bad: AtomicU64,
+    }
+
+    impl BadBlock {
+        fn check(&self, offset: u64) -> Result<()> {
+            if offset == self.bad.load(Ordering::SeqCst) {
+                return Err(H5Error::Storage(format!("bad block at {offset}")));
+            }
+            Ok(())
+        }
+    }
+
+    impl StorageBackend for BadBlock {
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.check(offset)?;
+            self.inner.write_at(offset, data)
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.inner.read_at(offset, buf)
+        }
+        fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
+            batch.iter().try_for_each(|seg| self.check(seg.offset))?;
+            self.inner.write_vectored_at(batch)
+        }
+        fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
+            self.inner.read_vectored_at(batch)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    /// A producer that never waits per request: the ring path's pending
+    /// maps stay bounded (they used to grow by one entry per write until
+    /// the next wait), `queued` falls as completions are retired, and a
+    /// failure retired at issue time is still reported by `wait_all` —
+    /// once.
+    #[test]
+    fn ring_requests_are_retired_without_a_wait() {
+        const WRITES: u64 = 5_000;
+        const SLAB: u64 = 16;
+        let backend = Arc::new(BadBlock {
+            inner: MemBackend::new(),
+            bad: AtomicU64::new(u64::MAX),
+        });
+        let c = Arc::new(Container::create(backend.clone()));
+        let ring = Arc::new(Ring::new(backend.clone(), RingConfig::default()));
+        let vol = AsyncVol::builder().ring(ring.clone()).build();
+        let ds = vol
+            .dataset_create(
+                &c,
+                ROOT_ID,
+                "x",
+                Datatype::U8,
+                &Dataspace::d1(WRITES * SLAB),
+                Layout::Contiguous,
+            )
+            .unwrap();
+        let sel = |w: u64| Selection::Slab(Hyperslab::range1(w * SLAB, SLAB));
+        // Write 10 lands on the bad block.
+        let segs = c.plan_write_selection(ds, &sel(10), SLAB).unwrap();
+        backend.bad.store(segs[0].addr, Ordering::SeqCst);
+
+        // Unfinished requests are bounded by what the ring and one
+        // reaper pass can hold; finished ones by the threshold.
+        let bound = PENDING_GC_THRESHOLD + ring.capacity() + COALESCE_WINDOW + 1;
+        let mut peak = 0;
+        for w in 0..WRITES {
+            let _ = vol
+                .dataset_write(&c, ds, &sel(w), &[w as u8; SLAB as usize])
+                .unwrap();
+            let inner = vol.inner.lock();
+            peak = peak.max(inner.ring_pending.len());
+            let ordered: usize = inner.ring_by_ds.values().map(Vec::len).sum();
+            assert_eq!(ordered, inner.ring_pending.len(), "the two maps move together");
+        }
+        assert!(peak > PENDING_GC_THRESHOLD, "the threshold was reached: {peak}");
+        assert!(peak <= bound, "{peak} pending entries, bound {bound}");
+        assert!(vol.stats().queued <= bound as u64);
+
+        let err = vol.wait_all().unwrap_err().to_string();
+        assert!(err.contains("1 background operation(s) failed: [req 11:"), "{err}");
+        assert!(err.contains("bad block"), "{err}");
+        vol.wait_all().unwrap();
+        assert_eq!(vol.stats().queued, 0);
+        let inner = vol.inner.lock();
+        assert!(inner.ring_pending.is_empty() && inner.ring_by_ds.is_empty());
+        assert!(inner.errors.is_empty(), "the failure was reported exactly once");
+        drop(inner);
+        assert_eq!(
+            c.read_selection(ds, &sel(4_999)).unwrap(),
+            vec![(4_999 % 256) as u8; SLAB as usize]
+        );
     }
 }

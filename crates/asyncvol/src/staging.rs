@@ -55,7 +55,9 @@ use std::sync::Arc;
 use apio_trace::{Event, Tracer};
 use argolite::sync::Mutex;
 use h5lite::codec::{Reader, Writer};
-use h5lite::{Container, H5Error, Hyperslab, IoVec, ObjectId, Result, Selection, StorageBackend};
+use h5lite::{
+    recycle, Container, H5Error, Hyperslab, IoVec, ObjectId, Result, Selection, StorageBackend,
+};
 
 /// Where write snapshots live until the background write lands.
 #[derive(Clone)]
@@ -356,7 +358,10 @@ impl StagingLog {
 
         let body_len = header.len() as u64 + data.len() as u64;
         let total = REC_PREFIX + body_len + REC_SUFFIX;
-        let mut rec = Vec::with_capacity(total as usize);
+        // Assemble the frame in a recycled buffer: emptied first, so no
+        // stale byte survives, and never reallocated (capacity ≥ total).
+        let mut rec = recycle::take(total as usize);
+        rec.clear();
         rec.extend_from_slice(&REC_MAGIC.to_le_bytes());
         rec.extend_from_slice(&body_len.to_le_bytes());
         rec.extend_from_slice(&header);
@@ -366,7 +371,9 @@ impl StagingLog {
         rec.push(0); // applied = false
 
         let offset = tail.cursor;
-        self.device.write_at(offset, &rec)?;
+        let written = self.device.write_at(offset, &rec);
+        recycle::give(rec);
+        written?;
         let seq = tail.seq;
         tail.seq += 1;
         tail.cursor = offset + total;
@@ -378,9 +385,10 @@ impl StagingLog {
         })
     }
 
-    /// Read a staged snapshot back (the background task's first step).
+    /// Read a staged snapshot back (the background task's first step)
+    /// into a recycled buffer, which the task returns once it has landed.
     pub fn read(&self, extent: StagedExtent) -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; extent.len as usize];
+        let mut buf = recycle::take(extent.len as usize);
         self.device.read_at(extent.offset, &mut buf)?;
         Ok(buf)
     }

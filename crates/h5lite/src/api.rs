@@ -13,6 +13,7 @@ use crate::datatype::{from_bytes, to_bytes, H5Type};
 use crate::error::{H5Error, Result};
 use crate::layout::Layout;
 use crate::native::NativeVol;
+use crate::recycle;
 use crate::vol::{ReadRequest, Request, Vol};
 
 struct FileInner {
@@ -250,12 +251,16 @@ impl Dataset {
         self.inner.vol.wait(req)
     }
 
-    /// Write a selection; returns the request token.
+    /// Write a selection; returns the request token. The one pass over
+    /// `data` on the caller's side is the encode, into a recycled buffer
+    /// the connector then owns (DESIGN.md §17).
     pub fn write_slab_async<T: H5Type>(&self, sel: &Selection, data: &[T]) -> Result<Request> {
         self.check_type::<T>()?;
+        let mut encoded = recycle::take(std::mem::size_of_val(data));
+        T::encode_slice(data, &mut encoded);
         self.inner
             .vol
-            .dataset_write(&self.inner.container, self.id, sel, &to_bytes(data))
+            .dataset_write_owned(&self.inner.container, self.id, sel, encoded)
     }
 
     /// Read the full dataset synchronously.

@@ -49,9 +49,12 @@ pub mod datatype;
 pub mod error;
 pub mod layout;
 pub mod meta;
+#[allow(unsafe_code)]
+mod mpmc;
 pub mod native;
 pub mod plan;
 pub mod promise;
+pub mod recycle;
 pub mod ring;
 pub mod storage;
 pub mod superblock;

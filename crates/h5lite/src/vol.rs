@@ -92,6 +92,23 @@ pub trait Vol: Send + Sync {
         data: &[u8],
     ) -> Result<Request>;
 
+    /// [`Vol::dataset_write`] for a caller that gives its buffer away:
+    /// a deferring connector keeps `data` as its snapshot instead of
+    /// copying it, and recycles it ([`crate::recycle`]) when the write
+    /// retires. The default serves connectors that only know the
+    /// borrowed form — they see the same bytes and snapshot as before.
+    fn dataset_write_owned(
+        &self,
+        c: &Arc<Container>,
+        ds: ObjectId,
+        sel: &Selection,
+        data: Vec<u8>,
+    ) -> Result<Request> {
+        let issued = self.dataset_write(c, ds, sel, &data);
+        crate::recycle::give(data);
+        issued
+    }
+
     /// Read raw bytes from a selection of a dataset.
     fn dataset_read(&self, c: &Arc<Container>, ds: ObjectId, sel: &Selection)
         -> Result<ReadRequest>;

@@ -741,6 +741,67 @@ fn long_lived_snapshot_resolves_addresses_through_1k_mutations() {
     }
 }
 
+/// The slice codec is the per-element `to_le_bytes` reference, for all
+/// ten datatypes: seeded random bit patterns (so floats include NaNs
+/// with arbitrary payload bits, infinities and subnormals), lengths 0,
+/// 1 and odd, decode inverts encode bit for bit, and a byte length that
+/// is not a multiple of the element size is refused.
+#[test]
+fn slice_codec_matches_the_per_element_reference() {
+    use apio::h5lite::datatype::{from_bytes, to_bytes};
+    use apio::h5lite::{H5Error, H5Type};
+
+    macro_rules! check {
+        ($rng:expr, $t:ty, $from_bits:expr) => {{
+            const N: usize = std::mem::size_of::<$t>();
+            for case in 0..CASES {
+                let len = match case {
+                    0 => 0,
+                    1 => 1,
+                    _ => $rng.in_range(0, 300) as usize | 1,
+                };
+                let vals: Vec<$t> = (0..len)
+                    .map(|_| ($from_bits)($rng.next() << 42 | $rng.next() << 21 | $rng.next()))
+                    .collect();
+                let reference: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+                let name = <$t as H5Type>::DTYPE.name();
+                assert_eq!(to_bytes(&vals), reference, "{name} case {case}: encode");
+                // Into a dirty buffer: every byte must be overwritten.
+                let mut dirty = vec![0xA5u8; len * N];
+                <$t>::encode_slice(&vals, &mut dirty);
+                assert_eq!(dirty, reference, "{name} case {case}: encode over stale bytes");
+                let back = from_bytes::<$t>(&reference).expect("whole elements");
+                let back_bytes: Vec<u8> = back.iter().flat_map(|v| v.to_le_bytes()).collect();
+                assert_eq!(back_bytes, reference, "{name} case {case}: decode, bit for bit");
+                if N > 1 && len > 0 {
+                    assert!(
+                        matches!(
+                            from_bytes::<$t>(&reference[..len * N - 1]),
+                            Err(H5Error::ShapeMismatch(_))
+                        ),
+                        "{name} case {case}: ragged length"
+                    );
+                }
+            }
+        }};
+    }
+
+    let mut rng = Lcg::new(0xC0DEC);
+    check!(rng, u8, |b: u64| b as u8);
+    check!(rng, i8, |b: u64| b as i8);
+    check!(rng, u16, |b: u64| b as u16);
+    check!(rng, i16, |b: u64| b as i16);
+    check!(rng, u32, |b: u64| b as u32);
+    check!(rng, i32, |b: u64| b as i32);
+    check!(rng, u64, |b: u64| b);
+    check!(rng, i64, |b: u64| b as i64);
+    check!(rng, f32, |b: u64| f32::from_bits(b as u32));
+    check!(rng, f64, f64::from_bits);
+    // And one NaN chosen by hand: quiet, with payload bits.
+    let nan = f32::from_bits(0x7FC0_1234);
+    assert_eq!(from_bytes::<f32>(&to_bytes(&[nan])).expect("one f32")[0].to_bits(), nan.to_bits());
+}
+
 /// Engine determinism: the same schedule always fires in the same
 /// order (a regression guard for the heap tie-break).
 #[test]
