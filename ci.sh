@@ -56,6 +56,13 @@ echo "== one-copy write path (buffer ownership, recycling, stale bytes) =="
 APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" \
     --features debug-invariants --test one_copy
 
+echo "== sieved spans (per-run equivalence, gate, faults, stale bytes, op counts) =="
+# The seeded write/flush/read orders run under the explorer with
+# h5lite's named locks (write gate, metadata shards, allocator)
+# forwarded into the lock-order recorder.
+APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" \
+    --features debug-invariants --test sieve
+
 echo "== fault injection (chaos + resilience properties) =="
 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test chaos
 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test properties

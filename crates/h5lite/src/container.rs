@@ -46,7 +46,9 @@
 //! `write_selection`/`read_selection` resolve the whole selection — shape
 //! checks, run decomposition, and every chunk address — under **one**
 //! metadata-lock acquisition, then issue the coalesced segments as
-//! vectored backend batches. See [`Container::plan_io`].
+//! vectored backend batches of *spans* — runs of small neighbouring
+//! segments travel as one read and one write per extent through a sieve
+//! buffer (DESIGN.md §9, "Sieved spans"). See [`Container::plan_io`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,10 +64,13 @@ use crate::datatype::Datatype;
 use crate::error::{H5Error, Result};
 use crate::layout::Layout;
 use crate::meta::{
-    ChunkEntry, ConsistencyModel, DatasetState, MetaLockStats, MetaPlane, MetaSnapshot, NodeKind,
-    Tree, TreeObject,
+    shard_of, ChunkEntry, ConsistencyModel, DatasetState, MetaLockStats, MetaPlane, MetaSnapshot,
+    NodeKind, Tree, TreeObject, META_SHARDS,
 };
-use crate::plan::{IoPlan, IoSegment, COALESCE_WINDOW};
+use crate::plan::{
+    sieve_bytes, sieve_layout, sieve_spans, span_windows, IoPlan, IoSegment, Span, COALESCE_WINDOW,
+};
+use crate::recycle;
 use crate::storage::{FileBackend, IoVec, IoVecMut, MemBackend, StorageBackend};
 use crate::superblock::{self, fnv1a64, Superblock, SUPERBLOCK_AREA};
 
@@ -144,6 +149,15 @@ pub struct Container {
     /// Whether per-extent checksums are maintained and verified.
     checksums: AtomicBool,
     integrity: IntegrityCounters,
+    /// Per-dataset write gates, keyed like the metadata shards
+    /// ([`shard_of`]): a write with a sieved span holds its gate
+    /// exclusive across read → scatter → write-back, every other write
+    /// holds it shared across its batches, so no `write_selection` can
+    /// land in a hole between a span's read and its write-back. Taken
+    /// after planning; no metadata, allocator or dirty-set lock is
+    /// taken while one is held.
+    sieve_gates: Vec<RwLock<()>>,
+    sieve: SieveCounters,
     /// Trace sink for planner spans and backend-batch events; disabled
     /// unless installed via [`Container::set_tracer`]. Behind a lock only
     /// so it can be installed after construction — selection I/O takes a
@@ -158,6 +172,30 @@ struct IntegrityCounters {
     scrub_corrupt: AtomicU64,
     scrub_repaired: AtomicU64,
     superblock_fallbacks: AtomicU64,
+}
+
+// Statistics only: each publishes nothing but its own value.
+#[derive(Default)]
+struct SieveCounters {
+    spans: AtomicU64,
+    segments: AtomicU64,
+    span_bytes: AtomicU64,
+    fill_bytes: AtomicU64,
+}
+
+/// What sieving has moved so far ([`Container::sieve_stats`]), reads and
+/// writes together. `span_bytes / (span_bytes - fill_bytes)` is the
+/// amplification the sieved spans paid for their saved calls.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SieveStats {
+    /// Sieved (multi-segment) spans issued.
+    pub spans: u64,
+    /// Plan segments folded into them.
+    pub segments: u64,
+    /// Bytes those spans cover — what the device moved per direction.
+    pub span_bytes: u64,
+    /// Hole bytes among them: moved, but not asked for by the caller.
+    pub fill_bytes: u64,
 }
 
 /// Snapshot of the container's integrity counters
@@ -207,14 +245,39 @@ struct VerifyExtent {
     fnv: u64,
 }
 
+/// One data extent a plan touches: `(key, addr, len, stored fnv)`, the
+/// key being the chunk index or [`CONTIG_EXTENT`].
+type Touched = (u64, u64, u64, Option<u64>);
+
+/// What [`Container::plan_io`] hands the function that issues the plan.
+struct Planned {
+    plan: IoPlan,
+    /// Every data extent the plan touches: the bounds a span is
+    /// confined to.
+    touched: Vec<Touched>,
+    /// Clean checksummed extents a read must verify (empty for writes).
+    verify: Vec<VerifyExtent>,
+}
+
+fn new_sieve_gates() -> Vec<RwLock<()>> {
+    (0..META_SHARDS)
+        .map(|_| RwLock::new_named("h5lite.sieve_gate", ()))
+        .collect()
+}
+
+/// The `(addr, len)` of each touched extent, for [`sieve_spans`].
+fn extents_of(touched: &[Touched]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    touched.iter().map(|&(_, addr, len, _)| (addr, len))
+}
+
 /// Everything one planning pass learns from a dataset state, with no
 /// lock held: the plan itself, the touched extents (for dirty marking /
 /// verification), the chunk indices the state could not resolve, and the
 /// layout facts an allocation pass would need.
 struct PlanParts {
     plan: IoPlan,
-    /// Every extent the plan touches: (key, addr, len, stored fnv).
-    touched: Vec<(u64, u64, u64, Option<u64>)>,
+    /// Every extent the plan touches.
+    touched: Vec<Touched>,
     missing: Vec<u64>,
     chunk_info: Option<ChunkInfo>,
 }
@@ -251,6 +314,8 @@ impl Container {
             dirty_extents: Mutex::new(BTreeSet::new()),
             checksums: AtomicBool::new(true),
             integrity: IntegrityCounters::default(),
+            sieve_gates: new_sieve_gates(),
+            sieve: SieveCounters::default(),
             tracer: RwLock::new(Tracer::disabled()),
         }
     }
@@ -258,8 +323,10 @@ impl Container {
     /// Install (or replace) the container's tracer. Selection I/O then
     /// records `container.plan_io` spans (with a
     /// [`PlanBuilt`](apio_trace::Event::PlanBuilt) payload),
-    /// `container.meta_lock` hold spans, and one `backend.batch` span per
-    /// vectored window issued to the backend.
+    /// `container.meta_lock` hold spans, one `backend.batch` span per
+    /// vectored window issued to the backend, and a `container.sieve`
+    /// span (with a [`Sieve`](apio_trace::Event::Sieve) payload) around
+    /// each window that moves sieved spans.
     pub fn set_tracer(&self, tracer: Tracer) {
         *self.tracer.write() = tracer;
     }
@@ -361,6 +428,8 @@ impl Container {
             dirty_extents: Mutex::new(BTreeSet::new()),
             checksums: AtomicBool::new(true),
             integrity,
+            sieve_gates: new_sieve_gates(),
+            sieve: SieveCounters::default(),
             tracer: RwLock::new(Tracer::disabled()),
         })
     }
@@ -527,12 +596,14 @@ impl Container {
         let end = addr.checked_add(len).ok_or_else(|| {
             H5Error::Storage("extent end overflows the device address space".into())
         })?;
-        let mut buf = vec![0u8; len as usize];
-        let readable = end.min(self.backend.len()).saturating_sub(addr).min(len);
+        let mut buf = recycle::lease(len as usize);
+        let readable = end.min(self.backend.len()).saturating_sub(addr).min(len) as usize;
         if readable > 0 {
             self.backend
-                .read_at(addr, &mut buf[..readable as usize])?; // xtask: allow(planned-io) integrity hash read
+                .read_at(addr, &mut buf[..readable])?; // xtask: allow(planned-io) integrity hash read
         }
+        // A recycled buffer holds stale bytes, not zeros.
+        buf[readable..].fill(0);
         Ok(fnv1a64(&buf))
     }
 
@@ -556,6 +627,17 @@ impl Container {
                 .integrity
                 .superblock_fallbacks
                 .load(Ordering::Relaxed),
+        }
+    }
+
+    /// Snapshot of the sieve counters: how many spans folded how many
+    /// segments, and the hole bytes that rode along.
+    pub fn sieve_stats(&self) -> SieveStats {
+        SieveStats {
+            spans: self.sieve.spans.load(Ordering::Relaxed),
+            segments: self.sieve.segments.load(Ordering::Relaxed),
+            span_bytes: self.sieve.span_bytes.load(Ordering::Relaxed),
+            fill_bytes: self.sieve.fill_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -691,7 +773,7 @@ impl Container {
             .published(id)
             .ok_or_else(|| self.missing_dataset(id))?;
         let parts = plan_from_state(&state, sel, None)?;
-        self.read_planned(&parts.plan, &[])
+        self.read_planned(&parts.plan, &parts.touched, &[])
     }
 
     /// Read the selected elements of `id` as captured by `snap`. Takes
@@ -711,7 +793,7 @@ impl Container {
             .get(id)
             .ok_or_else(|| H5Error::NotFound(format!("dataset {id} not captured in snapshot")))?;
         let parts = plan_from_state(state, sel, None)?;
-        self.read_planned(&parts.plan, &[])
+        self.read_planned(&parts.plan, &parts.touched, &[])
     }
 
     // ----- object tree -----------------------------------------------
@@ -821,7 +903,6 @@ impl Container {
     ) -> Result<ObjectId> {
         validate_link_name(name)?;
         layout.validate(space.rank())?;
-        let nbytes = space.npoints() * dtype.size() as u64;
 
         // The tree guard is held across the shard insert (tree → shard
         // nesting, same as flush's capture order): an id visible through
@@ -844,12 +925,24 @@ impl Container {
             if links.contains_key(name) {
                 return Err(H5Error::AlreadyExists(name.to_owned()));
             }
+            // Only a contiguous extent is sized by the whole dataspace.
             let data_addr = match layout {
-                Layout::Contiguous if nbytes > 0 => self.reserve(
-                    nbytes,
-                    &format!("contiguous dataset of {nbytes} bytes"),
-                )?,
-                _ => 0,
+                Layout::Contiguous => {
+                    let nbytes = space
+                        .npoints()
+                        .checked_mul(dtype.size() as u64)
+                        .ok_or_else(|| {
+                            H5Error::Storage(
+                                "dataset byte size overflows the address space".into(),
+                            )
+                        })?;
+                    match nbytes {
+                        0 => 0,
+                        _ => self
+                            .reserve(nbytes, &format!("contiguous dataset of {nbytes} bytes"))?,
+                    }
+                }
+                Layout::Chunked1D { .. } => 0,
             };
             links.insert(name.to_owned(), id);
             tree.next_id += 1;
@@ -980,28 +1073,143 @@ impl Container {
     ///
     /// A thin wrapper over [`Container::plan_io`]: one metadata-lock
     /// acquisition resolves the whole selection (two on a first write
-    /// into unallocated chunks), then the coalesced segments go to the
-    /// backend as vectored batches of at most [`COALESCE_WINDOW`]
-    /// segments.
+    /// into unallocated chunks), then the plan's spans
+    /// ([`sieve_spans`]) go to the backend one [`span_windows`] window
+    /// at a time. A one-segment span is written from `data`; a sieved
+    /// span is read whole into a recycled buffer, the segments are
+    /// scattered into it, and it is written back whole — one vectored
+    /// read and one vectored write per window, under the dataset's
+    /// write gate so the read-modify-write is atomic against every other
+    /// `write_selection` (DESIGN.md §9).
+    ///
+    /// A failed span read fails the write before anything of that window
+    /// is written. A failed or torn write leaves every selected element
+    /// old or new and every unselected byte as it was: the hole bytes
+    /// written are the bytes just read. Retrying the whole call is
+    /// idempotent, because the retry reads again.
     pub fn write_selection(&self, id: ObjectId, sel: &Selection, data: &[u8]) -> Result<()> {
-        let (plan, _verify) = self.plan_io(id, sel, Some(data.len() as u64), true)?;
+        let planned = self.plan_io(id, sel, Some(data.len() as u64), true)?;
+        let segments = planned.plan.segments();
+        let spans = sieve_spans(segments, extents_of(&planned.touched));
+        // Only now, with every planning lock released.
+        let gate = &self.sieve_gates[shard_of(id)];
+        let sieved = spans.len() < segments.len();
+        let _exclusive = sieved.then(|| gate.write());
+        let _shared = (!sieved).then(|| gate.read());
         let tracer = self.tracer();
-        for window in plan.segments().chunks(COALESCE_WINDOW) {
-            let mut batch_span = tracer.span("backend.batch");
-            batch_span.set_event(Event::BackendBatch {
-                segments: window.len() as u64,
-                bytes: window.iter().map(|s| s.len).sum(),
-            });
-            let batch: Vec<IoVec<'_>> = window
-                .iter()
-                .map(|s| IoVec {
-                    offset: s.addr,
-                    data: &data[s.cursor as usize..(s.cursor + s.len) as usize],
+        for window in span_windows(&spans) {
+            let _sieve_span = self.note_sieve(&tracer, segments, window);
+            let mut sieve = recycle::lease(sieve_bytes(window));
+            self.read_window(&tracer, window, &mut sieve, Vec::new())?;
+            for (span, range) in sieve_layout(window) {
+                let Some(range) = range else { continue };
+                let buf = &mut sieve[range];
+                for s in &segments[span.first..span.first + span.count] {
+                    buf[(s.addr - span.addr) as usize..][..s.len as usize]
+                        .copy_from_slice(&data[s.cursor as usize..][..s.len as usize]);
+                }
+            }
+            let batch: Vec<IoVec<'_>> = sieve_layout(window)
+                .map(|(span, range)| IoVec {
+                    offset: span.addr,
+                    data: match range {
+                        Some(range) => &sieve[range],
+                        None => {
+                            let s = &segments[span.first];
+                            &data[s.cursor as usize..][..s.len as usize]
+                        }
+                    },
                 })
                 .collect();
+            let mut batch_span = tracer.span("backend.batch");
+            batch_span.set_event(Event::BackendBatch {
+                segments: batch.len() as u64,
+                bytes: window.iter().map(|s| s.len).sum(),
+            });
             self.backend.write_vectored_at(&batch)?;
         }
         Ok(())
+    }
+
+    /// Count a window's sieved spans and, if it has any, open the
+    /// `container.sieve` span that brackets their read → scatter or
+    /// gather (→ write-back).
+    fn note_sieve(
+        &self,
+        tracer: &Tracer,
+        segments: &[IoSegment],
+        window: &[Span],
+    ) -> Option<apio_trace::SpanGuard> {
+        let (mut spans, mut folded, mut span_bytes, mut asked) = (0u64, 0u64, 0u64, 0u64);
+        for span in window.iter().filter(|s| s.is_sieved()) {
+            spans += 1;
+            folded += span.count as u64;
+            span_bytes += span.len;
+            asked += segments[span.first..span.first + span.count]
+                .iter()
+                .map(|s| s.len)
+                .sum::<u64>();
+        }
+        if spans == 0 {
+            return None;
+        }
+        let fill_bytes = span_bytes - asked;
+        self.sieve.spans.fetch_add(spans, Ordering::Relaxed);
+        self.sieve.segments.fetch_add(folded, Ordering::Relaxed);
+        self.sieve.span_bytes.fetch_add(span_bytes, Ordering::Relaxed);
+        self.sieve.fill_bytes.fetch_add(fill_bytes, Ordering::Relaxed);
+        if let Some(m) = tracer.metrics() {
+            m.counter("container.sieve_spans").add(spans);
+            m.counter("container.sieve_fill_bytes").add(fill_bytes);
+        }
+        Some(tracer.span_with(
+            "container.sieve",
+            Event::Sieve {
+                segments: folded,
+                span_bytes,
+                fill_bytes,
+            },
+        ))
+    }
+
+    /// One vectored read for a window: `batch` (the caller's direct
+    /// reads, possibly none) plus every sieved span of `window`, whole,
+    /// into `sieve` — spans back to back in window order. A span's tail
+    /// can lie past the backend's watermark before the first flush; the
+    /// read stops there and the rest is zero-filled, exactly as
+    /// [`Container::hash_extent`] sees it. `sieve` is recycled memory:
+    /// on return every byte of it comes from the device or the zero fill.
+    fn read_window<'a>(
+        &self,
+        tracer: &Tracer,
+        window: &[Span],
+        sieve: &'a mut [u8],
+        mut batch: Vec<IoVecMut<'a>>,
+    ) -> Result<()> {
+        let watermark = self.backend.len();
+        let mut rest = sieve;
+        for span in window.iter().filter(|s| s.is_sieved()) {
+            let (buf, tail) = rest.split_at_mut(span.len as usize);
+            rest = tail;
+            let readable = watermark.saturating_sub(span.addr).min(span.len) as usize;
+            let (device, past) = buf.split_at_mut(readable);
+            past.fill(0);
+            if !device.is_empty() {
+                batch.push(IoVecMut {
+                    offset: span.addr,
+                    buf: device,
+                });
+            }
+        }
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let mut batch_span = tracer.span("backend.batch");
+        batch_span.set_event(Event::BackendBatch {
+            segments: batch.len() as u64,
+            bytes: batch.iter().map(|seg| seg.buf.len() as u64).sum(),
+        });
+        self.backend.read_vectored_at(&mut batch)
     }
 
     /// Resolve a write selection to device segments without issuing any
@@ -1009,15 +1217,20 @@ impl Container {
     /// [`Container::write_selection`], but the caller keeps the segments.
     /// The ring path plans here, then submits segments plus the caller's
     /// snapshot as one ring entry — the reaper issues the vectored
-    /// batches (DESIGN.md §14).
+    /// batches (DESIGN.md §14), segment by segment: the ring path does
+    /// not sieve, and it does not take the write gate. What orders it
+    /// against a sieved [`Container::write_selection`] on the same
+    /// dataset is the connector's per-dataset chaining: `AsyncVol`
+    /// settles the dataset's ring entries (`settle_ring_ds`) before any
+    /// degraded or synchronous write to it.
     pub fn plan_write_selection(
         &self,
         id: ObjectId,
         sel: &Selection,
         data_len: u64,
     ) -> Result<Vec<IoSegment>> {
-        let (plan, _verify) = self.plan_io(id, sel, Some(data_len), true)?;
-        Ok(plan.segments().to_vec())
+        let planned = self.plan_io(id, sel, Some(data_len), true)?;
+        Ok(planned.plan.segments().to_vec())
     }
 
     /// The storage backend this container runs on (shared handle).
@@ -1037,26 +1250,35 @@ impl Container {
     /// on the returned path surfaces as [`H5Error::Corrupt`] instead of
     /// silently reaching the caller.
     pub fn read_selection(&self, id: ObjectId, sel: &Selection) -> Result<Vec<u8>> {
-        let (plan, verify) = self.plan_io(id, sel, None, false)?;
-        self.read_planned(&plan, &verify)
+        let planned = self.plan_io(id, sel, None, false)?;
+        self.read_planned(&planned.plan, &planned.touched, &planned.verify)
     }
 
-    /// Issue a built read plan: verify the clean checksummed extents,
-    /// serve verified segments from the whole-extent reads, and batch
-    /// the rest to the backend vectored.
-    fn read_planned(&self, plan: &IoPlan, verify: &[VerifyExtent]) -> Result<Vec<u8>> {
+    /// Issue a built read plan: verify the clean checksummed extents and
+    /// serve their segments from the whole-extent reads; group the rest
+    /// into spans like a write does, read each window in one vectored
+    /// batch — one-segment spans straight into the output, sieved spans
+    /// whole into a recycled buffer — and gather. A sieved span's bytes
+    /// past the watermark read as the fill value.
+    fn read_planned(
+        &self,
+        plan: &IoPlan,
+        touched: &[Touched],
+        verify: &[VerifyExtent],
+    ) -> Result<Vec<u8>> {
         let mut out = vec![0u8; plan.total_bytes() as usize];
-        // Whole-extent verified reads, keyed by extent address.
-        let mut cache: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let tracer = self.tracer();
+        // Whole-extent verified reads, ascending by extent address.
+        let mut verified: Vec<(u64, recycle::Lease)> = Vec::with_capacity(verify.len());
         for v in verify {
-            let mut buf = vec![0u8; v.len as usize];
+            let mut buf = recycle::lease(v.len as usize);
             self.backend
                 .read_at(v.addr, &mut buf)?; // xtask: allow(planned-io) integrity verification read
             if fnv1a64(&buf) != v.fnv {
                 self.integrity
                     .checksum_failures
                     .fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.tracer().metrics() {
+                if let Some(m) = tracer.metrics() {
                     m.counter("container.checksum_failures").inc();
                 }
                 return Err(H5Error::Corrupt(format!(
@@ -1067,50 +1289,47 @@ impl Container {
             self.integrity
                 .verified_extents
                 .fetch_add(1, Ordering::Relaxed);
-            cache.insert(v.addr, buf);
+            verified.push((v.addr, buf));
         }
-        // Carve disjoint `&mut` segments out of `out` in one forward
-        // pass — sound because plan segments ascend in cursor space
-        // (planner invariant 1). Segments inside a verified extent copy
-        // from the verified bytes; the rest go to the backend as
-        // vectored batches.
-        let mut rest: &mut [u8] = &mut out;
-        let mut consumed = 0u64;
-        let tracer = self.tracer();
-        for window in plan.segments().chunks(COALESCE_WINDOW) {
+        verified.sort_unstable_by_key(|&(addr, _)| addr);
+        let unserved;
+        let segments = if verified.is_empty() {
+            plan.segments()
+        } else {
+            unserved = serve_verified(plan.segments(), &verified, &mut out);
+            unserved.as_slice()
+        };
+        drop(verified);
+        let spans = sieve_spans(segments, extents_of(touched));
+        for window in span_windows(&spans) {
+            let _sieve_span = self.note_sieve(&tracer, segments, window);
+            let mut sieve = recycle::lease(sieve_bytes(window));
+            // Carve the one-segment spans' destinations out of `out` in
+            // one forward pass — sound because plan segments ascend in
+            // cursor space (planner invariant 1).
+            let mut rest: &mut [u8] = &mut out;
+            let mut consumed = 0u64;
             let mut batch: Vec<IoVecMut<'_>> = Vec::with_capacity(window.len());
-            let mut batch_bytes = 0u64;
-            for s in window {
+            for span in window.iter().filter(|s| !s.is_sieved()) {
+                let s = &segments[span.first];
                 let tail = std::mem::take(&mut rest);
                 let (_gap, tail) = tail.split_at_mut((s.cursor - consumed) as usize);
                 let (seg, tail) = tail.split_at_mut(s.len as usize);
                 rest = tail;
                 consumed = s.cursor + s.len;
-                let served = cache.range(..=s.addr).next_back().and_then(|(base, buf)| {
-                    let off = s.addr.checked_sub(*base)?;
-                    let end = off.checked_add(s.len)?;
-                    if end <= buf.len() as u64 {
-                        seg.copy_from_slice(&buf[off as usize..end as usize]);
-                        Some(())
-                    } else {
-                        None
-                    }
+                batch.push(IoVecMut {
+                    offset: s.addr,
+                    buf: seg,
                 });
-                if served.is_none() {
-                    batch_bytes += s.len;
-                    batch.push(IoVecMut {
-                        offset: s.addr,
-                        buf: seg,
-                    });
-                }
             }
-            if !batch.is_empty() {
-                let mut batch_span = tracer.span("backend.batch");
-                batch_span.set_event(Event::BackendBatch {
-                    segments: batch.len() as u64,
-                    bytes: batch_bytes,
-                });
-                self.backend.read_vectored_at(&mut batch)?;
+            self.read_window(&tracer, window, &mut sieve, batch)?;
+            for (span, range) in sieve_layout(window) {
+                let Some(range) = range else { continue };
+                let buf = &sieve[range];
+                for s in &segments[span.first..span.first + span.count] {
+                    out[s.cursor as usize..][..s.len as usize]
+                        .copy_from_slice(&buf[(s.addr - span.addr) as usize..][..s.len as usize]);
+                }
             }
         }
         Ok(out)
@@ -1143,7 +1362,7 @@ impl Container {
         sel: &Selection,
         expect_bytes: Option<u64>,
         allocate: bool,
-    ) -> Result<(IoPlan, Vec<VerifyExtent>)> {
+    ) -> Result<Planned> {
         let tracer = self.tracer();
         let mut plan_span = tracer.span("container.plan_io");
         let state = {
@@ -1153,8 +1372,11 @@ impl Container {
         let mut parts = plan_from_state(&state, sel, expect_bytes)?;
         if parts.missing.is_empty() || !allocate {
             plan_span.set_event(plan_built_event(id, &parts.plan));
-            let verify = self.note_touched(id, allocate, &parts.touched);
-            return Ok((parts.plan, verify));
+            return Ok(Planned {
+                verify: self.note_touched(id, allocate, &parts.touched),
+                touched: parts.touched,
+                plan: parts.plan,
+            });
         }
         let Some(ChunkInfo { chunk_elems, elem, runs }) = parts.chunk_info else {
             return Err(H5Error::Corrupt(format!(
@@ -1230,8 +1452,11 @@ impl Container {
             state.chunks.get(&idx).map(|e| e.addr)
         })?;
         plan_span.set_event(plan_built_event(id, &plan));
-        let verify = self.note_touched(id, allocate, &parts.touched);
-        Ok((plan, verify))
+        Ok(Planned {
+            verify: self.note_touched(id, allocate, &parts.touched),
+            touched: parts.touched,
+            plan,
+        })
     }
 
     /// Bookkeeping after a plan is built. For writes, mark every touched
@@ -1242,7 +1467,7 @@ impl Container {
         &self,
         id: ObjectId,
         write: bool,
-        touched: &[(u64, u64, u64, Option<u64>)],
+        touched: &[Touched],
     ) -> Vec<VerifyExtent> {
         if !self.checksums.load(Ordering::Relaxed) || touched.is_empty() {
             return Vec::new();
@@ -1278,7 +1503,9 @@ fn plan_from_state(
 ) -> Result<PlanParts> {
     let elem = state.dtype.size() as u64;
     if let Some(got) = expect_bytes {
-        let want = sel.npoints(&state.space) * elem;
+        let want = sel.npoints(&state.space).checked_mul(elem).ok_or_else(|| {
+            H5Error::Storage("selection byte size overflows the address space".into())
+        })?;
         if got != want {
             return Err(H5Error::ShapeMismatch(format!(
                 "selection wants {want} bytes, buffer has {got}"
@@ -1286,7 +1513,7 @@ fn plan_from_state(
         }
     }
     let runs = sel.runs(&state.space)?;
-    let mut touched: Vec<(u64, u64, u64, Option<u64>)> = Vec::new();
+    let mut touched: Vec<Touched> = Vec::new();
     let mut missing: Vec<u64> = Vec::new();
     match &state.layout {
         Layout::Contiguous => {
@@ -1333,8 +1560,39 @@ fn plan_from_state(
     }
 }
 
+/// Copy every segment that lies inside a verified extent (`verified`
+/// ascends by address) out of its bytes into `out`; return the segments
+/// no verified extent holds.
+fn serve_verified(
+    segments: &[IoSegment],
+    verified: &[(u64, recycle::Lease)],
+    out: &mut [u8],
+) -> Vec<IoSegment> {
+    let mut unserved = Vec::new();
+    // The extent that served the previous segment serves the next one
+    // too, until the plan moves on to another chunk.
+    let mut held = 0usize;
+    for s in segments {
+        let within = |&(base, ref buf): &(u64, recycle::Lease)| {
+            s.addr >= base && s.addr - base + s.len <= buf.len() as u64
+        };
+        if !verified.get(held).is_some_and(within) {
+            held = verified
+                .partition_point(|&(base, _)| base <= s.addr)
+                .saturating_sub(1);
+        }
+        match verified.get(held).filter(|v| within(v)) {
+            Some((base, buf)) => out[s.cursor as usize..][..s.len as usize]
+                .copy_from_slice(&buf[(s.addr - base) as usize..][..s.len as usize]),
+            None => unserved.push(*s),
+        }
+    }
+    unserved
+}
+
 /// The planner-result payload for a `container.plan_io` span: segment
-/// count plus the number of vectored windows those segments become.
+/// count plus the number of vectored windows those segments become if
+/// none of them sieve (the issuing side may fold them into fewer).
 fn plan_built_event(id: ObjectId, plan: &IoPlan) -> Event {
     let segments = plan.segments().len() as u64;
     Event::PlanBuilt {
@@ -1731,6 +1989,24 @@ mod tests {
             .unwrap();
         let err = c
             .write_selection(ds, &Selection::All, &to_bytes(&[1u64; 16]))
+            .unwrap_err();
+        assert!(matches!(err, H5Error::Storage(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn selection_size_overflow_is_an_error_not_an_accepted_buffer() {
+        // 2^61 eight-byte elements: the selection's byte size wraps to 0,
+        // which an empty buffer used to match.
+        let c = Container::create_mem();
+        let space = Dataspace::d1(1 << 61);
+        let ds = c
+            .create_dataset(ROOT_ID, "x", Datatype::U64, &space, Layout::Chunked1D { chunk_elems: 4 })
+            .unwrap();
+        let err = c.write_selection(ds, &Selection::All, &[]).unwrap_err();
+        assert!(matches!(err, H5Error::Storage(_)), "got {err:?}");
+        // And a contiguous extent of that size cannot be reserved at all.
+        let err = c
+            .create_dataset(ROOT_ID, "y", Datatype::U64, &space, Layout::Contiguous)
             .unwrap_err();
         assert!(matches!(err, H5Error::Storage(_)), "got {err:?}");
     }

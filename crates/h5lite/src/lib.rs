@@ -62,14 +62,16 @@ pub mod sync;
 pub mod vol;
 
 pub use api::{Dataset, File, Group};
-pub use container::{Container, IntegrityStats, ObjectId, ScrubReport};
+pub use container::{Container, IntegrityStats, ObjectId, ScrubReport, SieveStats};
 pub use dataspace::{Dataspace, Hyperslab, Selection};
 pub use datatype::{Datatype, H5Type};
 pub use error::{ErrorClass, H5Error, Result};
 pub use layout::Layout;
 pub use meta::{shard_of, ConsistencyModel, MetaLockStats, MetaSnapshot, META_SHARDS};
 pub use native::NativeVol;
-pub use plan::{IoPlan, IoSegment, COALESCE_WINDOW};
+pub use plan::{
+    sieve_spans, IoPlan, IoSegment, Span, COALESCE_WINDOW, SIEVE_PAGE, SIEVE_SPAN_CAP,
+};
 pub use promise::Promise;
 pub use ring::{
     Backpressure, Completion, CqeErr, CqeOk, DepthAdvice, ReadExtent, Ring, RingBackend,

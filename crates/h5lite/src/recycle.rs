@@ -132,6 +132,35 @@ pub fn give(mut buf: Vec<u8>) {
     }
 }
 
+/// A [`take`]n buffer that is [`give`]n back when dropped, for users
+/// that keep it only for the length of a call and have error returns on
+/// the way. Contents are as unspecified as [`take`]'s.
+pub struct Lease(Vec<u8>);
+
+/// [`take`] `len` bytes for the lifetime of the returned guard.
+pub fn lease(len: usize) -> Lease {
+    Lease(take(len))
+}
+
+impl std::ops::Deref for Lease {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Lease {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.0
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        give(std::mem::take(&mut self.0));
+    }
+}
+
 /// Counters since process start.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecycleStats {

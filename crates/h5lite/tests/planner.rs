@@ -1,8 +1,10 @@
 //! Acceptance tests for the I/O planner's lock and batch accounting: a
 //! strided 1-D selection with well over 1k runs must reach the backend
-//! as at most `ceil(runs / COALESCE_WINDOW)` vectored batches per
-//! operation, with exactly one metadata-lock acquisition in steady
-//! state and zero scalar data-path calls.
+//! as one sieved span per extent — one vectored read and one vectored
+//! write per operation — with exactly one metadata-lock acquisition in
+//! steady state and zero scalar data-path calls. Runs too far apart to
+//! sieve still go out as `ceil(runs / COALESCE_WINDOW)` batches of one
+//! segment per run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -10,7 +12,7 @@ use std::sync::Arc;
 use h5lite::container::ROOT_ID;
 use h5lite::{
     shard_of, Container, Dataspace, Datatype, Hyperslab, IoVec, IoVecMut, Layout, MemBackend,
-    MetaLockStats, Selection, StorageBackend, COALESCE_WINDOW, META_SHARDS,
+    MetaLockStats, Selection, StorageBackend, COALESCE_WINDOW, META_SHARDS, SIEVE_PAGE,
 };
 
 /// Forwards to a [`MemBackend`] while counting scalar calls, vectored
@@ -67,7 +69,8 @@ impl StorageBackend for CountingBackend {
 
 /// 1500 single-element runs: element 0, 3, 6, … over a 4500-element
 /// dataset. `Selection::runs` cannot coalesce any pair, so the planner
-/// sees the full per-run storm.
+/// sees the full per-run storm; the holes are 8 bytes, so the issuing
+/// side folds every extent's runs into one span.
 const RUNS: u64 = 1500;
 
 fn strided_setup(layout: Layout) -> (Container, Arc<CountingBackend>, Selection, Vec<u8>) {
@@ -83,17 +86,26 @@ fn strided_setup(layout: Layout) -> (Container, Arc<CountingBackend>, Selection,
     (c, backend, sel, data)
 }
 
-fn expected_batches(runs: u64) -> u64 {
-    runs.div_ceil(COALESCE_WINDOW as u64)
+/// `(read batches, write batches, batched segments)` so far.
+fn batch_counts(backend: &CountingBackend) -> (u64, u64, u64) {
+    (
+        backend.count(&backend.read_batches),
+        backend.count(&backend.write_batches),
+        backend.count(&backend.batch_segments),
+    )
+}
+
+fn delta(before: (u64, u64, u64), after: (u64, u64, u64)) -> (u64, u64, u64) {
+    (after.0 - before.0, after.1 - before.1, after.2 - before.2)
 }
 
 #[test]
-fn contiguous_strided_write_is_one_lock_and_two_batches() {
+fn contiguous_strided_write_is_one_lock_and_one_span() {
     let (c, backend, sel, data) = strided_setup(Layout::Contiguous);
     let id = 2;
 
     let locks0 = c.meta_lock_acquisitions();
-    let batches0 = backend.count(&backend.write_batches);
+    let counts0 = batch_counts(&backend);
     let scalars0 = backend.count(&backend.scalar_writes);
 
     c.write_selection(id, &sel, &data).unwrap();
@@ -103,35 +115,72 @@ fn contiguous_strided_write_is_one_lock_and_two_batches() {
         1,
         "contiguous strided write must resolve everything under one lock"
     );
-    let batches = backend.count(&backend.write_batches) - batches0;
-    assert!(batches >= 1 && batches <= expected_batches(RUNS));
+    // Nothing is on the device yet, so the span's read is clamped away:
+    // one write batch of one segment.
+    assert_eq!(delta(counts0, batch_counts(&backend)), (0, 1, 1));
+
+    // Steady state: the span is read whole and written back whole.
+    let counts1 = batch_counts(&backend);
+    c.write_selection(id, &sel, &data).unwrap();
+    assert_eq!(delta(counts1, batch_counts(&backend)), (1, 1, 2));
     assert_eq!(
         backend.count(&backend.scalar_writes) - scalars0,
         0,
         "data path must not fall back to scalar write_at"
     );
+    assert_eq!(backend.count(&backend.scalar_reads), 0);
+    let stats = c.sieve_stats();
+    assert_eq!((stats.spans, stats.segments), (2, 2 * RUNS));
+    // 1500 elements and the 1499 two-element holes between them.
+    assert_eq!(stats.span_bytes, 2 * (RUNS * 12 - 8));
+    assert_eq!(stats.fill_bytes, 2 * (RUNS - 1) * 8);
 }
 
 #[test]
-fn contiguous_strided_read_is_one_lock_and_two_batches() {
+fn runs_a_page_apart_stay_one_segment_per_run() {
+    // Holes longer than a page: nothing sieves, and the write reaches
+    // the backend exactly as planned — one segment per run, in
+    // ceil(runs / COALESCE_WINDOW) batches, no read at all.
+    const FAR_RUNS: u64 = 1500;
+    let stride = SIEVE_PAGE / 4 + 2;
+    let backend = Arc::new(CountingBackend::default());
+    let c = Container::create(backend.clone() as Arc<dyn StorageBackend>);
+    let space = Dataspace::d1(FAR_RUNS * stride);
+    let id = c
+        .create_dataset(ROOT_ID, "far", Datatype::F32, &space, Layout::Contiguous)
+        .unwrap();
+    let sel = Selection::Slab(Hyperslab::strided(&[0], &[FAR_RUNS], &[stride]));
+    let data: Vec<u8> = (0..FAR_RUNS * 4).map(|i| (i % 249) as u8 + 1).collect();
+
+    let counts0 = batch_counts(&backend);
+    c.write_selection(id, &sel, &data).unwrap();
+    let batches = FAR_RUNS.div_ceil(COALESCE_WINDOW as u64);
+    assert_eq!(delta(counts0, batch_counts(&backend)), (0, batches, FAR_RUNS));
+
+    let counts1 = batch_counts(&backend);
+    assert_eq!(c.read_selection(id, &sel).unwrap(), data);
+    assert_eq!(delta(counts1, batch_counts(&backend)), (batches, 0, FAR_RUNS));
+    assert_eq!(c.sieve_stats().spans, 0);
+}
+
+#[test]
+fn contiguous_strided_read_is_one_lock_and_one_span() {
     let (c, backend, sel, data) = strided_setup(Layout::Contiguous);
     let id = 2;
     c.write_selection(id, &sel, &data).unwrap();
 
     let locks0 = c.meta_lock_acquisitions();
-    let batches0 = backend.count(&backend.read_batches);
+    let counts0 = batch_counts(&backend);
     let scalars0 = backend.count(&backend.scalar_reads);
-    let segs0 = backend.count(&backend.batch_segments);
 
     let back = c.read_selection(id, &sel).unwrap();
     assert_eq!(back, data);
 
     assert_eq!(c.meta_lock_acquisitions() - locks0, 1);
-    let batches = backend.count(&backend.read_batches) - batches0;
-    assert!(batches >= 1 && batches <= expected_batches(RUNS));
     assert_eq!(backend.count(&backend.scalar_reads) - scalars0, 0);
-    // Every run reaches the backend as exactly one batched segment.
-    assert_eq!(backend.count(&backend.batch_segments) - segs0, RUNS);
+    // The extent is unflushed, hence unverified: all 1500 runs reach
+    // the backend as one batch of one segment, the span that holds them.
+    assert_eq!(delta(counts0, batch_counts(&backend)), (1, 0, 1));
 }
 
 #[test]
@@ -150,20 +199,24 @@ fn chunked_steady_state_matches_contiguous_accounting() {
         "first write = plan pass + allocation pass"
     );
 
-    // Steady state: chunks exist, so back to one lock and ≤2 batches.
+    // Steady state: chunks exist, so back to one lock; every one of
+    // the 71 chunks is an extent of its own and so a span of its own,
+    // all in one read batch and one write batch.
+    const CHUNKS: u64 = (RUNS * 3).div_ceil(64);
     let locks0 = c.meta_lock_acquisitions();
-    let batches0 = backend.count(&backend.write_batches);
+    let counts0 = batch_counts(&backend);
     let scalars0 = backend.count(&backend.scalar_writes);
     c.write_selection(id, &sel, &data).unwrap();
     assert_eq!(c.meta_lock_acquisitions() - locks0, 1);
-    let batches = backend.count(&backend.write_batches) - batches0;
-    assert!(batches >= 1 && batches <= expected_batches(RUNS));
+    assert_eq!(delta(counts0, batch_counts(&backend)), (1, 1, 2 * CHUNKS));
     assert_eq!(backend.count(&backend.scalar_writes) - scalars0, 0);
 
     let locks0 = c.meta_lock_acquisitions();
+    let counts0 = batch_counts(&backend);
     let back = c.read_selection(id, &sel).unwrap();
     assert_eq!(back, data);
     assert_eq!(c.meta_lock_acquisitions() - locks0, 1);
+    assert_eq!(delta(counts0, batch_counts(&backend)), (1, 0, CHUNKS));
 }
 
 /// Per-shard delta between two [`MetaLockStats`] captures, as

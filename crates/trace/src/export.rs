@@ -85,6 +85,13 @@ fn event_members(e: &Event) -> String {
         Event::BackendBatch { segments, bytes } => {
             format!("\"type\":\"BackendBatch\",\"segments\":{segments},\"bytes\":{bytes}")
         }
+        Event::Sieve {
+            segments,
+            span_bytes,
+            fill_bytes,
+        } => format!(
+            "\"type\":\"Sieve\",\"segments\":{segments},\"span_bytes\":{span_bytes},\"fill_bytes\":{fill_bytes}"
+        ),
         Event::Degrade { dataset, bytes } => {
             format!("\"type\":\"Degrade\",\"dataset\":{dataset},\"bytes\":{bytes}")
         }

@@ -127,7 +127,8 @@ pub enum Event {
         dataset: u64,
         /// Coalesced segments in the plan.
         segments: u64,
-        /// Vectored batches the segments will be issued as.
+        /// Vectored batches the segments need when none of them sieve —
+        /// an upper bound; see [`Event::Sieve`] for what sieving folds.
         batches: u64,
     },
     /// One vectored batch issued to a storage backend.
@@ -136,6 +137,16 @@ pub enum Event {
         segments: u64,
         /// Total payload bytes.
         bytes: u64,
+    },
+    /// Sieved spans of one issue window: neighbouring small segments
+    /// moved as whole spans through a sieve buffer (DESIGN.md §9).
+    Sieve {
+        /// Plan segments folded into the window's sieved spans.
+        segments: u64,
+        /// Bytes the sieved spans cover (what the device moves).
+        span_bytes: u64,
+        /// Hole bytes among them (moved, but not asked for).
+        fill_bytes: u64,
     },
     /// A write served synchronously because the breaker degraded the
     /// async path.

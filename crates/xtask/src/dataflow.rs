@@ -359,6 +359,16 @@ fn operand_after(tokens: &[Token], op: usize) -> bool {
 /// binding *named* like an address computed with raw arithmetic. Wrap
 /// on these is not a math bug, it is silent data corruption at a wrong
 /// device address — the arithmetic must be `checked_*`/`saturating_*`.
+///
+/// The taint set is lexical: a name, not a type or a data flow. A size
+/// computed from names that mention none of the three words — the
+/// `sel.npoints(&state.space) * elem` that `plan_from_state` compared a
+/// buffer length against, bound to `want` — is invisible to it, and
+/// widening the set to `len`/`bytes`/`count` would fire on every cursor
+/// and counter in the same files. Sizes that gate an address
+/// computation are therefore held by unit tests
+/// (`selection_size_overflow_is_an_error_not_an_accepted_buffer` in
+/// `container.rs`), not by this rule.
 pub fn unchecked_offset_arith(tokens: &[Token]) -> Vec<Finding> {
     let mut out = Vec::new();
     for k in 0..tokens.len() {

@@ -456,19 +456,33 @@ fn planned_selection_path_matches_per_run_reference() {
     }
 }
 
-/// Coalescing must not shift fault-plan indices: the k-th write fault
+/// Coalescing must not shift fault-plan indices. For a plan with no
+/// sieved span (every hole longer than a page) the k-th write fault
 /// hits the same logical backend operation whether the selection goes
 /// through one planned call or the per-run reference sequence, leaving
 /// both containers in identical states with identical injection counts.
+///
+/// A finely strided plan sieves: one backend op per span, so a fault
+/// index names a span. There the claims are: the fault fires exactly
+/// when the index is below the span count (as it does in the reference,
+/// which has at least as many ops); after it, every selected byte is old
+/// or new and every unselected byte is unchanged; and a write the fault
+/// did not reach is complete.
 #[test]
 fn planned_path_preserves_fault_plan_indices() {
     let mut rng = Lcg::new(0xFA171);
-    for case in 0..24 {
-        let n = rng.in_range(16, 400);
-        let start = rng.next() % n;
-        let stride = rng.in_range(1, 5);
-        let max_count = (n - start).div_ceil(stride);
-        let count = 1 + rng.next() % max_count;
+    for case in 0..32 {
+        // Half the cases cannot sieve (holes of more than a page), half
+        // always do (holes of at most three elements).
+        let far = case % 2 == 0;
+        let stride = if far {
+            rng.in_range(1026, 1100)
+        } else {
+            rng.in_range(2, 5)
+        };
+        let count = rng.in_range(2, 40);
+        let start = rng.in_range(0, 16);
+        let n = start + (count - 1) * stride + 1 + rng.in_range(0, 16);
         let layout = if rng.next().is_multiple_of(2) {
             Layout::Contiguous
         } else {
@@ -479,14 +493,33 @@ fn planned_path_preserves_fault_plan_indices() {
         let space = Dataspace::d1(n);
         let sel = Selection::Slab(Hyperslab::strided(&[start], &[count], &[stride]));
         let runs = sel.runs(&space).expect("valid slab");
+        assert_eq!(runs.len() as u64, count);
+        // Old bytes have the high bit set, new bytes never do.
+        let old: Vec<u8> = (0..n * 4).map(|i| 0x80 | (i % 0x7f) as u8).collect();
+        let data: Vec<u8> = (0..count * 4).map(|i| (7 + case as u64 + i) as u8 & 0x7f).collect();
+
+        // Backend write ops of the planned call, from a fault-free run.
+        let ops = {
+            let c = Container::create_mem();
+            let id = c
+                .create_dataset(ROOT_ID, "d", Datatype::F32, &space, layout.clone())
+                .expect("create");
+            c.write_selection(id, &Selection::All, &old).expect("prefill");
+            let spans0 = c.sieve_stats();
+            c.write_selection(id, &sel, &data).expect("dry run");
+            let sieved = c.sieve_stats();
+            let folded = sieved.segments - spans0.segments;
+            count - folded + (sieved.spans - spans0.spans)
+        };
+        assert_eq!(ops < count, !far, "case {case}: stride {stride} sieves iff holes are short");
+
         // Fault the k-th data write; k sometimes past the end (no fault).
-        let k = rng.next() % (runs.len() as u64 + 3);
+        let k = rng.next() % (ops + 3);
         let kind = if rng.next().is_multiple_of(2) {
             FaultKind::Transient
         } else {
             FaultKind::Torn { fraction: 0.5 }
         };
-        let data: Vec<u8> = (0..count * 4).map(|i| (7 + case as u64 + i) as u8 | 1).collect();
 
         let mk = || {
             let plan = FaultPlan::new(7)
@@ -501,8 +534,7 @@ fn planned_path_preserves_fault_plan_indices() {
             // Pre-allocate every chunk while disarmed so both paths run
             // the same steady-state op sequence (first-write zero fills
             // would interleave differently between the two schedules).
-            c.write_selection(id, &Selection::All, &vec![0u8; (n * 4) as usize])
-                .expect("prefill");
+            c.write_selection(id, &Selection::All, &old).expect("prefill");
             inj.set_armed(true);
             (c, inj, id)
         };
@@ -527,16 +559,42 @@ fn planned_path_preserves_fault_plan_indices() {
         }
 
         let ctx = format!(
-            "case {case}: n {n} start {start} count {count} stride {stride} k {k} {layout:?}"
+            "case {case}: n {n} start {start} count {count} stride {stride} k {k} of {ops} {layout:?}"
         );
-        assert_eq!(planned_res.is_ok(), reference_res.is_ok(), "{ctx}: outcome");
-        assert_eq!(pinj.injected(), rinj.injected(), "{ctx}: injected count");
-
+        assert_eq!(planned_res.is_err(), k < ops, "{ctx}: planned outcome");
+        assert_eq!(pinj.injected(), u64::from(k < ops), "{ctx}: planned injections");
         pinj.set_armed(false);
         rinj.set_armed(false);
         let a = pc.read_selection(pid, &Selection::All).expect("read");
-        let b = rc.read_selection(rid, &Selection::All).expect("read");
-        assert_eq!(a, b, "{ctx}: post-fault contents diverged");
+        if far {
+            assert_eq!(planned_res.is_ok(), reference_res.is_ok(), "{ctx}: outcome");
+            assert_eq!(pinj.injected(), rinj.injected(), "{ctx}: injected count");
+            let b = rc.read_selection(rid, &Selection::All).expect("read");
+            assert_eq!(a, b, "{ctx}: post-fault contents diverged");
+        } else if k < ops {
+            // The reference has one op per run, so index k exists there too.
+            assert!(reference_res.is_err(), "{ctx}: reference outcome");
+            assert_eq!(rinj.injected(), 1, "{ctx}: reference injections");
+        }
+        let mut selected = vec![None; a.len()];
+        for (i, &(off, len)) in runs.iter().enumerate() {
+            assert_eq!(len, 1);
+            for byte in 0..4 {
+                selected[off as usize * 4 + byte] = Some(data[i * 4 + byte]);
+            }
+        }
+        for (i, (&got, new)) in a.iter().zip(&selected).enumerate() {
+            match new {
+                Some(new) if planned_res.is_ok() => {
+                    assert_eq!(got, *new, "{ctx}: selected byte {i} not written")
+                }
+                Some(new) => assert!(
+                    got == old[i] || got == *new,
+                    "{ctx}: byte {i} is neither old nor new"
+                ),
+                None => assert_eq!(got, old[i], "{ctx}: unselected byte {i} changed"),
+            }
+        }
     }
 }
 

@@ -147,10 +147,13 @@ fn chrome_export_of_the_epoch_is_loadable_and_complete() {
 }
 
 #[test]
-fn strided_1500_run_selection_plans_once_in_two_batches() {
-    // 1500 non-adjacent runs (stride 2): one plan, and the planner must
-    // issue them as ⌈1500/1024⌉ = 2 vectored batches — never one backend
-    // call per run.
+fn strided_1500_run_selection_plans_once_and_sieves_into_one_span() {
+    // 1500 non-adjacent runs (stride 2): one plan of 1500 segments, which
+    // the issuing side folds into one sieved span — never one backend
+    // call per run. The first write finds nothing on the device (its
+    // read is clamped away); the second reads the span, scatters, and
+    // writes it back, each a batch of one segment inside the
+    // `container.sieve` span.
     let (tracer, _clock) = virtual_tracer();
     let c = Container::create_mem();
     let ds = c
@@ -165,32 +168,48 @@ fn strided_1500_run_selection_plans_once_in_two_batches() {
     c.set_tracer(tracer.clone());
     let sel = Selection::Slab(Hyperslab::strided(&[0], &[1500], &[2]));
     let vals = vec![1.0f32; 1500];
-    c.write_selection(ds, &sel, &apio::h5lite::datatype::to_bytes(&vals))
-        .expect("strided write");
+    for _ in 0..2 {
+        c.write_selection(ds, &sel, &apio::h5lite::datatype::to_bytes(&vals))
+            .expect("strided write");
+    }
     let sink = tracer.sink();
 
     let plans = sink.events_where(|e| matches!(e, Event::PlanBuilt { .. }));
-    assert_eq!(plans.len(), 1, "exactly one plan for the whole selection");
-    let Some(Event::PlanBuilt { segments, batches, .. }) = plans[0].event else {
-        unreachable!();
-    };
-    assert_eq!(segments, 1500);
-    assert_eq!(batches, 2);
+    assert_eq!(plans.len(), 2, "exactly one plan per selection");
+    for plan in plans {
+        let Some(Event::PlanBuilt { segments, batches, .. }) = plan.event else {
+            unreachable!();
+        };
+        assert_eq!(segments, 1500);
+        // What the plan alone would need; sieving can only lower it.
+        assert_eq!(batches, 2);
+    }
 
+    let sieves = sink.spans("container.sieve");
+    assert_eq!(sieves.len(), 2);
+    for sieve in &sieves {
+        assert_eq!(
+            sieve.event,
+            Some(Event::Sieve {
+                segments: 1500,
+                span_bytes: 2999 * 4,
+                fill_bytes: 1499 * 4,
+            })
+        );
+    }
     let batch_spans = sink.spans("backend.batch");
-    assert!(
-        batch_spans.len() <= 2,
-        "1500 runs must coalesce into at most 2 batches, got {}",
-        batch_spans.len()
-    );
-    let total_segments: u64 = batch_spans
+    let payloads: Vec<(u64, u64)> = batch_spans
         .iter()
         .map(|r| match r.event {
-            Some(Event::BackendBatch { segments, .. }) => segments,
+            Some(Event::BackendBatch { segments, bytes }) => (segments, bytes),
             other => panic!("backend.batch span without payload: {other:?}"),
         })
-        .sum();
-    assert_eq!(total_segments, 1500, "every run reaches the backend");
+        .collect();
+    // Write, then read + write: three batches, one span-sized segment each.
+    assert_eq!(payloads, [(1, 2999 * 4); 3]);
+    for batch in batch_spans {
+        assert!(sink.within_span_named(batch, "container.sieve"));
+    }
 }
 
 #[test]
