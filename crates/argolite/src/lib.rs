@@ -238,30 +238,6 @@ impl Runtime {
         self.streams.lock().len()
     }
 
-    /// Grow the pool to `target` execution streams, spawning the
-    /// difference. Growth-only (shrinking would strand queued tasks on a
-    /// FIFO a dead stream already popped from); a `target` at or below
-    /// the current count is a no-op. Returns the resulting stream count.
-    ///
-    /// This is the scheduler's answer to a deepening I/O ring: occupancy
-    /// feedback (see `asyncvol`'s depth governor) widens the pool so
-    /// submission-side work keeps pace with the device instead of
-    /// queueing behind a fixed stream count.
-    pub fn grow_streams(&self, target: usize) -> usize {
-        let mut streams = self.streams.lock();
-        // A shutdown runtime must not spawn: new streams would block on
-        // a drained pool forever. `Drop` holds no lock while joining, so
-        // check under the pool lock.
-        if self.shared.pool.lock().shutdown {
-            return streams.len();
-        }
-        while streams.len() < target {
-            let index = streams.len();
-            streams.push(Self::spawn_stream(&self.shared, index));
-        }
-        streams.len()
-    }
-
     /// Spawn an independent task.
     pub fn spawn<F>(&self, f: F) -> TaskHandle
     where

@@ -36,6 +36,7 @@
 use std::sync::Arc;
 
 use argolite::sync::Mutex;
+use h5lite::{H5Error, Result};
 
 use crate::stats::StatsCells;
 
@@ -143,8 +144,32 @@ impl CircuitBreaker {
         }
     }
 
+    /// The one decision table: what a write's outcome does to the state
+    /// machine (DESIGN.md §8). `dispatched` is whether the write got as
+    /// far as the container — false when it failed on the issuing thread
+    /// first (planning, WAL append). Only device faults count against the
+    /// device: a malformed request must not degrade the pipeline.
+    pub(crate) fn resolve(
+        &self,
+        outcome: &Result<()>,
+        probe: Option<ProbeGuard>,
+        dispatched: bool,
+        stats: &StatsCells,
+    ) {
+        let fault = outcome.as_ref().is_err_and(H5Error::is_device_fault);
+        match (fault, dispatched, probe) {
+            (true, _, Some(guard)) => guard.device_fault(), // reopen
+            (true, _, None) => self.on_device_failure(false, stats), // streak + 1, may trip
+            (false, true, Some(guard)) => guard.success(), // the device is fine: close
+            (false, true, None) => self.on_success(false, stats), // streak = 0
+            // The device was not tried: no evidence either way. A probe
+            // reverts HalfOpen → Open as it drops.
+            (false, false, probe) => drop(probe),
+        }
+    }
+
     /// A routed operation completed without a device fault.
-    pub(crate) fn on_success(&self, probe: bool, stats: &StatsCells) {
+    fn on_success(&self, probe: bool, stats: &StatsCells) {
         let mut inner = self.inner.lock();
         inner.consecutive_failures = 0;
         if probe && inner.state == BreakerState::HalfOpen {
@@ -171,7 +196,7 @@ impl CircuitBreaker {
 
     /// A routed operation failed with a device fault (transient faults
     /// that exhausted their retries included).
-    pub(crate) fn on_device_failure(&self, probe: bool, stats: &StatsCells) {
+    fn on_device_failure(&self, probe: bool, stats: &StatsCells) {
         let mut inner = self.inner.lock();
         if probe {
             if inner.state == BreakerState::HalfOpen {
@@ -207,13 +232,13 @@ pub(crate) struct ProbeGuard {
 
 impl ProbeGuard {
     /// The probe completed without a device fault: close the breaker.
-    pub(crate) fn success(mut self) {
+    fn success(mut self) {
         self.done = true;
         self.breaker.on_success(true, &self.stats);
     }
 
     /// The probe hit a device fault: reopen the breaker.
-    pub(crate) fn device_fault(mut self) {
+    fn device_fault(mut self) {
         self.done = true;
         self.breaker.on_device_failure(true, &self.stats);
     }
@@ -320,6 +345,54 @@ mod tests {
         b.probe_guard(&s).device_fault(); // resolve + drop
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(s.snapshot().breaker_opens, 2, "one open per report");
+    }
+
+    /// Every row of [`CircuitBreaker::resolve`]: {ok, device fault,
+    /// other error} × {probe riding, none} × {dispatched, not}. Without a
+    /// probe the breaker starts Closed one failure short of tripping;
+    /// with one it starts HalfOpen after a single trip.
+    #[test]
+    fn resolve_decision_table() {
+        use BreakerState::{Closed, Open};
+        let ok = || Ok(());
+        let fault = || Err(H5Error::Storage("dead device".into()));
+        let other = || Err(H5Error::ShapeMismatch("bad request".into()));
+        type Row = (fn() -> Result<()>, bool, bool, BreakerState, u64, u64, u32);
+        // (outcome, probe, dispatched) → (state, opens, closes, streak)
+        let rows: [Row; 12] = [
+            (ok, false, true, Closed, 0, 0, 0),
+            (fault, false, true, Open, 1, 0, 0), // second in a row: trips
+            (other, false, true, Closed, 0, 0, 0),
+            (ok, false, false, Closed, 0, 0, 1), // cannot happen; no evidence
+            (fault, false, false, Open, 1, 0, 0),
+            (other, false, false, Closed, 0, 0, 1), // device untried: streak kept
+            (ok, true, true, Closed, 1, 1, 0),
+            (fault, true, true, Open, 2, 0, 0),
+            (other, true, true, Closed, 1, 1, 0), // the device was fine
+            (ok, true, false, Open, 1, 0, 0),
+            (fault, true, false, Open, 2, 0, 0),
+            (other, true, false, Open, 1, 0, 0), // drop-revert, not a new open
+        ];
+        for (i, (outcome, probe, dispatched, state, opens, closes, streak)) in
+            rows.into_iter().enumerate()
+        {
+            let (b, s) = breaker(if probe { 1 } else { 2 }, 1);
+            b.on_device_failure(false, &s);
+            let guard = probe.then(|| {
+                assert_eq!(b.route(&s), Route::Async { probe: true });
+                b.probe_guard(&s)
+            });
+            b.resolve(&outcome(), guard, dispatched, &s);
+            let snap = s.snapshot();
+            assert_eq!(b.state(), state, "row {i}: state");
+            assert_eq!(snap.breaker_opens, opens, "row {i}: opens");
+            assert_eq!(snap.breaker_closes, closes, "row {i}: closes");
+            assert_eq!(b.inner.lock().consecutive_failures, streak, "row {i}: streak");
+            if probe && state == Open {
+                // Reopened or reverted, a later issue can probe again.
+                assert_eq!(b.route(&s), Route::Async { probe: true }, "row {i}");
+            }
+        }
     }
 
     #[test]

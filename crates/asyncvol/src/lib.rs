@@ -17,7 +17,9 @@
 //!   takes over ([`h5lite::Vol::dataset_write_owned`]), or a copy when a
 //!   caller hands in borrowed bytes (DESIGN.md §17). The actual container
 //!   write runs in the background, ordered after every earlier operation
-//!   on the same dataset.
+//!   on the same dataset. Every write goes `stage → dispatch → land →
+//!   settle`, each written once (DESIGN.md §14): snapshot or WAL append,
+//!   choice of transport, container write, completion bookkeeping.
 //! - **Reads** are blocking unless a prefetch is in flight or complete for
 //!   the same `(dataset, selection)`: [`AsyncVol::prefetch`] schedules
 //!   background reads of future time steps, and a later `dataset_read`
@@ -51,42 +53,51 @@
 //! staged-but-unflushed records replay into the container after a crash
 //! ([`staging`], [`AsyncVol::recover_staging`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use apio_trace::{Event, Tracer};
 use argolite::sync::Mutex;
 use argolite::{Runtime, TaskHandle};
-use h5lite::ring::{Completion, CqeErr, Ring, RingOp, Submitted, WaitMode};
+use h5lite::ring::{Completion, CqeErr, Ring, RingOp, Submitted};
 use h5lite::{
     recycle, Container, H5Error, ObjectId, Promise, ReadRequest, Request, Result, Selection, Vol,
 };
 
-pub mod batch;
 pub mod breaker;
-pub mod governor;
 pub mod retry;
 pub mod staging;
 pub mod stats;
-pub use batch::{BatchOpId, WriteBatch};
 pub use breaker::{BreakerConfig, BreakerState};
-pub use governor::DepthGovernor;
 pub use retry::RetryPolicy;
 pub use staging::{RecoveryReport, Staging, StagingLog};
 pub use stats::{AsyncVolStats, OpKind, OpRecord};
 
 use breaker::{CircuitBreaker, ProbeGuard, Route};
 use retry::with_backoff;
+use stats::StatsCells;
 
-/// Pending-request count above which issue reaps finished entries, for
-/// both the task path's handles and the ring path's completions.
+/// Request-table size above which issue retires finished entries, on
+/// either transport.
 const PENDING_GC_THRESHOLD: usize = 1024;
 
-/// How one write's snapshot travels to the background stream.
+/// How one write's snapshot travels from `stage` to `land`.
 enum Payload {
     Dram(Vec<u8>),
     Staged(Arc<StagingLog>, staging::StagedExtent),
+}
+
+/// What `settle` reports about a write that reached the device.
+struct Ran {
+    /// [`OpKind::Write`] in the background, [`OpKind::DegradedWrite`] inline.
+    kind: OpKind,
+    bytes: u64,
+    /// Start of the reported io_secs: the submission instant on the ring
+    /// (queue time included), the start of `land` elsewhere.
+    since: Instant,
+    /// Snapshot + planning time on the caller's thread (Eq. 2b).
+    overhead_secs: f64,
 }
 
 /// Observer callback invoked after every completed background operation.
@@ -95,7 +106,6 @@ pub type Observer = Arc<dyn Fn(&OpRecord) + Send + Sync>;
 /// Builder for [`AsyncVol`].
 pub struct AsyncVolBuilder {
     streams: usize,
-    max_streams: Option<usize>,
     ring: Option<Arc<Ring>>,
     observer: Option<Observer>,
     staging: Staging,
@@ -116,7 +126,6 @@ impl AsyncVolBuilder {
     pub fn new() -> Self {
         AsyncVolBuilder {
             streams: 1,
-            max_streams: None,
             ring: None,
             observer: None,
             staging: Staging::Dram,
@@ -130,16 +139,6 @@ impl AsyncVolBuilder {
     /// async VOL's single background thread per file).
     pub fn streams(mut self, n: usize) -> Self {
         self.streams = n;
-        self
-    }
-
-    /// Growth ceiling for depth-adaptive stream scaling (default: the
-    /// configured stream count, i.e. no growth). Effective only together
-    /// with [`ring`](Self::ring): the depth governor grows the stream
-    /// pool toward this ceiling as ring occupancy rises. Growth-only —
-    /// streams are never reclaimed.
-    pub fn adaptive_streams(mut self, max: usize) -> Self {
-        self.max_streams = Some(max);
         self
     }
 
@@ -213,27 +212,22 @@ impl AsyncVolBuilder {
             argolite::sync::lock_order::acquire_class,
             argolite::sync::lock_order::release_class,
         );
-        let max_streams = self.max_streams.unwrap_or(self.streams);
         AsyncVol {
             staging: self.staging,
             rt: Runtime::new(self.streams),
-            ring: self.ring.map(|ring| RingCtl {
-                ring,
-                governor: DepthGovernor::new(self.streams, max_streams),
-            }),
+            ring: self.ring,
             inner: Mutex::new_named("asyncvol.conn", ConnInner {
                 next_req: 1,
-                pending: HashMap::new(),
-                last_op: HashMap::new(),
-                errors: HashMap::new(),
+                requests: HashMap::new(),
+                order: HashMap::new(),
                 prefetched: HashMap::new(),
-                ring_pending: HashMap::new(),
-                ring_by_ds: HashMap::new(),
             }),
-            stats: stats::StatsCells::traced(self.tracer),
-            observer: Mutex::new_named("asyncvol.observer", self.observer),
-            retry: self.retry,
-            breaker: CircuitBreaker::new(self.breaker),
+            sh: Shared {
+                stats: StatsCells::traced(self.tracer),
+                retry: self.retry,
+                breaker: CircuitBreaker::new(self.breaker),
+                observer: Arc::new(Mutex::new_named("asyncvol.observer", self.observer)),
+            },
             tenants: Mutex::new_named("asyncvol.tenants", Vec::new()),
         }
     }
@@ -246,60 +240,151 @@ struct PrefetchSlot {
 
 type ErrorCell = Arc<Mutex<Option<H5Error>>>;
 
-/// The ring and its depth governor (present when the builder attached a
-/// ring).
-struct RingCtl {
-    ring: Arc<Ring>,
-    governor: DepthGovernor,
-}
-
-/// A ring-submitted write awaiting its completion bookkeeping (breaker,
-/// stats, observer, retries) — performed by whichever caller settles it
-/// first: the request's own `wait`, `wait_all`, or an ordering wait from
-/// a read/prefetch/degraded-write on the same dataset.
-struct RingPending {
+/// A ring-submitted write awaiting `settle` — run by whichever caller
+/// gets there first: the request's own `wait`, `wait_all`, an ordering
+/// wait from a read/prefetch/degraded-write on the same dataset, or a
+/// later issue retiring finished requests.
+struct RingFlight {
     promise: Promise<Completion>,
     ds: ObjectId,
-    bytes: u64,
-    /// Snapshot + planning time on the caller's thread (Eq. 2b).
-    overhead_secs: f64,
-    /// Submission instant — anchors the reported io_secs (queue time
-    /// included, like the spawned task's measurement window).
-    submitted: Instant,
-    /// Wait strategy the governor advised at submit time.
-    wait: WaitMode,
+    ran: Ran,
     /// Unresolved half-open probe riding on this request, if any.
-    probe: Option<ProbeGuard>,
+    probe: Option<Box<ProbeGuard>>,
+}
+
+/// One request-table entry: where the request is.
+enum Flight {
+    /// On an execution stream. The task settles itself the moment the
+    /// write lands and leaves a failure in `error`.
+    Task { handle: TaskHandle, error: ErrorCell },
+    /// On the ring, not yet settled.
+    Ring(RingFlight),
+    /// Settled and failed; held for the request's `wait` or `wait_all`.
+    Failed(String),
+}
+
+impl Flight {
+    /// Whether settling this entry would return without blocking.
+    fn finished(&self) -> bool {
+        match self {
+            Flight::Task { handle, .. } => handle.is_terminal(),
+            Flight::Ring(flight) => flight.promise.is_fulfilled(),
+            Flight::Failed(_) => false, // nothing left to do but report it
+        }
+    }
+}
+
+/// Per-dataset ordering. Every task on the dataset (write or prefetch)
+/// depends on `last_task`, a total order covering WAW, RAW and WAR; ring
+/// writes are ordered by the ring's own per-key FIFO, which `ring`
+/// mirrors so they settle in submission order. An id in `ring` with no
+/// table entry was settled by its own `wait` and is skipped.
+#[derive(Default)]
+struct DsOrder {
+    last_task: Option<TaskHandle>,
+    ring: VecDeque<u64>,
 }
 
 struct ConnInner {
     next_req: u64,
-    /// In-flight (or unreaped) write/read tasks by request id.
-    pending: HashMap<u64, TaskHandle>,
-    /// Last operation per dataset: every new op on the dataset depends on
-    /// it, giving a total order per dataset (covers WAW, RAW, and WAR).
-    last_op: HashMap<ObjectId, TaskHandle>,
-    /// Deferred background failures awaiting their `wait` call.
-    errors: HashMap<u64, ErrorCell>,
+    /// Every request that has not been reported to its caller yet.
+    requests: HashMap<u64, Flight>,
+    order: HashMap<ObjectId, DsOrder>,
     /// Completed or in-flight prefetches keyed by (dataset, selection).
     prefetched: HashMap<(ObjectId, Selection), PrefetchSlot>,
-    /// Ring-submitted writes awaiting settlement, by request id.
-    ring_pending: HashMap<u64, RingPending>,
-    /// Settlement order per dataset for the ring path (mirrors the ring's
-    /// per-key FIFO; replaces `last_op` chaining for ring writes).
-    ring_by_ds: HashMap<ObjectId, Vec<u64>>,
+}
+
+/// What a write still needs once the call that issued it has returned:
+/// `land` and `settle` run on this, on the caller's thread or cloned
+/// into a background task.
+#[derive(Clone)]
+struct Shared {
+    stats: StatsCells,
+    retry: RetryPolicy,
+    breaker: CircuitBreaker,
+    observer: Arc<Mutex<Option<Observer>>>,
+}
+
+impl Shared {
+    fn notify(&self, record: OpRecord) {
+        let obs = self.observer.lock().clone();
+        if let Some(obs) = obs {
+            obs(&record);
+        }
+    }
+
+    /// Turn a payload into bytes in the container. One deadline, anchored
+    /// at `started`, covers the staged read-back and the container write;
+    /// transient faults in either are retried with backoff. The buffer is
+    /// recycled on every exit.
+    fn land(
+        &self,
+        c: &Container,
+        ds: ObjectId,
+        sel: &Selection,
+        payload: Payload,
+        salt: u64,
+        started: Instant,
+    ) -> Result<()> {
+        let (buf, write_salt, staged) = match payload {
+            Payload::Dram(buf) => (buf, salt, None),
+            Payload::Staged(log, extent) => {
+                let buf = with_backoff(&self.retry, salt, started, &self.stats, || log.read(extent))?;
+                (buf, !salt, Some((log, extent)))
+            }
+        };
+        let landed = with_backoff(&self.retry, write_salt, started, &self.stats, || {
+            c.write_selection(ds, sel, &buf)
+        });
+        recycle::give(buf);
+        if let (Ok(()), Some((log, extent))) = (&landed, staged) {
+            // Replay is idempotent, so a failed flag write is not a
+            // correctness problem — but it is a signal the staging device
+            // is degrading, so count it.
+            if log.mark_applied(extent).is_err() {
+                self.stats.record_wal_mark_failure();
+            }
+        }
+        landed
+    }
+
+    /// The one completion path: resolve the breaker (and the probe riding
+    /// on the write), count the write, tell the observer, and hand the
+    /// outcome back for the caller to return or stow. `ran` is `None`
+    /// when the write failed on the caller's thread before anything was
+    /// dispatched (planning, WAL append).
+    ///
+    /// A background write was acknowledged at issue, so it is counted and
+    /// observed whatever its outcome; an inline (degraded) one only when
+    /// it succeeded — its failure goes straight back to the caller, like
+    /// a failed issue.
+    fn settle(&self, outcome: Result<()>, probe: Option<ProbeGuard>, ran: Option<Ran>) -> Result<()> {
+        // Breaker before observer, so a panicking observer cannot leave a
+        // probe unresolved.
+        self.breaker.resolve(&outcome, probe, ran.is_some(), &self.stats);
+        if let Some(Ran { kind, bytes, since, overhead_secs }) = ran {
+            let io_secs = since.elapsed().as_secs_f64();
+            let degraded = kind == OpKind::DegradedWrite;
+            if !degraded || outcome.is_ok() {
+                if degraded {
+                    self.stats.record_degraded_write(bytes, io_secs);
+                } else {
+                    self.stats.record_write(bytes, io_secs);
+                }
+                self.notify(OpRecord { kind, bytes, io_secs, overhead_secs });
+            }
+        }
+        outcome
+    }
 }
 
 /// The asynchronous VOL connector. See the crate docs.
 pub struct AsyncVol {
     rt: Runtime,
-    ring: Option<RingCtl>,
+    ring: Option<Arc<Ring>>,
     inner: Mutex<ConnInner>,
-    stats: stats::StatsCells,
-    observer: Mutex<Option<Observer>>,
+    sh: Shared,
     staging: Staging,
-    retry: RetryPolicy,
-    breaker: CircuitBreaker,
     /// Containers this connector has written to, weakly held (the
     /// connector must not keep a closed file alive). Settlement
     /// (`wait`/`wait_all`) forwards to every live tenant's
@@ -321,16 +406,19 @@ impl AsyncVol {
 
     /// Snapshot of the instrumentation counters, including whether the
     /// circuit breaker currently has writes degraded to synchronous
-    /// passthrough.
+    /// passthrough. `queued` counts background tasks not yet completed
+    /// plus what the ring holds right now: a ring write stops being
+    /// queued when the reaper finishes it, not when somebody settles it.
     pub fn stats(&self) -> AsyncVolStats {
-        let mut s = self.stats.snapshot();
-        s.degraded = self.breaker.is_degraded();
+        let mut s = self.sh.stats.snapshot();
+        s.degraded = self.sh.breaker.is_degraded();
+        s.queued += self.ring.as_ref().map_or(0, |ring| ring.occupancy() as u64);
         s
     }
 
     /// Current circuit-breaker state (async→sync degradation machine).
     pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
+        self.sh.breaker.state()
     }
 
     /// The metrics registry the connector's counters live in — the
@@ -338,7 +426,7 @@ impl AsyncVol {
     /// Reports read `vol.*` counters from here; [`stats`](Self::stats)
     /// is the typed view over the same atomics.
     pub fn metrics(&self) -> apio_trace::Metrics {
-        self.stats.metrics().clone()
+        self.sh.stats.metrics().clone()
     }
 
     /// Replay staged-but-unflushed write-ahead records into `c` — the
@@ -350,8 +438,8 @@ impl AsyncVol {
         match &self.staging {
             Staging::Dram => Ok(RecoveryReport::default()),
             Staging::Device(log) => {
-                let _span = self.stats.tracer().span("wal.recover");
-                log.recover_into_traced(c, self.stats.tracer())
+                let _span = self.sh.stats.tracer().span("wal.recover");
+                log.recover_into_traced(c, self.sh.stats.tracer())
             }
         }
     }
@@ -377,14 +465,15 @@ impl AsyncVol {
         report.scrub_corrupt = scrub.corrupt;
         report.scrub_repaired = scrub.repaired;
         report.superblock_fallback = c.integrity_stats().superblock_fallbacks;
-        self.stats
+        self.sh
+            .stats
             .record_scrub(scrub.corrupt, scrub.repaired, report.superblock_fallback);
         Ok(report)
     }
 
     /// Install (or replace) the per-operation observer.
     pub fn set_observer(&self, obs: Observer) {
-        *self.observer.lock() = Some(obs);
+        *self.sh.observer.lock() = Some(obs);
     }
 
     /// Drain every outstanding operation, then recycle the device staging
@@ -409,41 +498,6 @@ impl AsyncVol {
         }
     }
 
-    fn notify(&self, record: OpRecord) {
-        let obs = self.observer.lock().clone();
-        if let Some(obs) = obs {
-            obs(&record);
-        }
-    }
-
-    /// The attached submission/completion ring, when the connector runs
-    /// the ring path.
-    pub fn ring(&self) -> Option<&Arc<Ring>> {
-        self.ring.as_ref().map(|ctl| &ctl.ring)
-    }
-
-    /// The depth governor steering the ring path's scheduling, when one
-    /// is attached.
-    pub fn governor(&self) -> Option<&DepthGovernor> {
-        self.ring.as_ref().map(|ctl| &ctl.governor)
-    }
-
-    /// Feed the telemetry pipeline's queue-depth series into the depth
-    /// governor and apply its advice (growth-only stream scaling). The
-    /// closed loop: flight recorder → [`apio_trace::SeriesAggregator`] →
-    /// governor → [`argolite::Runtime::grow_streams`]. Returns the
-    /// advice, or `None` when no ring is attached.
-    pub fn govern_from_series(
-        &self,
-        series: &apio_trace::SeriesAggregator,
-    ) -> Option<h5lite::ring::DepthAdvice> {
-        let ctl = self.ring.as_ref()?;
-        ctl.governor.observe_series(series);
-        let advice = ctl.governor.advise(&ctl.ring);
-        self.rt.grow_streams(advice.streams);
-        Some(advice)
-    }
-
     /// Submit to the ring with Block semantics regardless of the ring's
     /// own policy: a Poll-policy ring hands a full-ring op back, and the
     /// connector's contract is that an issued write is queued.
@@ -460,7 +514,6 @@ impl AsyncVol {
         }
     }
 
-    /// Remove a ring-pending entry (and its settlement-order slot).
     /// Remember `c` as a tenant of this connector (idempotent per
     /// container identity). Called on every write issue; the list is
     /// weak and self-pruning, so a dropped container costs one retain
@@ -493,51 +546,62 @@ impl AsyncVol {
         }
     }
 
-    fn take_ring_pending(&self, req: u64) -> Option<RingPending> {
+    /// Take `req` out of the table for its own `wait`. A ring write
+    /// leaves its id behind in the dataset's FIFO; ids no longer in the
+    /// table are dropped as they reach the front.
+    fn take_request(&self, req: u64) -> Option<Flight> {
         let mut inner = self.inner.lock();
-        let pending = inner.ring_pending.remove(&req)?;
-        if let Some(order) = inner.ring_by_ds.get_mut(&pending.ds) {
-            order.retain(|r| *r != req);
-            if order.is_empty() {
-                inner.ring_by_ds.remove(&pending.ds);
+        let ConnInner { requests, order, .. } = &mut *inner;
+        let flight = requests.remove(&req)?;
+        if let Flight::Ring(ring) = &flight {
+            if let Some(order) = order.get_mut(&ring.ds) {
+                while order.ring.front().is_some_and(|r| !requests.contains_key(r)) {
+                    order.ring.pop_front();
+                }
             }
         }
-        Some(pending)
+        Some(flight)
     }
 
-    /// Settle one ring write: wait for its completion (polling first
-    /// when the governor advised it), resubmitting retryable failures
-    /// under the connector's retry policy, then run the same breaker /
-    /// stats / observer bookkeeping the spawned-task path runs in its
-    /// closure. Returns the final error, if any.
-    fn finish_ring(&self, ctl: &RingCtl, req: u64, pending: RingPending) -> Option<H5Error> {
-        let RingPending {
-            promise,
-            ds,
-            bytes,
-            overhead_secs,
-            submitted,
-            wait,
-            probe,
-        } = pending;
-        let stats = &self.stats;
-        let mut current = promise;
+    /// Settle one request already taken out of the table, wherever it is:
+    /// a task settled itself when its write landed, so wait for it and
+    /// collect what it left; a ring write is settled here. Returns the
+    /// failure to report, if any.
+    fn settle_request(&self, req: u64, flight: Flight) -> Option<String> {
+        match flight {
+            Flight::Task { handle, error } => match handle.wait() {
+                Err(p) => Some(format!("background task panicked: {}", p.message)),
+                Ok(()) => error.lock().take().map(|e| e.to_string()),
+            },
+            // A ring flight exists only on a connector built with a ring.
+            Flight::Ring(flight) => self
+                .ring
+                .as_ref()
+                .and_then(|ring| self.finish_ring(ring, req, flight))
+                .map(|e| e.to_string()),
+            Flight::Failed(msg) => Some(msg),
+        }
+    }
+
+    /// [`settle_request`](Self::settle_request) on behalf of somebody
+    /// other than the request's waiter: a failure goes back into the
+    /// table for the request's own `wait` (or `wait_all`) to surface.
+    fn retire(&self, req: u64, flight: Flight) {
+        if let Some(msg) = self.settle_request(req, flight) {
+            self.inner.lock().requests.insert(req, Flight::Failed(msg));
+        }
+    }
+
+    /// Wait for one ring write's completion, resubmitting retryable
+    /// failures under the connector's retry policy, then settle it.
+    fn finish_ring(&self, ring: &Ring, req: u64, flight: RingFlight) -> Option<H5Error> {
+        let RingFlight { promise: mut current, ds, ran, probe } = flight;
         let mut resubmit: Option<RingOp> = None;
         // The deadline anchors at settlement, not submission: queue time
         // under a deep ring is the workload's choice, not a fault.
-        let outcome: Result<()> = with_backoff(&self.retry, req, Instant::now(), stats, || {
+        let outcome = with_backoff(&self.sh.retry, req, Instant::now(), &self.sh.stats, || {
             if let Some(op) = resubmit.take() {
-                current = Self::ring_submit_blocking(&ctl.ring, ds, op);
-            }
-            if wait == WaitMode::Poll {
-                // Shallow-ring advice: the completion is imminent, spin
-                // briefly before paying the blocking wait.
-                for _ in 0..4096 {
-                    if current.is_fulfilled() {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
+                current = Self::ring_submit_blocking(ring, ds, op);
             }
             match current.wait_cloned().result {
                 Ok(_) => Ok(()),
@@ -550,61 +614,36 @@ impl AsyncVol {
         if let Some(RingOp::Write { data, .. }) = resubmit {
             recycle::give(data); // gave up: the snapshot will not be resubmitted
         }
-        let io_secs = submitted.elapsed().as_secs_f64();
-        stats.record_write(bytes, io_secs);
-        // Same breaker resolution as the spawned-task path: only device
-        // faults move the machine; a probe guard always resolves.
-        match (&outcome, probe) {
-            (Ok(()), Some(g)) => g.success(),
-            (Err(e), Some(g)) if e.is_device_fault() => g.device_fault(),
-            (Err(_), Some(g)) => g.success(),
-            (Ok(()), None) => self.breaker.on_success(false, stats),
-            (Err(e), None) if e.is_device_fault() => self.breaker.on_device_failure(false, stats),
-            (Err(_), None) => self.breaker.on_success(false, stats),
-        }
-        self.notify(OpRecord {
-            kind: OpKind::Write,
-            bytes,
-            io_secs,
-            overhead_secs,
-        });
-        stats.record_queue_completed();
-        outcome.err()
+        self.sh.settle(outcome, probe.map(|g| *g), Some(ran)).err()
     }
 
     /// Settle every ring write pending on `ds`, in submission order —
     /// the ring path's RAW/WAR ordering for reads, prefetches, and
-    /// degraded writes. Failures are stowed as deferred errors so the
-    /// request's own `wait` still surfaces them.
+    /// degraded writes.
     fn settle_ring_ds(&self, ds: ObjectId) {
-        let Some(ctl) = &self.ring else { return };
+        if self.ring.is_none() {
+            return;
+        }
         let mut settled = 0u64;
         loop {
             let next = {
                 let mut inner = self.inner.lock();
-                let Some(order) = inner.ring_by_ds.get_mut(&ds) else {
+                let ConnInner { requests, order, .. } = &mut *inner;
+                let Some(req) = order.get_mut(&ds).and_then(|o| o.ring.pop_front()) else {
                     break;
                 };
-                if order.is_empty() {
-                    inner.ring_by_ds.remove(&ds);
-                    break;
-                }
-                let req = order.remove(0);
-                if order.is_empty() {
-                    inner.ring_by_ds.remove(&ds);
-                }
-                inner.ring_pending.remove(&req).map(|p| (req, p))
+                requests.remove(&req).map(|flight| (req, flight))
             };
-            if let Some((req, pending)) = next {
+            if let Some((req, flight)) = next {
                 settled += 1;
-                self.finish_and_stow(ctl, req, pending);
+                self.retire(req, flight);
             }
         }
         if settled > 0 {
             // Causal edge closing the vol.handoff instants this dataset's
             // ring writes opened; the connector spans epochs, so 0 marks
             // "epoch unknown".
-            self.stats.tracer().instant(
+            self.sh.stats.tracer().instant(
                 "vol.settle",
                 Event::Settle {
                     epoch: 0,
@@ -614,141 +653,13 @@ impl AsyncVol {
         }
     }
 
-    /// A write failed on the caller's thread before anything was
-    /// dispatched (planning, WAL append): resolve the probe riding on it
-    /// and count a device fault toward the breaker.
-    fn issue_failed(&self, probe_guard: Option<ProbeGuard>, e: &H5Error) {
-        match probe_guard {
-            Some(g) if e.is_device_fault() => g.device_fault(),
-            Some(g) => drop(g), // revert HalfOpen → Open
-            None if e.is_device_fault() => self.breaker.on_device_failure(false, &self.stats),
-            None => {}
-        }
-    }
-
-    /// The ring write path (DESIGN.md §14): plan on the caller's thread,
-    /// move the snapshot into one keyed ring entry, settle at wait time.
-    /// The reaper recycles the snapshot once it has landed. `t0` is when
-    /// the snapshot began, so the recorded overhead covers copy and plan.
-    #[allow(clippy::too_many_arguments)]
-    fn ring_write(
-        &self,
-        ctl: &RingCtl,
-        c: &Arc<Container>,
-        ds: ObjectId,
-        sel: &Selection,
-        snapshot: Vec<u8>,
-        probe_guard: Option<ProbeGuard>,
-        t0: Instant,
-    ) -> Result<Request> {
-        let bytes = snapshot.len() as u64;
-        // Metadata-only planning on the caller's thread; the data path
-        // (the vectored writes) runs on the reaper.
-        let segs = match c.plan_write_selection(ds, sel, bytes) {
-            Ok(segs) => segs,
-            Err(e) => {
-                recycle::give(snapshot);
-                self.issue_failed(probe_guard, &e);
-                return Err(e);
-            }
-        };
-        let overhead_secs = t0.elapsed().as_secs_f64();
-        self.stats.record_snapshot(bytes, overhead_secs);
-
-        // Depth-adaptive scheduling: sample occupancy, take the
-        // governor's advice, and grow the stream pool toward its target.
-        ctl.governor.observe(ctl.ring.occupancy() as u64);
-        let advice = ctl.governor.advise(&ctl.ring);
-        self.rt.grow_streams(advice.streams);
-        self.stats.tracer().instant(
-            "ring.submit",
-            Event::VolCall {
-                op: "ring_submit",
-                dataset: ds,
-                bytes,
-            },
-        );
-        // Causal edge: the snapshot leaves the application thread here;
-        // the matching vol.settle fires when settle_ring_ds drains it.
-        self.stats
-            .tracer()
-            .instant("vol.handoff", Event::WriteHandoff { epoch: 0, bytes });
-
-        let mut inner = self.inner.lock();
-        Self::gc_locked(&mut inner);
-        // A producer that never waits must not grow the ring's pending
-        // maps without bound either.
-        let finished = Self::take_fulfilled_ring_locked(&mut inner);
-        let req = inner.next_req;
-        inner.next_req += 1;
-        self.stats.record_queue_submitted();
-        // Submission happens under the connector lock so the ring's
-        // per-key FIFO matches request order; the reaper drains without
-        // ever taking this lock, so a full-ring block here still makes
-        // progress.
-        let op = RingOp::Write {
-            data: snapshot,
-            segs,
-        };
-        let promise = Self::ring_submit_blocking(&ctl.ring, ds, op);
-        inner.ring_pending.insert(req, RingPending {
-            promise,
-            ds,
-            bytes,
-            overhead_secs,
-            submitted: Instant::now(),
-            wait: advice.wait,
-            probe: probe_guard,
-        });
-        inner.ring_by_ds.entry(ds).or_default().push(req);
-        drop(inner);
-        // Failures are stowed as deferred errors, as `settle_ring_ds`
-        // stows them, for the request's own `wait` or `wait_all`.
-        for (done, pending) in finished {
-            self.finish_and_stow(ctl, done, pending);
-        }
-        Ok(Request(req))
-    }
-
-    /// Ring writes whose completion has **already arrived**, removed from
-    /// the pending maps in request order, once more than
-    /// [`PENDING_GC_THRESHOLD`] are pending; the caller settles them after
-    /// releasing the connector lock. Nothing here waits for the reaper,
-    /// so issue stays non-blocking. Per dataset the walk stops at the
-    /// first unfinished request: settlement order is request order.
-    fn take_fulfilled_ring_locked(inner: &mut ConnInner) -> Vec<(u64, RingPending)> {
-        let mut done = Vec::new();
-        if inner.ring_pending.len() <= PENDING_GC_THRESHOLD {
-            return done;
-        }
-        for order in inner.ring_by_ds.values_mut() {
-            let fulfilled = order
-                .iter()
-                .take_while(|req| {
-                    inner
-                        .ring_pending
-                        .get(req)
-                        .is_none_or(|p| p.promise.is_fulfilled())
-                })
-                .count();
-            for req in order.drain(..fulfilled) {
-                if let Some(pending) = inner.ring_pending.remove(&req) {
-                    done.push((req, pending));
-                }
-            }
-        }
-        inner.ring_by_ds.retain(|_, order| !order.is_empty());
-        done.sort_by_key(|(req, _)| *req);
-        done
-    }
-
-    /// [`finish_ring`](Self::finish_ring), holding a failure for the
-    /// request's own `wait` (or `wait_all`) to surface.
-    fn finish_and_stow(&self, ctl: &RingCtl, req: u64, pending: RingPending) {
-        if let Some(err) = self.finish_ring(ctl, req, pending) {
-            let cell: ErrorCell = Arc::new(Mutex::new_named("asyncvol.error_cell", Some(err)));
-            self.inner.lock().errors.insert(req, cell);
-        }
+    /// Wait out the last task scheduled on `ds`, which every earlier
+    /// task on the dataset precedes.
+    fn wait_last_task(&self, ds: ObjectId) -> Result<()> {
+        let dep = { self.inner.lock().order.get(&ds).and_then(|o| o.last_task.clone()) };
+        let Some(dep) = dep else { return Ok(()) };
+        dep.wait()
+            .map_err(|p| H5Error::Async(format!("dependency panicked: {}", p.message)))
     }
 
     /// Schedule a background read of `(ds, sel)` so a later `dataset_read`
@@ -770,19 +681,19 @@ impl AsyncVol {
         inner.next_req += 1;
 
         let promise: Promise<Result<Vec<u8>>> = Promise::new();
-        let deps: Vec<TaskHandle> = inner.last_op.get(&ds).cloned().into_iter().collect();
+        let order = inner.order.entry(ds).or_default();
+        let deps: Vec<TaskHandle> = order.last_task.iter().cloned().collect();
 
         let c = c.clone();
         let sel_task = sel.clone();
         let p = promise.clone();
-        let stats = self.stats.clone();
-        let observer = self.observer.lock().clone();
-        let policy = self.retry;
-        stats.record_queue_submitted();
+        let sh = self.sh.clone();
+        sh.stats.record_queue_submitted();
         let handle = self.rt.spawn_dependent(&deps, move || {
-            let mut span = stats.tracer().span("vol.prefetch");
+            let mut span = sh.stats.tracer().span("vol.prefetch");
             let t0 = Instant::now();
-            let result = with_backoff(&policy, req, t0, &stats, || c.read_selection(ds, &sel_task));
+            let result =
+                with_backoff(&sh.retry, req, t0, &sh.stats, || c.read_selection(ds, &sel_task));
             let io_secs = t0.elapsed().as_secs_f64();
             let bytes = result.as_ref().map(|d| d.len() as u64).unwrap_or(0);
             span.set_event(Event::VolCall {
@@ -791,45 +702,83 @@ impl AsyncVol {
                 bytes,
             });
             drop(span);
-            stats.record_read(bytes, io_secs, true);
-            if let Some(obs) = observer {
-                obs(&OpRecord {
-                    kind: OpKind::Prefetch,
-                    bytes,
-                    io_secs,
-                    overhead_secs: 0.0,
-                });
-            }
+            sh.stats.record_read(bytes, io_secs, true);
+            sh.notify(OpRecord {
+                kind: OpKind::Prefetch,
+                bytes,
+                io_secs,
+                overhead_secs: 0.0,
+            });
             p.fulfill(result);
-            stats.record_queue_completed();
+            sh.stats.record_queue_completed();
         });
 
-        inner.last_op.insert(ds, handle.clone());
+        order.last_task = Some(handle.clone());
         inner.prefetched.insert(key, PrefetchSlot { promise, handle });
         Request(req)
     }
 
-    /// Reap terminal entries so long-running applications that never call
-    /// per-request `wait` don't grow the pending map without bound.
-    fn gc_locked(inner: &mut ConnInner) {
-        if inner.pending.len() > PENDING_GC_THRESHOLD {
-            inner.pending.retain(|_, h| !h.is_terminal());
-            // Keep error cells that still have a pending handle or a
-            // deferred failure to report; drop the clean, reaped ones.
-            let pending = &inner.pending;
-            inner
-                .errors
-                .retain(|req, cell| pending.contains_key(req) || cell.lock().is_some());
+    /// Requests that have **already finished**, taken out of the table in
+    /// request order once it (or the ordering map) holds more than
+    /// [`PENDING_GC_THRESHOLD`] entries, so a producer that never waits
+    /// per request grows neither without bound. The caller retires them
+    /// after releasing the connector lock; nothing here waits. Per dataset
+    /// the ring walk stops at the first unfinished request: settlement
+    /// order is request order.
+    fn take_finished_locked(inner: &mut ConnInner) -> Vec<(u64, Flight)> {
+        let ConnInner { requests, order, .. } = inner;
+        if requests.len().max(order.len()) <= PENDING_GC_THRESHOLD {
+            return Vec::new();
         }
-        inner.last_op.retain(|_, h| !h.is_terminal());
+        let mut done: Vec<u64> = requests
+            .iter()
+            .filter(|(_, flight)| matches!(flight, Flight::Task { .. }) && flight.finished())
+            .map(|(req, _)| *req)
+            .collect();
+        for o in order.values_mut() {
+            while let Some(&req) = o.ring.front() {
+                if requests.get(&req).is_some_and(|flight| !flight.finished()) {
+                    break;
+                }
+                o.ring.pop_front();
+                done.push(req);
+            }
+        }
+        order.retain(|_, o| {
+            !o.ring.is_empty() || o.last_task.as_ref().is_some_and(|h| !h.is_terminal())
+        });
+        done.sort_unstable();
+        done.into_iter()
+            .filter_map(|req| requests.remove(&req).map(|flight| (req, flight)))
+            .collect()
+    }
+
+    /// Enter one request in the table: under the connector lock, assign
+    /// its id and let `launch` put it in flight and note it in the
+    /// dataset's ordering record, so per-dataset order is request order
+    /// (the ring's per-key FIFO, the task dependency chain). Neither the
+    /// reaper nor a task ever takes this lock, so a full-ring block
+    /// inside `launch` still makes progress. Finished requests found on
+    /// the way are retired after the lock is released.
+    fn admit(&self, ds: ObjectId, launch: impl FnOnce(u64, &mut DsOrder) -> Flight) -> Request {
+        let mut inner = self.inner.lock();
+        let finished = Self::take_finished_locked(&mut inner);
+        let req = inner.next_req;
+        inner.next_req += 1;
+        let flight = launch(req, inner.order.entry(ds).or_default());
+        inner.requests.insert(req, flight);
+        drop(inner);
+        for (done, flight) in finished {
+            self.retire(done, flight);
+        }
+        Request(req)
     }
 
     /// The one write body. `snapshot` yields the connector-owned buffer —
     /// the caller's own (owned entry) or a recycled copy of it (borrowed
-    /// entry) — inside the `vol.snapshot` span. From there the buffer
-    /// belongs to exactly one holder at a time and is recycled by the
-    /// last: the ring reaper, the background task, or this thread (after
-    /// a WAL append, a degraded write, or a failed issue).
+    /// entry). From there the buffer belongs to exactly one holder at a
+    /// time and is recycled by the last: the ring reaper, `land`, or this
+    /// thread (after a WAL append or a failed issue).
     fn issue_write(
         &self,
         c: &Arc<Container>,
@@ -838,7 +787,7 @@ impl AsyncVol {
         bytes: u64,
         snapshot: impl FnOnce() -> Vec<u8>,
     ) -> Result<Request> {
-        let _vol_span = self.stats.tracer().span_with(
+        let _vol_span = self.sh.stats.tracer().span_with(
             "vol.write",
             Event::VolCall {
                 op: "write",
@@ -851,148 +800,142 @@ impl AsyncVol {
         self.register_tenant(c);
         // The circuit breaker decides the regime first: degraded issues
         // run synchronously on the caller's thread and are acknowledged
-        // only once durable.
-        let probe = match self.breaker.route(&self.stats) {
-            Route::Degraded => {
-                let data = snapshot();
-                let issued = self.degraded_write(c, ds, sel, &data);
-                recycle::give(data);
-                return issued;
-            }
-            Route::Async { probe } => probe,
+        // only once durable. A dispatched probe must always resolve: the
+        // guard reports the outcome, and reverts HalfOpen → Open if
+        // dropped unresolved (a failed issue, or a panicking probe task).
+        let probe = match self.sh.breaker.route(&self.sh.stats) {
+            Route::Degraded => return self.degraded_write(c, ds, sel, snapshot()),
+            Route::Async { probe } => probe.then(|| self.sh.breaker.probe_guard(&self.sh.stats)),
         };
-        // A dispatched probe must always resolve: the guard reports the
-        // outcome, and reverts HalfOpen → Open if dropped unresolved
-        // (a failed issue below, or a panicking probe task).
-        let probe_guard = probe.then(|| self.breaker.probe_guard(&self.stats));
-
         let t0 = Instant::now();
-        let mut snap_span = self.stats.tracer().span("vol.snapshot");
+        match self.stage(ds, sel, bytes, snapshot) {
+            Ok(payload) => self.dispatch(c, ds, sel, bytes, payload, probe, t0),
+            // Nothing was dispatched. A dead staging device still counts
+            // toward the breaker — degraded mode bypasses staging
+            // entirely, which is the remedy.
+            Err(e) => self.sh.settle(Err(e), probe, None).map(|()| Request::SYNC),
+        }
+    }
+
+    /// Take the snapshot and, under device staging, append it to the
+    /// write-ahead log; the buffer is done with once the log has it.
+    fn stage(
+        &self,
+        ds: ObjectId,
+        sel: &Selection,
+        bytes: u64,
+        snapshot: impl FnOnce() -> Vec<u8>,
+    ) -> Result<Payload> {
+        let mut snap_span = self.sh.stats.tracer().span("vol.snapshot");
         let data = snapshot();
-        let staged = matches!(&self.staging, Staging::Device(_));
         let payload = match &self.staging {
             Staging::Dram => Payload::Dram(data),
             Staging::Device(log) => {
-                // Onto the node-local staging device; the buffer is done
-                // with once the log has it.
-                let mut wal_span = self.stats.tracer().span("wal.append");
+                let mut wal_span = self.sh.stats.tracer().span("wal.append");
                 let appended = log.append(ds, sel, &data);
                 recycle::give(data);
-                match appended {
-                    Ok(extent) => {
-                        wal_span.set_event(Event::WalAppend {
-                            seq: extent.seq,
-                            bytes: extent.len,
-                        });
-                        Payload::Staged(log.clone(), extent)
-                    }
-                    Err(e) => {
-                        // Nothing was dispatched. A dead staging device
-                        // still counts toward the breaker — degraded mode
-                        // bypasses staging entirely, which is the remedy.
-                        self.issue_failed(probe_guard, &e);
-                        return Err(e);
-                    }
-                }
+                let extent = appended?;
+                wal_span.set_event(Event::WalAppend {
+                    seq: extent.seq,
+                    bytes: extent.len,
+                });
+                Payload::Staged(log.clone(), extent)
             }
         };
+        let staged = matches!(payload, Payload::Staged(..));
         snap_span.set_event(Event::Snapshot { bytes, staged });
-        drop(snap_span);
+        Ok(payload)
+    }
 
-        // The ring path handles DRAM-staged writes when a ring is
-        // attached; device staging keeps the WAL pipeline (the log
-        // already decouples the caller from the device).
-        let payload = match (&self.ring, payload) {
-            (Some(ctl), Payload::Dram(data)) => {
-                return self.ring_write(ctl, c, ds, sel, data, probe_guard, t0)
-            }
-            (_, payload) => payload,
-        };
-        let overhead_secs = t0.elapsed().as_secs_f64();
-        self.stats.record_snapshot(bytes, overhead_secs);
-
-        let mut inner = self.inner.lock();
-        Self::gc_locked(&mut inner);
-        let req = inner.next_req;
-        inner.next_req += 1;
-        let deps: Vec<TaskHandle> = inner.last_op.get(&ds).cloned().into_iter().collect();
-
-        let c = c.clone();
-        let sel_task = sel.clone();
-        let stats = self.stats.clone();
-        let observer = self.observer.lock().clone();
-        let error_cell: ErrorCell = Arc::new(Mutex::new_named("asyncvol.error_cell", None));
-        let errors_task = error_cell.clone();
-        let policy = self.retry;
-        let breaker = self.breaker.clone();
-        stats.record_queue_submitted();
-        let handle = self.rt.spawn_dependent(&deps, move || {
-            let _exec_span = stats.tracer().span_with(
-                "vol.execute",
-                Event::VolCall {
-                    op: "execute",
-                    dataset: ds,
-                    bytes,
-                },
-            );
-            // One deadline covers the staged read-back and the container
-            // write; transient faults in either are retried with backoff.
-            let started = Instant::now();
-            let land = |salt: u64, buf: Vec<u8>| {
-                let landed = with_backoff(&policy, salt, started, &stats, || {
-                    c.write_selection(ds, &sel_task, &buf)
-                });
-                recycle::give(buf);
-                landed
-            };
-            let outcome: Result<()> = match payload {
-                Payload::Dram(buf) => land(req, buf),
-                Payload::Staged(log, extent) => {
-                    let landed = with_backoff(&policy, req, started, &stats, || log.read(extent))
-                        .and_then(|buf| land(!req, buf));
-                    // Replay is idempotent, so a failed flag write is not
-                    // a correctness problem — but it is a signal the
-                    // staging device is degrading, so count it.
-                    if landed.is_ok() && log.mark_applied(extent).is_err() {
-                        stats.record_wal_mark_failure();
+    /// Put a staged write in flight on one of the two transports: a ring
+    /// entry (DESIGN.md §14) when a ring is attached and the snapshot is
+    /// in DRAM, else a task ordered after the dataset's last one. Device
+    /// staging keeps the task transport: the reaper executes raw segments
+    /// and cannot read a snapshot back from the log. `t0` is when the
+    /// snapshot began, so the recorded overhead covers copy and plan.
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch(
+        &self,
+        c: &Arc<Container>,
+        ds: ObjectId,
+        sel: &Selection,
+        bytes: u64,
+        payload: Payload,
+        probe: Option<ProbeGuard>,
+        t0: Instant,
+    ) -> Result<Request> {
+        let stats = &self.sh.stats;
+        match (&self.ring, payload) {
+            (Some(ring), Payload::Dram(data)) => {
+                // Metadata-only planning on the caller's thread; the data
+                // path (the vectored writes) runs on the reaper, which
+                // recycles the snapshot once it has landed.
+                let segs = match c.plan_write_selection(ds, sel, bytes) {
+                    Ok(segs) => segs,
+                    Err(e) => {
+                        recycle::give(data);
+                        return self.sh.settle(Err(e), probe, None).map(|()| Request::SYNC);
                     }
-                    landed
-                }
-            };
-            let io_secs = started.elapsed().as_secs_f64();
-            stats.record_write(bytes, io_secs);
-            // Resolve the breaker before notifying the observer, so a
-            // panicking observer cannot leave a probe unresolved. Only
-            // device faults move the breaker: a malformed request
-            // (shape/type mismatch) must not degrade the pipeline.
-            match (&outcome, probe_guard) {
-                (Ok(()), Some(g)) => g.success(),
-                (Err(e), Some(g)) if e.is_device_fault() => g.device_fault(),
-                (Err(_), Some(g)) => g.success(),
-                (Ok(()), None) => breaker.on_success(false, &stats),
-                (Err(e), None) if e.is_device_fault() => {
-                    breaker.on_device_failure(false, &stats)
-                }
-                (Err(_), None) => breaker.on_success(false, &stats),
+                };
+                let overhead_secs = t0.elapsed().as_secs_f64();
+                stats.record_snapshot(bytes, overhead_secs);
+                stats.tracer().instant(
+                    "ring.submit",
+                    Event::VolCall {
+                        op: "ring_submit",
+                        dataset: ds,
+                        bytes,
+                    },
+                );
+                // Causal edge: the snapshot leaves the application thread
+                // here; the matching vol.settle fires when settle_ring_ds
+                // drains it.
+                stats
+                    .tracer()
+                    .instant("vol.handoff", Event::WriteHandoff { epoch: 0, bytes });
+                Ok(self.admit(ds, |req, order| {
+                    let op = RingOp::Write { data, segs };
+                    let promise = Self::ring_submit_blocking(ring, ds, op);
+                    order.ring.push_back(req);
+                    let ran = Ran { kind: OpKind::Write, bytes, since: Instant::now(), overhead_secs };
+                    Flight::Ring(RingFlight { promise, ds, ran, probe: probe.map(Box::new) })
+                }))
             }
-            if let Some(obs) = observer {
-                obs(&OpRecord {
-                    kind: OpKind::Write,
-                    bytes,
-                    io_secs,
-                    overhead_secs,
-                });
+            (_, payload) => {
+                let overhead_secs = t0.elapsed().as_secs_f64();
+                stats.record_snapshot(bytes, overhead_secs);
+                let (c, sel, sh) = (c.clone(), sel.clone(), self.sh.clone());
+                Ok(self.admit(ds, |req, order| {
+                    let error: ErrorCell = Arc::new(Mutex::new_named("asyncvol.error_cell", None));
+                    let stow = error.clone();
+                    let deps: Vec<TaskHandle> = order.last_task.iter().cloned().collect();
+                    sh.stats.record_queue_submitted();
+                    let handle = self.rt.spawn_dependent(&deps, move || {
+                        let _exec_span = sh.stats.tracer().span_with(
+                            "vol.execute",
+                            Event::VolCall {
+                                op: "execute",
+                                dataset: ds,
+                                bytes,
+                            },
+                        );
+                        let since = Instant::now();
+                        let outcome = sh.land(&c, ds, &sel, payload, req, since);
+                        let ran = Ran { kind: OpKind::Write, bytes, since, overhead_secs };
+                        // Settled the moment the write lands, not when
+                        // somebody waits: the breaker counts consecutive
+                        // failures, and the observer feeds the model, as
+                        // writes finish.
+                        if let Err(e) = sh.settle(outcome, probe, Some(ran)) {
+                            *stow.lock() = Some(e);
+                        }
+                        sh.stats.record_queue_completed();
+                    });
+                    order.last_task = Some(handle.clone());
+                    Flight::Task { handle, error }
+                }))
             }
-            if let Err(e) = outcome {
-                *errors_task.lock() = Some(e);
-            }
-            stats.record_queue_completed();
-        });
-
-        inner.pending.insert(req, handle.clone());
-        inner.last_op.insert(ds, handle);
-        inner.errors.insert(req, error_cell);
-        Ok(Request(req))
+        }
     }
 
     /// Synchronous passthrough write, used while the circuit breaker has
@@ -1006,58 +949,36 @@ impl AsyncVol {
         c: &Arc<Container>,
         ds: ObjectId,
         sel: &Selection,
-        data: &[u8],
+        data: Vec<u8>,
     ) -> Result<Request> {
-        let _span = self.stats.tracer().span_with(
+        let bytes = data.len() as u64;
+        let _span = self.sh.stats.tracer().span_with(
             "vol.degraded_write",
             Event::VolCall {
                 op: "degraded_write",
                 dataset: ds,
-                bytes: data.len() as u64,
+                bytes,
             },
         );
-        self.stats.tracer().instant(
-            "degrade",
-            Event::Degrade {
-                dataset: ds,
-                bytes: data.len() as u64,
-            },
-        );
+        self.sh
+            .stats
+            .tracer()
+            .instant("degrade", Event::Degrade { dataset: ds, bytes });
         self.settle_ring_ds(ds); // order after any in-flight ring writes
-        let (salt, dep) = {
+        let salt = {
             let mut inner = self.inner.lock();
             let salt = inner.next_req;
             inner.next_req += 1; // consumed as jitter salt only
-            (salt, inner.last_op.get(&ds).cloned())
+            salt
         };
-        if let Some(dep) = dep {
-            dep.wait()
-                .map_err(|p| H5Error::Async(format!("dependency panicked: {}", p.message)))?;
+        if let Err(e) = self.wait_last_task(ds) {
+            recycle::give(data);
+            return Err(e);
         }
-        let started = Instant::now();
-        let result = with_backoff(&self.retry, salt, started, &self.stats, || {
-            c.write_selection(ds, sel, data)
-        });
-        let io_secs = started.elapsed().as_secs_f64();
-        match result {
-            Ok(()) => {
-                self.stats.record_degraded_write(data.len() as u64, io_secs);
-                self.breaker.on_success(false, &self.stats);
-                self.notify(OpRecord {
-                    kind: OpKind::DegradedWrite,
-                    bytes: data.len() as u64,
-                    io_secs,
-                    overhead_secs: 0.0,
-                });
-                Ok(Request::SYNC)
-            }
-            Err(e) => {
-                if e.is_device_fault() {
-                    self.breaker.on_device_failure(false, &self.stats);
-                }
-                Err(e)
-            }
-        }
+        let since = Instant::now();
+        let outcome = self.sh.land(c, ds, sel, Payload::Dram(data), salt, since);
+        let ran = Ran { kind: OpKind::DegradedWrite, bytes, since, overhead_secs: 0.0 };
+        self.sh.settle(outcome, None, Some(ran)).map(|()| Request::SYNC)
     }
 }
 
@@ -1111,7 +1032,7 @@ impl Vol for AsyncVol {
             let mut inner = self.inner.lock();
             let key = (ds, sel.clone());
             if let Some(slot) = inner.prefetched.remove(&key) {
-                self.stats.record_prefetch_hit();
+                self.sh.stats.record_prefetch_hit();
                 return Ok(ReadRequest::pending(slot.promise));
             }
         }
@@ -1121,14 +1042,11 @@ impl Vol for AsyncVol {
         // behaviour of the paper's connector. Ring writes order the same
         // way: settle them before reading.
         self.settle_ring_ds(ds);
-        let mut read_span = self.stats.tracer().span("vol.read");
-        let dep = { self.inner.lock().last_op.get(&ds).cloned() };
-        if let Some(dep) = dep {
-            dep.wait()
-                .map_err(|p| H5Error::Async(format!("dependency panicked: {}", p.message)))?;
-        }
+        let mut read_span = self.sh.stats.tracer().span("vol.read");
+        self.wait_last_task(ds)?;
         let t0 = Instant::now();
-        let result = with_backoff(&self.retry, ds.wrapping_mul(0x9E37_79B9_7F4A_7C15), t0, &self.stats, || {
+        let salt = ds.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let result = with_backoff(&self.sh.retry, salt, t0, &self.sh.stats, || {
             c.read_selection(ds, sel)
         });
         let io_secs = t0.elapsed().as_secs_f64();
@@ -1139,8 +1057,8 @@ impl Vol for AsyncVol {
             bytes,
         });
         drop(read_span);
-        self.stats.record_read(bytes, io_secs, false);
-        self.notify(OpRecord {
+        self.sh.stats.record_read(bytes, io_secs, false);
+        self.sh.notify(OpRecord {
             kind: OpKind::Read,
             bytes,
             io_secs,
@@ -1169,102 +1087,57 @@ impl AsyncVol {
         if req.is_sync() {
             return Ok(());
         }
-        // Ring-path request: settle its completion here (an ordering
-        // wait may already have settled it and stowed any error in the
-        // deferred-error map, which the shared path below surfaces).
-        if let Some(ctl) = &self.ring {
-            if let Some(pending) = self.take_ring_pending(req.0) {
-                return match self.finish_ring(ctl, req.0, pending) {
-                    Some(err) => Err(H5Error::Async(err.to_string())),
-                    None => Ok(()),
-                };
-            }
-        }
-        let (handle, error_cell) = {
-            let mut inner = self.inner.lock();
-            (inner.pending.remove(&req.0), inner.errors.remove(&req.0))
+        // Not in the table: waited for before. Each failure is surfaced
+        // exactly once.
+        let Some(flight) = self.take_request(req.0) else {
+            return Ok(());
         };
-        if let Some(handle) = handle {
-            handle
-                .wait()
-                .map_err(|p| H5Error::Async(format!("background task panicked: {}", p.message)))?;
+        match self.settle_request(req.0, flight) {
+            Some(msg) => Err(H5Error::Async(msg)),
+            None => Ok(()),
         }
-        // Surface any deferred storage error exactly once.
-        if let Some(cell) = error_cell {
-            if let Some(err) = cell.lock().take() {
-                return Err(H5Error::Async(err.to_string()));
-            }
-        }
-        Ok(())
     }
 
     fn wait_all_inner(&self) -> Result<()> {
-        // Drain pending writes and any in-flight prefetches.
-        let (handles, error_cells, prefetch_handles) = {
+        // Drain the request table and any in-flight prefetches.
+        let (mut flights, prefetch_handles) = {
             let mut inner = self.inner.lock();
-            let handles: Vec<(u64, TaskHandle)> = inner.pending.drain().collect();
-            let cells: HashMap<u64, ErrorCell> = inner.errors.drain().collect();
+            inner.order.retain(|_, o| {
+                o.ring.clear();
+                o.last_task.is_some()
+            });
+            let flights: Vec<(u64, Flight)> = inner.requests.drain().collect();
             let pf: Vec<TaskHandle> = inner
                 .prefetched
                 .values()
                 .map(|s| s.handle.clone())
                 .collect();
-            (handles, cells, pf)
+            (flights, pf)
         };
+        // Request order, not map order: observer records and retries
+        // must not depend on the hasher.
+        flights.sort_by_key(|(req, _)| *req);
         // Aggregate EVERY failure — first-error-wins would silently drop
         // the rest, and a checkpoint writer deciding what to re-drive
         // needs the full list of failed requests.
-        let mut failures: Vec<(u64, String)> = Vec::new();
-        if let Some(ctl) = &self.ring {
-            let mut ring_drained: Vec<(u64, RingPending)> = {
-                let mut inner = self.inner.lock();
-                inner.ring_by_ds.clear();
-                inner.ring_pending.drain().collect()
-            };
-            // Request order, not map order: observer records and retries
-            // must not depend on the hasher.
-            ring_drained.sort_by_key(|(req, _)| *req);
-            for (req, pending) in ring_drained {
-                if let Some(err) = self.finish_ring(ctl, req, pending) {
-                    failures.push((req, err.to_string()));
-                }
-            }
-        }
-        for (req, handle) in handles {
-            if let Err(p) = handle.wait() {
-                failures.push((req, format!("background task panicked: {}", p.message)));
-            }
-        }
-        // Walk all drained cells, not just those with a live handle: a
-        // task reaped by gc may still hold an unreported deferred error.
-        for (req, cell) in &error_cells {
-            if let Some(err) = cell.lock().take() {
-                failures.push((*req, err.to_string()));
+        let mut failures: Vec<String> = Vec::new();
+        for (req, flight) in flights {
+            if let Some(msg) = self.settle_request(req, flight) {
+                failures.push(format!("req {req}: {msg}"));
             }
         }
         for handle in prefetch_handles {
             if let Err(p) = handle.wait() {
-                failures.push((u64::MAX, format!("prefetch panicked: {}", p.message)));
+                failures.push(format!("prefetch panicked: {}", p.message));
             }
         }
         if failures.is_empty() {
             return Ok(());
         }
-        failures.sort();
-        let parts: Vec<String> = failures
-            .iter()
-            .map(|(req, msg)| {
-                if *req == u64::MAX {
-                    msg.clone()
-                } else {
-                    format!("req {req}: {msg}")
-                }
-            })
-            .collect();
         Err(H5Error::Async(format!(
             "{} background operation(s) failed: [{}]",
             failures.len(),
-            parts.join("; ")
+            failures.join("; ")
         )))
     }
 }
@@ -1318,52 +1191,72 @@ mod tests {
         }
     }
 
-    /// A producer that never waits per request: the ring path's pending
-    /// maps stay bounded (they used to grow by one entry per write until
-    /// the next wait), `queued` falls as completions are retired, and a
-    /// failure retired at issue time is still reported by `wait_all` —
-    /// once.
-    #[test]
-    fn ring_requests_are_retired_without_a_wait() {
-        const WRITES: u64 = 5_000;
-        const SLAB: u64 = 16;
+    const SLAB: u64 = 16;
+
+    fn slab(w: u64) -> Selection {
+        Selection::Slab(Hyperslab::range1(w * SLAB, SLAB))
+    }
+
+    /// A `BadBlock` device (nothing bad yet), a container on it with one
+    /// `writes`-slab dataset, and a ring over the same device.
+    fn bad_block_stack(writes: u64) -> (Arc<BadBlock>, Arc<Container>, ObjectId, Arc<Ring>) {
         let backend = Arc::new(BadBlock {
             inner: MemBackend::new(),
             bad: AtomicU64::new(u64::MAX),
         });
         let c = Arc::new(Container::create(backend.clone()));
-        let ring = Arc::new(Ring::new(backend.clone(), RingConfig::default()));
-        let vol = AsyncVol::builder().ring(ring.clone()).build();
-        let ds = vol
-            .dataset_create(
-                &c,
-                ROOT_ID,
-                "x",
-                Datatype::U8,
-                &Dataspace::d1(WRITES * SLAB),
-                Layout::Contiguous,
-            )
+        let ds = c
+            .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(writes * SLAB), Layout::Contiguous)
             .unwrap();
-        let sel = |w: u64| Selection::Slab(Hyperslab::range1(w * SLAB, SLAB));
+        let ring = Arc::new(Ring::new(backend.clone(), RingConfig::default()));
+        (backend, c, ds, ring)
+    }
+
+    /// Table entries and ring-FIFO slots right now.
+    fn table_sizes(vol: &AsyncVol) -> (usize, usize, usize) {
+        let inner = vol.inner.lock();
+        let on_ring = inner.requests.values().filter(|f| matches!(f, Flight::Ring(_))).count();
+        let ordered = inner.order.values().map(|o| o.ring.len()).sum();
+        (inner.requests.len(), on_ring, ordered)
+    }
+
+    /// A producer that never waits per request: the request table stays
+    /// bounded (it used to grow by one entry per ring write until the
+    /// next wait), `queued` stays bounded, and a failure retired at issue
+    /// time is still reported by `wait_all` — once. `in_flight_cap` is
+    /// how many unfinished requests the transport admits: the ring
+    /// enforces its own, the task transport has no admission control, so
+    /// there the producer paces itself on the `queued` gauge.
+    fn requests_are_retired_without_a_wait(use_ring: bool) {
+        const WRITES: u64 = 5_000;
+        let (backend, c, ds, ring) = bad_block_stack(WRITES);
+        let (vol, in_flight_cap) = if use_ring {
+            let cap = ring.capacity() + COALESCE_WINDOW;
+            (AsyncVol::builder().ring(ring).build(), cap)
+        } else {
+            (AsyncVol::new(), 64)
+        };
         // Write 10 lands on the bad block.
-        let segs = c.plan_write_selection(ds, &sel(10), SLAB).unwrap();
+        let segs = c.plan_write_selection(ds, &slab(10), SLAB).unwrap();
         backend.bad.store(segs[0].addr, Ordering::SeqCst);
 
-        // Unfinished requests are bounded by what the ring and one
-        // reaper pass can hold; finished ones by the threshold.
-        let bound = PENDING_GC_THRESHOLD + ring.capacity() + COALESCE_WINDOW + 1;
+        // Unfinished requests are bounded by what the transport holds;
+        // finished ones by the threshold.
+        let bound = PENDING_GC_THRESHOLD + in_flight_cap + 1;
         let mut peak = 0;
         for w in 0..WRITES {
+            while !use_ring && vol.stats().queued >= in_flight_cap as u64 {
+                std::thread::yield_now();
+            }
             let _ = vol
-                .dataset_write(&c, ds, &sel(w), &[w as u8; SLAB as usize])
+                .dataset_write(&c, ds, &slab(w), &[w as u8; SLAB as usize])
                 .unwrap();
-            let inner = vol.inner.lock();
-            peak = peak.max(inner.ring_pending.len());
-            let ordered: usize = inner.ring_by_ds.values().map(Vec::len).sum();
-            assert_eq!(ordered, inner.ring_pending.len(), "the two maps move together");
+            let (table, on_ring, ordered) = table_sizes(&vol);
+            peak = peak.max(table);
+            assert_eq!(ordered, on_ring, "table and ring FIFO move together");
         }
         assert!(peak > PENDING_GC_THRESHOLD, "the threshold was reached: {peak}");
-        assert!(peak <= bound, "{peak} pending entries, bound {bound}");
+        assert!(peak <= bound, "{peak} table entries, bound {bound}");
         assert!(vol.stats().queued <= bound as u64);
 
         let err = vol.wait_all().unwrap_err().to_string();
@@ -1371,13 +1264,44 @@ mod tests {
         assert!(err.contains("bad block"), "{err}");
         vol.wait_all().unwrap();
         assert_eq!(vol.stats().queued, 0);
-        let inner = vol.inner.lock();
-        assert!(inner.ring_pending.is_empty() && inner.ring_by_ds.is_empty());
-        assert!(inner.errors.is_empty(), "the failure was reported exactly once");
-        drop(inner);
+        assert_eq!(table_sizes(&vol), (0, 0, 0), "the failure was reported exactly once");
         assert_eq!(
-            c.read_selection(ds, &sel(4_999)).unwrap(),
+            c.read_selection(ds, &slab(4_999)).unwrap(),
             vec![(4_999 % 256) as u8; SLAB as usize]
         );
+    }
+
+    #[test]
+    fn ring_requests_are_retired_without_a_wait() {
+        requests_are_retired_without_a_wait(true);
+    }
+
+    #[test]
+    fn task_requests_are_retired_without_a_wait() {
+        requests_are_retired_without_a_wait(false);
+    }
+
+    /// `queued` is what has not completed, not what has not been waited
+    /// for: once the reaper has drained the ring it reads zero, with
+    /// every request still unsettled in the table.
+    #[test]
+    fn queued_counts_ring_occupancy_not_unsettled_requests() {
+        const WRITES: u64 = 64;
+        let (_, c, ds, ring) = bad_block_stack(WRITES);
+        let vol = AsyncVol::builder().ring(ring.clone()).build();
+        for w in 0..WRITES {
+            let _ = vol
+                .dataset_write(&c, ds, &slab(w), &[w as u8; SLAB as usize])
+                .unwrap();
+        }
+        while ring.occupancy() != 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(vol.stats().queued, 0);
+        assert_eq!(table_sizes(&vol), (64, 64, 64), "nothing was settled");
+        assert_eq!(vol.stats().writes, 0, "nothing was settled");
+        vol.wait_all().unwrap();
+        assert_eq!(vol.stats().writes, WRITES);
+        assert_eq!(table_sizes(&vol), (0, 0, 0));
     }
 }

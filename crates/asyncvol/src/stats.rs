@@ -343,8 +343,9 @@ pub struct AsyncVolStats {
     pub breaker_closes: u64,
     /// Half-open probe writes dispatched.
     pub probes: u64,
-    /// Background tasks submitted to the staged queue but not yet
-    /// completed (the instantaneous queue depth at snapshot time).
+    /// Background work submitted and not yet completed (the queue depth
+    /// at snapshot time): tasks still on the execution streams plus, in
+    /// [`AsyncVol::stats`](crate::AsyncVol::stats), what the ring holds.
     pub queued: u64,
     /// Whether the connector is currently degraded to synchronous
     /// passthrough (breaker open or half-open). Filled from the breaker

@@ -380,7 +380,7 @@ fn ring_epoch(recs: &mut Vec<Rec>) {
                 ..RingConfig::default()
             },
         ));
-        let vol = AsyncVol::builder().streams(2).adaptive_streams(4).ring(ring).build();
+        let vol = AsyncVol::builder().streams(2).ring(ring).build();
         let c = Arc::new(Container::create(backend));
         let ds = c
             .create_dataset(ROOT_ID, "e", Datatype::U8, &Dataspace::d1(total), Layout::Contiguous)

@@ -74,8 +74,8 @@ pub use plan::{
 };
 pub use promise::Promise;
 pub use ring::{
-    Backpressure, Completion, CqeErr, CqeOk, DepthAdvice, ReadExtent, Ring, RingBackend,
-    RingConfig, RingOp, Submitted, WaitMode,
+    Backpressure, Completion, CqeErr, CqeOk, ReadExtent, Ring, RingBackend, RingConfig, RingOp,
+    Submitted,
 };
 pub use storage::{
     CrashBackend, CrashClock, FaultInjector, FaultKind, FaultOp, FaultPlan, FileBackend, IoVec,

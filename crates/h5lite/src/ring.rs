@@ -264,27 +264,6 @@ impl Submitted {
     }
 }
 
-/// Suggested wait strategy for a completion the caller is about to
-/// block on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaitMode {
-    /// Park on the promise condvar.
-    Block,
-    /// Spin-poll `Promise::is_fulfilled` — worth it when the ring is
-    /// shallow and the completion is imminent.
-    Poll,
-}
-
-/// Occupancy-derived scheduling advice (consumed by the connector's
-/// depth governor, which folds in the telemetry queue-depth series).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DepthAdvice {
-    /// How to wait for the next completion.
-    pub wait: WaitMode,
-    /// Execution streams the task scheduler should run.
-    pub streams: usize,
-}
-
 struct Shard {
     sq: RingQueue<Sqe>,
     /// The reaper's thread handle, for wakeups; set once at startup.
@@ -523,27 +502,6 @@ impl Ring {
                 self.unpark(i);
             }
             thread::park_timeout(SUBMIT_BACKOFF);
-        }
-    }
-
-    /// Occupancy-driven scheduling advice: poll for completions while
-    /// the ring is shallow (they are imminent), block when it is deep;
-    /// grow the stream count toward `max_streams` as the ring fills.
-    pub fn advise(&self, base_streams: usize, max_streams: usize) -> DepthAdvice {
-        let cap = self.capacity().max(1);
-        let occ = self.occupancy().min(cap);
-        let fill = occ as f64 / cap as f64;
-        let wait = if fill < 0.25 {
-            WaitMode::Poll
-        } else {
-            WaitMode::Block
-        };
-        let ceiling = max_streams.max(base_streams);
-        let span = ceiling - base_streams;
-        let streams = base_streams + (fill * span as f64).ceil() as usize;
-        DepthAdvice {
-            wait,
-            streams: streams.min(ceiling),
         }
     }
 }
@@ -1095,22 +1053,5 @@ mod tests {
         assert_eq!(b, [9u8; 6]);
         rb.sync().unwrap();
         assert!(rb.len() >= 206);
-    }
-
-    #[test]
-    fn advise_tracks_occupancy() {
-        let ring = Ring::new(Arc::new(MemBackend::new()), RingConfig::default());
-        let advice = ring.advise(1, 8);
-        assert_eq!(advice.wait, WaitMode::Poll, "empty ring: poll");
-        assert_eq!(advice.streams, 1, "empty ring: base streams");
-        // A synthetic full ring (no real traffic): the advice must move
-        // toward blocking waits and the stream ceiling.
-        ring.shared
-            .in_flight
-            .store(ring.capacity(), Ordering::Release);
-        let advice = ring.advise(1, 8);
-        assert_eq!(advice.wait, WaitMode::Block, "deep ring: block");
-        assert_eq!(advice.streams, 8, "deep ring: ceiling");
-        ring.shared.in_flight.store(0, Ordering::Release);
     }
 }

@@ -18,7 +18,7 @@
 //! | `checked-offset-arith` | h5lite `storage.rs`, `container.rs`, `plan.rs` | device offsets/addresses use `checked_*`/`saturating_*`, never raw `+`/`*` |
 //! | `swallowed-result` | asyncvol, h5lite `src/`              | no `let _ =` / statement `.ok();` discarding a `Result` on an I/O path |
 //! | `superblock-discipline` | h5lite `src/` except `superblock.rs` | the superblock area (offset 0) is written only through the dual-slot commit protocol |
-//! | `ring-discipline` | asyncvol `lib.rs`, `batch.rs`           | background-write paths reach storage via ring submission or planned vectored I/O, never scalar backend calls |
+//! | `ring-discipline` | asyncvol `lib.rs`                       | background-write paths reach storage via ring submission or planned vectored I/O, never scalar backend calls |
 //! | `snapshot-discipline` | h5lite `src/` except `meta.rs`       | metadata state is resolved through the sharded `MetaPlane` API, never by locking a monolithic `meta` field directly |
 //! | `rank-context` | mpisim `runner.rs`, kernels `measure.rs`     | epoch-runner spans carry a `SpanContext` (`span_ctx`), so per-rank streams stay attributable |
 //!
@@ -106,8 +106,7 @@ const PLANNED_IO_FILES: [&str; 1] = ["crates/h5lite/src/container.rs"];
 /// per-request device round trip the ring exists to eliminate. The WAL
 /// staging module is out of scope — its scalar device I/O is the log's
 /// own format.
-const RING_DISCIPLINE_FILES: [&str; 2] =
-    ["crates/asyncvol/src/lib.rs", "crates/asyncvol/src/batch.rs"];
+const RING_DISCIPLINE_FILES: [&str; 1] = ["crates/asyncvol/src/lib.rs"];
 /// Epoch-runner files whose spans must carry a `SpanContext`: an
 /// untagged `.span(..)` here lands every record on the shared untagged
 /// viewer row and the cross-rank analysis silently loses the rank.
@@ -115,11 +114,10 @@ const RING_DISCIPLINE_FILES: [&str; 2] =
 const RANK_CONTEXT_FILES: [&str; 2] =
     ["crates/mpisim/src/runner.rs", "crates/kernels/src/measure.rs"];
 /// Type names (beyond the `*Guard` convention) that must be `#[must_use]`.
-const MUST_USE_TYPES: [&str; 6] = [
+const MUST_USE_TYPES: [&str; 5] = [
     "TaskHandle",
     "Eventual",
     "Promise",
-    "WriteBatch",
     "Request",
     "ReadRequest",
 ];
@@ -974,7 +972,7 @@ fn f(rt: &Runtime) {
     fn swallowed_result_scoped_and_waivable() {
         let bad = "fn f(&self) { let _ = self.log.mark_applied(e); }\n";
         assert_eq!(
-            rules_fired("crates/asyncvol/src/batch.rs", bad),
+            rules_fired("crates/asyncvol/src/lib.rs", bad),
             ["swallowed-result"]
         );
         assert_eq!(

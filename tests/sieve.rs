@@ -30,27 +30,8 @@ fn pool_turn() -> MutexGuard<'static, ()> {
     POOL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Deterministic 64-bit LCG (MMIX constants), upper bits as output.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn in_range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-}
+mod common;
+use common::Lcg;
 
 /// Everything the backend holds, as raw bytes.
 fn raw(backend: &dyn StorageBackend) -> Vec<u8> {
