@@ -121,32 +121,12 @@ test -s target/rank_trace_smoke.json || { echo "rank trace smoke export missing"
 grep -q '"tid":15' target/rank_trace_smoke.json \
     || { echo "rank trace smoke: missing per-rank viewer rows"; exit 1; }
 
-echo "== bench smoke (one iteration per benchmark; no numbers persisted) =="
+echo "== bench smoke (one iteration per benchmark) =="
 cargo bench -q "${CARGO_FLAGS[@]}" -p apio-bench --bench connector -- --smoke \
     --trace-out "$PWD/target/trace_smoke.json"
 test -s target/trace_smoke.json || { echo "trace smoke export missing"; exit 1; }
 cargo bench -q "${CARGO_FLAGS[@]}" -p apio-bench --bench micro -- --smoke
 cargo bench -q "${CARGO_FLAGS[@]}" -p apio-bench --bench multitenant -- --smoke
-
-echo "== bench-regression gate =="
-# The committed baseline must pass against itself at the strict default
-# threshold.
-cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- bench-diff BENCH_baseline.json BENCH_baseline.json
-# The ring report (queue-depth sweep + 64 KiB epoch) must stay parseable
-# and self-consistent; its depth-scaling and 2x-epoch assertions live in
-# crates/xtask/tests/gate.rs.
-cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- bench-diff BENCH_ring.json BENCH_ring.json
-# The multi-tenant contention report must stay parseable and
-# self-consistent; its ≥4x-speedup, O(1)-locks-per-op, and zero-lock
-# snapshot-reader assertions live in crates/xtask/tests/gate.rs.
-cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- bench-diff BENCH_multitenant.json BENCH_multitenant.json
-# The gate itself must demonstrably catch a regression: a synthetically
-# slowed baseline (1000x on the e-4/e-5 entries) has to fail.
-sed 's/e-4/e-1/g; s/e-5/e-2/g' BENCH_baseline.json > target/BENCH_regressed.json
-if cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- bench-diff target/BENCH_regressed.json BENCH_baseline.json >/dev/null 2>&1; then
-    echo "bench-diff gate failed to flag a synthetic 1000x regression"
-    exit 1
-fi
 
 echo "== clippy =="
 if cargo clippy --version >/dev/null 2>&1; then

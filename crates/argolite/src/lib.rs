@@ -13,9 +13,6 @@
 //!   dependencies completed successfully. Panics propagate: a panicked task
 //!   poisons its dependents, which are skipped and marked panicked too
 //!   (cascading cancellation), and `wait()` reports it.
-//! - [`Eventual`] — a one-shot, thread-safe value slot (Argobots'
-//!   `ABT_eventual`): background tasks publish results, foreground threads
-//!   block on them.
 //! - [`wait_all`] — barrier over a set of handles (the VOL's "event set
 //!   wait").
 //!
@@ -37,9 +34,6 @@ pub mod explore;
 pub mod graph;
 pub mod sync;
 pub use graph::{CyclicGraph, NodeId, TaskGraph};
-
-mod eventual;
-pub use eventual::Eventual;
 
 /// Terminal and non-terminal states of a task.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

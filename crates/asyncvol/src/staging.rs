@@ -55,6 +55,7 @@ use std::sync::Arc;
 use apio_trace::{Event, Tracer};
 use argolite::sync::Mutex;
 use h5lite::codec::{Reader, Writer};
+use h5lite::superblock::{fnv1a64, FNV_BASIS};
 use h5lite::{
     recycle, Container, H5Error, Hyperslab, IoVec, ObjectId, Result, Selection, StorageBackend,
 };
@@ -86,17 +87,6 @@ const REC_MAGIC: u32 = 0x5741_4C31; // "WAL1"
 const REC_PREFIX: u64 = 12;
 /// Bytes after the body: fnv64 + applied flag.
 const REC_SUFFIX: u64 = 9;
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 fn encode_selection(w: &mut Writer, sel: &Selection) {
     match sel {
@@ -549,13 +539,19 @@ mod tests {
 
     #[test]
     fn append_read_roundtrip() {
-        let (_, log) = wal();
+        let (dev, log) = wal();
         let (_, ds) = container_with_ds(16);
         let a = log.append(ds, &Selection::All, b"hello").unwrap();
         let b = log.append(ds, &Selection::All, b"world!").unwrap();
         assert_eq!(log.read(a).unwrap(), b"hello");
         assert_eq!(log.read(b).unwrap(), b"world!");
         assert!(log.bytes_used() > 11, "framing counts toward usage");
+        // The frame checksum is on-device format: this is what the build
+        // before the FNV moved to h5lite stamped on the same frame.
+        let c = log.append(7, &Selection::All, b"checksum me").unwrap();
+        let mut sum = [0u8; 8];
+        dev.read_at(c.flag_off - 8, &mut sum).unwrap();
+        assert_eq!(u64::from_le_bytes(sum), 0xca68_3fbe_70f0_f876);
     }
 
     #[test]

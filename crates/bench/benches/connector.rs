@@ -4,10 +4,7 @@
 //! landed — what coalescing buys a strided BD-CATS-style selection over
 //! the historical one-backend-op-per-run path.
 //!
-//! Besides the printed table, a full (non-smoke) run rewrites
-//! `BENCH_connector.json` at the workspace root with every sample plus
-//! the planned-vs-per-run speedups, so the numbers quoted in DESIGN.md
-//! are regenerable from one command.
+//! Everything is a printed table, planned-vs-per-run speedups included.
 //!
 //! `--trace-out <path>` additionally runs one traced async VPIC-style
 //! epoch and writes its Chrome `trace_event` export to `<path>` (works
@@ -17,9 +14,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apio_bench::harness::{
-    bench, bench_bytes, bench_custom, bench_elems, section, smoke_mode, Sample,
-};
+use apio_bench::harness::{bench, bench_bytes, bench_custom, bench_elems, section, Sample};
 use apio_trace::{export, Tracer};
 use asyncvol::AsyncVol;
 use h5lite::container::ROOT_ID;
@@ -32,26 +27,9 @@ use std::hint::black_box;
 
 const SIZES: [usize; 3] = [1 << 16, 1 << 20, 1 << 24];
 
-/// One recorded measurement, flattened for the JSON report.
-struct Rec {
-    name: String,
-    secs_per_iter: f64,
-    iters: u64,
-    bytes: u64,
-}
-
-fn rec(recs: &mut Vec<Rec>, name: &str, s: Sample, bytes: u64) {
-    recs.push(Rec {
-        name: name.to_owned(),
-        secs_per_iter: s.secs_per_iter(),
-        iters: s.iters,
-        bytes,
-    });
-}
-
 /// Visible write latency through the native connector on throttled
 /// storage (the sync baseline).
-fn sync_visible_write(recs: &mut Vec<Rec>) {
+fn sync_visible_write() {
     section("visible_write_sync");
     for bytes in SIZES {
         let data = vec![1.0f32; bytes / 4];
@@ -66,17 +44,15 @@ fn sync_visible_write(recs: &mut Vec<Rec>) {
             .root()
             .create_dataset::<f32>("x", &Dataspace::d1((bytes / 4) as u64))
             .unwrap();
-        let name = format!("visible_write_sync/{bytes}");
-        let s = bench_bytes(&name, bytes as u64, || {
+        bench_bytes(&format!("visible_write_sync/{bytes}"), bytes as u64, || {
             ds.write(black_box(&data)).unwrap();
         });
-        rec(recs, &name, s, bytes as u64);
     }
 }
 
 /// Visible write latency through the async connector (snapshot only; the
 /// background wait is excluded by timing only the submission).
-fn async_visible_write(recs: &mut Vec<Rec>) {
+fn async_visible_write() {
     section("visible_write_async");
     for bytes in SIZES {
         let data = vec![1.0f32; bytes / 4];
@@ -87,8 +63,7 @@ fn async_visible_write(recs: &mut Vec<Rec>) {
             .root()
             .create_dataset::<f32>("x", &Dataspace::d1((bytes / 4) as u64))
             .unwrap();
-        let name = format!("visible_write_async/{bytes}");
-        let s = bench_custom(&name, |iters| {
+        bench_custom(&format!("visible_write_async/{bytes}"), |iters| {
             let mut total = Duration::ZERO;
             for _ in 0..iters {
                 let t0 = Instant::now();
@@ -100,13 +75,12 @@ fn async_visible_write(recs: &mut Vec<Rec>) {
             }
             total
         });
-        rec(recs, &name, s, bytes as u64);
     }
 }
 
 /// End-to-end epoch: compute + write, sync vs async — the smallest
 /// reproduction of Fig. 1's comparison on real threads.
-fn epoch_overlap(recs: &mut Vec<Rec>) {
+fn epoch_overlap() {
     section("epoch");
     let bytes = 1 << 22; // 4 MiB
     let compute = Duration::from_millis(4);
@@ -122,11 +96,10 @@ fn epoch_overlap(recs: &mut Vec<Rec>) {
             .root()
             .create_dataset::<f32>("x", &Dataspace::d1((bytes / 4) as u64))
             .unwrap();
-        let s = bench("epoch/sync", || {
+        bench("epoch/sync", || {
             std::thread::sleep(compute);
             ds.write(black_box(&data)).unwrap();
         });
-        rec(recs, "epoch/sync", s, bytes as u64);
     }
     {
         let backend = Arc::new(ThrottledBackend::in_memory(1e9, 0.0));
@@ -136,14 +109,13 @@ fn epoch_overlap(recs: &mut Vec<Rec>) {
             .root()
             .create_dataset::<f32>("x", &Dataspace::d1((bytes / 4) as u64))
             .unwrap();
-        let s = bench("epoch/async", || {
+        bench("epoch/async", || {
             // The previous iteration's write overlaps this sleep; the
             // requests are drained collectively by wait_all below.
             std::thread::sleep(compute);
             let _ = ds.write_async(black_box(&data)).unwrap();
         });
         file.wait_all().unwrap();
-        rec(recs, "epoch/async", s, bytes as u64);
     }
 }
 
@@ -151,18 +123,17 @@ fn epoch_overlap(recs: &mut Vec<Rec>) {
 /// idle (0% faults — the overhead must be indistinguishable from the
 /// plain connector) and under a 1% transient-fault rate (the cost of
 /// absorbing real faults, still with zero application-visible errors).
-fn chaos(recs: &mut Vec<Rec>) {
+fn chaos() {
     use apio_bench::chaos::run_chaos_epoch;
     section("chaos");
     let bytes_per_op = 1 << 16; // 64 KiB slabs
     let ops = 64u64;
     let total = bytes_per_op as u64 * ops;
     for (name, rate) in [("chaos/faults_0pct", 0.0), ("chaos/faults_1pct", 0.01)] {
-        let s = bench_bytes(name, total, || {
+        bench_bytes(name, total, || {
             let r = run_chaos_epoch(rate, bytes_per_op, ops, 0xC4A05).unwrap();
             black_box(r);
         });
-        rec(recs, name, s, total);
     }
     // One non-timed run per rate so the printed retry counts document
     // what the 1% line actually absorbed.
@@ -182,26 +153,22 @@ fn chaos(recs: &mut Vec<Rec>) {
 /// [`IoPlan`] over a pathological many-run selection takes, and what a
 /// scatter batch costs through `write_vectored_at` versus the same
 /// segments issued one scalar call at a time.
-fn ioplan_micro(recs: &mut Vec<Rec>) {
+fn ioplan_micro() {
     section("ioplan_micro");
 
     // 2048 single-element f32 runs — the strided worst case below.
     let space = Dataspace::d1(4 * 2048);
     let sel = Selection::Slab(interleaved_slab(1, 4, 2048));
     let runs = sel.runs(&space).unwrap();
-    let name = "ioplan/build_contiguous_2048_runs";
-    let s = bench_elems(name, runs.len() as u64, || {
+    bench_elems("ioplan/build_contiguous_2048_runs", runs.len() as u64, || {
         black_box(IoPlan::for_contiguous(black_box(64), 4, &runs).unwrap());
     });
-    rec(recs, name, s, 0);
 
-    let name = "ioplan/build_chunked_2048_runs";
-    let s = bench_elems(name, runs.len() as u64, || {
+    bench_elems("ioplan/build_chunked_2048_runs", runs.len() as u64, || {
         black_box(
             IoPlan::for_chunked(256, 4, &runs, |idx| Some(black_box(idx) * 1024)).unwrap(),
         );
     });
-    rec(recs, name, s, 0);
 
     // 1024 scattered 4-byte segments, 16 bytes apart: scalar loop vs one
     // vectored batch against the raw sharded MemBackend.
@@ -215,19 +182,15 @@ fn ioplan_micro(recs: &mut Vec<Rec>) {
         })
         .collect();
 
-    let name = "membackend/write_scalar_1024x4B";
-    let s = bench_bytes(name, nsegs * 4, || {
+    bench_bytes("membackend/write_scalar_1024x4B", nsegs * 4, || {
         for seg in &batch {
             backend.write_at(seg.offset, seg.data).unwrap();
         }
     });
-    rec(recs, name, s, nsegs * 4);
 
-    let name = "membackend/write_vectored_1024x4B";
-    let s = bench_bytes(name, nsegs * 4, || {
+    bench_bytes("membackend/write_vectored_1024x4B", nsegs * 4, || {
         backend.write_vectored_at(black_box(&batch)).unwrap();
     });
-    rec(recs, name, s, nsegs * 4);
 }
 
 /// The BD-CATS-IO pattern the planner exists for: rank `r` of `R` owns
@@ -237,8 +200,9 @@ fn ioplan_micro(recs: &mut Vec<Rec>) {
 /// pre-planner granularity — one single-run `write_selection`/
 /// `read_selection` call per run (one metadata-lock acquisition and one
 /// scalar-sized backend op each), which is exactly what the old code
-/// did internally.
-fn strided_vpic(recs: &mut Vec<Rec>) {
+/// did internally. Ends with the planned-over-per-run speedup of every
+/// variant.
+fn strided_vpic() {
     section("strided_vpic");
     let ranks = 4u32;
     let elems_per_rank = 2048u64; // 2048 runs ≥ the 1k-run acceptance bar
@@ -257,6 +221,10 @@ fn strided_vpic(recs: &mut Vec<Rec>) {
         ("throttled_contig", Some(5e-6), Layout::Contiguous),
     ];
 
+    let speedup = |planned: Sample, per_run: Sample| {
+        per_run.secs_per_iter() / planned.secs_per_iter().max(1e-12)
+    };
+    let mut speedups = Vec::new();
     for (tag, latency, layout) in variants {
         let backend: Arc<dyn StorageBackend> = match latency {
             None => Arc::new(MemBackend::new()),
@@ -270,15 +238,12 @@ fn strided_vpic(recs: &mut Vec<Rec>) {
         // (no first-write allocation inside the timed region).
         c.write_selection(id, &sel, &data).unwrap();
 
-        let name = format!("strided_vpic/{tag}/write_planned");
-        let s = bench_bytes(&name, bytes, || {
+        let planned = bench_bytes(&format!("strided_vpic/{tag}/write_planned"), bytes, || {
             c.write_selection(id, black_box(&sel), black_box(&data))
                 .unwrap();
         });
-        rec(recs, &name, s, bytes);
 
-        let name = format!("strided_vpic/{tag}/write_per_run");
-        let s = bench_bytes(&name, bytes, || {
+        let per_run = bench_bytes(&format!("strided_vpic/{tag}/write_per_run"), bytes, || {
             let mut cur = 0usize;
             for &(off, len) in &runs {
                 let nb = (len * 4) as usize;
@@ -291,16 +256,13 @@ fn strided_vpic(recs: &mut Vec<Rec>) {
                 cur += nb;
             }
         });
-        rec(recs, &name, s, bytes);
+        speedups.push((format!("strided_vpic/{tag}/write"), speedup(planned, per_run)));
 
-        let name = format!("strided_vpic/{tag}/read_planned");
-        let s = bench_bytes(&name, bytes, || {
+        let planned = bench_bytes(&format!("strided_vpic/{tag}/read_planned"), bytes, || {
             black_box(c.read_selection(id, black_box(&sel)).unwrap());
         });
-        rec(recs, &name, s, bytes);
 
-        let name = format!("strided_vpic/{tag}/read_per_run");
-        let s = bench_bytes(&name, bytes, || {
+        let per_run = bench_bytes(&format!("strided_vpic/{tag}/read_per_run"), bytes, || {
             for &(off, len) in &runs {
                 black_box(
                     c.read_selection(id, &Selection::Slab(Hyperslab::range1(off, len)))
@@ -308,7 +270,12 @@ fn strided_vpic(recs: &mut Vec<Rec>) {
                 );
             }
         });
-        rec(recs, &name, s, bytes);
+        speedups.push((format!("strided_vpic/{tag}/read"), speedup(planned, per_run)));
+    }
+
+    println!("\n== planned / per_run speedups ==");
+    for (name, x) in speedups {
+        println!("{name:<44} {x:8.2}x");
     }
 }
 
@@ -373,144 +340,13 @@ fn export_trace(path: &Path) {
     }
 }
 
-fn lookup(recs: &[Rec], name: &str) -> Option<f64> {
-    recs.iter()
-        .find(|r| r.name == name)
-        .map(|r| r.secs_per_iter)
-}
-
-/// Cross-rank tracing rows (DESIGN.md §16), mirrored from the micro
-/// bench so `BENCH_connector.json` / `BENCH_baseline.json` carry them
-/// under the bench-diff gate: ctx-guard cost on a disabled and enabled
-/// tracer, per-rank stream emission for a 16-rank × 8-epoch run, and
-/// the critical-path merge over that trace.
-fn critpath(recs: &mut Vec<Rec>) {
-    use apio_trace::{SpanContext, VirtualClock};
-    use mpisim::{Job, RunConfig, Workload};
-    use platform::units::MIB;
-
-    section("critpath");
-    let ctx_cost = |name: &str, enabled: bool| -> Sample {
-        bench_custom(name, |iters| {
-            let t = if enabled { Tracer::new() } else { Tracer::disabled() };
-            let ctx = SpanContext::new(0, 7, 3);
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                let _g = t.span_ctx(black_box("rank.compute"), black_box(ctx));
-            }
-            t0.elapsed()
-        })
-    };
-    rec(recs, "critpath/span_ctx_disabled", ctx_cost("critpath/span_ctx_disabled", false), 0);
-    rec(recs, "critpath/span_ctx_enabled", ctx_cost("critpath/span_ctx_enabled", true), 0);
-
-    let job = Job::new(platform::summit(), 16);
-    let w = Workload::checkpoint(16, 32 * MIB, 8, 5.0).with_straggler(7, 4.0);
-    let cfg = RunConfig::async_io();
-    let result = mpisim::run_analytic(&job, &w, &cfg);
-    let emit = bench_custom("critpath/emit_16r_8e", |iters| {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            let clock = Arc::new(VirtualClock::new(0));
-            let tracer = Tracer::with_clock(clock.clone());
-            mpisim::trace_rank_streams(0, &job, &w, &cfg, &result, &tracer, &clock);
-            black_box(tracer.sink().records().len());
-        }
-        t0.elapsed()
-    });
-    rec(recs, "critpath/emit_16r_8e", emit, 0);
-
-    let clock = Arc::new(VirtualClock::new(0));
-    let tracer = Tracer::with_clock(clock.clone());
-    mpisim::trace_rank_streams(0, &job, &w, &cfg, &result, &tracer, &clock);
-    let sink = tracer.sink();
-    let analyze = bench_custom("critpath/analyze_16r_8e", |iters| {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(
-                apio_trace::critpath::analyze_job(black_box(&sink), 0)
-                    .epochs
-                    .len(),
-            );
-        }
-        t0.elapsed()
-    });
-    rec(recs, "critpath/analyze_16r_8e", analyze, 0);
-}
-
-/// Planned-vs-per-run speedups for every strided variant, as
-/// `(label, speedup)` pairs.
-fn strided_speedups(recs: &[Rec]) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for tag in ["mem_contig", "mem_chunked", "throttled_contig"] {
-        for op in ["write", "read"] {
-            let planned = lookup(recs, &format!("strided_vpic/{tag}/{op}_planned"));
-            let per_run = lookup(recs, &format!("strided_vpic/{tag}/{op}_per_run"));
-            if let (Some(p), Some(r)) = (planned, per_run) {
-                if p > 0.0 {
-                    out.push((format!("strided_vpic/{tag}/{op}"), r / p));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Hand-rolled JSON report (the workspace is dependency-free). `{:e}`
-/// renders every float as a valid JSON number.
-fn emit_json(recs: &[Rec], speedups: &[(String, f64)]) {
-    let mut out = String::from("{\n  \"bench\": \"connector\",\n");
-    out.push_str("  \"command\": \"cargo bench -p apio-bench --bench connector\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"secs_per_iter\": {:e}, \"iters\": {}, \"bytes\": {}}}{}\n",
-            r.name,
-            r.secs_per_iter,
-            r.iters,
-            r.bytes,
-            if i + 1 < recs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"speedup_planned_over_per_run\": {\n");
-    for (i, (name, x)) in speedups.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{name}\": {:.2}{}\n",
-            x,
-            if i + 1 < speedups.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
-
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_connector.json");
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => println!("\nfailed to write {}: {e}", path.display()),
-    }
-}
-
 fn main() {
-    let mut recs = Vec::new();
-    sync_visible_write(&mut recs);
-    async_visible_write(&mut recs);
-    epoch_overlap(&mut recs);
-    chaos(&mut recs);
-    ioplan_micro(&mut recs);
-    strided_vpic(&mut recs);
-    critpath(&mut recs);
-
-    let speedups = strided_speedups(&recs);
-    if !speedups.is_empty() {
-        println!("\n== planned / per_run speedups ==");
-        for (name, x) in &speedups {
-            println!("{name:<44} {x:8.2}x");
-        }
-    }
-    // Smoke runs time a single iteration; persisting those numbers
-    // would overwrite the committed report with noise.
-    if !smoke_mode() {
-        emit_json(&recs, &speedups);
-    }
+    sync_visible_write();
+    async_visible_write();
+    epoch_overlap();
+    chaos();
+    ioplan_micro();
+    strided_vpic();
     if let Some(path) = trace_out_path() {
         export_trace(&path);
     }

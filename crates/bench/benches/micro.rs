@@ -8,11 +8,9 @@
 //! sweep (depth ∈ {1, 4, 16, 64} × op size {4 KiB, 64 KiB, 1 MiB}), the
 //! 64 KiB-op epoch comparison, and the cross-rank tracing costs
 //! (ctx-guard, per-rank stream emission, critical-path merge, with the
-//! ≤ 2% enabled-emission budget); a full (non-smoke) run rewrites
-//! `BENCH_ring.json` at the workspace root, which the `xtask bench-diff`
-//! gate and `crates/xtask/tests/gate.rs` consume.
+//! ≤ 2% enabled-emission budget). Everything is a printed table.
 
-use apio_bench::harness::{bench, bench_bytes, bench_custom, section, smoke_mode, Sample};
+use apio_bench::harness::{bench, bench_bytes, bench_custom, section, Sample};
 use apio_trace::Tracer;
 use asyncvol::AsyncVol;
 use h5lite::container::ROOT_ID;
@@ -23,7 +21,6 @@ use h5lite::{
 };
 use kernels::vpic::interleaved_slab;
 use std::hint::black_box;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,9 +147,9 @@ fn trace_overhead() {
 /// 16-rank × 8-epoch per-rank re-enactment, and the merge throughput of
 /// the critical-path analysis over that trace. The budget: emitting one
 /// 16-rank epoch's span streams with tracing enabled must stay ≤ 2% of
-/// the 64 KiB async epoch it annotates (`ring/epoch_async_64KiB`,
-/// measured earlier into `recs`).
-fn critpath_overhead(recs: &mut Vec<Rec>) {
+/// the 64 KiB async epoch it annotates (`async_epoch_secs`, what
+/// [`ring_epoch`] measured for `ring/epoch_async_64KiB`).
+fn critpath_overhead(async_epoch_secs: f64) {
     use apio_trace::{SpanContext, VirtualClock};
     use mpisim::{Job, RunConfig, Workload};
     use platform::units::MIB;
@@ -208,24 +205,13 @@ fn critpath_overhead(recs: &mut Vec<Rec>) {
         t0.elapsed()
     });
 
-    rec(recs, "critpath/span_ctx_disabled", ctx_off, 0);
-    rec(recs, "critpath/span_ctx_enabled", ctx_on, 0);
-    rec(recs, "critpath/emit_16r_8e", emit, 0);
-    rec(recs, "critpath/analyze_16r_8e", analyze, 0);
-
     let per_epoch = emit.secs_per_iter() / EPOCHS as f64;
-    if let Some(base) = recs
-        .iter()
-        .find(|r| r.name == "ring/epoch_async_64KiB")
-        .map(|r| r.secs_per_iter)
-    {
-        let pct = per_epoch / base.max(1e-12) * 100.0;
-        println!(
-            "critpath: enabled emission ≈ {:.1} µs per 16-rank epoch \
-             ({pct:.2}% of the 64 KiB async epoch, budget 2%)",
-            per_epoch * 1e6
-        );
-    }
+    let pct = per_epoch / async_epoch_secs.max(1e-12) * 100.0;
+    println!(
+        "critpath: enabled emission ≈ {:.1} µs per 16-rank epoch \
+         ({pct:.2}% of the 64 KiB async epoch, budget 2%)",
+        per_epoch * 1e6
+    );
     println!(
         "critpath: analyze merges {nrec} records at {:.1} Mrec/s; \
          span_ctx on/off: {:.1}/{:.1} ns",
@@ -286,33 +272,15 @@ fn integrity_overhead() {
     });
 }
 
-/// One recorded measurement, flattened for the JSON report.
-struct Rec {
-    name: String,
-    secs_per_iter: f64,
-    iters: u64,
-    bytes: u64,
-}
-
-fn rec(recs: &mut Vec<Rec>, name: &str, s: Sample, bytes: u64) {
-    recs.push(Rec {
-        name: name.to_owned(),
-        secs_per_iter: s.secs_per_iter(),
-        iters: s.iters,
-        bytes,
-    });
-}
-
 /// Queue-depth sweep through the raw [`Ring`]: one batch of `depth`
 /// writes of `size` bytes each, submitted together and drained to
 /// completion, against a 4-channel throttled backend whose 200 µs
 /// per-op latency is what depth amortizes. The reaper coalesces a whole
 /// batch into one `write_vectored_at`, so small-op throughput must rise
 /// monotonically with depth — the io_uring shape the paper's async
-/// pipelines rely on. `gate.rs` asserts that monotonicity on the
-/// committed JSON for the ≤ 64 KiB rows (the 1 MiB row is
-/// bandwidth-bound, so depth buys it little by design).
-fn ring_depth_sweep(recs: &mut Vec<Rec>) {
+/// pipelines rely on (the 1 MiB row is bandwidth-bound, so depth buys it
+/// little by design).
+fn ring_depth_sweep() {
     section("ring_depth");
     for size in [4096usize, 65536, 1 << 20] {
         for depth in [1usize, 4, 16, 64] {
@@ -344,7 +312,6 @@ fn ring_depth_sweep(recs: &mut Vec<Rec>) {
                 }
                 timed
             });
-            rec(recs, &name, s, total);
             let mbps = total as f64 / s.secs_per_iter() / 1e6;
             println!("    {name:<28} {mbps:9.1} MB/s");
         }
@@ -355,11 +322,9 @@ fn ring_depth_sweep(recs: &mut Vec<Rec>) {
 /// followed by 64 × 64 KiB slab writes, sync through the container vs
 /// async through the ring-backed connector. The sync epoch pays the
 /// 100 µs device latency per op; the async epoch overlaps I/O with the
-/// next compute phase and the reaper coalesces the slabs, so `gate.rs`
-/// holds the committed async figure to ≤ ½ of `BENCH_baseline.json`'s
-/// `epoch/async` (7.47 ms, the pre-ring connector on its 4 MiB
-/// workload).
-fn ring_epoch(recs: &mut Vec<Rec>) {
+/// next compute phase and the reaper coalesces the slabs. Returns the
+/// async epoch's seconds per iteration.
+fn ring_epoch() -> f64 {
     section("ring_epoch");
     let ops = 64u64;
     let op_bytes = 65536u64;
@@ -370,7 +335,7 @@ fn ring_epoch(recs: &mut Vec<Rec>) {
         .map(|i| Selection::Slab(Hyperslab::range1(i * op_bytes, op_bytes)))
         .collect();
 
-    {
+    let async_epoch = {
         let backend: Arc<dyn StorageBackend> =
             Arc::new(ThrottledBackend::with_channels(2e9, 1e-4, 4));
         let ring = Arc::new(Ring::new(
@@ -398,8 +363,8 @@ fn ring_epoch(recs: &mut Vec<Rec>) {
             }
         });
         vol.wait_all().unwrap();
-        rec(recs, "ring/epoch_async_64KiB", s, total);
-    }
+        s.secs_per_iter()
+    };
     {
         let backend: Arc<dyn StorageBackend> =
             Arc::new(ThrottledBackend::with_channels(2e9, 1e-4, 4));
@@ -410,39 +375,14 @@ fn ring_epoch(recs: &mut Vec<Rec>) {
         for sel in &sels {
             c.write_selection(ds, sel, &data).unwrap();
         }
-        let s = bench("ring/epoch_sync_64KiB", || {
+        bench("ring/epoch_sync_64KiB", || {
             std::thread::sleep(compute);
             for sel in &sels {
                 c.write_selection(ds, black_box(sel), black_box(&data)).unwrap();
             }
         });
-        rec(recs, "ring/epoch_sync_64KiB", s, total);
     }
-}
-
-/// Hand-rolled JSON report (the workspace is dependency-free). `{:e}`
-/// renders every float as a valid JSON number.
-fn emit_json(recs: &[Rec]) {
-    let mut out = String::from("{\n  \"bench\": \"ring\",\n");
-    out.push_str("  \"command\": \"cargo bench -p apio-bench --bench micro\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in recs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"secs_per_iter\": {:e}, \"iters\": {}, \"bytes\": {}}}{}\n",
-            r.name,
-            r.secs_per_iter,
-            r.iters,
-            r.bytes,
-            if i + 1 < recs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_ring.json");
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => println!("\nfailed to write {}: {e}", path.display()),
-    }
+    async_epoch
 }
 
 fn main() {
@@ -451,13 +391,6 @@ fn main() {
     trace_overhead();
     integrity_overhead();
 
-    let mut recs = Vec::new();
-    ring_depth_sweep(&mut recs);
-    ring_epoch(&mut recs);
-    critpath_overhead(&mut recs);
-    // Smoke runs time a single iteration; persisting those numbers
-    // would overwrite the committed report with noise.
-    if !smoke_mode() {
-        emit_json(&recs);
-    }
+    ring_depth_sweep();
+    critpath_overhead(ring_epoch());
 }

@@ -12,16 +12,13 @@
 //! zero metadata-lock acquisitions per read, measured exactly by a
 //! dedicated phase — and behind the global read lock in the baseline.
 //!
-//! A full (non-smoke) run rewrites `BENCH_multitenant.json` at the
-//! workspace root: per-regime aggregate timings, the sharded/single-lock
-//! aggregate-throughput speedup (gated ≥ 4x at N = 16 in
-//! `crates/xtask/tests/gate.rs`), the measured metadata-lock
-//! acquisitions per steady-state writer op (gated O(1): ≤ 1.05), the
-//! per-shard acquisition breakdown (gated perfectly balanced — 16
-//! tenants on 16 shards), and the snapshot readers' acquisition count
-//! (gated exactly 0).
+//! Printed per run: per-regime aggregate timings, the sharded/single-lock
+//! aggregate-throughput speedup, the measured metadata-lock acquisitions
+//! per steady-state writer op with the per-shard breakdown, and the
+//! snapshot readers' acquisition count. The deterministic ones (one shard
+//! lock per op, balanced shards, zero reader locks) are asserted on live
+//! code in `crates/h5lite/tests/planner.rs` and `tests/consistency.rs`.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -185,8 +182,7 @@ fn run_regime(single_lock: bool, ops_per_writer: u64) -> RegimeResult {
 
 /// Dedicated zero-lock phase: a batch of snapshot reads with no writers
 /// running, bracketed by [`Container::meta_lock_stats`] — the measured
-/// acquisition count must be exactly zero, and is recorded in the JSON
-/// for the gate to assert.
+/// acquisition count must be exactly zero.
 fn snapshot_reader_phase(iters: u64) -> (u64, f64) {
     let c = Container::create_mem();
     let space = Dataspace::d1(NCHUNKS * CHUNK_ELEMS);
@@ -215,77 +211,6 @@ fn snapshot_reader_phase(iters: u64) -> (u64, f64) {
     let secs_per_iter = t0.elapsed().as_secs_f64() / iters as f64;
     let s1 = c.meta_lock_stats();
     (s1.total() - s0.total(), secs_per_iter)
-}
-
-fn emit_json(
-    sharded: &RegimeResult,
-    single: &RegimeResult,
-    speedup: f64,
-    reader_locks: u64,
-    reader_secs: f64,
-) {
-    let shard_list = sharded
-        .shard_reads_delta
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    let mut out = String::from("{\n  \"bench\": \"multitenant\",\n");
-    out.push_str("  \"command\": \"cargo bench -p apio-bench --bench multitenant\",\n");
-    out.push_str(&format!(
-        "  \"writers\": {WRITERS},\n  \"readers\": {READERS},\n  \"ops_per_writer\": {},\n",
-        sharded.writer_ops / WRITERS as u64
-    ));
-    out.push_str("  \"results\": [\n");
-    let mut entry = |name: &str, secs: f64, iters: u64, bytes: u64, last: bool| {
-        out.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"secs_per_iter\": {secs:e}, \"iters\": {iters}, \"bytes\": {bytes}}}{}\n",
-            if last { "" } else { "," }
-        ));
-    };
-    entry(
-        "multitenant/sharded/aggregate_writer_op",
-        sharded.elapsed / sharded.writer_ops as f64,
-        sharded.writer_ops,
-        sharded.bytes,
-        false,
-    );
-    entry(
-        "multitenant/single_lock/aggregate_writer_op",
-        single.elapsed / single.writer_ops as f64,
-        single.writer_ops,
-        single.bytes,
-        false,
-    );
-    entry(
-        "multitenant/sharded/snapshot_reader_op",
-        reader_secs,
-        1,
-        CHUNK_ELEMS * 4,
-        true,
-    );
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"aggregate_speedup_sharded_over_single_lock\": {speedup:.2},\n"
-    ));
-    out.push_str(&format!(
-        "  \"sharded_meta_locks_per_writer_op\": {:.4},\n",
-        sharded.locks_per_op
-    ));
-    out.push_str(&format!("  \"sharded_shard_reads_delta\": [{shard_list}],\n"));
-    out.push_str(&format!(
-        "  \"snapshot_reader_lock_acquisitions\": {reader_locks},\n"
-    ));
-    out.push_str(&format!(
-        "  \"sharded_reader_ops\": {},\n  \"single_lock_reader_ops\": {}\n}}\n",
-        sharded.reader_ops, single.reader_ops
-    ));
-
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_multitenant.json");
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => println!("\nfailed to write {}: {e}", path.display()),
-    }
 }
 
 fn main() {
@@ -322,10 +247,4 @@ fn main() {
         "multitenant/snapshot_reader_locks",
         reader_secs * 1e6,
     );
-
-    // Smoke runs time a single-digit op count; persisting that would
-    // overwrite the committed report with noise.
-    if !smoke_mode() {
-        emit_json(&sharded, &single, speedup, reader_locks, reader_secs);
-    }
 }

@@ -10,8 +10,7 @@
 //! **Smoke mode** (`--smoke` on the bench binary's command line, or
 //! `APIO_BENCH_SMOKE=1`): every benchmark body runs exactly once with no
 //! warm-up, scaling, or repeat rounds. CI uses it as a build-and-run gate
-//! so bench code cannot rot; the timings it produces are meaningless and
-//! callers must not persist them (see [`smoke_mode`]).
+//! so bench code cannot rot; the timings it produces are meaningless.
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};

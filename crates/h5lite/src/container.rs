@@ -72,7 +72,7 @@ use crate::plan::{
 };
 use crate::recycle;
 use crate::storage::{FileBackend, IoVec, IoVecMut, MemBackend, StorageBackend};
-use crate::superblock::{self, fnv1a64, Superblock, SUPERBLOCK_AREA};
+use crate::superblock::{self, fnv1a64, Superblock, FNV_BASIS, SUPERBLOCK_AREA};
 
 /// Identifier of an object (group or dataset) within a container.
 pub type ObjectId = u64;
@@ -403,7 +403,7 @@ impl Container {
 
         let mut meta_bytes = vec![0u8; sb.meta_len as usize];
         backend.read_at(sb.meta_addr, &mut meta_bytes)?; // xtask: allow(planned-io) metadata extent
-        if fnv1a64(&meta_bytes) != sb.meta_fnv {
+        if fnv1a64(FNV_BASIS, &meta_bytes) != sb.meta_fnv {
             return Err(H5Error::Corrupt("metadata checksum mismatch".into()));
         }
         let (tree, states) = decode_meta(&meta_bytes)?;
@@ -574,7 +574,7 @@ impl Container {
                 generation: next_gen,
                 meta_addr: addr,
                 meta_len: bytes.len() as u64,
-                meta_fnv: fnv1a64(&bytes),
+                meta_fnv: fnv1a64(FNV_BASIS, &bytes),
                 eof: eof_now,
                 root_id: ROOT_ID,
             },
@@ -604,7 +604,7 @@ impl Container {
         }
         // A recycled buffer holds stale bytes, not zeros.
         buf[readable..].fill(0);
-        Ok(fnv1a64(&buf))
+        Ok(fnv1a64(FNV_BASIS, &buf))
     }
 
     /// Enable or disable per-extent checksums (on by default). While
@@ -1174,10 +1174,12 @@ impl Container {
 
     /// One vectored read for a window: `batch` (the caller's direct
     /// reads, possibly none) plus every sieved span of `window`, whole,
-    /// into `sieve` — spans back to back in window order. A span's tail
-    /// can lie past the backend's watermark before the first flush; the
-    /// read stops there and the rest is zero-filled, exactly as
-    /// [`Container::hash_extent`] sees it. `sieve` is recycled memory:
+    /// into `sieve` — spans back to back in window order. Either shape's
+    /// tail can lie past the backend's watermark (an allocated extent
+    /// nothing has written to the end of yet); the read stops there and
+    /// the rest is the fill value, exactly as [`Container::hash_extent`]
+    /// sees it: a direct read's destination is already zeroed by the
+    /// caller, a span's is zero-filled here. `sieve` is recycled memory:
     /// on return every byte of it comes from the device or the zero fill.
     fn read_window<'a>(
         &self,
@@ -1187,6 +1189,12 @@ impl Container {
         mut batch: Vec<IoVecMut<'a>>,
     ) -> Result<()> {
         let watermark = self.backend.len();
+        batch.retain_mut(|seg| {
+            let readable = watermark.saturating_sub(seg.offset).min(seg.buf.len() as u64);
+            let buf = std::mem::take(&mut seg.buf);
+            seg.buf = &mut buf[..readable as usize];
+            readable > 0
+        });
         let mut rest = sieve;
         for span in window.iter().filter(|s| s.is_sieved()) {
             let (buf, tail) = rest.split_at_mut(span.len as usize);
@@ -1258,8 +1266,8 @@ impl Container {
     /// serve their segments from the whole-extent reads; group the rest
     /// into spans like a write does, read each window in one vectored
     /// batch — one-segment spans straight into the output, sieved spans
-    /// whole into a recycled buffer — and gather. A sieved span's bytes
-    /// past the watermark read as the fill value.
+    /// whole into a recycled buffer — and gather. Bytes past the
+    /// watermark read as the fill value in both shapes.
     fn read_planned(
         &self,
         plan: &IoPlan,
@@ -1274,7 +1282,7 @@ impl Container {
             let mut buf = recycle::lease(v.len as usize);
             self.backend
                 .read_at(v.addr, &mut buf)?; // xtask: allow(planned-io) integrity verification read
-            if fnv1a64(&buf) != v.fnv {
+            if fnv1a64(FNV_BASIS, &buf) != v.fnv {
                 self.integrity
                     .checksum_failures
                     .fetch_add(1, Ordering::Relaxed);

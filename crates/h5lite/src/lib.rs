@@ -79,6 +79,6 @@ pub use ring::{
 };
 pub use storage::{
     CrashBackend, CrashClock, FaultInjector, FaultKind, FaultOp, FaultPlan, FileBackend, IoVec,
-    IoVecMut, MemBackend, StorageBackend, ThrottledBackend, TracedBackend,
+    IoVecMut, MemBackend, StorageBackend, ThrottledBackend,
 };
 pub use vol::{ReadRequest, Request, Vol};

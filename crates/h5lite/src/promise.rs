@@ -2,8 +2,8 @@
 //! write completions) from a VOL connector's background threads to the
 //! caller.
 //!
-//! This is deliberately a sibling of `argolite::Eventual` rather than a
-//! re-export: `h5lite` must not depend on any particular tasking runtime —
+//! It lives here rather than in a tasking runtime (Argobots'
+//! `ABT_eventual`): `h5lite` must not depend on any particular runtime —
 //! the VOL trait is runtime-agnostic, exactly like HDF5's.
 
 use std::sync::Arc;

@@ -1000,64 +1000,6 @@ impl StorageBackend for CrashBackend {
     }
 }
 
-/// A backend decorator that traces every vectored operation: each
-/// `write_vectored_at`/`read_vectored_at` becomes a `storage.batch` span
-/// carrying a [`BackendBatch`](apio_trace::Event::BackendBatch) payload
-/// (segment count and total bytes), timed around the inner call. Scalar
-/// operations pass through untraced — the planner's data path is
-/// vectored, and metadata/superblock scalar I/O would only add noise.
-///
-/// Wrap any backend, including [`ThrottledBackend`] and [`FaultInjector`]
-/// — the span then measures the throttled (or faulting) duration the
-/// caller actually paid.
-pub struct TracedBackend {
-    inner: Arc<dyn StorageBackend>,
-    tracer: apio_trace::Tracer,
-}
-
-impl TracedBackend {
-    /// Trace `inner`'s vectored operations through `tracer`.
-    pub fn new(inner: Arc<dyn StorageBackend>, tracer: apio_trace::Tracer) -> Self {
-        TracedBackend { inner, tracer }
-    }
-}
-
-impl StorageBackend for TracedBackend {
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        self.inner.write_at(offset, data)
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.inner.read_at(offset, buf)
-    }
-
-    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
-        let mut span = self.tracer.span("storage.batch");
-        span.set_event(apio_trace::Event::BackendBatch {
-            segments: batch.len() as u64,
-            bytes: batch.iter().map(|seg| seg.data.len() as u64).sum(),
-        });
-        self.inner.write_vectored_at(batch)
-    }
-
-    fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
-        let mut span = self.tracer.span("storage.batch");
-        span.set_event(apio_trace::Event::BackendBatch {
-            segments: batch.len() as u64,
-            bytes: batch.iter().map(|seg| seg.buf.len() as u64).sum(),
-        });
-        self.inner.read_vectored_at(batch)
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn sync(&self) -> Result<()> {
-        self.inner.sync()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

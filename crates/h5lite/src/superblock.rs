@@ -39,10 +39,14 @@ const MAGIC: &[u8; 8] = b"H5LITE\x00\x02";
 /// Bytes covered by the slot self-checksum (magic + six u64 fields).
 const CHECKSUMMED_LEN: usize = 56;
 
-/// FNV-1a over `bytes` — the one checksum the whole container format
-/// uses (slots, the metadata extent, and per-extent data checksums).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+/// FNV-1a offset basis: the seed of a fresh hash.
+pub const FNV_BASIS: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a over `bytes`, continued from `h` ([`FNV_BASIS`] to start) —
+/// the one checksum the container format uses (slots, the metadata
+/// extent, per-extent data checksums) and the staging WAL frames with.
+/// Seedable so a checksum over header + payload needs no concatenation.
+pub fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
@@ -80,7 +84,7 @@ pub(crate) fn encode_slot(sb: &Superblock) -> Vec<u8> {
     w.u64(sb.root_id);
     out.extend_from_slice(&w.into_bytes());
     debug_assert_eq!(out.len(), CHECKSUMMED_LEN);
-    let sum = fnv1a64(&out);
+    let sum = fnv1a64(FNV_BASIS, &out);
     out.extend_from_slice(&sum.to_le_bytes());
     debug_assert_eq!(out.len() as u64, SLOT_LEN);
     out
@@ -99,7 +103,7 @@ pub(crate) fn decode_slot(buf: &[u8]) -> Result<Superblock> {
             .try_into()
             .map_err(|_| H5Error::Corrupt("superblock slot too short".into()))?,
     );
-    if fnv1a64(&buf[..CHECKSUMMED_LEN]) != stored {
+    if fnv1a64(FNV_BASIS, &buf[..CHECKSUMMED_LEN]) != stored {
         return Err(H5Error::Corrupt("superblock slot checksum mismatch".into()));
     }
     let mut r = Reader::new(&buf[MAGIC.len()..CHECKSUMMED_LEN]);

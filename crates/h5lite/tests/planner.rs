@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use h5lite::container::ROOT_ID;
 use h5lite::{
-    shard_of, Container, Dataspace, Datatype, Hyperslab, IoVec, IoVecMut, Layout, MemBackend,
-    MetaLockStats, Selection, StorageBackend, COALESCE_WINDOW, META_SHARDS, SIEVE_PAGE,
+    shard_of, Container, Dataspace, Datatype, FileBackend, Hyperslab, IoVec, IoVecMut, Layout,
+    MemBackend, MetaLockStats, Selection, StorageBackend, COALESCE_WINDOW, META_SHARDS, SIEVE_PAGE,
 };
 
 /// Forwards to a [`MemBackend`] while counting scalar calls, vectored
@@ -295,6 +295,95 @@ fn disjoint_datasets_touch_disjoint_shard_locks() {
     assert_eq!(back, data);
     let s2 = c.meta_lock_stats();
     assert_eq!(shard_delta(&s1, &s2), vec![(shard_of(a), 1, 0)]);
+}
+
+#[test]
+fn sixteen_tenants_on_sixteen_shards_load_every_shard_lock_equally() {
+    // One writer thread per tenant on consecutive dataset ids: each
+    // lands on a shard of its own, so after the same number of
+    // steady-state writes every shard's read count has moved by exactly
+    // that number — no hot lock, no shard left out, no write lock.
+    const OPS: u64 = 8;
+    let c = Container::create_mem();
+    let space = Dataspace::d1(64);
+    let data = vec![5u8; 64 * 4];
+    let ids: Vec<u64> = (0..META_SHARDS)
+        .map(|t| {
+            let name = format!("tenant{t}");
+            let id = c
+                .create_dataset(ROOT_ID, &name, Datatype::F32, &space, Layout::Contiguous)
+                .unwrap();
+            c.write_selection(id, &Selection::All, &data).unwrap();
+            id
+        })
+        .collect();
+
+    let s0 = c.meta_lock_stats();
+    std::thread::scope(|scope| {
+        for &id in &ids {
+            let (c, data) = (&c, &data);
+            scope.spawn(move || {
+                for _ in 0..OPS {
+                    c.write_selection(id, &Selection::All, data).unwrap();
+                }
+            });
+        }
+    });
+    let s1 = c.meta_lock_stats();
+    let want: Vec<_> = (0..META_SHARDS).map(|s| (s, OPS, 0)).collect();
+    assert_eq!(shard_delta(&s0, &s1), want);
+    assert_eq!((s1.tree_reads, s1.tree_writes), (s0.tree_reads, s0.tree_writes));
+}
+
+#[test]
+fn reads_past_the_watermark_return_fill_on_a_file_as_on_memory() {
+    // A contiguous dataset's extent is allocated at create, but the
+    // backend's watermark only moves when something is written: before
+    // the first write the whole extent lies past it, after a partial
+    // write its tail does. Either way a read returns what was written
+    // and fill for the rest — through a one-segment span (a direct read)
+    // and through a sieved one, on a file exactly as on memory.
+    const N: u64 = 4096;
+    let path = std::env::temp_dir().join(format!("apio-watermark-{}.h5l", std::process::id()));
+    let backends: [(&str, Arc<dyn StorageBackend>); 2] = [
+        ("mem", Arc::new(MemBackend::new())),
+        ("file", Arc::new(FileBackend::create(&path).unwrap())),
+    ];
+    let shapes = [
+        ("contiguous", Selection::All),
+        ("strided", Selection::Slab(Hyperslab::strided(&[1], &[N / 2], &[2]))),
+    ];
+    for (backend_name, backend) in backends {
+        let c = Container::create(backend.clone());
+        let id = c
+            .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(N), Layout::Contiguous)
+            .unwrap();
+        let mut want = vec![0u8; N as usize];
+        for written in [0, N / 4] {
+            if written > 0 {
+                let head: Vec<u8> = (0..written).map(|i| (i % 251) as u8 + 1).collect();
+                c.write_selection(id, &Selection::Slab(Hyperslab::range1(0, written)), &head)
+                    .unwrap();
+                want[..written as usize].copy_from_slice(&head);
+            }
+            let extent = c.plan_write_selection(id, &Selection::All, N).unwrap()[0];
+            assert!(
+                backend.len() < extent.addr + extent.len,
+                "the extent's tail must lie past the watermark"
+            );
+            for (shape, sel) in &shapes {
+                let got = c
+                    .read_selection(id, sel)
+                    .unwrap_or_else(|e| panic!("{backend_name}/{shape}/{written} written: {e}"));
+                let expect: Vec<u8> = match sel {
+                    Selection::All => want.clone(),
+                    _ => want.iter().skip(1).step_by(2).copied().collect(),
+                };
+                assert_eq!(got, expect, "{backend_name}/{shape}/{written} written");
+            }
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]

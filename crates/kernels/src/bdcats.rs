@@ -43,7 +43,6 @@ pub fn run_real(
 
     let t_start = Instant::now();
     let mut phases = Vec::with_capacity(cfg.timesteps as usize);
-    let mut rank_io_secs = Vec::with_capacity(cfg.timesteps as usize);
 
     for step in 0..cfg.timesteps {
         let group = file.root().open_group(&format!("Step#{step}"))?;
@@ -55,12 +54,11 @@ pub fn run_real(
         // Read phase: every rank reads its slab of every property and
         // checks a sample against the generator.
         let io_start = Instant::now();
-        let per_rank = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut joins = Vec::new();
             for rank in 0..cfg.ranks {
                 let datasets = &datasets;
-                joins.push(scope.spawn(move || -> h5lite::Result<f64> {
-                    let rank_start = Instant::now();
+                joins.push(scope.spawn(move || -> h5lite::Result<()> {
                     let base = rank as u64 * cfg.particles_per_rank;
                     let slab = Hyperslab::range1(base, cfg.particles_per_rank);
                     for (prop, ds) in datasets.iter().enumerate() {
@@ -78,17 +76,15 @@ pub fn run_real(
                             )));
                         }
                     }
-                    Ok(rank_start.elapsed().as_secs_f64())
+                    Ok(())
                 }));
             }
-            let mut per_rank = Vec::with_capacity(joins.len());
             for j in joins {
-                per_rank.push(j.join().expect("rank thread panicked")?);
+                j.join().expect("rank thread panicked")?;
             }
-            Ok::<Vec<f64>, h5lite::H5Error>(per_rank)
+            Ok::<(), h5lite::H5Error>(())
         })?;
         let visible_io_secs = io_start.elapsed().as_secs_f64();
-        rank_io_secs.push(per_rank);
 
         // Schedule the next step's prefetch before computing, so the
         // prefetch overlaps the clustering phase.
@@ -124,7 +120,6 @@ pub fn run_real(
         ranks: cfg.ranks,
         bytes_per_epoch: cfg.bytes_per_epoch(),
         phases,
-        rank_io_secs,
         wall_secs: t_start.elapsed().as_secs_f64(),
         async_stats: async_vol.map(|v| v.stats()),
     })

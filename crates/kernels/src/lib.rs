@@ -23,4 +23,4 @@ pub mod bdcats;
 pub mod measure;
 pub mod vpic;
 
-pub use measure::{trace_epochs, trace_rank_epochs, KernelMode, PhaseTiming, RealRunReport};
+pub use measure::{KernelMode, PhaseTiming, RealRunReport};

@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use apio_trace::critpath::{SPAN_COMPUTE, SPAN_WAIT, SPAN_WRITE};
-use apio_trace::{Event, SpanContext, TraceClock, Tracer, VirtualClock};
 use asyncvol::AsyncVol;
 use h5lite::{Container, File, NativeVol, Vol};
 
@@ -36,11 +34,6 @@ pub struct RealRunReport {
     pub bytes_per_epoch: u64,
     /// Per-epoch wall-clock timings.
     pub phases: Vec<PhaseTiming>,
-    /// Per-epoch, per-rank time inside I/O calls (seconds): outer index
-    /// is the epoch, inner the rank thread. Feeds the per-rank span
-    /// streams ([`trace_rank_epochs`]); empty when a runner predates the
-    /// per-rank measurement.
-    pub rank_io_secs: Vec<Vec<f64>>,
     /// Total wall time including the final drain.
     pub wall_secs: f64,
     /// Connector statistics for async runs.
@@ -67,74 +60,6 @@ impl RealRunReport {
     /// Total application-visible I/O time.
     pub fn total_visible_io(&self) -> f64 {
         self.phases.iter().map(|p| p.visible_io_secs).sum()
-    }
-}
-
-/// Replay a finished kernel run onto a tracer as one `"epoch"` span per
-/// phase, driven by a [`VirtualClock`] — the report already holds the
-/// measured wall-clock splits, so the replay is deterministic. Mirrors
-/// [`mpisim::trace_epochs`](mpisim::runner::trace_epochs) for simulated
-/// runs.
-pub fn trace_epochs(report: &RealRunReport, tracer: &Tracer, clock: &VirtualClock) {
-    for (i, p) in report.phases.iter().enumerate() {
-        let comp_nanos = (p.compute_secs.max(0.0) * 1e9) as u64;
-        let io_nanos = (p.visible_io_secs.max(0.0) * 1e9) as u64;
-        let mut span = tracer.span_ctx("epoch", SpanContext::new(0, 0, i as u64));
-        clock.advance(comp_nanos + io_nanos);
-        span.set_event(Event::EpochMark {
-            epoch: i as u64,
-            comp_nanos,
-            io_nanos,
-            bytes: report.bytes_per_epoch,
-        });
-    }
-}
-
-/// Re-enact a finished kernel run as one context-tagged span stream per
-/// rank (`job`, rank = thread index), mirroring
-/// `mpisim::trace_rank_streams` for the real engine. Each epoch tiles per
-/// rank as `[compute][write io_r][wait max_io − io_r]`: the compute
-/// sleep is common to all ranks, each rank then pays its own measured
-/// I/O time, and early finishers wait at the epoch barrier for the
-/// slowest rank. Epochs where per-rank timings were not collected fall
-/// back to charging the collective visible I/O time to every rank.
-pub fn trace_rank_epochs(
-    job: u32,
-    report: &RealRunReport,
-    tracer: &Tracer,
-    clock: &VirtualClock,
-) {
-    let nanos = |secs: f64| (secs.max(0.0) * 1e9) as u64;
-    let mut epoch_start = clock.now_nanos();
-    for (e, p) in report.phases.iter().enumerate() {
-        let comp = nanos(p.compute_secs);
-        let per_rank: Vec<u64> = match report.rank_io_secs.get(e) {
-            Some(ios) if ios.len() == report.ranks as usize => {
-                ios.iter().map(|&s| nanos(s)).collect()
-            }
-            _ => vec![nanos(p.visible_io_secs); report.ranks as usize],
-        };
-        let max_io = per_rank.iter().copied().max().unwrap_or(0);
-        for (rank, &io) in per_rank.iter().enumerate() {
-            let ctx = SpanContext::new(job, rank as u32, e as u64);
-            clock.set(epoch_start);
-            {
-                let _g = tracer.span_ctx(SPAN_COMPUTE, ctx);
-                clock.advance(comp);
-            }
-            {
-                let _g = tracer.span_ctx(SPAN_WRITE, ctx);
-                clock.advance(io);
-            }
-            tracer.instant_ctx("barrier.enter", ctx, Event::BarrierEnter { epoch: e as u64 });
-            {
-                let _g = tracer.span_ctx(SPAN_WAIT, ctx);
-                clock.advance(max_io - io);
-            }
-            tracer.instant_ctx("barrier.exit", ctx, Event::BarrierExit { epoch: e as u64 });
-        }
-        epoch_start += comp + max_io;
-        clock.set(epoch_start);
     }
 }
 
@@ -186,98 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_epochs_replays_report_phases() {
-        let r = RealRunReport {
-            mode: KernelMode::Async,
-            ranks: 2,
-            bytes_per_epoch: 4096,
-            phases: vec![
-                PhaseTiming {
-                    compute_secs: 0.001,
-                    visible_io_secs: 0.002,
-                },
-                PhaseTiming {
-                    compute_secs: 0.001,
-                    visible_io_secs: 0.0005,
-                },
-            ],
-            rank_io_secs: vec![],
-            wall_secs: 0.0045,
-            async_stats: None,
-        };
-        let clock = Arc::new(VirtualClock::new(0));
-        let t = Tracer::with_clock(clock.clone());
-        trace_epochs(&r, &t, &clock);
-        let records = t.sink().records().to_vec();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].dur_nanos, 3_000_000);
-        assert_eq!(records[1].dur_nanos, 1_500_000);
-        let Some(Event::EpochMark { epoch, bytes, .. }) = records[1].event else {
-            panic!("missing EpochMark");
-        };
-        assert_eq!((epoch, bytes), (1, 4096));
-    }
-
-    #[test]
-    fn trace_rank_epochs_tiles_each_rank_to_the_epoch_wall() {
-        let r = RealRunReport {
-            mode: KernelMode::Sync,
-            ranks: 2,
-            bytes_per_epoch: 4096,
-            phases: vec![PhaseTiming {
-                compute_secs: 0.001,
-                visible_io_secs: 0.002,
-            }],
-            // Rank 1 is the I/O straggler; rank 0 waits at the barrier.
-            rank_io_secs: vec![vec![0.0005, 0.002]],
-            wall_secs: 0.003,
-            async_stats: None,
-        };
-        let clock = Arc::new(VirtualClock::new(0));
-        let t = Tracer::with_clock(clock.clone());
-        trace_rank_epochs(3, &r, &t, &clock);
-        let analysis = apio_trace::critpath::analyze_job(&t.sink(), 3);
-        assert_eq!(analysis.ranks, 2);
-        assert_eq!(analysis.epochs.len(), 1);
-        let e = &analysis.epochs[0];
-        assert_eq!(e.straggler, 1, "slow-I/O rank must be named");
-        for slice in &e.ranks {
-            let total = slice.compute_nanos
-                + slice.write_nanos
-                + slice.meta_nanos
-                + slice.wait_nanos;
-            assert_eq!(total, 3_000_000, "rank {} must tile the wall", slice.rank);
-        }
-        // Clock parks at the epoch boundary: compute + max rank I/O.
-        assert_eq!(clock.now_nanos(), 3_000_000);
-    }
-
-    #[test]
-    fn trace_rank_epochs_falls_back_to_collective_io_time() {
-        let r = RealRunReport {
-            mode: KernelMode::Sync,
-            ranks: 2,
-            bytes_per_epoch: 4096,
-            phases: vec![PhaseTiming {
-                compute_secs: 0.001,
-                visible_io_secs: 0.002,
-            }],
-            rank_io_secs: vec![],
-            wall_secs: 0.003,
-            async_stats: None,
-        };
-        let clock = Arc::new(VirtualClock::new(0));
-        let t = Tracer::with_clock(clock.clone());
-        trace_rank_epochs(0, &r, &t, &clock);
-        let analysis = apio_trace::critpath::analyze_job(&t.sink(), 0);
-        let e = &analysis.epochs[0];
-        for slice in &e.ranks {
-            assert_eq!(slice.write_nanos, 2_000_000);
-            assert_eq!(slice.wait_nanos, 0);
-        }
-    }
-
-    #[test]
     fn report_bandwidth_math() {
         let r = RealRunReport {
             mode: KernelMode::Sync,
@@ -293,7 +126,6 @@ mod tests {
                     visible_io_secs: 0.5,
                 },
             ],
-            rank_io_secs: vec![],
             wall_secs: 2.5,
             async_stats: None,
         };

@@ -138,7 +138,6 @@ fn write_into(
     let total_particles = cfg.particles_per_rank * cfg.ranks as u64;
     let t_start = Instant::now();
     let mut phases = Vec::with_capacity(cfg.timesteps as usize);
-    let mut rank_io_secs = Vec::with_capacity(cfg.timesteps as usize);
     for step in 0..cfg.timesteps {
         let group = file.root().create_group(&format!("Step#{step}"))?;
         let datasets: Vec<h5lite::Dataset> = PROPERTIES
@@ -146,13 +145,12 @@ fn write_into(
             .map(|prop| group.create_dataset::<f32>(prop, &Dataspace::d1(total_particles)))
             .collect::<h5lite::Result<_>>()?;
         let io_start = Instant::now();
-        let per_rank = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut joins = Vec::new();
             for rank in 0..cfg.ranks {
                 let datasets = &datasets;
                 let cfg = &cfg;
-                joins.push(scope.spawn(move || -> h5lite::Result<f64> {
-                    let rank_start = Instant::now();
+                joins.push(scope.spawn(move || -> h5lite::Result<()> {
                     let slab = Hyperslab::range1(
                         rank as u64 * cfg.particles_per_rank,
                         cfg.particles_per_rank,
@@ -171,16 +169,14 @@ fn write_into(
                             }
                         }
                     }
-                    Ok(rank_start.elapsed().as_secs_f64())
+                    Ok(())
                 }));
             }
-            let mut per_rank = Vec::with_capacity(joins.len());
             for j in joins {
-                per_rank.push(j.join().expect("rank thread panicked")?);
+                j.join().expect("rank thread panicked")?;
             }
-            Ok::<Vec<f64>, h5lite::H5Error>(per_rank)
+            Ok::<(), h5lite::H5Error>(())
         })?;
-        rank_io_secs.push(per_rank);
         phases.push(PhaseTiming {
             compute_secs: cfg.compute_secs,
             visible_io_secs: io_start.elapsed().as_secs_f64(),
@@ -195,7 +191,6 @@ fn write_into(
         ranks: cfg.ranks,
         bytes_per_epoch: cfg.bytes_per_epoch(),
         phases,
-        rank_io_secs,
         wall_secs: t_start.elapsed().as_secs_f64(),
         async_stats: async_vol.map(|v| v.stats()),
     })

@@ -35,5 +35,5 @@ pub mod workload;
 
 pub use attribution::{predicted_overlap_efficiency, straggler_report};
 pub use comm::{CollectiveMode, Job};
-pub use runner::{run, run_analytic, run_des, trace_epochs, trace_rank_streams};
+pub use runner::{run, run_analytic, run_des, trace_rank_streams};
 pub use workload::{Perturbation, PhaseMeasure, RunConfig, RunResult, Workload};

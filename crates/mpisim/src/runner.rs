@@ -173,29 +173,6 @@ fn secs_to_nanos(secs: f64) -> u64 {
     (secs.max(0.0) * 1e9) as u64
 }
 
-/// Replay a finished run onto a tracer as one `"epoch"` span per phase.
-///
-/// The runner computes the timeline in simulated time, so there is nothing
-/// to measure live; instead the phases are re-enacted on a
-/// [`VirtualClock`] — each span covers `t_comp + visible_io_secs` and
-/// carries an [`Event::EpochMark`] with the split. The resulting trace
-/// merges cleanly with connector spans recorded on the same tracer, and
-/// exports give the per-epoch timeline of the simulated job.
-pub fn trace_epochs(result: &RunResult, tracer: &Tracer, clock: &VirtualClock) {
-    for (i, p) in result.phases.iter().enumerate() {
-        let comp_nanos = secs_to_nanos(p.t_comp);
-        let io_nanos = secs_to_nanos(p.visible_io_secs);
-        let mut span = tracer.span_ctx("epoch", SpanContext::new(0, 0, i as u64));
-        clock.advance(comp_nanos + io_nanos);
-        span.set_event(Event::EpochMark {
-            epoch: i as u64,
-            comp_nanos,
-            io_nanos,
-            bytes: result.phase_bytes,
-        });
-    }
-}
-
 /// Re-enact a finished run as one span stream per rank, tagged with a
 /// [`SpanContext`] so `apio_trace::critpath` can merge and attribute them
 /// (DESIGN.md §16).
@@ -867,39 +844,6 @@ mod tests {
         // With depth 1 every epoch after the first waits on the previous
         // write; visible I/O of later epochs includes that wait.
         assert!(d1.phases[1].visible_io_secs > d4.phases[1].visible_io_secs);
-    }
-    #[test]
-    fn trace_epochs_emits_one_span_per_phase() {
-        use std::sync::Arc;
-        let job = Job::new(summit(), 96);
-        let w = Workload::checkpoint(96, 32 * MIB, 3, 5.0);
-        let r = run(&job, &w, &RunConfig::async_io());
-        let clock = Arc::new(VirtualClock::new(0));
-        let t = Tracer::with_clock(clock.clone());
-        trace_epochs(&r, &t, &clock);
-        let records = t.sink().records().to_vec();
-        let epochs: Vec<_> = records.iter().filter(|rec| rec.name == "epoch").collect();
-        assert_eq!(epochs.len(), 3);
-        for (i, rec) in epochs.iter().enumerate() {
-            let Some(Event::EpochMark {
-                epoch,
-                comp_nanos,
-                io_nanos,
-                bytes,
-            }) = rec.event
-            else {
-                panic!("epoch span without EpochMark payload");
-            };
-            assert_eq!(epoch, i as u64);
-            assert_eq!(rec.dur_nanos, comp_nanos + io_nanos);
-            assert_eq!(bytes, r.phase_bytes);
-            assert_eq!(comp_nanos, secs_to_nanos(r.phases[i].t_comp));
-        }
-        // Spans tile the virtual timeline: each starts where the previous
-        // ended.
-        for pair in epochs.windows(2) {
-            assert_eq!(pair[1].start_nanos, pair[0].start_nanos + pair[0].dur_nanos);
-        }
     }
 
     #[test]

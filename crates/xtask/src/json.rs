@@ -1,11 +1,11 @@
 //! A minimal, dependency-free JSON parser.
 //!
-//! The workspace's gates emit JSON (`lint --json`, `report`,
-//! `bench-diff --json`) that downstream tooling consumes; CI must
-//! assert those documents actually parse without reaching for python or
-//! serde. This is a strict recursive-descent parser over the full JSON
-//! grammar — objects, arrays, strings with escapes, numbers, booleans,
-//! null — that rejects trailing garbage. It is a validator first; the
+//! The workspace's gates emit JSON (`lint --json`, `report`) that
+//! downstream tooling consumes; CI must assert those documents
+//! actually parse without reaching for python or serde. This is a
+//! strict recursive-descent parser over the full JSON grammar —
+//! objects, arrays, strings with escapes, numbers, booleans, null —
+//! that rejects trailing garbage. It is a validator first; the
 //! [`Value`] accessors exist for tests that probe specific fields.
 
 use std::collections::BTreeMap;

@@ -29,7 +29,6 @@
 //! use-checked — a waiver that suppresses nothing is reported stale so
 //! dead escapes cannot rot silently.
 
-pub mod benchdiff;
 pub mod dataflow;
 pub mod deps;
 pub mod json;

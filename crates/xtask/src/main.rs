@@ -1,15 +1,14 @@
 //! CLI entry point:
-//! `cargo run -p xtask -- <lint|check-deps|report|bench-diff|json-check>`.
+//! `cargo run -p xtask -- <lint|check-deps|report|json-check>`.
 
 use std::io::Read as _;
 use std::process::ExitCode;
 
-use xtask::{benchdiff, combined_json, json, report_json, run_check_deps, run_lint, workspace_root};
+use xtask::{combined_json, json, report_json, run_check_deps, run_lint, workspace_root};
 
 const USAGE: &str = "\
 usage: cargo run -p xtask -- <command> [--json]
        cargo run -p xtask -- lint [--allow-stale] [--json]
-       cargo run -p xtask -- bench-diff <current.json> <baseline.json> [--threshold=R] [--json]
        cargo run -p xtask -- json-check [file]
 
 commands:
@@ -19,9 +18,6 @@ commands:
   check-deps   enforce workspace-internal-only dependencies
   report       run both checks, print one combined JSON document with
                per-rule fired/suppressed counts
-  bench-diff   compare bench output against a baseline; fail when any
-               benchmark is more than R times slower (default 1.25) or
-               missing from the current run
   json-check   parse stdin (or a file) as JSON with the in-tree parser;
                exit non-zero on malformed input
 
@@ -81,48 +77,6 @@ fn main() -> ExitCode {
             let deps = run_check_deps(&root);
             println!("{}", combined_json(&lint, &deps));
             exit_for(lint.clean(allow_stale) && deps.violations.is_empty())
-        }
-        Some("bench-diff") => {
-            let positional: Vec<&String> = args
-                .iter()
-                .filter(|a| !a.starts_with("--") && *a != "bench-diff")
-                .collect();
-            let [current_path, baseline_path] = positional.as_slice() else {
-                eprint!("{USAGE}");
-                return ExitCode::from(2);
-            };
-            let threshold = match args
-                .iter()
-                .find_map(|a| a.strip_prefix("--threshold="))
-                .map_or(Ok(1.25), str::parse::<f64>)
-            {
-                Ok(t) if t > 1.0 => t,
-                _ => {
-                    eprintln!("bench-diff: --threshold must be a number > 1.0");
-                    return ExitCode::from(2);
-                }
-            };
-            let load = |path: &str| -> Result<Vec<benchdiff::BenchEntry>, String> {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                benchdiff::parse_results(&text).map_err(|e| format!("{path}: {e}"))
-            };
-            match (load(current_path), load(baseline_path)) {
-                (Ok(current), Ok(baseline)) => {
-                    let report = benchdiff::diff(&current, &baseline, threshold);
-                    if json_only {
-                        println!("{}", report.render_json());
-                    } else {
-                        print!("{}", report.render_text());
-                        println!("{}", report.render_json());
-                    }
-                    exit_for(report.ok())
-                }
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("bench-diff: {e}");
-                    ExitCode::FAILURE
-                }
-            }
         }
         Some("json-check") => {
             let positional: Vec<&String> = args

@@ -20,7 +20,7 @@
 //! | `superblock-discipline` | h5lite `src/` except `superblock.rs` | the superblock area (offset 0) is written only through the dual-slot commit protocol |
 //! | `ring-discipline` | asyncvol `lib.rs`                       | background-write paths reach storage via ring submission or planned vectored I/O, never scalar backend calls |
 //! | `snapshot-discipline` | h5lite `src/` except `meta.rs`       | metadata state is resolved through the sharded `MetaPlane` API, never by locking a monolithic `meta` field directly |
-//! | `rank-context` | mpisim `runner.rs`, kernels `measure.rs`     | epoch-runner spans carry a `SpanContext` (`span_ctx`), so per-rank streams stay attributable |
+//! | `rank-context` | mpisim `runner.rs`                          | epoch-runner spans carry a `SpanContext` (`span_ctx`), so per-rank streams stay attributable |
 //!
 //! Twelve of the rules are line-local token patterns; the other four
 //! ride the intra-procedural dataflow passes in [`crate::dataflow`].
@@ -111,12 +111,10 @@ const RING_DISCIPLINE_FILES: [&str; 1] = ["crates/asyncvol/src/lib.rs"];
 /// untagged `.span(..)` here lands every record on the shared untagged
 /// viewer row and the cross-rank analysis silently loses the rank.
 /// Instants are exempt — causal edges may come from either API.
-const RANK_CONTEXT_FILES: [&str; 2] =
-    ["crates/mpisim/src/runner.rs", "crates/kernels/src/measure.rs"];
+const RANK_CONTEXT_FILES: [&str; 1] = ["crates/mpisim/src/runner.rs"];
 /// Type names (beyond the `*Guard` convention) that must be `#[must_use]`.
-const MUST_USE_TYPES: [&str; 5] = [
+const MUST_USE_TYPES: [&str; 4] = [
     "TaskHandle",
-    "Eventual",
     "Promise",
     "Request",
     "ReadRequest",
@@ -880,7 +878,6 @@ fn f(policy: &RetryPolicy, started: SimInstant) {
         let bad = "fn f(t: &Tracer) { let _g = t.span(\"epoch\"); t.span_with(\"epoch\", ev); }\n";
         assert_eq!(rules_fired("crates/mpisim/src/runner.rs", bad), ["rank-context"]);
         assert_eq!(lint_source("crates/mpisim/src/runner.rs", bad).len(), 2);
-        assert_eq!(rules_fired("crates/kernels/src/measure.rs", bad), ["rank-context"]);
         // Everywhere else the untagged guard API is the normal path.
         assert!(lint_source("crates/asyncvol/src/lib.rs", bad).is_empty());
         assert!(lint_source("crates/mpisim/src/workload.rs", bad).is_empty());
@@ -892,7 +889,6 @@ fn f(policy: &RetryPolicy, started: SimInstant) {
                   t.span_ctx_with(\"rank.write\", ctx, ev); \
                   t.instant_ctx(\"handoff\", ctx, ev); t.instant(\"x\", ev); }\n";
         assert!(lint_source("crates/mpisim/src/runner.rs", ok).is_empty());
-        assert!(lint_source("crates/kernels/src/measure.rs", ok).is_empty());
         // Waivable inline like every other rule.
         let waived =
             "fn f(t: &Tracer) { let _g = t.span(\"x\"); } // xtask: allow(rank-context) jobless probe\n";

@@ -9,7 +9,7 @@
 //!   system models: file systems, memcpy/GPU-link/NVMe models, contention.
 //! - [`mpisim`] — simulated MPI ranks, barriers, and collective I/O.
 //! - [`argolite`] — a real Argobots-style tasking runtime (execution
-//!   streams, pools, tasks with dependencies, eventuals).
+//!   streams, pools, tasks with dependencies).
 //! - [`h5lite`] — a self-describing HDF5-like container format with a
 //!   Virtual Object Layer (VOL) hook point.
 //! - [`asyncvol`] — the asynchronous VOL connector: background-thread I/O
