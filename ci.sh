@@ -70,6 +70,17 @@ echo "== sieved spans (per-run equivalence, gate, faults, stale bytes, op counts
 APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" \
     --features debug-invariants --test sieve
 
+echo "== words and extents (checksum vectors, mixed-algorithm files, planner counts, overflow in both profiles) =="
+# The XXH64 known answers, the container written at f78ece6 with FNV
+# sums, the O(extents) record/span counts and the selection-overflow
+# regressions. The overflow tests run in both profiles: unchecked
+# arithmetic panics in debug and wraps in release, so one profile alone
+# would pass a half fix. The row-plan/run-plan property runs with the
+# properties suite below, under debug-invariants like the rest of it.
+cargo test -q "${CARGO_FLAGS[@]}" -p h5lite
+cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite dataspace
+cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite overflow
+
 echo "== fault injection (chaos + resilience properties) =="
 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test chaos
 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test properties

@@ -22,7 +22,8 @@
 //! ## Data integrity
 //!
 //! Every data extent (a contiguous dataset's extent, or one chunk) can
-//! carry an FNV-1a checksum in the metadata, refreshed at flush time for
+//! carry a checksum in the metadata ([`crate::checksum`]: XXH64, or the
+//! FNV-1a of files written before it), refreshed at flush time for
 //! extents written since the previous flush. Planned reads of clean
 //! checksummed extents verify the bytes actually returned (whole-extent
 //! reads served into the selection), failing with [`H5Error::Corrupt`]
@@ -45,9 +46,9 @@
 //! Selection I/O goes through the planner ([`crate::plan`]):
 //! `write_selection`/`read_selection` resolve the whole selection — shape
 //! checks, run decomposition, and every chunk address — under **one**
-//! metadata-lock acquisition, then issue the coalesced segments as
+//! metadata-lock acquisition, then issue the plan's records as
 //! vectored backend batches of *spans* — runs of small neighbouring
-//! segments travel as one read and one write per extent through a sieve
+//! pieces travel as one read and one write per extent through a sieve
 //! buffer (DESIGN.md §9, "Sieved spans"). See [`Container::plan_io`].
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -58,6 +59,7 @@ use apio_trace::{Event, Tracer};
 
 use crate::sync::{Mutex, RwLock};
 
+use crate::checksum::{Algorithm, Checksum, Hasher};
 use crate::codec::{Reader, Writer};
 use crate::dataspace::{Dataspace, Selection};
 use crate::datatype::Datatype;
@@ -68,7 +70,8 @@ use crate::meta::{
     NodeKind, Tree, TreeObject, META_SHARDS,
 };
 use crate::plan::{
-    sieve_bytes, sieve_layout, sieve_spans, span_windows, IoPlan, IoSegment, Span, COALESCE_WINDOW,
+    sieve_bytes, sieve_layout, sieve_spans, span_windows, IoPlan, IoRecord, IoSegment, Span,
+    COALESCE_WINDOW,
 };
 use crate::recycle;
 use crate::storage::{FileBackend, IoVec, IoVecMut, MemBackend, StorageBackend};
@@ -242,12 +245,12 @@ impl ScrubReport {
 struct VerifyExtent {
     addr: u64,
     len: u64,
-    fnv: u64,
+    sum: Checksum,
 }
 
-/// One data extent a plan touches: `(key, addr, len, stored fnv)`, the
-/// key being the chunk index or [`CONTIG_EXTENT`].
-type Touched = (u64, u64, u64, Option<u64>);
+/// One data extent a plan touches: `(key, addr, len, stored checksum)`,
+/// the key being the chunk index or [`CONTIG_EXTENT`].
+type Touched = (u64, u64, u64, Option<Checksum>);
 
 /// What [`Container::plan_io`] hands the function that issues the plan.
 struct Planned {
@@ -272,22 +275,12 @@ fn extents_of(touched: &[Touched]) -> impl Iterator<Item = (u64, u64)> + '_ {
 
 /// Everything one planning pass learns from a dataset state, with no
 /// lock held: the plan itself, the touched extents (for dirty marking /
-/// verification), the chunk indices the state could not resolve, and the
-/// layout facts an allocation pass would need.
+/// verification) and the chunk indices the state could not resolve.
 struct PlanParts {
     plan: IoPlan,
     /// Every extent the plan touches.
     touched: Vec<Touched>,
     missing: Vec<u64>,
-    chunk_info: Option<ChunkInfo>,
-}
-
-/// Chunked-layout facts an allocation pass needs to place the chunks a
-/// plan found missing.
-struct ChunkInfo {
-    chunk_elems: u64,
-    elem: u64,
-    runs: Vec<(u64, u64)>,
 }
 
 impl Container {
@@ -505,15 +498,15 @@ impl Container {
             // under any metadata lock — then fold the fresh checksums
             // into the state with one copy-on-write mutation.
             let elem = state.dtype.size() as u64;
-            let mut contig_fnv: Option<Option<u64>> = None;
-            let mut chunk_fnvs: Vec<(u64, Option<u64>)> = Vec::new();
+            let mut contig_sum: Option<Option<Checksum>> = None;
+            let mut chunk_sums: Vec<(u64, Option<Checksum>)> = Vec::new();
             for &key in &keys {
                 if key == CONTIG_EXTENT {
                     let len = state.space.npoints().checked_mul(elem).ok_or_else(|| {
                         H5Error::Storage("dataset byte size overflows the address space".into())
                     })?;
-                    contig_fnv = Some(if enabled && len > 0 {
-                        Some(self.hash_extent(state.data_addr, len)?)
+                    contig_sum = Some(if enabled && len > 0 {
+                        Some(self.hash_extent(state.data_addr, len, Algorithm::CURRENT)?)
                     } else {
                         None
                     });
@@ -524,10 +517,10 @@ impl Container {
                     let Some(entry) = state.chunks.get(&key) else {
                         continue;
                     };
-                    chunk_fnvs.push((
+                    chunk_sums.push((
                         key,
                         if enabled {
-                            Some(self.hash_extent(entry.addr, chunk_bytes)?)
+                            Some(self.hash_extent(entry.addr, chunk_bytes, Algorithm::CURRENT)?)
                         } else {
                             None
                         },
@@ -535,12 +528,12 @@ impl Container {
                 }
             }
             self.plane.mutate(id, |st| {
-                if let Some(fnv) = contig_fnv {
-                    st.data_fnv = fnv;
+                if let Some(sum) = contig_sum {
+                    st.data_sum = sum;
                 }
-                for &(key, fnv) in &chunk_fnvs {
+                for &(key, sum) in &chunk_sums {
                     if let Some(entry) = st.chunks.get_mut(&key) {
-                        entry.fnv = fnv;
+                        entry.sum = sum;
                     }
                 }
                 Ok(())
@@ -588,23 +581,30 @@ impl Container {
         Ok(())
     }
 
-    /// Hash `len` bytes at `addr` with FNV-1a. Bytes past the backend's
-    /// high-water mark hash as zeros: an allocated-but-unwritten tail
+    /// Hash `len` bytes at `addr` under `algorithm`, reading them back
+    /// in windows of the recycler's largest class: one pooled buffer
+    /// whatever the extent's size, and one read for any extent up to
+    /// 64 MiB. Bytes past the backend's high-water mark hash as zeros
+    /// without being held anywhere: an allocated-but-unwritten tail
     /// reads back as zeros once later appends raise the watermark, so
     /// the checksum stays stable either way.
-    fn hash_extent(&self, addr: u64, len: u64) -> Result<u64> {
+    fn hash_extent(&self, addr: u64, len: u64, algorithm: Algorithm) -> Result<Checksum> {
         let end = addr.checked_add(len).ok_or_else(|| {
             H5Error::Storage("extent end overflows the device address space".into())
         })?;
-        let mut buf = recycle::lease(len as usize);
-        let readable = end.min(self.backend.len()).saturating_sub(addr).min(len) as usize;
-        if readable > 0 {
+        let readable = end.min(self.backend.len()).saturating_sub(addr);
+        let mut hasher = Hasher::new(algorithm);
+        let mut buf = recycle::lease(readable.min(recycle::MAX_CLASS_BYTES as u64) as usize);
+        let mut done = 0u64;
+        while done < readable {
+            let window = &mut buf[..(readable - done).min(recycle::MAX_CLASS_BYTES as u64) as usize];
             self.backend
-                .read_at(addr, &mut buf[..readable])?; // xtask: allow(planned-io) integrity hash read
+                .read_at(addr.saturating_add(done), window)?; // xtask: allow(planned-io) integrity hash read
+            hasher.update(window);
+            done += window.len() as u64;
         }
-        // A recycled buffer holds stale bytes, not zeros.
-        buf[readable..].fill(0);
-        Ok(fnv1a64(FNV_BASIS, &buf))
+        hasher.update_zeros(len - readable);
+        Ok(hasher.finish())
     }
 
     /// Enable or disable per-extent checksums (on by default). While
@@ -671,22 +671,22 @@ impl Container {
         let mut report = ScrubReport::default();
         // Every checksummed extent, from a lock-free snapshot walk.
         let snap = self.plane.snapshot_working();
-        let mut extents: Vec<(ObjectId, u64, u64, u64, u64)> = Vec::new();
+        let mut extents: Vec<(ObjectId, u64, u64, u64, Checksum)> = Vec::new();
         for (id, state) in snap.iter() {
             let elem = state.dtype.size() as u64;
-            if let Some(fnv) = state.data_fnv {
+            if let Some(sum) = state.data_sum {
                 let len = state.space.npoints().checked_mul(elem).ok_or_else(|| {
                     H5Error::Storage("dataset byte size overflows the address space".into())
                 })?;
-                extents.push((id, CONTIG_EXTENT, state.data_addr, len, fnv));
+                extents.push((id, CONTIG_EXTENT, state.data_addr, len, sum));
             }
             if let Layout::Chunked1D { chunk_elems } = state.layout {
                 let chunk_bytes = chunk_elems.checked_mul(elem).ok_or_else(|| {
                     H5Error::Storage("chunk byte size overflows the address space".into())
                 })?;
                 for (&idx, entry) in &state.chunks {
-                    if let Some(fnv) = entry.fnv {
-                        extents.push((id, idx, entry.addr, chunk_bytes, fnv));
+                    if let Some(sum) = entry.sum {
+                        extents.push((id, idx, entry.addr, chunk_bytes, sum));
                     }
                 }
             }
@@ -695,13 +695,13 @@ impl Container {
         // Repair replays a whole dataset at a time; remember the answer
         // so N corrupt chunks of one dataset replay once.
         let mut repair_ran: BTreeMap<ObjectId, bool> = BTreeMap::new();
-        for (id, key, addr, len, fnv) in extents {
+        for (id, key, addr, len, sum) in extents {
             if dirty.contains(&(id, key)) {
                 report.skipped_dirty += 1;
                 continue;
             }
             report.checked += 1;
-            if self.hash_extent(addr, len)? == fnv {
+            if self.hash_extent(addr, len, sum.algorithm)? == sum {
                 // A repair replay of this dataset may have marked the
                 // extent dirty; it verifiably matches its checksum, so
                 // the mark (and a pointless re-hash at flush) can go.
@@ -718,7 +718,7 @@ impl Container {
                     ran
                 }
             };
-            if had_copy && self.hash_extent(addr, len)? == fnv {
+            if had_copy && self.hash_extent(addr, len, sum.algorithm)? == sum {
                 report.repaired += 1;
                 self.integrity.scrub_repaired.fetch_add(1, Ordering::Relaxed);
                 self.dirty_extents.lock().remove(&(id, key));
@@ -953,7 +953,7 @@ impl Container {
                     space: space.clone(),
                     layout,
                     data_addr,
-                    data_fnv: None,
+                    data_sum: None,
                     chunks: BTreeMap::new(),
                     generation: 0,
                 },
@@ -1075,8 +1075,8 @@ impl Container {
     /// acquisition resolves the whole selection (two on a first write
     /// into unallocated chunks), then the plan's spans
     /// ([`sieve_spans`]) go to the backend one [`span_windows`] window
-    /// at a time. A one-segment span is written from `data`; a sieved
-    /// span is read whole into a recycled buffer, the segments are
+    /// at a time. A one-piece span is written from `data`; a sieved
+    /// span is read whole into a recycled buffer, its pieces are
     /// scattered into it, and it is written back whole — one vectored
     /// read and one vectored write per window, under the dataset's
     /// write gate so the read-modify-write is atomic against every other
@@ -1089,24 +1089,25 @@ impl Container {
     /// idempotent, because the retry reads again.
     pub fn write_selection(&self, id: ObjectId, sel: &Selection, data: &[u8]) -> Result<()> {
         let planned = self.plan_io(id, sel, Some(data.len() as u64), true)?;
-        let segments = planned.plan.segments();
-        let spans = sieve_spans(segments, extents_of(&planned.touched));
+        let records = planned.plan.records();
+        let spans = sieve_spans(records, extents_of(&planned.touched));
         // Only now, with every planning lock released.
         let gate = &self.sieve_gates[shard_of(id)];
-        let sieved = spans.len() < segments.len();
+        let sieved = (spans.len() as u64) < planned.plan.segment_count();
         let _exclusive = sieved.then(|| gate.write());
         let _shared = (!sieved).then(|| gate.read());
         let tracer = self.tracer();
         for window in span_windows(&spans) {
-            let _sieve_span = self.note_sieve(&tracer, segments, window);
+            let _sieve_span = self.note_sieve(&tracer, records, window);
             let mut sieve = recycle::lease(sieve_bytes(window));
             self.read_window(&tracer, window, &mut sieve, Vec::new())?;
             for (span, range) in sieve_layout(window) {
                 let Some(range) = range else { continue };
                 let buf = &mut sieve[range];
-                for s in &segments[span.first..span.first + span.count] {
-                    buf[(s.addr - span.addr) as usize..][..s.len as usize]
-                        .copy_from_slice(&data[s.cursor as usize..][..s.len as usize]);
+                for part in span.parts(records) {
+                    // A part's pieces are back to back in `data`.
+                    let src = &data[part.cursor as usize..][..(part.len * part.count) as usize];
+                    scatter(src, &mut buf[(part.addr - span.addr) as usize..], &part);
                 }
             }
             let batch: Vec<IoVec<'_>> = sieve_layout(window)
@@ -1114,10 +1115,7 @@ impl Container {
                     offset: span.addr,
                     data: match range {
                         Some(range) => &sieve[range],
-                        None => {
-                            let s = &segments[span.first];
-                            &data[s.cursor as usize..][..s.len as usize]
-                        }
+                        None => &data[span.cursor as usize..][..span.len as usize],
                     },
                 })
                 .collect();
@@ -1137,17 +1135,17 @@ impl Container {
     fn note_sieve(
         &self,
         tracer: &Tracer,
-        segments: &[IoSegment],
+        records: &[IoRecord],
         window: &[Span],
     ) -> Option<apio_trace::SpanGuard> {
         let (mut spans, mut folded, mut span_bytes, mut asked) = (0u64, 0u64, 0u64, 0u64);
         for span in window.iter().filter(|s| s.is_sieved()) {
             spans += 1;
-            folded += span.count as u64;
+            folded += span.count;
             span_bytes += span.len;
-            asked += segments[span.first..span.first + span.count]
-                .iter()
-                .map(|s| s.len)
+            asked += span
+                .parts(records)
+                .map(|part| part.len * part.count)
                 .sum::<u64>();
         }
         if spans == 0 {
@@ -1223,10 +1221,13 @@ impl Container {
     /// Resolve a write selection to device segments without issuing any
     /// I/O: same planning (and chunk allocation) as
     /// [`Container::write_selection`], but the caller keeps the segments.
-    /// The ring path plans here, then submits segments plus the caller's
-    /// snapshot as one ring entry — the reaper issues the vectored
-    /// batches (DESIGN.md §14), segment by segment: the ring path does
-    /// not sieve, and it does not take the write gate. What orders it
+    /// The ring path plans here, then submits the plan expanded piece by
+    /// piece plus the caller's snapshot as one ring entry — the reaper
+    /// issues the vectored batches (DESIGN.md §14), segment by segment:
+    /// the ring path does not sieve, and it does not take the write
+    /// gate. A one-run plan (every VPIC call) expands to its one
+    /// segment; a strided one costs its element count here, as it will
+    /// on the device. What orders it
     /// against a sieved [`Container::write_selection`] on the same
     /// dataset is the connector's per-dataset chaining: `AsyncVol`
     /// settles the dataset's ring entries (`settle_ring_ds`) before any
@@ -1237,8 +1238,10 @@ impl Container {
         sel: &Selection,
         data_len: u64,
     ) -> Result<Vec<IoSegment>> {
-        let planned = self.plan_io(id, sel, Some(data_len), true)?;
-        Ok(planned.plan.segments().to_vec())
+        let plan = self.plan_io(id, sel, Some(data_len), true)?.plan;
+        let mut segments = Vec::with_capacity(plan.segment_count() as usize);
+        segments.extend(plan.segments());
+        Ok(segments)
     }
 
     /// The storage backend this container runs on (shared handle).
@@ -1263,9 +1266,9 @@ impl Container {
     }
 
     /// Issue a built read plan: verify the clean checksummed extents and
-    /// serve their segments from the whole-extent reads; group the rest
+    /// serve their records from the whole-extent reads; group the rest
     /// into spans like a write does, read each window in one vectored
-    /// batch — one-segment spans straight into the output, sieved spans
+    /// batch — one-piece spans straight into the output, sieved spans
     /// whole into a recycled buffer — and gather. Bytes past the
     /// watermark read as the fill value in both shapes.
     fn read_planned(
@@ -1282,7 +1285,7 @@ impl Container {
             let mut buf = recycle::lease(v.len as usize);
             self.backend
                 .read_at(v.addr, &mut buf)?; // xtask: allow(planned-io) integrity verification read
-            if fnv1a64(FNV_BASIS, &buf) != v.fnv {
+            if !v.sum.matches(&buf) {
                 self.integrity
                     .checksum_failures
                     .fetch_add(1, Ordering::Relaxed);
@@ -1301,32 +1304,31 @@ impl Container {
         }
         verified.sort_unstable_by_key(|&(addr, _)| addr);
         let unserved;
-        let segments = if verified.is_empty() {
-            plan.segments()
+        let records = if verified.is_empty() {
+            plan.records()
         } else {
-            unserved = serve_verified(plan.segments(), &verified, &mut out);
+            unserved = serve_verified(plan.records(), &verified, &mut out);
             unserved.as_slice()
         };
         drop(verified);
-        let spans = sieve_spans(segments, extents_of(touched));
+        let spans = sieve_spans(records, extents_of(touched));
         for window in span_windows(&spans) {
-            let _sieve_span = self.note_sieve(&tracer, segments, window);
+            let _sieve_span = self.note_sieve(&tracer, records, window);
             let mut sieve = recycle::lease(sieve_bytes(window));
-            // Carve the one-segment spans' destinations out of `out` in
-            // one forward pass — sound because plan segments ascend in
+            // Carve the one-piece spans' destinations out of `out` in
+            // one forward pass — sound because plan pieces ascend in
             // cursor space (planner invariant 1).
             let mut rest: &mut [u8] = &mut out;
             let mut consumed = 0u64;
             let mut batch: Vec<IoVecMut<'_>> = Vec::with_capacity(window.len());
             for span in window.iter().filter(|s| !s.is_sieved()) {
-                let s = &segments[span.first];
                 let tail = std::mem::take(&mut rest);
-                let (_gap, tail) = tail.split_at_mut((s.cursor - consumed) as usize);
-                let (seg, tail) = tail.split_at_mut(s.len as usize);
+                let (_gap, tail) = tail.split_at_mut((span.cursor - consumed) as usize);
+                let (seg, tail) = tail.split_at_mut(span.len as usize);
                 rest = tail;
-                consumed = s.cursor + s.len;
+                consumed = span.cursor + span.len;
                 batch.push(IoVecMut {
-                    offset: s.addr,
+                    offset: span.addr,
                     buf: seg,
                 });
             }
@@ -1334,9 +1336,9 @@ impl Container {
             for (span, range) in sieve_layout(window) {
                 let Some(range) = range else { continue };
                 let buf = &sieve[range];
-                for s in &segments[span.first..span.first + span.count] {
-                    out[s.cursor as usize..][..s.len as usize]
-                        .copy_from_slice(&buf[(s.addr - span.addr) as usize..][..s.len as usize]);
+                for part in span.parts(records) {
+                    let dst = &mut out[part.cursor as usize..][..(part.len * part.count) as usize];
+                    gather(&buf[(part.addr - span.addr) as usize..], dst, &part);
                 }
             }
         }
@@ -1378,27 +1380,40 @@ impl Container {
             self.dataset_state(id)?
         };
         let mut parts = plan_from_state(&state, sel, expect_bytes)?;
-        if parts.missing.is_empty() || !allocate {
-            plan_span.set_event(plan_built_event(id, &parts.plan));
-            return Ok(Planned {
-                verify: self.note_touched(id, allocate, &parts.touched),
-                touched: parts.touched,
-                plan: parts.plan,
-            });
+        if !parts.missing.is_empty() && allocate {
+            let state = self.allocate_chunks(id, &state, &parts.missing, &tracer)?;
+            // Plan again, against the complete, immutable chunk map.
+            parts = plan_from_state(&state, sel, expect_bytes)?;
         }
-        let Some(ChunkInfo { chunk_elems, elem, runs }) = parts.chunk_info else {
+        plan_span.set_event(plan_built_event(id, &parts.plan));
+        Ok(Planned {
+            verify: self.note_touched(id, allocate, &parts.touched),
+            touched: parts.touched,
+            plan: parts.plan,
+        })
+    }
+
+    /// The slow path of [`Container::plan_io`]: claim every still-missing
+    /// chunk of `missing` with one copy-on-write mutation under one
+    /// exclusive shard acquisition and a single eof reservation, then
+    /// zero-fill what was claimed. Returns the state that holds them all.
+    fn allocate_chunks(
+        &self,
+        id: ObjectId,
+        state: &DatasetState,
+        missing: &[u64],
+        tracer: &Tracer,
+    ) -> Result<Arc<DatasetState>> {
+        let Layout::Chunked1D { chunk_elems } = state.layout else {
             return Err(H5Error::Corrupt(format!(
                 "object {id} reported missing chunks without a chunked layout"
             )));
         };
-        let chunk_bytes = chunk_elems.checked_mul(elem).ok_or_else(|| {
-            H5Error::Storage("chunk byte size overflows the device address space".into())
-        })?;
-
-        // Slow path: claim every still-missing chunk with one
-        // copy-on-write mutation under one exclusive shard acquisition
-        // and a single eof reservation.
-        let missing = std::mem::take(&mut parts.missing);
+        let chunk_bytes = chunk_elems
+            .checked_mul(state.dtype.size() as u64)
+            .ok_or_else(|| {
+                H5Error::Storage("chunk byte size overflows the device address space".into())
+            })?;
         let (state, fresh) = {
             let _lock_span = tracer.span("container.meta_lock");
             self.plane.mutate(id, |st| {
@@ -1420,7 +1435,7 @@ impl Container {
                         })?;
                     let mut addr = self.reserve(grow, "chunk allocation")?;
                     for idx in still {
-                        st.chunks.insert(idx, ChunkEntry { addr, fnv: None });
+                        st.chunks.insert(idx, ChunkEntry { addr, sum: None });
                         fresh.push(addr);
                         // Bounded by the checked reservation above;
                         // saturating keeps the arithmetic wrap-free.
@@ -1432,11 +1447,6 @@ impl Container {
         };
         if !fresh.is_empty() {
             self.meta_dirty.store(true, Ordering::Release);
-        }
-        for &idx in &missing {
-            if let Some(e) = state.chunks.get(&idx) {
-                parts.touched.push((idx, e.addr, chunk_bytes, e.fnv));
-            }
         }
 
         // Zero-fill the freshly claimed chunks outside the metadata lock
@@ -1455,16 +1465,7 @@ impl Container {
                 self.backend.write_vectored_at(&batch)?;
             }
         }
-        // Rebuild the plan against the complete, immutable chunk map.
-        let plan = IoPlan::for_chunked(chunk_elems, elem, &runs, |idx| {
-            state.chunks.get(&idx).map(|e| e.addr)
-        })?;
-        plan_span.set_event(plan_built_event(id, &plan));
-        Ok(Planned {
-            verify: self.note_touched(id, allocate, &parts.touched),
-            touched: parts.touched,
-            plan,
-        })
+        Ok(state)
     }
 
     /// Bookkeeping after a plan is built. For writes, mark every touched
@@ -1489,19 +1490,16 @@ impl Container {
         }
         touched
             .iter()
-            .filter(|(key, _, _, fnv)| fnv.is_some() && !dirty.contains(&(id, *key)))
-            .map(|&(_, addr, len, fnv)| VerifyExtent {
-                addr,
-                len,
-                fnv: fnv.unwrap_or(0),
-            })
+            .filter(|(key, ..)| !dirty.contains(&(id, *key)))
+            .filter_map(|&(_, addr, len, sum)| Some(VerifyExtent { addr, len, sum: sum? }))
             .collect()
     }
 }
 
 /// One lock-free planning pass over an immutable dataset state: shape
-/// validation, run decomposition, chunk-address resolution, and the
-/// touched/missing bookkeeping. Shared by the live paths (which fetch
+/// validation, lowering to rows, chunk-address resolution, and the
+/// touched/missing bookkeeping — work that follows the rows and extents
+/// a selection touches, not its elements. Shared by the live paths (which fetch
 /// the state under one shard acquisition) and the snapshot paths (which
 /// fetch it from a [`MetaSnapshot`] with no lock at all).
 fn plan_from_state(
@@ -1520,7 +1518,9 @@ fn plan_from_state(
             )));
         }
     }
-    let runs = sel.runs(&state.space)?;
+    // Validates the selection: the planner only ever sees rows that lie
+    // inside the dataspace.
+    let rows = sel.rows(&state.space)?;
     let mut touched: Vec<Touched> = Vec::new();
     let mut missing: Vec<u64> = Vec::new();
     match &state.layout {
@@ -1528,14 +1528,13 @@ fn plan_from_state(
             let nbytes = state.space.npoints().checked_mul(elem).ok_or_else(|| {
                 H5Error::Storage("dataset byte size overflows the address space".into())
             })?;
-            if nbytes > 0 && !runs.is_empty() {
-                touched.push((CONTIG_EXTENT, state.data_addr, nbytes, state.data_fnv));
+            if nbytes > 0 {
+                touched.push((CONTIG_EXTENT, state.data_addr, nbytes, state.data_sum));
             }
             Ok(PlanParts {
-                plan: IoPlan::for_contiguous(state.data_addr, elem, &runs)?,
+                plan: IoPlan::contiguous(state.data_addr, elem, rows)?,
                 touched,
                 missing,
-                chunk_info: None,
             })
         }
         Layout::Chunked1D { chunk_elems } => {
@@ -1544,11 +1543,11 @@ fn plan_from_state(
                 H5Error::Storage("chunk byte size overflows the device address space".into())
             })?;
             let mut seen = BTreeSet::new();
-            let plan = IoPlan::for_chunked(ce, elem, &runs, |idx| {
+            let plan = IoPlan::chunked(ce, elem, rows, |idx| {
                 let entry = state.chunks.get(&idx).copied();
                 if seen.insert(idx) {
                     match entry {
-                        Some(e) => touched.push((idx, e.addr, chunk_bytes, e.fnv)),
+                        Some(e) => touched.push((idx, e.addr, chunk_bytes, e.sum)),
                         None => missing.push(idx),
                     }
                 }
@@ -1558,51 +1557,69 @@ fn plan_from_state(
                 plan,
                 touched,
                 missing,
-                chunk_info: Some(ChunkInfo {
-                    chunk_elems: ce,
-                    elem,
-                    runs,
-                }),
             })
         }
     }
 }
 
-/// Copy every segment that lies inside a verified extent (`verified`
-/// ascends by address) out of its bytes into `out`; return the segments
-/// no verified extent holds.
+/// Gather every record that lies inside a verified extent (`verified`
+/// ascends by address) out of its bytes into `out`; return the records
+/// no verified extent holds. A record never crosses an extent boundary
+/// (planner invariant 2), so it is served whole or not at all.
 fn serve_verified(
-    segments: &[IoSegment],
+    records: &[IoRecord],
     verified: &[(u64, recycle::Lease)],
     out: &mut [u8],
-) -> Vec<IoSegment> {
+) -> Vec<IoRecord> {
     let mut unserved = Vec::new();
-    // The extent that served the previous segment serves the next one
+    // The extent that served the previous record serves the next one
     // too, until the plan moves on to another chunk.
     let mut held = 0usize;
-    for s in segments {
+    for r in records {
         let within = |&(base, ref buf): &(u64, recycle::Lease)| {
-            s.addr >= base && s.addr - base + s.len <= buf.len() as u64
+            r.addr >= base && r.end() - base <= buf.len() as u64
         };
         if !verified.get(held).is_some_and(within) {
             held = verified
-                .partition_point(|&(base, _)| base <= s.addr)
+                .partition_point(|&(base, _)| base <= r.addr)
                 .saturating_sub(1);
         }
         match verified.get(held).filter(|v| within(v)) {
-            Some((base, buf)) => out[s.cursor as usize..][..s.len as usize]
-                .copy_from_slice(&buf[(s.addr - base) as usize..][..s.len as usize]),
-            None => unserved.push(*s),
+            Some((base, buf)) => gather(
+                &buf[(r.addr - base) as usize..],
+                &mut out[r.cursor as usize..][..(r.len * r.count) as usize],
+                r,
+            ),
+            None => unserved.push(*r),
         }
     }
     unserved
 }
 
-/// The planner-result payload for a `container.plan_io` span: segment
-/// count plus the number of vectored windows those segments become if
-/// none of them sieve (the issuing side may fold them into fewer).
+/// Copy a record's pieces from `packed`, where they lie back to back (the
+/// caller's buffer from the record's cursor on), to `strided`, where they
+/// lie as in the file (`strided[0]` is the first piece's first byte).
+fn scatter(packed: &[u8], strided: &mut [u8], record: &IoRecord) {
+    let (len, stride) = (record.len as usize, record.stride as usize);
+    for (i, piece) in packed.chunks_exact(len).enumerate() {
+        strided[i * stride..][..len].copy_from_slice(piece);
+    }
+}
+
+/// The inverse of [`scatter`]: file layout to buffer layout.
+fn gather(strided: &[u8], packed: &mut [u8], record: &IoRecord) {
+    let (len, stride) = (record.len as usize, record.stride as usize);
+    for (i, piece) in packed.chunks_exact_mut(len).enumerate() {
+        piece.copy_from_slice(&strided[i * stride..][..len]);
+    }
+}
+
+/// The planner-result payload for a `container.plan_io` span: the plan's
+/// piece count — from the records' counts, nothing is expanded — plus
+/// the number of vectored windows those pieces become if none of them
+/// sieve (exact then; the issuing side may fold them into fewer).
 fn plan_built_event(id: ObjectId, plan: &IoPlan) -> Event {
-    let segments = plan.segments().len() as u64;
+    let segments = plan.segment_count();
     Event::PlanBuilt {
         dataset: id,
         segments,
@@ -1643,7 +1660,12 @@ fn validate_link_name(name: &str) -> Result<()> {
 // The byte format predates the sharded plane and is preserved exactly:
 // a flush reassembles the old single-map object shape from the tree and
 // the captured dataset states, and open splits it back apart. Files
-// written before the split reopen byte-identically after it.
+// written before the split reopen byte-identically after it. The one
+// byte that has since widened is each extent's checksum presence flag,
+// now the algorithm tag (0 none, 1 FNV-1a — what the flag's `true` always
+// meant — 2 XXH64): old files decode unchanged, and a reader from before
+// the tag rejects a file carrying a 2 as an invalid bool rather than
+// verifying it with the wrong function.
 
 /// A tree object paired with its captured dataset state (when it is a
 /// dataset) — the pre-validated encoding view.
@@ -1699,14 +1721,16 @@ fn encode_meta(tree: &Tree, states: &MetaSnapshot) -> Result<Vec<u8>> {
                     w.u64(chunk_elems);
                 }
                 w.u64(state.data_addr);
-                w.bool(state.data_fnv.is_some());
-                w.u64(state.data_fnv.unwrap_or(0));
+                let (tag, sum) = Checksum::encode(state.data_sum);
+                w.u8(tag);
+                w.u64(sum);
                 let chunks: Vec<(&u64, &ChunkEntry)> = state.chunks.iter().collect();
                 w.list(&chunks, |w, (idx, entry)| {
                     w.u64(**idx);
                     w.u64(entry.addr);
-                    w.bool(entry.fnv.is_some());
-                    w.u64(entry.fnv.unwrap_or(0));
+                    let (tag, sum) = Checksum::encode(entry.sum);
+                    w.u8(tag);
+                    w.u64(sum);
                 });
             }
         }
@@ -1751,20 +1775,12 @@ fn decode_meta(bytes: &[u8]) -> Result<(Tree, Vec<(ObjectId, DatasetState)>)> {
                     t => return Err(H5Error::Corrupt(format!("unknown layout tag {t}"))),
                 };
                 let data_addr = r.u64()?;
-                let has_data_fnv = r.bool()?;
-                let data_fnv_raw = r.u64()?;
+                let data_sum = Checksum::decode(r.u8()?, r.u64()?)?;
                 let chunks_list = r.list(|r| {
                     let idx = r.u64()?;
                     let addr = r.u64()?;
-                    let has_fnv = r.bool()?;
-                    let fnv_raw = r.u64()?;
-                    Ok((
-                        idx,
-                        ChunkEntry {
-                            addr,
-                            fnv: has_fnv.then_some(fnv_raw),
-                        },
-                    ))
+                    let sum = Checksum::decode(r.u8()?, r.u64()?)?;
+                    Ok((idx, ChunkEntry { addr, sum }))
                 })?;
                 states.push((
                     id,
@@ -1773,7 +1789,7 @@ fn decode_meta(bytes: &[u8]) -> Result<(Tree, Vec<(ObjectId, DatasetState)>)> {
                         space: Dataspace::new(&dims),
                         layout,
                         data_addr,
-                        data_fnv: has_data_fnv.then_some(data_fnv_raw),
+                        data_sum,
                         chunks: chunks_list.into_iter().collect(),
                         generation: 0,
                     },
@@ -2017,6 +2033,30 @@ mod tests {
             .create_dataset(ROOT_ID, "y", Datatype::U64, &space, Layout::Contiguous)
             .unwrap_err();
         assert!(matches!(err, H5Error::Storage(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn strided_index_overflow_is_an_error_not_a_write_at_a_wrapped_offset() {
+        // (count - 1) * stride wraps to 0, so the slab used to validate;
+        // with one-byte elements the address arithmetic did not overflow
+        // either, and the second element went to offset 2^62.
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        let c = Container::create(backend.clone());
+        let ds = c
+            .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(10), Layout::Contiguous)
+            .unwrap();
+        c.write_selection(ds, &Selection::All, &[1u8; 10]).unwrap();
+        let watermark = backend.len();
+        let sel = Selection::Slab(Hyperslab::strided(&[1], &[5], &[1 << 62]));
+        for err in [
+            c.write_selection(ds, &sel, &[7u8; 5]).unwrap_err(),
+            c.read_selection(ds, &sel).unwrap_err(),
+            c.plan_write_selection(ds, &sel, 5).unwrap_err(),
+        ] {
+            assert!(matches!(err, H5Error::InvalidSelection(_)), "got {err:?}");
+        }
+        assert_eq!(backend.len(), watermark, "nothing may reach the device");
+        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), [1u8; 10]);
     }
 
     #[test]
@@ -2342,5 +2382,205 @@ mod tests {
         let report = c.scrub().unwrap();
         assert_eq!(report.checked, 0);
         assert_eq!(c.integrity_stats().verified_extents, 0);
+    }
+
+    /// The stored checksums of a dataset: the contiguous extent's, then
+    /// each chunk's by index.
+    fn stored_sums(c: &Container, id: ObjectId) -> (Option<Checksum>, Vec<(u64, Option<Checksum>)>) {
+        let state = c.plane.working(id).unwrap();
+        let chunks = state.chunks.iter().map(|(&idx, e)| (idx, e.sum)).collect();
+        (state.data_sum, chunks)
+    }
+
+    #[test]
+    fn flush_hashes_a_long_extent_in_windows_and_its_unwritten_tail_as_zeros() {
+        // One byte-typed extent a little longer than the largest pooled
+        // buffer, written short of its end: flush reads it back in two
+        // windows and hashes the tail past the watermark by count.
+        const WRITTEN: usize = recycle::MAX_CLASS_BYTES + 5;
+        const TAIL: usize = 1000;
+        let c = Container::create_mem();
+        let space = Dataspace::d1((WRITTEN + TAIL) as u64);
+        let ds = c
+            .create_dataset(ROOT_ID, "long", Datatype::U8, &space, Layout::Contiguous)
+            .unwrap();
+        let mut data: Vec<u8> = (0..WRITTEN).map(|i| (i ^ (i >> 11)) as u8).collect();
+        let head = Selection::Slab(Hyperslab::range1(0, WRITTEN as u64));
+        c.write_selection(ds, &head, &data).unwrap();
+        assert!(c.backend.len() < c.allocated_bytes(), "the tail is past the watermark");
+        c.flush().unwrap();
+        data.resize(WRITTEN + TAIL, 0);
+        let want = Checksum {
+            algorithm: Algorithm::Xxh64,
+            sum: crate::checksum::xxh64(&data),
+        };
+        assert_eq!(stored_sums(&c, ds), (Some(want), vec![]));
+        // The flush's metadata append raised the watermark past the
+        // tail: the same sum now comes from bytes actually read.
+        assert!(c.scrub().unwrap().clean());
+        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), data);
+        assert_eq!(c.integrity_stats().verified_extents, 1);
+    }
+
+    /// A 767-byte container written by this repository's code at commit
+    /// `f78ece6`, the last one whose only data checksum was FNV-1a:
+    /// group `legacy` holding `contig` (64 f32, `i * 0.5`, contiguous)
+    /// and `chunked` (64 i32 in chunks of 16, elements 0..32 written as
+    /// `100 + i`), flushed once. Its three data extents carry tag-1 sums.
+    const LEGACY: &[u8] = include_bytes!("../tests/fixtures/written_by_f78ece6.h5l");
+
+    fn legacy_backend() -> Arc<dyn StorageBackend> {
+        let backend = Arc::new(MemBackend::new());
+        backend.write_at(0, LEGACY).unwrap();
+        backend
+    }
+
+    /// `(contig, chunked)` of the legacy container.
+    fn legacy_datasets(c: &Container) -> (ObjectId, ObjectId) {
+        let g = c.lookup(ROOT_ID, "legacy").unwrap();
+        (c.lookup(g, "contig").unwrap(), c.lookup(g, "chunked").unwrap())
+    }
+
+    fn algorithms(c: &Container, id: ObjectId) -> Vec<Option<Algorithm>> {
+        let (contig, chunks) = stored_sums(c, id);
+        std::iter::once(contig)
+            .chain(chunks.into_iter().map(|(_, sum)| sum))
+            .map(|sum| sum.map(|s| s.algorithm))
+            .collect()
+    }
+
+    #[test]
+    fn a_file_stamped_with_fnv_opens_verifies_and_scrubs() {
+        let c = Container::open(legacy_backend()).unwrap();
+        let (contig, chunked) = legacy_datasets(&c);
+        assert_eq!(algorithms(&c, contig), [Some(Algorithm::Fnv1a)]);
+        assert_eq!(algorithms(&c, chunked), [None, Some(Algorithm::Fnv1a), Some(Algorithm::Fnv1a)]);
+
+        let floats = from_bytes::<f32>(&c.read_selection(contig, &Selection::All).unwrap()).unwrap();
+        assert_eq!(floats, (0..64).map(|i| i as f32 * 0.5).collect::<Vec<_>>());
+        // The strided read is served from the verified extents too.
+        let odd = Selection::Slab(Hyperslab::strided(&[1], &[16], &[2]));
+        let ints = from_bytes::<i32>(&c.read_selection(chunked, &odd).unwrap()).unwrap();
+        assert_eq!(ints, (0..16).map(|i| 101 + 2 * i).collect::<Vec<_>>());
+        let stats = c.integrity_stats();
+        assert_eq!((stats.verified_extents, stats.checksum_failures), (3, 0));
+
+        let report = c.scrub().unwrap();
+        assert_eq!((report.checked, report.corrupt, report.skipped_dirty), (3, 0, 0));
+        // Neither reading nor scrubbing re-stamps anything.
+        assert_eq!(algorithms(&c, contig), [Some(Algorithm::Fnv1a)]);
+    }
+
+    #[test]
+    fn a_dirtied_extent_is_restamped_and_its_untouched_neighbour_is_not() {
+        let backend = legacy_backend();
+        let c = Container::open(backend.clone()).unwrap();
+        let (contig, chunked) = legacy_datasets(&c);
+        let (_, before) = stored_sums(&c, chunked);
+        let fresh: Vec<i32> = (0..16).map(|i| -i).collect();
+        let second_chunk = Selection::Slab(Hyperslab::range1(16, 16));
+        c.write_selection(chunked, &second_chunk, &to_bytes(&fresh)).unwrap();
+        c.flush().unwrap();
+
+        let (_, after) = stored_sums(&c, chunked);
+        assert_eq!(after[0], before[0], "the untouched chunk keeps its FNV sum");
+        let restamped = Checksum {
+            algorithm: Algorithm::Xxh64,
+            sum: crate::checksum::xxh64(&to_bytes(&fresh)),
+        };
+        assert_eq!(after[1], (1, Some(restamped)));
+        assert_eq!(algorithms(&c, contig), [Some(Algorithm::Fnv1a)]);
+        drop(c);
+
+        // The mixed file round-trips through the metadata codec, and
+        // every extent verifies under its own algorithm.
+        let c = Container::open(backend).unwrap();
+        assert_eq!(stored_sums(&c, chunked).1, after);
+        let all = Selection::Slab(Hyperslab::range1(0, 32));
+        let ints = from_bytes::<i32>(&c.read_selection(chunked, &all).unwrap()).unwrap();
+        assert_eq!(ints[..16], (100..116).collect::<Vec<i32>>());
+        assert_eq!(ints[16..], fresh);
+        c.read_selection(contig, &Selection::All).unwrap();
+        assert_eq!(c.integrity_stats().verified_extents, 3);
+        let report = c.scrub().unwrap();
+        assert_eq!((report.checked, report.corrupt), (3, 0));
+    }
+
+    #[test]
+    fn bit_rot_is_detected_under_either_algorithm() {
+        use crate::storage::{FaultInjector, FaultKind, FaultOp, FaultPlan};
+        let backend = legacy_backend();
+        let inj = Arc::new(FaultInjector::new(
+            backend.clone(),
+            FaultPlan::new(0xB17).fail_after(FaultOp::Read, 0, FaultKind::Corrupt),
+        ));
+        inj.set_armed(false);
+        let c = Container::open(inj.clone()).unwrap();
+        let (_, chunked) = legacy_datasets(&c);
+        let chunks = [
+            Selection::Slab(Hyperslab::range1(0, 16)),
+            Selection::Slab(Hyperslab::range1(16, 16)),
+        ];
+        c.write_selection(chunked, &chunks[1], &to_bytes(&[9i32; 16])).unwrap();
+        c.flush().unwrap();
+        assert_eq!(
+            algorithms(&c, chunked),
+            [None, Some(Algorithm::Fnv1a), Some(Algorithm::Xxh64)]
+        );
+
+        // On the read path: every device read comes back with a flipped bit.
+        inj.set_armed(true);
+        for sel in &chunks {
+            let err = c.read_selection(chunked, sel).unwrap_err();
+            assert!(matches!(err, H5Error::Corrupt(_)), "{err:?}");
+        }
+        assert_eq!(c.integrity_stats().checksum_failures, 2);
+        inj.set_armed(false);
+
+        // At rest: one byte of each chunk rewritten behind the container.
+        let state = c.plane.working(chunked).unwrap();
+        for entry in state.chunks.values() {
+            backend.write_at(entry.addr + 5, &[0xFF]).unwrap();
+        }
+        let report = c.scrub().unwrap();
+        assert_eq!((report.checked, report.corrupt, report.unrepaired), (3, 2, 2));
+    }
+
+    #[test]
+    fn an_unknown_checksum_tag_is_corrupt_at_open_not_a_panic() {
+        let backend = legacy_backend();
+        let (sb, _) = superblock::read_latest(&backend).unwrap();
+        let mut meta = vec![0u8; sb.meta_len as usize];
+        backend.read_at(sb.meta_addr, &mut meta).unwrap();
+        // The tag is the byte before the sum it describes.
+        let (_, states) = decode_meta(&meta).unwrap();
+        let sum = states.iter().find_map(|(_, st)| st.data_sum).unwrap();
+        let at = meta
+            .windows(8)
+            .position(|w| w == sum.sum.to_le_bytes())
+            .unwrap();
+        assert_eq!(meta[at - 1], Algorithm::Fnv1a as u8);
+        // What a flush writes from now on is a byte the reader at
+        // `f78ece6` — which decoded this position with `Reader::bool` —
+        // refuses rather than verifies with the wrong function.
+        assert!(Reader::new(&[Algorithm::Xxh64 as u8]).bool().is_err());
+
+        meta[at - 1] = 3;
+        assert!(matches!(decode_meta(&meta), Err(H5Error::Corrupt(_))));
+        // Committed as the container's next generation, it fails the open.
+        backend.write_at(sb.eof, &meta).unwrap();
+        superblock::commit(
+            &backend,
+            &Superblock {
+                generation: sb.generation + 1,
+                meta_addr: sb.eof,
+                meta_fnv: fnv1a64(FNV_BASIS, &meta),
+                eof: sb.eof + sb.meta_len,
+                ..sb
+            },
+        )
+        .unwrap();
+        let err = Container::open(backend).unwrap_err();
+        assert!(matches!(err, H5Error::Corrupt(ref m) if m.contains("tag 3")), "{err:?}");
     }
 }

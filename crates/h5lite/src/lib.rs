@@ -42,6 +42,7 @@
 //! ```
 
 pub mod api;
+pub mod checksum;
 pub mod codec;
 pub mod container;
 pub mod dataspace;
@@ -63,14 +64,14 @@ pub mod vol;
 
 pub use api::{Dataset, File, Group};
 pub use container::{Container, IntegrityStats, ObjectId, ScrubReport, SieveStats};
-pub use dataspace::{Dataspace, Hyperslab, Selection};
+pub use dataspace::{Dataspace, Hyperslab, Row, Selection};
 pub use datatype::{Datatype, H5Type};
 pub use error::{ErrorClass, H5Error, Result};
 pub use layout::Layout;
 pub use meta::{shard_of, ConsistencyModel, MetaLockStats, MetaSnapshot, META_SHARDS};
 pub use native::NativeVol;
 pub use plan::{
-    sieve_spans, IoPlan, IoSegment, Span, COALESCE_WINDOW, SIEVE_PAGE, SIEVE_SPAN_CAP,
+    sieve_spans, IoPlan, IoRecord, IoSegment, Span, COALESCE_WINDOW, SIEVE_PAGE, SIEVE_SPAN_CAP,
 };
 pub use promise::Promise;
 pub use ring::{

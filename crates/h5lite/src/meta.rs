@@ -58,6 +58,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::checksum::Checksum;
 use crate::container::{AttrValue, ObjectId};
 use crate::dataspace::Dataspace;
 use crate::datatype::Datatype;
@@ -117,13 +118,13 @@ pub enum ConsistencyModel {
     Commit,
 }
 
-/// One chunk's storage: extent address plus the optional FNV-1a checksum
+/// One chunk's storage: extent address plus the optional checksum
 /// recorded at the last flush (`None` until the chunk has been flushed
 /// after a write, or when checksumming is disabled).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ChunkEntry {
     pub addr: u64,
-    pub fnv: Option<u64>,
+    pub sum: Option<Checksum>,
 }
 
 /// The full I/O-relevant state of one dataset, immutable behind an
@@ -135,8 +136,8 @@ pub(crate) struct DatasetState {
     pub layout: Layout,
     /// Extent address for contiguous layout (0 for empty datasets).
     pub data_addr: u64,
-    /// Checksum of the contiguous extent, like [`ChunkEntry::fnv`].
-    pub data_fnv: Option<u64>,
+    /// Checksum of the contiguous extent, like [`ChunkEntry::sum`].
+    pub data_sum: Option<Checksum>,
     /// chunk index → extent entry, for chunked layout.
     pub chunks: BTreeMap<u64, ChunkEntry>,
     /// Mutation stamp: bumped by every copy-on-write mutation. Strictly
@@ -535,7 +536,7 @@ mod tests {
             space: Dataspace::d1(16),
             layout: Layout::Chunked1D { chunk_elems: 4 },
             data_addr: 0,
-            data_fnv: None,
+            data_sum: None,
             chunks: BTreeMap::new(),
             generation: 0,
         }
@@ -547,7 +548,7 @@ mod tests {
         plane.insert(2, state());
         plane
             .mutate(2, |st| {
-                st.chunks.insert(0, ChunkEntry { addr: 128, fnv: None });
+                st.chunks.insert(0, ChunkEntry { addr: 128, sum: None });
                 Ok(())
             })
             .unwrap();
@@ -562,7 +563,7 @@ mod tests {
         plane.insert(2, state());
         plane
             .mutate(2, |st| {
-                st.chunks.insert(0, ChunkEntry { addr: 128, fnv: None });
+                st.chunks.insert(0, ChunkEntry { addr: 128, sum: None });
                 Ok(())
             })
             .unwrap();
@@ -578,7 +579,7 @@ mod tests {
         plane.insert(2, state());
         plane
             .mutate(2, |st| {
-                st.chunks.insert(0, ChunkEntry { addr: 128, fnv: None });
+                st.chunks.insert(0, ChunkEntry { addr: 128, sum: None });
                 Ok(())
             })
             .unwrap();
@@ -594,14 +595,14 @@ mod tests {
         plane.insert(2, state());
         plane
             .mutate(2, |st| {
-                st.chunks.insert(0, ChunkEntry { addr: 128, fnv: None });
+                st.chunks.insert(0, ChunkEntry { addr: 128, sum: None });
                 Ok(())
             })
             .unwrap();
         let snap = plane.snapshot();
         plane
             .mutate(2, |st| {
-                st.chunks.insert(1, ChunkEntry { addr: 256, fnv: None });
+                st.chunks.insert(1, ChunkEntry { addr: 256, sum: None });
                 Ok(())
             })
             .unwrap();
@@ -614,7 +615,7 @@ mod tests {
         let plane = MetaPlane::new(1, ConsistencyModel::Strong);
         plane.insert(2, state());
         let err = plane.mutate(2, |st| {
-            st.chunks.insert(0, ChunkEntry { addr: 1, fnv: None });
+            st.chunks.insert(0, ChunkEntry { addr: 1, sum: None });
             Err::<(), _>(H5Error::Storage("boom".into()))
         });
         assert!(err.is_err());

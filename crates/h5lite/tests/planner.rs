@@ -11,8 +11,9 @@ use std::sync::Arc;
 
 use h5lite::container::ROOT_ID;
 use h5lite::{
-    shard_of, Container, Dataspace, Datatype, FileBackend, Hyperslab, IoVec, IoVecMut, Layout,
-    MemBackend, MetaLockStats, Selection, StorageBackend, COALESCE_WINDOW, META_SHARDS, SIEVE_PAGE,
+    shard_of, sieve_spans, Container, Dataspace, Datatype, FileBackend, Hyperslab, IoPlan,
+    IoSegment, IoVec, IoVecMut, Layout, MemBackend, MetaLockStats, Selection, StorageBackend,
+    COALESCE_WINDOW, META_SHARDS, SIEVE_PAGE, SIEVE_SPAN_CAP,
 };
 
 /// Forwards to a [`MemBackend`] while counting scalar calls, vectored
@@ -134,6 +135,66 @@ fn contiguous_strided_write_is_one_lock_and_one_span() {
     // 1500 elements and the 1499 two-element holes between them.
     assert_eq!(stats.span_bytes, 2 * (RUNS * 12 - 8));
     assert_eq!(stats.fill_bytes, 2 * (RUNS - 1) * 8);
+}
+
+#[test]
+fn plan_size_follows_the_extents_not_the_elements() {
+    // Stride-2 f32 selections of 1 024, 65 536 and 524 288 elements over
+    // one contiguous extent: the plan holds one record whatever the
+    // count, and the spans number one per MiB of extent — counts, not
+    // times, so this holds on any machine.
+    for pieces in [1u64 << 10, 1 << 16, 1 << 19] {
+        let space = Dataspace::d1(2 * pieces);
+        let sel = Selection::Slab(Hyperslab::strided(&[1], &[pieces], &[2]));
+        let extent_bytes = 2 * pieces * 4;
+        let plan = IoPlan::contiguous(128, 4, sel.rows(&space).unwrap()).unwrap();
+        assert_eq!(plan.records().len(), 1, "{pieces} pieces");
+        assert_eq!(plan.segment_count(), pieces);
+        let spans = sieve_spans(plan.records(), [(128, extent_bytes)]);
+        assert_eq!(spans.len() as u64, extent_bytes.div_ceil(SIEVE_SPAN_CAP), "{pieces} pieces");
+        assert_eq!(spans.iter().map(|s| s.count).sum::<u64>(), pieces);
+
+        // And through the container: one read and one write per span.
+        let backend = Arc::new(CountingBackend::default());
+        let c = Container::create(backend.clone() as Arc<dyn StorageBackend>);
+        let id = c
+            .create_dataset(ROOT_ID, "x", Datatype::F32, &space, Layout::Contiguous)
+            .unwrap();
+        c.write_selection(id, &Selection::All, &vec![0u8; extent_bytes as usize])
+            .unwrap();
+        let data: Vec<u8> = (0..pieces * 4).map(|i| (i % 251) as u8 + 1).collect();
+        let counts0 = batch_counts(&backend);
+        c.write_selection(id, &sel, &data).unwrap();
+        let n = spans.len() as u64;
+        assert_eq!(delta(counts0, batch_counts(&backend)), (n, n, 2 * n), "{pieces} pieces");
+        assert_eq!(c.read_selection(id, &sel).unwrap(), data);
+        let stats = c.sieve_stats();
+        assert_eq!((stats.spans, stats.segments), (2 * n, 2 * pieces));
+    }
+}
+
+#[test]
+fn plan_write_selection_expands_to_one_segment_per_piece() {
+    // The ring path's surface: a one-run slab (every VPIC call) is
+    // exactly one segment; a strided one is its pieces, spelled out.
+    let c = Container::create_mem();
+    let space = Dataspace::d1(4096);
+    let id = c
+        .create_dataset(ROOT_ID, "x", Datatype::F32, &space, Layout::Contiguous)
+        .unwrap();
+    let whole = c.plan_write_selection(id, &Selection::All, 4096 * 4).unwrap();
+    let base = whole[0].addr;
+    assert_eq!(whole, [IoSegment { addr: base, cursor: 0, len: 4096 * 4 }]);
+    let half = Selection::Slab(Hyperslab::range1(2048, 2048));
+    let segs = c.plan_write_selection(id, &half, 2048 * 4).unwrap();
+    assert_eq!(segs, [IoSegment { addr: base + 2048 * 4, cursor: 0, len: 2048 * 4 }]);
+    assert_eq!(segs.capacity(), 1);
+    let odd = Selection::Slab(Hyperslab::strided(&[1], &[100], &[2]));
+    let segs = c.plan_write_selection(id, &odd, 400).unwrap();
+    let want: Vec<IoSegment> = (0..100)
+        .map(|i| IoSegment { addr: base + 4 + 8 * i, cursor: 4 * i, len: 4 })
+        .collect();
+    assert_eq!(segs, want);
 }
 
 #[test]

@@ -7,8 +7,9 @@
 use apio::asyncvol::{AsyncVol, BreakerConfig, RetryPolicy};
 use apio::desim::{Engine, SharedResource, SimDuration};
 use apio::h5lite::{
-    container::ROOT_ID, Container, Dataspace, Datatype, FaultInjector, FaultKind, FaultOp,
-    FaultPlan, File, Hyperslab, Layout, MemBackend, Selection, ThrottledBackend, Vol,
+    container::ROOT_ID, sieve_spans, Container, Dataspace, Datatype, FaultInjector, FaultKind,
+    FaultOp, FaultPlan, File, Hyperslab, IoPlan, IoSegment, Layout, MemBackend, Selection, Span,
+    ThrottledBackend, Vol, SIEVE_PAGE,
 };
 use apio::model::epoch::EpochParams;
 use apio::model::regression::{Design, LinearFit};
@@ -427,8 +428,126 @@ fn planned_selection_path_matches_per_run_reference() {
     }
 }
 
+/// The planner lowers a selection row by row and extent by extent
+/// ([`IoPlan::contiguous`] / [`IoPlan::chunked`] over `Selection::rows`);
+/// `Selection::runs` spells the same selection out element by element.
+/// Over random dataspaces of rank 1–3, strides from 1 up, contiguous and
+/// chunked layouts with some chunks never allocated, the row plan
+/// expanded piece by piece is the run plan — address, cursor, length,
+/// order, `total_bytes` and `mapped_bytes` — and sieves into the same
+/// spans, while holding at most one record per row and touched chunk.
+#[test]
+fn row_plans_expand_to_the_run_plans_and_sieve_into_the_same_spans() {
+    for salt in 0..64u64 {
+        let mut rng = Lcg::new(0x20_E7E7 + salt);
+        for case in 0..8 {
+            let elem = [1u64, 2, 4, 8][(rng.next() % 4) as usize];
+            let chunk_elems = rng.next().is_multiple_of(3).then(|| rng.in_range(1, 200));
+            let rank = match chunk_elems {
+                Some(_) => 1,
+                None => rng.in_range(1, 4) as usize,
+            };
+            let dims: Vec<u64> = (0..rank)
+                .map(|_| rng.in_range(1, [4000, 70, 14][rank - 1]))
+                .collect();
+            let space = Dataspace::new(&dims);
+            let sel = if rng.next().is_multiple_of(8) {
+                Selection::All
+            } else {
+                let (mut start, mut count, mut stride) = (vec![], vec![], vec![]);
+                for &dim in &dims {
+                    let st = rng.next() % dim;
+                    // Mostly fine strides (these sieve), sometimes ones
+                    // whose holes pass a page.
+                    let strd = match rng.next() % 4 {
+                        0 => 1,
+                        1 if rank == 1 => rng.in_range(2, 1500),
+                        _ => rng.in_range(2, 6),
+                    };
+                    start.push(st);
+                    count.push(1 + rng.next() % (dim - st).div_ceil(strd));
+                    stride.push(strd);
+                }
+                Selection::Slab(Hyperslab::strided(&start, &count, &stride))
+            };
+            let ctx = format!("salt {salt} case {case}: {dims:?} x{elem} {chunk_elems:?} {sel:?}");
+            let runs = sel.runs(&space).expect("valid selection");
+            let rows = || sel.rows(&space).expect("valid selection");
+
+            let (plan, reference, extents, row_extents) = match chunk_elems {
+                None => {
+                    let base = 128 + rng.next() % 4096;
+                    let extents = vec![(base, space.npoints() * elem)];
+                    (
+                        IoPlan::contiguous(base, elem, rows()).expect("row plan"),
+                        IoPlan::for_contiguous(base, elem, &runs).expect("run plan"),
+                        extents,
+                        rows().count() as u64,
+                    )
+                }
+                Some(ce) => {
+                    // Chunks back to front with something between them;
+                    // one in `holes` was never allocated.
+                    let chunks = dims[0].div_ceil(ce);
+                    let holes = rng.in_range(2, 6);
+                    let addr_of = |idx: u64| {
+                        (idx % holes != 1).then(|| 4096 + (chunks - idx) * (ce * elem + 40))
+                    };
+                    let extents = (0..chunks)
+                        .filter_map(|idx| Some((addr_of(idx)?, ce * elem)))
+                        .collect();
+                    // One record at most per row and chunk the row has
+                    // pieces in.
+                    let touched: u64 = rows()
+                        .map(|r| (r.off + (r.count - 1) * r.stride + r.len - 1) / ce - r.off / ce + 1)
+                        .sum();
+                    (
+                        IoPlan::chunked(ce, elem, rows(), addr_of).expect("row plan"),
+                        IoPlan::for_chunked(ce, elem, &runs, addr_of).expect("run plan"),
+                        extents,
+                        touched,
+                    )
+                }
+            };
+
+            let pieces: Vec<IoSegment> = plan.segments().collect();
+            let want: Vec<IoSegment> = reference.segments().collect();
+            assert_eq!(pieces, want, "{ctx}: pieces");
+            assert_eq!(plan.segment_count(), want.len() as u64, "{ctx}: piece count");
+            assert_eq!(plan.total_bytes(), reference.total_bytes(), "{ctx}: total bytes");
+            assert_eq!(plan.total_bytes(), sel.npoints(&space) * elem, "{ctx}: total bytes");
+            assert_eq!(plan.mapped_bytes(), reference.mapped_bytes(), "{ctx}: mapped bytes");
+            // Rows that touch split a record in three at most.
+            assert!(
+                plan.records().len() as u64 <= 3 * row_extents,
+                "{ctx}: {} records for {row_extents} row extents",
+                plan.records().len()
+            );
+
+            // Same spans, whichever way the plan is held: compare what
+            // reaches the device and where it lands in the buffer.
+            let shape = |s: &Span| (s.addr, s.len, s.cursor, s.count);
+            let spans = sieve_spans(plan.records(), extents.iter().copied());
+            let by_run = sieve_spans(reference.records(), extents.iter().copied());
+            assert!(
+                spans.iter().map(shape).eq(by_run.iter().map(shape)),
+                "{ctx}: spans {spans:?} vs {by_run:?}"
+            );
+            assert_eq!(spans.iter().map(|s| s.count).sum::<u64>(), want.len() as u64, "{ctx}");
+            for span in &spans {
+                let parts: Vec<IoSegment> = span
+                    .parts(plan.records())
+                    .flat_map(|part| part.pieces().collect::<Vec<_>>())
+                    .collect();
+                let first = want.iter().position(|s| s.cursor == span.cursor).expect("span start");
+                assert_eq!(parts, want[first..first + span.count as usize], "{ctx}: {span:?}");
+            }
+        }
+    }
+}
+
 /// Coalescing must not shift fault-plan indices. For a plan with no
-/// sieved span (every hole longer than a page) the k-th write fault
+/// sieved span the k-th write fault
 /// hits the same logical backend operation whether the selection goes
 /// through one planned call or the per-run reference sequence, leaving
 /// both containers in identical states with identical injection counts.
@@ -439,12 +558,27 @@ fn planned_selection_path_matches_per_run_reference() {
 /// which has at least as many ops); after it, every selected byte is old
 /// or new and every unselected byte is unchanged; and a write the fault
 /// did not reach is complete.
+///
+/// Which of the two a case is follows from the sieve rule, not from the
+/// stride alone: two neighbouring selected elements share a span iff
+/// each is shorter than a page (an f32 always is), the hole between them
+/// is at most a page, they lie in one extent — always on a contiguous
+/// layout, only when both fall in the same chunk on a chunked one — and
+/// the span stays under the cap (two elements always do). A fine stride
+/// over chunks no longer than it sieves nothing.
 #[test]
 fn planned_path_preserves_fault_plan_indices() {
-    let mut rng = Lcg::new(0xFA171);
-    for case in 0..32 {
+    for salt in 0..64u64 {
+        planned_path_fault_indices(salt);
+    }
+}
+
+fn planned_path_fault_indices(salt: u64) {
+    let mut rng = Lcg::new(0xFA171 + salt);
+    for case in 0..8 {
         // Half the cases cannot sieve (holes of more than a page), half
-        // always do (holes of at most three elements).
+        // do wherever two selected elements share an extent (holes of at
+        // most three elements).
         let far = case % 2 == 0;
         let stride = if far {
             rng.in_range(1026, 1100)
@@ -482,7 +616,18 @@ fn planned_path_preserves_fault_plan_indices() {
             let folded = sieved.segments - spans0.segments;
             count - folded + (sieved.spans - spans0.spans)
         };
-        assert_eq!(ops < count, !far, "case {case}: stride {stride} sieves iff holes are short");
+        let one_extent = |i: u64| match layout {
+            Layout::Contiguous => true,
+            Layout::Chunked1D { chunk_elems } => {
+                (start + i * stride) / chunk_elems == (start + (i + 1) * stride) / chunk_elems
+            }
+        };
+        let sieves = (stride - 1) * 4 <= SIEVE_PAGE && (0..count - 1).any(one_extent);
+        assert_eq!(
+            ops < count,
+            sieves,
+            "salt {salt} case {case}: stride {stride} {layout:?} sieves iff two neighbours share a span"
+        );
 
         // Fault the k-th data write; k sometimes past the end (no fault).
         let k = rng.next() % (ops + 3);
@@ -530,14 +675,14 @@ fn planned_path_preserves_fault_plan_indices() {
         }
 
         let ctx = format!(
-            "case {case}: n {n} start {start} count {count} stride {stride} k {k} of {ops} {layout:?}"
+            "salt {salt} case {case}: n {n} start {start} count {count} stride {stride} k {k} of {ops} {layout:?}"
         );
         assert_eq!(planned_res.is_err(), k < ops, "{ctx}: planned outcome");
         assert_eq!(pinj.injected(), u64::from(k < ops), "{ctx}: planned injections");
         pinj.set_armed(false);
         rinj.set_armed(false);
         let a = pc.read_selection(pid, &Selection::All).expect("read");
-        if far {
+        if !sieves {
             assert_eq!(planned_res.is_ok(), reference_res.is_ok(), "{ctx}: outcome");
             assert_eq!(pinj.injected(), rinj.injected(), "{ctx}: injected count");
             let b = rc.read_selection(rid, &Selection::All).expect("read");
