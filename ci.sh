@@ -81,6 +81,18 @@ cargo test -q "${CARGO_FLAGS[@]}" -p h5lite
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite dataspace
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite overflow
 
+echo "== flush on every lane (read-back fan-out: stamps, bounds, error path, wall time, no named lock) =="
+# The debug run is in `-p h5lite` above; release too, because the lanes'
+# windows and job shares are integer arithmetic that debug would trap
+# and release would wrap. `lane` selects the container's read-back tests
+# and tests/flush_lanes.rs (wall time against a 4- and a 1-channel
+# throttle), `flush_hashes` the windowed long extent. The root
+# flush_lanes test holds the lane threads to zero named locks under the
+# lock-order recorder.
+cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite lane
+cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite flush_hashes
+cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test flush_lanes
+
 echo "== fault injection (chaos + resilience properties) =="
 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test chaos
 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test properties

@@ -8,7 +8,9 @@
 //! sweep (depth ∈ {1, 4, 16, 64} × op size {4 KiB, 64 KiB, 1 MiB}), the
 //! 64 KiB-op epoch comparison, and the cross-rank tracing costs
 //! (ctx-guard, per-rank stream emission, critical-path merge, with the
-//! ≤ 2% enabled-emission budget). Everything is a printed table.
+//! ≤ 2% enabled-emission budget), and since the flush reads back on
+//! lanes, its wall time against the device's channel count. Everything
+//! is a printed table.
 
 use apio_bench::harness::{bench, bench_bytes, bench_custom, section, Sample};
 use apio_trace::Tracer;
@@ -291,6 +293,53 @@ fn integrity_overhead() {
     }
 }
 
+/// The flush's checksum read-back against the device's lanes
+/// (DESIGN.md §13, "Bounded flush memory"): sixteen dirty 2 MiB extents
+/// flushed on a throttled `MemBackend` (400 MB/s, 200 µs per call) of 1,
+/// 2 and 4 channels. The container reads back on up to four lanes, so
+/// the read-back term should shrink about 1 : ½ : ¼ and stay flat past
+/// four channels; the serial term is Σ(latency + len / bandwidth).
+fn flush_hash_lanes() {
+    section("flush_hash");
+    const EXTENTS: usize = 16;
+    const LEN: usize = 2 << 20;
+    let serial = EXTENTS as f64 * (2e-4 + LEN as f64 / 400e6);
+    let data: Vec<u8> = (0..LEN).map(|i| (i * 31 + (i >> 9)) as u8).collect();
+    for channels in [1usize, 2, 4] {
+        let device = Arc::new(ThrottledBackend::with_channels(1e12, 2e-4, channels));
+        let c = Container::create(device.clone());
+        let ids: Vec<_> = (0..EXTENTS)
+            .map(|i| {
+                let space = Dataspace::d1(LEN as u64);
+                c.create_dataset(ROOT_ID, &format!("d{i}"), Datatype::U8, &space, Layout::Contiguous)
+                    .unwrap()
+            })
+            .collect();
+        let name = format!("flush_hash/16x2MiB/ch{channels}");
+        let s = bench_custom(&name, |iters| {
+            let mut timed = Duration::ZERO;
+            for _ in 0..iters {
+                // Dirty every extent at memory speed; time the flush alone.
+                device.set_bandwidth(1e12);
+                for &id in &ids {
+                    c.write_selection(id, &Selection::All, &data).unwrap();
+                }
+                device.set_bandwidth(400e6);
+                let t0 = Instant::now();
+                c.flush().unwrap();
+                timed += t0.elapsed();
+            }
+            timed
+        });
+        let ms = s.secs_per_iter() * 1e3;
+        println!(
+            "    {name:<28} {ms:7.1} ms   {:.2} x the serial read-back ({:.1} ms)",
+            s.secs_per_iter() / serial,
+            serial * 1e3
+        );
+    }
+}
+
 /// Queue-depth sweep through the raw [`Ring`]: one batch of `depth`
 /// writes of `size` bytes each, submitted together and drained to
 /// completion, against a 4-channel throttled backend whose 200 µs
@@ -409,6 +458,7 @@ fn main() {
     model_copy_time();
     trace_overhead();
     integrity_overhead();
+    flush_hash_lanes();
 
     ring_depth_sweep();
     critpath_overhead(ring_epoch());

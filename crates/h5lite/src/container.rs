@@ -52,7 +52,7 @@
 //! buffer (DESIGN.md §9, "Sieved spans"). See [`Container::plan_io`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use apio_trace::{Event, Tracer};
@@ -88,6 +88,27 @@ pub const ROOT_ID: ObjectId = 1;
 /// by `npoints / chunk_elems`, and an `u64::MAX`-element dataset cannot
 /// be allocated).
 const CONTIG_EXTENT: u64 = u64::MAX;
+
+/// Read-back lanes of [`Container::hash_extents`]: the service lanes one
+/// client gets from a PFS or an NVMe namespace
+/// ([`ThrottledBackend::DEFAULT_CHANNELS`](crate::storage::ThrottledBackend::DEFAULT_CHANNELS),
+/// and the knee of the ring's depth-scaling curve). A constant of the
+/// container, not a backend property: [`StorageBackend`] has no method
+/// to ask, and a wrapper written against it must see the same fan-out.
+const HASH_LANES: usize = 4;
+/// Dirty bytes a lane must be worth: below two lanes' worth (4 MiB) the
+/// read-back runs inline on the caller.
+const HASH_LANE_MIN_BYTES: u64 = 2 << 20;
+/// The longest read a hash issues, and the buffer a lane holds while it
+/// does: read-back memory is at most `HASH_LANES × HASH_WINDOW`, 32 MiB.
+const HASH_WINDOW: usize = 8 << 20;
+
+/// One extent for [`Container::hash_extents`] to read back and hash.
+struct HashJob {
+    addr: u64,
+    len: u64,
+    algorithm: Algorithm,
+}
 
 /// An attribute value: small typed metadata attached to any object.
 #[derive(Clone, PartialEq, Debug)]
@@ -449,7 +470,15 @@ impl Container {
     /// since the previous flush (reading the extent back and hashing
     /// it), serializes the metadata plane, and commits it through the
     /// dual-slot superblock protocol: metadata extent → sync → one slot
-    /// → sync. Writers whose durability this flush must cover are
+    /// → sync. The read-backs of all dirty extents of all datasets form
+    /// one job list, in (dataset, extent) order, shared out over up to
+    /// [`HASH_LANES`] lanes ([`Container::hash_extents`]; under 4 MiB of
+    /// dirty bytes they run on the caller, one after another), each
+    /// lane holding at most one [`HASH_WINDOW`] buffer. If any read-back
+    /// fails, the flush returns the first error in job order, stamps
+    /// nothing and keeps every extent marked dirty.
+    ///
+    /// Writers whose durability this flush must cover are
     /// expected to be quiesced (a write racing the flush could be hashed
     /// mid-flight or miss the commit) — but unlike the pre-shard design,
     /// flush holds **no metadata lock across its device I/O**:
@@ -486,30 +515,23 @@ impl Container {
 
     fn flush_inner(&self, dirty_keys: &[(ObjectId, u64)]) -> Result<()> {
         let enabled = self.checksums.load(Ordering::Relaxed);
-        let mut by_dataset: BTreeMap<ObjectId, Vec<u64>> = BTreeMap::new();
-        for &(id, key) in dirty_keys {
-            by_dataset.entry(id).or_default().push(key);
-        }
-        for (id, keys) in by_dataset {
+        // Every dirty extent of every dataset, and the job that hashes
+        // it unless its sum is to be cleared. `dirty_keys` is sorted, so
+        // a dataset's keys are adjacent.
+        let mut stamps: Vec<(ObjectId, u64, Option<usize>)> = Vec::new();
+        let mut jobs: Vec<HashJob> = Vec::new();
+        for keys in dirty_keys.chunk_by(|a, b| a.0 == b.0) {
+            let id = keys[0].0;
             let Some(state) = self.plane.working(id) else {
                 continue;
             };
-            // Hash first — these are device reads and must not run
-            // under any metadata lock — then fold the fresh checksums
-            // into the state with one copy-on-write mutation.
             let elem = state.dtype.size() as u64;
-            let mut contig_sum: Option<Option<Checksum>> = None;
-            let mut chunk_sums: Vec<(u64, Option<Checksum>)> = Vec::new();
-            for &key in &keys {
-                if key == CONTIG_EXTENT {
+            for &(_, key) in keys {
+                let (addr, len) = if key == CONTIG_EXTENT {
                     let len = state.space.npoints().checked_mul(elem).ok_or_else(|| {
                         H5Error::Storage("dataset byte size overflows the address space".into())
                     })?;
-                    contig_sum = Some(if enabled && len > 0 {
-                        Some(self.hash_extent(state.data_addr, len, Algorithm::CURRENT)?)
-                    } else {
-                        None
-                    });
+                    (state.data_addr, len)
                 } else if let Layout::Chunked1D { chunk_elems } = state.layout {
                     let chunk_bytes = chunk_elems.checked_mul(elem).ok_or_else(|| {
                         H5Error::Storage("chunk byte size overflows the address space".into())
@@ -517,22 +539,36 @@ impl Container {
                     let Some(entry) = state.chunks.get(&key) else {
                         continue;
                     };
-                    chunk_sums.push((
-                        key,
-                        if enabled {
-                            Some(self.hash_extent(entry.addr, chunk_bytes, Algorithm::CURRENT)?)
-                        } else {
-                            None
-                        },
-                    ));
-                }
+                    (entry.addr, chunk_bytes)
+                } else {
+                    continue;
+                };
+                let job = (enabled && len > 0).then(|| {
+                    jobs.push(HashJob {
+                        addr,
+                        len,
+                        algorithm: Algorithm::CURRENT,
+                    });
+                    jobs.len() - 1
+                });
+                stamps.push((id, key, job));
             }
-            self.plane.mutate(id, |st| {
-                if let Some(sum) = contig_sum {
-                    st.data_sum = sum;
-                }
-                for &(key, sum) in &chunk_sums {
-                    if let Some(entry) = st.chunks.get_mut(&key) {
+        }
+        // Hash first — these are device reads and must not run under
+        // any metadata lock — and fold nothing unless every read-back
+        // succeeded: a failed flush leaves every stored sum as it was.
+        let sums = self
+            .hash_extents(&jobs)
+            .into_iter()
+            .collect::<Result<Vec<Checksum>>>()?;
+        // One copy-on-write mutation per dataset.
+        for stamps in stamps.chunk_by(|a, b| a.0 == b.0) {
+            self.plane.mutate(stamps[0].0, |st| {
+                for &(_, key, job) in stamps {
+                    let sum = job.map(|j| sums[j]);
+                    if key == CONTIG_EXTENT {
+                        st.data_sum = sum;
+                    } else if let Some(entry) = st.chunks.get_mut(&key) {
                         entry.sum = sum;
                     }
                 }
@@ -581,23 +617,70 @@ impl Container {
         Ok(())
     }
 
+    /// Hash every job's extent and return the sums in job order. The
+    /// jobs are shared out over `min(HASH_LANES, jobs, bytes / 2 MiB)`
+    /// lanes — scoped threads that live for this call, the caller being
+    /// the first — each pulling the next unclaimed job and running
+    /// [`Container::hash_extent`] on it, so a device with several
+    /// service lanes serves several read-backs at once. With one lane
+    /// or none (under 4 MiB in total, or a single extent however long)
+    /// the same loop runs on the caller alone, in job order. One job's
+    /// `Err` stops no other job; a lane that panicked leaves its job an
+    /// [`H5Error::Storage`].
+    fn hash_extents(&self, jobs: &[HashJob]) -> Vec<Result<Checksum>> {
+        let bytes = jobs.iter().fold(0u64, |sum, job| sum.saturating_add(job.len));
+        let lanes = (bytes / HASH_LANE_MIN_BYTES).min(HASH_LANES.min(jobs.len()) as u64);
+        // Hands out job indices and nothing else: the jobs are shared
+        // by the scope and the sums return through its join handles.
+        let next = AtomicUsize::new(0);
+        let lane = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else {
+                    return done;
+                };
+                done.push((i, self.hash_extent(job.addr, job.len, job.algorithm)));
+            }
+        };
+        let mut sums: Vec<Option<Result<Checksum>>> = jobs.iter().map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
+            let mut done = lane();
+            // A lane that panicked returns nothing: its job stays `None`.
+            done.extend(spawned.into_iter().flat_map(|h| h.join().unwrap_or_default()));
+            for (i, sum) in done {
+                sums[i] = Some(sum);
+            }
+        });
+        sums.into_iter()
+            .map(|sum| {
+                sum.unwrap_or_else(|| {
+                    Err(H5Error::Storage("a checksum read-back lane panicked".into()))
+                })
+            })
+            .collect()
+    }
+
     /// Hash `len` bytes at `addr` under `algorithm`, reading them back
-    /// in windows of the recycler's largest class: one pooled buffer
-    /// whatever the extent's size, and one read for any extent up to
-    /// 64 MiB. Bytes past the backend's high-water mark hash as zeros
-    /// without being held anywhere: an allocated-but-unwritten tail
-    /// reads back as zeros once later appends raise the watermark, so
-    /// the checksum stays stable either way.
+    /// in windows of [`HASH_WINDOW`]: one pooled buffer whatever the
+    /// extent's size, and one read for any extent up to 8 MiB. An extent
+    /// is never split across lanes — one extent, however long, is read
+    /// window after window by whoever took its job. Bytes past the
+    /// backend's high-water mark hash as zeros without being held
+    /// anywhere: an allocated-but-unwritten tail reads back as zeros
+    /// once later appends raise the watermark, so the checksum stays
+    /// stable either way.
     fn hash_extent(&self, addr: u64, len: u64, algorithm: Algorithm) -> Result<Checksum> {
         let end = addr.checked_add(len).ok_or_else(|| {
             H5Error::Storage("extent end overflows the device address space".into())
         })?;
         let readable = end.min(self.backend.len()).saturating_sub(addr);
         let mut hasher = Hasher::new(algorithm);
-        let mut buf = recycle::lease(readable.min(recycle::MAX_CLASS_BYTES as u64) as usize);
+        let mut buf = recycle::lease(readable.min(HASH_WINDOW as u64) as usize);
         let mut done = 0u64;
         while done < readable {
-            let window = &mut buf[..(readable - done).min(recycle::MAX_CLASS_BYTES as u64) as usize];
+            let window = &mut buf[..(readable - done).min(HASH_WINDOW as u64) as usize];
             self.backend
                 .read_at(addr.saturating_add(done), window)?; // xtask: allow(planned-io) integrity hash read
             hasher.update(window);
@@ -662,6 +745,13 @@ impl Container {
     /// the dirty extents the scrub would skip anyway. Repair correctness
     /// still requires the scrubbed datasets to be write-quiesced, like
     /// [`Container::flush`].
+    ///
+    /// Detection comes first and whole: every clean extent is re-hashed
+    /// over the same lanes a flush uses ([`Container::hash_extents`]),
+    /// and a failed read fails the scrub before anything is repaired.
+    /// Repair and the re-hash after it then run one extent at a time in
+    /// snapshot order, one replay per dataset. A replay re-marks the
+    /// dataset's other extents dirty; the next flush re-stamps them.
     pub fn scrub_with(
         &self,
         mut repair: impl FnMut(ObjectId) -> Result<bool>,
@@ -692,20 +782,28 @@ impl Container {
             }
         }
         let dirty: BTreeSet<(ObjectId, u64)> = self.dirty_extents.lock().clone();
+        let before = extents.len();
+        extents.retain(|&(id, key, ..)| !dirty.contains(&(id, key)));
+        report.skipped_dirty = (before - extents.len()) as u64;
+        report.checked = extents.len() as u64;
+        // Detection: every clean extent, over the read-back lanes.
+        let jobs: Vec<HashJob> = extents
+            .iter()
+            .map(|&(_, _, addr, len, sum)| HashJob {
+                addr,
+                len,
+                algorithm: sum.algorithm,
+            })
+            .collect();
+        let found = self
+            .hash_extents(&jobs)
+            .into_iter()
+            .collect::<Result<Vec<Checksum>>>()?;
         // Repair replays a whole dataset at a time; remember the answer
         // so N corrupt chunks of one dataset replay once.
         let mut repair_ran: BTreeMap<ObjectId, bool> = BTreeMap::new();
-        for (id, key, addr, len, sum) in extents {
-            if dirty.contains(&(id, key)) {
-                report.skipped_dirty += 1;
-                continue;
-            }
-            report.checked += 1;
-            if self.hash_extent(addr, len, sum.algorithm)? == sum {
-                // A repair replay of this dataset may have marked the
-                // extent dirty; it verifiably matches its checksum, so
-                // the mark (and a pointless re-hash at flush) can go.
-                self.dirty_extents.lock().remove(&(id, key));
+        for ((id, key, addr, len, sum), found) in extents.into_iter().zip(found) {
+            if found == sum {
                 continue;
             }
             report.corrupt += 1;
@@ -2394,12 +2492,13 @@ mod tests {
 
     #[test]
     fn flush_hashes_a_long_extent_in_windows_and_its_unwritten_tail_as_zeros() {
-        // One byte-typed extent a little longer than the largest pooled
-        // buffer, written short of its end: flush reads it back in two
+        // One byte-typed extent a little longer than the read-back
+        // window, written short of its end: flush reads it back in two
         // windows and hashes the tail past the watermark by count.
-        const WRITTEN: usize = recycle::MAX_CLASS_BYTES + 5;
+        const WRITTEN: usize = HASH_WINDOW + 5;
         const TAIL: usize = 1000;
-        let c = Container::create_mem();
+        let gauge = ReadGauge::over(Arc::new(MemBackend::new()));
+        let c = Container::create(gauge.clone());
         let space = Dataspace::d1((WRITTEN + TAIL) as u64);
         let ds = c
             .create_dataset(ROOT_ID, "long", Datatype::U8, &space, Layout::Contiguous)
@@ -2409,6 +2508,7 @@ mod tests {
         c.write_selection(ds, &head, &data).unwrap();
         assert!(c.backend.len() < c.allocated_bytes(), "the tail is past the watermark");
         c.flush().unwrap();
+        assert_eq!(gauge.longest.load(Ordering::SeqCst), HASH_WINDOW, "a full window, then 5 bytes");
         data.resize(WRITTEN + TAIL, 0);
         let want = Checksum {
             algorithm: Algorithm::Xxh64,
@@ -2420,6 +2520,326 @@ mod tests {
         assert!(c.scrub().unwrap().clean());
         assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), data);
         assert_eq!(c.integrity_stats().verified_extents, 1);
+    }
+
+    // ----- read-back lanes -------------------------------------------
+
+    const MIB: usize = 1 << 20;
+
+    /// What the read-back asks of the device: the longest scalar read
+    /// and the most of them in flight at once. A read at an address in
+    /// `bad` fails, naming the address.
+    struct ReadGauge {
+        inner: Arc<dyn StorageBackend>,
+        in_flight: AtomicUsize,
+        most_in_flight: AtomicUsize,
+        longest: AtomicUsize,
+        bad: Mutex<Vec<u64>>,
+    }
+
+    impl ReadGauge {
+        fn over(inner: Arc<dyn StorageBackend>) -> Arc<Self> {
+            Arc::new(ReadGauge {
+                inner,
+                in_flight: AtomicUsize::new(0),
+                most_in_flight: AtomicUsize::new(0),
+                longest: AtomicUsize::new(0),
+                bad: Mutex::new(Vec::new()),
+            })
+        }
+    }
+
+    impl StorageBackend for ReadGauge {
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.inner.write_at(offset, data)
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            self.most_in_flight.fetch_max(now, Ordering::SeqCst);
+            self.longest.fetch_max(buf.len(), Ordering::SeqCst);
+            let out = if self.bad.lock().contains(&offset) {
+                Err(H5Error::Storage(format!("bad sector at {offset}")))
+            } else {
+                self.inner.read_at(offset, buf)
+            };
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            out
+        }
+        fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
+            self.inner.write_vectored_at(batch)
+        }
+        fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
+            self.inner.read_vectored_at(batch)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    fn lane_bytes(salt: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i ^ (i >> 11) ^ (salt * 0x9E)) as u8).collect()
+    }
+
+    /// Create (first call) and overwrite `n` contiguous byte datasets of
+    /// `len` bytes, dataset `i` holding `lane_bytes(salt + i, len)`.
+    fn dirty_contiguous(c: &Container, n: usize, len: usize, salt: usize) -> Vec<ObjectId> {
+        (0..n)
+            .map(|i| {
+                let name = format!("d{i}");
+                let ds = c.lookup(ROOT_ID, &name).unwrap_or_else(|_| {
+                    let space = Dataspace::d1(len as u64);
+                    c.create_dataset(ROOT_ID, &name, Datatype::U8, &space, Layout::Contiguous)
+                        .unwrap()
+                });
+                c.write_selection(ds, &Selection::All, &lane_bytes(salt + i, len)).unwrap();
+                ds
+            })
+            .collect()
+    }
+
+    fn xxh(bytes: &[u8]) -> Option<Checksum> {
+        Some(Checksum {
+            algorithm: Algorithm::Xxh64,
+            sum: crate::checksum::xxh64(bytes),
+        })
+    }
+
+    #[test]
+    fn lane_stamps_are_the_hash_of_the_bytes_read_back_within_the_bounds() {
+        // Sixteen dirty 2 MiB extents and eight dirty 1 MiB chunks on a
+        // four-lane device at 400 MB/s and 0.2 ms a call, so the lanes
+        // do overlap (`tests/flush_lanes.rs` holds the wall time).
+        use crate::storage::ThrottledBackend;
+        let device = Arc::new(ThrottledBackend::with_channels(1e12, 2e-4, 4));
+        let gauge = ReadGauge::over(device.clone());
+        let c = Container::create(gauge.clone());
+        let contiguous = dirty_contiguous(&c, 16, 2 * MIB, 0);
+        let space = Dataspace::d1(8 * MIB as u64);
+        let layout = Layout::Chunked1D { chunk_elems: MIB as u64 };
+        let chunked = c.create_dataset(ROOT_ID, "chunked", Datatype::U8, &space, layout).unwrap();
+        c.write_selection(chunked, &Selection::All, &lane_bytes(99, 8 * MIB)).unwrap();
+        device.set_bandwidth(400e6);
+        c.flush().unwrap();
+        device.set_bandwidth(1e12);
+
+        // The bounds on read-back memory and on device concurrency, as
+        // the device saw them.
+        assert!(gauge.longest.load(Ordering::SeqCst) <= HASH_WINDOW);
+        assert!(gauge.most_in_flight.load(Ordering::SeqCst) <= HASH_LANES);
+        for (i, &ds) in contiguous.iter().enumerate() {
+            let bytes = c.read_selection(ds, &Selection::All).unwrap();
+            assert_eq!(bytes, lane_bytes(i, 2 * MIB));
+            assert_eq!(stored_sums(&c, ds), (xxh(&bytes), vec![]), "dataset {i}");
+        }
+        let bytes = c.read_selection(chunked, &Selection::All).unwrap();
+        assert_eq!(bytes, lane_bytes(99, 8 * MIB));
+        let want = bytes.chunks(MIB).enumerate().map(|(i, b)| (i as u64, xxh(b))).collect();
+        assert_eq!(stored_sums(&c, chunked), (None, want));
+        let report = c.scrub().unwrap();
+        assert_eq!((report.checked, report.corrupt, report.skipped_dirty), (24, 0, 0));
+    }
+
+    #[test]
+    fn a_failed_lane_read_fails_the_flush_and_stamps_nothing_until_a_retry_reads_everything() {
+        use crate::storage::{FaultInjector, FaultKind, FaultOp, FaultPlan};
+        let plan = FaultPlan::new(21)
+            .fail_after(FaultOp::Read, 5, FaultKind::Persistent)
+            .times(1);
+        let inj = Arc::new(FaultInjector::new(Arc::new(MemBackend::new()), plan));
+        inj.set_armed(false);
+        let c = Container::create(inj.clone());
+        let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
+        c.flush().unwrap();
+        let old: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
+
+        // All eight dirty again with new bytes; the sixth read-back any
+        // lane issues fails.
+        dirty_contiguous(&c, 8, 2 * MIB, 100);
+        inj.set_armed(true);
+        let err = c.flush().unwrap_err();
+        assert!(matches!(err, H5Error::Storage(ref m) if m.contains("injected")), "{err:?}");
+        assert_eq!(inj.injected(), 1);
+        // Not one sum moved, the five datasets ahead of the failure
+        // included, and every mark is back.
+        let now: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
+        assert_eq!(now, old);
+        let marks: Vec<_> = ids.iter().map(|&ds| (ds, CONTIG_EXTENT)).collect();
+        assert_eq!(c.dirty_extents.lock().iter().copied().collect::<Vec<_>>(), marks);
+
+        // The rule is spent: the retry reads all eight back.
+        c.flush().unwrap();
+        assert!(c.dirty_extents.lock().is_empty());
+        for (i, &ds) in ids.iter().enumerate() {
+            let bytes = c.read_selection(ds, &Selection::All).unwrap();
+            assert_eq!(bytes, lane_bytes(100 + i, 2 * MIB));
+            assert_eq!(stored_sums(&c, ds), (xxh(&bytes), vec![]));
+        }
+        assert_eq!(c.integrity_stats().checksum_failures, 0);
+    }
+
+    #[test]
+    fn of_two_failed_lane_reads_the_flush_reports_the_first_in_job_order() {
+        let gauge = ReadGauge::over(Arc::new(MemBackend::new()));
+        let c = Container::create(gauge.clone());
+        let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
+        let addr = |i: usize| c.plane.working(ids[i]).unwrap().data_addr;
+        *gauge.bad.lock() = vec![addr(6), addr(2)];
+        for _ in 0..8 {
+            let err = c.flush().unwrap_err();
+            let want = format!("bad sector at {}", addr(2));
+            assert!(matches!(err, H5Error::Storage(ref m) if *m == want), "{err:?}");
+        }
+        gauge.bad.lock().clear();
+        c.flush().unwrap();
+        assert!(c.scrub().unwrap().clean());
+    }
+
+    /// Panics on every read from a thread other than the one that built
+    /// it, and holds the builder's own first read until one has.
+    struct PanicOffThread {
+        inner: MemBackend,
+        owner: std::thread::ThreadId,
+        others: AtomicUsize,
+        armed: AtomicBool,
+    }
+
+    impl StorageBackend for PanicOffThread {
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.inner.write_at(offset, data)
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            if self.armed.load(Ordering::SeqCst) {
+                if std::thread::current().id() != self.owner {
+                    self.others.fetch_add(1, Ordering::SeqCst);
+                    panic!("read-back lane panics (expected by the test)");
+                }
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while self.others.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+            self.inner.read_at(offset, buf)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn a_panicking_lane_is_a_storage_error_not_a_panic_or_a_hang() {
+        let backend = Arc::new(PanicOffThread {
+            inner: MemBackend::new(),
+            owner: std::thread::current().id(),
+            others: AtomicUsize::new(0),
+            armed: AtomicBool::new(false),
+        });
+        let c = Container::create(backend.clone());
+        let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
+        backend.armed.store(true, Ordering::SeqCst);
+        let err = c.flush().unwrap_err();
+        assert!(matches!(err, H5Error::Storage(ref m) if m.contains("lane panicked")), "{err:?}");
+        assert!(backend.others.load(Ordering::SeqCst) >= 1);
+        assert_eq!(c.dirty_extents.lock().len(), 8);
+        assert!(ids.iter().all(|&ds| stored_sums(&c, ds) == (None, vec![])));
+        backend.armed.store(false, Ordering::SeqCst);
+        c.flush().unwrap();
+        assert!(ids.iter().all(|&ds| stored_sums(&c, ds).0.is_some()));
+    }
+
+    #[test]
+    fn lane_sums_equal_the_direct_hash_over_seeded_dataset_mixes() {
+        use crate::storage::Lcg;
+        // Each salt: one to six datasets of 0…6 MiB, contiguous or in
+        // chunks of 64 KiB…1 MiB, each written from its start to a
+        // seeded point — so the last extent allocated straddles the
+        // watermark — then one flush. Some mixes stay under the 4 MiB
+        // floor and run inline, the rest fan out.
+        for salt in 0..16u64 {
+            let mut rng = Lcg::new(0x1A7E5 ^ salt);
+            let c = Container::create_mem();
+            let mut want = Vec::new();
+            for d in 0..1 + rng.below(6) {
+                let len = rng.below(6 * MIB as u64 + 1) as usize;
+                let written = if len == 0 { 0 } else { 1 + rng.below(len as u64) as usize };
+                let chunk = (64 << 10) << rng.below(5);
+                let chunked = rng.below(2) == 1;
+                let layout = if chunked {
+                    Layout::Chunked1D { chunk_elems: chunk as u64 }
+                } else {
+                    Layout::Contiguous
+                };
+                let space = Dataspace::d1(len as u64);
+                let ds = c.create_dataset(ROOT_ID, &format!("d{d}"), Datatype::U8, &space, layout).unwrap();
+                let mut data = lane_bytes(salt as usize + d as usize, written);
+                let head = if len == 0 {
+                    Selection::All
+                } else {
+                    Selection::Slab(Hyperslab::range1(0, written as u64))
+                };
+                c.write_selection(ds, &head, &data).unwrap();
+                // What each touched extent holds: the bytes written,
+                // then the fill value to its end.
+                want.push(if chunked {
+                    data.resize(written.div_ceil(chunk) * chunk, 0);
+                    let sums = data.chunks(chunk).enumerate().map(|(i, b)| (i as u64, xxh(b)));
+                    (ds, (None, sums.collect()))
+                } else {
+                    data.resize(len, 0);
+                    (ds, (if len == 0 { None } else { xxh(&data) }, vec![]))
+                });
+            }
+            c.flush().unwrap();
+            for (ds, want) in want {
+                assert_eq!(stored_sums(&c, ds), want, "salt {salt} dataset {ds}");
+            }
+            assert!(c.scrub().unwrap().clean(), "salt {salt}");
+        }
+    }
+
+    #[test]
+    fn scrub_detects_on_the_lanes_and_repairs_one_dataset_once() {
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        let c = Container::create(backend.clone());
+        let space = Dataspace::d1(8 * MIB as u64);
+        let layout = Layout::Chunked1D { chunk_elems: MIB as u64 };
+        let ds = c.create_dataset(ROOT_ID, "x", Datatype::U8, &space, layout).unwrap();
+        let data = lane_bytes(7, 8 * MIB);
+        c.write_selection(ds, &Selection::All, &data).unwrap();
+        c.flush().unwrap();
+
+        // Rot in the third and the sixth chunk, behind the container.
+        let state = c.plane.working(ds).unwrap();
+        for idx in [2, 5] {
+            let at = state.chunks[&idx].addr + 4096;
+            backend.write_at(at, &[!data[idx as usize * MIB + 4096]]).unwrap();
+        }
+        let found = c.scrub().unwrap();
+        assert_eq!((found.checked, found.corrupt, found.unrepaired), (8, 2, 2));
+
+        let mut replays = 0;
+        let fixed = c
+            .scrub_with(|id| {
+                assert_eq!(id, ds);
+                replays += 1;
+                c.write_selection(ds, &Selection::All, &data)?;
+                Ok(true)
+            })
+            .unwrap();
+        assert_eq!((fixed.checked, fixed.corrupt, fixed.repaired, fixed.unrepaired), (8, 2, 2, 0));
+        assert_eq!(replays, 1, "both chunks were found before the one replay ran");
+        // The replay dirtied every chunk; the two re-hashed are clean
+        // again, the next flush re-stamps the rest.
+        assert_eq!(c.scrub().unwrap().skipped_dirty, 6);
+        c.flush().unwrap();
+        let after = c.scrub().unwrap();
+        assert_eq!((after.checked, after.corrupt, after.skipped_dirty), (8, 0, 0));
+        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), data);
     }
 
     /// A 767-byte container written by this repository's code at commit

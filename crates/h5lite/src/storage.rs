@@ -622,10 +622,10 @@ impl FaultPlan {
 
 /// Deterministic 64-bit LCG (MMIX constants) for the plan's random
 /// triggers; upper bits as output.
-struct Lcg(u64);
+pub(crate) struct Lcg(u64);
 
 impl Lcg {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
     }
 
@@ -638,7 +638,7 @@ impl Lcg {
     }
 
     /// Seeded integer in `0..n` (`n` must be non-zero).
-    fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         ((self.unit() * n as f64) as u64).min(n.saturating_sub(1))
     }
 }

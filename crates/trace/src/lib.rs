@@ -125,10 +125,15 @@ pub enum Event {
     PlanBuilt {
         /// Target dataset id.
         dataset: u64,
-        /// Coalesced segments in the plan.
+        /// Coalesced segments in the plan: the pieces the device is
+        /// asked for — exact where no span sieves, an upper bound where
+        /// one does (a sieved span moves its pieces as one; see
+        /// [`Event::Sieve`] for what was folded).
         segments: u64,
-        /// Vectored batches the segments need when none of them sieve —
-        /// an upper bound; see [`Event::Sieve`] for what sieving folds.
+        /// Vectored batches the segments need: exact where no span
+        /// sieves, an upper bound where one does. Exact would mean
+        /// computing spans while planning, which the ring's issue path
+        /// cannot afford.
         batches: u64,
     },
     /// One vectored batch issued to a storage backend.
