@@ -47,77 +47,49 @@ APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" -p argolite \
 echo "== runtime invariants (lock-order + task-DAG detectors) =="
 cargo test -q "${CARGO_FLAGS[@]}" -p argolite --features debug-invariants
 cargo test -q "${CARGO_FLAGS[@]}" -p asyncvol --features debug-invariants
-cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants
 
-echo "== ring backend (backpressure, ordering, fault plumbing, lock-free hot path) =="
-# The explore sweep and the lock-order assertion both need
-# debug-invariants; ring_lockfree proves the submit/complete path takes
-# zero argolite::sync locks, reaper threads included; ring_issue_locks
-# pins what a connector ring write locks on the issuing thread.
-cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test ring
-cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test ring_lockfree
-cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test ring_issue_locks
+echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
+# Every test binary of the root package (14 in tests/, the lib's unit
+# tests, the doc tests) under debug-invariants, with the seeded sweeps
+# of ring, one_copy, sieve and consistency at 64 schedules:
+#   ring              backpressure, ordering, fault plumbing; the explore
+#                     sweep and the lock-order assertion need the feature
+#   ring_lockfree     submit/complete takes zero argolite::sync locks,
+#                     reaper threads included
+#   ring_issue_locks  what a connector ring write locks on the issuer
+#   one_copy          buffer ownership, recycling, stale bytes; seeded
+#                     take/give schedule sweep
+#   sieve             per-run equivalence, gate, faults, stale bytes, op
+#                     counts; seeded write/flush/read orders with h5lite's
+#                     named locks forwarded into the recorder
+#   flush_lanes       read-back fan-out wall time against a 4- and a
+#                     1-channel throttle; lane threads hold no named lock
+#   chaos, properties fault injection and resilience properties, incl.
+#                     the row-plan/run-plan equivalence
+#   consistency       Strong/Session/Commit visibility under explored
+#                     interleavings (floor ⊆ observed ⊆ completed) plus
+#                     scripted replays proving the models distinct
+#   crashpoint        a cut after every backend mutation of a chaos
+#                     workload, reopen, recover, no acked write lost;
+#                     bit-flip detection and WAL read-repair
+#   trace_pipeline    span structure of the async epoch
+#   critpath          straggler attribution, Eq. 2 overlap check
+#   telemetry         drift alarm -> refit -> advice flip, from report JSON
+#   end_to_end        write/read pipelines, observer feeding the model
+APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants
 
-echo "== one-copy write path (buffer ownership, recycling, stale bytes) =="
-# Includes the seeded take/give schedule sweep, which needs the explorer.
-APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" \
-    --features debug-invariants --test one_copy
-
-echo "== sieved spans (per-run equivalence, gate, faults, stale bytes, op counts) =="
-# The seeded write/flush/read orders run under the explorer with
-# h5lite's named locks (write gate, metadata shards, allocator)
-# forwarded into the lock-order recorder.
-APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" \
-    --features debug-invariants --test sieve
-
-echo "== words and extents (checksum vectors, mixed-algorithm files, planner counts, overflow in both profiles) =="
-# The XXH64 known answers, the container written at f78ece6 with FNV
-# sums, the O(extents) record/span counts and the selection-overflow
-# regressions. The overflow tests run in both profiles: unchecked
-# arithmetic panics in debug and wraps in release, so one profile alone
-# would pass a half fix. The row-plan/run-plan property runs with the
-# properties suite below, under debug-invariants like the rest of it.
-cargo test -q "${CARGO_FLAGS[@]}" -p h5lite
+echo "== h5lite in release (overflow, dataspace, read-back lanes) =="
+# The debug run of all of h5lite is in `--workspace` above: XXH64 known
+# answers, the container written at f78ece6 with FNV sums, the
+# O(extents) record/span counts. These rerun in release because
+# unchecked arithmetic panics in debug and wraps in release, so one
+# profile alone would pass a half fix: the selection-overflow
+# regressions, and the lanes' windows and job shares (`lane` selects the
+# container's read-back tests, `flush_hashes` the windowed long extent).
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite dataspace
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite overflow
-
-echo "== flush on every lane (read-back fan-out: stamps, bounds, error path, wall time, no named lock) =="
-# The debug run is in `-p h5lite` above; release too, because the lanes'
-# windows and job shares are integer arithmetic that debug would trap
-# and release would wrap. `lane` selects the container's read-back tests
-# and tests/flush_lanes.rs (wall time against a 4- and a 1-channel
-# throttle), `flush_hashes` the windowed long extent. The root
-# flush_lanes test holds the lane threads to zero named locks under the
-# lock-order recorder.
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite lane
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite flush_hashes
-cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test flush_lanes
-
-echo "== fault injection (chaos + resilience properties) =="
-cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test chaos
-cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test properties
-
-echo "== consistency-model conformance (seeded multi-tenant schedules) =="
-# Strong/Session/Commit visibility under explored writer/reader/flusher
-# interleavings: floor ⊆ observed ⊆ completed per model, plus scripted
-# replays proving the three models pairwise distinct.
-APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" \
-    --features debug-invariants --test consistency
-
-echo "== crash-point enumeration + integrity (scrub with injected corruption) =="
-# Exhaustively cuts persistence after every backend mutation of a chaos
-# workload, reopens, recovers, and asserts no acked write is lost; also
-# the seeded bit-flip detection and WAL read-repair point-blank tests.
-cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test crashpoint
-
-echo "== trace pipeline (span structure of the async epoch) =="
-cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test trace_pipeline
-
-echo "== cross-rank critical path (straggler attribution, Eq. 2 overlap check) =="
-cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test critpath
-
-echo "== telemetry loop (drift alarm -> refit -> advice flip, from report JSON) =="
-cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants --test telemetry
 
 echo "== flight recorder (panic-hook dump smoke) =="
 cargo test -q "${CARGO_FLAGS[@]}" -p apio-trace --test flight_panic

@@ -13,6 +13,7 @@
 
 use std::time::{Duration, Instant};
 
+use h5lite::storage::Lcg;
 use h5lite::Result;
 
 use crate::stats::StatsCells;
@@ -68,23 +69,6 @@ impl RetryPolicy {
             .saturating_mul(1u32 << (attempt - 1).min(20))
             .min(self.max_delay);
         exp.mul_f64(0.5 + 0.5 * rng.unit())
-    }
-}
-
-/// Deterministic 64-bit LCG (MMIX constants) for backoff jitter.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn unit(&mut self) -> f64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (self.0 >> 33) as f64 / (1u64 << 31) as f64
     }
 }
 

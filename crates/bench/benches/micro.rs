@@ -179,7 +179,7 @@ fn critpath_overhead(async_epoch_secs: f64) {
     let job = Job::new(platform::summit(), RANKS);
     let w = Workload::checkpoint(RANKS, 32 * MIB, EPOCHS, 5.0).with_straggler(7, 4.0);
     let cfg = RunConfig::async_io();
-    let result = mpisim::run_analytic(&job, &w, &cfg);
+    let result = mpisim::run(&job, &w, &cfg);
 
     let emit = bench_custom("critpath/emit_16r_8e", |iters| {
         let t0 = Instant::now();

@@ -65,7 +65,6 @@ pub struct Engine {
     heap: BinaryHeap<Reverse<Scheduled>>,
     next_seq: u64,
     cancelled: HashSet<u64>,
-    processed: u64,
 }
 
 impl Default for Engine {
@@ -82,23 +81,12 @@ impl Engine {
             heap: BinaryHeap::new(),
             next_seq: 0,
             cancelled: HashSet::new(),
-            processed: 0,
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events executed so far (cancelled events excluded).
-    pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of events currently pending (cancelled-but-not-popped included).
-    pub fn pending(&self) -> usize {
-        self.heap.len()
     }
 
     /// Schedule `f` to run `delay` after the current instant.
@@ -152,7 +140,6 @@ impl Engine {
             }
             debug_assert!(ev.time >= self.now);
             self.now = ev.time;
-            self.processed += 1;
             (ev.f)(self);
             return true;
         }
@@ -162,38 +149,6 @@ impl Engine {
     /// Run until no events remain.
     pub fn run(&mut self) {
         while self.step() {}
-    }
-
-    /// Run until the clock would pass `deadline` (events exactly at the
-    /// deadline are executed). Returns `true` if the event queue drained
-    /// before the deadline.
-    pub fn run_until(&mut self, deadline: SimTime) -> bool {
-        loop {
-            match self.peek_time() {
-                None => return true,
-                Some(t) if t > deadline => {
-                    self.now = deadline.max(self.now);
-                    return false;
-                }
-                Some(_) => {
-                    self.step();
-                }
-            }
-        }
-    }
-
-    /// Instant of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(ev)) = self.heap.peek() {
-            if self.cancelled.contains(&ev.seq) {
-                let seq = ev.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(ev.time);
-        }
-        None
     }
 }
 
@@ -264,37 +219,12 @@ mod tests {
         assert!(!sim.cancel(id), "double cancel reports false");
         sim.run();
         assert_eq!(*log.borrow(), vec![2]);
-        assert_eq!(sim.events_processed(), 1);
     }
 
     #[test]
     fn cancel_unknown_is_noop() {
         let mut sim = Engine::new();
         assert!(!sim.cancel(EventId(42)));
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut sim = Engine::new();
-        let (log, mk) = recorder();
-        sim.schedule(SimDuration::from_secs(1), mk(1));
-        sim.schedule(SimDuration::from_secs(5), mk(5));
-        let drained = sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-        assert!(!drained);
-        assert_eq!(*log.borrow(), vec![1]);
-        assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_secs(2));
-        sim.run();
-        assert_eq!(*log.borrow(), vec![1, 5]);
-    }
-
-    #[test]
-    fn run_until_executes_events_exactly_at_deadline() {
-        let mut sim = Engine::new();
-        let (log, mk) = recorder();
-        sim.schedule(SimDuration::from_secs(2), mk(2));
-        let drained = sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-        assert!(drained);
-        assert_eq!(*log.borrow(), vec![2]);
     }
 
     #[test]
@@ -305,18 +235,6 @@ mod tests {
             sim.schedule_at(SimTime::ZERO, |_| {});
         });
         sim.run();
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut sim = Engine::new();
-        let id = sim.schedule(SimDuration::from_secs(1), |_| {});
-        sim.schedule(SimDuration::from_secs(2), |_| {});
-        sim.cancel(id);
-        assert_eq!(
-            sim.peek_time(),
-            Some(SimTime::ZERO + SimDuration::from_secs(2))
-        );
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   share capacity fairly subject to per-flow caps (water-filling), and
 //!   complete; the resource re-plans completion times on every change.
 //! - [`rng`]: small self-contained deterministic RNG (SplitMix64 /
-//!   xoshiro256**) plus normal/lognormal sampling for contention models.
-//! - [`stats`]: online summary statistics and time-series recording used by
-//!   every experiment harness.
+//!   xoshiro256**) plus lognormal sampling for the contention model.
+//! - [`stats`]: one-pass mean/variance, for Fig. 8's coefficient of
+//!   variation.
 //!
 //! The engine is intentionally single-threaded: determinism and
 //! reproducibility of the paper's figures matter more than simulator
@@ -28,7 +28,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Engine, EventId};
-pub use resource::{FlowId, SharedResource};
+pub use resource::SharedResource;
 pub use rng::SimRng;
-pub use stats::{OnlineStats, TimeSeries};
+pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};

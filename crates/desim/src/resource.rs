@@ -25,10 +25,6 @@ use std::rc::Rc;
 use crate::engine::{Engine, EventId};
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of an in-flight flow on a [`SharedResource`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct FlowId(u64);
-
 /// Residual-byte tolerance: anything below this is floating-point dust left
 /// over from charging `rate * dt` across re-plans, not real remaining work.
 const EPS_BYTES: f64 = 1e-2;
@@ -50,10 +46,8 @@ struct State {
     next_id: u64,
     last_update: SimTime,
     pending_tick: Option<EventId>,
-    /// Bytes × seconds integral and busy time, for utilization reporting.
+    /// Bytes actually served, for conservation checks.
     bytes_served: f64,
-    busy_since: Option<SimTime>,
-    busy_time: SimDuration,
 }
 
 impl State {
@@ -140,8 +134,6 @@ impl SharedResource {
                 last_update: SimTime::ZERO,
                 pending_tick: None,
                 bytes_served: 0.0,
-                busy_since: None,
-                busy_time: SimDuration::ZERO,
             })),
         }
     }
@@ -151,28 +143,9 @@ impl SharedResource {
         self.state.borrow().name.clone()
     }
 
-    /// Current total capacity (bytes/second).
-    pub fn capacity(&self) -> f64 {
-        self.state.borrow().capacity
-    }
-
-    /// Number of flows currently in flight.
-    pub fn active_flows(&self) -> usize {
-        self.state.borrow().flows.len()
-    }
-
     /// Total bytes actually served so far.
     pub fn bytes_served(&self) -> f64 {
         self.state.borrow().bytes_served
-    }
-
-    /// Total time the resource had at least one active flow.
-    pub fn busy_time(&self, now: SimTime) -> SimDuration {
-        let st = self.state.borrow();
-        match st.busy_since {
-            Some(since) => st.busy_time + (now - since),
-            None => st.busy_time,
-        }
     }
 
     /// Begin a transfer of `bytes` with an optional per-flow rate cap
@@ -186,60 +159,31 @@ impl SharedResource {
         bytes: f64,
         cap: Option<f64>,
         on_complete: F,
-    ) -> FlowId
-    where
+    ) where
         F: FnOnce(&mut Engine) + 'static,
     {
-        assert!(bytes >= 0.0 && bytes.is_finite(), "invalid flow size");
-        let cap = cap.unwrap_or(f64::INFINITY);
-        assert!(cap >= 0.0, "invalid flow cap");
-        let mut st = self.state.borrow_mut();
-        st.advance(engine.now());
-        let id = st.next_id;
-        st.next_id += 1;
-        if st.flows.is_empty() {
-            st.busy_since = Some(engine.now());
-        }
-        st.flows.insert(
-            id,
-            Flow {
-                remaining: bytes,
-                cap,
-                rate: 0.0,
-                started: engine.now(),
-                on_complete: Some(Box::new(on_complete)),
-            },
-        );
-        st.reallocate();
-        drop(st);
-        self.replan(engine);
-        FlowId(id)
+        self.start_flows(engine, [(bytes, cap, on_complete)]);
     }
 
     /// Begin many flows at the same instant with a single re-plan — the
     /// bulk-synchronous collective pattern (`N` nodes start together).
-    /// Semantically identical to `N` calls to [`Self::start_flow`], but
-    /// O(N log N) instead of O(N² log N).
+    /// Semantically identical to `N` calls to [`Self::start_flow`], which
+    /// is the one-flow case of this, but O(N log N) instead of O(N² log N).
     pub fn start_flows<F>(
         &self,
         engine: &mut Engine,
         flows: impl IntoIterator<Item = (f64, Option<f64>, F)>,
-    ) -> Vec<FlowId>
-    where
+    ) where
         F: FnOnce(&mut Engine) + 'static,
     {
         let mut st = self.state.borrow_mut();
         st.advance(engine.now());
-        let mut ids = Vec::new();
         for (bytes, cap, on_complete) in flows {
             assert!(bytes >= 0.0 && bytes.is_finite(), "invalid flow size");
             let cap = cap.unwrap_or(f64::INFINITY);
             assert!(cap >= 0.0, "invalid flow cap");
             let id = st.next_id;
             st.next_id += 1;
-            if st.flows.is_empty() {
-                st.busy_since = Some(engine.now());
-            }
             st.flows.insert(
                 id,
                 Flow {
@@ -250,49 +194,10 @@ impl SharedResource {
                     on_complete: Some(Box::new(on_complete)),
                 },
             );
-            ids.push(FlowId(id));
         }
         st.reallocate();
         drop(st);
         self.replan(engine);
-        ids
-    }
-
-    /// Abort an in-flight flow without firing its completion callback.
-    /// Returns `false` if the flow already completed or never existed.
-    pub fn cancel_flow(&self, engine: &mut Engine, id: FlowId) -> bool {
-        let mut st = self.state.borrow_mut();
-        st.advance(engine.now());
-        let existed = st.flows.remove(&id.0).is_some();
-        if existed {
-            if st.flows.is_empty() {
-                if let Some(since) = st.busy_since.take() {
-                    let add = engine.now() - since;
-                    st.busy_time += add;
-                }
-            }
-            st.reallocate();
-            drop(st);
-            self.replan(engine);
-        }
-        existed
-    }
-
-    /// Change the capacity (e.g. a contention model squeezing the file
-    /// system). In-flight flows keep their progress; rates re-plan.
-    pub fn set_capacity(&self, engine: &mut Engine, capacity: f64) {
-        assert!(capacity >= 0.0 && capacity.is_finite(), "invalid capacity");
-        let mut st = self.state.borrow_mut();
-        st.advance(engine.now());
-        st.capacity = capacity;
-        st.reallocate();
-        drop(st);
-        self.replan(engine);
-    }
-
-    /// Instantaneous rate of a flow, if still active.
-    pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
-        self.state.borrow().flows.get(&id.0).map(|f| f.rate)
     }
 
     fn replan(&self, engine: &mut Engine) {
@@ -327,12 +232,6 @@ impl SharedResource {
                 let mut flow = st.flows.remove(&id).unwrap();
                 if let Some(cb) = flow.on_complete.take() {
                     done.push((flow.started, cb));
-                }
-            }
-            if st.flows.is_empty() {
-                if let Some(since) = st.busy_since.take() {
-                    let add = engine.now() - since;
-                    st.busy_time += add;
                 }
             }
             st.reallocate();
@@ -449,58 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_flow_suppresses_callback_and_frees_bandwidth() {
-        let mut sim = Engine::new();
-        let res = SharedResource::new("r", 100.0);
-        let fired = Rc::new(RefCell::new(Vec::<u32>::new()));
-        let f = fired.clone();
-        let a = res.start_flow(&mut sim, 1000.0, None, move |_| {
-            f.borrow_mut().push(0)
-        });
-        let f = fired.clone();
-        res.start_flow(&mut sim, 500.0, None, move |sim| {
-            f.borrow_mut().push(1);
-            assert_close(sim.now().as_secs_f64(), 6.0);
-        });
-        let res2 = res.clone();
-        sim.schedule(SimDuration::from_secs(2), move |sim| {
-            // At t=2 both served 100 B. Cancel A; B has 400 B left, alone at
-            // 100 B/s -> finishes at t = 2 + 4 = 6.
-            assert!(res2.cancel_flow(sim, a));
-        });
-        sim.run();
-        assert_eq!(*fired.borrow(), vec![1]);
-        assert_eq!(res.active_flows(), 0);
-    }
-
-    #[test]
-    fn cancel_completed_flow_returns_false() {
-        let mut sim = Engine::new();
-        let res = SharedResource::new("r", 100.0);
-        let id = res.start_flow(&mut sim, 100.0, None, |_| {});
-        sim.run();
-        assert!(!res.cancel_flow(&mut sim, id));
-    }
-
-    #[test]
-    fn set_capacity_mid_flight() {
-        let mut sim = Engine::new();
-        let res = SharedResource::new("r", 100.0);
-        let t_done = Rc::new(RefCell::new(0.0));
-        let td = t_done.clone();
-        res.start_flow(&mut sim, 1000.0, None, move |sim| {
-            *td.borrow_mut() = sim.now().as_secs_f64();
-        });
-        let res2 = res.clone();
-        sim.schedule(SimDuration::from_secs(5), move |sim| {
-            // 500 B served; halve capacity -> 500 B at 50 B/s = 10 more s.
-            res2.set_capacity(sim, 50.0);
-        });
-        sim.run();
-        assert_close(*t_done.borrow(), 15.0);
-    }
-
-    #[test]
     fn many_equal_flows_complete_together_in_one_tick() {
         let n = 512;
         let flows: Vec<(f64, Option<f64>)> = (0..n).map(|_| (100.0, None)).collect();
@@ -529,6 +376,5 @@ mod tests {
         res.start_flow(&mut sim, 750.0, None, |_| {});
         sim.run();
         assert_close(res.bytes_served(), 1000.0);
-        assert_close(res.busy_time(sim.now()).as_secs_f64(), 10.0);
     }
 }

@@ -4,7 +4,7 @@
 //! is pinned by this crate, not by an external crate's version. [`SimRng`]
 //! is xoshiro256** seeded through SplitMix64 (the reference seeding
 //! procedure), plus the distributions the contention and workload models
-//! need: uniform, normal (Box–Muller), lognormal, and exponential.
+//! need: uniform, standard normal (Box–Muller) and lognormal.
 
 /// Deterministic RNG: xoshiro256** with SplitMix64 seeding.
 #[derive(Clone, Debug)]
@@ -14,7 +14,10 @@ pub struct SimRng {
     spare_normal: Option<f64>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One SplitMix64 step: advance `state` by the golden-ratio increment
+/// and return its finalized (well-mixed) value. Seeds [`SimRng`]; also a
+/// stateless 64-bit hash when called on a copy of the key.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -38,14 +41,6 @@ impl SimRng {
         }
     }
 
-    /// Derive an independent child stream (for per-rank / per-run RNGs).
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        // Mix the stream id into a fresh seed drawn from this generator so
-        // forked streams are decorrelated from each other and the parent.
-        let base = self.next_u64();
-        SimRng::seed_from_u64(base ^ stream.wrapping_mul(0x9E3779B97F4A7C15))
-    }
-
     /// Next raw 64-bit output of the generator.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
@@ -63,12 +58,6 @@ impl SimRng {
     /// Uniform in `[0, 1)` with 53-bit resolution.
     pub fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform in `[lo, hi)`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo <= hi, "empty range");
-        lo + (hi - lo) * self.uniform()
     }
 
     /// Uniform integer in `[0, n)` by rejection (unbiased).
@@ -102,28 +91,11 @@ impl SimRng {
         r * theta.cos()
     }
 
-    /// Normal with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0, "negative std dev");
-        mean + std_dev * self.standard_normal()
-    }
-
     /// Lognormal: `exp(N(mu, sigma))`. Used by the full-system contention
     /// model — I/O slowdowns on shared file systems are heavy-tailed.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
-    /// Exponential with the given rate (events/unit time).
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0, "non-positive rate");
-        let u = loop {
-            let u = self.uniform();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -u.ln() / rate
+        assert!(sigma >= 0.0, "negative std dev");
+        (mu + sigma * self.standard_normal()).exp()
     }
 
     /// Fisher–Yates shuffle.
@@ -184,10 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments() {
+    fn lognormal_log_moments() {
         let mut rng = SimRng::seed_from_u64(11);
         let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.normal(3.0, 2.0)).collect();
+        let xs: Vec<f64> = (0..n).map(|_| rng.lognormal(3.0, 2.0).ln()).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
@@ -200,23 +172,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(rng.lognormal(0.0, 0.5) > 0.0);
         }
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = SimRng::seed_from_u64(17);
-        let n = 200_000;
-        let mean: f64 = (0..n).map(|_| rng.exponential(2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn fork_streams_are_decorrelated() {
-        let mut root = SimRng::seed_from_u64(99);
-        let mut a = root.fork(0);
-        let mut b = root.fork(1);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
     }
 
     #[test]

@@ -1,32 +1,21 @@
-//! Summary statistics and time-series recording for experiment harnesses.
+//! Summary statistics for experiment harnesses.
 //!
-//! [`OnlineStats`] is a Welford accumulator (numerically stable mean and
-//! variance in one pass); [`TimeSeries`] records `(t, value)` samples and can
-//! summarize them. Both are used by every figure-regeneration binary and by
-//! the model crate's history store.
+//! [`OnlineStats`] is a Welford accumulator: numerically stable mean and
+//! variance in one pass. The contention model's tests and Fig. 8's
+//! coefficient of variation are computed with it.
 
-use crate::time::SimTime;
-
-/// One-pass mean/variance/min/max accumulator (Welford's algorithm).
+/// One-pass mean/variance accumulator (Welford's algorithm).
 #[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
     /// An empty accumulator.
     pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Self::default()
     }
 
     /// Fold one sample in.
@@ -36,13 +25,6 @@ impl OnlineStats {
         self.mean += delta / self.n as f64;
         let delta2 = x - self.mean;
         self.m2 += delta * delta2;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Arithmetic mean (NaN when empty).
@@ -63,36 +45,9 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance (divide by n-1).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Smallest sample (NaN when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (NaN when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
     }
 
     /// Coefficient of variation (std dev / mean) — the paper's variability
@@ -100,115 +55,17 @@ impl OnlineStats {
     pub fn cv(&self) -> f64 {
         self.std_dev() / self.mean()
     }
-
-    /// Merge another accumulator (parallel reduction identity).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Exact percentile over a collected sample (linear interpolation between
-/// closest ranks, the same convention as numpy's default).
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty sample");
-    assert!((0.0..=100.0).contains(&p), "percentile out of range");
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0] <= w[1]),
-        "sample must be sorted"
-    );
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-}
-
-/// A recorded series of `(time, value)` samples.
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    samples: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        TimeSeries {
-            samples: Vec::new(),
-        }
-    }
-
-    /// Append a sample at instant `t`.
-    pub fn record(&mut self, t: SimTime, v: f64) {
-        self.samples.push((t, v));
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the series has no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The raw samples, in recording order.
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
-    }
-
-    /// The values without their timestamps.
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.samples.iter().map(|&(_, v)| v)
-    }
-
-    /// Summary statistics over the values.
-    pub fn stats(&self) -> OnlineStats {
-        let mut s = OnlineStats::new();
-        for v in self.values() {
-            s.push(v);
-        }
-        s
-    }
-
-    /// The most recent sample.
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.samples.last().copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn empty_stats_are_nan() {
         let s = OnlineStats::new();
         assert!(s.mean().is_nan());
         assert!(s.variance().is_nan());
-        assert!(s.min().is_nan());
-        assert_eq!(s.count(), 0);
     }
 
     #[test]
@@ -220,86 +77,6 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn sample_variance_uses_n_minus_one() {
-        let mut s = OnlineStats::new();
-        s.push(1.0);
-        assert!(s.sample_variance().is_nan());
-        s.push(3.0);
-        assert!((s.sample_variance() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(5.0);
-        let before = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-        let mut empty = OnlineStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.mean(), 5.0);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 4.0);
-        assert_eq!(percentile(&xs, 50.0), 2.5);
-        assert_eq!(percentile(&xs, 25.0), 1.75);
-    }
-
-    #[test]
-    fn percentile_single_sample() {
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty sample")]
-    fn percentile_of_empty_panics() {
-        percentile(&[], 50.0);
-    }
-
-    #[test]
-    fn timeseries_roundtrip() {
-        let mut ts = TimeSeries::new();
-        assert!(ts.is_empty());
-        let t1 = SimTime::ZERO + SimDuration::from_secs(1);
-        ts.record(t1, 10.0);
-        ts.record(t1 + SimDuration::from_secs(1), 20.0);
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts.last().unwrap().1, 20.0);
-        let s = ts.stats();
-        assert!((s.mean() - 15.0).abs() < 1e-12);
+        assert!((s.cv() - 0.4).abs() < 1e-12);
     }
 }

@@ -9,7 +9,7 @@
 //! ordering never depends on rounding.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::{Add, Sub};
 
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
@@ -27,16 +27,6 @@ impl SimDuration {
     /// Span of `ns` nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
-    }
-
-    /// Span of `us` microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
-    }
-
-    /// Span of `ms` milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
     }
 
     /// Span of `s` whole seconds.
@@ -69,71 +59,6 @@ impl SimDuration {
     /// The span in floating-point seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
-    }
-
-    /// Whether the span is empty.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Saturating addition: `MAX` is sticky, matching its "never" semantics.
-    pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(rhs.0))
-    }
-
-    /// Subtraction clamped at zero.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// The smaller of the two spans.
-    pub fn min(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(rhs.0))
-    }
-
-    /// The larger of the two spans.
-    pub fn max(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(rhs.0))
-    }
-}
-
-impl Add for SimDuration {
-    type Output = SimDuration;
-    fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
-    }
-}
-
-impl AddAssign for SimDuration {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        *self = *self + rhs;
-    }
-}
-
-impl Sub for SimDuration {
-    type Output = SimDuration;
-    fn sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.checked_sub(rhs.0).expect("SimDuration underflow"))
-    }
-}
-
-impl SubAssign for SimDuration {
-    fn sub_assign(&mut self, rhs: SimDuration) {
-        *self = *self - rhs;
-    }
-}
-
-impl Mul<u64> for SimDuration {
-    type Output = SimDuration;
-    fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
-    }
-}
-
-impl Div<u64> for SimDuration {
-    type Output = SimDuration;
-    fn div(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0 / rhs)
     }
 }
 
@@ -168,18 +93,6 @@ pub struct SimTime(u64);
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
-    /// "Never": an instant later than any schedulable event.
-    pub const NEVER: SimTime = SimTime(u64::MAX);
-
-    /// Instant `ns` nanoseconds after time zero.
-    pub const fn from_nanos(ns: u64) -> Self {
-        SimTime(ns)
-    }
-
-    /// Nanoseconds since time zero.
-    pub const fn as_nanos(self) -> u64 {
-        self.0
-    }
 
     /// Seconds since time zero.
     pub fn as_secs_f64(self) -> f64 {
@@ -195,7 +108,7 @@ impl SimTime {
         )
     }
 
-    /// Addition saturating at [`SimTime::NEVER`].
+    /// Addition saturating at "never", the last representable instant.
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.as_nanos()))
     }
@@ -209,12 +122,6 @@ impl Add<SimDuration> for SimTime {
                 .checked_add(rhs.as_nanos())
                 .expect("SimTime overflow"),
         )
-    }
-}
-
-impl AddAssign<SimDuration> for SimTime {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        *self = *self + rhs;
     }
 }
 
@@ -248,8 +155,6 @@ mod tests {
     #[test]
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_secs(2).as_nanos(), 2_000_000_000);
-        assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_nanos(7).as_nanos(), 7);
     }
 
@@ -288,26 +193,19 @@ mod tests {
         let _ = t0.since(t1);
     }
 
+    fn never() -> SimTime {
+        SimTime::ZERO.saturating_add(SimDuration::MAX)
+    }
+
     #[test]
     fn saturating_ops() {
-        assert_eq!(
-            SimDuration::MAX.saturating_add(SimDuration::from_secs(1)),
-            SimDuration::MAX
-        );
-        assert_eq!(
-            SimDuration::ZERO.saturating_sub(SimDuration::from_secs(1)),
-            SimDuration::ZERO
-        );
-        assert_eq!(
-            SimTime::NEVER.saturating_add(SimDuration::from_secs(1)),
-            SimTime::NEVER
-        );
+        assert_eq!(never().saturating_add(SimDuration::from_secs(1)), never());
     }
 
     #[test]
     fn ordering_is_numeric() {
-        assert!(SimTime::ZERO < SimTime::NEVER);
-        assert!(SimDuration::from_millis(999) < SimDuration::from_secs(1));
+        assert!(SimTime::ZERO < never());
+        assert!(SimDuration::from_nanos(999_999_999) < SimDuration::from_secs(1));
     }
 
     #[test]
@@ -315,6 +213,6 @@ mod tests {
         assert_eq!(format!("{:?}", SimDuration::from_secs(2)), "2.000000s");
         assert_eq!(format!("{:?}", SimDuration::from_nanos(5)), "5ns");
         assert_eq!(format!("{:?}", SimDuration::MAX), "inf");
-        assert_eq!(format!("{:?}", SimTime::NEVER), "t=never");
+        assert_eq!(format!("{:?}", never()), "t=never");
     }
 }

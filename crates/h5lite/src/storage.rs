@@ -620,16 +620,21 @@ impl FaultPlan {
     }
 }
 
-/// Deterministic 64-bit LCG (MMIX constants) for the plan's random
-/// triggers; upper bits as output.
-pub(crate) struct Lcg(u64);
+/// Deterministic 64-bit LCG (MMIX constants), upper bits as output: the
+/// plan's random triggers here, the connector's backoff jitter in
+/// `asyncvol::retry`.
+pub struct Lcg(u64);
 
 impl Lcg {
-    pub(crate) fn new(seed: u64) -> Self {
+    /// A generator whose sequence is a function of `seed` alone.
+    #[inline]
+    pub fn new(seed: u64) -> Self {
         Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
     }
 
-    fn unit(&mut self) -> f64 {
+    /// The next draw, uniform in `[0, 1)`.
+    #[inline]
+    pub fn unit(&mut self) -> f64 {
         self.0 = self
             .0
             .wrapping_mul(6364136223846793005)

@@ -15,7 +15,7 @@ use apio_core::report::{StragglerEpoch, StragglerReport};
 use apio_trace::{critpath, TraceSink, Tracer, VirtualClock};
 
 use crate::comm::Job;
-use crate::runner::{run_analytic, trace_rank_streams};
+use crate::runner::{run, trace_rank_streams};
 use crate::workload::{RunConfig, RunResult, StagingTier, Workload};
 
 /// Eq. 2's predicted overlap efficiency for this workload: of the
@@ -49,7 +49,7 @@ pub fn straggler_report(
     cfg: &RunConfig,
     warmup: u32,
 ) -> (StragglerReport, TraceSink, RunResult) {
-    let result = run_analytic(job, w, cfg);
+    let result = run(job, w, cfg);
     let clock = Arc::new(VirtualClock::new(0));
     let tracer = Tracer::with_clock(clock.clone());
     trace_rank_streams(0, job, w, cfg, &result, &tracer, &clock);

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-//! # mpisim — simulated MPI jobs and the epoch-loop runners
+//! # mpisim — simulated MPI jobs and the epoch-loop executor
 //!
 //! The paper's workloads are bulk-synchronous: every rank alternates a
 //! computation phase with a collective I/O phase. This crate provides:
@@ -14,12 +14,14 @@
 //!   snapshot (plus any un-overlapped remainder) for asynchronous I/O.
 //!   This matches the paper's measurement: "the measured time of read or
 //!   write operations includes the transactional overhead".
-//! - [`runner`] — two independent executions of the same workload:
-//!   [`runner::run_analytic`] (closed-form timeline arithmetic) and
-//!   [`runner::run_des`] (event-driven on the [`desim`] engine, with the
-//!   file system as a processor-sharing resource). Their agreement on
-//!   uniform workloads is asserted in tests; the DES runner additionally
-//!   captures background-write queueing across epochs.
+//! - [`runner`] — the executor: [`runner::run`] walks the paper's
+//!   Eq. 1–2 epoch by epoch in closed form, plus buffer depth and the
+//!   prefetch chain. An event-driven run of the same semantics on the
+//!   [`desim`] engine (the file system as a processor-sharing resource,
+//!   genuinely blocking waits) is its test-only oracle: agreement to
+//!   1e-6 on every field is asserted in the crate's tests, and nothing
+//!   outside them can select it — it regenerates every figure
+//!   byte-identically but 570 × slower.
 //! - [`attribution`] — the cross-rank observability path (DESIGN.md
 //!   §16): [`runner::trace_rank_streams`] re-enacts a run as one
 //!   context-tagged span stream per rank, and
@@ -30,10 +32,12 @@
 
 pub mod attribution;
 pub mod comm;
+#[cfg(test)]
+mod oracle;
 pub mod runner;
 pub mod workload;
 
 pub use attribution::{predicted_overlap_efficiency, straggler_report};
 pub use comm::{CollectiveMode, Job};
-pub use runner::{run, run_analytic, run_des, trace_rank_streams};
+pub use runner::{run, trace_rank_streams};
 pub use workload::{Perturbation, PhaseMeasure, RunConfig, RunResult, Workload};

@@ -1,14 +1,17 @@
-//! The epoch-loop executors.
+//! The epoch-loop executor.
 //!
-//! [`run_analytic`] computes the run timeline in closed form;
-//! [`run_des`] executes the same semantics event-by-event on the
-//! [`desim`] engine with the file system as a processor-sharing resource
-//! and genuinely blocking waits (the application parks on a completion
-//! callback, never reads future completion times). The two must agree on
-//! uniform workloads — the cross-check tests assert it — which validates
-//! both the closed form and the engine.
+//! [`run`] walks the paper's Eq. 1–2 epoch by epoch in closed form, with
+//! the two things the equations leave out — the snapshot buffer pool's
+//! depth and the prefetch chain — carried as a queue of completion
+//! times. It is the only executor: every figure, example and report runs
+//! through it. Its reference is the event-driven run in the test-only
+//! `oracle` module, which executes the same semantics on the
+//! [`desim`] engine with genuinely blocking waits; the cross-check tests
+//! there hold the two to 1e-6 on every field. (Measured before the
+//! event-driven run was made test-only: `figures all` is byte-identical
+//! under either, in 2 ms here against 1.14 s there.)
 //!
-//! ## Semantics (identical in both executors)
+//! ## Semantics (identical in the executor and its oracle)
 //!
 //! **Synchronous** — every epoch is `compute; blocking collective I/O`.
 //!
@@ -23,24 +26,18 @@
 //! background prefetch of the next step; later epochs wait only for the
 //! prefetch remainder plus the node-local buffer-delivery copy.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use apio_core::history::{Direction, IoMode};
 use apio_trace::critpath::{SPAN_COMPUTE, SPAN_META, SPAN_WAIT, SPAN_WRITE};
 use apio_trace::{Event, SpanContext, TraceClock, Tracer, VirtualClock};
-use desim::{Engine, SharedResource, SimDuration, SimTime};
-use platform::pfs::{FileSystemModel, IoPattern};
+use platform::pfs::FileSystemModel;
 
 use crate::comm::Job;
 use crate::workload::{PhaseMeasure, RunConfig, RunResult, StagingTier, Workload};
 
-/// A parked application continuation, resumed by a completion event.
-type Continuation = Box<dyn FnOnce(&mut Engine)>;
-
 /// Transactional-overhead and background-extra costs for a staging tier.
-fn staging_costs(job: &Job, per_rank_bytes: u64, tier: StagingTier) -> (f64, f64) {
+pub(crate) fn staging_costs(job: &Job, per_rank_bytes: u64, tier: StagingTier) -> (f64, f64) {
     match tier {
         StagingTier::Dram => (job.snapshot_time(per_rank_bytes), 0.0),
         StagingTier::Nvme => (
@@ -50,13 +47,8 @@ fn staging_costs(job: &Job, per_rank_bytes: u64, tier: StagingTier) -> (f64, f64
     }
 }
 
-/// Execute with the default (analytic) executor.
+/// Execute `w` on `job` under `cfg`: the closed-form timeline.
 pub fn run(job: &Job, w: &Workload, cfg: &RunConfig) -> RunResult {
-    run_analytic(job, w, cfg)
-}
-
-/// Closed-form timeline execution.
-pub fn run_analytic(job: &Job, w: &Workload, cfg: &RunConfig) -> RunResult {
     assert!(w.epochs > 0, "need at least one epoch");
     match (cfg.mode, w.direction) {
         (IoMode::Sync, _) => sync_analytic(job, w, cfg),
@@ -232,7 +224,7 @@ pub fn trace_rank_streams(
                 let _g = tracer.span_ctx(SPAN_WRITE, ctx);
                 clock.advance(write);
             }
-            if cfg.mode == IoMode::Async && p.background_io_secs.is_finite() {
+            if cfg.mode == IoMode::Async {
                 tracer.instant_ctx(
                     "handoff",
                     ctx,
@@ -254,528 +246,11 @@ pub fn trace_rank_streams(
     clock.set(epoch_start.max(settle_high));
 }
 
-// ----- event-driven executor -------------------------------------------
-
-type Shared<T> = Rc<RefCell<T>>;
-
-struct DesOut {
-    phases: Vec<PhaseMeasure>,
-    wall: f64,
-}
-
-/// Execute one collective phase on the engine: metadata delay, one capped
-/// flow per node on the PFS resource, then the closing barrier.
-/// `on_done(engine, end_time)` fires when the phase completes.
-fn des_collective(
-    engine: &mut Engine,
-    pfs: &SharedResource,
-    job: &Job,
-    per_rank_bytes: u64,
-    on_done: impl FnOnce(&mut Engine, SimTime) + 'static,
-) {
-    let nodes = job.nodes();
-    let meta = job.system().pfs.metadata_time(job.ranks());
-    let barrier = job.barrier_time();
-    let per_node_bytes = job.total_bytes(per_rank_bytes) as f64 / nodes as f64;
-    let cap = job.system().pfs.client_term(1, per_rank_bytes);
-    let pfs = pfs.clone();
-    let remaining = Rc::new(RefCell::new(nodes));
-    let done_cb = Rc::new(RefCell::new(Some(on_done)));
-
-    engine.schedule(SimDuration::from_secs_f64(meta), move |engine| {
-        let flows = (0..nodes).map(|_| {
-            let remaining = remaining.clone();
-            let done_cb = done_cb.clone();
-            let complete = move |engine: &mut Engine| {
-                let mut r = remaining.borrow_mut();
-                *r -= 1;
-                if *r == 0 {
-                    drop(r);
-                    let cb = done_cb.borrow_mut().take().expect("single completion");
-                    engine.schedule(SimDuration::from_secs_f64(barrier), move |engine| {
-                        let now = engine.now();
-                        cb(engine, now);
-                    });
-                }
-            };
-            (per_node_bytes, Some(cap), complete)
-        });
-        pfs.start_flows(engine, flows.collect::<Vec<_>>());
-    });
-}
-
-/// Event-driven execution on the `desim` engine. The PFS server term is a
-/// processor-sharing resource; waits are real blocking continuations.
-pub fn run_des(job: &Job, w: &Workload, cfg: &RunConfig) -> RunResult {
-    assert!(w.epochs > 0, "need at least one epoch");
-    let pattern = match w.direction {
-        Direction::Write => IoPattern::Write,
-        Direction::Read => IoPattern::Read,
-    };
-    let server = job
-        .system()
-        .pfs
-        .server_term(w.per_rank_bytes, pattern, cfg.contention);
-    let mut engine = Engine::new();
-    let pfs = SharedResource::new("pfs", server);
-    let out: Shared<DesOut> = Rc::new(RefCell::new(DesOut {
-        phases: Vec::with_capacity(w.epochs as usize),
-        wall: 0.0,
-    }));
-
-    match (cfg.mode, w.direction) {
-        (IoMode::Sync, _) => des_sync(&mut engine, pfs, job.clone(), w.clone(), out.clone()),
-        (IoMode::Async, Direction::Write) => des_async_write(
-            &mut engine,
-            pfs,
-            job.clone(),
-            w.clone(),
-            cfg.buffer_depth,
-            cfg.staging,
-            out.clone(),
-        ),
-        (IoMode::Async, Direction::Read) => {
-            des_async_read(&mut engine, pfs, job.clone(), w.clone(), out.clone())
-        }
-    }
-    engine.run();
-    let out = Rc::try_unwrap(out).ok().expect("all events done").into_inner();
-    RunResult {
-        phases: out.phases,
-        wall_secs: out.wall + w.t_term,
-        phase_bytes: job.total_bytes(w.per_rank_bytes),
-    }
-}
-
-fn des_sync(engine: &mut Engine, pfs: SharedResource, job: Job, w: Workload, out: Shared<DesOut>) {
-    fn epoch(
-        engine: &mut Engine,
-        pfs: SharedResource,
-        job: Job,
-        w: Workload,
-        out: Shared<DesOut>,
-        i: u32,
-    ) {
-        if i == w.epochs {
-            out.borrow_mut().wall = engine.now().as_secs_f64();
-            return;
-        }
-        let comp = w.effective_compute_secs(i);
-        engine.schedule(SimDuration::from_secs_f64(comp), move |engine| {
-            let io_start = engine.now();
-            let pfs2 = pfs.clone();
-            let job2 = job.clone();
-            let w2 = w.clone();
-            des_collective(engine, &pfs, &job, w.per_rank_bytes, move |engine, end| {
-                let io = (end - io_start).as_secs_f64();
-                out.borrow_mut().phases.push(PhaseMeasure {
-                    t_comp: comp,
-                    visible_io_secs: io,
-                    overhead_secs: 0.0,
-                    background_io_secs: io,
-                });
-                epoch(engine, pfs2, job2, w2, out, i + 1);
-            });
-        });
-    }
-    engine.schedule(SimDuration::from_secs_f64(w.t_init), {
-        let w = w.clone();
-        move |engine| epoch(engine, pfs, job, w, out, 0)
-    });
-}
-
-/// Shared state of the async-write run.
-struct AwState {
-    /// Snapshots not yet durable.
-    in_flight: u32,
-    /// Continuation of an application thread parked on a full buffer pool.
-    waiter: Option<Continuation>,
-    /// Background stream status and queue of pending writes (a count —
-    /// every queued write is identical in this workload).
-    bg_busy: bool,
-    bg_queued: u32,
-    /// Set when the application finished its last epoch.
-    app_done: Option<f64>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn des_async_write(
-    engine: &mut Engine,
-    pfs: SharedResource,
-    job: Job,
-    w: Workload,
-    depth: u32,
-    staging: StagingTier,
-    out: Shared<DesOut>,
-) {
-    let st: Shared<AwState> = Rc::new(RefCell::new(AwState {
-        in_flight: 0,
-        waiter: None,
-        bg_busy: false,
-        bg_queued: 0,
-        app_done: None,
-    }));
-
-    /// Start the next queued background write, if any. NVMe staging
-    /// charges the device read-back to the background stream before the
-    /// collective file system write.
-    fn bg_start(
-        engine: &mut Engine,
-        pfs: SharedResource,
-        job: Job,
-        w: Workload,
-        staging: StagingTier,
-        st: Shared<AwState>,
-        out: Shared<DesOut>,
-    ) {
-        {
-            let mut s = st.borrow_mut();
-            debug_assert!(s.bg_queued > 0 && s.bg_busy);
-            s.bg_queued -= 1;
-        }
-        let bg_extra = match staging {
-            StagingTier::Dram => 0.0,
-            StagingTier::Nvme => job.staging_readback_time(w.per_rank_bytes),
-        };
-        let pfs_outer = pfs.clone();
-        let job_outer = job.clone();
-        let w_outer = w.clone();
-        engine.schedule(SimDuration::from_secs_f64(bg_extra), move |engine| {
-        let pfs = pfs_outer;
-        let job = job_outer;
-        let w = w_outer;
-        let pfs2 = pfs.clone();
-        let job2 = job.clone();
-        let w2 = w.clone();
-        des_collective(engine, &pfs, &job, w.per_rank_bytes, move |engine, end| {
-            let end_s = end.as_secs_f64();
-            let (waiter, more, finished) = {
-                let mut s = st.borrow_mut();
-                s.in_flight -= 1;
-                let waiter = s.waiter.take();
-                let more = s.bg_queued > 0;
-                if !more {
-                    s.bg_busy = false;
-                }
-                let finished =
-                    s.app_done.filter(|_| s.in_flight == 0 && s.bg_queued == 0 && !more);
-                (waiter, more, finished)
-            };
-            if let Some(cont) = waiter {
-                cont(engine);
-            }
-            if more {
-                bg_start(engine, pfs2, job2, w2, staging, st, out);
-            } else if let Some(app_done) = finished {
-                out.borrow_mut().wall = app_done.max(end_s);
-            }
-        });
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn epoch(
-        engine: &mut Engine,
-        pfs: SharedResource,
-        job: Job,
-        w: Workload,
-        depth: u32,
-        staging: StagingTier,
-        st: Shared<AwState>,
-        out: Shared<DesOut>,
-        i: u32,
-    ) {
-        if i == w.epochs {
-            let now = engine.now().as_secs_f64();
-            let mut s = st.borrow_mut();
-            s.app_done = Some(now);
-            if s.in_flight == 0 && s.bg_queued == 0 && !s.bg_busy {
-                drop(s);
-                out.borrow_mut().wall = now;
-            }
-            return;
-        }
-        let comp = w.effective_compute_secs(i);
-        engine.schedule(SimDuration::from_secs_f64(comp), move |engine| {
-            let after_compute = engine.now().as_secs_f64();
-            // Park if the buffer pool is exhausted; otherwise continue.
-            let must_wait = st.borrow().in_flight >= depth;
-            let proceed = move |engine: &mut Engine,
-                                pfs: SharedResource,
-                                job: Job,
-                                w: Workload,
-                                st: Shared<AwState>,
-                                out: Shared<DesOut>| {
-                let resumed = engine.now().as_secs_f64();
-                let wait = resumed - after_compute;
-                let (ov, _) = staging_costs(&job, w.per_rank_bytes, staging);
-                engine.schedule(SimDuration::from_secs_f64(ov), move |engine| {
-                    {
-                        let mut s = st.borrow_mut();
-                        s.in_flight += 1;
-                        s.bg_queued += 1;
-                    }
-                    out.borrow_mut().phases.push(PhaseMeasure {
-                        t_comp: comp,
-                        visible_io_secs: wait + ov,
-                        overhead_secs: ov,
-                        background_io_secs: f64::NAN, // DES leaves this to
-                                                      // the analytic path
-                    });
-                    let start_bg = {
-                        let mut s = st.borrow_mut();
-                        if s.bg_busy {
-                            false
-                        } else {
-                            s.bg_busy = true;
-                            true
-                        }
-                    };
-                    if start_bg {
-                        bg_start(
-                            engine,
-                            pfs.clone(),
-                            job.clone(),
-                            w.clone(),
-                            staging,
-                            st.clone(),
-                            out.clone(),
-                        );
-                    }
-                    epoch(engine, pfs, job, w, depth, staging, st, out, i + 1);
-                });
-            };
-            if must_wait {
-                let pfs2 = pfs.clone();
-                let job2 = job.clone();
-                let w2 = w.clone();
-                let st2 = st.clone();
-                let out2 = out.clone();
-                let st_for_wait = st.clone();
-                st_for_wait.borrow_mut().waiter = Some(Box::new(move |engine| {
-                    proceed(engine, pfs2, job2, w2, st2, out2);
-                }));
-            } else {
-                proceed(engine, pfs, job, w, st, out);
-            }
-        });
-    }
-
-    engine.schedule(SimDuration::from_secs_f64(w.t_init), {
-        let w2 = w.clone();
-        move |engine| epoch(engine, pfs, job, w2, depth, staging, st, out, 0)
-    });
-}
-
-/// Shared state of the async-read run.
-struct ArState {
-    /// Completion flag per step (true = prefetched data resident).
-    ready: Vec<bool>,
-    /// Application continuation parked on a specific step.
-    waiter: Option<(u32, Continuation)>,
-}
-
-fn des_async_read(
-    engine: &mut Engine,
-    pfs: SharedResource,
-    job: Job,
-    w: Workload,
-    out: Shared<DesOut>,
-) {
-    let st: Shared<ArState> = Rc::new(RefCell::new(ArState {
-        ready: vec![false; w.epochs as usize],
-        waiter: None,
-    }));
-
-    /// Background prefetch chain: fetch `step`, then `step + 1`, ...
-    fn prefetch(
-        engine: &mut Engine,
-        pfs: SharedResource,
-        job: Job,
-        w: Workload,
-        st: Shared<ArState>,
-        step: u32,
-    ) {
-        if step >= w.epochs {
-            return;
-        }
-        let pfs2 = pfs.clone();
-        let job2 = job.clone();
-        let w2 = w.clone();
-        des_collective(engine, &pfs, &job, w.per_rank_bytes, move |engine, _end| {
-            let waiter = {
-                let mut s = st.borrow_mut();
-                s.ready[step as usize] = true;
-                match s.waiter.take() {
-                    Some((wstep, cont)) if wstep == step => Some(cont),
-                    other => {
-                        s.waiter = other;
-                        None
-                    }
-                }
-            };
-            if let Some(cont) = waiter {
-                cont(engine);
-            }
-            prefetch(engine, pfs2, job2, w2, st, step + 1);
-        });
-    }
-
-    /// Application epochs 1..: wait for prefetch, deliver, compute.
-    fn epoch(
-        engine: &mut Engine,
-        job: Job,
-        w: Workload,
-        st: Shared<ArState>,
-        out: Shared<DesOut>,
-        step: u32,
-        io_request_time: f64,
-    ) {
-        if step == w.epochs {
-            out.borrow_mut().wall = engine.now().as_secs_f64();
-            return;
-        }
-        let ready = st.borrow().ready[step as usize];
-        let deliver = job.snapshot_time(w.per_rank_bytes);
-        let comp = w.effective_compute_secs(step);
-        let finish = move |engine: &mut Engine,
-                           job: Job,
-                           w: Workload,
-                           st: Shared<ArState>,
-                           out: Shared<DesOut>| {
-            let resumed = engine.now().as_secs_f64();
-            let wait = resumed - io_request_time;
-            engine.schedule(SimDuration::from_secs_f64(deliver), move |engine| {
-                out.borrow_mut().phases.push(PhaseMeasure {
-                    t_comp: comp,
-                    visible_io_secs: wait + deliver,
-                    overhead_secs: deliver,
-                    background_io_secs: wait + deliver,
-                });
-                engine.schedule(SimDuration::from_secs_f64(comp), move |engine| {
-                    let now = engine.now().as_secs_f64();
-                    epoch(engine, job, w, st, out, step + 1, now);
-                });
-            });
-        };
-        if ready {
-            finish(engine, job, w, st, out);
-        } else {
-            let st2 = st.clone();
-            st.borrow_mut().waiter = Some((
-                step,
-                Box::new(move |engine| finish(engine, job, w, st2, out)),
-            ));
-        }
-    }
-
-    engine.schedule(SimDuration::from_secs_f64(w.t_init), {
-        let w2 = w.clone();
-        move |engine| {
-            let io_start = engine.now();
-            let pfs2 = pfs.clone();
-            let job2 = job.clone();
-            let w3 = w2.clone();
-            des_collective(engine, &pfs, &job, w2.per_rank_bytes, move |engine, end| {
-                let io = (end - io_start).as_secs_f64();
-                let comp0 = w3.effective_compute_secs(0);
-                out.borrow_mut().phases.push(PhaseMeasure {
-                    t_comp: comp0,
-                    visible_io_secs: io,
-                    overhead_secs: 0.0,
-                    background_io_secs: io,
-                });
-                // Prefetch pipeline starts now; the application computes.
-                prefetch(
-                    engine,
-                    pfs2.clone(),
-                    job2.clone(),
-                    w3.clone(),
-                    st.clone(),
-                    1,
-                );
-                engine.schedule(SimDuration::from_secs_f64(comp0), move |engine| {
-                    let now = engine.now().as_secs_f64();
-                    epoch(engine, job2, w3, st, out, 1, now);
-                });
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use platform::units::MIB;
-    use platform::{cori_haswell, summit};
-
-    fn close(a: f64, b: f64, tol: f64) -> bool {
-        (a - b).abs() <= tol * b.abs().max(1e-9)
-    }
-
-    fn assert_runs_agree(job: &Job, w: &Workload, cfg: &RunConfig) {
-        let a = run_analytic(job, w, cfg);
-        let d = run_des(job, w, cfg);
-        assert!(
-            close(a.wall_secs, d.wall_secs, 1e-6),
-            "wall: analytic {} vs des {}",
-            a.wall_secs,
-            d.wall_secs
-        );
-        assert_eq!(a.phases.len(), d.phases.len());
-        for (i, (pa, pd)) in a.phases.iter().zip(&d.phases).enumerate() {
-            assert!(
-                close(pa.visible_io_secs, pd.visible_io_secs, 1e-6),
-                "phase {i} visible: {} vs {}",
-                pa.visible_io_secs,
-                pd.visible_io_secs
-            );
-            assert!(close(pa.overhead_secs, pd.overhead_secs, 1e-6));
-        }
-    }
-
-    #[test]
-    fn sync_executors_agree_summit() {
-        let job = Job::new(summit(), 96);
-        let w = Workload::checkpoint(96, 32 * MIB, 4, 5.0);
-        assert_runs_agree(&job, &w, &RunConfig::sync());
-    }
-
-    #[test]
-    fn sync_executors_agree_cori_with_contention() {
-        let job = Job::new(cori_haswell(), 1024);
-        let w = Workload::checkpoint(1024, 32 * MIB, 3, 2.0);
-        assert_runs_agree(&job, &w, &RunConfig::sync().with_contention(0.6));
-    }
-
-    #[test]
-    fn async_write_executors_agree_long_compute() {
-        // Ideal scenario: compute fully hides the background write.
-        let job = Job::new(summit(), 768);
-        let w = Workload::checkpoint(768, 32 * MIB, 5, 30.0);
-        assert_runs_agree(&job, &w, &RunConfig::async_io());
-    }
-
-    #[test]
-    fn async_write_executors_agree_short_compute() {
-        // Buffer-limited: compute far shorter than the background write,
-        // so the app must park on buffer availability.
-        let job = Job::new(summit(), 6144);
-        let w = Workload::checkpoint(6144, 32 * MIB, 6, 0.05);
-        assert_runs_agree(&job, &w, &RunConfig::async_io());
-        assert_runs_agree(&job, &w, &RunConfig::async_io().with_buffer_depth(1));
-        assert_runs_agree(&job, &w, &RunConfig::async_io().with_buffer_depth(4));
-    }
-
-    #[test]
-    fn async_read_executors_agree() {
-        let job = Job::new(summit(), 384);
-        let w = Workload::analysis(384, 32 * MIB, 5, 30.0);
-        assert_runs_agree(&job, &w, &RunConfig::async_io());
-        // Short compute: prefetch can't keep up; the app parks.
-        let w = Workload::analysis(384, 32 * MIB, 5, 0.01);
-        assert_runs_agree(&job, &w, &RunConfig::async_io());
-    }
+    use platform::summit;
 
     #[test]
     fn async_beats_sync_when_compute_dominates() {
@@ -844,17 +319,6 @@ mod tests {
         // With depth 1 every epoch after the first waits on the previous
         // write; visible I/O of later epochs includes that wait.
         assert!(d1.phases[1].visible_io_secs > d4.phases[1].visible_io_secs);
-    }
-
-    #[test]
-    fn nvme_staging_executors_agree() {
-        let job = Job::new(summit(), 768);
-        let w = Workload::checkpoint(768, 32 * MIB, 5, 30.0);
-        let cfg = RunConfig::async_io().with_staging(crate::workload::StagingTier::Nvme);
-        assert_runs_agree(&job, &w, &cfg);
-        // And in the buffer-throttled regime.
-        let w = Workload::checkpoint(768, 32 * MIB, 5, 0.01);
-        assert_runs_agree(&job, &w, &cfg);
     }
 
     #[test]

@@ -2,21 +2,13 @@
 
 use apio_core::history::{Direction, IoMode};
 
-/// SplitMix64 finalizer: a well-mixed 64-bit hash of `z`.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A seeded straggler/interference perturbation of the compute phases
 /// (DESIGN.md §16). The default is the identity: every rank computes the
-/// workload's nominal `compute_secs`, which keeps the unperturbed
-/// executors bit-identical to the pre-perturbation model.
+/// workload's nominal `compute_secs`, which keeps an unperturbed run
+/// bit-identical to the pre-perturbation model.
 ///
-/// Both executors apply the same perturbation (an epoch's effective
-/// compute is the slowest rank's), so their cross-check agreement holds
+/// The executor and its oracle apply the same perturbation (an epoch's
+/// effective compute is the slowest rank's), so their agreement holds
 /// under any knob setting — and the per-rank spread is what the
 /// cross-rank tracer attributes.
 #[derive(Clone, Debug)]
@@ -28,7 +20,7 @@ pub struct Perturbation {
     /// Per-(rank, epoch) uniform compute jitter in `[0, jitter_frac)` of
     /// the nominal compute time — the interference knob.
     pub jitter_frac: f64,
-    /// Seed for the jitter draws (deterministic across executors).
+    /// Seed for the jitter draws.
     pub seed: u64,
 }
 
@@ -51,7 +43,8 @@ impl Perturbation {
 
     /// Deterministic jitter draw in `[0, 1)` for one (rank, epoch) cell.
     fn unit_draw(&self, rank: u32, epoch: u32) -> f64 {
-        let cell = mix64(self.seed ^ (u64::from(rank) << 32) ^ u64::from(epoch));
+        let mut state = self.seed ^ (u64::from(rank) << 32) ^ u64::from(epoch);
+        let cell = desim::rng::splitmix64(&mut state);
         // 53 mantissa bits -> uniform in [0, 1).
         (cell >> 11) as f64 / (1u64 << 53) as f64
     }

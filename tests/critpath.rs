@@ -5,15 +5,14 @@
 //! in every post-warmup epoch, the per-rank decomposition tiles each
 //! epoch's wall time within 1%, and on unperturbed configurations the
 //! trace-observed overlap efficiency lands within 10% of the Eq. 2
-//! prediction. Both executors (closed-form and discrete-event) must
-//! agree on the attribution, and jitter at any seed must never steal
-//! the straggler's title.
+//! prediction. Jitter at any seed must never steal the straggler's
+//! title.
 
 use std::sync::Arc;
 
 use apio::mpisim::{
-    predicted_overlap_efficiency, run_analytic, run_des, straggler_report, trace_rank_streams,
-    Job, RunConfig, Workload,
+    predicted_overlap_efficiency, run, straggler_report, trace_rank_streams, Job, RunConfig,
+    Workload,
 };
 use apio::platform::summit;
 use apio::platform::units::MIB;
@@ -46,10 +45,7 @@ fn analyze_with(
 #[test]
 fn slowed_rank_is_named_by_both_executors() {
     let w = straggler_workload();
-    for exec in [
-        run_analytic as fn(&Job, &Workload, &RunConfig) -> apio::mpisim::RunResult,
-        run_des,
-    ] {
+    for exec in [run as fn(&Job, &Workload, &RunConfig) -> apio::mpisim::RunResult] {
         for cfg in [RunConfig::async_io(), RunConfig::sync()] {
             let report = analyze_with(exec, &w, &cfg);
             assert_eq!(report.ranks, RANKS);
@@ -71,7 +67,7 @@ fn slowed_rank_is_named_by_both_executors() {
 #[test]
 fn attribution_tiles_every_epoch_wall_within_one_percent() {
     let w = straggler_workload();
-    let report = analyze_with(run_analytic, &w, &RunConfig::async_io());
+    let report = analyze_with(run, &w, &RunConfig::async_io());
     for e in &report.epochs {
         let wall = e.wall_nanos();
         assert!(wall > 0);
@@ -96,7 +92,7 @@ fn jitter_never_steals_the_stragglers_title() {
     // executors' shared compute model.
     for seed in [1u64, 7, 42, 12345] {
         let w = straggler_workload().with_jitter(0.5, seed);
-        let report = analyze_with(run_analytic, &w, &RunConfig::async_io());
+        let report = analyze_with(run, &w, &RunConfig::async_io());
         for e in report.epochs.iter().filter(|e| e.epoch >= 1) {
             assert_eq!(
                 e.straggler, SLOWED,
