@@ -11,6 +11,8 @@ echo "== build (release) =="
 cargo build --release "${CARGO_FLAGS[@]}" --workspace
 
 echo "== tests =="
+# Includes apio-trace's `flight_panic` binary (the panic-hook dump
+# smoke of the flight recorder) — it is not run again below.
 cargo test -q "${CARGO_FLAGS[@]}" --workspace
 
 echo "== end-to-end benchmark, as the pipeline builds it (stand-alone package) =="
@@ -40,12 +42,11 @@ cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- lint --json \
     | cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- json-check
 cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- check-deps
 
-echo "== schedule exploration (seeded writer/reader/flush interleavings) =="
-APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" -p argolite \
-    --features debug-invariants --test explore
-
-echo "== runtime invariants (lock-order + task-DAG detectors) =="
-cargo test -q "${CARGO_FLAGS[@]}" -p argolite --features debug-invariants
+echo "== runtime invariants (lock-order + task-DAG detectors) and schedule exploration =="
+# All of argolite under the feature, once: its unit tests with the
+# lock-order recorder on, and `tests/explore.rs` (seeded
+# writer/reader/flush interleavings) at 64 schedules.
+APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" -p argolite --features debug-invariants
 cargo test -q "${CARGO_FLAGS[@]}" -p asyncvol --features debug-invariants
 
 echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
@@ -90,9 +91,6 @@ cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite dataspace
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite overflow
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite lane
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite flush_hashes
-
-echo "== flight recorder (panic-hook dump smoke) =="
-cargo test -q "${CARGO_FLAGS[@]}" -p apio-trace --test flight_panic
 
 echo "== operator report smoke (drift demo must flip the advice) =="
 report_json="$(cargo run -q "${CARGO_FLAGS[@]}" -p apio-apps --bin apio-report -- --json)"

@@ -13,8 +13,6 @@
 //!   dependencies completed successfully. Panics propagate: a panicked task
 //!   poisons its dependents, which are skipped and marked panicked too
 //!   (cascading cancellation), and `wait()` reports it.
-//! - [`wait_all`] — barrier over a set of handles (the VOL's "event set
-//!   wait").
 //!
 //! Everything is real concurrency — real threads, locks, and condition
 //! variables — following the discipline of *Rust Atomics and Locks*:
@@ -23,9 +21,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::sync::{Condvar, Mutex};
 
@@ -115,57 +111,15 @@ impl TaskHandle {
         }
     }
 
-    /// Block until terminal or until `timeout` elapses. Returns `None` on
-    /// timeout.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), TaskPanicked>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.core.state.lock();
-        while !TaskCore::is_terminal(st.state) {
-            if self.core.done_cv.wait_until(&mut st, deadline).timed_out() {
-                if TaskCore::is_terminal(st.state) {
-                    break;
-                }
-                return None;
-            }
-        }
-        Some(match st.state {
-            TaskState::Done => Ok(()),
-            TaskState::Panicked => Err(TaskPanicked {
-                message: st.panic_msg.clone().unwrap_or_default(),
-            }),
-            _ => unreachable!(),
-        })
-    }
-
     /// Non-blocking completion check (true for Done *or* Panicked).
     pub fn is_terminal(&self) -> bool {
         TaskCore::is_terminal(self.core.state.lock().state)
-    }
-
-    /// Non-blocking success check.
-    pub fn is_done(&self) -> bool {
-        self.core.state.lock().state == TaskState::Done
     }
 }
 
 impl fmt::Debug for TaskHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "TaskHandle({:?})", self.core.state.lock().state)
-    }
-}
-
-/// Wait for every handle; returns the first panic error encountered (after
-/// waiting for *all* of them, so no task is left running).
-pub fn wait_all(handles: &[TaskHandle]) -> Result<(), TaskPanicked> {
-    let mut first_err = None;
-    for h in handles {
-        if let Err(e) = h.wait() {
-            first_err.get_or_insert(e);
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -177,10 +131,6 @@ struct PoolInner {
 struct RtShared {
     pool: Mutex<PoolInner>,
     work_cv: Condvar,
-    /// Tasks spawned and not yet terminal, for `quiesce`.
-    outstanding: AtomicUsize,
-    idle_cv: Condvar,
-    idle_lock: Mutex<()>,
 }
 
 /// The tasking runtime: a set of execution streams draining one shared
@@ -190,7 +140,7 @@ struct RtShared {
 /// then the streams exit and are joined.
 pub struct Runtime {
     shared: Arc<RtShared>,
-    streams: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    streams: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Runtime {
@@ -203,17 +153,11 @@ impl Runtime {
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
-            outstanding: AtomicUsize::new(0),
-            idle_cv: Condvar::new(),
-            idle_lock: Mutex::new_named("argolite.idle", ()),
         });
         let streams = (0..num_streams)
             .map(|i| Self::spawn_stream(&shared, i))
             .collect();
-        Runtime {
-            shared,
-            streams: Mutex::new_named("argolite.streams", streams),
-        }
+        Runtime { shared, streams }
     }
 
     fn spawn_stream(
@@ -225,11 +169,6 @@ impl Runtime {
             .name(format!("argolite-es-{index}"))
             .spawn(move || stream_main(shared))
             .expect("spawn execution stream")
-    }
-
-    /// Number of execution streams.
-    pub fn num_streams(&self) -> usize {
-        self.streams.lock().len()
     }
 
     /// Spawn an independent task.
@@ -263,7 +202,6 @@ impl Runtime {
             }),
             done_cv: Condvar::new(),
         });
-        self.shared.outstanding.fetch_add(1, Ordering::SeqCst);
 
         let mut already_done = 0usize;
         let mut poisoned: Option<String> = None;
@@ -281,7 +219,7 @@ impl Runtime {
         }
 
         if let Some(msg) = poisoned {
-            poison_core(&self.shared, &core, msg);
+            poison_core(&core, msg);
         } else {
             let mut st = core.state.lock();
             if st.state == TaskState::Blocked {
@@ -294,14 +232,6 @@ impl Runtime {
             }
         }
         TaskHandle { core }
-    }
-
-    /// Block until every task spawned so far is terminal.
-    pub fn quiesce(&self) {
-        let mut guard = self.shared.idle_lock.lock();
-        while self.shared.outstanding.load(Ordering::SeqCst) != 0 {
-            self.shared.idle_cv.wait(&mut guard);
-        }
     }
 
     fn enqueue(&self, core: Arc<TaskCore>) {
@@ -320,15 +250,14 @@ impl Drop for Runtime {
             pool.shutdown = true;
         }
         self.shared.work_cv.notify_all();
-        let streams: Vec<_> = self.streams.lock().drain(..).collect();
-        for s in streams {
+        for s in self.streams.drain(..) {
             let _ = s.join();
         }
     }
 }
 
 /// Mark a task panicked, notify waiters, and cascade to dependents.
-fn poison_core(shared: &Arc<RtShared>, core: &Arc<TaskCore>, msg: String) {
+fn poison_core(core: &Arc<TaskCore>, msg: String) {
     let dependents = {
         let mut st = core.state.lock();
         if TaskCore::is_terminal(st.state) {
@@ -340,16 +269,8 @@ fn poison_core(shared: &Arc<RtShared>, core: &Arc<TaskCore>, msg: String) {
         std::mem::take(&mut st.dependents)
     };
     core.done_cv.notify_all();
-    finish_one(shared);
     for dep in dependents {
-        poison_core(shared, &dep, msg.clone());
-    }
-}
-
-fn finish_one(shared: &Arc<RtShared>) {
-    if shared.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
-        let _guard = shared.idle_lock.lock();
-        shared.idle_cv.notify_all();
+        poison_core(&dep, msg.clone());
     }
 }
 
@@ -418,14 +339,13 @@ fn stream_main(shared: Arc<RtShared>) {
                     std::mem::take(&mut st.dependents)
                 };
                 task.done_cv.notify_all();
-                finish_one(&shared);
                 for dep in dependents {
                     release_dependent(&shared, dep);
                 }
             }
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
-                poison_core(&shared, &task, msg);
+                poison_core(&task, msg);
             }
         }
     }
@@ -445,6 +365,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn task_runs_and_wait_returns() {
@@ -458,7 +379,7 @@ mod tests {
         };
         h.wait().unwrap();
         assert_eq!(hit.load(Ordering::SeqCst), 1);
-        assert!(h.is_done());
+        assert!(h.is_terminal());
     }
 
     #[test]
@@ -473,7 +394,9 @@ mod tests {
                 })
             })
             .collect();
-        wait_all(&handles).unwrap();
+        for h in &handles {
+            h.wait().unwrap();
+        }
         assert_eq!(hit.load(Ordering::SeqCst), 500);
     }
 
@@ -513,7 +436,8 @@ mod tests {
             })
         };
         c.wait().unwrap();
-        assert!(a.is_done() && b.is_done());
+        a.wait().unwrap();
+        b.wait().unwrap();
         assert_eq!(count.load(Ordering::SeqCst), 1);
     }
 
@@ -549,7 +473,6 @@ mod tests {
         let err = b.wait().unwrap_err();
         assert_eq!(err.message, "boom");
         assert_eq!(ran.load(Ordering::SeqCst), 0, "dependent must be skipped");
-        assert!(!b.is_done());
         assert!(b.is_terminal());
     }
 
@@ -560,39 +483,6 @@ mod tests {
         let _ = a.wait();
         let b = rt.spawn_dependent(&[a], || unreachable!("must not run"));
         assert_eq!(b.wait().unwrap_err().message, "early");
-    }
-
-    #[test]
-    fn wait_all_reports_first_panic_after_all_finish() {
-        let rt = Runtime::new(2);
-        let ok = rt.spawn(|| std::thread::sleep(Duration::from_millis(10)));
-        let bad = rt.spawn(|| panic!("x"));
-        let err = wait_all(&[ok.clone(), bad]).unwrap_err();
-        assert_eq!(err.message, "x");
-        assert!(ok.is_done());
-    }
-
-    #[test]
-    fn wait_timeout_times_out_then_succeeds() {
-        let rt = Runtime::new(1);
-        let h = rt.spawn(|| std::thread::sleep(Duration::from_millis(60)));
-        assert!(h.wait_timeout(Duration::from_millis(5)).is_none());
-        assert!(h.wait_timeout(Duration::from_secs(5)).unwrap().is_ok());
-    }
-
-    #[test]
-    fn quiesce_waits_for_everything() {
-        let rt = Runtime::new(4);
-        let hit = Arc::new(AtomicU32::new(0));
-        for _ in 0..64 {
-            let hit = hit.clone();
-            let _ = rt.spawn(move || {
-                std::thread::sleep(Duration::from_millis(1));
-                hit.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        rt.quiesce();
-        assert_eq!(hit.load(Ordering::SeqCst), 64);
     }
 
     #[test]
@@ -621,7 +511,9 @@ mod tests {
                 rt.spawn(move || log.lock().push(i))
             })
             .collect();
-        wait_all(&handles).unwrap();
+        for h in &handles {
+            h.wait().unwrap();
+        }
         assert_eq!(*log.lock(), (0..50).collect::<Vec<_>>());
     }
 
@@ -667,7 +559,9 @@ mod tests {
                 count.fetch_add(1, Ordering::SeqCst);
             }));
         }
-        wait_all(&handles).unwrap();
+        for h in &handles {
+            h.wait().unwrap();
+        }
         assert_eq!(count.load(Ordering::SeqCst), 300);
     }
 }

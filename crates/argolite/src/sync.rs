@@ -29,7 +29,6 @@
 //! would actually deadlock (where `lock()` would never return).
 
 use std::sync::{self, TryLockError};
-use std::time::{Duration, Instant};
 
 #[cfg(feature = "debug-invariants")]
 pub mod lock_order {
@@ -374,18 +373,6 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// Result of a timed condition-variable wait.
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the deadline passed.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
 /// Condition variable pairing with [`Mutex`], `parking_lot`-shaped: waits
 /// take `&mut MutexGuard` rather than consuming it.
 pub struct Condvar {
@@ -408,40 +395,6 @@ impl Condvar {
                 .wait(g)
                 .unwrap_or_else(sync::PoisonError::into_inner);
             guard.inner = Some(g);
-        }
-    }
-
-    /// [`Condvar::wait`] with a deadline.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        self.wait_for(guard, timeout)
-    }
-
-    /// [`Condvar::wait`] with a relative timeout.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        match guard.inner.take() {
-            Some(g) => {
-                let (g, res) = match self.inner.wait_timeout(g, timeout) {
-                    Ok((g, res)) => (g, res),
-                    Err(p) => {
-                        let (g, res) = p.into_inner();
-                        (g, res)
-                    }
-                };
-                guard.inner = Some(g);
-                WaitTimeoutResult {
-                    timed_out: res.timed_out(),
-                }
-            }
-            None => WaitTimeoutResult { timed_out: false },
         }
     }
 
@@ -612,18 +565,6 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         t.join().expect("waiter joins");
-    }
-
-    #[test]
-    fn wait_until_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(cv.wait_until(&mut g, deadline).timed_out());
-        // The guard still works after the wait.
-        drop(g);
-        let _ = m.lock();
     }
 
     #[test]

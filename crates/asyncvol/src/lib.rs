@@ -603,13 +603,10 @@ impl AsyncVol {
             if let Some(op) = resubmit.take() {
                 current = Self::ring_submit_blocking(ring, ds, op);
             }
-            match current.wait_cloned().result {
-                Ok(_) => Ok(()),
-                Err(CqeErr { error, op }) => {
-                    resubmit = Some(op);
-                    Err(error)
-                }
-            }
+            current.wait_cloned().result.map_err(|CqeErr { error, op }| {
+                resubmit = Some(op);
+                error
+            })
         });
         if let Some(RingOp::Write { data, .. }) = resubmit {
             recycle::give(data); // gave up: the snapshot will not be resubmitted

@@ -340,14 +340,15 @@ fn flush_hash_lanes() {
     }
 }
 
-/// Queue-depth sweep through the raw [`Ring`]: one batch of `depth`
-/// writes of `size` bytes each, submitted together and drained to
-/// completion, against a 4-channel throttled backend whose 200 µs
-/// per-op latency is what depth amortizes. The reaper coalesces a whole
-/// batch into one `write_vectored_at`, so small-op throughput must rise
-/// monotonically with depth — the io_uring shape the paper's async
-/// pipelines rely on (the 1 MiB row is bandwidth-bound, so depth buys it
-/// little by design).
+/// Queue-depth sweep through the raw [`Ring`], submitted the way the
+/// connector's `dispatch` does: `depth` writes of `size` bytes each go
+/// in one `submit_keyed` at a time, then every promise is waited on,
+/// against a 4-channel throttled backend whose 200 µs per-op latency is
+/// what depth amortizes. The first submission wakes the reaper, and
+/// whatever queues up while it is inside that call goes out as the next
+/// single `write_vectored_at`, so small-op throughput must rise with
+/// depth — the io_uring shape the paper's async pipelines rely on (the
+/// 1 MiB row is bandwidth-bound, so depth buys it little by design).
 fn ring_depth_sweep() {
     section("ring_depth");
     for size in [4096usize, 65536, 1 << 20] {
@@ -367,13 +368,17 @@ fn ring_depth_sweep() {
             let s = bench_custom(&name, |iters| {
                 let mut timed = Duration::ZERO;
                 for _ in 0..iters {
-                    // Build the owned batch outside the timed region so
+                    // Build the owned ops outside the timed region so
                     // the clone cost doesn't pollute the I/O number.
-                    let batch: Vec<RingOp> = (0..depth)
+                    let ops: Vec<RingOp> = (0..depth)
                         .map(|i| RingOp::write_raw((i * size) as u64, payload.clone()))
                         .collect();
                     let t0 = Instant::now();
-                    for (_, promise) in ring.submit_batch_keyed(0, batch) {
+                    let promises: Vec<_> = ops
+                        .into_iter()
+                        .map(|op| ring.submit_keyed(0, op).accepted().unwrap().1)
+                        .collect();
+                    for promise in promises {
                         promise.wait_cloned().into_result().unwrap();
                     }
                     timed += t0.elapsed();

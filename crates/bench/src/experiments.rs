@@ -5,7 +5,7 @@ use apio_core::ratemodel::RateModel;
 use apio_core::regression::r2_simple;
 use desim::SimRng;
 use mpisim::workload::StagingTier;
-use mpisim::{run, Job, RunConfig, RunResult, Workload};
+use mpisim::{run, Job, RunConfig, Workload};
 use platform::{cori_haswell, summit, SystemConfig};
 
 /// Number of repeated runs per configuration ("at least 5 times across
@@ -689,14 +689,4 @@ pub fn ablate_buffer_depth() -> Vec<DepthRow> {
             }
         })
         .collect()
-}
-
-/// Convenience: run one run-result for inspection (used by examples).
-pub fn single_run(system: &SystemConfig, w: &Workload, mode: IoMode) -> RunResult {
-    let job = Job::new(system.clone(), w.ranks);
-    let cfg = match mode {
-        IoMode::Sync => RunConfig::sync(),
-        IoMode::Async => RunConfig::async_io(),
-    };
-    run(&job, w, &cfg)
 }

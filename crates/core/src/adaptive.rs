@@ -261,11 +261,6 @@ impl AdaptiveRuntime {
         &self.history
     }
 
-    /// Latest compute-phase estimate.
-    pub fn compute_estimate(&self) -> Option<f64> {
-        self.comp.estimate()
-    }
-
     /// Advise on the next I/O phase. Refits models when the history grew.
     pub fn advise(
         &mut self,

@@ -7,7 +7,7 @@
 
 use crate::epoch::{EpochParams, Scenario};
 use crate::error_msg::ModelError;
-use crate::history::{Direction, IoMode};
+use crate::history::IoMode;
 use crate::ratemodel::RateModel;
 
 /// The advisor's verdict for one upcoming epoch.
@@ -97,29 +97,10 @@ impl ModeAdvisor {
     }
 }
 
-/// Direction-aware pair of advisors (reads and writes fit separately).
-#[derive(Clone, Debug)]
-pub struct DualAdvisor {
-    /// Advisor for write phases, when the history supports one.
-    pub write: Option<ModeAdvisor>,
-    /// Advisor for read phases, when the history supports one.
-    pub read: Option<ModeAdvisor>,
-}
-
-impl DualAdvisor {
-    /// The advisor matching `direction`, if fitted.
-    pub fn advisor_for(&self, direction: Direction) -> Option<&ModeAdvisor> {
-        match direction {
-            Direction::Write => self.write.as_ref(),
-            Direction::Read => self.read.as_ref(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{History, TransferRecord};
+    use crate::history::{Direction, History, TransferRecord};
 
     fn models() -> (RateModel, RateModel) {
         let mut h = History::new();
@@ -184,17 +165,5 @@ mod tests {
         let (s, a) = models();
         assert!(ModeAdvisor::new(a.clone(), s.clone()).is_err());
         assert!(ModeAdvisor::new(s.clone(), s).is_err());
-    }
-
-    #[test]
-    fn dual_advisor_routes_by_direction() {
-        let (s, a) = models();
-        let advisor = ModeAdvisor::new(s, a).unwrap();
-        let dual = DualAdvisor {
-            write: Some(advisor),
-            read: None,
-        };
-        assert!(dual.advisor_for(Direction::Write).is_some());
-        assert!(dual.advisor_for(Direction::Read).is_none());
     }
 }

@@ -104,11 +104,6 @@ impl RateModel {
     pub fn design(&self) -> Design {
         self.fit.design()
     }
-
-    /// Observations the fit was built from.
-    pub fn n_observations(&self) -> usize {
-        self.fit.n
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +194,6 @@ mod tests {
         // The fit must track the ideal (peak) rates.
         let rate = m.estimate_rate(32e6, 32);
         assert!((rate / 32e9 - 1.0).abs() < 0.05, "rate {rate}");
-        assert_eq!(m.n_observations(), 4);
     }
 
     #[test]

@@ -74,10 +74,7 @@ pub use plan::{
     sieve_spans, IoPlan, IoRecord, IoSegment, Span, COALESCE_WINDOW, SIEVE_PAGE, SIEVE_SPAN_CAP,
 };
 pub use promise::Promise;
-pub use ring::{
-    Backpressure, Completion, CqeErr, CqeOk, ReadExtent, Ring, RingBackend, RingConfig, RingOp,
-    Submitted,
-};
+pub use ring::{Backpressure, Completion, CqeErr, Ring, RingConfig, RingOp, Submitted};
 pub use storage::{
     CrashBackend, CrashClock, FaultInjector, FaultKind, FaultOp, FaultPlan, FileBackend, IoVec,
     IoVecMut, MemBackend, StorageBackend, ThrottledBackend,

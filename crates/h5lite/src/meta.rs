@@ -248,11 +248,6 @@ impl MetaSnapshot {
         self.datasets.get(&id).map(|s| s.generation)
     }
 
-    /// Ids of the captured datasets, ascending.
-    pub fn dataset_ids(&self) -> Vec<ObjectId> {
-        self.datasets.keys().copied().collect()
-    }
-
     pub(crate) fn get(&self, id: ObjectId) -> Option<&Arc<DatasetState>> {
         self.datasets.get(&id)
     }

@@ -1,44 +1,42 @@
-//! io_uring-shaped asynchronous boundary over [`StorageBackend`]
-//! (DESIGN.md §14).
+//! The queued-write boundary over [`StorageBackend`] (DESIGN.md §14).
 //!
-//! Every backend call in the stack used to be a synchronous function
-//! call: concurrency scaled with thread count, never with queue depth —
+//! A backend call made directly is a synchronous function call:
+//! concurrency scales with thread count, never with queue depth —
 //! exactly the wall the paper's async-VOL evaluation hits once device
-//! latency dominates. This module moves the backend boundary behind a
-//! pair of fixed-capacity lock-free rings, the way `io_uring` moves the
-//! kernel boundary:
+//! latency dominates. This module puts the connector's background
+//! writes behind fixed-capacity lock-free submission queues, the way
+//! `io_uring` queues work for the kernel:
 //!
-//! - **Submission**: callers push [`Sqe`]-shaped entries (an operation
-//!   plus a completion sink) onto a per-shard submission ring. The hot
-//!   path is atomics only — no `argolite::sync` (or any other) lock is
-//!   ever acquired on submit or complete; a `debug-invariants` test
-//!   asserts this against the lock-order recorder's acquisition counter.
-//! - **Reaping**: one reaper thread per shard drains its submission
-//!   ring and executes entries against the wrapped backend. A reaper
-//!   pass is *depth-aware*: every write queued at that moment (bounded
-//!   by [`COALESCE_WINDOW`] segments per call) is issued as a single
+//! - **Submission**: [`Ring::submit_keyed`] pushes an owned write (the
+//!   operation plus the promise its waiter holds) onto a per-shard
+//!   submission queue. The hot path is atomics only — no
+//!   `argolite::sync` (or any other named) lock is ever acquired on
+//!   submit or complete; a `debug-invariants` test asserts this against
+//!   the lock-order recorder's acquisition counter.
+//! - **Reaping**: one reaper thread per shard drains its queue and
+//!   executes the entries against the wrapped backend. A reaper pass is
+//!   *depth-aware*: every write queued at that moment (bounded by
+//!   [`COALESCE_WINDOW`] segments per call) is issued as a single
 //!   `write_vectored_at`, so a deeper ring buys fewer, larger device
 //!   requests — small-op throughput scales with queue depth at a fixed
 //!   thread count.
-//! - **Completion**: each entry resolves either a [`Promise`] (the
-//!   TASIO-style task-aware path `asyncvol` uses) or posts to a shared
-//!   completion ring (`submit_to_cq`, used by ordering tests and
-//!   pollers). A failed operation travels back *inside* its completion
-//!   ([`CqeErr`] carries the [`RingOp`]), so the waiter can resubmit it
-//!   — retry policy and circuit-breaker semantics stay at the task
-//!   layer, unchanged.
+//! - **Completion**: the reaper fulfils the entry's [`Promise`], which
+//!   resolves the waiting task directly (the TASIO-style task-aware
+//!   sink — there is no completion queue to poll). A failed operation
+//!   travels back *inside* its completion ([`CqeErr`] carries the
+//!   [`RingOp`]), so the waiter can resubmit it — retry policy and
+//!   circuit-breaker semantics stay at the task layer, unchanged.
 //!
 //! Sharding is by caller-provided key (the connector uses the dataset
-//! id), and each shard is FIFO end to end: completions of same-key
-//! submissions arrive in submission order, which is what replaces the
-//! connector's per-dataset dependency chaining on the ring path.
+//! id), and each shard is FIFO end to end: same-key writes reach the
+//! backend, and their promises are fulfilled, in submission order —
+//! which is what replaces the connector's per-dataset dependency
+//! chaining on the ring path.
 //!
-//! Backpressure on a full submission ring follows [`Backpressure`]:
+//! Backpressure on a full submission queue follows [`Backpressure`]:
 //! `Block` (spin-park until the reaper frees a slot) or `Poll` (hand the
-//! operation straight back to the caller). The completion ring applies
-//! backpressure to the *reaper*: when pollers fall behind, the reaper
-//! stalls, the submission ring fills, and submitters feel it — bounded
-//! memory end to end.
+//! operation straight back to the caller). Either way the memory the
+//! ring holds is bounded by its capacity.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -50,7 +48,7 @@ use crate::mpmc::RingQueue;
 use crate::plan::{IoSegment, COALESCE_WINDOW};
 use crate::promise::Promise;
 use crate::recycle;
-use crate::storage::{IoVec, IoVecMut, StorageBackend};
+use crate::storage::{IoVec, StorageBackend};
 
 /// What a submitter does when the submission ring is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,15 +87,6 @@ impl Default for RingConfig {
     }
 }
 
-/// One contiguous device extent of a gather read.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReadExtent {
-    /// Backend byte address.
-    pub addr: u64,
-    /// Length in bytes.
-    pub len: u64,
-}
-
 /// One ring operation. Data is owned (the submitter's snapshot moves
 /// in), so entries outlive the caller's stack frame the way `io_uring`
 /// SQEs outlive `io_uring_enter`.
@@ -112,17 +101,6 @@ pub enum RingOp {
         /// Planned device extents into `data`.
         segs: Vec<IoSegment>,
     },
-    /// Gather-read the extents into one buffer, concatenated in extent
-    /// order ([`CqeOk::Bytes`]).
-    Read {
-        /// Device extents to read, in output order.
-        extents: Vec<ReadExtent>,
-    },
-    /// Durability barrier: `sync` the wrapped backend. Per-shard FIFO
-    /// means it covers every earlier same-key submission; callers that
-    /// need a global barrier drain the ring first (see
-    /// [`RingBackend::sync`]).
-    Flush,
 }
 
 impl RingOp {
@@ -141,55 +119,22 @@ impl RingOp {
 
     /// Payload bytes this operation moves.
     pub fn total_bytes(&self) -> u64 {
-        match self {
-            RingOp::Write { segs, .. } => segs.iter().map(|s| s.len).sum(),
-            RingOp::Read { extents } => extents.iter().map(|e| e.len).sum(),
-            RingOp::Flush => 0,
-        }
+        self.segs().iter().map(|s| s.len).sum()
     }
 
-    /// Device segments this operation contributes to a reaper pass.
-    fn seg_count(&self) -> usize {
-        match self {
-            RingOp::Write { segs, .. } => segs.len(),
-            RingOp::Read { extents } => extents.len(),
-            RingOp::Flush => 1,
-        }
+    fn segs(&self) -> &[IoSegment] {
+        let RingOp::Write { segs, .. } = self;
+        segs
     }
 }
 
 impl std::fmt::Debug for RingOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RingOp::Write { data, segs } => f
-                .debug_struct("Write")
-                .field("bytes", &data.len())
-                .field("segs", &segs.len())
-                .finish(),
-            RingOp::Read { extents } => f
-                .debug_struct("Read")
-                .field("extents", &extents.len())
-                .finish(),
-            RingOp::Flush => f.write_str("Flush"),
-        }
-    }
-}
-
-/// Successful completion payload.
-#[derive(Clone)]
-pub enum CqeOk {
-    /// Write or flush applied.
-    Done,
-    /// Gather-read result, extents concatenated in submission order.
-    Bytes(Vec<u8>),
-}
-
-impl std::fmt::Debug for CqeOk {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CqeOk::Done => f.write_str("Done"),
-            CqeOk::Bytes(b) => f.debug_tuple("Bytes").field(&b.len()).finish(),
-        }
+        let RingOp::Write { data, segs } = self;
+        f.debug_struct("Write")
+            .field("bytes", &data.len())
+            .field("segs", &segs.len())
+            .finish()
     }
 }
 
@@ -205,35 +150,28 @@ pub struct CqeErr {
     pub op: RingOp,
 }
 
-/// One completion-queue entry.
+/// What a submission's promise resolves to.
 #[derive(Clone, Debug)]
 pub struct Completion {
-    /// The id `submit` returned for this operation.
+    /// The id `submit_keyed` returned for this operation.
     pub id: u64,
     /// Outcome; errors carry the operation back.
-    pub result: std::result::Result<CqeOk, CqeErr>,
+    pub result: std::result::Result<(), CqeErr>,
 }
 
 impl Completion {
     /// Collapse into a plain result, discarding the returned op.
-    pub fn into_result(self) -> Result<CqeOk> {
+    pub fn into_result(self) -> Result<()> {
         self.result.map_err(|e| e.error)
     }
 }
 
-/// Where a completion goes.
-enum Sink {
-    /// Fulfil a promise the submitter holds (the task-aware path).
-    Promise(Promise<Completion>),
-    /// Post to the shared completion ring for polling.
-    Queue,
-}
-
-/// Submission-queue entry: operation plus completion sink.
+/// Submission-queue entry: the operation plus the promise its
+/// completion fulfils.
 struct Sqe {
     id: u64,
     op: RingOp,
-    sink: Sink,
+    promise: Promise<Completion>,
 }
 
 /// Outcome of a submission attempt.
@@ -272,21 +210,19 @@ struct Shard {
 
 struct RingShared {
     shards: Vec<Shard>,
-    cq: RingQueue<Completion>,
     backend: Arc<dyn StorageBackend>,
-    /// Submitted and not yet completed (promise fulfilled / CQE posted).
+    /// Submitted and not yet completed (promise fulfilled).
     in_flight: AtomicUsize,
     shutdown: AtomicBool,
     idle_park: Duration,
 }
 
-/// The submission/completion ring pair over a wrapped backend. See the
-/// module docs for the protocol; dropping the ring drains every queued
+/// The sharded submission queues over a wrapped backend. See the module
+/// docs for the protocol; dropping the ring drains every queued
 /// operation, then joins the reapers.
 pub struct Ring {
     shared: Arc<RingShared>,
     next_id: AtomicU64,
-    rr: AtomicUsize,
     backpressure: Backpressure,
     reapers: Vec<thread::JoinHandle<()>>,
 }
@@ -305,13 +241,8 @@ impl Ring {
                 reaper: OnceLock::new(),
             })
             .collect();
-        // Sized so every slot of every SQ can complete without a poller:
-        // the reaper never deadlocks against a slow completion consumer
-        // unless the CQ already holds two full laps of entries.
-        let cq_capacity = (config.capacity * config.shards * 2).next_power_of_two();
         let shared = Arc::new(RingShared {
             shards,
-            cq: RingQueue::new(cq_capacity),
             backend,
             in_flight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
@@ -326,15 +257,9 @@ impl Ring {
         Ring {
             shared,
             next_id: AtomicU64::new(1),
-            rr: AtomicUsize::new(0),
             backpressure: config.backpressure,
             reapers,
         }
-    }
-
-    /// The wrapped backend.
-    pub fn backend(&self) -> &Arc<dyn StorageBackend> {
-        &self.shared.backend
     }
 
     /// Operations submitted and not yet completed.
@@ -347,117 +272,37 @@ impl Ring {
         self.shared.shards.iter().map(|s| s.sq.capacity()).sum()
     }
 
-    /// Number of submission shards (reaper threads).
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
-    }
-
-    fn shard_for(&self, key: u64) -> usize {
-        (key % self.shared.shards.len() as u64) as usize
-    }
-
     fn unpark(&self, shard_idx: usize) {
         if let Some(t) = self.shared.shards[shard_idx].reaper.get() {
             t.unpark();
         }
     }
 
-    /// Submit to the round-robin shard with a promise completion.
-    pub fn submit(&self, op: RingOp) -> Submitted {
-        let shard = self.rr.fetch_add(1, Ordering::Relaxed) % self.shared.shards.len();
-        self.submit_promise(shard, op)
-    }
-
-    /// Submit with a promise completion; same-key operations share a
-    /// shard and therefore complete in submission order.
+    /// Queue `op` on `key`'s shard and wake its reaper. Same-key
+    /// operations share a shard and therefore complete in submission
+    /// order. A full shard blocks the caller or hands the operation
+    /// back, per the ring's [`Backpressure`].
     pub fn submit_keyed(&self, key: u64, op: RingOp) -> Submitted {
-        self.submit_promise(self.shard_for(key), op)
-    }
-
-    fn submit_promise(&self, shard_idx: usize, op: RingOp) -> Submitted {
+        let shard_idx = (key % self.shared.shards.len() as u64) as usize;
+        let shard = &self.shared.shards[shard_idx];
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let promise = Promise::new();
-        match self.push_sqe(
-            shard_idx,
-            Sqe {
-                id,
-                op,
-                sink: Sink::Promise(promise.clone()),
-            },
-            self.backpressure,
-        ) {
-            Ok(()) => Submitted::Accepted { id, promise },
-            Err(op) => Submitted::Full(op),
-        }
-    }
-
-    /// Submit with the completion posted to the shared completion ring
-    /// (drain with [`Ring::pop_completion`]). Returns the completion id,
-    /// or the operation itself when full under [`Backpressure::Poll`].
-    pub fn submit_to_cq(&self, key: u64, op: RingOp) -> std::result::Result<u64, RingOp> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.push_sqe(
-            self.shard_for(key),
-            Sqe {
-                id,
-                op,
-                sink: Sink::Queue,
-            },
-            self.backpressure,
-        )
-        .map(|()| id)
-    }
-
-    /// TASIO-style plan-batch submission: push the whole batch, then
-    /// wake the reaper once, so a single reaper pass sees — and
-    /// coalesces — every operation of the plan. Always blocks on a full
-    /// ring (a task batch is all-or-nothing); mid-batch wakeups happen
-    /// only when the batch itself overflows a shard.
-    pub fn submit_batch_keyed(
-        &self,
-        key: u64,
-        ops: Vec<RingOp>,
-    ) -> Vec<(u64, Promise<Completion>)> {
-        let shard_idx = self.shard_for(key);
-        let mut out = Vec::with_capacity(ops.len());
-        for op in ops {
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let promise = Promise::new();
-            let sqe = Sqe {
-                id,
-                op,
-                sink: Sink::Promise(promise.clone()),
-            };
-            // Infallible under Block semantics.
-            if self.push_sqe_quiet(shard_idx, sqe).is_ok() {
-                out.push((id, promise));
-            }
-        }
-        self.unpark(shard_idx);
-        out
-    }
-
-    /// Push with the given backpressure policy, waking the reaper on
-    /// success. `Err` hands the operation back (Poll policy only).
-    fn push_sqe(
-        &self,
-        shard_idx: usize,
-        sqe: Sqe,
-        backpressure: Backpressure,
-    ) -> std::result::Result<(), RingOp> {
-        let shard = &self.shared.shards[shard_idx];
+        let mut sqe = Sqe {
+            id,
+            op,
+            promise: promise.clone(),
+        };
         self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        let mut sqe = sqe;
         loop {
             match shard.sq.push(sqe) {
                 Ok(()) => {
                     self.unpark(shard_idx);
-                    return Ok(());
+                    return Submitted::Accepted { id, promise };
                 }
-                Err(back) => match backpressure {
+                Err(back) => match self.backpressure {
                     Backpressure::Poll => {
                         self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                        return Err(back.op);
+                        return Submitted::Full(back.op);
                     }
                     Backpressure::Block => {
                         sqe = back;
@@ -469,33 +314,8 @@ impl Ring {
         }
     }
 
-    /// Block-push without waking the reaper on success (batch path).
-    fn push_sqe_quiet(&self, shard_idx: usize, sqe: Sqe) -> std::result::Result<(), ()> {
-        let shard = &self.shared.shards[shard_idx];
-        self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        let mut sqe = sqe;
-        loop {
-            match shard.sq.push(sqe) {
-                Ok(()) => return Ok(()),
-                Err(back) => {
-                    sqe = back;
-                    // Overflowing the shard mid-batch: the reaper must
-                    // make space, so this wakeup is unavoidable.
-                    self.unpark(shard_idx);
-                    thread::park_timeout(SUBMIT_BACKOFF);
-                }
-            }
-        }
-    }
-
-    /// Pop the oldest unclaimed completion (CQ-sink submissions only).
-    pub fn pop_completion(&self) -> Option<Completion> {
-        self.shared.cq.pop()
-    }
-
-    /// Block until every submitted operation has completed. Promise
-    /// completions are fulfilled; CQ completions are posted (but may
-    /// still be waiting in the completion ring for a `pop_completion`).
+    /// Block until every submitted operation has completed (its promise
+    /// is fulfilled).
     pub fn drain(&self) {
         while self.shared.in_flight.load(Ordering::Acquire) != 0 {
             for i in 0..self.shared.shards.len() {
@@ -552,7 +372,7 @@ fn drain_shard(shared: &RingShared, shard_idx: usize) -> Vec<Sqe> {
     while segments < COALESCE_WINDOW {
         match shared.shards[shard_idx].sq.pop() {
             Some(sqe) => {
-                segments += sqe.op.seg_count().max(1);
+                segments += sqe.op.segs().len().max(1);
                 batch.push(sqe);
             }
             None => break,
@@ -561,305 +381,108 @@ fn drain_shard(shared: &RingShared, shard_idx: usize) -> Vec<Sqe> {
     batch
 }
 
-/// Execute one reaper pass: maximal runs of writes go to the backend as
-/// single vectored calls; reads and flushes execute individually.
+/// Execute one reaper pass: everything queued goes to the backend as a
+/// single vectored call. A lone operation, or a run that failed (a batch
+/// error names no operation), executes one operation at a time so each
+/// completion carries its own verdict — replays are idempotent (same
+/// bytes, same offsets). Completions are delivered in queue order.
 fn execute_batch(shared: &RingShared, batch: Vec<Sqe>) {
-    let mut run: Vec<Sqe> = Vec::new();
+    let backend = shared.backend.as_ref();
+    if batch.len() > 1 && write_run(backend, &batch).is_ok() {
+        for sqe in batch {
+            complete(shared, sqe, Ok(()));
+        }
+        return;
+    }
     for sqe in batch {
-        if matches!(sqe.op, RingOp::Write { .. }) {
-            run.push(sqe);
-            continue;
-        }
-        flush_write_run(shared, &mut run);
-        execute_single(shared, sqe);
-    }
-    flush_write_run(shared, &mut run);
-}
-
-/// Issue a queued run of writes as one vectored call (windowed at
-/// [`COALESCE_WINDOW`] segments). On a batch error, replay the run one
-/// SQE at a time so each completion carries a precise per-operation
-/// verdict — replays are idempotent (same bytes, same offsets).
-fn flush_write_run(shared: &RingShared, run: &mut Vec<Sqe>) {
-    if run.is_empty() {
-        return;
-    }
-    if run.len() == 1 {
-        if let Some(sqe) = run.pop() {
-            execute_single(shared, sqe);
-        }
-        return;
-    }
-    let batch_result = {
-        let iovecs: Vec<IoVec<'_>> = run.iter().flat_map(|sqe| write_iovecs(&sqe.op)).collect();
-        iovecs
-            .chunks(COALESCE_WINDOW)
-            .try_for_each(|window| shared.backend.write_vectored_at(window))
-    };
-    match batch_result {
-        Ok(()) => {
-            for sqe in run.drain(..) {
-                retire(sqe.op);
-                post(
-                    shared,
-                    sqe.sink,
-                    Completion {
-                        id: sqe.id,
-                        result: Ok(CqeOk::Done),
-                    },
-                );
-            }
-        }
-        Err(_) => {
-            for sqe in run.drain(..) {
-                execute_single(shared, sqe);
-            }
-        }
+        let result = write_run(backend, std::slice::from_ref(&sqe));
+        complete(shared, sqe, result);
     }
 }
 
-fn write_iovecs(op: &RingOp) -> Vec<IoVec<'_>> {
-    match op {
-        RingOp::Write { data, segs } => segs
-            .iter()
-            .map(|s| IoVec {
+/// Issue `run`'s segments as one vectored write (windowed at
+/// [`COALESCE_WINDOW`] segments). A segment that does not lie inside its
+/// operation's buffer fails the run before anything reaches the backend
+/// — the fields of [`RingOp::Write`] are public, and a reaper that
+/// panicked on a slice index would leave every promise of its shard
+/// unfulfilled for good.
+fn write_run(backend: &dyn StorageBackend, run: &[Sqe]) -> Result<()> {
+    let segments = run.iter().map(|sqe| sqe.op.segs().len()).sum();
+    let mut iovecs: Vec<IoVec<'_>> = Vec::with_capacity(segments);
+    for sqe in run {
+        let RingOp::Write { data, segs } = &sqe.op;
+        for s in segs {
+            let bytes = s
+                .cursor
+                .checked_add(s.len)
+                .and_then(|end| data.get(s.cursor as usize..end as usize))
+                .ok_or_else(|| {
+                    H5Error::InvalidSelection(format!(
+                        "ring write segment at {} of {} bytes lies outside its {}-byte buffer",
+                        s.cursor,
+                        s.len,
+                        data.len()
+                    ))
+                })?;
+            iovecs.push(IoVec {
                 offset: s.addr,
-                data: &data[s.cursor as usize..(s.cursor + s.len) as usize],
-            })
-            .collect(),
-        _ => Vec::new(),
+                data: bytes,
+            });
+        }
     }
+    iovecs
+        .chunks(COALESCE_WINDOW)
+        .try_for_each(|window| backend.write_vectored_at(window))
 }
 
-fn execute_single(shared: &RingShared, sqe: Sqe) {
-    let Sqe { id, op, sink } = sqe;
-    let result = match run_op(shared.backend.as_ref(), &op) {
-        Ok(ok) => {
-            retire(op);
-            Ok(ok)
+/// Fulfil `sqe`'s promise, then retire it from the in-flight count. A
+/// write that has landed first gives its snapshot buffer back for the
+/// next one (lock-free), so a waiter that wakes finds the buffer already
+/// reusable; a failed one travels back to the waiter inside the error.
+fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>) {
+    let Sqe { id, op, promise } = sqe;
+    let result = match result {
+        Ok(()) => {
+            let RingOp::Write { data, .. } = op;
+            recycle::give(data);
+            Ok(())
         }
         Err(error) => Err(CqeErr { error, op }),
     };
-    post(shared, sink, Completion { id, result });
-}
-
-/// A write that has landed gives its snapshot buffer back for the next
-/// one (lock-free, and before the completion is posted, so a waiter that
-/// wakes finds the buffer already reusable).
-fn retire(op: RingOp) {
-    if let RingOp::Write { data, .. } = op {
-        recycle::give(data);
-    }
-}
-
-fn run_op(backend: &dyn StorageBackend, op: &RingOp) -> Result<CqeOk> {
-    match op {
-        RingOp::Write { .. } => {
-            let iovecs = write_iovecs(op);
-            iovecs
-                .chunks(COALESCE_WINDOW)
-                .try_for_each(|window| backend.write_vectored_at(window))?;
-            Ok(CqeOk::Done)
-        }
-        RingOp::Read { extents } => {
-            let total: u64 = extents.iter().map(|e| e.len).sum();
-            let mut buf = vec![0u8; total as usize];
-            let mut rest: &mut [u8] = &mut buf;
-            let mut iovecs: Vec<IoVecMut<'_>> = Vec::with_capacity(extents.len());
-            for e in extents {
-                let (head, tail) = rest.split_at_mut(e.len as usize);
-                iovecs.push(IoVecMut {
-                    offset: e.addr,
-                    buf: head,
-                });
-                rest = tail;
-            }
-            iovecs
-                .chunks_mut(COALESCE_WINDOW)
-                .try_for_each(|window| backend.read_vectored_at(window))?;
-            drop(iovecs);
-            Ok(CqeOk::Bytes(buf))
-        }
-        RingOp::Flush => {
-            backend.sync()?;
-            Ok(CqeOk::Done)
-        }
-    }
-}
-
-/// Deliver a completion, then retire it from the in-flight count. The
-/// CQ applies backpressure to the reaper: a full completion ring stalls
-/// reaping until a poller catches up (or shutdown abandons the entry —
-/// there is no consumer left to read it).
-fn post(shared: &RingShared, sink: Sink, completion: Completion) {
-    match sink {
-        Sink::Promise(p) => p.fulfill(completion),
-        Sink::Queue => {
-            let mut entry = completion;
-            loop {
-                match shared.cq.push(entry) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        if shared.shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        entry = back;
-                        thread::park_timeout(SUBMIT_BACKOFF);
-                    }
-                }
-            }
-        }
-    }
+    promise.fulfill(Completion { id, result });
     shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-}
-
-/// A [`StorageBackend`] adapter over a [`Ring`]: every call submits and
-/// waits, so existing consumers (the container, the chaos harness) get
-/// the asynchronous boundary — cross-thread coalescing included —
-/// without code changes. Errors surface with the exact same
-/// [`H5Error`] values the wrapped backend produced, so fault
-/// classification, retry, and breaker semantics are unchanged.
-pub struct RingBackend {
-    ring: Ring,
-}
-
-impl RingBackend {
-    /// Ring-wrap `inner` with `config`.
-    pub fn new(inner: Arc<dyn StorageBackend>, config: RingConfig) -> Self {
-        RingBackend {
-            ring: Ring::new(inner, config),
-        }
-    }
-
-    /// Ring-wrap `inner` with the default config.
-    pub fn with_defaults(inner: Arc<dyn StorageBackend>) -> Self {
-        Self::new(inner, RingConfig::default())
-    }
-
-    /// The underlying ring (occupancy, advice, direct submission).
-    pub fn ring(&self) -> &Ring {
-        &self.ring
-    }
-
-    fn wait(&self, submitted: Submitted) -> Result<CqeOk> {
-        let (_, promise) = submitted.accepted()?;
-        promise.take().result.map_err(|CqeErr { error, op }| {
-            retire(op);
-            error
-        })
-    }
-}
-
-impl StorageBackend for RingBackend {
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        // Ring entries must outlive the caller's stack frame: stage into
-        // a recycled buffer, which the reaper returns.
-        let mut staged = recycle::take(data.len());
-        staged.copy_from_slice(data);
-        self.wait(self.ring.submit(RingOp::write_raw(offset, staged)))
-            .map(|_| ())
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let op = RingOp::Read {
-            extents: vec![ReadExtent {
-                addr: offset,
-                len: buf.len() as u64,
-            }],
-        };
-        match self.wait(self.ring.submit(op))? {
-            CqeOk::Bytes(bytes) if bytes.len() == buf.len() => {
-                buf.copy_from_slice(&bytes);
-                Ok(())
-            }
-            _ => Err(H5Error::Storage("ring read returned wrong shape".into())),
-        }
-    }
-
-    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
-        // Stage the borrowed batch in one recycled buffer + segment list.
-        let total: usize = batch.iter().map(|v| v.data.len()).sum();
-        let mut data = recycle::take(total);
-        let mut segs = Vec::with_capacity(batch.len());
-        let mut cursor = 0usize;
-        for v in batch {
-            let end = cursor + v.data.len();
-            data[cursor..end].copy_from_slice(v.data);
-            segs.push(IoSegment {
-                addr: v.offset,
-                cursor: cursor as u64,
-                len: v.data.len() as u64,
-            });
-            cursor = end;
-        }
-        self.wait(self.ring.submit(RingOp::Write { data, segs }))
-            .map(|_| ())
-    }
-
-    fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
-        let op = RingOp::Read {
-            extents: batch
-                .iter()
-                .map(|v| ReadExtent {
-                    addr: v.offset,
-                    len: v.buf.len() as u64,
-                })
-                .collect(),
-        };
-        match self.wait(self.ring.submit(op))? {
-            CqeOk::Bytes(bytes) => {
-                let mut cursor = 0usize;
-                for v in batch.iter_mut() {
-                    let end = cursor + v.buf.len();
-                    let Some(chunk) = bytes.get(cursor..end) else {
-                        return Err(H5Error::Storage("ring read returned wrong shape".into()));
-                    };
-                    v.buf.copy_from_slice(chunk);
-                    cursor = end;
-                }
-                Ok(())
-            }
-            CqeOk::Done => Err(H5Error::Storage("ring read returned wrong shape".into())),
-        }
-    }
-
-    fn len(&self) -> u64 {
-        // Quiesce first so in-flight extensions are visible — `len` is
-        // an allocation high-water mark, not a hot-path call.
-        self.ring.drain();
-        self.ring.backend().len()
-    }
-
-    fn sync(&self) -> Result<()> {
-        // Global barrier: drain every shard, then flush the device.
-        self.ring.drain();
-        self.wait(self.ring.submit(RingOp::Flush)).map(|_| ())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::storage::MemBackend;
-    use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
 
-    /// MemBackend that counts vectored write calls — proof of
-    /// depth-aware coalescing.
-    struct CountingBackend {
+    /// MemBackend that records the offsets of every vectored write call
+    /// — proof of per-key FIFO and of depth-aware coalescing — and whose
+    /// first call can be held open until the test lets it go.
+    struct RecordingBackend {
         inner: MemBackend,
-        vectored_writes: AtomicUsize,
+        calls: crate::sync::Mutex<Vec<Vec<u64>>>,
+        /// A write call has started (and is waiting on `gate` if shut).
+        entered: AtomicBool,
+        /// Open: calls run straight through.
+        gate: AtomicBool,
     }
 
-    impl CountingBackend {
-        fn new() -> Self {
-            CountingBackend {
+    impl RecordingBackend {
+        fn new(gate_open: bool) -> Self {
+            RecordingBackend {
                 inner: MemBackend::new(),
-                vectored_writes: AtomicUsize::new(0),
+                calls: crate::sync::Mutex::new(Vec::new()),
+                entered: AtomicBool::new(false),
+                gate: AtomicBool::new(gate_open),
             }
         }
     }
 
-    impl StorageBackend for CountingBackend {
+    impl StorageBackend for RecordingBackend {
         fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
             self.inner.write_at(offset, data)
         }
@@ -867,11 +490,12 @@ mod tests {
             self.inner.read_at(offset, buf)
         }
         fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
-            self.vectored_writes.fetch_add(1, Ordering::Relaxed);
+            self.entered.store(true, Ordering::SeqCst);
+            while !self.gate.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            self.calls.lock().push(batch.iter().map(|v| v.offset).collect());
             self.inner.write_vectored_at(batch)
-        }
-        fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
-            self.inner.read_vectored_at(batch)
         }
         fn len(&self) -> u64 {
             self.inner.len()
@@ -881,50 +505,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn write_read_roundtrip_through_ring() {
-        let ring = Ring::new(Arc::new(MemBackend::new()), RingConfig::default());
-        let (_, p) = ring
-            .submit(RingOp::write_raw(100, vec![7u8; 64]))
-            .accepted()
-            .unwrap();
-        assert!(matches!(p.wait_cloned().result, Ok(CqeOk::Done)));
-        let (_, p) = ring
-            .submit(RingOp::Read {
-                extents: vec![ReadExtent { addr: 100, len: 64 }],
-            })
-            .accepted()
-            .unwrap();
-        match p.wait_cloned().result {
-            Ok(CqeOk::Bytes(b)) => assert_eq!(b, vec![7u8; 64]),
-            other => panic!("unexpected completion: {other:?}"),
+    fn submit(ring: &Ring, key: u64, op: RingOp) -> Promise<Completion> {
+        ring.submit_keyed(key, op).accepted().unwrap().1
+    }
+
+    /// Poll (never park on a promise a dead reaper would leave empty).
+    fn fulfilled_within(promises: &[Promise<Completion>], limit: Duration) -> bool {
+        let deadline = Instant::now() + limit;
+        while !promises.iter().all(Promise::is_fulfilled) {
+            if Instant::now() > deadline {
+                return false;
+            }
+            thread::sleep(Duration::from_millis(1));
         }
+        true
     }
 
     #[test]
-    fn batch_submission_coalesces_into_one_vectored_call() {
-        let backend = Arc::new(CountingBackend::new());
-        let ring = Ring::new(backend.clone(), RingConfig {
-            // Long idle park: the reaper sleeps until the batch's single
-            // wakeup, so the whole batch lands in one pass.
-            idle_park: Duration::from_millis(200),
-            ..RingConfig::default()
-        });
-        // Let the reaper reach its park before submitting.
-        thread::sleep(Duration::from_millis(20));
-        let ops: Vec<RingOp> = (0..16u64)
-            .map(|i| RingOp::write_raw(i * 64, vec![i as u8; 64]))
-            .collect();
-        let promises = ring.submit_batch_keyed(0, ops);
-        assert_eq!(promises.len(), 16);
-        for (_, p) in &promises {
-            assert!(matches!(p.wait_cloned().result, Ok(CqeOk::Done)));
+    fn a_write_lands_through_the_ring() {
+        let backend = Arc::new(MemBackend::new());
+        let ring = Ring::new(backend.clone(), RingConfig::default());
+        let p = submit(&ring, 0, RingOp::write_raw(100, vec![7u8; 64]));
+        assert!(p.wait_cloned().result.is_ok());
+        let mut back = [0u8; 64];
+        backend.read_at(100, &mut back).unwrap();
+        assert_eq!(back, [7u8; 64]);
+    }
+
+    /// Depth-aware coalescing, deterministically: while the reaper is
+    /// held inside its first backend call, `d` more writes queue up
+    /// behind it; the next call carries exactly those `d` segments.
+    #[test]
+    fn writes_queued_behind_a_busy_reaper_coalesce_into_one_vectored_call() {
+        let backend = Arc::new(RecordingBackend::new(false));
+        let ring = Ring::new(backend.clone(), RingConfig::default());
+        let mut promises = vec![submit(&ring, 0, RingOp::write_raw(0, vec![0u8; 64]))];
+        while !backend.entered.load(Ordering::SeqCst) {
+            thread::yield_now();
         }
-        assert_eq!(
-            backend.vectored_writes.load(Ordering::Relaxed),
-            1,
-            "16 queued writes must coalesce into one vectored call"
-        );
+        let d = 16u64;
+        for i in 1..=d {
+            promises.push(submit(&ring, 0, RingOp::write_raw(i * 64, vec![i as u8; 64])));
+        }
+        backend.gate.store(true, Ordering::SeqCst);
+        for p in &promises {
+            assert!(p.wait_cloned().result.is_ok());
+        }
+        let calls = backend.calls.lock();
+        assert_eq!(calls.len(), 2, "the op in flight, then everything behind it");
+        assert_eq!(calls[0], [0]);
+        assert_eq!(calls[1], (1..=d).map(|i| i * 64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -940,10 +570,10 @@ mod tests {
         let mut accepted = 0;
         let mut bounced = 0;
         for i in 0..16u64 {
-            match ring.submit(RingOp::write_raw(i * 8, vec![1u8; 8])) {
+            match ring.submit_keyed(0, RingOp::write_raw(i * 8, vec![1u8; 8])) {
                 Submitted::Accepted { .. } => accepted += 1,
                 Submitted::Full(op) => {
-                    assert!(matches!(op, RingOp::Write { .. }), "op comes back intact");
+                    assert_eq!(op.total_bytes(), 8, "op comes back intact");
                     bounced += 1;
                 }
             }
@@ -959,41 +589,43 @@ mod tests {
         let plan = FaultPlan::new(7).fail_after(FaultOp::Write, 0, FaultKind::Transient);
         let faulty = FaultInjector::new(Arc::new(MemBackend::new()), plan);
         let ring = Ring::new(Arc::new(faulty), RingConfig::default());
-        let (_, p) = ring
-            .submit(RingOp::write_raw(0, vec![1u8; 8]))
-            .accepted()
-            .unwrap();
+        let p = submit(&ring, 0, RingOp::write_raw(0, vec![1u8; 8]));
         match p.wait_cloned().result {
             Err(CqeErr { error, op }) => {
                 assert!(error.is_retryable(), "transient class preserved: {error}");
                 // The op comes back: resubmit it (the injector faults
                 // every write, so it fails again — same op, same class).
-                let (_, p2) = ring.submit(op).accepted().unwrap();
+                let p2 = submit(&ring, 0, op);
                 assert!(p2.wait_cloned().result.is_err());
             }
             other => panic!("expected injected fault, got {other:?}"),
         }
     }
 
+    /// The order `settle_ring_ds` depends on: same-key writes reach the
+    /// backend in submission order, and promise `i` is fulfilled before
+    /// promise `i + 1` is.
     #[test]
-    fn completion_order_matches_submission_order_per_shard() {
-        let ring = Ring::new(Arc::new(MemBackend::new()), RingConfig::default());
-        let ids: Vec<u64> = (0..32u64)
-            .map(|i| {
-                ring.submit_to_cq(0, RingOp::write_raw(i * 8, vec![0u8; 8]))
-                    .unwrap_or_else(|_| panic!("Block ring never bounces"))
-            })
+    fn completions_arrive_in_submission_order_per_key() {
+        let backend = Arc::new(RecordingBackend::new(true));
+        let ring = Ring::new(backend.clone(), RingConfig::default());
+        let promises: Vec<_> = (0..32u64)
+            .map(|i| submit(&ring, 0, RingOp::write_raw(i * 4, vec![i as u8; 4])))
             .collect();
-        let mut seen = Vec::new();
-        while seen.len() < ids.len() {
-            if let Some(c) = ring.pop_completion() {
-                assert!(c.result.is_ok());
-                seen.push(c.id);
-            } else {
-                thread::yield_now();
+        // Fulfilment only ever goes forward, so walking from the newest
+        // promise to the oldest, nothing older than a fulfilled promise
+        // may still be pending.
+        while !promises.iter().all(Promise::is_fulfilled) {
+            let mut newer_done = false;
+            for (i, p) in promises.iter().enumerate().rev() {
+                let done = p.is_fulfilled();
+                assert!(done || !newer_done, "promise {i} pending behind a fulfilled successor");
+                newer_done |= done;
             }
+            thread::yield_now();
         }
-        assert_eq!(seen, ids, "single-shard completions are FIFO");
+        let seen: Vec<u64> = backend.calls.lock().concat();
+        assert_eq!(seen, (0..32u64).map(|i| i * 4).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1001,57 +633,54 @@ mod tests {
         let slow = crate::storage::ThrottledBackend::in_memory(1e9, 2e-3);
         let ring = Ring::new(Arc::new(slow), RingConfig::default());
         let promises: Vec<_> = (0..8u64)
-            .map(|i| {
-                ring.submit_keyed(0, RingOp::write_raw(i * 8, vec![2u8; 8]))
-                    .accepted()
-                    .unwrap()
-                    .1
-            })
+            .map(|i| submit(&ring, 0, RingOp::write_raw(i * 8, vec![2u8; 8])))
             .collect();
         drop(ring); // shutdown drains the queue before joining reapers
         for p in promises {
             assert!(
-                matches!(p.wait_cloned().result, Ok(CqeOk::Done)),
+                p.wait_cloned().result.is_ok(),
                 "queued ops complete during shutdown"
             );
         }
     }
 
+    /// `RingOp::Write`'s fields are public: a segment reaching past its
+    /// buffer must come back as that operation's error, not panic the
+    /// reaper and strand every promise queued on the shard.
     #[test]
-    fn ring_backend_is_a_storage_backend() {
-        let rb = RingBackend::with_defaults(Arc::new(MemBackend::new()));
-        rb.write_at(10, &[1, 2, 3, 4]).unwrap();
-        let mut buf = [0u8; 4];
-        rb.read_at(10, &mut buf).unwrap();
-        assert_eq!(buf, [1, 2, 3, 4]);
-        let payload = [9u8; 12];
-        rb.write_vectored_at(&[
-            IoVec {
-                offset: 100,
-                data: &payload[..6],
-            },
-            IoVec {
-                offset: 200,
-                data: &payload[6..],
-            },
-        ])
-        .unwrap();
-        let mut a = [0u8; 6];
-        let mut b = [0u8; 6];
-        rb.read_vectored_at(&mut [
-            IoVecMut {
-                offset: 100,
-                buf: &mut a,
-            },
-            IoVecMut {
-                offset: 200,
-                buf: &mut b,
-            },
-        ])
-        .unwrap();
-        assert_eq!(a, [9u8; 6]);
-        assert_eq!(b, [9u8; 6]);
-        rb.sync().unwrap();
-        assert!(rb.len() >= 206);
+    fn a_segment_past_its_buffer_is_an_error_not_a_dead_reaper() {
+        let backend = Arc::new(RecordingBackend::new(true));
+        let ring = Ring::new(backend.clone(), RingConfig::default());
+        let bad = |cursor, len| RingOp::Write {
+            data: vec![0u8; 8],
+            segs: vec![IoSegment { addr: 0, cursor, len }],
+        };
+        let promises = [
+            submit(&ring, 0, bad(4, 8)),
+            submit(&ring, 0, RingOp::write_raw(64, vec![9u8; 8])),
+            submit(&ring, 0, bad(u64::MAX, 2)),
+            submit(&ring, 0, RingOp::write_raw(128, vec![5u8; 8])),
+        ];
+        assert!(
+            fulfilled_within(&promises, Duration::from_secs(3)),
+            "a malformed op left promises unfulfilled: the reaper is dead"
+        );
+        for (i, len) in [(0, 8), (2, 2)] {
+            match promises[i].wait_cloned().result {
+                Err(CqeErr { error, op }) => {
+                    assert!(matches!(error, H5Error::InvalidSelection(_)), "got {error}");
+                    assert!(!error.is_retryable());
+                    assert_eq!(op.total_bytes(), len, "the op comes back");
+                }
+                Ok(()) => panic!("op {i} must fail"),
+            }
+        }
+        let seen: Vec<u64> = backend.calls.lock().concat();
+        assert_eq!(seen, [64, 128], "the bad ops never reached the backend");
+        for (addr, byte) in [(64, 9u8), (128, 5u8)] {
+            let mut back = [0u8; 8];
+            backend.read_at(addr, &mut back).unwrap();
+            assert_eq!(back, [byte; 8], "the good op behind a bad one landed");
+        }
     }
 }

@@ -399,11 +399,6 @@ impl ThrottledBackend {
         Self::with_channel_count(Box::new(MemBackend::new()), bandwidth, latency, channels)
     }
 
-    /// The in-flight concurrency cap.
-    pub fn channel_count(&self) -> usize {
-        self.channels.lock().free_at.len()
-    }
-
     /// The current sustained bandwidth, bytes/s.
     pub fn bandwidth(&self) -> f64 {
         f64::from_bits(self.bandwidth_bits.load(Ordering::Relaxed))

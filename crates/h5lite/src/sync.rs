@@ -19,7 +19,6 @@
 //! deadlock detection even though h5lite cannot name argolite.
 
 use std::sync::{self, OnceLock, PoisonError};
-use std::time::Duration;
 
 /// Process-wide observation hooks for named-lock traffic.
 ///
@@ -173,28 +172,6 @@ impl Condvar {
         }
     }
 
-    /// [`Condvar::wait`] with a relative timeout; returns whether the
-    /// wait timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        match guard.inner.take() {
-            Some(g) => {
-                if let Some(name) = guard.name {
-                    order_hook::released(name);
-                }
-                let (g, res) = match self.inner.wait_timeout(g, timeout) {
-                    Ok(pair) => pair,
-                    Err(p) => p.into_inner(),
-                };
-                guard.inner = Some(g);
-                if let Some(name) = guard.name {
-                    order_hook::acquired(name);
-                }
-                res.timed_out()
-            }
-            None => false,
-        }
-    }
-
     /// Wake one waiter.
     pub fn notify_one(&self) {
         self.inner.notify_one();
@@ -344,14 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn mutex_and_condvar() {
+    fn mutex_basic() {
         let m = Mutex::new(0);
         *m.lock() = 9;
         assert_eq!(*m.lock(), 9);
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(5)));
-        drop(g);
         assert_eq!(m.into_inner(), 9);
     }
 

@@ -261,12 +261,6 @@ impl RunResult {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Mean observed aggregate bandwidth over all phases.
-    pub fn mean_bandwidth(&self) -> f64 {
-        let bws = self.phase_bandwidths();
-        bws.iter().sum::<f64>() / bws.len() as f64
-    }
-
     /// Total visible I/O time across phases.
     pub fn total_visible_io(&self) -> f64 {
         self.phases.iter().map(|p| p.visible_io_secs).sum()
@@ -374,7 +368,6 @@ mod tests {
         };
         assert_eq!(r.phase_bandwidths(), vec![50.0, 100.0]);
         assert_eq!(r.peak_bandwidth(), 100.0);
-        assert_eq!(r.mean_bandwidth(), 75.0);
         assert_eq!(r.total_visible_io(), 3.0);
     }
 }

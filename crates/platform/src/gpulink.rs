@@ -14,7 +14,6 @@
 //! roughly half the link efficiency.
 
 use crate::units::GB_S;
-use desim::SimDuration;
 
 /// Which physical link connects CPU and GPU memory.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -73,11 +72,6 @@ impl GpuLinkModel {
     /// Wall time to move `bytes` across the link.
     pub fn transfer_time(&self, bytes: u64, pinned: bool) -> f64 {
         self.dma_setup + bytes as f64 / self.achievable_bw(pinned)
-    }
-
-    /// [`Self::transfer_time`] as a [`SimDuration`].
-    pub fn transfer_duration(&self, bytes: u64, pinned: bool) -> SimDuration {
-        SimDuration::from_secs_f64(self.transfer_time(bytes, pinned))
     }
 
     /// Effective bandwidth including setup cost (the quantity the paper's

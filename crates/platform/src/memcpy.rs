@@ -18,7 +18,6 @@
 //! quantity that makes async aggregate bandwidth scale linearly with nodes
 //! in Fig. 3).
 
-use desim::SimDuration;
 
 /// Saturating-bandwidth model of `memcpy` between two host buffers.
 #[derive(Clone, Debug)]
@@ -65,11 +64,6 @@ impl MemcpyModel {
     /// Wall time for one copy of `bytes` with the bus to itself.
     pub fn copy_time(&self, bytes: u64) -> f64 {
         self.copy_time_shared(bytes, 1)
-    }
-
-    /// The same as [`copy_time`](Self::copy_time), as a [`SimDuration`].
-    pub fn copy_duration(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(self.copy_time(bytes))
     }
 
     /// Check the paper's observation: bandwidth at `bytes` is within
@@ -125,13 +119,6 @@ mod tests {
         let alone = m.copy_time(32 * MIB) - m.latency;
         let shared = m.copy_time_shared(32 * MIB, 6) - m.latency;
         assert!((shared / alone - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn duration_conversion() {
-        let m = model();
-        let d = m.copy_duration(32 * MIB);
-        assert!((d.as_secs_f64() - m.copy_time(32 * MIB)).abs() < 1e-9);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! have different sustained bandwidths, and every operation pays a fixed
 //! submission latency.
 
-use desim::SimDuration;
 
 /// Bandwidth/latency model of a node-local NVMe device.
 #[derive(Clone, Debug)]
@@ -43,16 +42,6 @@ impl NvmeModel {
         self.latency + bytes as f64 / self.read_bw
     }
 
-    /// [`Self::write_time`] as a [`SimDuration`].
-    pub fn write_duration(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(self.write_time(bytes))
-    }
-
-    /// [`Self::read_time`] as a [`SimDuration`].
-    pub fn read_duration(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(self.read_time(bytes))
-    }
-
     /// Whether `bytes` fits on the device.
     pub fn fits(&self, bytes: u64) -> bool {
         bytes <= self.capacity
@@ -87,12 +76,5 @@ mod tests {
         let d = summit_nvme();
         assert!(d.fits(GIB));
         assert!(!d.fits(u64::MAX));
-    }
-
-    #[test]
-    fn durations_match_times() {
-        let d = summit_nvme();
-        assert!((d.write_duration(GIB).as_secs_f64() - d.write_time(GIB)).abs() < 1e-9);
-        assert!((d.read_duration(GIB).as_secs_f64() - d.read_time(GIB)).abs() < 1e-9);
     }
 }

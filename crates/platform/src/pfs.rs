@@ -29,8 +29,6 @@
 //! the paper: 768 ranks / 128 nodes on Summit, 1024 ranks / 32 nodes on
 //! Cori-Haswell for the VPIC-IO 32 MiB/rank workload.
 
-use desim::SimDuration;
-
 /// Direction of a collective transfer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum IoPattern {
@@ -89,18 +87,6 @@ pub trait FileSystemModel {
         let total = per_rank_bytes as f64 * ranks as f64;
         let bw = self.aggregate_bw(nodes, per_rank_bytes, pattern, contention);
         self.metadata_time(ranks) + total / bw
-    }
-
-    /// The same as [`io_time`](Self::io_time) as a [`SimDuration`].
-    fn io_duration(
-        &self,
-        nodes: u32,
-        ranks: u32,
-        per_rank_bytes: u64,
-        pattern: IoPattern,
-        contention: f64,
-    ) -> SimDuration {
-        SimDuration::from_secs_f64(self.io_time(nodes, ranks, per_rank_bytes, pattern, contention))
     }
 }
 
@@ -230,24 +216,6 @@ pub enum Pfs {
     Gpfs(GpfsModel),
     /// Lustre (Cori's scratch).
     Lustre(LustreModel),
-}
-
-impl Pfs {
-    /// The GPFS model, when this is one.
-    pub fn gpfs(&self) -> Option<&GpfsModel> {
-        match self {
-            Pfs::Gpfs(m) => Some(m),
-            Pfs::Lustre(_) => None,
-        }
-    }
-
-    /// The Lustre model, when this is one.
-    pub fn lustre(&self) -> Option<&LustreModel> {
-        match self {
-            Pfs::Lustre(m) => Some(m),
-            Pfs::Gpfs(_) => None,
-        }
-    }
 }
 
 impl FileSystemModel for Pfs {
@@ -423,7 +391,9 @@ mod tests {
     #[test]
     fn stripe_capacity_is_72_osts() {
         let sys = cori_haswell();
-        let fs = sys.pfs.lustre().expect("cori uses lustre");
+        let Pfs::Lustre(fs) = &sys.pfs else {
+            panic!("cori uses lustre");
+        };
         assert_eq!(fs.stripe_count, 72);
         assert!(fs.stripe_capacity() < fs.peak_capacity());
         assert!(fs.stripe_capacity() > 50.0 * GB_S);

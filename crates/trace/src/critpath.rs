@@ -52,12 +52,6 @@ impl RankSlice {
     pub fn busy_nanos(&self) -> u64 {
         self.compute_nanos + self.write_nanos + self.meta_nanos
     }
-
-    /// Total attributed time; equals the epoch wall when the emitter's
-    /// tiling is exact.
-    pub fn total_nanos(&self) -> u64 {
-        self.busy_nanos() + self.wait_nanos
-    }
 }
 
 /// One segment of an epoch's critical path.
@@ -395,7 +389,7 @@ mod tests {
             assert_eq!(e.wall_nanos(), 3_600);
             for s in &e.ranks {
                 assert_eq!(
-                    s.total_nanos(),
+                    s.busy_nanos() + s.wait_nanos,
                     e.wall_nanos(),
                     "rank {} attribution must tile the wall",
                     s.rank

@@ -259,7 +259,6 @@ mod tests {
         let dump = t.flight_dump();
         assert_eq!(dump.len(), 4);
         assert_eq!(dump.dropped(), 6);
-        assert_eq!(t.dropped_records(), 6);
         let epochs: Vec<u64> = dump
             .sink()
             .events_where(|e| matches!(e, Event::EpochMark { .. }))

@@ -449,15 +449,6 @@ impl Tracer {
             .is_some_and(|i| i.flight_cap.is_some())
     }
 
-    /// Records overwritten by the flight rings so far (0 for full or
-    /// disabled tracers).
-    pub fn dropped_records(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|i| i.shards.iter().map(|s| lock_shard(s).dropped()).sum())
-            .unwrap_or(0)
-    }
-
     /// The tracer's metrics registry (`None` when disabled). Span
     /// durations are recorded into a histogram per span name
     /// automatically.
@@ -670,11 +661,6 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    /// A sink over an explicit record list (e.g. for exporter tests).
-    pub fn from_records(records: Vec<Record>) -> Self {
-        TraceSink { records }
-    }
-
     /// All records in emission order.
     pub fn records(&self) -> &[Record] {
         &self.records

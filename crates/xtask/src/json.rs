@@ -59,14 +59,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The boolean, if a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// Parse a complete JSON document. Errors carry a byte offset and a
@@ -265,7 +257,7 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_num(), Some(-300.0));
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("b").unwrap().get("d").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("e"), Some(&Value::Null));
     }
 

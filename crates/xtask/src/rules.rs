@@ -100,12 +100,12 @@ const BOUNDED_RETRY_CRATES: [&str; 2] = ["crates/h5lite/", "crates/asyncvol/"];
 /// batches. Scalar `write_at`/`read_at` here is a regression back to
 /// per-run request storms; metadata paths carry inline waivers.
 const PLANNED_IO_FILES: [&str; 1] = ["crates/h5lite/src/container.rs"];
-/// Asyncvol background-write paths. With `RingBackend` in place, writes
-/// reach storage through ring submission (or the container's planned
-/// vectored path); a direct scalar `StorageBackend` call here is a
-/// per-request device round trip the ring exists to eliminate. The WAL
-/// staging module is out of scope — its scalar device I/O is the log's
-/// own format.
+/// Asyncvol background-write paths. The connector's writes reach
+/// storage as ring entries (`Ring::submit_keyed`, coalesced by the
+/// reaper) or through the container's planned vectored path; a direct
+/// scalar `StorageBackend` call here is a per-request device round trip
+/// both exist to eliminate. The WAL staging module is out of scope — its
+/// scalar device I/O is the log's own format.
 const RING_DISCIPLINE_FILES: [&str; 1] = ["crates/asyncvol/src/lib.rs"];
 /// Epoch-runner files whose spans must carry a `SpanContext`: an
 /// untagged `.span(..)` here lands every record on the shared untagged
@@ -611,11 +611,6 @@ pub fn parse_allowlist(text: &str) -> Vec<AllowEntry> {
             Some(AllowEntry { rule, path_prefix })
         })
         .collect()
-}
-
-/// Drop violations waived by the allowlist.
-pub fn apply_allowlist(violations: Vec<Violation>, allow: &[AllowEntry]) -> Vec<Violation> {
-    apply_allowlist_tracked(violations, allow).0
 }
 
 /// Drop violations waived by the allowlist, also reporting how many

@@ -18,7 +18,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use apio::asyncvol::{AsyncVol, BreakerConfig, BreakerState, RetryPolicy};
 use apio::h5lite::datatype::to_bytes;
-use apio::h5lite::ring::{Ring, RingBackend, RingConfig};
+use apio::h5lite::ring::{Ring, RingConfig};
 use apio::h5lite::{
     recycle, Container, Dataspace, File, H5Error, Hyperslab, IoVec, IoVecMut, MemBackend, ObjectId,
     ReadRequest, Request, Selection, StorageBackend, Vol,
@@ -383,46 +383,6 @@ fn a_borrowed_only_wrapper_still_gets_snapshot_semantics() {
         recycle::stats().hits - before.hits >= 2,
         "the encode buffer was reused while the first write was still queued"
     );
-}
-
-/// `RingBackend` stages scalar and vectored writes in recycled buffers
-/// (ROADMAP item 2's two copies), one per call.
-#[test]
-fn ring_backend_stages_in_recycled_buffers() {
-    let _turn = pool_turn();
-    let len = 65_536usize;
-    let backend = RecordingBackend::new(len);
-    let ring = RingBackend::with_defaults(backend.clone());
-    let single = stock(len, 1);
-    let double = stock(2 * len, 1);
-    let before = recycle::stats();
-    let (a, b) = (vec![1u8; len], vec![2u8; len]);
-    for round in 0..3u64 {
-        ring.write_at(round * len as u64, &a).unwrap();
-        let base = (8 + round * 2) * len as u64;
-        ring.write_vectored_at(&[
-            IoVec {
-                offset: base,
-                data: &a,
-            },
-            IoVec {
-                offset: base + len as u64,
-                data: &b,
-            },
-        ])
-        .unwrap();
-        let seen = backend.take_seen();
-        assert_eq!(
-            seen,
-            [single[0].0, double[0].0, double[0].0 + len],
-            "round {round}: the same two staging buffers every time"
-        );
-    }
-    assert_eq!(recycle::stats().misses, before.misses);
-    assert!(!backend.stale_seen.load(Ordering::SeqCst));
-    let mut back = vec![0u8; len];
-    ring.read_at(9 * len as u64, &mut back).unwrap();
-    assert_eq!(back, b);
 }
 
 /// (e) The cap is a constant: a full class frees what it is given.

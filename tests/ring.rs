@@ -1,18 +1,18 @@
-//! Integration gate for the ring backend (ISSUE 8): backpressure
+//! Integration gate for the ring transport (ISSUE 8): backpressure
 //! policies under a genuinely full ring, completion-vs-submission
-//! ordering, shutdown with operations in flight, fault plumbing through
-//! completions (retry and breaker semantics unchanged), the connector's
-//! ring path end to end, and a seeded `argolite::explore` sweep over
-//! submit/drain interleavings.
+//! ordering, shutdown with operations in flight, the connector's ring
+//! path end to end — fault resubmission from the wait side included
+//! (retry and breaker semantics unchanged) — and a seeded
+//! `argolite::explore` sweep over submit/drain interleavings.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use apio::asyncvol::{AsyncVol, RetryPolicy};
-use apio::h5lite::ring::{Backpressure, Ring, RingBackend, RingConfig, RingOp, Submitted};
+use apio::h5lite::ring::{Backpressure, Ring, RingConfig, RingOp, Submitted};
 use apio::h5lite::{
     container::ROOT_ID, Container, Dataspace, Datatype, FaultInjector, FaultKind, FaultOp,
-    FaultPlan, Hyperslab, Layout, MemBackend, Selection, StorageBackend, ThrottledBackend, Vol,
+    FaultPlan, Hyperslab, IoVec, Layout, MemBackend, Selection, StorageBackend, ThrottledBackend,
+    Vol,
 };
 
 #[cfg(feature = "debug-invariants")]
@@ -96,29 +96,69 @@ fn poll_backpressure_hands_the_op_back_intact() {
     p.wait_cloned().into_result().expect("resubmission completes");
 }
 
-/// CQ-polled completions on one key arrive in submission order — the
-/// per-shard FIFO the connector's settlement logic depends on.
+/// Forwards to a `MemBackend`, recording the offset of every segment of
+/// every vectored write in the order the device saw them.
+struct OffsetLog {
+    inner: MemBackend,
+    offsets: std::sync::Mutex<Vec<u64>>,
+}
+
+impl StorageBackend for OffsetLog {
+    fn write_at(&self, offset: u64, data: &[u8]) -> apio::h5lite::Result<()> {
+        self.inner.write_at(offset, data)
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> apio::h5lite::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> apio::h5lite::Result<()> {
+        self.offsets.lock().unwrap().extend(batch.iter().map(|v| v.offset));
+        self.inner.write_vectored_at(batch)
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn sync(&self) -> apio::h5lite::Result<()> {
+        self.inner.sync()
+    }
+}
+
+/// Writes on one key reach the device in submission order and promise
+/// `i` is fulfilled before promise `i + 1` is — the per-shard FIFO the
+/// connector's settlement logic (`settle_ring_ds`) depends on.
 #[test]
 fn completions_arrive_in_submission_order_per_key() {
-    let ring = Ring::new(Arc::new(MemBackend::new()), RingConfig::default());
+    let backend = Arc::new(OffsetLog {
+        inner: MemBackend::new(),
+        offsets: std::sync::Mutex::new(Vec::new()),
+    });
+    let ring = Ring::new(backend.clone(), RingConfig::default());
     let n = 32u64;
-    let submitted: Vec<u64> = (0..n)
+    let promises: Vec<_> = (0..n)
         .map(|i| {
-            ring.submit_to_cq(0, RingOp::write_raw(i * 4, vec![i as u8; 4]))
+            ring.submit_keyed(0, RingOp::write_raw(i * 4, vec![i as u8; 4]))
+                .accepted()
                 .expect("ring has room")
+                .1
         })
         .collect();
-    let mut completed = Vec::new();
-    while completed.len() < n as usize {
-        match ring.pop_completion() {
-            Some(c) => {
-                c.result.expect("write succeeds");
-                completed.push(c.id);
-            }
-            None => std::thread::yield_now(),
+    // Fulfilment only ever goes forward, so on a walk from the newest
+    // promise to the oldest nothing older than a fulfilled promise may
+    // still be pending.
+    while !promises.iter().all(|p| p.is_fulfilled()) {
+        let mut newer_done = false;
+        for (i, p) in promises.iter().enumerate().rev() {
+            let done = p.is_fulfilled();
+            assert!(done || !newer_done, "promise {i} pending behind a fulfilled successor");
+            newer_done |= done;
         }
+        std::thread::yield_now();
     }
-    assert_eq!(completed, submitted, "per-key completion order == submission order");
+    for p in &promises {
+        p.wait_cloned().into_result().expect("write succeeds");
+    }
+    let seen = backend.offsets.lock().unwrap().clone();
+    let submitted: Vec<u64> = (0..n).map(|i| i * 4).collect();
+    assert_eq!(seen, submitted, "per-key device order == submission order");
 }
 
 /// Dropping the ring with operations still in flight must resolve every
@@ -217,52 +257,6 @@ fn seeded_submit_drain_interleavings_hold_ring_invariants() {
     );
 }
 
-/// Transient faults injected *under* the ring surface through
-/// completions as the same retryable errors the synchronous path
-/// reports, so the connector's backoff-and-retry absorbs them with zero
-/// application-visible failures — the RingBackend sandwich changes the
-/// transport, not the resilience semantics.
-#[test]
-fn faults_under_the_ring_are_absorbed_by_connector_retries() {
-    let plan = FaultPlan::new(42)
-        .random(FaultOp::Write, 0.3, FaultKind::Transient)
-        .times(6);
-    let injector = Arc::new(FaultInjector::new(Arc::new(MemBackend::new()), plan));
-    injector.set_armed(false);
-    let ringed: Arc<dyn StorageBackend> =
-        Arc::new(RingBackend::with_defaults(injector.clone()));
-    let c = Arc::new(Container::create(ringed));
-    let n = 16u64 * 64;
-    let ds = c
-        .create_dataset(ROOT_ID, "x", Datatype::F32, &Dataspace::d1(n), Layout::Contiguous)
-        .expect("create dataset");
-    let vol = AsyncVol::builder()
-        .streams(2)
-        .retry(RetryPolicy {
-            max_attempts: 8,
-            ..RetryPolicy::default()
-        })
-        .build();
-    injector.set_armed(true);
-    let expected: Vec<f32> = (0..n).map(|i| i as f32).collect();
-    for step in 0..16u64 {
-        let sel = Selection::Slab(Hyperslab::range1(step * 64, 64));
-        let vals = &expected[(step * 64) as usize..((step + 1) * 64) as usize];
-        let bytes = apio::h5lite::datatype::to_bytes(vals);
-        // Drained collectively by wait_all below.
-        let _ = vol.dataset_write(&c, ds, &sel, &bytes).expect("submit");
-    }
-    vol.wait_all().expect("retries absorb every transient fault");
-    injector.set_armed(false);
-    assert!(injector.injected() > 0, "the plan must actually fire");
-    assert!(
-        vol.stats().retries > 0,
-        "transient completions must route through the retry path"
-    );
-    let back = c.read_selection(ds, &Selection::All).expect("read back");
-    assert_eq!(back, apio::h5lite::datatype::to_bytes(&expected), "no write lost");
-}
-
 /// The connector's task-aware ring path end to end: builder-attached
 /// ring, writes submitted as ring entries, per-request wait and
 /// collective wait_all, and read-after-write settlement.
@@ -304,9 +298,9 @@ fn connector_ring_path_roundtrip() {
     );
 }
 
-/// Faults under a connector-attached ring (the task-aware path, not the
-/// RingBackend shim) are resubmitted from the wait side with the same
-/// backoff policy — wait_all succeeds and the data lands.
+/// Transient faults under a connector-attached ring come back inside
+/// their completions and are resubmitted from the wait side with the
+/// connector's backoff policy — wait_all succeeds and the data lands.
 #[test]
 fn connector_ring_path_resubmits_faulted_ops() {
     let plan = FaultPlan::new(9)
@@ -343,26 +337,4 @@ fn connector_ring_path_resubmits_faulted_ops() {
     assert!(vol.stats().retries > 0, "faulted completions count as retries");
     let back = c.read_selection(ds, &Selection::All).expect("read back");
     assert_eq!(back, expected, "no write lost through the ring path");
-}
-
-/// The drain-then-report contract of `RingBackend::sync`: a flush
-/// submitted behind queued writes must not complete before them.
-#[test]
-fn ring_backend_sync_orders_behind_queued_writes() {
-    let inner: Arc<dyn StorageBackend> = Arc::new(ThrottledBackend::in_memory(1e8, 1e-3));
-    let rb = RingBackend::new(
-        inner.clone(),
-        RingConfig {
-            idle_park: Duration::from_millis(1),
-            ..RingConfig::default()
-        },
-    );
-    for i in 0..8u64 {
-        rb.write_at(i * 128, &[0xCD; 128]).expect("write through the ring");
-    }
-    rb.sync().expect("sync drains first");
-    assert_eq!(rb.len(), 8 * 128, "length reflects every drained write");
-    let mut buf = [0u8; 128];
-    inner.read_at(7 * 128, &mut buf).expect("read");
-    assert_eq!(buf, [0xCD; 128], "last write visible after sync");
 }

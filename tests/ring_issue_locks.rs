@@ -21,8 +21,8 @@ use apio::h5lite::{
 /// (route), `asyncvol.conn` (table insert + FIFO push), and the one
 /// metadata-shard read lock `plan_write_selection` takes in h5lite
 /// (forwarded through `order_hook`). Before the depth governor was
-/// removed the same call took 6: these four plus `argolite.streams` and
-/// `argolite.pool` inside `Runtime::grow_streams`.
+/// removed the same call took 6: these four plus the runtime's stream
+/// list and `argolite.pool` inside `Runtime::grow_streams`.
 const LOCKS_PER_RING_WRITE: u64 = 4;
 
 #[test]

@@ -49,7 +49,8 @@ fn ring_submit_and_complete_take_no_tracked_locks() {
         .expect("warm-up write");
 
     let before = lock_order::total_acquire_count();
-    // Promise-sink round trips (the connector's task-aware path)...
+    // A storm of promise round trips — the connector's path, and the
+    // only one there is — across every key.
     for i in 0..64u64 {
         ring.submit_keyed(i, RingOp::write_raw(i * 64, vec![i as u8; 64]))
             .accepted()
@@ -59,27 +60,18 @@ fn ring_submit_and_complete_take_no_tracked_locks() {
             .into_result()
             .expect("write completes");
     }
-    // ...and CQ-polled round trips, plus a batch submission.
-    let mut pending = 0usize;
-    for i in 0..32u64 {
-        ring.submit_to_cq(i, RingOp::write_raw(8192 + i * 32, vec![0xA5; 32]))
-            .expect("ring has room");
-        pending += 1;
-    }
-    let batch: Vec<RingOp> = (0..16u64)
-        .map(|i| RingOp::write_raw(16384 + i * 32, vec![0x5A; 32]))
+    // ...and a burst queued before anything is waited on, so the reaper
+    // coalesces and completes several entries in one pass.
+    let burst: Vec<_> = (0..48u64)
+        .map(|i| {
+            ring.submit_keyed(3, RingOp::write_raw(8192 + i * 32, vec![0xA5; 32]))
+                .accepted()
+                .expect("Block policy")
+                .1
+        })
         .collect();
-    for (_, p) in ring.submit_batch_keyed(3, batch) {
-        p.wait_cloned().into_result().expect("batch write completes");
-    }
-    while pending > 0 {
-        match ring.pop_completion() {
-            Some(c) => {
-                c.result.expect("cq write completes");
-                pending -= 1;
-            }
-            None => std::thread::yield_now(),
-        }
+    for p in burst {
+        p.wait_cloned().into_result().expect("burst write completes");
     }
     let after = lock_order::total_acquire_count();
     assert_eq!(
