@@ -64,7 +64,8 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #                     counts; seeded write/flush/read orders with h5lite's
 #                     named locks forwarded into the recorder
 #   flush_lanes       read-back fan-out wall time against a 4- and a
-#                     1-channel throttle; lane threads hold no named lock
+#                     1-channel throttle; lane threads and the data
+#                     barrier's thread hold no named lock
 #   chaos, properties fault injection and resilience properties, incl.
 #                     the row-plan/run-plan equivalence
 #   consistency       Strong/Session/Commit visibility under explored
@@ -72,7 +73,8 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #                     scripted replays proving the models distinct
 #   crashpoint        a cut after every backend mutation of a chaos
 #                     workload, reopen, recover, no acked write lost;
-#                     bit-flip detection and WAL read-repair
+#                     clean and torn cuts at all five mutations of a
+#                     fan-out flush; bit-flip detection and WAL read-repair
 #   trace_pipeline    span structure of the async epoch
 #   critpath          straggler attribution, Eq. 2 overlap check
 #   telemetry         drift alarm -> refit -> advice flip, from report JSON
@@ -86,7 +88,10 @@ echo "== h5lite in release (overflow, dataspace, read-back lanes) =="
 # unchecked arithmetic panics in debug and wraps in release, so one
 # profile alone would pass a half fix: the selection-overflow
 # regressions, and the lanes' windows and job shares (`lane` selects the
-# container's read-back tests, `flush_hashes` the windowed long extent).
+# container's read-back and data-barrier tests and `tests/flush_lanes.rs`:
+# the lanes' wall time, the barrier's overlap with them timed against a
+# `sync` that costs one read-back, the op sequence either side of the
+# floor; `flush_hashes` the windowed long extent).
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite dataspace
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite overflow
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite lane

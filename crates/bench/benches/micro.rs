@@ -25,6 +25,7 @@ use h5lite::{
 };
 use kernels::vpic::interleaved_slab;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -293,21 +294,50 @@ fn integrity_overhead() {
     }
 }
 
+/// A backend whose `sync` sleeps `secs_per_byte` for every byte written
+/// since the last one: the barrier over a flush's dirty extents costs
+/// what they weigh, the two after it next to nothing.
+struct PaidSync {
+    inner: Arc<ThrottledBackend>,
+    secs_per_byte: f64,
+    unsynced: AtomicU64,
+}
+
+impl StorageBackend for PaidSync {
+    fn write_at(&self, offset: u64, data: &[u8]) -> h5lite::Result<()> {
+        self.unsynced.fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.inner.write_at(offset, data)
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> h5lite::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn sync(&self) -> h5lite::Result<()> {
+        let dirty = self.unsynced.swap(0, Ordering::Relaxed);
+        std::thread::sleep(Duration::from_secs_f64(dirty as f64 * self.secs_per_byte));
+        self.inner.sync()
+    }
+}
+
 /// The flush's checksum read-back against the device's lanes
 /// (DESIGN.md §13, "Bounded flush memory"): sixteen dirty 2 MiB extents
 /// flushed on a throttled `MemBackend` (400 MB/s, 200 µs per call) of 1,
 /// 2 and 4 channels. The container reads back on up to four lanes, so
 /// the read-back term should shrink about 1 : ½ : ¼ and stay flat past
-/// four channels; the serial term is Σ(latency + len / bandwidth).
+/// four channels; the serial term is Σ(latency + len / bandwidth). The
+/// `ch4+sync` row gives the data barrier the price of one four-lane
+/// read-back ("The barrier rides a lane") and prints the flush beside
+/// the `ch4` row's plus that barrier: the two one after the other.
 fn flush_hash_lanes() {
     section("flush_hash");
     const EXTENTS: usize = 16;
     const LEN: usize = 2 << 20;
     let serial = EXTENTS as f64 * (2e-4 + LEN as f64 / 400e6);
     let data: Vec<u8> = (0..LEN).map(|i| (i * 31 + (i >> 9)) as u8).collect();
-    for channels in [1usize, 2, 4] {
-        let device = Arc::new(ThrottledBackend::with_channels(1e12, 2e-4, channels));
-        let c = Container::create(device.clone());
+    let flush_secs = |name: &str, device: &Arc<ThrottledBackend>, backend: Arc<dyn StorageBackend>| {
+        let c = Container::create(backend);
         let ids: Vec<_> = (0..EXTENTS)
             .map(|i| {
                 let space = Dataspace::d1(LEN as u64);
@@ -315,8 +345,7 @@ fn flush_hash_lanes() {
                     .unwrap()
             })
             .collect();
-        let name = format!("flush_hash/16x2MiB/ch{channels}");
-        let s = bench_custom(&name, |iters| {
+        let s = bench_custom(name, |iters| {
             let mut timed = Duration::ZERO;
             for _ in 0..iters {
                 // Dirty every extent at memory speed; time the flush alone.
@@ -331,13 +360,37 @@ fn flush_hash_lanes() {
             }
             timed
         });
-        let ms = s.secs_per_iter() * 1e3;
+        s.secs_per_iter()
+    };
+    let mut alone = 0.0;
+    for channels in [1usize, 2, 4] {
+        let device = Arc::new(ThrottledBackend::with_channels(1e12, 2e-4, channels));
+        let name = format!("flush_hash/16x2MiB/ch{channels}");
+        let secs = flush_secs(&name, &device, device.clone());
+        alone = secs;
         println!(
-            "    {name:<28} {ms:7.1} ms   {:.2} x the serial read-back ({:.1} ms)",
-            s.secs_per_iter() / serial,
+            "    {name:<28} {:7.1} ms   {:.2} x the serial read-back ({:.1} ms)",
+            secs * 1e3,
+            secs / serial,
             serial * 1e3
         );
     }
+    let device = Arc::new(ThrottledBackend::with_channels(1e12, 2e-4, 4));
+    let barrier = serial / 4.0;
+    let paid = Arc::new(PaidSync {
+        inner: device.clone(),
+        secs_per_byte: barrier / (EXTENTS * LEN) as f64,
+        unsynced: AtomicU64::new(0),
+    });
+    let name = "flush_hash/16x2MiB/ch4+sync";
+    let secs = flush_secs(name, &device, paid);
+    println!(
+        "    {name:<28} {:7.1} ms   {:.2} x the ch4 flush then a {:.1} ms barrier ({:.1} ms)",
+        secs * 1e3,
+        secs / (alone + barrier),
+        barrier * 1e3,
+        (alone + barrier) * 1e3
+    );
 }
 
 /// Queue-depth sweep through the raw [`Ring`], submitted the way the

@@ -110,6 +110,17 @@ struct HashJob {
     algorithm: Algorithm,
 }
 
+/// Bytes a read-back of `jobs` moves.
+fn hash_bytes(jobs: &[HashJob]) -> u64 {
+    jobs.iter().fold(0u64, |sum, job| sum.saturating_add(job.len))
+}
+
+/// Threads [`Container::hash_extents`] shares `jobs` over, the caller
+/// included.
+fn hash_lanes(jobs: &[HashJob]) -> u64 {
+    (hash_bytes(jobs) / HASH_LANE_MIN_BYTES).clamp(1, HASH_LANES.min(jobs.len()).max(1) as u64)
+}
+
 /// An attribute value: small typed metadata attached to any object.
 #[derive(Clone, PartialEq, Debug)]
 pub struct AttrValue {
@@ -340,7 +351,10 @@ impl Container {
     /// `container.meta_lock` hold spans, one `backend.batch` span per
     /// vectored window issued to the backend, and a `container.sieve`
     /// span (with a [`Sieve`](apio_trace::Event::Sieve) payload) around
-    /// each window that moves sieved spans.
+    /// each window that moves sieved spans; a flush that does work
+    /// records `container.flush` ⊃ `container.flush_hash` (with a
+    /// [`FlushHash`](apio_trace::Event::FlushHash) payload), then
+    /// `container.flush_commit`.
     pub fn set_tracer(&self, tracer: Tracer) {
         *self.tracer.write() = tracer;
     }
@@ -478,6 +492,22 @@ impl Container {
     /// fails, the flush returns the first error in job order, stamps
     /// nothing and keeps every extent marked dirty.
     ///
+    /// The device sees one of two barrier sequences. Under 4 MiB of
+    /// dirty bytes: `reads…, write(metadata), sync, write(slot), sync` —
+    /// the first `sync` makes the data and the metadata extent durable
+    /// together. From 4 MiB up the data gets a barrier of its own, on a
+    /// scoped thread beside the read-back lanes and joined with them:
+    /// `reads… ‖ sync, write(metadata), sync, write(slot), sync`, so the
+    /// flush pays `max(read-back, data sync)` and the second `sync`
+    /// covers the metadata extent alone. The early barrier is sound
+    /// because every data write the flush covers completed before the
+    /// flush was entered (the quiescence required below) and a read-back
+    /// dirties nothing; the order the slot protocol needs — data
+    /// durable → metadata durable → slot durable — is the same in both.
+    /// A barrier that fails or panics fails the flush like a failed
+    /// read-back does (a read-back error, if there is one too, is the
+    /// one reported).
+    ///
     /// Writers whose durability this flush must cover are
     /// expected to be quiesced (a write racing the flush could be hashed
     /// mid-flight or miss the commit) — but unlike the pre-shard design,
@@ -514,6 +544,8 @@ impl Container {
     }
 
     fn flush_inner(&self, dirty_keys: &[(ObjectId, u64)]) -> Result<()> {
+        let tracer = self.tracer();
+        let _flush_span = tracer.span("container.flush");
         let enabled = self.checksums.load(Ordering::Relaxed);
         // Every dirty extent of every dataset, and the job that hashes
         // it unless its sum is to be cleared. `dirty_keys` is sorted, so
@@ -557,10 +589,34 @@ impl Container {
         // Hash first — these are device reads and must not run under
         // any metadata lock — and fold nothing unless every read-back
         // succeeded: a failed flush leaves every stored sum as it was.
-        let sums = self
-            .hash_extents(&jobs)
-            .into_iter()
-            .collect::<Result<Vec<Checksum>>>()?;
+        // Where the read-back is worth fanning out, the barrier that
+        // makes the same bytes durable rides beside it: they were all
+        // written before this call, and reading them dirties nothing.
+        let dirty_bytes = hash_bytes(&jobs);
+        let overlapped = dirty_bytes >= 2 * HASH_LANE_MIN_BYTES;
+        let hash_span = tracer.span_with(
+            "container.flush_hash",
+            Event::FlushHash {
+                jobs: jobs.len() as u64,
+                bytes: dirty_bytes,
+                lanes: hash_lanes(&jobs),
+                overlapped,
+            },
+        );
+        let (sums, barrier) = if overlapped {
+            std::thread::scope(|scope| {
+                let barrier = scope.spawn(|| self.backend.sync());
+                let sums = self.hash_extents(&jobs);
+                let panicked = |_| Err(H5Error::Storage("the data barrier panicked".into()));
+                (sums, barrier.join().unwrap_or_else(panicked))
+            })
+        } else {
+            (self.hash_extents(&jobs), Ok(()))
+        };
+        drop(hash_span);
+        let sums = sums.into_iter().collect::<Result<Vec<Checksum>>>()?;
+        barrier?;
+        let _commit_span = tracer.span("container.flush_commit");
         // One copy-on-write mutation per dataset.
         for stamps in stamps.chunk_by(|a, b| a.0 == b.0) {
             self.plane.mutate(stamps[0].0, |st| {
@@ -587,8 +643,9 @@ impl Container {
         };
         let addr = self.reserve(bytes.len() as u64, "metadata append")?;
         self.backend.write_at(addr, &bytes)?; // xtask: allow(planned-io) metadata extent
-        // First barrier: the new root's payload must be durable before
-        // any slot points at it.
+        // The new root's payload (and, under the fan-out floor, the
+        // data it describes) must be durable before any slot points at
+        // it.
         self.backend.sync()?;
         let (next_gen, eof_now) = {
             let alloc = self.alloc.lock();
@@ -608,7 +665,7 @@ impl Container {
                 root_id: ROOT_ID,
             },
         )?;
-        // Second barrier: the root switch itself. Only now is the commit
+        // Last barrier: the root switch itself. Only now is the commit
         // durable, so only now does the in-memory generation advance — a
         // failed commit retries into the same slot, never the fallback.
         self.backend.sync()?;
@@ -628,8 +685,7 @@ impl Container {
     /// `Err` stops no other job; a lane that panicked leaves its job an
     /// [`H5Error::Storage`].
     fn hash_extents(&self, jobs: &[HashJob]) -> Vec<Result<Checksum>> {
-        let bytes = jobs.iter().fold(0u64, |sum, job| sum.saturating_add(job.len));
-        let lanes = (bytes / HASH_LANE_MIN_BYTES).min(HASH_LANES.min(jobs.len()) as u64);
+        let lanes = hash_lanes(jobs);
         // Hands out job indices and nothing else: the jobs are shared
         // by the scope and the sums return through its join handles.
         let next = AtomicUsize::new(0);
@@ -2750,6 +2806,105 @@ mod tests {
         backend.armed.store(false, Ordering::SeqCst);
         c.flush().unwrap();
         assert!(ids.iter().all(|&ds| stored_sums(&c, ds).0.is_some()));
+    }
+
+    /// Fails (`TRAP_FAIL`) or panics in (`TRAP_PANIC`) the next `sync`,
+    /// once, then behaves.
+    struct SyncTrap {
+        inner: MemBackend,
+        trap: AtomicUsize,
+    }
+
+    const TRAP_FAIL: usize = 1;
+    const TRAP_PANIC: usize = 2;
+
+    impl SyncTrap {
+        fn new() -> Arc<Self> {
+            Arc::new(SyncTrap {
+                inner: MemBackend::new(),
+                trap: AtomicUsize::new(0),
+            })
+        }
+    }
+
+    impl StorageBackend for SyncTrap {
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.inner.write_at(offset, data)
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.inner.read_at(offset, buf)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn sync(&self) -> Result<()> {
+            match self.trap.swap(0, Ordering::SeqCst) {
+                TRAP_FAIL => Err(H5Error::Storage("barrier refused".into())),
+                TRAP_PANIC => panic!("data barrier panics (expected by the test)"),
+                _ => self.inner.sync(),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_or_panicked_lane_barrier_is_a_clean_failed_flush() {
+        for (trap, want) in [(TRAP_FAIL, "barrier refused"), (TRAP_PANIC, "data barrier panicked")] {
+            let backend = SyncTrap::new();
+            let c = Container::create(backend.clone());
+            let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
+            c.flush().unwrap();
+            let old: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
+            let generation = c.alloc.lock().generation;
+            let eof = c.allocated_bytes();
+
+            // 16 MiB dirty again: the flush's first sync is the data
+            // barrier beside the read-back, and it is the one trapped.
+            dirty_contiguous(&c, 8, 2 * MIB, 100);
+            backend.trap.store(trap, Ordering::SeqCst);
+            let err = c.flush().unwrap_err();
+            assert!(matches!(err, H5Error::Storage(ref m) if m.contains(want)), "{err:?}");
+            assert_eq!(backend.trap.load(Ordering::SeqCst), 0, "the trap was sprung");
+            let now: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
+            assert_eq!(now, old, "no sum is folded behind a failed barrier");
+            let marks: Vec<_> = ids.iter().map(|&ds| (ds, CONTIG_EXTENT)).collect();
+            assert_eq!(c.dirty_extents.lock().iter().copied().collect::<Vec<_>>(), marks);
+            assert_eq!(c.alloc.lock().generation, generation);
+            assert_eq!(c.allocated_bytes(), eof, "and no metadata extent is appended");
+
+            // The trap is spent: the next flush stamps and commits.
+            c.flush().unwrap();
+            assert!(c.dirty_extents.lock().is_empty());
+            assert_eq!(c.alloc.lock().generation, generation + 1);
+            for (i, &ds) in ids.iter().enumerate() {
+                let bytes = c.read_selection(ds, &Selection::All).unwrap();
+                assert_eq!(bytes, lane_bytes(100 + i, 2 * MIB));
+                assert_eq!(stored_sums(&c, ds), (xxh(&bytes), vec![]));
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_lane_read_is_reported_ahead_of_a_failed_barrier() {
+        let trap = SyncTrap::new();
+        let gauge = ReadGauge::over(trap.clone());
+        let c = Container::create(gauge.clone());
+        let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
+        let addr = |i: usize| c.plane.working(ids[i]).unwrap().data_addr;
+        *gauge.bad.lock() = vec![addr(6), addr(2)];
+        for _ in 0..8 {
+            trap.trap.store(TRAP_FAIL, Ordering::SeqCst);
+            let err = c.flush().unwrap_err();
+            let want = format!("bad sector at {}", addr(2));
+            assert!(matches!(err, H5Error::Storage(ref m) if *m == want), "{err:?}");
+            assert_eq!(trap.trap.load(Ordering::SeqCst), 0, "the barrier failed as well");
+        }
+        // With the reads good again, the barrier's own error shows.
+        gauge.bad.lock().clear();
+        trap.trap.store(TRAP_FAIL, Ordering::SeqCst);
+        let err = c.flush().unwrap_err();
+        assert!(matches!(err, H5Error::Storage(ref m) if m == "barrier refused"), "{err:?}");
+        c.flush().unwrap();
+        assert!(c.scrub().unwrap().clean());
     }
 
     #[test]

@@ -92,6 +92,14 @@ fn event_members(e: &Event) -> String {
         } => format!(
             "\"type\":\"Sieve\",\"segments\":{segments},\"span_bytes\":{span_bytes},\"fill_bytes\":{fill_bytes}"
         ),
+        Event::FlushHash {
+            jobs,
+            bytes,
+            lanes,
+            overlapped,
+        } => format!(
+            "\"type\":\"FlushHash\",\"jobs\":{jobs},\"bytes\":{bytes},\"lanes\":{lanes},\"overlapped\":{overlapped}"
+        ),
         Event::Degrade { dataset, bytes } => {
             format!("\"type\":\"Degrade\",\"dataset\":{dataset},\"bytes\":{bytes}")
         }

@@ -153,6 +153,18 @@ pub enum Event {
         /// Hole bytes among them (moved, but not asked for).
         fill_bytes: u64,
     },
+    /// The checksum read-back of one container flush.
+    FlushHash {
+        /// Dirty extents read back and hashed.
+        jobs: u64,
+        /// Bytes they hold.
+        bytes: u64,
+        /// Threads the read-back ran on, the flushing one included.
+        lanes: u64,
+        /// Whether the data barrier ran beside the read-back (at or
+        /// above the fan-out floor) instead of after the metadata append.
+        overlapped: bool,
+    },
     /// A write served synchronously because the breaker degraded the
     /// async path.
     Degrade {

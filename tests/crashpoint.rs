@@ -315,6 +315,113 @@ fn torn_crash_between_shard_commits_never_reopens_a_mixed_generation() {
     assert_eq!(report.runs, 1 + 3 * report.boundaries);
 }
 
+/// ISSUE 24 satellite: the flush's fan-out path under the cut. From
+/// 4 MiB of dirty bytes up, a flush reads its extents back on several
+/// lanes with the data barrier beside them, so its mutation train is
+/// `sync, write(metadata), sync, write(slot), sync` — and no other crash
+/// suite is over that floor. Generation A commits a small stamped
+/// dataset and two allocated, unwritten 3 MiB ones; generation B fills
+/// those two (6 MiB dirty over two datasets) and creates a marker. Reads
+/// do not tick the clock, so with the barrier concurrent the sweep still
+/// replays one mutation order. Wherever the cut (clean, or tearing the
+/// boundary write) lands in B's flush, reopen shows A whole or B whole,
+/// falls back to the other slot exactly when B's slot tore, and every
+/// stored sum of the visible generation verifies.
+#[test]
+fn a_crash_at_any_mutation_of_a_fan_out_flush_reopens_the_old_or_the_new_generation() {
+    const BIG: usize = 3 << 20;
+    // Mutations of B's flush, in order; a flush refused at `SLOT_WRITE`
+    // may have torn the slot, one refused later has written it whole.
+    const STEPS: usize = 5;
+    const SLOT_WRITE: usize = 3;
+
+    fn big_bytes(salt: usize) -> Vec<u8> {
+        (0..BIG).map(|i| (i ^ (i >> 9) ^ (salt * 0x5D)) as u8).collect()
+    }
+
+    // A clean cut, then tears that reach past the slot's magic into its
+    // generation (9 bytes) and into its payload (33): either leaves a
+    // slot that is neither the old image nor the new one.
+    for torn in [&[0][..], &[9, 33]] {
+        let tears = torn != [0];
+        let mut refused_at = [0u32; STEPS];
+        let report = sweep_torn(torn, |clock| {
+            let inner: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+            let dev: Arc<dyn StorageBackend> = Arc::new(CrashBackend::new(inner.clone(), clock.clone()));
+            let c = Container::create(dev);
+            let create = |name: &str, len: usize| {
+                c.create_dataset(ROOT_ID, name, Datatype::U8, &Dataspace::d1(len as u64), Layout::Contiguous)
+            };
+
+            // Generation A.
+            let small = create("small", 64).expect("metadata only");
+            let big: Vec<_> = (0..2).map(|i| create(&format!("big{i}"), BIG).expect("metadata only")).collect();
+            let committed_a = c.write_selection(small, &Selection::All, &[7u8; 64]).is_ok() && c.flush().is_ok();
+
+            // Generation B, up to its flush.
+            let mut flushed_b = None;
+            if committed_a
+                && (0..2).all(|i| c.write_selection(big[i], &Selection::All, &big_bytes(i)).is_ok())
+                && create("marker", 1).is_ok()
+            {
+                let before = clock.mutations();
+                let ok = c.flush().is_ok();
+                let issued = (clock.mutations() - before) as usize;
+                if ok && issued != STEPS {
+                    return Err(format!("a fan-out flush issued {issued} mutations, not {STEPS}"));
+                }
+                if !ok {
+                    refused_at[issued - 1] += 1;
+                }
+                flushed_b = Some((ok, issued));
+            }
+            drop(c); // crash (Drop's best-effort flush is refused past the cut)
+
+            let c2 = match Container::open(inner) {
+                Ok(c2) if committed_a => c2,
+                Err(e) if committed_a => return Err(format!("generation A was acked but is unreadable: {e}")),
+                // The cut fell in A's own commit (the under-floor path,
+                // swept above): nothing acked, nothing to hold.
+                _ => return Ok(()),
+            };
+            // B is visible once its slot is on the device whole: the
+            // flush returned, or only the last barrier was refused.
+            let want_b = matches!(flushed_b, Some((ok, issued)) if ok || issued > SLOT_WRITE + 1);
+            let have_b = c2.lookup(ROOT_ID, "marker").is_ok();
+            if have_b != want_b {
+                return Err(format!("flush B {flushed_b:?}: marker visible = {have_b}"));
+            }
+            let tore_slot = tears && flushed_b == Some((false, SLOT_WRITE + 1));
+            let fallbacks = c2.integrity_stats().superblock_fallbacks;
+            if fallbacks != tore_slot as u64 {
+                return Err(format!("flush B {flushed_b:?}: {fallbacks} superblock fallback(s)"));
+            }
+            // Every sum the visible generation stores verifies: A's one
+            // (B's writes went to extents A stores no sum for), or all
+            // three of B's.
+            let scrub = c2.scrub().map_err(|e| format!("scrub: {e}"))?;
+            let want_checked = if have_b { 3 } else { 1 };
+            if (scrub.checked, scrub.corrupt) != (want_checked, 0) {
+                return Err(format!("flush B {flushed_b:?}: {scrub:?}"));
+            }
+            if have_b {
+                for i in 0..2 {
+                    let id = c2.lookup(ROOT_ID, &format!("big{i}")).map_err(|e| e.to_string())?;
+                    let got = c2.read_selection(id, &Selection::All).map_err(|e| format!("big{i}: {e}"))?;
+                    if got != big_bytes(i) {
+                        return Err(format!("big{i} bytes differ after reopen"));
+                    }
+                }
+            }
+            Ok(())
+        });
+        assert!(report.ok(), "{}", report.failure.expect("failure"));
+        // Every mutation of the fan-out flush was the boundary once per
+        // prefix: the data barrier, the append, and the rest.
+        assert_eq!(refused_at, [torn.len() as u32; STEPS], "tears: {tears}");
+    }
+}
+
 #[test]
 fn every_injected_bit_flip_is_detected_on_verified_reads() {
     // Silent corruption on half the reads, seeded: the device returns a

@@ -3,7 +3,9 @@
 //! process-wide named-lock counter moves by exactly what the flushing
 //! thread itself took. `hash_extent` and `recycle::lease` are lock-free;
 //! this holds them to it, with h5lite's named locks (metadata shards,
-//! allocator, write gates) forwarded into the recorder.
+//! allocator, write gates) forwarded into the recorder. The data barrier
+//! (ISSUE 24) is one more such thread — these 32 MiB are over the floor —
+//! and is held to the same count.
 //!
 //! One test in the file: the process-wide counter is shared, and a
 //! second test running beside it would move it mid-measurement.
@@ -24,11 +26,12 @@ use apio::h5lite::{
 
 /// Records which threads read, and holds the first reader until a second
 /// has arrived, so the lanes are seen side by side rather than hoped to
-/// overlap.
+/// overlap. Records which thread issued each `sync` as well.
 struct Readers {
     inner: MemBackend,
     arrived: AtomicUsize,
     threads: std::sync::Mutex<HashSet<ThreadId>>,
+    syncers: std::sync::Mutex<Vec<ThreadId>>,
 }
 
 impl StorageBackend for Readers {
@@ -52,6 +55,10 @@ impl StorageBackend for Readers {
         self.inner.len()
     }
     fn sync(&self) -> Result<()> {
+        self.syncers
+            .lock()
+            .expect("no syncer panics")
+            .push(std::thread::current().id());
         self.inner.sync()
     }
 }
@@ -72,6 +79,7 @@ fn read_back_lanes_take_no_named_lock() {
         inner: MemBackend::new(),
         arrived: AtomicUsize::new(0),
         threads: std::sync::Mutex::new(HashSet::new()),
+        syncers: std::sync::Mutex::new(Vec::new()),
     });
     let c = Container::create(backend.clone());
     let data = vec![0x5Au8; 2 << 20];
@@ -93,4 +101,12 @@ fn read_back_lanes_take_no_named_lock() {
     assert!(lanes >= 2, "the read-back ran on {lanes} thread(s)");
     assert!(own > 0, "the flush itself folds sums under the metadata shards");
     assert_eq!(all, own, "threads other than the flushing one took {} named lock(s)", all - own);
+    // The count above covers the barrier thread too: the data barrier
+    // came first and from a thread of its own, the two commit barriers
+    // from the flushing thread.
+    let me = std::thread::current().id();
+    let syncers = backend.syncers.lock().expect("no syncer panics");
+    assert_eq!(syncers.len(), 3, "data, metadata, slot");
+    assert_ne!(syncers[0], me, "the data barrier rides a thread of its own");
+    assert_eq!(syncers[1..], [me, me]);
 }

@@ -213,6 +213,46 @@ fn strided_1500_run_selection_plans_once_and_sieves_into_one_span() {
 }
 
 #[test]
+fn a_flush_that_does_work_brackets_its_read_back_and_its_commit() {
+    // Two flushes: 1 KiB dirty (the read-back inline, the data barrier
+    // in the commit) and 4 MiB dirty over two extents (two lanes, the
+    // barrier beside them), then a clean one that records nothing.
+    let (tracer, _clock) = virtual_tracer();
+    let c = Container::create_mem();
+    let ids: Vec<ObjectId> = (0..2)
+        .map(|i| {
+            c.create_dataset(ROOT_ID, &format!("d{i}"), Datatype::U8, &Dataspace::d1(2 << 20), Layout::Contiguous)
+                .expect("create")
+        })
+        .collect();
+    c.flush().expect("flush metadata");
+    c.set_tracer(tracer.clone());
+    let head = Selection::Slab(Hyperslab::range1(0, 1024));
+    c.write_selection(ids[0], &head, &[1u8; 1024]).expect("write");
+    c.flush().expect("small flush");
+    for &ds in &ids {
+        c.write_selection(ds, &Selection::All, &vec![2u8; 2 << 20]).expect("write");
+    }
+    c.flush().expect("fan-out flush");
+    c.flush().expect("clean flush");
+    let sink = tracer.sink();
+
+    let flushes = sink.spans("container.flush");
+    assert_eq!(flushes.len(), 2, "a clean flush records nothing");
+    let payloads: Vec<_> = sink.spans("container.flush_hash").iter().map(|r| r.event).collect();
+    // The extent is the job, whatever part of it was written.
+    let small = Event::FlushHash { jobs: 1, bytes: 2 << 20, lanes: 1, overlapped: false };
+    let fanned = Event::FlushHash { jobs: 2, bytes: 4 << 20, lanes: 2, overlapped: true };
+    assert_eq!(payloads, [Some(small), Some(fanned)]);
+    let commits = sink.spans("container.flush_commit");
+    assert_eq!(commits.len(), 2);
+    for ((flush, hash), commit) in flushes.iter().zip(sink.spans("container.flush_hash")).zip(commits) {
+        assert_eq!((hash.parent, commit.parent), (flush.id, flush.id));
+        assert!(hash.seq < commit.seq, "the read-back closes before the commit does");
+    }
+}
+
+#[test]
 fn retry_attempts_nest_inside_background_execute_spans() {
     // Transient faults on the container backend: every retry happens in
     // the background stream, so every RetryAttempt instant must sit
