@@ -76,7 +76,8 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #                     clean and torn cuts at all five mutations of a
 #                     fan-out flush; bit-flip detection and WAL read-repair
 #   trace_pipeline    span structure of the async epoch
-#   critpath          straggler attribution, Eq. 2 overlap check
+#   critpath          straggler attribution as arithmetic on RunResult:
+#                     exact tiling, Eq. 2 overlap, values pinned per config
 #   telemetry         drift alarm -> refit -> advice flip, from report JSON
 #   end_to_end        write/read pipelines, observer feeding the model
 APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants
@@ -111,13 +112,6 @@ echo "$report_json" | grep -q '"stragglers"' \
     || { echo "apio-report: straggler section missing"; exit 1; }
 echo "$report_json" | grep -q '"straggler_rank":7' \
     || { echo "apio-report: slowed rank 7 not named as straggler"; exit 1; }
-
-echo "== multi-rank trace smoke (per-rank Chrome rows from the straggler demo) =="
-cargo run -q "${CARGO_FLAGS[@]}" -p apio-apps --bin apio-report -- \
-    --rank-trace="$PWD/target/rank_trace_smoke.json" >/dev/null
-test -s target/rank_trace_smoke.json || { echo "rank trace smoke export missing"; exit 1; }
-grep -q '"tid":15' target/rank_trace_smoke.json \
-    || { echo "rank trace smoke: missing per-rank viewer rows"; exit 1; }
 
 echo "== bench smoke (one iteration per benchmark) =="
 cargo bench -q "${CARGO_FLAGS[@]}" -p apio-bench --bench connector -- --smoke \

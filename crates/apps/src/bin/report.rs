@@ -9,18 +9,15 @@
 //! flight-recorder dump available on the side.
 //!
 //! Alongside the drift demo, a seeded 16-rank simulated run with rank 7
-//! slowed 4× feeds the cross-rank attribution path (DESIGN.md §16): its
-//! per-rank span streams run through the critical-path analysis and land
+//! slowed 4× feeds the straggler attribution (DESIGN.md §16), which lands
 //! in the report's straggler section.
 //!
 //! ```text
-//! apio-report [--json] [--flight-dump=PATH] [--rank-trace=PATH]
+//! apio-report [--json] [--flight-dump=PATH]
 //! ```
 //!
 //! `--json` prints only the JSON snapshot; `--flight-dump=PATH` writes
-//! the flight recorder's retained records as JSONL to `PATH`;
-//! `--rank-trace=PATH` writes the straggler demo's multi-rank trace as
-//! Chrome JSON (one viewer row per rank) to `PATH`.
+//! the flight recorder's retained records as JSONL to `PATH`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,15 +114,12 @@ fn main() {
         .iter()
         .find_map(|a| a.strip_prefix("--flight-dump="))
         .map(std::path::PathBuf::from);
-    let rank_trace_path = args
+    if let Some(bad) = args
         .iter()
-        .find_map(|a| a.strip_prefix("--rank-trace="))
-        .map(std::path::PathBuf::from);
-    if let Some(bad) = args.iter().find(|a| {
-        *a != "--json" && !a.starts_with("--flight-dump=") && !a.starts_with("--rank-trace=")
-    }) {
+        .find(|a| *a != "--json" && !a.starts_with("--flight-dump="))
+    {
         eprintln!("apio-report: unknown argument {bad}");
-        eprintln!("usage: apio-report [--json] [--flight-dump=PATH] [--rank-trace=PATH]");
+        eprintln!("usage: apio-report [--json] [--flight-dump=PATH]");
         std::process::exit(2);
     }
 
@@ -221,21 +215,18 @@ fn main() {
     }
 
     // The cross-rank attribution demo: a seeded 16-rank checkpoint run
-    // with rank 7's compute slowed 4x, re-enacted as per-rank span
-    // streams and folded through the critical-path analysis.
+    // with rank 7's compute slowed 4x, attributed rank by rank.
     let straggler_job = mpisim::Job::new(platform::summit(), 16);
     let straggler_w = mpisim::Workload::checkpoint(16, 32 * platform::units::MIB, 5, 5.0)
         .with_straggler(7, 4.0);
-    let (stragglers, rank_sink, _) = mpisim::straggler_report(
+    let straggler_cfg = mpisim::RunConfig::async_io();
+    let stragglers = mpisim::straggler_report(
         &straggler_job,
         &straggler_w,
-        &mpisim::RunConfig::async_io(),
+        &straggler_cfg,
+        &mpisim::run(&straggler_job, &straggler_w, &straggler_cfg),
         1,
     );
-    if let Some(path) = &rank_trace_path {
-        let chrome = apio_trace::export::chrome_json(rank_sink.records());
-        std::fs::write(path, chrome).expect("write rank trace");
-    }
 
     let mut report = ReportBuilder::new("apio live telemetry")
         .metrics(vol.metrics())
@@ -276,9 +267,6 @@ fn main() {
         }
         if let Some(path) = &dump_path {
             println!("flight dump written to {}", path.display());
-        }
-        if let Some(path) = &rank_trace_path {
-            println!("rank trace written to {}", path.display());
         }
     }
 }

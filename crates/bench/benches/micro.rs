@@ -6,11 +6,9 @@
 //!
 //! Since the ring backend landed, this binary also owns the queue-depth
 //! sweep (depth ∈ {1, 4, 16, 64} × op size {4 KiB, 64 KiB, 1 MiB}), the
-//! 64 KiB-op epoch comparison, and the cross-rank tracing costs
-//! (ctx-guard, per-rank stream emission, critical-path merge, with the
-//! ≤ 2% enabled-emission budget), and since the flush reads back on
-//! lanes, its wall time against the device's channel count. Everything
-//! is a printed table.
+//! 64 KiB-op epoch comparison, and since the flush reads back on lanes,
+//! its wall time against the device's channel count. Everything is a
+//! printed table.
 
 use apio_bench::harness::{bench, bench_bytes, bench_custom, section, Sample};
 use apio_trace::Tracer;
@@ -144,85 +142,6 @@ fn trace_overhead() {
     println!(
         "trace: flight recorder (512/shard ring) adds {flight_pct:+.2}% \
          over disabled tracer on the strided write (budget 2%)"
-    );
-}
-
-/// Cross-rank tracing cost (DESIGN.md §16): the `span_ctx` guard on a
-/// disabled and an enabled tracer, the emission cost of a full
-/// 16-rank × 8-epoch per-rank re-enactment, and the merge throughput of
-/// the critical-path analysis over that trace. The budget: emitting one
-/// 16-rank epoch's span streams with tracing enabled must stay ≤ 2% of
-/// the 64 KiB async epoch it annotates (`async_epoch_secs`, what
-/// [`ring_epoch`] measured for `ring/epoch_async_64KiB`).
-fn critpath_overhead(async_epoch_secs: f64) {
-    use apio_trace::{SpanContext, VirtualClock};
-    use mpisim::{Job, RunConfig, Workload};
-    use platform::units::MIB;
-
-    section("critpath");
-    const RANKS: u32 = 16;
-    const EPOCHS: u32 = 8;
-
-    let ctx_cost = |name: &str, enabled: bool| -> Sample {
-        bench_custom(name, |iters| {
-            let t = if enabled { Tracer::new() } else { Tracer::disabled() };
-            let ctx = SpanContext::new(0, 7, 3);
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                let _g = t.span_ctx(black_box("rank.compute"), black_box(ctx));
-            }
-            t0.elapsed()
-        })
-    };
-    let ctx_off = ctx_cost("critpath/span_ctx_disabled", false);
-    let ctx_on = ctx_cost("critpath/span_ctx_enabled", true);
-
-    let job = Job::new(platform::summit(), RANKS);
-    let w = Workload::checkpoint(RANKS, 32 * MIB, EPOCHS, 5.0).with_straggler(7, 4.0);
-    let cfg = RunConfig::async_io();
-    let result = mpisim::run(&job, &w, &cfg);
-
-    let emit = bench_custom("critpath/emit_16r_8e", |iters| {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            let clock = Arc::new(VirtualClock::new(0));
-            let tracer = Tracer::with_clock(clock.clone());
-            mpisim::trace_rank_streams(0, &job, &w, &cfg, &result, &tracer, &clock);
-            black_box(tracer.sink().records().len());
-        }
-        t0.elapsed()
-    });
-
-    let clock = Arc::new(VirtualClock::new(0));
-    let tracer = Tracer::with_clock(clock.clone());
-    mpisim::trace_rank_streams(0, &job, &w, &cfg, &result, &tracer, &clock);
-    let sink = tracer.sink();
-    let nrec = sink.records().len() as u64;
-    let analyze = bench_custom("critpath/analyze_16r_8e", |iters| {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(
-                apio_trace::critpath::analyze_job(black_box(&sink), 0)
-                    .epochs
-                    .len(),
-            );
-        }
-        t0.elapsed()
-    });
-
-    let per_epoch = emit.secs_per_iter() / EPOCHS as f64;
-    let pct = per_epoch / async_epoch_secs.max(1e-12) * 100.0;
-    println!(
-        "critpath: enabled emission ≈ {:.1} µs per 16-rank epoch \
-         ({pct:.2}% of the 64 KiB async epoch, budget 2%)",
-        per_epoch * 1e6
-    );
-    println!(
-        "critpath: analyze merges {nrec} records at {:.1} Mrec/s; \
-         span_ctx on/off: {:.1}/{:.1} ns",
-        nrec as f64 / analyze.secs_per_iter().max(1e-12) / 1e6,
-        ctx_on.secs_per_iter() * 1e9,
-        ctx_off.secs_per_iter() * 1e9,
     );
 }
 
@@ -448,9 +367,8 @@ fn ring_depth_sweep() {
 /// followed by 64 × 64 KiB slab writes, sync through the container vs
 /// async through the ring-backed connector. The sync epoch pays the
 /// 100 µs device latency per op; the async epoch overlaps I/O with the
-/// next compute phase and the reaper coalesces the slabs. Returns the
-/// async epoch's seconds per iteration.
-fn ring_epoch() -> f64 {
+/// next compute phase and the reaper coalesces the slabs.
+fn ring_epoch() {
     section("ring_epoch");
     let ops = 64u64;
     let op_bytes = 65536u64;
@@ -461,7 +379,7 @@ fn ring_epoch() -> f64 {
         .map(|i| Selection::Slab(Hyperslab::range1(i * op_bytes, op_bytes)))
         .collect();
 
-    let async_epoch = {
+    {
         let backend: Arc<dyn StorageBackend> =
             Arc::new(ThrottledBackend::with_channels(2e9, 1e-4, 4));
         let ring = Arc::new(Ring::new(
@@ -482,15 +400,14 @@ fn ring_epoch() -> f64 {
             let _ = vol.dataset_write(&c, ds, sel, &data).unwrap();
         }
         vol.wait_all().unwrap();
-        let s = bench("ring/epoch_async_64KiB", || {
+        bench("ring/epoch_async_64KiB", || {
             std::thread::sleep(compute);
             for sel in &sels {
                 let _ = vol.dataset_write(&c, ds, black_box(sel), black_box(&data)).unwrap();
             }
         });
         vol.wait_all().unwrap();
-        s.secs_per_iter()
-    };
+    }
     {
         let backend: Arc<dyn StorageBackend> =
             Arc::new(ThrottledBackend::with_channels(2e9, 1e-4, 4));
@@ -508,7 +425,6 @@ fn ring_epoch() -> f64 {
             }
         });
     }
-    async_epoch
 }
 
 fn main() {
@@ -519,5 +435,5 @@ fn main() {
     flush_hash_lanes();
 
     ring_depth_sweep();
-    critpath_overhead(ring_epoch());
+    ring_epoch();
 }

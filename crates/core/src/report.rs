@@ -15,6 +15,7 @@
 //! every number is read at build time, so a report is a consistent
 //! point-in-time snapshot.
 
+use apio_trace::export::json_escape;
 use apio_trace::{DriftAlarm, EpochPoint, Metrics, SeriesAggregator};
 
 use crate::advisor::Advice;
@@ -65,12 +66,12 @@ pub struct IntegritySummary {
 
 /// One epoch's cross-rank straggler attribution (DESIGN.md §16): which
 /// rank bounded the epoch and where that rank's time went. Produced by
-/// `mpisim`'s critical-path analysis; the model crate only renders it.
+/// `mpisim::straggler_report`; the model crate only renders it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StragglerEpoch {
     /// 0-based epoch index.
     pub epoch: u64,
-    /// The rank the critical path runs through.
+    /// The rank with the most busy time: the one the epoch waits for.
     pub straggler: u32,
     /// Epoch wall time in nanoseconds.
     pub wall_nanos: u64,
@@ -157,23 +158,6 @@ fn scenario_tag(s: Scenario) -> &'static str {
         Scenario::PartialOverlap => "partial_overlap",
         Scenario::Slowdown => "slowdown",
     }
-}
-
-/// Escape a string for a JSON literal.
-fn jesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A float as a JSON number (non-finite values become 0 — JSON has no
@@ -413,14 +397,14 @@ impl ReportBuilder {
     /// The JSON snapshot (schema `apio-report-v1`).
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\"schema\":\"apio-report-v1\"");
-        out.push_str(&format!(",\"title\":\"{}\"", jesc(&self.title)));
+        out.push_str(&format!(",\"title\":\"{}\"", json_escape(&self.title)));
         if let Some(refits) = self.refits {
             out.push_str(&format!(",\"refits\":{refits}"));
         }
         if let Some((state, degraded)) = &self.breaker {
             out.push_str(&format!(
                 ",\"breaker\":{{\"state\":\"{}\",\"degraded\":{degraded}}}",
-                jesc(state)
+                json_escape(state)
             ));
         }
         out.push_str(",\"counters\":[");
@@ -430,7 +414,7 @@ impl ReportBuilder {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"value\":{value}}}",
-                jesc(name)
+                json_escape(name)
             ));
         }
         out.push_str("],\"histograms\":[");
@@ -440,7 +424,7 @@ impl ReportBuilder {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"count\":{count},\"p50\":{p50},\"p95\":{p95},\"p99\":{p99}}}",
-                jesc(name)
+                json_escape(name)
             ));
         }
         out.push_str("],\"advice\":[");
@@ -451,7 +435,7 @@ impl ReportBuilder {
             let a = &row.advice;
             out.push_str(&format!(
                 "{{\"label\":\"{}\",\"decision\":\"{}\",\"t_sync\":{},\"t_async\":{},\"speedup\":{},\"scenario\":\"{}\"}}",
-                jesc(&row.label),
+                json_escape(&row.label),
                 mode_tag(a.mode),
                 jnum(a.t_sync),
                 jnum(a.t_async),

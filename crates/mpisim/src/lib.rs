@@ -22,11 +22,9 @@
 //!   1e-6 on every field is asserted in the crate's tests, and nothing
 //!   outside them can select it — it regenerates every figure
 //!   byte-identically but 570 × slower.
-//! - [`attribution`] — the cross-rank observability path (DESIGN.md
-//!   §16): [`runner::trace_rank_streams`] re-enacts a run as one
-//!   context-tagged span stream per rank, and
-//!   [`attribution::straggler_report`] folds `apio_trace::critpath`'s
-//!   analysis into the operator report's straggler section. The
+//! - [`attribution`] — straggler attribution (DESIGN.md §16):
+//!   [`attribution::straggler_report`] splits each epoch of a finished
+//!   run rank by rank into the operator report's straggler section. The
 //!   [`workload::Perturbation`] knob (seeded straggler/jitter) makes the
 //!   attribution testable end-to-end.
 
@@ -39,5 +37,5 @@ pub mod workload;
 
 pub use attribution::{predicted_overlap_efficiency, straggler_report};
 pub use comm::{CollectiveMode, Job};
-pub use runner::{run, trace_rank_streams};
+pub use runner::run;
 pub use workload::{Perturbation, PhaseMeasure, RunConfig, RunResult, Workload};

@@ -29,9 +29,6 @@
 use std::collections::VecDeque;
 
 use apio_core::history::{Direction, IoMode};
-use apio_trace::critpath::{SPAN_COMPUTE, SPAN_META, SPAN_WAIT, SPAN_WRITE};
-use apio_trace::{Event, SpanContext, TraceClock, Tracer, VirtualClock};
-use platform::pfs::FileSystemModel;
 
 use crate::comm::Job;
 use crate::workload::{PhaseMeasure, RunConfig, RunResult, StagingTier, Workload};
@@ -158,92 +155,6 @@ fn async_read_analytic(job: &Job, w: &Workload, cfg: &RunConfig) -> RunResult {
         wall_secs: t + w.t_term,
         phase_bytes: job.total_bytes(w.per_rank_bytes),
     }
-}
-
-/// Seconds → nanoseconds for span accounting, clamped at zero.
-fn secs_to_nanos(secs: f64) -> u64 {
-    (secs.max(0.0) * 1e9) as u64
-}
-
-/// Re-enact a finished run as one span stream per rank, tagged with a
-/// [`SpanContext`] so `apio_trace::critpath` can merge and attribute them
-/// (DESIGN.md §16).
-///
-/// Each rank's epoch is tiled `rank.compute → rank.wait → rank.meta →
-/// rank.write`, summing exactly to the epoch wall (`max compute +
-/// visible I/O`): ranks that compute faster than the epoch's straggler
-/// absorb the difference in their wait span, and an epoch's visible I/O
-/// splits into a buffer-park wait plus the snapshot (async) or metadata
-/// plus the transfer (blocking). Causal-edge instants mark the barrier
-/// around the collective and — for asynchronous epochs — the handoff of
-/// the snapshot to the background stream and the settle point where it
-/// became durable.
-pub fn trace_rank_streams(
-    job_id: u32,
-    job: &Job,
-    w: &Workload,
-    cfg: &RunConfig,
-    result: &RunResult,
-    tracer: &Tracer,
-    clock: &VirtualClock,
-) {
-    let meta_secs = job.system().pfs.metadata_time(job.ranks());
-    let mut epoch_start = clock.now_nanos() + secs_to_nanos(w.t_init);
-    let mut settle_high = epoch_start;
-    for (e, p) in result.phases.iter().enumerate() {
-        let c_max = secs_to_nanos(p.t_comp);
-        let v = secs_to_nanos(p.visible_io_secs);
-        let ov = secs_to_nanos(p.overhead_secs);
-        // Visible-I/O split: overlapped epochs are [buffer wait][snapshot];
-        // blocking epochs are [metadata][transfer].
-        let (buf_wait, meta) = if ov > 0 {
-            (v.saturating_sub(ov), 0)
-        } else {
-            (0, secs_to_nanos(meta_secs).min(v))
-        };
-        let write = v - buf_wait - meta;
-        for rank in 0..w.ranks {
-            let ctx = SpanContext::new(job_id, rank, e as u64);
-            let c_r = secs_to_nanos(w.rank_compute_secs(rank, e as u32)).min(c_max);
-            clock.set(epoch_start);
-            {
-                let _g = tracer.span_ctx(SPAN_COMPUTE, ctx);
-                clock.advance(c_r);
-            }
-            tracer.instant_ctx("barrier.enter", ctx, Event::BarrierEnter { epoch: e as u64 });
-            {
-                let _g = tracer.span_ctx(SPAN_WAIT, ctx);
-                clock.advance((c_max - c_r) + buf_wait);
-            }
-            tracer.instant_ctx("barrier.exit", ctx, Event::BarrierExit { epoch: e as u64 });
-            if meta > 0 {
-                let _g = tracer.span_ctx(SPAN_META, ctx);
-                clock.advance(meta);
-            }
-            {
-                let _g = tracer.span_ctx(SPAN_WRITE, ctx);
-                clock.advance(write);
-            }
-            if cfg.mode == IoMode::Async {
-                tracer.instant_ctx(
-                    "handoff",
-                    ctx,
-                    Event::WriteHandoff {
-                        epoch: e as u64,
-                        bytes: w.per_rank_bytes,
-                    },
-                );
-                let settle_at = clock.now_nanos() + secs_to_nanos(p.background_io_secs).max(1);
-                clock.set(settle_at);
-                tracer.instant_ctx("settle", ctx, Event::Settle { epoch: e as u64, requests: 1 });
-                settle_high = settle_high.max(settle_at);
-            }
-        }
-        epoch_start += c_max + v;
-    }
-    // Leave the clock past everything emitted, so later spans on the same
-    // tracer do not travel back in time.
-    clock.set(epoch_start.max(settle_high));
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //!
 //! Every [`Tracer`](crate::Tracer) reads timestamps through a
 //! [`TraceClock`], so the same instrumentation produces wall-clock traces
-//! in production ([`WallClock`]) and bit-identical traces in tests and
-//! simulator runs ([`VirtualClock`]). Timestamps are nanoseconds since the
-//! clock's origin — a monotonic offset, never an absolute date.
+//! in production ([`WallClock`]) and bit-identical traces in tests
+//! ([`VirtualClock`]). Timestamps are nanoseconds since the clock's
+//! origin — a monotonic offset, never an absolute date.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -45,9 +45,9 @@ impl TraceClock for WallClock {
     }
 }
 
-/// A deterministic clock that only moves when told to — the substrate for
-/// byte-stable exporter goldens and for replaying simulated (desim) epoch
-/// timelines into a trace.
+/// A deterministic clock that only moves forward, and only when told to —
+/// the substrate for byte-stable exporter goldens and trace-assertion
+/// tests.
 pub struct VirtualClock {
     nanos: AtomicU64,
 }
@@ -63,11 +63,6 @@ impl VirtualClock {
     /// Advance the clock by `delta_nanos`.
     pub fn advance(&self, delta_nanos: u64) {
         self.nanos.fetch_add(delta_nanos, Ordering::SeqCst);
-    }
-
-    /// Jump the clock to an absolute `nanos` reading.
-    pub fn set(&self, nanos: u64) {
-        self.nanos.store(nanos, Ordering::SeqCst);
     }
 }
 
@@ -96,7 +91,5 @@ mod tests {
         assert_eq!(c.now_nanos(), 100);
         c.advance(50);
         assert_eq!(c.now_nanos(), 150);
-        c.set(7);
-        assert_eq!(c.now_nanos(), 7);
     }
 }

@@ -8,14 +8,10 @@
 //! - [`chrome_json`] — the Chrome `trace_event` array format. Load the
 //!   file in `chrome://tracing` or <https://ui.perfetto.dev>: spans are
 //!   complete (`ph:"X"`) events nested by timestamp per thread track,
-//!   instants are thread-scoped (`ph:"i"`). Records tagged with a
-//!   [`SpanContext`](crate::SpanContext) land on their own rows — `pid =
-//!   job + 2`, `tid = rank` — so a multi-rank trace reads as one process
-//!   group per job with one track per rank; untagged records keep the
-//!   historical `pid 1` / tracer-thread `tid` row.
+//!   instants are thread-scoped (`ph:"i"`), all on `pid 1` with one row
+//!   per tracer thread.
 //! - [`jsonl`] — one compact JSON object per record per line, for log
-//!   pipelines and ad-hoc `grep`/`jq` analysis. Context-tagged records
-//!   carry a `"ctx":{"job":…,"rank":…,"epoch":…}` member.
+//!   pipelines and ad-hoc `grep`/`jq` analysis.
 
 use crate::{Event, Record, RecordKind};
 
@@ -29,9 +25,10 @@ fn micros(ns: u64) -> String {
     }
 }
 
-/// JSON-escape a name (span names are static identifiers, but the
-/// exporter must never emit malformed JSON even for odd ones).
-fn esc(s: &str) -> String {
+/// JSON-escape a string literal's contents (span names are static
+/// identifiers, but the exporter must never emit malformed JSON even for
+/// odd ones). The operator report escapes through this one too.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -52,7 +49,7 @@ fn event_members(e: &Event) -> String {
     match e {
         Event::VolCall { op, dataset, bytes } => format!(
             "\"type\":\"VolCall\",\"op\":\"{}\",\"dataset\":{dataset},\"bytes\":{bytes}",
-            esc(op)
+            json_escape(op)
         ),
         Event::Snapshot { bytes, staged } => {
             format!("\"type\":\"Snapshot\",\"bytes\":{bytes},\"staged\":{staged}")
@@ -72,8 +69,8 @@ fn event_members(e: &Event) -> String {
         } => format!("\"type\":\"RetryAttempt\",\"attempt\":{attempt},\"delay_nanos\":{delay_nanos}"),
         Event::BreakerTransition { from, to } => format!(
             "\"type\":\"BreakerTransition\",\"from\":\"{}\",\"to\":\"{}\"",
-            esc(from),
-            esc(to)
+            json_escape(from),
+            json_escape(to)
         ),
         Event::PlanBuilt {
             dataset,
@@ -111,12 +108,6 @@ fn event_members(e: &Event) -> String {
         } => format!(
             "\"type\":\"EpochMark\",\"epoch\":{epoch},\"comp_nanos\":{comp_nanos},\"io_nanos\":{io_nanos},\"bytes\":{bytes}"
         ),
-        Event::BarrierEnter { epoch } => {
-            format!("\"type\":\"BarrierEnter\",\"epoch\":{epoch}")
-        }
-        Event::BarrierExit { epoch } => {
-            format!("\"type\":\"BarrierExit\",\"epoch\":{epoch}")
-        }
         Event::WriteHandoff { epoch, bytes } => {
             format!("\"type\":\"WriteHandoff\",\"epoch\":{epoch},\"bytes\":{bytes}")
         }
@@ -126,57 +117,28 @@ fn event_members(e: &Event) -> String {
     }
 }
 
-/// Chrome `pid` for a record: context-free records keep the historical
-/// `pid 1`; rank-tagged records map their job to `pid = job + 2`, so job
-/// 0 lands on `pid 2` and never collides with the untagged row.
-fn chrome_pid(r: &Record) -> u64 {
-    match r.ctx {
-        Some(c) => u64::from(c.job) + 2,
-        None => 1,
-    }
-}
-
-/// Chrome `tid` for a record: rank-tagged records use the rank itself
-/// (one viewer row per rank), untagged records keep the tracer's thread
-/// id.
-fn chrome_tid(r: &Record) -> u64 {
-    match r.ctx {
-        Some(c) => u64::from(c.rank),
-        None => r.tid,
-    }
-}
-
 /// Export records as a Chrome `trace_event` JSON document.
 pub fn chrome_json(records: &[Record]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
     for (i, r) in records.iter().enumerate() {
-        let mut args = match &r.event {
+        let args = match &r.event {
             Some(e) => format!("{{\"seq\":{},{}}}", r.seq, event_members(e)),
             None => format!("{{\"seq\":{}}}", r.seq),
         };
-        if let Some(c) = r.ctx {
-            args.pop(); // reopen the object to append the context members
-            args.push_str(&format!(
-                ",\"job\":{},\"rank\":{},\"epoch\":{}}}",
-                c.job, c.rank, c.epoch
-            ));
-        }
         let line = match r.kind {
             RecordKind::Span => format!(
-                "{{\"name\":\"{}\",\"cat\":\"apio\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{}}}",
-                esc(r.name),
+                "{{\"name\":\"{}\",\"cat\":\"apio\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{}}}",
+                json_escape(r.name),
                 micros(r.start_nanos),
                 micros(r.dur_nanos),
-                chrome_pid(r),
-                chrome_tid(r),
+                r.tid,
                 args
             ),
             RecordKind::Instant => format!(
-                "{{\"name\":\"{}\",\"cat\":\"apio\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{}}}",
-                esc(r.name),
+                "{{\"name\":\"{}\",\"cat\":\"apio\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{},\"args\":{}}}",
+                json_escape(r.name),
                 micros(r.start_nanos),
-                chrome_pid(r),
-                chrome_tid(r),
+                r.tid,
                 args
             ),
         };
@@ -201,19 +163,13 @@ pub fn jsonl(records: &[Record]) -> String {
         out.push_str(&format!(
             "{{\"seq\":{},\"kind\":\"{kind}\",\"name\":\"{}\",\"id\":{},\"parent\":{},\"tid\":{},\"ts_ns\":{},\"dur_ns\":{}",
             r.seq,
-            esc(r.name),
+            json_escape(r.name),
             r.id,
             r.parent,
             r.tid,
             r.start_nanos,
             r.dur_nanos
         ));
-        if let Some(c) = r.ctx {
-            out.push_str(&format!(
-                ",\"ctx\":{{\"job\":{},\"rank\":{},\"epoch\":{}}}",
-                c.job, c.rank, c.epoch
-            ));
-        }
         if let Some(e) = &r.event {
             out.push_str(&format!(",\"event\":{{{}}}", event_members(e)));
         }
@@ -226,7 +182,7 @@ pub fn jsonl(records: &[Record]) -> String {
 mod tests {
     use super::*;
 
-    use crate::SpanContext;
+    use super::json_escape as esc;
 
     fn sample() -> Vec<Record> {
         vec![
@@ -243,7 +199,6 @@ mod tests {
                     attempt: 2,
                     delay_nanos: 512,
                 }),
-                ctx: None,
             },
             Record {
                 seq: 1,
@@ -259,19 +214,17 @@ mod tests {
                     dataset: 3,
                     bytes: 64,
                 }),
-                ctx: None,
             },
             Record {
                 seq: 2,
                 kind: RecordKind::Span,
-                name: "rank.compute",
+                name: "epoch.io",
                 id: 2,
                 parent: 0,
                 tid: 1,
                 start_nanos: 4_000,
                 dur_nanos: 1_000,
                 event: None,
-                ctx: Some(SpanContext::new(0, 7, 3)),
             },
         ]
     }
@@ -289,24 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn chrome_rows_split_by_context() {
-        let s = chrome_json(&sample());
-        // Untagged records keep pid 1 / their tracer tid.
-        assert!(s.contains("\"name\":\"vol.write\",\"cat\":\"apio\",\"ph\":\"X\",\"ts\":1,\"dur\":2.345,\"pid\":1,\"tid\":1"));
-        // Rank-tagged records map job 0 -> pid 2 and rank 7 -> tid 7, and
-        // the args carry the context members.
-        assert!(s.contains("\"pid\":2,\"tid\":7"));
-        assert!(s.contains("\"job\":0,\"rank\":7,\"epoch\":3"));
-    }
-
-    #[test]
     fn jsonl_one_line_per_record() {
         let s = jsonl(&sample());
         assert_eq!(s.lines().count(), 3);
         assert!(s.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
         assert!(s.contains("\"kind\":\"instant\""));
         assert!(s.contains("\"dur_ns\":2345"));
-        assert!(s.contains("\"ctx\":{\"job\":0,\"rank\":7,\"epoch\":3}"));
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //!
 //! Dumps go through the existing exporters, never through raw record
 //! access: [`FlightDump::jsonl`] and [`FlightDump::chrome_json`] wrap
-//! [`export`](crate::export), and the workspace lint (`xtask` rule
-//! `trace-discipline`) forbids calling the raw accessor
-//! `Tracer::flight_records` outside this crate. [`install_panic_dump`]
-//! arms a chaining panic hook that writes the ring as JSONL before the
-//! previous hook runs, so a crashing process leaves its black box behind.
+//! [`export`](crate::export), and the tracer exposes no other way to walk
+//! its shards. [`install_panic_dump`] arms a chaining panic hook that
+//! writes the ring as JSONL before the previous hook runs, so a crashing
+//! process leaves its black box behind.
 //!
 //! The rings are lock-sharded (threads map to shards by trace tid), the
 //! same structure the full tracer uses: pushes are O(1), allocation-free
@@ -207,7 +206,6 @@ mod tests {
                 start_nanos: i,
                 dur_nanos: 0,
                 event: None,
-                ctx: None,
             });
         }
         assert_eq!(s.dropped(), 2);
@@ -230,7 +228,6 @@ mod tests {
                 start_nanos: i,
                 dur_nanos: 0,
                 event: None,
-                ctx: None,
             });
         }
         assert_eq!(s.records().len(), 100);

@@ -10,7 +10,7 @@
 //!
 //! - [`Tracer`] — cheap RAII spans ([`SpanGuard`]) and instant events over
 //!   a pluggable [`TraceClock`] ([`WallClock`] by default,
-//!   [`VirtualClock`] for deterministic tests and simulator timelines),
+//!   [`VirtualClock`] for deterministic tests),
 //!   buffered into lock-sharded in-memory sinks.
 //! - [`Event`] — typed payloads for every stage of the pipeline: VOL
 //!   calls, snapshot copies, WAL appends/replays, retry attempts, breaker
@@ -30,34 +30,24 @@
 //!   retry / breaker / queue-depth series with EWMA smoothing and a
 //!   Page–Hinkley drift detector on the aggregate I/O rate — the runtime
 //!   half of the paper's Fig. 2 feedback loop.
-//! - [`SpanContext`] + [`critpath`] — cross-rank causal tracing
-//!   (DESIGN.md §16): records tagged `{job, rank, epoch}` form per-rank
-//!   span streams with causal edges (barrier entry/exit, write-handoff,
-//!   settle), and the [`critpath`] engine merges them on the virtual
-//!   clock into per-epoch critical paths and per-rank
-//!   {compute, write, metadata, wait} attribution.
 //!
 //! A **disabled** tracer ([`Tracer::disabled`], the default everywhere it
 //! is embedded) reduces every call to one branch on an `Option` — the
 //! overhead budget is "unmeasurable against a microsecond I/O op"
 //! (measured in `benches/micro.rs`; see DESIGN.md §10).
 //!
-//! Span creation must go through the guard API: [`Tracer::span`] /
+//! Span creation goes through the guard API: [`Tracer::span`] /
 //! [`Tracer::span_with`] return a [`SpanGuard`] that closes the span on
 //! drop, so a panic or early return can never leave a span open. The
-//! manual [`Tracer::begin_span`] / [`Tracer::end_span`] pair exists for
-//! spans whose lifetime cannot follow a scope; the workspace lint
-//! (`xtask` rule `trace-discipline`) forbids it outside this crate.
+//! manual open/close pair underneath is private to this crate.
 
 pub mod clock;
-pub mod critpath;
 pub mod export;
 pub mod flight;
 pub mod metrics;
 pub mod series;
 
 pub use clock::{TraceClock, VirtualClock, WallClock};
-pub use critpath::{CritPathReport, CritSegment, EpochAttribution, RankSlice};
 pub use flight::{install_panic_dump, FlightDump};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, Metrics};
 pub use series::{DriftAlarm, DriftDirection, EpochPoint, SeriesAggregator, SeriesConfig};
@@ -185,18 +175,6 @@ pub enum Event {
         /// Bytes moved this epoch.
         bytes: u64,
     },
-    /// Causal edge: a rank arrived at an epoch's closing barrier and
-    /// started waiting for the others.
-    BarrierEnter {
-        /// 0-based epoch index of the barrier.
-        epoch: u64,
-    },
-    /// Causal edge: the barrier released — every rank of the epoch is
-    /// synchronized from this timestamp on.
-    BarrierExit {
-        /// 0-based epoch index of the barrier.
-        epoch: u64,
-    },
     /// Causal edge: the application thread handed a snapshot to the
     /// background I/O stream (async) or entered a blocking collective
     /// write (sync). The matching [`Event::Settle`] closes the edge.
@@ -216,30 +194,6 @@ pub enum Event {
         /// Requests (or simulated collectives) settled by this edge.
         requests: u64,
     },
-}
-
-/// Cross-rank identity of a span stream: which job, rank, and epoch a
-/// record belongs to. Tagged records let the exporters place every rank
-/// on its own row and let [`critpath`] merge per-rank streams that were
-/// emitted from a single thread (simulator replays) or many threads
-/// (real kernel runs) into one causal timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SpanContext {
-    /// Job (application instance) id; distinct jobs land on distinct
-    /// Chrome `pid` rows.
-    pub job: u32,
-    /// MPI-style rank within the job; distinct ranks land on distinct
-    /// Chrome `tid` rows.
-    pub rank: u32,
-    /// 0-based epoch the record belongs to.
-    pub epoch: u64,
-}
-
-impl SpanContext {
-    /// Context for `rank` of `job` during `epoch`.
-    pub fn new(job: u32, rank: u32, epoch: u64) -> Self {
-        SpanContext { job, rank, epoch }
-    }
 }
 
 /// Whether a record is a duration span or a point event.
@@ -272,9 +226,6 @@ pub struct Record {
     pub dur_nanos: u64,
     /// Typed payload, if any.
     pub event: Option<Event>,
-    /// Cross-rank identity ({job, rank, epoch}), if the record was
-    /// emitted through the `*_ctx` APIs.
-    pub ctx: Option<SpanContext>,
 }
 
 /// Record-buffer shards; threads map to shards by trace tid.
@@ -355,14 +306,13 @@ impl Inner {
 /// [`Tracer::end_span`]. Carries everything the closing side needs, so no
 /// open-span table is consulted.
 #[must_use = "an unclosed span token leaks an entry on the span stack"]
-pub struct SpanToken {
+struct SpanToken {
     id: u64,
     parent: u64,
     tid: u64,
     name: &'static str,
     start_nanos: u64,
     event: Option<Event>,
-    ctx: Option<SpanContext>,
 }
 
 /// RAII span: created by [`Tracer::span`] / [`Tracer::span_with`], closes
@@ -470,47 +420,26 @@ impl Tracer {
 
     /// Open a span; it closes (and records) when the guard drops.
     pub fn span(&self, name: &'static str) -> SpanGuard {
-        self.span_inner(name, None, None)
+        self.span_inner(name, None)
     }
 
     /// Open a span carrying an event payload.
     pub fn span_with(&self, name: &'static str, event: Event) -> SpanGuard {
-        self.span_inner(name, Some(event), None)
+        self.span_inner(name, Some(event))
     }
 
-    /// Open a span tagged with a cross-rank [`SpanContext`]. Epoch-path
-    /// spans in `mpisim` and `kernels` must use this (or
-    /// [`span_ctx_with`](Self::span_ctx_with)) — the `rank-context` lint
-    /// enforces it — so every record can be attributed to a rank.
-    pub fn span_ctx(&self, name: &'static str, ctx: SpanContext) -> SpanGuard {
-        self.span_inner(name, None, Some(ctx))
-    }
-
-    /// Open a context-tagged span carrying an event payload.
-    pub fn span_ctx_with(&self, name: &'static str, ctx: SpanContext, event: Event) -> SpanGuard {
-        self.span_inner(name, Some(event), Some(ctx))
-    }
-
-    fn span_inner(
-        &self,
-        name: &'static str,
-        event: Option<Event>,
-        ctx: Option<SpanContext>,
-    ) -> SpanGuard {
+    fn span_inner(&self, name: &'static str, event: Option<Event>) -> SpanGuard {
         if self.inner.is_none() {
             return SpanGuard { open: None };
         }
-        let mut token = self.begin_span(name, event);
-        token.ctx = ctx;
         SpanGuard {
-            open: Some((self.clone(), token)),
+            open: Some((self.clone(), self.begin_span(name, event))),
         }
     }
 
-    /// Manually open a span. Prefer [`span`](Self::span): the guard closes
-    /// on every exit path, the token does not. Outside `apio-trace` the
-    /// `trace-discipline` lint rejects this pair.
-    pub fn begin_span(&self, name: &'static str, event: Option<Event>) -> SpanToken {
+    /// Manually open a span; only [`SpanGuard`] calls this, so every exit
+    /// path closes what it opens.
+    fn begin_span(&self, name: &'static str, event: Option<Event>) -> SpanToken {
         let Some(inner) = self.inner.as_ref() else {
             return SpanToken {
                 id: 0,
@@ -519,7 +448,6 @@ impl Tracer {
                 name,
                 start_nanos: 0,
                 event,
-                ctx: None,
             };
         };
         let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
@@ -532,12 +460,11 @@ impl Tracer {
             name,
             start_nanos: inner.clock.now_nanos(),
             event,
-            ctx: None,
         }
     }
 
     /// Close a span opened with [`begin_span`](Self::begin_span).
-    pub fn end_span(&self, token: SpanToken) {
+    fn end_span(&self, token: SpanToken) {
         let Some(inner) = self.inner.as_ref() else {
             return;
         };
@@ -583,23 +510,12 @@ impl Tracer {
             start_nanos: token.start_nanos,
             dur_nanos: dur,
             event: token.event,
-            ctx: token.ctx,
         });
     }
 
     /// Emit an instant event, parented under the innermost open span on
     /// this thread.
     pub fn instant(&self, name: &'static str, event: Event) {
-        self.instant_inner(name, event, None);
-    }
-
-    /// Emit an instant event tagged with a cross-rank [`SpanContext`] —
-    /// the causal-edge form (barrier entry/exit, write-handoff, settle).
-    pub fn instant_ctx(&self, name: &'static str, ctx: SpanContext, event: Event) {
-        self.instant_inner(name, event, Some(ctx));
-    }
-
-    fn instant_inner(&self, name: &'static str, event: Event, ctx: Option<SpanContext>) {
         let Some(inner) = self.inner.as_ref() else {
             return;
         };
@@ -614,7 +530,6 @@ impl Tracer {
             start_nanos: now,
             dur_nanos: 0,
             event: Some(event),
-            ctx,
         });
     }
 
@@ -624,16 +539,6 @@ impl Tracer {
         TraceSink {
             records: self.collect_records(),
         }
-    }
-
-    /// Raw access to the retained records, in emission order.
-    ///
-    /// Outside `apio-trace` the `trace-discipline` lint rejects this:
-    /// flight-recorder dumps must go through [`Tracer::flight_dump`] and
-    /// the exporter API so every dump is a well-formed export, not an
-    /// ad-hoc record walk.
-    pub fn flight_records(&self) -> Vec<Record> {
-        self.collect_records()
     }
 
     /// Dump the retained records (ring contents on a flight recorder,
@@ -848,38 +753,6 @@ mod tests {
         assert!(sb.within_span_named(mark, "b_span"));
         assert!(!sb.within_span_named(mark, "a_outer"));
         assert_eq!(sb.spans("b_span")[0].parent, 0);
-    }
-
-    #[test]
-    fn ctx_spans_and_instants_carry_their_context() {
-        let (t, clock) = virt();
-        let ctx = SpanContext::new(3, 7, 11);
-        {
-            let _g = t.span_ctx("rank.compute", ctx);
-            clock.advance(500);
-            t.instant_ctx("handoff", ctx, Event::WriteHandoff { epoch: 11, bytes: 64 });
-        }
-        {
-            let _g = t.span_ctx_with(
-                "rank.write",
-                ctx,
-                Event::BarrierEnter { epoch: 11 },
-            );
-            clock.advance(100);
-        }
-        // Untagged records stay untagged.
-        {
-            let _g = t.span("plain");
-        }
-        let sink = t.sink();
-        assert_eq!(sink.spans("rank.compute")[0].ctx, Some(ctx));
-        assert_eq!(sink.spans("rank.write")[0].ctx, Some(ctx));
-        assert_eq!(sink.spans("plain")[0].ctx, None);
-        let edge = sink.events_where(|e| matches!(e, Event::WriteHandoff { .. }))[0];
-        assert_eq!(edge.ctx, Some(ctx));
-        assert_eq!(edge.kind, RecordKind::Instant);
-        // The instant fired inside the compute span on the same thread.
-        assert!(sink.within_span_named(edge, "rank.compute"));
     }
 
     #[test]

@@ -116,29 +116,13 @@ impl Histogram {
     /// Value at quantile `q` in `0.0..=1.0` (bucket upper bound); 0 when
     /// empty.
     pub fn percentile(&self, q: f64) -> u64 {
-        // Load the buckets once and derive the rank target from that same
-        // pass: the separate count cell can momentarily disagree with the
-        // buckets while a drain ([`snapshot_and_reset`](Self::snapshot_and_reset))
+        // Walk one load of the buckets, deriving the rank target from that
+        // same copy: the separate count cell can momentarily disagree with
+        // the buckets while a drain ([`snapshot_and_reset`](Self::snapshot_and_reset))
         // or `record` is in flight, and a target beyond the walked total
         // would fall through to the top bucket bound (`u64::MAX`) — a
         // wild misread for a benign race.
-        let mut buckets = [0u64; BUCKETS];
-        for (i, b) in buckets.iter_mut().enumerate() {
-            *b = self.cells.buckets[i].load(Ordering::Relaxed);
-        }
-        let count: u64 = buckets.iter().sum();
-        if count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return bucket_bound(i);
-            }
-        }
-        bucket_bound(BUCKETS - 1)
+        self.snapshot().percentile(q)
     }
 
     /// Median (bucket upper bound).

@@ -585,7 +585,6 @@ mod tests {
             start_nanos: 0,
             dur_nanos: 1_000_000,
             event: Some(event),
-            ctx: None,
         };
         let instant = |event| Record {
             seq: 0,
@@ -597,7 +596,6 @@ mod tests {
             start_nanos: 0,
             dur_nanos: 0,
             event: Some(event),
-            ctx: None,
         };
         agg.observe_record(&span(Event::BackendBatch {
             segments: 4,

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use apio_trace::export::{chrome_json, jsonl};
-use apio_trace::{Event, SpanContext, TraceSink, Tracer, VirtualClock};
+use apio_trace::{Event, TraceSink, Tracer, VirtualClock};
 
 /// The pinned scenario: a submit span wrapping a snapshot span and a
 /// retry instant, with every duration chosen to exercise both the whole-
@@ -69,105 +69,9 @@ const JSONL_GOLDEN: &str = concat!(
     "\"ts_ns\":1000,\"dur_ns\":3000,\"event\":{\"type\":\"VolCall\",\"op\":\"write\",\"dataset\":3,\"bytes\":4096}}\n",
 );
 
-/// The pinned multi-rank scenario (ISSUE 10): two ranks of job 0 re-enact
-/// epoch 0 on one thread by rewinding the virtual clock per rank, with a
-/// write-handoff edge and a barrier-entry edge per rank. The golden pins
-/// the `pid = job + 2` / `tid = rank` viewer mapping and the context
-/// members in both exporters.
-fn pinned_rank_trace() -> TraceSink {
-    let clock = Arc::new(VirtualClock::new(0));
-    let t = Tracer::with_clock(clock.clone());
-    for rank in 0..2u32 {
-        let ctx = SpanContext::new(0, rank, 0);
-        clock.set(1_000);
-        {
-            let _compute = t.span_ctx("rank.compute", ctx);
-            clock.advance(2_000 + u64::from(rank) * 500);
-        }
-        t.instant_ctx(
-            "handoff",
-            ctx,
-            Event::WriteHandoff {
-                epoch: 0,
-                bytes: 4096,
-            },
-        );
-        {
-            let _write = t.span_ctx("rank.write", ctx);
-            clock.advance(1_000);
-        }
-        t.instant_ctx("barrier.enter", ctx, Event::BarrierEnter { epoch: 0 });
-    }
-    t.sink()
-}
-
-const CHROME_RANK_GOLDEN: &str = concat!(
-    "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n",
-    "{\"name\":\"rank.compute\",\"cat\":\"apio\",\"ph\":\"X\",\"ts\":1,\"dur\":2,\"pid\":2,\"tid\":0,",
-    "\"args\":{\"seq\":0,\"job\":0,\"rank\":0,\"epoch\":0}},\n",
-    "{\"name\":\"handoff\",\"cat\":\"apio\",\"ph\":\"i\",\"s\":\"t\",\"ts\":3,\"pid\":2,\"tid\":0,",
-    "\"args\":{\"seq\":1,\"type\":\"WriteHandoff\",\"epoch\":0,\"bytes\":4096,\"job\":0,\"rank\":0,\"epoch\":0}},\n",
-    "{\"name\":\"rank.write\",\"cat\":\"apio\",\"ph\":\"X\",\"ts\":3,\"dur\":1,\"pid\":2,\"tid\":0,",
-    "\"args\":{\"seq\":2,\"job\":0,\"rank\":0,\"epoch\":0}},\n",
-    "{\"name\":\"barrier.enter\",\"cat\":\"apio\",\"ph\":\"i\",\"s\":\"t\",\"ts\":4,\"pid\":2,\"tid\":0,",
-    "\"args\":{\"seq\":3,\"type\":\"BarrierEnter\",\"epoch\":0,\"job\":0,\"rank\":0,\"epoch\":0}},\n",
-    "{\"name\":\"rank.compute\",\"cat\":\"apio\",\"ph\":\"X\",\"ts\":1,\"dur\":2.500,\"pid\":2,\"tid\":1,",
-    "\"args\":{\"seq\":4,\"job\":0,\"rank\":1,\"epoch\":0}},\n",
-    "{\"name\":\"handoff\",\"cat\":\"apio\",\"ph\":\"i\",\"s\":\"t\",\"ts\":3.500,\"pid\":2,\"tid\":1,",
-    "\"args\":{\"seq\":5,\"type\":\"WriteHandoff\",\"epoch\":0,\"bytes\":4096,\"job\":0,\"rank\":1,\"epoch\":0}},\n",
-    "{\"name\":\"rank.write\",\"cat\":\"apio\",\"ph\":\"X\",\"ts\":3.500,\"dur\":1,\"pid\":2,\"tid\":1,",
-    "\"args\":{\"seq\":6,\"job\":0,\"rank\":1,\"epoch\":0}},\n",
-    "{\"name\":\"barrier.enter\",\"cat\":\"apio\",\"ph\":\"i\",\"s\":\"t\",\"ts\":4.500,\"pid\":2,\"tid\":1,",
-    "\"args\":{\"seq\":7,\"type\":\"BarrierEnter\",\"epoch\":0,\"job\":0,\"rank\":1,\"epoch\":0}}\n",
-    "]}\n",
-);
-
-const JSONL_RANK_GOLDEN: &str = concat!(
-    "{\"seq\":0,\"kind\":\"span\",\"name\":\"rank.compute\",\"id\":1,\"parent\":0,\"tid\":1,",
-    "\"ts_ns\":1000,\"dur_ns\":2000,\"ctx\":{\"job\":0,\"rank\":0,\"epoch\":0}}\n",
-    "{\"seq\":1,\"kind\":\"instant\",\"name\":\"handoff\",\"id\":0,\"parent\":0,\"tid\":1,",
-    "\"ts_ns\":3000,\"dur_ns\":0,\"ctx\":{\"job\":0,\"rank\":0,\"epoch\":0},",
-    "\"event\":{\"type\":\"WriteHandoff\",\"epoch\":0,\"bytes\":4096}}\n",
-    "{\"seq\":2,\"kind\":\"span\",\"name\":\"rank.write\",\"id\":2,\"parent\":0,\"tid\":1,",
-    "\"ts_ns\":3000,\"dur_ns\":1000,\"ctx\":{\"job\":0,\"rank\":0,\"epoch\":0}}\n",
-    "{\"seq\":3,\"kind\":\"instant\",\"name\":\"barrier.enter\",\"id\":0,\"parent\":0,\"tid\":1,",
-    "\"ts_ns\":4000,\"dur_ns\":0,\"ctx\":{\"job\":0,\"rank\":0,\"epoch\":0},",
-    "\"event\":{\"type\":\"BarrierEnter\",\"epoch\":0}}\n",
-    "{\"seq\":4,\"kind\":\"span\",\"name\":\"rank.compute\",\"id\":3,\"parent\":0,\"tid\":1,",
-    "\"ts_ns\":1000,\"dur_ns\":2500,\"ctx\":{\"job\":0,\"rank\":1,\"epoch\":0}}\n",
-    "{\"seq\":5,\"kind\":\"instant\",\"name\":\"handoff\",\"id\":0,\"parent\":0,\"tid\":1,",
-    "\"ts_ns\":3500,\"dur_ns\":0,\"ctx\":{\"job\":0,\"rank\":1,\"epoch\":0},",
-    "\"event\":{\"type\":\"WriteHandoff\",\"epoch\":0,\"bytes\":4096}}\n",
-    "{\"seq\":6,\"kind\":\"span\",\"name\":\"rank.write\",\"id\":4,\"parent\":0,\"tid\":1,",
-    "\"ts_ns\":3500,\"dur_ns\":1000,\"ctx\":{\"job\":0,\"rank\":1,\"epoch\":0}}\n",
-    "{\"seq\":7,\"kind\":\"instant\",\"name\":\"barrier.enter\",\"id\":0,\"parent\":0,\"tid\":1,",
-    "\"ts_ns\":4500,\"dur_ns\":0,\"ctx\":{\"job\":0,\"rank\":1,\"epoch\":0},",
-    "\"event\":{\"type\":\"BarrierEnter\",\"epoch\":0}}\n",
-);
-
 #[test]
 fn chrome_json_matches_the_golden_byte_for_byte() {
     assert_eq!(chrome_json(pinned_trace().records()), CHROME_GOLDEN);
-}
-
-#[test]
-fn rank_tagged_chrome_json_matches_the_golden_byte_for_byte() {
-    assert_eq!(chrome_json(pinned_rank_trace().records()), CHROME_RANK_GOLDEN);
-}
-
-#[test]
-fn rank_tagged_jsonl_matches_the_golden_byte_for_byte() {
-    assert_eq!(jsonl(pinned_rank_trace().records()), JSONL_RANK_GOLDEN);
-}
-
-#[test]
-fn rank_streams_land_on_distinct_viewer_rows() {
-    let json = chrome_json(pinned_rank_trace().records());
-    // Every rank-tagged event sits on its own pid/tid row: job 0 -> pid 2,
-    // rank r -> tid r. No event falls back to the untagged pid-1 row.
-    assert!(json.contains("\"pid\":2,\"tid\":0"));
-    assert!(json.contains("\"pid\":2,\"tid\":1"));
-    assert!(!json.contains("\"pid\":1"));
 }
 
 #[test]

@@ -12,7 +12,6 @@
 //! | `no-dbg-todo`   | whole workspace                         | no debugging or placeholder macros ship |
 //! | `bounded-retry` | h5lite, asyncvol `src/`                 | retry loops carry both an attempt bound and a deadline |
 //! | `planned-io`    | h5lite `container.rs`                   | data-path I/O goes through the planner's vectored batches, not scalar per-run calls |
-//! | `trace-discipline` | everywhere except `crates/trace/`    | spans are opened through the RAII guard API and flight dumps go through the exporter API |
 //! | `guard-across-boundary` | argolite, asyncvol, h5lite `src/` | no lock guard is live across `submit`/`wait`/`block_on`/channel-recv (dataflow pass) |
 //! | `blocking-in-task` | argolite, asyncvol, h5lite `src/`    | no `std::fs`/`std::net`/`thread::sleep` inside closures handed to the task scheduler |
 //! | `checked-offset-arith` | h5lite `storage.rs`, `container.rs`, `plan.rs` | device offsets/addresses use `checked_*`/`saturating_*`, never raw `+`/`*` |
@@ -20,9 +19,8 @@
 //! | `superblock-discipline` | h5lite `src/` except `superblock.rs` | the superblock area (offset 0) is written only through the dual-slot commit protocol |
 //! | `ring-discipline` | asyncvol `lib.rs`                       | background-write paths reach storage via ring submission or planned vectored I/O, never scalar backend calls |
 //! | `snapshot-discipline` | h5lite `src/` except `meta.rs`       | metadata state is resolved through the sharded `MetaPlane` API, never by locking a monolithic `meta` field directly |
-//! | `rank-context` | mpisim `runner.rs`                          | epoch-runner spans carry a `SpanContext` (`span_ctx`), so per-rank streams stay attributable |
 //!
-//! Twelve of the rules are line-local token patterns; the other four
+//! Ten of the rules are line-local token patterns; the other four
 //! ride the intra-procedural dataflow passes in [`crate::dataflow`].
 //! Lexing (see [`crate::lexer`]) makes every rule comment-, string-,
 //! and lifetime-aware for free.
@@ -60,7 +58,7 @@ impl std::fmt::Display for Violation {
 }
 
 /// Names of all rules, for reports and the fixture corpus.
-pub const RULE_NAMES: [&str; 16] = [
+pub const RULE_NAMES: [&str; 14] = [
     "virtual-time",
     "error-path",
     "lock-discipline",
@@ -68,7 +66,6 @@ pub const RULE_NAMES: [&str; 16] = [
     "no-dbg-todo",
     "bounded-retry",
     "planned-io",
-    "trace-discipline",
     "guard-across-boundary",
     "blocking-in-task",
     "checked-offset-arith",
@@ -76,12 +73,7 @@ pub const RULE_NAMES: [&str; 16] = [
     "superblock-discipline",
     "ring-discipline",
     "snapshot-discipline",
-    "rank-context",
 ];
-
-/// The one crate allowed to call the manual span API (`begin_span` /
-/// `end_span`): the tracer itself, whose guard type is built on it.
-const TRACE_CRATE: &str = "crates/trace/";
 
 /// Crates whose `src/` must stay in virtual time.
 const VIRTUAL_TIME_CRATES: [&str; 3] = ["crates/desim/", "crates/mpisim/", "crates/platform/"];
@@ -107,11 +99,6 @@ const PLANNED_IO_FILES: [&str; 1] = ["crates/h5lite/src/container.rs"];
 /// both exist to eliminate. The WAL staging module is out of scope — its
 /// scalar device I/O is the log's own format.
 const RING_DISCIPLINE_FILES: [&str; 1] = ["crates/asyncvol/src/lib.rs"];
-/// Epoch-runner files whose spans must carry a `SpanContext`: an
-/// untagged `.span(..)` here lands every record on the shared untagged
-/// viewer row and the cross-rank analysis silently loses the rank.
-/// Instants are exempt — causal edges may come from either API.
-const RANK_CONTEXT_FILES: [&str; 1] = ["crates/mpisim/src/runner.rs"];
 /// Type names (beyond the `*Guard` convention) that must be `#[must_use]`.
 const MUST_USE_TYPES: [&str; 4] = [
     "TaskHandle",
@@ -231,8 +218,6 @@ pub fn lint_source_full(rel: &str, src: &str) -> FileLint {
     let bounded_retry = in_src(rel, &BOUNDED_RETRY_CRATES);
     let planned_io = PLANNED_IO_FILES.contains(&rel);
     let ring_discipline = RING_DISCIPLINE_FILES.contains(&rel);
-    let rank_context = RANK_CONTEXT_FILES.contains(&rel);
-    let trace_discipline = !rel.starts_with(TRACE_CRATE);
     let scheduled = in_src(rel, &SCHEDULED_CRATES);
     let offset_arith = OFFSET_ARITH_FILES.contains(&rel);
     let swallowed = in_src(rel, &SWALLOWED_RESULT_CRATES);
@@ -356,37 +341,6 @@ pub fn lint_source_full(rel: &str, src: &str) -> FileLint {
                         format!("scalar `.{name}(..)` on an asyncvol background-write path; submit through the ring (`submit_keyed` / `RingOp`) or the container's planned vectored path so requests coalesce"),
                     );
                 }
-            }
-        }
-
-        if rank_context {
-            for name in ["span", "span_with"] {
-                if seq(&[".", name, "("]) {
-                    push(
-                        line,
-                        "rank-context",
-                        format!("untagged `.{name}(..)` in an epoch runner; use `span_ctx`/`span_ctx_with` so the record carries its (job, rank, epoch) and lands on the rank's viewer row"),
-                    );
-                }
-            }
-        }
-
-        if trace_discipline {
-            for name in ["begin_span", "end_span"] {
-                if seq(&[".", name, "("]) {
-                    push(
-                        line,
-                        "trace-discipline",
-                        format!("manual span API `.{name}(..)` outside apio-trace; use `Tracer::span`/`span_with` so the RAII guard closes the span on every exit path"),
-                    );
-                }
-            }
-            if seq(&[".", "flight_records", "("]) {
-                push(
-                    line,
-                    "trace-discipline",
-                    "raw flight-recorder access `.flight_records(..)` outside apio-trace; dump through `Tracer::flight_dump` so records leave only via the exporter API".to_owned(),
-                );
             }
         }
 
@@ -831,63 +785,6 @@ fn f(policy: &RetryPolicy, started: SimInstant) {
     fn planned_io_waivable_inline_for_metadata_paths() {
         let ok = "fn flush(&self) { self.backend.write_at(meta_addr, &meta)?; // xtask: allow(planned-io) metadata extent\n}\n";
         assert!(lint_source("crates/h5lite/src/container.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn trace_discipline_fires_on_manual_span_api_outside_the_tracer() {
-        let bad = "fn f(t: &Tracer) { let tok = t.begin_span(\"x\", None); t.end_span(tok); }\n";
-        let fired = rules_fired("crates/asyncvol/src/lib.rs", bad);
-        assert_eq!(fired, ["trace-discipline"]);
-        assert!(rules_fired("crates/h5lite/src/container.rs", "fn f() { tracer.end_span(tok); }\n")
-            .contains(&"trace-discipline"));
-        assert!(rules_fired("tests/trace_pipeline.rs", "fn f() { t.begin_span(\"x\", None); }\n")
-            .contains(&"trace-discipline"));
-    }
-
-    #[test]
-    fn trace_discipline_fires_on_raw_flight_access_outside_the_tracer() {
-        let bad = "fn f(t: &Tracer) { let recs = t.flight_records(); }\n";
-        assert_eq!(rules_fired("crates/asyncvol/src/lib.rs", bad), ["trace-discipline"]);
-        assert_eq!(rules_fired("tests/chaos.rs", bad), ["trace-discipline"]);
-        // The exporter-facing dump API is the sanctioned path.
-        let ok = "fn f(t: &Tracer) { let d = t.flight_dump(); let _lines = d.jsonl(); }\n";
-        assert!(lint_source("crates/asyncvol/src/lib.rs", ok).is_empty());
-        // Inside apio-trace the raw accessor is implementation detail.
-        assert!(lint_source("crates/trace/src/flight.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn trace_discipline_permits_the_tracer_crate_and_guard_api() {
-        let manual = "fn f(t: &Tracer) { let tok = t.begin_span(\"x\", None); t.end_span(tok); }\n";
-        assert!(lint_source("crates/trace/src/lib.rs", manual).is_empty());
-        let guarded = "fn f(t: &Tracer) { let _g = t.span(\"x\"); t.span_with(\"y\", ev); }\n";
-        assert!(lint_source("crates/asyncvol/src/lib.rs", guarded).is_empty());
-        // Waivable inline like every other rule.
-        let waived =
-            "fn f() { t.begin_span(\"x\", None); } // xtask: allow(trace-discipline) ffi boundary\n";
-        assert!(lint_source("crates/asyncvol/src/lib.rs", waived).is_empty());
-    }
-
-    #[test]
-    fn rank_context_fires_on_untagged_spans_in_epoch_runners() {
-        let bad = "fn f(t: &Tracer) { let _g = t.span(\"epoch\"); t.span_with(\"epoch\", ev); }\n";
-        assert_eq!(rules_fired("crates/mpisim/src/runner.rs", bad), ["rank-context"]);
-        assert_eq!(lint_source("crates/mpisim/src/runner.rs", bad).len(), 2);
-        // Everywhere else the untagged guard API is the normal path.
-        assert!(lint_source("crates/asyncvol/src/lib.rs", bad).is_empty());
-        assert!(lint_source("crates/mpisim/src/workload.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn rank_context_permits_the_ctx_api_and_instants() {
-        let ok = "fn f(t: &Tracer) { let _g = t.span_ctx(\"epoch\", ctx); \
-                  t.span_ctx_with(\"rank.write\", ctx, ev); \
-                  t.instant_ctx(\"handoff\", ctx, ev); t.instant(\"x\", ev); }\n";
-        assert!(lint_source("crates/mpisim/src/runner.rs", ok).is_empty());
-        // Waivable inline like every other rule.
-        let waived =
-            "fn f(t: &Tracer) { let _g = t.span(\"x\"); } // xtask: allow(rank-context) jobless probe\n";
-        assert!(lint_source("crates/mpisim/src/runner.rs", waived).is_empty());
     }
 
     #[test]
