@@ -113,6 +113,9 @@ echo "$report_json" | grep -q '"stragglers"' \
 echo "$report_json" | grep -q '"straggler_rank":7' \
     || { echo "apio-report: slowed rank 7 not named as straggler"; exit 1; }
 
+echo "== one workload on both engines (real kernels, then the simulator) =="
+cargo run -q "${CARGO_FLAGS[@]}" --release --example vpic_checkpoint
+
 echo "== bench smoke (one iteration per benchmark) =="
 cargo bench -q "${CARGO_FLAGS[@]}" -p apio-bench --bench connector -- --smoke \
     --trace-out "$PWD/target/trace_smoke.json"

@@ -4,6 +4,7 @@ use apio_core::history::{Direction, History, IoMode, TransferRecord};
 use apio_core::ratemodel::RateModel;
 use apio_core::regression::r2_simple;
 use desim::SimRng;
+use kernels::vpic::PAPER_BYTES_PER_RANK;
 use mpisim::workload::StagingTier;
 use mpisim::{run, Job, RunConfig, Workload};
 use platform::{cori_haswell, summit, SystemConfig};
@@ -181,7 +182,7 @@ pub fn fig3a() -> BwFigure {
     let sys = summit();
     let ws: Vec<Workload> = summit_kernel_ranks()
         .into_iter()
-        .map(|r| kernels::vpic::workload(r, 5, 30.0))
+        .map(|r| Workload::checkpoint(r, PAPER_BYTES_PER_RANK, 5, 30.0))
         .collect();
     bandwidth_sweep("fig3a", "VPIC-IO write, Summit (weak scaling)".into(), &sys, &ws, 0x3a)
 }
@@ -191,7 +192,7 @@ pub fn fig3b() -> BwFigure {
     let sys = cori_haswell();
     let ws: Vec<Workload> = cori_kernel_ranks()
         .into_iter()
-        .map(|r| kernels::vpic::workload(r, 5, 30.0))
+        .map(|r| Workload::checkpoint(r, PAPER_BYTES_PER_RANK, 5, 30.0))
         .collect();
     bandwidth_sweep(
         "fig3b",
@@ -207,7 +208,7 @@ pub fn fig3c() -> BwFigure {
     let sys = summit();
     let ws: Vec<Workload> = summit_kernel_ranks()
         .into_iter()
-        .map(|r| kernels::bdcats::workload(r, 5, 30.0))
+        .map(|r| Workload::analysis(r, PAPER_BYTES_PER_RANK, 5, 30.0))
         .collect();
     bandwidth_sweep("fig3c", "BD-CATS-IO read, Summit (weak scaling)".into(), &sys, &ws, 0x3c)
 }
@@ -217,7 +218,7 @@ pub fn fig3d() -> BwFigure {
     let sys = cori_haswell();
     let ws: Vec<Workload> = cori_kernel_ranks()
         .into_iter()
-        .map(|r| kernels::bdcats::workload(r, 5, 30.0))
+        .map(|r| Workload::analysis(r, PAPER_BYTES_PER_RANK, 5, 30.0))
         .collect();
     bandwidth_sweep(
         "fig3d",
@@ -448,7 +449,7 @@ pub fn fig8() -> Vec<VariabilityRow> {
     [384u32, 1536, 6144]
         .iter()
         .map(|&ranks| {
-            let w = kernels::vpic::workload(ranks, 5, 30.0);
+            let w = Workload::checkpoint(ranks, PAPER_BYTES_PER_RANK, 5, 30.0);
             let job = Job::new(sys.clone(), ranks);
             let sample = |mode: IoMode, rng: &mut SimRng| -> Vec<f64> {
                 (0..25)

@@ -45,7 +45,6 @@ pub mod history;
 pub mod ratemodel;
 pub mod regression;
 pub mod report;
-pub mod tracefeed;
 
 pub use adaptive::{AdaptiveRuntime, DriftPolicy, Observation};
 pub use advisor::{Advice, ModeAdvisor};
@@ -56,4 +55,3 @@ pub use history::{Direction, History, IoMode, TransferRecord};
 pub use ratemodel::RateModel;
 pub use regression::{r2_simple, Design, LinearFit};
 pub use report::{IntegritySummary, RecoverySummary, ReportBuilder, StragglerEpoch, StragglerReport};
-pub use tracefeed::{extend_history_from_trace, history_from_trace};

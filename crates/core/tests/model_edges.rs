@@ -1,14 +1,10 @@
 //! Degenerate-input edge cases for the performance model (ISSUE 4), plus
-//! the advisor flip driven end-to-end from trace-derived history.
-
-use std::sync::Arc;
+//! the advisor flip driven end-to-end from a fitted history.
 
 use apio_core::advisor::ModeAdvisor;
 use apio_core::history::{Direction, History, IoMode, TransferRecord};
 use apio_core::ratemodel::RateModel;
 use apio_core::regression::{r2_simple, Design, LinearFit};
-use apio_core::tracefeed::extend_history_from_trace;
-use apio_trace::{Event, Tracer, VirtualClock};
 
 /// Weak-scaling history: `data_size` exactly proportional to `ranks`.
 fn weak_scaling_async_history() -> History {
@@ -82,42 +78,26 @@ fn zero_variance_target_r_squared_conventions() {
     assert!((fit.predict(&[3.0]) - 7.5).abs() < 1e-9);
 }
 
-/// Emit one traced sync write (`vol.execute`) and one async snapshot
-/// (`vol.snapshot`) of `bytes` at the given rates, under a virtual clock.
-fn traced_config(bytes: u64, sync_rate: f64, async_rate: f64) -> Vec<apio_trace::Record> {
-    let clock = Arc::new(VirtualClock::new(0));
-    let t = Tracer::with_clock(clock.clone());
-    {
-        let mut exec = t.span("vol.execute");
-        clock.advance((bytes as f64 / sync_rate * 1e9) as u64);
-        exec.set_event(Event::VolCall {
-            op: "execute",
-            dataset: 1,
-            bytes,
-        });
-    }
-    {
-        let mut snap = t.span("vol.snapshot");
-        clock.advance((bytes as f64 / async_rate * 1e9) as u64);
-        snap.set_event(Event::Snapshot {
-            bytes,
-            staged: false,
-        });
-    }
-    t.sink().records().to_vec()
-}
-
-/// Fit both rate models from trace-derived history alone.
-fn advisor_from_traces() -> ModeAdvisor {
+/// Fit both rate models from one sync and one async write observation
+/// per scale: a sync rate that saturates at 330 GB/s, an async
+/// (snapshot) rate that grows with nodes.
+fn advisor_from_history() -> ModeAdvisor {
     let mut h = History::new();
     for ranks in [6u32, 24, 96, 384] {
         let nodes = ranks as f64 / 6.0;
-        let bytes = ranks as u64 * 32_000_000;
-        let sync_rate = (nodes * 2.7e9).min(330e9);
-        let async_rate = nodes * 10e9;
-        let records = traced_config(bytes, sync_rate, async_rate);
-        let added = extend_history_from_trace(&mut h, &records, ranks);
-        assert_eq!(added, 2, "one sync + one async observation per config");
+        let size = ranks as f64 * 32e6;
+        for (mode, rate) in [
+            (IoMode::Sync, (nodes * 2.7e9).min(330e9)),
+            (IoMode::Async, nodes * 10e9),
+        ] {
+            h.push(TransferRecord {
+                data_size: size,
+                ranks,
+                mode,
+                direction: Direction::Write,
+                rate,
+            });
+        }
     }
     let s = RateModel::fit(&h, IoMode::Sync, Direction::Write).expect("sync fit");
     let a = RateModel::fit(&h, IoMode::Async, Direction::Write).expect("async fit");
@@ -126,7 +106,7 @@ fn advisor_from_traces() -> ModeAdvisor {
 
 #[test]
 fn advisor_flips_sync_to_async_as_compute_grows() {
-    let advisor = advisor_from_traces();
+    let advisor = advisor_from_history();
     let size = 96.0 * 32e6;
 
     // No compute to overlap: Eq. 2b pays the snapshot on top of the full
@@ -148,46 +128,4 @@ fn advisor_flips_sync_to_async_as_compute_grows() {
     let mid = advisor.advise(0.6 * t_io, size, 96);
     assert_eq!(mid.mode, IoMode::Async);
     assert!(mid.params.t_comp < mid.params.t_io);
-}
-
-#[test]
-fn trace_derived_and_direct_histories_agree_on_the_flip_point() {
-    // The same rates pushed straight into a History must produce the same
-    // advice as the trace-derived path: the bridge adds no distortion.
-    let advisor_t = advisor_from_traces();
-    let mut h = History::new();
-    for ranks in [6u32, 24, 96, 384] {
-        let nodes = ranks as f64 / 6.0;
-        let size = ranks as f64 * 32e6;
-        for (mode, rate) in [
-            (IoMode::Sync, (nodes * 2.7e9).min(330e9)),
-            (IoMode::Async, nodes * 10e9),
-        ] {
-            h.push(TransferRecord {
-                data_size: size,
-                ranks,
-                mode,
-                direction: Direction::Write,
-                rate,
-            });
-        }
-    }
-    let advisor_d = ModeAdvisor::new(
-        RateModel::fit(&h, IoMode::Sync, Direction::Write).expect("sync"),
-        RateModel::fit(&h, IoMode::Async, Direction::Write).expect("async"),
-    )
-    .expect("advisor");
-
-    let size = 384.0 * 32e6;
-    for t_comp in [0.0, 0.05, 0.2, 1.0, 5.0] {
-        let a = advisor_t.advise(t_comp, size, 384);
-        let b = advisor_d.advise(t_comp, size, 384);
-        assert_eq!(a.mode, b.mode, "divergence at t_comp = {t_comp}");
-        assert!(
-            (a.t_sync - b.t_sync).abs() / b.t_sync.max(1e-9) < 0.02,
-            "t_sync drift at t_comp = {t_comp}: {} vs {}",
-            a.t_sync,
-            b.t_sync
-        );
-    }
 }

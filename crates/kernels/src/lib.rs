@@ -9,9 +9,13 @@
 //!   with real buffers and wall-clock measurement. Sizes are scaled down
 //!   so the kernels run in test time; the *mechanism* (snapshot copies,
 //!   background streams, prefetch) is exactly the at-scale one.
-//! - **Simulator** — the same epoch structure as an [`mpisim::Workload`]
-//!   executed on the Summit/Cori machine models at paper scale (up to
-//!   12 288 ranks), in virtual time.
+//! - **Simulator** — the same epoch structure executed by
+//!   [`mpisim::run`] on the Summit/Cori machine models at paper scale (up
+//!   to 12 288 ranks), in virtual time.
+//!
+//! Both take one [`mpisim::Workload`] and return one
+//! [`mpisim::RunResult`], so anything written against a simulated run
+//! (bandwidths, Eq. 2 terms, history building) reads a measured one.
 //!
 //! [`vpic`] is the write kernel: every rank writes 8 particle properties
 //! per time step, ~32 MiB per rank per checkpoint, weak scaling.
@@ -23,4 +27,4 @@ pub mod bdcats;
 pub mod measure;
 pub mod vpic;
 
-pub use measure::{KernelMode, PhaseTiming, RealRunReport};
+pub use measure::make_file;

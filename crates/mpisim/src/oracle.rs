@@ -99,8 +99,7 @@ pub(crate) fn run_des(job: &Job, w: &Workload, cfg: &RunConfig) -> RunResult {
             pfs,
             job.clone(),
             w.clone(),
-            cfg.buffer_depth,
-            cfg.staging,
+            cfg.clone(),
             out.clone(),
         ),
         (IoMode::Async, Direction::Read) => {
@@ -169,14 +168,23 @@ struct AwState {
     app_done: Option<f64>,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// What every callback of the async-write run threads through.
+#[derive(Clone)]
+struct AwCtx {
+    pfs: SharedResource,
+    job: Job,
+    w: Workload,
+    cfg: RunConfig,
+    st: Shared<AwState>,
+    out: Shared<DesOut>,
+}
+
 fn des_async_write(
     engine: &mut Engine,
     pfs: SharedResource,
     job: Job,
     w: Workload,
-    depth: u32,
-    staging: StagingTier,
+    cfg: RunConfig,
     out: Shared<DesOut>,
 ) {
     let st: Shared<AwState> = Rc::new(RefCell::new(AwState {
@@ -186,108 +194,84 @@ fn des_async_write(
         bg_queued: 0,
         app_done: None,
     }));
+    let ctx = AwCtx {
+        pfs,
+        job,
+        w,
+        cfg,
+        st,
+        out,
+    };
 
     /// Start the next queued background write, if any. NVMe staging
     /// charges the device read-back to the background stream before the
     /// collective file system write.
-    fn bg_start(
-        engine: &mut Engine,
-        pfs: SharedResource,
-        job: Job,
-        w: Workload,
-        staging: StagingTier,
-        st: Shared<AwState>,
-        out: Shared<DesOut>,
-    ) {
+    fn bg_start(engine: &mut Engine, ctx: AwCtx) {
         {
-            let mut s = st.borrow_mut();
+            let mut s = ctx.st.borrow_mut();
             debug_assert!(s.bg_queued > 0 && s.bg_busy);
             s.bg_queued -= 1;
         }
-        let bg_extra = match staging {
+        let bg_extra = match ctx.cfg.staging {
             StagingTier::Dram => 0.0,
-            StagingTier::Nvme => job.staging_readback_time(w.per_rank_bytes),
+            StagingTier::Nvme => ctx.job.staging_readback_time(ctx.w.per_rank_bytes),
         };
-        let pfs_outer = pfs.clone();
-        let job_outer = job.clone();
-        let w_outer = w.clone();
         engine.schedule(SimDuration::from_secs_f64(bg_extra), move |engine| {
-        let pfs = pfs_outer;
-        let job = job_outer;
-        let w = w_outer;
-        let pfs2 = pfs.clone();
-        let job2 = job.clone();
-        let w2 = w.clone();
-        des_collective(engine, &pfs, &job, w.per_rank_bytes, move |engine, end| {
-            let end_s = end.as_secs_f64();
-            let (waiter, more, finished) = {
-                let mut s = st.borrow_mut();
-                let (epoch, snapshot_end) = s.in_flight.pop_front().expect("one per write");
-                out.borrow_mut().phases[epoch].background_io_secs = end_s - snapshot_end;
-                let waiter = s.waiter.take();
-                let more = s.bg_queued > 0;
-                if !more {
-                    s.bg_busy = false;
+            let (pfs, job) = (ctx.pfs.clone(), ctx.job.clone());
+            des_collective(engine, &pfs, &job, ctx.w.per_rank_bytes, move |engine, end| {
+                let end_s = end.as_secs_f64();
+                let (waiter, more, finished) = {
+                    let mut s = ctx.st.borrow_mut();
+                    let (epoch, snapshot_end) = s.in_flight.pop_front().expect("one per write");
+                    ctx.out.borrow_mut().phases[epoch].background_io_secs = end_s - snapshot_end;
+                    let waiter = s.waiter.take();
+                    let more = s.bg_queued > 0;
+                    if !more {
+                        s.bg_busy = false;
+                    }
+                    let finished =
+                        s.app_done.filter(|_| s.in_flight.is_empty() && s.bg_queued == 0 && !more);
+                    (waiter, more, finished)
+                };
+                if let Some(cont) = waiter {
+                    cont(engine);
                 }
-                let finished =
-                    s.app_done.filter(|_| s.in_flight.is_empty() && s.bg_queued == 0 && !more);
-                (waiter, more, finished)
-            };
-            if let Some(cont) = waiter {
-                cont(engine);
-            }
-            if more {
-                bg_start(engine, pfs2, job2, w2, staging, st, out);
-            } else if let Some(app_done) = finished {
-                out.borrow_mut().wall = app_done.max(end_s);
-            }
-        });
+                if more {
+                    bg_start(engine, ctx);
+                } else if let Some(app_done) = finished {
+                    ctx.out.borrow_mut().wall = app_done.max(end_s);
+                }
+            });
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn epoch(
-        engine: &mut Engine,
-        pfs: SharedResource,
-        job: Job,
-        w: Workload,
-        depth: u32,
-        staging: StagingTier,
-        st: Shared<AwState>,
-        out: Shared<DesOut>,
-        i: u32,
-    ) {
-        if i == w.epochs {
+    fn epoch(engine: &mut Engine, ctx: AwCtx, i: u32) {
+        if i == ctx.w.epochs {
             let now = engine.now().as_secs_f64();
-            let mut s = st.borrow_mut();
+            let mut s = ctx.st.borrow_mut();
             s.app_done = Some(now);
             if s.in_flight.is_empty() && s.bg_queued == 0 && !s.bg_busy {
                 drop(s);
-                out.borrow_mut().wall = now;
+                ctx.out.borrow_mut().wall = now;
             }
             return;
         }
-        let comp = w.effective_compute_secs(i);
+        let comp = ctx.w.effective_compute_secs(i);
         engine.schedule(SimDuration::from_secs_f64(comp), move |engine| {
             let after_compute = engine.now().as_secs_f64();
             // Park if the buffer pool is exhausted; otherwise continue.
-            let must_wait = st.borrow().in_flight.len() as u32 >= depth;
-            let proceed = move |engine: &mut Engine,
-                                pfs: SharedResource,
-                                job: Job,
-                                w: Workload,
-                                st: Shared<AwState>,
-                                out: Shared<DesOut>| {
+            let must_wait = ctx.st.borrow().in_flight.len() as u32 >= ctx.cfg.buffer_depth;
+            let proceed = move |engine: &mut Engine, ctx: AwCtx| {
                 let resumed = engine.now().as_secs_f64();
                 let wait = resumed - after_compute;
-                let (ov, _) = staging_costs(&job, w.per_rank_bytes, staging);
+                let (ov, _) = staging_costs(&ctx.job, ctx.w.per_rank_bytes, ctx.cfg.staging);
                 engine.schedule(SimDuration::from_secs_f64(ov), move |engine| {
                     {
-                        let mut s = st.borrow_mut();
+                        let mut s = ctx.st.borrow_mut();
                         s.bg_queued += 1;
                         s.in_flight.push_back((i as usize, engine.now().as_secs_f64()));
                     }
-                    out.borrow_mut().phases.push(PhaseMeasure {
+                    ctx.out.borrow_mut().phases.push(PhaseMeasure {
                         t_comp: comp,
                         visible_io_secs: wait + ov,
                         overhead_secs: ov,
@@ -295,7 +279,7 @@ fn des_async_write(
                         background_io_secs: f64::NAN,
                     });
                     let start_bg = {
-                        let mut s = st.borrow_mut();
+                        let mut s = ctx.st.borrow_mut();
                         if s.bg_busy {
                             false
                         } else {
@@ -304,38 +288,22 @@ fn des_async_write(
                         }
                     };
                     if start_bg {
-                        bg_start(
-                            engine,
-                            pfs.clone(),
-                            job.clone(),
-                            w.clone(),
-                            staging,
-                            st.clone(),
-                            out.clone(),
-                        );
+                        bg_start(engine, ctx.clone());
                     }
-                    epoch(engine, pfs, job, w, depth, staging, st, out, i + 1);
+                    epoch(engine, ctx, i + 1);
                 });
             };
             if must_wait {
-                let pfs2 = pfs.clone();
-                let job2 = job.clone();
-                let w2 = w.clone();
-                let st2 = st.clone();
-                let out2 = out.clone();
-                let st_for_wait = st.clone();
-                st_for_wait.borrow_mut().waiter = Some(Box::new(move |engine| {
-                    proceed(engine, pfs2, job2, w2, st2, out2);
-                }));
+                let st = ctx.st.clone();
+                st.borrow_mut().waiter = Some(Box::new(move |engine| proceed(engine, ctx)));
             } else {
-                proceed(engine, pfs, job, w, st, out);
+                proceed(engine, ctx);
             }
         });
     }
 
-    engine.schedule(SimDuration::from_secs_f64(w.t_init), {
-        let w2 = w.clone();
-        move |engine| epoch(engine, pfs, job, w2, depth, staging, st, out, 0)
+    engine.schedule(SimDuration::from_secs_f64(ctx.w.t_init), move |engine| {
+        epoch(engine, ctx, 0)
     });
 }
 

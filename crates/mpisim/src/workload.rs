@@ -67,7 +67,9 @@ impl Perturbation {
 }
 
 /// A bulk-synchronous iterative workload: `epochs` repetitions of
-/// (compute phase, collective I/O phase).
+/// (compute phase, collective I/O phase). The simulator ([`crate::run`])
+/// and the real-engine kernels (`kernels::vpic::run_real`,
+/// `kernels::bdcats::run_real`) run the same description.
 #[derive(Clone, Debug)]
 pub struct Workload {
     /// Participating MPI ranks.
@@ -78,12 +80,15 @@ pub struct Workload {
     pub epochs: u32,
     /// Length of each computation phase, seconds.
     pub compute_secs: f64,
-    /// Whether the I/O phases write (checkpoint) or read (analysis).
+    /// Whether the I/O phases write (checkpoint) or read (analysis). A
+    /// model input: the real-engine kernels do not read it.
     pub direction: Direction,
     /// One-time setup cost (buffer allocation, background-thread spin-up,
-    /// file open) — `t_init` in Eq. 1.
+    /// file open) — `t_init` in Eq. 1. A model input: the real-engine
+    /// kernels do not read it.
     pub t_init: f64,
-    /// One-time teardown cost — `t_term` in Eq. 1.
+    /// One-time teardown cost — `t_term` in Eq. 1. A model input: the
+    /// real-engine kernels do not read it.
     pub t_term: f64,
     /// Seeded straggler/interference knob (identity by default).
     pub perturb: Perturbation,
@@ -227,18 +232,23 @@ pub struct PhaseMeasure {
     /// is the snapshot plus any wait for a free buffer).
     pub visible_io_secs: f64,
     /// Transactional overhead portion of `visible_io_secs` (0 for sync).
+    /// On a real-engine async epoch that does not block, all of
+    /// `visible_io_secs`: Eq. 2b's overhead is all the caller waits for.
     pub overhead_secs: f64,
     /// When the epoch's data actually became durable, relative to the
-    /// epoch's I/O issue time (equals `visible_io_secs` for sync).
+    /// epoch's I/O issue time (equals `visible_io_secs` for sync). NaN on
+    /// a real-engine async epoch that does not block: the real run has
+    /// no per-epoch drain, so it does not observe this.
     pub background_io_secs: f64,
 }
 
-/// The outcome of one simulated run.
+/// The outcome of one run, simulated or measured on the real engine.
 #[derive(Clone, Debug)]
 pub struct RunResult {
     /// Per-epoch measurements, in execution order.
     pub phases: Vec<PhaseMeasure>,
-    /// Total application wall time (Eq. 1's `t_app`).
+    /// Total application wall time (Eq. 1's `t_app`; on the real engine,
+    /// the epochs plus the final drain).
     pub wall_secs: f64,
     /// Bytes moved per I/O phase across all ranks.
     pub phase_bytes: u64,

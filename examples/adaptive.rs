@@ -10,10 +10,10 @@
 //! [`apio::model::AdaptiveRuntime`], and query the advisor before each new
 //! configuration.
 
-use apio::kernels::vpic;
+use apio::kernels::vpic::PAPER_BYTES_PER_RANK;
 use apio::model::history::{Direction, IoMode};
 use apio::model::{AdaptiveRuntime, Observation};
-use apio::mpisim::{run, Job, RunConfig};
+use apio::mpisim::{run, Job, RunConfig, Workload};
 use apio::platform::summit;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
 
     println!("phase 1: bootstrap — run both modes at small scale, learn rates\n");
     for ranks in [96u32, 192, 384] {
-        let w = vpic::workload(ranks, 3, 30.0);
+        let w = Workload::checkpoint(ranks, PAPER_BYTES_PER_RANK, 3, 30.0);
         let job = Job::new(sys.clone(), ranks);
         let total = w.per_rank_bytes as f64 * ranks as f64;
 
@@ -61,8 +61,7 @@ fn main() {
 
     println!("\nphase 2: advise before scaling up\n");
     for ranks in [768u32, 3072, 12288] {
-        let w = vpic::workload(ranks, 3, 30.0);
-        let total = w.per_rank_bytes as f64 * ranks as f64;
+        let total = PAPER_BYTES_PER_RANK as f64 * ranks as f64;
         let advice = loop_
             .advise(Direction::Write, total, ranks)
             .expect("history supports a fit");
@@ -84,7 +83,7 @@ fn main() {
         loop_.observe(Observation::Compute { secs: 1e-4 });
     }
     let ranks = 3072;
-    let total = vpic::workload(ranks, 1, 0.0).per_rank_bytes as f64 * ranks as f64;
+    let total = PAPER_BYTES_PER_RANK as f64 * ranks as f64;
     let advice = loop_.advise(Direction::Write, total, ranks).unwrap();
     println!(
         "  {ranks:>5} ranks, ~zero compute: -> use {:?} (sync {:.3}s vs async {:.3}s, {:?})",

@@ -5,37 +5,42 @@
 //! cargo run --release --example vpic_checkpoint
 //! ```
 
-use apio::kernels::vpic::{self, VpicConfig};
-use apio::kernels::{bdcats, KernelMode};
+use std::sync::Arc;
+
+use apio::h5lite::{Container, ThrottledBackend};
+use apio::kernels::{bdcats, make_file, vpic};
 use apio::model::history::IoMode;
-use apio::mpisim::{run, Job, RunConfig};
+use apio::mpisim::{run, Job, RunConfig, Workload};
 use apio::platform::summit;
+
+/// 400 MB/s + 0.5 ms/op: a realistically slow shared file system.
+fn slow_fs() -> Arc<Container> {
+    Arc::new(Container::create(Arc::new(ThrottledBackend::in_memory(
+        400e6, 5e-4,
+    ))))
+}
 
 fn main() {
     // ----- real engine: threads, buffers, a throttled container --------
-    let cfg = VpicConfig {
-        ranks: 4,
-        particles_per_rank: 1 << 15, // 32 Ki particles/rank, 8 props
-        timesteps: 4,
-        compute_secs: 0.08,
-    };
+    // 32 Ki particles/rank × 8 f32 properties = 1 MiB per rank.
+    let w = Workload::checkpoint(4, 1 << 20, 4, 0.08);
     println!(
         "real engine: {} ranks × {} particles × 8 properties = {:.1} MiB per checkpoint\n",
-        cfg.ranks,
-        cfg.particles_per_rank,
-        cfg.bytes_per_epoch() as f64 / (1 << 20) as f64
+        w.ranks,
+        w.per_rank_bytes / 32,
+        (w.per_rank_bytes * w.ranks as u64) as f64 / (1 << 20) as f64
     );
 
-    for mode in [KernelMode::Sync, KernelMode::Async] {
-        // 400 MB/s + 0.5 ms/op: a realistically slow shared file system.
-        let report = vpic::run_real_throttled(&cfg, mode, 400e6, 5e-4).expect("kernel run");
+    for mode in [IoMode::Sync, IoMode::Async] {
+        let (file, vol) = make_file(slow_fs(), mode);
+        let result = vpic::run_real(&file, vol.as_deref(), &w).expect("kernel run");
         println!(
             "  {mode:?}: visible I/O {:>7.3}s over {} checkpoints, peak {:>8.2} MB/s visible bandwidth",
-            report.total_visible_io(),
-            report.phases.len(),
-            report.peak_bandwidth() / 1e6
+            result.total_visible_io(),
+            result.phases.len(),
+            result.peak_bandwidth() / 1e6
         );
-        if let Some(stats) = report.async_stats {
+        if let Some(stats) = vol.map(|v| v.stats()) {
             println!(
                 "         transactional overhead: {:.1} MiB snapshotted in {:.3}s ({:.2} GB/s)",
                 stats.snapshot_bytes as f64 / (1 << 20) as f64,
@@ -46,9 +51,11 @@ fn main() {
     }
 
     // And the read side: BD-CATS over the same container, with prefetch.
-    let (_, file) = vpic::run_real_throttled_into(&cfg, KernelMode::Sync, 400e6, 5e-4).unwrap();
-    let report = bdcats::run_real(&file, &cfg, KernelMode::Async).expect("read kernel");
-    let bws = report.phase_bandwidths();
+    let (source, _) = make_file(slow_fs(), IoMode::Sync);
+    vpic::run_real(&source, None, &w).expect("kernel run");
+    let (file, vol) = make_file(source.container().clone(), IoMode::Async);
+    let result = bdcats::run_real(&file, vol.as_deref(), &w).expect("read kernel");
+    let bws = result.phase_bandwidths();
     println!(
         "\n  BD-CATS-IO async read: first (blocking) step {:.1} MB/s, prefetched steps up to {:.1} MB/s",
         bws[0] / 1e6,
@@ -63,7 +70,7 @@ fn main() {
     );
     let sys = summit();
     for ranks in [96u32, 768, 6144, 12288] {
-        let w = vpic::workload(ranks, 5, 30.0);
+        let w = Workload::checkpoint(ranks, vpic::PAPER_BYTES_PER_RANK, 5, 30.0);
         let job = Job::new(sys.clone(), ranks);
         let sync = run(&job, &w, &RunConfig::sync());
         let asy = run(&job, &w, &RunConfig::async_io());
@@ -74,7 +81,6 @@ fn main() {
             sync.peak_bandwidth() / 1e9,
             asy.peak_bandwidth() / 1e9
         );
-        let _ = IoMode::Sync;
     }
     println!("\n(regenerate every figure with: cargo run -p apio-bench --bin figures -- all)");
 }

@@ -5,39 +5,77 @@ use std::sync::Arc;
 
 use apio::asyncvol::AsyncVol;
 use apio::h5lite::{Container, Dataspace, File, ThrottledBackend};
-use apio::kernels::vpic::{self, VpicConfig};
-use apio::kernels::{bdcats, KernelMode};
+use apio::kernels::{bdcats, make_file, vpic};
 use apio::model::history::{Direction, IoMode};
 use apio::model::{AdaptiveRuntime, Observation};
+use apio::mpisim::{run, Job, RunConfig, Workload};
+use apio::platform::summit;
 
-fn small_cfg() -> VpicConfig {
-    VpicConfig {
-        ranks: 4,
-        particles_per_rank: 1 << 12,
-        timesteps: 3,
-        compute_secs: 0.01,
-    }
+/// 4 ranks × 4 Ki particles (8 `f32` properties each) × 3 checkpoints.
+fn small() -> Workload {
+    Workload::checkpoint(4, (1 << 12) * 32, 3, 0.01)
 }
 
 #[test]
 fn write_with_async_vol_read_with_native_vol() {
     // Data written through the async connector must be readable through
     // the native one (they share the container format).
-    let cfg = small_cfg();
-    let (_, file) = vpic::run_real_into(&cfg, KernelMode::Async).unwrap();
-    vpic::verify(&file, &cfg).unwrap();
+    let w = small();
+    let (source, vol) = make_file(Arc::new(Container::create_mem()), IoMode::Async);
+    vpic::run_real(&source, vol.as_deref(), &w).unwrap();
+    vpic::verify(&source, &w).unwrap();
     // And the read kernel in sync mode sees it too.
-    bdcats::run_real(&file, &cfg, KernelMode::Sync).unwrap();
+    let (file, vol) = make_file(source.container().clone(), IoMode::Sync);
+    bdcats::run_real(&file, vol.as_deref(), &w).unwrap();
 }
 
 #[test]
 fn full_pipeline_write_then_clustered_read_with_prefetch() {
-    let cfg = small_cfg();
-    let (write_report, file) = vpic::run_real_into(&cfg, KernelMode::Async).unwrap();
-    assert_eq!(write_report.phases.len(), 3);
-    let read_report = bdcats::run_real(&file, &cfg, KernelMode::Async).unwrap();
-    let stats = read_report.async_stats.unwrap();
+    let w = small();
+    let (source, vol) = make_file(Arc::new(Container::create_mem()), IoMode::Async);
+    let written = vpic::run_real(&source, vol.as_deref(), &w).unwrap();
+    assert_eq!(written.phases.len(), 3);
+    let (file, vol) = make_file(source.container().clone(), IoMode::Async);
+    bdcats::run_real(&file, vol.as_deref(), &w).unwrap();
+    let stats = vol.unwrap().stats();
     assert!(stats.prefetch_hits > 0, "later steps must hit the prefetch");
+}
+
+#[test]
+fn real_and_simulated_runs_fill_one_record() {
+    // One workload through the simulator and through the real kernel:
+    // the same epochs, bytes and compute, and sync epochs that are all
+    // transfer on both engines.
+    let w = Workload::checkpoint(2, 256 * 32, 3, 0.002);
+    let job = Job::new(summit(), w.ranks);
+    for (mode, cfg) in [
+        (IoMode::Sync, RunConfig::sync()),
+        (IoMode::Async, RunConfig::async_io()),
+    ] {
+        let sim = run(&job, &w, &cfg);
+        let (file, vol) = make_file(Arc::new(Container::create_mem()), mode);
+        let real = vpic::run_real(&file, vol.as_deref(), &w).unwrap();
+        assert_eq!(real.phases.len(), sim.phases.len());
+        assert_eq!(real.phase_bytes, sim.phase_bytes);
+        for (r, s) in real.phases.iter().zip(&sim.phases) {
+            assert_eq!(r.t_comp, s.t_comp);
+            if mode == IoMode::Sync {
+                assert_eq!(r.overhead_secs, 0.0);
+                assert_eq!(r.background_io_secs, r.visible_io_secs);
+            } else {
+                assert_eq!(r.overhead_secs, r.visible_io_secs);
+                assert!(r.background_io_secs.is_nan(), "not observed");
+            }
+        }
+    }
+    // A run of no particles, or of a size that is not a whole number of
+    // them, is an error on both kernels, not a panic.
+    for per_rank_bytes in [0, 33] {
+        let bad = Workload::checkpoint(2, per_rank_bytes, 1, 0.0);
+        let (file, vol) = make_file(Arc::new(Container::create_mem()), IoMode::Async);
+        assert!(vpic::run_real(&file, vol.as_deref(), &bad).is_err());
+        assert!(bdcats::run_real(&file, vol.as_deref(), &bad).is_err());
+    }
 }
 
 #[test]
@@ -46,27 +84,24 @@ fn real_measurements_feed_the_model() {
     // phases into the adaptive runtime, and get a usable fit out.
     let mut rt = AdaptiveRuntime::new();
     for ranks in [2u32, 4, 8] {
-        let cfg = VpicConfig {
-            ranks,
-            particles_per_rank: 1 << 12,
-            timesteps: 3,
-            compute_secs: 0.0,
-        };
-        for mode in [KernelMode::Sync, KernelMode::Async] {
-            let report = vpic::run_real_throttled(&cfg, mode, 300e6, 2e-4).unwrap();
-            for phase in &report.phases {
+        let w = Workload::checkpoint(ranks, (1 << 12) * 32, 3, 0.0);
+        for mode in [IoMode::Sync, IoMode::Async] {
+            let backend = Arc::new(ThrottledBackend::in_memory(300e6, 2e-4));
+            let (file, vol) = make_file(Arc::new(Container::create(backend)), mode);
+            let result = vpic::run_real(&file, vol.as_deref(), &w).unwrap();
+            for phase in &result.phases {
                 rt.observe(Observation::Compute { secs: 0.05 });
                 let obs = match mode {
-                    KernelMode::Sync => Observation::Transfer {
+                    IoMode::Sync => Observation::Transfer {
                         mode: IoMode::Sync,
                         direction: Direction::Write,
-                        total_bytes: report.bytes_per_epoch as f64,
+                        total_bytes: result.phase_bytes as f64,
                         ranks,
                         secs: phase.visible_io_secs,
                     },
-                    KernelMode::Async => Observation::SnapshotOverhead {
+                    IoMode::Async => Observation::SnapshotOverhead {
                         direction: Direction::Write,
-                        total_bytes: report.bytes_per_epoch as f64,
+                        total_bytes: result.phase_bytes as f64,
                         ranks,
                         secs: phase.visible_io_secs,
                     },
@@ -157,12 +192,9 @@ fn persistence_across_connectors_and_processes() {
 fn simulator_and_model_agree_on_epoch_structure() {
     // Eq. 2a/2b applied to the simulator's own phase measurements must
     // reconstruct the simulated wall time of the ideal-overlap case.
-    use apio::mpisim::{run, Job, RunConfig};
-    use apio::platform::summit;
-
     let sys = summit();
     let ranks = 768;
-    let w = vpic::workload(ranks, 5, 30.0);
+    let w = Workload::checkpoint(ranks, vpic::PAPER_BYTES_PER_RANK, 5, 30.0);
     let job = Job::new(sys, ranks);
 
     let sync = run(&job, &w, &RunConfig::sync());
