@@ -117,6 +117,9 @@ echo "== one workload on both engines (real kernels, then the simulator) =="
 cargo run -q "${CARGO_FLAGS[@]}" --release --example vpic_checkpoint
 
 echo "== bench smoke (one iteration per benchmark) =="
+# connector: visible_write_sync, visible_write_async, visible_read (cold
+# read vs prefetch hit), epoch, chaos, ioplan_micro, strided_vpic, and
+# the traced epoch's Chrome export.
 cargo bench -q "${CARGO_FLAGS[@]}" -p apio-bench --bench connector -- --smoke \
     --trace-out "$PWD/target/trace_smoke.json"
 test -s target/trace_smoke.json || { echo "trace smoke export missing"; exit 1; }

@@ -163,8 +163,8 @@ impl DataLoader {
         self.kick_prefetch(self.cursor + 1);
         let mut out = Vec::with_capacity((self.batch_size * self.elems_per_sample) as usize);
         for sel in selections {
-            let rr = self.ds.read_async(&sel)?;
-            out.extend(h5lite::datatype::from_bytes::<f32>(&rr.wait()?)?);
+            // A prefetched sample arrives decoded.
+            out.extend(self.ds.read_async(&sel)?.wait_as::<f32>()?);
         }
         self.cursor += 1;
         Ok(Some(out))

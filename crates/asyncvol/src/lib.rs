@@ -25,7 +25,10 @@
 //!   background reads of future time steps, and a later `dataset_read`
 //!   with the same key is served from the prefetch slot — the mechanism
 //!   behind BD-CATS-IO's "first read blocking, the rest overlapped"
-//!   behaviour (§V-A2).
+//!   behaviour (§V-A2). The background task also decodes what it read,
+//!   so a hit hands the typed API finished elements
+//!   ([`h5lite::ReadPayload::Elements`]); a write issued to the dataset
+//!   drops its slots, so no read is served bytes that predate it.
 //! - **Synchronization** mirrors the HDF5 async VOL's event sets:
 //!   [`h5lite::Vol::wait`] on one request token, or
 //!   [`h5lite::Vol::wait_all`] to drain the connector.
@@ -62,7 +65,8 @@ use argolite::sync::Mutex;
 use argolite::{Runtime, TaskHandle};
 use h5lite::ring::{Completion, CqeErr, Ring, RingOp, Submitted};
 use h5lite::{
-    recycle, Container, H5Error, ObjectId, Promise, ReadRequest, Request, Result, Selection, Vol,
+    recycle, Container, Elements, H5Error, ObjectId, Promise, ReadPayload, ReadRequest, Request,
+    Result, Selection, Vol,
 };
 
 pub mod breaker;
@@ -221,6 +225,7 @@ impl AsyncVolBuilder {
                 requests: HashMap::new(),
                 order: HashMap::new(),
                 prefetched: HashMap::new(),
+                stale_prefetches: Vec::new(),
             }),
             sh: Shared {
                 stats: StatsCells::traced(self.tracer),
@@ -234,7 +239,7 @@ impl AsyncVolBuilder {
 }
 
 struct PrefetchSlot {
-    promise: Promise<Result<Vec<u8>>>,
+    promise: Promise<Result<ReadPayload>>,
     handle: TaskHandle,
 }
 
@@ -292,6 +297,24 @@ struct ConnInner {
     order: HashMap<ObjectId, DsOrder>,
     /// Completed or in-flight prefetches keyed by (dataset, selection).
     prefetched: HashMap<(ObjectId, Selection), PrefetchSlot>,
+    /// Tasks of slots a later write made stale: nobody reads what they
+    /// fetch, but `wait_all` still joins them.
+    stale_prefetches: Vec<TaskHandle>,
+}
+
+impl ConnInner {
+    /// Drop `ds`'s prefetch slots, because a write to `ds` is being
+    /// issued: what they fetched (or are fetching) predates it, so the
+    /// next read of `ds` must be a cold one, ordered after the write.
+    /// Free when no prefetch is held, which is every write-only run.
+    fn drop_prefetched(&mut self, ds: ObjectId) {
+        if self.prefetched.is_empty() {
+            return;
+        }
+        self.stale_prefetches.retain(|h| !h.is_terminal());
+        let stale = self.prefetched.extract_if(|(d, _), _| *d == ds);
+        self.stale_prefetches.extend(stale.map(|(_, slot)| slot.handle));
+    }
 }
 
 /// What a write still needs once the call that issued it has returned:
@@ -677,7 +700,7 @@ impl AsyncVol {
         let req = inner.next_req;
         inner.next_req += 1;
 
-        let promise: Promise<Result<Vec<u8>>> = Promise::new();
+        let promise: Promise<Result<ReadPayload>> = Promise::new();
         let order = inner.order.entry(ds).or_default();
         let deps: Vec<TaskHandle> = order.last_task.iter().cloned().collect();
 
@@ -689,10 +712,11 @@ impl AsyncVol {
         let handle = self.rt.spawn_dependent(&deps, move || {
             let mut span = sh.stats.tracer().span("vol.prefetch");
             let t0 = Instant::now();
-            let result =
-                with_backoff(&sh.retry, req, t0, &sh.stats, || c.read_selection(ds, &sel_task));
+            let result = with_backoff(&sh.retry, req, t0, &sh.stats, || {
+                c.read_selection_tagged(ds, &sel_task)
+            });
             let io_secs = t0.elapsed().as_secs_f64();
-            let bytes = result.as_ref().map(|d| d.len() as u64).unwrap_or(0);
+            let bytes = result.as_ref().map(|(_, d)| d.len() as u64).unwrap_or(0);
             span.set_event(Event::VolCall {
                 op: "prefetch",
                 dataset: ds,
@@ -706,7 +730,13 @@ impl AsyncVol {
                 io_secs,
                 overhead_secs: 0.0,
             });
-            p.fulfill(result);
+            // Decode here, on the stream and during the caller's compute,
+            // with the datatype the read was planned against: a hit then
+            // hands the caller its elements (DESIGN.md §17). Not device
+            // time, so after `io_secs`.
+            p.fulfill(result.and_then(|(dtype, data)| {
+                Elements::decode(dtype, &data).map(ReadPayload::Elements)
+            }));
             sh.stats.record_queue_completed();
         });
 
@@ -755,10 +785,12 @@ impl AsyncVol {
     /// dataset's ordering record, so per-dataset order is request order
     /// (the ring's per-key FIFO, the task dependency chain). Neither the
     /// reaper nor a task ever takes this lock, so a full-ring block
-    /// inside `launch` still makes progress. Finished requests found on
-    /// the way are retired after the lock is released.
+    /// inside `launch` still makes progress. Every request admitted is a
+    /// write, so `ds`'s prefetch slots go stale here. Finished requests
+    /// found on the way are retired after the lock is released.
     fn admit(&self, ds: ObjectId, launch: impl FnOnce(u64, &mut DsOrder) -> Flight) -> Request {
         let mut inner = self.inner.lock();
+        inner.drop_prefetched(ds);
         let finished = Self::take_finished_locked(&mut inner);
         let req = inner.next_req;
         inner.next_req += 1;
@@ -964,6 +996,7 @@ impl AsyncVol {
         self.settle_ring_ds(ds); // order after any in-flight ring writes
         let salt = {
             let mut inner = self.inner.lock();
+            inner.drop_prefetched(ds);
             let salt = inner.next_req;
             inner.next_req += 1; // consumed as jitter salt only
             salt
@@ -1104,11 +1137,8 @@ impl AsyncVol {
                 o.last_task.is_some()
             });
             let flights: Vec<(u64, Flight)> = inner.requests.drain().collect();
-            let pf: Vec<TaskHandle> = inner
-                .prefetched
-                .values()
-                .map(|s| s.handle.clone())
-                .collect();
+            let mut pf = std::mem::take(&mut inner.stale_prefetches);
+            pf.extend(inner.prefetched.values().map(|s| s.handle.clone()));
             (flights, pf)
         };
         // Request order, not map order: observer records and retries

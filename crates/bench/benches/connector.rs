@@ -1,6 +1,7 @@
 //! Connector ablation: what a dataset write costs the *calling thread*
 //! under the native VOL (full transfer) versus the async VOL (snapshot
-//! only), what the snapshot itself costs, and — since the planner
+//! only), what the snapshot itself costs, what a read costs it cold
+//! versus as a prefetch hit, and — since the planner
 //! landed — what coalescing buys a strided BD-CATS-style selection over
 //! the historical one-backend-op-per-run path.
 //!
@@ -75,6 +76,54 @@ fn async_visible_write() {
             }
             total
         });
+    }
+}
+
+/// Visible read latency through the async connector, typed API: a cold
+/// read (blocking read, verify, decode on the calling thread) against a
+/// prefetch hit (the background task read and decoded it; the call takes
+/// the finished elements). The prefetch and its drain are untimed.
+fn visible_read() {
+    section("visible_read");
+    let mut rows = Vec::new();
+    for bytes in [1usize << 19, 1 << 24] {
+        let n = (bytes / 4) as u64;
+        let vol = Arc::new(AsyncVol::new());
+        let file = File::from_parts(Arc::new(Container::create_mem()), vol.clone());
+        let ds = file.root().create_dataset::<f32>("x", &Dataspace::d1(n)).unwrap();
+        ds.write(&vec![1.0f32; n as usize]).unwrap();
+        file.flush().unwrap();
+
+        let cold = bench_bytes(&format!("visible_read_cold/{bytes}"), bytes as u64, || {
+            black_box(ds.read::<f32>().unwrap());
+        });
+        let hit = bench_custom(&format!("visible_read_hit/{bytes}"), |iters| {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                let _ = vol.prefetch(file.container(), ds.id(), &Selection::All);
+                file.wait_all().unwrap();
+                let t0 = Instant::now();
+                black_box(ds.read::<f32>().unwrap());
+                total += t0.elapsed();
+            }
+            total
+        });
+        rows.push((bytes, cold.secs_per_iter(), hit.secs_per_iter()));
+    }
+    println!("\n| read | cold | prefetch hit | hit / cold |\n|---|---|---|---|");
+    // A hit is a hand-off, microseconds at either size: µs, and a ratio
+    // with four decimals.
+    for (bytes, cold, hit) in rows {
+        let size = match bytes >> 20 {
+            0 => format!("{} KiB", bytes >> 10),
+            mib => format!("{mib} MiB"),
+        };
+        println!(
+            "| {size} | {:.3} ms | {:.1} µs | {:.4}× |",
+            cold * 1e3,
+            hit * 1e6,
+            hit / cold
+        );
     }
 }
 
@@ -343,6 +392,7 @@ fn export_trace(path: &Path) {
 fn main() {
     sync_visible_write();
     async_visible_write();
+    visible_read();
     epoch_overlap();
     chaos();
     ioplan_micro();

@@ -266,26 +266,19 @@ impl Dataset {
     /// Read the full dataset synchronously.
     pub fn read<T: H5Type>(&self) -> Result<Vec<T>> {
         self.check_type::<T>()?;
-        let rr = self
-            .inner
-            .vol
-            .dataset_read(&self.inner.container, self.id, &Selection::All)?;
-        from_bytes(&rr.wait()?)
+        self.read_async(&Selection::All)?.wait_as()
     }
 
-    /// Read a hyperslab synchronously.
+    /// Read a hyperslab synchronously. A prefetch hit hands over the
+    /// elements its background task decoded; anything else is decoded
+    /// here (DESIGN.md §17).
     pub fn read_slab<T: H5Type>(&self, slab: &Hyperslab) -> Result<Vec<T>> {
         self.check_type::<T>()?;
-        let rr = self.inner.vol.dataset_read(
-            &self.inner.container,
-            self.id,
-            &Selection::Slab(slab.clone()),
-        )?;
-        from_bytes(&rr.wait()?)
+        self.read_async(&Selection::Slab(slab.clone()))?.wait_as()
     }
 
-    /// Issue a read and return the raw request (decode with
-    /// [`crate::datatype::from_bytes`] after waiting).
+    /// Issue a read and return the request; take its elements with
+    /// [`ReadRequest::wait_as`].
     pub fn read_async(&self, sel: &Selection) -> Result<ReadRequest> {
         self.inner
             .vol

@@ -286,6 +286,8 @@ type Touched = (u64, u64, u64, Option<Checksum>);
 
 /// What [`Container::plan_io`] hands the function that issues the plan.
 struct Planned {
+    /// The element type of the dataset state the plan was built from.
+    dtype: Datatype,
     plan: IoPlan,
     /// Every data extent the plan touches: the bounds a span is
     /// confined to.
@@ -1415,8 +1417,21 @@ impl Container {
     /// on the returned path surfaces as [`H5Error::Corrupt`] instead of
     /// silently reaching the caller.
     pub fn read_selection(&self, id: ObjectId, sel: &Selection) -> Result<Vec<u8>> {
+        self.read_selection_tagged(id, sel).map(|(_, bytes)| bytes)
+    }
+
+    /// [`Container::read_selection`], plus the element type of the
+    /// dataset state the read was planned against: what a reader that
+    /// decodes on another thread needs, without a second metadata
+    /// lookup.
+    pub fn read_selection_tagged(
+        &self,
+        id: ObjectId,
+        sel: &Selection,
+    ) -> Result<(Datatype, Vec<u8>)> {
         let planned = self.plan_io(id, sel, None, false)?;
-        self.read_planned(&planned.plan, &planned.touched, &planned.verify)
+        let bytes = self.read_planned(&planned.plan, &planned.touched, &planned.verify)?;
+        Ok((planned.dtype, bytes))
     }
 
     /// Issue a built read plan: verify the clean checksummed extents and
@@ -1541,6 +1556,7 @@ impl Container {
         }
         plan_span.set_event(plan_built_event(id, &parts.plan));
         Ok(Planned {
+            dtype: state.dtype,
             verify: self.note_touched(id, allocate, &parts.touched),
             touched: parts.touched,
             plan: parts.plan,

@@ -4,6 +4,10 @@
 //! Rust scalar types onto it and provides explicit little-endian
 //! (de)serialization a slice at a time, so typed reads and writes are
 //! portable, free of `unsafe` transmutes, and as fast as a copy.
+//! [`Elements`] carries decoded elements across a boundary that does not
+//! know their `T`.
+
+use std::any::Any;
 
 use crate::error::{H5Error, Result};
 
@@ -169,6 +173,76 @@ pub fn from_bytes<T: H5Type>(bytes: &[u8]) -> Result<Vec<T>> {
     Ok(T::decode_slice(bytes))
 }
 
+/// Decoded elements whose Rust type is known only at run time: a
+/// `Vec<T>` for the [`Datatype`] it is tagged with. A background reader
+/// knows a dataset's datatype but not the caller's `T`; it decodes into
+/// one of these, and the caller moves the `Vec<T>` out with
+/// [`Elements::into_vec`] — no copy when the types agree.
+pub struct Elements {
+    dtype: Datatype,
+    vec: Box<dyn Any + Send>,
+    /// [`to_bytes`] for the `T` that `vec` holds.
+    encode: fn(&(dyn Any + Send)) -> Vec<u8>,
+}
+
+impl Elements {
+    /// Decode on-disk `bytes` as `dtype` elements. Fails like
+    /// [`from_bytes`] when the length is not a whole number of elements.
+    pub fn decode(dtype: Datatype, bytes: &[u8]) -> Result<Elements> {
+        fn typed<T: H5Type>(bytes: &[u8]) -> Result<Elements> {
+            Ok(Elements {
+                dtype: T::DTYPE,
+                vec: Box::new(from_bytes::<T>(bytes)?),
+                encode: encode_any::<T>,
+            })
+        }
+        match dtype {
+            Datatype::U8 => typed::<u8>(bytes),
+            Datatype::I8 => typed::<i8>(bytes),
+            Datatype::U16 => typed::<u16>(bytes),
+            Datatype::I16 => typed::<i16>(bytes),
+            Datatype::U32 => typed::<u32>(bytes),
+            Datatype::I32 => typed::<i32>(bytes),
+            Datatype::U64 => typed::<u64>(bytes),
+            Datatype::I64 => typed::<i64>(bytes),
+            Datatype::F32 => typed::<f32>(bytes),
+            Datatype::F64 => typed::<f64>(bytes),
+        }
+    }
+
+    /// The datatype the elements were decoded as.
+    pub fn dtype(&self) -> Datatype {
+        self.dtype
+    }
+
+    /// Move the elements out as `Vec<T>`, or get them back unchanged when
+    /// they hold another type.
+    pub fn into_vec<T: H5Type>(self) -> std::result::Result<Vec<T>, Elements> {
+        let Elements { dtype, vec, encode } = self;
+        match vec.downcast::<Vec<T>>() {
+            Ok(v) => Ok(*v),
+            Err(vec) => Err(Elements { dtype, vec, encode }),
+        }
+    }
+
+    /// The on-disk bytes of the elements: one encode pass.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        (self.encode)(&*self.vec)
+    }
+}
+
+impl std::fmt::Debug for Elements {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Elements").field("dtype", &self.dtype).finish_non_exhaustive()
+    }
+}
+
+fn encode_any<T: H5Type>(vec: &(dyn Any + Send)) -> Vec<u8> {
+    // `Elements::decode` pairs this function with a `Vec<T>`, so the
+    // downcast cannot miss.
+    vec.downcast_ref::<Vec<T>>().map_or_else(Vec::new, |v| to_bytes(v))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,5 +314,41 @@ mod tests {
     #[test]
     fn encoding_is_little_endian() {
         assert_eq!(to_bytes(&[0x01020304u32]), vec![4, 3, 2, 1]);
+    }
+
+    #[test]
+    fn elements_move_out_as_their_type_and_encode_back() {
+        let data = vec![1.5f32, -2.0, f32::MAX];
+        let bytes = to_bytes(&data);
+        let elems = Elements::decode(Datatype::F32, &bytes).unwrap();
+        assert_eq!(elems.dtype(), Datatype::F32);
+        assert_eq!(elems.to_bytes(), bytes);
+        // Another type with the same width is refused, not reinterpreted.
+        let elems = elems.into_vec::<u32>().unwrap_err();
+        assert_eq!(elems.into_vec::<f32>().unwrap(), data);
+    }
+
+    #[test]
+    fn elements_decode_every_datatype_like_from_bytes() {
+        let bytes: Vec<u8> = (0..64).map(|i| (i * 37) as u8).collect();
+        // Compared as bytes, so NaN payloads compare too.
+        fn same<T: H5Type>(bytes: &[u8]) {
+            let elems = Elements::decode(T::DTYPE, bytes).unwrap();
+            assert_eq!(elems.to_bytes(), bytes);
+            let got = elems.into_vec::<T>().unwrap();
+            assert_eq!(to_bytes(&got), to_bytes(&from_bytes::<T>(bytes).unwrap()));
+        }
+        same::<u8>(&bytes);
+        same::<i8>(&bytes);
+        same::<u16>(&bytes);
+        same::<i16>(&bytes);
+        same::<u32>(&bytes);
+        same::<i32>(&bytes);
+        same::<u64>(&bytes);
+        same::<i64>(&bytes);
+        same::<f32>(&bytes);
+        same::<f64>(&bytes);
+        let err = Elements::decode(Datatype::F64, &[0u8; 7]).unwrap_err();
+        assert!(matches!(err, H5Error::ShapeMismatch(_)));
     }
 }

@@ -65,7 +65,7 @@ pub mod vol;
 pub use api::{Dataset, File, Group};
 pub use container::{Container, IntegrityStats, ObjectId, ScrubReport, SieveStats};
 pub use dataspace::{Dataspace, Hyperslab, Row, Selection};
-pub use datatype::{Datatype, H5Type};
+pub use datatype::{Datatype, Elements, H5Type};
 pub use error::{ErrorClass, H5Error, Result};
 pub use layout::Layout;
 pub use meta::{shard_of, ConsistencyModel, MetaLockStats, MetaSnapshot, META_SHARDS};
@@ -79,4 +79,4 @@ pub use storage::{
     CrashBackend, CrashClock, FaultInjector, FaultKind, FaultOp, FaultPlan, FileBackend, IoVec,
     IoVecMut, MemBackend, StorageBackend, ThrottledBackend,
 };
-pub use vol::{ReadRequest, Request, Vol};
+pub use vol::{ReadPayload, ReadRequest, Request, Vol};

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use crate::container::{Container, DatasetInfo, ObjectId};
 use crate::dataspace::{Dataspace, Selection};
-use crate::datatype::Datatype;
+use crate::datatype::{from_bytes, Datatype, Elements, H5Type};
 use crate::error::Result;
 use crate::layout::Layout;
 use crate::promise::Promise;
@@ -41,22 +41,34 @@ impl Request {
     }
 }
 
+/// What a read delivers (DESIGN.md §17, the read side).
+#[derive(Debug)]
+pub enum ReadPayload {
+    /// The on-disk bytes: a synchronous or cold read, which the caller
+    /// decodes.
+    Bytes(Vec<u8>),
+    /// Elements a background task already decoded: a prefetch hit, which
+    /// the caller takes as they are.
+    Elements(Elements),
+}
+
 /// An in-flight read: a [`Request`] plus the promise its data arrives on.
 #[must_use = "a ReadRequest does nothing unless waited on"]
 pub struct ReadRequest {
-    promise: Promise<Result<Vec<u8>>>,
+    promise: Promise<Result<ReadPayload>>,
 }
 
 impl ReadRequest {
     /// A read that will be fulfilled later by a background task.
-    pub fn pending(promise: Promise<Result<Vec<u8>>>) -> Self {
+    pub fn pending(promise: Promise<Result<ReadPayload>>) -> Self {
         ReadRequest { promise }
     }
 
-    /// A read that already completed (synchronous connector).
+    /// A read that already completed as bytes (synchronous connector,
+    /// cold read).
     pub fn resolved(result: Result<Vec<u8>>) -> Self {
         ReadRequest {
-            promise: Promise::resolved(result),
+            promise: Promise::resolved(result.map(ReadPayload::Bytes)),
         }
     }
 
@@ -65,9 +77,29 @@ impl ReadRequest {
         self.promise.is_fulfilled()
     }
 
-    /// Block until the data arrives and take it.
+    /// Block until the data arrives and take it as `T` elements — how the
+    /// typed API takes a read. Decoded elements of type `T` move out
+    /// without a pass over them; bytes (and elements of another type)
+    /// decode through [`from_bytes`].
+    pub fn wait_as<T: H5Type>(self) -> Result<Vec<T>> {
+        match self.promise.take()? {
+            ReadPayload::Bytes(bytes) => from_bytes(&bytes),
+            ReadPayload::Elements(elems) => elems
+                .into_vec()
+                .or_else(|elems| from_bytes(&elems.to_bytes())),
+        }
+    }
+
+    /// Block until the data arrives and take it as on-disk bytes — for
+    /// callers below the typed API that never learn the element type:
+    /// raw-[`Vol`] tools and tests, and byte-level checks. A prefetch hit
+    /// arrives decoded, so taking it here costs one encode back to bytes,
+    /// the pass [`ReadRequest::wait_as`] skips.
     pub fn wait(self) -> Result<Vec<u8>> {
-        self.promise.take()
+        Ok(match self.promise.take()? {
+            ReadPayload::Bytes(bytes) => bytes,
+            ReadPayload::Elements(elems) => elems.to_bytes(),
+        })
     }
 }
 
@@ -176,10 +208,27 @@ mod tests {
 
     #[test]
     fn pending_read_request_fulfilled_later() {
-        let p: Promise<Result<Vec<u8>>> = Promise::new();
+        let p: Promise<Result<ReadPayload>> = Promise::new();
         let rr = ReadRequest::pending(p.clone());
         assert!(!rr.is_ready());
-        p.fulfill(Ok(vec![9]));
+        p.fulfill(Ok(ReadPayload::Bytes(vec![9])));
         assert_eq!(rr.wait().unwrap(), vec![9]);
+    }
+
+    fn decoded(data: &[i16]) -> ReadRequest {
+        let elems = Elements::decode(Datatype::I16, &crate::datatype::to_bytes(data)).unwrap();
+        ReadRequest::pending(Promise::resolved(Ok(ReadPayload::Elements(elems))))
+    }
+
+    #[test]
+    fn typed_take_serves_both_payloads() {
+        let data = [-3i16, 0, 7, i16::MAX];
+        let bytes = crate::datatype::to_bytes(&data);
+        assert_eq!(decoded(&data).wait_as::<i16>().unwrap(), data);
+        assert_eq!(ReadRequest::resolved(Ok(bytes.clone())).wait_as::<i16>().unwrap(), data);
+        // Taken as another type or as bytes, a decoded payload goes back
+        // through its bytes.
+        assert_eq!(decoded(&data).wait_as::<u16>().unwrap(), [65533, 0, 7, 32767]);
+        assert_eq!(decoded(&data).wait().unwrap(), bytes);
     }
 }

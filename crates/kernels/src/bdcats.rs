@@ -7,8 +7,9 @@
 //! after reading data for the first time step. The first read is a
 //! blocking operation since there is a dependency on the data for the
 //! first computational phase"* (§V-A2). Each completed step schedules the
-//! prefetch of the next step, so later reads only pay the buffer delivery
-//! (plus any un-overlapped prefetch remainder).
+//! prefetch of the next step, whose background task reads and decodes it
+//! during the clustering phase, so later reads only pay the buffer
+//! delivery (plus any un-overlapped prefetch remainder).
 
 use std::time::{Duration, Instant};
 
