@@ -1,9 +1,10 @@
 //! The sanctioned synchronization module.
 //!
 //! Every `Mutex`/`RwLock`/`Condvar` in `argolite` and `asyncvol` must come
-//! from here — `cargo run -p xtask -- lint` (rule `lock-discipline`)
-//! rejects raw `std::sync` or third-party lock acquisitions anywhere else
-//! in those crates. Centralizing acquisition buys two things:
+//! from here — clippy's `disallowed_types` (each crate's `clippy.toml`)
+//! rejects the `std::sync` ones anywhere else in those crates, tests
+//! included; this module, which wraps them, is the one exemption.
+//! Centralizing acquisition buys two things:
 //!
 //! 1. **A poison-transparent, `parking_lot`-shaped API.** Guards are
 //!    returned directly (no `Result`); a panic while holding a lock does
@@ -27,6 +28,7 @@
 //! Ordering note: `on_acquire` runs *before* blocking on the underlying
 //! lock, so a would-deadlock is reported even on the interleaving that
 //! would actually deadlock (where `lock()` would never return).
+#![allow(clippy::disallowed_types)]
 
 use std::sync::{self, TryLockError};
 

@@ -43,7 +43,7 @@
 //!   every measured quantity the paper's model consumes: snapshot
 //!   (transactional) time, background I/O time, bytes moved, prefetch
 //!   hits/misses. The model crate's feedback loop (Fig. 2) subscribes via
-//!   [`AsyncVol::set_observer`].
+//!   [`AsyncVolBuilder::observer`].
 //!
 //! Background failures are held per request and surface at wait time as
 //! [`H5Error::Async`], matching the deferred error reporting of the real
@@ -231,7 +231,7 @@ impl AsyncVolBuilder {
                 stats: StatsCells::traced(self.tracer),
                 retry: self.retry,
                 breaker: CircuitBreaker::new(self.breaker),
-                observer: Arc::new(Mutex::new_named("asyncvol.observer", self.observer)),
+                observer: self.observer,
             },
             tenants: Mutex::new_named("asyncvol.tenants", Vec::new()),
         }
@@ -325,13 +325,12 @@ struct Shared {
     stats: StatsCells,
     retry: RetryPolicy,
     breaker: CircuitBreaker,
-    observer: Arc<Mutex<Option<Observer>>>,
+    observer: Option<Observer>,
 }
 
 impl Shared {
     fn notify(&self, record: OpRecord) {
-        let obs = self.observer.lock().clone();
-        if let Some(obs) = obs {
+        if let Some(obs) = &self.observer {
             obs(&record);
         }
     }
@@ -494,11 +493,6 @@ impl AsyncVol {
         Ok(report)
     }
 
-    /// Install (or replace) the per-operation observer.
-    pub fn set_observer(&self, obs: Observer) {
-        *self.sh.observer.lock() = Some(obs);
-    }
-
     /// Drain every outstanding operation, then recycle the device staging
     /// log (a no-op under DRAM staging). Call between checkpoint epochs —
     /// the coarse-grained space recycling burst buffers use. The caller
@@ -644,7 +638,6 @@ impl AsyncVol {
         if self.ring.is_none() {
             return;
         }
-        let mut settled = 0u64;
         loop {
             let next = {
                 let mut inner = self.inner.lock();
@@ -655,21 +648,8 @@ impl AsyncVol {
                 requests.remove(&req).map(|flight| (req, flight))
             };
             if let Some((req, flight)) = next {
-                settled += 1;
                 self.retire(req, flight);
             }
-        }
-        if settled > 0 {
-            // Causal edge closing the vol.handoff instants this dataset's
-            // ring writes opened; the connector spans epochs, so 0 marks
-            // "epoch unknown".
-            self.sh.stats.tracer().instant(
-                "vol.settle",
-                Event::Settle {
-                    epoch: 0,
-                    requests: settled,
-                },
-            );
         }
     }
 
@@ -908,20 +888,6 @@ impl AsyncVol {
                 };
                 let overhead_secs = t0.elapsed().as_secs_f64();
                 stats.record_snapshot(bytes, overhead_secs);
-                stats.tracer().instant(
-                    "ring.submit",
-                    Event::VolCall {
-                        op: "ring_submit",
-                        dataset: ds,
-                        bytes,
-                    },
-                );
-                // Causal edge: the snapshot leaves the application thread
-                // here; the matching vol.settle fires when settle_ring_ds
-                // drains it.
-                stats
-                    .tracer()
-                    .instant("vol.handoff", Event::WriteHandoff { epoch: 0, bytes });
                 Ok(self.admit(ds, |req, order| {
                     let op = RingOp::Write { data, segs };
                     let promise = Self::ring_submit_blocking(ring, ds, op);

@@ -281,11 +281,11 @@ fn double_prefetch_is_idempotent() {
 
 #[test]
 fn observer_sees_every_operation() {
-    use std::sync::Mutex;
+    use argolite::sync::Mutex;
     let records: Arc<Mutex<Vec<OpKind>>> = Arc::new(Mutex::new(Vec::new()));
     let r2 = records.clone();
     let vol = AsyncVol::builder()
-        .observer(Arc::new(move |rec| r2.lock().unwrap().push(rec.kind)))
+        .observer(Arc::new(move |rec| r2.lock().push(rec.kind)))
         .build();
     let c = mem_container();
     let ds = vol
@@ -303,7 +303,7 @@ fn observer_sees_every_operation() {
     vol.dataset_read(&c, ds, &Selection::All).unwrap().wait().unwrap();
     let _ = vol.prefetch(&c, ds, &Selection::All);
     vol.wait_all().unwrap();
-    let seen = records.lock().unwrap().clone();
+    let seen = records.lock().clone();
     assert!(seen.contains(&OpKind::Write));
     assert!(seen.contains(&OpKind::Read));
     assert!(seen.contains(&OpKind::Prefetch));
@@ -864,56 +864,4 @@ fn failed_wal_mark_is_counted_not_swallowed() {
         "the swallowed flag write must be visible in the metrics"
     );
     assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), vec![7u8; 8]);
-}
-
-#[test]
-fn ring_writes_emit_handoff_and_settle_edges() {
-    // The causal-edge pair the cross-rank analysis consumes: every ring
-    // write hands its snapshot off (vol.handoff), and draining the
-    // dataset settles them in one edge (vol.settle) carrying the count.
-    use h5lite::ring::{Ring, RingConfig};
-
-    let backend: Arc<dyn h5lite::StorageBackend> = Arc::new(h5lite::MemBackend::new());
-    let ring = Arc::new(Ring::new(backend.clone(), RingConfig::default()));
-    let tracer = apio_trace::Tracer::new();
-    let vol = AsyncVol::builder().ring(ring).tracer(tracer.clone()).build();
-    let c = Arc::new(Container::create(backend));
-    let ds = vol
-        .dataset_create(
-            &c,
-            h5lite::container::ROOT_ID,
-            "x",
-            h5lite::Datatype::U8,
-            &Dataspace::d1(64),
-            h5lite::Layout::Contiguous,
-        )
-        .unwrap();
-    for i in 0..4u8 {
-        let slab = Hyperslab::range1(i as u64 * 16, 16);
-        // Drained collectively below; the read settles the ring FIFO.
-        let _ = vol
-            .dataset_write(&c, ds, &Selection::Slab(slab), &[i; 16])
-            .unwrap();
-    }
-    let back = vol
-        .dataset_read(&c, ds, &Selection::All)
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(back[0..16], [0u8; 16]);
-    vol.wait_all().unwrap();
-
-    let sink = tracer.sink();
-    let handoffs =
-        sink.events_where(|e| matches!(e, apio_trace::Event::WriteHandoff { .. }));
-    assert_eq!(handoffs.len(), 4, "one handoff per ring write");
-    let settled: u64 = sink
-        .events_where(|e| matches!(e, apio_trace::Event::Settle { .. }))
-        .iter()
-        .map(|r| match r.event {
-            Some(apio_trace::Event::Settle { requests, .. }) => requests,
-            _ => 0,
-        })
-        .sum();
-    assert_eq!(settled, 4, "every handoff must be settled");
 }

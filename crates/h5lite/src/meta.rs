@@ -266,9 +266,10 @@ impl std::fmt::Debug for MetaSnapshot {
 }
 
 /// The sharded metadata plane. **Every** shard/tree lock acquisition in
-/// h5lite goes through this type — the xtask `snapshot-discipline` rule
-/// rejects direct acquisitions elsewhere in the crate, so the counters
-/// below are the whole truth about metadata locking.
+/// h5lite goes through this type — `shards` and `tree` are private to
+/// this module, so a direct acquisition elsewhere in the crate does not
+/// compile, and the counters below are the whole truth about metadata
+/// locking.
 pub(crate) struct MetaPlane {
     shards: Vec<Shard>,
     tree: RwLock<Tree>,

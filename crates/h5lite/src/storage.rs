@@ -711,10 +711,24 @@ impl FaultInjector {
     }
 
     /// Decide the fault (if any) for the next operation of class `op`.
+    /// A `Delay` is served here — the calling thread stalls, outside the
+    /// plan's lock — and the operation goes through: it returns `None`.
     fn decide(&self, op: FaultOp) -> Option<FaultKind> {
         if !self.armed.load(Ordering::SeqCst) {
             return None;
         }
+        match self.fire(op) {
+            Some(FaultKind::Delay { secs }) => {
+                std::thread::sleep(std::time::Duration::from_secs_f64(secs.max(0.0)));
+                None
+            }
+            kind => kind,
+        }
+    }
+
+    /// Advance `op`'s class counter and pick the first matching rule with
+    /// budget left.
+    fn fire(&self, op: FaultOp) -> Option<FaultKind> {
         let mut st = self.state.lock();
         let idx = st.counts[op as usize];
         st.counts[op as usize] += 1;
@@ -755,10 +769,6 @@ impl StorageBackend for FaultInjector {
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         match self.decide(FaultOp::Write) {
             None => self.inner.write_at(offset, data),
-            Some(FaultKind::Delay { secs }) => {
-                std::thread::sleep(std::time::Duration::from_secs_f64(secs.max(0.0)));
-                self.inner.write_at(offset, data)
-            }
             Some(FaultKind::Torn { fraction }) => {
                 self.injected.fetch_add(1, Ordering::SeqCst);
                 let keep = ((data.len() as f64) * fraction.clamp(0.0, 1.0)) as usize;
@@ -776,10 +786,6 @@ impl StorageBackend for FaultInjector {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         match self.decide(FaultOp::Read) {
             None => self.inner.read_at(offset, buf),
-            Some(FaultKind::Delay { secs }) => {
-                std::thread::sleep(std::time::Duration::from_secs_f64(secs.max(0.0)));
-                self.inner.read_at(offset, buf)
-            }
             Some(FaultKind::Corrupt) => {
                 self.inner.read_at(offset, buf)?;
                 if !buf.is_empty() {
@@ -823,10 +829,6 @@ impl StorageBackend for FaultInjector {
     fn sync(&self) -> Result<()> {
         match self.decide(FaultOp::Flush) {
             None => self.inner.sync(),
-            Some(FaultKind::Delay { secs }) => {
-                std::thread::sleep(std::time::Duration::from_secs_f64(secs.max(0.0)));
-                self.inner.sync()
-            }
             Some(kind) => Err(self.fault_error(&kind, "flush")),
         }
     }

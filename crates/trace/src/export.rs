@@ -100,20 +100,6 @@ fn event_members(e: &Event) -> String {
         Event::Degrade { dataset, bytes } => {
             format!("\"type\":\"Degrade\",\"dataset\":{dataset},\"bytes\":{bytes}")
         }
-        Event::EpochMark {
-            epoch,
-            comp_nanos,
-            io_nanos,
-            bytes,
-        } => format!(
-            "\"type\":\"EpochMark\",\"epoch\":{epoch},\"comp_nanos\":{comp_nanos},\"io_nanos\":{io_nanos},\"bytes\":{bytes}"
-        ),
-        Event::WriteHandoff { epoch, bytes } => {
-            format!("\"type\":\"WriteHandoff\",\"epoch\":{epoch},\"bytes\":{bytes}")
-        }
-        Event::Settle { epoch, requests } => {
-            format!("\"type\":\"Settle\",\"epoch\":{epoch},\"requests\":{requests}")
-        }
     }
 }
 

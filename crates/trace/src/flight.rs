@@ -241,14 +241,12 @@ mod tests {
         assert!(t.is_enabled());
         assert!(t.is_flight());
         // One thread → one shard → capacity 4 effective.
-        for i in 0..10u64 {
+        for i in 0..10u32 {
             t.instant(
                 "mark",
-                Event::EpochMark {
-                    epoch: i,
-                    comp_nanos: 0,
-                    io_nanos: 1,
-                    bytes: 1,
+                Event::RetryAttempt {
+                    attempt: i,
+                    delay_nanos: 1,
                 },
             );
             clock.advance(1);
@@ -256,19 +254,19 @@ mod tests {
         let dump = t.flight_dump();
         assert_eq!(dump.len(), 4);
         assert_eq!(dump.dropped(), 6);
-        let epochs: Vec<u64> = dump
+        let epochs: Vec<u32> = dump
             .sink()
-            .events_where(|e| matches!(e, Event::EpochMark { .. }))
+            .events_where(|e| matches!(e, Event::RetryAttempt { .. }))
             .iter()
             .map(|r| match r.event {
-                Some(Event::EpochMark { epoch, .. }) => epoch,
-                _ => u64::MAX,
+                Some(Event::RetryAttempt { attempt, .. }) => attempt,
+                _ => u32::MAX,
             })
             .collect();
         assert_eq!(epochs, [6, 7, 8, 9], "the last four epochs survive, in seq order");
         // The dump speaks the exporter formats.
         assert_eq!(dump.jsonl().lines().count(), 4);
-        assert!(dump.jsonl().contains("\"type\":\"EpochMark\""));
+        assert!(dump.jsonl().contains("\"type\":\"RetryAttempt\""));
         assert!(dump.chrome_json().starts_with("{\"displayTimeUnit\""));
     }
 

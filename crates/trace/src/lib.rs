@@ -163,37 +163,6 @@ pub enum Event {
         /// Payload bytes.
         bytes: u64,
     },
-    /// One application epoch (compute + I/O phase), the paper's unit of
-    /// analysis.
-    EpochMark {
-        /// 0-based epoch index.
-        epoch: u64,
-        /// Compute-phase nanoseconds.
-        comp_nanos: u64,
-        /// Visible (blocking) I/O nanoseconds.
-        io_nanos: u64,
-        /// Bytes moved this epoch.
-        bytes: u64,
-    },
-    /// Causal edge: the application thread handed a snapshot to the
-    /// background I/O stream (async) or entered a blocking collective
-    /// write (sync). The matching [`Event::Settle`] closes the edge.
-    WriteHandoff {
-        /// 0-based epoch index of the write.
-        epoch: u64,
-        /// Payload bytes handed off.
-        bytes: u64,
-    },
-    /// Causal edge: background settlement — the data handed off at the
-    /// matching [`Event::WriteHandoff`] became durable (requests settled,
-    /// ring drained, or the simulated background stream went idle).
-    Settle {
-        /// 0-based epoch index settled (0 when unknown, e.g. connector
-        /// drains that span epochs).
-        epoch: u64,
-        /// Requests (or simulated collectives) settled by this edge.
-        requests: u64,
-    },
 }
 
 /// Whether a record is a duration span or a point event.

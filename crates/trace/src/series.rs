@@ -4,7 +4,7 @@
 //! observed transfers* — but a fitted model goes stale the moment the
 //! storage system changes regime (a burst buffer drains, a PFS degrades,
 //! contention arrives). This module is the runtime half of that loop: a
-//! [`SeriesAggregator`] folds the live trace into one point per epoch
+//! [`SeriesAggregator`] folds live telemetry into one point per epoch
 //! (aggregate I/O rate, retry count, breaker state, staged-queue depth,
 //! windowed latency percentiles via [`Histogram::snapshot_and_reset`]),
 //! smooths the rate with an EWMA, and runs a two-sided **Page–Hinkley
@@ -35,7 +35,6 @@
 use std::collections::VecDeque;
 
 use crate::metrics::{Histogram, HistogramSnapshot};
-use crate::{Event, Record, RecordKind};
 
 /// Which way the aggregate I/O rate moved when an alarm fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -206,10 +205,8 @@ struct Accum {
 }
 
 /// Folds live telemetry into per-epoch points and watches the aggregate
-/// I/O rate for drift. Feed it directly ([`record_io`](Self::record_io)
-/// and friends) or from a trace record stream
-/// ([`observe_record`](Self::observe_record)); close each epoch with
-/// [`end_epoch`](Self::end_epoch).
+/// I/O rate for drift. Feed it with [`record_io`](Self::record_io) and
+/// friends; close each epoch with [`end_epoch`](Self::end_epoch).
 #[derive(Clone)]
 pub struct SeriesAggregator {
     cfg: SeriesConfig,
@@ -275,33 +272,6 @@ impl SeriesAggregator {
     /// The staged queue reached `depth` in-flight operations.
     pub fn record_queue_depth(&mut self, depth: u64) {
         self.cur.queue_depth = self.cur.queue_depth.max(depth);
-    }
-
-    /// Fold one trace record into the current epoch. Maps the typed
-    /// events: `BackendBatch` spans feed the I/O rate, `RetryAttempt` /
-    /// `BreakerTransition` feed their series, and an `EpochMark` closes
-    /// the epoch (feeding its I/O totals first) — so replaying a record
-    /// stream reproduces the live aggregation.
-    pub fn observe_record(&mut self, rec: &Record) -> Option<DriftAlarm> {
-        match rec.event {
-            Some(Event::BackendBatch { bytes, .. }) if rec.kind == RecordKind::Span => {
-                self.record_io(bytes, rec.dur_nanos);
-                None
-            }
-            Some(Event::RetryAttempt { .. }) => {
-                self.record_retry();
-                None
-            }
-            Some(Event::BreakerTransition { to, .. }) => {
-                self.record_breaker(to);
-                None
-            }
-            Some(Event::EpochMark { io_nanos, bytes, .. }) => {
-                self.record_io(bytes, io_nanos);
-                self.end_epoch()
-            }
-            _ => None,
-        }
     }
 
     /// Close the epoch in progress: compute its rate, update the EWMA,
@@ -570,58 +540,6 @@ mod tests {
         assert_eq!(cum.count(), 20);
         assert!((1_000..4_000).contains(&cum.percentile(0.25)));
         assert!(cum.p99() >= 1_000_000);
-    }
-
-    #[test]
-    fn observe_record_maps_events_and_epoch_marks() {
-        let mut agg = SeriesAggregator::default();
-        let span = |event| Record {
-            seq: 0,
-            kind: RecordKind::Span,
-            name: "backend.batch",
-            id: 1,
-            parent: 0,
-            tid: 1,
-            start_nanos: 0,
-            dur_nanos: 1_000_000,
-            event: Some(event),
-        };
-        let instant = |event| Record {
-            seq: 0,
-            kind: RecordKind::Instant,
-            name: "e",
-            id: 0,
-            parent: 0,
-            tid: 1,
-            start_nanos: 0,
-            dur_nanos: 0,
-            event: Some(event),
-        };
-        agg.observe_record(&span(Event::BackendBatch {
-            segments: 4,
-            bytes: 1 << 20,
-        }));
-        agg.observe_record(&instant(Event::RetryAttempt {
-            attempt: 1,
-            delay_nanos: 10,
-        }));
-        agg.observe_record(&instant(Event::BreakerTransition {
-            from: "closed",
-            to: "open",
-        }));
-        agg.observe_record(&instant(Event::EpochMark {
-            epoch: 0,
-            comp_nanos: 5,
-            io_nanos: 1_000_000,
-            bytes: 1 << 20,
-        }));
-        assert_eq!(agg.epochs(), 1);
-        let p = agg.last().unwrap();
-        assert_eq!(p.io_bytes, 2 << 20, "batch bytes + epoch-mark bytes");
-        assert_eq!(p.retries, 1);
-        assert_eq!(p.breaker_state, "open");
-        let expect = (2u64 << 20) as f64 * 1e9 / 2_000_000.0;
-        assert!((p.rate - expect).abs() / expect < 1e-9);
     }
 
     #[test]

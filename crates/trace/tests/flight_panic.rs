@@ -16,17 +16,15 @@ fn panic_hook_writes_the_flight_ring_as_jsonl() {
     install_panic_dump(&tracer, &path);
 
     // Record more than the ring holds so the dump proves tail retention.
-    for epoch in 0..20u64 {
+    for epoch in 0..20u32 {
         let guard = tracer.span("epoch.io");
         clock.advance(1_000);
         drop(guard);
         tracer.instant(
             "epoch.mark",
-            Event::EpochMark {
-                epoch,
-                comp_nanos: 500,
-                io_nanos: 1_000,
-                bytes: 4096,
+            Event::RetryAttempt {
+                attempt: epoch,
+                delay_nanos: 1_000,
             },
         );
     }
@@ -49,15 +47,15 @@ fn panic_hook_writes_the_flight_ring_as_jsonl() {
         lines.len()
     );
     assert!(
-        dump.contains("\"type\":\"EpochMark\""),
+        dump.contains("\"type\":\"RetryAttempt\""),
         "typed events survive into the dump"
     );
     assert!(
-        dump.contains("\"epoch\":19"),
+        dump.contains("\"attempt\":19"),
         "the ring retains the most recent epochs"
     );
     assert!(
-        !dump.contains("\"epoch\":0,"),
+        !dump.contains("\"attempt\":0,"),
         "the oldest epochs were overwritten"
     );
     for line in &lines {

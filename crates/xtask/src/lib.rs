@@ -5,14 +5,13 @@
 //! `cargo run -p xtask -- <command>`:
 //!
 //! - **`lint`** — walk every workspace `.rs` file and enforce the
-//!   deny-by-default rule set in [`rules`]: nine line-local token
-//!   rules (virtual-time purity, error-path discipline, lock
-//!   discipline, `#[must_use]` coverage, no debug/placeholder macros,
-//!   bounded retries, planned I/O, trace discipline, superblock
-//!   discipline) plus four
-//!   dataflow rules ([`dataflow`]) for guard liveness across
-//!   scheduling boundaries, blocking calls in task closures, checked
-//!   offset arithmetic, and swallowed `Result`s. Prints
+//!   deny-by-default rule set in [`rules`]: four line-local token
+//!   rules (`#[must_use]` coverage, bounded retries, planned I/O,
+//!   superblock discipline) plus four dataflow rules ([`dataflow`])
+//!   for guard liveness across scheduling boundaries, blocking calls
+//!   in task closures, checked offset arithmetic, and swallowed
+//!   `Result`s — the invariants no rustc or clippy table can express
+//!   (those that one can are held there; DESIGN.md §7). Prints
 //!   `file:line: [rule] message` per violation and a machine-readable
 //!   JSON summary; exits non-zero on any violation **or any stale
 //!   waiver** (escape: `--allow-stale`).
@@ -348,12 +347,12 @@ mod tests {
     #[test]
     fn report_json_shape_parses_and_counts() {
         let mut fired = BTreeMap::new();
-        fired.insert("error-path".to_owned(), 1usize);
+        fired.insert("planned-io".to_owned(), 1usize);
         let r = Report {
             violations: vec![Violation {
                 file: "a.rs".into(),
                 line: 3,
-                rule: "error-path",
+                rule: "planned-io",
                 message: "msg".into(),
             }],
             files_scanned: 7,
@@ -363,11 +362,11 @@ mod tests {
         let j = report_json("lint", &r);
         assert!(j.contains("\"files_scanned\":7"));
         assert!(j.contains("\"violation_count\":1"));
-        assert!(j.contains("\"rule\":\"error-path\""));
+        assert!(j.contains("\"rule\":\"planned-io\""));
         let v = json::parse(&j).expect("report JSON must parse");
         let stats = v.get("rule_stats").unwrap();
         assert_eq!(
-            stats.get("error-path").unwrap().get("fired").unwrap().as_num(),
+            stats.get("planned-io").unwrap().get("fired").unwrap().as_num(),
             Some(1.0)
         );
         // Every rule in the inventory appears in the stats.
@@ -380,7 +379,7 @@ mod tests {
     fn stale_waivers_fail_the_gate_unless_allowed() {
         let r = Report {
             stale_waivers: vec![StaleWaiver::Allowlist {
-                rule: "error-path".into(),
+                rule: "planned-io".into(),
                 path_prefix: "crates/x/".into(),
             }],
             ..Report::default()

@@ -59,3 +59,75 @@ fn walker_sees_the_whole_workspace() {
     }
     assert!(files.len() >= 60, "suspiciously few files: {}", files.len());
 }
+
+/// Six invariants this gate once checked itself are held by rustc and
+/// clippy instead (DESIGN.md §7). Deleting any piece of that
+/// configuration fails here, not silently.
+#[test]
+fn retired_rules_are_held_by_compiler_config() {
+    let root = workspace_root();
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
+    let bans: [(&[&str], &[&str]); 2] = [
+        // virtual-time: the simulator crates ban the wall clock.
+        (
+            &["desim", "mpisim", "platform"],
+            &[
+                "disallowed-methods",
+                "\"std::time::Instant::now\"",
+                "\"std::time::SystemTime::now\"",
+                "\"std::thread::sleep\"",
+                "disallowed-types",
+                "\"std::time::Instant\"",
+                "\"std::time::SystemTime\"",
+            ],
+        ),
+        // lock-discipline: raw std locks are banned outside argolite::sync.
+        (
+            &["argolite", "asyncvol"],
+            &[
+                "disallowed-types",
+                "\"std::sync::Mutex\"",
+                "\"std::sync::RwLock\"",
+                "\"std::sync::Condvar\"",
+            ],
+        ),
+    ];
+    for (crates, paths) in bans {
+        for krate in crates {
+            let toml = read(&format!("crates/{krate}/clippy.toml"));
+            for path in paths {
+                assert!(
+                    toml.contains(path),
+                    "crates/{krate}/clippy.toml lost {path}"
+                );
+            }
+        }
+    }
+    // error-path: library code of the I/O stack cannot panic.
+    let deny =
+        "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]";
+    for krate in ["h5lite", "asyncvol", "core"] {
+        let lib = read(&format!("crates/{krate}/src/lib.rs"));
+        assert!(
+            lib.lines().any(|l| l.trim() == deny),
+            "crates/{krate}/src/lib.rs lost its panic-family deny"
+        );
+    }
+    // no-dbg-todo: the workspace table denies the debugging macros.
+    let manifest = read("Cargo.toml");
+    let clippy = manifest
+        .split("[workspace.lints.clippy]")
+        .nth(1)
+        .and_then(|t| t.split("\n[").next())
+        .expect("Cargo.toml has [workspace.lints.clippy]");
+    for lint in ["dbg_macro", "todo", "unimplemented"] {
+        assert!(
+            clippy
+                .lines()
+                .any(|l| l.replace(' ', "") == format!("{lint}=\"deny\"")),
+            "[workspace.lints.clippy] no longer denies {lint}"
+        );
+    }
+}

@@ -127,8 +127,7 @@ fn connector_observer_feeds_the_loop_automatically() {
     let rt = Arc::new(Mutex::new(AdaptiveRuntime::new()));
     let rt2 = rt.clone();
     let ranks = 4u32;
-    let vol = Arc::new(AsyncVol::new());
-    vol.set_observer(Arc::new(move |rec| {
+    let observer: apio::asyncvol::Observer = Arc::new(move |rec| {
         let mut rt = rt2.lock().unwrap();
         if rec.kind == apio::asyncvol::OpKind::Write {
             rt.observe(Observation::SnapshotOverhead {
@@ -145,7 +144,8 @@ fn connector_observer_feeds_the_loop_automatically() {
                 secs: rec.io_secs,
             });
         }
-    }));
+    });
+    let vol = Arc::new(AsyncVol::builder().observer(observer).build());
 
     let backend = Arc::new(ThrottledBackend::in_memory(200e6, 1e-4));
     let file = File::from_parts(Arc::new(Container::create(backend)), vol);

@@ -468,8 +468,8 @@ fn explored_orders_of_sieved_writes_keep_every_element_and_the_lock_order() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(16);
 
-    let world: Arc<Mutex<Option<(Arc<Container>, ObjectId, ObjectId)>>> =
-        Arc::new(Mutex::new(None));
+    type World = Option<(Arc<Container>, ObjectId, ObjectId)>;
+    let world: Arc<Mutex<World>> = Arc::new(Mutex::new(None));
     let build = || {
         let c = Arc::new(Container::create_mem());
         let (a, b) = gate_mates(&c, PER_RANK, 32);
