@@ -38,9 +38,10 @@ echo "== static analysis gate =="
 # One checker per invariant. clippy holds what a compiler table can
 # express: no wall clock in desim/mpisim/platform and no raw std::sync
 # lock in argolite/asyncvol (each crate's clippy.toml), no panics in
-# h5lite/asyncvol/apio-core library code (their lib.rs `deny`), no
-# dbg!/todo!/unimplemented! anywhere ([workspace.lints.clippy]). So it is
-# required, not optional. xtask lint holds the project-specific rest.
+# h5lite/asyncvol/apio-core library code and no `let _ =` / statement
+# `.ok();` discarding a Result in h5lite/asyncvol (their lib.rs `deny`s),
+# no dbg!/todo!/unimplemented! anywhere ([workspace.lints.clippy]). So it
+# is required, not optional. xtask lint holds the project-specific rest.
 cargo clippy --version >/dev/null 2>&1 \
     || { echo "clippy is required (rustup component add clippy)"; exit 1; }
 cargo clippy -q "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
@@ -51,7 +52,7 @@ cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- lint --json \
     | cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- json-check
 cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- check-deps
 
-echo "== runtime invariants (lock-order + task-DAG detectors) and schedule exploration =="
+echo "== runtime invariants (lock-order detector) and schedule exploration =="
 # All of argolite under the feature, once: its unit tests with the
 # lock-order recorder on, and `tests/explore.rs` (seeded
 # writer/reader/flush interleavings) at 64 schedules.

@@ -27,9 +27,7 @@ use crate::sync::{Condvar, Mutex};
 
 #[cfg(feature = "debug-invariants")]
 pub mod explore;
-pub mod graph;
 pub mod sync;
-pub use graph::{CyclicGraph, NodeId, TaskGraph};
 
 /// Terminal and non-terminal states of a task.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -30,7 +30,7 @@
 //! would actually deadlock (where `lock()` would never return).
 #![allow(clippy::disallowed_types)]
 
-use std::sync::{self, TryLockError};
+use std::sync;
 
 #[cfg(feature = "debug-invariants")]
 pub mod lock_order {
@@ -312,27 +312,6 @@ impl<T: ?Sized> Mutex<T> {
             ),
         }
     }
-
-    /// Try to acquire without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => {
-                self.class.acquire();
-                Some(MutexGuard {
-                    class: self.class,
-                    inner: Some(g),
-                })
-            }
-            Err(TryLockError::Poisoned(p)) => {
-                self.class.acquire();
-                Some(MutexGuard {
-                    class: self.class,
-                    inner: Some(p.into_inner()),
-                })
-            }
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
 }
 
 impl<T: Default> Default for Mutex<T> {
@@ -540,15 +519,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn try_lock_contended_is_none() {
-        let m = Mutex::new(0);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

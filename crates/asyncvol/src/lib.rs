@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! # asyncvol — the asynchronous VOL connector
 //!
 //! A Rust counterpart of the HDF5 Asynchronous I/O VOL connector

@@ -1812,7 +1812,11 @@ impl Drop for Container {
     fn drop(&mut self) {
         // Best-effort durability, mirroring H5Fclose semantics: Drop
         // cannot propagate; callers needing certainty call flush() first.
-        let _ = self.flush(); // xtask: allow(swallowed-result) Drop cannot propagate the error
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "Drop cannot propagate the error"
+        )]
+        let _ = self.flush();
     }
 }
 

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]
 //! # h5lite — a self-describing container format with a VOL layer
 //!
 //! A from-scratch reimplementation of the parts of HDF5 that the paper's

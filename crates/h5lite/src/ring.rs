@@ -335,7 +335,11 @@ impl Drop for Ring {
             }
         }
         for h in self.reapers.drain(..) {
-            let _ = h.join(); // xtask: allow(swallowed-result) Drop cannot propagate a reaper panic
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "Drop cannot propagate a reaper panic"
+            )]
+            let _ = h.join();
         }
     }
 }
@@ -344,7 +348,11 @@ impl Drop for Ring {
 /// idle. On shutdown, finishes everything still queued before exiting —
 /// drop-while-in-flight resolves every promise.
 fn reaper_main(shared: Arc<RingShared>, shard_idx: usize) {
-    let _ = shared.shards[shard_idx].reaper.set(thread::current()); // xtask: allow(swallowed-result) set once per shard; a second set is impossible
+    #[allow(
+        clippy::let_underscore_must_use,
+        reason = "set once per shard; a second set is impossible"
+    )]
+    let _ = shared.shards[shard_idx].reaper.set(thread::current());
     loop {
         let batch = drain_shard(&shared, shard_idx);
         if !batch.is_empty() {

@@ -42,7 +42,11 @@ pub mod order_hook {
     /// are ignored, so bridges can install idempotently from any number
     /// of entry points.
     pub fn install(acquire: fn(&'static str), release: fn(&'static str)) {
-        let _ = HOOKS.set(Hooks { acquire, release }); // xtask: allow(swallowed-result) first-caller-wins install; a later bridge is deliberately ignored
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "first-caller-wins install; a later bridge is deliberately ignored"
+        )]
+        let _ = HOOKS.set(Hooks { acquire, release });
     }
 
     pub(super) fn acquired(name: &'static str) {

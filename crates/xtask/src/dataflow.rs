@@ -463,66 +463,6 @@ fn arith_finding(t: &Token, op: &str) -> Finding {
     }
 }
 
-/// Whether the `.ok()` ending at token `dot` feeds a consumer: walking
-/// back to the start of the statement finds a `let` binding, an
-/// assignment, or a `return` — the Option is used, not discarded.
-fn ok_value_is_consumed(tokens: &[Token], dot: usize) -> bool {
-    let mut j = dot;
-    let mut nest = 0i64;
-    while j > 0 {
-        j -= 1;
-        let t = &tokens[j];
-        match t.kind {
-            TokenKind::Close(_) => nest += 1,
-            TokenKind::Open(_) => {
-                nest -= 1;
-                if nest < 0 {
-                    return false; // hit the enclosing block/call start
-                }
-            }
-            _ if nest > 0 => {}
-            TokenKind::Punct if t.text == ";" => return false,
-            TokenKind::Ident if t.text == "let" || t.text == "return" => return true,
-            TokenKind::Punct if t.text == "=" => return true,
-            _ => {}
-        }
-    }
-    false
-}
-
-/// `swallowed-result`: `let _ = expr;` and statement-level `.ok();`
-/// discards. On the staging/WAL path a swallowed `Result` is a
-/// durability bug — the caller believes data is persistent when the
-/// write already failed.
-pub fn swallowed_result(tokens: &[Token]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for k in 0..tokens.len() {
-        let t = &tokens[k];
-        if t.is_ident("let")
-            && tokens.get(k + 1).is_some_and(|t| t.is_ident("_"))
-            && tokens.get(k + 2).is_some_and(|t| t.is_punct("="))
-        {
-            out.push(Finding {
-                line: t.line,
-                message: "`let _ =` discards a Result on an I/O path; handle the error, count it in stats, or waive inline with the reason the discard is sound".to_owned(),
-            });
-        }
-        if t.is_punct(".")
-            && tokens.get(k + 1).is_some_and(|t| t.is_ident("ok"))
-            && tokens.get(k + 2).is_some_and(|t| t.kind == TokenKind::Open(Delim::Paren))
-            && tokens.get(k + 3).is_some_and(|t| t.kind == TokenKind::Close(Delim::Paren))
-            && tokens.get(k + 4).is_some_and(|t| t.is_punct(";"))
-            && !ok_value_is_consumed(tokens, k)
-        {
-            out.push(Finding {
-                line: t.line,
-                message: "statement-level `.ok();` swallows a Result on an I/O path; handle the error, count it in stats, or waive inline with the reason the discard is sound".to_owned(),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,7 +480,7 @@ fn f(&self) {
     self.handle.wait();
 }
 ";
-        let f = guard_across_boundary(&lex(src));
+        let f = guard_across_boundary(&lex(src).tokens);
         assert_eq!(lines(&f), [3]);
         assert!(f[0].message.contains("`st`"));
         assert!(f[0].message.contains("wait"));
@@ -555,7 +495,7 @@ fn f(&self) {
     block_on(fut);
 }
 ";
-        assert_eq!(lines(&guard_across_boundary(&lex(src))), [3, 4]);
+        assert_eq!(lines(&guard_across_boundary(&lex(src).tokens)), [3, 4]);
     }
 
     #[test]
@@ -568,7 +508,7 @@ fn f(&self) {
     }
 }
 ";
-        assert!(guard_across_boundary(&lex(src)).is_empty());
+        assert!(guard_across_boundary(&lex(src).tokens).is_empty());
     }
 
     #[test]
@@ -580,7 +520,7 @@ fn f(&self) {
     self.h.wait();
 }
 ";
-        assert!(guard_across_boundary(&lex(drop_src)).is_empty());
+        assert!(guard_across_boundary(&lex(drop_src).tokens).is_empty());
 
         let scope_src = "\
 fn f(&self) {
@@ -591,7 +531,7 @@ fn f(&self) {
     self.h.wait();
 }
 ";
-        assert!(guard_across_boundary(&lex(scope_src)).is_empty());
+        assert!(guard_across_boundary(&lex(scope_src).tokens).is_empty());
 
         let block_rhs = "\
 fn f(&self) {
@@ -599,7 +539,7 @@ fn f(&self) {
     self.h.wait();
 }
 ";
-        assert!(guard_across_boundary(&lex(block_rhs)).is_empty());
+        assert!(guard_across_boundary(&lex(block_rhs).tokens).is_empty());
 
         let shadow = "\
 fn f(&self) {
@@ -608,7 +548,7 @@ fn f(&self) {
     self.h.wait();
 }
 ";
-        assert!(guard_across_boundary(&lex(shadow)).is_empty());
+        assert!(guard_across_boundary(&lex(shadow).tokens).is_empty());
     }
 
     #[test]
@@ -619,7 +559,7 @@ fn f(&self) {
     self.h.wait();
 }
 ";
-        assert!(guard_across_boundary(&lex(src)).is_empty());
+        assert!(guard_across_boundary(&lex(src).tokens).is_empty());
     }
 
     #[test]
@@ -630,7 +570,7 @@ fn wait(&self) {
     g.bump();
 }
 ";
-        assert!(guard_across_boundary(&lex(src)).is_empty());
+        assert!(guard_across_boundary(&lex(src).tokens).is_empty());
     }
 
     #[test]
@@ -644,7 +584,7 @@ fn f(rt: &Runtime) {
     g.add_task(\"t\", || std::net::TcpStream::connect(a));
 }
 ";
-        let f = blocking_in_task(&lex(src));
+        let f = blocking_in_task(&lex(src).tokens);
         assert_eq!(lines(&f), [3, 4, 6]);
         assert!(f[0].message.contains("std::fs"));
         assert!(f[1].message.contains("thread::sleep"));
@@ -659,25 +599,25 @@ fn f(rt: &Runtime) {
     rt.spawn(move || consume(data));
 }
 ";
-        assert!(blocking_in_task(&lex(before)).is_empty());
+        assert!(blocking_in_task(&lex(before).tokens).is_empty());
         // Submission without a closure argument.
         let no_closure = "fn f(rt: &Runtime) { rt.submit(prebuilt); }\n";
-        assert!(blocking_in_task(&lex(no_closure)).is_empty());
+        assert!(blocking_in_task(&lex(no_closure).tokens).is_empty());
         // A local fn named spawn, not method-called.
         let free_fn = "fn f() { spawn(|| std::fs::read(p)); }\n";
-        assert!(blocking_in_task(&lex(free_fn)).is_empty());
+        assert!(blocking_in_task(&lex(free_fn).tokens).is_empty());
     }
 
     #[test]
     fn offset_arith_fires_on_raw_ops() {
-        let toks = lex("fn f() { let end = offset + data.len() as u64; }");
+        let toks = lex("fn f() { let end = offset + data.len() as u64; }").tokens;
         assert_eq!(lines(&unchecked_offset_arith(&toks)), [1]);
-        let toks = lex("fn f(m: &mut Meta) { m.eof += nbytes; }");
+        let toks = lex("fn f(m: &mut Meta) { m.eof += nbytes; }").tokens;
         assert_eq!(lines(&unchecked_offset_arith(&toks)), [1]);
-        let toks = lex("fn f() { if prev.addr + prev.len == addr { merge(); } }");
+        let toks = lex("fn f() { if prev.addr + prev.len == addr { merge(); } }").tokens;
         assert_eq!(lines(&unchecked_offset_arith(&toks)), [1]);
         // Binding-name form: operands are innocent, the LHS is an address.
-        let toks = lex("fn f() { let addr = base + off * elem; }");
+        let toks = lex("fn f() { let addr = base + off * elem; }").tokens;
         assert_eq!(lines(&unchecked_offset_arith(&toks)), [1]);
     }
 
@@ -692,29 +632,6 @@ fn f() {
     let r = &*guard;
 }
 ";
-        assert!(unchecked_offset_arith(&lex(ok)).is_empty());
-    }
-
-    #[test]
-    fn swallowed_result_fires_on_discards() {
-        let src = "\
-fn f() {
-    let _ = log.mark_applied(e);
-    device.flush().ok();
-}
-";
-        assert_eq!(lines(&swallowed_result(&lex(src))), [2, 3]);
-    }
-
-    #[test]
-    fn named_holds_and_used_ok_are_fine() {
-        let ok = "\
-fn f() {
-    let _guard = t.span(\"x\");
-    let v = maybe().ok();
-    if log.mark(e).is_err() { stats.bump(); }
-}
-";
-        assert!(swallowed_result(&lex(ok)).is_empty());
+        assert!(unchecked_offset_arith(&lex(ok).tokens).is_empty());
     }
 }

@@ -4,7 +4,9 @@
 //! 1-based line numbers. It understands exactly as much of the Rust
 //! grammar as the lint rules need, and no more:
 //!
-//! - line and (nested) block comments are dropped;
+//! - line and (nested) block comments are dropped from the token
+//!   stream; each plain `//` comment (not `///` or `//!` doc text) is
+//!   kept beside it as a [`Comment`], where the waiver markers live;
 //! - string / raw-string / byte-string / char literals become a single
 //!   [`TokenKind::Literal`] token (contents discarded, so a doc string
 //!   mentioning `.unwrap()` can never fire a rule);
@@ -74,6 +76,24 @@ impl Token {
     }
 }
 
+/// One plain `//` line comment.
+#[derive(Debug)]
+pub struct Comment {
+    /// 1-based source line.
+    pub line: usize,
+    /// The text after the opening `//`.
+    pub text: String,
+}
+
+/// A lexed source file: its tokens and its plain line comments.
+#[derive(Debug)]
+pub struct Lexed {
+    /// The token stream, comments dropped.
+    pub tokens: Vec<Token>,
+    /// Every plain `//` comment, in source order.
+    pub comments: Vec<Comment>,
+}
+
 /// Multi-character operators, longest first so maximal munch works by
 /// first match.
 const MULTI_PUNCT: [&str; 24] = [
@@ -81,11 +101,12 @@ const MULTI_PUNCT: [&str; 24] = [
     "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<", ">>",
 ];
 
-/// Lex `src` into tokens. Never fails; see the module docs for the
-/// degradation rules.
-pub fn lex(src: &str) -> Vec<Token> {
+/// Lex `src` into tokens and plain line comments. Never fails; see the
+/// module docs for the degradation rules.
+pub fn lex(src: &str) -> Lexed {
     let b: Vec<char> = src.chars().collect();
     let mut out = Vec::new();
+    let mut comments = Vec::new();
     let mut i = 0;
     let mut line = 1;
 
@@ -111,11 +132,17 @@ pub fn lex(src: &str) -> Vec<Token> {
             continue;
         }
 
-        // Line comment.
+        // Line comment; doc text (`///`, `//!`) is prose, not recorded.
         if c == '/' && b.get(i + 1) == Some(&'/') {
-            let mut n = 0;
+            let mut n = 2;
             while b.get(i + n).is_some_and(|&ch| ch != '\n') {
                 n += 1;
+            }
+            if !matches!(b.get(i + 2), Some('/' | '!')) {
+                comments.push(Comment {
+                    line,
+                    text: b[i + 2..i + n].iter().collect(),
+                });
             }
             bump!(n);
             continue;
@@ -350,7 +377,10 @@ pub fn lex(src: &str) -> Vec<Token> {
         });
         bump!(1);
     }
-    out
+    Lexed {
+        tokens: out,
+        comments,
+    }
 }
 
 fn prev_is_ident(b: &[char], i: usize) -> bool {
@@ -385,12 +415,13 @@ mod tests {
     use super::*;
 
     fn texts(src: &str) -> Vec<String> {
-        lex(src).into_iter().map(|t| t.text).collect()
+        lex(src).tokens.into_iter().map(|t| t.text).collect()
     }
 
     #[test]
     fn comments_and_strings_vanish() {
-        let toks = lex("a // x.unwrap()\nb /* panic!( /* nested */ ) */ c \"lit .wait()\" d");
+        let toks =
+            lex("a // x.unwrap()\nb /* panic!( /* nested */ ) */ c \"lit .wait()\" d").tokens;
         let idents: Vec<&str> = toks
             .iter()
             .filter(|t| t.kind == TokenKind::Ident)
@@ -404,8 +435,27 @@ mod tests {
     }
 
     #[test]
+    fn plain_line_comments_are_recorded_and_doc_text_is_not() {
+        let src = "/// doc\n//! inner\na // x.unwrap()\n\"// str\" r#\"// raw\"# /* // block */ b\n// last";
+        let lexed = lex(src);
+        let got: Vec<(usize, &str)> = lexed
+            .comments
+            .iter()
+            .map(|c| (c.line, c.text.as_str()))
+            .collect();
+        assert_eq!(got, [(3, " x.unwrap()"), (5, " last")]);
+    }
+
+    #[test]
+    fn escaped_quotes_stay_inside_the_string() {
+        let toks = lex(r#"let m = "say \".unwrap()\" loudly"; after"#).tokens;
+        assert!(!toks.iter().any(|t| t.text == "unwrap"));
+        assert!(toks.last().is_some_and(|t| t.is_ident("after")));
+    }
+
+    #[test]
     fn raw_strings_and_bytes_are_single_literals() {
-        let toks = lex(r##"let x = r#"panic!("no")"#; let y = b"bytes"; let c = 'q';"##);
+        let toks = lex(r##"let x = r#"panic!("no")"#; let y = b"bytes"; let c = 'q';"##).tokens;
         assert_eq!(
             toks.iter().filter(|t| t.kind == TokenKind::Literal).count(),
             3
@@ -415,7 +465,7 @@ mod tests {
 
     #[test]
     fn lifetimes_vs_chars() {
-        let toks = lex("fn f<'a>(v: &'a str) { let c = 'x'; }");
+        let toks = lex("fn f<'a>(v: &'a str) { let c = 'x'; }").tokens;
         let lifetimes: Vec<&str> = toks
             .iter()
             .filter(|t| t.kind == TokenKind::Lifetime)
@@ -431,7 +481,7 @@ mod tests {
     #[test]
     fn line_numbers_track_newlines_everywhere() {
         let src = "one\n\"multi\nline\"\nfour";
-        let toks = lex(src);
+        let toks = lex(src).tokens;
         assert_eq!(toks[0].line, 1); // one
         assert_eq!(toks[1].line, 2); // the literal starts on line 2
         assert_eq!(toks[2].line, 4); // four
@@ -444,7 +494,7 @@ mod tests {
             "m", "::", "n"
         ]);
         // A bare `+` stays a bare `+`.
-        let toks = lex("a + b * c");
+        let toks = lex("a + b * c").tokens;
         assert!(toks[1].is_punct("+") && toks[3].is_punct("*"));
     }
 
@@ -457,13 +507,13 @@ mod tests {
 
     #[test]
     fn raw_identifiers_lex_as_idents() {
-        let toks = lex("let r#async = 1;");
+        let toks = lex("let r#async = 1;").tokens;
         assert!(toks.iter().any(|t| t.is_ident("async")));
     }
 
     #[test]
     fn delimiters_match() {
-        let toks = lex("fn f(a: u32) { if x { y(z[0]) } }");
+        let toks = lex("fn f(a: u32) { if x { y(z[0]) } }").tokens;
         let open_brace = toks
             .iter()
             .position(|t| t.kind == TokenKind::Open(Delim::Brace))
@@ -480,7 +530,7 @@ mod tests {
 
     #[test]
     fn unbalanced_input_degrades_without_panic() {
-        let toks = lex("fn f( { \"unterminated");
+        let toks = lex("fn f( { \"unterminated").tokens;
         assert!(match_delim(&toks, 2).is_none());
         assert!(!toks.is_empty());
     }

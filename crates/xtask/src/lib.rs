@@ -4,17 +4,16 @@
 //! A zero-dependency static-analysis driver run as
 //! `cargo run -p xtask -- <command>`:
 //!
-//! - **`lint`** — walk every workspace `.rs` file and enforce the
-//!   deny-by-default rule set in [`rules`]: four line-local token
+//! - **`lint`** — lex every workspace `.rs` file once ([`lexer`]) and
+//!   enforce the deny-by-default rule set in [`rules`]: four token
 //!   rules (`#[must_use]` coverage, bounded retries, planned I/O,
-//!   superblock discipline) plus four dataflow rules ([`dataflow`])
+//!   superblock discipline) plus three dataflow rules ([`dataflow`])
 //!   for guard liveness across scheduling boundaries, blocking calls
-//!   in task closures, checked offset arithmetic, and swallowed
-//!   `Result`s — the invariants no rustc or clippy table can express
-//!   (those that one can are held there; DESIGN.md §7). Prints
-//!   `file:line: [rule] message` per violation and a machine-readable
-//!   JSON summary; exits non-zero on any violation **or any stale
-//!   waiver** (escape: `--allow-stale`).
+//!   in task closures, and checked offset arithmetic — the invariants
+//!   no rustc or clippy table can express (those that one can are held
+//!   there; DESIGN.md §7). Prints `file:line: [rule] message` per
+//!   violation and a machine-readable JSON summary; exits non-zero on
+//!   any violation **or any stale waiver** (escape: `--allow-stale`).
 //! - **`check-deps`** — enforce that every manifest dependency is
 //!   workspace-internal (see [`deps`]); the build must work offline.
 //! - **`report`** — run both and print one combined JSON document with
@@ -33,7 +32,6 @@ pub mod deps;
 pub mod json;
 pub mod lexer;
 pub mod rules;
-pub mod scan;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

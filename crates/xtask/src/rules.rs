@@ -12,28 +12,31 @@
 //! | `guard-across-boundary` | argolite, asyncvol, h5lite `src/` | no lock guard is live across `submit`/`wait`/`block_on`/channel-recv (dataflow pass) |
 //! | `blocking-in-task` | argolite, asyncvol, h5lite `src/`    | no `std::fs`/`std::net`/`thread::sleep` inside closures handed to the task scheduler |
 //! | `checked-offset-arith` | h5lite `storage.rs`, `container.rs`, `plan.rs` | device offsets/addresses use `checked_*`/`saturating_*`, never raw `+`/`*` |
-//! | `swallowed-result` | asyncvol, h5lite `src/`              | no `let _ =` / statement `.ok();` discarding a `Result` on an I/O path |
 //!
-//! Four of the rules are line-local token patterns; the other four
-//! ride the intra-procedural dataflow passes in [`crate::dataflow`].
-//! Lexing (see [`crate::lexer`]) makes every rule comment-, string-,
-//! and lifetime-aware for free.
+//! Four of the rules are token patterns; the other three ride the
+//! intra-procedural dataflow passes in [`crate::dataflow`]. One lex of
+//! the file (see [`crate::lexer`]) feeds them all, which makes every
+//! rule comment-, string-, and lifetime-aware for free; the same tokens
+//! give the `#[cfg(test)]` regions the rules skip, and the same lex's
+//! comment list gives the waiver markers.
 //!
 //! Only invariants no compiler table can express live here. The wall
 //! clock in the simulator crates and raw `std::sync` locks in argolite
 //! and asyncvol are clippy's (`disallowed-*` in each crate's
-//! `clippy.toml`), panics in library code and `dbg!`/`todo!` too (the
-//! `lib.rs` `deny`s and `[workspace.lints.clippy]`), and the metadata
-//! plane's locks are private to `h5lite::meta` (DESIGN.md §7).
+//! `clippy.toml`), panics in library code, discarded `Result`s in
+//! h5lite and asyncvol, and `dbg!`/`todo!` too (the `lib.rs` `deny`s
+//! and `[workspace.lints.clippy]`), and the metadata plane's locks are
+//! private to `h5lite::meta` (DESIGN.md §7).
 //!
 //! Escapes are explicit and auditable: an inline `// xtask: allow(rule)`
 //! on the offending line, or a path entry in the root `xtask.allow`
 //! file. Both are themselves audited — a waiver that suppresses nothing
 //! is *stale* and fails the gate (see [`crate::run_lint`]).
 
+use std::ops::RangeInclusive;
+
 use crate::dataflow;
-use crate::lexer::{lex, Token, TokenKind};
-use crate::scan::scan;
+use crate::lexer::{lex, match_delim, Delim, Lexed, Token, TokenKind};
 
 /// One rule violation at a specific source location.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,7 +62,7 @@ impl std::fmt::Display for Violation {
 }
 
 /// Names of all rules, for reports and the fixture corpus.
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 7] = [
     "must-use",
     "bounded-retry",
     "planned-io",
@@ -67,7 +70,6 @@ pub const RULE_NAMES: [&str; 8] = [
     "guard-across-boundary",
     "blocking-in-task",
     "checked-offset-arith",
-    "swallowed-result",
 ];
 
 /// Crates whose handle/guard types must be `#[must_use]`.
@@ -102,8 +104,6 @@ const OFFSET_ARITH_FILES: [&str; 3] = [
     "crates/h5lite/src/container.rs",
     "crates/h5lite/src/plan.rs",
 ];
-/// Crates whose `src/` must not discard `Result`s.
-const SWALLOWED_RESULT_CRATES: [&str; 2] = ["crates/asyncvol/", "crates/h5lite/"];
 /// The one module allowed to write the superblock area (offset 0): the
 /// dual-slot commit protocol. A raw offset-0 write anywhere else in the
 /// container crate can tear the anchor every reopen depends on.
@@ -115,36 +115,57 @@ fn in_src(rel: &str, crates: &[&str]) -> bool {
         .any(|c| rel.starts_with(c) && rel[c.len()..].starts_with("src/"))
 }
 
-/// The rule named by an `// xtask: allow(rule)` marker on this line, if
-/// the marker sits in a *plain* line comment (`//`, not `///` or `//!`
-/// doc text, not a string literal) and names a known rule. `code` is
-/// the stripped text from [`scan`] (same length as `raw`, comment and
-/// literal contents blanked), which is what distinguishes a real
-/// comment from a string literal that merely mentions the syntax.
-pub fn marker_rule<'a>(code: &str, raw: &'a str) -> Option<&'a str> {
-    let p = raw.find("xtask: allow(")?;
-    let after = &raw[p + "xtask: allow(".len()..];
+/// The rule named by an `xtask: allow(rule)` marker in the text of a
+/// plain line comment, if it names a known rule. The lexer records only
+/// plain `//` comments, so a string literal or doc text that mentions
+/// the syntax never reaches here.
+fn marker_rule(comment: &str) -> Option<&str> {
+    let after = &comment[comment.find("xtask: allow(")? + "xtask: allow(".len()..];
     let rule = &after[..after.find(')')?];
-    if !RULE_NAMES.contains(&rule) {
-        return None;
-    }
-    // The marker must sit inside a plain `//` comment. `strip` keeps
-    // exactly the comment-opening `//` in the stripped text (string
-    // contents, including any `//` they contain, are fully blanked), so
-    // the first `//` in `code` is where the line's comment begins.
-    let q = code.find("//")?;
-    if p < q {
-        return None;
-    }
-    // Doc text (`///`, `//!`) is prose, not a waiver.
-    if raw[q..].starts_with("///") || raw[q..].starts_with("//!") {
-        return None;
-    }
-    Some(rule)
+    RULE_NAMES.contains(&rule).then_some(rule)
 }
 
-fn inline_allowed(code: &str, raw: &str, rule: &str) -> bool {
-    marker_rule(code, raw) == Some(rule)
+/// Line spans of the `#[cfg(test)]` items in `tokens`: from the
+/// attribute through the item's first `;`, or through the `}` that
+/// closes its body, whichever comes first. Parenthesised and bracketed
+/// groups (further attributes, array types) are stepped over whole, so
+/// the `;` in `[u8; 4]` does not end the item. An item cut off by the
+/// end of the file runs to its last line.
+fn test_regions(tokens: &[Token]) -> Vec<RangeInclusive<usize>> {
+    const ATTR: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    let last_line = tokens.last().map_or(0, |t| t.line);
+    let mut regions = Vec::new();
+    for k in 0..tokens.len() {
+        let is_attr = ATTR
+            .iter()
+            .enumerate()
+            .all(|(j, p)| tokens.get(k + j).is_some_and(|t| t.text == *p));
+        if !is_attr {
+            continue;
+        }
+        let mut end = None;
+        let mut j = k + ATTR.len();
+        while let Some(t) = tokens.get(j) {
+            match t.kind {
+                TokenKind::Open(Delim::Brace) => {
+                    end = match_delim(tokens, j);
+                    break;
+                }
+                TokenKind::Open(_) => match match_delim(tokens, j) {
+                    Some(close) => j = close,
+                    None => break,
+                },
+                TokenKind::Punct if t.text == ";" => {
+                    end = Some(j);
+                    break;
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+        regions.push(tokens[k].line..=end.map_or(last_line, |e| tokens[e].line));
+    }
+    regions
 }
 
 /// An inline `// xtask: allow(rule)` marker found in a file.
@@ -176,10 +197,16 @@ pub struct FileLint {
 pub fn lint_source_full(rel: &str, src: &str) -> FileLint {
     let rel_slash = rel.replace('\\', "/");
     let rel = rel_slash.as_str();
-    let lines = scan(src);
-    let tokens = lex(src);
-    let in_test =
-        |line: usize| lines.get(line.wrapping_sub(1)).is_some_and(|l| l.in_test);
+    let Lexed { tokens, comments } = lex(src);
+    let regions = test_regions(&tokens);
+    let in_test = |line: usize| regions.iter().any(|r| r.contains(&line));
+    // Waiver markers outside test code; a line holds at most one `//`
+    // comment, so at most one marker.
+    let markers: Vec<(usize, &str)> = comments
+        .iter()
+        .filter(|c| !in_test(c.line))
+        .filter_map(|c| Some((c.line, marker_rule(&c.text)?)))
+        .collect();
 
     let mut cands: Vec<Violation> = Vec::new();
     let mut push = |line: usize, rule: &'static str, message: String| {
@@ -196,7 +223,6 @@ pub fn lint_source_full(rel: &str, src: &str) -> FileLint {
     let planned_io = PLANNED_IO_FILES.contains(&rel);
     let scheduled = in_src(rel, &SCHEDULED_CRATES);
     let offset_arith = OFFSET_ARITH_FILES.contains(&rel);
-    let swallowed = in_src(rel, &SWALLOWED_RESULT_CRATES);
     let superblock = in_src(rel, &["crates/h5lite/"]) && rel != SUPERBLOCK_MODULE;
 
     // Whole-file evidence for `bounded-retry`: a retry decision
@@ -292,49 +318,30 @@ pub fn lint_source_full(rel: &str, src: &str) -> FileLint {
             });
         }
     }
-    if swallowed {
-        for f in dataflow::swallowed_result(&tokens) {
-            cands.push(Violation {
-                file: rel.to_owned(),
-                line: f.line,
-                rule: "swallowed-result",
-                message: f.message,
-            });
-        }
-    }
 
     // --- Test filtering, inline waivers, waiver audit. ---
     let mut out = FileLint::default();
     for v in cands {
-        if lines.get(v.line.wrapping_sub(1)).is_some_and(|l| l.in_test) {
+        if in_test(v.line) {
             continue;
         }
-        let (code, raw) = lines
-            .get(v.line.wrapping_sub(1))
-            .map(|l| (l.code.as_str(), l.raw.as_str()))
-            .unwrap_or(("", ""));
-        if inline_allowed(code, raw, v.rule) {
+        if markers.contains(&(v.line, v.rule)) {
             out.suppressed.push(v);
         } else {
             out.violations.push(v);
         }
     }
-    for l in &lines {
-        if l.in_test {
-            continue;
-        }
-        if let Some(rule) = marker_rule(&l.code, &l.raw) {
-            let used = out
-                .suppressed
-                .iter()
-                .any(|s| s.line == l.number && s.rule == rule);
-            out.waivers.push(InlineWaiver {
-                file: rel.to_owned(),
-                line: l.number,
-                rule: rule.to_owned(),
-                used,
-            });
-        }
+    for &(line, rule) in &markers {
+        let used = out
+            .suppressed
+            .iter()
+            .any(|s| s.line == line && s.rule == rule);
+        out.waivers.push(InlineWaiver {
+            file: rel.to_owned(),
+            line,
+            rule: rule.to_owned(),
+            used,
+        });
     }
     out.violations.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
@@ -641,20 +648,34 @@ fn f(rt: &Runtime) {
     }
 
     #[test]
-    fn swallowed_result_scoped_and_waivable() {
-        let bad = "fn f(&self) { let _ = self.log.mark_applied(e); }\n";
+    fn marks_cfg_test_regions() {
+        let src =
+            "fn lib() {}\n#[cfg(test)]\nmod tests {\n  fn t() { x.unwrap(); }\n}\nfn tail() {}\n";
+        assert_eq!(test_regions(&lex(src).tokens), [2..=5]);
+        // Further attributes and a `;` inside a type do not end the item.
+        let src = "#[cfg(test)]\n#[derive(Debug)]\nstruct S([u8; 4]);\nfn tail() {}\n";
+        assert_eq!(test_regions(&lex(src).tokens), [1..=3]);
+        // An item cut off by the end of the file runs to its last line.
+        let src = "#[cfg(test)]\nmod tests {\n  fn t() {}\n";
+        assert_eq!(test_regions(&lex(src).tokens), [1..=3]);
+    }
+
+    #[test]
+    fn a_braceless_test_item_does_not_hide_the_next_item() {
+        let src = "#[cfg(test)]\nmod oracle;\nfn f(&self) { self.backend.write_at(a, &b)?; }\n";
+        assert_eq!(test_regions(&lex(src).tokens), [1..=2]);
         assert_eq!(
-            rules_fired("crates/asyncvol/src/lib.rs", bad),
-            ["swallowed-result"]
+            rules_fired("crates/h5lite/src/container.rs", src),
+            ["planned-io"]
         );
-        assert_eq!(
-            rules_fired("crates/h5lite/src/container.rs", bad),
-            ["swallowed-result"]
-        );
-        assert!(lint_source("crates/argolite/src/lib.rs", bad).is_empty());
-        let waived =
-            "fn f(&self) { let _ = self.flush(); // xtask: allow(swallowed-result) Drop cannot propagate\n}\n";
-        assert!(lint_source("crates/h5lite/src/container.rs", waived).is_empty());
+    }
+
+    #[test]
+    fn test_code_is_not_linted_and_its_markers_are_not_waivers() {
+        let src = "#[cfg(test)]\nmod tests {\n  fn t(&self) { self.backend.write_at(a, &b)?; } // xtask: allow(planned-io)\n}\n";
+        let lint = lint_source_full("crates/h5lite/src/container.rs", src);
+        assert!(lint.violations.is_empty() && lint.suppressed.is_empty());
+        assert!(lint.waivers.is_empty());
     }
 
     #[test]
@@ -687,7 +708,7 @@ fn f(rt: &Runtime) {
         let src = "fn f(&self) { self.backend.write_at(a, &b)?; } // xtask: allow(planned-io) metadata\n";
         assert!(lint_source("crates/h5lite/src/container.rs", src).is_empty());
         // Wrong rule name does not waive.
-        let src2 = "fn f(&self) { self.backend.write_at(a, &b)?; } // xtask: allow(swallowed-result)\n";
+        let src2 = "fn f(&self) { self.backend.write_at(a, &b)?; } // xtask: allow(must-use)\n";
         assert_eq!(lint_source("crates/h5lite/src/container.rs", src2).len(), 1);
     }
 
@@ -735,7 +756,7 @@ fn f(rt: &Runtime) {
             Violation {
                 file: "crates/asyncvol/src/b.rs".into(),
                 line: 2,
-                rule: "swallowed-result",
+                rule: "must-use",
                 message: String::new(),
             },
         ];
@@ -744,7 +765,7 @@ fn f(rt: &Runtime) {
         );
         let (left, hits) = apply_allowlist_tracked(v, &allow);
         assert_eq!(left.len(), 1);
-        assert_eq!(left[0].rule, "swallowed-result");
+        assert_eq!(left[0].rule, "must-use");
         assert_eq!(hits, [1]);
     }
 }

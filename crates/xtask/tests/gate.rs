@@ -60,7 +60,7 @@ fn walker_sees_the_whole_workspace() {
     assert!(files.len() >= 60, "suspiciously few files: {}", files.len());
 }
 
-/// Six invariants this gate once checked itself are held by rustc and
+/// Seven invariants this gate once checked itself are held by rustc and
 /// clippy instead (DESIGN.md §7). Deleting any piece of that
 /// configuration fails here, not silently.
 #[test]
@@ -113,6 +113,16 @@ fn retired_rules_are_held_by_compiler_config() {
         assert!(
             lib.lines().any(|l| l.trim() == deny),
             "crates/{krate}/src/lib.rs lost its panic-family deny"
+        );
+    }
+    // swallowed-result: the I/O stack cannot discard a must-use value.
+    let deny =
+        "#![cfg_attr(not(test), deny(clippy::let_underscore_must_use, clippy::unused_result_ok))]";
+    for krate in ["h5lite", "asyncvol"] {
+        let lib = read(&format!("crates/{krate}/src/lib.rs"));
+        assert!(
+            lib.lines().any(|l| l.trim() == deny),
+            "crates/{krate}/src/lib.rs lost its discarded-Result deny"
         );
     }
     // no-dbg-todo: the workspace table denies the debugging macros.

@@ -77,8 +77,7 @@ fn observed_chunks(c: &Container, ds: apio::h5lite::ObjectId) -> Result<Vec<u64>
 #[cfg(feature = "debug-invariants")]
 mod seeded {
     use super::*;
-    use apio::argolite::explore::{explore, ExploreStep};
-    use apio::argolite::TaskGraph;
+    use apio::argolite::explore::{explore, ExploreStep, TaskGraph};
     use std::collections::BTreeSet;
     use std::sync::Mutex;
 

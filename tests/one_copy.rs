@@ -460,8 +460,7 @@ fn concurrent_take_and_give_lose_and_duplicate_nothing() {
 #[cfg(feature = "debug-invariants")]
 #[test]
 fn explored_take_and_give_orders_keep_the_pool_exact() {
-    use apio::argolite::explore::explore;
-    use apio::argolite::TaskGraph;
+    use apio::argolite::explore::{explore, TaskGraph};
     use std::collections::HashSet;
 
     const WORKERS: usize = 4;

@@ -192,8 +192,7 @@ fn drop_while_in_flight_resolves_every_promise() {
 #[cfg(feature = "debug-invariants")]
 #[test]
 fn seeded_submit_drain_interleavings_hold_ring_invariants() {
-    use apio::argolite::explore::explore;
-    use apio::argolite::TaskGraph;
+    use apio::argolite::explore::{explore, TaskGraph};
     use std::sync::Mutex;
 
     let seeds = seed_count();

@@ -455,9 +455,8 @@ fn interleaved_rank_threads_never_lose_each_others_elements() {
 #[cfg(feature = "debug-invariants")]
 #[test]
 fn explored_orders_of_sieved_writes_keep_every_element_and_the_lock_order() {
-    use apio::argolite::explore::explore;
+    use apio::argolite::explore::{explore, TaskGraph};
     use apio::argolite::sync::lock_order;
-    use apio::argolite::TaskGraph;
 
     const ROUNDS: u32 = 3;
     const PER_RANK: u64 = 64;
