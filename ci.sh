@@ -110,8 +110,14 @@ cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite flush_hashes
 
 echo "== operator report smoke (drift demo must flip the advice) =="
 report_json="$(cargo run -q "${CARGO_FLAGS[@]}" -p apio-apps --bin apio-report -- --json)"
+echo "$report_json" | cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- json-check
 echo "$report_json" | grep -q '"schema":"apio-report-v1"' \
     || { echo "apio-report: bad or missing JSON schema"; exit 1; }
+# The flip must come from the alarm: one downward drift, one refit.
+echo "$report_json" | grep -q '"direction":"down"' \
+    || { echo "apio-report: no downward drift alarm"; exit 1; }
+echo "$report_json" | grep -q '"refits":1' \
+    || { echo "apio-report: drift alarm did not refit exactly once"; exit 1; }
 echo "$report_json" | grep -q '"label":"pre-drift (fast device)","decision":"sync"' \
     || { echo "apio-report: pre-drift advice is not sync"; exit 1; }
 echo "$report_json" | grep -q '"label":"post-drift (refit on degraded device)","decision":"async"' \

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use apio_core::history::Direction;
-use apio_core::{AdaptiveRuntime, DriftPolicy, IntegritySummary, Observation, ReportBuilder};
+use apio_core::{AdaptiveRuntime, DriftAlarm, IntegritySummary, Observation, ReportBuilder};
 use apio_trace::Tracer;
 use asyncvol::{AsyncVol, BreakerState};
 use h5lite::container::ROOT_ID;
@@ -62,16 +62,16 @@ fn breaker_tag(state: BreakerState) -> &'static str {
     }
 }
 
-/// One epoch: a real (throttled) collective-style write through the
+/// Epoch `i`: a real (throttled) collective-style write through the
 /// connector, measured wall-clock, streamed into the feedback loop.
 fn run_epoch(
     rt: &mut AdaptiveRuntime,
     vol: &AsyncVol,
     c: &Arc<Container>,
     ds: h5lite::ObjectId,
-) -> Option<apio_trace::DriftAlarm> {
-    let i = rt.series().map(|s| s.epochs()).unwrap_or(0);
-    let ranks = RANK_CYCLE[(i % 3) as usize];
+    i: usize,
+) -> Option<DriftAlarm> {
+    let ranks = RANK_CYCLE[i % 3];
     let bytes = ranks as u64 * PER_RANK_BYTES;
     let elems = bytes / 4;
     let data = vec![0x3Fu8; bytes as usize];
@@ -101,9 +101,6 @@ fn run_epoch(
         ranks,
         secs: bytes as f64 / SNAPSHOT_RATE,
     });
-    if let Some(series) = rt.series_mut() {
-        series.record_queue_depth(vol.stats().queued);
-    }
     rt.end_epoch()
 }
 
@@ -161,23 +158,9 @@ fn main() {
     }
 
     let mut rt = AdaptiveRuntime::new();
-    // Real wall-clock rates carry scheduler noise the simulated-epoch
-    // default isn't tuned for; 2.0 on the log-rate statistic still fires
-    // within an epoch on the ln(50) ≈ 3.9 step below.
-    let policy = DriftPolicy {
-        series: apio_trace::SeriesConfig {
-            ph_lambda: 2.0,
-            ..apio_trace::SeriesConfig::default()
-        },
-        ..DriftPolicy::default()
-    };
-    rt.enable_drift_detection(policy);
-    if let Some(series) = rt.series_mut() {
-        series.attach_latency(vol.metrics().histogram("vol.write"));
-    }
-
-    for _ in 0..FAST_EPOCHS {
-        run_epoch(&mut rt, &vol, &c, ds);
+    let mut epochs = 0..;
+    for i in epochs.by_ref().take(FAST_EPOCHS) {
+        run_epoch(&mut rt, &vol, &c, ds, i);
     }
     let probe_bytes = RANK_CYCLE[2] as f64 * PER_RANK_BYTES as f64;
     let before = rt.advise(Direction::Write, probe_bytes, RANK_CYCLE[2]);
@@ -185,16 +168,16 @@ fn main() {
     // The regime change: the device degrades 50x mid-run.
     throttled.set_bandwidth(SLOW_BW);
     let mut alarm_at = None;
-    for i in 0..SLOW_EPOCH_CAP {
-        if run_epoch(&mut rt, &vol, &c, ds).is_some() {
-            alarm_at = Some(i);
+    for (k, i) in epochs.by_ref().take(SLOW_EPOCH_CAP).enumerate() {
+        if run_epoch(&mut rt, &vol, &c, ds, i).is_some() {
+            alarm_at = Some(k);
             break;
         }
     }
     // Post-drift evidence for the refit: enough epochs to cover every
     // (ranks, size) configuration again.
-    for _ in 0..3 {
-        run_epoch(&mut rt, &vol, &c, ds);
+    for i in epochs.take(3) {
+        run_epoch(&mut rt, &vol, &c, ds, i);
     }
     let after = rt.advise(Direction::Write, probe_bytes, RANK_CYCLE[2]);
     vol.wait_all().expect("drain");
@@ -231,7 +214,7 @@ fn main() {
     let mut report = ReportBuilder::new("apio live telemetry")
         .metrics(vol.metrics())
         .breaker(breaker_tag(vol.breaker_state()), vol.stats().degraded)
-        .refits(rt.refit_count())
+        .drift(&rt)
         .integrity(IntegritySummary {
             verified_extents: istats.verified_extents,
             checksum_failures: istats.checksum_failures,
@@ -248,9 +231,6 @@ fn main() {
     }
     if let Ok(a) = after {
         report = report.advice("post-drift (refit on degraded device)", a);
-    }
-    if let Some(series) = rt.series() {
-        report = report.series(series);
     }
 
     if json_only {

@@ -4,10 +4,9 @@
 //! one counter substrate for the whole pipeline. [`StatsCells`] is a
 //! typed view over named registry handles (`vol.writes`, `vol.retries`,
 //! …): the connector bumps its handles lock-free, and any consumer of
-//! the tracer's registry (the operator report, the series aggregator)
-//! sees the same numbers under the same names with no duplicated
-//! atomics. [`OpRecord`]s go to the optional observer for the model's
-//! feedback loop (Fig. 2). Times are accumulated as integer nanoseconds
+//! the tracer's registry (the operator report) sees the same numbers
+//! under the same names with no duplicated atomics. [`OpRecord`]s go to
+//! the optional observer for the model's feedback loop (Fig. 2). Times are accumulated as integer nanoseconds
 //! so the counters stay atomic.
 
 use apio_trace::{Counter, Event, Metrics, Tracer};

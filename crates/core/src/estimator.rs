@@ -7,30 +7,22 @@
 //! the estimate tracks applications whose per-epoch compute drifts (AMR
 //! refinement, convergence phases) while smoothing measurement noise.
 
-/// Exponentially weighted moving average of per-epoch compute times.
-#[derive(Clone, Debug)]
+/// Weight of the newest sample, a common EWMA choice balancing
+/// responsiveness against noise.
+const ALPHA: f64 = 0.3;
+
+/// Exponentially weighted moving average (α = 0.3) of per-epoch compute
+/// times.
+#[derive(Clone, Debug, Default)]
 pub struct CompEstimator {
-    /// Weight of the newest sample in `(0, 1]`. 1.0 = last-value-only.
-    alpha: f64,
     value: Option<f64>,
     n: u64,
 }
 
 impl CompEstimator {
-    /// Default smoothing (α = 0.3), a common EWMA choice balancing
-    /// responsiveness against noise.
+    /// An estimator with no observations yet.
     pub fn new() -> Self {
-        Self::with_alpha(0.3)
-    }
-
-    /// Custom smoothing factor in `(0, 1]`.
-    pub fn with_alpha(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        CompEstimator {
-            alpha,
-            value: None,
-            n: 0,
-        }
+        Self::default()
     }
 
     /// Record one measured compute phase.
@@ -39,7 +31,7 @@ impl CompEstimator {
         self.n += 1;
         self.value = Some(match self.value {
             None => t_comp,
-            Some(prev) => self.alpha * t_comp + (1.0 - self.alpha) * prev,
+            Some(prev) => ALPHA * t_comp + (1.0 - ALPHA) * prev,
         });
     }
 
@@ -52,12 +44,6 @@ impl CompEstimator {
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
         self.n
-    }
-}
-
-impl Default for CompEstimator {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -89,12 +75,12 @@ mod tests {
 
     #[test]
     fn ewma_recurrence() {
-        let mut e = CompEstimator::with_alpha(0.5);
+        let mut e = CompEstimator::new();
         e.observe(10.0);
-        e.observe(20.0); // 0.5*20 + 0.5*10 = 15
-        assert!((e.estimate().unwrap() - 15.0).abs() < 1e-12);
-        e.observe(0.0); // 0.5*0 + 0.5*15 = 7.5
-        assert!((e.estimate().unwrap() - 7.5).abs() < 1e-12);
+        e.observe(20.0); // 0.3*20 + 0.7*10 = 13
+        assert!((e.estimate().unwrap() - 13.0).abs() < 1e-12);
+        e.observe(0.0); // 0.3*0 + 0.7*13 = 9.1
+        assert!((e.estimate().unwrap() - 9.1).abs() < 1e-12);
     }
 
     #[test]
@@ -108,31 +94,6 @@ mod tests {
         }
         let est = e.estimate().unwrap();
         assert!((est - 50.0).abs() < 0.01, "converged to new level, got {est}");
-    }
-
-    #[test]
-    fn alpha_one_is_last_value() {
-        let mut e = CompEstimator::with_alpha(1.0);
-        e.observe(1.0);
-        e.observe(99.0);
-        assert_eq!(e.estimate(), Some(99.0));
-    }
-
-    #[test]
-    fn high_alpha_reacts_faster() {
-        let run = |alpha: f64| {
-            let mut e = CompEstimator::with_alpha(alpha);
-            e.observe(0.0);
-            e.observe(100.0);
-            e.estimate().unwrap()
-        };
-        assert!(run(0.8) > run(0.2));
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn zero_alpha_rejected() {
-        CompEstimator::with_alpha(0.0);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!   asynchronous I/O for the next epoch.
 //! - [`adaptive`] — the Fig. 2 feedback loop: observations stream in from
 //!   the I/O library's instrumentation, the history updates, and each
-//!   epoch gets a fresh recommendation. With drift detection enabled, a
-//!   Page–Hinkley alarm on the observed rate forgets the stale regime
-//!   and forces a refit (the runtime half of Fig. 2).
+//!   epoch gets a fresh recommendation. At each epoch boundary a
+//!   Page–Hinkley test on the epoch's log-rate watches for drift; its
+//!   alarm forgets the stale regime and forces a refit (the runtime half
+//!   of Fig. 2).
 //! - [`report`] — the operator dashboard: counters, percentiles, advisor
 //!   decisions, drift alarms, breaker/recovery state rendered as text
 //!   and as a machine-readable JSON snapshot.
@@ -46,7 +47,7 @@ pub mod ratemodel;
 pub mod regression;
 pub mod report;
 
-pub use adaptive::{AdaptiveRuntime, DriftPolicy, Observation};
+pub use adaptive::{AdaptiveRuntime, DriftAlarm, DriftDirection, Observation};
 pub use advisor::{Advice, ModeAdvisor};
 pub use epoch::{async_epoch_time, sync_epoch_time, app_time, EpochParams, Scenario};
 pub use error_msg::ModelError;

@@ -2,10 +2,10 @@
 //! machine-readable JSON snapshot.
 //!
 //! A [`ReportBuilder`] collects whatever views of the pipeline the caller
-//! has — the metrics registry, the drift series, advisor decisions, the
-//! breaker state, a WAL [`RecoverySummary`], the flight recorder's shape
-//! — and renders them two ways: [`render_text`](ReportBuilder::render_text)
-//! for a terminal ("what is the pipeline doing right now?") and
+//! has — the metrics registry, the adaptive runtime's drift alarms and
+//! refit count, advisor decisions, the breaker state, a WAL
+//! [`RecoverySummary`], the flight recorder's shape — and renders them
+//! two ways: [`render_text`](ReportBuilder::render_text) for a terminal ("what is the pipeline doing right now?") and
 //! [`render_json`](ReportBuilder::render_json) (schema `apio-report-v1`)
 //! for scripts, CI gates, and the test suite. The E2E drift test asserts
 //! the advisor's sync/async flip *from the JSON alone* — the report is
@@ -16,8 +16,9 @@
 //! point-in-time snapshot.
 
 use apio_trace::export::json_escape;
-use apio_trace::{DriftAlarm, EpochPoint, Metrics, SeriesAggregator};
+use apio_trace::Metrics;
 
+use crate::adaptive::{AdaptiveRuntime, DriftAlarm};
 use crate::advisor::Advice;
 use crate::epoch::Scenario;
 use crate::history::IoMode;
@@ -137,7 +138,6 @@ pub struct ReportBuilder {
     breaker: Option<(String, bool)>,
     advice: Vec<AdviceRow>,
     alarms: Vec<DriftAlarm>,
-    points: Vec<EpochPoint>,
     recovery: Option<RecoverySummary>,
     integrity: Option<IntegritySummary>,
     flight: Option<FlightRow>,
@@ -202,16 +202,10 @@ impl ReportBuilder {
         self
     }
 
-    /// Attach the drift series: its alarms and retained epoch points.
-    pub fn series(mut self, series: &SeriesAggregator) -> Self {
-        self.alarms = series.alarms().to_vec();
-        self.points = series.points().cloned().collect();
-        self
-    }
-
-    /// Attach drift alarms directly (when no aggregator is at hand).
-    pub fn alarms(mut self, alarms: &[DriftAlarm]) -> Self {
-        self.alarms = alarms.to_vec();
+    /// Attach the adaptive runtime's drift alarms and refit count.
+    pub fn drift(mut self, rt: &AdaptiveRuntime) -> Self {
+        self.alarms = rt.drift_alarms().to_vec();
+        self.refits = Some(rt.refit_count());
         self
     }
 
@@ -236,12 +230,6 @@ impl ReportBuilder {
             recorded,
             dropped,
         });
-        self
-    }
-
-    /// Attach the drift-refit count from the adaptive runtime.
-    pub fn refits(mut self, refits: u64) -> Self {
-        self.refits = Some(refits);
         self
     }
 
@@ -321,28 +309,14 @@ impl ReportBuilder {
         out.push_str(&format!("drift alarms: {}\n", self.alarms.len()));
         for a in &self.alarms {
             out.push_str(&format!(
-                "  epoch {}: rate {} (observed {:.3e} B/s, ewma {:.3e} B/s, stat {:.2}/{:.2})\n",
+                "  epoch {}: rate {} (observed {:.3e} B/s, mean {:.3e} B/s, stat {:.2}/{:.2})\n",
                 a.epoch,
                 a.direction.tag(),
                 a.observed_rate,
-                a.ewma_rate,
+                a.mean_rate,
                 a.statistic,
                 a.threshold,
             ));
-        }
-        if !self.points.is_empty() {
-            let tail = &self.points[self.points.len().saturating_sub(5)..];
-            out.push_str(&format!(
-                "series (last {} of {} retained epochs):\n",
-                tail.len(),
-                self.points.len()
-            ));
-            for p in tail {
-                out.push_str(&format!(
-                    "  epoch {:>4}: rate={:.3e} B/s ewma={:.3e} retries={} breaker={} queue={}\n",
-                    p.epoch, p.rate, p.ewma_rate, p.retries, p.breaker_state, p.queue_depth,
-                ));
-            }
         }
         if let Some(r) = &self.recovery {
             out.push_str(&format!(
@@ -449,33 +423,13 @@ impl ReportBuilder {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"epoch\":{},\"direction\":\"{}\",\"observed_rate\":{},\"ewma_rate\":{},\"statistic\":{},\"threshold\":{}}}",
+                "{{\"epoch\":{},\"direction\":\"{}\",\"observed_rate\":{},\"mean_rate\":{},\"statistic\":{},\"threshold\":{}}}",
                 a.epoch,
                 a.direction.tag(),
                 jnum(a.observed_rate),
-                jnum(a.ewma_rate),
+                jnum(a.mean_rate),
                 jnum(a.statistic),
                 jnum(a.threshold),
-            ));
-        }
-        out.push_str("],\"series\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"epoch\":{},\"io_bytes\":{},\"rate\":{},\"ewma_rate\":{},\"retries\":{},\"breaker_transitions\":{},\"breaker\":\"{}\",\"queue_depth\":{},\"lat_p50\":{},\"lat_p95\":{},\"lat_p99\":{}}}",
-                p.epoch,
-                p.io_bytes,
-                jnum(p.rate),
-                jnum(p.ewma_rate),
-                p.retries,
-                p.breaker_transitions,
-                p.breaker_state,
-                p.queue_depth,
-                p.lat_p50,
-                p.lat_p95,
-                p.lat_p99,
             ));
         }
         out.push(']');
@@ -538,12 +492,11 @@ impl ReportBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::{AdaptiveRuntime, DriftPolicy, Observation};
+    use crate::adaptive::Observation;
     use crate::history::Direction;
 
     fn runtime_with_drift() -> AdaptiveRuntime {
         let mut rt = AdaptiveRuntime::new();
-        rt.enable_drift_detection(DriftPolicy::default());
         for i in 0..10u32 {
             let ranks = [64u32, 128, 256][(i % 3) as usize];
             let bytes = ranks as f64 * 32e6;
@@ -615,12 +568,11 @@ mod tests {
         metrics.counter("vol.writes").add(7);
         metrics.histogram("vol.write").record(1_000);
 
-        let series = rt.series().unwrap().clone();
         let report = ReportBuilder::new("e2e")
             .metrics(metrics)
             .breaker("open", true)
             .advice("write", advice)
-            .series(&series)
+            .drift(&rt)
             .recovery(RecoverySummary {
                 scanned: 5,
                 replayed: 3,
@@ -637,8 +589,7 @@ mod tests {
                 crash_points: 57,
                 crash_failures: 0,
             })
-            .flight(4096, 128, 6)
-            .refits(rt.refit_count());
+            .flight(4096, 128, 6);
 
         let json = report.render_json();
         assert_balanced_json(&json);
@@ -653,7 +604,7 @@ mod tests {
         ));
         assert!(json.contains("\"flight\":{\"capacity\":4096,\"recorded\":128,\"dropped\":6}"));
         assert!(json.contains("\"refits\":0"));
-        assert!(json.contains("\"series\":[{\"epoch\":0"));
+        assert!(json.contains("\"alarms\":[]"));
 
         let text = report.render_text();
         assert!(text.contains("breaker: open [degraded]"));

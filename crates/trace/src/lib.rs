@@ -14,8 +14,8 @@
 //!   buffered into lock-sharded in-memory sinks.
 //! - [`Event`] — typed payloads for every stage of the pipeline: VOL
 //!   calls, snapshot copies, WAL appends/replays, retry attempts, breaker
-//!   transitions, I/O plans, backend batches, degraded writes, epoch
-//!   marks.
+//!   transitions, I/O plans, sieved spans, flush read-backs, backend
+//!   batches, degraded writes.
 //! - [`Metrics`] — a registry of monotonic counters and fixed-bucket log2
 //!   histograms (p50/p95/p99), all atomics, allocation-free on the hot
 //!   path. Span durations feed per-name histograms automatically.
@@ -26,10 +26,6 @@
 //! - [`flight`] — the always-on flight recorder ([`Tracer::flight`]):
 //!   fixed-capacity ring shards retaining the last N records, dumpable on
 //!   demand and from a panic hook through the exporters (DESIGN.md §11).
-//! - [`series`] — streaming per-epoch telemetry: windowed I/O-rate /
-//!   retry / breaker / queue-depth series with EWMA smoothing and a
-//!   Page–Hinkley drift detector on the aggregate I/O rate — the runtime
-//!   half of the paper's Fig. 2 feedback loop.
 //!
 //! A **disabled** tracer ([`Tracer::disabled`], the default everywhere it
 //! is embedded) reduces every call to one branch on an `Option` — the
@@ -45,12 +41,10 @@ pub mod clock;
 pub mod export;
 pub mod flight;
 pub mod metrics;
-pub mod series;
 
 pub use clock::{TraceClock, VirtualClock, WallClock};
 pub use flight::{install_panic_dump, FlightDump};
-pub use metrics::{Counter, Histogram, HistogramSnapshot, Metrics};
-pub use series::{DriftAlarm, DriftDirection, EpochPoint, SeriesAggregator, SeriesConfig};
+pub use metrics::{Counter, Histogram, Metrics};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

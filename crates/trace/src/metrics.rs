@@ -118,141 +118,18 @@ impl Histogram {
     pub fn percentile(&self, q: f64) -> u64 {
         // Walk one load of the buckets, deriving the rank target from that
         // same copy: the separate count cell can momentarily disagree with
-        // the buckets while a drain ([`snapshot_and_reset`](Self::snapshot_and_reset))
-        // or `record` is in flight, and a target beyond the walked total
-        // would fall through to the top bucket bound (`u64::MAX`) — a
-        // wild misread for a benign race.
-        self.snapshot().percentile(q)
-    }
-
-    /// Median (bucket upper bound).
-    pub fn p50(&self) -> u64 {
-        self.percentile(0.50)
-    }
-
-    /// 95th percentile (bucket upper bound).
-    pub fn p95(&self) -> u64 {
-        self.percentile(0.95)
-    }
-
-    /// 99th percentile (bucket upper bound).
-    pub fn p99(&self) -> u64 {
-        self.percentile(0.99)
-    }
-
-    /// An owned point-in-time copy of the cells; the live histogram keeps
-    /// accumulating.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        for (i, b) in buckets.iter_mut().enumerate() {
-            *b = self.cells.buckets[i].load(Ordering::Relaxed);
-        }
-        HistogramSnapshot {
-            buckets,
-            sum: self.cells.sum.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Atomically drain the cells into an owned snapshot — the windowing
-    /// primitive for the series aggregator.
-    ///
-    /// Each cell is `swap(0)`ed individually, so every observation lands
-    /// in exactly one snapshot across repeated calls: nothing is lost to
-    /// an in-flight `record`, it just lands in this window or the next.
-    /// (A racing observation may momentarily split its bucket and sum
-    /// across two windows; merging the windows — [`HistogramSnapshot::merge`]
-    /// — reassembles it exactly.) The snapshot's `count` is derived from
-    /// its buckets so each window is internally consistent.
-    pub fn snapshot_and_reset(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        for (i, b) in buckets.iter_mut().enumerate() {
-            *b = self.cells.buckets[i].swap(0, Ordering::Relaxed);
-        }
-        let sum = self.cells.sum.swap(0, Ordering::Relaxed);
-        // Keep the live count cell in step with the drained buckets.
-        let drained: u64 = buckets.iter().sum();
-        self.cells.count.fetch_sub(
-            drained.min(self.cells.count.load(Ordering::Relaxed)),
-            Ordering::Relaxed,
-        );
-        HistogramSnapshot { buckets, sum }
-    }
-}
-
-/// An owned, mergeable copy of a histogram's buckets — what
-/// [`Histogram::snapshot`] / [`Histogram::snapshot_and_reset`] return.
-///
-/// Merging windowed snapshots recovers the cumulative distribution, so a
-/// consumer can report both per-window and since-start percentiles from
-/// the same drain stream.
-#[derive(Clone, Debug)]
-pub struct HistogramSnapshot {
-    buckets: [u64; BUCKETS],
-    sum: u64,
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        HistogramSnapshot::empty()
-    }
-}
-
-impl HistogramSnapshot {
-    /// A snapshot with no observations (the identity for [`merge`](Self::merge)).
-    pub fn empty() -> Self {
-        HistogramSnapshot {
-            buckets: [0u64; BUCKETS],
-            sum: 0,
-        }
-    }
-
-    /// Fold `other`'s observations into this snapshot. Merging an empty
-    /// snapshot is the identity — p50/p95/p99, count, and sum are
-    /// unchanged. Saturating, so pathological inputs (e.g. a snapshot
-    /// merged into itself in a loop) degrade to pinned buckets instead of
-    /// a panic or wraparound that would corrupt every percentile.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b = b.saturating_add(*o);
-        }
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
-    /// Observations in the snapshot (sum over buckets).
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Whether the snapshot holds no observations.
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
-    }
-
-    /// Sum of all observations (for means).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Mean observation; 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / n as f64
-        }
-    }
-
-    /// Value at quantile `q` in `0.0..=1.0` (bucket upper bound); 0 when
-    /// empty. Same contract as [`Histogram::percentile`].
-    pub fn percentile(&self, q: f64) -> u64 {
-        let count = self.count();
+        // the buckets while a `record` is in flight, and a target beyond
+        // the walked total would fall through to the top bucket bound
+        // (`u64::MAX`) — a wild misread for a benign race.
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.cells.buckets[i].load(Ordering::Relaxed));
+        let count: u64 = buckets.iter().sum();
         if count == 0 {
             return 0;
         }
         let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
+        for (i, b) in buckets.iter().enumerate() {
             seen += b;
             if seen >= target {
                 return bucket_bound(i);
@@ -444,98 +321,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_reset_windows_without_losing_observations() {
-        let h = Histogram::new();
-        for _ in 0..10 {
-            h.record(1_000);
-        }
-        let w1 = h.snapshot_and_reset();
-        assert_eq!(w1.count(), 10);
-        assert_eq!(w1.sum(), 10_000);
-        assert_eq!(h.count(), 0, "live histogram drained");
-        assert_eq!(h.p50(), 0);
-
-        for _ in 0..5 {
-            h.record(1_000_000);
-        }
-        let w2 = h.snapshot_and_reset();
-        assert_eq!(w2.count(), 5);
-        assert!((1_000_000..4_000_000).contains(&w2.p50()));
-
-        // Merging the windows recovers the cumulative distribution.
-        let mut total = HistogramSnapshot::empty();
-        total.merge(&w1);
-        total.merge(&w2);
-        assert_eq!(total.count(), 15);
-        assert_eq!(total.sum(), 10_000 + 5_000_000);
-        assert!((1_000..4_000).contains(&total.p50()), "p50 in the fast group");
-        let p99 = total.p99();
-        assert!(p99 >= 1_000_000, "p99 in the slow group, got {p99}");
-        assert!((total.mean() - (5_010_000.0 / 15.0)).abs() < 1.0);
-    }
-
-    #[test]
-    fn plain_snapshot_leaves_the_histogram_untouched() {
-        let h = Histogram::new();
-        h.record(7);
-        h.record(9);
-        let s = h.snapshot();
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.sum(), 16);
-        assert_eq!(h.count(), 2, "snapshot() must not drain");
-        assert!(HistogramSnapshot::empty().is_empty());
-        assert_eq!(HistogramSnapshot::empty().percentile(0.99), 0);
-        assert_eq!(HistogramSnapshot::empty().mean(), 0.0);
-    }
-
-    #[test]
-    fn merging_an_empty_snapshot_preserves_percentiles() {
-        let h = Histogram::new();
-        for _ in 0..90 {
-            h.record(1_000);
-        }
-        for _ in 0..10 {
-            h.record(1_000_000);
-        }
-        let mut s = h.snapshot();
-        let (p50, p95, p99) = (s.p50(), s.p95(), s.p99());
-        let (count, sum, mean) = (s.count(), s.sum(), s.mean());
-        s.merge(&HistogramSnapshot::empty());
-        assert_eq!(s.p50(), p50, "empty merge perturbed p50");
-        assert_eq!(s.p95(), p95, "empty merge perturbed p95");
-        assert_eq!(s.p99(), p99, "empty merge perturbed p99");
-        assert_eq!(s.count(), count);
-        assert_eq!(s.sum(), sum);
-        assert_eq!(s.mean(), mean);
-        // And the other direction: empty ∪ populated == populated.
-        let mut e = HistogramSnapshot::empty();
-        e.merge(&s);
-        assert_eq!((e.p50(), e.p95(), e.p99()), (p50, p95, p99));
-        assert_eq!((e.count(), e.sum()), (count, sum));
-    }
-
-    #[test]
-    fn merge_saturates_instead_of_overflowing() {
-        let mut a = HistogramSnapshot::empty();
-        a.buckets[1] = u64::MAX - 1;
-        a.sum = u64::MAX - 1;
-        let mut b = HistogramSnapshot::empty();
-        b.buckets[1] = 5;
-        b.sum = 5;
-        a.merge(&b);
-        assert_eq!(a.buckets[1], u64::MAX);
-        assert_eq!(a.sum(), u64::MAX);
-        assert_eq!(a.p50(), 1, "percentiles still answer after saturation");
-    }
-
-    #[test]
-    fn percentile_stays_in_range_while_draining_concurrently() {
-        // A racing drain swaps buckets to zero before decrementing the
-        // count cell, so a percentile read using the stale count could
-        // walk past every loaded bucket and report u64::MAX. The
-        // single-pass walk derives its rank target from the loaded
-        // buckets themselves, so the answer is always the bound of a
-        // bucket that actually held observations.
+    fn percentile_stays_in_range_while_recording_concurrently() {
+        // A racing `record` bumps its bucket before the count cell, so a
+        // percentile read trusting the count could walk past every loaded
+        // bucket and report u64::MAX. The single-pass walk derives its
+        // rank target from the loaded buckets themselves, so the answer
+        // is always the bound of a bucket that actually held observations.
         let h = Histogram::new();
         let stop = Arc::new(AtomicU64::new(0));
         let recorder = {
@@ -547,46 +338,15 @@ mod tests {
                 }
             })
         };
-        let drainer = {
-            let h = h.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                while stop.load(Ordering::Relaxed) == 0 {
-                    let _ = h.snapshot_and_reset();
-                }
-            })
-        };
         for _ in 0..50_000 {
             let p = h.p99();
             assert!(
                 p == 0 || (1_000..2_048).contains(&p),
-                "p99 misread under drain race: {p}"
+                "p99 misread under record race: {p}"
             );
         }
         stop.store(1, Ordering::Relaxed);
         recorder.join().unwrap();
-        drainer.join().unwrap();
-    }
-
-    #[test]
-    fn concurrent_drain_and_record_partition_observations() {
-        let h = Histogram::new();
-        let recorder = {
-            let h = h.clone();
-            std::thread::spawn(move || {
-                for _ in 0..10_000u64 {
-                    h.record(3);
-                }
-            })
-        };
-        let mut total = HistogramSnapshot::empty();
-        while !recorder.is_finished() {
-            total.merge(&h.snapshot_and_reset());
-        }
-        recorder.join().unwrap();
-        total.merge(&h.snapshot_and_reset());
-        assert_eq!(total.count(), 10_000, "every observation lands in exactly one window");
-        assert_eq!(total.sum(), 30_000);
     }
 
     #[test]

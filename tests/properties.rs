@@ -13,7 +13,7 @@ use apio::h5lite::{
 };
 use apio::model::epoch::EpochParams;
 use apio::model::regression::{Design, LinearFit};
-use apio::trace::{DriftDirection, SeriesAggregator, SeriesConfig};
+use apio::model::{AdaptiveRuntime, Direction, DriftAlarm, DriftDirection, IoMode, Observation};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -722,19 +722,30 @@ fn planned_path_fault_indices(salt: u64) {
 fn stationary_rate_noise_never_false_alarms() {
     for seed in [0x5E41u64, 0xD41F7, 0x00B5, 0xF00D] {
         let mut rng = Lcg::new(seed);
-        let mut series = SeriesAggregator::new(SeriesConfig::default());
-        let bytes = 1u64 << 26;
+        let mut rt = AdaptiveRuntime::new();
+        let bytes = (1u64 << 26) as f64;
         for epoch in 0..10_000u64 {
             let rate = 1e9 * rng.f64_in(0.95, 1.05);
-            let nanos = (bytes as f64 / rate * 1e9) as u64;
-            series.record_io(bytes, nanos);
+            rt.observe(epoch_transfer(bytes, bytes / rate));
             assert!(
-                series.end_epoch().is_none(),
+                rt.end_epoch().is_none(),
                 "seed {seed:#x} epoch {epoch}: false alarm on stationary noise"
             );
         }
-        assert!(series.alarms().is_empty(), "seed {seed:#x}");
-        assert_eq!(series.epochs(), 10_000);
+        assert!(rt.drift_alarms().is_empty(), "seed {seed:#x}");
+        assert_eq!(rt.history().len(), 10_000, "nothing forgotten");
+    }
+}
+
+/// One epoch's storage evidence for the drift properties: a single-rank
+/// sync write of `bytes` in `secs`.
+fn epoch_transfer(bytes: f64, secs: f64) -> Observation {
+    Observation::Transfer {
+        mode: IoMode::Sync,
+        direction: Direction::Write,
+        total_bytes: bytes,
+        ranks: 1,
+        secs,
     }
 }
 
@@ -764,29 +775,24 @@ fn backend_rate_step_fires_drift_alarm_within_k_epochs() {
         // Warm the path (chunk allocation) outside the measured epochs.
         c.write_selection(ds, &sel, &data).expect("warm write");
 
-        // Real wall-clock rates carry scheduler noise; 1.5 still fires
-        // within an epoch on the >= ln(8) ≈ 2.1 log-rate step below.
-        let cfg = SeriesConfig {
-            ph_lambda: 1.5,
-            ..SeriesConfig::default()
-        };
-        let mut series = SeriesAggregator::new(cfg);
-        let epoch_write = |series: &mut SeriesAggregator| {
+        let mut rt = AdaptiveRuntime::new();
+        let epoch_write = |rt: &mut AdaptiveRuntime| -> Option<DriftAlarm> {
             let t0 = std::time::Instant::now();
             c.write_selection(ds, &sel, &data).expect("epoch write");
-            series.record_io(data.len() as u64, t0.elapsed().as_nanos() as u64);
-            series.end_epoch()
+            let secs = t0.elapsed().as_secs_f64();
+            rt.observe(epoch_transfer(data.len() as f64, secs));
+            rt.end_epoch()
         };
 
         for epoch in 0..10 {
             assert!(
-                epoch_write(&mut series).is_none(),
+                epoch_write(&mut rt).is_none(),
                 "case {case} (factor {factor:.1}): false alarm at fast epoch {epoch}"
             );
         }
 
         backend.set_bandwidth(fast / factor);
-        let fired = (0..K).find_map(|k| epoch_write(&mut series).map(|a| (k, a)));
+        let fired = (0..K).find_map(|k| epoch_write(&mut rt).map(|a| (k, a)));
         let (k, alarm) = fired.unwrap_or_else(|| {
             panic!("case {case}: a {factor:.1}x step must fire within {K} epochs")
         });
@@ -796,8 +802,8 @@ fn backend_rate_step_fires_drift_alarm_within_k_epochs() {
             "case {case}: degradation is a downward drift"
         );
         assert!(
-            alarm.observed_rate < alarm.ewma_rate,
-            "case {case} (alarm {k} epochs after the step): observed below the smoothed rate"
+            alarm.observed_rate < alarm.mean_rate,
+            "case {case} (alarm {k} epochs after the step): observed below the mean rate"
         );
     }
 }

@@ -21,11 +21,10 @@
 //! alarm-driven truncation actually ran.
 
 use apio::model::history::{Direction, IoMode};
-use apio::model::{AdaptiveRuntime, DriftPolicy, Observation, ReportBuilder};
+use apio::model::{AdaptiveRuntime, DriftAlarm, Observation, ReportBuilder};
 use apio::mpisim::workload::StagingTier;
 use apio::mpisim::{run, Job, RunConfig, Workload};
 use apio::platform;
-use apio::trace::DriftAlarm;
 
 /// Rank counts cycled per epoch — all on one Cori node (32 ranks/node),
 /// so the aggregate rate stays level across the cycle while the fits
@@ -45,12 +44,11 @@ const FAST: f64 = 1.0;
 /// detector's log-rate statistic).
 const SLOW: f64 = 0.0015;
 
-/// One application epoch: run a one-epoch mpisim checkpoint both ways
+/// Application epoch `i`: run a one-epoch mpisim checkpoint both ways
 /// (blocking sync for the transfer evidence, NVMe-staged async for the
 /// snapshot-overhead evidence) and stream the measures into the runtime.
-fn run_epoch(rt: &mut AdaptiveRuntime, contention: f64) -> Option<DriftAlarm> {
-    let i = rt.series().map(|s| s.epochs()).unwrap_or(0);
-    let ranks = RANK_CYCLE[(i % 3) as usize];
+fn run_epoch(rt: &mut AdaptiveRuntime, i: usize, contention: f64) -> Option<DriftAlarm> {
+    let ranks = RANK_CYCLE[i % 3];
     let job = Job::new(platform::cori_haswell(), ranks);
     let w = Workload::checkpoint(ranks, PER_RANK_BYTES, 1, COMPUTE_SECS);
 
@@ -98,14 +96,14 @@ fn json_u64(json: &str, key: &str) -> u64 {
 #[test]
 fn midrun_rate_step_flips_advice_in_report_json() {
     let mut rt = AdaptiveRuntime::new();
-    rt.enable_drift_detection(DriftPolicy::default());
+    let mut epochs = 0..;
 
     // Fast regime: past the detector's 5-epoch warmup, with every
     // (ranks, size) configuration seen three times. Stationary, so no
     // alarm may fire.
-    for _ in 0..9 {
+    for i in epochs.by_ref().take(9) {
         assert!(
-            run_epoch(&mut rt, FAST).is_none(),
+            run_epoch(&mut rt, i, FAST).is_none(),
             "false alarm on the stationary fast regime"
         );
     }
@@ -117,9 +115,9 @@ fn midrun_rate_step_flips_advice_in_report_json() {
     // The regime change: server-side contention caps the job ~20x
     // below its uncontended rate mid-run.
     let mut alarm_epochs = None;
-    for i in 0..12 {
-        if run_epoch(&mut rt, SLOW).is_some() {
-            alarm_epochs = Some(i + 1);
+    for (k, i) in epochs.by_ref().take(12).enumerate() {
+        if run_epoch(&mut rt, i, SLOW).is_some() {
+            alarm_epochs = Some(k + 1);
             break;
         }
     }
@@ -128,19 +126,17 @@ fn midrun_rate_step_flips_advice_in_report_json() {
 
     // Fresh post-drift evidence so the refit sees all three
     // configurations again, then the post-step probe.
-    for _ in 0..3 {
-        run_epoch(&mut rt, SLOW);
+    for i in epochs.take(3) {
+        run_epoch(&mut rt, i, SLOW);
     }
     let after = rt
         .advise(Direction::Write, probe_bytes, RANK_CYCLE[2])
         .expect("post-drift history fits both models");
 
-    let series = rt.series().expect("drift detection enabled");
     let json = ReportBuilder::new("telemetry e2e")
-        .refits(rt.refit_count())
+        .drift(&rt)
         .advice("pre-step", before)
         .advice("post-step", after)
-        .series(series)
         .render_json();
 
     // Everything below is asserted from the report JSON alone.
@@ -166,7 +162,7 @@ fn midrun_rate_step_flips_advice_in_report_json() {
         "advisor must have refitted at least once: {json}"
     );
     // The alarm's own numbers must describe a collapse: the epoch rate
-    // the detector saw sits far below the smoothed pre-step rate.
-    let alarm = &series.alarms()[0];
-    assert!(alarm.observed_rate < 0.5 * alarm.ewma_rate);
+    // the detector saw sits far below the mean it was measured against.
+    let alarm = &rt.drift_alarms()[0];
+    assert!(alarm.observed_rate < 0.5 * alarm.mean_rate);
 }
