@@ -89,7 +89,7 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #   critpath          straggler attribution as arithmetic on RunResult:
 #                     exact tiling, Eq. 2 overlap, values pinned per config
 #   telemetry         drift alarm -> refit -> advice flip, from report JSON
-#   end_to_end        write/read pipelines, observer feeding the model
+#   end_to_end        write/read pipelines, a real run fed to the model
 APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants
 
 echo "== h5lite in release (overflow, dataspace, read-back lanes) =="
@@ -132,6 +132,9 @@ echo "$report_json" | grep -q '"straggler_rank":7' \
 echo "== one workload on both engines (real kernels, then the simulator) =="
 cargo run -q "${CARGO_FLAGS[@]}" --release --example vpic_checkpoint
 
+echo "== the Fig. 2 loop fed from simulated runs =="
+cargo run -q "${CARGO_FLAGS[@]}" --release --example adaptive
+
 echo "== bench smoke (one iteration per benchmark) =="
 # connector: visible_write_sync, visible_write_async, visible_read (cold
 # read vs prefetch hit), epoch, chaos, ioplan_micro, strided_vpic, and
@@ -141,5 +144,7 @@ cargo bench -q "${CARGO_FLAGS[@]}" -p apio-bench --bench connector -- --smoke \
 test -s target/trace_smoke.json || { echo "trace smoke export missing"; exit 1; }
 cargo bench -q "${CARGO_FLAGS[@]}" -p apio-bench --bench micro -- --smoke
 cargo bench -q "${CARGO_FLAGS[@]}" -p apio-bench --bench multitenant -- --smoke
+# model: fit designs, fit cost by history size, one advise on a warm loop.
+cargo bench -q "${CARGO_FLAGS[@]}" -p apio-bench --bench model -- --smoke
 
 echo "ci: all gates passed"

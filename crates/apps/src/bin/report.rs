@@ -22,8 +22,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use apio_core::history::Direction;
-use apio_core::{AdaptiveRuntime, DriftAlarm, IntegritySummary, Observation, ReportBuilder};
+use apio_core::history::{Direction, IoMode, TransferRecord};
+use apio_core::{AdaptiveRuntime, DriftAlarm, IntegritySummary, ReportBuilder};
 use apio_trace::Tracer;
 use asyncvol::{AsyncVol, BreakerState};
 use h5lite::container::ROOT_ID;
@@ -87,20 +87,11 @@ fn run_epoch(
         return None;
     }
 
-    rt.observe(Observation::Compute { secs: COMPUTE_SECS });
-    rt.observe(Observation::Transfer {
-        mode: apio_core::history::IoMode::Sync,
-        direction: Direction::Write,
-        total_bytes: bytes as f64,
-        ranks,
-        secs,
-    });
-    rt.observe(Observation::SnapshotOverhead {
-        direction: Direction::Write,
-        total_bytes: bytes as f64,
-        ranks,
-        secs: bytes as f64 / SNAPSHOT_RATE,
-    });
+    let bytes = bytes as f64;
+    let write = |mode, secs| TransferRecord::from_time(bytes, ranks, mode, Direction::Write, secs);
+    rt.observe_compute(COMPUTE_SECS);
+    rt.observe(write(IoMode::Sync, secs));
+    rt.observe(write(IoMode::Async, bytes / SNAPSHOT_RATE));
     rt.end_epoch()
 }
 

@@ -28,10 +28,10 @@
 //! ```
 //!
 //! Transitions are reported through the stats counters
-//! (`breaker_opens` / `breaker_closes` / `probes`) and — because
-//! degraded writes emit [`OpKind::DegradedWrite`](crate::OpKind)
-//! records — through the observer, so the model layer's `ModeAdvisor`
-//! sees the regime change in its feedback loop.
+//! (`breaker_opens` / `breaker_closes` / `probes` / `degraded_writes`)
+//! and as `breaker` trace events. Nothing in the model layer reads them:
+//! `ModeAdvisor` sees a slower device only through the transfer records
+//! its caller feeds it.
 
 use std::sync::Arc;
 

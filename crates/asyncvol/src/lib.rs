@@ -40,11 +40,12 @@
 //!   vectored scatter-gather batches to the backend, so a strided
 //!   VPIC/BD-CATS selection costs a handful of device requests instead of
 //!   one per hyperslab run.
-//! - **Instrumentation** ([`stats::AsyncVolStats`], [`OpRecord`]) exposes
-//!   every measured quantity the paper's model consumes: snapshot
-//!   (transactional) time, background I/O time, bytes moved, prefetch
-//!   hits/misses. The model crate's feedback loop (Fig. 2) subscribes via
-//!   [`AsyncVolBuilder::observer`].
+//! - **Instrumentation** ([`stats::AsyncVolStats`], from
+//!   [`AsyncVol::stats`]) counts every measured quantity the paper's model
+//!   consumes: snapshot (transactional) time, background I/O time, bytes
+//!   moved, prefetch hits/misses. The model's feedback loop (Fig. 2) is
+//!   fed from the run record the kernels return, not from a callback
+//!   here.
 //!
 //! Background failures are held per request and surface at wait time as
 //! [`H5Error::Async`], matching the deferred error reporting of the real
@@ -77,7 +78,7 @@ pub mod stats;
 pub use breaker::{BreakerConfig, BreakerState};
 pub use retry::RetryPolicy;
 pub use staging::{RecoveryReport, Staging, StagingLog};
-pub use stats::{AsyncVolStats, OpKind, OpRecord};
+pub use stats::AsyncVolStats;
 
 use breaker::{CircuitBreaker, ProbeGuard, Route};
 use retry::with_backoff;
@@ -95,24 +96,19 @@ enum Payload {
 
 /// What `settle` reports about a write that reached the device.
 struct Ran {
-    /// [`OpKind::Write`] in the background, [`OpKind::DegradedWrite`] inline.
-    kind: OpKind,
+    /// Inline on the caller's thread while the breaker has the connector
+    /// degraded, rather than in the background.
+    degraded: bool,
     bytes: u64,
     /// Start of the reported io_secs: the submission instant on the ring
     /// (queue time included), the start of `land` elsewhere.
     since: Instant,
-    /// Snapshot + planning time on the caller's thread (Eq. 2b).
-    overhead_secs: f64,
 }
-
-/// Observer callback invoked after every completed background operation.
-pub type Observer = Arc<dyn Fn(&OpRecord) + Send + Sync>;
 
 /// Builder for [`AsyncVol`].
 pub struct AsyncVolBuilder {
     streams: usize,
     ring: Option<Arc<Ring>>,
-    observer: Option<Observer>,
     staging: Staging,
     retry: RetryPolicy,
     breaker: BreakerConfig,
@@ -126,13 +122,12 @@ impl Default for AsyncVolBuilder {
 }
 
 impl AsyncVolBuilder {
-    /// Defaults: one stream, no observer, DRAM staging, default retry
-    /// policy and breaker thresholds.
+    /// Defaults: one stream, no ring, DRAM staging, default retry policy
+    /// and breaker thresholds, no tracing.
     pub fn new() -> Self {
         AsyncVolBuilder {
             streams: 1,
             ring: None,
-            observer: None,
             staging: Staging::Dram,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
@@ -161,12 +156,6 @@ impl AsyncVolBuilder {
     /// caller from the device).
     pub fn ring(mut self, ring: Arc<Ring>) -> Self {
         self.ring = Some(ring);
-        self
-    }
-
-    /// Attach an operation observer at construction.
-    pub fn observer(mut self, obs: Observer) -> Self {
-        self.observer = Some(obs);
         self
     }
 
@@ -232,7 +221,6 @@ impl AsyncVolBuilder {
                 stats: StatsCells::traced(self.tracer),
                 retry: self.retry,
                 breaker: CircuitBreaker::new(self.breaker),
-                observer: self.observer,
             },
             tenants: Mutex::new_named("asyncvol.tenants", Vec::new()),
         }
@@ -326,16 +314,9 @@ struct Shared {
     stats: StatsCells,
     retry: RetryPolicy,
     breaker: CircuitBreaker,
-    observer: Option<Observer>,
 }
 
 impl Shared {
-    fn notify(&self, record: OpRecord) {
-        if let Some(obs) = &self.observer {
-            obs(&record);
-        }
-    }
-
     /// Turn a payload into bytes in the container. One deadline, anchored
     /// at `started`, covers the staged read-back and the container write;
     /// transient faults in either are retried with backoff. The buffer is
@@ -372,29 +353,23 @@ impl Shared {
     }
 
     /// The one completion path: resolve the breaker (and the probe riding
-    /// on the write), count the write, tell the observer, and hand the
-    /// outcome back for the caller to return or stow. `ran` is `None`
-    /// when the write failed on the caller's thread before anything was
-    /// dispatched (planning, WAL append).
+    /// on the write), count the write, and hand the outcome back for the
+    /// caller to return or stow. `ran` is `None` when the write failed on
+    /// the caller's thread before anything was dispatched (planning, WAL
+    /// append).
     ///
-    /// A background write was acknowledged at issue, so it is counted and
-    /// observed whatever its outcome; an inline (degraded) one only when
-    /// it succeeded — its failure goes straight back to the caller, like
-    /// a failed issue.
+    /// A background write was acknowledged at issue, so it is counted
+    /// whatever its outcome; an inline (degraded) one only when it
+    /// succeeded — its failure goes straight back to the caller, like a
+    /// failed issue.
     fn settle(&self, outcome: Result<()>, probe: Option<ProbeGuard>, ran: Option<Ran>) -> Result<()> {
-        // Breaker before observer, so a panicking observer cannot leave a
-        // probe unresolved.
         self.breaker.resolve(&outcome, probe, ran.is_some(), &self.stats);
-        if let Some(Ran { kind, bytes, since, overhead_secs }) = ran {
+        if let Some(Ran { degraded, bytes, since }) = ran {
             let io_secs = since.elapsed().as_secs_f64();
-            let degraded = kind == OpKind::DegradedWrite;
-            if !degraded || outcome.is_ok() {
-                if degraded {
-                    self.stats.record_degraded_write(bytes, io_secs);
-                } else {
-                    self.stats.record_write(bytes, io_secs);
-                }
-                self.notify(OpRecord { kind, bytes, io_secs, overhead_secs });
+            if !degraded {
+                self.stats.record_write(bytes, io_secs);
+            } else if outcome.is_ok() {
+                self.stats.record_degraded_write(bytes, io_secs);
             }
         }
         outcome
@@ -705,12 +680,6 @@ impl AsyncVol {
             });
             drop(span);
             sh.stats.record_read(bytes, io_secs, true);
-            sh.notify(OpRecord {
-                kind: OpKind::Prefetch,
-                bytes,
-                io_secs,
-                overhead_secs: 0.0,
-            });
             // Decode here, on the stream and during the caller's compute,
             // with the datatype the read was planned against: a hit then
             // hands the caller its elements (DESIGN.md §17). Not device
@@ -893,7 +862,7 @@ impl AsyncVol {
                     let op = RingOp::Write { data, segs };
                     let promise = Self::ring_submit_blocking(ring, ds, op);
                     order.ring.push_back(req);
-                    let ran = Ran { kind: OpKind::Write, bytes, since: Instant::now(), overhead_secs };
+                    let ran = Ran { degraded: false, bytes, since: Instant::now() };
                     Flight::Ring(RingFlight { promise, ds, ran, probe: probe.map(Box::new) })
                 }))
             }
@@ -917,11 +886,10 @@ impl AsyncVol {
                         );
                         let since = Instant::now();
                         let outcome = sh.land(&c, ds, &sel, payload, req, since);
-                        let ran = Ran { kind: OpKind::Write, bytes, since, overhead_secs };
+                        let ran = Ran { degraded: false, bytes, since };
                         // Settled the moment the write lands, not when
                         // somebody waits: the breaker counts consecutive
-                        // failures, and the observer feeds the model, as
-                        // writes finish.
+                        // failures as writes finish.
                         if let Err(e) = sh.settle(outcome, probe, Some(ran)) {
                             *stow.lock() = Some(e);
                         }
@@ -974,7 +942,7 @@ impl AsyncVol {
         }
         let since = Instant::now();
         let outcome = self.sh.land(c, ds, sel, Payload::Dram(data), salt, since);
-        let ran = Ran { kind: OpKind::DegradedWrite, bytes, since, overhead_secs: 0.0 };
+        let ran = Ran { degraded: true, bytes, since };
         self.sh.settle(outcome, None, Some(ran)).map(|()| Request::SYNC)
     }
 }
@@ -1055,12 +1023,6 @@ impl Vol for AsyncVol {
         });
         drop(read_span);
         self.sh.stats.record_read(bytes, io_secs, false);
-        self.sh.notify(OpRecord {
-            kind: OpKind::Read,
-            bytes,
-            io_secs,
-            overhead_secs: 0.0,
-        });
         Ok(ReadRequest::resolved(result))
     }
 
@@ -1108,8 +1070,8 @@ impl AsyncVol {
             pf.extend(inner.prefetched.values().map(|s| s.handle.clone()));
             (flights, pf)
         };
-        // Request order, not map order: observer records and retries
-        // must not depend on the hasher.
+        // Request order, not map order: settlement and retries must not
+        // depend on the hasher.
         flights.sort_by_key(|(req, _)| *req);
         // Aggregate EVERY failure — first-error-wins would silently drop
         // the rest, and a checkpoint writer deciding what to re-drive

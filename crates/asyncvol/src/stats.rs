@@ -5,41 +5,10 @@
 //! typed view over named registry handles (`vol.writes`, `vol.retries`,
 //! …): the connector bumps its handles lock-free, and any consumer of
 //! the tracer's registry (the operator report) sees the same numbers
-//! under the same names with no duplicated atomics. [`OpRecord`]s go to
-//! the optional observer for the model's feedback loop (Fig. 2). Times are accumulated as integer nanoseconds
-//! so the counters stay atomic.
+//! under the same names with no duplicated atomics. Times are accumulated
+//! as integer nanoseconds so the counters stay atomic.
 
 use apio_trace::{Counter, Event, Metrics, Tracer};
-
-/// Which kind of operation an [`OpRecord`] describes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum OpKind {
-    /// Background dataset write (already snapshotted).
-    Write,
-    /// Blocking (cold) dataset read.
-    Read,
-    /// Background prefetch read.
-    Prefetch,
-    /// Synchronous passthrough write issued while the circuit breaker has
-    /// degraded the connector (correct but slow — the caller pays the
-    /// full I/O time). The observer seeing these is how the model layer
-    /// learns the pipeline has changed regime.
-    DegradedWrite,
-}
-
-/// One completed operation, as delivered to the observer.
-#[derive(Clone, Copy, Debug)]
-pub struct OpRecord {
-    /// Which operation completed.
-    pub kind: OpKind,
-    /// Payload bytes moved.
-    pub bytes: u64,
-    /// Time spent in the container/storage (seconds).
-    pub io_secs: f64,
-    /// Transactional (snapshot) time charged to the caller (seconds);
-    /// nonzero only for writes.
-    pub overhead_secs: f64,
-}
 
 /// Registry names for every connector counter, in snapshot order.
 /// Reports iterate the registry, so the names are the public contract.

@@ -8,7 +8,7 @@ use apio_bench::harness::{bench, section};
 use apio_core::history::{Direction, History, IoMode, TransferRecord};
 use apio_core::ratemodel::RateModel;
 use apio_core::regression::{Design, LinearFit};
-use apio_core::{AdaptiveRuntime, Observation};
+use apio_core::AdaptiveRuntime;
 use std::hint::black_box;
 
 fn saturating_history(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -69,7 +69,7 @@ fn advisory_decision() {
         });
     }
     let mut rt = AdaptiveRuntime::with_history(history);
-    rt.observe(Observation::Compute { secs: 30.0 });
+    rt.observe_compute(30.0);
     // Warm the fit cache.
     rt.advise(Direction::Write, 1e9, 768).unwrap();
     bench("advise_warm", || {

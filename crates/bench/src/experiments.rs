@@ -1,12 +1,13 @@
 //! The experiments behind every figure.
 
-use apio_core::history::{Direction, History, IoMode, TransferRecord};
+use apio_core::history::{Direction, IoMode};
 use apio_core::ratemodel::RateModel;
 use apio_core::regression::r2_simple;
+use apio_core::AdaptiveRuntime;
 use desim::SimRng;
 use kernels::vpic::PAPER_BYTES_PER_RANK;
 use mpisim::workload::StagingTier;
-use mpisim::{run, Job, RunConfig, Workload};
+use mpisim::{run, Job, RunConfig, RunResult, Workload};
 use platform::{cori_haswell, summit, SystemConfig};
 
 /// Number of repeated runs per configuration ("at least 5 times across
@@ -54,34 +55,48 @@ pub struct BwFigure {
     pub async_relerr: f64,
 }
 
-/// Run one (workload, mode) configuration `RUNS_PER_CONFIG` times with
-/// fresh contention draws; returns all per-run peak bandwidths.
-fn repeated_peaks(
+/// Run one (workload, mode) configuration `runs` times with fresh
+/// contention draws.
+fn repeated_runs(
     system: &SystemConfig,
     w: &Workload,
     mode: IoMode,
+    runs: u32,
     rng: &mut SimRng,
-) -> Vec<f64> {
+) -> Vec<RunResult> {
     let job = Job::new(system.clone(), w.ranks);
-    (0..RUNS_PER_CONFIG)
+    (0..runs)
         .map(|_| {
             let contention = system.contention.sample(rng);
             let cfg = match mode {
                 IoMode::Sync => RunConfig::sync().with_contention(contention),
                 IoMode::Async => RunConfig::async_io().with_contention(contention),
             };
-            run(&job, w, &cfg).peak_bandwidth()
+            run(&job, w, &cfg)
         })
         .collect()
 }
 
-fn peak(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+/// Run one configuration `RUNS_PER_CONFIG` times and feed every run into
+/// `rt`; returns the best per-run peak bandwidth.
+fn feed_repeated(
+    rt: &mut AdaptiveRuntime,
+    system: &SystemConfig,
+    w: &Workload,
+    mode: IoMode,
+    rng: &mut SimRng,
+) -> f64 {
+    let mut best = f64::NEG_INFINITY;
+    for r in repeated_runs(system, w, mode, RUNS_PER_CONFIG, rng) {
+        r.feed(rt, w, mode);
+        best = best.max(r.peak_bandwidth());
+    }
+    best
 }
 
 /// Generic bandwidth-vs-scale sweep used by Figs. 3–6: run both modes at
-/// every rank count, fit both models on the collected history, attach the
-/// estimates.
+/// every rank count, fit both models on the history the runs fed,
+/// attach the estimates.
 pub fn bandwidth_sweep(
     id: &'static str,
     title: String,
@@ -90,40 +105,21 @@ pub fn bandwidth_sweep(
     seed: u64,
 ) -> BwFigure {
     let mut rng = SimRng::seed_from_u64(seed);
-    let mut history = History::new();
+    let mut rt = AdaptiveRuntime::new();
     let direction = workloads[0].direction;
     let mut raw: Vec<(u32, u32, f64, f64)> = Vec::new();
 
     for w in workloads {
         let nodes = system.nodes_for_ranks(w.ranks);
-        let total = w.per_rank_bytes as f64 * w.ranks as f64;
-        let sync_peaks = repeated_peaks(system, w, IoMode::Sync, &mut rng);
-        let async_peaks = repeated_peaks(system, w, IoMode::Async, &mut rng);
-        for &bw in &sync_peaks {
-            history.push(TransferRecord {
-                data_size: total,
-                ranks: w.ranks,
-                mode: IoMode::Sync,
-                direction,
-                rate: bw,
-            });
-        }
-        for &bw in &async_peaks {
-            history.push(TransferRecord {
-                data_size: total,
-                ranks: w.ranks,
-                mode: IoMode::Async,
-                direction,
-                rate: bw,
-            });
-        }
-        raw.push((w.ranks, nodes, peak(&sync_peaks), peak(&async_peaks)));
+        let sync_bw = feed_repeated(&mut rt, system, w, IoMode::Sync, &mut rng);
+        let async_bw = feed_repeated(&mut rt, system, w, IoMode::Async, &mut rng);
+        raw.push((w.ranks, nodes, sync_bw, async_bw));
     }
 
-    let sync_model =
-        RateModel::fit(&history, IoMode::Sync, direction).expect("enough sync history");
+    let history = rt.history();
+    let sync_model = RateModel::fit(history, IoMode::Sync, direction).expect("enough sync history");
     let async_model =
-        RateModel::fit(&history, IoMode::Async, direction).expect("enough async history");
+        RateModel::fit(history, IoMode::Async, direction).expect("enough async history");
 
     let rows: Vec<BwRow> = raw
         .iter()
@@ -349,23 +345,15 @@ pub fn fig7() -> Vec<DurationRow> {
     // would have gathered on earlier Nyx runs (the checkpoint size is
     // frequency-independent, so distinct configurations come from the
     // rank sweep, not the steps sweep).
-    let mut history = History::new();
+    let mut rt = AdaptiveRuntime::new();
     for r in [512u32, 1024, 2048, 4096] {
         let w = base.workload(r);
         for mode in [IoMode::Sync, IoMode::Async] {
-            for bw in repeated_peaks(&sys, &w, mode, &mut rng) {
-                history.push(TransferRecord {
-                    data_size: w.per_rank_bytes as f64 * r as f64,
-                    ranks: r,
-                    mode,
-                    direction: Direction::Write,
-                    rate: bw,
-                });
-            }
+            feed_repeated(&mut rt, &sys, &w, mode, &mut rng);
         }
     }
-    let sync_model = RateModel::fit(&history, IoMode::Sync, Direction::Write).unwrap();
-    let async_model = RateModel::fit(&history, IoMode::Async, Direction::Write).unwrap();
+    let sync_model = RateModel::fit(rt.history(), IoMode::Sync, Direction::Write).unwrap();
+    let async_model = RateModel::fit(rt.history(), IoMode::Async, Direction::Write).unwrap();
 
     // 192 total simulation steps; every sweep point divides it exactly.
     const TOTAL_STEPS: u32 = 192;
@@ -450,19 +438,10 @@ pub fn fig8() -> Vec<VariabilityRow> {
         .iter()
         .map(|&ranks| {
             let w = Workload::checkpoint(ranks, PAPER_BYTES_PER_RANK, 5, 30.0);
-            let job = Job::new(sys.clone(), ranks);
             let sample = |mode: IoMode, rng: &mut SimRng| -> Vec<f64> {
-                (0..25)
-                    .map(|_| {
-                        let contention = sys.contention.sample(rng);
-                        let cfg = match mode {
-                            IoMode::Sync => RunConfig::sync().with_contention(contention),
-                            IoMode::Async => {
-                                RunConfig::async_io().with_contention(contention)
-                            }
-                        };
-                        run(&job, &w, &cfg).peak_bandwidth()
-                    })
+                repeated_runs(&sys, &w, mode, 25, rng)
+                    .iter()
+                    .map(RunResult::peak_bandwidth)
                     .collect()
             };
             VariabilityRow {

@@ -1,9 +1,10 @@
 //! The model feedback loop (Fig. 2).
 //!
 //! An [`AdaptiveRuntime`] sits beside a high-level I/O library: the
-//! library streams in observations (compute phases, transfers, snapshot
-//! overheads), the runtime maintains the history and refits the rate
-//! models lazily, and before each I/O phase the library asks for advice.
+//! library streams in compute phases and [`TransferRecord`]s (storage
+//! transfers as `Sync`, snapshot copies as `Async`), the runtime
+//! maintains the history and refits the rate models lazily, and before
+//! each I/O phase the library asks for advice.
 //! This is exactly the architecture the paper sketches in Fig. 2 — "a
 //! model feedback loop added to a high-level I/O library".
 //!
@@ -54,42 +55,6 @@ const PH_WARMUP: f64 = 5.0;
 /// for wall-clock rates with scheduler noise in them; an 8x step
 /// (`ln 8 ≈ 2.1`) still fires within two epochs, a 20x step within one.
 const PH_LAMBDA: f64 = 2.0;
-
-/// One event streamed into the loop.
-#[derive(Clone, Copy, Debug)]
-pub enum Observation {
-    /// A computation phase completed.
-    Compute {
-        /// Wall time of the phase.
-        secs: f64,
-    },
-    /// A collective transfer completed: `total_bytes` across `ranks` in
-    /// `secs`, in the given mode and direction.
-    Transfer {
-        /// I/O mode the transfer ran under.
-        mode: IoMode,
-        /// Read or write.
-        direction: Direction,
-        /// Bytes moved across all ranks.
-        total_bytes: f64,
-        /// Participating ranks.
-        ranks: u32,
-        /// Wall time of the transfer.
-        secs: f64,
-    },
-    /// A transactional snapshot completed (async write path): recorded as
-    /// an `Async` transfer so it feeds the overhead model.
-    SnapshotOverhead {
-        /// Read or write.
-        direction: Direction,
-        /// Bytes snapshotted across all ranks.
-        total_bytes: f64,
-        /// Participating ranks.
-        ranks: u32,
-        /// Wall time of the snapshot copy.
-        secs: f64,
-    },
-}
 
 /// Which way the aggregate I/O rate moved when an alarm fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -260,48 +225,21 @@ impl AdaptiveRuntime {
         alarm
     }
 
-    /// Stream in one observation.
-    pub fn observe(&mut self, obs: Observation) {
-        match obs {
-            Observation::Compute { secs } => self.comp.observe(secs),
-            Observation::Transfer {
-                mode,
-                direction,
-                total_bytes,
-                ranks,
-                secs,
-            } => {
-                if secs > 0.0 && total_bytes > 0.0 {
-                    self.history.push(TransferRecord::from_time(
-                        total_bytes,
-                        ranks,
-                        mode,
-                        direction,
-                        secs,
-                    ));
-                    // Storage transfers carry the rate evidence the drift
-                    // detector watches (snapshot copies are memcpy, not
-                    // storage, and would dilute the signal).
-                    self.epoch_bytes += total_bytes;
-                    self.epoch_secs += secs;
-                }
-            }
-            Observation::SnapshotOverhead {
-                direction,
-                total_bytes,
-                ranks,
-                secs,
-            } => {
-                if secs > 0.0 && total_bytes > 0.0 {
-                    self.history.push(TransferRecord::from_time(
-                        total_bytes,
-                        ranks,
-                        IoMode::Async,
-                        direction,
-                        secs,
-                    ));
-                }
-            }
+    /// A computation phase of `secs` completed.
+    pub fn observe_compute(&mut self, secs: f64) {
+        self.comp.observe(secs);
+    }
+
+    /// A transfer completed. A `Sync` record is a storage transfer: it
+    /// also adds to the epoch in progress, whose rate the drift detector
+    /// watches. An `Async` record is a snapshot copy (memcpy, not
+    /// storage, which would dilute that signal) and goes to the history
+    /// only.
+    pub fn observe(&mut self, rec: TransferRecord) {
+        self.history.push(rec);
+        if rec.mode == IoMode::Sync {
+            self.epoch_bytes += rec.data_size;
+            self.epoch_secs += rec.io_time(rec.data_size);
         }
     }
 
@@ -370,26 +308,20 @@ impl AdaptiveRuntime {
 mod tests {
     use super::*;
 
+    /// A write of `bytes` across `ranks` in `secs`.
+    fn write(mode: IoMode, bytes: f64, ranks: u32, secs: f64) -> TransferRecord {
+        TransferRecord::from_time(bytes, ranks, mode, Direction::Write, secs)
+    }
+
     fn feed_epochs(rt: &mut AdaptiveRuntime, n: usize) {
         // Simulate a weak-scaling style history across several scales.
-        for (i, ranks) in [6u32, 24, 96, 384, 1536].iter().enumerate().take(n) {
-            let nodes = *ranks as f64 / 6.0;
-            let bytes = *ranks as f64 * 32e6;
-            rt.observe(Observation::Compute { secs: 30.0 });
-            rt.observe(Observation::Transfer {
-                mode: IoMode::Sync,
-                direction: Direction::Write,
-                total_bytes: bytes,
-                ranks: *ranks,
-                secs: bytes / (nodes * 2.7e9).min(330e9),
-            });
-            rt.observe(Observation::SnapshotOverhead {
-                direction: Direction::Write,
-                total_bytes: bytes,
-                ranks: *ranks,
-                secs: bytes / (nodes * 10e9),
-            });
-            let _ = i;
+        for &ranks in [6u32, 24, 96, 384, 1536].iter().take(n) {
+            let nodes = ranks as f64 / 6.0;
+            let bytes = ranks as f64 * 32e6;
+            rt.observe_compute(30.0);
+            let sync_secs = bytes / (nodes * 2.7e9).min(330e9);
+            rt.observe(write(IoMode::Sync, bytes, ranks, sync_secs));
+            rt.observe(write(IoMode::Async, bytes, ranks, bytes / (nodes * 10e9)));
         }
     }
 
@@ -397,7 +329,7 @@ mod tests {
     fn advise_before_any_data_fails_cleanly() {
         let mut rt = AdaptiveRuntime::new();
         assert!(rt.advise(Direction::Write, 1e9, 64).is_err());
-        rt.observe(Observation::Compute { secs: 1.0 });
+        rt.observe_compute(1.0);
         // Compute known but no transfers: still an error.
         assert!(rt.advise(Direction::Write, 1e9, 64).is_err());
     }
@@ -418,13 +350,8 @@ mod tests {
         let a1 = rt.advise(Direction::Write, 1e9, 96).unwrap();
         // New observations shift the sync model sharply downward.
         for _ in 0..10 {
-            rt.observe(Observation::Transfer {
-                mode: IoMode::Sync,
-                direction: Direction::Write,
-                total_bytes: 96.0 * 32e6,
-                ranks: 96,
-                secs: 100.0, // terrible sync performance
-            });
+            // Terrible sync performance.
+            rt.observe(write(IoMode::Sync, 96.0 * 32e6, 96, 100.0));
         }
         let a2 = rt.advise(Direction::Write, 1e9, 96).unwrap();
         // Peak-rate fitting means the *ideal* stays; this mostly checks
@@ -447,7 +374,7 @@ mod tests {
         feed_epochs(&mut rt, 5);
         let text = rt.history().to_text();
         let mut rt2 = AdaptiveRuntime::with_history(History::from_text(&text).unwrap());
-        rt2.observe(Observation::Compute { secs: 30.0 });
+        rt2.observe_compute(30.0);
         let advice = rt2.advise(Direction::Write, 768.0 * 32e6, 768).unwrap();
         assert_eq!(advice.mode, IoMode::Async);
     }
@@ -458,13 +385,7 @@ mod tests {
         let mut last = None;
         for _ in 0..n {
             let bytes = (1u64 << 20) as f64;
-            rt.observe(Observation::Transfer {
-                mode: IoMode::Sync,
-                direction: Direction::Write,
-                total_bytes: bytes,
-                ranks: 1,
-                secs: bytes / rate,
-            });
+            rt.observe(write(IoMode::Sync, bytes, 1, bytes / rate));
             if let Some(a) = rt.end_epoch() {
                 last = Some(a);
             }
@@ -558,20 +479,10 @@ mod tests {
     fn drift_epoch(rt: &mut AdaptiveRuntime, i: usize, io_rate: f64) -> Option<DriftAlarm> {
         let ranks = [64u32, 128, 256][i % 3];
         let bytes = ranks as f64 * 32e6;
-        rt.observe(Observation::Compute { secs: 2.0 });
-        rt.observe(Observation::Transfer {
-            mode: IoMode::Sync,
-            direction: Direction::Write,
-            total_bytes: bytes,
-            ranks,
-            secs: bytes / io_rate,
-        });
-        rt.observe(Observation::SnapshotOverhead {
-            direction: Direction::Write,
-            total_bytes: bytes,
-            ranks,
-            secs: bytes / 10e9, // 10 GB/s memcpy, fixed
-        });
+        rt.observe_compute(2.0);
+        rt.observe(write(IoMode::Sync, bytes, ranks, bytes / io_rate));
+        // 10 GB/s memcpy, fixed.
+        rt.observe(write(IoMode::Async, bytes, ranks, bytes / 10e9));
         rt.end_epoch()
     }
 
@@ -623,18 +534,5 @@ mod tests {
         let after = rt.advise(Direction::Write, 64.0 * 32e6, 64).unwrap();
         assert_eq!(after.mode, IoMode::Async, "slow storage: async wins");
         assert_eq!(rt.drift_alarms().len(), 1);
-    }
-
-    #[test]
-    fn degenerate_observations_ignored() {
-        let mut rt = AdaptiveRuntime::new();
-        rt.observe(Observation::Transfer {
-            mode: IoMode::Sync,
-            direction: Direction::Write,
-            total_bytes: 0.0,
-            ranks: 4,
-            secs: 0.0,
-        });
-        assert!(rt.history().is_empty());
     }
 }

@@ -100,6 +100,11 @@ impl TransferRecord {
     }
 }
 
+/// Whether `x` can be a transfer's size or rate: finite and above zero.
+fn positive(x: f64) -> bool {
+    x.is_finite() && x > 0.0
+}
+
 /// Collection of transfer records with model-oriented queries. Grows by
 /// appending; the only removal is [`discard_oldest`](History::discard_oldest)
 /// (drift-triggered forgetting of a stale regime).
@@ -114,11 +119,11 @@ impl History {
         History::default()
     }
 
-    /// Append a record (its rate must be positive and finite).
+    /// Append a record (its size and rate must be positive and finite).
     pub fn push(&mut self, r: TransferRecord) {
         assert!(
-            r.rate.is_finite() && r.rate > 0.0,
-            "rate must be positive and finite"
+            positive(r.data_size) && positive(r.rate),
+            "size and rate must be positive and finite"
         );
         self.records.push(r);
     }
@@ -215,20 +220,20 @@ impl History {
                     fields.len()
                 )));
             }
-            let parse_f = |s: &str, what: &str| {
-                s.parse::<f64>()
-                    .map_err(|_| ModelError(format!("line {}: bad {what} '{s}'", lineno + 1)))
+            // Rust parses "NaN" and "inf" as f64, so a number that parses
+            // is not yet a size or a rate.
+            let parse_f = |s: &str, what: &str| match s.parse::<f64>() {
+                Ok(x) if positive(x) => Ok(x),
+                _ => Err(ModelError(format!("line {}: bad {what} '{s}'", lineno + 1))),
             };
             let data_size = parse_f(fields[0], "size")?;
-            let ranks: u32 = fields[1]
-                .parse()
-                .map_err(|_| ModelError(format!("line {}: bad ranks", lineno + 1)))?;
+            let ranks: u32 = match fields[1].parse() {
+                Ok(n) if n > 0 => n,
+                _ => return Err(ModelError(format!("line {}: bad ranks", lineno + 1))),
+            };
             let mode = IoMode::from_tag(fields[2])?;
             let direction = Direction::from_tag(fields[3])?;
             let rate = parse_f(fields[4], "rate")?;
-            if !(rate.is_finite() && rate > 0.0) {
-                return Err(ModelError(format!("line {}: non-positive rate", lineno + 1)));
-            }
             h.push(TransferRecord {
                 data_size,
                 ranks,
@@ -328,6 +333,30 @@ mod tests {
         assert!(History::from_text("1000 4 sync sideways 500").is_err());
         assert!(History::from_text("1000 4 sync write -5").is_err());
         assert!(History::from_text("x 4 sync write 500").is_err());
+    }
+
+    #[test]
+    fn sizes_rates_and_ranks_that_cannot_be_a_transfer_are_rejected_with_their_line() {
+        for bad in [
+            "NaN 4 sync write 500",
+            "inf 4 sync write 500",
+            "0 4 sync write 500",
+            "-1000 4 sync write 500",
+            "1000 0 sync write 500",
+            "1000 4 sync write NaN",
+            "1000 4 sync write inf",
+        ] {
+            let text = format!("# apio-history v1\n1000 4 sync write 500\n{bad}\n");
+            let err = History::from_text(&text).expect_err(bad);
+            assert!(err.0.starts_with("line 3:"), "{bad}: {}", err.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn nan_size_rejected_on_push() {
+        let mut h = History::new();
+        h.push(rec(f64::NAN, 1, IoMode::Sync, 1.0));
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! - [`advisor`] — the decision procedure: given estimated compute time,
 //!   I/O time, and transactional overhead, recommend synchronous or
 //!   asynchronous I/O for the next epoch.
-//! - [`adaptive`] — the Fig. 2 feedback loop: observations stream in from
-//!   the I/O library's instrumentation, the history updates, and each
-//!   epoch gets a fresh recommendation. At each epoch boundary a
+//! - [`adaptive`] — the Fig. 2 feedback loop: compute phases and
+//!   [`TransferRecord`]s stream in (a simulated or measured run feeds
+//!   them through `mpisim::RunResult::feed`), the history updates, and
+//!   each epoch gets a fresh recommendation. At each epoch boundary a
 //!   Page–Hinkley test on the epoch's log-rate watches for drift; its
 //!   alarm forgets the stale regime and forces a refit (the runtime half
 //!   of Fig. 2).
@@ -33,7 +34,7 @@
 //!   and as a machine-readable JSON snapshot.
 //!
 //! The crate is deliberately independent of the connector and simulator
-//! crates: it consumes plain observations and produces plain estimates, so
+//! crates: it consumes plain transfer records and produces plain estimates, so
 //! it can be embedded in a real I/O library (as the paper proposes) or in
 //! the simulator's figure harnesses.
 
@@ -47,7 +48,7 @@ pub mod ratemodel;
 pub mod regression;
 pub mod report;
 
-pub use adaptive::{AdaptiveRuntime, DriftAlarm, DriftDirection, Observation};
+pub use adaptive::{AdaptiveRuntime, DriftAlarm, DriftDirection};
 pub use advisor::{Advice, ModeAdvisor};
 pub use epoch::{async_epoch_time, sync_epoch_time, app_time, EpochParams, Scenario};
 pub use error_msg::ModelError;

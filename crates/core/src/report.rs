@@ -492,28 +492,24 @@ impl ReportBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::Observation;
-    use crate::history::Direction;
+    use crate::history::{Direction, TransferRecord};
 
     fn runtime_with_drift() -> AdaptiveRuntime {
         let mut rt = AdaptiveRuntime::new();
         for i in 0..10u32 {
             let ranks = [64u32, 128, 256][(i % 3) as usize];
             let bytes = ranks as f64 * 32e6;
-            rt.observe(Observation::Compute { secs: 2.0 });
-            rt.observe(Observation::Transfer {
-                mode: IoMode::Sync,
-                direction: Direction::Write,
-                total_bytes: bytes,
-                ranks,
-                secs: bytes / 100e9,
-            });
-            rt.observe(Observation::SnapshotOverhead {
-                direction: Direction::Write,
-                total_bytes: bytes,
-                ranks,
-                secs: bytes / 10e9,
-            });
+            rt.observe_compute(2.0);
+            for (mode, rate) in [(IoMode::Sync, 100e9), (IoMode::Async, 10e9)] {
+                let secs = bytes / rate;
+                rt.observe(TransferRecord::from_time(
+                    bytes,
+                    ranks,
+                    mode,
+                    Direction::Write,
+                    secs,
+                ));
+            }
             rt.end_epoch();
         }
         rt

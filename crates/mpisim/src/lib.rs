@@ -14,6 +14,8 @@
 //!   snapshot (plus any un-overlapped remainder) for asynchronous I/O.
 //!   This matches the paper's measurement: "the measured time of read or
 //!   write operations includes the transactional overhead".
+//!   [`workload::RunResult::feed`] is how a run, simulated or real,
+//!   reaches the model's feedback loop: one transfer record per epoch.
 //! - [`runner`] — the executor: [`runner::run`] walks the paper's
 //!   Eq. 1–2 epoch by epoch in closed form, plus buffer depth and the
 //!   prefetch chain. An event-driven run of the same semantics on the

@@ -1,6 +1,7 @@
 //! Epoch-structured workload descriptions and run measurements.
 
-use apio_core::history::{Direction, IoMode};
+use apio_core::history::{Direction, IoMode, TransferRecord};
+use apio_core::AdaptiveRuntime;
 
 /// A seeded straggler/interference perturbation of the compute phases
 /// (DESIGN.md §16). The default is the identity: every rank computes the
@@ -275,6 +276,30 @@ impl RunResult {
     pub fn total_visible_io(&self) -> f64 {
         self.phases.iter().map(|p| p.visible_io_secs).sum()
     }
+
+    /// Feed this run of `w` under `mode` into the model's feedback loop
+    /// (Fig. 2): per epoch, its compute phase, then one transfer record
+    /// of the epoch's bytes over its visible I/O time — what
+    /// [`phase_bandwidths`](Self::phase_bandwidths) divides by. An epoch
+    /// with no bytes, or with a visible time that is not positive and
+    /// finite, adds no record. Epoch boundaries are the caller's:
+    /// this does not call [`AdaptiveRuntime::end_epoch`].
+    pub fn feed(&self, rt: &mut AdaptiveRuntime, w: &Workload, mode: IoMode) {
+        for p in &self.phases {
+            rt.observe_compute(p.t_comp);
+            let secs = p.visible_io_secs;
+            if self.phase_bytes > 0 && secs.is_finite() && secs > 0.0 {
+                let bytes = self.phase_bytes as f64;
+                rt.observe(TransferRecord::from_time(
+                    bytes,
+                    w.ranks,
+                    mode,
+                    w.direction,
+                    secs,
+                ));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -379,5 +404,64 @@ mod tests {
         assert_eq!(r.phase_bandwidths(), vec![50.0, 100.0]);
         assert_eq!(r.peak_bandwidth(), 100.0);
         assert_eq!(r.total_visible_io(), 3.0);
+    }
+
+    #[test]
+    fn feed_gives_one_record_per_epoch_at_its_bandwidth() {
+        let mut rt = AdaptiveRuntime::new();
+        let mut comp = apio_core::CompEstimator::new();
+        for ranks in [96u32, 192, 384] {
+            let w = Workload::checkpoint(ranks, 32 << 20, 4, 3.0).with_jitter(0.5, 7);
+            let job = crate::Job::new(platform::summit(), ranks);
+            for cfg in [RunConfig::sync(), RunConfig::async_io()] {
+                let run = crate::run(&job, &w, &cfg);
+                let before = rt.history().len();
+                run.feed(&mut rt, &w, cfg.mode);
+                let fed = &rt.history().records()[before..];
+                assert_eq!(fed.len(), run.phases.len(), "one record per epoch");
+                for (rec, bw) in fed.iter().zip(run.phase_bandwidths()) {
+                    assert_eq!((rec.mode, rec.direction), (cfg.mode, Direction::Write));
+                    assert_eq!((rec.ranks, rec.data_size), (ranks, run.phase_bytes as f64));
+                    assert_eq!(rec.rate, bw);
+                }
+                run.phases.iter().for_each(|p| comp.observe(p.t_comp));
+            }
+        }
+        let advice = rt
+            .advise(Direction::Write, 1e9, 96)
+            .expect("three scales per mode fit");
+        assert_eq!(
+            Some(advice.params.t_comp),
+            comp.estimate(),
+            "every t_comp reached it"
+        );
+    }
+
+    #[test]
+    fn feed_skips_epochs_without_a_visible_time() {
+        let phase = |visible_io_secs: f64| PhaseMeasure {
+            t_comp: 1.0,
+            visible_io_secs,
+            overhead_secs: 0.0,
+            background_io_secs: visible_io_secs,
+        };
+        let run = RunResult {
+            phases: [0.0, f64::NAN, -1.0, f64::INFINITY, 2.0]
+                .map(phase)
+                .to_vec(),
+            wall_secs: 10.0,
+            phase_bytes: 100,
+        };
+        let w = Workload::checkpoint(4, 25, 5, 1.0);
+        let mut rt = AdaptiveRuntime::new();
+        run.feed(&mut rt, &w, IoMode::Sync);
+        assert_eq!(rt.history().len(), 1, "only the 2 s epoch is a transfer");
+        assert_eq!(rt.history().records()[0].rate, 50.0);
+        let empty = RunResult {
+            phase_bytes: 0,
+            ..run
+        };
+        empty.feed(&mut rt, &w, IoMode::Sync);
+        assert_eq!(rt.history().len(), 1, "an epoch of no bytes adds nothing");
     }
 }

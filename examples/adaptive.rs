@@ -6,13 +6,13 @@
 //! ```
 //!
 //! The "application" here is VPIC-IO simulated on the Summit model: we
-//! replay a weak-scaling campaign, stream every observed phase into an
-//! [`apio::model::AdaptiveRuntime`], and query the advisor before each new
-//! configuration.
+//! replay a weak-scaling campaign, feed every run into an
+//! [`apio::model::AdaptiveRuntime`] with `RunResult::feed`, and query the
+//! advisor before each new configuration.
 
 use apio::kernels::vpic::PAPER_BYTES_PER_RANK;
 use apio::model::history::{Direction, IoMode};
-use apio::model::{AdaptiveRuntime, Observation};
+use apio::model::AdaptiveRuntime;
 use apio::mpisim::{run, Job, RunConfig, Workload};
 use apio::platform::summit;
 
@@ -24,33 +24,13 @@ fn main() {
     for ranks in [96u32, 192, 384] {
         let w = Workload::checkpoint(ranks, PAPER_BYTES_PER_RANK, 3, 30.0);
         let job = Job::new(sys.clone(), ranks);
-        let total = w.per_rank_bytes as f64 * ranks as f64;
 
         for (mode, cfg) in [
             (IoMode::Sync, RunConfig::sync()),
             (IoMode::Async, RunConfig::async_io()),
         ] {
             let result = run(&job, &w, &cfg);
-            for phase in &result.phases {
-                loop_.observe(Observation::Compute {
-                    secs: phase.t_comp,
-                });
-                match mode {
-                    IoMode::Sync => loop_.observe(Observation::Transfer {
-                        mode,
-                        direction: Direction::Write,
-                        total_bytes: total,
-                        ranks,
-                        secs: phase.visible_io_secs,
-                    }),
-                    IoMode::Async => loop_.observe(Observation::SnapshotOverhead {
-                        direction: Direction::Write,
-                        total_bytes: total,
-                        ranks,
-                        secs: phase.visible_io_secs,
-                    }),
-                }
-            }
+            result.feed(&mut loop_, &w, mode);
             println!(
                 "  observed {ranks:>5} ranks {mode:?}: peak {:.1} GB/s over {} phases",
                 result.peak_bandwidth() / 1e9,
@@ -80,7 +60,7 @@ fn main() {
     // overhead cannot be amortized and the advisor flips to synchronous.
     // (The EWMA needs a few dozen samples to forget the 30 s phases.)
     for _ in 0..60 {
-        loop_.observe(Observation::Compute { secs: 1e-4 });
+        loop_.observe_compute(1e-4);
     }
     let ranks = 3072;
     let total = PAPER_BYTES_PER_RANK as f64 * ranks as f64;

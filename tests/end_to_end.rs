@@ -7,7 +7,7 @@ use apio::asyncvol::AsyncVol;
 use apio::h5lite::{Container, Dataspace, File, ThrottledBackend};
 use apio::kernels::{bdcats, make_file, vpic};
 use apio::model::history::{Direction, IoMode};
-use apio::model::{AdaptiveRuntime, Observation};
+use apio::model::AdaptiveRuntime;
 use apio::mpisim::{run, Job, RunConfig, Workload};
 use apio::platform::summit;
 
@@ -80,36 +80,19 @@ fn real_and_simulated_runs_fill_one_record() {
 
 #[test]
 fn real_measurements_feed_the_model() {
-    // Run the real kernel at several scales, stream the actual measured
-    // phases into the adaptive runtime, and get a usable fit out.
+    // Run the real kernel at several scales, feed the measured runs into
+    // the adaptive runtime, and get a usable fit out.
     let mut rt = AdaptiveRuntime::new();
     for ranks in [2u32, 4, 8] {
-        let w = Workload::checkpoint(ranks, (1 << 12) * 32, 3, 0.0);
+        let w = Workload::checkpoint(ranks, (1 << 12) * 32, 3, 0.05);
         for mode in [IoMode::Sync, IoMode::Async] {
             let backend = Arc::new(ThrottledBackend::in_memory(300e6, 2e-4));
             let (file, vol) = make_file(Arc::new(Container::create(backend)), mode);
             let result = vpic::run_real(&file, vol.as_deref(), &w).unwrap();
-            for phase in &result.phases {
-                rt.observe(Observation::Compute { secs: 0.05 });
-                let obs = match mode {
-                    IoMode::Sync => Observation::Transfer {
-                        mode: IoMode::Sync,
-                        direction: Direction::Write,
-                        total_bytes: result.phase_bytes as f64,
-                        ranks,
-                        secs: phase.visible_io_secs,
-                    },
-                    IoMode::Async => Observation::SnapshotOverhead {
-                        direction: Direction::Write,
-                        total_bytes: result.phase_bytes as f64,
-                        ranks,
-                        secs: phase.visible_io_secs,
-                    },
-                };
-                rt.observe(obs);
-            }
+            result.feed(&mut rt, &w, mode);
         }
     }
+    assert_eq!(rt.history().len(), 3 * 2 * 3, "one record per epoch");
     let advice = rt
         .advise(Direction::Write, 8.0 * (1 << 17) as f64, 8)
         .expect("enough real history to fit");
@@ -117,49 +100,6 @@ fn real_measurements_feed_the_model() {
     // compute to hide behind: async must win.
     assert_eq!(advice.mode, IoMode::Async);
     assert!(advice.t_sync.is_finite() && advice.t_async > 0.0);
-}
-
-#[test]
-fn connector_observer_feeds_the_loop_automatically() {
-    // Wire the asyncvol observer straight into an AdaptiveRuntime —
-    // the Fig. 2 integration — and check transfers arrive.
-    use std::sync::Mutex;
-    let rt = Arc::new(Mutex::new(AdaptiveRuntime::new()));
-    let rt2 = rt.clone();
-    let ranks = 4u32;
-    let observer: apio::asyncvol::Observer = Arc::new(move |rec| {
-        let mut rt = rt2.lock().unwrap();
-        if rec.kind == apio::asyncvol::OpKind::Write {
-            rt.observe(Observation::SnapshotOverhead {
-                direction: Direction::Write,
-                total_bytes: rec.bytes as f64,
-                ranks,
-                secs: rec.overhead_secs,
-            });
-            rt.observe(Observation::Transfer {
-                mode: IoMode::Sync, // background write == what sync would pay
-                direction: Direction::Write,
-                total_bytes: rec.bytes as f64,
-                ranks,
-                secs: rec.io_secs,
-            });
-        }
-    });
-    let vol = Arc::new(AsyncVol::builder().observer(observer).build());
-
-    let backend = Arc::new(ThrottledBackend::in_memory(200e6, 1e-4));
-    let file = File::from_parts(Arc::new(Container::create(backend)), vol);
-    let ds = file
-        .root()
-        .create_dataset::<f64>("x", &Dataspace::d1(1 << 16))
-        .unwrap();
-    let data = vec![1.0f64; 1 << 16];
-    for _ in 0..3 {
-        let _ = ds.write_async(&data).unwrap();
-    }
-    file.wait_all().unwrap();
-    let history_len = rt.lock().unwrap().history().len();
-    assert_eq!(history_len, 6, "3 writes × (overhead + background) records");
 }
 
 #[test]

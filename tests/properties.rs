@@ -13,7 +13,7 @@ use apio::h5lite::{
 };
 use apio::model::epoch::EpochParams;
 use apio::model::regression::{Design, LinearFit};
-use apio::model::{AdaptiveRuntime, Direction, DriftAlarm, DriftDirection, IoMode, Observation};
+use apio::model::{AdaptiveRuntime, Direction, DriftAlarm, DriftDirection, IoMode, TransferRecord};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -739,14 +739,8 @@ fn stationary_rate_noise_never_false_alarms() {
 
 /// One epoch's storage evidence for the drift properties: a single-rank
 /// sync write of `bytes` in `secs`.
-fn epoch_transfer(bytes: f64, secs: f64) -> Observation {
-    Observation::Transfer {
-        mode: IoMode::Sync,
-        direction: Direction::Write,
-        total_bytes: bytes,
-        ranks: 1,
-        secs,
-    }
+fn epoch_transfer(bytes: f64, secs: f64) -> TransferRecord {
+    TransferRecord::from_time(bytes, 1, IoMode::Sync, Direction::Write, secs)
 }
 
 /// A genuine step change in backend rate — the device bandwidth dropped

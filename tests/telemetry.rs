@@ -21,7 +21,7 @@
 //! alarm-driven truncation actually ran.
 
 use apio::model::history::{Direction, IoMode};
-use apio::model::{AdaptiveRuntime, DriftAlarm, Observation, ReportBuilder};
+use apio::model::{AdaptiveRuntime, DriftAlarm, ReportBuilder};
 use apio::mpisim::workload::StagingTier;
 use apio::mpisim::{run, Job, RunConfig, Workload};
 use apio::platform;
@@ -46,36 +46,18 @@ const SLOW: f64 = 0.0015;
 
 /// Application epoch `i`: run a one-epoch mpisim checkpoint both ways
 /// (blocking sync for the transfer evidence, NVMe-staged async for the
-/// snapshot-overhead evidence) and stream the measures into the runtime.
+/// snapshot-overhead evidence) and feed both runs into the runtime.
 fn run_epoch(rt: &mut AdaptiveRuntime, i: usize, contention: f64) -> Option<DriftAlarm> {
     let ranks = RANK_CYCLE[i % 3];
     let job = Job::new(platform::cori_haswell(), ranks);
     let w = Workload::checkpoint(ranks, PER_RANK_BYTES, 1, COMPUTE_SECS);
 
-    let sync = run(&job, &w, &RunConfig::sync().with_contention(contention));
-    let ovl = run(
-        &job,
-        &w,
-        &RunConfig::async_io()
-            .with_staging(StagingTier::Nvme)
-            .with_contention(contention),
-    );
-    let total_bytes = sync.phase_bytes as f64;
-    let p = sync.phases[0];
-    rt.observe(Observation::Compute { secs: p.t_comp });
-    rt.observe(Observation::Transfer {
-        mode: IoMode::Sync,
-        direction: Direction::Write,
-        total_bytes,
-        ranks,
-        secs: p.visible_io_secs,
-    });
-    rt.observe(Observation::SnapshotOverhead {
-        direction: Direction::Write,
-        total_bytes,
-        ranks,
-        secs: ovl.phases[0].overhead_secs,
-    });
+    let sync = RunConfig::sync().with_contention(contention);
+    run(&job, &w, &sync).feed(rt, &w, IoMode::Sync);
+    let staged = RunConfig::async_io()
+        .with_staging(StagingTier::Nvme)
+        .with_contention(contention);
+    run(&job, &w, &staged).feed(rt, &w, IoMode::Async);
     rt.end_epoch()
 }
 
