@@ -29,7 +29,9 @@
 //! reads served into the selection), failing with [`H5Error::Corrupt`]
 //! on a mismatch; [`Container::scrub`] walks every checksummed extent
 //! offline and [`Container::scrub_with`] read-repairs corrupt extents
-//! from a durable copy (e.g. the staging WAL). See DESIGN.md §13.
+//! from a durable copy (e.g. the staging WAL). The read-back, the
+//! verified read and scrub live in the `integrity` submodule
+//! (`src/integrity.rs`). See DESIGN.md §13.
 //!
 //! ## The metadata plane
 //!
@@ -52,14 +54,14 @@
 //! buffer (DESIGN.md §9, "Sieved spans"). See [`Container::plan_io`].
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use apio_trace::{Event, Tracer};
 
 use crate::sync::{Mutex, RwLock};
 
-use crate::checksum::{Algorithm, Checksum, Hasher};
+use crate::checksum::{Algorithm, Checksum};
 use crate::codec::{Reader, Writer};
 use crate::dataspace::{Dataspace, Selection};
 use crate::datatype::Datatype;
@@ -77,6 +79,15 @@ use crate::recycle;
 use crate::storage::{FileBackend, IoVec, IoVecMut, MemBackend, StorageBackend};
 use crate::superblock::{self, fnv1a64, Superblock, FNV_BASIS, SUPERBLOCK_AREA};
 
+#[path = "integrity.rs"]
+mod integrity;
+
+use integrity::{
+    hash_bytes, hash_lanes, serve_verified, HashJob, IntegrityCounters, VerifyExtent,
+    HASH_LANE_MIN_BYTES,
+};
+pub use integrity::{IntegrityStats, ScrubReport};
+
 /// Identifier of an object (group or dataset) within a container.
 pub type ObjectId = u64;
 
@@ -88,38 +99,6 @@ pub const ROOT_ID: ObjectId = 1;
 /// by `npoints / chunk_elems`, and an `u64::MAX`-element dataset cannot
 /// be allocated).
 const CONTIG_EXTENT: u64 = u64::MAX;
-
-/// Read-back lanes of [`Container::hash_extents`]: the service lanes one
-/// client gets from a PFS or an NVMe namespace
-/// ([`ThrottledBackend::DEFAULT_CHANNELS`](crate::storage::ThrottledBackend::DEFAULT_CHANNELS),
-/// and the knee of the ring's depth-scaling curve). A constant of the
-/// container, not a backend property: [`StorageBackend`] has no method
-/// to ask, and a wrapper written against it must see the same fan-out.
-const HASH_LANES: usize = 4;
-/// Dirty bytes a lane must be worth: below two lanes' worth (4 MiB) the
-/// read-back runs inline on the caller.
-const HASH_LANE_MIN_BYTES: u64 = 2 << 20;
-/// The longest read a hash issues, and the buffer a lane holds while it
-/// does: read-back memory is at most `HASH_LANES × HASH_WINDOW`, 32 MiB.
-const HASH_WINDOW: usize = 8 << 20;
-
-/// One extent for [`Container::hash_extents`] to read back and hash.
-struct HashJob {
-    addr: u64,
-    len: u64,
-    algorithm: Algorithm,
-}
-
-/// Bytes a read-back of `jobs` moves.
-fn hash_bytes(jobs: &[HashJob]) -> u64 {
-    jobs.iter().fold(0u64, |sum, job| sum.saturating_add(job.len))
-}
-
-/// Threads [`Container::hash_extents`] shares `jobs` over, the caller
-/// included.
-fn hash_lanes(jobs: &[HashJob]) -> u64 {
-    (hash_bytes(jobs) / HASH_LANE_MIN_BYTES).clamp(1, HASH_LANES.min(jobs.len()).max(1) as u64)
-}
 
 /// An attribute value: small typed metadata attached to any object.
 #[derive(Clone, PartialEq, Debug)]
@@ -200,15 +179,6 @@ pub struct Container {
     tracer: RwLock<Tracer>,
 }
 
-#[derive(Default)]
-struct IntegrityCounters {
-    verified_extents: AtomicU64,
-    checksum_failures: AtomicU64,
-    scrub_corrupt: AtomicU64,
-    scrub_repaired: AtomicU64,
-    superblock_fallbacks: AtomicU64,
-}
-
 // Statistics only: each publishes nothing but its own value.
 #[derive(Default)]
 struct SieveCounters {
@@ -231,53 +201,6 @@ pub struct SieveStats {
     pub span_bytes: u64,
     /// Hole bytes among them: moved, but not asked for by the caller.
     pub fill_bytes: u64,
-}
-
-/// Snapshot of the container's integrity counters
-/// ([`Container::integrity_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IntegrityStats {
-    /// Extents whose checksum was verified on a planned read.
-    pub verified_extents: u64,
-    /// Checksum mismatches detected on planned reads.
-    pub checksum_failures: u64,
-    /// Corrupt extents found by scrub walks.
-    pub scrub_corrupt: u64,
-    /// Corrupt extents repaired from a durable copy by scrub walks.
-    pub scrub_repaired: u64,
-    /// Invalid superblock slots seen when this container was opened
-    /// (non-zero means open survived a torn commit via the other slot).
-    pub superblock_fallbacks: u64,
-}
-
-/// Result of one [`Container::scrub`] / [`Container::scrub_with`] walk.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Checksummed, clean extents whose bytes were re-hashed.
-    pub checked: u64,
-    /// Extents skipped because they were written since the last flush.
-    pub skipped_dirty: u64,
-    /// Extents whose bytes no longer match their stored checksum.
-    pub corrupt: u64,
-    /// Corrupt extents restored byte-identical from the repair source.
-    pub repaired: u64,
-    /// Corrupt extents the repair source could not restore.
-    pub unrepaired: u64,
-}
-
-impl ScrubReport {
-    /// True when every checked extent matched (or was repaired).
-    pub fn clean(&self) -> bool {
-        self.unrepaired == 0
-    }
-}
-
-/// One extent a planned read must verify: where it lives, how long it
-/// is, and the checksum recorded at the last flush.
-struct VerifyExtent {
-    addr: u64,
-    len: u64,
-    sum: Checksum,
 }
 
 /// One data extent a plan touches: `(key, addr, len, stored checksum)`,
@@ -488,9 +411,10 @@ impl Container {
     /// dual-slot superblock protocol: metadata extent → sync → one slot
     /// → sync. The read-backs of all dirty extents of all datasets form
     /// one job list, in (dataset, extent) order, shared out over up to
-    /// [`HASH_LANES`] lanes ([`Container::hash_extents`]; under 4 MiB of
-    /// dirty bytes they run on the caller, one after another), each
-    /// lane holding at most one [`HASH_WINDOW`] buffer. If any read-back
+    /// [`HASH_LANES`](integrity::HASH_LANES) lanes
+    /// ([`Container::hash_extents`]; under 4 MiB of dirty bytes they run
+    /// on the caller, one after another), each lane holding at most one
+    /// [`HASH_WINDOW`](integrity::HASH_WINDOW) buffer. If any read-back
     /// fails, the flush returns the first error in job order, stamps
     /// nothing and keeps every extent marked dirty.
     ///
@@ -676,101 +600,6 @@ impl Container {
         Ok(())
     }
 
-    /// Hash every job's extent and return the sums in job order. The
-    /// jobs are shared out over `min(HASH_LANES, jobs, bytes / 2 MiB)`
-    /// lanes — scoped threads that live for this call, the caller being
-    /// the first — each pulling the next unclaimed job and running
-    /// [`Container::hash_extent`] on it, so a device with several
-    /// service lanes serves several read-backs at once. With one lane
-    /// or none (under 4 MiB in total, or a single extent however long)
-    /// the same loop runs on the caller alone, in job order. One job's
-    /// `Err` stops no other job; a lane that panicked leaves its job an
-    /// [`H5Error::Storage`].
-    fn hash_extents(&self, jobs: &[HashJob]) -> Vec<Result<Checksum>> {
-        let lanes = hash_lanes(jobs);
-        // Hands out job indices and nothing else: the jobs are shared
-        // by the scope and the sums return through its join handles.
-        let next = AtomicUsize::new(0);
-        let lane = || {
-            let mut done = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else {
-                    return done;
-                };
-                done.push((i, self.hash_extent(job.addr, job.len, job.algorithm)));
-            }
-        };
-        let mut sums: Vec<Option<Result<Checksum>>> = jobs.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let spawned: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
-            let mut done = lane();
-            // A lane that panicked returns nothing: its job stays `None`.
-            done.extend(spawned.into_iter().flat_map(|h| h.join().unwrap_or_default()));
-            for (i, sum) in done {
-                sums[i] = Some(sum);
-            }
-        });
-        sums.into_iter()
-            .map(|sum| {
-                sum.unwrap_or_else(|| {
-                    Err(H5Error::Storage("a checksum read-back lane panicked".into()))
-                })
-            })
-            .collect()
-    }
-
-    /// Hash `len` bytes at `addr` under `algorithm`, reading them back
-    /// in windows of [`HASH_WINDOW`]: one pooled buffer whatever the
-    /// extent's size, and one read for any extent up to 8 MiB. An extent
-    /// is never split across lanes — one extent, however long, is read
-    /// window after window by whoever took its job. Bytes past the
-    /// backend's high-water mark hash as zeros without being held
-    /// anywhere: an allocated-but-unwritten tail reads back as zeros
-    /// once later appends raise the watermark, so the checksum stays
-    /// stable either way.
-    fn hash_extent(&self, addr: u64, len: u64, algorithm: Algorithm) -> Result<Checksum> {
-        let end = addr.checked_add(len).ok_or_else(|| {
-            H5Error::Storage("extent end overflows the device address space".into())
-        })?;
-        let readable = end.min(self.backend.len()).saturating_sub(addr);
-        let mut hasher = Hasher::new(algorithm);
-        let mut buf = recycle::lease(readable.min(HASH_WINDOW as u64) as usize);
-        let mut done = 0u64;
-        while done < readable {
-            let window = &mut buf[..(readable - done).min(HASH_WINDOW as u64) as usize];
-            self.backend
-                .read_at(addr.saturating_add(done), window)?; // xtask: allow(planned-io) integrity hash read
-            hasher.update(window);
-            done += window.len() as u64;
-        }
-        hasher.update_zeros(len - readable);
-        Ok(hasher.finish())
-    }
-
-    /// Enable or disable per-extent checksums (on by default). While
-    /// disabled, writes skip dirty tracking, flush clears (rather than
-    /// refreshes) the checksums of extents written meanwhile, and reads
-    /// skip verification — the escape hatch for measuring the overhead.
-    pub fn set_checksums(&self, enabled: bool) {
-        self.checksums.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the integrity counters: read verifications, checksum
-    /// failures, scrub results, and superblock slot fallbacks.
-    pub fn integrity_stats(&self) -> IntegrityStats {
-        IntegrityStats {
-            verified_extents: self.integrity.verified_extents.load(Ordering::Relaxed),
-            checksum_failures: self.integrity.checksum_failures.load(Ordering::Relaxed),
-            scrub_corrupt: self.integrity.scrub_corrupt.load(Ordering::Relaxed),
-            scrub_repaired: self.integrity.scrub_repaired.load(Ordering::Relaxed),
-            superblock_fallbacks: self
-                .integrity
-                .superblock_fallbacks
-                .load(Ordering::Relaxed),
-        }
-    }
-
     /// Snapshot of the sieve counters: how many spans folded how many
     /// segments, and the hole bytes that rode along.
     pub fn sieve_stats(&self) -> SieveStats {
@@ -780,113 +609,6 @@ impl Container {
             span_bytes: self.sieve.span_bytes.load(Ordering::Relaxed),
             fill_bytes: self.sieve.fill_bytes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Walk every clean checksummed extent, re-hash its bytes, and
-    /// report mismatches. Detection only — see [`Container::scrub_with`]
-    /// for read-repair.
-    pub fn scrub(&self) -> Result<ScrubReport> {
-        self.scrub_with(|_| Ok(false))
-    }
-
-    /// [`Container::scrub`] with read-repair: for each corrupt extent,
-    /// `repair(dataset)` is asked to rewrite the dataset's bytes from a
-    /// durable copy (returning `true` if it had one — e.g. WAL replay);
-    /// the extent is then re-hashed and counted repaired only if it now
-    /// matches its stored checksum.
-    ///
-    /// The walk iterates a [`MetaSnapshot`] of the working state: after
-    /// one shared acquisition per shard to capture the `Arc`s, the scrub
-    /// holds **no metadata lock** — not while reading extents, not while
-    /// hashing — so a background scrub never stalls foreground writers.
-    /// Extents the snapshot misses (written after capture) are exactly
-    /// the dirty extents the scrub would skip anyway. Repair correctness
-    /// still requires the scrubbed datasets to be write-quiesced, like
-    /// [`Container::flush`].
-    ///
-    /// Detection comes first and whole: every clean extent is re-hashed
-    /// over the same lanes a flush uses ([`Container::hash_extents`]),
-    /// and a failed read fails the scrub before anything is repaired.
-    /// Repair and the re-hash after it then run one extent at a time in
-    /// snapshot order, one replay per dataset. A replay re-marks the
-    /// dataset's other extents dirty; the next flush re-stamps them.
-    pub fn scrub_with(
-        &self,
-        mut repair: impl FnMut(ObjectId) -> Result<bool>,
-    ) -> Result<ScrubReport> {
-        let tracer = self.tracer();
-        let _span = tracer.span("container.scrub");
-        let mut report = ScrubReport::default();
-        // Every checksummed extent, from a lock-free snapshot walk.
-        let snap = self.plane.snapshot_working();
-        let mut extents: Vec<(ObjectId, u64, u64, u64, Checksum)> = Vec::new();
-        for (id, state) in snap.iter() {
-            let elem = state.dtype.size() as u64;
-            if let Some(sum) = state.data_sum {
-                let len = state.space.npoints().checked_mul(elem).ok_or_else(|| {
-                    H5Error::Storage("dataset byte size overflows the address space".into())
-                })?;
-                extents.push((id, CONTIG_EXTENT, state.data_addr, len, sum));
-            }
-            if let Layout::Chunked1D { chunk_elems } = state.layout {
-                let chunk_bytes = chunk_elems.checked_mul(elem).ok_or_else(|| {
-                    H5Error::Storage("chunk byte size overflows the address space".into())
-                })?;
-                for (&idx, entry) in &state.chunks {
-                    if let Some(sum) = entry.sum {
-                        extents.push((id, idx, entry.addr, chunk_bytes, sum));
-                    }
-                }
-            }
-        }
-        let dirty: BTreeSet<(ObjectId, u64)> = self.dirty_extents.lock().clone();
-        let before = extents.len();
-        extents.retain(|&(id, key, ..)| !dirty.contains(&(id, key)));
-        report.skipped_dirty = (before - extents.len()) as u64;
-        report.checked = extents.len() as u64;
-        // Detection: every clean extent, over the read-back lanes.
-        let jobs: Vec<HashJob> = extents
-            .iter()
-            .map(|&(_, _, addr, len, sum)| HashJob {
-                addr,
-                len,
-                algorithm: sum.algorithm,
-            })
-            .collect();
-        let found = self
-            .hash_extents(&jobs)
-            .into_iter()
-            .collect::<Result<Vec<Checksum>>>()?;
-        // Repair replays a whole dataset at a time; remember the answer
-        // so N corrupt chunks of one dataset replay once.
-        let mut repair_ran: BTreeMap<ObjectId, bool> = BTreeMap::new();
-        for ((id, key, addr, len, sum), found) in extents.into_iter().zip(found) {
-            if found == sum {
-                continue;
-            }
-            report.corrupt += 1;
-            self.integrity.scrub_corrupt.fetch_add(1, Ordering::Relaxed);
-            let had_copy = match repair_ran.get(&id) {
-                Some(&ran) => ran,
-                None => {
-                    let ran = repair(id)?;
-                    repair_ran.insert(id, ran);
-                    ran
-                }
-            };
-            if had_copy && self.hash_extent(addr, len, sum.algorithm)? == sum {
-                report.repaired += 1;
-                self.integrity.scrub_repaired.fetch_add(1, Ordering::Relaxed);
-                self.dirty_extents.lock().remove(&(id, key));
-            } else {
-                report.unrepaired += 1;
-            }
-        }
-        if let Some(m) = tracer.metrics() {
-            m.counter("container.scrub_corrupt").add(report.corrupt);
-            m.counter("container.scrub_repaired").add(report.repaired);
-        }
-        Ok(report)
     }
 
     /// Total bytes addressed in the backend (allocation high-water mark).
@@ -1448,30 +1170,7 @@ impl Container {
     ) -> Result<Vec<u8>> {
         let mut out = vec![0u8; plan.total_bytes() as usize];
         let tracer = self.tracer();
-        // Whole-extent verified reads, ascending by extent address.
-        let mut verified: Vec<(u64, recycle::Lease)> = Vec::with_capacity(verify.len());
-        for v in verify {
-            let mut buf = recycle::lease(v.len as usize);
-            self.backend
-                .read_at(v.addr, &mut buf)?; // xtask: allow(planned-io) integrity verification read
-            if !v.sum.matches(&buf) {
-                self.integrity
-                    .checksum_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = tracer.metrics() {
-                    m.counter("container.checksum_failures").inc();
-                }
-                return Err(H5Error::Corrupt(format!(
-                    "extent at {} ({} bytes) fails its checksum",
-                    v.addr, v.len
-                )));
-            }
-            self.integrity
-                .verified_extents
-                .fetch_add(1, Ordering::Relaxed);
-            verified.push((v.addr, buf));
-        }
-        verified.sort_unstable_by_key(|&(addr, _)| addr);
+        let verified = self.read_verified(verify, &tracer)?;
         let unserved;
         let records = if verified.is_empty() {
             plan.records()
@@ -1730,40 +1429,6 @@ fn plan_from_state(
             })
         }
     }
-}
-
-/// Gather every record that lies inside a verified extent (`verified`
-/// ascends by address) out of its bytes into `out`; return the records
-/// no verified extent holds. A record never crosses an extent boundary
-/// (planner invariant 2), so it is served whole or not at all.
-fn serve_verified(
-    records: &[IoRecord],
-    verified: &[(u64, recycle::Lease)],
-    out: &mut [u8],
-) -> Vec<IoRecord> {
-    let mut unserved = Vec::new();
-    // The extent that served the previous record serves the next one
-    // too, until the plan moves on to another chunk.
-    let mut held = 0usize;
-    for r in records {
-        let within = |&(base, ref buf): &(u64, recycle::Lease)| {
-            r.addr >= base && r.end() - base <= buf.len() as u64
-        };
-        if !verified.get(held).is_some_and(within) {
-            held = verified
-                .partition_point(|&(base, _)| base <= r.addr)
-                .saturating_sub(1);
-        }
-        match verified.get(held).filter(|v| within(v)) {
-            Some((base, buf)) => gather(
-                &buf[(r.addr - base) as usize..],
-                &mut out[r.cursor as usize..][..(r.len * r.count) as usize],
-                r,
-            ),
-            None => unserved.push(*r),
-        }
-    }
-    unserved
 }
 
 /// Copy a record's pieces from `packed`, where they lie back to back (the
@@ -2560,461 +2225,10 @@ mod tests {
 
     /// The stored checksums of a dataset: the contiguous extent's, then
     /// each chunk's by index.
-    fn stored_sums(c: &Container, id: ObjectId) -> (Option<Checksum>, Vec<(u64, Option<Checksum>)>) {
+    pub(super) fn stored_sums(c: &Container, id: ObjectId) -> (Option<Checksum>, Vec<(u64, Option<Checksum>)>) {
         let state = c.plane.working(id).unwrap();
         let chunks = state.chunks.iter().map(|(&idx, e)| (idx, e.sum)).collect();
         (state.data_sum, chunks)
-    }
-
-    #[test]
-    fn flush_hashes_a_long_extent_in_windows_and_its_unwritten_tail_as_zeros() {
-        // One byte-typed extent a little longer than the read-back
-        // window, written short of its end: flush reads it back in two
-        // windows and hashes the tail past the watermark by count.
-        const WRITTEN: usize = HASH_WINDOW + 5;
-        const TAIL: usize = 1000;
-        let gauge = ReadGauge::over(Arc::new(MemBackend::new()));
-        let c = Container::create(gauge.clone());
-        let space = Dataspace::d1((WRITTEN + TAIL) as u64);
-        let ds = c
-            .create_dataset(ROOT_ID, "long", Datatype::U8, &space, Layout::Contiguous)
-            .unwrap();
-        let mut data: Vec<u8> = (0..WRITTEN).map(|i| (i ^ (i >> 11)) as u8).collect();
-        let head = Selection::Slab(Hyperslab::range1(0, WRITTEN as u64));
-        c.write_selection(ds, &head, &data).unwrap();
-        assert!(c.backend.len() < c.allocated_bytes(), "the tail is past the watermark");
-        c.flush().unwrap();
-        assert_eq!(gauge.longest.load(Ordering::SeqCst), HASH_WINDOW, "a full window, then 5 bytes");
-        data.resize(WRITTEN + TAIL, 0);
-        let want = Checksum {
-            algorithm: Algorithm::Xxh64,
-            sum: crate::checksum::xxh64(&data),
-        };
-        assert_eq!(stored_sums(&c, ds), (Some(want), vec![]));
-        // The flush's metadata append raised the watermark past the
-        // tail: the same sum now comes from bytes actually read.
-        assert!(c.scrub().unwrap().clean());
-        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), data);
-        assert_eq!(c.integrity_stats().verified_extents, 1);
-    }
-
-    // ----- read-back lanes -------------------------------------------
-
-    const MIB: usize = 1 << 20;
-
-    /// What the read-back asks of the device: the longest scalar read
-    /// and the most of them in flight at once. A read at an address in
-    /// `bad` fails, naming the address.
-    struct ReadGauge {
-        inner: Arc<dyn StorageBackend>,
-        in_flight: AtomicUsize,
-        most_in_flight: AtomicUsize,
-        longest: AtomicUsize,
-        bad: Mutex<Vec<u64>>,
-    }
-
-    impl ReadGauge {
-        fn over(inner: Arc<dyn StorageBackend>) -> Arc<Self> {
-            Arc::new(ReadGauge {
-                inner,
-                in_flight: AtomicUsize::new(0),
-                most_in_flight: AtomicUsize::new(0),
-                longest: AtomicUsize::new(0),
-                bad: Mutex::new(Vec::new()),
-            })
-        }
-    }
-
-    impl StorageBackend for ReadGauge {
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-            self.inner.write_at(offset, data)
-        }
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-            self.most_in_flight.fetch_max(now, Ordering::SeqCst);
-            self.longest.fetch_max(buf.len(), Ordering::SeqCst);
-            let out = if self.bad.lock().contains(&offset) {
-                Err(H5Error::Storage(format!("bad sector at {offset}")))
-            } else {
-                self.inner.read_at(offset, buf)
-            };
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            out
-        }
-        fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
-            self.inner.write_vectored_at(batch)
-        }
-        fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
-            self.inner.read_vectored_at(batch)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-        fn sync(&self) -> Result<()> {
-            self.inner.sync()
-        }
-    }
-
-    fn lane_bytes(salt: usize, len: usize) -> Vec<u8> {
-        (0..len).map(|i| (i ^ (i >> 11) ^ (salt * 0x9E)) as u8).collect()
-    }
-
-    /// Create (first call) and overwrite `n` contiguous byte datasets of
-    /// `len` bytes, dataset `i` holding `lane_bytes(salt + i, len)`.
-    fn dirty_contiguous(c: &Container, n: usize, len: usize, salt: usize) -> Vec<ObjectId> {
-        (0..n)
-            .map(|i| {
-                let name = format!("d{i}");
-                let ds = c.lookup(ROOT_ID, &name).unwrap_or_else(|_| {
-                    let space = Dataspace::d1(len as u64);
-                    c.create_dataset(ROOT_ID, &name, Datatype::U8, &space, Layout::Contiguous)
-                        .unwrap()
-                });
-                c.write_selection(ds, &Selection::All, &lane_bytes(salt + i, len)).unwrap();
-                ds
-            })
-            .collect()
-    }
-
-    fn xxh(bytes: &[u8]) -> Option<Checksum> {
-        Some(Checksum {
-            algorithm: Algorithm::Xxh64,
-            sum: crate::checksum::xxh64(bytes),
-        })
-    }
-
-    #[test]
-    fn lane_stamps_are_the_hash_of_the_bytes_read_back_within_the_bounds() {
-        // Sixteen dirty 2 MiB extents and eight dirty 1 MiB chunks on a
-        // four-lane device at 400 MB/s and 0.2 ms a call, so the lanes
-        // do overlap (`tests/flush_lanes.rs` holds the wall time).
-        use crate::storage::ThrottledBackend;
-        let device = Arc::new(ThrottledBackend::with_channels(1e12, 2e-4, 4));
-        let gauge = ReadGauge::over(device.clone());
-        let c = Container::create(gauge.clone());
-        let contiguous = dirty_contiguous(&c, 16, 2 * MIB, 0);
-        let space = Dataspace::d1(8 * MIB as u64);
-        let layout = Layout::Chunked1D { chunk_elems: MIB as u64 };
-        let chunked = c.create_dataset(ROOT_ID, "chunked", Datatype::U8, &space, layout).unwrap();
-        c.write_selection(chunked, &Selection::All, &lane_bytes(99, 8 * MIB)).unwrap();
-        device.set_bandwidth(400e6);
-        c.flush().unwrap();
-        device.set_bandwidth(1e12);
-
-        // The bounds on read-back memory and on device concurrency, as
-        // the device saw them.
-        assert!(gauge.longest.load(Ordering::SeqCst) <= HASH_WINDOW);
-        assert!(gauge.most_in_flight.load(Ordering::SeqCst) <= HASH_LANES);
-        for (i, &ds) in contiguous.iter().enumerate() {
-            let bytes = c.read_selection(ds, &Selection::All).unwrap();
-            assert_eq!(bytes, lane_bytes(i, 2 * MIB));
-            assert_eq!(stored_sums(&c, ds), (xxh(&bytes), vec![]), "dataset {i}");
-        }
-        let bytes = c.read_selection(chunked, &Selection::All).unwrap();
-        assert_eq!(bytes, lane_bytes(99, 8 * MIB));
-        let want = bytes.chunks(MIB).enumerate().map(|(i, b)| (i as u64, xxh(b))).collect();
-        assert_eq!(stored_sums(&c, chunked), (None, want));
-        let report = c.scrub().unwrap();
-        assert_eq!((report.checked, report.corrupt, report.skipped_dirty), (24, 0, 0));
-    }
-
-    #[test]
-    fn a_failed_lane_read_fails_the_flush_and_stamps_nothing_until_a_retry_reads_everything() {
-        use crate::storage::{FaultInjector, FaultKind, FaultOp, FaultPlan};
-        let plan = FaultPlan::new(21)
-            .fail_after(FaultOp::Read, 5, FaultKind::Persistent)
-            .times(1);
-        let inj = Arc::new(FaultInjector::new(Arc::new(MemBackend::new()), plan));
-        inj.set_armed(false);
-        let c = Container::create(inj.clone());
-        let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
-        c.flush().unwrap();
-        let old: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
-
-        // All eight dirty again with new bytes; the sixth read-back any
-        // lane issues fails.
-        dirty_contiguous(&c, 8, 2 * MIB, 100);
-        inj.set_armed(true);
-        let err = c.flush().unwrap_err();
-        assert!(matches!(err, H5Error::Storage(ref m) if m.contains("injected")), "{err:?}");
-        assert_eq!(inj.injected(), 1);
-        // Not one sum moved, the five datasets ahead of the failure
-        // included, and every mark is back.
-        let now: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
-        assert_eq!(now, old);
-        let marks: Vec<_> = ids.iter().map(|&ds| (ds, CONTIG_EXTENT)).collect();
-        assert_eq!(c.dirty_extents.lock().iter().copied().collect::<Vec<_>>(), marks);
-
-        // The rule is spent: the retry reads all eight back.
-        c.flush().unwrap();
-        assert!(c.dirty_extents.lock().is_empty());
-        for (i, &ds) in ids.iter().enumerate() {
-            let bytes = c.read_selection(ds, &Selection::All).unwrap();
-            assert_eq!(bytes, lane_bytes(100 + i, 2 * MIB));
-            assert_eq!(stored_sums(&c, ds), (xxh(&bytes), vec![]));
-        }
-        assert_eq!(c.integrity_stats().checksum_failures, 0);
-    }
-
-    #[test]
-    fn of_two_failed_lane_reads_the_flush_reports_the_first_in_job_order() {
-        let gauge = ReadGauge::over(Arc::new(MemBackend::new()));
-        let c = Container::create(gauge.clone());
-        let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
-        let addr = |i: usize| c.plane.working(ids[i]).unwrap().data_addr;
-        *gauge.bad.lock() = vec![addr(6), addr(2)];
-        for _ in 0..8 {
-            let err = c.flush().unwrap_err();
-            let want = format!("bad sector at {}", addr(2));
-            assert!(matches!(err, H5Error::Storage(ref m) if *m == want), "{err:?}");
-        }
-        gauge.bad.lock().clear();
-        c.flush().unwrap();
-        assert!(c.scrub().unwrap().clean());
-    }
-
-    /// Panics on every read from a thread other than the one that built
-    /// it, and holds the builder's own first read until one has.
-    struct PanicOffThread {
-        inner: MemBackend,
-        owner: std::thread::ThreadId,
-        others: AtomicUsize,
-        armed: AtomicBool,
-    }
-
-    impl StorageBackend for PanicOffThread {
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-            self.inner.write_at(offset, data)
-        }
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            if self.armed.load(Ordering::SeqCst) {
-                if std::thread::current().id() != self.owner {
-                    self.others.fetch_add(1, Ordering::SeqCst);
-                    panic!("read-back lane panics (expected by the test)");
-                }
-                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-                while self.others.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
-            }
-            self.inner.read_at(offset, buf)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-        fn sync(&self) -> Result<()> {
-            self.inner.sync()
-        }
-    }
-
-    #[test]
-    fn a_panicking_lane_is_a_storage_error_not_a_panic_or_a_hang() {
-        let backend = Arc::new(PanicOffThread {
-            inner: MemBackend::new(),
-            owner: std::thread::current().id(),
-            others: AtomicUsize::new(0),
-            armed: AtomicBool::new(false),
-        });
-        let c = Container::create(backend.clone());
-        let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
-        backend.armed.store(true, Ordering::SeqCst);
-        let err = c.flush().unwrap_err();
-        assert!(matches!(err, H5Error::Storage(ref m) if m.contains("lane panicked")), "{err:?}");
-        assert!(backend.others.load(Ordering::SeqCst) >= 1);
-        assert_eq!(c.dirty_extents.lock().len(), 8);
-        assert!(ids.iter().all(|&ds| stored_sums(&c, ds) == (None, vec![])));
-        backend.armed.store(false, Ordering::SeqCst);
-        c.flush().unwrap();
-        assert!(ids.iter().all(|&ds| stored_sums(&c, ds).0.is_some()));
-    }
-
-    /// Fails (`TRAP_FAIL`) or panics in (`TRAP_PANIC`) the next `sync`,
-    /// once, then behaves.
-    struct SyncTrap {
-        inner: MemBackend,
-        trap: AtomicUsize,
-    }
-
-    const TRAP_FAIL: usize = 1;
-    const TRAP_PANIC: usize = 2;
-
-    impl SyncTrap {
-        fn new() -> Arc<Self> {
-            Arc::new(SyncTrap {
-                inner: MemBackend::new(),
-                trap: AtomicUsize::new(0),
-            })
-        }
-    }
-
-    impl StorageBackend for SyncTrap {
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-            self.inner.write_at(offset, data)
-        }
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            self.inner.read_at(offset, buf)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-        fn sync(&self) -> Result<()> {
-            match self.trap.swap(0, Ordering::SeqCst) {
-                TRAP_FAIL => Err(H5Error::Storage("barrier refused".into())),
-                TRAP_PANIC => panic!("data barrier panics (expected by the test)"),
-                _ => self.inner.sync(),
-            }
-        }
-    }
-
-    #[test]
-    fn a_failed_or_panicked_lane_barrier_is_a_clean_failed_flush() {
-        for (trap, want) in [(TRAP_FAIL, "barrier refused"), (TRAP_PANIC, "data barrier panicked")] {
-            let backend = SyncTrap::new();
-            let c = Container::create(backend.clone());
-            let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
-            c.flush().unwrap();
-            let old: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
-            let generation = c.alloc.lock().generation;
-            let eof = c.allocated_bytes();
-
-            // 16 MiB dirty again: the flush's first sync is the data
-            // barrier beside the read-back, and it is the one trapped.
-            dirty_contiguous(&c, 8, 2 * MIB, 100);
-            backend.trap.store(trap, Ordering::SeqCst);
-            let err = c.flush().unwrap_err();
-            assert!(matches!(err, H5Error::Storage(ref m) if m.contains(want)), "{err:?}");
-            assert_eq!(backend.trap.load(Ordering::SeqCst), 0, "the trap was sprung");
-            let now: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
-            assert_eq!(now, old, "no sum is folded behind a failed barrier");
-            let marks: Vec<_> = ids.iter().map(|&ds| (ds, CONTIG_EXTENT)).collect();
-            assert_eq!(c.dirty_extents.lock().iter().copied().collect::<Vec<_>>(), marks);
-            assert_eq!(c.alloc.lock().generation, generation);
-            assert_eq!(c.allocated_bytes(), eof, "and no metadata extent is appended");
-
-            // The trap is spent: the next flush stamps and commits.
-            c.flush().unwrap();
-            assert!(c.dirty_extents.lock().is_empty());
-            assert_eq!(c.alloc.lock().generation, generation + 1);
-            for (i, &ds) in ids.iter().enumerate() {
-                let bytes = c.read_selection(ds, &Selection::All).unwrap();
-                assert_eq!(bytes, lane_bytes(100 + i, 2 * MIB));
-                assert_eq!(stored_sums(&c, ds), (xxh(&bytes), vec![]));
-            }
-        }
-    }
-
-    #[test]
-    fn a_failed_lane_read_is_reported_ahead_of_a_failed_barrier() {
-        let trap = SyncTrap::new();
-        let gauge = ReadGauge::over(trap.clone());
-        let c = Container::create(gauge.clone());
-        let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
-        let addr = |i: usize| c.plane.working(ids[i]).unwrap().data_addr;
-        *gauge.bad.lock() = vec![addr(6), addr(2)];
-        for _ in 0..8 {
-            trap.trap.store(TRAP_FAIL, Ordering::SeqCst);
-            let err = c.flush().unwrap_err();
-            let want = format!("bad sector at {}", addr(2));
-            assert!(matches!(err, H5Error::Storage(ref m) if *m == want), "{err:?}");
-            assert_eq!(trap.trap.load(Ordering::SeqCst), 0, "the barrier failed as well");
-        }
-        // With the reads good again, the barrier's own error shows.
-        gauge.bad.lock().clear();
-        trap.trap.store(TRAP_FAIL, Ordering::SeqCst);
-        let err = c.flush().unwrap_err();
-        assert!(matches!(err, H5Error::Storage(ref m) if m == "barrier refused"), "{err:?}");
-        c.flush().unwrap();
-        assert!(c.scrub().unwrap().clean());
-    }
-
-    #[test]
-    fn lane_sums_equal_the_direct_hash_over_seeded_dataset_mixes() {
-        use crate::storage::Lcg;
-        // Each salt: one to six datasets of 0…6 MiB, contiguous or in
-        // chunks of 64 KiB…1 MiB, each written from its start to a
-        // seeded point — so the last extent allocated straddles the
-        // watermark — then one flush. Some mixes stay under the 4 MiB
-        // floor and run inline, the rest fan out.
-        for salt in 0..16u64 {
-            let mut rng = Lcg::new(0x1A7E5 ^ salt);
-            let c = Container::create_mem();
-            let mut want = Vec::new();
-            for d in 0..1 + rng.below(6) {
-                let len = rng.below(6 * MIB as u64 + 1) as usize;
-                let written = if len == 0 { 0 } else { 1 + rng.below(len as u64) as usize };
-                let chunk = (64 << 10) << rng.below(5);
-                let chunked = rng.below(2) == 1;
-                let layout = if chunked {
-                    Layout::Chunked1D { chunk_elems: chunk as u64 }
-                } else {
-                    Layout::Contiguous
-                };
-                let space = Dataspace::d1(len as u64);
-                let ds = c.create_dataset(ROOT_ID, &format!("d{d}"), Datatype::U8, &space, layout).unwrap();
-                let mut data = lane_bytes(salt as usize + d as usize, written);
-                let head = if len == 0 {
-                    Selection::All
-                } else {
-                    Selection::Slab(Hyperslab::range1(0, written as u64))
-                };
-                c.write_selection(ds, &head, &data).unwrap();
-                // What each touched extent holds: the bytes written,
-                // then the fill value to its end.
-                want.push(if chunked {
-                    data.resize(written.div_ceil(chunk) * chunk, 0);
-                    let sums = data.chunks(chunk).enumerate().map(|(i, b)| (i as u64, xxh(b)));
-                    (ds, (None, sums.collect()))
-                } else {
-                    data.resize(len, 0);
-                    (ds, (if len == 0 { None } else { xxh(&data) }, vec![]))
-                });
-            }
-            c.flush().unwrap();
-            for (ds, want) in want {
-                assert_eq!(stored_sums(&c, ds), want, "salt {salt} dataset {ds}");
-            }
-            assert!(c.scrub().unwrap().clean(), "salt {salt}");
-        }
-    }
-
-    #[test]
-    fn scrub_detects_on_the_lanes_and_repairs_one_dataset_once() {
-        let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
-        let c = Container::create(backend.clone());
-        let space = Dataspace::d1(8 * MIB as u64);
-        let layout = Layout::Chunked1D { chunk_elems: MIB as u64 };
-        let ds = c.create_dataset(ROOT_ID, "x", Datatype::U8, &space, layout).unwrap();
-        let data = lane_bytes(7, 8 * MIB);
-        c.write_selection(ds, &Selection::All, &data).unwrap();
-        c.flush().unwrap();
-
-        // Rot in the third and the sixth chunk, behind the container.
-        let state = c.plane.working(ds).unwrap();
-        for idx in [2, 5] {
-            let at = state.chunks[&idx].addr + 4096;
-            backend.write_at(at, &[!data[idx as usize * MIB + 4096]]).unwrap();
-        }
-        let found = c.scrub().unwrap();
-        assert_eq!((found.checked, found.corrupt, found.unrepaired), (8, 2, 2));
-
-        let mut replays = 0;
-        let fixed = c
-            .scrub_with(|id| {
-                assert_eq!(id, ds);
-                replays += 1;
-                c.write_selection(ds, &Selection::All, &data)?;
-                Ok(true)
-            })
-            .unwrap();
-        assert_eq!((fixed.checked, fixed.corrupt, fixed.repaired, fixed.unrepaired), (8, 2, 2, 0));
-        assert_eq!(replays, 1, "both chunks were found before the one replay ran");
-        // The replay dirtied every chunk; the two re-hashed are clean
-        // again, the next flush re-stamps the rest.
-        assert_eq!(c.scrub().unwrap().skipped_dirty, 6);
-        c.flush().unwrap();
-        let after = c.scrub().unwrap();
-        assert_eq!((after.checked, after.corrupt, after.skipped_dirty), (8, 0, 0));
-        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), data);
     }
 
     /// A 767-byte container written by this repository's code at commit

@@ -7,11 +7,11 @@
 //! |-----------------|-----------------------------------------|----------|
 //! | `must-use`      | argolite, h5lite, asyncvol `src/`       | futures/handles/guards cannot be silently dropped |
 //! | `bounded-retry` | h5lite, asyncvol `src/`                 | retry loops carry both an attempt bound and a deadline |
-//! | `planned-io`    | h5lite `container.rs`, asyncvol `lib.rs` | data-path I/O goes through the planner's vectored batches or the ring, not scalar per-run calls |
+//! | `planned-io`    | h5lite `container.rs` + `integrity.rs`, asyncvol `lib.rs` | data-path I/O goes through the planner's vectored batches or the ring, not scalar per-run calls |
 //! | `superblock-discipline` | h5lite `src/` except `superblock.rs` | the superblock area (offset 0) is written only through the dual-slot commit protocol |
 //! | `guard-across-boundary` | argolite, asyncvol, h5lite `src/` | no lock guard is live across `submit`/`wait`/`block_on`/channel-recv (dataflow pass) |
 //! | `blocking-in-task` | argolite, asyncvol, h5lite `src/`    | no `std::fs`/`std::net`/`thread::sleep` inside closures handed to the task scheduler |
-//! | `checked-offset-arith` | h5lite `storage.rs`, `container.rs`, `plan.rs` | device offsets/addresses use `checked_*`/`saturating_*`, never raw `+`/`*` |
+//! | `checked-offset-arith` | h5lite `storage.rs`, `container.rs` + `integrity.rs`, `plan.rs` | device offsets/addresses use `checked_*`/`saturating_*`, never raw `+`/`*` |
 //!
 //! Four of the rules are token patterns; the other three ride the
 //! intra-procedural dataflow passes in [`crate::dataflow`]. One lex of
@@ -84,8 +84,9 @@ const BOUNDED_RETRY_CRATES: [&str; 2] = ["crates/h5lite/", "crates/asyncvol/"];
 /// the reaper) or goes through the container's planned path. The WAL
 /// staging module is out of scope — its scalar device I/O is the log's
 /// own format.
-const PLANNED_IO_FILES: [&str; 2] = [
+const PLANNED_IO_FILES: [&str; 3] = [
     "crates/h5lite/src/container.rs",
+    "crates/h5lite/src/integrity.rs",
     "crates/asyncvol/src/lib.rs",
 ];
 /// Type names (beyond the `*Guard` convention) that must be `#[must_use]`.
@@ -99,9 +100,10 @@ const MUST_USE_TYPES: [&str; 4] = [
 /// and blocking-call discipline apply.
 const SCHEDULED_CRATES: [&str; 3] = ["crates/argolite/", "crates/asyncvol/", "crates/h5lite/"];
 /// Files carrying device-address arithmetic.
-const OFFSET_ARITH_FILES: [&str; 3] = [
+const OFFSET_ARITH_FILES: [&str; 4] = [
     "crates/h5lite/src/storage.rs",
     "crates/h5lite/src/container.rs",
+    "crates/h5lite/src/integrity.rs",
     "crates/h5lite/src/plan.rs",
 ];
 /// The one module allowed to write the superblock area (offset 0): the
