@@ -102,11 +102,15 @@ echo "== h5lite in release (overflow, dataspace, read-back lanes) =="
 # container's read-back and data-barrier tests and `tests/flush_lanes.rs`:
 # the lanes' wall time, the barrier's overlap with them timed against a
 # `sync` that costs one read-back, the op sequence either side of the
-# floor; `flush_hashes` the windowed long extent).
+# floor; `flush_hashes` the windowed long extent; `block` the block sums:
+# the hasher's boundaries, the tag-3 codec and its count check at open,
+# and the covering-block ranges of a verified read, whose offset
+# arithmetic is what a release build would wrap).
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite dataspace
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite overflow
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite lane
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite flush_hashes
+cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite block
 
 echo "== operator report smoke (drift demo must flip the advice) =="
 report_json="$(cargo run -q "${CARGO_FLAGS[@]}" -p apio-apps --bin apio-report -- --json)"

@@ -195,6 +195,24 @@ fn integrity_overhead() {
         black_box(c.scrub().unwrap().checked);
     });
 
+    // BD-CATS's read: half of a flushed 1 MiB extent. Under block sums
+    // the verified read fetches and hashes the 8 blocks it returns; a
+    // whole-extent sum made it fetch and hash all 16, which is what a
+    // read of the whole extent still costs (the second row). Printed,
+    // not gated.
+    let half = Selection::Slab(Hyperslab::range1(0, bytes / 2));
+    let blocked = bench_bytes("integrity/verified_read/half_1MiB_blocked", bytes / 2, || {
+        black_box(c.read_selection(id, &half).unwrap());
+    });
+    let whole = bench_bytes("integrity/verified_read/half_1MiB_whole_extent", bytes / 2, || {
+        black_box(c.read_selection(id, &Selection::All).unwrap());
+    });
+    println!(
+        "integrity: a half-extent verified read at 1 MiB takes {:.2}x the whole-extent fetch \
+         and hash it replaced",
+        blocked.secs_per_iter() / whole.secs_per_iter().max(1e-12)
+    );
+
     // The two data-extent hashes (DESIGN.md §13) at a chunk, a sieved
     // span and a VPIC slab: FNV-1a still verifies files stamped with it,
     // XXH64 stamps everything written now.

@@ -22,16 +22,19 @@
 //! ## Data integrity
 //!
 //! Every data extent (a contiguous dataset's extent, or one chunk) can
-//! carry a checksum in the metadata ([`crate::checksum`]: XXH64, or the
-//! FNV-1a of files written before it), refreshed at flush time for
-//! extents written since the previous flush. Planned reads of clean
-//! checksummed extents verify the bytes actually returned (whole-extent
-//! reads served into the selection), failing with [`H5Error::Corrupt`]
-//! on a mismatch; [`Container::scrub`] walks every checksummed extent
-//! offline and [`Container::scrub_with`] read-repairs corrupt extents
-//! from a durable copy (e.g. the staging WAL). The read-back, the
-//! verified read and scrub live in the `integrity` submodule
-//! (`src/integrity.rs`). See DESIGN.md §13.
+//! carry a checksum in the metadata ([`crate::checksum`]: one XXH64 per
+//! 64 KiB block, or the one whole-extent sum — XXH64 or FNV-1a — of
+//! files written before it), refreshed at flush time for extents written
+//! since the previous flush. A planned read of a clean checksummed
+//! extent fetches the blocks its records reach in one read, verifies
+//! each, and serves the records from them, failing with
+//! [`H5Error::Corrupt`] on a mismatch: every byte it returns is
+//! verified, and no block it does not return is fetched.
+//! [`Container::scrub`] walks every checksummed extent whole, offline,
+//! and [`Container::scrub_with`] read-repairs corrupt extents from a
+//! durable copy (e.g. the staging WAL). The read-back, the verified read
+//! and scrub live in the `integrity` submodule (`src/integrity.rs`). See
+//! DESIGN.md §13.
 //!
 //! ## The metadata plane
 //!
@@ -547,7 +550,7 @@ impl Container {
         for stamps in stamps.chunk_by(|a, b| a.0 == b.0) {
             self.plane.mutate(stamps[0].0, |st| {
                 for &(_, key, job) in stamps {
-                    let sum = job.map(|j| sums[j]);
+                    let sum = job.map(|j| sums[j].clone());
                     if key == CONTIG_EXTENT {
                         st.data_sum = sum;
                     } else if let Some(entry) = st.chunks.get_mut(&key) {
@@ -1133,11 +1136,12 @@ impl Container {
     /// plan leaves unmapped (never-allocated chunks) stay at the fill
     /// value (zero), like HDF5.
     ///
-    /// Extents that carry a checksum and are clean (unwritten since the
-    /// last flush) are read whole and verified; the selection's segments
-    /// are then served from the verified bytes, so a bit-flip anywhere
-    /// on the returned path surfaces as [`H5Error::Corrupt`] instead of
-    /// silently reaching the caller.
+    /// Of each extent that carries a checksum and is clean (unwritten
+    /// since the last flush), the blocks the selection reaches are read
+    /// in one call and verified; the selection's segments are then
+    /// served from the verified bytes, so a bit-flip anywhere on the
+    /// returned path surfaces as [`H5Error::Corrupt`] instead of silently
+    /// reaching the caller.
     pub fn read_selection(&self, id: ObjectId, sel: &Selection) -> Result<Vec<u8>> {
         self.read_selection_tagged(id, sel).map(|(_, bytes)| bytes)
     }
@@ -1156,8 +1160,9 @@ impl Container {
         Ok((planned.dtype, bytes))
     }
 
-    /// Issue a built read plan: verify the clean checksummed extents and
-    /// serve their records from the whole-extent reads; group the rest
+    /// Issue a built read plan: fetch and verify the blocks of the clean
+    /// checksummed extents its records reach and serve those records
+    /// from them ([`Container::read_verified`]); group the rest
     /// into spans like a write does, read each window in one vectored
     /// batch — one-piece spans straight into the output, sieved spans
     /// whole into a recycled buffer — and gather. Bytes past the
@@ -1170,7 +1175,7 @@ impl Container {
     ) -> Result<Vec<u8>> {
         let mut out = vec![0u8; plan.total_bytes() as usize];
         let tracer = self.tracer();
-        let verified = self.read_verified(verify, &tracer)?;
+        let verified = self.read_verified(plan.records(), verify, &tracer)?;
         let unserved;
         let records = if verified.is_empty() {
             plan.records()
@@ -1360,7 +1365,13 @@ impl Container {
         touched
             .iter()
             .filter(|(key, ..)| !dirty.contains(&(id, *key)))
-            .filter_map(|&(_, addr, len, sum)| Some(VerifyExtent { addr, len, sum: sum? }))
+            .filter_map(|(_, addr, len, sum)| {
+                Some(VerifyExtent {
+                    addr: *addr,
+                    len: *len,
+                    sum: sum.clone()?,
+                })
+            })
             .collect()
     }
 }
@@ -1398,7 +1409,7 @@ fn plan_from_state(
                 H5Error::Storage("dataset byte size overflows the address space".into())
             })?;
             if nbytes > 0 {
-                touched.push((CONTIG_EXTENT, state.data_addr, nbytes, state.data_sum));
+                touched.push((CONTIG_EXTENT, state.data_addr, nbytes, state.data_sum.clone()));
             }
             Ok(PlanParts {
                 plan: IoPlan::contiguous(state.data_addr, elem, rows)?,
@@ -1413,10 +1424,10 @@ fn plan_from_state(
             })?;
             let mut seen = BTreeSet::new();
             let plan = IoPlan::chunked(ce, elem, rows, |idx| {
-                let entry = state.chunks.get(&idx).copied();
+                let entry = state.chunks.get(&idx);
                 if seen.insert(idx) {
                     match entry {
-                        Some(e) => touched.push((idx, e.addr, chunk_bytes, e.sum)),
+                        Some(e) => touched.push((idx, e.addr, chunk_bytes, e.sum.clone())),
                         None => missing.push(idx),
                     }
                 }
@@ -1502,9 +1513,11 @@ fn validate_link_name(name: &str) -> Result<()> {
 // written before the split reopen byte-identically after it. The one
 // byte that has since widened is each extent's checksum presence flag,
 // now the algorithm tag (0 none, 1 FNV-1a — what the flag's `true` always
-// meant — 2 XXH64): old files decode unchanged, and a reader from before
-// the tag rejects a file carrying a 2 as an invalid bool rather than
-// verifying it with the wrong function.
+// meant — 2 XXH64, each followed by its one u64; 3 block sums, followed
+// by a counted list of them that must hold one sum per block): old files
+// decode unchanged, a reader from before the tag rejects a file carrying
+// a 2 or a 3 as an invalid bool, and a reader from before tag 3 rejects
+// it as an unknown tag — neither verifies it with the wrong function.
 
 /// A tree object paired with its captured dataset state (when it is a
 /// dataset) — the pre-validated encoding view.
@@ -1560,16 +1573,12 @@ fn encode_meta(tree: &Tree, states: &MetaSnapshot) -> Result<Vec<u8>> {
                     w.u64(chunk_elems);
                 }
                 w.u64(state.data_addr);
-                let (tag, sum) = Checksum::encode(state.data_sum);
-                w.u8(tag);
-                w.u64(sum);
+                Checksum::encode(w, state.data_sum.as_ref());
                 let chunks: Vec<(&u64, &ChunkEntry)> = state.chunks.iter().collect();
                 w.list(&chunks, |w, (idx, entry)| {
                     w.u64(**idx);
                     w.u64(entry.addr);
-                    let (tag, sum) = Checksum::encode(entry.sum);
-                    w.u8(tag);
-                    w.u64(sum);
+                    Checksum::encode(w, entry.sum.as_ref());
                 });
             }
         }
@@ -1613,19 +1622,27 @@ fn decode_meta(bytes: &[u8]) -> Result<(Tree, Vec<(ObjectId, DatasetState)>)> {
                     },
                     t => return Err(H5Error::Corrupt(format!("unknown layout tag {t}"))),
                 };
+                // The extent lengths a block list is checked against; an
+                // overflowing one matches no count a file can hold.
+                let space = Dataspace::new(&dims);
+                let elem = dtype.size() as u64;
+                let chunk_bytes = match layout {
+                    Layout::Contiguous => 0,
+                    Layout::Chunked1D { chunk_elems } => chunk_elems.saturating_mul(elem),
+                };
                 let data_addr = r.u64()?;
-                let data_sum = Checksum::decode(r.u8()?, r.u64()?)?;
+                let data_sum = Checksum::decode(r, space.npoints().saturating_mul(elem))?;
                 let chunks_list = r.list(|r| {
                     let idx = r.u64()?;
                     let addr = r.u64()?;
-                    let sum = Checksum::decode(r.u8()?, r.u64()?)?;
+                    let sum = Checksum::decode(r, chunk_bytes)?;
                     Ok((idx, ChunkEntry { addr, sum }))
                 })?;
                 states.push((
                     id,
                     DatasetState {
                         dtype,
-                        space: Dataspace::new(&dims),
+                        space,
                         layout,
                         data_addr,
                         data_sum,
@@ -1655,6 +1672,7 @@ mod tests {
     use super::*;
     use crate::dataspace::Hyperslab;
     use crate::datatype::{from_bytes, to_bytes};
+    use crate::checksum::SUM_BLOCK;
 
     #[test]
     fn tree_construction_and_lookup() {
@@ -2227,8 +2245,8 @@ mod tests {
     /// each chunk's by index.
     pub(super) fn stored_sums(c: &Container, id: ObjectId) -> (Option<Checksum>, Vec<(u64, Option<Checksum>)>) {
         let state = c.plane.working(id).unwrap();
-        let chunks = state.chunks.iter().map(|(&idx, e)| (idx, e.sum)).collect();
-        (state.data_sum, chunks)
+        let chunks = state.chunks.iter().map(|(&idx, e)| (idx, e.sum.clone())).collect();
+        (state.data_sum.clone(), chunks)
     }
 
     /// A 767-byte container written by this repository's code at commit
@@ -2293,10 +2311,7 @@ mod tests {
 
         let (_, after) = stored_sums(&c, chunked);
         assert_eq!(after[0], before[0], "the untouched chunk keeps its FNV sum");
-        let restamped = Checksum {
-            algorithm: Algorithm::Xxh64,
-            sum: crate::checksum::xxh64(&to_bytes(&fresh)),
-        };
+        let restamped = Checksum::blocks_of(&to_bytes(&fresh));
         assert_eq!(after[1], (1, Some(restamped)));
         assert_eq!(algorithms(&c, contig), [Some(Algorithm::Fnv1a)]);
         drop(c);
@@ -2334,7 +2349,7 @@ mod tests {
         c.flush().unwrap();
         assert_eq!(
             algorithms(&c, chunked),
-            [None, Some(Algorithm::Fnv1a), Some(Algorithm::Xxh64)]
+            [None, Some(Algorithm::Fnv1a), Some(Algorithm::Xxh64Blocks)]
         );
 
         // On the read path: every device read comes back with a flipped bit.
@@ -2358,15 +2373,13 @@ mod tests {
     #[test]
     fn an_unknown_checksum_tag_is_corrupt_at_open_not_a_panic() {
         let backend = legacy_backend();
-        let (sb, _) = superblock::read_latest(&backend).unwrap();
-        let mut meta = vec![0u8; sb.meta_len as usize];
-        backend.read_at(sb.meta_addr, &mut meta).unwrap();
+        let mut meta = latest_meta(&backend);
         // The tag is the byte before the sum it describes.
         let (_, states) = decode_meta(&meta).unwrap();
-        let sum = states.iter().find_map(|(_, st)| st.data_sum).unwrap();
+        let sum = states.iter().find_map(|(_, st)| st.data_sum.clone()).unwrap();
         let at = meta
             .windows(8)
-            .position(|w| w == sum.sum.to_le_bytes())
+            .position(|w| w == sum.sums[0].to_le_bytes())
             .unwrap();
         assert_eq!(meta[at - 1], Algorithm::Fnv1a as u8);
         // What a flush writes from now on is a byte the reader at
@@ -2374,22 +2387,180 @@ mod tests {
         // refuses rather than verifies with the wrong function.
         assert!(Reader::new(&[Algorithm::Xxh64 as u8]).bool().is_err());
 
-        meta[at - 1] = 3;
+        meta[at - 1] = 4;
         assert!(matches!(decode_meta(&meta), Err(H5Error::Corrupt(_))));
         // Committed as the container's next generation, it fails the open.
-        backend.write_at(sb.eof, &meta).unwrap();
+        commit_meta(&backend, &meta);
+        let err = Container::open(backend).unwrap_err();
+        assert!(matches!(err, H5Error::Corrupt(ref m) if m.contains("tag 4")), "{err:?}");
+    }
+
+    // ----- block sums --------------------------------------------------
+
+    /// The metadata extent the latest superblock slot names.
+    fn latest_meta(backend: &Arc<dyn StorageBackend>) -> Vec<u8> {
+        let (sb, _) = superblock::read_latest(backend).unwrap();
+        let mut meta = vec![0u8; sb.meta_len as usize];
+        backend.read_at(sb.meta_addr, &mut meta).unwrap();
+        meta
+    }
+
+    /// Append `meta` and commit it as the container's next generation.
+    fn commit_meta(backend: &Arc<dyn StorageBackend>, meta: &[u8]) {
+        let (sb, _) = superblock::read_latest(backend).unwrap();
+        backend.write_at(sb.eof, meta).unwrap();
         superblock::commit(
-            &backend,
+            backend,
             &Superblock {
                 generation: sb.generation + 1,
                 meta_addr: sb.eof,
-                meta_fnv: fnv1a64(FNV_BASIS, &meta),
-                eof: sb.eof + sb.meta_len,
+                meta_len: meta.len() as u64,
+                meta_fnv: fnv1a64(FNV_BASIS, meta),
+                eof: sb.eof + meta.len() as u64,
                 ..sb
             },
         )
         .unwrap();
-        let err = Container::open(backend).unwrap_err();
-        assert!(matches!(err, H5Error::Corrupt(ref m) if m.contains("tag 3")), "{err:?}");
+    }
+
+    /// A contiguous byte dataset of three blocks and a short fourth, and
+    /// a chunked one whose chunks are two blocks and a short third, all
+    /// written and flushed: every extent carries tag-3 block sums.
+    fn blocked_container() -> (Arc<dyn StorageBackend>, ObjectId, ObjectId, Vec<u8>) {
+        let block = SUM_BLOCK as usize;
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        let c = Container::create(backend.clone());
+        let len = 3 * block + 1000;
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + i / 4099) as u8).collect();
+        let space = Dataspace::d1(len as u64);
+        let contig = c.create_dataset(ROOT_ID, "contig", Datatype::U8, &space, Layout::Contiguous).unwrap();
+        let layout = Layout::Chunked1D { chunk_elems: 2 * SUM_BLOCK + 300 };
+        let chunked = c.create_dataset(ROOT_ID, "chunked", Datatype::U8, &space, layout).unwrap();
+        for ds in [contig, chunked] {
+            c.write_selection(ds, &Selection::All, &bytes).unwrap();
+        }
+        c.flush().unwrap();
+        (backend, contig, chunked, bytes)
+    }
+
+    #[test]
+    fn block_sums_round_trip_through_the_metadata_codec() {
+        let (backend, contig, chunked, bytes) = blocked_container();
+        let c = Container::open(backend.clone()).unwrap();
+        let (sum, none) = stored_sums(&c, contig);
+        assert_eq!(none, vec![]);
+        assert_eq!(sum, Some(Checksum::blocks_of(&bytes)));
+        assert_eq!(sum.map(|s| s.sums.len()), Some(4));
+        // Two chunks of 2 blocks + 300 bytes, the second holding the
+        // dataset's last bytes and then the zero fill.
+        let chunk = 2 * SUM_BLOCK as usize + 300;
+        let mut filled = bytes.clone();
+        filled.resize(2 * chunk, 0);
+        let want: Vec<_> = filled
+            .chunks(chunk)
+            .enumerate()
+            .map(|(i, b)| (i as u64, Some(Checksum::blocks_of(b))))
+            .collect();
+        assert_eq!(stored_sums(&c, chunked), (None, want));
+        // Decoded and re-encoded, the metadata is the same bytes.
+        let meta = latest_meta(&backend);
+        let (tree, states) = decode_meta(&meta).unwrap();
+        let snap = MetaPlane::from_parts(tree, states, ConsistencyModel::Strong);
+        let again = encode_meta(&snap.tree_read(), &snap.snapshot_working()).unwrap();
+        assert_eq!(again, meta);
+        for ds in [contig, chunked] {
+            assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), bytes);
+        }
+        assert_eq!(c.integrity_stats().verified_extents, 3);
+        assert!(c.scrub().unwrap().clean());
+    }
+
+    #[test]
+    fn a_block_list_one_sum_short_or_long_is_corrupt_at_open() {
+        let (backend, contig, _, _) = blocked_container();
+        let sums = {
+            let c = Container::open(backend.clone()).unwrap();
+            stored_sums(&c, contig).0.unwrap().sums
+        };
+        let meta = latest_meta(&backend);
+        // Tag 3, the list's count, its first sum.
+        let mut head = vec![Algorithm::Xxh64Blocks as u8];
+        head.extend_from_slice(&(sums.len() as u32).to_le_bytes());
+        head.extend_from_slice(&sums[0].to_le_bytes());
+        let at = meta.windows(head.len()).position(|w| w == head).unwrap();
+        let list_end = at + 5 + 8 * sums.len();
+        for delta in [-1i64, 1] {
+            let count = (sums.len() as i64 + delta) as u32;
+            let mut bad = meta[..at + 1].to_vec();
+            bad.extend_from_slice(&count.to_le_bytes());
+            bad.extend_from_slice(&meta[at + 5..list_end - 8]);
+            if delta > 0 {
+                bad.extend_from_slice(&meta[list_end - 8..list_end]);
+                bad.extend_from_slice(&7u64.to_le_bytes());
+            }
+            bad.extend_from_slice(&meta[list_end..]);
+            let err = decode_meta(&bad).err().unwrap();
+            assert!(matches!(err, H5Error::Corrupt(ref m) if m.contains("block sums")), "{err:?}");
+            // Committed as the next generation of an identical file, it
+            // fails the open rather than verify a short or phantom block.
+            let (fresh, ..) = blocked_container();
+            commit_meta(&fresh, &bad);
+            let err = Container::open(fresh).unwrap_err();
+            assert!(matches!(err, H5Error::Corrupt(ref m) if m.contains("block sums")), "{err:?}");
+        }
+        // The list as written opens.
+        let (fresh, ..) = blocked_container();
+        commit_meta(&fresh, &meta);
+        Container::open(fresh).unwrap();
+    }
+
+    #[test]
+    fn a_file_mixing_fnv_whole_xxh64_and_block_sums_opens_verifies_scrubs_and_round_trips() {
+        let backend = legacy_backend();
+        let (contig, chunked) = {
+            let c = Container::open(backend.clone()).unwrap();
+            legacy_datasets(&c)
+        };
+        // Re-tag the contiguous extent's FNV sum as a whole-extent XXH64
+        // of the same bytes: the one stamp no flush writes any more.
+        let contig_bytes: Vec<u8> = (0..64).flat_map(|i| (i as f32 * 0.5).to_le_bytes()).collect();
+        let mut meta = latest_meta(&backend);
+        let fnv = fnv1a64(FNV_BASIS, &contig_bytes).to_le_bytes();
+        let at = meta.windows(8).position(|w| w == fnv).unwrap();
+        assert_eq!(meta[at - 1], Algorithm::Fnv1a as u8);
+        meta[at - 1] = Algorithm::Xxh64 as u8;
+        meta[at..at + 8].copy_from_slice(&crate::checksum::xxh64(&contig_bytes).to_le_bytes());
+        commit_meta(&backend, &meta);
+        // Dirty the second chunk: the flush stamps it with block sums.
+        {
+            let c = Container::open(backend.clone()).unwrap();
+            let second_chunk = Selection::Slab(Hyperslab::range1(16, 16));
+            c.write_selection(chunked, &second_chunk, &to_bytes(&[5i32; 16])).unwrap();
+            c.flush().unwrap();
+        }
+        let c = Container::open(backend.clone()).unwrap();
+        assert_eq!(algorithms(&c, contig), [Some(Algorithm::Xxh64)]);
+        assert_eq!(
+            algorithms(&c, chunked),
+            [None, Some(Algorithm::Fnv1a), Some(Algorithm::Xxh64Blocks)]
+        );
+        let floats = from_bytes::<f32>(&c.read_selection(contig, &Selection::All).unwrap()).unwrap();
+        assert_eq!(floats, (0..64).map(|i| i as f32 * 0.5).collect::<Vec<_>>());
+        let all = Selection::Slab(Hyperslab::range1(0, 32));
+        let ints = from_bytes::<i32>(&c.read_selection(chunked, &all).unwrap()).unwrap();
+        assert_eq!(ints[..16], (100..116).collect::<Vec<i32>>());
+        assert_eq!(ints[16..], [5; 16]);
+        let stats = c.integrity_stats();
+        assert_eq!((stats.verified_extents, stats.checksum_failures), (3, 0));
+        let report = c.scrub().unwrap();
+        assert_eq!((report.checked, report.corrupt, report.skipped_dirty), (3, 0, 0));
+        // A metadata-only flush re-encodes all three stamps as they are.
+        let before = (stored_sums(&c, contig), stored_sums(&c, chunked));
+        c.create_group(ROOT_ID, "touch").unwrap();
+        c.flush().unwrap();
+        drop(c);
+        let c = Container::open(backend).unwrap();
+        assert_eq!((stored_sums(&c, contig), stored_sums(&c, chunked)), before);
+        assert!(c.scrub().unwrap().clean());
     }
 }

@@ -2,17 +2,24 @@
 //! extent's checksum at flush, the verified read, and scrub.
 //!
 //! Every data extent (a contiguous dataset's extent, or one chunk) can
-//! carry a checksum in the metadata ([`crate::checksum`]: XXH64, or the
-//! FNV-1a of files written before it), refreshed at flush time for
-//! extents written since the previous flush. Planned reads of clean
-//! checksummed extents verify the bytes actually returned (whole-extent
-//! reads served into the selection), failing with [`H5Error::Corrupt`]
-//! on a mismatch; [`Container::scrub`] walks every checksummed extent
-//! offline and [`Container::scrub_with`] read-repairs corrupt extents
-//! from a durable copy (e.g. the staging WAL).
+//! carry a checksum in the metadata ([`crate::checksum`]), refreshed at
+//! flush time for extents written since the previous flush: one XXH64
+//! per [`SUM_BLOCK`] of the extent, or — in files written before block
+//! sums — one sum over the whole extent, which is the same thing with
+//! one block. A planned read of clean checksummed extents
+//! ([`Container::read_verified`]) fetches, per extent, the block-aligned
+//! range its records reach in one read, verifies every block of it and
+//! serves the records from it, failing with [`H5Error::Corrupt`] on a
+//! mismatch: every byte returned is verified, and a block nothing is
+//! read from is neither fetched nor checked. [`Container::scrub`] walks
+//! every checksummed extent whole, offline, and
+//! [`Container::scrub_with`] read-repairs corrupt extents from a
+//! durable copy (e.g. the staging WAL).
 //!
 //! A flush's read-back and a scrub's detection pass share one job list
-//! and [`Container::hash_extents`]'s lanes.
+//! and [`Container::hash_extents`]'s lanes, and hash whole extents in
+//! windows whose edges are block edges; the hasher closes a sum at
+//! every block boundary.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -20,7 +27,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use apio_trace::Tracer;
 
 use super::{gather, Container, ObjectId, CONTIG_EXTENT};
-use crate::checksum::{Algorithm, Checksum, Hasher};
+use crate::checksum::{Algorithm, Checksum, Hasher, SUM_BLOCK};
 use crate::error::{H5Error, Result};
 use crate::layout::Layout;
 use crate::plan::IoRecord;
@@ -40,6 +47,9 @@ pub(super) const HASH_LANE_MIN_BYTES: u64 = 2 << 20;
 /// The longest read a hash issues, and the buffer a lane holds while it
 /// does: read-back memory is at most `HASH_LANES × HASH_WINDOW`, 32 MiB.
 pub(super) const HASH_WINDOW: usize = 8 << 20;
+// Windows end on block boundaries: a read-back's reads and the sums'
+// blocks share their edges, whatever the extent.
+const _: () = assert!((HASH_WINDOW as u64).is_multiple_of(SUM_BLOCK));
 
 /// One extent for [`Container::hash_extents`] to read back and hash.
 pub(super) struct HashJob {
@@ -188,20 +198,49 @@ impl Container {
         Ok(hasher.finish())
     }
 
-    /// Read each extent of `verify` whole and check it against its
-    /// stored sum: the verified bytes, ascending by extent address, or
-    /// [`H5Error::Corrupt`] at the first extent that fails.
+    /// Fetch and verify the blocks of each extent of `verify` that
+    /// `records` reach: per extent, one read of the block-aligned range
+    /// from the block holding the first byte its records reach to the
+    /// block holding the last, and every block of that range checked
+    /// against its stored sum. A whole-extent sum is one block, so its
+    /// range is the whole extent. Returns the ranges as `(address,
+    /// bytes)`, ascending by address, for [`serve_verified`]; an extent
+    /// no record reaches is not read. The first extent with a failing
+    /// block is [`H5Error::Corrupt`].
     pub(super) fn read_verified(
         &self,
+        records: &[IoRecord],
         verify: &[VerifyExtent],
         tracer: &Tracer,
     ) -> Result<Vec<(u64, recycle::Lease)>> {
-        let mut verified: Vec<(u64, recycle::Lease)> = Vec::with_capacity(verify.len());
-        for v in verify {
-            let mut buf = recycle::lease(v.len as usize);
+        // Each extent, ascending by address, with the lowest and highest
+        // byte address its records reach.
+        let mut reach: Vec<(&VerifyExtent, u64, u64)> =
+            verify.iter().map(|v| (v, u64::MAX, 0)).collect();
+        reach.sort_unstable_by_key(|&(v, ..)| v.addr);
+        let mut held = 0usize;
+        for r in records {
+            if let Some(i) = holder(&reach, |&(v, ..)| (v.addr, v.len), r, held) {
+                held = i;
+                let (_, lo, hi) = &mut reach[i];
+                (*lo, *hi) = ((*lo).min(r.addr), (*hi).max(r.end()));
+            }
+        }
+        let mut verified: Vec<(u64, recycle::Lease)> = Vec::with_capacity(reach.len());
+        for (v, lo, hi) in reach {
+            if lo >= hi {
+                continue;
+            }
+            // Inside the extent (lo ≥ addr, hi ≤ addr + len, checked
+            // above), so none of this can wrap.
+            let block = v.sum.algorithm.block(v.len);
+            let first = (lo - v.addr) / block;
+            let start = first * block;
+            let end = ((hi - v.addr).div_ceil(block) * block).min(v.len);
+            let mut buf = recycle::lease((end - start) as usize);
             self.backend
-                .read_at(v.addr, &mut buf)?; // xtask: allow(planned-io) integrity verification read
-            if !v.sum.matches(&buf) {
+                .read_at(v.addr.saturating_add(start), &mut buf)?; // xtask: allow(planned-io) integrity verification read
+            if !v.sum.verify(v.len, first as usize, &buf) {
                 self.integrity
                     .checksum_failures
                     .fetch_add(1, Ordering::Relaxed);
@@ -209,16 +248,15 @@ impl Container {
                     m.counter("container.checksum_failures").inc();
                 }
                 return Err(H5Error::Corrupt(format!(
-                    "extent at {} ({} bytes) fails its checksum",
+                    "extent at {} ({} bytes) fails its checksum in bytes {start}..{end}",
                     v.addr, v.len
                 )));
             }
             self.integrity
                 .verified_extents
                 .fetch_add(1, Ordering::Relaxed);
-            verified.push((v.addr, buf));
+            verified.push((v.addr.saturating_add(start), buf));
         }
-        verified.sort_unstable_by_key(|&(addr, _)| addr);
         Ok(verified)
     }
 
@@ -285,7 +323,7 @@ impl Container {
         let mut extents: Vec<(ObjectId, u64, u64, u64, Checksum)> = Vec::new();
         for (id, state) in snap.iter() {
             let elem = state.dtype.size() as u64;
-            if let Some(sum) = state.data_sum {
+            if let Some(sum) = state.data_sum.clone() {
                 let len = state.space.npoints().checked_mul(elem).ok_or_else(|| {
                     H5Error::Storage("dataset byte size overflows the address space".into())
                 })?;
@@ -296,7 +334,7 @@ impl Container {
                     H5Error::Storage("chunk byte size overflows the address space".into())
                 })?;
                 for (&idx, entry) in &state.chunks {
-                    if let Some(sum) = entry.sum {
+                    if let Some(sum) = entry.sum.clone() {
                         extents.push((id, idx, entry.addr, chunk_bytes, sum));
                     }
                 }
@@ -310,7 +348,7 @@ impl Container {
         // Detection: every clean extent, over the read-back lanes.
         let jobs: Vec<HashJob> = extents
             .iter()
-            .map(|&(_, _, addr, len, sum)| HashJob {
+            .map(|&(_, _, addr, len, ref sum)| HashJob {
                 addr,
                 len,
                 algorithm: sum.algorithm,
@@ -353,34 +391,54 @@ impl Container {
     }
 }
 
-/// Gather every record that lies inside a verified extent (`verified`
+/// The index of the item of `items` — ascending, disjoint `(address,
+/// length)` ranges by `range` — that holds all of `r`: `hint` first,
+/// since the item that held the previous record holds the next one too
+/// until the plan moves on to another chunk, then a binary search.
+fn holder<T>(
+    items: &[T],
+    range: impl Fn(&T) -> (u64, u64),
+    r: &IoRecord,
+    hint: usize,
+) -> Option<usize> {
+    let holds = |i: usize| {
+        items
+            .get(i)
+            .map(&range)
+            .is_some_and(|(base, len)| r.addr >= base && r.end() - base <= len)
+    };
+    if holds(hint) {
+        return Some(hint);
+    }
+    let i = items
+        .partition_point(|t| range(t).0 <= r.addr)
+        .saturating_sub(1);
+    holds(i).then_some(i)
+}
+
+/// Gather every record that lies inside a verified range (`verified`
 /// ascends by address) out of its bytes into `out`; return the records
-/// no verified extent holds. A record never crosses an extent boundary
-/// (planner invariant 2), so it is served whole or not at all.
+/// no verified range holds. A record never crosses an extent boundary
+/// (planner invariant 2), and a range covers every record of its extent
+/// that was verified, so a record is served whole or not at all.
 pub(super) fn serve_verified(
     records: &[IoRecord],
     verified: &[(u64, recycle::Lease)],
     out: &mut [u8],
 ) -> Vec<IoRecord> {
     let mut unserved = Vec::new();
-    // The extent that served the previous record serves the next one
-    // too, until the plan moves on to another chunk.
     let mut held = 0usize;
     for r in records {
-        let within = |&(base, ref buf): &(u64, recycle::Lease)| {
-            r.addr >= base && r.end() - base <= buf.len() as u64
-        };
-        if !verified.get(held).is_some_and(within) {
-            held = verified
-                .partition_point(|&(base, _)| base <= r.addr)
-                .saturating_sub(1);
-        }
-        match verified.get(held).filter(|v| within(v)) {
-            Some((base, buf)) => gather(
-                &buf[(r.addr - base) as usize..],
-                &mut out[r.cursor as usize..][..(r.len * r.count) as usize],
-                r,
-            ),
+        match holder(verified, |(base, buf)| (*base, buf.len() as u64), r, held) {
+            Some(i) => {
+                held = i;
+                let (base, buf) = &verified[i];
+                gather(
+                    &buf[(r.addr - base) as usize..],
+                    &mut out[r.cursor as usize..][..(r.len * r.count) as usize],
+                    r,
+                );
+            }
             None => unserved.push(*r),
         }
     }
@@ -420,11 +478,7 @@ mod tests {
         c.flush().unwrap();
         assert_eq!(gauge.longest.load(Ordering::SeqCst), HASH_WINDOW, "a full window, then 5 bytes");
         data.resize(WRITTEN + TAIL, 0);
-        let want = Checksum {
-            algorithm: Algorithm::Xxh64,
-            sum: crate::checksum::xxh64(&data),
-        };
-        assert_eq!(stored_sums(&c, ds), (Some(want), vec![]));
+        assert_eq!(stored_sums(&c, ds), (stamp(&data), vec![]));
         // The flush's metadata append raised the watermark past the
         // tail: the same sum now comes from bytes actually read.
         assert!(c.scrub().unwrap().clean());
@@ -436,14 +490,15 @@ mod tests {
 
     const MIB: usize = 1 << 20;
 
-    /// What the read-back asks of the device: the longest scalar read
-    /// and the most of them in flight at once. A read at an address in
-    /// `bad` fails, naming the address.
+    /// What the read-back asks of the device: the longest scalar read,
+    /// the most of them in flight at once, and the bytes every read
+    /// moved. A read at an address in `bad` fails, naming the address.
     struct ReadGauge {
         inner: Arc<dyn StorageBackend>,
         in_flight: AtomicUsize,
         most_in_flight: AtomicUsize,
         longest: AtomicUsize,
+        read_bytes: AtomicUsize,
         bad: Mutex<Vec<u64>>,
     }
 
@@ -454,6 +509,7 @@ mod tests {
                 in_flight: AtomicUsize::new(0),
                 most_in_flight: AtomicUsize::new(0),
                 longest: AtomicUsize::new(0),
+                read_bytes: AtomicUsize::new(0),
                 bad: Mutex::new(Vec::new()),
             })
         }
@@ -467,6 +523,7 @@ mod tests {
             let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
             self.most_in_flight.fetch_max(now, Ordering::SeqCst);
             self.longest.fetch_max(buf.len(), Ordering::SeqCst);
+            self.read_bytes.fetch_add(buf.len(), Ordering::SeqCst);
             let out = if self.bad.lock().contains(&offset) {
                 Err(H5Error::Storage(format!("bad sector at {offset}")))
             } else {
@@ -479,6 +536,8 @@ mod tests {
             self.inner.write_vectored_at(batch)
         }
         fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
+            let bytes = batch.iter().map(|seg| seg.buf.len()).sum();
+            self.read_bytes.fetch_add(bytes, Ordering::SeqCst);
             self.inner.read_vectored_at(batch)
         }
         fn len(&self) -> u64 {
@@ -510,11 +569,9 @@ mod tests {
             .collect()
     }
 
-    fn xxh(bytes: &[u8]) -> Option<Checksum> {
-        Some(Checksum {
-            algorithm: Algorithm::Xxh64,
-            sum: crate::checksum::xxh64(bytes),
-        })
+    /// What a flush stamps over an extent holding `bytes`.
+    fn stamp(bytes: &[u8]) -> Option<Checksum> {
+        Some(Checksum::blocks_of(bytes))
     }
 
     #[test]
@@ -542,11 +599,11 @@ mod tests {
         for (i, &ds) in contiguous.iter().enumerate() {
             let bytes = c.read_selection(ds, &Selection::All).unwrap();
             assert_eq!(bytes, lane_bytes(i, 2 * MIB));
-            assert_eq!(stored_sums(&c, ds), (xxh(&bytes), vec![]), "dataset {i}");
+            assert_eq!(stored_sums(&c, ds), (stamp(&bytes), vec![]), "dataset {i}");
         }
         let bytes = c.read_selection(chunked, &Selection::All).unwrap();
         assert_eq!(bytes, lane_bytes(99, 8 * MIB));
-        let want = bytes.chunks(MIB).enumerate().map(|(i, b)| (i as u64, xxh(b))).collect();
+        let want = bytes.chunks(MIB).enumerate().map(|(i, b)| (i as u64, stamp(b))).collect();
         assert_eq!(stored_sums(&c, chunked), (None, want));
         let report = c.scrub().unwrap();
         assert_eq!((report.checked, report.corrupt, report.skipped_dirty), (24, 0, 0));
@@ -585,7 +642,7 @@ mod tests {
         for (i, &ds) in ids.iter().enumerate() {
             let bytes = c.read_selection(ds, &Selection::All).unwrap();
             assert_eq!(bytes, lane_bytes(100 + i, 2 * MIB));
-            assert_eq!(stored_sums(&c, ds), (xxh(&bytes), vec![]));
+            assert_eq!(stored_sums(&c, ds), (stamp(&bytes), vec![]));
         }
         assert_eq!(c.integrity_stats().checksum_failures, 0);
     }
@@ -732,7 +789,7 @@ mod tests {
             for (i, &ds) in ids.iter().enumerate() {
                 let bytes = c.read_selection(ds, &Selection::All).unwrap();
                 assert_eq!(bytes, lane_bytes(100 + i, 2 * MIB));
-                assert_eq!(stored_sums(&c, ds), (xxh(&bytes), vec![]));
+                assert_eq!(stored_sums(&c, ds), (stamp(&bytes), vec![]));
             }
         }
     }
@@ -796,11 +853,11 @@ mod tests {
                 // then the fill value to its end.
                 want.push(if chunked {
                     data.resize(written.div_ceil(chunk) * chunk, 0);
-                    let sums = data.chunks(chunk).enumerate().map(|(i, b)| (i as u64, xxh(b)));
+                    let sums = data.chunks(chunk).enumerate().map(|(i, b)| (i as u64, stamp(b)));
                     (ds, (None, sums.collect()))
                 } else {
                     data.resize(len, 0);
-                    (ds, (if len == 0 { None } else { xxh(&data) }, vec![]))
+                    (ds, (if len == 0 { None } else { stamp(&data) }, vec![]))
                 });
             }
             c.flush().unwrap();
@@ -849,5 +906,113 @@ mod tests {
         let after = c.scrub().unwrap();
         assert_eq!((after.checked, after.corrupt, after.skipped_dirty), (8, 0, 0));
         assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), data);
+    }
+
+    // ----- block sums on the read path ---------------------------------
+
+    const BLOCK: usize = SUM_BLOCK as usize;
+
+    #[test]
+    fn a_verified_read_fetches_the_blocks_its_records_reach_on_either_layout() {
+        // Contiguous: three blocks and a short fourth of 1000 bytes.
+        // Chunked: chunks of two blocks and a short third of 300 bytes.
+        let len = 3 * BLOCK + 1000;
+        let chunk = 2 * BLOCK + 300;
+        let data: Vec<u8> = (0..len).map(|i| (i * 13 + i / 977) as u8).collect();
+        let range = |start: usize, n: usize| Selection::Slab(Hyperslab::range1(start as u64, n as u64));
+        let cases = [
+            // (layout, selection start, length, bytes the device moves)
+            (Layout::Contiguous, 0, len, len),
+            (Layout::Contiguous, 10, 20, BLOCK),
+            (Layout::Contiguous, BLOCK - 10, 20, 2 * BLOCK),
+            (Layout::Contiguous, 2 * BLOCK, BLOCK, BLOCK),
+            (Layout::Contiguous, 3 * BLOCK + 5, 20, 1000),
+            (Layout::Contiguous, 3 * BLOCK - 1, 2, BLOCK + 1000),
+            // The short last block of chunk 0, then block 0 of chunk 1.
+            (Layout::Chunked1D { chunk_elems: chunk as u64 }, 2 * BLOCK + 250, 100, 300 + BLOCK),
+            // Blocks 1 and 2 of chunk 0, blocks 0 and 1 of chunk 1.
+            (Layout::Chunked1D { chunk_elems: chunk as u64 }, BLOCK + 1, chunk, 3 * BLOCK + 300),
+            // The dataspace ends in block 1 of chunk 1: the chunk's fill
+            // past it is not fetched.
+            (Layout::Chunked1D { chunk_elems: chunk as u64 }, chunk, len - chunk, 2 * BLOCK),
+        ];
+        for (layout, start, n, want) in cases {
+            let gauge = ReadGauge::over(Arc::new(MemBackend::new()));
+            let c = Container::create(gauge.clone());
+            let space = Dataspace::d1(len as u64);
+            let ds = c.create_dataset(ROOT_ID, "x", Datatype::U8, &space, layout.clone()).unwrap();
+            c.write_selection(ds, &Selection::All, &data).unwrap();
+            c.flush().unwrap();
+            let before = gauge.read_bytes.load(Ordering::SeqCst);
+            let got = c.read_selection(ds, &range(start, n)).unwrap();
+            let moved = gauge.read_bytes.load(Ordering::SeqCst) - before;
+            assert_eq!(got, data[start..start + n], "{layout:?} {start}+{n}");
+            assert_eq!(moved, want, "{layout:?} {start}+{n}");
+            assert_eq!(c.integrity_stats().checksum_failures, 0);
+        }
+    }
+
+    #[test]
+    fn every_corrupt_flip_on_a_half_extent_block_read_is_detected() {
+        // Seeded one-bit flips on half the device reads; each read of
+        // half the extent is one device read of its two blocks.
+        use crate::storage::{FaultInjector, FaultKind, FaultOp, FaultPlan};
+        let plan = FaultPlan::new(0xB10C).random(FaultOp::Read, 0.5, FaultKind::Corrupt);
+        let inj = Arc::new(FaultInjector::new(Arc::new(MemBackend::new()), plan));
+        inj.set_armed(false);
+        let c = Container::create(inj.clone());
+        let space = Dataspace::d1(4 * BLOCK as u64);
+        let ds = c.create_dataset(ROOT_ID, "x", Datatype::U8, &space, Layout::Contiguous).unwrap();
+        let data = lane_bytes(3, 4 * BLOCK);
+        c.write_selection(ds, &Selection::All, &data).unwrap();
+        c.flush().unwrap();
+
+        inj.set_armed(true);
+        let halves = [(0, 2 * BLOCK), (2 * BLOCK, 2 * BLOCK)];
+        let mut detected = 0;
+        for i in 0..64 {
+            let (start, n) = halves[i % 2];
+            let sel = Selection::Slab(Hyperslab::range1(start as u64, n as u64));
+            match c.read_selection(ds, &sel) {
+                Ok(got) => assert_eq!(got, data[start..start + n]),
+                Err(H5Error::Corrupt(_)) => detected += 1,
+                Err(e) => panic!("unexpected error class: {e}"),
+            }
+        }
+        inj.set_armed(false);
+        assert!(inj.injected() > 0, "the plan must fire");
+        assert_eq!(detected, inj.injected());
+        assert_eq!(c.integrity_stats().checksum_failures, detected);
+    }
+
+    #[test]
+    fn rot_in_an_unread_block_is_left_to_scrub_which_finds_and_repairs_it() {
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        let c = Container::create(backend.clone());
+        let space = Dataspace::d1(4 * BLOCK as u64);
+        let ds = c.create_dataset(ROOT_ID, "x", Datatype::U8, &space, Layout::Contiguous).unwrap();
+        let data = lane_bytes(5, 4 * BLOCK);
+        c.write_selection(ds, &Selection::All, &data).unwrap();
+        c.flush().unwrap();
+        let at = c.plane.working(ds).unwrap().data_addr + 3 * BLOCK as u64 + 17;
+        backend.write_at(at, &[!data[3 * BLOCK + 17]]).unwrap();
+
+        // The first half never touches the rotten block.
+        let head = Selection::Slab(Hyperslab::range1(0, 2 * BLOCK as u64));
+        assert_eq!(c.read_selection(ds, &head).unwrap(), data[..2 * BLOCK]);
+        assert_eq!(c.integrity_stats().checksum_failures, 0);
+        // The second half does.
+        let tail = Selection::Slab(Hyperslab::range1(2 * BLOCK as u64, 2 * BLOCK as u64));
+        assert!(matches!(c.read_selection(ds, &tail), Err(H5Error::Corrupt(_))));
+        let found = c.scrub().unwrap();
+        assert_eq!((found.checked, found.corrupt, found.unrepaired), (1, 1, 1));
+        let fixed = c
+            .scrub_with(|id| {
+                c.write_selection(id, &Selection::All, &data)?;
+                Ok(true)
+            })
+            .unwrap();
+        assert_eq!((fixed.corrupt, fixed.repaired, fixed.unrepaired), (1, 1, 0));
+        assert_eq!(c.read_selection(ds, &tail).unwrap(), data[2 * BLOCK..]);
     }
 }

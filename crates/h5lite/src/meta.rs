@@ -121,7 +121,7 @@ pub enum ConsistencyModel {
 /// One chunk's storage: extent address plus the optional checksum
 /// recorded at the last flush (`None` until the chunk has been flushed
 /// after a write, or when checksumming is disabled).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct ChunkEntry {
     pub addr: u64,
     pub sum: Option<Checksum>,

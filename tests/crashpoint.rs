@@ -521,3 +521,48 @@ fn scrub_rebuilds_a_corrupt_extent_from_the_staging_wal() {
     assert_eq!(scrub.corrupt, 0, "{scrub:?}");
     assert!(scrub.checked >= 1);
 }
+
+#[test]
+fn rot_in_the_unread_half_of_an_extent_is_left_to_scrub_and_the_wal_repairs_it() {
+    // Two 64 KiB sum blocks of f32; a read of the first half fetches and
+    // verifies the first block only.
+    let n = 2 * apio::h5lite::checksum::SUM_BLOCK / 4;
+    let inner: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+    let c = Arc::new(Container::create(inner.clone()));
+    let ds = c
+        .create_dataset(ROOT_ID, "d", Datatype::F32, &Dataspace::d1(n), Layout::Contiguous)
+        .expect("create dataset");
+    c.flush().expect("metadata durable");
+    let wal: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+    let vol = AsyncVol::builder()
+        .streams(1)
+        .stage_to_device(wal.clone())
+        .build();
+    let vals: Vec<f32> = (0..n).map(|i| (i as f32).cos()).collect();
+    let bytes = to_bytes(&vals);
+    let req = vol.dataset_write(&c, ds, &Selection::All, &bytes).expect("issue");
+    vol.wait(req).expect("land");
+    c.flush().expect("checksum the extent at rest");
+    drop(vol);
+
+    // Rot one byte of the second half at rest. A fresh container's
+    // first allocation sits immediately after the superblock area.
+    let at = apio::h5lite::superblock::SUPERBLOCK_AREA + 3 * n;
+    let mut b = [0u8; 1];
+    inner.read_at(at, &mut b).expect("read the victim byte");
+    inner.write_at(at, &[b[0] ^ 0x10]).expect("flip it");
+
+    // A read of the first half neither fetches nor reports it.
+    let head = Selection::Slab(Hyperslab::range1(0, n / 2));
+    let half = c.read_selection(ds, &head).expect("the first half verifies");
+    assert_eq!(half, bytes[..bytes.len() / 2]);
+    assert_eq!(c.integrity_stats().checksum_failures, 0);
+
+    // Scrub does, and the WAL's durable copy rebuilds the extent.
+    let found = c.scrub().expect("scrub");
+    assert_eq!((found.corrupt, found.unrepaired), (1, 1), "{found:?}");
+    let vol2 = AsyncVol::builder().stage_to_device(wal).build();
+    let rec = vol2.recover_and_scrub(&c).expect("recover and scrub");
+    assert_eq!(rec.scrub_repaired, 1, "repaired from the WAL: {rec:?}");
+    assert_eq!(c.read_selection(ds, &Selection::All).expect("read back"), bytes);
+}

@@ -7,15 +7,17 @@
 use apio::asyncvol::{AsyncVol, BreakerConfig, RetryPolicy};
 use apio::desim::{Engine, SharedResource, SimDuration};
 use apio::h5lite::{
-    container::ROOT_ID, sieve_spans, Container, Dataspace, Datatype, FaultInjector, FaultKind,
-    FaultOp, FaultPlan, File, Hyperslab, IoPlan, IoSegment, Layout, MemBackend, Selection, Span,
-    ThrottledBackend, Vol, SIEVE_PAGE,
+    checksum::SUM_BLOCK, container::ROOT_ID, sieve_spans, Container, Dataspace, Datatype,
+    FaultInjector, FaultKind, FaultOp, FaultPlan, File, H5Error, Hyperslab, IoPlan, IoSegment,
+    IoVec, IoVecMut, Layout, MemBackend, Selection, Span, StorageBackend, ThrottledBackend, Vol,
+    SIEVE_PAGE,
 };
 use apio::model::epoch::EpochParams;
 use apio::model::regression::{Design, LinearFit};
 use apio::model::{AdaptiveRuntime, Direction, DriftAlarm, DriftDirection, IoMode, TransferRecord};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod common;
@@ -799,6 +801,127 @@ fn backend_rate_step_fires_drift_alarm_within_k_epochs() {
             alarm.observed_rate < alarm.mean_rate,
             "case {case} (alarm {k} epochs after the step): observed below the mean rate"
         );
+    }
+}
+
+/// Counts the bytes every read moves; while `flip_last` is set, each
+/// scalar read comes back with the last byte it fetched flipped.
+struct BlockGauge {
+    inner: MemBackend,
+    read_bytes: AtomicU64,
+    flip_last: AtomicBool,
+}
+
+impl StorageBackend for BlockGauge {
+    fn write_at(&self, offset: u64, data: &[u8]) -> apio::h5lite::Result<()> {
+        self.inner.write_at(offset, data)
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> apio::h5lite::Result<()> {
+        self.read_bytes.fetch_add(buf.len() as u64, Ordering::SeqCst);
+        self.inner.read_at(offset, buf)?;
+        if let Some(last) = buf.last_mut().filter(|_| self.flip_last.load(Ordering::SeqCst)) {
+            *last ^= 0x40;
+        }
+        Ok(())
+    }
+    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> apio::h5lite::Result<()> {
+        self.inner.write_vectored_at(batch)
+    }
+    fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> apio::h5lite::Result<()> {
+        let bytes: usize = batch.iter().map(|seg| seg.buf.len()).sum();
+        self.read_bytes.fetch_add(bytes as u64, Ordering::SeqCst);
+        self.inner.read_vectored_at(batch)
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn sync(&self) -> apio::h5lite::Result<()> {
+        self.inner.sync()
+    }
+}
+
+/// Block sums on the read path (DESIGN.md §13, "Block sums"). Over
+/// random contiguous and chunked datasets whose extents are not
+/// multiples of `SUM_BLOCK`, and random strided hyperslabs of them, a
+/// verified read of a flushed dataset
+/// - returns the bytes the `set_checksums(false)` read returns;
+/// - moves from the device exactly the `SUM_BLOCK`-aligned blocks that
+///   cover each touched extent's selected bytes, the extent's short last
+///   block included — never more, so a whole extent only when the
+///   selection reaches into its first and its last block;
+/// - fails with `Corrupt` when the last byte of every range it fetches
+///   comes back flipped: the last block of each range is checked too.
+#[test]
+fn a_verified_read_moves_only_its_covering_blocks_and_checks_each() {
+    for salt in 0..64u64 {
+        let mut rng = Lcg::new(0xB10C_5000 + salt);
+        let (dtype, elem) = [(Datatype::U8, 1), (Datatype::F32, 4), (Datatype::U64, 8)]
+            [(rng.next() % 3) as usize];
+        // One to five blocks and a remainder, in elements.
+        let n = (rng.in_range(SUM_BLOCK / 3, 5 * SUM_BLOCK) | 1) / elem;
+        let chunk_elems = (rng.in_range(SUM_BLOCK / 4, 3 * SUM_BLOCK) | 3) / elem;
+        let chunked = rng.next() % 2 == 1;
+        let (layout, extent_elems) = if chunked {
+            (Layout::Chunked1D { chunk_elems }, chunk_elems)
+        } else {
+            (Layout::Contiguous, n)
+        };
+        let start = rng.next() % n;
+        let stride = [1, 1, 2, 3, 1 + rng.next() % 4096][(rng.next() % 5) as usize];
+        let count = 1 + rng.next() % (n - start).div_ceil(stride);
+        let sel = Selection::Slab(Hyperslab::strided(&[start], &[count], &[stride]));
+        let case = format!(
+            "salt {salt}: {n} x {elem} B, {layout:?}, start {start} count {count} stride {stride}"
+        );
+
+        // The covering blocks, extent by extent, from the selection alone.
+        let mut reach: std::collections::BTreeMap<u64, (u64, u64)> = Default::default();
+        for k in 0..count {
+            let i = start + k * stride;
+            let (extent, at) = (i / extent_elems, (i % extent_elems) * elem);
+            let e = reach.entry(extent).or_insert((u64::MAX, 0));
+            *e = (e.0.min(at), e.1.max(at + elem));
+        }
+        let extent_bytes = extent_elems * elem;
+        let covering: u64 = reach
+            .values()
+            .map(|&(lo, hi)| {
+                let end = (hi.div_ceil(SUM_BLOCK) * SUM_BLOCK).min(extent_bytes);
+                end - lo / SUM_BLOCK * SUM_BLOCK
+            })
+            .sum();
+
+        let gauge = Arc::new(BlockGauge {
+            inner: MemBackend::new(),
+            read_bytes: AtomicU64::new(0),
+            flip_last: AtomicBool::new(false),
+        });
+        let c = Container::create(gauge.clone());
+        let id = c
+            .create_dataset(ROOT_ID, "d", dtype, &Dataspace::d1(n), layout)
+            .expect("create");
+        let data: Vec<u8> = (0..n * elem).map(|i| (i * 131 + salt + i / 251) as u8).collect();
+        c.write_selection(id, &Selection::All, &data).expect("write");
+        c.flush().expect("flush stamps block sums");
+
+        let before = gauge.read_bytes.load(Ordering::SeqCst);
+        let verified = c.read_selection(id, &sel).expect("verified read");
+        let moved = gauge.read_bytes.load(Ordering::SeqCst) - before;
+        assert_eq!(moved, covering, "{case}: device bytes of the verified read");
+        assert_eq!(
+            c.integrity_stats().verified_extents,
+            reach.len() as u64,
+            "{case}"
+        );
+        c.set_checksums(false);
+        let plain = c.read_selection(id, &sel).expect("unverified read");
+        c.set_checksums(true);
+        assert_eq!(verified, plain, "{case}: verified and unverified bytes");
+
+        gauge.flip_last.store(true, Ordering::SeqCst);
+        let err = c.read_selection(id, &sel);
+        gauge.flip_last.store(false, Ordering::SeqCst);
+        assert!(matches!(err, Err(H5Error::Corrupt(_))), "{case}: {err:?}");
     }
 }
 
