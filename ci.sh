@@ -105,12 +105,15 @@ echo "== h5lite in release (overflow, dataspace, read-back lanes) =="
 # floor; `flush_hashes` the windowed long extent; `block` the block sums:
 # the hasher's boundaries, the tag-3 codec and its count check at open,
 # and the covering-block ranges of a verified read, whose offset
-# arithmetic is what a release build would wrap).
+# arithmetic is what a release build would wrap; `kernel` the strided
+# copy kernels against their piece-by-piece reference, whose const-width
+# loops compile differently with optimisation on).
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite dataspace
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite overflow
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite lane
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite flush_hashes
 cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite block
+cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite kernel
 
 echo "== operator report smoke (drift demo must flip the advice) =="
 report_json="$(cargo run -q "${CARGO_FLAGS[@]}" -p apio-apps --bin apio-report -- --json)"

@@ -231,6 +231,48 @@ fn integrity_overhead() {
     }
 }
 
+/// The strided copy kernels (`IoRecord::scatter` / `gather`) at
+/// `strided_rw`'s shape: every other f32 of a flushed 128 KiB extent,
+/// 16 384 pieces of 4 bytes. The verified read gathers them out of the
+/// checked blocks; the sieved write scatters them into the span it read.
+/// The flat copy of the same 64 KiB is the floor. Printed, not gated.
+fn strided_copy() {
+    section("strided_copy");
+    const ELEMS: u64 = 16_384;
+    let sel = Selection::Slab(interleaved_slab(1, 2, ELEMS));
+    let data = h5lite::datatype::to_bytes(&vec![1.5f32; ELEMS as usize]);
+    let bytes = data.len() as u64;
+    let extent = || {
+        let c = Container::create_mem();
+        let space = Dataspace::d1(2 * ELEMS);
+        let id = c
+            .create_dataset(ROOT_ID, "x", Datatype::F32, &space, Layout::Contiguous)
+            .unwrap();
+        let all = h5lite::datatype::to_bytes(&vec![0.5f32; 2 * ELEMS as usize]);
+        c.write_selection(id, &Selection::All, &all).unwrap();
+        c.flush().unwrap();
+        (c, id)
+    };
+    let (c, id) = extent();
+    let read = bench_bytes("strided_copy/verified_read/16384xf32", bytes, || {
+        black_box(c.read_selection(id, black_box(&sel)).unwrap());
+    });
+    assert!(c.integrity_stats().verified_extents > 0, "the read skipped verification");
+    let (c, id) = extent();
+    let write = bench_bytes("strided_copy/sieved_write/16384xf32", bytes, || {
+        c.write_selection(id, black_box(&sel), black_box(&data)).unwrap();
+    });
+    assert!(c.sieve_stats().spans > 0, "the write did not sieve");
+    let flat = bench_bytes("strided_copy/flat_memcpy/64KiB", bytes, || {
+        black_box(black_box(&data).to_vec());
+    });
+    println!(
+        "strided_copy: verified read {:.1}x, sieved write {:.1}x a flat copy of the same bytes",
+        read.secs_per_iter() / flat.secs_per_iter().max(1e-12),
+        write.secs_per_iter() / flat.secs_per_iter().max(1e-12)
+    );
+}
+
 /// A backend whose `sync` sleeps `secs_per_byte` for every byte written
 /// since the last one: the barrier over a flush's dirty extents costs
 /// what they weigh, the two after it next to nothing.
@@ -449,6 +491,7 @@ fn main() {
     memcpy_by_size();
     model_copy_time();
     trace_overhead();
+    strided_copy();
     integrity_overhead();
     flush_hash_lanes();
 

@@ -988,7 +988,7 @@ impl Container {
                 for part in span.parts(records) {
                     // A part's pieces are back to back in `data`.
                     let src = &data[part.cursor as usize..][..(part.len * part.count) as usize];
-                    scatter(src, &mut buf[(part.addr - span.addr) as usize..], &part);
+                    part.scatter(src, &mut buf[(part.addr - span.addr) as usize..]);
                 }
             }
             let batch: Vec<IoVec<'_>> = sieve_layout(window)
@@ -1211,7 +1211,7 @@ impl Container {
                 let buf = &sieve[range];
                 for part in span.parts(records) {
                     let dst = &mut out[part.cursor as usize..][..(part.len * part.count) as usize];
-                    gather(&buf[(part.addr - span.addr) as usize..], dst, &part);
+                    part.gather(&buf[(part.addr - span.addr) as usize..], dst);
                 }
             }
         }
@@ -1439,24 +1439,6 @@ fn plan_from_state(
                 missing,
             })
         }
-    }
-}
-
-/// Copy a record's pieces from `packed`, where they lie back to back (the
-/// caller's buffer from the record's cursor on), to `strided`, where they
-/// lie as in the file (`strided[0]` is the first piece's first byte).
-fn scatter(packed: &[u8], strided: &mut [u8], record: &IoRecord) {
-    let (len, stride) = (record.len as usize, record.stride as usize);
-    for (i, piece) in packed.chunks_exact(len).enumerate() {
-        strided[i * stride..][..len].copy_from_slice(piece);
-    }
-}
-
-/// The inverse of [`scatter`]: file layout to buffer layout.
-fn gather(strided: &[u8], packed: &mut [u8], record: &IoRecord) {
-    let (len, stride) = (record.len as usize, record.stride as usize);
-    for (i, piece) in packed.chunks_exact_mut(len).enumerate() {
-        piece.copy_from_slice(&strided[i * stride..][..len]);
     }
 }
 

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use apio_trace::Tracer;
 
-use super::{gather, Container, ObjectId, CONTIG_EXTENT};
+use super::{Container, ObjectId, CONTIG_EXTENT};
 use crate::checksum::{Algorithm, Checksum, Hasher, SUM_BLOCK};
 use crate::error::{H5Error, Result};
 use crate::layout::Layout;
@@ -433,10 +433,9 @@ pub(super) fn serve_verified(
             Some(i) => {
                 held = i;
                 let (base, buf) = &verified[i];
-                gather(
+                r.gather(
                     &buf[(r.addr - base) as usize..],
                     &mut out[r.cursor as usize..][..(r.len * r.count) as usize],
-                    r,
                 );
             }
             None => unserved.push(*r),

@@ -14,7 +14,10 @@
 //! that issues a plan groups its pieces into [`Span`]s ([`sieve_spans`],
 //! by arithmetic on the records) and sends the spans to the backend as
 //! vectored batches ([`crate::storage::StorageBackend::
-//! write_vectored_at`]), one [`span_windows`] window each.
+//! write_vectored_at`]), one [`span_windows`] window each. A record's
+//! pieces move between the caller's buffer and a span's with the
+//! record's own copy kernels, [`IoRecord::scatter`] and
+//! [`IoRecord::gather`].
 //!
 //! Planner invariants (tested below; the container relies on them),
 //! stated over a plan's *pieces* — its records expanded in order
@@ -131,6 +134,57 @@ impl IoRecord {
     /// Backend address one past the last piece.
     pub fn end(&self) -> u64 {
         self.piece(self.count - 1).addr.saturating_add(self.len)
+    }
+
+    /// Copy the record's pieces from `packed`, where they lie back to
+    /// back (the caller's buffer from the record's cursor on), to
+    /// `strided`, where they lie as in the file (`strided[0]` is the
+    /// first piece's first byte). The bytes between pieces are left as
+    /// they are.
+    ///
+    /// # Panics
+    ///
+    /// If `packed` is not exactly `len * count` bytes long or `strided`
+    /// ends before the last piece does, as an out-of-range slice would.
+    pub fn scatter(&self, packed: &[u8], strided: &mut [u8]) {
+        let stride = self.check_buffers(packed.len(), strided.len());
+        match self.len {
+            1 => scatter_as::<1>(packed, strided, 1, stride),
+            2 => scatter_as::<2>(packed, strided, 2, stride),
+            4 => scatter_as::<4>(packed, strided, 4, stride),
+            8 => scatter_as::<8>(packed, strided, 8, stride),
+            16 => scatter_as::<16>(packed, strided, 16, stride),
+            len => scatter_as::<0>(packed, strided, len as usize, stride),
+        }
+    }
+
+    /// The inverse of [`IoRecord::scatter`]: file layout to buffer
+    /// layout, with the same length contract.
+    pub fn gather(&self, strided: &[u8], packed: &mut [u8]) {
+        let stride = self.check_buffers(packed.len(), strided.len());
+        match self.len {
+            1 => gather_as::<1>(strided, packed, 1, stride),
+            2 => gather_as::<2>(strided, packed, 2, stride),
+            4 => gather_as::<4>(strided, packed, 4, stride),
+            8 => gather_as::<8>(strided, packed, 8, stride),
+            16 => gather_as::<16>(strided, packed, 16, stride),
+            len => gather_as::<0>(strided, packed, len as usize, stride),
+        }
+    }
+
+    /// The length contract of [`IoRecord::scatter`] and
+    /// [`IoRecord::gather`], checked once per call so that no piece is
+    /// silently dropped; returns the stride the kernels step by.
+    fn check_buffers(&self, packed: usize, strided: usize) -> usize {
+        let (len, count, stride) = (self.len as usize, self.count as usize, self.stride as usize);
+        assert!(len > 0 && count > 0 && stride >= len, "malformed record {self:?}");
+        assert!(
+            packed == len * count && strided >= (count - 1) * stride + len,
+            "{self:?} needs {} packed and at least {} strided bytes, got {packed} and {strided}",
+            len * count,
+            (count - 1) * stride + len,
+        );
+        stride
     }
 
     /// Pieces `from..from + n` as a record of their own (`n >= 1`).
@@ -452,6 +506,34 @@ impl Span {
             part
         })
     }
+}
+
+/// The copy loop of [`IoRecord::scatter`] over pieces of `len` bytes,
+/// `stride` apart in `strided`: a compile-time width `N`, or `N == 0`
+/// for a width known only at run time. The first `count - 1` pieces
+/// pair exact chunks — `len` packed bytes with a `stride`-long window —
+/// and the last piece, which `strided` may end right after, goes on its
+/// own. Lengths are [`IoRecord::check_buffers`]'s.
+fn scatter_as<const N: usize>(packed: &[u8], strided: &mut [u8], len: usize, stride: usize) {
+    let len = if N == 0 { len } else { N };
+    let (body, last) = packed.split_at(packed.len() - len);
+    let (head, tail) = strided.split_at_mut(body.len() / len * stride);
+    for (src, dst) in body.chunks_exact(len).zip(head.chunks_exact_mut(stride)) {
+        dst[..len].copy_from_slice(src);
+    }
+    tail[..len].copy_from_slice(last);
+}
+
+/// [`scatter_as`] the other way round, for [`IoRecord::gather`].
+fn gather_as<const N: usize>(strided: &[u8], packed: &mut [u8], len: usize, stride: usize) {
+    let len = if N == 0 { len } else { N };
+    let split = packed.len() - len;
+    let (body, last) = packed.split_at_mut(split);
+    let (head, tail) = strided.split_at(split / len * stride);
+    for (dst, src) in body.chunks_exact_mut(len).zip(head.chunks_exact(stride)) {
+        dst.copy_from_slice(&src[..len]);
+    }
+    last.copy_from_slice(&tail[..len]);
 }
 
 /// Group the pieces of `records` into spans (invariant 5). `extents` are
@@ -1103,6 +1185,88 @@ mod tests {
                 check_spans(reference.records(), &extents);
             }
         }
+    }
+
+    /// What [`IoRecord::scatter`] does, one piece and one byte at a time.
+    fn scatter_reference(r: &IoRecord, packed: &[u8], strided: &mut [u8]) {
+        let (len, stride) = (r.len as usize, r.stride as usize);
+        for i in 0..r.count as usize {
+            for b in 0..len {
+                strided[i * stride + b] = packed[i * len + b];
+            }
+        }
+    }
+
+    /// What [`IoRecord::gather`] does, one piece and one byte at a time.
+    fn gather_reference(r: &IoRecord, strided: &[u8], packed: &mut [u8]) {
+        let (len, stride) = (r.len as usize, r.stride as usize);
+        for i in 0..r.count as usize {
+            for b in 0..len {
+                packed[i * len + b] = strided[i * stride + b];
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_piece_by_piece_reference() {
+        // Widths 1..=40 take both the const-width and the run-time-width
+        // loop. The piece bytes run 0..=250, so a hole byte or the canary
+        // copied as data shows, and so does a piece copied to or from a
+        // hole. Each strided buffer is exactly as long as the last piece
+        // needs, then once more with a canary byte after it.
+        const HOLE: u8 = 0xFF;
+        const CANARY: u8 = 0xFE;
+        // Two strided buffers, reused: the widest case is 68 MB.
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let blank = |buf: &mut Vec<u8>, exact: usize| {
+            buf.clear();
+            buf.resize(exact, HOLE);
+            buf.push(CANARY);
+        };
+        for len in 1..=40u64 {
+            for stride in [len, len + 1, 2 * len, len + 4096] {
+                for count in [1u64, 2, 3, 16_384] {
+                    let r = IoRecord { addr: 0, cursor: 0, len, count, stride };
+                    let case = format!("len {len} stride {stride} count {count}");
+                    let n = (len * count) as usize;
+                    let exact = (r.end() - r.addr) as usize;
+                    let packed: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
+
+                    blank(&mut want, exact);
+                    scatter_reference(&r, &packed, &mut want);
+                    blank(&mut got, exact);
+                    r.scatter(&packed, &mut got[..exact]);
+                    assert!(got == want, "scatter into the exact buffer: {case}");
+                    blank(&mut got, exact);
+                    r.scatter(&packed, &mut got);
+                    assert!(got == want, "scatter with a canary after: {case}");
+
+                    let mut back = vec![HOLE; n];
+                    gather_reference(&r, &want, &mut back);
+                    assert!(back == packed, "reference round trip: {case}");
+                    let mut got = vec![HOLE; n + 1];
+                    got[n] = CANARY;
+                    r.gather(&want[..exact], &mut got[..n]);
+                    assert!(got[..n] == back[..] && got[n] == CANARY, "gather, exact: {case}");
+                    got.fill(HOLE);
+                    r.gather(&want, &mut got[..n]);
+                    assert!(got[..n] == back[..], "gather with a canary after: {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_refuse_mis_sized_buffers() {
+        // Four 4-byte pieces 8 bytes apart: 16 packed bytes, 28 strided.
+        let r = IoRecord { addr: 0, cursor: 0, len: 4, count: 4, stride: 8 };
+        let panics = |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+        for (packed, strided) in [(15, 28), (17, 28), (16, 27), (12, 28)] {
+            assert!(panics(&|| r.scatter(&vec![0; packed], &mut vec![0; strided])));
+            assert!(panics(&|| r.gather(&vec![0; strided], &mut vec![0; packed])));
+        }
+        r.scatter(&[0; 16], &mut [0; 28]);
+        r.gather(&[0; 29], &mut [0; 16]);
     }
 
     #[test]
