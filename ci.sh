@@ -120,6 +120,13 @@ report_json="$(cargo run -q "${CARGO_FLAGS[@]}" -p apio-apps --bin apio-report -
 echo "$report_json" | cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- json-check
 echo "$report_json" | grep -q '"schema":"apio-report-v1"' \
     || { echo "apio-report: bad or missing JSON schema"; exit 1; }
+# The histograms section is computed from the flight recorder's retained
+# span records: the connector's writes must be there, counted, and the
+# 1024/shard ring must have kept the whole demo.
+echo "$report_json" | grep -Eq '"histograms":\[[^]]*"name":"vol\.write","count":[1-9]' \
+    || { echo "apio-report: no vol.write row with spans in histograms"; exit 1; }
+echo "$report_json" | grep -q '"dropped":0' \
+    || { echo "apio-report: the flight ring dropped records"; exit 1; }
 # The flip must come from the alarm: one downward drift, one refit.
 echo "$report_json" | grep -q '"direction":"down"' \
     || { echo "apio-report: no downward drift alarm"; exit 1; }

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use apio_core::history::{Direction, IoMode, TransferRecord};
 use apio_core::{AdaptiveRuntime, DriftAlarm, IntegritySummary, ReportBuilder};
-use apio_trace::Tracer;
+use apio_trace::{export, Tracer};
 use asyncvol::{AsyncVol, BreakerState};
 use h5lite::container::ROOT_ID;
 use h5lite::{
@@ -183,9 +183,9 @@ fn main() {
     let scrub = c.scrub().expect("scrub");
     let istats = c.integrity_stats();
 
-    let dump = tracer.flight_dump();
+    let sink = tracer.sink();
     if let Some(path) = &dump_path {
-        dump.write_jsonl(path).expect("write flight dump");
+        std::fs::write(path, export::jsonl(sink.records())).expect("write flight dump");
     }
 
     // The cross-rank attribution demo: a seeded 16-rank checkpoint run
@@ -215,7 +215,7 @@ fn main() {
             crash_points: 0,
             crash_failures: 0,
         })
-        .flight(dump.capacity(), dump.len(), dump.dropped())
+        .trace(&sink)
         .stragglers(stragglers);
     if let Ok(a) = before {
         report = report.advice("pre-drift (fast device)", a);

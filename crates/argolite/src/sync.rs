@@ -1,10 +1,12 @@
 //! The sanctioned synchronization module.
 //!
-//! Every `Mutex`/`RwLock`/`Condvar` in `argolite` and `asyncvol` must come
+//! Every `Mutex` and `Condvar` in `argolite` and `asyncvol` must come
 //! from here — clippy's `disallowed_types` (each crate's `clippy.toml`)
 //! rejects the `std::sync` ones anywhere else in those crates, tests
-//! included; this module, which wraps them, is the one exemption.
-//! Centralizing acquisition buys two things:
+//! included; this module, which wraps them, is the one exemption. The
+//! same ban covers the standard reader-writer lock, and neither crate
+//! needs one, so none is offered. Centralizing acquisition buys two
+//! things:
 //!
 //! 1. **A poison-transparent, `parking_lot`-shaped API.** Guards are
 //!    returned directly (no `Result`); a panic while holding a lock does
@@ -14,8 +16,8 @@
 //!    cascade semantics.
 //! 2. **A lock-order graph recorder** (compiled under the
 //!    `debug-invariants` feature). Locks constructed with
-//!    [`Mutex::new_named`]/[`RwLock::new_named`] belong to a *lock
-//!    class*. Each thread tracks the stack of classes it holds; acquiring
+//!    [`Mutex::new_named`] belong to a *lock class*. Each thread tracks
+//!    the stack of classes it holds; acquiring
 //!    class `B` while holding class `A` records the edge `A → B` in a
 //!    process-global graph. An acquisition whose edge closes a cycle —
 //!    including the length-1 cycle of re-acquiring a held class — is a
@@ -396,117 +398,6 @@ impl Default for Condvar {
     }
 }
 
-/// Reader-writer lock; same contract as [`Mutex`].
-pub struct RwLock<T: ?Sized> {
-    class: Class,
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// An anonymous (order-untracked) rwlock.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            class: Class::anonymous(),
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// An rwlock belonging to lock class `name` for order tracking.
-    pub fn new_named(name: &'static str, value: T) -> Self {
-        RwLock {
-            class: Class::named(name),
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard. Read and write acquisitions are
-    /// recorded identically — ordering cycles deadlock either way once a
-    /// writer enters the mix.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.class.acquire();
-        RwLockReadGuard {
-            class: self.class,
-            inner: self
-                .inner
-                .read()
-                .unwrap_or_else(sync::PoisonError::into_inner),
-        }
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.class.acquire();
-        RwLockWriteGuard {
-            class: self.class,
-            inner: self
-                .inner
-                .write()
-                .unwrap_or_else(sync::PoisonError::into_inner),
-        }
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-/// RAII shared guard for [`RwLock`].
-#[must_use = "dropping a RwLockReadGuard immediately releases the lock"]
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    class: Class,
-    inner: sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.class.release();
-    }
-}
-
-/// RAII exclusive guard for [`RwLock`].
-#[must_use = "dropping a RwLockWriteGuard immediately releases the lock"]
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    class: Class,
-    inner: sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.class.release();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,17 +428,6 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         t.join().expect("waiter joins");
-    }
-
-    #[test]
-    fn rwlock_readers_share() {
-        let l = RwLock::new(7);
-        let r1 = l.read();
-        let r2 = l.read();
-        assert_eq!((*r1, *r2), (7, 7));
-        drop((r1, r2));
-        *l.write() = 8;
-        assert_eq!(*l.read(), 8);
     }
 
     #[test]

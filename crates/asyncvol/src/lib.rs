@@ -463,9 +463,6 @@ impl AsyncVol {
         report.scrub_corrupt = scrub.corrupt;
         report.scrub_repaired = scrub.repaired;
         report.superblock_fallback = c.integrity_stats().superblock_fallbacks;
-        self.sh
-            .stats
-            .record_scrub(scrub.corrupt, scrub.repaired, report.superblock_fallback);
         Ok(report)
     }
 

@@ -202,19 +202,6 @@ impl StatsCells {
         self.metrics.counter("vol.wal_mark_failures").inc();
     }
 
-    /// Post-recovery scrub outcome: corrupt extents found, extents
-    /// rebuilt from the WAL, and invalid superblock slots the reopen
-    /// skipped past. Dynamically registered (`vol.scrub_corrupt`,
-    /// `vol.scrub_repaired`, `vol.superblock_fallbacks`) like the WAL
-    /// mark-failure counter — zero until an integrity event happens.
-    pub(crate) fn record_scrub(&self, corrupt: u64, repaired: u64, fallbacks: u64) {
-        self.metrics.counter("vol.scrub_corrupt").add(corrupt);
-        self.metrics.counter("vol.scrub_repaired").add(repaired);
-        self.metrics
-            .counter("vol.superblock_fallbacks")
-            .add(fallbacks);
-    }
-
     /// A synchronous passthrough write completed while degraded. Bytes
     /// and time also land in the write totals so bandwidth math covers
     /// the degraded regime.

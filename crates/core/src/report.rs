@@ -2,10 +2,11 @@
 //! machine-readable JSON snapshot.
 //!
 //! A [`ReportBuilder`] collects whatever views of the pipeline the caller
-//! has — the metrics registry, the adaptive runtime's drift alarms and
-//! refit count, advisor decisions, the breaker state, a WAL
-//! [`RecoverySummary`], the flight recorder's shape — and renders them
-//! two ways: [`render_text`](ReportBuilder::render_text) for a terminal ("what is the pipeline doing right now?") and
+//! has — the counter registry, a trace snapshot, the adaptive runtime's
+//! drift alarms and refit count, advisor decisions, the breaker state, a
+//! WAL [`RecoverySummary`] — and renders them two ways:
+//! [`render_text`](ReportBuilder::render_text) for a terminal ("what is
+//! the pipeline doing right now?") and
 //! [`render_json`](ReportBuilder::render_json) (schema `apio-report-v1`)
 //! for scripts, CI gates, and the test suite. The E2E drift test asserts
 //! the advisor's sync/async flip *from the JSON alone* — the report is
@@ -13,10 +14,13 @@
 //!
 //! Sections the caller never supplied are omitted from both renderings;
 //! every number is read at build time, so a report is a consistent
-//! point-in-time snapshot.
+//! point-in-time snapshot. Span-duration percentiles are computed from
+//! the span records of a [`TraceSink`], the one place durations are kept.
+
+use std::collections::BTreeMap;
 
 use apio_trace::export::json_escape;
-use apio_trace::Metrics;
+use apio_trace::{Metrics, RecordKind, TraceSink};
 
 use crate::adaptive::{AdaptiveRuntime, DriftAlarm};
 use crate::advisor::Advice;
@@ -123,7 +127,17 @@ struct AdviceRow {
     advice: Advice,
 }
 
-/// Flight-recorder shape at report time.
+/// One span name's exact duration distribution, in nanoseconds.
+struct SpanRow {
+    name: &'static str,
+    count: usize,
+    p50: u64,
+    p95: u64,
+    p99: u64,
+}
+
+/// The trace snapshot's retention window: ring capacity (0 = unbounded),
+/// records retained, records overwritten.
 struct FlightRow {
     capacity: usize,
     recorded: usize,
@@ -135,6 +149,7 @@ struct FlightRow {
 pub struct ReportBuilder {
     title: String,
     metrics: Option<Metrics>,
+    spans: Vec<SpanRow>,
     breaker: Option<(String, bool)>,
     advice: Vec<AdviceRow>,
     alarms: Vec<DriftAlarm>,
@@ -160,6 +175,14 @@ fn scenario_tag(s: Scenario) -> &'static str {
     }
 }
 
+/// The `pct`-th percentile of ascending `sorted` by nearest rank: the
+/// smallest retained value with at least `pct`% of the values at or
+/// below it (0 when empty).
+fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
+    let rank = (sorted.len() * pct).div_ceil(100).max(1);
+    sorted.get(rank - 1).copied().unwrap_or(0)
+}
+
 /// A float as a JSON number (non-finite values become 0 — JSON has no
 /// NaN, and a report must stay parseable).
 fn jnum(v: f64) -> String {
@@ -179,10 +202,41 @@ impl ReportBuilder {
         }
     }
 
-    /// Attach a metrics registry: every counter and histogram it holds
-    /// appears in the report (counters sorted by name).
+    /// Attach a counter registry: every counter it holds appears in the
+    /// report, sorted by name.
     pub fn metrics(mut self, metrics: Metrics) -> Self {
         self.metrics = Some(metrics);
+        self
+    }
+
+    /// Attach a trace snapshot. Each span name the sink retains gets a
+    /// row (sorted by name) with its span count and exact nearest-rank
+    /// p50/p95/p99 duration over those spans; the sink's window — ring
+    /// capacity, records retained, records overwritten — fills the
+    /// flight section.
+    pub fn trace(mut self, sink: &TraceSink) -> Self {
+        let mut durations: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
+        for r in sink.records().iter().filter(|r| r.kind == RecordKind::Span) {
+            durations.entry(r.name).or_default().push(r.dur_nanos);
+        }
+        self.spans = durations
+            .into_iter()
+            .map(|(name, mut durs)| {
+                durs.sort_unstable();
+                SpanRow {
+                    name,
+                    count: durs.len(),
+                    p50: nearest_rank(&durs, 50),
+                    p95: nearest_rank(&durs, 95),
+                    p99: nearest_rank(&durs, 99),
+                }
+            })
+            .collect();
+        self.flight = Some(FlightRow {
+            capacity: sink.capacity(),
+            recorded: sink.records().len(),
+            dropped: sink.dropped(),
+        });
         self
     }
 
@@ -222,17 +276,6 @@ impl ReportBuilder {
         self
     }
 
-    /// Attach the flight recorder's shape: ring capacity, records
-    /// retained, records overwritten.
-    pub fn flight(mut self, capacity: usize, recorded: usize, dropped: u64) -> Self {
-        self.flight = Some(FlightRow {
-            capacity,
-            recorded,
-            dropped,
-        });
-        self
-    }
-
     /// Attach the cross-rank straggler attribution section.
     pub fn stragglers(mut self, report: StragglerReport) -> Self {
         self.stragglers = Some(report);
@@ -247,19 +290,6 @@ impl ReportBuilder {
             .unwrap_or_default();
         counters.sort_by(|a, b| a.0.cmp(&b.0));
         counters
-    }
-
-    fn sorted_histograms(&self) -> Vec<(String, u64, u64, u64, u64)> {
-        let mut rows: Vec<(String, u64, u64, u64, u64)> = self
-            .metrics
-            .as_ref()
-            .map(|m| m.histograms())
-            .unwrap_or_default()
-            .into_iter()
-            .map(|(name, h)| (name, h.count(), h.p50(), h.p95(), h.p99()))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
     }
 
     /// The text dashboard.
@@ -282,12 +312,12 @@ impl ReportBuilder {
                 out.push_str(&format!("  {name:<28} {value}\n"));
             }
         }
-        let histograms = self.sorted_histograms();
-        if !histograms.is_empty() {
-            out.push_str("latency histograms (nanos):\n");
-            for (name, count, p50, p95, p99) in &histograms {
+        if !self.spans.is_empty() {
+            out.push_str("span durations (nanos):\n");
+            for s in &self.spans {
                 out.push_str(&format!(
-                    "  {name:<28} count={count} p50={p50} p95={p95} p99={p99}\n"
+                    "  {:<28} count={} p50={} p95={} p99={}\n",
+                    s.name, s.count, s.p50, s.p95, s.p99
                 ));
             }
         }
@@ -392,13 +422,17 @@ impl ReportBuilder {
             ));
         }
         out.push_str("],\"histograms\":[");
-        for (i, (name, count, p50, p95, p99)) in self.sorted_histograms().iter().enumerate() {
+        for (i, s) in self.spans.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"count\":{count},\"p50\":{p50},\"p95\":{p95},\"p99\":{p99}}}",
-                json_escape(name)
+                "{{\"name\":\"{}\",\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
+                json_escape(s.name),
+                s.count,
+                s.p50,
+                s.p95,
+                s.p99
             ));
         }
         out.push_str("],\"advice\":[");
@@ -493,6 +527,8 @@ impl ReportBuilder {
 mod tests {
     use super::*;
     use crate::history::{Direction, TransferRecord};
+    use apio_trace::{Tracer, VirtualClock};
+    use std::sync::Arc;
 
     fn runtime_with_drift() -> AdaptiveRuntime {
         let mut rt = AdaptiveRuntime::new();
@@ -562,7 +598,12 @@ mod tests {
         let advice = rt.advise(Direction::Write, 64.0 * 32e6, 64).unwrap();
         let metrics = Metrics::new();
         metrics.counter("vol.writes").add(7);
-        metrics.histogram("vol.write").record(1_000);
+        let clock = Arc::new(VirtualClock::new(0));
+        let tracer = Tracer::flight_with_clock(512, clock.clone());
+        {
+            let _write = tracer.span("vol.write");
+            clock.advance(1_000);
+        }
 
         let report = ReportBuilder::new("e2e")
             .metrics(metrics)
@@ -585,12 +626,13 @@ mod tests {
                 crash_points: 57,
                 crash_failures: 0,
             })
-            .flight(4096, 128, 6);
+            .trace(&tracer.sink());
 
         let json = report.render_json();
         assert_balanced_json(&json);
         assert!(json.contains("\"name\":\"vol.writes\",\"value\":7"));
-        assert!(json.contains("\"name\":\"vol.write\",\"count\":1"));
+        assert!(json
+            .contains("\"name\":\"vol.write\",\"count\":1,\"p50\":1000,\"p95\":1000,\"p99\":1000"));
         assert!(json.contains("\"decision\":\"sync\""));
         assert!(json.contains("\"breaker\":{\"state\":\"open\",\"degraded\":true}"));
         assert!(json.contains("\"replayed\":3"));
@@ -598,7 +640,7 @@ mod tests {
         assert!(json.contains(
             "\"integrity\":{\"verified_extents\":40,\"checksum_failures\":2,\"scrub_corrupt\":2,\"scrub_repaired\":2,\"superblock_fallbacks\":1,\"crash_points\":57,\"crash_failures\":0}"
         ));
-        assert!(json.contains("\"flight\":{\"capacity\":4096,\"recorded\":128,\"dropped\":6}"));
+        assert!(json.contains("\"flight\":{\"capacity\":4096,\"recorded\":1,\"dropped\":0}"));
         assert!(json.contains("\"refits\":0"));
         assert!(json.contains("\"alarms\":[]"));
 
@@ -610,6 +652,70 @@ mod tests {
         assert!(text.contains("integrity: verified=40"));
         assert!(text.contains("crash sweep: points=57 failures=0"));
         assert!(text.contains("flight recorder: capacity=4096"));
+        assert!(text.contains("count=1 p50=1000 p95=1000 p99=1000"));
+    }
+
+    /// The `histograms` array of a report fed `sink`, as rendered in its
+    /// JSON.
+    fn span_rows(sink: &TraceSink) -> String {
+        let json = ReportBuilder::new("spans").trace(sink).render_json();
+        assert_balanced_json(&json);
+        let start = json.find("\"histograms\":[").expect("histograms section");
+        let end = json[start..].find(']').expect("closed") + start;
+        json[start..=end].to_string()
+    }
+
+    #[test]
+    fn span_percentiles_are_exact_nearest_rank() {
+        let clock = Arc::new(VirtualClock::new(0));
+        let tracer = Tracer::with_clock(clock.clone());
+        // Durations 1..=100 ns, emitted out of order.
+        for d in (1..=100u64).rev() {
+            let _g = tracer.span("op");
+            clock.advance(d);
+        }
+        assert_eq!(
+            span_rows(&tracer.sink()),
+            "\"histograms\":[{\"name\":\"op\",\"count\":100,\"p50\":50,\"p95\":95,\"p99\":99}]"
+        );
+    }
+
+    #[test]
+    fn a_flight_window_reports_only_the_spans_it_retains() {
+        let clock = Arc::new(VirtualClock::new(0));
+        // One thread writes one shard: a 2-record ring.
+        let tracer = Tracer::flight_with_clock(2, clock.clone());
+        for d in 1..=10u64 {
+            let _g = tracer.span("op");
+            clock.advance(d * 100);
+        }
+        let sink = tracer.sink();
+        let json = ReportBuilder::new("window").trace(&sink).render_json();
+        let recorded = sink.records().len() as u64;
+        assert_eq!(
+            recorded + sink.dropped(),
+            10,
+            "every span is kept or counted"
+        );
+        assert!(json.contains(&format!(
+            "\"flight\":{{\"capacity\":16,\"recorded\":{recorded},\"dropped\":{}}}",
+            sink.dropped()
+        )));
+        // The ring kept the last two spans (900 and 1000 ns); the eight it
+        // overwrote are in no percentile.
+        assert_eq!(
+            span_rows(&sink),
+            "\"histograms\":[{\"name\":\"op\",\"count\":2,\"p50\":900,\"p95\":1000,\"p99\":1000}]"
+        );
+    }
+
+    #[test]
+    fn nearest_rank_edges() {
+        assert_eq!(nearest_rank(&[], 50), 0);
+        assert_eq!(nearest_rank(&[7], 1), 7);
+        assert_eq!(nearest_rank(&[7], 99), 7);
+        assert_eq!(nearest_rank(&[1, 2], 50), 1);
+        assert_eq!(nearest_rank(&[1, 2], 51), 2);
     }
 
     #[test]

@@ -1037,10 +1037,6 @@ impl Container {
         self.sieve.segments.fetch_add(folded, Ordering::Relaxed);
         self.sieve.span_bytes.fetch_add(span_bytes, Ordering::Relaxed);
         self.sieve.fill_bytes.fetch_add(fill_bytes, Ordering::Relaxed);
-        if let Some(m) = tracer.metrics() {
-            m.counter("container.sieve_spans").add(spans);
-            m.counter("container.sieve_fill_bytes").add(fill_bytes);
-        }
         Some(tracer.span_with(
             "container.sieve",
             Event::Sieve {
@@ -1175,7 +1171,7 @@ impl Container {
     ) -> Result<Vec<u8>> {
         let mut out = vec![0u8; plan.total_bytes() as usize];
         let tracer = self.tracer();
-        let verified = self.read_verified(plan.records(), verify, &tracer)?;
+        let verified = self.read_verified(plan.records(), verify)?;
         let unserved;
         let records = if verified.is_empty() {
             plan.records()

@@ -24,8 +24,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use apio_trace::Tracer;
-
 use super::{Container, ObjectId, CONTIG_EXTENT};
 use crate::checksum::{Algorithm, Checksum, Hasher, SUM_BLOCK};
 use crate::error::{H5Error, Result};
@@ -211,7 +209,6 @@ impl Container {
         &self,
         records: &[IoRecord],
         verify: &[VerifyExtent],
-        tracer: &Tracer,
     ) -> Result<Vec<(u64, recycle::Lease)>> {
         // Each extent, ascending by address, with the lowest and highest
         // byte address its records reach.
@@ -244,9 +241,6 @@ impl Container {
                 self.integrity
                     .checksum_failures
                     .fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = tracer.metrics() {
-                    m.counter("container.checksum_failures").inc();
-                }
                 return Err(H5Error::Corrupt(format!(
                     "extent at {} ({} bytes) fails its checksum in bytes {start}..{end}",
                     v.addr, v.len
@@ -382,10 +376,6 @@ impl Container {
             } else {
                 report.unrepaired += 1;
             }
-        }
-        if let Some(m) = tracer.metrics() {
-            m.counter("container.scrub_corrupt").add(report.corrupt);
-            m.counter("container.scrub_repaired").add(report.repaired);
         }
         Ok(report)
     }

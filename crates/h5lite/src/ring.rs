@@ -71,9 +71,6 @@ pub struct RingConfig {
     pub shards: usize,
     /// Full-ring policy.
     pub backpressure: Backpressure,
-    /// How long an idle reaper parks between queue checks. Submissions
-    /// unpark it immediately; this only bounds shutdown latency.
-    pub idle_park: Duration,
 }
 
 impl Default for RingConfig {
@@ -82,7 +79,6 @@ impl Default for RingConfig {
             capacity: 256,
             shards: 1,
             backpressure: Backpressure::Block,
-            idle_park: Duration::from_millis(1),
         }
     }
 }
@@ -214,7 +210,6 @@ struct RingShared {
     /// Submitted and not yet completed (promise fulfilled).
     in_flight: AtomicUsize,
     shutdown: AtomicBool,
-    idle_park: Duration,
 }
 
 /// The sharded submission queues over a wrapped backend. See the module
@@ -246,7 +241,6 @@ impl Ring {
             backend,
             in_flight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            idle_park: config.idle_park,
         });
         let reapers = (0..config.shards)
             .map(|i| {
@@ -369,7 +363,12 @@ fn reaper_main(shared: Arc<RingShared>, shard_idx: usize) {
             execute_batch(&shared, last);
             continue;
         }
-        thread::park_timeout(shared.idle_park);
+        // No timeout: `submit_keyed` pushes and `Drop` sets the shutdown
+        // flag before unparking this thread (`drain` unparks it while
+        // work is in flight). The loop above has drained and checked the
+        // flag since, and an unpark that lands before this park leaves
+        // the token that makes it return at once, so no wakeup is lost.
+        thread::park();
     }
 }
 

@@ -5,29 +5,30 @@
 //! last things the pipeline did?". A flight-mode tracer
 //! ([`Tracer::flight`]) answers it: the record shards become
 //! fixed-capacity rings that retain the **last N records per shard** and
-//! overwrite the oldest beyond that, so recording cost and memory stay
-//! constant no matter how long the run — the spans, events, and metrics
-//! machinery is exactly the full tracer's, only the retention differs.
+//! overwrite the oldest beyond that, so memory stays constant no matter
+//! how long the run — the spans, events, and counter machinery is
+//! exactly the full tracer's, only the retention differs.
 //!
-//! Dumps go through the existing exporters, never through raw record
-//! access: [`FlightDump::jsonl`] and [`FlightDump::chrome_json`] wrap
-//! [`export`](crate::export), and the tracer exposes no other way to walk
-//! its shards. [`install_panic_dump`] arms a chaining panic hook that
-//! writes the ring as JSONL before the previous hook runs, so a crashing
-//! process leaves its black box behind.
+//! The ring is read the one way every trace is read: [`Tracer::sink`]
+//! snapshots it as a [`TraceSink`](crate::TraceSink), which also carries
+//! the ring's capacity and the records it overwrote, and the exporters in
+//! [`export`] render it. [`install_panic_dump`] arms a chaining panic
+//! hook that writes the ring as JSONL before the previous hook runs, so a
+//! crashing process leaves its black box behind.
 //!
 //! The rings are lock-sharded (threads map to shards by trace tid), the
 //! same structure the full tracer uses: pushes are O(1), allocation-free
 //! once a ring is full, and a shard lock is only ever contended by
-//! threads hashing to the same shard. Overhead against a disabled tracer
-//! is measured in `benches/micro.rs` (budget ≤ 2% on the strided VPIC
-//! write; see DESIGN.md §11).
+//! threads hashing to the same shard. A ring bounds memory, not time:
+//! each record costs what it costs on the full tracer. The overhead
+//! against a disabled tracer is measured in `benches/micro.rs` (see
+//! DESIGN.md §11).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::export;
-use crate::{Record, TraceSink, Tracer};
+use crate::{Record, Tracer};
 
 /// One record-buffer shard: unbounded for the full tracer, a
 /// fixed-capacity overwrite ring for flight mode.
@@ -90,72 +91,6 @@ impl Shard {
     }
 }
 
-/// A point-in-time dump of a tracer's retained records, exposed only
-/// through the exporter API and structural queries.
-///
-/// Obtained from [`Tracer::flight_dump`]; works on full tracers too
-/// (where `capacity` is 0 and nothing is ever dropped), so one dump path
-/// serves both post-hoc and black-box tracing.
-pub struct FlightDump {
-    sink: TraceSink,
-    /// Total ring capacity across shards; 0 for an unbounded tracer.
-    capacity: usize,
-    /// Records overwritten (lost to the ring) before this dump.
-    dropped: u64,
-}
-
-impl FlightDump {
-    pub(crate) fn new(sink: TraceSink, capacity: usize, dropped: u64) -> Self {
-        FlightDump {
-            sink,
-            capacity,
-            dropped,
-        }
-    }
-
-    /// The retained records as a queryable sink (emission order).
-    pub fn sink(&self) -> &TraceSink {
-        &self.sink
-    }
-
-    /// Number of records retained in this dump.
-    pub fn len(&self) -> usize {
-        self.sink.records().len()
-    }
-
-    /// Whether the dump holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.sink.records().is_empty()
-    }
-
-    /// Total ring capacity across shards (0 = unbounded tracer).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records overwritten by the ring before this dump was taken.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The dump as compact JSONL (one record per line) — the format the
-    /// panic hook writes.
-    pub fn jsonl(&self) -> String {
-        export::jsonl(self.sink.records())
-    }
-
-    /// The dump as a Chrome `trace_event` document (loadable in
-    /// `chrome://tracing` / Perfetto).
-    pub fn chrome_json(&self) -> String {
-        export::chrome_json(self.sink.records())
-    }
-
-    /// Write the JSONL dump to `path`.
-    pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.jsonl())
-    }
-}
-
 /// How many panic dumps have been written by hooks installed in this
 /// process (tests and operators can await/count them).
 static PANIC_DUMPS: AtomicU64 = AtomicU64::new(0);
@@ -178,8 +113,10 @@ pub fn install_panic_dump(tracer: &Tracer, path: impl Into<PathBuf>) {
     let path = path.into();
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let dump = tracer.flight_dump();
-        if !dump.is_empty() && dump.write_jsonl(&path).is_ok() {
+        let sink = tracer.sink();
+        if !sink.records().is_empty()
+            && std::fs::write(&path, export::jsonl(sink.records())).is_ok()
+        {
             PANIC_DUMPS.fetch_add(1, Ordering::Relaxed);
         }
         prev(info);
@@ -239,7 +176,6 @@ mod tests {
         let clock = Arc::new(VirtualClock::new(0));
         let t = Tracer::flight_with_clock(4, clock.clone());
         assert!(t.is_enabled());
-        assert!(t.is_flight());
         // One thread → one shard → capacity 4 effective.
         for i in 0..10u32 {
             t.instant(
@@ -251,11 +187,11 @@ mod tests {
             );
             clock.advance(1);
         }
-        let dump = t.flight_dump();
-        assert_eq!(dump.len(), 4);
-        assert_eq!(dump.dropped(), 6);
-        let epochs: Vec<u32> = dump
-            .sink()
+        let sink = t.sink();
+        assert_eq!(sink.records().len(), 4);
+        assert_eq!(sink.dropped(), 6);
+        assert_eq!(sink.capacity(), 4 * crate::SHARDS);
+        let epochs: Vec<u32> = sink
             .events_where(|e| matches!(e, Event::RetryAttempt { .. }))
             .iter()
             .map(|r| match r.event {
@@ -264,27 +200,15 @@ mod tests {
             })
             .collect();
         assert_eq!(epochs, [6, 7, 8, 9], "the last four epochs survive, in seq order");
-        // The dump speaks the exporter formats.
-        assert_eq!(dump.jsonl().lines().count(), 4);
-        assert!(dump.jsonl().contains("\"type\":\"RetryAttempt\""));
-        assert!(dump.chrome_json().starts_with("{\"displayTimeUnit\""));
+        // The snapshot speaks the exporter formats.
+        let jsonl = export::jsonl(sink.records());
+        assert_eq!(jsonl.lines().count(), 4);
+        assert!(jsonl.contains("\"type\":\"RetryAttempt\""));
+        assert!(export::chrome_json(sink.records()).starts_with("{\"displayTimeUnit\""));
     }
 
     #[test]
-    fn flight_mode_still_feeds_metrics() {
-        let clock = Arc::new(VirtualClock::new(0));
-        let t = Tracer::flight_with_clock(2, clock.clone());
-        for _ in 0..10 {
-            let _g = t.span("op");
-            clock.advance(1_000);
-        }
-        // The ring kept 2 spans, the histogram saw all 10.
-        assert_eq!(t.flight_dump().len(), 2);
-        assert_eq!(t.metrics().unwrap().histogram("op").count(), 10);
-    }
-
-    #[test]
-    fn full_tracer_dump_has_zero_capacity_and_drops() {
+    fn full_tracer_sink_has_zero_capacity_and_drops() {
         let t = Tracer::new();
         t.instant(
             "e",
@@ -293,10 +217,9 @@ mod tests {
                 bytes: 2,
             },
         );
-        let dump = t.flight_dump();
-        assert_eq!(dump.capacity(), 0);
-        assert_eq!(dump.dropped(), 0);
-        assert_eq!(dump.len(), 1);
-        assert!(!t.is_flight());
+        let sink = t.sink();
+        assert_eq!(sink.capacity(), 0);
+        assert_eq!(sink.dropped(), 0);
+        assert_eq!(sink.records().len(), 1);
     }
 }

@@ -16,21 +16,23 @@
 //!   calls, snapshot copies, WAL appends/replays, retry attempts, breaker
 //!   transitions, I/O plans, sieved spans, flush read-backs, backend
 //!   batches, degraded writes.
-//! - [`Metrics`] — a registry of monotonic counters and fixed-bucket log2
-//!   histograms (p50/p95/p99), all atomics, allocation-free on the hot
-//!   path. Span durations feed per-name histograms automatically.
+//! - [`Metrics`] — a registry of monotonic counters, all atomics,
+//!   allocation-free on the hot path. Span durations are not copied into
+//!   it: each lives once, in its span's [`Record`].
 //! - [`export`] — Chrome `trace_event` JSON (loadable in
 //!   `chrome://tracing` / Perfetto) and compact JSONL.
-//! - [`TraceSink`] — an in-memory snapshot with structural queries
-//!   (parent chains, event filters) for trace-assertion tests.
+//! - [`TraceSink`] — the one snapshot of the retained records, with
+//!   structural queries (parent chains, event filters) for
+//!   trace-assertion tests and the retention window's shape (ring
+//!   capacity, records overwritten).
 //! - [`flight`] — the always-on flight recorder ([`Tracer::flight`]):
-//!   fixed-capacity ring shards retaining the last N records, dumpable on
+//!   fixed-capacity ring shards retaining the last N records, exported on
 //!   demand and from a panic hook through the exporters (DESIGN.md §11).
 //!
 //! A **disabled** tracer ([`Tracer::disabled`], the default everywhere it
-//! is embedded) reduces every call to one branch on an `Option` — the
-//! overhead budget is "unmeasurable against a microsecond I/O op"
-//! (measured in `benches/micro.rs`; see DESIGN.md §10).
+//! is embedded) reduces every call to one branch on an `Option`; what
+//! those branches cost against a strided write is measured in
+//! `benches/micro.rs` (see DESIGN.md §10).
 //!
 //! Span creation goes through the guard API: [`Tracer::span`] /
 //! [`Tracer::span_with`] return a [`SpanGuard`] that closes the span on
@@ -43,8 +45,8 @@ pub mod flight;
 pub mod metrics;
 
 pub use clock::{TraceClock, VirtualClock, WallClock};
-pub use flight::{install_panic_dump, FlightDump};
-pub use metrics::{Counter, Histogram, Metrics};
+pub use flight::install_panic_dump;
+pub use metrics::{Counter, Metrics};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -214,15 +216,6 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
     /// Per-thread cache of assigned trace tids: (tracer_id, tid).
     static TIDS: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread cache of span-duration histogram handles, keyed by
-    /// (tracer_id, name address). Span names are `&'static str`, so the
-    /// pointer identifies the name without a byte compare, and the handle
-    /// shares the registry's atomics — this turns the per-span-close
-    /// registry lookup (RwLock + string scan) into a short linear scan,
-    /// which is what keeps always-on flight recording inside its ≤ 2%
-    /// budget. Bounded FIFO so pathological name churn can't grow it.
-    static HISTO_CACHE: RefCell<Vec<(u64, usize, metrics::Histogram)>> =
-        const { RefCell::new(Vec::new()) };
 }
 
 /// Read a possibly poisoned mutex; shard pushes are single whole-record
@@ -328,7 +321,7 @@ impl Tracer {
 
     /// An always-on flight recorder on wall-clock time: each record shard
     /// becomes a fixed ring retaining its last `capacity_per_shard`
-    /// records (see [`flight`]). Span, event, and metrics behaviour is
+    /// records (see [`flight`]). Span, event, and counter behaviour is
     /// identical to [`Tracer::new`]; only retention differs.
     pub fn flight(capacity_per_shard: usize) -> Self {
         Self::build(Arc::new(WallClock::new()), Some(capacity_per_shard))
@@ -367,16 +360,7 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Whether this tracer is a fixed-capacity flight recorder.
-    pub fn is_flight(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.flight_cap.is_some())
-    }
-
-    /// The tracer's metrics registry (`None` when disabled). Span
-    /// durations are recorded into a histogram per span name
-    /// automatically.
+    /// The tracer's counter registry (`None` when disabled).
     pub fn metrics(&self) -> Option<Metrics> {
         self.inner.as_ref().map(|i| i.metrics.clone())
     }
@@ -445,24 +429,6 @@ impl Tracer {
         });
         let end = inner.clock.now_nanos();
         let dur = end.saturating_sub(token.start_nanos);
-        let name_key = token.name.as_ptr() as usize;
-        HISTO_CACHE.with(|c| {
-            let mut c = c.borrow_mut();
-            match c
-                .iter()
-                .find(|(tr, n, _)| *tr == inner.tracer_id && *n == name_key)
-            {
-                Some((_, _, h)) => h.record(dur),
-                None => {
-                    let h = inner.metrics.histogram(token.name);
-                    h.record(dur);
-                    if c.len() >= 64 {
-                        c.remove(0);
-                    }
-                    c.push((inner.tracer_id, name_key, h));
-                }
-            }
-        });
         inner.push_record(Record {
             seq: inner.next_seq.fetch_add(1, Ordering::Relaxed),
             kind: RecordKind::Span,
@@ -496,54 +462,55 @@ impl Tracer {
         });
     }
 
-    /// Snapshot every retained record, in emission (`seq`) order. On a
-    /// flight recorder this is the ring contents — the last N per shard.
+    /// Snapshot every retained record, in emission (`seq`) order, with
+    /// the window's shape. On a flight recorder this is the ring contents
+    /// — the last N per shard — and the count of records overwritten
+    /// before it; on a full tracer it is everything (capacity 0, nothing
+    /// dropped). Each shard's records and drop count are read under one
+    /// lock, so per shard, retained plus dropped is every record pushed
+    /// to it before it was read.
     pub fn sink(&self) -> TraceSink {
-        TraceSink {
-            records: self.collect_records(),
-        }
-    }
-
-    /// Dump the retained records (ring contents on a flight recorder,
-    /// everything on a full tracer) for export — see [`FlightDump`].
-    pub fn flight_dump(&self) -> FlightDump {
-        let (capacity, dropped) = match self.inner.as_ref() {
-            Some(inner) => (
-                inner.flight_cap.map(|c| c * SHARDS).unwrap_or(0),
-                inner
-                    .shards
-                    .iter()
-                    .map(|s| lock_shard(s).dropped())
-                    .sum(),
-            ),
-            None => (0, 0),
-        };
-        FlightDump::new(self.sink(), capacity, dropped)
-    }
-
-    fn collect_records(&self) -> Vec<Record> {
-        let mut records = Vec::new();
+        let mut sink = TraceSink::default();
         if let Some(inner) = self.inner.as_ref() {
+            sink.capacity = inner.flight_cap.map_or(0, |c| c * SHARDS);
             for shard in &inner.shards {
-                records.extend(lock_shard(shard).records().iter().cloned());
+                let shard = lock_shard(shard);
+                sink.records.extend(shard.records().iter().cloned());
+                sink.dropped += shard.dropped();
             }
         }
-        records.sort_by_key(|r| r.seq);
-        records
+        sink.records.sort_by_key(|r| r.seq);
+        sink
     }
 }
 
-/// An in-memory snapshot of a trace with structural queries — the test
-/// substrate for trace-assertion suites.
+/// An in-memory snapshot of a trace: the retained records with
+/// structural queries (the test substrate for trace-assertion suites and
+/// what every exporter is fed), plus the retention window's shape.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSink {
     records: Vec<Record>,
+    /// Total ring capacity across shards; 0 for an unbounded tracer.
+    capacity: usize,
+    /// Records a flight recorder overwrote before the snapshot.
+    dropped: u64,
 }
 
 impl TraceSink {
     /// All records in emission order.
     pub fn records(&self) -> &[Record] {
         &self.records
+    }
+
+    /// Total ring capacity across shards (0 = unbounded tracer).
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Records overwritten by the ring before this snapshot was taken
+    /// (always 0 on an unbounded tracer).
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     /// All closed spans named `name`, in emission order.
@@ -653,19 +620,6 @@ mod tests {
         assert!(!sink.within_span_named(mark, "absent"));
         // The inner span closed first, so it carries the earlier seq.
         assert!(inner.seq < outer.seq);
-    }
-
-    #[test]
-    fn span_durations_feed_metrics() {
-        let (t, clock) = virt();
-        for _ in 0..10 {
-            let _g = t.span("op");
-            clock.advance(1_000);
-        }
-        let m = t.metrics().unwrap();
-        let h = m.histogram("op");
-        assert_eq!(h.count(), 10);
-        assert!(h.p50() >= 1_000 && h.p50() < 2_048);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! - [`asyncvol`] — the asynchronous VOL connector: background-thread I/O
 //!   with transactional snapshot buffers and read prefetching.
 //! - [`trace`] (crate `apio-trace`) — zero-dependency structured tracing
-//!   and metrics: RAII spans, typed events, log2 histograms, and Chrome
+//!   and metrics: RAII spans, typed events, counters, and Chrome
 //!   `trace_event` / JSONL exporters (DESIGN.md §10).
 //! - [`model`] (crate `apio-core`) — the paper's contribution: the epoch
 //!   performance model (Eq. 1–5), history-driven rate regression, and the

@@ -22,7 +22,7 @@ use apio::h5lite::{
     FaultPlan, Hyperslab, Layout, MemBackend, Selection, StorageBackend, Vol,
 };
 use apio::kernels::vpic::particle_value;
-use apio::trace::{Event, Tracer};
+use apio::trace::{export, Event, Tracer};
 
 const PROPS: usize = 3; // datasets ("particle properties")
 const STEPS: u32 = 4; // slab writes per dataset ("timesteps")
@@ -280,9 +280,8 @@ fn torn_wal_tail_is_truncated_and_audited_in_the_flight_recorder() {
 
     // The same evidence must survive into the black-box telemetry and
     // the operator report JSON.
-    let dump = tracer.flight_dump();
-    assert_eq!(dump.dropped(), 0, "4096/shard must retain the whole recovery");
-    let jsonl = dump.jsonl();
+    assert_eq!(sink.dropped(), 0, "4096/shard must retain the whole recovery");
+    let jsonl = export::jsonl(sink.records());
     let replay_lines = jsonl
         .lines()
         .filter(|l| l.contains("\"type\":\"WalReplay\""))
@@ -303,13 +302,13 @@ fn torn_wal_tail_is_truncated_and_audited_in_the_flight_recorder() {
             orphaned: report.orphaned,
             already_applied: report.already_applied,
         })
-        .flight(dump.capacity(), dump.len(), dump.dropped())
+        .trace(&sink)
         .render_json();
     assert!(json.contains("\"schema\":\"apio-report-v1\""));
     assert!(json.contains(&format!("\"replayed\":{}", report.replayed)));
     assert!(json.contains(&format!("\"bytes_replayed\":{}", report.bytes_replayed)));
     assert!(json.contains("\"orphaned\":0"));
-    assert!(json.contains(&format!("\"recorded\":{}", dump.len())));
+    assert!(json.contains(&format!("\"recorded\":{}", sink.records().len())));
 
     // Recovery is idempotent: a second replay finds everything applied.
     let again = vol.recover_staging(&c).expect("second recovery");
@@ -421,8 +420,8 @@ fn persistent_faults_degrade_to_sync_without_losing_acknowledged_writes() {
     // dump, transition-for-transition against the stats counters, and
     // the operator report JSON agrees with the same registry.
     let stats = vol.stats();
-    let dump = tracer.flight_dump();
-    let jsonl = dump.jsonl();
+    let sink = tracer.sink();
+    let jsonl = export::jsonl(sink.records());
     assert!(
         jsonl.contains("\"type\":\"BreakerTransition\",\"from\":\"closed\",\"to\":\"open\""),
         "the trip must be in the ring"
@@ -444,7 +443,7 @@ fn persistent_faults_degrade_to_sync_without_losing_acknowledged_writes() {
     let json = apio::model::ReportBuilder::new("chaos: breaker degrade/recover")
         .metrics(vol.metrics())
         .breaker("closed", stats.degraded)
-        .flight(dump.capacity(), dump.len(), dump.dropped())
+        .trace(&sink)
         .render_json();
     assert!(json.contains("\"breaker\":{\"state\":\"closed\",\"degraded\":false}"));
     assert!(json.contains(&format!(
