@@ -63,8 +63,10 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 # Every test binary of the root package (14 in tests/, the lib's unit
 # tests, the doc tests) under debug-invariants, with the seeded sweeps
 # of ring, one_copy, sieve and consistency at 64 schedules:
-#   ring              backpressure, ordering, fault plumbing; the explore
-#                     sweep and the lock-order assertion need the feature
+#   ring              Block backpressure, the connector's ring path and
+#                     its fault resubmission; the explore sweep needs the
+#                     feature (Poll backpressure, per-key order and
+#                     shutdown are h5lite::ring's unit tests, run above)
 #   ring_lockfree     submit/complete takes zero argolite::sync locks,
 #                     reaper threads included
 #   ring_issue_locks  what a connector ring write locks on the issuer
@@ -107,13 +109,23 @@ echo "== h5lite in release (overflow, dataspace, read-back lanes) =="
 # and the covering-block ranges of a verified read, whose offset
 # arithmetic is what a release build would wrap; `kernel` the strided
 # copy kernels against their piece-by-piece reference, whose const-width
-# loops compile differently with optimisation on).
-cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite dataspace
-cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite overflow
-cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite lane
-cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite flush_hashes
-cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite block
-cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite kernel
+# loops compile differently with optimisation on). A filter that
+# matches nothing would pass, so a renamed test would drop out of the
+# release run unseen: each filter must list at least one test.
+release_rerun() {
+    local listed
+    listed="$(cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite "$1" -- --list \
+        | grep -c ': test$' || true)"
+    if [ "$listed" -eq 0 ]; then
+        echo "release rerun: filter '$1' matches no h5lite test"
+        exit 1
+    fi
+    echo "release rerun: '$1' selects $listed test(s)"
+    cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite "$1"
+}
+for filter in dataspace overflow lane flush_hashes block kernel; do
+    release_rerun "$filter"
+done
 
 echo "== operator report smoke (drift demo must flip the advice) =="
 report_json="$(cargo run -q "${CARGO_FLAGS[@]}" -p apio-apps --bin apio-report -- --json)"

@@ -1100,49 +1100,10 @@ mod tests {
     use super::*;
     use h5lite::ring::RingConfig;
     use h5lite::{
-        container::ROOT_ID, Dataspace, Datatype, Hyperslab, IoVec, IoVecMut, Layout, MemBackend,
-        StorageBackend, COALESCE_WINDOW,
+        container::ROOT_ID, Call, CountingBackend, Dataspace, Datatype, Hyperslab, Layout,
+        MemBackend, COALESCE_WINDOW,
     };
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// A device with one bad block: any write touching `bad` fails for
-    /// good, however it is batched or replayed.
-    struct BadBlock {
-        inner: MemBackend,
-        bad: AtomicU64,
-    }
-
-    impl BadBlock {
-        fn check(&self, offset: u64) -> Result<()> {
-            if offset == self.bad.load(Ordering::SeqCst) {
-                return Err(H5Error::Storage(format!("bad block at {offset}")));
-            }
-            Ok(())
-        }
-    }
-
-    impl StorageBackend for BadBlock {
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-            self.check(offset)?;
-            self.inner.write_at(offset, data)
-        }
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            self.inner.read_at(offset, buf)
-        }
-        fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
-            batch.iter().try_for_each(|seg| self.check(seg.offset))?;
-            self.inner.write_vectored_at(batch)
-        }
-        fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
-            self.inner.read_vectored_at(batch)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-        fn sync(&self) -> Result<()> {
-            self.inner.sync()
-        }
-    }
 
     const SLAB: u64 = 16;
 
@@ -1150,19 +1111,29 @@ mod tests {
         Selection::Slab(Hyperslab::range1(w * SLAB, SLAB))
     }
 
-    /// A `BadBlock` device (nothing bad yet), a container on it with one
+    /// A device with one bad block, at the address in the returned cell
+    /// (nothing bad yet): any write touching it fails for good, however
+    /// it is batched or replayed. Then a container on it with one
     /// `writes`-slab dataset, and a ring over the same device.
-    fn bad_block_stack(writes: u64) -> (Arc<BadBlock>, Arc<Container>, ObjectId, Arc<Ring>) {
-        let backend = Arc::new(BadBlock {
-            inner: MemBackend::new(),
-            bad: AtomicU64::new(u64::MAX),
+    fn bad_block_stack(writes: u64) -> (Arc<AtomicU64>, Arc<Container>, ObjectId, Arc<Ring>) {
+        let bad = Arc::new(AtomicU64::new(u64::MAX));
+        let at = bad.clone();
+        let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+            let Call::Write { segments, .. } = call else {
+                return Ok(());
+            };
+            match segments.iter().find(|seg| seg.offset == at.load(Ordering::SeqCst)) {
+                Some(seg) => Err(H5Error::Storage(format!("bad block at {}", seg.offset))),
+                None => Ok(()),
+            }
         });
+        let backend = Arc::new(device);
         let c = Arc::new(Container::create(backend.clone()));
         let ds = c
             .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(writes * SLAB), Layout::Contiguous)
             .unwrap();
-        let ring = Arc::new(Ring::new(backend.clone(), RingConfig::default()));
-        (backend, c, ds, ring)
+        let ring = Arc::new(Ring::new(backend, RingConfig::default()));
+        (bad, c, ds, ring)
     }
 
     /// Table entries and ring-FIFO slots right now.
@@ -1182,7 +1153,7 @@ mod tests {
     /// there the producer paces itself on the `queued` gauge.
     fn requests_are_retired_without_a_wait(use_ring: bool) {
         const WRITES: u64 = 5_000;
-        let (backend, c, ds, ring) = bad_block_stack(WRITES);
+        let (bad, c, ds, ring) = bad_block_stack(WRITES);
         let (vol, in_flight_cap) = if use_ring {
             let cap = ring.capacity() + COALESCE_WINDOW;
             (AsyncVol::builder().ring(ring).build(), cap)
@@ -1191,7 +1162,7 @@ mod tests {
         };
         // Write 10 lands on the bad block.
         let segs = c.plan_write_selection(ds, &slab(10), SLAB).unwrap();
-        backend.bad.store(segs[0].addr, Ordering::SeqCst);
+        bad.store(segs[0].addr, Ordering::SeqCst);
 
         // Unfinished requests are bounded by what the transport holds;
         // finished ones by the threshold.

@@ -18,8 +18,8 @@ use h5lite::container::ROOT_ID;
 use h5lite::ring::{Ring, RingConfig, RingOp};
 use h5lite::superblock::{fnv1a64, FNV_BASIS};
 use h5lite::{
-    Container, Dataspace, Datatype, Hyperslab, Layout, Selection, StorageBackend, ThrottledBackend,
-    Vol,
+    Call, Container, CountingBackend, Dataspace, Datatype, Hyperslab, Layout, Selection,
+    StorageBackend, ThrottledBackend, Vol,
 };
 use kernels::vpic::interleaved_slab;
 use std::hint::black_box;
@@ -274,31 +274,25 @@ fn strided_copy() {
     );
 }
 
-/// A backend whose `sync` sleeps `secs_per_byte` for every byte written
-/// since the last one: the barrier over a flush's dirty extents costs
-/// what they weigh, the two after it next to nothing.
-struct PaidSync {
-    inner: Arc<ThrottledBackend>,
-    secs_per_byte: f64,
-    unsynced: AtomicU64,
-}
-
-impl StorageBackend for PaidSync {
-    fn write_at(&self, offset: u64, data: &[u8]) -> h5lite::Result<()> {
-        self.unsynced.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.inner.write_at(offset, data)
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> h5lite::Result<()> {
-        self.inner.read_at(offset, buf)
-    }
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-    fn sync(&self) -> h5lite::Result<()> {
-        let dirty = self.unsynced.swap(0, Ordering::Relaxed);
-        std::thread::sleep(Duration::from_secs_f64(dirty as f64 * self.secs_per_byte));
-        self.inner.sync()
-    }
+/// `inner` with a `sync` that sleeps `secs_per_byte` for every byte
+/// written since the last one: the barrier over a flush's dirty extents
+/// costs what they weigh, the two after it next to nothing.
+fn paid_sync(inner: Arc<ThrottledBackend>, secs_per_byte: f64) -> CountingBackend {
+    let unsynced = AtomicU64::new(0);
+    CountingBackend::new(inner).with_hook(move |call| {
+        match call {
+            Call::Write { segments, .. } => {
+                let bytes: usize = segments.iter().map(|seg| seg.data.len()).sum();
+                unsynced.fetch_add(bytes as u64, Ordering::Relaxed);
+            }
+            Call::Sync => {
+                let dirty = unsynced.swap(0, Ordering::Relaxed);
+                std::thread::sleep(Duration::from_secs_f64(dirty as f64 * secs_per_byte));
+            }
+            Call::Read { .. } => {}
+        }
+        Ok(())
+    })
 }
 
 /// The flush's checksum read-back against the device's lanes
@@ -357,13 +351,9 @@ fn flush_hash_lanes() {
     }
     let device = Arc::new(ThrottledBackend::with_channels(1e12, 2e-4, 4));
     let barrier = serial / 4.0;
-    let paid = Arc::new(PaidSync {
-        inner: device.clone(),
-        secs_per_byte: barrier / (EXTENTS * LEN) as f64,
-        unsynced: AtomicU64::new(0),
-    });
+    let paid = paid_sync(device.clone(), barrier / (EXTENTS * LEN) as f64);
     let name = "flush_hash/16x2MiB/ch4+sync";
-    let secs = flush_secs(name, &device, paid);
+    let secs = flush_secs(name, &device, Arc::new(paid));
     println!(
         "    {name:<28} {:7.1} ms   {:.2} x the ch4 flush then a {:.1} ms barrier ({:.1} ms)",
         secs * 1e3,

@@ -444,7 +444,7 @@ mod tests {
     use crate::container::ROOT_ID;
     use crate::dataspace::{Dataspace, Hyperslab, Selection};
     use crate::datatype::Datatype;
-    use crate::storage::{IoVec, IoVecMut, MemBackend, StorageBackend};
+    use crate::storage::{Call, CountingBackend, MemBackend, StorageBackend};
     use crate::sync::Mutex;
 
     #[test]
@@ -454,8 +454,8 @@ mod tests {
         // windows and hashes the tail past the watermark by count.
         const WRITTEN: usize = HASH_WINDOW + 5;
         const TAIL: usize = 1000;
-        let gauge = ReadGauge::over(Arc::new(MemBackend::new()));
-        let c = Container::create(gauge.clone());
+        let (backend, gauge) = gauged(Arc::new(MemBackend::new()));
+        let c = Container::create(backend);
         let space = Dataspace::d1((WRITTEN + TAIL) as u64);
         let ds = c
             .create_dataset(ROOT_ID, "long", Datatype::U8, &space, Layout::Contiguous)
@@ -479,62 +479,39 @@ mod tests {
 
     const MIB: usize = 1 << 20;
 
-    /// What the read-back asks of the device: the longest scalar read,
-    /// the most of them in flight at once, and the bytes every read
-    /// moved. A read at an address in `bad` fails, naming the address.
-    struct ReadGauge {
-        inner: Arc<dyn StorageBackend>,
-        in_flight: AtomicUsize,
-        most_in_flight: AtomicUsize,
+    /// What the read-back asks of the device beyond the counts: the
+    /// longest scalar read. A scalar read at an address in `bad` fails,
+    /// naming the address; the next `sync` fails (`TRAP_FAIL`) or panics
+    /// (`TRAP_PANIC`) as `trap` says, once, then behaves.
+    #[derive(Default)]
+    struct Gauge {
         longest: AtomicUsize,
-        read_bytes: AtomicUsize,
         bad: Mutex<Vec<u64>>,
+        trap: AtomicUsize,
     }
 
-    impl ReadGauge {
-        fn over(inner: Arc<dyn StorageBackend>) -> Arc<Self> {
-            Arc::new(ReadGauge {
-                inner,
-                in_flight: AtomicUsize::new(0),
-                most_in_flight: AtomicUsize::new(0),
-                longest: AtomicUsize::new(0),
-                read_bytes: AtomicUsize::new(0),
-                bad: Mutex::new(Vec::new()),
-            })
-        }
-    }
+    const TRAP_FAIL: usize = 1;
+    const TRAP_PANIC: usize = 2;
 
-    impl StorageBackend for ReadGauge {
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-            self.inner.write_at(offset, data)
-        }
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-            self.most_in_flight.fetch_max(now, Ordering::SeqCst);
-            self.longest.fetch_max(buf.len(), Ordering::SeqCst);
-            self.read_bytes.fetch_add(buf.len(), Ordering::SeqCst);
-            let out = if self.bad.lock().contains(&offset) {
-                Err(H5Error::Storage(format!("bad sector at {offset}")))
-            } else {
-                self.inner.read_at(offset, buf)
-            };
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            out
-        }
-        fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
-            self.inner.write_vectored_at(batch)
-        }
-        fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
-            let bytes = batch.iter().map(|seg| seg.buf.len()).sum();
-            self.read_bytes.fetch_add(bytes, Ordering::SeqCst);
-            self.inner.read_vectored_at(batch)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-        fn sync(&self) -> Result<()> {
-            self.inner.sync()
-        }
+    fn gauged(inner: Arc<dyn StorageBackend>) -> (Arc<CountingBackend>, Arc<Gauge>) {
+        let gauge = Arc::new(Gauge::default());
+        let g = gauge.clone();
+        let backend = CountingBackend::new(inner).with_hook(move |call| match call {
+            Call::Read { segments: [seg], vectored: false } => {
+                g.longest.fetch_max(seg.buf.len(), Ordering::SeqCst);
+                if g.bad.lock().contains(&seg.offset) {
+                    return Err(H5Error::Storage(format!("bad sector at {}", seg.offset)));
+                }
+                Ok(())
+            }
+            Call::Sync => match g.trap.swap(0, Ordering::SeqCst) {
+                TRAP_FAIL => Err(H5Error::Storage("barrier refused".into())),
+                TRAP_PANIC => panic!("data barrier panics (expected by the test)"),
+                _ => Ok(()),
+            },
+            _ => Ok(()),
+        });
+        (Arc::new(backend), gauge)
     }
 
     fn lane_bytes(salt: usize, len: usize) -> Vec<u8> {
@@ -570,8 +547,8 @@ mod tests {
         // do overlap (`tests/flush_lanes.rs` holds the wall time).
         use crate::storage::ThrottledBackend;
         let device = Arc::new(ThrottledBackend::with_channels(1e12, 2e-4, 4));
-        let gauge = ReadGauge::over(device.clone());
-        let c = Container::create(gauge.clone());
+        let (backend, gauge) = gauged(device.clone());
+        let c = Container::create(backend.clone());
         let contiguous = dirty_contiguous(&c, 16, 2 * MIB, 0);
         let space = Dataspace::d1(8 * MIB as u64);
         let layout = Layout::Chunked1D { chunk_elems: MIB as u64 };
@@ -584,7 +561,7 @@ mod tests {
         // The bounds on read-back memory and on device concurrency, as
         // the device saw them.
         assert!(gauge.longest.load(Ordering::SeqCst) <= HASH_WINDOW);
-        assert!(gauge.most_in_flight.load(Ordering::SeqCst) <= HASH_LANES);
+        assert!(backend.counts().most_reads_in_flight <= HASH_LANES as u64);
         for (i, &ds) in contiguous.iter().enumerate() {
             let bytes = c.read_selection(ds, &Selection::All).unwrap();
             assert_eq!(bytes, lane_bytes(i, 2 * MIB));
@@ -638,8 +615,8 @@ mod tests {
 
     #[test]
     fn of_two_failed_lane_reads_the_flush_reports_the_first_in_job_order() {
-        let gauge = ReadGauge::over(Arc::new(MemBackend::new()));
-        let c = Container::create(gauge.clone());
+        let (backend, gauge) = gauged(Arc::new(MemBackend::new()));
+        let c = Container::create(backend);
         let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
         let addr = |i: usize| c.plane.working(ids[i]).unwrap().data_addr;
         *gauge.bad.lock() = vec![addr(6), addr(2)];
@@ -653,104 +630,45 @@ mod tests {
         assert!(c.scrub().unwrap().clean());
     }
 
-    /// Panics on every read from a thread other than the one that built
-    /// it, and holds the builder's own first read until one has.
-    struct PanicOffThread {
-        inner: MemBackend,
-        owner: std::thread::ThreadId,
-        others: AtomicUsize,
-        armed: AtomicBool,
-    }
-
-    impl StorageBackend for PanicOffThread {
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-            self.inner.write_at(offset, data)
-        }
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            if self.armed.load(Ordering::SeqCst) {
-                if std::thread::current().id() != self.owner {
-                    self.others.fetch_add(1, Ordering::SeqCst);
+    #[test]
+    fn a_panicking_lane_is_a_storage_error_not_a_panic_or_a_hang() {
+        // Armed, every read from a thread other than this one panics, and
+        // this thread's own first read waits until one has.
+        let owner = std::thread::current().id();
+        let others = Arc::new(AtomicUsize::new(0));
+        let armed = Arc::new(AtomicBool::new(false));
+        let (seen, on) = (others.clone(), armed.clone());
+        let backend = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+            if matches!(call, Call::Read { .. }) && on.load(Ordering::SeqCst) {
+                if std::thread::current().id() != owner {
+                    seen.fetch_add(1, Ordering::SeqCst);
                     panic!("read-back lane panics (expected by the test)");
                 }
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-                while self.others.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
+                while seen.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
                     std::thread::yield_now();
                 }
             }
-            self.inner.read_at(offset, buf)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-        fn sync(&self) -> Result<()> {
-            self.inner.sync()
-        }
-    }
-
-    #[test]
-    fn a_panicking_lane_is_a_storage_error_not_a_panic_or_a_hang() {
-        let backend = Arc::new(PanicOffThread {
-            inner: MemBackend::new(),
-            owner: std::thread::current().id(),
-            others: AtomicUsize::new(0),
-            armed: AtomicBool::new(false),
+            Ok(())
         });
-        let c = Container::create(backend.clone());
+        let c = Container::create(Arc::new(backend));
         let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
-        backend.armed.store(true, Ordering::SeqCst);
+        armed.store(true, Ordering::SeqCst);
         let err = c.flush().unwrap_err();
         assert!(matches!(err, H5Error::Storage(ref m) if m.contains("lane panicked")), "{err:?}");
-        assert!(backend.others.load(Ordering::SeqCst) >= 1);
+        assert!(others.load(Ordering::SeqCst) >= 1);
         assert_eq!(c.dirty_extents.lock().len(), 8);
         assert!(ids.iter().all(|&ds| stored_sums(&c, ds) == (None, vec![])));
-        backend.armed.store(false, Ordering::SeqCst);
+        armed.store(false, Ordering::SeqCst);
         c.flush().unwrap();
         assert!(ids.iter().all(|&ds| stored_sums(&c, ds).0.is_some()));
-    }
-
-    /// Fails (`TRAP_FAIL`) or panics in (`TRAP_PANIC`) the next `sync`,
-    /// once, then behaves.
-    struct SyncTrap {
-        inner: MemBackend,
-        trap: AtomicUsize,
-    }
-
-    const TRAP_FAIL: usize = 1;
-    const TRAP_PANIC: usize = 2;
-
-    impl SyncTrap {
-        fn new() -> Arc<Self> {
-            Arc::new(SyncTrap {
-                inner: MemBackend::new(),
-                trap: AtomicUsize::new(0),
-            })
-        }
-    }
-
-    impl StorageBackend for SyncTrap {
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-            self.inner.write_at(offset, data)
-        }
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            self.inner.read_at(offset, buf)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-        fn sync(&self) -> Result<()> {
-            match self.trap.swap(0, Ordering::SeqCst) {
-                TRAP_FAIL => Err(H5Error::Storage("barrier refused".into())),
-                TRAP_PANIC => panic!("data barrier panics (expected by the test)"),
-                _ => self.inner.sync(),
-            }
-        }
     }
 
     #[test]
     fn a_failed_or_panicked_lane_barrier_is_a_clean_failed_flush() {
         for (trap, want) in [(TRAP_FAIL, "barrier refused"), (TRAP_PANIC, "data barrier panicked")] {
-            let backend = SyncTrap::new();
-            let c = Container::create(backend.clone());
+            let (backend, gauge) = gauged(Arc::new(MemBackend::new()));
+            let c = Container::create(backend);
             let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
             c.flush().unwrap();
             let old: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
@@ -760,10 +678,10 @@ mod tests {
             // 16 MiB dirty again: the flush's first sync is the data
             // barrier beside the read-back, and it is the one trapped.
             dirty_contiguous(&c, 8, 2 * MIB, 100);
-            backend.trap.store(trap, Ordering::SeqCst);
+            gauge.trap.store(trap, Ordering::SeqCst);
             let err = c.flush().unwrap_err();
             assert!(matches!(err, H5Error::Storage(ref m) if m.contains(want)), "{err:?}");
-            assert_eq!(backend.trap.load(Ordering::SeqCst), 0, "the trap was sprung");
+            assert_eq!(gauge.trap.load(Ordering::SeqCst), 0, "the trap was sprung");
             let now: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
             assert_eq!(now, old, "no sum is folded behind a failed barrier");
             let marks: Vec<_> = ids.iter().map(|&ds| (ds, CONTIG_EXTENT)).collect();
@@ -785,22 +703,21 @@ mod tests {
 
     #[test]
     fn a_failed_lane_read_is_reported_ahead_of_a_failed_barrier() {
-        let trap = SyncTrap::new();
-        let gauge = ReadGauge::over(trap.clone());
-        let c = Container::create(gauge.clone());
+        let (backend, gauge) = gauged(Arc::new(MemBackend::new()));
+        let c = Container::create(backend);
         let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
         let addr = |i: usize| c.plane.working(ids[i]).unwrap().data_addr;
         *gauge.bad.lock() = vec![addr(6), addr(2)];
         for _ in 0..8 {
-            trap.trap.store(TRAP_FAIL, Ordering::SeqCst);
+            gauge.trap.store(TRAP_FAIL, Ordering::SeqCst);
             let err = c.flush().unwrap_err();
             let want = format!("bad sector at {}", addr(2));
             assert!(matches!(err, H5Error::Storage(ref m) if *m == want), "{err:?}");
-            assert_eq!(trap.trap.load(Ordering::SeqCst), 0, "the barrier failed as well");
+            assert_eq!(gauge.trap.load(Ordering::SeqCst), 0, "the barrier failed as well");
         }
         // With the reads good again, the barrier's own error shows.
         gauge.bad.lock().clear();
-        trap.trap.store(TRAP_FAIL, Ordering::SeqCst);
+        gauge.trap.store(TRAP_FAIL, Ordering::SeqCst);
         let err = c.flush().unwrap_err();
         assert!(matches!(err, H5Error::Storage(ref m) if m == "barrier refused"), "{err:?}");
         c.flush().unwrap();
@@ -926,15 +843,15 @@ mod tests {
             (Layout::Chunked1D { chunk_elems: chunk as u64 }, chunk, len - chunk, 2 * BLOCK),
         ];
         for (layout, start, n, want) in cases {
-            let gauge = ReadGauge::over(Arc::new(MemBackend::new()));
+            let gauge = Arc::new(CountingBackend::new(Arc::new(MemBackend::new())));
             let c = Container::create(gauge.clone());
             let space = Dataspace::d1(len as u64);
             let ds = c.create_dataset(ROOT_ID, "x", Datatype::U8, &space, layout.clone()).unwrap();
             c.write_selection(ds, &Selection::All, &data).unwrap();
             c.flush().unwrap();
-            let before = gauge.read_bytes.load(Ordering::SeqCst);
+            let before = gauge.counts().bytes_read;
             let got = c.read_selection(ds, &range(start, n)).unwrap();
-            let moved = gauge.read_bytes.load(Ordering::SeqCst) - before;
+            let moved = (gauge.counts().bytes_read - before) as usize;
             assert_eq!(got, data[start..start + n], "{layout:?} {start}+{n}");
             assert_eq!(moved, want, "{layout:?} {start}+{n}");
             assert_eq!(c.integrity_stats().checksum_failures, 0);

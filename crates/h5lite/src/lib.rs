@@ -77,7 +77,7 @@ pub use plan::{
 pub use promise::Promise;
 pub use ring::{Backpressure, Completion, CqeErr, Ring, RingConfig, RingOp, Submitted};
 pub use storage::{
-    CrashBackend, CrashClock, FaultInjector, FaultKind, FaultOp, FaultPlan, FileBackend, IoVec,
-    IoVecMut, MemBackend, StorageBackend, ThrottledBackend,
+    Call, CallCounts, CountingBackend, CrashBackend, CrashClock, FaultInjector, FaultKind, FaultOp,
+    FaultPlan, FileBackend, IoVec, IoVecMut, MemBackend, StorageBackend, ThrottledBackend,
 };
 pub use vol::{ReadPayload, ReadRequest, Request, Vol};

@@ -463,53 +463,36 @@ fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::MemBackend;
+    use crate::storage::{Call, CountingBackend, MemBackend};
     use std::time::Instant;
 
-    /// MemBackend that records the offsets of every vectored write call
-    /// — proof of per-key FIFO and of depth-aware coalescing — and whose
-    /// first call can be held open until the test lets it go.
-    struct RecordingBackend {
-        inner: MemBackend,
+    /// The offsets of every vectored write call the device saw — proof
+    /// of per-key FIFO and of depth-aware coalescing — and the gate that
+    /// holds a call open until the test lets it go.
+    #[derive(Default)]
+    struct Log {
         calls: crate::sync::Mutex<Vec<Vec<u64>>>,
-        /// A write call has started (and is waiting on `gate` if shut).
-        entered: AtomicBool,
         /// Open: calls run straight through.
         gate: AtomicBool,
     }
 
-    impl RecordingBackend {
-        fn new(gate_open: bool) -> Self {
-            RecordingBackend {
-                inner: MemBackend::new(),
-                calls: crate::sync::Mutex::new(Vec::new()),
-                entered: AtomicBool::new(false),
-                gate: AtomicBool::new(gate_open),
+    /// A counted MemBackend whose vectored writes wait at `Log::gate`,
+    /// then log their offsets. A write call has started once the counts
+    /// show a write batch.
+    fn recording(gate_open: bool) -> (Arc<CountingBackend>, Arc<Log>) {
+        let log = Arc::new(Log::default());
+        log.gate.store(gate_open, Ordering::SeqCst);
+        let seen = log.clone();
+        let backend = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+            if let Call::Write { segments, vectored: true } = call {
+                while !seen.gate.load(Ordering::SeqCst) {
+                    thread::yield_now();
+                }
+                seen.calls.lock().push(segments.iter().map(|v| v.offset).collect());
             }
-        }
-    }
-
-    impl StorageBackend for RecordingBackend {
-        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-            self.inner.write_at(offset, data)
-        }
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-            self.inner.read_at(offset, buf)
-        }
-        fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
-            self.entered.store(true, Ordering::SeqCst);
-            while !self.gate.load(Ordering::SeqCst) {
-                thread::yield_now();
-            }
-            self.calls.lock().push(batch.iter().map(|v| v.offset).collect());
-            self.inner.write_vectored_at(batch)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-        fn sync(&self) -> Result<()> {
-            self.inner.sync()
-        }
+            Ok(())
+        });
+        (Arc::new(backend), log)
     }
 
     fn submit(ring: &Ring, key: u64, op: RingOp) -> Promise<Completion> {
@@ -544,21 +527,21 @@ mod tests {
     /// behind it; the next call carries exactly those `d` segments.
     #[test]
     fn writes_queued_behind_a_busy_reaper_coalesce_into_one_vectored_call() {
-        let backend = Arc::new(RecordingBackend::new(false));
+        let (backend, log) = recording(false);
         let ring = Ring::new(backend.clone(), RingConfig::default());
         let mut promises = vec![submit(&ring, 0, RingOp::write_raw(0, vec![0u8; 64]))];
-        while !backend.entered.load(Ordering::SeqCst) {
+        while backend.counts().write_batches == 0 {
             thread::yield_now();
         }
         let d = 16u64;
         for i in 1..=d {
             promises.push(submit(&ring, 0, RingOp::write_raw(i * 64, vec![i as u8; 64])));
         }
-        backend.gate.store(true, Ordering::SeqCst);
+        log.gate.store(true, Ordering::SeqCst);
         for p in &promises {
             assert!(p.wait_cloned().result.is_ok());
         }
-        let calls = backend.calls.lock();
+        let calls = log.calls.lock();
         assert_eq!(calls.len(), 2, "the op in flight, then everything behind it");
         assert_eq!(calls[0], [0]);
         assert_eq!(calls[1], (1..=d).map(|i| i * 64).collect::<Vec<_>>());
@@ -574,20 +557,26 @@ mod tests {
             backpressure: Backpressure::Poll,
             ..RingConfig::default()
         });
-        let mut accepted = 0;
-        let mut bounced = 0;
+        let mut accepted = Vec::new();
+        let mut bounced = Vec::new();
         for i in 0..16u64 {
-            match ring.submit_keyed(0, RingOp::write_raw(i * 8, vec![1u8; 8])) {
-                Submitted::Accepted { .. } => accepted += 1,
+            match ring.submit_keyed(0, RingOp::write_raw(i * 16, vec![1u8; 16])) {
+                Submitted::Accepted { promise, .. } => accepted.push(promise),
                 Submitted::Full(op) => {
-                    assert_eq!(op.total_bytes(), 8, "op comes back intact");
-                    bounced += 1;
+                    assert_eq!(op.total_bytes(), 16, "op comes back intact");
+                    bounced.push(op);
                 }
             }
         }
-        assert!(accepted >= 2, "the first slots must be accepted");
-        assert!(bounced > 0, "a full Poll ring must bounce");
+        assert!(accepted.len() >= 2, "the first slots must be accepted");
+        assert!(!bounced.is_empty(), "a full Poll ring must bounce");
+        for p in accepted {
+            assert!(p.wait_cloned().result.is_ok(), "accepted ops complete");
+        }
         ring.drain();
+        // After the backlog drains, the very same op resubmits.
+        let p = submit(&ring, 0, bounced.swap_remove(0));
+        assert!(p.wait_cloned().result.is_ok(), "resubmission completes");
     }
 
     #[test]
@@ -614,8 +603,8 @@ mod tests {
     /// promise `i + 1` is.
     #[test]
     fn completions_arrive_in_submission_order_per_key() {
-        let backend = Arc::new(RecordingBackend::new(true));
-        let ring = Ring::new(backend.clone(), RingConfig::default());
+        let (backend, log) = recording(true);
+        let ring = Ring::new(backend, RingConfig::default());
         let promises: Vec<_> = (0..32u64)
             .map(|i| submit(&ring, 0, RingOp::write_raw(i * 4, vec![i as u8; 4])))
             .collect();
@@ -631,7 +620,10 @@ mod tests {
             }
             thread::yield_now();
         }
-        let seen: Vec<u64> = backend.calls.lock().concat();
+        for p in &promises {
+            assert!(p.wait_cloned().result.is_ok(), "write succeeds");
+        }
+        let seen: Vec<u64> = log.calls.lock().concat();
         assert_eq!(seen, (0..32u64).map(|i| i * 4).collect::<Vec<_>>());
     }
 
@@ -639,11 +631,13 @@ mod tests {
     fn drop_while_in_flight_resolves_every_promise() {
         let slow = crate::storage::ThrottledBackend::in_memory(1e9, 2e-3);
         let ring = Ring::new(Arc::new(slow), RingConfig::default());
-        let promises: Vec<_> = (0..8u64)
-            .map(|i| submit(&ring, 0, RingOp::write_raw(i * 8, vec![2u8; 8])))
+        // One key per op, so every shard's reaper has work at shutdown.
+        let promises: Vec<_> = (0..16u64)
+            .map(|i| submit(&ring, i, RingOp::write_raw(i * 8, vec![2u8; 8])))
             .collect();
         drop(ring); // shutdown drains the queue before joining reapers
-        for p in promises {
+        for (i, p) in promises.into_iter().enumerate() {
+            assert!(p.is_fulfilled(), "promise {i} left unresolved after drop");
             assert!(
                 p.wait_cloned().result.is_ok(),
                 "queued ops complete during shutdown"
@@ -656,7 +650,7 @@ mod tests {
     /// reaper and strand every promise queued on the shard.
     #[test]
     fn a_segment_past_its_buffer_is_an_error_not_a_dead_reaper() {
-        let backend = Arc::new(RecordingBackend::new(true));
+        let (backend, log) = recording(true);
         let ring = Ring::new(backend.clone(), RingConfig::default());
         let bad = |cursor, len| RingOp::Write {
             data: vec![0u8; 8],
@@ -682,7 +676,7 @@ mod tests {
                 Ok(()) => panic!("op {i} must fail"),
             }
         }
-        let seen: Vec<u64> = backend.calls.lock().concat();
+        let seen: Vec<u64> = log.calls.lock().concat();
         assert_eq!(seen, [64, 128], "the bad ops never reached the backend");
         for (addr, byte) in [(64, 9u8), (128, 5u8)] {
             let mut back = [0u8; 8];

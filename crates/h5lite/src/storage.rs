@@ -1002,6 +1002,201 @@ impl StorageBackend for CrashBackend {
     }
 }
 
+/// One backend call as a [`CountingBackend`]'s hook sees it. A scalar
+/// call arrives as a batch of one segment with `vectored: false`.
+pub enum Call<'a, 'b> {
+    /// A write, before it is forwarded.
+    Write {
+        /// The segments to be written, in order.
+        segments: &'a [IoVec<'b>],
+        /// `write_vectored_at` rather than `write_at`.
+        vectored: bool,
+    },
+    /// A read, after the inner backend filled every segment; the hook
+    /// may alter the bytes.
+    Read {
+        /// The segments read, in order.
+        segments: &'a mut [IoVecMut<'b>],
+        /// `read_vectored_at` rather than `read_at`.
+        vectored: bool,
+    },
+    /// A sync, before it is forwarded.
+    Sync,
+}
+
+/// Everything a [`CountingBackend`] has been asked, as one comparable
+/// value. Each call counts as it arrives, whether or not it succeeds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CallCounts {
+    /// `read_at` calls.
+    pub reads: u64,
+    /// `write_at` calls.
+    pub writes: u64,
+    /// `read_vectored_at` calls.
+    pub read_batches: u64,
+    /// `write_vectored_at` calls.
+    pub write_batches: u64,
+    /// Segments of every batch, read and write.
+    pub segments: u64,
+    /// Bytes asked of every read, scalar and vectored.
+    pub bytes_read: u64,
+    /// Bytes handed to every write, scalar and vectored.
+    pub bytes_written: u64,
+    /// `sync` calls.
+    pub syncs: u64,
+    /// The most reads that were inside the inner backend at once.
+    pub most_reads_in_flight: u64,
+}
+
+/// Every count of `self` less `earlier`'s; the high-water mark is
+/// `self`'s, since a peak has no difference.
+impl std::ops::Sub for CallCounts {
+    type Output = CallCounts;
+
+    fn sub(self, earlier: CallCounts) -> CallCounts {
+        CallCounts {
+            reads: self.reads - earlier.reads,
+            writes: self.writes - earlier.writes,
+            read_batches: self.read_batches - earlier.read_batches,
+            write_batches: self.write_batches - earlier.write_batches,
+            segments: self.segments - earlier.segments,
+            bytes_read: self.bytes_read - earlier.bytes_read,
+            bytes_written: self.bytes_written - earlier.bytes_written,
+            syncs: self.syncs - earlier.syncs,
+            most_reads_in_flight: self.most_reads_in_flight,
+        }
+    }
+}
+
+type Hook = dyn Fn(Call<'_, '_>) -> Result<()> + Send + Sync;
+
+/// A [`StorageBackend`] wrapper that counts what reaches the device —
+/// calls by kind, segments, bytes, syncs, and the peak of concurrent
+/// reads — for tests and benchmarks that assert the work an operation
+/// does rather than its time. An optional hook sees each call once:
+/// writes and syncs before they are forwarded, where an `Err` forwards
+/// nothing, and reads after the inner read, with the fetched bytes. The
+/// hook may block, fail or panic; whatever a test needs beyond counting
+/// (a gate, a thread log, an injected failure) lives there.
+pub struct CountingBackend {
+    inner: Arc<dyn StorageBackend>,
+    hook: Option<Box<Hook>>,
+    reads: AtomicU64,
+    writes: AtomicU64,
+    read_batches: AtomicU64,
+    write_batches: AtomicU64,
+    segments: AtomicU64,
+    bytes_read: AtomicU64,
+    bytes_written: AtomicU64,
+    syncs: AtomicU64,
+    reads_in_flight: AtomicU64,
+    most_reads_in_flight: AtomicU64,
+}
+
+impl CountingBackend {
+    /// Count every call to `inner`, with no hook.
+    pub fn new(inner: Arc<dyn StorageBackend>) -> Self {
+        CountingBackend {
+            inner,
+            hook: None,
+            reads: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
+            read_batches: AtomicU64::new(0),
+            write_batches: AtomicU64::new(0),
+            segments: AtomicU64::new(0),
+            bytes_read: AtomicU64::new(0),
+            bytes_written: AtomicU64::new(0),
+            syncs: AtomicU64::new(0),
+            reads_in_flight: AtomicU64::new(0),
+            most_reads_in_flight: AtomicU64::new(0),
+        }
+    }
+
+    /// Run `hook` on every call (see [`Call`] for when).
+    pub fn with_hook(
+        mut self,
+        hook: impl Fn(Call<'_, '_>) -> Result<()> + Send + Sync + 'static,
+    ) -> Self {
+        self.hook = Some(Box::new(hook));
+        self
+    }
+
+    /// The counts so far.
+    pub fn counts(&self) -> CallCounts {
+        let get = |c: &AtomicU64| c.load(Ordering::SeqCst);
+        CallCounts {
+            reads: get(&self.reads),
+            writes: get(&self.writes),
+            read_batches: get(&self.read_batches),
+            write_batches: get(&self.write_batches),
+            segments: get(&self.segments),
+            bytes_read: get(&self.bytes_read),
+            bytes_written: get(&self.bytes_written),
+            syncs: get(&self.syncs),
+            most_reads_in_flight: get(&self.most_reads_in_flight),
+        }
+    }
+
+    fn hook(&self, call: Call<'_, '_>) -> Result<()> {
+        self.hook.as_ref().map_or(Ok(()), |hook| hook(call))
+    }
+
+    fn count(counter: &AtomicU64, n: usize) {
+        counter.fetch_add(n as u64, Ordering::SeqCst);
+    }
+
+    /// Run an inner read, tracking how many are in flight.
+    fn in_flight(&self, read: impl FnOnce() -> Result<()>) -> Result<()> {
+        let now = self.reads_in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        self.most_reads_in_flight.fetch_max(now, Ordering::SeqCst);
+        let out = read();
+        self.reads_in_flight.fetch_sub(1, Ordering::SeqCst);
+        out
+    }
+}
+
+impl StorageBackend for CountingBackend {
+    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+        Self::count(&self.writes, 1);
+        Self::count(&self.bytes_written, data.len());
+        self.hook(Call::Write { segments: &[IoVec { offset, data }], vectored: false })?;
+        self.inner.write_at(offset, data)
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        Self::count(&self.reads, 1);
+        Self::count(&self.bytes_read, buf.len());
+        self.in_flight(|| self.inner.read_at(offset, buf))?;
+        self.hook(Call::Read { segments: &mut [IoVecMut { offset, buf }], vectored: false })
+    }
+
+    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
+        Self::count(&self.write_batches, 1);
+        Self::count(&self.segments, batch.len());
+        Self::count(&self.bytes_written, batch.iter().map(|seg| seg.data.len()).sum());
+        self.hook(Call::Write { segments: batch, vectored: true })?;
+        self.inner.write_vectored_at(batch)
+    }
+
+    fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
+        Self::count(&self.read_batches, 1);
+        Self::count(&self.segments, batch.len());
+        Self::count(&self.bytes_read, batch.iter().map(|seg| seg.buf.len()).sum());
+        self.in_flight(|| self.inner.read_vectored_at(batch))?;
+        self.hook(Call::Read { segments: batch, vectored: true })
+    }
+
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+
+    fn sync(&self) -> Result<()> {
+        Self::count(&self.syncs, 1);
+        self.hook(Call::Sync)?;
+        self.inner.sync()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1164,6 +1359,124 @@ mod tests {
     #[test]
     fn throttled_vectored_contract() {
         exercise_vectored(&ThrottledBackend::in_memory(1e12, 0.0));
+    }
+
+    #[test]
+    fn counting_contract() {
+        exercise(&CountingBackend::new(Arc::new(MemBackend::new())));
+    }
+
+    #[test]
+    fn counting_vectored_contract() {
+        exercise_vectored(&CountingBackend::new(Arc::new(MemBackend::new())));
+    }
+
+    #[test]
+    fn counting_backend_counts_every_call_by_kind() {
+        let b = CountingBackend::new(Arc::new(MemBackend::new()));
+        b.write_at(0, b"abcd").unwrap();
+        b.write_vectored_at(&[
+            IoVec { offset: 4, data: b"ef" },
+            IoVec { offset: 8, data: b"ghi" },
+        ])
+        .unwrap();
+        b.read_at(1, &mut [0u8; 3]).unwrap();
+        let (mut x, mut y) = ([0u8; 2], [0u8; 4]);
+        b.read_vectored_at(&mut [
+            IoVecMut { offset: 0, buf: &mut x },
+            IoVecMut { offset: 7, buf: &mut y },
+        ])
+        .unwrap();
+        // Past the end: it fails, and it counts all the same.
+        assert!(b.read_at(10, &mut [0u8; 8]).is_err());
+        b.sync().unwrap();
+        b.sync().unwrap();
+        let all = CallCounts {
+            reads: 2,
+            writes: 1,
+            read_batches: 1,
+            write_batches: 1,
+            segments: 4,
+            bytes_read: 3 + 6 + 8,
+            bytes_written: 9,
+            syncs: 2,
+            most_reads_in_flight: 1,
+        };
+        assert_eq!(b.counts(), all);
+
+        let before = b.counts();
+        b.write_at(11, b"j").unwrap();
+        let one_write = CallCounts {
+            writes: 1,
+            bytes_written: 1,
+            most_reads_in_flight: 1,
+            ..CallCounts::default()
+        };
+        assert_eq!(b.counts() - before, one_write, "the peak is the later snapshot's");
+    }
+
+    #[test]
+    fn counting_hook_runs_before_writes_and_syncs_and_after_reads() {
+        // The crash clock counts what reaches the inner device: every
+        // write segment and sync forwarded.
+        let clock = CrashClock::unlimited();
+        let device: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        let inner = Arc::new(CrashBackend::new(device.clone(), clock.clone()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        let b = CountingBackend::new(inner).with_hook(move |call| {
+            let refuse = |what: &str| Err(H5Error::Storage(format!("hook refused {what}")));
+            match call {
+                Call::Write { segments, vectored } => {
+                    log.lock().push(("write", vectored, segments.len()));
+                    if segments.iter().any(|seg| seg.data == b"no") {
+                        return refuse("write");
+                    }
+                }
+                Call::Read { segments, vectored } => {
+                    log.lock().push(("read", vectored, segments.len()));
+                    for seg in segments.iter_mut() {
+                        seg.buf.reverse();
+                    }
+                }
+                Call::Sync => {
+                    log.lock().push(("sync", false, 0));
+                    return refuse("sync");
+                }
+            }
+            Ok(())
+        });
+
+        b.write_at(0, b"ok").unwrap();
+        assert!(b.write_at(2, b"no").is_err());
+        let batch = [IoVec { offset: 2, data: b"go" }, IoVec { offset: 4, data: b"no" }];
+        assert!(b.write_vectored_at(&batch).is_err());
+        assert!(b.sync().is_err());
+        assert_eq!(clock.mutations(), 1, "a refused call forwards nothing, not even half a batch");
+        assert_eq!(device.len(), 2);
+
+        let mut buf = [0u8; 2];
+        b.read_at(0, &mut buf).unwrap();
+        assert_eq!(&buf, b"ko", "the read hook saw the fetched bytes and turned them round");
+        let (mut x, mut y) = ([0u8; 1], [0u8; 2]);
+        b.read_vectored_at(&mut [
+            IoVecMut { offset: 1, buf: &mut x },
+            IoVecMut { offset: 0, buf: &mut y },
+        ])
+        .unwrap();
+        assert_eq!((&x, &y), (b"k", b"ko"));
+
+        let want = [
+            ("write", false, 1),
+            ("write", false, 1),
+            ("write", true, 2),
+            ("sync", false, 0),
+            ("read", false, 1),
+            ("read", true, 2),
+        ];
+        assert_eq!(*seen.lock(), want, "once per call, in call order");
+        let c = b.counts();
+        assert_eq!((c.writes, c.write_batches, c.segments, c.syncs), (2, 1, 4, 1));
     }
 
     #[test]

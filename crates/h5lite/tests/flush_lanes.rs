@@ -7,7 +7,7 @@
 //! in its binary, and its tests take turns ([`turn`]), so that nothing
 //! but the flush competes for the cores.
 //!
-//! The data barrier rides beside those lanes (ISSUE 24). [`Device`]
+//! The data barrier rides beside those lanes. [`paid_sync_device`]
 //! makes a `sync` cost what it has to write back, so the barrier over
 //! 32 MiB of dirty extents costs one four-lane read-back of them and
 //! the two barriers after it next to nothing: a flush from the 4 MiB
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use h5lite::container::ROOT_ID;
 use h5lite::superblock::SUPERBLOCK_AREA;
 use h5lite::{
-    Container, Dataspace, Datatype, Layout, Result, Selection, StorageBackend, ThrottledBackend,
+    Call, Container, CountingBackend, Dataspace, Datatype, Layout, Selection, ThrottledBackend,
 };
 
 const MIB: usize = 1 << 20;
@@ -103,54 +103,40 @@ enum Op {
     Sync,
 }
 
+/// The operations a device saw, in the order they arrived.
+type OpLog = Arc<Mutex<Vec<Op>>>;
+
 /// A four-lane throttle whose `sync` sleeps `sync_secs_per_byte` for
 /// every byte written since the last one, and which logs every
-/// operation in the order it arrived.
-struct Device {
-    inner: ThrottledBackend,
-    sync_secs_per_byte: f64,
-    unsynced: AtomicU64,
-    ops: Mutex<Vec<Op>>,
+/// operation, a batch segment by segment. Returns the device, its
+/// throttle and its log.
+fn paid_sync_device(sync_secs_per_byte: f64) -> (Arc<CountingBackend>, Arc<ThrottledBackend>, OpLog) {
+    let throttle = Arc::new(ThrottledBackend::with_channels(1e12, LATENCY, 4));
+    let ops = OpLog::default();
+    let (log, unsynced) = (ops.clone(), AtomicU64::new(0));
+    let note = move |op| log.lock().expect("no logger panics").push(op);
+    let device = CountingBackend::new(throttle.clone()).with_hook(move |call| {
+        match call {
+            Call::Read { segments, .. } => segments.iter().for_each(|_| note(Op::Read)),
+            Call::Write { segments, .. } => {
+                for seg in segments {
+                    note(Op::Write(seg.offset));
+                    unsynced.fetch_add(seg.data.len() as u64, Ordering::SeqCst);
+                }
+            }
+            Call::Sync => {
+                note(Op::Sync);
+                let dirty = unsynced.swap(0, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_secs_f64(dirty as f64 * sync_secs_per_byte));
+            }
+        }
+        Ok(())
+    });
+    (Arc::new(device), throttle, ops)
 }
 
-impl Device {
-    fn new(sync_secs_per_byte: f64) -> Arc<Self> {
-        Arc::new(Device {
-            inner: ThrottledBackend::with_channels(1e12, LATENCY, 4),
-            sync_secs_per_byte,
-            unsynced: AtomicU64::new(0),
-            ops: Mutex::new(Vec::new()),
-        })
-    }
-
-    fn note(&self, op: Op) {
-        self.ops.lock().expect("no logger panics").push(op);
-    }
-
-    fn take_ops(&self) -> Vec<Op> {
-        std::mem::take(&mut *self.ops.lock().expect("no logger panics"))
-    }
-}
-
-impl StorageBackend for Device {
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        self.note(Op::Write(offset));
-        self.unsynced.fetch_add(data.len() as u64, Ordering::SeqCst);
-        self.inner.write_at(offset, data)
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.note(Op::Read);
-        self.inner.read_at(offset, buf)
-    }
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-    fn sync(&self) -> Result<()> {
-        self.note(Op::Sync);
-        let dirty = self.unsynced.swap(0, Ordering::SeqCst);
-        std::thread::sleep(Duration::from_secs_f64(dirty as f64 * self.sync_secs_per_byte));
-        self.inner.sync()
-    }
+fn take_ops(ops: &OpLog) -> Vec<Op> {
+    std::mem::take(&mut *ops.lock().expect("no logger panics"))
 }
 
 /// Create (first call) and overwrite one contiguous dataset per entry
@@ -178,14 +164,14 @@ fn the_data_barrier_overlaps_the_lanes_instead_of_following_them() {
     let serial = 2.0 * read_back;
     let mut best = f64::INFINITY;
     for _ in 0..3 {
-        let device = Device::new(read_back / (32 * MIB) as f64);
-        let c = Container::create(device.clone());
+        let (device, throttle, _) = paid_sync_device(read_back / (32 * MIB) as f64);
+        let c = Container::create(device);
         dirty(&c, &[2 * MIB; 16], 0);
-        device.inner.set_bandwidth(RATE);
+        throttle.set_bandwidth(RATE);
         let t0 = Instant::now();
         c.flush().unwrap();
         best = best.min(t0.elapsed().as_secs_f64());
-        device.inner.set_bandwidth(1e12);
+        throttle.set_bandwidth(1e12);
         let report = c.scrub().unwrap();
         assert_eq!((report.checked, report.corrupt, report.skipped_dirty), (16, 0, 0));
         if best <= 0.65 * serial {
@@ -203,16 +189,16 @@ fn the_data_barrier_overlaps_the_lanes_instead_of_following_them() {
 fn the_lane_floor_decides_which_barrier_sequence_the_device_sees() {
     let _turn = turn();
     let flush_ops = |lens: &[usize]| {
-        let device = Device::new(0.0);
-        let c = Container::create(device.clone());
+        let (device, _, ops) = paid_sync_device(0.0);
+        let c = Container::create(device);
         dirty(&c, lens, 0);
         c.flush().unwrap();
         // Dirty again over a committed generation: one slot to write.
         dirty(&c, lens, 50);
-        device.take_ops();
+        take_ops(&ops);
         let eof = c.allocated_bytes();
         c.flush().unwrap();
-        (device.take_ops(), eof)
+        (take_ops(&ops), eof)
     };
 
     // What every flush issued before the data had a barrier of its own:

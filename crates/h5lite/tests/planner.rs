@@ -6,66 +6,18 @@
 //! sieve still go out as `ceil(runs / COALESCE_WINDOW)` batches of one
 //! segment per run.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use h5lite::container::ROOT_ID;
 use h5lite::{
-    shard_of, sieve_spans, Container, Dataspace, Datatype, FileBackend, Hyperslab, IoPlan,
-    IoSegment, IoVec, IoVecMut, Layout, MemBackend, MetaLockStats, Selection, StorageBackend,
-    COALESCE_WINDOW, META_SHARDS, SIEVE_PAGE, SIEVE_SPAN_CAP,
+    shard_of, sieve_spans, CallCounts, Container, CountingBackend, Dataspace, Datatype,
+    FileBackend, Hyperslab, IoPlan, IoSegment, Layout, MemBackend, MetaLockStats, Selection,
+    StorageBackend, COALESCE_WINDOW, META_SHARDS, SIEVE_PAGE, SIEVE_SPAN_CAP,
 };
 
-/// Forwards to a [`MemBackend`] while counting scalar calls, vectored
-/// batches, and total batched segments.
-#[derive(Default)]
-struct CountingBackend {
-    inner: MemBackend,
-    scalar_writes: AtomicU64,
-    scalar_reads: AtomicU64,
-    write_batches: AtomicU64,
-    read_batches: AtomicU64,
-    batch_segments: AtomicU64,
-}
-
-impl CountingBackend {
-    fn count(&self, c: &AtomicU64) -> u64 {
-        c.load(Ordering::SeqCst)
-    }
-}
-
-impl StorageBackend for CountingBackend {
-    fn write_at(&self, offset: u64, data: &[u8]) -> h5lite::Result<()> {
-        self.scalar_writes.fetch_add(1, Ordering::SeqCst);
-        self.inner.write_at(offset, data)
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> h5lite::Result<()> {
-        self.scalar_reads.fetch_add(1, Ordering::SeqCst);
-        self.inner.read_at(offset, buf)
-    }
-
-    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> h5lite::Result<()> {
-        self.write_batches.fetch_add(1, Ordering::SeqCst);
-        self.batch_segments
-            .fetch_add(batch.len() as u64, Ordering::SeqCst);
-        self.inner.write_vectored_at(batch)
-    }
-
-    fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> h5lite::Result<()> {
-        self.read_batches.fetch_add(1, Ordering::SeqCst);
-        self.batch_segments
-            .fetch_add(batch.len() as u64, Ordering::SeqCst);
-        self.inner.read_vectored_at(batch)
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn sync(&self) -> h5lite::Result<()> {
-        self.inner.sync()
-    }
+/// A [`MemBackend`] under a [`CountingBackend`].
+fn counted() -> Arc<CountingBackend> {
+    Arc::new(CountingBackend::new(Arc::new(MemBackend::new())))
 }
 
 /// 1500 single-element runs: element 0, 3, 6, … over a 4500-element
@@ -75,7 +27,7 @@ impl StorageBackend for CountingBackend {
 const RUNS: u64 = 1500;
 
 fn strided_setup(layout: Layout) -> (Container, Arc<CountingBackend>, Selection, Vec<u8>) {
-    let backend = Arc::new(CountingBackend::default());
+    let backend = counted();
     let c = Container::create(backend.clone() as Arc<dyn StorageBackend>);
     let space = Dataspace::d1(RUNS * 3);
     let id = c
@@ -87,17 +39,9 @@ fn strided_setup(layout: Layout) -> (Container, Arc<CountingBackend>, Selection,
     (c, backend, sel, data)
 }
 
-/// `(read batches, write batches, batched segments)` so far.
-fn batch_counts(backend: &CountingBackend) -> (u64, u64, u64) {
-    (
-        backend.count(&backend.read_batches),
-        backend.count(&backend.write_batches),
-        backend.count(&backend.batch_segments),
-    )
-}
-
-fn delta(before: (u64, u64, u64), after: (u64, u64, u64)) -> (u64, u64, u64) {
-    (after.0 - before.0, after.1 - before.1, after.2 - before.2)
+/// `(read batches, write batches, batched segments)` of `counts`.
+fn batch_counts(counts: CallCounts) -> (u64, u64, u64) {
+    (counts.read_batches, counts.write_batches, counts.segments)
 }
 
 #[test]
@@ -106,8 +50,8 @@ fn contiguous_strided_write_is_one_lock_and_one_span() {
     let id = 2;
 
     let locks0 = c.meta_lock_acquisitions();
-    let counts0 = batch_counts(&backend);
-    let scalars0 = backend.count(&backend.scalar_writes);
+    let counts0 = backend.counts();
+    let scalars0 = backend.counts().writes;
 
     c.write_selection(id, &sel, &data).unwrap();
 
@@ -118,18 +62,18 @@ fn contiguous_strided_write_is_one_lock_and_one_span() {
     );
     // Nothing is on the device yet, so the span's read is clamped away:
     // one write batch of one segment.
-    assert_eq!(delta(counts0, batch_counts(&backend)), (0, 1, 1));
+    assert_eq!(batch_counts(backend.counts() - counts0), (0, 1, 1));
 
     // Steady state: the span is read whole and written back whole.
-    let counts1 = batch_counts(&backend);
+    let counts1 = backend.counts();
     c.write_selection(id, &sel, &data).unwrap();
-    assert_eq!(delta(counts1, batch_counts(&backend)), (1, 1, 2));
+    assert_eq!(batch_counts(backend.counts() - counts1), (1, 1, 2));
     assert_eq!(
-        backend.count(&backend.scalar_writes) - scalars0,
+        backend.counts().writes - scalars0,
         0,
         "data path must not fall back to scalar write_at"
     );
-    assert_eq!(backend.count(&backend.scalar_reads), 0);
+    assert_eq!(backend.counts().reads, 0);
     let stats = c.sieve_stats();
     assert_eq!((stats.spans, stats.segments), (2, 2 * RUNS));
     // 1500 elements and the 1499 two-element holes between them.
@@ -155,7 +99,7 @@ fn plan_size_follows_the_extents_not_the_elements() {
         assert_eq!(spans.iter().map(|s| s.count).sum::<u64>(), pieces);
 
         // And through the container: one read and one write per span.
-        let backend = Arc::new(CountingBackend::default());
+        let backend = counted();
         let c = Container::create(backend.clone() as Arc<dyn StorageBackend>);
         let id = c
             .create_dataset(ROOT_ID, "x", Datatype::F32, &space, Layout::Contiguous)
@@ -163,10 +107,10 @@ fn plan_size_follows_the_extents_not_the_elements() {
         c.write_selection(id, &Selection::All, &vec![0u8; extent_bytes as usize])
             .unwrap();
         let data: Vec<u8> = (0..pieces * 4).map(|i| (i % 251) as u8 + 1).collect();
-        let counts0 = batch_counts(&backend);
+        let counts0 = backend.counts();
         c.write_selection(id, &sel, &data).unwrap();
         let n = spans.len() as u64;
-        assert_eq!(delta(counts0, batch_counts(&backend)), (n, n, 2 * n), "{pieces} pieces");
+        assert_eq!(batch_counts(backend.counts() - counts0), (n, n, 2 * n), "{pieces} pieces");
         assert_eq!(c.read_selection(id, &sel).unwrap(), data);
         let stats = c.sieve_stats();
         assert_eq!((stats.spans, stats.segments), (2 * n, 2 * pieces));
@@ -204,7 +148,7 @@ fn runs_a_page_apart_stay_one_segment_per_run() {
     // ceil(runs / COALESCE_WINDOW) batches, no read at all.
     const FAR_RUNS: u64 = 1500;
     let stride = SIEVE_PAGE / 4 + 2;
-    let backend = Arc::new(CountingBackend::default());
+    let backend = counted();
     let c = Container::create(backend.clone() as Arc<dyn StorageBackend>);
     let space = Dataspace::d1(FAR_RUNS * stride);
     let id = c
@@ -213,14 +157,14 @@ fn runs_a_page_apart_stay_one_segment_per_run() {
     let sel = Selection::Slab(Hyperslab::strided(&[0], &[FAR_RUNS], &[stride]));
     let data: Vec<u8> = (0..FAR_RUNS * 4).map(|i| (i % 249) as u8 + 1).collect();
 
-    let counts0 = batch_counts(&backend);
+    let counts0 = backend.counts();
     c.write_selection(id, &sel, &data).unwrap();
     let batches = FAR_RUNS.div_ceil(COALESCE_WINDOW as u64);
-    assert_eq!(delta(counts0, batch_counts(&backend)), (0, batches, FAR_RUNS));
+    assert_eq!(batch_counts(backend.counts() - counts0), (0, batches, FAR_RUNS));
 
-    let counts1 = batch_counts(&backend);
+    let counts1 = backend.counts();
     assert_eq!(c.read_selection(id, &sel).unwrap(), data);
-    assert_eq!(delta(counts1, batch_counts(&backend)), (batches, 0, FAR_RUNS));
+    assert_eq!(batch_counts(backend.counts() - counts1), (batches, 0, FAR_RUNS));
     assert_eq!(c.sieve_stats().spans, 0);
 }
 
@@ -231,17 +175,17 @@ fn contiguous_strided_read_is_one_lock_and_one_span() {
     c.write_selection(id, &sel, &data).unwrap();
 
     let locks0 = c.meta_lock_acquisitions();
-    let counts0 = batch_counts(&backend);
-    let scalars0 = backend.count(&backend.scalar_reads);
+    let counts0 = backend.counts();
+    let scalars0 = backend.counts().reads;
 
     let back = c.read_selection(id, &sel).unwrap();
     assert_eq!(back, data);
 
     assert_eq!(c.meta_lock_acquisitions() - locks0, 1);
-    assert_eq!(backend.count(&backend.scalar_reads) - scalars0, 0);
+    assert_eq!(backend.counts().reads - scalars0, 0);
     // The extent is unflushed, hence unverified: all 1500 runs reach
     // the backend as one batch of one segment, the span that holds them.
-    assert_eq!(delta(counts0, batch_counts(&backend)), (1, 0, 1));
+    assert_eq!(batch_counts(backend.counts() - counts0), (1, 0, 1));
 }
 
 #[test]
@@ -265,19 +209,19 @@ fn chunked_steady_state_matches_contiguous_accounting() {
     // all in one read batch and one write batch.
     const CHUNKS: u64 = (RUNS * 3).div_ceil(64);
     let locks0 = c.meta_lock_acquisitions();
-    let counts0 = batch_counts(&backend);
-    let scalars0 = backend.count(&backend.scalar_writes);
+    let counts0 = backend.counts();
+    let scalars0 = backend.counts().writes;
     c.write_selection(id, &sel, &data).unwrap();
     assert_eq!(c.meta_lock_acquisitions() - locks0, 1);
-    assert_eq!(delta(counts0, batch_counts(&backend)), (1, 1, 2 * CHUNKS));
-    assert_eq!(backend.count(&backend.scalar_writes) - scalars0, 0);
+    assert_eq!(batch_counts(backend.counts() - counts0), (1, 1, 2 * CHUNKS));
+    assert_eq!(backend.counts().writes - scalars0, 0);
 
     let locks0 = c.meta_lock_acquisitions();
-    let counts0 = batch_counts(&backend);
+    let counts0 = backend.counts();
     let back = c.read_selection(id, &sel).unwrap();
     assert_eq!(back, data);
     assert_eq!(c.meta_lock_acquisitions() - locks0, 1);
-    assert_eq!(delta(counts0, batch_counts(&backend)), (1, 0, CHUNKS));
+    assert_eq!(batch_counts(backend.counts() - counts0), (1, 0, CHUNKS));
 }
 
 /// Per-shard delta between two [`MetaLockStats`] captures, as
@@ -331,7 +275,7 @@ fn per_shard_breakdown_pins_steady_ops_to_the_dataset_shard() {
 fn disjoint_datasets_touch_disjoint_shard_locks() {
     // Two tenants on consecutive dataset ids: every steady op moves
     // exactly one counter, and never the other tenant's.
-    let backend = Arc::new(CountingBackend::default());
+    let backend = counted();
     let c = Container::create(backend as Arc<dyn StorageBackend>);
     let space = Dataspace::d1(64);
     let a = c
@@ -453,7 +397,7 @@ fn chunked_read_of_unallocated_holes_stays_zero_filled() {
     // untouched chunks must come back as zeros without ever hitting the
     // backend scalar path.
     let layout = Layout::Chunked1D { chunk_elems: 8 };
-    let backend = Arc::new(CountingBackend::default());
+    let backend = counted();
     let c = Container::create(backend.clone() as Arc<dyn StorageBackend>);
     // 32 elements, chunks of 8; write elements 0..8 only (chunk 0).
     let space = Dataspace::d1(32);
@@ -464,10 +408,10 @@ fn chunked_read_of_unallocated_holes_stays_zero_filled() {
     c.write_selection(id, &Selection::Slab(Hyperslab::range1(0, 8)), &head)
         .unwrap();
 
-    let scalars0 = backend.count(&backend.scalar_reads);
+    let scalars0 = backend.counts().reads;
     let tail = c
         .read_selection(id, &Selection::Slab(Hyperslab::range1(8, 24)))
         .unwrap();
     assert_eq!(tail, vec![0u8; 24 * 4]);
-    assert_eq!(backend.count(&backend.scalar_reads) - scalars0, 0);
+    assert_eq!(backend.counts().reads - scalars0, 0);
 }

@@ -15,53 +15,13 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use apio::argolite::sync::{lock_order, Mutex};
 use apio::h5lite::{
-    container::ROOT_ID, Container, Dataspace, Datatype, Layout, MemBackend, Result, Selection,
-    StorageBackend,
+    container::ROOT_ID, Call, Container, CountingBackend, Dataspace, Datatype, Layout, MemBackend,
+    Selection,
 };
-
-/// Records which threads read, and holds the first reader until a second
-/// has arrived, so the lanes are seen side by side rather than hoped to
-/// overlap. Records which thread issued each `sync` as well.
-struct Readers {
-    inner: MemBackend,
-    arrived: AtomicUsize,
-    threads: std::sync::Mutex<HashSet<ThreadId>>,
-    syncers: std::sync::Mutex<Vec<ThreadId>>,
-}
-
-impl StorageBackend for Readers {
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        self.inner.write_at(offset, data)
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.threads
-            .lock()
-            .expect("no reader panics")
-            .insert(std::thread::current().id());
-        if self.arrived.fetch_add(1, Ordering::SeqCst) == 0 {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while self.arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-        }
-        self.inner.read_at(offset, buf)
-    }
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-    fn sync(&self) -> Result<()> {
-        self.syncers
-            .lock()
-            .expect("no syncer panics")
-            .push(std::thread::current().id());
-        self.inner.sync()
-    }
-}
 
 #[test]
 fn read_back_lanes_take_no_named_lock() {
@@ -75,13 +35,30 @@ fn read_back_lanes_take_no_named_lock() {
         .expect("control thread");
     assert!(lock_order::total_acquire_count() > before);
 
-    let backend = Arc::new(Readers {
-        inner: MemBackend::new(),
-        arrived: AtomicUsize::new(0),
-        threads: std::sync::Mutex::new(HashSet::new()),
-        syncers: std::sync::Mutex::new(Vec::new()),
+    // Records which threads read, and holds the first reader until a
+    // second has arrived, so the lanes are seen side by side rather than
+    // hoped to overlap. Records which thread issued each `sync` as well.
+    let readers = Arc::new(std::sync::Mutex::new(HashSet::new()));
+    let syncers = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let (threads, synced, arrived) = (readers.clone(), syncers.clone(), AtomicUsize::new(0));
+    let backend = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+        let me = std::thread::current().id();
+        match call {
+            Call::Read { .. } => {
+                threads.lock().expect("no reader panics").insert(me);
+                if arrived.fetch_add(1, Ordering::SeqCst) == 0 {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+            Call::Sync => synced.lock().expect("no syncer panics").push(me),
+            Call::Write { .. } => {}
+        }
+        Ok(())
     });
-    let c = Container::create(backend.clone());
+    let c = Container::create(Arc::new(backend));
     let data = vec![0x5Au8; 2 << 20];
     for i in 0..16 {
         let space = Dataspace::d1(data.len() as u64);
@@ -97,7 +74,7 @@ fn read_back_lanes_take_no_named_lock() {
         lock_order::total_acquire_count() - all,
         lock_order::acquire_count() - own,
     );
-    let lanes = backend.threads.lock().expect("no reader panics").len();
+    let lanes = readers.lock().expect("no reader panics").len();
     assert!(lanes >= 2, "the read-back ran on {lanes} thread(s)");
     assert!(own > 0, "the flush itself folds sums under the metadata shards");
     assert_eq!(all, own, "threads other than the flushing one took {} named lock(s)", all - own);
@@ -105,7 +82,7 @@ fn read_back_lanes_take_no_named_lock() {
     // came first and from a thread of its own, the two commit barriers
     // from the flushing thread.
     let me = std::thread::current().id();
-    let syncers = backend.syncers.lock().expect("no syncer panics");
+    let syncers = syncers.lock().expect("no syncer panics");
     assert_eq!(syncers.len(), 3, "data, metadata, slot");
     assert_ne!(syncers[0], me, "the data barrier rides a thread of its own");
     assert_eq!(syncers[1..], [me, me]);

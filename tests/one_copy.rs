@@ -20,8 +20,8 @@ use apio::asyncvol::{AsyncVol, BreakerConfig, BreakerState, RetryPolicy};
 use apio::h5lite::datatype::to_bytes;
 use apio::h5lite::ring::{Ring, RingConfig};
 use apio::h5lite::{
-    recycle, Container, Dataspace, File, H5Error, Hyperslab, IoVec, IoVecMut, MemBackend, ObjectId,
-    ReadRequest, Request, Selection, StorageBackend, Vol,
+    recycle, Call, Container, CountingBackend, Dataspace, File, H5Error, Hyperslab, MemBackend,
+    ObjectId, ReadRequest, Request, Selection, Vol,
 };
 
 const STALE: u8 = 0xA5;
@@ -64,12 +64,11 @@ fn stock(len: usize, count: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// A [`MemBackend`] that notes where every payload-sized write segment
-/// lives and whether it carries a stale byte, can hold such writes at a
-/// gate, and can fail them.
-struct RecordingBackend {
-    inner: MemBackend,
-    payload_len: usize,
+/// What the device saw of payload-sized write segments: where each one
+/// lives and whether one carried a stale byte. Such writes wait while
+/// the gate is closed and fail while `failing` is set.
+#[derive(Default)]
+struct Payloads {
     seen: Mutex<Vec<usize>>,
     stale_seen: AtomicBool,
     closed: Mutex<bool>,
@@ -77,19 +76,7 @@ struct RecordingBackend {
     failing: AtomicBool,
 }
 
-impl RecordingBackend {
-    fn new(payload_len: usize) -> Arc<Self> {
-        Arc::new(RecordingBackend {
-            inner: MemBackend::new(),
-            payload_len,
-            seen: Mutex::new(Vec::new()),
-            stale_seen: AtomicBool::new(false),
-            closed: Mutex::new(false),
-            opened: Condvar::new(),
-            failing: AtomicBool::new(false),
-        })
-    }
-
+impl Payloads {
     fn set_gate(&self, closed: bool) {
         *self.closed.lock().unwrap() = closed;
         self.opened.notify_all();
@@ -100,9 +87,6 @@ impl RecordingBackend {
     }
 
     fn note(&self, data: &[u8]) -> apio::h5lite::Result<()> {
-        if data.len() != self.payload_len {
-            return Ok(()); // metadata
-        }
         let mut closed = self.closed.lock().unwrap();
         while *closed {
             closed = self.opened.wait(closed).unwrap();
@@ -119,34 +103,22 @@ impl RecordingBackend {
     }
 }
 
-impl StorageBackend for RecordingBackend {
-    fn write_at(&self, offset: u64, data: &[u8]) -> apio::h5lite::Result<()> {
-        self.note(data)?;
-        self.inner.write_at(offset, data)
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> apio::h5lite::Result<()> {
-        self.inner.read_at(offset, buf)
-    }
-
-    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> apio::h5lite::Result<()> {
-        for seg in batch {
-            self.note(seg.data)?;
-        }
-        self.inner.write_vectored_at(batch)
-    }
-
-    fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> apio::h5lite::Result<()> {
-        self.inner.read_vectored_at(batch)
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn sync(&self) -> apio::h5lite::Result<()> {
-        self.inner.sync()
-    }
+/// A counted [`MemBackend`] that puts every `payload_len`-byte write
+/// segment through [`Payloads::note`]; shorter or longer ones are
+/// metadata.
+fn recording(payload_len: usize) -> (Arc<CountingBackend>, Arc<Payloads>) {
+    let payloads = Arc::new(Payloads::default());
+    let noted = payloads.clone();
+    let backend = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+        let Call::Write { segments, .. } = call else {
+            return Ok(());
+        };
+        segments
+            .iter()
+            .filter(|seg| seg.data.len() == payload_len)
+            .try_for_each(|seg| noted.note(seg.data))
+    });
+    (Arc::new(backend), payloads)
 }
 
 /// The four regimes `AsyncVol` routes a write through.
@@ -174,7 +146,7 @@ enum Entry {
     Borrowed,
 }
 
-fn connector(regime: Regime, backend: &Arc<RecordingBackend>) -> AsyncVol {
+fn connector(regime: Regime, backend: &Arc<CountingBackend>) -> AsyncVol {
     let builder = AsyncVol::builder().streams(1).retry(RetryPolicy::none());
     match regime {
         Regime::RingDram => {
@@ -205,7 +177,7 @@ fn value(epoch: usize, w: usize, i: usize) -> u16 {
 fn run_regime(regime: Regime, entry: Entry, elems: usize) {
     let what = format!("{regime:?}/{entry:?}/{elems}");
     let payload_len = elems * 2;
-    let backend = RecordingBackend::new(payload_len);
+    let (backend, payloads) = recording(payload_len);
     let container = Arc::new(Container::create(backend.clone()));
     let vol = Arc::new(connector(regime, &backend));
     let file = File::from_parts(container.clone(), vol.clone());
@@ -216,10 +188,10 @@ fn run_regime(regime: Regime, entry: Entry, elems: usize) {
     let slab = |w: usize| Selection::Slab(Hyperslab::range1((w * elems) as u64, elems as u64));
 
     if regime == Regime::Degraded {
-        backend.failing.store(true, Ordering::SeqCst);
+        payloads.failing.store(true, Ordering::SeqCst);
         let req = ds.write_slab_async(&slab(0), &vec![1u16; elems]).unwrap();
         assert!(vol.wait(req).is_err(), "{what}: the tripping write fails");
-        backend.failing.store(false, Ordering::SeqCst);
+        payloads.failing.store(false, Ordering::SeqCst);
         assert_eq!(vol.breaker_state(), BreakerState::Open, "{what}");
     }
 
@@ -242,10 +214,16 @@ fn run_regime(regime: Regime, entry: Entry, elems: usize) {
             };
             let req = issued.unwrap();
             assert_eq!(req.is_sync(), regime == Regime::Degraded, "{what}");
+            // Staged, the background read-back takes a buffer too. A
+            // take beside another take can find the head slot just
+            // claimed and allocate, so the writes go one at a time.
+            if regime == Regime::TaskWal {
+                vol.wait(req).unwrap();
+            }
             expect.extend(values);
         }
         file.wait_all().unwrap();
-        let seen = backend.take_seen();
+        let seen = payloads.take_seen();
         assert_eq!(
             seen.len(),
             WRITES,
@@ -268,7 +246,7 @@ fn run_regime(regime: Regime, entry: Entry, elems: usize) {
         "{what}"
     );
     assert!(
-        !backend.stale_seen.load(Ordering::SeqCst),
+        !payloads.stale_seen.load(Ordering::SeqCst),
         "{what}: a stale byte reached the backend"
     );
     assert_eq!(ds.read::<u16>().unwrap(), expect, "{what}: read-back");
@@ -342,9 +320,9 @@ impl Vol for BorrowedOnly {
 fn a_borrowed_only_wrapper_still_gets_snapshot_semantics() {
     let _turn = pool_turn();
     let elems = 32_768usize;
-    let backend = RecordingBackend::new(elems * 2);
+    let (backend, payloads) = recording(elems * 2);
     let container = Arc::new(Container::create(backend.clone()));
-    let ring = Arc::new(Ring::new(backend.clone(), RingConfig::default()));
+    let ring = Arc::new(Ring::new(backend, RingConfig::default()));
     let wrapper = Arc::new(BorrowedOnly(Arc::new(
         AsyncVol::builder().ring(ring).build(),
     )));
@@ -358,7 +336,7 @@ fn a_borrowed_only_wrapper_still_gets_snapshot_semantics() {
     stock(elems * 2, 1);
     let before = recycle::stats();
 
-    backend.set_gate(true);
+    payloads.set_gate(true);
     let first = vec![0x1111u16; elems];
     let second = vec![0x2222u16; elems];
     let _ = ds.write_slab_async(&slab(0), &first).unwrap();
@@ -369,10 +347,10 @@ fn a_borrowed_only_wrapper_still_gets_snapshot_semantics() {
         .unwrap();
     raw.fill(0xEE);
     assert!(
-        backend.take_seen().is_empty(),
+        payloads.take_seen().is_empty(),
         "nothing lands past the gate"
     );
-    backend.set_gate(false);
+    payloads.set_gate(false);
     file.wait_all().unwrap();
 
     let mut expect = first;
@@ -407,15 +385,47 @@ fn a_full_size_class_drops_the_excess() {
 /// (e) Four threads take, scribble, check and give: no buffer is ever
 /// in two hands (a foreign scribble would break the check), and none is
 /// lost — at the end the pool holds exactly what was ever allocated,
-/// less what it counted as dropped.
+/// less what it counted as dropped. How many that is depends on how the
+/// threads interleave, so the allocation bound is taken from rounds in
+/// lockstep, where the test decides who holds what.
 #[test]
 fn concurrent_take_and_give_lose_and_duplicate_nothing() {
     let _turn = pool_turn();
     let len = 16_384usize;
-    drain(len);
-    let before = recycle::stats();
     const THREADS: u64 = 4;
     const ROUNDS: u64 = 2_000;
+
+    // From an empty class, each round's takes one at a time, then all
+    // its gives at once. No take meets a give's publication or another
+    // take's claim of the head slot (either can make a take allocate),
+    // so the pool allocates one buffer per simultaneous holder and
+    // serves every later round.
+    drain(len);
+    let before = recycle::stats();
+    let (step, one_taker) = (std::sync::Barrier::new(THREADS as usize), Mutex::new(()));
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            let (step, one_taker) = (&step, &one_taker);
+            scope.spawn(move || {
+                for _ in 0..16 {
+                    let buf = {
+                        let _alone = one_taker.lock().unwrap();
+                        recycle::take(len)
+                    };
+                    step.wait();
+                    recycle::give(buf);
+                    step.wait();
+                }
+            });
+        }
+    });
+    let after = recycle::stats();
+    let allocated = after.misses - before.misses;
+    assert_eq!(allocated, THREADS, "{allocated} buffers for 4 holders");
+    assert_eq!(after.dropped, before.dropped);
+
+    drain(len);
+    let before = recycle::stats();
     let start = std::sync::Barrier::new(THREADS as usize);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -440,12 +450,8 @@ fn concurrent_take_and_give_lose_and_duplicate_nothing() {
     let takes = (after.hits - before.hits) + (after.misses - before.misses);
     assert_eq!(takes, THREADS * ROUNDS);
     // At least one per simultaneous holder; a take that races a give's
-    // publication may allocate one more, which then joins the pool.
+    // publication allocates one more, which then joins the pool.
     let allocated = after.misses - before.misses;
-    assert!(
-        (1..=64).contains(&allocated),
-        "{allocated} buffers for 4 holders"
-    );
     // A give can find its slot still claimed by a preempted taker and
     // free the buffer instead, as for a full class; that is counted.
     let freed = after.dropped - before.dropped;

@@ -7,17 +7,16 @@
 use apio::asyncvol::{AsyncVol, BreakerConfig, RetryPolicy};
 use apio::desim::{Engine, SharedResource, SimDuration};
 use apio::h5lite::{
-    checksum::SUM_BLOCK, container::ROOT_ID, sieve_spans, Container, Dataspace, Datatype,
-    FaultInjector, FaultKind, FaultOp, FaultPlan, File, H5Error, Hyperslab, IoPlan, IoSegment,
-    IoVec, IoVecMut, Layout, MemBackend, Selection, Span, StorageBackend, ThrottledBackend, Vol,
-    SIEVE_PAGE,
+    checksum::SUM_BLOCK, container::ROOT_ID, sieve_spans, Call, Container, CountingBackend,
+    Dataspace, Datatype, FaultInjector, FaultKind, FaultOp, FaultPlan, File, H5Error, Hyperslab,
+    IoPlan, IoSegment, Layout, MemBackend, Selection, Span, ThrottledBackend, Vol, SIEVE_PAGE,
 };
 use apio::model::epoch::EpochParams;
 use apio::model::regression::{Design, LinearFit};
 use apio::model::{AdaptiveRuntime, Direction, DriftAlarm, DriftDirection, IoMode, TransferRecord};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 mod common;
@@ -804,40 +803,20 @@ fn backend_rate_step_fires_drift_alarm_within_k_epochs() {
     }
 }
 
-/// Counts the bytes every read moves; while `flip_last` is set, each
-/// scalar read comes back with the last byte it fetched flipped.
-struct BlockGauge {
-    inner: MemBackend,
-    read_bytes: AtomicU64,
-    flip_last: AtomicBool,
-}
-
-impl StorageBackend for BlockGauge {
-    fn write_at(&self, offset: u64, data: &[u8]) -> apio::h5lite::Result<()> {
-        self.inner.write_at(offset, data)
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> apio::h5lite::Result<()> {
-        self.read_bytes.fetch_add(buf.len() as u64, Ordering::SeqCst);
-        self.inner.read_at(offset, buf)?;
-        if let Some(last) = buf.last_mut().filter(|_| self.flip_last.load(Ordering::SeqCst)) {
-            *last ^= 0x40;
+/// A counted [`MemBackend`]; while the returned flag is set, each scalar
+/// read comes back with the last byte it fetched flipped.
+fn block_gauge() -> (Arc<CountingBackend>, Arc<AtomicBool>) {
+    let flip_last = Arc::new(AtomicBool::new(false));
+    let flip = flip_last.clone();
+    let gauge = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+        if let Call::Read { segments: [seg], vectored: false } = call {
+            if let Some(last) = seg.buf.last_mut().filter(|_| flip.load(Ordering::SeqCst)) {
+                *last ^= 0x40;
+            }
         }
         Ok(())
-    }
-    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> apio::h5lite::Result<()> {
-        self.inner.write_vectored_at(batch)
-    }
-    fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> apio::h5lite::Result<()> {
-        let bytes: usize = batch.iter().map(|seg| seg.buf.len()).sum();
-        self.read_bytes.fetch_add(bytes as u64, Ordering::SeqCst);
-        self.inner.read_vectored_at(batch)
-    }
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-    fn sync(&self) -> apio::h5lite::Result<()> {
-        self.inner.sync()
-    }
+    });
+    (Arc::new(gauge), flip_last)
 }
 
 /// Block sums on the read path (DESIGN.md §13, "Block sums"). Over
@@ -891,11 +870,7 @@ fn a_verified_read_moves_only_its_covering_blocks_and_checks_each() {
             })
             .sum();
 
-        let gauge = Arc::new(BlockGauge {
-            inner: MemBackend::new(),
-            read_bytes: AtomicU64::new(0),
-            flip_last: AtomicBool::new(false),
-        });
+        let (gauge, flip_last) = block_gauge();
         let c = Container::create(gauge.clone());
         let id = c
             .create_dataset(ROOT_ID, "d", dtype, &Dataspace::d1(n), layout)
@@ -904,9 +879,9 @@ fn a_verified_read_moves_only_its_covering_blocks_and_checks_each() {
         c.write_selection(id, &Selection::All, &data).expect("write");
         c.flush().expect("flush stamps block sums");
 
-        let before = gauge.read_bytes.load(Ordering::SeqCst);
+        let before = gauge.counts().bytes_read;
         let verified = c.read_selection(id, &sel).expect("verified read");
-        let moved = gauge.read_bytes.load(Ordering::SeqCst) - before;
+        let moved = gauge.counts().bytes_read - before;
         assert_eq!(moved, covering, "{case}: device bytes of the verified read");
         assert_eq!(
             c.integrity_stats().verified_extents,
@@ -918,9 +893,9 @@ fn a_verified_read_moves_only_its_covering_blocks_and_checks_each() {
         c.set_checksums(true);
         assert_eq!(verified, plain, "{case}: verified and unverified bytes");
 
-        gauge.flip_last.store(true, Ordering::SeqCst);
+        flip_last.store(true, Ordering::SeqCst);
         let err = c.read_selection(id, &sel);
-        gauge.flip_last.store(false, Ordering::SeqCst);
+        flip_last.store(false, Ordering::SeqCst);
         assert!(matches!(err, Err(H5Error::Corrupt(_))), "{case}: {err:?}");
     }
 }

@@ -1,18 +1,18 @@
-//! Integration gate for the ring transport (ISSUE 8): backpressure
-//! policies under a genuinely full ring, completion-vs-submission
-//! ordering, shutdown with operations in flight, the connector's ring
-//! path end to end — fault resubmission from the wait side included
-//! (retry and breaker semantics unchanged) — and a seeded
-//! `argolite::explore` sweep over submit/drain interleavings.
+//! Integration gate for the ring transport: Block backpressure
+//! under a genuinely full ring, the connector's ring path end to end —
+//! fault resubmission from the wait side included (retry and breaker
+//! semantics unchanged) — and a seeded `argolite::explore` sweep over
+//! submit/drain interleavings. Poll backpressure, per-key completion
+//! order and shutdown with operations in flight are `h5lite::ring`'s own
+//! unit tests.
 
 use std::sync::Arc;
 
 use apio::asyncvol::{AsyncVol, RetryPolicy};
-use apio::h5lite::ring::{Backpressure, Ring, RingConfig, RingOp, Submitted};
+use apio::h5lite::ring::{Backpressure, Ring, RingConfig, RingOp};
 use apio::h5lite::{
     container::ROOT_ID, Container, Dataspace, Datatype, FaultInjector, FaultKind, FaultOp,
-    FaultPlan, Hyperslab, IoVec, Layout, MemBackend, Selection, StorageBackend, ThrottledBackend,
-    Vol,
+    FaultPlan, Hyperslab, Layout, MemBackend, Selection, StorageBackend, ThrottledBackend, Vol,
 };
 
 #[cfg(feature = "debug-invariants")]
@@ -54,132 +54,6 @@ fn block_backpressure_absorbs_a_burst_deeper_than_the_ring() {
         let mut buf = [0u8; 8];
         backend.read_at(i * 8, &mut buf).expect("read back");
         assert_eq!(buf, [i as u8; 8], "op {i} landed intact");
-    }
-}
-
-/// A full Poll-policy ring hands the operation back intact instead of
-/// blocking; after the backlog drains, the very same op resubmits and
-/// completes.
-#[test]
-fn poll_backpressure_hands_the_op_back_intact() {
-    let backend: Arc<dyn StorageBackend> = Arc::new(ThrottledBackend::in_memory(1e6, 0.05));
-    let ring = Ring::new(
-        backend.clone(),
-        RingConfig {
-            capacity: 2,
-            backpressure: Backpressure::Poll,
-            ..RingConfig::default()
-        },
-    );
-    let payload = vec![0xEEu8; 16];
-    let mut accepted = Vec::new();
-    let mut bounced = None;
-    for i in 0..64u64 {
-        match ring.submit_keyed(0, RingOp::write_raw(1024 + i * 16, payload.clone())) {
-            Submitted::Accepted { promise, .. } => accepted.push(promise),
-            Submitted::Full(op) => {
-                bounced = Some(op);
-                break;
-            }
-        }
-    }
-    let op = bounced.expect("a 50 ms/op device must fill a 2-slot ring within 64 submissions");
-    assert_eq!(op.total_bytes(), 16, "the bounced op comes back intact");
-    for p in accepted {
-        p.wait_cloned().into_result().expect("accepted ops complete");
-    }
-    ring.drain();
-    let (_, p) = ring
-        .submit_keyed(0, op)
-        .accepted()
-        .expect("room after drain");
-    p.wait_cloned().into_result().expect("resubmission completes");
-}
-
-/// Forwards to a `MemBackend`, recording the offset of every segment of
-/// every vectored write in the order the device saw them.
-struct OffsetLog {
-    inner: MemBackend,
-    offsets: std::sync::Mutex<Vec<u64>>,
-}
-
-impl StorageBackend for OffsetLog {
-    fn write_at(&self, offset: u64, data: &[u8]) -> apio::h5lite::Result<()> {
-        self.inner.write_at(offset, data)
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> apio::h5lite::Result<()> {
-        self.inner.read_at(offset, buf)
-    }
-    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> apio::h5lite::Result<()> {
-        self.offsets.lock().unwrap().extend(batch.iter().map(|v| v.offset));
-        self.inner.write_vectored_at(batch)
-    }
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-    fn sync(&self) -> apio::h5lite::Result<()> {
-        self.inner.sync()
-    }
-}
-
-/// Writes on one key reach the device in submission order and promise
-/// `i` is fulfilled before promise `i + 1` is — the per-shard FIFO the
-/// connector's settlement logic (`settle_ring_ds`) depends on.
-#[test]
-fn completions_arrive_in_submission_order_per_key() {
-    let backend = Arc::new(OffsetLog {
-        inner: MemBackend::new(),
-        offsets: std::sync::Mutex::new(Vec::new()),
-    });
-    let ring = Ring::new(backend.clone(), RingConfig::default());
-    let n = 32u64;
-    let promises: Vec<_> = (0..n)
-        .map(|i| {
-            ring.submit_keyed(0, RingOp::write_raw(i * 4, vec![i as u8; 4]))
-                .accepted()
-                .expect("ring has room")
-                .1
-        })
-        .collect();
-    // Fulfilment only ever goes forward, so on a walk from the newest
-    // promise to the oldest nothing older than a fulfilled promise may
-    // still be pending.
-    while !promises.iter().all(|p| p.is_fulfilled()) {
-        let mut newer_done = false;
-        for (i, p) in promises.iter().enumerate().rev() {
-            let done = p.is_fulfilled();
-            assert!(done || !newer_done, "promise {i} pending behind a fulfilled successor");
-            newer_done |= done;
-        }
-        std::thread::yield_now();
-    }
-    for p in &promises {
-        p.wait_cloned().into_result().expect("write succeeds");
-    }
-    let seen = backend.offsets.lock().unwrap().clone();
-    let submitted: Vec<u64> = (0..n).map(|i| i * 4).collect();
-    assert_eq!(seen, submitted, "per-key device order == submission order");
-}
-
-/// Dropping the ring with operations still in flight must resolve every
-/// promise (shutdown runs each reaper's final drain) — no waiter can be
-/// left parked forever.
-#[test]
-fn drop_while_in_flight_resolves_every_promise() {
-    let backend: Arc<dyn StorageBackend> = Arc::new(ThrottledBackend::in_memory(1e9, 1e-3));
-    let ring = Ring::new(backend, RingConfig::default());
-    let handles: Vec<_> = (0..16u64)
-        .map(|i| {
-            ring.submit_keyed(i, RingOp::write_raw(i * 64, vec![0xAB; 64]))
-                .accepted()
-                .expect("Block policy")
-                .1
-        })
-        .collect();
-    drop(ring);
-    for (i, p) in handles.into_iter().enumerate() {
-        assert!(p.is_fulfilled(), "promise {i} left unresolved after drop");
-        p.wait_cloned().into_result().expect("completed before shutdown finished");
     }
 }
 

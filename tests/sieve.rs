@@ -10,16 +10,16 @@
 //! whatever an earlier user left behind; the stale-byte test stocks it
 //! with marked buffers, so the tests here take turns ([`pool_turn`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use apio::asyncvol::{AsyncVol, BreakerConfig, RetryPolicy};
 use apio::crashpoint::{sweep, CrashBackend};
 use apio::h5lite::{
-    container::ROOT_ID, recycle, shard_of, superblock::SUPERBLOCK_AREA, Container, Dataspace,
-    Datatype, FaultInjector, FaultKind, FaultOp, FaultPlan, FileBackend, H5Error, Hyperslab, IoVec,
-    IoVecMut, Layout, MemBackend, NativeVol, ObjectId, Selection, StorageBackend, Vol, META_SHARDS,
-    SIEVE_PAGE,
+    container::ROOT_ID, recycle, shard_of, superblock::SUPERBLOCK_AREA, Call, CallCounts,
+    Container, CountingBackend, Dataspace, Datatype, FaultInjector, FaultKind, FaultOp, FaultPlan,
+    FileBackend, H5Error, Hyperslab, Layout, MemBackend, NativeVol, ObjectId, Selection,
+    StorageBackend, Vol, META_SHARDS, SIEVE_PAGE,
 };
 use apio::kernels::vpic::interleaved_slab;
 
@@ -885,66 +885,27 @@ fn a_crash_at_any_mutation_of_a_strided_epoch_loses_no_acked_write() {
 
 const STALE: u8 = 0xA5;
 
-/// A [`MemBackend`] that counts calls by kind and notes any write
-/// payload carrying [`STALE`].
-#[derive(Default)]
-struct WatchBackend {
-    inner: MemBackend,
-    scalar_calls: AtomicU64,
-    read_batches: AtomicU64,
-    write_batches: AtomicU64,
-    segments: AtomicU64,
-    stale_seen: AtomicBool,
-}
-
-impl WatchBackend {
-    /// `(scalar calls, read batches, write batches, batched segments)`.
-    fn counts(&self) -> (u64, u64, u64, u64) {
-        let get = |a: &AtomicU64| a.load(Ordering::SeqCst);
-        (
-            get(&self.scalar_calls),
-            get(&self.read_batches),
-            get(&self.write_batches),
-            get(&self.segments),
-        )
-    }
-}
-
-impl StorageBackend for WatchBackend {
-    fn write_at(&self, offset: u64, data: &[u8]) -> apio::h5lite::Result<()> {
-        self.scalar_calls.fetch_add(1, Ordering::SeqCst);
-        self.inner.write_at(offset, data)
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> apio::h5lite::Result<()> {
-        self.scalar_calls.fetch_add(1, Ordering::SeqCst);
-        self.inner.read_at(offset, buf)
-    }
-
-    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> apio::h5lite::Result<()> {
-        self.write_batches.fetch_add(1, Ordering::SeqCst);
-        self.segments
-            .fetch_add(batch.len() as u64, Ordering::SeqCst);
-        if batch.iter().any(|seg| seg.data.contains(&STALE)) {
-            self.stale_seen.store(true, Ordering::SeqCst);
+/// A counted [`MemBackend`], and a flag its hook raises when a vectored
+/// write payload carries [`STALE`].
+fn watched() -> (Arc<CountingBackend>, Arc<AtomicBool>) {
+    let stale_seen = Arc::new(AtomicBool::new(false));
+    let seen = stale_seen.clone();
+    let backend = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+        if let Call::Write { segments, vectored: true } = call {
+            if segments.iter().any(|seg| seg.data.contains(&STALE)) {
+                seen.store(true, Ordering::SeqCst);
+            }
         }
-        self.inner.write_vectored_at(batch)
-    }
+        Ok(())
+    });
+    (Arc::new(backend), stale_seen)
+}
 
-    fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> apio::h5lite::Result<()> {
-        self.read_batches.fetch_add(1, Ordering::SeqCst);
-        self.segments
-            .fetch_add(batch.len() as u64, Ordering::SeqCst);
-        self.inner.read_vectored_at(batch)
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn sync(&self) -> apio::h5lite::Result<()> {
-        self.inner.sync()
-    }
+/// `(scalar calls, read batches, write batches, batched segments)`
+/// since `before`.
+fn calls_since(backend: &CountingBackend, before: CallCounts) -> (u64, u64, u64, u64) {
+    let d = backend.counts() - before;
+    (d.reads + d.writes, d.read_batches, d.write_batches, d.segments)
 }
 
 /// Empty the recycler class serving `len`-byte requests, then give it
@@ -981,7 +942,7 @@ fn stale_bytes_of_a_recycled_sieve_buffer_never_reach_the_backend() {
         (false, Layout::Contiguous),
         (true, Layout::Chunked1D { chunk_elems: 1500 }),
     ] {
-        let backend = Arc::new(WatchBackend::default());
+        let (backend, stale_seen) = watched();
         let c = Container::create(backend.clone() as Arc<dyn StorageBackend>);
         let id = c
             .create_dataset(
@@ -1013,7 +974,7 @@ fn stale_bytes_of_a_recycled_sieve_buffer_never_reach_the_backend() {
             "the sieve buffer was a recycled one"
         );
         assert!(
-            !backend.stale_seen.load(Ordering::SeqCst),
+            !stale_seen.load(Ordering::SeqCst),
             "{layout:?} prefilled {prefilled}: 0xA5 reached the backend"
         );
         assert!(!raw(&*backend).contains(&STALE));
@@ -1029,7 +990,7 @@ fn stale_bytes_of_a_recycled_sieve_buffer_never_reach_the_backend() {
 fn the_hard_shape_is_one_read_batch_and_one_write_batch() {
     let _turn = pool_turn();
     const RUNS: u64 = 16_384;
-    let backend = Arc::new(WatchBackend::default());
+    let (backend, _) = watched();
     let c = Container::create(backend.clone() as Arc<dyn StorageBackend>);
     let id = c
         .create_dataset(
@@ -1047,14 +1008,8 @@ fn the_hard_shape_is_one_read_batch_and_one_write_batch() {
 
     let before = backend.counts();
     c.write_selection(id, &sel, &data).expect("write");
-    let after = backend.counts();
     assert_eq!(
-        (
-            after.0 - before.0,
-            after.1 - before.1,
-            after.2 - before.2,
-            after.3 - before.3
-        ),
+        calls_since(&backend, before),
         (0, 1, 1, 2),
         "16 384 runs: one read batch and one write batch of one segment each, no scalar call"
     );
@@ -1062,16 +1017,7 @@ fn the_hard_shape_is_one_read_batch_and_one_write_batch() {
     // The extent is unflushed, so the read is unverified: one batch.
     let before = backend.counts();
     assert_eq!(c.read_selection(id, &sel).expect("read"), data);
-    let after = backend.counts();
-    assert_eq!(
-        (
-            after.0 - before.0,
-            after.1 - before.1,
-            after.2 - before.2,
-            after.3 - before.3
-        ),
-        (0, 1, 0, 1)
-    );
+    assert_eq!(calls_since(&backend, before), (0, 1, 0, 1));
     let stats = c.sieve_stats();
     assert_eq!((stats.spans, stats.segments), (2, 2 * RUNS));
     assert_eq!(stats.fill_bytes, 2 * (RUNS - 1) * 4);
