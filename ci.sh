@@ -76,8 +76,9 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #                     counts; seeded write/flush/read orders with h5lite's
 #                     named locks forwarded into the recorder
 #   flush_lanes       read-back fan-out wall time against a 4- and a
-#                     1-channel throttle; lane threads and the data
-#                     barrier's thread hold no named lock
+#                     1-channel throttle; lane threads, the data
+#                     barrier's thread and a verified read's lanes hold
+#                     no named lock
 #   chaos, properties fault injection and resilience properties, incl.
 #                     the row-plan/run-plan equivalence
 #   consistency       Strong/Session/Commit visibility under explored
@@ -104,7 +105,13 @@ echo "== h5lite in release (overflow, dataspace, read-back lanes) =="
 # container's read-back and data-barrier tests and `tests/flush_lanes.rs`:
 # the lanes' wall time, the barrier's overlap with them timed against a
 # `sync` that costs one read-back, the op sequence either side of the
-# floor; `flush_hashes` the windowed long extent; `block` the block sums:
+# floor; and the verified read's lanes, whose piece arithmetic runs
+# unchecked in release: `verified_read_lanes_put_four_pieces_…` (HASH_LANES
+# reads in flight, the single read's bytes), `…_pieces_tile_the_covering_
+# range_…` (the pieces either side of the two-block floor, one read for
+# 128 KiB), `a_flip_in_the_third_lane_piece_…` and
+# `a_failed_or_panicking_verified_read_lane_…` (per-piece failures);
+# `flush_hashes` the windowed long extent; `block` the block sums:
 # the hasher's boundaries, the tag-3 codec and its count check at open,
 # and the covering-block ranges of a verified read, whose offset
 # arithmetic is what a release build would wrap; `kernel` the strided

@@ -8,37 +8,49 @@
 //! sums — one sum over the whole extent, which is the same thing with
 //! one block. A planned read of clean checksummed extents
 //! ([`Container::read_verified`]) fetches, per extent, the block-aligned
-//! range its records reach in one read, verifies every block of it and
-//! serves the records from it, failing with [`H5Error::Corrupt`] on a
-//! mismatch: every byte returned is verified, and a block nothing is
+//! range its records reach into one buffer, verifies every block of it
+//! and serves the records from it, failing with [`H5Error::Corrupt`] on
+//! a mismatch: every byte returned is verified, and a block nothing is
 //! read from is neither fetched nor checked. [`Container::scrub`] walks
 //! every checksummed extent whole, offline, and
 //! [`Container::scrub_with`] read-repairs corrupt extents from a
 //! durable copy (e.g. the staging WAL).
 //!
-//! A flush's read-back and a scrub's detection pass share one job list
-//! and [`Container::hash_extents`]'s lanes, and hash whole extents in
-//! windows whose edges are block edges; the hasher closes a sum at
-//! every block boundary.
+//! All three read on the device's service lanes ([`on_lanes`], up to
+//! [`HASH_LANES`] scoped threads taking jobs off one lock-free queue). A
+//! flush's read-back and a scrub's detection pass share one job list of
+//! whole extents, hashed in windows whose edges are block edges; the
+//! hasher closes a sum at every block boundary. A verified read's jobs
+//! are pieces of its covering ranges: each range is cut at block edges
+//! into at most [`HASH_LANES`] pieces of at least
+//! [`VERIFY_PIECE_BLOCKS`] blocks, each read and checked into its own
+//! slice of the range's buffer.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::{Container, ObjectId, CONTIG_EXTENT};
 use crate::checksum::{Algorithm, Checksum, Hasher, SUM_BLOCK};
 use crate::error::{H5Error, Result};
 use crate::layout::Layout;
+use crate::mpmc::RingQueue;
 use crate::plan::IoRecord;
 use crate::recycle;
 
-/// Read-back lanes of [`Container::hash_extents`]: the service lanes one
-/// client gets from a PFS or an NVMe namespace
+/// Lanes of every integrity read — a flush's read-back, a scrub's
+/// detection pass ([`Container::hash_extents`]) and a verified read
+/// ([`Container::read_verified`]): the service lanes one client gets
+/// from a PFS or an NVMe namespace
 /// ([`ThrottledBackend::DEFAULT_CHANNELS`](crate::storage::ThrottledBackend::DEFAULT_CHANNELS),
 /// and the knee of the ring's depth-scaling curve). A constant of the
 /// container, not a backend property: [`StorageBackend`](crate::storage::StorageBackend)
 /// has no method to ask, and a wrapper written against it must see the
 /// same fan-out.
 pub(super) const HASH_LANES: usize = 4;
+/// Blocks a verified read's piece holds at least: a covering range of
+/// fewer than two pieces' worth (under 256 KiB of block sums, or any
+/// whole-extent sum, which is one block) is read as one piece.
+pub(super) const VERIFY_PIECE_BLOCKS: u64 = 2;
 /// Dirty bytes a lane must be worth: below two lanes' worth (4 MiB) the
 /// read-back runs inline on the caller.
 pub(super) const HASH_LANE_MIN_BYTES: u64 = 2 << 20;
@@ -124,48 +136,24 @@ pub(super) struct VerifyExtent {
 }
 
 impl Container {
-    /// Hash every job's extent and return the sums in job order. The
-    /// jobs are shared out over `min(HASH_LANES, jobs, bytes / 2 MiB)`
-    /// lanes — scoped threads that live for this call, the caller being
-    /// the first — each pulling the next unclaimed job and running
-    /// [`Container::hash_extent`] on it, so a device with several
-    /// service lanes serves several read-backs at once. With one lane
-    /// or none (under 4 MiB in total, or a single extent however long)
-    /// the same loop runs on the caller alone, in job order. One job's
-    /// `Err` stops no other job; a lane that panicked leaves its job an
-    /// [`H5Error::Storage`].
+    /// Hash every job's extent and return the sums in job order, over
+    /// `min(HASH_LANES, jobs, bytes / 2 MiB)` lanes ([`on_lanes`]), so a
+    /// device with several service lanes serves several read-backs at
+    /// once. With one lane or none (under 4 MiB in total, or a single
+    /// extent however long) the jobs run on the caller alone, in job
+    /// order. One job's `Err` stops no other job; a lane that panicked
+    /// leaves its jobs an [`H5Error::Storage`].
     pub(super) fn hash_extents(&self, jobs: &[HashJob]) -> Vec<Result<Checksum>> {
-        let lanes = hash_lanes(jobs);
-        // Hands out job indices and nothing else: the jobs are shared
-        // by the scope and the sums return through its join handles.
-        let next = AtomicUsize::new(0);
-        let lane = || {
-            let mut done = Vec::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else {
-                    return done;
-                };
-                done.push((i, self.hash_extent(job.addr, job.len, job.algorithm)));
-            }
-        };
-        let mut sums: Vec<Option<Result<Checksum>>> = jobs.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let spawned: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
-            let mut done = lane();
-            // A lane that panicked returns nothing: its job stays `None`.
-            done.extend(spawned.into_iter().flat_map(|h| h.join().unwrap_or_default()));
-            for (i, sum) in done {
-                sums[i] = Some(sum);
-            }
-        });
-        sums.into_iter()
-            .map(|sum| {
-                sum.unwrap_or_else(|| {
-                    Err(H5Error::Storage("a checksum read-back lane panicked".into()))
-                })
+        on_lanes(hash_lanes(jobs) as usize, jobs.iter(), |job| {
+            self.hash_extent(job.addr, job.len, job.algorithm)
+        })
+        .into_iter()
+        .map(|sum| {
+            sum.unwrap_or_else(|| {
+                Err(H5Error::Storage("a checksum read-back lane panicked".into()))
             })
-            .collect()
+        })
+        .collect()
     }
 
     /// Hash `len` bytes at `addr` under `algorithm`, reading them back
@@ -197,14 +185,24 @@ impl Container {
     }
 
     /// Fetch and verify the blocks of each extent of `verify` that
-    /// `records` reach: per extent, one read of the block-aligned range
-    /// from the block holding the first byte its records reach to the
-    /// block holding the last, and every block of that range checked
-    /// against its stored sum. A whole-extent sum is one block, so its
-    /// range is the whole extent. Returns the ranges as `(address,
-    /// bytes)`, ascending by address, for [`serve_verified`]; an extent
-    /// no record reaches is not read. The first extent with a failing
-    /// block is [`H5Error::Corrupt`].
+    /// `records` reach: per extent, the block-aligned range from the
+    /// block holding the first byte its records reach to the block
+    /// holding the last, fetched into one buffer, and every block of it
+    /// checked against its stored sum. A whole-extent sum is one block,
+    /// so its range is the whole extent. Each range is cut at block
+    /// edges into at most [`HASH_LANES`] pieces of at least
+    /// [`VERIFY_PIECE_BLOCKS`] blocks, and the pieces of all ranges are
+    /// shared out over `min(HASH_LANES, pieces, bytes / 128 KiB)` lanes
+    /// ([`on_lanes`]), each piece one read into its own slice of its
+    /// range's buffer, then checked there. Returns the ranges as
+    /// `(address, bytes)`, ascending by address, for [`serve_verified`];
+    /// an extent no record reaches is not read.
+    ///
+    /// Every piece runs; the read then fails, serving nothing, if any
+    /// piece did, with the first failure in address order: the piece's
+    /// read error, [`H5Error::Storage`] for a lane that panicked, or
+    /// [`H5Error::Corrupt`] naming the mismatching piece's bytes in its
+    /// extent, which counts one checksum failure for the read.
     pub(super) fn read_verified(
         &self,
         records: &[IoRecord],
@@ -223,7 +221,9 @@ impl Container {
                 (*lo, *hi) = ((*lo).min(r.addr), (*hi).max(r.end()));
             }
         }
-        let mut verified: Vec<(u64, recycle::Lease)> = Vec::with_capacity(reach.len());
+        // Each reached extent's covering range, `start` bytes into it,
+        // in a buffer of its own.
+        let mut ranges: Vec<(&VerifyExtent, u64, recycle::Lease)> = Vec::with_capacity(reach.len());
         for (v, lo, hi) in reach {
             if lo >= hi {
                 continue;
@@ -231,27 +231,70 @@ impl Container {
             // Inside the extent (lo ≥ addr, hi ≤ addr + len, checked
             // above), so none of this can wrap.
             let block = v.sum.algorithm.block(v.len);
-            let first = (lo - v.addr) / block;
-            let start = first * block;
+            let start = (lo - v.addr) / block * block;
             let end = ((hi - v.addr).div_ceil(block) * block).min(v.len);
-            let mut buf = recycle::lease((end - start) as usize);
+            ranges.push((v, start, recycle::lease((end - start) as usize)));
+        }
+        // Piece `k` of `n` of a range of `blocks` blocks holds blocks
+        // `k·blocks/n .. (k+1)·blocks/n` of it: at least
+        // VERIFY_PIECE_BLOCKS each, the range's short last block in the
+        // last piece.
+        let mut pieces: Vec<Piece<'_>> = Vec::new();
+        let mut bytes = 0u64;
+        for (v, start, buf) in &mut ranges {
+            let block = v.sum.algorithm.block(v.len);
+            bytes += buf.len() as u64;
+            let blocks = (buf.len() as u64).div_ceil(block);
+            let n = (blocks / VERIFY_PIECE_BLOCKS).clamp(1, HASH_LANES as u64);
+            let mut rest: &mut [u8] = buf;
+            let mut taken = 0u64;
+            for k in 1..=n {
+                let upto = k * blocks / n;
+                let len = ((upto - taken) * block).min(rest.len() as u64) as usize;
+                let (buf, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                let first = *start / block + taken;
+                pieces.push(Piece { extent: v, first, at: first * block, buf });
+                rest = tail;
+                taken = upto;
+            }
+        }
+        let lanes = (bytes / (VERIFY_PIECE_BLOCKS * SUM_BLOCK))
+            .clamp(1, HASH_LANES.min(pieces.len()).max(1) as u64);
+        let checked = on_lanes(lanes as usize, pieces.into_iter(), |p| {
+            let v = p.extent;
             self.backend
-                .read_at(v.addr.saturating_add(start), &mut buf)?; // xtask: allow(planned-io) integrity verification read
-            if !v.sum.verify(v.len, first as usize, &buf) {
+                .read_at(v.addr.saturating_add(p.at), p.buf)?; // xtask: allow(planned-io) integrity verification read
+            if v.sum.verify(v.len, p.first as usize, p.buf) {
+                return Ok(());
+            }
+            Err(H5Error::Corrupt(format!(
+                "extent at {} ({} bytes) fails its checksum in bytes {}..{}",
+                v.addr,
+                v.len,
+                p.at,
+                p.at + p.buf.len() as u64
+            )))
+        });
+        for outcome in checked {
+            let err = match outcome {
+                Some(Ok(())) => continue,
+                Some(Err(e)) => e,
+                None => H5Error::Storage("a verified-read lane panicked".into()),
+            };
+            if matches!(err, H5Error::Corrupt(_)) {
                 self.integrity
                     .checksum_failures
                     .fetch_add(1, Ordering::Relaxed);
-                return Err(H5Error::Corrupt(format!(
-                    "extent at {} ({} bytes) fails its checksum in bytes {start}..{end}",
-                    v.addr, v.len
-                )));
             }
-            self.integrity
-                .verified_extents
-                .fetch_add(1, Ordering::Relaxed);
-            verified.push((v.addr.saturating_add(start), buf));
+            return Err(err);
         }
-        Ok(verified)
+        self.integrity
+            .verified_extents
+            .fetch_add(ranges.len() as u64, Ordering::Relaxed);
+        Ok(ranges
+            .into_iter()
+            .map(|(v, start, buf)| (v.addr.saturating_add(start), buf))
+            .collect())
     }
 
     /// Enable or disable per-extent checksums (on by default). While
@@ -381,6 +424,50 @@ impl Container {
     }
 }
 
+/// One piece of a verified read's covering range: blocks `first…` of
+/// `extent`, `at` bytes into it, read into `buf`, which is one slice of
+/// the range's buffer.
+struct Piece<'a> {
+    extent: &'a VerifyExtent,
+    first: u64,
+    at: u64,
+    buf: &'a mut [u8],
+}
+
+/// Run `work` on every job over `lanes` lanes — scoped threads that live
+/// for this call, the caller being the first — each taking the next
+/// unclaimed job off one lock-free queue until none is left. With one
+/// lane the jobs run on the caller alone, in order. Returns each job's
+/// result in job order; one job's failure stops no other, and the jobs
+/// of a lane that panicked are `None`. Takes no lock: the queue is a
+/// [`RingQueue`] filled before any lane starts, and the results come
+/// back through the lanes' join handles.
+fn on_lanes<J: Send, R: Send>(
+    lanes: usize,
+    jobs: impl ExactSizeIterator<Item = J>,
+    work: impl Fn(J) -> R + Sync,
+) -> Vec<Option<R>> {
+    let mut results: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
+    let queue = RingQueue::filled(jobs.enumerate());
+    let lane = || {
+        let mut done = Vec::new();
+        while let Some((i, job)) = queue.pop() {
+            done.push((i, work(job)));
+        }
+        done
+    };
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
+        let mut done = lane();
+        // A lane that panicked returns nothing: its jobs stay `None`.
+        done.extend(spawned.into_iter().flat_map(|h| h.join().unwrap_or_default()));
+        for (i, result) in done {
+            results[i] = Some(result);
+        }
+    });
+    results
+}
+
 /// The index of the item of `items` — ascending, disjoint `(address,
 /// length)` ranges by `range` — that holds all of `r`: `hint` first,
 /// since the item that held the previous record holds the next one too
@@ -436,7 +523,7 @@ pub(super) fn serve_verified(
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Arc;
 
     use super::*;
@@ -920,5 +1007,175 @@ mod tests {
             .unwrap();
         assert_eq!((fixed.corrupt, fixed.repaired, fixed.unrepaired), (1, 1, 0));
         assert_eq!(c.read_selection(ds, &tail).unwrap(), data[2 * BLOCK..]);
+    }
+
+    // ----- verified-read lanes -------------------------------------------
+
+    /// A byte-typed contiguous dataset of `len` bytes holding
+    /// `lane_bytes(salt, len)`, flushed so its block sums are stamped,
+    /// and its extent's address.
+    fn stamped(c: &Container, len: usize, salt: usize) -> (ObjectId, u64) {
+        let ds = dirty_contiguous(c, 1, len, salt)[0];
+        c.flush().unwrap();
+        (ds, c.plane.working(ds).unwrap().data_addr)
+    }
+
+    #[test]
+    fn verified_read_lanes_put_four_pieces_in_flight_and_fetch_what_one_read_did() {
+        // The counted device sits over one whose every read, once armed,
+        // waits for HASH_LANES reads to have arrived: the four pieces of
+        // a 512 KiB read are inside the counted device together, or the
+        // test fails at the deadline instead of hanging.
+        let armed = Arc::new(AtomicBool::new(false));
+        let (on, arrived) = (armed.clone(), AtomicUsize::new(0));
+        let gate = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+            if matches!(call, Call::Read { .. }) && on.load(Ordering::SeqCst) {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while arrived.load(Ordering::SeqCst) < HASH_LANES
+                    && std::time::Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+            }
+            Ok(())
+        });
+        let device = Arc::new(CountingBackend::new(Arc::new(gate)));
+        let c = Container::create(device.clone());
+        let (ds, _) = stamped(&c, 8 * BLOCK, 11);
+        armed.store(true, Ordering::SeqCst);
+        let before = device.counts();
+        let got = c.read_selection(ds, &Selection::All).unwrap();
+        let moved = device.counts() - before;
+        assert_eq!(got, lane_bytes(11, 8 * BLOCK));
+        assert_eq!(moved.most_reads_in_flight, HASH_LANES as u64);
+        assert_eq!((moved.reads, moved.read_batches), (HASH_LANES as u64, 0));
+        // Exactly the covering range's bytes: the pieces add none.
+        assert_eq!(moved.bytes_read, 8 * SUM_BLOCK);
+        let verified_one = IntegrityStats { verified_extents: 1, ..Default::default() };
+        assert_eq!(c.integrity_stats(), verified_one);
+    }
+
+    #[test]
+    fn verified_read_lane_pieces_tile_the_covering_range_at_block_edges() {
+        // An extent of nine blocks and a short tenth of 1000 bytes. Each
+        // case: a selection, then the pieces the device must see, as
+        // (offset, length) in the extent — together exactly the one
+        // covering read a single lane would issue.
+        let len = 9 * BLOCK + 1000;
+        let b = |n: usize| (n * BLOCK) as u64;
+        type Pieces = Vec<(u64, usize)>;
+        let cases: [(usize, usize, Pieces); 6] = [
+            // Two blocks and under stay one read: strided_rw's shape.
+            (0, 2 * BLOCK, vec![(0, 2 * BLOCK)]),
+            (10, 20, vec![(0, BLOCK)]),
+            (BLOCK - 10, 20, vec![(0, 2 * BLOCK)]),
+            (2 * BLOCK + 5, 2 * BLOCK, vec![(b(2), 3 * BLOCK)]),
+            // Six blocks: three pieces of two.
+            (BLOCK + 1, 5 * BLOCK, vec![(b(1), 2 * BLOCK), (b(3), 2 * BLOCK), (b(5), 2 * BLOCK)]),
+            // Ten blocks: four pieces, the short block in the last.
+            (
+                0,
+                len,
+                vec![(0, 2 * BLOCK), (b(2), 3 * BLOCK), (b(5), 2 * BLOCK), (b(7), 2 * BLOCK + 1000)],
+            ),
+        ];
+        for (start, n, want) in cases {
+            let log: Arc<Mutex<Pieces>> = Arc::default();
+            let seen = log.clone();
+            let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+                if let Call::Read { segments: [seg], vectored: false } = call {
+                    seen.lock().push((seg.offset, seg.buf.len()));
+                }
+                Ok(())
+            });
+            let device = Arc::new(device);
+            let c = Container::create(device.clone());
+            let (ds, addr) = stamped(&c, len, 4);
+            log.lock().clear();
+            let before = device.counts();
+            let sel = Selection::Slab(Hyperslab::range1(start as u64, n as u64));
+            let got = c.read_selection(ds, &sel).unwrap();
+            let moved = device.counts() - before;
+            assert_eq!(got, lane_bytes(4, len)[start..start + n], "{start}+{n}");
+            let mut pieces: Vec<(u64, usize)> =
+                log.lock().iter().map(|&(offset, len)| (offset - addr, len)).collect();
+            pieces.sort_unstable();
+            assert_eq!(pieces, want, "{start}+{n}");
+            assert_eq!(moved.reads, want.len() as u64, "{start}+{n}");
+            let covering: u64 = want.iter().map(|p| p.1 as u64).sum();
+            assert_eq!(moved.bytes_read, covering, "{start}+{n}");
+            assert_eq!(c.integrity_stats().checksum_failures, 0);
+        }
+    }
+
+    #[test]
+    fn a_flip_in_the_third_lane_piece_fails_the_read_naming_its_bytes() {
+        // Eight blocks read whole are four pieces of two; the third is
+        // bytes 4·BLOCK..6·BLOCK of the extent. A second flip in the
+        // fourth changes neither the error nor the count.
+        let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        let c = Container::create(backend.clone());
+        let data = lane_bytes(8, 8 * BLOCK);
+        let (ds, addr) = stamped(&c, 8 * BLOCK, 8);
+        for flips in [vec![4 * BLOCK + 100], vec![4 * BLOCK + 100, 7 * BLOCK]] {
+            for &at in &flips {
+                backend.write_at(addr + at as u64, &[!data[at]]).unwrap();
+            }
+            let failures = c.integrity_stats().checksum_failures;
+            let err = c.read_selection(ds, &Selection::All).unwrap_err();
+            let want = format!("fails its checksum in bytes {}..{}", 4 * BLOCK, 6 * BLOCK);
+            assert!(matches!(err, H5Error::Corrupt(ref m) if m.ends_with(&want)), "{err:?}");
+            assert_eq!(c.integrity_stats().checksum_failures, failures + 1);
+            assert_eq!(c.integrity_stats().verified_extents, 0, "nothing was served");
+            for &at in &flips {
+                backend.write_at(addr + at as u64, &data[at..at + 1]).unwrap();
+            }
+        }
+        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), data);
+    }
+
+    #[test]
+    fn a_failed_or_panicking_verified_read_lane_fails_the_whole_read() {
+        // The second piece's read fails: the whole read does, with that
+        // error, and no checksum failure is counted.
+        let (backend, gauge) = gauged(Arc::new(MemBackend::new()));
+        let c = Container::create(backend);
+        let (ds, addr) = stamped(&c, 8 * BLOCK, 2);
+        gauge.bad.lock().push(addr + 2 * SUM_BLOCK);
+        let err = c.read_selection(ds, &Selection::All).unwrap_err();
+        let want = format!("bad sector at {}", addr + 2 * SUM_BLOCK);
+        assert!(matches!(err, H5Error::Storage(ref m) if *m == want), "{err:?}");
+        gauge.bad.lock().clear();
+        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), lane_bytes(2, 8 * BLOCK));
+
+        // Armed, every read off this thread panics, and this thread's own
+        // first read waits until one has: a Storage error, not a hang.
+        let owner = std::thread::current().id();
+        let others = Arc::new(AtomicUsize::new(0));
+        let armed = Arc::new(AtomicBool::new(false));
+        let (seen, on) = (others.clone(), armed.clone());
+        let backend = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+            if matches!(call, Call::Read { .. }) && on.load(Ordering::SeqCst) {
+                if std::thread::current().id() != owner {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    panic!("verified-read lane panics (expected by the test)");
+                }
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while seen.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+            Ok(())
+        });
+        let c = Container::create(Arc::new(backend));
+        let (ds, _) = stamped(&c, 8 * BLOCK, 3);
+        armed.store(true, Ordering::SeqCst);
+        let err = c.read_selection(ds, &Selection::All).unwrap_err();
+        assert!(matches!(err, H5Error::Storage(ref m) if m.contains("lane panicked")), "{err:?}");
+        assert!(others.load(Ordering::SeqCst) >= 1);
+        assert_eq!(c.integrity_stats(), IntegrityStats::default());
+        armed.store(false, Ordering::SeqCst);
+        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), lane_bytes(3, 8 * BLOCK));
     }
 }

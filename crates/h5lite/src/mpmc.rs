@@ -1,6 +1,7 @@
 //! Lock-free bounded MPMC ring (Vyukov's bounded queue), shared by the
-//! submission/completion rings ([`crate::ring`]) and the buffer
-//! recycler's size classes ([`crate::recycle`]).
+//! submission/completion rings ([`crate::ring`]), the buffer recycler's
+//! size classes ([`crate::recycle`]) and the job list of the integrity
+//! reads' lanes ([`crate::container`]'s `on_lanes`).
 //!
 //! The only `unsafe` in the crate lives here, and the whole protocol is
 //! carried by one atomic per slot. Memory-ordering argument (the §14
@@ -63,6 +64,36 @@ impl<T> RingQueue<T> {
             mask: capacity - 1,
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
+        }
+    }
+
+    /// A ring that already holds `items`, in order, with room for no
+    /// more than their count rounded up to a power of two (at least 2):
+    /// each slot is built published, as a push at its ticket leaves it.
+    pub(crate) fn filled(items: impl ExactSizeIterator<Item = T>) -> Self {
+        let capacity = items.len().next_power_of_two().max(2);
+        let mut items = items.fuse();
+        let mut held = 0;
+        let slots = (0..capacity)
+            .map(|i| match items.next() {
+                Some(value) => {
+                    held += 1;
+                    Slot {
+                        seq: AtomicUsize::new(i + 1),
+                        val: UnsafeCell::new(MaybeUninit::new(value)),
+                    }
+                }
+                None => Slot {
+                    seq: AtomicUsize::new(i),
+                    val: UnsafeCell::new(MaybeUninit::uninit()),
+                },
+            })
+            .collect();
+        RingQueue {
+            slots,
+            mask: capacity - 1,
+            head: AtomicUsize::new(0),
+            tail: AtomicUsize::new(held),
         }
     }
 
@@ -129,11 +160,14 @@ impl<T> RingQueue<T> {
                     }
                     Err(current) => pos = current,
                 }
-            } else if seq == pos || seq.wrapping_sub(pos) > self.mask {
-                // Not yet published (in-flight push) or genuinely
-                // empty — either way there is nothing to take.
+            } else if (seq.wrapping_sub(pos) as isize) <= 0 {
+                // `seq` is behind this ticket: not yet published
+                // (in-flight push) or genuinely empty — either way there
+                // is nothing to take.
                 return None;
             } else {
+                // `seq` is ahead: another consumer already popped this
+                // ticket (`pos + capacity`), so `pos` is stale. Reload.
                 pos = self.head.load(Ordering::Relaxed);
             }
         }
@@ -151,7 +185,7 @@ impl<T> Drop for RingQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::thread;
 
     #[test]
@@ -204,5 +238,50 @@ mod tests {
             .collect();
         expect.sort_unstable();
         assert_eq!(seen, expect);
+    }
+
+    #[test]
+    fn mpmc_draining_consumers_never_see_empty_while_items_remain() {
+        // Two to four consumers, released together, drain a full ring
+        // that no producer touches. A consumer whose `head` went stale
+        // (another popped its ticket first) finds `seq == pos + capacity`
+        // and must reload, not report empty: nothing pushes and `head`
+        // only rises, so a ticket unclaimed after a `None` was unclaimed
+        // at it too, and that `None` was spurious.
+        const ITEMS: usize = 64;
+        let mut spurious = 0;
+        for round in 0..3000 {
+            let consumers = 2 + round % 3;
+            let q: RingQueue<usize> = RingQueue::new(ITEMS);
+            for i in 0..ITEMS {
+                q.push(i).unwrap();
+            }
+            let start = Barrier::new(consumers);
+            let drained: usize = thread::scope(|s| {
+                let lanes: Vec<_> = (0..consumers)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            let mut got = 0;
+                            while q.pop().is_some() {
+                                got += 1;
+                            }
+                            let left = ITEMS.saturating_sub(q.head.load(Ordering::SeqCst));
+                            (got, usize::from(left > 0))
+                        })
+                    })
+                    .collect();
+                lanes
+                    .into_iter()
+                    .map(|h| {
+                        let (got, early) = h.join().unwrap();
+                        spurious += early;
+                        got
+                    })
+                    .sum()
+            });
+            assert_eq!(drained, ITEMS, "round {round}: every item is popped once");
+        }
+        assert_eq!(spurious, 0, "pops that returned None while items remained");
     }
 }

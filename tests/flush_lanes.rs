@@ -5,7 +5,8 @@
 //! this holds them to it, with h5lite's named locks (metadata shards,
 //! allocator, write gates) forwarded into the recorder. The data barrier
 //! (ISSUE 24) is one more such thread — these 32 MiB are over the floor —
-//! and is held to the same count.
+//! and is held to the same count. So are the lanes of a verified read,
+//! which read and check the pieces of one 2 MiB extent side by side.
 //!
 //! One test in the file: the process-wide counter is shared, and a
 //! second test running beside it would move it mid-measurement.
@@ -40,15 +41,16 @@ fn read_back_lanes_take_no_named_lock() {
     // hoped to overlap. Records which thread issued each `sync` as well.
     let readers = Arc::new(std::sync::Mutex::new(HashSet::new()));
     let syncers = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let (threads, synced, arrived) = (readers.clone(), syncers.clone(), AtomicUsize::new(0));
+    let arrived = Arc::new(AtomicUsize::new(0));
+    let (threads, synced, first) = (readers.clone(), syncers.clone(), arrived.clone());
     let backend = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
         let me = std::thread::current().id();
         match call {
             Call::Read { .. } => {
                 threads.lock().expect("no reader panics").insert(me);
-                if arrived.fetch_add(1, Ordering::SeqCst) == 0 {
+                if first.fetch_add(1, Ordering::SeqCst) == 0 {
                     let deadline = Instant::now() + Duration::from_secs(10);
-                    while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                    while first.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
                         std::thread::yield_now();
                     }
                 }
@@ -60,13 +62,16 @@ fn read_back_lanes_take_no_named_lock() {
     });
     let c = Container::create(Arc::new(backend));
     let data = vec![0x5Au8; 2 << 20];
-    for i in 0..16 {
-        let space = Dataspace::d1(data.len() as u64);
-        let ds = c
-            .create_dataset(ROOT_ID, &format!("d{i}"), Datatype::U8, &space, Layout::Contiguous)
-            .expect("create dataset");
-        c.write_selection(ds, &Selection::All, &data).expect("write");
-    }
+    let ids: Vec<_> = (0..16)
+        .map(|i| {
+            let space = Dataspace::d1(data.len() as u64);
+            let ds = c
+                .create_dataset(ROOT_ID, &format!("d{i}"), Datatype::U8, &space, Layout::Contiguous)
+                .expect("create dataset");
+            c.write_selection(ds, &Selection::All, &data).expect("write");
+            ds
+        })
+        .collect();
 
     let (all, own) = (lock_order::total_acquire_count(), lock_order::acquire_count());
     c.flush().expect("flush");
@@ -86,4 +91,22 @@ fn read_back_lanes_take_no_named_lock() {
     assert_eq!(syncers.len(), 3, "data, metadata, slot");
     assert_ne!(syncers[0], me, "the data barrier rides a thread of its own");
     assert_eq!(syncers[1..], [me, me]);
+
+    drop(syncers);
+
+    // A verified read of one clean 2 MiB extent: four pieces of 512 KiB
+    // on the read lanes, held to the same count.
+    readers.lock().expect("no reader panics").clear();
+    arrived.store(0, Ordering::SeqCst);
+    let (all, own) = (lock_order::total_acquire_count(), lock_order::acquire_count());
+    let got = c.read_selection(ids[5], &Selection::All).expect("verified read");
+    let (all, own) = (
+        lock_order::total_acquire_count() - all,
+        lock_order::acquire_count() - own,
+    );
+    assert_eq!(got, data);
+    assert_eq!(c.integrity_stats().verified_extents, 1, "the read was verified");
+    let lanes = readers.lock().expect("no reader panics").len();
+    assert!(lanes >= 2, "the verified read ran on {lanes} thread(s)");
+    assert_eq!(all, own, "threads other than the reading one took {} named lock(s)", all - own);
 }
