@@ -103,8 +103,10 @@ echo "== h5lite in release (overflow, dataspace, read-back lanes) =="
 # profile alone would pass a half fix: the selection-overflow
 # regressions, and the lanes' windows and job shares (`lane` selects the
 # container's read-back and data-barrier tests and `tests/flush_lanes.rs`:
-# the lanes' wall time, the barrier's overlap with them timed against a
-# `sync` that costs one read-back, the op sequence either side of the
+# four read-back reads in flight and the barrier arriving while lane reads
+# are held, by count; the lanes' wall time and the barrier's overlap with
+# them timed against a `sync` that costs one read-back, compiled only
+# here, in release; the op sequence either side of the
 # floor; and the verified read's lanes, whose piece arithmetic runs
 # unchecked in release: `verified_read_lanes_put_four_pieces_…` (HASH_LANES
 # reads in flight, the single read's bytes), `…_pieces_tile_the_covering_
@@ -162,6 +164,9 @@ echo "$report_json" | grep -q '"stragglers"' \
 echo "$report_json" | grep -q '"straggler_rank":7' \
     || { echo "apio-report: slowed rank 7 not named as straggler"; exit 1; }
 
+# One `Workload` through `kernels::run_real` (sync, then async on the
+# one-shard ring `make_file` builds, then the read direction with
+# prefetch), then the same workload through the simulator at paper scale.
 echo "== one workload on both engines (real kernels, then the simulator) =="
 cargo run -q "${CARGO_FLAGS[@]}" --release --example vpic_checkpoint
 

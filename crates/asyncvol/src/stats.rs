@@ -274,9 +274,14 @@ pub struct AsyncVolStats {
     pub prefetches: u64,
     /// Reads served from a warm prefetch slot.
     pub prefetch_hits: u64,
-    /// Bytes copied into snapshot buffers (transactional overhead volume).
+    /// Bytes the connector took as write snapshots (transactional
+    /// overhead volume): copied from a borrowed buffer, or handed over
+    /// with no copy as an owned one, which is what a typed write passes.
     pub snapshot_bytes: u64,
-    /// Seconds spent in snapshot copies, charged to the application thread.
+    /// Seconds on the application thread from taking each write's
+    /// snapshot to handing it to a transport: a borrowed buffer's copy, a
+    /// device-staged append, and on a ring the write's planning. The
+    /// typed API's encode comes before it and is not counted.
     pub snapshot_secs: f64,
     /// Bytes written to the container by background tasks.
     pub write_bytes: u64,
@@ -310,7 +315,8 @@ pub struct AsyncVolStats {
 }
 
 impl AsyncVolStats {
-    /// Mean snapshot (transactional) bandwidth, bytes/s.
+    /// Snapshot bytes over snapshot seconds, bytes/s: the rate at which
+    /// writes were handed to the connector, not a copy rate.
     pub fn snapshot_bw(&self) -> f64 {
         if self.snapshot_secs > 0.0 {
             self.snapshot_bytes as f64 / self.snapshot_secs

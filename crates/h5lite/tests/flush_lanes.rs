@@ -1,20 +1,30 @@
-//! Wall time of the flush's checksum read-back against the device's
-//! lanes (ISSUE 21). `ThrottledBackend` sleeps every read until its
-//! booked completion, so Σ(latency + len / bandwidth) is a floor no
-//! serial read-back can beat: a flush under half of it had at least two
-//! reads in the throttle at once. The stamps themselves are held to the
-//! hash of the bytes in `container.rs`'s unit tests; this file is alone
-//! in its binary, and its tests take turns ([`turn`]), so that nothing
-//! but the flush competes for the cores.
+//! The flush's checksum read-back against the device's lanes (ISSUE 21),
+//! and the data barrier beside them (ISSUE 24), each proved twice.
 //!
-//! The data barrier rides beside those lanes. [`paid_sync_device`]
-//! makes a `sync` cost what it has to write back, so the barrier over
-//! 32 MiB of dirty extents costs one four-lane read-back of them and
-//! the two barriers after it next to nothing: a flush from the 4 MiB
-//! floor up takes about one of the two, not both, and under the floor
-//! the device sees the operations it always did, in the order it did.
+//! By count, in every build: a device that holds each read until four
+//! are inside it sees four reads in flight at once, and one that holds
+//! each read until a `sync` arrives sees the data barrier arrive while
+//! reads are held. Each hold ends at a deadline, so a flush that lost
+//! its overlap fails the test instead of hanging it.
+//!
+//! By wall time, in release builds only (`ci.sh` reruns `lane` there): a
+//! debug build's hashing competes with the lanes for the cores, which is
+//! not what these bounds time. `ThrottledBackend` sleeps every read
+//! until its booked completion, so Σ(latency + len / bandwidth) is a
+//! floor no serial read-back can beat: a flush under half of it had at
+//! least two reads in the throttle at once. [`paid_sync_device`] makes a
+//! `sync` cost what it has to write back, so the barrier over 32 MiB of
+//! dirty extents costs one four-lane read-back of them and the two
+//! barriers after it next to nothing: a flush from the 4 MiB floor up
+//! takes about one of the two, not both. Under the floor the device sees
+//! the operations it always did, in the order it did.
+//!
+//! The stamps themselves are held to the hash of the bytes in
+//! `container.rs`'s unit tests; this file is alone in its binary, and its
+//! tests take turns ([`turn`]), so that nothing but the flush competes
+//! for the cores.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -25,6 +35,7 @@ use h5lite::{
 };
 
 const MIB: usize = 1 << 20;
+#[cfg(not(debug_assertions))]
 const RATE: f64 = 400e6;
 const LATENCY: f64 = 2e-4;
 
@@ -35,6 +46,7 @@ fn bytes(salt: usize, len: usize) -> Vec<u8> {
 /// Flush sixteen dirty 2 MiB extents and eight dirty 1 MiB chunks on a
 /// device of `channels` lanes; returns the flush's wall time and what
 /// the same read-backs cost one after another.
+#[cfg(not(debug_assertions))]
 fn flush_wall(channels: usize) -> (f64, f64) {
     let device = Arc::new(ThrottledBackend::with_channels(1e12, LATENCY, channels));
     let c = Container::create(device.clone());
@@ -62,6 +74,7 @@ fn flush_wall(channels: usize) -> (f64, f64) {
 /// (else the fastest): the floor under a serial read-back holds on every
 /// attempt, so one flush under the bound proves the overlap, while a
 /// neighbour's burst on a shared machine can only slow an attempt down.
+#[cfg(not(debug_assertions))]
 fn flush_within(channels: usize, factor: f64) -> (f64, f64) {
     let mut best = flush_wall(channels);
     for _ in 0..2 {
@@ -82,6 +95,86 @@ fn turn() -> MutexGuard<'static, ()> {
     TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// How long a held read or barrier waits for the other side before it
+/// gives up, so that a lost overlap fails instead of hanging.
+const HOLD: Duration = Duration::from_secs(5);
+
+#[test]
+fn the_read_back_lanes_put_four_reads_in_flight_on_a_four_channel_device() {
+    let _turn = turn();
+    // The counted device sits over one whose every read, once armed,
+    // waits until four reads have arrived.
+    let armed = Arc::new(AtomicBool::new(false));
+    let (on, arrived) = (armed.clone(), AtomicUsize::new(0));
+    let throttle = Arc::new(ThrottledBackend::with_channels(1e12, LATENCY, 4));
+    let gate = CountingBackend::new(throttle).with_hook(move |call| {
+        if matches!(call, Call::Read { .. }) && on.load(Ordering::SeqCst) {
+            let deadline = Instant::now() + HOLD;
+            arrived.fetch_add(1, Ordering::SeqCst);
+            while arrived.load(Ordering::SeqCst) < 4 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+        Ok(())
+    });
+    let device = Arc::new(CountingBackend::new(Arc::new(gate)));
+    let c = Container::create(device.clone());
+    dirty(&c, &[2 * MIB; 16], 0);
+    armed.store(true, Ordering::SeqCst);
+    let before = device.counts();
+    c.flush().unwrap();
+    let moved = device.counts() - before;
+    assert_eq!(moved.most_reads_in_flight, 4, "{moved:?}");
+    assert_eq!(moved.bytes_read, 32 * MIB as u64, "{moved:?}");
+}
+
+#[test]
+fn the_data_barrier_arrives_while_lane_reads_are_held() {
+    let _turn = turn();
+    // Every read of the flush is held until a `sync` has arrived, and
+    // the first `sync` waits until a read is held before it records how
+    // many are: a barrier that followed the read-back would find none.
+    let armed = Arc::new(AtomicBool::new(false));
+    let (held, synced) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicBool::new(false)));
+    let held_at_barrier = Arc::new(AtomicUsize::new(usize::MAX));
+    let (on, holding, seen, at_barrier) =
+        (armed.clone(), held.clone(), synced.clone(), held_at_barrier.clone());
+    let throttle = Arc::new(ThrottledBackend::with_channels(1e12, LATENCY, 4));
+    let device = CountingBackend::new(throttle).with_hook(move |call| {
+        if !on.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        let deadline = Instant::now() + HOLD;
+        match call {
+            Call::Read { .. } => {
+                holding.fetch_add(1, Ordering::SeqCst);
+                while !seen.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                holding.fetch_sub(1, Ordering::SeqCst);
+            }
+            Call::Sync if !seen.load(Ordering::SeqCst) => {
+                while holding.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                at_barrier.store(holding.load(Ordering::SeqCst), Ordering::SeqCst);
+                seen.store(true, Ordering::SeqCst);
+            }
+            _ => {}
+        }
+        Ok(())
+    });
+    let c = Container::create(Arc::new(device));
+    dirty(&c, &[2 * MIB; 16], 0);
+    armed.store(true, Ordering::SeqCst);
+    c.flush().unwrap();
+    let held = held_at_barrier.load(Ordering::SeqCst);
+    assert!((1..=4).contains(&held), "the data barrier found {held} lane reads held");
+    let report = c.scrub().unwrap();
+    assert_eq!((report.checked, report.corrupt, report.skipped_dirty), (16, 0, 0));
+}
+
+#[cfg(not(debug_assertions))]
 #[test]
 fn the_read_back_uses_every_lane_and_costs_nothing_where_there_is_one() {
     let _turn = turn();
@@ -152,6 +245,7 @@ fn dirty(c: &Container, lens: &[usize], salt: usize) {
     }
 }
 
+#[cfg(not(debug_assertions))]
 #[test]
 fn the_data_barrier_overlaps_the_lanes_instead_of_following_them() {
     let _turn = turn();

@@ -69,8 +69,8 @@ impl Perturbation {
 
 /// A bulk-synchronous iterative workload: `epochs` repetitions of
 /// (compute phase, collective I/O phase). The simulator ([`crate::run`])
-/// and the real-engine kernels (`kernels::vpic::run_real`,
-/// `kernels::bdcats::run_real`) run the same description.
+/// and the real engine (`kernels::run_real`, which writes or reads as
+/// `direction` says) run the same description.
 #[derive(Clone, Debug)]
 pub struct Workload {
     /// Participating MPI ranks.
@@ -81,8 +81,8 @@ pub struct Workload {
     pub epochs: u32,
     /// Length of each computation phase, seconds.
     pub compute_secs: f64,
-    /// Whether the I/O phases write (checkpoint) or read (analysis). A
-    /// model input: the real-engine kernels do not read it.
+    /// Whether the I/O phases write (checkpoint, VPIC-IO) or read
+    /// (analysis, BD-CATS-IO), on both engines.
     pub direction: Direction,
     /// One-time setup cost (buffer allocation, background-thread spin-up,
     /// file open) — `t_init` in Eq. 1. A model input: the real-engine

@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use apio::h5lite::{Container, ThrottledBackend};
-use apio::kernels::{bdcats, make_file, vpic};
-use apio::model::history::IoMode;
+use apio::kernels::{make_file, run_real, vpic};
+use apio::model::history::{Direction, IoMode};
 use apio::mpisim::{run, Job, RunConfig, Workload};
 use apio::platform::summit;
 
@@ -33,7 +33,7 @@ fn main() {
 
     for mode in [IoMode::Sync, IoMode::Async] {
         let (file, vol) = make_file(slow_fs(), mode);
-        let result = vpic::run_real(&file, vol.as_deref(), &w).expect("kernel run");
+        let result = run_real(&file, vol.as_deref(), &w).expect("kernel run");
         println!(
             "  {mode:?}: visible I/O {:>7.3}s over {} checkpoints, peak {:>8.2} MB/s visible bandwidth",
             result.total_visible_io(),
@@ -42,7 +42,7 @@ fn main() {
         );
         if let Some(stats) = vol.map(|v| v.stats()) {
             println!(
-                "         transactional overhead: {:.1} MiB snapshotted in {:.3}s ({:.2} GB/s)",
+                "         write hand-off: {:.1} MiB given to the connector in {:.3}s ({:.2} GB/s)",
                 stats.snapshot_bytes as f64 / (1 << 20) as f64,
                 stats.snapshot_secs,
                 stats.snapshot_bw() / 1e9
@@ -52,9 +52,10 @@ fn main() {
 
     // And the read side: BD-CATS over the same container, with prefetch.
     let (source, _) = make_file(slow_fs(), IoMode::Sync);
-    vpic::run_real(&source, None, &w).expect("kernel run");
+    run_real(&source, None, &w).expect("kernel run");
     let (file, vol) = make_file(source.container().clone(), IoMode::Async);
-    let result = bdcats::run_real(&file, vol.as_deref(), &w).expect("read kernel");
+    let analysis = Workload { direction: Direction::Read, ..w.clone() };
+    let result = run_real(&file, vol.as_deref(), &analysis).expect("read kernel");
     let bws = result.phase_bandwidths();
     println!(
         "\n  BD-CATS-IO async read: first (blocking) step {:.1} MB/s, prefetched steps up to {:.1} MB/s",

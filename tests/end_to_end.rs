@@ -4,8 +4,12 @@
 use std::sync::Arc;
 
 use apio::asyncvol::AsyncVol;
-use apio::h5lite::{Container, Dataspace, File, ThrottledBackend};
-use apio::kernels::{bdcats, make_file, vpic};
+use apio::h5lite::{
+    Container, Dataspace, FaultInjector, FaultKind, FaultOp, FaultPlan, File, MemBackend,
+    ThrottledBackend,
+};
+use apio::kernels::vpic::{self, PROPERTIES};
+use apio::kernels::{make_file, run_real};
 use apio::model::history::{Direction, IoMode};
 use apio::model::AdaptiveRuntime;
 use apio::mpisim::{run, Job, RunConfig, Workload};
@@ -16,29 +20,102 @@ fn small() -> Workload {
     Workload::checkpoint(4, (1 << 12) * 32, 3, 0.01)
 }
 
-#[test]
-fn write_with_async_vol_read_with_native_vol() {
-    // Data written through the async connector must be readable through
-    // the native one (they share the container format).
-    let w = small();
-    let (source, vol) = make_file(Arc::new(Container::create_mem()), IoMode::Async);
-    vpic::run_real(&source, vol.as_deref(), &w).unwrap();
-    vpic::verify(&source, &w).unwrap();
-    // And the read kernel in sync mode sees it too.
-    let (file, vol) = make_file(source.container().clone(), IoMode::Sync);
-    bdcats::run_real(&file, vol.as_deref(), &w).unwrap();
+/// Opens a container through a connector: the file, and the async
+/// handle [`run_real`] takes as its mode.
+type Open = fn(Arc<Container>) -> (File, Option<Arc<AsyncVol>>);
+
+/// The write stacks: native, the task transport built by hand, and the
+/// one-shard ring `make_file` builds for async.
+fn writers() -> [(&'static str, Open); 3] {
+    [
+        ("native", |c| make_file(c, IoMode::Sync)),
+        ("tasks", |c| {
+            let vol = Arc::new(AsyncVol::new());
+            (File::from_parts(c, vol.clone()), Some(vol))
+        }),
+        ("ring", |c| make_file(c, IoMode::Async)),
+    ]
+}
+
+/// `w` with its I/O phases read instead of written.
+fn reading(w: &Workload) -> Workload {
+    Workload {
+        direction: Direction::Read,
+        ..w.clone()
+    }
 }
 
 #[test]
-fn full_pipeline_write_then_clustered_read_with_prefetch() {
+fn every_writer_round_trips_through_every_reader() {
+    // Written through each stack, read back through native and through
+    // `make_file`'s async connector: the data is the generator's, the
+    // read direction's spot checks pass, and every async operation is
+    // counted where the paper's connector does it.
     let w = small();
-    let (source, vol) = make_file(Arc::new(Container::create_mem()), IoMode::Async);
-    let written = vpic::run_real(&source, vol.as_deref(), &w).unwrap();
-    assert_eq!(written.phases.len(), 3);
-    let (file, vol) = make_file(source.container().clone(), IoMode::Async);
-    bdcats::run_real(&file, vol.as_deref(), &w).unwrap();
-    let stats = vol.unwrap().stats();
-    assert!(stats.prefetch_hits > 0, "later steps must hit the prefetch");
+    let per_step = PROPERTIES.len() as u64 * w.ranks as u64;
+    let steps = w.epochs as u64;
+    for (writer, open) in writers() {
+        let (source, vol) = open(Arc::new(Container::create_mem()));
+        let written = run_real(&source, vol.as_deref(), &w).unwrap();
+        assert_eq!(written.phases.len(), w.epochs as usize, "{writer}");
+        if let Some(vol) = vol {
+            let stats = vol.stats();
+            assert_eq!(stats.writes, steps * per_step, "{writer}");
+            assert_eq!(stats.snapshot_bytes, steps * written.phase_bytes, "{writer}");
+        }
+        for reader in [IoMode::Sync, IoMode::Async] {
+            let cell = format!("{writer} -> {reader:?}");
+            let (file, vol) = make_file(source.container().clone(), reader);
+            let read = run_real(&file, vol.as_deref(), &reading(&w)).unwrap();
+            assert_eq!(read.phases.len(), w.epochs as usize, "{cell}");
+            assert_eq!(vol.is_some(), reader == IoMode::Async, "{cell}");
+            if let Some(vol) = vol {
+                // Only the first step is read cold; the others hit the
+                // prefetch the step before them issued.
+                let stats = vol.stats();
+                assert_eq!(stats.prefetch_hits, (steps - 1) * per_step, "{cell}");
+                assert_eq!(stats.blocking_reads, per_step, "{cell}");
+            }
+            vpic::verify(&file, &w).unwrap_or_else(|e| panic!("{cell}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn a_failing_device_fails_the_run_in_both_directions_on_every_connector() {
+    // The driver drops each async write's request and each prefetch's:
+    // neither may drop its failure. A write's surfaces at the final
+    // `flush`; a prefetch's at the read that hits its slot.
+    let w = small();
+    let per_step = PROPERTIES.len() as u64 * w.ranks as u64;
+    let failing = |op, after| {
+        let plan = FaultPlan::new(0).fail_after(op, after, FaultKind::Persistent);
+        Arc::new(FaultInjector::new(Arc::new(MemBackend::new()), plan))
+    };
+    for (connector, open) in writers() {
+        // Every device write from the fifth on fails for good.
+        let device = failing(FaultOp::Write, 4);
+        let (file, vol) = open(Arc::new(Container::create(device.clone())));
+        assert!(run_real(&file, vol.as_deref(), &w).is_err(), "write on {connector}");
+        assert!(device.injected() > 0, "write on {connector}");
+
+        // Every device read after the first step's fails for good: step
+        // 0 is read cold, one read per rank and property, and what fails
+        // is step 1, from its prefetch on an async connector.
+        let device = failing(FaultOp::Read, per_step);
+        device.set_armed(false);
+        let (source, _) = make_file(Arc::new(Container::create(device.clone())), IoMode::Sync);
+        run_real(&source, None, &w).unwrap();
+        device.set_armed(true);
+        let (file, vol) = open(source.container().clone());
+        assert!(run_real(&file, vol.as_deref(), &reading(&w)).is_err(), "read on {connector}");
+        assert!(device.injected() > 0, "read on {connector}");
+        if let Some(vol) = vol {
+            // Step 0 read cleanly, and step 1 was prefetched.
+            let stats = vol.stats();
+            assert_eq!((stats.blocking_reads, stats.prefetches), (per_step, per_step), "{connector}");
+        }
+    }
 }
 
 #[test]
@@ -54,7 +131,7 @@ fn real_and_simulated_runs_fill_one_record() {
     ] {
         let sim = run(&job, &w, &cfg);
         let (file, vol) = make_file(Arc::new(Container::create_mem()), mode);
-        let real = vpic::run_real(&file, vol.as_deref(), &w).unwrap();
+        let real = run_real(&file, vol.as_deref(), &w).unwrap();
         assert_eq!(real.phases.len(), sim.phases.len());
         assert_eq!(real.phase_bytes, sim.phase_bytes);
         for (r, s) in real.phases.iter().zip(&sim.phases) {
@@ -69,12 +146,20 @@ fn real_and_simulated_runs_fill_one_record() {
         }
     }
     // A run of no particles, or of a size that is not a whole number of
-    // them, is an error on both kernels, not a panic.
+    // them, is an error in both directions, not a panic.
     for per_rank_bytes in [0, 33] {
         let bad = Workload::checkpoint(2, per_rank_bytes, 1, 0.0);
-        let (file, vol) = make_file(Arc::new(Container::create_mem()), IoMode::Async);
-        assert!(vpic::run_real(&file, vol.as_deref(), &bad).is_err());
-        assert!(bdcats::run_real(&file, vol.as_deref(), &bad).is_err());
+        for bad in [reading(&bad), bad] {
+            let (file, vol) = make_file(Arc::new(Container::create_mem()), IoMode::Async);
+            assert!(run_real(&file, vol.as_deref(), &bad).is_err());
+        }
+    }
+    // So is a read of a step the container does not hold: here `Step#1`,
+    // which the async reader opens to prefetch and the native one to read.
+    for mode in [IoMode::Sync, IoMode::Async] {
+        let (file, vol) = make_file(Arc::new(Container::create_mem()), mode);
+        run_real(&file, vol.as_deref(), &Workload { epochs: 1, ..w.clone() }).unwrap();
+        assert!(run_real(&file, vol.as_deref(), &reading(&w)).is_err(), "{mode:?}");
     }
 }
 
@@ -88,7 +173,7 @@ fn real_measurements_feed_the_model() {
         for mode in [IoMode::Sync, IoMode::Async] {
             let backend = Arc::new(ThrottledBackend::in_memory(300e6, 2e-4));
             let (file, vol) = make_file(Arc::new(Container::create(backend)), mode);
-            let result = vpic::run_real(&file, vol.as_deref(), &w).unwrap();
+            let result = run_real(&file, vol.as_deref(), &w).unwrap();
             result.feed(&mut rt, &w, mode);
         }
     }
