@@ -46,6 +46,31 @@ fn reading(w: &Workload) -> Workload {
 }
 
 #[test]
+fn write_with_async_vol_read_with_native_vol() {
+    // Data written through the async connector must be readable through
+    // the native one (they share the container format).
+    let w = small();
+    let (source, vol) = make_file(Arc::new(Container::create_mem()), IoMode::Async);
+    run_real(&source, vol.as_deref(), &w).unwrap();
+    vpic::verify(&source, &w).unwrap();
+    // And the read direction in sync mode sees it too.
+    let (file, vol) = make_file(source.container().clone(), IoMode::Sync);
+    run_real(&file, vol.as_deref(), &reading(&w)).unwrap();
+}
+
+#[test]
+fn full_pipeline_write_then_clustered_read_with_prefetch() {
+    let w = small();
+    let (source, vol) = make_file(Arc::new(Container::create_mem()), IoMode::Async);
+    let written = run_real(&source, vol.as_deref(), &w).unwrap();
+    assert_eq!(written.phases.len(), 3);
+    let (file, vol) = make_file(source.container().clone(), IoMode::Async);
+    run_real(&file, vol.as_deref(), &reading(&w)).unwrap();
+    let stats = vol.unwrap().stats();
+    assert!(stats.prefetch_hits > 0, "later steps must hit the prefetch");
+}
+
+#[test]
 fn every_writer_round_trips_through_every_reader() {
     // Written through each stack, read back through native and through
     // `make_file`'s async connector: the data is the generator's, the
