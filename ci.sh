@@ -64,7 +64,9 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 # tests, the doc tests) under debug-invariants, with the seeded sweeps
 # of ring, one_copy, sieve and consistency at 64 schedules:
 #   ring              Block backpressure, the connector's ring path and
-#                     its fault resubmission; the explore sweep needs the
+#                     its fault retries on the reaper, the transport-parity
+#                     table (a write settles where it lands, ring and
+#                     tasks alike); the explore sweep needs the
 #                     feature (Poll backpressure, per-key order and
 #                     shutdown are h5lite::ring's unit tests, run above)
 #   ring_lockfree     submit/complete takes zero argolite::sync locks,

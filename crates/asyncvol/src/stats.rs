@@ -266,7 +266,8 @@ impl StatsCells {
 /// A point-in-time copy of the connector's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AsyncVolStats {
-    /// Background writes completed.
+    /// Background writes landed and settled — counted the moment each
+    /// lands, on either transport, not when it is waited for.
     pub writes: u64,
     /// Cold (blocking) reads served on the caller's thread.
     pub blocking_reads: u64,
@@ -283,9 +284,10 @@ pub struct AsyncVolStats {
     /// device-staged append, and on a ring the write's planning. The
     /// typed API's encode comes before it and is not counted.
     pub snapshot_secs: f64,
-    /// Bytes written to the container by background tasks.
+    /// Bytes written to the container by background writes.
     pub write_bytes: u64,
-    /// Seconds background tasks spent writing.
+    /// Seconds background writes took to land: from the container write's
+    /// start on a task, from submission (queue time included) on the ring.
     pub write_io_secs: f64,
     /// Bytes read (blocking + prefetch).
     pub read_bytes: u64,
@@ -306,6 +308,7 @@ pub struct AsyncVolStats {
     /// Background work submitted and not yet completed (the queue depth
     /// at snapshot time): tasks still on the execution streams plus, in
     /// [`AsyncVol::stats`](crate::AsyncVol::stats), what the ring holds.
+    /// Either way a write leaves it once it has landed and settled.
     pub queued: u64,
     /// Whether the connector is currently degraded to synchronous
     /// passthrough (breaker open or half-open). Filled from the breaker

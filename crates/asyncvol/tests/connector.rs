@@ -279,6 +279,43 @@ fn double_prefetch_is_idempotent() {
     assert_eq!(vol.stats().prefetches, 1);
 }
 
+/// A second prefetch of a key whose slot is already held returns
+/// `Request::SYNC`, asks the device for nothing, and the one slot serves
+/// the read.
+#[test]
+fn a_duplicate_prefetch_returns_sync_and_reads_nothing() {
+    let device = Arc::new(h5lite::CountingBackend::new(Arc::new(h5lite::MemBackend::new())));
+    let c = Arc::new(Container::create(device.clone()));
+    let vol = AsyncVol::new();
+    let ds = c
+        .create_dataset(
+            h5lite::container::ROOT_ID,
+            "x",
+            h5lite::Datatype::U8,
+            &Dataspace::d1(10),
+            h5lite::Layout::Contiguous,
+        )
+        .unwrap();
+    c.write_selection(ds, &Selection::All, &[1u8; 10]).unwrap();
+    let first = vol.prefetch(&c, ds, &Selection::All);
+    assert!(!first.is_sync(), "the first prefetch is a background read");
+    vol.wait_all().unwrap();
+
+    let reads = |n: h5lite::CallCounts| (n.reads, n.read_batches, n.bytes_read);
+    let before = device.counts();
+    let second = vol.prefetch(&c, ds, &Selection::All);
+    assert_eq!(second, h5lite::Request::SYNC);
+    vol.wait_all().unwrap();
+    assert_eq!(reads(device.counts() - before), (0, 0, 0), "the duplicate read nothing");
+
+    let back = vol.dataset_read(&c, ds, &Selection::All).unwrap();
+    assert!(back.is_ready(), "the one slot is warm");
+    assert_eq!(back.wait().unwrap(), vec![1u8; 10]);
+    assert_eq!(reads(device.counts() - before), (0, 0, 0), "the hit read nothing");
+    let s = vol.stats();
+    assert_eq!((s.prefetches, s.prefetch_hits, s.blocking_reads), (1, 1, 0));
+}
+
 #[test]
 fn works_through_public_file_api() {
     let container = mem_container();

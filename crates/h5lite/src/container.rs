@@ -1107,8 +1107,8 @@ impl Container {
     /// on the device. What orders it
     /// against a sieved [`Container::write_selection`] on the same
     /// dataset is the connector's per-dataset chaining: `AsyncVol`
-    /// settles the dataset's ring entries (`settle_ring_ds`) before any
-    /// degraded or synchronous write to it.
+    /// waits out the dataset's last ring entry, which settles after every
+    /// earlier one, before any degraded or synchronous write to it.
     pub fn plan_write_selection(
         &self,
         id: ObjectId,

@@ -9,7 +9,8 @@
 //!
 //! - **Submission**: [`Ring::submit_keyed`] pushes an owned write (the
 //!   operation plus the promise its waiter holds) onto a per-shard
-//!   submission queue. The hot path is atomics only — no
+//!   submission queue; [`Ring::submit_with`] adds a completion hook to
+//!   the entry before it is queued. The hot path is atomics only — no
 //!   `argolite::sync` (or any other named) lock is ever acquired on
 //!   submit or complete; a `debug-invariants` test asserts this against
 //!   the lock-order recorder's acquisition counter.
@@ -20,12 +21,12 @@
 //!   `write_vectored_at`, so a deeper ring buys fewer, larger device
 //!   requests — small-op throughput scales with queue depth at a fixed
 //!   thread count.
-//! - **Completion**: the reaper fulfils the entry's [`Promise`], which
-//!   resolves the waiting task directly (the TASIO-style task-aware
-//!   sink — there is no completion queue to poll). A failed operation
-//!   travels back *inside* its completion ([`CqeErr`] carries the
-//!   [`RingOp`]), so the waiter can resubmit it — retry policy and
-//!   circuit-breaker semantics stay at the task layer, unchanged.
+//! - **Completion**: the reaper runs the entry's completion hook — the
+//!   connector's settlement: retries, breaker, counters — in the op's
+//!   FIFO position, then fulfils its [`Promise`], which resolves the
+//!   waiting task directly (the TASIO-style task-aware sink — there is
+//!   no completion queue to poll). A failed operation travels back
+//!   *inside* its completion ([`CqeErr`] carries the [`RingOp`]).
 //!
 //! Sharding is by caller-provided key (the connector uses the dataset
 //! id), and each shard is FIFO end to end: same-key writes reach the
@@ -38,6 +39,8 @@
 //! operation straight back to the caller). Either way the memory the
 //! ring holds is bounded by its capacity.
 
+use std::convert::Infallible;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
@@ -122,6 +125,32 @@ impl RingOp {
         let RingOp::Write { segs, .. } = self;
         segs
     }
+
+    /// Append this operation's segments to `iovecs`. A segment outside
+    /// the buffer is an error, not a slice panic: the fields are public,
+    /// and a reaper that panicked would strand its shard's promises.
+    fn push_iovecs<'a>(&'a self, iovecs: &mut Vec<IoVec<'a>>) -> Result<()> {
+        let RingOp::Write { data, segs } = self;
+        for s in segs {
+            let bytes = s
+                .cursor
+                .checked_add(s.len)
+                .and_then(|end| data.get(s.cursor as usize..end as usize))
+                .ok_or_else(|| {
+                    H5Error::InvalidSelection(format!(
+                        "ring write segment at {} of {} bytes lies outside its {}-byte buffer",
+                        s.cursor,
+                        s.len,
+                        data.len()
+                    ))
+                })?;
+            iovecs.push(IoVec {
+                offset: s.addr,
+                data: bytes,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl std::fmt::Debug for RingOp {
@@ -134,9 +163,9 @@ impl std::fmt::Debug for RingOp {
     }
 }
 
-/// Failed completion: the error *and the operation itself*, so the
-/// waiter can resubmit — task-aware retries without the ring ever
-/// knowing the retry policy.
+/// Failed completion: the error *and the operation itself*, so a
+/// submitter without a completion hook can resubmit it. With a hook, the
+/// error is the hook's verdict, its retries spent.
 #[derive(Clone, Debug)]
 pub struct CqeErr {
     /// What the backend reported (identical to the synchronous error —
@@ -162,12 +191,20 @@ impl Completion {
     }
 }
 
-/// Submission-queue entry: the operation plus the promise its
-/// completion fulfils.
+/// A completion hook ([`Ring::submit_with`]): the reaper calls it with the
+/// operation's first outcome and a way to write it again, before it
+/// publishes the promise or takes the next operation. Its return, or its
+/// panic, is the completion's verdict.
+pub type OnComplete =
+    Box<dyn FnOnce(Result<()>, &mut dyn FnMut() -> Result<()>) -> Result<()> + Send>;
+
+/// Submission-queue entry: the operation, the promise its completion
+/// fulfils, and the hook that runs first.
 struct Sqe {
     id: u64,
     op: RingOp,
     promise: Promise<Completion>,
+    on_complete: Option<OnComplete>,
 }
 
 /// Outcome of a submission attempt.
@@ -277,6 +314,31 @@ impl Ring {
     /// order. A full shard blocks the caller or hands the operation
     /// back, per the ring's [`Backpressure`].
     pub fn submit_keyed(&self, key: u64, op: RingOp) -> Submitted {
+        let poll = self.backpressure == Backpressure::Poll;
+        match self.push(key, op, None, |back| if poll { Err(back.op) } else { Ok(back) }) {
+            Ok((id, promise)) => Submitted::Accepted { id, promise },
+            Err(op) => Submitted::Full(op),
+        }
+    }
+
+    /// [`submit_keyed`](Self::submit_keyed) with a completion hook,
+    /// attached before the operation is queued, so it never runs on the
+    /// submitting thread. A full shard blocks whatever the ring's
+    /// [`Backpressure`]: a [`Submitted::Full`] could not hand the hook back.
+    pub fn submit_with(&self, key: u64, op: RingOp, hook: OnComplete) -> Promise<Completion> {
+        let Ok((_, promise)) = self.push(key, op, Some(hook), Ok::<Sqe, Infallible>);
+        promise
+    }
+
+    /// The one push loop. While `key`'s shard is full, `when_full` gives
+    /// the entry back to wait for a slot, or ends the submission (`Err`).
+    fn push<E>(
+        &self,
+        key: u64,
+        op: RingOp,
+        on_complete: Option<OnComplete>,
+        when_full: impl Fn(Sqe) -> std::result::Result<Sqe, E>,
+    ) -> std::result::Result<(u64, Promise<Completion>), E> {
         let shard_idx = (key % self.shared.shards.len() as u64) as usize;
         let shard = &self.shared.shards[shard_idx];
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -285,23 +347,24 @@ impl Ring {
             id,
             op,
             promise: promise.clone(),
+            on_complete,
         };
         self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
         loop {
             match shard.sq.push(sqe) {
                 Ok(()) => {
                     self.unpark(shard_idx);
-                    return Submitted::Accepted { id, promise };
+                    return Ok((id, promise));
                 }
-                Err(back) => match self.backpressure {
-                    Backpressure::Poll => {
-                        self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                        return Submitted::Full(back.op);
-                    }
-                    Backpressure::Block => {
+                Err(back) => match when_full(back) {
+                    Ok(back) => {
                         sqe = back;
                         self.unpark(shard_idx);
                         thread::park_timeout(SUBMIT_BACKOFF);
+                    }
+                    Err(handed_back) => {
+                        self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+                        return Err(handed_back);
                     }
                 },
             }
@@ -395,59 +458,55 @@ fn drain_shard(shared: &RingShared, shard_idx: usize) -> Vec<Sqe> {
 /// bytes, same offsets). Completions are delivered in queue order.
 fn execute_batch(shared: &RingShared, batch: Vec<Sqe>) {
     let backend = shared.backend.as_ref();
-    if batch.len() > 1 && write_run(backend, &batch).is_ok() {
+    if batch.len() > 1 && write_run(backend, batch.iter().map(|sqe| &sqe.op)).is_ok() {
         for sqe in batch {
             complete(shared, sqe, Ok(()));
         }
         return;
     }
     for sqe in batch {
-        let result = write_run(backend, std::slice::from_ref(&sqe));
+        let result = write_run(backend, std::iter::once(&sqe.op));
         complete(shared, sqe, result);
     }
 }
 
-/// Issue `run`'s segments as one vectored write (windowed at
-/// [`COALESCE_WINDOW`] segments). A segment that does not lie inside its
-/// operation's buffer fails the run before anything reaches the backend
-/// — the fields of [`RingOp::Write`] are public, and a reaper that
-/// panicked on a slice index would leave every promise of its shard
-/// unfulfilled for good.
-fn write_run(backend: &dyn StorageBackend, run: &[Sqe]) -> Result<()> {
-    let segments = run.iter().map(|sqe| sqe.op.segs().len()).sum();
-    let mut iovecs: Vec<IoVec<'_>> = Vec::with_capacity(segments);
-    for sqe in run {
-        let RingOp::Write { data, segs } = &sqe.op;
-        for s in segs {
-            let bytes = s
-                .cursor
-                .checked_add(s.len)
-                .and_then(|end| data.get(s.cursor as usize..end as usize))
-                .ok_or_else(|| {
-                    H5Error::InvalidSelection(format!(
-                        "ring write segment at {} of {} bytes lies outside its {}-byte buffer",
-                        s.cursor,
-                        s.len,
-                        data.len()
-                    ))
-                })?;
-            iovecs.push(IoVec {
-                offset: s.addr,
-                data: bytes,
-            });
-        }
+/// The one write body, for a reaper pass and a hook's retry alike: `run`'s
+/// segments as one vectored write (windowed at [`COALESCE_WINDOW`]),
+/// failed before anything reaches the backend if an op is malformed.
+fn write_run<'a>(
+    backend: &dyn StorageBackend,
+    run: impl Iterator<Item = &'a RingOp> + Clone,
+) -> Result<()> {
+    let mut iovecs = Vec::with_capacity(run.clone().map(|op| op.segs().len()).sum());
+    for op in run {
+        op.push_iovecs(&mut iovecs)?;
     }
     iovecs
         .chunks(COALESCE_WINDOW)
         .try_for_each(|window| backend.write_vectored_at(window))
 }
 
-/// Fulfil `sqe`'s promise, then retire it from the in-flight count. A
-/// write that has landed first gives its snapshot buffer back for the
-/// next one (lock-free), so a waiter that wakes finds the buffer already
-/// reusable; a failed one travels back to the waiter inside the error.
+/// Run `sqe`'s completion hook, if any, then fulfil its promise, then
+/// retire it from the in-flight count — so whoever sees the promise, or
+/// an empty ring, sees the hook's work done. A write that has landed
+/// first gives its snapshot buffer back for the next one (lock-free), so
+/// a waiter that wakes finds the buffer already reusable; a failed one
+/// travels back to the waiter inside the error.
 fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>) {
-    let Sqe { id, op, promise } = sqe;
+    let Sqe { id, op, promise, on_complete } = sqe;
+    let result = match on_complete {
+        None => result,
+        // A panicking hook must not kill the reaper, which would strand
+        // every promise of its shard: the panic is the op's error.
+        Some(hook) => {
+            let mut again = || write_run(shared.backend.as_ref(), std::iter::once(&op));
+            panic::catch_unwind(AssertUnwindSafe(|| hook(result, &mut again))).unwrap_or_else(|p| {
+                let msg = p.downcast_ref::<&str>().map(|s| s.to_string());
+                let msg = msg.or_else(|| p.downcast_ref::<String>().cloned()).unwrap_or_default();
+                Err(H5Error::Async(format!("ring completion hook panicked: {msg}")))
+            })
+        }
+    };
     let result = match result {
         Ok(()) => {
             let RingOp::Write { data, .. } = op;
@@ -598,7 +657,8 @@ mod tests {
         }
     }
 
-    /// The order `settle_ring_ds` depends on: same-key writes reach the
+    /// The order the connector's wait on a dataset's last ring write
+    /// depends on: same-key writes reach the
     /// backend in submission order, and promise `i` is fulfilled before
     /// promise `i + 1` is.
     #[test]
@@ -643,6 +703,89 @@ mod tests {
                 "queued ops complete during shutdown"
             );
         }
+    }
+
+    /// The completion hook runs on the reaper, not the submitter, and
+    /// while it runs the op is neither published nor out of the ring's
+    /// occupancy; its verdict is the completion's.
+    #[test]
+    fn a_hook_runs_on_the_reaper_before_the_promise_is_published() {
+        let ring = Ring::new(Arc::new(MemBackend::new()), RingConfig::default());
+        let ran_on = Arc::new(crate::sync::Mutex::new(None));
+        let release = Arc::new(AtomicBool::new(false));
+        let (seen, go) = (ran_on.clone(), release.clone());
+        let p = ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(move |first, _| {
+            *seen.lock() = Some(thread::current().id());
+            while !go.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            first.and(Err(H5Error::Storage("the hook's verdict".into())))
+        }));
+        while ran_on.lock().is_none() {
+            thread::yield_now();
+        }
+        assert_ne!(*ran_on.lock(), Some(thread::current().id()), "the hook ran on the submitter");
+        assert!(!p.is_fulfilled(), "published while the hook runs");
+        assert_eq!(ring.occupancy(), 1, "out of the ring while the hook runs");
+        release.store(true, Ordering::SeqCst);
+        let verdict = p.wait_cloned().into_result();
+        assert!(matches!(verdict, Err(H5Error::Storage(m)) if m == "the hook's verdict"));
+        ring.drain();
+    }
+
+    /// A hook's retry goes through the reaper's own write body and lands
+    /// before the reaper touches the op queued behind it.
+    #[test]
+    fn a_hooks_retry_lands_before_the_next_op() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let calls = Arc::new(crate::sync::Mutex::new(Vec::<u64>::new()));
+        let (open, log) = (gate.clone(), calls.clone());
+        let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+            let Call::Write { segments, .. } = call else { return Ok(()) };
+            while !open.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            let mut log = log.lock();
+            log.push(segments[0].offset);
+            match log.len() {
+                1 => Err(H5Error::Transient("first call".into())),
+                _ => Ok(()),
+            }
+        });
+        let device = Arc::new(device);
+        let ring = Ring::new(device.clone(), RingConfig::default());
+        let a = ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(|first, again| {
+            assert!(first.as_ref().is_err_and(H5Error::is_retryable), "{first:?}");
+            again()
+        }));
+        while device.counts().write_batches == 0 {
+            thread::yield_now();
+        }
+        let b = submit(&ring, 0, RingOp::write_raw(64, vec![2u8; 8]));
+        gate.store(true, Ordering::SeqCst);
+        assert!(a.wait_cloned().result.is_ok(), "the retry landed");
+        assert!(b.wait_cloned().result.is_ok());
+        assert_eq!(*calls.lock(), [0, 0, 64], "A, A's retry, then B");
+    }
+
+    /// A panicking hook must not kill the reaper: its op completes with
+    /// the panic as its error, and the op behind it still lands.
+    #[test]
+    fn a_panicking_hook_is_the_ops_error_not_a_dead_reaper() {
+        let ring = Ring::new(Arc::new(MemBackend::new()), RingConfig::default());
+        let a = ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(|_, _| {
+            panic!("hook panics (expected by the test)")
+        }));
+        let b = submit(&ring, 0, RingOp::write_raw(64, vec![2u8; 8]));
+        assert!(
+            fulfilled_within(&[a.clone(), b.clone()], Duration::from_secs(3)),
+            "a panicking hook left promises unfulfilled: the reaper is dead"
+        );
+        match a.wait_cloned().into_result() {
+            Err(H5Error::Async(m)) => assert!(m.contains("hook panics (expected"), "{m}"),
+            other => panic!("expected the panic as the op's error, got {other:?}"),
+        }
+        assert!(b.wait_cloned().result.is_ok());
     }
 
     /// `RingOp::Write`'s fields are public: a segment reaching past its

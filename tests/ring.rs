@@ -1,18 +1,23 @@
 //! Integration gate for the ring transport: Block backpressure
 //! under a genuinely full ring, the connector's ring path end to end —
-//! fault resubmission from the wait side included (retry and breaker
-//! semantics unchanged) — and a seeded `argolite::explore` sweep over
+//! a faulted write retried by its completion hook on the reaper, under
+//! the connector's retry policy and circuit breaker — the two write
+//! transports side by side as one table (a write settles where it
+//! lands, on either), and a seeded `argolite::explore` sweep over
 //! submit/drain interleavings. Poll backpressure, per-key completion
 //! order and shutdown with operations in flight are `h5lite::ring`'s own
 //! unit tests.
 
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use apio::asyncvol::{AsyncVol, RetryPolicy};
+use apio::asyncvol::{AsyncVol, BreakerConfig, BreakerState, RetryPolicy};
 use apio::h5lite::ring::{Backpressure, Ring, RingConfig, RingOp};
 use apio::h5lite::{
-    container::ROOT_ID, Container, Dataspace, Datatype, FaultInjector, FaultKind, FaultOp,
-    FaultPlan, Hyperslab, Layout, MemBackend, Selection, StorageBackend, ThrottledBackend, Vol,
+    container::ROOT_ID, Call, Container, CountingBackend, Dataspace, Datatype, FaultInjector,
+    FaultKind, FaultOp, FaultPlan, H5Error, Hyperslab, Layout, MemBackend, ObjectId, Request,
+    Selection, StorageBackend, ThrottledBackend, Vol,
 };
 
 #[cfg(feature = "debug-invariants")]
@@ -171,9 +176,10 @@ fn connector_ring_path_roundtrip() {
     );
 }
 
-/// Transient faults under a connector-attached ring come back inside
-/// their completions and are resubmitted from the wait side with the
-/// connector's backoff policy — wait_all succeeds and the data lands.
+/// Transient faults under a connector-attached ring come back to the
+/// write's completion hook, which retries them on the reaper with the
+/// connector's backoff policy before the next op — wait_all succeeds and
+/// the data lands.
 #[test]
 fn connector_ring_path_resubmits_faulted_ops() {
     let plan = FaultPlan::new(9)
@@ -204,10 +210,243 @@ fn connector_ring_path_resubmits_faulted_ops() {
         // Drained collectively by wait_all below.
         let _ = vol.dataset_write(&c, ds, &sel, bytes).expect("submit");
     }
-    vol.wait_all().expect("wait-side resubmission absorbs the faults");
+    vol.wait_all().expect("the completion hook's retries absorb the faults");
     injector.set_armed(false);
     assert!(injector.injected() > 0, "the plan must actually fire");
     assert!(vol.stats().retries > 0, "faulted completions count as retries");
     let back = c.read_selection(ds, &Selection::All).expect("read back");
     assert_eq!(back, expected, "no write lost through the ring path");
+}
+
+/// The connector's two write transports, one row each of the parity
+/// table below.
+#[derive(Clone, Copy, Debug)]
+enum Transport {
+    Ring,
+    Tasks,
+}
+
+/// What the parity device does to a write: hold it at a closed gate,
+/// fail it for good while `dead`, and fail the next `transient_ones`
+/// writes of a payload of `1`s with a transient fault.
+#[derive(Default)]
+struct Script {
+    closed: AtomicBool,
+    dead: AtomicBool,
+    transient_ones: AtomicU32,
+}
+
+/// One connector over a scripted, counted device, with a 64-byte dataset
+/// every write covers whole.
+struct Parity {
+    vol: AsyncVol,
+    c: Arc<Container>,
+    ds: ObjectId,
+    device: Arc<CountingBackend>,
+    script: Arc<Script>,
+}
+
+impl Parity {
+    fn new(transport: Transport, breaker: BreakerConfig) -> Parity {
+        let script = Arc::new(Script::default());
+        let s = script.clone();
+        let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+            let Call::Write { segments, .. } = call else {
+                return Ok(());
+            };
+            while s.closed.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            if s.dead.load(Ordering::SeqCst) {
+                return Err(H5Error::Storage("dead device".into()));
+            }
+            let ones = segments.iter().any(|seg| seg.data.first() == Some(&1));
+            let left = &s.transient_ones;
+            let fault = |n: u32| n.checked_sub(1);
+            if ones && left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, fault).is_ok() {
+                return Err(H5Error::Transient("one transient fault".into()));
+            }
+            Ok(())
+        });
+        let device = Arc::new(device);
+        let backend: Arc<dyn StorageBackend> = device.clone();
+        let c = Arc::new(Container::create(backend.clone()));
+        let ds = c
+            .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(64), Layout::Contiguous)
+            .expect("create dataset");
+        let builder = AsyncVol::builder().breaker(breaker);
+        let vol = match transport {
+            Transport::Ring => builder.ring(Arc::new(Ring::new(backend, RingConfig::default()))),
+            Transport::Tasks => builder,
+        }
+        .build();
+        Parity { vol, c, ds, device, script }
+    }
+
+    /// Issue a write of 64 × `byte` over the whole dataset.
+    fn write(&self, byte: u8) -> apio::h5lite::Result<Request> {
+        self.vol.dataset_write(&self.c, self.ds, &Selection::All, &[byte; 64])
+    }
+
+    /// Write calls the device has been asked, scalar and vectored.
+    fn device_writes(&self) -> u64 {
+        let n = self.device.counts();
+        n.writes + n.write_batches
+    }
+
+    /// Issue a write of `byte` and return once it is inside the device,
+    /// held at the closed gate.
+    fn write_held(&self, byte: u8) -> Request {
+        self.script.closed.store(true, Ordering::SeqCst);
+        let before = self.device_writes();
+        let req = self.write(byte).expect("issue");
+        while self.device_writes() == before {
+            std::thread::yield_now();
+        }
+        req
+    }
+
+    /// Spin until nothing is queued on either transport — every write
+    /// has landed — without waiting on any request.
+    fn landed(&self) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.vol.stats().queued != 0 {
+            assert!(Instant::now() < deadline, "writes still queued after 10 s");
+            std::thread::yield_now();
+        }
+    }
+
+    fn contents(&self) -> Vec<u8> {
+        self.c.read_selection(self.ds, &Selection::All).expect("read back")
+    }
+}
+
+impl Drop for Parity {
+    /// A cell that fails with the gate closed must not leave its writes
+    /// parked in the device while the connector joins its threads.
+    fn drop(&mut self) {
+        self.script.closed.store(false, Ordering::SeqCst);
+    }
+}
+
+/// Write A (64 × `1`) is inside the device when B (64 × `2`, the same
+/// bytes) is issued; A then fails once with a transient fault. B was
+/// issued last, so after `finish` B's bytes must be what the dataset
+/// holds: A's retry has to land before B does, not behind it.
+fn lost_update(t: Transport, finish: fn(&Parity, Request, Request) -> Vec<u8>) {
+    let p = Parity::new(t, BreakerConfig::default());
+    p.script.transient_ones.store(1, Ordering::SeqCst);
+    let a = p.write_held(1);
+    let b = p.write(2).expect("issue B");
+    p.script.closed.store(false, Ordering::SeqCst);
+    assert_eq!(finish(&p, a, b), vec![2u8; 64], "{t:?}: A's retry overwrote the later B");
+    assert_eq!(p.script.transient_ones.load(Ordering::SeqCst), 0, "the fault fired");
+}
+
+fn lost_update_wait_all(t: Transport) {
+    lost_update(t, |p, _, _| {
+        p.vol.wait_all().expect("A is retried, B lands");
+        p.contents()
+    });
+}
+
+fn lost_update_waits_in_reverse(t: Transport) {
+    lost_update(t, |p, a, b| {
+        p.vol.wait(b).expect("B lands");
+        p.vol.wait(a).expect("A is retried");
+        p.contents()
+    });
+}
+
+fn lost_update_read_after_write(t: Transport) {
+    lost_update(t, |p, _, _| {
+        let back = p.vol.dataset_read(&p.c, p.ds, &Selection::All).expect("read");
+        let back = back.wait().expect("read data arrives");
+        p.vol.wait_all().expect("A is retried, B lands");
+        back
+    });
+}
+
+/// Two failures on a dead device open a `failure_threshold: 2` breaker as
+/// they land, with no wait; the next write then runs degraded, on the
+/// caller's thread, and fails at issue.
+fn dead_device_trips_the_breaker(t: Transport) {
+    let p = Parity::new(t, BreakerConfig { failure_threshold: 2, probe_after: 100 });
+    p.script.dead.store(true, Ordering::SeqCst);
+    for byte in [1, 2] {
+        // Held, and reported, by wait_all below.
+        let _ = p.write(byte).expect("issued while the breaker is closed");
+    }
+    p.landed();
+    let state = p.vol.breaker_state();
+    assert_eq!(state, BreakerState::Open, "{t:?}: the breaker missed two landed failures");
+    assert!(p.write(3).is_err(), "{t:?}: a degraded write on a dead device fails at issue");
+    let err = p.vol.wait_all().expect_err("both background failures are held").to_string();
+    assert!(err.contains("2 background operation(s) failed"), "{err}");
+}
+
+/// A half-open probe that lands on a healed device closes the breaker as
+/// it lands, with no wait: the next write is a background one again.
+fn healed_probe_closes_the_breaker(t: Transport) {
+    let p = Parity::new(t, BreakerConfig { failure_threshold: 1, probe_after: 1 });
+    p.script.dead.store(true, Ordering::SeqCst);
+    let req = p.write(1).expect("issue");
+    assert!(p.vol.wait(req).is_err(), "the dead device fails the write");
+    assert_eq!(p.vol.breaker_state(), BreakerState::Open);
+    p.script.dead.store(false, Ordering::SeqCst);
+    let probe = p.write(2).expect("the probe");
+    assert!(!probe.is_sync(), "the probe runs in the background");
+    p.landed();
+    let state = p.vol.breaker_state();
+    assert_eq!(state, BreakerState::Closed, "{t:?}: the landed probe did not close the breaker");
+    let next = p.write(3).expect("issue");
+    assert!(!next.is_sync(), "{t:?}: the write after the probe ran degraded");
+    p.vol.wait_all().expect("every write lands");
+    assert_eq!(p.vol.stats().degraded_writes, 0);
+    assert_eq!(p.contents(), vec![3u8; 64]);
+}
+
+/// `stats().writes` counts a write when it lands, not when it is waited
+/// for: zero while the write is held in the device, one once it has
+/// landed, and the wait adds nothing.
+fn a_write_counts_once_it_has_landed(t: Transport) {
+    let p = Parity::new(t, BreakerConfig::default());
+    let req = p.write_held(1);
+    assert_eq!(p.vol.stats().writes, 0, "{t:?}: counted before it landed");
+    p.script.closed.store(false, Ordering::SeqCst);
+    p.landed();
+    assert_eq!(p.vol.stats().writes, 1, "{t:?}: a landed write is not counted until its wait");
+    p.vol.wait(req).expect("the write landed");
+    assert_eq!(p.vol.stats().writes, 1, "the wait counts nothing more");
+}
+
+/// One parity case, run once per transport.
+type Case = fn(Transport);
+
+/// Transport parity, as one table: every case is one row per transport,
+/// and each must hold on both — a write's retry, breaker outcome and
+/// counters happen when it lands, on the thread that landed it. Every
+/// cell runs, and the table is printed, before the verdict.
+#[test]
+fn both_transports_settle_a_write_where_it_lands() {
+    let cases: [(&str, Case); 6] = [
+        ("lost update: wait_all", lost_update_wait_all),
+        ("lost update: wait(B) then wait(A)", lost_update_waits_in_reverse),
+        ("lost update: read after write", lost_update_read_after_write),
+        ("dead device trips the breaker before any wait", dead_device_trips_the_breaker),
+        ("healed probe closes the breaker before any wait", healed_probe_closes_the_breaker),
+        ("stats().writes counts a write once it has landed", a_write_counts_once_it_has_landed),
+    ];
+    let mut failed = Vec::new();
+    for (name, case) in cases {
+        for t in [Transport::Ring, Transport::Tasks] {
+            let ok = std::panic::catch_unwind(|| case(t)).is_ok();
+            let row = format!("{t:?}");
+            eprintln!("parity | {name:<48} | {row:<5} | {}", if ok { "ok" } else { "FAILED" });
+            if !ok {
+                failed.push(format!("{name} [{t:?}]"));
+            }
+        }
+    }
+    assert!(failed.is_empty(), "transport parity cells failed: {failed:?}");
 }

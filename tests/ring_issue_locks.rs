@@ -1,8 +1,10 @@
-//! What a ring write locks on the issuing thread (ISSUE 16, constraint
-//! 5): the per-thread count of named-lock acquisitions across 64
-//! `dataset_write` calls, with no wait in between, pinned to its exact
-//! per-call value. The counter is per thread, so the reaper and other
-//! tests in the process cannot move it.
+//! What a ring write locks: the per-thread count of named-lock
+//! acquisitions across 64 `dataset_write` calls, with no wait in
+//! between, pinned to its exact per-call value on the issuing thread —
+//! the reaper cannot move that counter — and the process-wide count
+//! across the whole run, the reaper's settlement and the closing
+//! `wait_all` included. The process-wide counter is shared by every
+//! thread in the binary, so both live in this file's one test.
 
 #![cfg(feature = "debug-invariants")]
 
@@ -18,13 +20,29 @@ use apio::h5lite::{
 
 /// Named-lock acquisitions per ring write on the issuing thread:
 /// `asyncvol.tenants` (register the container), `asyncvol.breaker`
-/// (route), `asyncvol.conn` (table insert + FIFO push), and the one
-/// metadata-shard read lock `plan_write_selection` takes in h5lite
-/// (forwarded through `order_hook`). Before the depth governor was
+/// (route), `asyncvol.conn` (table insert, and the dataset's last ring
+/// completion), and the one metadata-shard read lock
+/// `plan_write_selection` takes in h5lite (forwarded through
+/// `order_hook`). Before the depth governor was
 /// removed the same call took 6: these four plus the runtime's stream
 /// list and `argolite.pool` inside `Runtime::grow_streams`.
 const LOCKS_PER_RING_WRITE: u64 = 4;
 
+/// Named-lock acquisitions per ring write on the reaper: one
+/// `asyncvol.breaker`, where the completion hook's `settle` records the
+/// landed write's outcome. The ring itself takes none
+/// (`tests/ring_lockfree.rs`).
+const LOCKS_PER_RING_SETTLE: u64 = 1;
+
+/// Named-lock acquisitions of the `wait_all` after the writes:
+/// `asyncvol.conn` (drain the request table) and `asyncvol.tenants`
+/// (publish the settled container). Every write has settled on the
+/// reaper by then or settles there meanwhile; the waits on the ring
+/// completions themselves take no named lock.
+const LOCKS_PER_WAIT_ALL: u64 = 2;
+
+/// Across the run, 64 × (4 + 1) + 2 = 322 acquisitions: 256 on the
+/// issuing thread, 64 on the reaper, 2 in `wait_all`.
 #[test]
 fn a_ring_write_takes_a_pinned_number_of_locks_on_the_issuing_thread() {
     const WRITES: u64 = 64;
@@ -45,9 +63,11 @@ fn a_ring_write_takes_a_pinned_number_of_locks_on_the_issuing_thread() {
     let sel = |w: u64| Selection::Slab(Hyperslab::range1(w * SLAB, SLAB));
     let data = vec![7u8; SLAB as usize];
     // Warm-up write: the first call allocates the dataset's extent and
-    // registers the tenant.
-    let _ = vol.dataset_write(&c, ds, &sel(WRITES), &data).expect("warm-up");
+    // registers the tenant. It settles before the counting starts.
+    let warm = vol.dataset_write(&c, ds, &sel(WRITES), &data).expect("warm-up");
+    vol.wait(warm).expect("warm-up lands");
 
+    let before_all = lock_order::total_acquire_count();
     let before = lock_order::acquire_count();
     for w in 0..WRITES {
         // Drained collectively by wait_all below.
@@ -60,4 +80,10 @@ fn a_ring_write_takes_a_pinned_number_of_locks_on_the_issuing_thread() {
         "{taken} named-lock acquisitions across {WRITES} ring writes"
     );
     vol.wait_all().expect("every write lands");
+    let all = lock_order::total_acquire_count() - before_all;
+    assert_eq!(
+        all,
+        WRITES * (LOCKS_PER_RING_WRITE + LOCKS_PER_RING_SETTLE) + LOCKS_PER_WAIT_ALL,
+        "{all} named-lock acquisitions on every thread across {WRITES} ring writes and wait_all"
+    );
 }
