@@ -66,12 +66,15 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #   ring              Block backpressure, the connector's ring path and
 #                     its fault retries on the reaper, the transport-parity
 #                     table (a write settles where it lands, ring and
-#                     tasks alike); the explore sweep needs the
-#                     feature (Poll backpressure, per-key order and
-#                     shutdown are h5lite::ring's unit tests, run above)
+#                     tasks alike; two containers on one connector keep
+#                     their own bytes, prefetch slots and order); the
+#                     explore sweep needs the feature (Poll backpressure,
+#                     per-key order and shutdown are h5lite::ring's unit
+#                     tests, run above)
 #   ring_lockfree     submit/complete takes zero argolite::sync locks,
 #                     reaper threads included
 #   ring_issue_locks  what a connector ring write locks on the issuer
+#                     (3 named locks), on the reaper (1) and in wait_all (1)
 #   one_copy          buffer ownership, recycling, stale bytes; seeded
 #                     take/give schedule sweep
 #   sieve             per-run equivalence, gate, faults, stale bytes, op

@@ -33,6 +33,10 @@
 //! - **Synchronization** mirrors the HDF5 async VOL's event sets:
 //!   [`h5lite::Vol::wait`] on one request token, or
 //!   [`h5lite::Vol::wait_all`] to drain the connector.
+//! - **Tenants**: one connector serves many containers, and an
+//!   [`ObjectId`] is unique only within one, so what the connector keeps
+//!   about a dataset (its order, its prefetch slots) is one record per
+//!   (container, dataset). A ring takes only its own backend's writes.
 //! - **Coalescing**: every background data path — the write stream, the
 //!   staged read-back, prefetch, cold reads, and WAL recovery replay —
 //!   lands selections through the container's I/O planner
@@ -157,9 +161,10 @@ impl AsyncVolBuilder {
     /// connector's [`RetryPolicy`], and the circuit breaker and counters
     /// see the outcome at once.
     ///
-    /// The ring must wrap the **same backend** the container uses;
-    /// device staging bypasses the ring (the WAL already decouples the
-    /// caller from the device).
+    /// The ring writes to the backend it wraps, so only containers on
+    /// that backend (the same object, checked at every write) use it: a
+    /// DRAM write from any other container takes the task transport, as
+    /// device-staged writes do (the WAL decouples them from the device).
     pub fn ring(mut self, ring: Arc<Ring>) -> Self {
         self.ring = Some(ring);
         self
@@ -219,8 +224,7 @@ impl AsyncVolBuilder {
             inner: Mutex::new_named("asyncvol.conn", ConnInner {
                 next_req: 1,
                 requests: HashMap::new(),
-                order: HashMap::new(),
-                prefetched: HashMap::new(),
+                tenants: Vec::new(),
                 stale_prefetches: Vec::new(),
             }),
             sh: Arc::new(Shared {
@@ -228,7 +232,6 @@ impl AsyncVolBuilder {
                 retry: self.retry,
                 breaker: CircuitBreaker::new(self.breaker),
             }),
-            tenants: Mutex::new_named("asyncvol.tenants", Vec::new()),
         }
     }
 }
@@ -274,62 +277,120 @@ impl Flight {
     }
 }
 
-/// Per-dataset ordering. Every task on the dataset (write or prefetch)
-/// depends on `last_task`, a total order covering WAW, RAW and WAR. Ring
-/// writes are ordered by the ring's per-key FIFO and settle in it, so the
-/// dataset's last ring completion, `last_ring`, implies every earlier one.
+/// A dataset's last ring write and last task. Each implies every earlier
+/// one of its kind: same-key ring writes settle in the ring's FIFO, and
+/// every task on the dataset (write or prefetch) depends on the one
+/// before, a total order covering WAW, RAW and WAR.
+#[derive(Clone, Default)]
+struct Last {
+    ring: Option<Promise<Completion>>,
+    task: Option<TaskHandle>,
+}
+
+impl Last {
+    /// Block until both have settled: what a cold read or a degraded
+    /// write waits out, once cloned in a section it takes anyway.
+    fn wait(self) -> Result<()> {
+        if let Some(ring) = self.ring {
+            ring.wait_with(|_| ());
+        }
+        let Some(task) = self.task else { return Ok(()) };
+        task.wait().map_err(|p| H5Error::Async(format!("dependency panicked: {}", p.message)))
+    }
+}
+
+/// Everything the connector keeps about one dataset of one container.
 #[derive(Default)]
 struct DsOrder {
-    last_task: Option<TaskHandle>,
-    last_ring: Option<Promise<Completion>>,
+    last: Last,
+    /// Completed or in-flight prefetches, by selection.
+    prefetched: HashMap<Selection, PrefetchSlot>,
 }
 
 impl DsOrder {
-    /// Whether a write or prefetch on the dataset is still in flight.
-    fn pending(&self) -> bool {
-        self.last_task.as_ref().is_some_and(|h| !h.is_terminal())
-            || self.last_ring.as_ref().is_some_and(|p| !p.is_fulfilled())
+    /// Whether a write or prefetch is in flight, or a slot is held.
+    fn busy(&self) -> bool {
+        self.last.task.as_ref().is_some_and(|h| !h.is_terminal())
+            || self.last.ring.as_ref().is_some_and(|p| !p.is_fulfilled())
+            || !self.prefetched.is_empty()
     }
+}
+
+/// One container the connector serves, weakly held (the connector must
+/// not keep a closed file alive), with its datasets' records.
+struct Tenant {
+    container: Weak<Container>,
+    datasets: HashMap<ObjectId, DsOrder>,
+}
+
+/// `c`'s record of `ds`, made on first use. `c` becomes a tenant at its
+/// first write or prefetch; the records of closed containers go then.
+fn record<'a>(tenants: &'a mut Vec<Tenant>, c: &Arc<Container>, ds: ObjectId) -> &'a mut DsOrder {
+    let at = match tenants.iter().position(|t| t.container.as_ptr() == Arc::as_ptr(c)) {
+        Some(at) => at,
+        None => {
+            tenants.retain(|t| t.container.strong_count() > 0);
+            tenants.push(Tenant { container: Arc::downgrade(c), datasets: HashMap::new() });
+            tenants.len() - 1
+        }
+    };
+    tenants[at].datasets.entry(ds).or_default()
 }
 
 struct ConnInner {
     next_req: u64,
     /// Every request that has not been reported to its caller yet.
     requests: HashMap<u64, Flight>,
-    order: HashMap<ObjectId, DsOrder>,
-    /// Completed or in-flight prefetches keyed by (dataset, selection).
-    prefetched: HashMap<(ObjectId, Selection), PrefetchSlot>,
+    /// One record per container, each keyed by dataset within it.
+    tenants: Vec<Tenant>,
     /// Tasks of slots a later write made stale: nobody reads what they
     /// fetch, but `wait_all` still joins them.
     stale_prefetches: Vec<TaskHandle>,
 }
 
 impl ConnInner {
-    /// Drop `ds`'s prefetch slots, because a write to `ds` is being
-    /// issued: what they fetched (or are fetching) predates it, so the
-    /// next read of `ds` must be a cold one, ordered after the write.
-    /// Free when no prefetch is held, which is every write-only run.
-    fn drop_prefetched(&mut self, ds: ObjectId) {
-        if self.prefetched.is_empty() {
-            return;
-        }
-        self.stale_prefetches.retain(|h| !h.is_terminal());
-        let stale = self.prefetched.extract_if(|(d, _), _| *d == ds);
-        self.stale_prefetches.extend(stale.map(|(_, slot)| slot.handle));
+    /// `c`'s record of `ds`, if it has one.
+    fn find(&mut self, c: &Arc<Container>, ds: ObjectId) -> Option<&mut DsOrder> {
+        let tenant = self.tenants.iter_mut().find(|t| t.container.as_ptr() == Arc::as_ptr(c))?;
+        tenant.datasets.get_mut(&ds)
     }
 
-    /// Once the table or the ordering map holds more than
+    /// `c`'s record of `ds` with its prefetch slots dropped, because a
+    /// write to `ds` is being issued: what they fetched (or are
+    /// fetching) predates it, so the next read of `ds` must be a cold
+    /// one, ordered after the write.
+    fn written(&mut self, c: &Arc<Container>, ds: ObjectId) -> &mut DsOrder {
+        let order = record(&mut self.tenants, c, ds);
+        if !order.prefetched.is_empty() {
+            self.stale_prefetches.retain(|h| !h.is_terminal());
+            self.stale_prefetches.extend(order.prefetched.drain().map(|(_, slot)| slot.handle));
+        }
+        order
+    }
+
+    /// Once the table or the dataset records hold more than
     /// [`PENDING_GC_THRESHOLD`] entries, drop every request that settled
-    /// clean and every ordering record with nothing in flight, so a
-    /// producer that never waits per request grows neither without
-    /// bound. A failed request stays for its `wait` or `wait_all` to
-    /// report. Nothing here blocks: only finished requests are looked at.
+    /// clean and every record with nothing left in it, so a producer
+    /// that never waits per request grows neither without bound. A
+    /// failed request stays for its `wait` or `wait_all` to report.
+    /// Nothing here blocks: only finished requests are looked at.
     fn drop_settled(&mut self) {
-        if self.requests.len().max(self.order.len()) <= PENDING_GC_THRESHOLD {
+        let records: usize = self.tenants.iter().map(|t| t.datasets.len()).sum();
+        if self.requests.len().max(records) <= PENDING_GC_THRESHOLD {
             return;
         }
         self.requests.retain(|_, flight| !flight.finished() || flight.failure().is_some());
-        self.order.retain(|_, o| o.pending());
+        for t in &mut self.tenants {
+            t.datasets.retain(|_, o| o.busy());
+        }
+    }
+
+    /// The containers still open, for `wait` and `wait_all` to publish
+    /// once the lock is released; the records of closed ones go.
+    fn open_tenants(&mut self) -> Vec<Arc<Container>> {
+        let mut open = Vec::with_capacity(self.tenants.len());
+        self.tenants.retain(|t| t.container.upgrade().map(|c| open.push(c)).is_some());
+        open
     }
 }
 
@@ -410,12 +471,6 @@ pub struct AsyncVol {
     inner: Mutex<ConnInner>,
     sh: Arc<Shared>,
     staging: Staging,
-    /// Containers this connector has written to, weakly held (the
-    /// connector must not keep a closed file alive). Settlement
-    /// (`wait`/`wait_all`) forwards to every live tenant's
-    /// [`Container::publish_settled`] — the session model's
-    /// visibility boundary.
-    tenants: Mutex<Vec<Weak<Container>>>,
 }
 
 impl AsyncVol {
@@ -515,64 +570,13 @@ impl AsyncVol {
         }
     }
 
-    /// Remember `c` as a tenant of this connector (idempotent per
-    /// container identity). Called on every write issue; the list is
-    /// weak and self-pruning, so a dropped container costs one retain
-    /// pass, never a leak.
-    fn register_tenant(&self, c: &Arc<Container>) {
-        let mut tenants = self.tenants.lock();
-        tenants.retain(|w| w.strong_count() > 0);
-        if !tenants.iter().any(|w| w.as_ptr() == Arc::as_ptr(c)) {
-            tenants.push(Arc::downgrade(c));
-        }
-    }
-
-    /// Settlement is a publication point: under
-    /// [`ConsistencyModel::Session`](h5lite::ConsistencyModel) the
-    /// working metadata of every tenant becomes the published view the
-    /// moment its requests settle. A no-op under the strong model
-    /// (already published at mutation) and the commit model (waits for
-    /// flush). The tenant list is cloned out first so no connector lock
-    /// is held across the containers' shard acquisitions.
-    fn publish_settled_tenants(&self) {
-        let tenants: Vec<Weak<Container>> = {
-            let mut t = self.tenants.lock();
-            t.retain(|w| w.strong_count() > 0);
-            t.clone()
-        };
-        for w in tenants {
-            if let Some(c) = w.upgrade() {
-                c.publish_settled();
-            }
-        }
-    }
-
-    /// Wait out the last ring write on `ds`: same-key completions settle
-    /// in submission order, so every earlier one has settled too. The
-    /// ring path's RAW/WAR ordering for reads, prefetches, and degraded
-    /// writes.
-    fn wait_last_ring(&self, ds: ObjectId) {
-        if self.ring.is_none() {
-            return;
-        }
-        let last = { self.inner.lock().order.get(&ds).and_then(|o| o.last_ring.clone()) };
-        if let Some(last) = last {
-            last.wait_with(|_| ());
-        }
-    }
-
-    /// Wait out the last task scheduled on `ds`, which every earlier
-    /// task on the dataset precedes.
-    fn wait_last_task(&self, ds: ObjectId) -> Result<()> {
-        let dep = { self.inner.lock().order.get(&ds).and_then(|o| o.last_task.clone()) };
-        let Some(dep) = dep else { return Ok(()) };
-        dep.wait()
-            .map_err(|p| H5Error::Async(format!("dependency panicked: {}", p.message)))
-    }
-
-    /// Schedule a background read of `(ds, sel)` so a later `dataset_read`
-    /// with the same key completes without blocking. Returns the request
-    /// token of the background read.
+    /// Schedule a background read of `(c, ds, sel)` so a later
+    /// `dataset_read` with the same key completes without blocking.
+    ///
+    /// The returned token names the background read but is not in the
+    /// request table, so [`Vol::wait`] on it returns at once. The read's
+    /// outcome reaches the caller through the `dataset_read` that takes
+    /// the slot, and [`Vol::wait_all`] joins the read.
     ///
     /// Prefetching a key whose slot is already held is a no-op returning
     /// [`Request::SYNC`]: no second read is issued, and the one slot
@@ -580,18 +584,22 @@ impl AsyncVol {
     pub fn prefetch(&self, c: &Arc<Container>, ds: ObjectId, sel: &Selection) -> Request {
         // Ring writes are not task handles, so the dependency list below
         // cannot order the background read after them — wait them out.
-        self.wait_last_ring(ds);
-        let mut inner = self.inner.lock();
-        let key = (ds, sel.clone());
-        if inner.prefetched.contains_key(&key) {
+        let last_ring =
+            self.ring.as_ref().and_then(|_| self.inner.lock().find(c, ds)?.last.ring.clone());
+        if let Some(last_ring) = last_ring {
+            last_ring.wait_with(|_| ());
+        }
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let order = record(&mut inner.tenants, c, ds);
+        if order.prefetched.contains_key(sel) {
             return Request::SYNC;
         }
         let req = inner.next_req;
         inner.next_req += 1;
 
         let promise: Promise<Result<ReadPayload>> = Promise::new();
-        let order = inner.order.entry(ds).or_default();
-        let deps: Vec<TaskHandle> = order.last_task.iter().cloned().collect();
+        let deps: Vec<TaskHandle> = order.last.task.iter().cloned().collect();
 
         let c = c.clone();
         let sel_task = sel.clone();
@@ -623,26 +631,30 @@ impl AsyncVol {
             sh.stats.record_queue_completed();
         });
 
-        order.last_task = Some(handle.clone());
-        inner.prefetched.insert(key, PrefetchSlot { promise, handle });
+        order.last.task = Some(handle.clone());
+        order.prefetched.insert(sel.clone(), PrefetchSlot { promise, handle });
         Request(req)
     }
 
     /// Enter one request in the table: under the connector lock, assign
     /// its id and let `launch` put it in flight and note it in the
-    /// dataset's ordering record, so per-dataset order is request order
-    /// (the ring's per-key FIFO, the task dependency chain). Neither the
+    /// dataset's record, so per-dataset order is request order (the
+    /// ring's per-key FIFO, the task dependency chain). Neither the
     /// reaper, nor a completion hook, nor a task ever takes this lock, so
     /// a full-ring block inside `launch` still makes progress. Every
-    /// request admitted is a write, so `ds`'s prefetch slots go stale
-    /// here.
-    fn admit(&self, ds: ObjectId, launch: impl FnOnce(u64, &mut DsOrder) -> Flight) -> Request {
+    /// request admitted is a write, so `c` becomes a tenant here if it
+    /// is not one yet, and the dataset's prefetch slots go stale.
+    fn admit(
+        &self,
+        c: &Arc<Container>,
+        ds: ObjectId,
+        launch: impl FnOnce(u64, &mut Last) -> Flight,
+    ) -> Request {
         let mut inner = self.inner.lock();
-        inner.drop_prefetched(ds);
         inner.drop_settled();
         let req = inner.next_req;
         inner.next_req += 1;
-        let flight = launch(req, inner.order.entry(ds).or_default());
+        let flight = launch(req, &mut inner.written(c, ds).last);
         inner.requests.insert(req, flight);
         Request(req)
     }
@@ -668,9 +680,6 @@ impl AsyncVol {
                 bytes,
             },
         );
-        // Registered before routing so every regime (ring, staged,
-        // degraded) publishes at this connector's settlement points.
-        self.register_tenant(c);
         // The circuit breaker decides the regime first: degraded issues
         // run synchronously on the caller's thread and are acknowledged
         // only once durable. A dispatched probe must always resolve: the
@@ -721,11 +730,12 @@ impl AsyncVol {
     }
 
     /// Put a staged write in flight on one of the two transports: a ring
-    /// entry (DESIGN.md §14) when a ring is attached and the snapshot is
-    /// in DRAM, else a task ordered after the dataset's last one. Device
-    /// staging keeps the task transport: the reaper executes raw segments
-    /// and cannot read a snapshot back from the log. `t0` is when the
-    /// snapshot began, so the recorded overhead covers copy and plan.
+    /// entry (DESIGN.md §14) when the snapshot is in DRAM and the attached
+    /// ring wraps the container's own backend, else a task ordered after
+    /// the dataset's last one (the reaper executes raw segments and cannot
+    /// read a snapshot back from the WAL). So one dataset's writes are all
+    /// ring entries or all tasks, and the ring key stays the dataset id.
+    /// `t0` is when the snapshot began: the overhead covers copy and plan.
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
@@ -738,7 +748,8 @@ impl AsyncVol {
         t0: Instant,
     ) -> Result<Request> {
         let stats = &self.sh.stats;
-        match (&self.ring, payload) {
+        let ring = self.ring.as_ref().filter(|ring| ring.wraps(&*c.backend()));
+        match (ring, payload) {
             (Some(ring), Payload::Dram(data)) => {
                 // Metadata-only planning on the caller's thread; the data
                 // path (the vectored writes) runs on the reaper, which
@@ -753,7 +764,7 @@ impl AsyncVol {
                 let overhead_secs = t0.elapsed().as_secs_f64();
                 stats.record_snapshot(bytes, overhead_secs);
                 let sh = self.sh.clone();
-                Ok(self.admit(ds, |req, order| {
+                Ok(self.admit(c, ds, |req, last| {
                     let since = Instant::now();
                     // Settled on the reaper the moment the write lands,
                     // before the next op on the shard: a retry lands in
@@ -769,18 +780,18 @@ impl AsyncVol {
                         sh.settle(outcome, probe, Some(Ran { degraded: false, bytes, since }))
                     });
                     let done = ring.submit_with(ds, RingOp::Write { data, segs }, settle);
-                    order.last_ring = Some(done.clone());
+                    last.ring = Some(done.clone());
                     Flight::Ring(done)
                 }))
             }
             (_, payload) => {
                 let overhead_secs = t0.elapsed().as_secs_f64();
                 stats.record_snapshot(bytes, overhead_secs);
-                let (c, sel, sh) = (c.clone(), sel.clone(), self.sh.clone());
-                Ok(self.admit(ds, |req, order| {
+                let (tenant, sel, sh) = (c.clone(), sel.clone(), self.sh.clone());
+                Ok(self.admit(c, ds, |req, last| {
                     let error: ErrorCell = Arc::new(Mutex::new_named("asyncvol.error_cell", None));
                     let stow = error.clone();
-                    let deps: Vec<TaskHandle> = order.last_task.iter().cloned().collect();
+                    let deps: Vec<TaskHandle> = last.task.iter().cloned().collect();
                     sh.stats.record_queue_submitted();
                     let handle = self.rt.spawn_dependent(&deps, move || {
                         let _exec_span = sh.stats.tracer().span_with(
@@ -792,7 +803,7 @@ impl AsyncVol {
                             },
                         );
                         let since = Instant::now();
-                        let outcome = sh.land(&c, ds, &sel, payload, req, since);
+                        let outcome = sh.land(&tenant, ds, &sel, payload, req, since);
                         let ran = Ran { degraded: false, bytes, since };
                         // Settled the moment the write lands, not when
                         // somebody waits: the breaker counts consecutive
@@ -802,7 +813,7 @@ impl AsyncVol {
                         }
                         sh.stats.record_queue_completed();
                     });
-                    order.last_task = Some(handle.clone());
+                    last.task = Some(handle.clone());
                     Flight::Task { handle, error }
                 }))
             }
@@ -835,15 +846,13 @@ impl AsyncVol {
             .stats
             .tracer()
             .instant("degrade", Event::Degrade { dataset: ds, bytes });
-        self.wait_last_ring(ds); // order after any in-flight ring writes
-        let salt = {
+        let (salt, last) = {
             let mut inner = self.inner.lock();
-            inner.drop_prefetched(ds);
             let salt = inner.next_req;
             inner.next_req += 1; // consumed as jitter salt only
-            salt
+            (salt, inner.written(c, ds).last.clone())
         };
-        if let Err(e) = self.wait_last_task(ds) {
+        if let Err(e) = last.wait() {
             recycle::give(data);
             return Err(e);
         }
@@ -899,23 +908,24 @@ impl Vol for AsyncVol {
         ds: ObjectId,
         sel: &Selection,
     ) -> Result<ReadRequest> {
-        // Serve from the prefetch slot when warm.
-        {
-            let mut inner = self.inner.lock();
-            let key = (ds, sel.clone());
-            if let Some(slot) = inner.prefetched.remove(&key) {
-                self.sh.stats.record_prefetch_hit();
-                return Ok(ReadRequest::pending(slot.promise));
-            }
-        }
+        // Serve from the prefetch slot when warm; else note, in the same
+        // section, what is in flight on the dataset.
+        let last = match self.inner.lock().find(c, ds) {
+            Some(order) => match order.prefetched.remove(sel) {
+                Some(slot) => {
+                    self.sh.stats.record_prefetch_hit();
+                    return Ok(ReadRequest::pending(slot.promise));
+                }
+                None => order.last.clone(),
+            },
+            None => Last::default(),
+        };
 
-        // Cold read: block on any outstanding op on this dataset (RAW
-        // ordering), then read on the calling thread — the first-time-step
-        // behaviour of the paper's connector. Ring writes order the same
-        // way: wait them out before reading.
-        self.wait_last_ring(ds);
+        // Cold read: block on the dataset's last ring write and last task
+        // (RAW ordering), then read on the calling thread — the
+        // first-time-step behaviour of the paper's connector.
         let mut read_span = self.sh.stats.tracer().span("vol.read");
-        self.wait_last_task(ds)?;
+        last.wait()?;
         let t0 = Instant::now();
         let salt = ds.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let result = with_backoff(&self.sh.retry, salt, t0, &self.sh.stats, || {
@@ -934,42 +944,30 @@ impl Vol for AsyncVol {
     }
 
     fn wait(&self, req: Request) -> Result<()> {
-        let result = self.wait_inner(req);
+        // Not in the table: a sync request, one waited for before, or
+        // one dropped clean by `drop_settled`. Each failure is surfaced
+        // exactly once.
+        let (flight, tenants) = {
+            let mut inner = self.inner.lock();
+            (inner.requests.remove(&req.0), inner.open_tenants())
+        };
+        let failure = flight.and_then(|f| f.failure());
         // Request settlement is the session model's publication point —
         // even for sync (degraded-path) requests, which settled on issue.
-        self.publish_settled_tenants();
-        result
+        tenants.iter().for_each(|c| c.publish_settled());
+        failure.map_or(Ok(()), |msg| Err(H5Error::Async(msg)))
     }
 
     fn wait_all(&self) -> Result<()> {
-        let result = self.wait_all_inner();
-        self.publish_settled_tenants();
-        result
-    }
-}
-
-impl AsyncVol {
-    fn wait_inner(&self, req: Request) -> Result<()> {
-        if req.is_sync() {
-            return Ok(());
-        }
-        // Not in the table: waited for before, or dropped clean by
-        // `drop_settled`. Each failure is surfaced exactly once.
-        let Some(flight) = self.inner.lock().requests.remove(&req.0) else {
-            return Ok(());
-        };
-        flight.failure().map_or(Ok(()), |msg| Err(H5Error::Async(msg)))
-    }
-
-    fn wait_all_inner(&self) -> Result<()> {
-        // Drain the request table and any in-flight prefetches.
-        let (mut flights, prefetch_handles) = {
+        // Drain the request table and the in-flight prefetches, and note
+        // the open tenants, in one section.
+        let (mut flights, prefetches, tenants) = {
             let mut inner = self.inner.lock();
-            inner.order.retain(|_, o| o.pending());
-            let flights: Vec<(u64, Flight)> = inner.requests.drain().collect();
+            let tenants = inner.open_tenants();
             let mut pf = std::mem::take(&mut inner.stale_prefetches);
-            pf.extend(inner.prefetched.values().map(|s| s.handle.clone()));
-            (flights, pf)
+            let records = inner.tenants.iter().flat_map(|t| t.datasets.values());
+            pf.extend(records.flat_map(|o| o.prefetched.values()).map(|s| s.handle.clone()));
+            (inner.requests.drain().collect::<Vec<_>>(), pf, tenants)
         };
         // Request order, not map order: the report must not depend on the
         // hasher.
@@ -983,11 +981,12 @@ impl AsyncVol {
                 failures.push(format!("req {req}: {msg}"));
             }
         }
-        for handle in prefetch_handles {
+        for handle in prefetches {
             if let Err(p) = handle.wait() {
                 failures.push(format!("prefetch panicked: {}", p.message));
             }
         }
+        tenants.iter().for_each(|c| c.publish_settled());
         if failures.is_empty() {
             return Ok(());
         }
@@ -1040,11 +1039,12 @@ mod tests {
         (bad, c, ds, ring)
     }
 
-    /// Table entries, and those of them on the ring, right now.
-    fn table_sizes(vol: &AsyncVol) -> (usize, usize) {
+    /// Table entries, those of them on the ring, and tenant records,
+    /// right now.
+    fn table_sizes(vol: &AsyncVol) -> (usize, usize, usize) {
         let inner = vol.inner.lock();
         let on_ring = inner.requests.values().filter(|f| matches!(f, Flight::Ring(_))).count();
-        (inner.requests.len(), on_ring)
+        (inner.requests.len(), on_ring, inner.tenants.len())
     }
 
     /// A producer that never waits per request: the request table stays
@@ -1078,7 +1078,7 @@ mod tests {
             let _ = vol
                 .dataset_write(&c, ds, &slab(w), &[w as u8; SLAB as usize])
                 .unwrap();
-            let (table, _) = table_sizes(&vol);
+            let (table, ..) = table_sizes(&vol);
             peak = peak.max(table);
         }
         assert!(peak > PENDING_GC_THRESHOLD, "the threshold was reached: {peak}");
@@ -1090,7 +1090,7 @@ mod tests {
         assert!(err.contains("bad block"), "{err}");
         vol.wait_all().unwrap();
         assert_eq!(vol.stats().queued, 0);
-        assert_eq!(table_sizes(&vol), (0, 0), "the failure was reported exactly once");
+        assert_eq!(table_sizes(&vol), (0, 0, 1), "the failure was reported exactly once");
         assert_eq!(
             c.read_selection(ds, &slab(4_999)).unwrap(),
             vec![(4_999 % 256) as u8; SLAB as usize]
@@ -1125,10 +1125,48 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(vol.stats().queued, 0);
-        assert_eq!(table_sizes(&vol), (64, 64), "nothing was waited for");
+        assert_eq!(table_sizes(&vol), (64, 64, 1), "nothing was waited for");
         assert_eq!(vol.stats().writes, WRITES, "every write settled as it landed");
         vol.wait_all().unwrap();
         assert_eq!(vol.stats().writes, WRITES);
-        assert_eq!(table_sizes(&vol), (0, 0));
+        assert_eq!(table_sizes(&vol), (0, 0, 1));
+    }
+
+    /// A connector outlives the containers it serves: 2 000 of them, each
+    /// created on the one device, written once, waited for and dropped,
+    /// leave at most 2 tenant records behind at any round — the records
+    /// of closed containers go. On the ring every write is a ring entry,
+    /// whose hook holds no container.
+    fn tenant_records_stay_bounded(use_ring: bool) {
+        let device: Arc<dyn h5lite::StorageBackend> = Arc::new(MemBackend::new());
+        let vol = match use_ring {
+            true => AsyncVol::builder()
+                .ring(Arc::new(Ring::new(device.clone(), RingConfig::default())))
+                .build(),
+            false => AsyncVol::new(),
+        };
+        for round in 0..2_000u64 {
+            let c = Arc::new(Container::create(device.clone()));
+            let ds = c
+                .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(SLAB), Layout::Contiguous)
+                .unwrap();
+            let req = vol.dataset_write(&c, ds, &slab(0), &[round as u8; SLAB as usize]).unwrap();
+            assert_eq!(table_sizes(&vol).1, usize::from(use_ring), "round {round}: transport");
+            vol.wait(req).unwrap();
+            drop(c);
+            let (_, _, tenants) = table_sizes(&vol);
+            assert!(tenants <= 2, "round {round}: {tenants} tenant records");
+        }
+        assert_eq!(vol.stats().writes, 2_000);
+    }
+
+    #[test]
+    fn ring_tenant_records_stay_bounded() {
+        tenant_records_stay_bounded(true);
+    }
+
+    #[test]
+    fn task_tenant_records_stay_bounded() {
+        tenant_records_stay_bounded(false);
     }
 }

@@ -303,6 +303,12 @@ impl Ring {
         self.shared.shards.iter().map(|s| s.sq.capacity()).sum()
     }
 
+    /// Whether the ring writes to `backend` itself: the same object, not
+    /// merely one over the same device.
+    pub fn wraps(&self, backend: &dyn StorageBackend) -> bool {
+        std::ptr::addr_eq(Arc::as_ptr(&self.shared.backend), backend)
+    }
+
     fn unpark(&self, shard_idx: usize) {
         if let Some(t) = self.shared.shards[shard_idx].reaper.get() {
             t.unpark();

@@ -3,10 +3,12 @@
 //! a faulted write retried by its completion hook on the reaper, under
 //! the connector's retry policy and circuit breaker — the two write
 //! transports side by side as one table (a write settles where it
-//! lands, on either), and a seeded `argolite::explore` sweep over
-//! submit/drain interleavings. Poll backpressure, per-key completion
-//! order and shutdown with operations in flight are `h5lite::ring`'s own
-//! unit tests.
+//! lands, on either; and two containers on one connector, both with a
+//! dataset of id 2, keep their own bytes, prefetch slots and order),
+//! and a seeded `argolite::explore` sweep over submit/drain
+//! interleavings. Poll backpressure, per-key completion order and
+//! shutdown with operations in flight are `h5lite::ring`'s own unit
+//! tests.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -420,6 +422,72 @@ fn a_write_counts_once_it_has_landed(t: Transport) {
     assert_eq!(p.vol.stats().writes, 1, "the wait counts nothing more");
 }
 
+/// A second container beside `p`'s on the same connector, on its own
+/// `MemBackend`, with a 64-byte dataset `x` — the same id as `p.ds`: an
+/// `ObjectId` is unique only within its container.
+fn second_tenant(p: &Parity) -> Arc<Container> {
+    let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+    let b = Arc::new(Container::create(backend));
+    let ds = b
+        .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(64), Layout::Contiguous)
+        .expect("create dataset");
+    assert_eq!(ds, p.ds, "both datasets are id {}", p.ds);
+    b
+}
+
+/// Two containers write their id-2 datasets through one connector; after
+/// `wait_all` each reads back its own bytes.
+fn two_tenants_keep_their_own_bytes(t: Transport) {
+    let p = Parity::new(t, BreakerConfig::default());
+    let b = second_tenant(&p);
+    // Both held, and reported, by wait_all below.
+    let _ = p.write(1).expect("issue A");
+    let _ = p.vol.dataset_write(&b, p.ds, &Selection::All, &[2; 64]).expect("issue B");
+    p.vol.wait_all().expect("both land");
+    assert_eq!(p.contents(), vec![1u8; 64], "{t:?}: A holds B's write");
+    let back = b.read_selection(p.ds, &Selection::All).expect("read B");
+    assert_eq!(back, vec![2u8; 64], "{t:?}: B's write landed elsewhere");
+}
+
+/// A prefetch of A's dataset is never B's hit: B's read of its own id-2
+/// dataset returns B's bytes, cold.
+fn a_prefetch_is_not_another_tenants_hit(t: Transport) {
+    let p = Parity::new(t, BreakerConfig::default());
+    let b = second_tenant(&p);
+    let _ = p.write(1).expect("issue A");
+    let _ = p.vol.dataset_write(&b, p.ds, &Selection::All, &[2; 64]).expect("issue B");
+    p.vol.wait_all().expect("both land");
+    let _ = p.vol.prefetch(&p.c, p.ds, &Selection::All);
+    let back = p.vol.dataset_read(&b, p.ds, &Selection::All).expect("read B");
+    assert_eq!(back.wait().expect("B's bytes"), vec![2u8; 64], "{t:?}: B read A's prefetch");
+    assert_eq!(p.vol.stats().prefetch_hits, 0, "{t:?}: A's slot served B");
+    p.vol.wait_all().expect("the prefetch lands");
+}
+
+/// While A's write is held in A's device, B's cold read of its own id-2
+/// dataset has nothing to wait for: it returns within 2 s. A channel
+/// with a deadline, so a read stuck behind A's write fails the cell.
+fn a_cold_read_does_not_wait_for_another_tenant(t: Transport) {
+    let p = Parity::new(t, BreakerConfig::default());
+    let b = second_tenant(&p);
+    let req = p.vol.dataset_write(&b, p.ds, &Selection::All, &[2; 64]).expect("issue B");
+    p.vol.wait(req).expect("B lands");
+    let _ = p.write_held(1);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let read = std::thread::scope(|s| {
+        s.spawn(|| {
+            let back = p.vol.dataset_read(&b, p.ds, &Selection::All).and_then(|r| r.wait());
+            let _ = tx.send(back);
+        });
+        let read = rx.recv_timeout(Duration::from_secs(2));
+        p.script.closed.store(false, Ordering::SeqCst);
+        read
+    });
+    let back = read.expect("B's cold read blocked behind A's held write");
+    assert_eq!(back.expect("read B"), vec![2u8; 64]);
+    p.vol.wait_all().expect("A lands");
+}
+
 /// One parity case, run once per transport.
 type Case = fn(Transport);
 
@@ -429,13 +497,16 @@ type Case = fn(Transport);
 /// cell runs, and the table is printed, before the verdict.
 #[test]
 fn both_transports_settle_a_write_where_it_lands() {
-    let cases: [(&str, Case); 6] = [
+    let cases: [(&str, Case); 9] = [
         ("lost update: wait_all", lost_update_wait_all),
         ("lost update: wait(B) then wait(A)", lost_update_waits_in_reverse),
         ("lost update: read after write", lost_update_read_after_write),
         ("dead device trips the breaker before any wait", dead_device_trips_the_breaker),
         ("healed probe closes the breaker before any wait", healed_probe_closes_the_breaker),
         ("stats().writes counts a write once it has landed", a_write_counts_once_it_has_landed),
+        ("two tenants: each reads back its own bytes", two_tenants_keep_their_own_bytes),
+        ("two tenants: A's prefetch is never B's hit", a_prefetch_is_not_another_tenants_hit),
+        ("two tenants: B's cold read skips A's held write", a_cold_read_does_not_wait_for_another_tenant),
     ];
     let mut failed = Vec::new();
     for (name, case) in cases {

@@ -19,14 +19,13 @@ use apio::h5lite::{
 };
 
 /// Named-lock acquisitions per ring write on the issuing thread:
-/// `asyncvol.tenants` (register the container), `asyncvol.breaker`
-/// (route), `asyncvol.conn` (table insert, and the dataset's last ring
-/// completion), and the one metadata-shard read lock
+/// `asyncvol.breaker` (route), the one metadata-shard read lock
 /// `plan_write_selection` takes in h5lite (forwarded through
-/// `order_hook`). Before the depth governor was
-/// removed the same call took 6: these four plus the runtime's stream
-/// list and `argolite.pool` inside `Runtime::grow_streams`.
-const LOCKS_PER_RING_WRITE: u64 = 4;
+/// `order_hook`), and `asyncvol.conn` (the table insert, and in the same
+/// section the container's tenant record and the dataset's last ring
+/// completion). The backend identity check that picks the ring takes
+/// none.
+const LOCKS_PER_RING_WRITE: u64 = 3;
 
 /// Named-lock acquisitions per ring write on the reaper: one
 /// `asyncvol.breaker`, where the completion hook's `settle` records the
@@ -34,15 +33,16 @@ const LOCKS_PER_RING_WRITE: u64 = 4;
 /// (`tests/ring_lockfree.rs`).
 const LOCKS_PER_RING_SETTLE: u64 = 1;
 
-/// Named-lock acquisitions of the `wait_all` after the writes:
-/// `asyncvol.conn` (drain the request table) and `asyncvol.tenants`
-/// (publish the settled container). Every write has settled on the
-/// reaper by then or settles there meanwhile; the waits on the ring
-/// completions themselves take no named lock.
-const LOCKS_PER_WAIT_ALL: u64 = 2;
+/// Named-lock acquisitions of the `wait_all` after the writes: one
+/// `asyncvol.conn`, which drains the request table and notes the open
+/// containers to publish in the same section. Every write has settled on
+/// the reaper by then or settles there meanwhile; the waits on the ring
+/// completions, and publishing under the strong model, take no named
+/// lock.
+const LOCKS_PER_WAIT_ALL: u64 = 1;
 
-/// Across the run, 64 × (4 + 1) + 2 = 322 acquisitions: 256 on the
-/// issuing thread, 64 on the reaper, 2 in `wait_all`.
+/// Across the run, 64 × (3 + 1) + 1 = 257 acquisitions: 192 on the
+/// issuing thread, 64 on the reaper, 1 in `wait_all`.
 #[test]
 fn a_ring_write_takes_a_pinned_number_of_locks_on_the_issuing_thread() {
     const WRITES: u64 = 64;
@@ -63,7 +63,8 @@ fn a_ring_write_takes_a_pinned_number_of_locks_on_the_issuing_thread() {
     let sel = |w: u64| Selection::Slab(Hyperslab::range1(w * SLAB, SLAB));
     let data = vec![7u8; SLAB as usize];
     // Warm-up write: the first call allocates the dataset's extent and
-    // registers the tenant. It settles before the counting starts.
+    // makes the container's tenant record. It settles before the
+    // counting starts.
     let warm = vol.dataset_write(&c, ds, &sel(WRITES), &data).expect("warm-up");
     vol.wait(warm).expect("warm-up lands");
 
