@@ -67,7 +67,9 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #                     its fault retries on the reaper, the transport-parity
 #                     table (a write settles where it lands, ring and
 #                     tasks alike; two containers on one connector keep
-#                     their own bytes, prefetch slots and order); the
+#                     their own bytes, prefetch slots and order; on four
+#                     lanes the later of two same-byte writes lands and a
+#                     failed piece is retried or fails the write); the
 #                     explore sweep needs the feature (Poll backpressure,
 #                     per-key order and shutdown are h5lite::ring's unit
 #                     tests, run above)
@@ -118,6 +120,13 @@ echo "== h5lite in release (overflow, dataspace, read-back lanes) =="
 # range_…` (the pieces either side of the two-block floor, one read for
 # 128 KiB), `a_flip_in_the_third_lane_piece_…` and
 # `a_failed_or_panicking_verified_read_lane_…` (per-piece failures);
+# and the striped write's lanes, whose piece arithmetic is the same
+# kind: `storage.rs`'s `striped_write_lane_pieces_tile_…`,
+# `one_lane_striped_write_…`, `a_failed_or_panicking_striped_write_lane_…`
+# and `every_wrapper_reports_its_inner_backends_lanes`, and
+# `crates/h5lite/tests/write_lanes.rs` (four writes in flight on four
+# lanes for a ring pass and a native `write_slab`, by count; a one-lane
+# device's exact calls) — 25 tests in all, 17 before write lanes;
 # `flush_hashes` the windowed long extent; `block` the block sums:
 # the hasher's boundaries, the tag-3 codec and its count check at open,
 # and the covering-block ranges of a verified read, whose offset

@@ -369,9 +369,10 @@ fn flush_hash_lanes() {
 /// against a 4-channel throttled backend whose 200 µs per-op latency is
 /// what depth amortizes. The first submission wakes the reaper, and
 /// whatever queues up while it is inside that call goes out as the next
-/// single `write_vectored_at`, so small-op throughput must rise with
-/// depth — the io_uring shape the paper's async pipelines rely on (the
-/// 1 MiB row is bandwidth-bound, so depth buys it little by design).
+/// pass, so small-op throughput must rise with depth — the io_uring
+/// shape the paper's async pipelines rely on. A pass of at least 256 KiB
+/// is striped over the four channels, one piece each, so the 1 MiB row
+/// and the deep 64 KiB rows reach the device's aggregate rate.
 fn ring_depth_sweep() {
     section("ring_depth");
     for size in [4096usize, 65536, 1 << 20] {

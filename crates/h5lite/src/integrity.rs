@@ -17,13 +17,14 @@
 //! durable copy (e.g. the staging WAL).
 //!
 //! All three read on the device's service lanes ([`on_lanes`], up to
-//! [`HASH_LANES`] scoped threads taking jobs off one lock-free queue). A
+//! [`HASH_LANES`] scoped threads taking jobs off one lock-free queue —
+//! the fan-out a striped write uses too). A
 //! flush's read-back and a scrub's detection pass share one job list of
 //! whole extents, hashed in windows whose edges are block edges; the
 //! hasher closes a sum at every block boundary. A verified read's jobs
 //! are pieces of its covering ranges: each range is cut at block edges
 //! into at most [`HASH_LANES`] pieces of at least
-//! [`VERIFY_PIECE_BLOCKS`] blocks, each read and checked into its own
+//! [`PIECE_BLOCKS`] blocks, each read and checked into its own
 //! slice of the range's buffer.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,9 +34,9 @@ use super::{Container, ObjectId, CONTIG_EXTENT};
 use crate::checksum::{Algorithm, Checksum, Hasher, SUM_BLOCK};
 use crate::error::{H5Error, Result};
 use crate::layout::Layout;
-use crate::mpmc::RingQueue;
 use crate::plan::IoRecord;
 use crate::recycle;
+use crate::storage::{on_lanes, PIECE_BLOCKS};
 
 /// Lanes of every integrity read — a flush's read-back, a scrub's
 /// detection pass ([`Container::hash_extents`]) and a verified read
@@ -43,14 +44,13 @@ use crate::recycle;
 /// from a PFS or an NVMe namespace
 /// ([`ThrottledBackend::DEFAULT_CHANNELS`](crate::storage::ThrottledBackend::DEFAULT_CHANNELS),
 /// and the knee of the ring's depth-scaling curve). A constant of the
-/// container, not a backend property: [`StorageBackend`](crate::storage::StorageBackend)
-/// has no method to ask, and a wrapper written against it must see the
-/// same fan-out.
+/// container, not the device's [`lanes`](crate::storage::StorageBackend::lanes):
+/// hashing and preads run in parallel from the page cache whatever the
+/// device serves, where a write's lanes are the device's own count. A
+/// verified read's covering range of fewer than two pieces' worth
+/// ([`PIECE_BLOCKS`]: under 256 KiB of block sums, or any whole-extent
+/// sum, which is one block) is read as one piece.
 pub(super) const HASH_LANES: usize = 4;
-/// Blocks a verified read's piece holds at least: a covering range of
-/// fewer than two pieces' worth (under 256 KiB of block sums, or any
-/// whole-extent sum, which is one block) is read as one piece.
-pub(super) const VERIFY_PIECE_BLOCKS: u64 = 2;
 /// Dirty bytes a lane must be worth: below two lanes' worth (4 MiB) the
 /// read-back runs inline on the caller.
 pub(super) const HASH_LANE_MIN_BYTES: u64 = 2 << 20;
@@ -191,7 +191,7 @@ impl Container {
     /// checked against its stored sum. A whole-extent sum is one block,
     /// so its range is the whole extent. Each range is cut at block
     /// edges into at most [`HASH_LANES`] pieces of at least
-    /// [`VERIFY_PIECE_BLOCKS`] blocks, and the pieces of all ranges are
+    /// [`PIECE_BLOCKS`] blocks, and the pieces of all ranges are
     /// shared out over `min(HASH_LANES, pieces, bytes / 128 KiB)` lanes
     /// ([`on_lanes`]), each piece one read into its own slice of its
     /// range's buffer, then checked there. Returns the ranges as
@@ -237,7 +237,7 @@ impl Container {
         }
         // Piece `k` of `n` of a range of `blocks` blocks holds blocks
         // `k·blocks/n .. (k+1)·blocks/n` of it: at least
-        // VERIFY_PIECE_BLOCKS each, the range's short last block in the
+        // PIECE_BLOCKS each, the range's short last block in the
         // last piece.
         let mut pieces: Vec<Piece<'_>> = Vec::new();
         let mut bytes = 0u64;
@@ -245,7 +245,7 @@ impl Container {
             let block = v.sum.algorithm.block(v.len);
             bytes += buf.len() as u64;
             let blocks = (buf.len() as u64).div_ceil(block);
-            let n = (blocks / VERIFY_PIECE_BLOCKS).clamp(1, HASH_LANES as u64);
+            let n = (blocks / PIECE_BLOCKS).clamp(1, HASH_LANES as u64);
             let mut rest: &mut [u8] = buf;
             let mut taken = 0u64;
             for k in 1..=n {
@@ -258,7 +258,7 @@ impl Container {
                 taken = upto;
             }
         }
-        let lanes = (bytes / (VERIFY_PIECE_BLOCKS * SUM_BLOCK))
+        let lanes = (bytes / (PIECE_BLOCKS * SUM_BLOCK))
             .clamp(1, HASH_LANES.min(pieces.len()).max(1) as u64);
         let checked = on_lanes(lanes as usize, pieces.into_iter(), |p| {
             let v = p.extent;
@@ -432,40 +432,6 @@ struct Piece<'a> {
     first: u64,
     at: u64,
     buf: &'a mut [u8],
-}
-
-/// Run `work` on every job over `lanes` lanes — scoped threads that live
-/// for this call, the caller being the first — each taking the next
-/// unclaimed job off one lock-free queue until none is left. With one
-/// lane the jobs run on the caller alone, in order. Returns each job's
-/// result in job order; one job's failure stops no other, and the jobs
-/// of a lane that panicked are `None`. Takes no lock: the queue is a
-/// [`RingQueue`] filled before any lane starts, and the results come
-/// back through the lanes' join handles.
-fn on_lanes<J: Send, R: Send>(
-    lanes: usize,
-    jobs: impl ExactSizeIterator<Item = J>,
-    work: impl Fn(J) -> R + Sync,
-) -> Vec<Option<R>> {
-    let mut results: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
-    let queue = RingQueue::filled(jobs.enumerate());
-    let lane = || {
-        let mut done = Vec::new();
-        while let Some((i, job)) = queue.pop() {
-            done.push((i, work(job)));
-        }
-        done
-    };
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
-        let mut done = lane();
-        // A lane that panicked returns nothing: its jobs stay `None`.
-        done.extend(spawned.into_iter().flat_map(|h| h.join().unwrap_or_default()));
-        for (i, result) in done {
-            results[i] = Some(result);
-        }
-    });
-    results
 }
 
 /// The index of the item of `items` — ascending, disjoint `(address,

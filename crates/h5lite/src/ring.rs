@@ -16,11 +16,15 @@
 //!   the lock-order recorder's acquisition counter.
 //! - **Reaping**: one reaper thread per shard drains its queue and
 //!   executes the entries against the wrapped backend. A reaper pass is
-//!   *depth-aware*: every write queued at that moment (bounded by
-//!   [`COALESCE_WINDOW`] segments per call) is issued as a single
-//!   `write_vectored_at`, so a deeper ring buys fewer, larger device
-//!   requests — small-op throughput scales with queue depth at a fixed
-//!   thread count.
+//!   *depth-aware*: every write queued at that moment (up to
+//!   [`COALESCE_WINDOW`] segments) is issued as one striped write
+//!   ([`write_striped`](crate::storage::write_striped)), so a deeper ring
+//!   buys fewer, larger device requests — small-op throughput scales
+//!   with queue depth at a fixed thread count. On a device of one lane
+//!   that is a single `write_vectored_at`; on a device of several
+//!   ([`StorageBackend::lanes`]) a large pass is cut into pieces written
+//!   at once, one per lane, after being cut into runs of disjoint
+//!   segments that are written in queue order.
 //! - **Completion**: the reaper runs the entry's completion hook — the
 //!   connector's settlement: retries, breaker, counters — in the op's
 //!   FIFO position, then fulfils its [`Promise`], which resolves the
@@ -39,6 +43,7 @@
 //! operation straight back to the caller). Either way the memory the
 //! ring holds is bounded by its capacity.
 
+use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -51,7 +56,7 @@ use crate::mpmc::RingQueue;
 use crate::plan::{IoSegment, COALESCE_WINDOW};
 use crate::promise::Promise;
 use crate::recycle;
-use crate::storage::{IoVec, StorageBackend};
+use crate::storage::{write_striped, IoVec, StorageBackend};
 
 /// What a submitter does when the submission ring is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -457,9 +462,9 @@ fn drain_shard(shared: &RingShared, shard_idx: usize) -> Vec<Sqe> {
     batch
 }
 
-/// Execute one reaper pass: everything queued goes to the backend as a
-/// single vectored call. A lone operation, or a run that failed (a batch
-/// error names no operation), executes one operation at a time so each
+/// Execute one reaper pass: everything queued goes to the backend as one
+/// [`write_run`]. A lone operation, or a pass that failed (a batch error
+/// names no operation), executes one operation at a time so each
 /// completion carries its own verdict — replays are idempotent (same
 /// bytes, same offsets). Completions are delivered in queue order.
 fn execute_batch(shared: &RingShared, batch: Vec<Sqe>) {
@@ -477,8 +482,12 @@ fn execute_batch(shared: &RingShared, batch: Vec<Sqe>) {
 }
 
 /// The one write body, for a reaper pass and a hook's retry alike: `run`'s
-/// segments as one vectored write (windowed at [`COALESCE_WINDOW`]),
-/// failed before anything reaches the backend if an op is malformed.
+/// segments, failed before anything reaches the backend if an op is
+/// malformed, as striped writes ([`write_striped`]). On a device of one
+/// lane that is one vectored call per [`COALESCE_WINDOW`] segments. On
+/// more, whose pieces land in no defined order, the segments are first
+/// cut into runs of disjoint ones ([`disjoint_runs`]), written in queue
+/// order: of two writes to the same bytes, the later lands last.
 fn write_run<'a>(
     backend: &dyn StorageBackend,
     run: impl Iterator<Item = &'a RingOp> + Clone,
@@ -487,9 +496,42 @@ fn write_run<'a>(
     for op in run {
         op.push_iovecs(&mut iovecs)?;
     }
-    iovecs
-        .chunks(COALESCE_WINDOW)
-        .try_for_each(|window| backend.write_vectored_at(window))
+    if backend.lanes() == 1 {
+        return write_striped(backend, &iovecs);
+    }
+    for disjoint in disjoint_runs(&iovecs) {
+        write_striped(backend, disjoint)?;
+    }
+    Ok(())
+}
+
+/// `iovecs`, in order, cut into runs of disjoint segments: each run ends
+/// before the first segment that overlaps one already in it.
+fn disjoint_runs<'s, 'a>(iovecs: &'s [IoVec<'a>]) -> impl Iterator<Item = &'s [IoVec<'a>]> {
+    let mut rest = iovecs;
+    std::iter::from_fn(move || {
+        // The run's segments so far, start → end; they are disjoint, so
+        // the last one starting before a segment's end is the only one
+        // that can reach past its start.
+        let mut held = BTreeMap::new();
+        let take = rest
+            .iter()
+            .position(|seg| {
+                if seg.data.is_empty() {
+                    return false;
+                }
+                let end = seg.offset.saturating_add(seg.data.len() as u64);
+                if held.range(..end).next_back().is_some_and(|(_, &e)| e > seg.offset) {
+                    return true;
+                }
+                held.insert(seg.offset, end);
+                false
+            })
+            .unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(take);
+        rest = tail;
+        (!run.is_empty()).then_some(run)
+    })
 }
 
 /// Run `sqe`'s completion hook, if any, then fulfil its promise, then

@@ -26,9 +26,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::sync::{Mutex, RwLock};
-
+use crate::checksum::SUM_BLOCK;
 use crate::error::{H5Error, Result};
+use crate::mpmc::RingQueue;
+use crate::plan::COALESCE_WINDOW;
+use crate::sync::{Mutex, RwLock};
 
 /// One segment of a vectored write: `data` destined for `offset`.
 #[derive(Debug)]
@@ -87,6 +89,120 @@ pub trait StorageBackend: Send + Sync {
 
     /// Flush to durable storage (no-op for memory).
     fn sync(&self) -> Result<()>;
+
+    /// Requests the device serves at once: the writes [`write_striped`]
+    /// keeps in flight. One unless a backend models more service lanes
+    /// ([`ThrottledBackend`]); a wrapper reports its inner backend's.
+    /// Memory and files keep one: buffered writes to one ext4 file
+    /// serialize on its inode lock, and striping them measured slower.
+    fn lanes(&self) -> usize {
+        1
+    }
+}
+
+/// Blocks a lane's piece holds at least, for a striped write
+/// ([`write_striped`]) and a verified read alike: two [`SUM_BLOCK`]s,
+/// 128 KiB. Below two pieces' worth, the work is one piece.
+pub(crate) const PIECE_BLOCKS: u64 = 2;
+
+/// Write `batch`, whose segments must not overlap, on the device's
+/// lanes. Its bytes, taken in order, are cut at [`SUM_BLOCK`] multiples
+/// into at most [`StorageBackend::lanes`] pieces of at least
+/// [`PIECE_BLOCKS`] blocks, piece `k` of `n` ending `k·blocks/n` blocks
+/// in, and each piece is written on a lane of its own ([`on_lanes`]) as
+/// vectored calls of at most [`COALESCE_WINDOW`] segments. With one
+/// piece this is the windowed `write_vectored_at` loop on the caller.
+///
+/// Pieces land in no defined order, which is why segments must be
+/// disjoint. Every piece runs; the call then fails with the first
+/// failure in piece order, or [`H5Error::Storage`] for a lane that
+/// panicked, and the pieces that succeeded have landed — the partial
+/// state a failed vectored write may leave.
+pub(crate) fn write_striped(backend: &dyn StorageBackend, batch: &[IoVec<'_>]) -> Result<()> {
+    let windowed = |piece: &[IoVec<'_>]| {
+        piece
+            .chunks(COALESCE_WINDOW)
+            .try_for_each(|window| backend.write_vectored_at(window))
+    };
+    let bytes = batch
+        .iter()
+        .try_fold(0u64, |sum, seg| sum.checked_add(seg.data.len() as u64));
+    let blocks = bytes.unwrap_or(u64::MAX) / SUM_BLOCK;
+    let n = (blocks / PIECE_BLOCKS).clamp(1, backend.lanes().max(1) as u64);
+    if n == 1 {
+        return windowed(batch);
+    }
+    // Where each piece but the last ends, the last taking the rest: at
+    // least PIECE_BLOCKS blocks apart and at most `bytes`, so no piece
+    // is empty.
+    let ends: Vec<u64> = (1..n)
+        .map(|k| k.saturating_mul(blocks) / n * SUM_BLOCK)
+        .collect();
+    let mut pieces: Vec<Vec<IoVec<'_>>> = (0..n).map(|_| Vec::new()).collect();
+    let (mut k, mut at) = (0usize, 0u64);
+    for seg in batch {
+        let (mut offset, mut data) = (seg.offset, seg.data);
+        loop {
+            while ends.get(k).is_some_and(|&end| at >= end) {
+                k += 1;
+            }
+            let room = ends.get(k).map_or(u64::MAX, |&end| end - at);
+            let (head, tail) = data.split_at(room.min(data.len() as u64) as usize);
+            pieces[k].push(IoVec { offset, data: head });
+            at += head.len() as u64;
+            if tail.is_empty() {
+                break;
+            }
+            offset = offset.checked_add(head.len() as u64).ok_or_else(|| {
+                H5Error::Storage(format!("a striped write runs past the device at {offset}"))
+            })?;
+            data = tail;
+        }
+    }
+    let written = on_lanes(pieces.len(), pieces.into_iter(), |piece| windowed(&piece));
+    for outcome in written {
+        match outcome {
+            Some(Ok(())) => {}
+            Some(Err(e)) => return Err(e),
+            None => return Err(H5Error::Storage("a striped write's lane panicked".into())),
+        }
+    }
+    Ok(())
+}
+
+/// Run `work` on every job over `lanes` lanes — scoped threads that live
+/// for this call, the caller being the first — each taking the next
+/// unclaimed job off one lock-free queue until none is left. With one
+/// lane the jobs run on the caller alone, in order. Returns each job's
+/// result in job order; one job's failure stops no other, and the jobs
+/// of a lane that panicked are `None`. Takes no lock: the queue is a
+/// [`RingQueue`] filled before any lane starts, and the results come
+/// back through the lanes' join handles. The one fan-out of the crate:
+/// a striped write's pieces, and the integrity reads' jobs.
+pub(crate) fn on_lanes<J: Send, R: Send>(
+    lanes: usize,
+    jobs: impl ExactSizeIterator<Item = J>,
+    work: impl Fn(J) -> R + Sync,
+) -> Vec<Option<R>> {
+    let mut results: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
+    let queue = RingQueue::filled(jobs.enumerate());
+    let lane = || {
+        let mut done = Vec::new();
+        while let Some((i, job)) = queue.pop() {
+            done.push((i, work(job)));
+        }
+        done
+    };
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
+        let mut done = lane();
+        // A lane that panicked returns nothing: its jobs stay `None`.
+        done.extend(spawned.into_iter().flat_map(|h| h.join().unwrap_or_default()));
+        for (i, result) in done {
+            results[i] = Some(result);
+        }
+    });
+    results
 }
 
 /// Bytes per page of the sharded memory backend.
@@ -338,7 +454,12 @@ impl StorageBackend for FileBackend {
 /// that, operations queue behind the busiest-free lane. Depth 1 pays one
 /// latency per op; depth `<= channels` overlaps them; only *coalescing*
 /// (one vectored batch, one latency) keeps winning past the cap — which
-/// is exactly the regime a queue-depth sweep needs to measure.
+/// is exactly the regime a queue-depth sweep needs to measure. One call
+/// books one channel, so a single caller reaches the device's aggregate
+/// rate only with `channels` calls in flight: the channel count is the
+/// backend's [`lanes`](StorageBackend::lanes), over which a striped
+/// write ([`write_striped`]) spreads a large batch and the integrity
+/// reads spread their pieces.
 pub struct ThrottledBackend {
     inner: Box<dyn StorageBackend>,
     /// Sustained bandwidth, bytes/s, stored as `f64` bits so concurrent
@@ -349,6 +470,8 @@ pub struct ThrottledBackend {
     /// Virtual-time channel bookings; the lock is held only to pick a
     /// lane and book the interval — the sleep happens outside it.
     channels: Mutex<Channels>,
+    /// The channel count, for [`StorageBackend::lanes`] without the lock.
+    lanes: usize,
 }
 
 /// Per-channel virtual-time bookkeeping for [`ThrottledBackend`].
@@ -386,6 +509,7 @@ impl ThrottledBackend {
                 epoch: std::time::Instant::now(),
                 free_at: vec![0.0; channels],
             }),
+            lanes: channels,
         }
     }
 
@@ -478,6 +602,10 @@ impl StorageBackend for ThrottledBackend {
 
     fn sync(&self) -> Result<()> {
         self.inner.sync()
+    }
+
+    fn lanes(&self) -> usize {
+        self.lanes
     }
 }
 
@@ -832,6 +960,10 @@ impl StorageBackend for FaultInjector {
             Some(kind) => Err(self.fault_error(&kind, "flush")),
         }
     }
+
+    fn lanes(&self) -> usize {
+        self.inner.lanes()
+    }
 }
 
 /// A shared mutation budget with a cut point: the clock of the
@@ -1000,6 +1132,10 @@ impl StorageBackend for CrashBackend {
         }
         self.inner.sync()
     }
+
+    fn lanes(&self) -> usize {
+        self.inner.lanes()
+    }
 }
 
 /// One backend call as a [`CountingBackend`]'s hook sees it. A scalar
@@ -1046,9 +1182,11 @@ pub struct CallCounts {
     pub syncs: u64,
     /// The most reads that were inside the inner backend at once.
     pub most_reads_in_flight: u64,
+    /// The most writes that were inside the inner backend at once.
+    pub most_writes_in_flight: u64,
 }
 
-/// Every count of `self` less `earlier`'s; the high-water mark is
+/// Every count of `self` less `earlier`'s; the high-water marks are
 /// `self`'s, since a peak has no difference.
 impl std::ops::Sub for CallCounts {
     type Output = CallCounts;
@@ -1064,6 +1202,7 @@ impl std::ops::Sub for CallCounts {
             bytes_written: self.bytes_written - earlier.bytes_written,
             syncs: self.syncs - earlier.syncs,
             most_reads_in_flight: self.most_reads_in_flight,
+            most_writes_in_flight: self.most_writes_in_flight,
         }
     }
 }
@@ -1071,8 +1210,8 @@ impl std::ops::Sub for CallCounts {
 type Hook = dyn Fn(Call<'_, '_>) -> Result<()> + Send + Sync;
 
 /// A [`StorageBackend`] wrapper that counts what reaches the device —
-/// calls by kind, segments, bytes, syncs, and the peak of concurrent
-/// reads — for tests and benchmarks that assert the work an operation
+/// calls by kind, segments, bytes, syncs, and the peaks of concurrent
+/// reads and writes — for tests and benchmarks that assert the work an operation
 /// does rather than its time. An optional hook sees each call once:
 /// writes and syncs before they are forwarded, where an `Err` forwards
 /// nothing, and reads after the inner read, with the fetched bytes. The
@@ -1091,6 +1230,8 @@ pub struct CountingBackend {
     syncs: AtomicU64,
     reads_in_flight: AtomicU64,
     most_reads_in_flight: AtomicU64,
+    writes_in_flight: AtomicU64,
+    most_writes_in_flight: AtomicU64,
 }
 
 impl CountingBackend {
@@ -1109,6 +1250,8 @@ impl CountingBackend {
             syncs: AtomicU64::new(0),
             reads_in_flight: AtomicU64::new(0),
             most_reads_in_flight: AtomicU64::new(0),
+            writes_in_flight: AtomicU64::new(0),
+            most_writes_in_flight: AtomicU64::new(0),
         }
     }
 
@@ -1134,6 +1277,7 @@ impl CountingBackend {
             bytes_written: get(&self.bytes_written),
             syncs: get(&self.syncs),
             most_reads_in_flight: get(&self.most_reads_in_flight),
+            most_writes_in_flight: get(&self.most_writes_in_flight),
         }
     }
 
@@ -1145,13 +1289,25 @@ impl CountingBackend {
         counter.fetch_add(n as u64, Ordering::SeqCst);
     }
 
-    /// Run an inner read, tracking how many are in flight.
-    fn in_flight(&self, read: impl FnOnce() -> Result<()>) -> Result<()> {
-        let now = self.reads_in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.most_reads_in_flight.fetch_max(now, Ordering::SeqCst);
-        let out = read();
-        self.reads_in_flight.fetch_sub(1, Ordering::SeqCst);
+    /// Run an inner call, tracking how many of its kind are in flight
+    /// (`now`) and the most there have been (`most`).
+    fn in_flight(
+        now: &AtomicU64,
+        most: &AtomicU64,
+        call: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
+        most.fetch_max(now.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+        let out = call();
+        now.fetch_sub(1, Ordering::SeqCst);
         out
+    }
+
+    fn reading(&self, read: impl FnOnce() -> Result<()>) -> Result<()> {
+        Self::in_flight(&self.reads_in_flight, &self.most_reads_in_flight, read)
+    }
+
+    fn writing(&self, write: impl FnOnce() -> Result<()>) -> Result<()> {
+        Self::in_flight(&self.writes_in_flight, &self.most_writes_in_flight, write)
     }
 }
 
@@ -1160,13 +1316,13 @@ impl StorageBackend for CountingBackend {
         Self::count(&self.writes, 1);
         Self::count(&self.bytes_written, data.len());
         self.hook(Call::Write { segments: &[IoVec { offset, data }], vectored: false })?;
-        self.inner.write_at(offset, data)
+        self.writing(|| self.inner.write_at(offset, data))
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         Self::count(&self.reads, 1);
         Self::count(&self.bytes_read, buf.len());
-        self.in_flight(|| self.inner.read_at(offset, buf))?;
+        self.reading(|| self.inner.read_at(offset, buf))?;
         self.hook(Call::Read { segments: &mut [IoVecMut { offset, buf }], vectored: false })
     }
 
@@ -1175,14 +1331,14 @@ impl StorageBackend for CountingBackend {
         Self::count(&self.segments, batch.len());
         Self::count(&self.bytes_written, batch.iter().map(|seg| seg.data.len()).sum());
         self.hook(Call::Write { segments: batch, vectored: true })?;
-        self.inner.write_vectored_at(batch)
+        self.writing(|| self.inner.write_vectored_at(batch))
     }
 
     fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
         Self::count(&self.read_batches, 1);
         Self::count(&self.segments, batch.len());
         Self::count(&self.bytes_read, batch.iter().map(|seg| seg.buf.len()).sum());
-        self.in_flight(|| self.inner.read_vectored_at(batch))?;
+        self.reading(|| self.inner.read_vectored_at(batch))?;
         self.hook(Call::Read { segments: batch, vectored: true })
     }
 
@@ -1194,6 +1350,10 @@ impl StorageBackend for CountingBackend {
         Self::count(&self.syncs, 1);
         self.hook(Call::Sync)?;
         self.inner.sync()
+    }
+
+    fn lanes(&self) -> usize {
+        self.inner.lanes()
     }
 }
 
@@ -1401,6 +1561,7 @@ mod tests {
             bytes_written: 9,
             syncs: 2,
             most_reads_in_flight: 1,
+            most_writes_in_flight: 1,
         };
         assert_eq!(b.counts(), all);
 
@@ -1410,6 +1571,7 @@ mod tests {
             writes: 1,
             bytes_written: 1,
             most_reads_in_flight: 1,
+            most_writes_in_flight: 1,
             ..CallCounts::default()
         };
         assert_eq!(b.counts() - before, one_write, "the peak is the later snapshot's");
@@ -1856,5 +2018,157 @@ mod tests {
         assert!(s.write_at(2, b"s1").is_err()); // mutation 3: refused
         assert_eq!(c_inner.len(), 4);
         assert_eq!(s_inner.len(), 2);
+    }
+
+    // ----- lanes and striped writes --------------------------------------
+
+    #[test]
+    fn every_wrapper_reports_its_inner_backends_lanes() {
+        let four: Arc<dyn StorageBackend> = Arc::new(ThrottledBackend::with_channels(1e12, 0.0, 4));
+        let one: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        assert_eq!(ThrottledBackend::in_memory(1e12, 0.0).lanes(), ThrottledBackend::DEFAULT_CHANNELS);
+        for (inner, lanes) in [(four, 4), (one, 1)] {
+            assert_eq!(inner.lanes(), lanes);
+            let injector = FaultInjector::new(inner.clone(), FaultPlan::new(0));
+            assert_eq!(injector.lanes(), lanes, "FaultInjector");
+            let crash = CrashBackend::new(inner.clone(), CrashClock::unlimited());
+            assert_eq!(crash.lanes(), lanes, "CrashBackend");
+            assert_eq!(CountingBackend::new(inner.clone()).lanes(), lanes, "CountingBackend");
+            let stacked = CountingBackend::new(Arc::new(CrashBackend::new(
+                Arc::new(injector),
+                CrashClock::unlimited(),
+            )));
+            assert_eq!(stacked.lanes(), lanes, "a stack of wrappers");
+        }
+    }
+
+    /// A device of `lanes` lanes that logs every write call's segments as
+    /// `(offset, len)`, and fails or panics as `fault` says for a call
+    /// with a segment at an offset.
+    #[allow(clippy::type_complexity)]
+    fn logging(
+        lanes: usize,
+        fault: impl Fn(u64) -> Result<()> + Send + Sync + 'static,
+    ) -> (CountingBackend, Arc<Mutex<Vec<Vec<(u64, usize)>>>>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let seen = log.clone();
+        let device = ThrottledBackend::with_channels(1e12, 0.0, lanes);
+        let backend = CountingBackend::new(Arc::new(device)).with_hook(move |call| {
+            if let Call::Write { segments, .. } = call {
+                segments.iter().try_for_each(|seg| fault(seg.offset))?;
+                seen.lock().push(segments.iter().map(|seg| (seg.offset, seg.data.len())).collect());
+            }
+            Ok(())
+        });
+        (backend, log)
+    }
+
+    #[test]
+    fn striped_write_lane_pieces_tile_the_batch_at_block_edges() {
+        const B: usize = SUM_BLOCK as usize;
+        let b = B as u64;
+        // (lanes, segments as (offset, len), each call's segments).
+        #[allow(clippy::type_complexity)]
+        let cases: [(usize, Vec<(u64, usize)>, Vec<Vec<(u64, usize)>>); 7] = [
+            (4, vec![(0, 8 * B)], (0..4).map(|k| vec![(2 * k * b, 2 * B)]).collect()),
+            (2, vec![(0, 8 * B)], vec![vec![(0, 4 * B)], vec![(4 * b, 4 * B)]]),
+            // Under two pieces' worth (256 KiB) the batch is one call.
+            (4, vec![(0, 4 * B - 1)], vec![vec![(0, 4 * B - 1)]]),
+            (4, vec![(0, 4 * B)], vec![vec![(0, 2 * B)], vec![(2 * b, 2 * B)]]),
+            // Five blocks and a bit: the short tail goes in the last piece.
+            (4, vec![(0, 5 * B + 10)], vec![vec![(0, 2 * B)], vec![(2 * b, 3 * B + 10)]]),
+            // A piece may take the end of one segment and the start of the
+            // next; cuts are block multiples of the batch, not the device.
+            (
+                4,
+                vec![(100, 3 * B), (10 * b, 5 * B)],
+                vec![
+                    vec![(100, 2 * B)],
+                    vec![(100 + 2 * b, B), (10 * b, B)],
+                    vec![(11 * b, 2 * B)],
+                    vec![(13 * b, 2 * B)],
+                ],
+            ),
+            (1, vec![(0, 8 * B)], vec![vec![(0, 8 * B)]]),
+        ];
+        for (lanes, segments, want) in cases {
+            let (device, log) = logging(lanes, |_| Ok(()));
+            let data: Vec<Vec<u8>> = segments
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, len))| (0..len).map(|j| (i * 7 + j % 251) as u8).collect())
+                .collect();
+            let batch: Vec<IoVec<'_>> = segments
+                .iter()
+                .zip(&data)
+                .map(|(&(offset, _), data)| IoVec { offset, data })
+                .collect();
+            write_striped(&device, &batch).unwrap();
+            let mut calls = log.lock().clone();
+            calls.sort();
+            assert_eq!(calls, want, "{lanes} lanes over {segments:?}");
+            let moved = device.counts();
+            assert_eq!(moved.write_batches, want.len() as u64);
+            assert_eq!(moved.bytes_written, segments.iter().map(|s| s.1 as u64).sum::<u64>());
+            for seg in &batch {
+                let mut back = vec![0u8; seg.data.len()];
+                device.read_at(seg.offset, &mut back).unwrap();
+                assert!(back == seg.data, "the pieces land every byte");
+            }
+        }
+    }
+
+    #[test]
+    fn one_lane_striped_write_is_the_windowed_vectored_loop() {
+        let (device, log) = logging(1, |_| Ok(()));
+        let n = 2 * COALESCE_WINDOW + 452;
+        let bytes = vec![7u8; 64 << 10];
+        let batch: Vec<IoVec<'_>> = (0..n as u64)
+            .map(|i| IoVec { offset: i * (64 << 10), data: &bytes })
+            .collect();
+        write_striped(&device, &batch).unwrap();
+        let sizes: Vec<usize> = log.lock().iter().map(Vec::len).collect();
+        assert_eq!(sizes, [COALESCE_WINDOW, COALESCE_WINDOW, 452], "in order, on the caller");
+        assert_eq!(device.counts().most_writes_in_flight, 1);
+    }
+
+    #[test]
+    fn a_failed_or_panicking_striped_write_lane_fails_the_write() {
+        // The second of four pieces fails: the write does, with that
+        // error, and the other three pieces have landed.
+        const B: u64 = SUM_BLOCK;
+        let (device, _) = logging(4, |offset| {
+            (offset != 2 * B)
+                .then_some(())
+                .ok_or_else(|| H5Error::Storage(format!("bad sector at {offset}")))
+        });
+        let data = vec![9u8; 8 * B as usize];
+        let err = write_striped(&device, &[IoVec { offset: 0, data: &data }]).unwrap_err();
+        assert!(matches!(err, H5Error::Storage(ref m) if *m == format!("bad sector at {}", 2 * B)));
+        for (k, want) in [(0u64, 9u8), (1, 0), (2, 9), (3, 9)] {
+            let mut back = vec![1u8; 2 * B as usize];
+            device.read_at(2 * k * B, &mut back).unwrap();
+            assert!(back.iter().all(|&x| x == want), "piece {k}");
+        }
+
+        // Every write off this thread panics, and this thread's own first
+        // write waits until one has: a Storage error, not a hang.
+        let owner = std::thread::current().id();
+        let others = Arc::new(AtomicU64::new(0));
+        let seen = others.clone();
+        let (device, _) = logging(4, move |_| {
+            if std::thread::current().id() != owner {
+                seen.fetch_add(1, Ordering::SeqCst);
+                panic!("striped-write lane panics (expected by the test)");
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while seen.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            Ok(())
+        });
+        let err = write_striped(&device, &[IoVec { offset: 0, data: &data }]).unwrap_err();
+        assert!(matches!(err, H5Error::Storage(ref m) if m.contains("lane panicked")), "{err:?}");
+        assert!(others.load(Ordering::SeqCst) >= 1);
     }
 }

@@ -3,9 +3,11 @@
 //! a faulted write retried by its completion hook on the reaper, under
 //! the connector's retry policy and circuit breaker — the two write
 //! transports side by side as one table (a write settles where it
-//! lands, on either; and two containers on one connector, both with a
-//! dataset of id 2, keep their own bytes, prefetch slots and order),
-//! and a seeded `argolite::explore` sweep over submit/drain
+//! lands, on either; two containers on one connector, both with a
+//! dataset of id 2, keep their own bytes, prefetch slots and order; and
+//! on a device of four lanes, where a large write lands as pieces at
+//! once, the later of two writes to the same bytes still lands last and
+//! a failed piece is the write's failure), and a seeded `argolite::explore` sweep over submit/drain
 //! interleavings. Poll backpressure, per-key completion order and
 //! shutdown with operations in flight are `h5lite::ring`'s own unit
 //! tests.
@@ -229,30 +231,55 @@ enum Transport {
 }
 
 /// What the parity device does to a write: hold it at a closed gate,
-/// fail it for good while `dead`, and fail the next `transient_ones`
-/// writes of a payload of `1`s with a transient fault.
+/// fail it for good while `dead`, fail the next `transient_ones` writes
+/// of a payload of `1`s with a transient fault, and hold every write of
+/// `1`s for 20 ms while `slow_ones`.
 #[derive(Default)]
 struct Script {
     closed: AtomicBool,
     dead: AtomicBool,
     transient_ones: AtomicU32,
+    slow_ones: AtomicBool,
 }
 
-/// One connector over a scripted, counted device, with a 64-byte dataset
-/// every write covers whole.
+/// One connector over a scripted, counted device, with a dataset of
+/// `len` bytes every write covers whole.
 struct Parity {
     vol: AsyncVol,
     c: Arc<Container>,
     ds: ObjectId,
+    len: usize,
     device: Arc<CountingBackend>,
     script: Arc<Script>,
 }
 
 impl Parity {
+    /// A 64-byte dataset on a `MemBackend`: one lane.
     fn new(transport: Transport, breaker: BreakerConfig) -> Parity {
+        Parity::over(transport, breaker, Arc::new(MemBackend::new()), 64)
+    }
+
+    /// A 512 KiB dataset on four lanes, under a disarmed `FaultInjector`
+    /// running `plan`: a write of the whole dataset lands as four pieces
+    /// of 128 KiB at once.
+    fn on_four_lanes(transport: Transport, plan: FaultPlan) -> (Parity, Arc<FaultInjector>) {
+        let lanes = Arc::new(ThrottledBackend::with_channels(1e12, 0.0, 4));
+        let injector = Arc::new(FaultInjector::new(lanes, plan));
+        injector.set_armed(false);
+        let p = Parity::over(transport, BreakerConfig::default(), injector.clone(), 512 << 10);
+        assert_eq!(p.device.lanes(), 4);
+        (p, injector)
+    }
+
+    fn over(
+        transport: Transport,
+        breaker: BreakerConfig,
+        inner: Arc<dyn StorageBackend>,
+        len: usize,
+    ) -> Parity {
         let script = Arc::new(Script::default());
         let s = script.clone();
-        let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+        let device = CountingBackend::new(inner).with_hook(move |call| {
             let Call::Write { segments, .. } = call else {
                 return Ok(());
             };
@@ -263,6 +290,9 @@ impl Parity {
                 return Err(H5Error::Storage("dead device".into()));
             }
             let ones = segments.iter().any(|seg| seg.data.first() == Some(&1));
+            if ones && s.slow_ones.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(20));
+            }
             let left = &s.transient_ones;
             let fault = |n: u32| n.checked_sub(1);
             if ones && left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, fault).is_ok() {
@@ -273,8 +303,9 @@ impl Parity {
         let device = Arc::new(device);
         let backend: Arc<dyn StorageBackend> = device.clone();
         let c = Arc::new(Container::create(backend.clone()));
+        let space = Dataspace::d1(len as u64);
         let ds = c
-            .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(64), Layout::Contiguous)
+            .create_dataset(ROOT_ID, "x", Datatype::U8, &space, Layout::Contiguous)
             .expect("create dataset");
         let builder = AsyncVol::builder().breaker(breaker);
         let vol = match transport {
@@ -282,12 +313,12 @@ impl Parity {
             Transport::Tasks => builder,
         }
         .build();
-        Parity { vol, c, ds, device, script }
+        Parity { vol, c, ds, len, device, script }
     }
 
-    /// Issue a write of 64 × `byte` over the whole dataset.
+    /// Issue a write of `len` × `byte` over the whole dataset.
     fn write(&self, byte: u8) -> apio::h5lite::Result<Request> {
-        self.vol.dataset_write(&self.c, self.ds, &Selection::All, &[byte; 64])
+        self.vol.dataset_write(&self.c, self.ds, &Selection::All, &vec![byte; self.len])
     }
 
     /// Write calls the device has been asked, scalar and vectored.
@@ -331,18 +362,23 @@ impl Drop for Parity {
     }
 }
 
-/// Write A (64 × `1`) is inside the device when B (64 × `2`, the same
+/// Write A (all `1`s) is inside the device when B (all `2`s, the same
 /// bytes) is issued; A then fails once with a transient fault. B was
 /// issued last, so after `finish` B's bytes must be what the dataset
 /// holds: A's retry has to land before B does, not behind it.
 fn lost_update(t: Transport, finish: fn(&Parity, Request, Request) -> Vec<u8>) {
     let p = Parity::new(t, BreakerConfig::default());
     p.script.transient_ones.store(1, Ordering::SeqCst);
+    a_retry_lands_before_b(&p, t, finish);
+    assert_eq!(p.script.transient_ones.load(Ordering::SeqCst), 0, "the fault fired");
+}
+
+/// [`lost_update`]'s race on `p`, whose device fails A once.
+fn a_retry_lands_before_b(p: &Parity, t: Transport, finish: fn(&Parity, Request, Request) -> Vec<u8>) {
     let a = p.write_held(1);
     let b = p.write(2).expect("issue B");
     p.script.closed.store(false, Ordering::SeqCst);
-    assert_eq!(finish(&p, a, b), vec![2u8; 64], "{t:?}: A's retry overwrote the later B");
-    assert_eq!(p.script.transient_ones.load(Ordering::SeqCst), 0, "the fault fired");
+    assert_eq!(finish(p, a, b), vec![2u8; p.len], "{t:?}: A's retry overwrote the later B");
 }
 
 fn lost_update_wait_all(t: Transport) {
@@ -367,6 +403,46 @@ fn lost_update_read_after_write(t: Transport) {
         p.vol.wait_all().expect("A is retried, B lands");
         back
     });
+}
+
+/// On four lanes, a held write keeps the ring's reaper busy while A
+/// (`1`s) and then B (`2`s, the same bytes) are queued, so one reaper
+/// pass holds both. Each piece of A takes 20 ms to land, B's none: if
+/// the pass's pieces went to the lanes together, A would land last.
+fn lanes_the_later_of_two_same_byte_writes_lands(t: Transport) {
+    let (p, _) = Parity::on_four_lanes(t, FaultPlan::new(0));
+    p.script.slow_ones.store(true, Ordering::SeqCst);
+    let _ = p.write_held(3);
+    let _ = p.write(1).expect("issue A");
+    let _ = p.write(2).expect("issue B");
+    p.script.closed.store(false, Ordering::SeqCst);
+    p.vol.wait_all().expect("all three land");
+    assert_eq!(p.contents(), vec![2u8; p.len], "{t:?}: A landed after the later B");
+}
+
+/// [`lost_update`] on four lanes: one of A's four pieces fails once under
+/// a `FaultInjector`; the write's retry lands A whole before B.
+fn lanes_a_transient_piece_fault_is_retried_before_the_next_write(t: Transport) {
+    let plan = FaultPlan::new(0).fail_at(FaultOp::Write, 1, FaultKind::Transient);
+    let (p, injector) = Parity::on_four_lanes(t, plan);
+    injector.set_armed(true);
+    a_retry_lands_before_b(&p, t, |p, _, _| {
+        p.vol.wait_all().expect("A is retried, B lands");
+        p.contents()
+    });
+    assert_eq!(injector.injected(), 1, "one piece failed");
+}
+
+/// On four lanes, one piece of a write fails for good: the write fails,
+/// and `wait_all` reports it.
+fn lanes_a_persistent_piece_failure_fails_the_write(t: Transport) {
+    let plan = FaultPlan::new(0).fail_at(FaultOp::Write, 2, FaultKind::Persistent);
+    let (p, injector) = Parity::on_four_lanes(t, plan);
+    injector.set_armed(true);
+    let _ = p.write(1).expect("issue");
+    let err = p.vol.wait_all().expect_err("the failed piece fails the write").to_string();
+    assert!(err.contains("1 background operation(s) failed"), "{t:?}: {err}");
+    assert_eq!(injector.injected(), 1, "one piece failed");
 }
 
 /// Two failures on a dead device open a `failure_threshold: 2` breaker as
@@ -497,7 +573,7 @@ type Case = fn(Transport);
 /// cell runs, and the table is printed, before the verdict.
 #[test]
 fn both_transports_settle_a_write_where_it_lands() {
-    let cases: [(&str, Case); 9] = [
+    let cases: [(&str, Case); 12] = [
         ("lost update: wait_all", lost_update_wait_all),
         ("lost update: wait(B) then wait(A)", lost_update_waits_in_reverse),
         ("lost update: read after write", lost_update_read_after_write),
@@ -507,6 +583,9 @@ fn both_transports_settle_a_write_where_it_lands() {
         ("two tenants: each reads back its own bytes", two_tenants_keep_their_own_bytes),
         ("two tenants: A's prefetch is never B's hit", a_prefetch_is_not_another_tenants_hit),
         ("two tenants: B's cold read skips A's held write", a_cold_read_does_not_wait_for_another_tenant),
+        ("lanes: the later of two same-byte writes lands", lanes_the_later_of_two_same_byte_writes_lands),
+        ("lanes: a transient piece fault, retried before B", lanes_a_transient_piece_fault_is_retried_before_the_next_write),
+        ("lanes: a failed piece fails the write", lanes_a_persistent_piece_failure_fails_the_write),
     ];
     let mut failed = Vec::new();
     for (name, case) in cases {
