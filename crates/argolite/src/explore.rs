@@ -1,7 +1,8 @@
 //! Seeded schedule exploration for task graphs — loom-lite, in-tree.
 //!
-//! The runtime executes ready tasks in whatever order its streams pick
-//! them up; a bug that only bites under one ready-order (a lock-order
+//! Concurrent work — rank threads, ring reapers running their jobs —
+//! interleaves in whatever order the OS picks; a bug that only bites
+//! under one ready-order (a lock-order
 //! inversion between two tasks, an invariant that holds on the happy
 //! path but not when the flush lands between two writes) can hide for
 //! thousands of runs. [`explore`] makes that nondeterminism a test
@@ -29,11 +30,11 @@
 //! permutation is exactly the granularity at which lock interactions
 //! occur.
 //!
-//! A [`TaskGraph`] is acyclic by construction, like the dependencies of
-//! [`Runtime::spawn_dependent`](crate::Runtime::spawn_dependent), which
-//! can only name tasks that already exist: an edge may only point from
-//! an earlier node to a later one. Every schedule therefore runs every
-//! node, and the ready-set walk needs no cycle check.
+//! A [`TaskGraph`] is acyclic by construction, like a ring's per-key
+//! FIFO, where an entry can only follow entries that already exist: an
+//! edge may only point from an earlier node to a later one. Every
+//! schedule therefore runs every node, and the ready-set walk needs no
+//! cycle check.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -10,10 +10,9 @@
 //!
 //! 1. **A poison-transparent, `parking_lot`-shaped API.** Guards are
 //!    returned directly (no `Result`); a panic while holding a lock does
-//!    not poison it for the rest of the process. Background I/O streams
-//!    must keep serving other datasets after one task panics — argolite
-//!    already converts the panic into task poisoning with its own
-//!    cascade semantics.
+//!    not poison it for the rest of the process. Background I/O threads
+//!    must keep serving other datasets after one job panics — the ring
+//!    already turns that panic into the job's error.
 //! 2. **A lock-order graph recorder** (compiled under the
 //!    `debug-invariants` feature). Locks constructed with
 //!    [`Mutex::new_named`] belong to a *lock class*. Each thread tracks

@@ -6,8 +6,9 @@
 //! A Rust counterpart of the HDF5 Asynchronous I/O VOL connector
 //! ([Tang et al., TPDS 2021]) that the paper evaluates. It plugs into
 //! `h5lite`'s Virtual Object Layer and moves all data operations onto
-//! `argolite` execution streams (background threads), so the application
-//! thread returns as soon as the operation is *scheduled*:
+//! background threads — the reapers of an [`h5lite::ring::Ring`] — so
+//! the application thread returns as soon as the operation is
+//! *scheduled*:
 //!
 //! - **Writes** leave the call with a connector-owned snapshot of the
 //!   caller's data — the non-zero-copy the paper calls *transactional
@@ -20,13 +21,18 @@
 //!   write runs in the background, ordered after every earlier operation
 //!   on the same dataset. Every write goes `stage → dispatch → land →
 //!   settle`, each written once (DESIGN.md §14): snapshot or WAL append,
-//!   choice of transport, container write, completion bookkeeping.
+//!   choice of ring entry, container write, completion bookkeeping.
+//! - **One executor**: a container's writes and prefetches are entries
+//!   in one ring's FIFO under the dataset's id — the attached ring if it
+//!   wraps the container's backend, else the container's own. Only DRAM
+//!   writes on the attached ring are raw segments; the rest are *jobs*
+//!   ([`Ring::submit_job`]). That one order covers WAW, RAW and WAR.
 //! - **Reads** are blocking unless a prefetch is in flight or complete for
 //!   the same `(dataset, selection)`: [`AsyncVol::prefetch`] schedules
 //!   background reads of future time steps, and a later `dataset_read`
 //!   with the same key is served from the prefetch slot — the mechanism
 //!   behind BD-CATS-IO's "first read blocking, the rest overlapped"
-//!   behaviour (§V-A2). The background task also decodes what it read,
+//!   behaviour (§V-A2). The background job also decodes what it read,
 //!   so a hit hands the typed API finished elements
 //!   ([`h5lite::ReadPayload::Elements`]); a write issued to the dataset
 //!   drops its slots, so no read is served bytes that predate it.
@@ -36,7 +42,7 @@
 //! - **Tenants**: one connector serves many containers, and an
 //!   [`ObjectId`] is unique only within one, so what the connector keeps
 //!   about a dataset (its order, its prefetch slots) is one record per
-//!   (container, dataset). A ring takes only its own backend's writes.
+//!   (container, dataset), and the container's record holds its ring.
 //! - **Coalescing**: every background data path — the write stream, the
 //!   staged read-back, prefetch, cold reads, and WAL recovery replay —
 //!   lands selections through the container's I/O planner
@@ -53,12 +59,11 @@
 //!
 //! Background failures are held per request and surface at wait time as
 //! [`H5Error::Async`], matching the deferred error reporting of the real
-//! connector. Only the report waits: on either transport a write settles
-//! — its retries, its circuit-breaker outcome, its counters — the moment
-//! it lands, on the thread that landed it (an execution stream, or the
-//! ring's reaper in the op's completion hook). Before an error is ever
-//! held, the resilience layer tries to
-//! make it not exist: background storage operations retry transient
+//! connector. Only the report waits: a write settles — its retries, its
+//! circuit-breaker outcome, its counters — the moment it lands, on the
+//! reaper that landed it (in the op's completion hook, or in its job).
+//! Before an error is ever held, the resilience layer tries to make it
+//! not exist: background storage operations retry transient
 //! faults with capped, jittered exponential backoff ([`retry`]); repeated
 //! device failures trip a circuit breaker that degrades the connector to
 //! synchronous passthrough with half-open probing to restore async mode
@@ -72,8 +77,7 @@ use std::time::Instant;
 
 use apio_trace::{Event, Tracer};
 use argolite::sync::Mutex;
-use argolite::{Runtime, TaskHandle};
-use h5lite::ring::{Completion, Ring, RingOp};
+use h5lite::ring::{Completion, Ring, RingConfig, RingOp};
 use h5lite::{
     recycle, Container, Elements, H5Error, ObjectId, Promise, ReadPayload, ReadRequest, Request,
     Result, Selection, Vol,
@@ -93,7 +97,7 @@ use retry::with_backoff;
 use stats::StatsCells;
 
 /// Request-table size above which issue drops the entries that settled
-/// clean, on either transport.
+/// clean.
 const PENDING_GC_THRESHOLD: usize = 1024;
 
 /// How one write's snapshot travels from `stage` to `land`.
@@ -108,8 +112,8 @@ struct Ran {
     /// degraded, rather than in the background.
     degraded: bool,
     bytes: u64,
-    /// Start of the reported io_secs: the submission instant on the ring
-    /// (queue time included), the start of `land` elsewhere.
+    /// Start of the reported io_secs: the submission instant for raw
+    /// segments (queue time included), else the start of `land`.
     since: Instant,
 }
 
@@ -130,8 +134,8 @@ impl Default for AsyncVolBuilder {
 }
 
 impl AsyncVolBuilder {
-    /// Defaults: one stream, no ring, DRAM staging, default retry policy
-    /// and breaker thresholds, no tracing.
+    /// Defaults: one shard per container ring, no attached ring, DRAM
+    /// staging, default retry policy and breaker thresholds, no tracing.
     pub fn new() -> Self {
         AsyncVolBuilder {
             streams: 1,
@@ -143,28 +147,30 @@ impl AsyncVolBuilder {
         }
     }
 
-    /// Number of background execution streams (default 1, like the HDF5
-    /// async VOL's single background thread per file).
+    /// Shards, one reaper thread each, of the ring the connector builds
+    /// for a container the attached ring does not serve (default 1, like
+    /// the HDF5 async VOL's single background thread per file).
     pub fn streams(mut self, n: usize) -> Self {
         self.streams = n;
         self
     }
 
-    /// Route DRAM-staged background writes through `ring` instead of
-    /// spawning a container-write task per request (DESIGN.md §14): the
-    /// caller's thread plans the selection, then submits the snapshot +
-    /// segments as one ring entry keyed by dataset id; the reaper
-    /// coalesces queued entries into vectored batches. Each entry carries
-    /// its settlement as the ring's completion hook, so the reaper
-    /// settles a write the moment it lands, in its FIFO position, as a
-    /// task does: retryable failures are retried there under the
-    /// connector's [`RetryPolicy`], and the circuit breaker and counters
-    /// see the outcome at once.
+    /// Serve the containers on `ring`'s backend through `ring`, rather
+    /// than through a ring of their own (DESIGN.md §14). A DRAM-staged
+    /// write on it is planned on the caller's thread and submitted as the
+    /// snapshot + segments, one ring entry keyed by dataset id, and the
+    /// reaper coalesces queued entries into vectored batches. Each entry
+    /// carries its settlement as the ring's completion hook, so the
+    /// reaper settles a write the moment it lands, in its FIFO position:
+    /// retryable failures are retried there under the connector's
+    /// [`RetryPolicy`], and the circuit breaker and counters see the
+    /// outcome at once. The container's device-staged writes and
+    /// prefetches are jobs on the same ring.
     ///
     /// The ring writes to the backend it wraps, so only containers on
-    /// that backend (the same object, checked at every write) use it: a
-    /// DRAM write from any other container takes the task transport, as
-    /// device-staged writes do (the WAL decouples them from the device).
+    /// that backend (the same object, checked when the container is first
+    /// written or prefetched) use it; any other container gets a ring of
+    /// its own, of [`streams`](Self::streams) shards.
     pub fn ring(mut self, ring: Arc<Ring>) -> Self {
         self.ring = Some(ring);
         self
@@ -205,8 +211,9 @@ impl AsyncVolBuilder {
         self
     }
 
-    /// Spin up the execution streams and assemble the connector.
+    /// Assemble the connector; a container's own ring comes at first use.
     pub fn build(self) -> AsyncVol {
+        assert!(self.streams >= 1, "a container's ring needs at least one shard");
         // With invariants on, forward h5lite's named metadata-plane
         // locks (shard, tree, and allocator classes) into argolite's
         // lock-order graph: the bridge is how cross-crate deadlock
@@ -219,8 +226,8 @@ impl AsyncVolBuilder {
         );
         AsyncVol {
             staging: self.staging,
-            rt: Runtime::new(self.streams),
             ring: self.ring,
+            streams: self.streams,
             inner: Mutex::new_named("asyncvol.conn", ConnInner {
                 next_req: 1,
                 requests: HashMap::new(),
@@ -238,71 +245,23 @@ impl AsyncVolBuilder {
 
 struct PrefetchSlot {
     promise: Promise<Result<ReadPayload>>,
-    handle: TaskHandle,
+    /// The job that fills `promise`.
+    done: Promise<Completion>,
 }
 
-type ErrorCell = Arc<Mutex<Option<H5Error>>>;
-
-/// One request-table entry: where the request is. Either kind settles
-/// itself the moment its write lands and keeps the outcome until the
-/// request's `wait` or `wait_all` reports it.
-enum Flight {
-    /// On an execution stream; the task leaves a failure in `error`.
-    Task { handle: TaskHandle, error: ErrorCell },
-    /// On the ring; the completion hook settles the write on the reaper,
-    /// and the completion carries the outcome.
-    Ring(Promise<Completion>),
-}
-
-impl Flight {
-    /// Whether the write has landed and settled.
-    fn finished(&self) -> bool {
-        match self {
-            Flight::Task { handle, .. } => handle.is_terminal(),
-            Flight::Ring(done) => done.is_fulfilled(),
-        }
-    }
-
-    /// Block until the write has settled; what failed, if anything.
-    fn failure(&self) -> Option<String> {
-        match self {
-            Flight::Task { handle, error } => match handle.wait() {
-                Err(p) => Some(format!("background task panicked: {}", p.message)),
-                Ok(()) => error.lock().as_ref().map(H5Error::to_string),
-            },
-            Flight::Ring(done) => {
-                done.wait_with(|c| c.result.as_ref().err().map(|e| e.error.to_string()))
-            }
-        }
-    }
-}
-
-/// A dataset's last ring write and last task. Each implies every earlier
-/// one of its kind: same-key ring writes settle in the ring's FIFO, and
-/// every task on the dataset (write or prefetch) depends on the one
-/// before, a total order covering WAW, RAW and WAR.
-#[derive(Clone, Default)]
-struct Last {
-    ring: Option<Promise<Completion>>,
-    task: Option<TaskHandle>,
-}
-
-impl Last {
-    /// Block until both have settled: what a cold read or a degraded
-    /// write waits out, once cloned in a section it takes anyway.
-    fn wait(self) -> Result<()> {
-        if let Some(ring) = self.ring {
-            ring.wait_with(|_| ());
-        }
-        let Some(task) = self.task else { return Ok(()) };
-        task.wait().map_err(|p| H5Error::Async(format!("dependency panicked: {}", p.message)))
-    }
+/// Block until a request's entry, or a prefetch's job, has settled; what
+/// failed, if anything.
+fn failure(done: &Promise<Completion>) -> Option<String> {
+    done.wait_with(|c| c.result.as_ref().err().map(|e| e.error.to_string()))
 }
 
 /// Everything the connector keeps about one dataset of one container.
 #[derive(Default)]
 struct DsOrder {
-    last: Last,
+    /// The dataset's last write or prefetch. It implies every earlier
+    /// one: they are all entries under the dataset's key in its
+    /// container's ring, and same-key entries settle in FIFO order.
+    last: Option<Promise<Completion>>,
     /// Completed or in-flight prefetches, by selection.
     prefetched: HashMap<Selection, PrefetchSlot>,
 }
@@ -310,42 +269,49 @@ struct DsOrder {
 impl DsOrder {
     /// Whether a write or prefetch is in flight, or a slot is held.
     fn busy(&self) -> bool {
-        self.last.task.as_ref().is_some_and(|h| !h.is_terminal())
-            || self.last.ring.as_ref().is_some_and(|p| !p.is_fulfilled())
-            || !self.prefetched.is_empty()
+        self.last.as_ref().is_some_and(|p| !p.is_fulfilled()) || !self.prefetched.is_empty()
     }
 }
 
 /// One container the connector serves, weakly held (the connector must
-/// not keep a closed file alive), with its datasets' records.
+/// not keep a closed file alive), with its ring and its datasets'
+/// records.
 struct Tenant {
     container: Weak<Container>,
+    /// The attached ring if it wraps the container's backend, else its own.
+    ring: Arc<Ring>,
     datasets: HashMap<ObjectId, DsOrder>,
 }
 
-/// `c`'s record of `ds`, made on first use. `c` becomes a tenant at its
-/// first write or prefetch; the records of closed containers go then.
-fn record<'a>(tenants: &'a mut Vec<Tenant>, c: &Arc<Container>, ds: ObjectId) -> &'a mut DsOrder {
+/// `c`'s tenant record, made on first use with the ring `ring_for`
+/// gives. `c` becomes a tenant at its first write or prefetch; the
+/// records of closed containers go then.
+fn tenant<'a>(
+    tenants: &'a mut Vec<Tenant>,
+    c: &Arc<Container>,
+    ring_for: impl FnOnce() -> Arc<Ring>,
+) -> &'a mut Tenant {
     let at = match tenants.iter().position(|t| t.container.as_ptr() == Arc::as_ptr(c)) {
         Some(at) => at,
         None => {
             tenants.retain(|t| t.container.strong_count() > 0);
-            tenants.push(Tenant { container: Arc::downgrade(c), datasets: HashMap::new() });
+            let ring = ring_for();
+            tenants.push(Tenant { container: Arc::downgrade(c), ring, datasets: HashMap::new() });
             tenants.len() - 1
         }
     };
-    tenants[at].datasets.entry(ds).or_default()
+    &mut tenants[at]
 }
 
 struct ConnInner {
     next_req: u64,
     /// Every request that has not been reported to its caller yet.
-    requests: HashMap<u64, Flight>,
+    requests: HashMap<u64, Promise<Completion>>,
     /// One record per container, each keyed by dataset within it.
     tenants: Vec<Tenant>,
-    /// Tasks of slots a later write made stale: nobody reads what they
+    /// Jobs of slots a later write made stale: nobody reads what they
     /// fetch, but `wait_all` still joins them.
-    stale_prefetches: Vec<TaskHandle>,
+    stale_prefetches: Vec<Promise<Completion>>,
 }
 
 impl ConnInner {
@@ -355,17 +321,23 @@ impl ConnInner {
         tenant.datasets.get_mut(&ds)
     }
 
-    /// `c`'s record of `ds` with its prefetch slots dropped, because a
-    /// write to `ds` is being issued: what they fetched (or are
-    /// fetching) predates it, so the next read of `ds` must be a cold
+    /// `c`'s ring and its record of `ds` with its prefetch slots dropped,
+    /// because a write to `ds` is being issued: what they fetched (or
+    /// are fetching) predates it, so the next read of `ds` must be a cold
     /// one, ordered after the write.
-    fn written(&mut self, c: &Arc<Container>, ds: ObjectId) -> &mut DsOrder {
-        let order = record(&mut self.tenants, c, ds);
+    fn written(
+        &mut self,
+        c: &Arc<Container>,
+        ds: ObjectId,
+        ring_for: impl FnOnce() -> Arc<Ring>,
+    ) -> (&Ring, &mut DsOrder) {
+        let Tenant { ring, datasets, .. } = tenant(&mut self.tenants, c, ring_for);
+        let order = datasets.entry(ds).or_default();
         if !order.prefetched.is_empty() {
-            self.stale_prefetches.retain(|h| !h.is_terminal());
-            self.stale_prefetches.extend(order.prefetched.drain().map(|(_, slot)| slot.handle));
+            self.stale_prefetches.retain(|p| !p.is_fulfilled());
+            self.stale_prefetches.extend(order.prefetched.drain().map(|(_, slot)| slot.done));
         }
-        order
+        (ring, order)
     }
 
     /// Once the table or the dataset records hold more than
@@ -379,7 +351,7 @@ impl ConnInner {
         if self.requests.len().max(records) <= PENDING_GC_THRESHOLD {
             return;
         }
-        self.requests.retain(|_, flight| !flight.finished() || flight.failure().is_some());
+        self.requests.retain(|_, done| !done.is_fulfilled() || failure(done).is_some());
         for t in &mut self.tenants {
             t.datasets.retain(|_, o| o.busy());
         }
@@ -396,8 +368,8 @@ impl ConnInner {
 
 /// What a write still needs once the call that issued it has returned:
 /// `land` and `settle` run on this, on the caller's thread or shared
-/// with a background task or a ring op's completion hook — one reference
-/// count per write, not one per counter.
+/// with a job or a ring op's completion hook — one reference count per
+/// write, not one per counter.
 struct Shared {
     stats: StatsCells,
     retry: RetryPolicy,
@@ -466,15 +438,17 @@ impl Shared {
 
 /// The asynchronous VOL connector. See the crate docs.
 pub struct AsyncVol {
-    rt: Runtime,
     ring: Option<Arc<Ring>>,
+    /// Shards of each ring the connector builds for a container.
+    streams: usize,
     inner: Mutex<ConnInner>,
     sh: Arc<Shared>,
     staging: Staging,
 }
 
 impl AsyncVol {
-    /// Connector with one background stream.
+    /// Connector with default settings: each container it serves gets a
+    /// one-shard ring of its own.
     pub fn new() -> Self {
         AsyncVolBuilder::new().build()
     }
@@ -486,14 +460,27 @@ impl AsyncVol {
 
     /// Snapshot of the instrumentation counters, including whether the
     /// circuit breaker currently has writes degraded to synchronous
-    /// passthrough. `queued` counts background tasks not yet completed
-    /// plus what the ring holds right now: on either transport a write
-    /// stops being queued once it has landed and settled.
+    /// passthrough. `queued` is what the rings hold right now, the
+    /// attached one and each container's own: a write or prefetch stops
+    /// being queued once it has landed and settled.
     pub fn stats(&self) -> AsyncVolStats {
         let mut s = self.sh.stats.snapshot();
         s.degraded = self.sh.breaker.is_degraded();
-        s.queued += self.ring.as_ref().map_or(0, |ring| ring.occupancy() as u64);
+        let inner = self.inner.lock();
+        let attached = self.ring.as_ref();
+        let own = inner.tenants.iter().map(|t| &t.ring);
+        let own = own.filter(|r| attached.is_none_or(|a| !Arc::ptr_eq(a, r)));
+        s.queued = attached.into_iter().chain(own).map(|r| r.occupancy() as u64).sum();
         s
+    }
+
+    /// The ring `c` writes through: the attached one if it wraps `c`'s
+    /// backend, else a new one of `streams` shards over that backend.
+    fn ring_for(&self, c: &Container) -> Arc<Ring> {
+        let backend = c.backend();
+        let own = RingConfig { shards: self.streams, ..RingConfig::default() };
+        let attached = self.ring.as_ref().filter(|ring| ring.wraps(&*backend)).cloned();
+        attached.unwrap_or_else(|| Arc::new(Ring::new(backend, own)))
     }
 
     /// Current circuit-breaker state (async→sync degradation machine).
@@ -571,7 +558,8 @@ impl AsyncVol {
     }
 
     /// Schedule a background read of `(c, ds, sel)` so a later
-    /// `dataset_read` with the same key completes without blocking.
+    /// `dataset_read` with the same key completes without blocking: a job
+    /// on `c`'s ring behind every earlier write to `ds`, not waiting them out.
     ///
     /// The returned token names the background read but is not in the
     /// request table, so [`Vol::wait`] on it returns at once. The read's
@@ -582,16 +570,10 @@ impl AsyncVol {
     /// [`Request::SYNC`]: no second read is issued, and the one slot
     /// serves the read.
     pub fn prefetch(&self, c: &Arc<Container>, ds: ObjectId, sel: &Selection) -> Request {
-        // Ring writes are not task handles, so the dependency list below
-        // cannot order the background read after them — wait them out.
-        let last_ring =
-            self.ring.as_ref().and_then(|_| self.inner.lock().find(c, ds)?.last.ring.clone());
-        if let Some(last_ring) = last_ring {
-            last_ring.wait_with(|_| ());
-        }
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let order = record(&mut inner.tenants, c, ds);
+        let Tenant { ring, datasets, .. } = tenant(&mut inner.tenants, c, || self.ring_for(c));
+        let order = datasets.entry(ds).or_default();
         if order.prefetched.contains_key(sel) {
             return Request::SYNC;
         }
@@ -599,18 +581,12 @@ impl AsyncVol {
         inner.next_req += 1;
 
         let promise: Promise<Result<ReadPayload>> = Promise::new();
-        let deps: Vec<TaskHandle> = order.last.task.iter().cloned().collect();
-
-        let c = c.clone();
-        let sel_task = sel.clone();
-        let p = promise.clone();
-        let sh = self.sh.clone();
-        sh.stats.record_queue_submitted();
-        let handle = self.rt.spawn_dependent(&deps, move || {
+        let (c, sel_job, p, sh) = (c.clone(), sel.clone(), promise.clone(), self.sh.clone());
+        let done = ring.submit_job(ds, Box::new(move || {
             let mut span = sh.stats.tracer().span("vol.prefetch");
             let t0 = Instant::now();
             let result = with_backoff(&sh.retry, req, t0, &sh.stats, || {
-                c.read_selection_tagged(ds, &sel_task)
+                c.read_selection_tagged(ds, &sel_job)
             });
             let io_secs = t0.elapsed().as_secs_f64();
             let bytes = result.as_ref().map(|(_, d)| d.len() as u64).unwrap_or(0);
@@ -621,41 +597,43 @@ impl AsyncVol {
             });
             drop(span);
             sh.stats.record_read(bytes, io_secs, true);
-            // Decode here, on the stream and during the caller's compute,
+            // Decode here, on the reaper and during the caller's compute,
             // with the datatype the read was planned against: a hit then
             // hands the caller its elements (DESIGN.md §17). Not device
             // time, so after `io_secs`.
             p.fulfill(result.and_then(|(dtype, data)| {
                 Elements::decode(dtype, &data).map(ReadPayload::Elements)
             }));
-            sh.stats.record_queue_completed();
-        });
+            Ok(()) // a failed read is the slot's, for the read that takes it
+        }));
 
-        order.last.task = Some(handle.clone());
-        order.prefetched.insert(sel.clone(), PrefetchSlot { promise, handle });
+        order.last = Some(done.clone());
+        order.prefetched.insert(sel.clone(), PrefetchSlot { promise, done });
         Request(req)
     }
 
     /// Enter one request in the table: under the connector lock, assign
-    /// its id and let `launch` put it in flight and note it in the
-    /// dataset's record, so per-dataset order is request order (the
-    /// ring's per-key FIFO, the task dependency chain). Neither the
-    /// reaper, nor a completion hook, nor a task ever takes this lock, so
-    /// a full-ring block inside `launch` still makes progress. Every
-    /// request admitted is a write, so `c` becomes a tenant here if it
-    /// is not one yet, and the dataset's prefetch slots go stale.
+    /// its id and let `launch` put it on `c`'s ring and note it as the
+    /// dataset's last, so per-dataset order is request order (the ring's
+    /// per-key FIFO). Neither the reaper, nor a completion hook, nor a
+    /// job ever takes this lock, so a full-ring block inside `launch`
+    /// still makes progress. Every request admitted is a write, so `c`
+    /// becomes a tenant here if it is not one yet, and the dataset's
+    /// prefetch slots go stale.
     fn admit(
         &self,
         c: &Arc<Container>,
         ds: ObjectId,
-        launch: impl FnOnce(u64, &mut Last) -> Flight,
+        launch: impl FnOnce(u64, &Ring) -> Promise<Completion>,
     ) -> Request {
         let mut inner = self.inner.lock();
         inner.drop_settled();
         let req = inner.next_req;
         inner.next_req += 1;
-        let flight = launch(req, &mut inner.written(c, ds).last);
-        inner.requests.insert(req, flight);
+        let (ring, order) = inner.written(c, ds, || self.ring_for(c));
+        let done = launch(req, ring);
+        order.last = Some(done.clone());
+        inner.requests.insert(req, done);
         Request(req)
     }
 
@@ -684,7 +662,7 @@ impl AsyncVol {
         // run synchronously on the caller's thread and are acknowledged
         // only once durable. A dispatched probe must always resolve: the
         // guard reports the outcome, and reverts HalfOpen → Open if
-        // dropped unresolved (a failed issue, or a panicking probe task).
+        // dropped unresolved (a failed issue, or a panicking probe job).
         let probe = match self.sh.breaker.route(&self.sh.stats) {
             Route::Degraded => return self.degraded_write(c, ds, sel, snapshot()),
             Route::Async { probe } => probe.then(|| self.sh.breaker.probe_guard(&self.sh.stats)),
@@ -729,13 +707,13 @@ impl AsyncVol {
         Ok(payload)
     }
 
-    /// Put a staged write in flight on one of the two transports: a ring
-    /// entry (DESIGN.md §14) when the snapshot is in DRAM and the attached
-    /// ring wraps the container's own backend, else a task ordered after
-    /// the dataset's last one (the reaper executes raw segments and cannot
-    /// read a snapshot back from the WAL). So one dataset's writes are all
-    /// ring entries or all tasks, and the ring key stays the dataset id.
-    /// `t0` is when the snapshot began: the overhead covers copy and plan.
+    /// Put a staged write on `c`'s ring: raw segments (DESIGN.md §14) when
+    /// the snapshot is in DRAM and the attached ring wraps the
+    /// container's own backend, else one job that lands and settles it
+    /// (the reaper executes raw segments, and cannot read a snapshot back
+    /// from the WAL or sieve a selection). Either way the entry is keyed
+    /// by the dataset id. `t0` is when the snapshot began: the overhead
+    /// covers copy and plan.
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
@@ -748,9 +726,9 @@ impl AsyncVol {
         t0: Instant,
     ) -> Result<Request> {
         let stats = &self.sh.stats;
-        let ring = self.ring.as_ref().filter(|ring| ring.wraps(&*c.backend()));
-        match (ring, payload) {
-            (Some(ring), Payload::Dram(data)) => {
+        let attached = self.ring.as_ref().is_some_and(|ring| ring.wraps(&*c.backend()));
+        match payload {
+            Payload::Dram(data) if attached => {
                 // Metadata-only planning on the caller's thread; the data
                 // path (the vectored writes) runs on the reaper, which
                 // recycles the snapshot once it has landed.
@@ -761,10 +739,9 @@ impl AsyncVol {
                         return self.sh.settle(Err(e), probe, None).map(|()| Request::SYNC);
                     }
                 };
-                let overhead_secs = t0.elapsed().as_secs_f64();
-                stats.record_snapshot(bytes, overhead_secs);
+                stats.record_snapshot(bytes, t0.elapsed().as_secs_f64());
                 let sh = self.sh.clone();
-                Ok(self.admit(c, ds, |req, last| {
+                Ok(self.admit(c, ds, |req, ring| {
                     let since = Instant::now();
                     // Settled on the reaper the moment the write lands,
                     // before the next op on the shard: a retry lands in
@@ -779,21 +756,14 @@ impl AsyncVol {
                         });
                         sh.settle(outcome, probe, Some(Ran { degraded: false, bytes, since }))
                     });
-                    let done = ring.submit_with(ds, RingOp::Write { data, segs }, settle);
-                    last.ring = Some(done.clone());
-                    Flight::Ring(done)
+                    ring.submit_with(ds, RingOp::Write { data, segs }, settle)
                 }))
             }
-            (_, payload) => {
-                let overhead_secs = t0.elapsed().as_secs_f64();
-                stats.record_snapshot(bytes, overhead_secs);
+            payload => {
+                stats.record_snapshot(bytes, t0.elapsed().as_secs_f64());
                 let (tenant, sel, sh) = (c.clone(), sel.clone(), self.sh.clone());
-                Ok(self.admit(c, ds, |req, last| {
-                    let error: ErrorCell = Arc::new(Mutex::new_named("asyncvol.error_cell", None));
-                    let stow = error.clone();
-                    let deps: Vec<TaskHandle> = last.task.iter().cloned().collect();
-                    sh.stats.record_queue_submitted();
-                    let handle = self.rt.spawn_dependent(&deps, move || {
+                Ok(self.admit(c, ds, |req, ring| {
+                    ring.submit_job(ds, Box::new(move || {
                         let _exec_span = sh.stats.tracer().span_with(
                             "vol.execute",
                             Event::VolCall {
@@ -804,17 +774,11 @@ impl AsyncVol {
                         );
                         let since = Instant::now();
                         let outcome = sh.land(&tenant, ds, &sel, payload, req, since);
-                        let ran = Ran { degraded: false, bytes, since };
                         // Settled the moment the write lands, not when
                         // somebody waits: the breaker counts consecutive
                         // failures as writes finish.
-                        if let Err(e) = sh.settle(outcome, probe, Some(ran)) {
-                            *stow.lock() = Some(e);
-                        }
-                        sh.stats.record_queue_completed();
-                    });
-                    last.task = Some(handle.clone());
-                    Flight::Task { handle, error }
+                        sh.settle(outcome, probe, Some(Ran { degraded: false, bytes, since }))
+                    }))
                 }))
             }
         }
@@ -825,7 +789,7 @@ impl AsyncVol {
     /// known before returning, so an `Ok` here is as durable as the
     /// container itself — no acknowledged write can be lost to a dead
     /// background pipeline. Per-dataset ordering is preserved by waiting
-    /// out any in-flight background op on the same dataset first.
+    /// out the dataset's last background op first.
     fn degraded_write(
         &self,
         c: &Arc<Container>,
@@ -850,11 +814,10 @@ impl AsyncVol {
             let mut inner = self.inner.lock();
             let salt = inner.next_req;
             inner.next_req += 1; // consumed as jitter salt only
-            (salt, inner.written(c, ds).last.clone())
+            (salt, inner.written(c, ds, || self.ring_for(c)).1.last.clone())
         };
-        if let Err(e) = last.wait() {
-            recycle::give(data);
-            return Err(e);
+        if let Some(last) = last {
+            last.wait_with(|_| ());
         }
         let since = Instant::now();
         let outcome = self.sh.land(c, ds, sel, Payload::Dram(data), salt, since);
@@ -918,14 +881,16 @@ impl Vol for AsyncVol {
                 }
                 None => order.last.clone(),
             },
-            None => Last::default(),
+            None => None,
         };
 
-        // Cold read: block on the dataset's last ring write and last task
-        // (RAW ordering), then read on the calling thread — the
+        // Cold read: block on the dataset's last write or prefetch (RAW
+        // ordering), then read on the calling thread — the
         // first-time-step behaviour of the paper's connector.
         let mut read_span = self.sh.stats.tracer().span("vol.read");
-        last.wait()?;
+        if let Some(last) = last {
+            last.wait_with(|_| ());
+        }
         let t0 = Instant::now();
         let salt = ds.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let result = with_backoff(&self.sh.retry, salt, t0, &self.sh.stats, || {
@@ -947,11 +912,11 @@ impl Vol for AsyncVol {
         // Not in the table: a sync request, one waited for before, or
         // one dropped clean by `drop_settled`. Each failure is surfaced
         // exactly once.
-        let (flight, tenants) = {
+        let (done, tenants) = {
             let mut inner = self.inner.lock();
             (inner.requests.remove(&req.0), inner.open_tenants())
         };
-        let failure = flight.and_then(|f| f.failure());
+        let failure = done.and_then(|done| failure(&done));
         // Request settlement is the session model's publication point —
         // even for sync (degraded-path) requests, which settled on issue.
         tenants.iter().for_each(|c| c.publish_settled());
@@ -961,29 +926,29 @@ impl Vol for AsyncVol {
     fn wait_all(&self) -> Result<()> {
         // Drain the request table and the in-flight prefetches, and note
         // the open tenants, in one section.
-        let (mut flights, prefetches, tenants) = {
+        let (mut requests, prefetches, tenants) = {
             let mut inner = self.inner.lock();
             let tenants = inner.open_tenants();
             let mut pf = std::mem::take(&mut inner.stale_prefetches);
             let records = inner.tenants.iter().flat_map(|t| t.datasets.values());
-            pf.extend(records.flat_map(|o| o.prefetched.values()).map(|s| s.handle.clone()));
+            pf.extend(records.flat_map(|o| o.prefetched.values()).map(|s| s.done.clone()));
             (inner.requests.drain().collect::<Vec<_>>(), pf, tenants)
         };
         // Request order, not map order: the report must not depend on the
         // hasher.
-        flights.sort_by_key(|(req, _)| *req);
+        requests.sort_by_key(|(req, _)| *req);
         // Aggregate EVERY failure — first-error-wins would silently drop
         // the rest, and a checkpoint writer deciding what to re-drive
         // needs the full list of failed requests.
         let mut failures: Vec<String> = Vec::new();
-        for (req, flight) in flights {
-            if let Some(msg) = flight.failure() {
+        for (req, done) in requests {
+            if let Some(msg) = failure(&done) {
                 failures.push(format!("req {req}: {msg}"));
             }
         }
-        for handle in prefetches {
-            if let Err(p) = handle.wait() {
-                failures.push(format!("prefetch panicked: {}", p.message));
+        for done in prefetches {
+            if let Some(msg) = failure(&done) {
+                failures.push(format!("prefetch panicked: {msg}"));
             }
         }
         tenants.iter().for_each(|c| c.publish_settled());
@@ -1039,29 +1004,34 @@ mod tests {
         (bad, c, ds, ring)
     }
 
-    /// Table entries, those of them on the ring, and tenant records,
-    /// right now.
+    /// Table entries, those of them on a ring, and tenant records, right
+    /// now. Every entry is a ring completion, on the attached ring or on
+    /// a container's own; [`on_attached_ring`] tells which.
     fn table_sizes(vol: &AsyncVol) -> (usize, usize, usize) {
         let inner = vol.inner.lock();
-        let on_ring = inner.requests.values().filter(|f| matches!(f, Flight::Ring(_))).count();
-        (inner.requests.len(), on_ring, inner.tenants.len())
+        (inner.requests.len(), inner.requests.len(), inner.tenants.len())
+    }
+
+    /// Whether `c` writes through the connector's attached ring.
+    fn on_attached_ring(vol: &AsyncVol, c: &Arc<Container>) -> bool {
+        let inner = vol.inner.lock();
+        let t = inner.tenants.iter().find(|t| t.container.as_ptr() == Arc::as_ptr(c));
+        t.zip(vol.ring.as_ref()).is_some_and(|(t, a)| Arc::ptr_eq(&t.ring, a))
     }
 
     /// A producer that never waits per request: the request table stays
     /// bounded (it used to grow by one entry per ring write until the
     /// next wait), `queued` stays bounded, and a failure retired at issue
     /// time is still reported by `wait_all` — once. `in_flight_cap` is
-    /// how many unfinished requests the transport admits: the ring
-    /// enforces its own, the task transport has no admission control, so
-    /// there the producer paces itself on the `queued` gauge.
+    /// how many unfinished requests a ring admits: the attached one and
+    /// the container's own have the same default geometry.
     fn requests_are_retired_without_a_wait(use_ring: bool) {
         const WRITES: u64 = 5_000;
         let (bad, c, ds, ring) = bad_block_stack(WRITES);
-        let (vol, in_flight_cap) = if use_ring {
-            let cap = ring.capacity() + COALESCE_WINDOW;
-            (AsyncVol::builder().ring(ring).build(), cap)
-        } else {
-            (AsyncVol::new(), 64)
+        let in_flight_cap = ring.capacity() + COALESCE_WINDOW;
+        let vol = match use_ring {
+            true => AsyncVol::builder().ring(ring).build(),
+            false => AsyncVol::new(),
         };
         // Write 10 lands on the bad block.
         let segs = c.plan_write_selection(ds, &slab(10), SLAB).unwrap();
@@ -1072,9 +1042,6 @@ mod tests {
         let bound = PENDING_GC_THRESHOLD + in_flight_cap + 1;
         let mut peak = 0;
         for w in 0..WRITES {
-            while !use_ring && vol.stats().queued >= in_flight_cap as u64 {
-                std::thread::yield_now();
-            }
             let _ = vol
                 .dataset_write(&c, ds, &slab(w), &[w as u8; SLAB as usize])
                 .unwrap();
@@ -1109,8 +1076,8 @@ mod tests {
 
     /// `queued` is what has not completed, not what has not been waited
     /// for: once the reaper has drained the ring it reads zero, with
-    /// every request still in the table, unwaited — and, as on the task
-    /// transport, every write already settled and counted.
+    /// every request still in the table, unwaited — and every write
+    /// already settled and counted.
     #[test]
     fn queued_counts_ring_occupancy_not_unsettled_requests() {
         const WRITES: u64 = 64;
@@ -1135,8 +1102,9 @@ mod tests {
     /// A connector outlives the containers it serves: 2 000 of them, each
     /// created on the one device, written once, waited for and dropped,
     /// leave at most 2 tenant records behind at any round — the records
-    /// of closed containers go. On the ring every write is a ring entry,
-    /// whose hook holds no container.
+    /// of closed containers go, and with them their own rings. On the
+    /// attached ring every write is raw segments, whose hook holds no
+    /// container.
     fn tenant_records_stay_bounded(use_ring: bool) {
         let device: Arc<dyn h5lite::StorageBackend> = Arc::new(MemBackend::new());
         let vol = match use_ring {
@@ -1151,7 +1119,7 @@ mod tests {
                 .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(SLAB), Layout::Contiguous)
                 .unwrap();
             let req = vol.dataset_write(&c, ds, &slab(0), &[round as u8; SLAB as usize]).unwrap();
-            assert_eq!(table_sizes(&vol).1, usize::from(use_ring), "round {round}: transport");
+            assert_eq!(on_attached_ring(&vol, &c), use_ring, "round {round}: transport");
             vol.wait(req).unwrap();
             drop(c);
             let (_, _, tenants) = table_sizes(&vol);

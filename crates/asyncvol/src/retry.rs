@@ -2,7 +2,7 @@
 //! operations.
 //!
 //! The HDF5 async VOL defers errors to wait time; this module keeps most
-//! of them from existing at all. A background task wraps each storage
+//! of them from existing at all. A background job wraps each storage
 //! operation in [`with_backoff`]: transient failures
 //! ([`h5lite::H5Error::is_retryable`]) are retried with exponentially
 //! growing, jittered delays until either the attempt bound or the

@@ -375,8 +375,8 @@ impl StagingLog {
         })
     }
 
-    /// Read a staged snapshot back (the background task's first step)
-    /// into a recycled buffer, which the task returns once it has landed.
+    /// Read a staged snapshot back (the write job's first step) into a
+    /// recycled buffer, which the job returns once it has landed.
     pub fn read(&self, extent: StagedExtent) -> Result<Vec<u8>> {
         let mut buf = recycle::take(extent.len as usize);
         self.device.read_at(extent.offset, &mut buf)?;

@@ -12,7 +12,7 @@ use apio_trace::{Counter, Event, Metrics, Tracer};
 
 /// Registry names for every connector counter, in snapshot order.
 /// Reports iterate the registry, so the names are the public contract.
-const COUNTER_NAMES: [&str; 18] = [
+const COUNTER_NAMES: [&str; 16] = [
     "vol.writes",
     "vol.reads_blocking",
     "vol.prefetches",
@@ -29,8 +29,6 @@ const COUNTER_NAMES: [&str; 18] = [
     "vol.breaker_opens",
     "vol.breaker_closes",
     "vol.probes",
-    "vol.queue_submitted",
-    "vol.queue_completed",
 ];
 
 /// Typed handles into the metrics registry, one per counter name.
@@ -52,13 +50,11 @@ struct Handles {
     breaker_opens: Counter,
     breaker_closes: Counter,
     probes: Counter,
-    queue_submitted: Counter,
-    queue_completed: Counter,
 }
 
 impl Handles {
     fn register(metrics: &Metrics) -> Self {
-        let [writes, reads_blocking, prefetches, prefetch_hits, snapshot_bytes, snapshot_nanos, write_bytes, write_io_nanos, read_bytes, read_io_nanos, retries, retry_successes, degraded_writes, breaker_opens, breaker_closes, probes, queue_submitted, queue_completed] =
+        let [writes, reads_blocking, prefetches, prefetch_hits, snapshot_bytes, snapshot_nanos, write_bytes, write_io_nanos, read_bytes, read_io_nanos, retries, retry_successes, degraded_writes, breaker_opens, breaker_closes, probes] =
             COUNTER_NAMES.map(|name| metrics.counter(name));
         Handles {
             writes,
@@ -77,8 +73,6 @@ impl Handles {
             breaker_opens,
             breaker_closes,
             probes,
-            queue_submitted,
-            queue_completed,
         }
     }
 }
@@ -226,20 +220,8 @@ impl StatsCells {
         self.handles.probes.inc();
     }
 
-    /// A background task (write or prefetch) entered the staged queue.
-    pub(crate) fn record_queue_submitted(&self) {
-        self.handles.queue_submitted.inc();
-    }
-
-    /// A background task left the staged queue (completed its I/O).
-    pub(crate) fn record_queue_completed(&self) {
-        self.handles.queue_completed.inc();
-    }
-
     pub(crate) fn snapshot(&self) -> AsyncVolStats {
         let h = &self.handles;
-        let submitted = h.queue_submitted.get();
-        let completed = h.queue_completed.get();
         AsyncVolStats {
             writes: h.writes.get(),
             blocking_reads: h.reads_blocking.get(),
@@ -257,7 +239,7 @@ impl StatsCells {
             breaker_opens: h.breaker_opens.get(),
             breaker_closes: h.breaker_closes.get(),
             probes: h.probes.get(),
-            queued: submitted.saturating_sub(completed),
+            queued: 0,
             degraded: false,
         }
     }
@@ -267,7 +249,7 @@ impl StatsCells {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AsyncVolStats {
     /// Background writes landed and settled — counted the moment each
-    /// lands, on either transport, not when it is waited for.
+    /// lands, not when it is waited for.
     pub writes: u64,
     /// Cold (blocking) reads served on the caller's thread.
     pub blocking_reads: u64,
@@ -287,7 +269,8 @@ pub struct AsyncVolStats {
     /// Bytes written to the container by background writes.
     pub write_bytes: u64,
     /// Seconds background writes took to land: from the container write's
-    /// start on a task, from submission (queue time included) on the ring.
+    /// start in a job, from submission (queue time included) for raw
+    /// segments on the attached ring.
     pub write_io_secs: f64,
     /// Bytes read (blocking + prefetch).
     pub read_bytes: u64,
@@ -306,9 +289,10 @@ pub struct AsyncVolStats {
     /// Half-open probe writes dispatched.
     pub probes: u64,
     /// Background work submitted and not yet completed (the queue depth
-    /// at snapshot time): tasks still on the execution streams plus, in
-    /// [`AsyncVol::stats`](crate::AsyncVol::stats), what the ring holds.
-    /// Either way a write leaves it once it has landed and settled.
+    /// at snapshot time): what the connector's rings hold, filled by
+    /// [`AsyncVol::stats`](crate::AsyncVol::stats); a raw counter
+    /// snapshot reports 0. A write leaves it once it has landed and
+    /// settled.
     pub queued: u64,
     /// Whether the connector is currently degraded to synchronous
     /// passthrough (breaker open or half-open). Filled from the breaker
@@ -400,18 +384,5 @@ mod tests {
         // …and the stats view sees direct registry updates.
         m.counter("vol.retries").inc();
         assert_eq!(s.snapshot().retries, 3);
-    }
-
-    #[test]
-    fn queue_depth_is_submitted_minus_completed() {
-        let s = StatsCells::new();
-        s.record_queue_submitted();
-        s.record_queue_submitted();
-        s.record_queue_submitted();
-        s.record_queue_completed();
-        assert_eq!(s.snapshot().queued, 2);
-        s.record_queue_completed();
-        s.record_queue_completed();
-        assert_eq!(s.snapshot().queued, 0);
     }
 }

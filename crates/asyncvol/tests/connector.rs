@@ -152,7 +152,7 @@ fn background_error_surfaces_at_wait() {
             h5lite::Layout::Contiguous,
         )
         .unwrap();
-    // Wrong buffer size: the shape check happens in the background task.
+    // Wrong buffer size: the shape check happens in the background job.
     let req = vol
         .dataset_write(&c, ds, &Selection::All, &[0u8; 3])
         .unwrap();
@@ -615,7 +615,7 @@ fn wait_all_aggregates_all_background_errors() {
 
 #[test]
 fn transient_faults_are_absorbed_by_retry() {
-    // Two transient faults on the data-write path: the background task
+    // Two transient faults on the data-write path: the background job
     // retries with backoff and the operation succeeds — no error reaches
     // wait, and the retry counters record the absorption.
     let inner = Arc::new(h5lite::MemBackend::new());

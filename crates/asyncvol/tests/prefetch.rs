@@ -1,7 +1,8 @@
-//! The prefetch slot: a hit hands over elements the background task
+//! The prefetch slot: a hit hands over elements the background job
 //! decoded, a write drops the dataset's slots, and faults in a prefetched
 //! read reach the caller through the read that takes it.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -10,8 +11,9 @@ use h5lite::container::ROOT_ID;
 use h5lite::datatype::{from_bytes, to_bytes};
 use h5lite::ring::{Ring, RingConfig};
 use h5lite::{
-    Container, Dataspace, Datatype, FaultInjector, FaultKind, FaultOp, FaultPlan, File, H5Error,
-    H5Type, Hyperslab, Layout, MemBackend, ObjectId, Selection, StorageBackend, Vol,
+    Call, Container, CountingBackend, Dataspace, Datatype, FaultInjector, FaultKind, FaultOp,
+    FaultPlan, File, H5Error, H5Type, Hyperslab, Layout, MemBackend, ObjectId, Selection,
+    StorageBackend, Vol,
 };
 
 const LEN: u64 = 100;
@@ -161,7 +163,10 @@ fn a_prefetch_out_of_retries_reports_on_the_read_once() {
 /// How the second write of [`a_write_drops_the_prefetch_slot`] is issued.
 #[derive(Clone, Copy, Debug)]
 enum Regime {
+    /// No ring attached: a job on the container's own ring, which lands
+    /// the write through the container's sieved path.
     Task,
+    /// Raw segments on the attached ring.
     Ring,
     /// Inline, with the circuit breaker open.
     Degraded,
@@ -301,4 +306,59 @@ fn a_write_elsewhere_keeps_the_prefetch_slot() {
         [5; 64]
     );
     assert_eq!(vol.stats().prefetch_hits, 1);
+}
+
+/// A prefetch is a job in its dataset's ring FIFO, so the caller does not
+/// wait out the writes queued before it. On a device holding every write
+/// at a closed gate, 4 attached-ring writes to the dataset are in flight;
+/// the prefetch call must return within 2 s (a channel with a deadline,
+/// so a call stuck behind the writes fails the test rather than hanging
+/// it), and once the gate opens its hit holds all 4 writes' bytes.
+#[test]
+fn a_prefetch_behind_held_ring_writes_returns_before_they_land() {
+    const WRITES: u8 = 4;
+    let closed = Arc::new(AtomicBool::new(true));
+    let gate = closed.clone();
+    let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+        if let Call::Write { .. } = call {
+            while gate.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
+        Ok(())
+    });
+    let device = Arc::new(device);
+    let backend: Arc<dyn StorageBackend> = device.clone();
+    let ring = Arc::new(Ring::new(backend.clone(), RingConfig::default()));
+    let vol = AsyncVol::builder().ring(ring.clone()).build();
+    let c = Arc::new(Container::create(backend));
+    let len = 16 * u64::from(WRITES);
+    let ds = c
+        .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(len), Layout::Contiguous)
+        .unwrap();
+    for w in 1..=WRITES {
+        let sel = Selection::Slab(Hyperslab::range1(16 * u64::from(w - 1), 16));
+        let _ = vol.dataset_write(&c, ds, &sel, &[w; 16]).unwrap();
+    }
+    while device.counts().write_batches == 0 {
+        std::thread::yield_now();
+    }
+    assert_eq!(ring.occupancy(), usize::from(WRITES), "all 4 writes are held");
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let returned = std::thread::scope(|s| {
+        s.spawn(|| {
+            let _ = tx.send(vol.prefetch(&c, ds, &Selection::All));
+        });
+        let returned = rx.recv_timeout(Duration::from_secs(2));
+        closed.store(false, Ordering::SeqCst);
+        returned
+    });
+    let req = returned.expect("the prefetch call waited for the held ring writes");
+    assert!(!req.is_sync(), "a background read was issued");
+    let hit = vol.dataset_read(&c, ds, &Selection::All).unwrap().wait().unwrap();
+    let after: Vec<u8> = (1..=WRITES).flat_map(|w| [w; 16]).collect();
+    assert_eq!(hit, after, "the hit predates a write queued before it");
+    assert_eq!(vol.stats().prefetch_hits, 1);
+    vol.wait_all().unwrap();
 }

@@ -81,7 +81,7 @@ fn async_visible_write() {
 
 /// Visible read latency through the async connector, typed API: a cold
 /// read (blocking read, verify, decode on the calling thread) against a
-/// prefetch hit (the background task read and decoded it; the call takes
+/// prefetch hit (the background job read and decoded it; the call takes
 /// the finished elements). The prefetch and its drain are untimed.
 fn visible_read() {
     section("visible_read");

@@ -270,7 +270,7 @@ impl Dataset {
     }
 
     /// Read a hyperslab synchronously. A prefetch hit hands over the
-    /// elements its background task decoded; anything else is decoded
+    /// elements its background job decoded; anything else is decoded
     /// here (DESIGN.md §17).
     pub fn read_slab<T: H5Type>(&self, slab: &Hyperslab) -> Result<Vec<T>> {
         self.check_type::<T>()?;

@@ -31,12 +31,17 @@
 //!   waiting task directly (the TASIO-style task-aware sink — there is
 //!   no completion queue to poll). A failed operation travels back
 //!   *inside* its completion ([`CqeErr`] carries the [`RingOp`]).
+//! - **Jobs**: [`Ring::submit_job`] queues work that is not a write — an
+//!   entry with no segments whose completion hook is the work. A job
+//!   ends its reaper pass: when it starts, everything queued before it
+//!   on the shard has landed and settled, and nothing queued after it
+//!   has started. So one FIFO orders a dataset's writes, reads and
+//!   anything else its owner runs in the background.
 //!
 //! Sharding is by caller-provided key (the connector uses the dataset
-//! id), and each shard is FIFO end to end: same-key writes reach the
-//! backend, and their promises are fulfilled, in submission order —
-//! which is what replaces the connector's per-dataset dependency
-//! chaining on the ring path.
+//! id), and each shard is FIFO end to end: same-key writes and jobs
+//! reach the backend, and their promises are fulfilled, in submission
+//! order — which is the connector's whole per-dataset order.
 //!
 //! Backpressure on a full submission queue follows [`Backpressure`]:
 //! `Block` (spin-park until the reaper frees a slot) or `Poll` (hand the
@@ -249,7 +254,7 @@ struct Shard {
 struct RingShared {
     shards: Vec<Shard>,
     backend: Arc<dyn StorageBackend>,
-    /// Submitted and not yet completed (promise fulfilled).
+    /// Submitted and not yet completed (landed, its hook run).
     in_flight: AtomicUsize,
     shutdown: AtomicBool,
 }
@@ -341,6 +346,19 @@ impl Ring {
         promise
     }
 
+    /// Queue `job` on `key`'s shard: the reaper runs it at its FIFO
+    /// position, as a pass of its own (see the module docs), and its
+    /// return value, or its panic, is the completion's verdict. A full
+    /// shard blocks, as under [`submit_with`](Self::submit_with).
+    pub fn submit_job(
+        &self,
+        key: u64,
+        job: Box<dyn FnOnce() -> Result<()> + Send>,
+    ) -> Promise<Completion> {
+        let op = RingOp::Write { data: Vec::new(), segs: Vec::new() };
+        self.submit_with(key, op, Box::new(move |_, _| job()))
+    }
+
     /// The one push loop. While `key`'s shard is full, `when_full` gives
     /// the entry back to wait for a slot, or ends the submission (`Err`).
     fn push<E>(
@@ -382,8 +400,8 @@ impl Ring {
         }
     }
 
-    /// Block until every submitted operation has completed (its promise
-    /// is fulfilled).
+    /// Block until every submitted operation has completed: landed, its
+    /// hook run. Its promise is fulfilled right after.
     pub fn drain(&self) {
         while self.shared.in_flight.load(Ordering::Acquire) != 0 {
             for i in 0..self.shared.shards.len() {
@@ -446,17 +464,18 @@ fn reaper_main(shared: Arc<RingShared>, shard_idx: usize) {
     }
 }
 
-/// Pop up to a coalescing window's worth of segments in one pass.
+/// Pop up to a coalescing window's worth of segments in one pass, or up
+/// to and including the first job: a job ends its pass.
 fn drain_shard(shared: &RingShared, shard_idx: usize) -> Vec<Sqe> {
     let mut batch = Vec::new();
     let mut segments = 0usize;
     while segments < COALESCE_WINDOW {
-        match shared.shards[shard_idx].sq.pop() {
-            Some(sqe) => {
-                segments += sqe.op.segs().len().max(1);
-                batch.push(sqe);
-            }
-            None => break,
+        let Some(sqe) = shared.shards[shard_idx].sq.pop() else { break };
+        let job = sqe.op.segs().is_empty();
+        segments += sqe.op.segs().len().max(1);
+        batch.push(sqe);
+        if job {
+            break;
         }
     }
     batch
@@ -466,18 +485,24 @@ fn drain_shard(shared: &RingShared, shard_idx: usize) -> Vec<Sqe> {
 /// [`write_run`]. A lone operation, or a pass that failed (a batch error
 /// names no operation), executes one operation at a time so each
 /// completion carries its own verdict — replays are idempotent (same
-/// bytes, same offsets). Completions are delivered in queue order.
-fn execute_batch(shared: &RingShared, batch: Vec<Sqe>) {
+/// bytes, same offsets). Completions are delivered in queue order, and a
+/// job, which can only be last, runs once every write before it has
+/// landed and settled.
+fn execute_batch(shared: &RingShared, mut batch: Vec<Sqe>) {
+    let job = batch.pop_if(|sqe| sqe.op.segs().is_empty());
     let backend = shared.backend.as_ref();
     if batch.len() > 1 && write_run(backend, batch.iter().map(|sqe| &sqe.op)).is_ok() {
         for sqe in batch {
             complete(shared, sqe, Ok(()));
         }
-        return;
+    } else {
+        for sqe in batch {
+            let result = write_run(backend, std::iter::once(&sqe.op));
+            complete(shared, sqe, result);
+        }
     }
-    for sqe in batch {
-        let result = write_run(backend, std::iter::once(&sqe.op));
-        complete(shared, sqe, result);
+    if let Some(job) = job {
+        complete(shared, job, Ok(()));
     }
 }
 
@@ -534,9 +559,10 @@ fn disjoint_runs<'s, 'a>(iovecs: &'s [IoVec<'a>]) -> impl Iterator<Item = &'s [I
     })
 }
 
-/// Run `sqe`'s completion hook, if any, then fulfil its promise, then
-/// retire it from the in-flight count — so whoever sees the promise, or
-/// an empty ring, sees the hook's work done. A write that has landed
+/// Run `sqe`'s completion hook, if any, then retire it from the
+/// in-flight count, then fulfil its promise — so whoever sees an empty
+/// ring sees the hook's work done, and whoever sees the promise also sees
+/// the op out of [`Ring::occupancy`]. A write that has landed
 /// first gives its snapshot buffer back for the next one (lock-free), so
 /// a waiter that wakes finds the buffer already reusable; a failed one
 /// travels back to the waiter inside the error.
@@ -563,8 +589,8 @@ fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>) {
         }
         Err(error) => Err(CqeErr { error, op }),
     };
-    promise.fulfill(Completion { id, result });
     shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+    promise.fulfill(Completion { id, result });
 }
 
 #[cfg(test)]
@@ -816,24 +842,66 @@ mod tests {
         assert_eq!(*calls.lock(), [0, 0, 64], "A, A's retry, then B");
     }
 
-    /// A panicking hook must not kill the reaper: its op completes with
-    /// the panic as its error, and the op behind it still lands.
+    /// A panicking hook, or a panicking job, must not kill the reaper:
+    /// its op completes with the panic as its error, and the op behind it
+    /// still lands.
     #[test]
     fn a_panicking_hook_is_the_ops_error_not_a_dead_reaper() {
-        let ring = Ring::new(Arc::new(MemBackend::new()), RingConfig::default());
-        let a = ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(|_, _| {
-            panic!("hook panics (expected by the test)")
-        }));
-        let b = submit(&ring, 0, RingOp::write_raw(64, vec![2u8; 8]));
-        assert!(
-            fulfilled_within(&[a.clone(), b.clone()], Duration::from_secs(3)),
-            "a panicking hook left promises unfulfilled: the reaper is dead"
-        );
-        match a.wait_cloned().into_result() {
-            Err(H5Error::Async(m)) => assert!(m.contains("hook panics (expected"), "{m}"),
-            other => panic!("expected the panic as the op's error, got {other:?}"),
+        type Panicking = fn(&Ring) -> Promise<Completion>;
+        let inputs: [(&str, Panicking); 2] = [
+            ("hook", |ring| {
+                ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(|_, _| {
+                    panic!("hook panics (expected by the test)")
+                }))
+            }),
+            ("job", |ring| ring.submit_job(0, Box::new(|| panic!("job panics (expected by the test)")))),
+        ];
+        for (what, submit_panicking) in inputs {
+            let ring = Ring::new(Arc::new(MemBackend::new()), RingConfig::default());
+            let a = submit_panicking(&ring);
+            let b = submit(&ring, 0, RingOp::write_raw(64, vec![2u8; 8]));
+            assert!(
+                fulfilled_within(&[a.clone(), b.clone()], Duration::from_secs(3)),
+                "a panicking {what} left promises unfulfilled: the reaper is dead"
+            );
+            match a.wait_cloned().into_result() {
+                Err(H5Error::Async(m)) => assert!(m.contains(&format!("{what} panics (expected")), "{m}"),
+                other => panic!("expected the {what}'s panic as the op's error, got {other:?}"),
+            }
+            assert!(b.wait_cloned().result.is_ok(), "the write behind the {what}");
         }
-        assert!(b.wait_cloned().result.is_ok());
+    }
+
+    /// A job ends its reaper pass: queued between two writes to the same
+    /// bytes, behind a write held in the device, it sees the first
+    /// write's bytes and not the second's, though all three were queued
+    /// when the reaper took its next pass.
+    #[test]
+    fn a_job_between_two_writes_sees_the_first_and_not_the_second() {
+        let (backend, log) = recording(false);
+        let ring = Ring::new(backend.clone(), RingConfig::default());
+        let held = submit(&ring, 0, RingOp::write_raw(64, vec![9u8; 8]));
+        while backend.counts().write_batches == 0 {
+            thread::yield_now();
+        }
+        let first = submit(&ring, 0, RingOp::write_raw(0, vec![1u8; 8]));
+        let seen = Arc::new(crate::sync::Mutex::new(None));
+        let (device, saw) = (backend.clone(), seen.clone());
+        let job = ring.submit_job(0, Box::new(move || {
+            let mut back = [0u8; 8];
+            device.read_at(0, &mut back)?;
+            *saw.lock() = Some(back);
+            Ok(())
+        }));
+        let second = submit(&ring, 0, RingOp::write_raw(0, vec![2u8; 8]));
+        log.gate.store(true, Ordering::SeqCst);
+        for p in [held, first, job, second] {
+            assert!(p.wait_cloned().result.is_ok());
+        }
+        assert_eq!(*seen.lock(), Some([1u8; 8]), "the job saw the bytes of the write after it");
+        let mut back = [0u8; 8];
+        backend.read_at(0, &mut back).unwrap();
+        assert_eq!(back, [2u8; 8], "the second write landed after the job");
     }
 
     /// `RingOp::Write`'s fields are public: a segment reaching past its

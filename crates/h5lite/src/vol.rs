@@ -5,7 +5,7 @@
 //! [`crate::Group`], [`crate::Dataset`]) never touch the container
 //! directly for data movement — they call a [`Vol`] connector, which may
 //! execute eagerly ([`crate::native::NativeVol`]) or defer to background
-//! execution streams (the `asyncvol` crate). Swapping the connector
+//! threads (the `asyncvol` crate's rings). Swapping the connector
 //! changes *how* I/O happens without changing a line of application code,
 //! which is exactly the property the paper's §II-A highlights.
 //!
@@ -47,7 +47,7 @@ pub enum ReadPayload {
     /// The on-disk bytes: a synchronous or cold read, which the caller
     /// decodes.
     Bytes(Vec<u8>),
-    /// Elements a background task already decoded: a prefetch hit, which
+    /// Elements a background job already decoded: a prefetch hit, which
     /// the caller takes as they are.
     Elements(Elements),
 }
@@ -59,7 +59,7 @@ pub struct ReadRequest {
 }
 
 impl ReadRequest {
-    /// A read that will be fulfilled later by a background task.
+    /// A read that will be fulfilled later by a background job.
     pub fn pending(promise: Promise<Result<ReadPayload>>) -> Self {
         ReadRequest { promise }
     }

@@ -192,7 +192,7 @@ fn measured_phase(blocking: bool, t_comp: f64, visible_io_secs: f64) -> PhaseMea
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     use h5lite::{Call, CountingBackend, MemBackend, ThrottledBackend};
 
@@ -207,22 +207,37 @@ mod tests {
         assert_eq!(f.vol().name(), "async");
         assert!(some.is_some());
 
-        // Async is the ring: the data lands from its reaper, and none of
-        // it from the task transport's `argolite-es-*` streams.
-        let from_streams = Arc::new(AtomicU64::new(0));
-        let seen = from_streams.clone();
+        // Async writes go through the attached ring as raw segments: with
+        // the device holding every write at a closed gate, the epoch's 16
+        // writes queue in the ring, and once the gate opens the reaper
+        // lands the ones behind the held pass together, in one call of
+        // several segments. A connector writing through a ring of its own
+        // would land each write in a job of its own, one segment a call.
+        let closed = Arc::new(AtomicBool::new(true));
+        let most = Arc::new(AtomicU64::new(0));
+        let (gate, seen) = (closed.clone(), most.clone());
         let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
-            let name = std::thread::current().name().map(str::to_owned);
-            if matches!(call, Call::Write { .. }) && name.is_some_and(|n| n.starts_with("argolite")) {
-                seen.fetch_add(1, Ordering::SeqCst);
+            if let Call::Write { segments, .. } = call {
+                while gate.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                seen.fetch_max(segments.len() as u64, Ordering::SeqCst);
             }
             Ok(())
         });
-        let device = Arc::new(device);
-        let (file, vol) = make_file(Arc::new(Container::create(device.clone())), IoMode::Async);
-        run_real(&file, vol.as_deref(), &Workload::checkpoint(2, 64 * 32, 1, 0.0)).unwrap();
-        assert!(device.counts().write_batches > 0);
-        assert_eq!(from_streams.load(Ordering::SeqCst), 0);
+        let (file, vol) = make_file(Arc::new(Container::create(Arc::new(device))), IoMode::Async);
+        let vol = vol.unwrap();
+        let w = Workload::checkpoint(2, 64 * 32, 1, 0.0);
+        std::thread::scope(|s| {
+            let run = s.spawn(|| run_real(&file, Some(&vol), &w));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while vol.stats().queued < 16 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            closed.store(false, Ordering::SeqCst);
+            run.join().unwrap().unwrap();
+        });
+        assert!(most.load(Ordering::SeqCst) > 1, "no write call carried two ring writes");
     }
 
     #[test]

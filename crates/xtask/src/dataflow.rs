@@ -229,16 +229,17 @@ fn rhs_acquires_guard(tokens: &[Token], rhs: std::ops::Range<usize>) -> bool {
     false
 }
 
-/// Method names that hand a closure to the argolite scheduler.
-const SUBMITTERS: [&str; 3] = ["spawn", "spawn_dependent", "add_task"];
+/// Method names that hand a closure to a background executor: a thread,
+/// a ring job or completion hook, or an explorer task.
+const SUBMITTERS: [&str; 4] = ["spawn", "submit_job", "submit_with", "add_task"];
 
 /// Path fragments that block the calling OS thread.
 const BLOCKING: [(&str, &str); 3] = [("std", "fs"), ("std", "net"), ("thread", "sleep")];
 
 /// `blocking-in-task`: `std::fs` / `std::net` / `thread::sleep` inside
-/// a closure passed to a task-submission call. Tasks multiplex onto a
-/// bounded worker pool; one blocked worker stalls every queued task
-/// behind it.
+/// a closure passed to a submission call. Ring jobs and completion hooks
+/// run on their shard's one reaper; one blocked job stalls every entry
+/// queued behind it.
 pub fn blocking_in_task(tokens: &[Token]) -> Vec<Finding> {
     let mut out = Vec::new();
     for k in 0..tokens.len() {
@@ -576,32 +577,34 @@ fn wait(&self) {
     #[test]
     fn blocking_in_task_fires_inside_submission_closures() {
         let src = "\
-fn f(rt: &Runtime) {
-    rt.spawn_dependent(deps, move || {
+fn f(ring: &Ring) {
+    ring.submit_job(ds, Box::new(move || {
         let data = std::fs::read(path);
         thread::sleep(d);
-    });
+    }));
     g.add_task(\"t\", || std::net::TcpStream::connect(a));
+    ring.submit_with(ds, op, Box::new(|first, _| { thread::sleep(d); first }));
 }
 ";
         let f = blocking_in_task(&lex(src).tokens);
-        assert_eq!(lines(&f), [3, 4, 6]);
+        assert_eq!(lines(&f), [3, 4, 6, 7]);
         assert!(f[0].message.contains("std::fs"));
         assert!(f[1].message.contains("thread::sleep"));
         assert!(f[2].message.contains("std::net"));
+        assert!(f[3].message.contains("submit_with("));
     }
 
     #[test]
     fn blocking_outside_closures_or_submissions_is_fine() {
         let before = "\
-fn f(rt: &Runtime) {
+fn f(ring: &Ring) {
     let data = std::fs::read(path);
-    rt.spawn(move || consume(data));
+    ring.submit_job(ds, Box::new(move || consume(data)));
 }
 ";
         assert!(blocking_in_task(&lex(before).tokens).is_empty());
         // Submission without a closure argument.
-        let no_closure = "fn f(rt: &Runtime) { rt.submit(prebuilt); }\n";
+        let no_closure = "fn f(ring: &Ring) { ring.submit_keyed(ds, prebuilt); }\n";
         assert!(blocking_in_task(&lex(no_closure).tokens).is_empty());
         // A local fn named spawn, not method-called.
         let free_fn = "fn f() { spawn(|| std::fs::read(p)); }\n";

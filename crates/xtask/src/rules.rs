@@ -10,7 +10,7 @@
 //! | `planned-io`    | h5lite `container.rs` + `integrity.rs`, asyncvol `lib.rs` | data-path I/O goes through the planner's vectored batches or the ring, not scalar per-run calls |
 //! | `superblock-discipline` | h5lite `src/` except `superblock.rs` | the superblock area (offset 0) is written only through the dual-slot commit protocol |
 //! | `guard-across-boundary` | argolite, asyncvol, h5lite `src/` | no lock guard is live across `submit`/`wait`/`block_on`/channel-recv (dataflow pass) |
-//! | `blocking-in-task` | argolite, asyncvol, h5lite `src/`    | no `std::fs`/`std::net`/`thread::sleep` inside closures handed to the task scheduler |
+//! | `blocking-in-task` | argolite, asyncvol, h5lite `src/`    | no `std::fs`/`std::net`/`thread::sleep` inside closures handed to a ring job, completion hook, thread or explorer task |
 //! | `checked-offset-arith` | h5lite `storage.rs`, `container.rs` + `integrity.rs`, `plan.rs` | device offsets/addresses use `checked_*`/`saturating_*`, never raw `+`/`*` |
 //!
 //! Four of the rules are token patterns; the other three ride the
@@ -90,14 +90,13 @@ const PLANNED_IO_FILES: [&str; 3] = [
     "crates/asyncvol/src/lib.rs",
 ];
 /// Type names (beyond the `*Guard` convention) that must be `#[must_use]`.
-const MUST_USE_TYPES: [&str; 4] = [
-    "TaskHandle",
+const MUST_USE_TYPES: [&str; 3] = [
     "Promise",
     "Request",
     "ReadRequest",
 ];
-/// Crates whose `src/` runs under the task scheduler: guard liveness
-/// and blocking-call discipline apply.
+/// Crates whose `src/` runs on background threads (ring reapers and
+/// their jobs): guard liveness and blocking-call discipline apply.
 const SCHEDULED_CRATES: [&str; 3] = ["crates/argolite/", "crates/asyncvol/", "crates/h5lite/"];
 /// Files carrying device-address arithmetic.
 const OFFSET_ARITH_FILES: [&str; 4] = [
@@ -480,16 +479,16 @@ mod tests {
 
     #[test]
     fn must_use_fires_on_unmarked_handle_types() {
-        let bad = "pub struct TaskHandle {\n    x: u32,\n}\n";
-        assert_eq!(rules_fired("crates/argolite/src/lib.rs", bad), ["must-use"]);
+        let bad = "pub struct Promise<T> {\n    x: T,\n}\n";
+        assert_eq!(rules_fired("crates/h5lite/src/promise.rs", bad), ["must-use"]);
         let bad_guard = "pub struct FlushGuard<'a> {\n    x: &'a u32,\n}\n";
         assert_eq!(rules_fired("crates/h5lite/src/x.rs", bad_guard), ["must-use"]);
     }
 
     #[test]
     fn must_use_satisfied_by_attribute() {
-        let ok = "/// Doc.\n#[must_use = \"reason\"]\npub struct TaskHandle {\n    x: u32,\n}\n";
-        assert!(lint_source("crates/argolite/src/lib.rs", ok).is_empty());
+        let ok = "/// Doc.\n#[must_use = \"reason\"]\npub struct Promise<T> {\n    x: T,\n}\n";
+        assert!(lint_source("crates/h5lite/src/promise.rs", ok).is_empty());
         let ok2 = "#[derive(Debug)]\n#[must_use]\npub struct IoGuard;\n";
         assert!(lint_source("crates/asyncvol/src/lib.rs", ok2).is_empty());
         // Attribute blocks stack in either order.
@@ -499,8 +498,8 @@ mod tests {
 
     #[test]
     fn must_use_ignores_other_types() {
-        let ok = "pub struct Runtime {\n    x: u32,\n}\n";
-        assert!(lint_source("crates/argolite/src/lib.rs", ok).is_empty());
+        let ok = "pub struct Ring {\n    x: u32,\n}\n";
+        assert!(lint_source("crates/h5lite/src/ring.rs", ok).is_empty());
     }
 
     #[test]
@@ -617,10 +616,10 @@ fn f(&self) {
     #[test]
     fn blocking_in_task_scoped_and_fires() {
         let bad = "\
-fn f(rt: &Runtime) {
-    rt.spawn_dependent(deps, move || {
+fn f(ring: &Ring) {
+    ring.submit_job(ds, Box::new(move || {
         std::fs::remove_file(p)
-    });
+    }));
 }
 ";
         assert_eq!(

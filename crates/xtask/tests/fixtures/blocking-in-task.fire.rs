@@ -1,12 +1,13 @@
-//@ lint-as: crates/argolite/src/fixture.rs
-fn spawn_cleanup(rt: &Runtime, path: PathBuf) {
-    rt.spawn(move || {
+//@ lint-as: crates/h5lite/src/fixture.rs
+fn submit_cleanup(ring: &Ring, ds: u64, path: PathBuf) {
+    let _ = ring.submit_job(ds, Box::new(move || {
         std::fs::remove_file(&path) //~ blocking-in-task
-    });
+    }));
 }
 
-fn spawn_backoff(rt: &Runtime, d: Duration) {
-    rt.spawn_dependent(deps, move || {
+fn submit_backoff(ring: &Ring, ds: u64, op: RingOp, d: Duration) {
+    let _ = ring.submit_with(ds, op, Box::new(move |first, _| {
         thread::sleep(d); //~ blocking-in-task
-    });
+        first
+    }));
 }

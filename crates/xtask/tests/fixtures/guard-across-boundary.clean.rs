@@ -1,11 +1,11 @@
 //@ lint-as: crates/argolite/src/fixture.rs
 impl Connector {
-    fn submit_unlocked(&self, rt: &Runtime) {
+    fn submit_unlocked(&self, ring: &Ring) {
         let job = {
             let st = self.state.lock();
             st.next_job.clone()
         };
-        let id = rt.submit(job);
+        let id = ring.submit(job);
         record(id);
     }
 

@@ -1,8 +1,8 @@
 //@ lint-as: crates/argolite/src/fixture.rs
 impl Connector {
-    fn submit_locked(&self, rt: &Runtime) {
+    fn submit_locked(&self, ring: &Ring) {
         let st = self.state.lock();
-        let id = rt.submit(self.job.clone()); //~ guard-across-boundary
+        let id = ring.submit(self.job.clone()); //~ guard-across-boundary
         drop(st);
         record(id);
     }

@@ -1,15 +1,15 @@
-//@ lint-as: crates/argolite/src/fixture.rs
-#[must_use = "dropping the handle detaches the task"]
-pub struct TaskHandle {
-    id: u64,
+//@ lint-as: crates/h5lite/src/fixture.rs
+#[must_use = "dropping the promise discards the only way to observe the outcome"]
+pub struct Promise<T> {
+    value: T,
 }
 
 #[derive(Debug)]
 #[must_use]
 pub struct DrainGuard<'a> {
-    owner: &'a Runtime,
+    owner: &'a Ring,
 }
 
-pub struct Runtime {
+pub struct Ring {
     next: u64,
 }

@@ -1,9 +1,9 @@
-//@ lint-as: crates/argolite/src/fixture.rs
-pub struct TaskHandle { //~ must-use
-    id: u64,
+//@ lint-as: crates/h5lite/src/fixture.rs
+pub struct Promise<T> { //~ must-use
+    value: T,
 }
 
 #[derive(Debug)]
 pub struct DrainGuard<'a> { //~ must-use
-    owner: &'a Runtime,
+    owner: &'a Ring,
 }

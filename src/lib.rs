@@ -8,8 +8,8 @@
 //! - [`platform`] — calibrated Summit (GPFS) and Cori-Haswell (Lustre)
 //!   system models: file systems, memcpy/GPU-link/NVMe models, contention.
 //! - [`mpisim`] — simulated MPI ranks, barriers, and collective I/O.
-//! - [`argolite`] — a real Argobots-style tasking runtime (execution
-//!   streams, pools, tasks with dependencies).
+//! - [`argolite`] — concurrency checking for the background I/O path: a
+//!   lock-order-recording lock shim and a seeded schedule explorer.
 //! - [`h5lite`] — a self-describing HDF5-like container format with a
 //!   Virtual Object Layer (VOL) hook point.
 //! - [`asyncvol`] — the asynchronous VOL connector: background-thread I/O

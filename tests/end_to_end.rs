@@ -24,8 +24,9 @@ fn small() -> Workload {
 /// handle [`run_real`] takes as its mode.
 type Open = fn(Arc<Container>) -> (File, Option<Arc<AsyncVol>>);
 
-/// The write stacks: native, the task transport built by hand, and the
-/// one-shard ring `make_file` builds for async.
+/// The write stacks: native, a connector with no ring attached (each
+/// container writes through a ring of its own), and the one-shard ring
+/// `make_file` attaches for async.
 fn writers() -> [(&'static str, Open); 3] {
     [
         ("native", |c| make_file(c, IoMode::Sync)),

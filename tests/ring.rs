@@ -1,9 +1,11 @@
 //! Integration gate for the ring transport: Block backpressure
 //! under a genuinely full ring, the connector's ring path end to end —
 //! a faulted write retried by its completion hook on the reaper, under
-//! the connector's retry policy and circuit breaker — the two write
-//! transports side by side as one table (a write settles where it
-//! lands, on either; two containers on one connector, both with a
+//! the connector's retry policy and circuit breaker — the three ways a
+//! write reaches a ring side by side as one table (raw segments on the
+//! attached ring, a job on the container's own ring, a WAL-staged job;
+//! a write settles where it lands, on each; two containers on one
+//! connector, both with a
 //! dataset of id 2, keep their own bytes, prefetch slots and order; and
 //! on a device of four lanes, where a large write lands as pieces at
 //! once, the later of two writes to the same bytes still lands last and
@@ -222,12 +224,21 @@ fn connector_ring_path_resubmits_faulted_ops() {
     assert_eq!(back, expected, "no write lost through the ring path");
 }
 
-/// The connector's two write transports, one row each of the parity
+/// How the connector puts a write on a ring, one row each of the parity
 /// table below.
 #[derive(Clone, Copy, Debug)]
 enum Transport {
+    /// Raw segments on the attached ring, settled in their completion
+    /// hook.
     Ring,
-    Tasks,
+    /// No ring attached: a job on the connector's own ring for the
+    /// container, which lands the write through the container's sieved
+    /// path and settles it.
+    Own,
+    /// The ring attached and snapshots staged to a device (a second
+    /// `MemBackend`): a job on the attached ring that reads its payload
+    /// back from the write-ahead log, lands it and settles it.
+    Staged,
 }
 
 /// What the parity device does to a write: hold it at a closed gate,
@@ -308,9 +319,11 @@ impl Parity {
             .create_dataset(ROOT_ID, "x", Datatype::U8, &space, Layout::Contiguous)
             .expect("create dataset");
         let builder = AsyncVol::builder().breaker(breaker);
+        let ring = || Arc::new(Ring::new(backend, RingConfig::default()));
         let vol = match transport {
-            Transport::Ring => builder.ring(Arc::new(Ring::new(backend, RingConfig::default()))),
-            Transport::Tasks => builder,
+            Transport::Ring => builder.ring(ring()),
+            Transport::Own => builder,
+            Transport::Staged => builder.ring(ring()).stage_to_device(Arc::new(MemBackend::new())),
         }
         .build();
         Parity { vol, c, ds, len, device, script }
@@ -339,8 +352,8 @@ impl Parity {
         req
     }
 
-    /// Spin until nothing is queued on either transport — every write
-    /// has landed — without waiting on any request.
+    /// Spin until nothing is queued on the connector's rings — every
+    /// write has landed — without waiting on any request.
     fn landed(&self) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while self.vol.stats().queued != 0 {
@@ -568,9 +581,10 @@ fn a_cold_read_does_not_wait_for_another_tenant(t: Transport) {
 type Case = fn(Transport);
 
 /// Transport parity, as one table: every case is one row per transport,
-/// and each must hold on both — a write's retry, breaker outcome and
-/// counters happen when it lands, on the thread that landed it. Every
-/// cell runs, and the table is printed, before the verdict.
+/// and each must hold on all three — a write's retry, breaker outcome
+/// and counters happen when it lands, on the reaper that landed it.
+/// Every case applies to every row. Every cell runs, and the table is
+/// printed, before the verdict.
 #[test]
 fn both_transports_settle_a_write_where_it_lands() {
     let cases: [(&str, Case); 12] = [
@@ -589,10 +603,10 @@ fn both_transports_settle_a_write_where_it_lands() {
     ];
     let mut failed = Vec::new();
     for (name, case) in cases {
-        for t in [Transport::Ring, Transport::Tasks] {
+        for t in [Transport::Ring, Transport::Own, Transport::Staged] {
             let ok = std::panic::catch_unwind(|| case(t)).is_ok();
             let row = format!("{t:?}");
-            eprintln!("parity | {name:<48} | {row:<5} | {}", if ok { "ok" } else { "FAILED" });
+            eprintln!("parity | {name:<48} | {row:<6} | {}", if ok { "ok" } else { "FAILED" });
             if !ok {
                 failed.push(format!("{name} [{t:?}]"));
             }
