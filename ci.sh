@@ -37,11 +37,12 @@ git diff --exit-code -- crates/bench/src/bin/e2e/Cargo.lock
 echo "== static analysis gate =="
 # One checker per invariant. clippy holds what a compiler table can
 # express: no wall clock in desim/mpisim/platform and no raw std::sync
-# lock in argolite/asyncvol (each crate's clippy.toml), no panics in
-# h5lite/asyncvol/apio-core library code and no `let _ =` / statement
-# `.ok();` discarding a Result in h5lite/asyncvol (their lib.rs `deny`s),
-# no dbg!/todo!/unimplemented! anywhere ([workspace.lints.clippy]). So it
-# is required, not optional. xtask lint holds the project-specific rest.
+# lock in argolite/asyncvol, whose locks are h5lite::sync's (each
+# crate's clippy.toml), no panics in h5lite/asyncvol/apio-core library
+# code and no `let _ =` / statement `.ok();` discarding a Result in
+# h5lite/asyncvol (their lib.rs `deny`s), no dbg!/todo!/unimplemented!
+# anywhere ([workspace.lints.clippy]). So it is required, not optional.
+# xtask lint holds the project-specific rest.
 cargo clippy --version >/dev/null 2>&1 \
     || { echo "clippy is required (rustup component add clippy)"; exit 1; }
 cargo clippy -q "${CARGO_FLAGS[@]}" --workspace --all-targets -- -D warnings
@@ -53,9 +54,11 @@ cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- lint --json \
 cargo run -q "${CARGO_FLAGS[@]}" -p xtask -- check-deps
 
 echo "== runtime invariants (lock-order detector) and schedule exploration =="
-# All of argolite under the feature, once: its unit tests with the
-# lock-order recorder on, and `tests/explore.rs` (seeded
-# writer/reader/flush interleavings) at 64 schedules.
+# All of argolite under the feature, once (without it the crate is
+# empty): the recorder's unit tests on named h5lite::sync locks, and
+# `tests/explore.rs` (seeded writer/reader/flush interleavings) at 64
+# schedules. Then asyncvol's, whose named locks reach the recorder
+# through one helper, with or without an AsyncVol.
 APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" -p argolite --features debug-invariants
 cargo test -q "${CARGO_FLAGS[@]}" -p asyncvol --features debug-invariants
 
@@ -78,8 +81,8 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #   differential      seeded write/prefetch/read/wait_all scripts over two
 #                     containers on one connector, {attached ring, own
 #                     ring} x {DRAM, WAL}, against NativeVol
-#   ring_lockfree     submit/complete takes zero argolite::sync locks,
-#                     reaper threads included
+#   ring_lockfree     submit/complete takes zero named h5lite::sync
+#                     locks, reaper threads included
 #   ring_issue_locks  what a connector ring write locks on the issuer
 #                     (3 named locks), on the reaper (1) and in wait_all (1)
 #   one_copy          buffer ownership, recycling, stale bytes; seeded

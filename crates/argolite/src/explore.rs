@@ -11,7 +11,7 @@
 //! three invariants after every step:
 //!
 //! 1. **Lock order** — the `debug-invariants` recorder in
-//!    [`crate::sync`] panics at the acquisition that closes a
+//!    [`crate::lock_order`] panics at the acquisition that closes a
 //!    would-deadlock cycle; the explorer converts that panic into an
 //!    [`ExploreFailure`] carrying the seed and the exact schedule.
 //! 2. **Guard hygiene** — a task must finish with
@@ -39,7 +39,7 @@
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::sync::lock_order;
+use crate::lock_order;
 
 /// Identifier of a node within one [`TaskGraph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

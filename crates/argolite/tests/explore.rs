@@ -9,7 +9,14 @@
 use std::sync::Arc;
 
 use argolite::explore::{explore, replay, ExploreStep, TaskGraph};
-use argolite::sync::{lock_order, Mutex};
+use argolite::lock_order;
+use h5lite::sync::{order_hook, Mutex};
+
+/// A named lock whose acquisitions reach the lock-order recorder.
+fn named<T>(name: &'static str, value: T) -> Mutex<T> {
+    order_hook::install(lock_order::acquire_class, lock_order::release_class);
+    Mutex::new_named(name, value)
+}
 
 fn seed_count() -> u64 {
     std::env::var("APIO_EXPLORE_SEEDS")
@@ -163,8 +170,8 @@ fn lock_order_inversion_between_tasks_is_caught() {
     // Class names unique to this test: the lock-order registry is
     // process-global, so shared names would couple tests.
     let build = || {
-        let a = Arc::new(Mutex::new_named("explore-test-meta", 0u32));
-        let b = Arc::new(Mutex::new_named("explore-test-data", 0u32));
+        let a = Arc::new(named("explore-test-meta", 0u32));
+        let b = Arc::new(named("explore-test-data", 0u32));
         let mut g = TaskGraph::new();
         {
             let (a, b) = (a.clone(), b.clone());
@@ -199,7 +206,7 @@ fn lock_order_inversion_between_tasks_is_caught() {
 #[test]
 fn leaked_guard_is_a_schedule_failure() {
     let build = || {
-        let m = Arc::new(Mutex::new_named("explore-test-leak", 0u32));
+        let m = Arc::new(named("explore-test-leak", 0u32));
         let mut g = TaskGraph::new();
         let m2 = m.clone();
         g.add_task("leaker", move || {

@@ -35,9 +35,10 @@
 
 use std::sync::Arc;
 
-use argolite::sync::Mutex;
+use h5lite::sync::Mutex;
 use h5lite::{H5Error, Result};
 
+use crate::named_lock;
 use crate::stats::StatsCells;
 
 /// Tuning for the async→sync degradation state machine.
@@ -101,7 +102,7 @@ impl CircuitBreaker {
     pub(crate) fn new(cfg: BreakerConfig) -> Self {
         CircuitBreaker {
             cfg,
-            inner: Arc::new(Mutex::new_named(
+            inner: Arc::new(named_lock(
                 "asyncvol.breaker",
                 Inner {
                     state: BreakerState::Closed,

@@ -76,8 +76,8 @@ use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use apio_trace::{Event, Tracer};
-use argolite::sync::Mutex;
 use h5lite::ring::{Completion, Ring, RingConfig, RingOp};
+use h5lite::sync::Mutex;
 use h5lite::{
     recycle, Container, Elements, H5Error, ObjectId, Promise, ReadPayload, ReadRequest, Request,
     Result, Selection, Vol,
@@ -214,21 +214,11 @@ impl AsyncVolBuilder {
     /// Assemble the connector; a container's own ring comes at first use.
     pub fn build(self) -> AsyncVol {
         assert!(self.streams >= 1, "a container's ring needs at least one shard");
-        // With invariants on, forward h5lite's named metadata-plane
-        // locks (shard, tree, and allocator classes) into argolite's
-        // lock-order graph: the bridge is how cross-crate deadlock
-        // cycles (connector lock vs. container shard) get caught even
-        // though h5lite itself cannot depend on argolite.
-        #[cfg(feature = "debug-invariants")]
-        h5lite::sync::order_hook::install(
-            argolite::sync::lock_order::acquire_class,
-            argolite::sync::lock_order::release_class,
-        );
         AsyncVol {
             staging: self.staging,
             ring: self.ring,
             streams: self.streams,
-            inner: Mutex::new_named("asyncvol.conn", ConnInner {
+            inner: named_lock("asyncvol.conn", ConnInner {
                 next_req: 1,
                 requests: HashMap::new(),
                 tenants: Vec::new(),
@@ -247,6 +237,21 @@ struct PrefetchSlot {
     promise: Promise<Result<ReadPayload>>,
     /// The job that fills `promise`.
     done: Promise<Completion>,
+}
+
+/// One of the connector's named locks. With invariants on, this first
+/// forwards every named `h5lite::sync` lock — these, and the container's
+/// metadata shard, tree and allocator locks — into argolite's lock-order
+/// graph, so a cycle between a connector lock and a container lock is
+/// caught wherever a connector lock exists, with or without an
+/// [`AsyncVol`].
+pub(crate) fn named_lock<T>(name: &'static str, value: T) -> Mutex<T> {
+    #[cfg(feature = "debug-invariants")]
+    h5lite::sync::order_hook::install(
+        argolite::lock_order::acquire_class,
+        argolite::lock_order::release_class,
+    );
+    Mutex::new_named(name, value)
 }
 
 /// Block until a request's entry, or a prefetch's job, has settled; what

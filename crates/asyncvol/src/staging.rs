@@ -53,12 +53,14 @@
 use std::sync::Arc;
 
 use apio_trace::{Event, Tracer};
-use argolite::sync::Mutex;
 use h5lite::codec::{Reader, Writer};
 use h5lite::superblock::{fnv1a64, FNV_BASIS};
+use h5lite::sync::Mutex;
 use h5lite::{
     recycle, Container, H5Error, Hyperslab, IoVec, ObjectId, Result, Selection, StorageBackend,
 };
+
+use crate::named_lock;
 
 /// Where write snapshots live until the background write lands.
 #[derive(Clone)]
@@ -207,7 +209,7 @@ impl StagingLog {
     pub fn new(device: Arc<dyn StorageBackend>) -> Self {
         StagingLog {
             device,
-            tail: Mutex::new_named("asyncvol.wal", Tail { cursor: 0, seq: 0 }),
+            tail: named_lock("asyncvol.wal", Tail { cursor: 0, seq: 0 }),
         }
     }
 
@@ -225,7 +227,7 @@ impl StagingLog {
             .unwrap_or((0, 0));
         StagingLog {
             device,
-            tail: Mutex::new_named(
+            tail: named_lock(
                 "asyncvol.wal",
                 Tail {
                     cursor: end,

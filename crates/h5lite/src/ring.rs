@@ -11,9 +11,9 @@
 //!   operation plus the promise its waiter holds) onto a per-shard
 //!   submission queue; [`Ring::submit_with`] adds a completion hook to
 //!   the entry before it is queued. The hot path is atomics only — no
-//!   `argolite::sync` (or any other named) lock is ever acquired on
-//!   submit or complete; a `debug-invariants` test asserts this against
-//!   the lock-order recorder's acquisition counter.
+//!   named `sync` lock is ever acquired on submit or complete; a
+//!   `debug-invariants` test asserts this against the lock-order
+//!   recorder's acquisition counter.
 //! - **Reaping**: one reaper thread per shard drains its queue and
 //!   executes the entries against the wrapped backend. A reaper pass is
 //!   *depth-aware*: every write queued at that moment (up to

@@ -1,11 +1,12 @@
-//! Poison-transparent wrappers over `std::sync`.
+//! The workspace's one lock shim: poison-transparent wrappers over
+//! `std::sync`.
 //!
-//! `h5lite` is runtime-agnostic — it must not depend on `argolite` (the
-//! VOL trait works with any connector), so it cannot use the tasking
-//! crate's sanctioned lock module. This shim gives it the same two
-//! properties the rest of the stack relies on: guards without `Result`
-//! noise, and no lock poisoning — a panicking background I/O thread must
-//! not wedge every later metadata operation on the container.
+//! Every lock of the I/O stack comes from here: h5lite's own, and the
+//! async connector's, whose `clippy.toml` rejects the `std::sync` ones.
+//! Two properties the rest of the stack relies on: guards without
+//! `Result` noise, and no lock poisoning — a panicking background I/O
+//! thread must not wedge every later metadata operation on the
+//! container.
 //!
 //! ## Lock classes without a dependency edge
 //!
@@ -15,18 +16,23 @@
 //! connector) can install process-wide [`order_hook`] callbacks that
 //! forward every named acquisition/release into `argolite`'s
 //! `debug-invariants` lock-order graph. That is how the metadata-plane
-//! shard locks (`crates/h5lite/src/meta.rs`) participate in cross-crate
-//! deadlock detection even though h5lite cannot name argolite.
+//! shard locks (`crates/h5lite/src/meta.rs`) and the connector's own
+//! locks are deadlock-checked together, though h5lite cannot name
+//! argolite. The acquire hook fires *before* blocking on the lock, so a
+//! would-deadlock between two named locks panics instead of hanging.
 
 use std::sync::{self, OnceLock, PoisonError};
 
 /// Process-wide observation hooks for named-lock traffic.
 ///
-/// Install with [`order_hook::install`]; until then (and always for
-/// anonymous locks) acquisitions cost one relaxed pointer load. The
-/// hooks fire on the acquiring thread, *after* the lock is held and
-/// *before* it is released, which is exactly the window a held-stack
-/// lock-order recorder needs to build its edge graph.
+/// Install with [`order_hook::install`]; until then a named acquisition
+/// costs one `OnceLock` load, and an anonymous one nothing. The hooks
+/// fire on the acquiring thread: the acquire hook *before* it blocks on
+/// the lock, the release hook *before* the lock is released. A held-stack
+/// lock-order recorder thus sees an acquisition that closes a cycle even
+/// on the interleaving where the lock would never be granted. Only a
+/// [`Condvar`] wait reports its re-acquisition after the fact: the std
+/// wait takes the lock back inside one call.
 pub mod order_hook {
     use super::OnceLock;
 
@@ -94,13 +100,12 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking; never returns a poison error.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(name) = self.name {
             order_hook::acquired(name);
         }
         MutexGuard {
             name: self.name,
-            inner: Some(g),
+            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
         }
     }
 }
@@ -226,25 +231,23 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquire a shared read guard.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         if let Some(name) = self.name {
             order_hook::acquired(name);
         }
         RwLockReadGuard {
             name: self.name,
-            inner: g,
+            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     /// Acquire an exclusive write guard.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let g = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(name) = self.name {
             order_hook::acquired(name);
         }
         RwLockWriteGuard {
             name: self.name,
-            inner: g,
+            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
         }
     }
 }
@@ -322,6 +325,18 @@ mod tests {
         assert_eq!(*l.read(), 3);
         *l.write() = 4;
         assert_eq!(*l.read(), 4);
+
+        // The same for a mutex.
+        let m = Arc::new(Mutex::new(5));
+        let m2 = m.clone();
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("poison");
+        })
+        .join();
+        assert_eq!(*m.lock(), 5);
+        *m.lock() = 6;
+        assert_eq!(*m.lock(), 6);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! - [`platform`] — calibrated Summit (GPFS) and Cori-Haswell (Lustre)
 //!   system models: file systems, memcpy/GPU-link/NVMe models, contention.
 //! - [`mpisim`] — simulated MPI ranks, barriers, and collective I/O.
-//! - [`argolite`] — concurrency checking for the background I/O path: a
-//!   lock-order-recording lock shim and a seeded schedule explorer.
+//! - [`argolite`] — concurrency checking for the background I/O path
+//!   (under `debug-invariants`): the lock-order recorder h5lite's named
+//!   locks report to, and a seeded schedule explorer.
 //! - [`h5lite`] — a self-describing HDF5-like container format with a
 //!   Virtual Object Layer (VOL) hook point.
 //! - [`asyncvol`] — the asynchronous VOL connector: background-thread I/O

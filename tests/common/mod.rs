@@ -4,20 +4,21 @@
 // Each test binary uses the part of this module it needs.
 #![allow(dead_code)]
 
-/// Deterministic 64-bit LCG (MMIX constants), upper 31 bits as output.
-pub struct Lcg(u64);
+use apio::h5lite::storage;
+
+/// `h5lite`'s deterministic LCG (MMIX constants, upper 31 bits as
+/// output), with integer draws.
+pub struct Lcg(storage::Lcg);
 
 impl Lcg {
     pub fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
+        Lcg(storage::Lcg::new(seed))
     }
 
+    /// The upper 31 bits of the next state: `unit()` scaled back by
+    /// 2^31, which is exact.
     pub fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
+        (self.unit() * (1u64 << 31) as f64) as u64
     }
 
     /// Uniform in `[lo, hi)`.
@@ -27,7 +28,7 @@ impl Lcg {
 
     /// Uniform float in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
-        self.next() as f64 / (1u64 << 31) as f64
+        self.0.unit()
     }
 
     /// Uniform float in `[lo, hi)`.

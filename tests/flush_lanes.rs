@@ -18,7 +18,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apio::argolite::sync::{lock_order, Mutex};
+use apio::argolite::lock_order;
+use apio::h5lite::sync::Mutex;
 use apio::h5lite::{
     container::ROOT_ID, Call, Container, CountingBackend, Dataspace, Datatype, Layout, MemBackend,
     Selection,

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use apio::argolite::sync::lock_order;
+use apio::argolite::lock_order;
 use apio::asyncvol::AsyncVol;
 use apio::h5lite::ring::{Ring, RingConfig};
 use apio::h5lite::{

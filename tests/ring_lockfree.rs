@@ -1,6 +1,6 @@
 //! Lock-freedom gate for the ring hot path (ISSUE 8 acceptance): a
-//! submit → reap → complete round trip must perform **zero**
-//! `argolite::sync` lock acquisitions, on any thread. The lock-order
+//! submit → reap → complete round trip must perform **zero** named
+//! `h5lite::sync` lock acquisitions, on any thread. The lock-order
 //! recorder's process-wide acquisition counter covers the reaper
 //! threads too — background work bumps the same counter — so a flat
 //! count across ring traffic proves the whole path (submitter *and*
@@ -14,8 +14,9 @@
 
 use std::sync::Arc;
 
-use apio::argolite::sync::{lock_order, Mutex};
+use apio::argolite::lock_order;
 use apio::h5lite::ring::{Ring, RingConfig, RingOp};
+use apio::h5lite::sync::Mutex;
 use apio::h5lite::MemBackend;
 
 #[test]
@@ -23,6 +24,7 @@ fn ring_submit_and_complete_take_no_tracked_locks() {
     // Control first: the recorder must demonstrably see named-lock
     // acquisitions made on *other* threads — otherwise a flat counter
     // around ring traffic would prove nothing about the reapers.
+    apio::h5lite::sync::order_hook::install(lock_order::acquire_class, lock_order::release_class);
     let before = lock_order::total_acquire_count();
     let control = Arc::new(Mutex::new_named("ring_lockfree.control", 0u32));
     let handle = {
@@ -77,7 +79,7 @@ fn ring_submit_and_complete_take_no_tracked_locks() {
     assert_eq!(
         after - before,
         0,
-        "ring submit/complete hot path acquired {} argolite::sync lock(s); \
+        "ring submit/complete hot path acquired {} named lock(s); \
          it must run on atomics alone",
         after - before
     );

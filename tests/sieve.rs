@@ -517,7 +517,7 @@ fn interleaved_rank_threads_never_lose_each_others_elements() {
 #[test]
 fn explored_orders_of_sieved_writes_keep_every_element_and_the_lock_order() {
     use apio::argolite::explore::{explore, TaskGraph};
-    use apio::argolite::sync::lock_order;
+    use apio::argolite::lock_order;
 
     const ROUNDS: u32 = 3;
     const PER_RANK: u64 = 64;
