@@ -66,8 +66,9 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 # Every test binary of the root package (15 in tests/, the lib's unit
 # tests, the doc tests) under debug-invariants, with the seeded sweeps
 # of ring, one_copy, sieve and consistency at 64 schedules:
-#   ring              Block backpressure, the connector's ring path and
-#                     its fault retries on the reaper, the transport-parity
+#   ring              a full ring blocking its submitters, the
+#                     connector's ring path and its fault retries on the
+#                     reaper, the transport-parity
 #                     table (a write settles where it lands, whether raw
 #                     segments on the attached ring, a job on the
 #                     container's own ring or a WAL-staged job; two
@@ -75,9 +76,9 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #                     their own bytes, prefetch slots and order; on four
 #                     lanes the later of two same-byte writes lands and a
 #                     failed piece is retried or fails the write); the
-#                     explore sweep needs the feature (Poll backpressure,
-#                     per-key order and shutdown are h5lite::ring's unit
-#                     tests, run above)
+#                     explore sweep needs the feature (per-key order,
+#                     shutdown and a completion's verdict are
+#                     h5lite::ring's unit tests, run above)
 #   differential      seeded write/prefetch/read/wait_all scripts over two
 #                     containers on one connector, {attached ring, own
 #                     ring} x {DRAM, WAL}, against NativeVol

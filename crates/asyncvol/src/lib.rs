@@ -239,6 +239,28 @@ struct PrefetchSlot {
     done: Promise<Completion>,
 }
 
+/// A prefetch slot's promise, filled on every exit of the job that owns
+/// it: by [`fill`](Self::fill), or with an error if the job unwinds
+/// first, so the read that takes the slot never waits on an empty one.
+/// The panic itself goes on to the ring, which makes it the job's verdict.
+struct SlotFiller(Option<Promise<Result<ReadPayload>>>);
+
+impl SlotFiller {
+    fn fill(mut self, read: Result<ReadPayload>) {
+        if let Some(slot) = self.0.take() {
+            slot.fulfill(read);
+        }
+    }
+}
+
+impl Drop for SlotFiller {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.fulfill(Err(H5Error::Async("the prefetch panicked".into())));
+        }
+    }
+}
+
 /// One of the connector's named locks. With invariants on, this first
 /// forwards every named `h5lite::sync` lock — these, and the container's
 /// metadata shard, tree and allocator locks — into argolite's lock-order
@@ -257,7 +279,7 @@ pub(crate) fn named_lock<T>(name: &'static str, value: T) -> Mutex<T> {
 /// Block until a request's entry, or a prefetch's job, has settled; what
 /// failed, if anything.
 fn failure(done: &Promise<Completion>) -> Option<String> {
-    done.wait_with(|c| c.result.as_ref().err().map(|e| e.error.to_string()))
+    done.wait_with(|c| c.result.as_ref().err().map(H5Error::to_string))
 }
 
 /// Everything the connector keeps about one dataset of one container.
@@ -586,7 +608,8 @@ impl AsyncVol {
         inner.next_req += 1;
 
         let promise: Promise<Result<ReadPayload>> = Promise::new();
-        let (c, sel_job, p, sh) = (c.clone(), sel.clone(), promise.clone(), self.sh.clone());
+        let (c, sel_job, sh) = (c.clone(), sel.clone(), self.sh.clone());
+        let slot = SlotFiller(Some(promise.clone()));
         let done = ring.submit_job(ds, Box::new(move || {
             let mut span = sh.stats.tracer().span("vol.prefetch");
             let t0 = Instant::now();
@@ -606,7 +629,7 @@ impl AsyncVol {
             // with the datatype the read was planned against: a hit then
             // hands the caller its elements (DESIGN.md §17). Not device
             // time, so after `io_secs`.
-            p.fulfill(result.and_then(|(dtype, data)| {
+            slot.fill(result.and_then(|(dtype, data)| {
                 Elements::decode(dtype, &data).map(ReadPayload::Elements)
             }));
             Ok(()) // a failed read is the slot's, for the read that takes it

@@ -362,3 +362,49 @@ fn a_prefetch_behind_held_ring_writes_returns_before_they_land() {
     assert_eq!(vol.stats().prefetch_hits, 1);
     vol.wait_all().unwrap();
 }
+
+/// A prefetch whose device read panics still fills its slot: `wait_all`
+/// reports the panic once, and the read that takes the slot gets an
+/// error within 2 s instead of blocking for ever (a channel with a
+/// deadline, so a read stuck on an empty slot fails the test rather than
+/// hanging it).
+#[test]
+fn a_panicked_prefetch_fails_the_read_that_takes_its_slot() {
+    let panicking = Arc::new(AtomicBool::new(false));
+    let armed = panicking.clone();
+    let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+        if matches!(call, Call::Read { .. }) && armed.load(Ordering::SeqCst) {
+            panic!("device read panicked (expected by the test)");
+        }
+        Ok(())
+    });
+    let vol = Arc::new(AsyncVol::new());
+    let file = File::from_parts(Arc::new(Container::create(Arc::new(device))), vol.clone());
+    let ds = file
+        .root()
+        .create_dataset::<f64>("x", &Dataspace::d1(LEN))
+        .unwrap();
+    ds.write(&vec![1.0; LEN as usize]).unwrap();
+    file.flush().unwrap();
+    panicking.store(true, Ordering::SeqCst);
+    let _ = vol.prefetch(file.container(), ds.id(), &Selection::All);
+    let err = vol.wait_all().unwrap_err().to_string();
+    assert_eq!(err.matches("prefetch panicked").count(), 1, "{err}");
+    assert!(err.contains("device read panicked"), "{err}");
+    panicking.store(false, Ordering::SeqCst);
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (c, id) = (file.container().clone(), ds.id());
+    let reader = vol.clone();
+    let reading = std::thread::spawn(move || {
+        let read = reader.dataset_read(&c, id, &Selection::All).and_then(|r| r.wait());
+        let _ = tx.send(read);
+    });
+    let read = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("the read that took the panicked prefetch's slot never returned");
+    reading.join().unwrap();
+    assert!(matches!(read, Err(H5Error::Async(_))), "{read:?}");
+    assert_eq!(vol.stats().prefetch_hits, 1);
+    vol.wait_all().unwrap();
+}

@@ -397,7 +397,7 @@ fn ring_depth_sweep() {
                     let t0 = Instant::now();
                     let promises: Vec<_> = ops
                         .into_iter()
-                        .map(|op| ring.submit_keyed(0, op).accepted().unwrap().1)
+                        .map(|op| ring.submit_keyed(0, op).accepted().unwrap())
                         .collect();
                     for promise in promises {
                         promise.wait_cloned().into_result().unwrap();

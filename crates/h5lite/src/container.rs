@@ -71,8 +71,8 @@ use crate::datatype::Datatype;
 use crate::error::{H5Error, Result};
 use crate::layout::Layout;
 use crate::meta::{
-    shard_of, ChunkEntry, ConsistencyModel, DatasetState, MetaLockStats, MetaPlane, MetaSnapshot,
-    NodeKind, Tree, TreeObject, META_SHARDS,
+    extent_bytes, shard_of, ChunkEntry, ConsistencyModel, DatasetState, MetaLockStats, MetaPlane,
+    MetaSnapshot, NodeKind, Tree, TreeObject, META_SHARDS,
 };
 use crate::plan::{
     sieve_bytes, sieve_layout, sieve_spans, span_windows, IoPlan, IoRecord, IoSegment, Span,
@@ -486,17 +486,11 @@ impl Container {
             let Some(state) = self.plane.working(id) else {
                 continue;
             };
-            let elem = state.dtype.size() as u64;
             for &(_, key) in keys {
                 let (addr, len) = if key == CONTIG_EXTENT {
-                    let len = state.space.npoints().checked_mul(elem).ok_or_else(|| {
-                        H5Error::Storage("dataset byte size overflows the address space".into())
-                    })?;
-                    (state.data_addr, len)
+                    (state.data_addr, extent_bytes(state.space.npoints(), state.dtype)?)
                 } else if let Layout::Chunked1D { chunk_elems } = state.layout {
-                    let chunk_bytes = chunk_elems.checked_mul(elem).ok_or_else(|| {
-                        H5Error::Storage("chunk byte size overflows the address space".into())
-                    })?;
+                    let chunk_bytes = extent_bytes(chunk_elems, state.dtype)?;
                     let Some(entry) = state.chunks.get(&key) else {
                         continue;
                     };
@@ -809,14 +803,7 @@ impl Container {
             // Only a contiguous extent is sized by the whole dataspace.
             let data_addr = match layout {
                 Layout::Contiguous => {
-                    let nbytes = space
-                        .npoints()
-                        .checked_mul(dtype.size() as u64)
-                        .ok_or_else(|| {
-                            H5Error::Storage(
-                                "dataset byte size overflows the address space".into(),
-                            )
-                        })?;
+                    let nbytes = extent_bytes(space.npoints(), dtype)?;
                     match nbytes {
                         0 => 0,
                         _ => self
@@ -1281,11 +1268,7 @@ impl Container {
                 "object {id} reported missing chunks without a chunked layout"
             )));
         };
-        let chunk_bytes = chunk_elems
-            .checked_mul(state.dtype.size() as u64)
-            .ok_or_else(|| {
-                H5Error::Storage("chunk byte size overflows the device address space".into())
-            })?;
+        let chunk_bytes = extent_bytes(chunk_elems, state.dtype)?;
         let (state, fresh) = {
             let _lock_span = tracer.span("container.meta_lock");
             self.plane.mutate(id, |st| {
@@ -1387,9 +1370,7 @@ fn plan_from_state(
 ) -> Result<PlanParts> {
     let elem = state.dtype.size() as u64;
     if let Some(got) = expect_bytes {
-        let want = sel.npoints(&state.space).checked_mul(elem).ok_or_else(|| {
-            H5Error::Storage("selection byte size overflows the address space".into())
-        })?;
+        let want = extent_bytes(sel.npoints(&state.space), state.dtype)?;
         if got != want {
             return Err(H5Error::ShapeMismatch(format!(
                 "selection wants {want} bytes, buffer has {got}"
@@ -1403,9 +1384,7 @@ fn plan_from_state(
     let mut missing: Vec<u64> = Vec::new();
     match &state.layout {
         Layout::Contiguous => {
-            let nbytes = state.space.npoints().checked_mul(elem).ok_or_else(|| {
-                H5Error::Storage("dataset byte size overflows the address space".into())
-            })?;
+            let nbytes = extent_bytes(state.space.npoints(), state.dtype)?;
             if nbytes > 0 {
                 touched.push((CONTIG_EXTENT, state.data_addr, nbytes, state.data_sum.clone()));
             }
@@ -1417,9 +1396,7 @@ fn plan_from_state(
         }
         Layout::Chunked1D { chunk_elems } => {
             let ce = *chunk_elems;
-            let chunk_bytes = ce.checked_mul(elem).ok_or_else(|| {
-                H5Error::Storage("chunk byte size overflows the device address space".into())
-            })?;
+            let chunk_bytes = extent_bytes(ce, state.dtype)?;
             let mut seen = BTreeSet::new();
             let plan = IoPlan::chunked(ce, elem, rows, |idx| {
                 let entry = state.chunks.get(&idx);

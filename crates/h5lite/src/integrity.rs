@@ -34,6 +34,7 @@ use super::{Container, ObjectId, CONTIG_EXTENT};
 use crate::checksum::{Algorithm, Checksum, Hasher, SUM_BLOCK};
 use crate::error::{H5Error, Result};
 use crate::layout::Layout;
+use crate::meta::extent_bytes;
 use crate::plan::IoRecord;
 use crate::recycle;
 use crate::storage::{on_lanes, PIECE_BLOCKS};
@@ -359,17 +360,12 @@ impl Container {
         let snap = self.plane.snapshot_working();
         let mut extents: Vec<(ObjectId, u64, u64, u64, Checksum)> = Vec::new();
         for (id, state) in snap.iter() {
-            let elem = state.dtype.size() as u64;
             if let Some(sum) = state.data_sum.clone() {
-                let len = state.space.npoints().checked_mul(elem).ok_or_else(|| {
-                    H5Error::Storage("dataset byte size overflows the address space".into())
-                })?;
+                let len = extent_bytes(state.space.npoints(), state.dtype)?;
                 extents.push((id, CONTIG_EXTENT, state.data_addr, len, sum));
             }
             if let Layout::Chunked1D { chunk_elems } = state.layout {
-                let chunk_bytes = chunk_elems.checked_mul(elem).ok_or_else(|| {
-                    H5Error::Storage("chunk byte size overflows the address space".into())
-                })?;
+                let chunk_bytes = extent_bytes(chunk_elems, state.dtype)?;
                 for (&idx, entry) in &state.chunks {
                     if let Some(sum) = entry.sum.clone() {
                         extents.push((id, idx, entry.addr, chunk_bytes, sum));

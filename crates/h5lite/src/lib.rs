@@ -75,7 +75,7 @@ pub use plan::{
     sieve_spans, IoPlan, IoRecord, IoSegment, Span, COALESCE_WINDOW, SIEVE_PAGE, SIEVE_SPAN_CAP,
 };
 pub use promise::Promise;
-pub use ring::{Backpressure, Completion, CqeErr, Ring, RingConfig, RingOp, Submitted};
+pub use ring::{Completion, Ring, RingConfig, RingOp, Submitted};
 pub use storage::{
     Call, CallCounts, CountingBackend, CrashBackend, CrashClock, FaultInjector, FaultKind, FaultOp,
     FaultPlan, FileBackend, IoVec, IoVecMut, MemBackend, StorageBackend, ThrottledBackend,

@@ -146,6 +146,16 @@ pub(crate) struct DatasetState {
     pub generation: u64,
 }
 
+/// Bytes of `elems` elements of `dtype`: the one checked size of a
+/// contiguous extent, a chunk or a selection's buffer.
+pub(crate) fn extent_bytes(elems: u64, dtype: Datatype) -> Result<u64> {
+    elems.checked_mul(dtype.size() as u64).ok_or_else(|| {
+        H5Error::Storage(format!(
+            "{elems} elements of {dtype:?} overflow the device address space"
+        ))
+    })
+}
+
 /// A shard slot: the writer-visible working state and the
 /// model-published state readers resolve against.
 struct Slot {

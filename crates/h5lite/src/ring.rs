@@ -27,10 +27,11 @@
 //!   segments that are written in queue order.
 //! - **Completion**: the reaper runs the entry's completion hook — the
 //!   connector's settlement: retries, breaker, counters — in the op's
-//!   FIFO position, then fulfils its [`Promise`], which resolves the
-//!   waiting task directly (the TASIO-style task-aware sink — there is
-//!   no completion queue to poll). A failed operation travels back
-//!   *inside* its completion ([`CqeErr`] carries the [`RingOp`]).
+//!   FIFO position, gives the op's buffer back to the recycler whether
+//!   it landed or failed, then fulfils its [`Promise`] with the verdict
+//!   alone ([`Completion`]), which resolves the waiting task directly
+//!   (the TASIO-style task-aware sink — there is no completion queue to
+//!   poll, and no operation comes back).
 //! - **Jobs**: [`Ring::submit_job`] queues work that is not a write — an
 //!   entry with no segments whose completion hook is the work. A job
 //!   ends its reaper pass: when it starts, everything queued before it
@@ -43,15 +44,13 @@
 //! reach the backend, and their promises are fulfilled, in submission
 //! order — which is the connector's whole per-dataset order.
 //!
-//! Backpressure on a full submission queue follows [`Backpressure`]:
-//! `Block` (spin-park until the reaper frees a slot) or `Poll` (hand the
-//! operation straight back to the caller). Either way the memory the
-//! ring holds is bounded by its capacity.
+//! A full shard blocks its submitter until the reaper frees a slot, so
+//! the memory the ring holds is bounded by its capacity and a full ring
+//! throttles the application to device speed.
 
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
@@ -63,18 +62,7 @@ use crate::promise::Promise;
 use crate::recycle;
 use crate::storage::{write_striped, IoVec, StorageBackend};
 
-/// What a submitter does when the submission ring is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Spin-park until the reaper frees a slot (the connector default:
-    /// a full ring throttles the application to device speed).
-    Block,
-    /// Hand the operation straight back ([`Submitted::Full`]) so the
-    /// caller can do something else and resubmit later.
-    Poll,
-}
-
-/// Ring geometry and policy.
+/// Ring geometry.
 #[derive(Clone, Debug)]
 pub struct RingConfig {
     /// Per-shard submission-ring capacity (power of two ≥ 2).
@@ -82,8 +70,6 @@ pub struct RingConfig {
     /// Submission shards, one reaper thread each. Same-key submissions
     /// land on the same shard and complete in FIFO order.
     pub shards: usize,
-    /// Full-ring policy.
-    pub backpressure: Backpressure,
 }
 
 impl Default for RingConfig {
@@ -91,7 +77,6 @@ impl Default for RingConfig {
         RingConfig {
             capacity: 256,
             shards: 1,
-            backpressure: Backpressure::Block,
         }
     }
 }
@@ -99,7 +84,6 @@ impl Default for RingConfig {
 /// One ring operation. Data is owned (the submitter's snapshot moves
 /// in), so entries outlive the caller's stack frame the way `io_uring`
 /// SQEs outlive `io_uring_enter`.
-#[derive(Clone)]
 pub enum RingOp {
     /// Scatter-write: segment `i` writes
     /// `data[cursor..cursor + len]` to device offset `addr` — the shape
@@ -124,11 +108,6 @@ impl RingOp {
                 len,
             }],
         }
-    }
-
-    /// Payload bytes this operation moves.
-    pub fn total_bytes(&self) -> u64 {
-        self.segs().iter().map(|s| s.len).sum()
     }
 
     fn segs(&self) -> &[IoSegment] {
@@ -173,31 +152,19 @@ impl std::fmt::Debug for RingOp {
     }
 }
 
-/// Failed completion: the error *and the operation itself*, so a
-/// submitter without a completion hook can resubmit it. With a hook, the
-/// error is the hook's verdict, its retries spent.
-#[derive(Clone, Debug)]
-pub struct CqeErr {
-    /// What the backend reported (identical to the synchronous error —
-    /// fault classification, retry and breaker semantics are unchanged).
-    pub error: H5Error,
-    /// The operation, returned for resubmission.
-    pub op: RingOp,
-}
-
-/// What a submission's promise resolves to.
+/// What a submission's promise resolves to: the operation's verdict.
 #[derive(Clone, Debug)]
 pub struct Completion {
-    /// The id `submit_keyed` returned for this operation.
-    pub id: u64,
-    /// Outcome; errors carry the operation back.
-    pub result: std::result::Result<(), CqeErr>,
+    /// What the backend reported (identical to the synchronous error —
+    /// fault classification is unchanged), or with a completion hook the
+    /// hook's verdict, its retries spent.
+    pub result: Result<()>,
 }
 
 impl Completion {
-    /// Collapse into a plain result, discarding the returned op.
+    /// The verdict as a plain result.
     pub fn into_result(self) -> Result<()> {
-        self.result.map_err(|e| e.error)
+        self.result
     }
 }
 
@@ -211,36 +178,32 @@ pub type OnComplete =
 /// Submission-queue entry: the operation, the promise its completion
 /// fulfils, and the hook that runs first.
 struct Sqe {
-    id: u64,
     op: RingOp,
     promise: Promise<Completion>,
     on_complete: Option<OnComplete>,
 }
 
-/// Outcome of a submission attempt.
-#[must_use = "a Full submission hands the operation back; dropping it loses the write"]
+/// Outcome of a submission: always [`Submitted::Accepted`], since a full
+/// shard blocks.
+#[must_use = "the promise is the only way to learn the write's verdict"]
 pub enum Submitted {
     /// Queued; the promise resolves with the completion.
     Accepted {
-        /// Completion id.
-        id: u64,
         /// Resolves when the reaper finishes the operation.
         promise: Promise<Completion>,
     },
-    /// Ring full under [`Backpressure::Poll`]; the operation comes back.
+    /// Never returned. It stays only because the e2e benchmark's
+    /// `let … else` names it: without it that pattern is irrefutable,
+    /// which `clippy -D warnings` rejects. It goes when that code does.
     Full(RingOp),
 }
 
 impl Submitted {
-    /// Unwrap the accepted case; a full ring surfaces as a retryable
-    /// [`H5Error::Transient`] (the op is dropped — callers that want it
-    /// back match on [`Submitted::Full`] instead).
-    pub fn accepted(self) -> Result<(u64, Promise<Completion>)> {
+    /// The accepted submission's promise.
+    pub fn accepted(self) -> Result<Promise<Completion>> {
         match self {
-            Submitted::Accepted { id, promise } => Ok((id, promise)),
-            Submitted::Full(_) => Err(H5Error::Transient(
-                "submission ring full (Poll backpressure)".into(),
-            )),
+            Submitted::Accepted { promise } => Ok(promise),
+            Submitted::Full(_) => Err(H5Error::Transient("submission ring full".into())),
         }
     }
 }
@@ -264,8 +227,6 @@ struct RingShared {
 /// operation, then joins the reapers.
 pub struct Ring {
     shared: Arc<RingShared>,
-    next_id: AtomicU64,
-    backpressure: Backpressure,
     reapers: Vec<thread::JoinHandle<()>>,
 }
 
@@ -295,12 +256,7 @@ impl Ring {
                 thread::spawn(move || reaper_main(shared, i))
             })
             .collect();
-        Ring {
-            shared,
-            next_id: AtomicU64::new(1),
-            backpressure: config.backpressure,
-            reapers,
-        }
+        Ring { shared, reapers }
     }
 
     /// Operations submitted and not yet completed.
@@ -327,29 +283,21 @@ impl Ring {
 
     /// Queue `op` on `key`'s shard and wake its reaper. Same-key
     /// operations share a shard and therefore complete in submission
-    /// order. A full shard blocks the caller or hands the operation
-    /// back, per the ring's [`Backpressure`].
+    /// order. A full shard blocks the caller until it has a slot.
     pub fn submit_keyed(&self, key: u64, op: RingOp) -> Submitted {
-        let poll = self.backpressure == Backpressure::Poll;
-        match self.push(key, op, None, |back| if poll { Err(back.op) } else { Ok(back) }) {
-            Ok((id, promise)) => Submitted::Accepted { id, promise },
-            Err(op) => Submitted::Full(op),
-        }
+        Submitted::Accepted { promise: self.push(key, op, None) }
     }
 
     /// [`submit_keyed`](Self::submit_keyed) with a completion hook,
     /// attached before the operation is queued, so it never runs on the
-    /// submitting thread. A full shard blocks whatever the ring's
-    /// [`Backpressure`]: a [`Submitted::Full`] could not hand the hook back.
+    /// submitting thread.
     pub fn submit_with(&self, key: u64, op: RingOp, hook: OnComplete) -> Promise<Completion> {
-        let Ok((_, promise)) = self.push(key, op, Some(hook), Ok::<Sqe, Infallible>);
-        promise
+        self.push(key, op, Some(hook))
     }
 
     /// Queue `job` on `key`'s shard: the reaper runs it at its FIFO
     /// position, as a pass of its own (see the module docs), and its
-    /// return value, or its panic, is the completion's verdict. A full
-    /// shard blocks, as under [`submit_with`](Self::submit_with).
+    /// return value, or its panic, is the completion's verdict.
     pub fn submit_job(
         &self,
         key: u64,
@@ -359,45 +307,21 @@ impl Ring {
         self.submit_with(key, op, Box::new(move |_, _| job()))
     }
 
-    /// The one push loop. While `key`'s shard is full, `when_full` gives
-    /// the entry back to wait for a slot, or ends the submission (`Err`).
-    fn push<E>(
-        &self,
-        key: u64,
-        op: RingOp,
-        on_complete: Option<OnComplete>,
-        when_full: impl Fn(Sqe) -> std::result::Result<Sqe, E>,
-    ) -> std::result::Result<(u64, Promise<Completion>), E> {
+    /// The one push loop: park until `key`'s shard has a slot for the
+    /// entry, then wake its reaper.
+    fn push(&self, key: u64, op: RingOp, on_complete: Option<OnComplete>) -> Promise<Completion> {
         let shard_idx = (key % self.shared.shards.len() as u64) as usize;
         let shard = &self.shared.shards[shard_idx];
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let promise = Promise::new();
-        let mut sqe = Sqe {
-            id,
-            op,
-            promise: promise.clone(),
-            on_complete,
-        };
+        let mut sqe = Sqe { op, promise: promise.clone(), on_complete };
         self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        loop {
-            match shard.sq.push(sqe) {
-                Ok(()) => {
-                    self.unpark(shard_idx);
-                    return Ok((id, promise));
-                }
-                Err(back) => match when_full(back) {
-                    Ok(back) => {
-                        sqe = back;
-                        self.unpark(shard_idx);
-                        thread::park_timeout(SUBMIT_BACKOFF);
-                    }
-                    Err(handed_back) => {
-                        self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-                        return Err(handed_back);
-                    }
-                },
-            }
+        while let Err(back) = shard.sq.push(sqe) {
+            sqe = back;
+            self.unpark(shard_idx);
+            thread::park_timeout(SUBMIT_BACKOFF);
         }
+        self.unpark(shard_idx);
+        promise
     }
 
     /// Block until every submitted operation has completed: landed, its
@@ -562,12 +486,12 @@ fn disjoint_runs<'s, 'a>(iovecs: &'s [IoVec<'a>]) -> impl Iterator<Item = &'s [I
 /// Run `sqe`'s completion hook, if any, then retire it from the
 /// in-flight count, then fulfil its promise — so whoever sees an empty
 /// ring sees the hook's work done, and whoever sees the promise also sees
-/// the op out of [`Ring::occupancy`]. A write that has landed
-/// first gives its snapshot buffer back for the next one (lock-free), so
-/// a waiter that wakes finds the buffer already reusable; a failed one
-/// travels back to the waiter inside the error.
+/// the op out of [`Ring::occupancy`]. The write first gives its snapshot
+/// buffer back for the next one (lock-free), landed or failed: nothing
+/// holds it after its hook, so a waiter that wakes finds it reusable and
+/// a failure nobody waits for pins no memory.
 fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>) {
-    let Sqe { id, op, promise, on_complete } = sqe;
+    let Sqe { op, promise, on_complete } = sqe;
     let result = match on_complete {
         None => result,
         // A panicking hook must not kill the reaper, which would strand
@@ -581,16 +505,10 @@ fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>) {
             })
         }
     };
-    let result = match result {
-        Ok(()) => {
-            let RingOp::Write { data, .. } = op;
-            recycle::give(data);
-            Ok(())
-        }
-        Err(error) => Err(CqeErr { error, op }),
-    };
+    let RingOp::Write { data, .. } = op;
+    recycle::give(data);
     shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-    promise.fulfill(Completion { id, result });
+    promise.fulfill(Completion { result });
 }
 
 #[cfg(test)]
@@ -629,7 +547,7 @@ mod tests {
     }
 
     fn submit(ring: &Ring, key: u64, op: RingOp) -> Promise<Completion> {
-        ring.submit_keyed(key, op).accepted().unwrap().1
+        ring.submit_keyed(key, op).accepted().unwrap()
     }
 
     /// Poll (never park on a promise a dead reaper would leave empty).
@@ -681,53 +599,15 @@ mod tests {
     }
 
     #[test]
-    fn poll_backpressure_hands_the_op_back() {
-        // A deliberately wedged ring: throttled so slow the reaper can't
-        // drain while we overfill a capacity-2 shard.
-        let slow = crate::storage::ThrottledBackend::in_memory(1e3, 0.05);
-        let ring = Ring::new(Arc::new(slow), RingConfig {
-            capacity: 2,
-            backpressure: Backpressure::Poll,
-            ..RingConfig::default()
-        });
-        let mut accepted = Vec::new();
-        let mut bounced = Vec::new();
-        for i in 0..16u64 {
-            match ring.submit_keyed(0, RingOp::write_raw(i * 16, vec![1u8; 16])) {
-                Submitted::Accepted { promise, .. } => accepted.push(promise),
-                Submitted::Full(op) => {
-                    assert_eq!(op.total_bytes(), 16, "op comes back intact");
-                    bounced.push(op);
-                }
-            }
-        }
-        assert!(accepted.len() >= 2, "the first slots must be accepted");
-        assert!(!bounced.is_empty(), "a full Poll ring must bounce");
-        for p in accepted {
-            assert!(p.wait_cloned().result.is_ok(), "accepted ops complete");
-        }
-        ring.drain();
-        // After the backlog drains, the very same op resubmits.
-        let p = submit(&ring, 0, bounced.swap_remove(0));
-        assert!(p.wait_cloned().result.is_ok(), "resubmission completes");
-    }
-
-    #[test]
-    fn faults_surface_through_completions_with_the_op() {
+    fn faults_surface_through_completions() {
         use crate::storage::{FaultInjector, FaultKind, FaultOp, FaultPlan};
         let plan = FaultPlan::new(7).fail_after(FaultOp::Write, 0, FaultKind::Transient);
         let faulty = FaultInjector::new(Arc::new(MemBackend::new()), plan);
         let ring = Ring::new(Arc::new(faulty), RingConfig::default());
         let p = submit(&ring, 0, RingOp::write_raw(0, vec![1u8; 8]));
         match p.wait_cloned().result {
-            Err(CqeErr { error, op }) => {
-                assert!(error.is_retryable(), "transient class preserved: {error}");
-                // The op comes back: resubmit it (the injector faults
-                // every write, so it fails again — same op, same class).
-                let p2 = submit(&ring, 0, op);
-                assert!(p2.wait_cloned().result.is_err());
-            }
-            other => panic!("expected injected fault, got {other:?}"),
+            Err(error) => assert!(error.is_retryable(), "transient class preserved: {error}"),
+            Ok(()) => panic!("expected the injected fault"),
         }
     }
 
@@ -925,12 +805,11 @@ mod tests {
             fulfilled_within(&promises, Duration::from_secs(3)),
             "a malformed op left promises unfulfilled: the reaper is dead"
         );
-        for (i, len) in [(0, 8), (2, 2)] {
+        for i in [0, 2] {
             match promises[i].wait_cloned().result {
-                Err(CqeErr { error, op }) => {
+                Err(error) => {
                     assert!(matches!(error, H5Error::InvalidSelection(_)), "got {error}");
                     assert!(!error.is_retryable());
-                    assert_eq!(op.total_bytes(), len, "the op comes back");
                 }
                 Ok(()) => panic!("op {i} must fail"),
             }

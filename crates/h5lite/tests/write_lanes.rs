@@ -56,10 +56,10 @@ fn a_512_kib_ring_pass_puts_four_writes_in_flight_on_four_lanes() {
     let ring = Ring::new(device.clone(), RingConfig::default());
     let payload = bytes(1, 512 * KIB);
     armed.store(true, Ordering::SeqCst);
-    let (_, promise) = ring
+    let promise = ring
         .submit_keyed(0, RingOp::write_raw(4096, payload.clone()))
         .accepted()
-        .expect("Block policy");
+        .expect("a full shard blocks");
     promise.wait_cloned().into_result().expect("the pass lands");
     let moved = device.counts();
     assert_eq!(moved.most_writes_in_flight, 4, "{moved:?}");
@@ -132,10 +132,10 @@ fn a_vpic_shaped_ring_script_on_one_lane_makes_the_same_calls() {
         .collect();
     let mut promises = Vec::new();
     for (i, (addr, data)) in ops.iter().enumerate() {
-        let (_, p) = ring
+        let p = ring
             .submit_keyed(0, RingOp::write_raw(*addr, data.clone()))
             .accepted()
-            .expect("Block policy");
+            .expect("a full shard blocks");
         promises.push(p);
         if i == 0 {
             while gate.counts().write_batches == 0 {

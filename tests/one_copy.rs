@@ -275,6 +275,59 @@ fn stale_bytes_never_reach_the_backend() {
     }
 }
 
+/// (c) A write that fails for good gives its snapshot back like one
+/// that lands, with nobody waiting on it, whether it ran as raw segments
+/// on the attached ring or as a job on the container's own ring: 16
+/// borrowed writes to a device that fails every payload write, each left
+/// to settle and never waited on, and every take after the first finds
+/// a buffer the one before it gave back.
+#[test]
+fn a_failed_write_gives_its_snapshot_back_without_a_wait() {
+    let _turn = pool_turn();
+    let len = 12_000usize;
+    for regime in [Regime::RingDram, Regime::TaskDram] {
+        let (backend, payloads) = recording(len);
+        let container = Arc::new(Container::create(backend.clone()));
+        let builder = AsyncVol::builder().retry(RetryPolicy::none()).breaker(BreakerConfig {
+            failure_threshold: u32::MAX,
+            probe_after: u32::MAX,
+        });
+        let vol = Arc::new(match regime {
+            Regime::RingDram => {
+                let ring = Ring::new(backend.clone(), RingConfig::default());
+                builder.ring(Arc::new(ring)).build()
+            }
+            _ => builder.build(),
+        });
+        let file = File::from_parts(container.clone(), vol.clone());
+        let ds = file
+            .root()
+            .create_dataset::<u8>("x", &Dataspace::d1(len as u64))
+            .unwrap();
+        payloads.failing.store(true, Ordering::SeqCst);
+        drain(len);
+        let mut hits = Vec::new();
+        for w in 0..16u8 {
+            let before = recycle::stats().hits;
+            let req = vol
+                .dataset_write(&container, ds.id(), &Selection::All, &vec![w; len])
+                .unwrap();
+            hits.push(recycle::stats().hits > before);
+            assert!(!req.is_sync(), "{regime:?}: write {w} went to a ring");
+            while vol.stats().queued > 0 {
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(
+            hits[1..],
+            [true; 15],
+            "{regime:?}: which snapshot takes hit the recycler: {hits:?}"
+        );
+        assert!(vol.wait_all().is_err(), "{regime:?}: every write failed");
+        assert_eq!(vol.breaker_state(), BreakerState::Closed, "{regime:?}");
+    }
+}
+
 /// A connector written before `dataset_write_owned` existed.
 struct BorrowedOnly(Arc<AsyncVol>);
 

@@ -1,5 +1,5 @@
-//! Integration gate for the ring transport: Block backpressure
-//! under a genuinely full ring, the connector's ring path end to end —
+//! Integration gate for the ring transport: a genuinely full ring
+//! blocking its submitters, the connector's ring path end to end —
 //! a faulted write retried by its completion hook on the reaper, under
 //! the connector's retry policy and circuit breaker — the three ways a
 //! write reaches a ring side by side as one table (raw segments on the
@@ -10,16 +10,15 @@
 //! on a device of four lanes, where a large write lands as pieces at
 //! once, the later of two writes to the same bytes still lands last and
 //! a failed piece is the write's failure), and a seeded `argolite::explore` sweep over submit/drain
-//! interleavings. Poll backpressure, per-key completion order and
-//! shutdown with operations in flight are `h5lite::ring`'s own unit
-//! tests.
+//! interleavings. Per-key completion order and shutdown with operations
+//! in flight are `h5lite::ring`'s own unit tests.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use apio::asyncvol::{AsyncVol, BreakerConfig, BreakerState, RetryPolicy};
-use apio::h5lite::ring::{Backpressure, Ring, RingConfig, RingOp};
+use apio::h5lite::ring::{Ring, RingConfig, RingOp};
 use apio::h5lite::{
     container::ROOT_ID, Call, Container, CountingBackend, Dataspace, Datatype, FaultInjector,
     FaultKind, FaultOp, FaultPlan, H5Error, Hyperslab, Layout, MemBackend, ObjectId, Request,
@@ -34,9 +33,9 @@ fn seed_count() -> u64 {
         .unwrap_or(16)
 }
 
-/// A tiny Block-policy ring in front of a slow device must absorb a
-/// submission burst far deeper than its capacity: submitters park until
-/// the reaper frees slots, and every byte still lands.
+/// A tiny ring in front of a slow device must absorb a submission
+/// burst far deeper than its capacity: submitters park until the reaper
+/// frees slots, and every byte still lands.
 #[test]
 fn block_backpressure_absorbs_a_burst_deeper_than_the_ring() {
     let backend: Arc<dyn StorageBackend> = Arc::new(ThrottledBackend::in_memory(1e9, 2e-4));
@@ -44,18 +43,15 @@ fn block_backpressure_absorbs_a_burst_deeper_than_the_ring() {
         backend.clone(),
         RingConfig {
             capacity: 4,
-            backpressure: Backpressure::Block,
             ..RingConfig::default()
         },
     );
     let n = 32u64;
     let handles: Vec<_> = (0..n)
         .map(|i| {
-            let (_, promise) = ring
-                .submit_keyed(0, RingOp::write_raw(i * 8, vec![i as u8; 8]))
+            ring.submit_keyed(0, RingOp::write_raw(i * 8, vec![i as u8; 8]))
                 .accepted()
-                .expect("Block policy never reports Full");
-            promise
+                .expect("a full shard blocks, it never reports Full")
         })
         .collect();
     for p in handles {
@@ -94,8 +90,7 @@ fn seeded_submit_drain_interleavings_hold_ring_invariants() {
                 g.add_task(format!("submit:{i}"), move || {
                     ring.submit_keyed(i, RingOp::write_raw(i * 32, vec![i as u8 + 1; 32]))
                         .accepted()
-                        .expect("Block policy")
-                        .1
+                        .expect("a full shard blocks")
                         .wait_cloned()
                         .into_result()
                         .expect("write completes");

@@ -45,7 +45,6 @@ fn ring_submit_and_complete_take_no_tracked_locks() {
     ring.submit_keyed(0, RingOp::write_raw(0, vec![0u8; 64]))
         .accepted()
         .expect("Block policy")
-        .1
         .wait_cloned()
         .into_result()
         .expect("warm-up write");
@@ -57,7 +56,6 @@ fn ring_submit_and_complete_take_no_tracked_locks() {
         ring.submit_keyed(i, RingOp::write_raw(i * 64, vec![i as u8; 64]))
             .accepted()
             .expect("Block policy")
-            .1
             .wait_cloned()
             .into_result()
             .expect("write completes");
@@ -69,7 +67,6 @@ fn ring_submit_and_complete_take_no_tracked_locks() {
             ring.submit_keyed(3, RingOp::write_raw(8192 + i * 32, vec![0xA5; 32]))
                 .accepted()
                 .expect("Block policy")
-                .1
         })
         .collect();
     for p in burst {
