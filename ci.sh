@@ -70,12 +70,15 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #                     connector's ring path and its fault retries on the
 #                     reaper, the transport-parity
 #                     table (a write settles where it lands, whether raw
-#                     segments on the attached ring, a job on the
-#                     container's own ring or a WAL-staged job; two
+#                     segments on the attached ring or on the
+#                     container's own, or a WAL-staged job; two
 #                     containers on one connector keep
 #                     their own bytes, prefetch slots and order; on four
 #                     lanes the later of two same-byte writes lands and a
-#                     failed piece is retried or fails the write); the
+#                     failed piece is retried or fails the write), writes
+#                     queued on an own ring coalescing, a sieving write's
+#                     device calls alike on both rings, and a closed
+#                     container outliving its held writes; the
 #                     explore sweep needs the feature (per-key order,
 #                     shutdown and a completion's verdict are
 #                     h5lite::ring's unit tests, run above)

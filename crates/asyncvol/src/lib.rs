@@ -24,9 +24,10 @@
 //!   choice of ring entry, container write, completion bookkeeping.
 //! - **One executor**: a container's writes and prefetches are entries
 //!   in one ring's FIFO under the dataset's id — the attached ring if it
-//!   wraps the container's backend, else the container's own. Only DRAM
-//!   writes on the attached ring are raw segments; the rest are *jobs*
-//!   ([`Ring::submit_job`]). That one order covers WAW, RAW and WAR.
+//!   wraps the container's backend, else the container's own. A DRAM
+//!   write whose plan does not sieve is raw segments, on either ring;
+//!   the rest are *jobs* ([`Ring::submit_job`]). Every entry holds its
+//!   container until it settles. That one order covers WAW, RAW and WAR.
 //! - **Reads** are blocking unless a prefetch is in flight or complete for
 //!   the same `(dataset, selection)`: [`AsyncVol::prefetch`] schedules
 //!   background reads of future time steps, and a later `dataset_read`
@@ -156,21 +157,12 @@ impl AsyncVolBuilder {
     }
 
     /// Serve the containers on `ring`'s backend through `ring`, rather
-    /// than through a ring of their own (DESIGN.md §14). A DRAM-staged
-    /// write on it is planned on the caller's thread and submitted as the
-    /// snapshot + segments, one ring entry keyed by dataset id, and the
-    /// reaper coalesces queued entries into vectored batches. Each entry
-    /// carries its settlement as the ring's completion hook, so the
-    /// reaper settles a write the moment it lands, in its FIFO position:
-    /// retryable failures are retried there under the connector's
-    /// [`RetryPolicy`], and the circuit breaker and counters see the
-    /// outcome at once. The container's device-staged writes and
-    /// prefetches are jobs on the same ring.
-    ///
-    /// The ring writes to the backend it wraps, so only containers on
-    /// that backend (the same object, checked when the container is first
-    /// written or prefetched) use it; any other container gets a ring of
-    /// its own, of [`streams`](Self::streams) shards.
+    /// than through a ring of their own (DESIGN.md §14); a write takes the
+    /// same path on either. The ring writes to the backend it wraps, so
+    /// only containers on that backend (the same object, checked when the
+    /// container is first written or prefetched) use it; any other
+    /// container gets a ring of its own, of [`streams`](Self::streams)
+    /// shards.
     pub fn ring(mut self, ring: Arc<Ring>) -> Self {
         self.ring = Some(ring);
         self
@@ -298,6 +290,17 @@ impl DsOrder {
     fn busy(&self) -> bool {
         self.last.as_ref().is_some_and(|p| !p.is_fulfilled()) || !self.prefetched.is_empty()
     }
+
+    /// The record with its prefetch slots dropped (their jobs go to
+    /// `stale`), because a write to the dataset is being issued: what they
+    /// fetched predates it, so the next read must be a cold one.
+    fn written(&mut self, stale: &mut Vec<Promise<Completion>>) -> &mut DsOrder {
+        if !self.prefetched.is_empty() {
+            stale.retain(|p| !p.is_fulfilled());
+            stale.extend(self.prefetched.drain().map(|(_, slot)| slot.done));
+        }
+        self
+    }
 }
 
 /// One container the connector serves, weakly held (the connector must
@@ -330,6 +333,12 @@ fn tenant<'a>(
     &mut tenants[at]
 }
 
+/// `c`'s record of `ds`, if it has one.
+fn record<'a>(tenants: &'a mut [Tenant], c: &Container, ds: ObjectId) -> Option<&'a mut DsOrder> {
+    let tenant = tenants.iter_mut().find(|t| std::ptr::eq(t.container.as_ptr(), c))?;
+    tenant.datasets.get_mut(&ds)
+}
+
 struct ConnInner {
     next_req: u64,
     /// Every request that has not been reported to its caller yet.
@@ -342,31 +351,6 @@ struct ConnInner {
 }
 
 impl ConnInner {
-    /// `c`'s record of `ds`, if it has one.
-    fn find(&mut self, c: &Arc<Container>, ds: ObjectId) -> Option<&mut DsOrder> {
-        let tenant = self.tenants.iter_mut().find(|t| t.container.as_ptr() == Arc::as_ptr(c))?;
-        tenant.datasets.get_mut(&ds)
-    }
-
-    /// `c`'s ring and its record of `ds` with its prefetch slots dropped,
-    /// because a write to `ds` is being issued: what they fetched (or
-    /// are fetching) predates it, so the next read of `ds` must be a cold
-    /// one, ordered after the write.
-    fn written(
-        &mut self,
-        c: &Arc<Container>,
-        ds: ObjectId,
-        ring_for: impl FnOnce() -> Arc<Ring>,
-    ) -> (&Ring, &mut DsOrder) {
-        let Tenant { ring, datasets, .. } = tenant(&mut self.tenants, c, ring_for);
-        let order = datasets.entry(ds).or_default();
-        if !order.prefetched.is_empty() {
-            self.stale_prefetches.retain(|p| !p.is_fulfilled());
-            self.stale_prefetches.extend(order.prefetched.drain().map(|(_, slot)| slot.done));
-        }
-        (ring, order)
-    }
-
     /// Once the table or the dataset records hold more than
     /// [`PENDING_GC_THRESHOLD`] entries, drop every request that settled
     /// clean and every record with nothing left in it, so a producer
@@ -439,11 +423,16 @@ impl Shared {
         landed
     }
 
+    /// The `vol.execute` span that brackets a background write's landing.
+    fn execute_span(&self, ds: ObjectId, bytes: u64) -> apio_trace::SpanGuard {
+        let call = Event::VolCall { op: "execute", dataset: ds, bytes };
+        self.stats.tracer().span_with("vol.execute", call)
+    }
+
     /// The one completion path: resolve the breaker (and the probe riding
     /// on the write), count the write, and hand the outcome back for the
     /// caller to return or stow. `ran` is `None` when the write failed on
-    /// the caller's thread before anything was dispatched (planning, WAL
-    /// append).
+    /// the caller's thread before anything was dispatched (a WAL append).
     ///
     /// A background write was acknowledged at issue, so it is counted
     /// whatever its outcome; an inline (degraded) one only when it
@@ -654,11 +643,13 @@ impl AsyncVol {
         ds: ObjectId,
         launch: impl FnOnce(u64, &Ring) -> Promise<Completion>,
     ) -> Request {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.drop_settled();
         let req = inner.next_req;
         inner.next_req += 1;
-        let (ring, order) = inner.written(c, ds, || self.ring_for(c));
+        let Tenant { ring, datasets, .. } = tenant(&mut inner.tenants, c, || self.ring_for(c));
+        let order = datasets.entry(ds).or_default().written(&mut inner.stale_prefetches);
         let done = launch(req, ring);
         order.last = Some(done.clone());
         inner.requests.insert(req, done);
@@ -697,7 +688,7 @@ impl AsyncVol {
         };
         let t0 = Instant::now();
         match self.stage(ds, sel, bytes, snapshot) {
-            Ok(payload) => self.dispatch(c, ds, sel, bytes, payload, probe, t0),
+            Ok(payload) => Ok(self.dispatch(c, ds, sel, bytes, payload, probe, t0)),
             // Nothing was dispatched. A dead staging device still counts
             // toward the breaker — degraded mode bypasses staging
             // entirely, which is the remedy.
@@ -735,13 +726,13 @@ impl AsyncVol {
         Ok(payload)
     }
 
-    /// Put a staged write on `c`'s ring: raw segments (DESIGN.md §14) when
-    /// the snapshot is in DRAM and the attached ring wraps the
-    /// container's own backend, else one job that lands and settles it
-    /// (the reaper executes raw segments, and cannot read a snapshot back
-    /// from the WAL or sieve a selection). Either way the entry is keyed
-    /// by the dataset id. `t0` is when the snapshot began: the overhead
-    /// covers copy and plan.
+    /// Put a staged write on `c`'s ring, keyed by the dataset id: raw
+    /// segments (DESIGN.md §14) when the snapshot is in DRAM and its plan,
+    /// made here, does not sieve; else one job that lands and settles it
+    /// (the reaper writes raw segments: it cannot read a snapshot back from
+    /// the WAL or sieve a selection). Either entry holds `c` until it has
+    /// settled, so no tenant with work queued is retired. `t0` is when the
+    /// snapshot began: the overhead covers copy and plan.
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
@@ -752,64 +743,58 @@ impl AsyncVol {
         payload: Payload,
         probe: Option<ProbeGuard>,
         t0: Instant,
-    ) -> Result<Request> {
-        let stats = &self.sh.stats;
-        let attached = self.ring.as_ref().is_some_and(|ring| ring.wraps(&*c.backend()));
-        match payload {
-            Payload::Dram(data) if attached => {
-                // Metadata-only planning on the caller's thread; the data
-                // path (the vectored writes) runs on the reaper, which
-                // recycles the snapshot once it has landed.
-                let segs = match c.plan_write_selection(ds, sel, bytes) {
-                    Ok(segs) => segs,
-                    Err(e) => {
-                        recycle::give(data);
-                        return self.sh.settle(Err(e), probe, None).map(|()| Request::SYNC);
+    ) -> Request {
+        // A write that fails to plan is a job too: it plans again and holds
+        // the error for the wait, like any background failure.
+        let segs = match &payload {
+            Payload::Dram(_) => c.plan_raw_write(ds, sel, bytes).ok().flatten(),
+            Payload::Staged(..) => None,
+        };
+        self.sh.stats.record_snapshot(bytes, t0.elapsed().as_secs_f64());
+        let (tenant, sh) = (c.clone(), self.sh.clone());
+        self.admit(c, ds, |req, ring| match (payload, segs) {
+            (Payload::Dram(data), Some(segs)) => {
+                let since = Instant::now();
+                // Settled on the reaper the moment the write lands, before
+                // the next op on the shard: a retry lands in the write's
+                // FIFO position.
+                let op = RingOp::Write { data, segs };
+                ring.submit_with(ds, op, Box::new(move |first, replayed, again| {
+                    // Traced only when there is a retry to bracket. A
+                    // replay's failed pass was the write's first attempt,
+                    // and the replay that gave `first` its retry.
+                    let retried = replayed || first.is_err();
+                    let _exec_span = retried.then(|| sh.execute_span(ds, bytes));
+                    if replayed {
+                        sh.stats.record_retry_attempt(1, 0);
+                        if first.is_ok() {
+                            sh.stats.record_retry_success();
+                        }
                     }
-                };
-                stats.record_snapshot(bytes, t0.elapsed().as_secs_f64());
-                let sh = self.sh.clone();
-                Ok(self.admit(c, ds, |req, ring| {
-                    let since = Instant::now();
-                    // Settled on the reaper the moment the write lands,
-                    // before the next op on the shard: a retry lands in
-                    // the write's FIFO position.
-                    let settle = Box::new(move |first, again: &mut dyn FnMut() -> Result<()>| {
-                        let mut first = Some(first);
-                        // The deadline anchors at the first attempt, not
-                        // at submission: queue time under a deep ring is
-                        // the workload's choice, not a fault.
-                        let outcome = with_backoff(&sh.retry, req, Instant::now(), &sh.stats, || {
-                            first.take().unwrap_or_else(&mut *again)
-                        });
-                        sh.settle(outcome, probe, Some(Ran { degraded: false, bytes, since }))
+                    let mut first = Some(first);
+                    // The deadline anchors at the first attempt, not at
+                    // submission: queue time under a deep ring is the
+                    // workload's choice, not a fault.
+                    let outcome = with_backoff(&sh.retry, req, Instant::now(), &sh.stats, || {
+                        first.take().unwrap_or_else(&mut *again)
                     });
-                    ring.submit_with(ds, RingOp::Write { data, segs }, settle)
+                    let _held = &tenant; // dropped as the hook returns: before the promise
+                    sh.settle(outcome, probe, Some(Ran { degraded: false, bytes, since }))
                 }))
             }
-            payload => {
-                stats.record_snapshot(bytes, t0.elapsed().as_secs_f64());
-                let (tenant, sel, sh) = (c.clone(), sel.clone(), self.sh.clone());
-                Ok(self.admit(c, ds, |req, ring| {
-                    ring.submit_job(ds, Box::new(move || {
-                        let _exec_span = sh.stats.tracer().span_with(
-                            "vol.execute",
-                            Event::VolCall {
-                                op: "execute",
-                                dataset: ds,
-                                bytes,
-                            },
-                        );
-                        let since = Instant::now();
-                        let outcome = sh.land(&tenant, ds, &sel, payload, req, since);
-                        // Settled the moment the write lands, not when
-                        // somebody waits: the breaker counts consecutive
-                        // failures as writes finish.
-                        sh.settle(outcome, probe, Some(Ran { degraded: false, bytes, since }))
-                    }))
+            (payload, _) => {
+                let sel = sel.clone();
+                ring.submit_job(ds, Box::new(move || {
+                    let _exec_span = sh.execute_span(ds, bytes);
+                    let since = Instant::now();
+                    let outcome = sh.land(&tenant, ds, &sel, payload, req, since);
+                    // Settled the moment the write lands, not when somebody
+                    // waits: the breaker counts consecutive failures as
+                    // writes finish.
+                    sh.settle(outcome, probe, Some(Ran { degraded: false, bytes, since }))
                 }))
             }
-        }
+        })
     }
 
     /// Synchronous passthrough write, used while the circuit breaker has
@@ -839,10 +824,14 @@ impl AsyncVol {
             .tracer()
             .instant("degrade", Event::Degrade { dataset: ds, bytes });
         let (salt, last) = {
-            let mut inner = self.inner.lock();
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
             let salt = inner.next_req;
             inner.next_req += 1; // consumed as jitter salt only
-            (salt, inner.written(c, ds, || self.ring_for(c)).1.last.clone())
+            // A container that is not a tenant yet has nothing in flight
+            // and no slots, and the inline write needs no ring.
+            let order = record(&mut inner.tenants, c, ds);
+            (salt, order.and_then(|o| o.written(&mut inner.stale_prefetches).last.clone()))
         };
         if let Some(last) = last {
             last.wait_with(|_| ());
@@ -901,7 +890,7 @@ impl Vol for AsyncVol {
     ) -> Result<ReadRequest> {
         // Serve from the prefetch slot when warm; else note, in the same
         // section, what is in flight on the dataset.
-        let last = match self.inner.lock().find(c, ds) {
+        let last = match record(&mut self.inner.lock().tenants, c, ds) {
             Some(order) => match order.prefetched.remove(sel) {
                 Some(slot) => {
                     self.sh.stats.record_prefetch_hit();
@@ -1032,12 +1021,12 @@ mod tests {
         (bad, c, ds, ring)
     }
 
-    /// Table entries, those of them on a ring, and tenant records, right
-    /// now. Every entry is a ring completion, on the attached ring or on
-    /// a container's own; [`on_attached_ring`] tells which.
-    fn table_sizes(vol: &AsyncVol) -> (usize, usize, usize) {
+    /// Table entries and tenant records, right now. Every entry is a ring
+    /// completion, on the attached ring or on a container's own;
+    /// [`on_attached_ring`] tells which.
+    fn table_sizes(vol: &AsyncVol) -> (usize, usize) {
         let inner = vol.inner.lock();
-        (inner.requests.len(), inner.requests.len(), inner.tenants.len())
+        (inner.requests.len(), inner.tenants.len())
     }
 
     /// Whether `c` writes through the connector's attached ring.
@@ -1085,7 +1074,7 @@ mod tests {
         assert!(err.contains("bad block"), "{err}");
         vol.wait_all().unwrap();
         assert_eq!(vol.stats().queued, 0);
-        assert_eq!(table_sizes(&vol), (0, 0, 1), "the failure was reported exactly once");
+        assert_eq!(table_sizes(&vol), (0, 1), "the failure was reported exactly once");
         assert_eq!(
             c.read_selection(ds, &slab(4_999)).unwrap(),
             vec![(4_999 % 256) as u8; SLAB as usize]
@@ -1120,19 +1109,19 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(vol.stats().queued, 0);
-        assert_eq!(table_sizes(&vol), (64, 64, 1), "nothing was waited for");
+        assert_eq!(table_sizes(&vol), (64, 1), "nothing was waited for");
         assert_eq!(vol.stats().writes, WRITES, "every write settled as it landed");
         vol.wait_all().unwrap();
         assert_eq!(vol.stats().writes, WRITES);
-        assert_eq!(table_sizes(&vol), (0, 0, 1));
+        assert_eq!(table_sizes(&vol), (0, 1));
     }
 
     /// A connector outlives the containers it serves: 2 000 of them, each
     /// created on the one device, written once, waited for and dropped,
     /// leave at most 2 tenant records behind at any round — the records
-    /// of closed containers go, and with them their own rings. On the
-    /// attached ring every write is raw segments, whose hook holds no
-    /// container.
+    /// of closed containers go, and with them their own rings. On either
+    /// ring every write is raw segments, whose hook holds its container
+    /// until the write has settled.
     fn tenant_records_stay_bounded(use_ring: bool) {
         let device: Arc<dyn h5lite::StorageBackend> = Arc::new(MemBackend::new());
         let vol = match use_ring {
@@ -1150,7 +1139,7 @@ mod tests {
             assert_eq!(on_attached_ring(&vol, &c), use_ring, "round {round}: transport");
             vol.wait(req).unwrap();
             drop(c);
-            let (_, _, tenants) = table_sizes(&vol);
+            let (_, tenants) = table_sizes(&vol);
             assert!(tenants <= 2, "round {round}: {tenants} tenant records");
         }
         assert_eq!(vol.stats().writes, 2_000);
@@ -1164,5 +1153,34 @@ mod tests {
     #[test]
     fn task_tenant_records_stay_bounded() {
         tenant_records_stay_bounded(false);
+    }
+
+    /// A degraded write runs inline on the caller's thread: to a container
+    /// that is not a tenant yet, it makes no tenant record, and so no ring
+    /// with reapers it would never use.
+    #[test]
+    fn a_degraded_write_to_a_fresh_container_makes_no_tenant() {
+        let (bad, c, ds, _) = bad_block_stack(1);
+        let vol = AsyncVol::builder()
+            .retry(RetryPolicy::none())
+            .breaker(BreakerConfig { failure_threshold: 1, probe_after: u32::MAX })
+            .build();
+        bad.store(c.plan_write_selection(ds, &slab(0), SLAB).unwrap()[0].addr, Ordering::SeqCst);
+        let _ = vol.dataset_write(&c, ds, &slab(0), &[1; SLAB as usize]).unwrap();
+        assert!(vol.wait_all().is_err(), "the bad block fails the write");
+        assert_eq!(vol.breaker_state(), BreakerState::Open);
+        drop(c);
+        vol.wait_all().unwrap();
+        assert_eq!(table_sizes(&vol), (0, 0), "the closed container's record went");
+
+        let fresh = Arc::new(Container::create_mem());
+        let ds = fresh
+            .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(SLAB), Layout::Contiguous)
+            .unwrap();
+        let req = vol.dataset_write(&fresh, ds, &slab(0), &[2; SLAB as usize]).unwrap();
+        assert!(req.is_sync(), "the write ran degraded");
+        assert_eq!(fresh.read_selection(ds, &slab(0)).unwrap(), vec![2; SLAB as usize]);
+        let (_, tenants) = table_sizes(&vol);
+        assert_eq!(tenants, 0, "a degraded write made {tenants} tenant record(s)");
     }
 }

@@ -263,14 +263,14 @@ pub struct AsyncVolStats {
     pub snapshot_bytes: u64,
     /// Seconds on the application thread from taking each write's
     /// snapshot to handing it to a transport: a borrowed buffer's copy, a
-    /// device-staged append, and on a ring the write's planning. The
+    /// device-staged append, and a DRAM write's planning. The
     /// typed API's encode comes before it and is not counted.
     pub snapshot_secs: f64,
     /// Bytes written to the container by background writes.
     pub write_bytes: u64,
     /// Seconds background writes took to land: from the container write's
     /// start in a job, from submission (queue time included) for raw
-    /// segments on the attached ring.
+    /// segments.
     pub write_io_secs: f64,
     /// Bytes read (blocking + prefetch).
     pub read_bytes: u64,

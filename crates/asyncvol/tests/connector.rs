@@ -559,6 +559,12 @@ fn injected_device_failure_surfaces_as_deferred_async_error() {
             vol.dataset_write(&c, ds, &Selection::All, &[1u8; 64])
                 .unwrap(),
         );
+        // Each write lands before the next is issued, so each is a device
+        // write of its own: queued behind a busy reaper, they would share
+        // one, and the device would not die mid-stream.
+        while vol.stats().queued > 0 {
+            std::thread::yield_now();
+        }
     }
     let outcomes: Vec<bool> = requests
         .into_iter()

@@ -163,8 +163,7 @@ fn a_prefetch_out_of_retries_reports_on_the_read_once() {
 /// How the second write of [`a_write_drops_the_prefetch_slot`] is issued.
 #[derive(Clone, Copy, Debug)]
 enum Regime {
-    /// No ring attached: a job on the container's own ring, which lands
-    /// the write through the container's sieved path.
+    /// No ring attached: raw segments on the container's own ring.
     Task,
     /// Raw segments on the attached ring.
     Ring,

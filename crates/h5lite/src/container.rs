@@ -1086,18 +1086,8 @@ impl Container {
 
     /// Resolve a write selection to device segments without issuing any
     /// I/O: same planning (and chunk allocation) as
-    /// [`Container::write_selection`], but the caller keeps the segments.
-    /// The ring path plans here, then submits the plan expanded piece by
-    /// piece plus the caller's snapshot as one ring entry — the reaper
-    /// issues the vectored batches (DESIGN.md §14), segment by segment:
-    /// the ring path does not sieve, and it does not take the write
-    /// gate. A one-run plan (every VPIC call) expands to its one
-    /// segment; a strided one costs its element count here, as it will
-    /// on the device. What orders it
-    /// against a sieved [`Container::write_selection`] on the same
-    /// dataset is the connector's per-dataset chaining: `AsyncVol`
-    /// waits out the dataset's last ring entry, which settles after every
-    /// earlier one, before any degraded or synchronous write to it.
+    /// [`Container::write_selection`], but the caller keeps the segments,
+    /// one per piece: a strided plan costs its element count here.
     pub fn plan_write_selection(
         &self,
         id: ObjectId,
@@ -1108,6 +1098,29 @@ impl Container {
         let mut segments = Vec::with_capacity(plan.segment_count() as usize);
         segments.extend(plan.segments());
         Ok(segments)
+    }
+
+    /// [`Container::plan_write_selection`], or `None` ("sieve it") when
+    /// [`Container::write_selection`] would fold some segments into spans;
+    /// a one-segment plan cannot, and skips that test. A write that sieves
+    /// lands through `write_selection`, which plans it again.
+    ///
+    /// Written raw, the segments skip the dataset's write gate. In
+    /// `AsyncVol` no sieved read → scatter → write-back can straddle them:
+    /// a sieved job on the dataset is an entry under the same key on the
+    /// same ring; a job ends its reaper pass, so it starts once every entry
+    /// before it has landed and none after it starts until it is done; and
+    /// a degraded write waits out the dataset's last entry before it plans.
+    pub fn plan_raw_write(
+        &self,
+        id: ObjectId,
+        sel: &Selection,
+        data_len: u64,
+    ) -> Result<Option<Vec<IoSegment>>> {
+        let Planned { plan, touched, .. } = self.plan_io(id, sel, Some(data_len), true)?;
+        let count = plan.segment_count();
+        let spans = || sieve_spans(plan.records(), extents_of(&touched)).len() as u64;
+        Ok((count < 2 || spans() == count).then(|| plan.segments().collect()))
     }
 
     /// The storage backend this container runs on (shared handle).

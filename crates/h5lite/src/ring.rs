@@ -169,11 +169,12 @@ impl Completion {
 }
 
 /// A completion hook ([`Ring::submit_with`]): the reaper calls it with the
-/// operation's first outcome and a way to write it again, before it
-/// publishes the promise or takes the next operation. Its return, or its
-/// panic, is the completion's verdict.
+/// operation's outcome, whether that is a replay (the pass it was
+/// coalesced into failed, so it was written again alone), and a way to
+/// write it again, before it publishes the promise or takes the next
+/// operation. Its return, or its panic, is the completion's verdict.
 pub type OnComplete =
-    Box<dyn FnOnce(Result<()>, &mut dyn FnMut() -> Result<()>) -> Result<()> + Send>;
+    Box<dyn FnOnce(Result<()>, bool, &mut dyn FnMut() -> Result<()>) -> Result<()> + Send>;
 
 /// Submission-queue entry: the operation, the promise its completion
 /// fulfils, and the hook that runs first.
@@ -304,7 +305,7 @@ impl Ring {
         job: Box<dyn FnOnce() -> Result<()> + Send>,
     ) -> Promise<Completion> {
         let op = RingOp::Write { data: Vec::new(), segs: Vec::new() };
-        self.submit_with(key, op, Box::new(move |_, _| job()))
+        self.submit_with(key, op, Box::new(move |_, _, _| job()))
     }
 
     /// The one push loop: park until `key`'s shard has a slot for the
@@ -409,24 +410,23 @@ fn drain_shard(shared: &RingShared, shard_idx: usize) -> Vec<Sqe> {
 /// [`write_run`]. A lone operation, or a pass that failed (a batch error
 /// names no operation), executes one operation at a time so each
 /// completion carries its own verdict — replays are idempotent (same
-/// bytes, same offsets). Completions are delivered in queue order, and a
-/// job, which can only be last, runs once every write before it has
-/// landed and settled.
+/// bytes, same offsets) — and a replay's hook is told it is one.
+/// Completions are delivered in queue order, and a job, which can only be
+/// last, runs once every write before it has landed and settled.
 fn execute_batch(shared: &RingShared, mut batch: Vec<Sqe>) {
     let job = batch.pop_if(|sqe| sqe.op.segs().is_empty());
     let backend = shared.backend.as_ref();
-    if batch.len() > 1 && write_run(backend, batch.iter().map(|sqe| &sqe.op)).is_ok() {
-        for sqe in batch {
-            complete(shared, sqe, Ok(()));
-        }
-    } else {
-        for sqe in batch {
-            let result = write_run(backend, std::iter::once(&sqe.op));
-            complete(shared, sqe, result);
-        }
+    let pass = (batch.len() > 1).then(|| write_run(backend, batch.iter().map(|sqe| &sqe.op)));
+    let replayed = matches!(pass, Some(Err(_)));
+    for sqe in batch {
+        let result = match pass {
+            Some(Ok(())) => Ok(()),
+            _ => write_run(backend, std::iter::once(&sqe.op)),
+        };
+        complete(shared, sqe, result, replayed);
     }
     if let Some(job) = job {
-        complete(shared, job, Ok(()));
+        complete(shared, job, Ok(()), false);
     }
 }
 
@@ -490,7 +490,7 @@ fn disjoint_runs<'s, 'a>(iovecs: &'s [IoVec<'a>]) -> impl Iterator<Item = &'s [I
 /// buffer back for the next one (lock-free), landed or failed: nothing
 /// holds it after its hook, so a waiter that wakes finds it reusable and
 /// a failure nobody waits for pins no memory.
-fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>) {
+fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>, replayed: bool) {
     let Sqe { op, promise, on_complete } = sqe;
     let result = match on_complete {
         None => result,
@@ -498,7 +498,8 @@ fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>) {
         // every promise of its shard: the panic is the op's error.
         Some(hook) => {
             let mut again = || write_run(shared.backend.as_ref(), std::iter::once(&op));
-            panic::catch_unwind(AssertUnwindSafe(|| hook(result, &mut again))).unwrap_or_else(|p| {
+            let run = AssertUnwindSafe(|| hook(result, replayed, &mut again));
+            panic::catch_unwind(run).unwrap_or_else(|p| {
                 let msg = p.downcast_ref::<&str>().map(|s| s.to_string());
                 let msg = msg.or_else(|| p.downcast_ref::<String>().cloned()).unwrap_or_default();
                 Err(H5Error::Async(format!("ring completion hook panicked: {msg}")))
@@ -668,7 +669,7 @@ mod tests {
         let ran_on = Arc::new(crate::sync::Mutex::new(None));
         let release = Arc::new(AtomicBool::new(false));
         let (seen, go) = (ran_on.clone(), release.clone());
-        let p = ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(move |first, _| {
+        let p = ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(move |first, _, _| {
             *seen.lock() = Some(thread::current().id());
             while !go.load(Ordering::SeqCst) {
                 thread::yield_now();
@@ -708,7 +709,7 @@ mod tests {
         });
         let device = Arc::new(device);
         let ring = Ring::new(device.clone(), RingConfig::default());
-        let a = ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(|first, again| {
+        let a = ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(|first, _, again| {
             assert!(first.as_ref().is_err_and(H5Error::is_retryable), "{first:?}");
             again()
         }));
@@ -722,6 +723,47 @@ mod tests {
         assert_eq!(*calls.lock(), [0, 0, 64], "A, A's retry, then B");
     }
 
+    /// A pass that fails names no op: each of its ops is written again
+    /// alone, and its hook is told it is a replay. A lone op's is not.
+    #[test]
+    fn a_failed_pass_is_replayed_op_by_op_and_each_hook_is_told() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (open, n) = (gate.clone(), calls.clone());
+        let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+            let Call::Write { .. } = call else { return Ok(()) };
+            while !open.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            match n.fetch_add(1, Ordering::SeqCst) {
+                1 => Err(H5Error::Transient("the pass".into())),
+                _ => Ok(()),
+            }
+        });
+        let device = Arc::new(device);
+        let ring = Ring::new(device.clone(), RingConfig::default());
+        let told = Arc::new(crate::sync::Mutex::new(Vec::new()));
+        let hooked = |offset: u64| {
+            let told = told.clone();
+            let op = RingOp::write_raw(offset, vec![1u8; 8]);
+            ring.submit_with(0, op, Box::new(move |first, replayed, _| {
+                told.lock().push((offset, replayed));
+                first
+            }))
+        };
+        let a = hooked(0);
+        while device.counts().write_batches == 0 {
+            thread::yield_now();
+        }
+        let (b, c) = (hooked(64), hooked(128));
+        gate.store(true, Ordering::SeqCst);
+        for p in [a, b, c] {
+            assert!(p.wait_cloned().result.is_ok(), "every op landed");
+        }
+        assert_eq!(*told.lock(), [(0, false), (64, true), (128, true)]);
+        assert_eq!(calls.load(Ordering::SeqCst), 4, "A, the failed pass, then B and C alone");
+    }
+
     /// A panicking hook, or a panicking job, must not kill the reaper:
     /// its op completes with the panic as its error, and the op behind it
     /// still lands.
@@ -730,7 +772,7 @@ mod tests {
         type Panicking = fn(&Ring) -> Promise<Completion>;
         let inputs: [(&str, Panicking); 2] = [
             ("hook", |ring| {
-                ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(|_, _| {
+                ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(|_, _, _| {
                     panic!("hook panics (expected by the test)")
                 }))
             }),

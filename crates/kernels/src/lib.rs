@@ -6,8 +6,8 @@
 //!
 //! - **Real engine** — [`run_real`]: ranks are OS threads writing or
 //!   reading hyperslabs of shared `h5lite` datasets through a VOL
-//!   connector (native, or async on the one-shard ring [`make_file`]
-//!   builds), with real buffers and wall-clock measurement. Sizes are
+//!   connector (native, or async on a one-shard ring per container,
+//!   [`make_file`]), with real buffers and wall-clock measurement. Sizes are
 //!   scaled down so the kernels run in test time; the *mechanism*
 //!   (snapshots, background writes, prefetch) is exactly the at-scale one.
 //! - **Simulator** — the same epoch structure executed by

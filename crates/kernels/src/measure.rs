@@ -6,17 +6,16 @@ use std::time::{Duration, Instant};
 
 use apio_core::history::{Direction, IoMode};
 use asyncvol::AsyncVol;
-use h5lite::ring::{Ring, RingConfig};
 use h5lite::{Container, Dataspace, File, H5Error, Hyperslab, NativeVol, Selection, Vol};
 use mpisim::{PhaseMeasure, RunResult, Workload};
 
 use crate::vpic::{particle_value, PROPERTIES};
 
 /// Open `container` through the connector `mode` selects. The async
-/// connector is the stack the end-to-end benchmark's VPIC rows time: a
-/// one-shard [`Ring`] over the container's own backend. Its handle comes
-/// back beside the file: [`run_real`] takes it as its mode (`None` is
-/// native, synchronous I/O), and the caller reads its stats.
+/// connector is [`AsyncVol::new`]: the container writes through a
+/// one-shard ring of its own over its backend. Its handle comes back
+/// beside the file: [`run_real`] takes it as its mode (`None` is native,
+/// synchronous I/O), and the caller reads its stats.
 pub fn make_file(container: Arc<Container>, mode: IoMode) -> (File, Option<Arc<AsyncVol>>) {
     match mode {
         IoMode::Sync => (
@@ -24,12 +23,7 @@ pub fn make_file(container: Arc<Container>, mode: IoMode) -> (File, Option<Arc<A
             None,
         ),
         IoMode::Async => {
-            let config = RingConfig {
-                shards: 1,
-                ..RingConfig::default()
-            };
-            let ring = Arc::new(Ring::new(container.backend(), config));
-            let vol = Arc::new(AsyncVol::builder().ring(ring).build());
+            let vol = Arc::new(AsyncVol::new());
             let dynvol: Arc<dyn Vol> = vol.clone();
             (File::from_parts(container, dynvol), Some(vol))
         }
@@ -207,12 +201,11 @@ mod tests {
         assert_eq!(f.vol().name(), "async");
         assert!(some.is_some());
 
-        // Async writes go through the attached ring as raw segments: with
-        // the device holding every write at a closed gate, the epoch's 16
-        // writes queue in the ring, and once the gate opens the reaper
-        // lands the ones behind the held pass together, in one call of
-        // several segments. A connector writing through a ring of its own
-        // would land each write in a job of its own, one segment a call.
+        // Async writes go through the container's own ring as raw
+        // segments: with the device holding every write at a closed gate,
+        // the epoch's 16 writes queue in the ring, and once the gate opens
+        // the reaper lands the ones behind the held pass together, in one
+        // call of several segments.
         let closed = Arc::new(AtomicBool::new(true));
         let most = Arc::new(AtomicU64::new(0));
         let (gate, seen) = (closed.clone(), most.clone());

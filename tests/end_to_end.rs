@@ -25,8 +25,9 @@ fn small() -> Workload {
 type Open = fn(Arc<Container>) -> (File, Option<Arc<AsyncVol>>);
 
 /// The write stacks: native, a connector with no ring attached (each
-/// container writes through a ring of its own), and the one-shard ring
-/// `make_file` attaches for async.
+/// container writes through a ring of its own), and `make_file`'s async
+/// connector, which attaches none either: the two async rows are one
+/// stack, reached by hand and through `make_file`.
 fn writers() -> [(&'static str, Open); 3] {
     [
         ("native", |c| make_file(c, IoMode::Sync)),

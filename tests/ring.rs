@@ -3,7 +3,7 @@
 //! a faulted write retried by its completion hook on the reaper, under
 //! the connector's retry policy and circuit breaker — the three ways a
 //! write reaches a ring side by side as one table (raw segments on the
-//! attached ring, a job on the container's own ring, a WAL-staged job;
+//! attached ring, raw segments on the container's own, a WAL-staged job;
 //! a write settles where it lands, on each; two containers on one
 //! connector, both with a
 //! dataset of id 2, keep their own bytes, prefetch slots and order; and
@@ -226,9 +226,8 @@ enum Transport {
     /// Raw segments on the attached ring, settled in their completion
     /// hook.
     Ring,
-    /// No ring attached: a job on the connector's own ring for the
-    /// container, which lands the write through the container's sieved
-    /// path and settles it.
+    /// No ring attached: raw segments on the container's own ring,
+    /// settled in their completion hook.
     Own,
     /// The ring attached and snapshots staged to a device (a second
     /// `MemBackend`): a job on the attached ring that reads its payload
@@ -608,4 +607,140 @@ fn both_transports_settle_a_write_where_it_lands() {
         }
     }
     assert!(failed.is_empty(), "transport parity cells failed: {failed:?}");
+}
+
+/// 16 contiguous writes on a container's own ring, the first held inside
+/// the device at a closed gate and the other 15 queued behind it: once
+/// the gate opens, the reaper lands the 15 in one pass, so the 16 take
+/// fewer than 16 write calls. A write is raw segments on any ring unless
+/// its plan sieves.
+#[test]
+fn an_own_ring_coalesces_the_writes_queued_behind_a_held_one() {
+    let p = Parity::new(Transport::Own, BreakerConfig::default());
+    let before = p.device_writes();
+    let _ = p.write_held(0);
+    for byte in 1..16 {
+        let _ = p.write(byte).expect("issue");
+    }
+    p.script.closed.store(false, Ordering::SeqCst);
+    p.vol.wait_all().expect("all 16 land");
+    let calls = p.device_writes() - before;
+    assert!(calls < 16, "16 writes queued on an own ring took {calls} write calls");
+    assert_eq!(p.contents(), vec![15u8; 64], "the last write issued landed last");
+}
+
+/// A strided write whose plan sieves is a job that lands it through the
+/// container's sieved path, on the attached ring as on the container's
+/// own: the device sees the same reads, write calls and segments.
+#[test]
+fn a_sieving_write_makes_the_same_device_calls_on_either_ring() {
+    let calls = |attached: bool| {
+        let device = Arc::new(CountingBackend::new(Arc::new(MemBackend::new())));
+        let backend: Arc<dyn StorageBackend> = device.clone();
+        let c = Arc::new(Container::create(backend.clone()));
+        let space = Dataspace::d1(4096);
+        let ds = c
+            .create_dataset(ROOT_ID, "x", Datatype::U8, &space, Layout::Contiguous)
+            .expect("create dataset");
+        c.write_selection(ds, &Selection::All, &[0; 4096]).expect("prefill");
+        let vol = match attached {
+            true => AsyncVol::builder().ring(Arc::new(Ring::new(backend, RingConfig::default()))),
+            false => AsyncVol::builder(),
+        }
+        .build();
+        // One-byte runs 4 bytes apart: a sieve reads them as one span.
+        let sel = Selection::Slab(Hyperslab::strided(&[0], &[512], &[4]));
+        let before = device.counts();
+        let _ = vol.dataset_write(&c, ds, &sel, &[7; 512]).expect("issue");
+        vol.wait_all().expect("the write lands");
+        let n = device.counts() - before;
+        (n.reads + n.read_batches, n.writes + n.write_batches, n.segments)
+    };
+    let (own, attached) = (calls(false), calls(true));
+    assert!(own.0 > 0, "the write sieved: (reads, write calls, segments) = {own:?}");
+    assert_eq!(attached, own, "(reads, write calls, segments) on the attached ring vs an own one");
+}
+
+/// Container A is closed by its user while its raw writes are held at a
+/// gated device. Each entry holds its container until it has settled, so
+/// A stays open, and a tenant, until they land:
+/// - on A's own ring, container B's first write — which retires the
+///   records of closed containers — returns within 2 s, instead of
+///   dropping A's ring and draining A's held writes inside the
+///   connector's lock;
+/// - on either ring, A's close flushes after its writes have landed, so
+///   the checksums it stamps cover them and the reopened file reads them
+///   back verified.
+fn a_closed_container_outlives_its_held_raw_writes(attached: bool) {
+    let closed = Arc::new(AtomicBool::new(false));
+    let gate = closed.clone();
+    let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+        if let Call::Write { .. } = call {
+            while gate.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
+        Ok(())
+    });
+    let device = Arc::new(device);
+    let backend: Arc<dyn StorageBackend> = device.clone();
+    let a = Arc::new(Container::create(backend.clone()));
+    let space = Dataspace::d1(64);
+    let ds = a
+        .create_dataset(ROOT_ID, "x", Datatype::U8, &space, Layout::Contiguous)
+        .expect("create A's dataset");
+    let vol = match attached {
+        true => AsyncVol::builder().ring(Arc::new(Ring::new(backend, RingConfig::default()))),
+        false => AsyncVol::builder(),
+    }
+    .build();
+    closed.store(true, Ordering::SeqCst);
+    let before = device.counts();
+    for byte in 1..=4 {
+        let _ = vol.dataset_write(&a, ds, &Selection::All, &[byte; 64]).expect("issue A");
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while (device.counts() - before).write_batches == 0 {
+        assert!(Instant::now() < deadline, "A's first write never reached the device");
+        std::thread::yield_now();
+    }
+
+    let b = Arc::new(Container::create_mem());
+    let ds_b = b
+        .create_dataset(ROOT_ID, "x", Datatype::U8, &space, Layout::Contiguous)
+        .expect("create B's dataset");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let issued = std::thread::scope(|s| {
+        // Closing A returns at once, or flushes A and blocks at the gate:
+        // that flush's write is a second write call inside the device.
+        let closer = s.spawn(move || drop(a));
+        let calls = || {
+            let n = device.counts() - before;
+            n.writes + n.write_batches
+        };
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !closer.is_finished() && calls() < 2 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        s.spawn(|| {
+            let _ = tx.send(vol.dataset_write(&b, ds_b, &Selection::All, &[9; 64]));
+        });
+        let issued = rx.recv_timeout(Duration::from_secs(2));
+        closed.store(false, Ordering::SeqCst);
+        issued
+    });
+    let _ = issued.expect("B's write blocked behind A's held writes").expect("issue B");
+    vol.wait_all().expect("A's and B's writes land");
+    let a = Container::open(device).expect("reopen A");
+    assert_eq!(a.read_selection(ds, &Selection::All).expect("read A"), vec![4u8; 64]);
+}
+
+#[test]
+fn a_closed_container_outlives_its_held_raw_writes_on_its_own_ring() {
+    a_closed_container_outlives_its_held_raw_writes(false);
+}
+
+#[test]
+fn a_closed_container_outlives_its_held_raw_writes_on_the_attached_ring() {
+    a_closed_container_outlives_its_held_raw_writes(true);
 }

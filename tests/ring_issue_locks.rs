@@ -20,11 +20,10 @@ use apio::h5lite::{
 
 /// Named-lock acquisitions per ring write on the issuing thread:
 /// `asyncvol.breaker` (route), the one metadata-shard read lock
-/// `plan_write_selection` takes in h5lite (forwarded through
-/// `order_hook`), and `asyncvol.conn` (the table insert, and in the same
-/// section the container's tenant record and the dataset's last ring
-/// completion). The backend identity check that picks the ring takes
-/// none.
+/// `plan_raw_write` takes in h5lite (forwarded through `order_hook`),
+/// and `asyncvol.conn` (the table insert, and in the same section the
+/// container's tenant record and the dataset's last ring completion).
+/// A one-segment plan skips the sieve test, which takes no lock anyway.
 const LOCKS_PER_RING_WRITE: u64 = 3;
 
 /// Named-lock acquisitions per ring write on the reaper: one

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use apio::asyncvol::{AsyncVol, BreakerConfig, RetryPolicy};
+use apio::h5lite::ring::{Ring, RingConfig};
 use apio::h5lite::{
     container::ROOT_ID, Container, Dataspace, Datatype, FaultInjector, FaultKind, FaultOp,
     FaultPlan, Hyperslab, Layout, MemBackend, ObjectId, Selection, StorageBackend, Vol,
@@ -254,6 +255,13 @@ fn a_flush_that_does_work_brackets_its_read_back_and_its_commit() {
 
 #[test]
 fn retry_attempts_nest_inside_background_execute_spans() {
+    // On the container's own ring, and on an attached one.
+    for attached in [false, true] {
+        retry_attempts_nest(attached);
+    }
+}
+
+fn retry_attempts_nest(attached: bool) {
     // Transient faults on the container backend: every retry happens in
     // the background stream, so every RetryAttempt instant must sit
     // inside a `vol.execute` span — none on the app thread.
@@ -270,14 +278,18 @@ fn retry_attempts_nest_inside_background_execute_spans() {
     c.flush().expect("flush");
     c.set_tracer(tracer.clone());
 
-    let vol = AsyncVol::builder()
+    let builder = AsyncVol::builder()
         .streams(1)
         .tracer(tracer.clone())
         .breaker(BreakerConfig {
             failure_threshold: u32::MAX,
             probe_after: 1,
-        })
-        .build();
+        });
+    let vol = match attached {
+        true => builder.ring(Arc::new(Ring::new(injector.clone(), RingConfig::default()))),
+        false => builder,
+    }
+    .build();
     injector.set_armed(true);
     run_epoch(&vol, &c, &ids);
 
