@@ -63,22 +63,23 @@ APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" -p argolite --features d
 cargo test -q "${CARGO_FLAGS[@]}" -p asyncvol --features debug-invariants
 
 echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
-# Every test binary of the root package (15 in tests/, the lib's unit
+# Every test binary of the root package (16 in tests/, the lib's unit
 # tests, the doc tests) under debug-invariants, with the seeded sweeps
 # of ring, one_copy, sieve and consistency at 64 schedules:
 #   ring              a full ring blocking its submitters, the
 #                     connector's ring path and its fault retries on the
 #                     reaper, the transport-parity
 #                     table (a write settles where it lands, whether raw
-#                     segments on the attached ring or on the
-#                     container's own, or a WAL-staged job; two
-#                     containers on one connector keep
+#                     segments on the attached ring or on the one the
+#                     connector builds, or a WAL-staged job; two
+#                     containers on the connector's one ring, each entry
+#                     naming its device, keep
 #                     their own bytes, prefetch slots and order; on four
 #                     lanes the later of two same-byte writes lands and a
 #                     failed piece is retried or fails the write), writes
-#                     queued on an own ring coalescing, a sieving write's
-#                     device calls alike on both rings, and a closed
-#                     container outliving its held writes; the
+#                     queued on the built ring coalescing, a sieving
+#                     write's device calls alike on both rings, and a
+#                     closed container outliving its held writes; the
 #                     explore sweep needs the feature (per-key order,
 #                     shutdown and a completion's verdict are
 #                     h5lite::ring's unit tests, run above)
@@ -87,6 +88,8 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #                     ring} x {DRAM, WAL}, against NativeVol
 #   ring_lockfree     submit/complete takes zero named h5lite::sync
 #                     locks, reaper threads included
+#   ring_threads      16 open containers on a connector of 2 streams add
+#                     at most 2 threads: one ring, not one per container
 #   ring_issue_locks  what a connector ring write locks on the issuer
 #                     (3 named locks), on the reaper (1) and in wait_all (1)
 #   one_copy          buffer ownership, recycling, stale bytes; seeded

@@ -22,12 +22,14 @@
 //!   on the same dataset. Every write goes `stage → dispatch → land →
 //!   settle`, each written once (DESIGN.md §14): snapshot or WAL append,
 //!   choice of ring entry, container write, completion bookkeeping.
-//! - **One executor**: a container's writes and prefetches are entries
-//!   in one ring's FIFO under the dataset's id — the attached ring if it
-//!   wraps the container's backend, else the container's own. A DRAM
-//!   write whose plan does not sieve is raw segments, on either ring;
-//!   the rest are *jobs* ([`Ring::submit_job`]). Every entry holds its
-//!   container until it settles. That one order covers WAW, RAW and WAR.
+//! - **One executor**: the connector has one ring — the attached one, or
+//!   one it builds with [`AsyncVolBuilder::streams`] shards — and every
+//!   container's writes and prefetches are entries in its FIFO under the
+//!   dataset's id, like the process-wide execution streams of the HDF5
+//!   async VOL. A DRAM write whose plan does not sieve is raw segments
+//!   that name the container's device; the rest are *jobs*
+//!   ([`Ring::submit_job`]). Every entry holds its container until it
+//!   settles. That one order covers WAW, RAW and WAR.
 //! - **Reads** are blocking unless a prefetch is in flight or complete for
 //!   the same `(dataset, selection)`: [`AsyncVol::prefetch`] schedules
 //!   background reads of future time steps, and a later `dataset_read`
@@ -43,7 +45,8 @@
 //! - **Tenants**: one connector serves many containers, and an
 //!   [`ObjectId`] is unique only within one, so what the connector keeps
 //!   about a dataset (its order, its prefetch slots) is one record per
-//!   (container, dataset), and the container's record holds its ring.
+//!   (container, dataset). A record holds no thread: its reaper threads
+//!   are the ring's, however many containers are open.
 //! - **Coalescing**: every background data path — the write stream, the
 //!   staged read-back, prefetch, cold reads, and WAL recovery replay —
 //!   lands selections through the container's I/O planner
@@ -80,8 +83,8 @@ use apio_trace::{Event, Tracer};
 use h5lite::ring::{Completion, Ring, RingConfig, RingOp};
 use h5lite::sync::Mutex;
 use h5lite::{
-    recycle, Container, Elements, H5Error, ObjectId, Promise, ReadPayload, ReadRequest, Request,
-    Result, Selection, Vol,
+    recycle, Container, Elements, H5Error, MemBackend, ObjectId, Promise, ReadPayload, ReadRequest,
+    Request, Result, Selection, Vol,
 };
 
 pub mod breaker;
@@ -135,8 +138,8 @@ impl Default for AsyncVolBuilder {
 }
 
 impl AsyncVolBuilder {
-    /// Defaults: one shard per container ring, no attached ring, DRAM
-    /// staging, default retry policy and breaker thresholds, no tracing.
+    /// Defaults: a one-shard ring, no attached ring, DRAM staging, default
+    /// retry policy and breaker thresholds, no tracing.
     pub fn new() -> Self {
         AsyncVolBuilder {
             streams: 1,
@@ -149,20 +152,19 @@ impl AsyncVolBuilder {
     }
 
     /// Shards, one reaper thread each, of the ring the connector builds
-    /// for a container the attached ring does not serve (default 1, like
-    /// the HDF5 async VOL's single background thread per file).
+    /// when none is attached (default 1, like the HDF5 async VOL's one
+    /// background execution stream, which belongs to the process and
+    /// serves every open file). Ignored when a ring is attached.
     pub fn streams(mut self, n: usize) -> Self {
         self.streams = n;
         self
     }
 
-    /// Serve the containers on `ring`'s backend through `ring`, rather
-    /// than through a ring of their own (DESIGN.md §14); a write takes the
-    /// same path on either. The ring writes to the backend it wraps, so
-    /// only containers on that backend (the same object, checked when the
-    /// container is first written or prefetched) use it; any other
-    /// container gets a ring of its own, of [`streams`](Self::streams)
-    /// shards.
+    /// Serve every container through `ring` rather than through a ring the
+    /// connector builds (DESIGN.md §14); a write takes the same path on
+    /// either. Each entry names its container's device, so the backend
+    /// `ring` was built over is never written by the connector, and
+    /// containers on any device share it.
     pub fn ring(mut self, ring: Arc<Ring>) -> Self {
         self.ring = Some(ring);
         self
@@ -203,13 +205,17 @@ impl AsyncVolBuilder {
         self
     }
 
-    /// Assemble the connector; a container's own ring comes at first use.
+    /// Assemble the connector, building its ring unless one is attached.
     pub fn build(self) -> AsyncVol {
-        assert!(self.streams >= 1, "a container's ring needs at least one shard");
+        // Every entry the connector queues names its container's device
+        // (or is a job, which writes none), so the backend this ring is
+        // built over is never written.
+        let config = RingConfig { shards: self.streams, ..RingConfig::default() };
+        let built = || Arc::new(Ring::new(Arc::new(MemBackend::new()), config));
+        let ring = self.ring.unwrap_or_else(built);
         AsyncVol {
             staging: self.staging,
-            ring: self.ring,
-            streams: self.streams,
+            ring,
             inner: named_lock("asyncvol.conn", ConnInner {
                 next_req: 1,
                 requests: HashMap::new(),
@@ -278,8 +284,8 @@ fn failure(done: &Promise<Completion>) -> Option<String> {
 #[derive(Default)]
 struct DsOrder {
     /// The dataset's last write or prefetch. It implies every earlier
-    /// one: they are all entries under the dataset's key in its
-    /// container's ring, and same-key entries settle in FIFO order.
+    /// one: they are all entries under the dataset's key in the
+    /// connector's ring, and same-key entries settle in FIFO order.
     last: Option<Promise<Completion>>,
     /// Completed or in-flight prefetches, by selection.
     prefetched: HashMap<Selection, PrefetchSlot>,
@@ -304,29 +310,20 @@ impl DsOrder {
 }
 
 /// One container the connector serves, weakly held (the connector must
-/// not keep a closed file alive), with its ring and its datasets'
-/// records.
+/// not keep a closed file alive), with its datasets' records.
 struct Tenant {
     container: Weak<Container>,
-    /// The attached ring if it wraps the container's backend, else its own.
-    ring: Arc<Ring>,
     datasets: HashMap<ObjectId, DsOrder>,
 }
 
-/// `c`'s tenant record, made on first use with the ring `ring_for`
-/// gives. `c` becomes a tenant at its first write or prefetch; the
-/// records of closed containers go then.
-fn tenant<'a>(
-    tenants: &'a mut Vec<Tenant>,
-    c: &Arc<Container>,
-    ring_for: impl FnOnce() -> Arc<Ring>,
-) -> &'a mut Tenant {
+/// `c`'s tenant record, made on first use. `c` becomes a tenant at its
+/// first write or prefetch; the records of closed containers go then.
+fn tenant<'a>(tenants: &'a mut Vec<Tenant>, c: &Arc<Container>) -> &'a mut Tenant {
     let at = match tenants.iter().position(|t| t.container.as_ptr() == Arc::as_ptr(c)) {
         Some(at) => at,
         None => {
             tenants.retain(|t| t.container.strong_count() > 0);
-            let ring = ring_for();
-            tenants.push(Tenant { container: Arc::downgrade(c), ring, datasets: HashMap::new() });
+            tenants.push(Tenant { container: Arc::downgrade(c), datasets: HashMap::new() });
             tenants.len() - 1
         }
     };
@@ -454,17 +451,16 @@ impl Shared {
 
 /// The asynchronous VOL connector. See the crate docs.
 pub struct AsyncVol {
-    ring: Option<Arc<Ring>>,
-    /// Shards of each ring the connector builds for a container.
-    streams: usize,
+    /// The one ring every container's entries go through.
+    ring: Arc<Ring>,
     inner: Mutex<ConnInner>,
     sh: Arc<Shared>,
     staging: Staging,
 }
 
 impl AsyncVol {
-    /// Connector with default settings: each container it serves gets a
-    /// one-shard ring of its own.
+    /// Connector with default settings: one one-shard ring serves every
+    /// container.
     pub fn new() -> Self {
         AsyncVolBuilder::new().build()
     }
@@ -476,27 +472,14 @@ impl AsyncVol {
 
     /// Snapshot of the instrumentation counters, including whether the
     /// circuit breaker currently has writes degraded to synchronous
-    /// passthrough. `queued` is what the rings hold right now, the
-    /// attached one and each container's own: a write or prefetch stops
-    /// being queued once it has landed and settled.
+    /// passthrough. `queued` is what the connector's ring holds right
+    /// now: a write or prefetch stops being queued once it has landed and
+    /// settled.
     pub fn stats(&self) -> AsyncVolStats {
         let mut s = self.sh.stats.snapshot();
         s.degraded = self.sh.breaker.is_degraded();
-        let inner = self.inner.lock();
-        let attached = self.ring.as_ref();
-        let own = inner.tenants.iter().map(|t| &t.ring);
-        let own = own.filter(|r| attached.is_none_or(|a| !Arc::ptr_eq(a, r)));
-        s.queued = attached.into_iter().chain(own).map(|r| r.occupancy() as u64).sum();
+        s.queued = self.ring.occupancy() as u64;
         s
-    }
-
-    /// The ring `c` writes through: the attached one if it wraps `c`'s
-    /// backend, else a new one of `streams` shards over that backend.
-    fn ring_for(&self, c: &Container) -> Arc<Ring> {
-        let backend = c.backend();
-        let own = RingConfig { shards: self.streams, ..RingConfig::default() };
-        let attached = self.ring.as_ref().filter(|ring| ring.wraps(&*backend)).cloned();
-        attached.unwrap_or_else(|| Arc::new(Ring::new(backend, own)))
     }
 
     /// Current circuit-breaker state (async→sync degradation machine).
@@ -575,7 +558,7 @@ impl AsyncVol {
 
     /// Schedule a background read of `(c, ds, sel)` so a later
     /// `dataset_read` with the same key completes without blocking: a job
-    /// on `c`'s ring behind every earlier write to `ds`, not waiting them out.
+    /// on the ring behind every earlier write to `ds`, not waiting them out.
     ///
     /// The returned token names the background read but is not in the
     /// request table, so [`Vol::wait`] on it returns at once. The read's
@@ -588,8 +571,7 @@ impl AsyncVol {
     pub fn prefetch(&self, c: &Arc<Container>, ds: ObjectId, sel: &Selection) -> Request {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let Tenant { ring, datasets, .. } = tenant(&mut inner.tenants, c, || self.ring_for(c));
-        let order = datasets.entry(ds).or_default();
+        let order = tenant(&mut inner.tenants, c).datasets.entry(ds).or_default();
         if order.prefetched.contains_key(sel) {
             return Request::SYNC;
         }
@@ -599,7 +581,7 @@ impl AsyncVol {
         let promise: Promise<Result<ReadPayload>> = Promise::new();
         let (c, sel_job, sh) = (c.clone(), sel.clone(), self.sh.clone());
         let slot = SlotFiller(Some(promise.clone()));
-        let done = ring.submit_job(ds, Box::new(move || {
+        let done = self.ring.submit_job(ds, Box::new(move || {
             let mut span = sh.stats.tracer().span("vol.prefetch");
             let t0 = Instant::now();
             let result = with_backoff(&sh.retry, req, t0, &sh.stats, || {
@@ -630,7 +612,7 @@ impl AsyncVol {
     }
 
     /// Enter one request in the table: under the connector lock, assign
-    /// its id and let `launch` put it on `c`'s ring and note it as the
+    /// its id and let `launch` put it on the ring and note it as the
     /// dataset's last, so per-dataset order is request order (the ring's
     /// per-key FIFO). Neither the reaper, nor a completion hook, nor a
     /// job ever takes this lock, so a full-ring block inside `launch`
@@ -641,16 +623,16 @@ impl AsyncVol {
         &self,
         c: &Arc<Container>,
         ds: ObjectId,
-        launch: impl FnOnce(u64, &Ring) -> Promise<Completion>,
+        launch: impl FnOnce(u64) -> Promise<Completion>,
     ) -> Request {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         inner.drop_settled();
         let req = inner.next_req;
         inner.next_req += 1;
-        let Tenant { ring, datasets, .. } = tenant(&mut inner.tenants, c, || self.ring_for(c));
+        let datasets = &mut tenant(&mut inner.tenants, c).datasets;
         let order = datasets.entry(ds).or_default().written(&mut inner.stale_prefetches);
-        let done = launch(req, ring);
+        let done = launch(req);
         order.last = Some(done.clone());
         inner.requests.insert(req, done);
         Request(req)
@@ -726,9 +708,10 @@ impl AsyncVol {
         Ok(payload)
     }
 
-    /// Put a staged write on `c`'s ring, keyed by the dataset id: raw
-    /// segments (DESIGN.md §14) when the snapshot is in DRAM and its plan,
-    /// made here, does not sieve; else one job that lands and settles it
+    /// Put a staged write on the ring, keyed by the dataset id: raw
+    /// segments (DESIGN.md §14) on `c`'s device when the snapshot is in
+    /// DRAM and its plan, made here, does not sieve; else one job that
+    /// lands and settles it
     /// (the reaper writes raw segments: it cannot read a snapshot back from
     /// the WAL or sieve a selection). Either entry holds `c` until it has
     /// settled, so no tenant with work queued is retired. `t0` is when the
@@ -752,14 +735,14 @@ impl AsyncVol {
         };
         self.sh.stats.record_snapshot(bytes, t0.elapsed().as_secs_f64());
         let (tenant, sh) = (c.clone(), self.sh.clone());
-        self.admit(c, ds, |req, ring| match (payload, segs) {
+        self.admit(c, ds, |req| match (payload, segs) {
             (Payload::Dram(data), Some(segs)) => {
                 let since = Instant::now();
                 // Settled on the reaper the moment the write lands, before
                 // the next op on the shard: a retry lands in the write's
                 // FIFO position.
                 let op = RingOp::Write { data, segs };
-                ring.submit_with(ds, op, Box::new(move |first, replayed, again| {
+                self.ring.submit_with(ds, c.backend(), op, Box::new(move |first, replayed, again| {
                     // Traced only when there is a retry to bracket. A
                     // replay's failed pass was the write's first attempt,
                     // and the replay that gave `first` its retry.
@@ -784,7 +767,7 @@ impl AsyncVol {
             }
             (payload, _) => {
                 let sel = sel.clone();
-                ring.submit_job(ds, Box::new(move || {
+                self.ring.submit_job(ds, Box::new(move || {
                     let _exec_span = sh.execute_span(ds, bytes);
                     let since = Instant::now();
                     let outcome = sh.land(&tenant, ds, &sel, payload, req, since);
@@ -1021,19 +1004,11 @@ mod tests {
         (bad, c, ds, ring)
     }
 
-    /// Table entries and tenant records, right now. Every entry is a ring
-    /// completion, on the attached ring or on a container's own;
-    /// [`on_attached_ring`] tells which.
+    /// Table entries and tenant records, right now. Every entry is a
+    /// completion on the connector's one ring.
     fn table_sizes(vol: &AsyncVol) -> (usize, usize) {
         let inner = vol.inner.lock();
         (inner.requests.len(), inner.tenants.len())
-    }
-
-    /// Whether `c` writes through the connector's attached ring.
-    fn on_attached_ring(vol: &AsyncVol, c: &Arc<Container>) -> bool {
-        let inner = vol.inner.lock();
-        let t = inner.tenants.iter().find(|t| t.container.as_ptr() == Arc::as_ptr(c));
-        t.zip(vol.ring.as_ref()).is_some_and(|(t, a)| Arc::ptr_eq(&t.ring, a))
     }
 
     /// A producer that never waits per request: the request table stays
@@ -1041,7 +1016,7 @@ mod tests {
     /// next wait), `queued` stays bounded, and a failure retired at issue
     /// time is still reported by `wait_all` — once. `in_flight_cap` is
     /// how many unfinished requests a ring admits: the attached one and
-    /// the container's own have the same default geometry.
+    /// the one the connector builds have the same default geometry.
     fn requests_are_retired_without_a_wait(use_ring: bool) {
         const WRITES: u64 = 5_000;
         let (bad, c, ds, ring) = bad_block_stack(WRITES);
@@ -1119,15 +1094,14 @@ mod tests {
     /// A connector outlives the containers it serves: 2 000 of them, each
     /// created on the one device, written once, waited for and dropped,
     /// leave at most 2 tenant records behind at any round — the records
-    /// of closed containers go, and with them their own rings. On either
-    /// ring every write is raw segments, whose hook holds its container
-    /// until the write has settled.
+    /// of closed containers go, and hold no ring. On either ring every
+    /// write is raw segments, whose hook holds its container until the
+    /// write has settled.
     fn tenant_records_stay_bounded(use_ring: bool) {
         let device: Arc<dyn h5lite::StorageBackend> = Arc::new(MemBackend::new());
+        let attached = Arc::new(Ring::new(device.clone(), RingConfig::default()));
         let vol = match use_ring {
-            true => AsyncVol::builder()
-                .ring(Arc::new(Ring::new(device.clone(), RingConfig::default())))
-                .build(),
+            true => AsyncVol::builder().ring(attached.clone()).build(),
             false => AsyncVol::new(),
         };
         for round in 0..2_000u64 {
@@ -1136,7 +1110,7 @@ mod tests {
                 .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(SLAB), Layout::Contiguous)
                 .unwrap();
             let req = vol.dataset_write(&c, ds, &slab(0), &[round as u8; SLAB as usize]).unwrap();
-            assert_eq!(on_attached_ring(&vol, &c), use_ring, "round {round}: transport");
+            assert_eq!(Arc::ptr_eq(&vol.ring, &attached), use_ring, "round {round}: transport");
             vol.wait(req).unwrap();
             drop(c);
             let (_, tenants) = table_sizes(&vol);
@@ -1156,8 +1130,7 @@ mod tests {
     }
 
     /// A degraded write runs inline on the caller's thread: to a container
-    /// that is not a tenant yet, it makes no tenant record, and so no ring
-    /// with reapers it would never use.
+    /// that is not a tenant yet, it makes no tenant record.
     #[test]
     fn a_degraded_write_to_a_fresh_container_makes_no_tenant() {
         let (bad, c, ds, _) = bad_block_stack(1);

@@ -289,7 +289,7 @@ pub struct AsyncVolStats {
     /// Half-open probe writes dispatched.
     pub probes: u64,
     /// Background work submitted and not yet completed (the queue depth
-    /// at snapshot time): what the connector's rings hold, filled by
+    /// at snapshot time): what the connector's ring holds, filled by
     /// [`AsyncVol::stats`](crate::AsyncVol::stats); a raw counter
     /// snapshot reports 0. A write leaves it once it has landed and
     /// settled.

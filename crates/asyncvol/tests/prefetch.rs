@@ -163,7 +163,8 @@ fn a_prefetch_out_of_retries_reports_on_the_read_once() {
 /// How the second write of [`a_write_drops_the_prefetch_slot`] is issued.
 #[derive(Clone, Copy, Debug)]
 enum Regime {
-    /// No ring attached: raw segments on the container's own ring.
+    /// No ring attached: raw segments on the ring the connector builds,
+    /// naming the container's device.
     Task,
     /// Raw segments on the attached ring.
     Ring,

@@ -7,22 +7,23 @@
 //! writes behind fixed-capacity lock-free submission queues, the way
 //! `io_uring` queues work for the kernel:
 //!
-//! - **Submission**: [`Ring::submit_keyed`] pushes an owned write (the
-//!   operation plus the promise its waiter holds) onto a per-shard
-//!   submission queue; [`Ring::submit_with`] adds a completion hook to
-//!   the entry before it is queued. The hot path is atomics only — no
-//!   named `sync` lock is ever acquired on submit or complete; a
-//!   `debug-invariants` test asserts this against the lock-order
-//!   recorder's acquisition counter.
+//! - **Submission**: [`Ring::submit_with`] pushes an owned write (the
+//!   operation, its device — named per entry, like an `io_uring` entry's
+//!   file descriptor, so one ring serves many devices — a completion hook
+//!   and the promise its waiter holds) onto a per-shard submission queue.
+//!   The hot path is atomics only — no named `sync` lock is ever acquired
+//!   on submit or complete; a `debug-invariants` test asserts this
+//!   against the lock-order recorder's acquisition counter.
 //! - **Reaping**: one reaper thread per shard drains its queue and
-//!   executes the entries against the wrapped backend. A reaper pass is
+//!   executes the entries against their devices. A reaper pass is
 //!   *depth-aware*: every write queued at that moment (up to
-//!   [`COALESCE_WINDOW`] segments) is issued as one striped write
+//!   [`COALESCE_WINDOW`] segments) is issued as one striped write per
+//!   run of entries on one device
 //!   ([`write_striped`](crate::storage::write_striped)), so a deeper ring
 //!   buys fewer, larger device requests — small-op throughput scales
 //!   with queue depth at a fixed thread count. On a device of one lane
 //!   that is a single `write_vectored_at`; on a device of several
-//!   ([`StorageBackend::lanes`]) a large pass is cut into pieces written
+//!   ([`StorageBackend::lanes`]) a large run is cut into pieces written
 //!   at once, one per lane, after being cut into runs of disjoint
 //!   segments that are written in queue order.
 //! - **Completion**: the reaper runs the entry's completion hook — the
@@ -41,7 +42,7 @@
 //!
 //! Sharding is by caller-provided key (the connector uses the dataset
 //! id), and each shard is FIFO end to end: same-key writes and jobs
-//! reach the backend, and their promises are fulfilled, in submission
+//! reach their devices, and their promises are fulfilled, in submission
 //! order — which is the connector's whole per-dataset order.
 //!
 //! A full shard blocks its submitter until the reaper frees a slot, so
@@ -171,17 +172,18 @@ impl Completion {
 /// A completion hook ([`Ring::submit_with`]): the reaper calls it with the
 /// operation's outcome, whether that is a replay (the pass it was
 /// coalesced into failed, so it was written again alone), and a way to
-/// write it again, before it publishes the promise or takes the next
-/// operation. Its return, or its panic, is the completion's verdict.
+/// write it again to its device, before it publishes the promise or takes
+/// the next operation. Its return, or its panic, is the verdict.
 pub type OnComplete =
     Box<dyn FnOnce(Result<()>, bool, &mut dyn FnMut() -> Result<()>) -> Result<()> + Send>;
 
-/// Submission-queue entry: the operation, the promise its completion
-/// fulfils, and the hook that runs first.
+/// Submission-queue entry: the device it writes, the operation, the
+/// promise its completion fulfils, and the hook that runs first.
 struct Sqe {
+    device: Arc<dyn StorageBackend>,
     op: RingOp,
     promise: Promise<Completion>,
-    on_complete: Option<OnComplete>,
+    hook: OnComplete,
 }
 
 /// Outcome of a submission: always [`Submitted::Accepted`], since a full
@@ -223,8 +225,8 @@ struct RingShared {
     shutdown: AtomicBool,
 }
 
-/// The sharded submission queues over a wrapped backend. See the module
-/// docs for the protocol; dropping the ring drains every queued
+/// The sharded submission queues, each entry naming its device. See the
+/// module docs for the protocol; dropping the ring drains every queued
 /// operation, then joins the reapers.
 pub struct Ring {
     shared: Arc<RingShared>,
@@ -236,7 +238,7 @@ pub struct Ring {
 const SUBMIT_BACKOFF: Duration = Duration::from_micros(20);
 
 impl Ring {
-    /// Spin up `config.shards` reaper threads over `backend`.
+    /// Spin up `config.shards` reaper threads; `submit_keyed` writes to `backend`.
     pub fn new(backend: Arc<dyn StorageBackend>, config: RingConfig) -> Ring {
         assert!(config.shards >= 1, "ring needs at least one shard");
         let shards: Vec<Shard> = (0..config.shards)
@@ -270,30 +272,17 @@ impl Ring {
         self.shared.shards.iter().map(|s| s.sq.capacity()).sum()
     }
 
-    /// Whether the ring writes to `backend` itself: the same object, not
-    /// merely one over the same device.
-    pub fn wraps(&self, backend: &dyn StorageBackend) -> bool {
-        std::ptr::addr_eq(Arc::as_ptr(&self.shared.backend), backend)
-    }
-
     fn unpark(&self, shard_idx: usize) {
         if let Some(t) = self.shared.shards[shard_idx].reaper.get() {
             t.unpark();
         }
     }
 
-    /// Queue `op` on `key`'s shard and wake its reaper. Same-key
-    /// operations share a shard and therefore complete in submission
-    /// order. A full shard blocks the caller until it has a slot.
+    /// [`submit_with`](Self::submit_with) to the backend the ring was
+    /// built over, with no hook: the write's outcome is its verdict.
     pub fn submit_keyed(&self, key: u64, op: RingOp) -> Submitted {
-        Submitted::Accepted { promise: self.push(key, op, None) }
-    }
-
-    /// [`submit_keyed`](Self::submit_keyed) with a completion hook,
-    /// attached before the operation is queued, so it never runs on the
-    /// submitting thread.
-    pub fn submit_with(&self, key: u64, op: RingOp, hook: OnComplete) -> Promise<Completion> {
-        self.push(key, op, Some(hook))
+        let promise = self.submit_with(key, self.shared.backend.clone(), op, Box::new(|r, _, _| r));
+        Submitted::Accepted { promise }
     }
 
     /// Queue `job` on `key`'s shard: the reaper runs it at its FIFO
@@ -304,17 +293,28 @@ impl Ring {
         key: u64,
         job: Box<dyn FnOnce() -> Result<()> + Send>,
     ) -> Promise<Completion> {
+        // No segments, so the device is never written.
         let op = RingOp::Write { data: Vec::new(), segs: Vec::new() };
-        self.submit_with(key, op, Box::new(move |_, _, _| job()))
+        self.submit_with(key, self.shared.backend.clone(), op, Box::new(move |_, _, _| job()))
     }
 
-    /// The one push loop: park until `key`'s shard has a slot for the
-    /// entry, then wake its reaper.
-    fn push(&self, key: u64, op: RingOp, on_complete: Option<OnComplete>) -> Promise<Completion> {
+    /// Queue `op`, a write to `device`, on `key`'s shard and wake its
+    /// reaper, with a completion hook attached before the operation is
+    /// queued, so it never runs on the submitting thread. Same-key
+    /// operations share a shard and therefore complete in submission
+    /// order. The one push loop: a full shard blocks the caller until it
+    /// has a slot.
+    pub fn submit_with(
+        &self,
+        key: u64,
+        device: Arc<dyn StorageBackend>,
+        op: RingOp,
+        hook: OnComplete,
+    ) -> Promise<Completion> {
         let shard_idx = (key % self.shared.shards.len() as u64) as usize;
         let shard = &self.shared.shards[shard_idx];
         let promise = Promise::new();
-        let mut sqe = Sqe { op, promise: promise.clone(), on_complete };
+        let mut sqe = Sqe { device, op, promise: promise.clone(), hook };
         self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
         while let Err(back) = shard.sq.push(sqe) {
             sqe = back;
@@ -380,7 +380,7 @@ fn reaper_main(shared: Arc<RingShared>, shard_idx: usize) {
             execute_batch(&shared, last);
             continue;
         }
-        // No timeout: `submit_keyed` pushes and `Drop` sets the shutdown
+        // No timeout: `submit_with` pushes and `Drop` sets the shutdown
         // flag before unparking this thread (`drain` unparks it while
         // work is in flight). The loop above has drained and checked the
         // flag since, and an unpark that lands before this park leaves
@@ -406,24 +406,27 @@ fn drain_shard(shared: &RingShared, shard_idx: usize) -> Vec<Sqe> {
     batch
 }
 
-/// Execute one reaper pass: everything queued goes to the backend as one
-/// [`write_run`]. A lone operation, or a pass that failed (a batch error
-/// names no operation), executes one operation at a time so each
-/// completion carries its own verdict — replays are idempotent (same
-/// bytes, same offsets) — and a replay's hook is told it is one.
-/// Completions are delivered in queue order, and a job, which can only be
-/// last, runs once every write before it has landed and settled.
+/// Execute one reaper pass: each run of consecutive entries on the same
+/// device goes to it as one [`write_run`]. A lone operation, or a run
+/// that failed (a batch error names no operation), executes one operation
+/// at a time so each completion carries its own verdict — replays are
+/// idempotent (same bytes, same offsets) — and a replay's hook is told it
+/// is one. Completions are delivered in queue order, and a job, which can
+/// only be last, runs once every write before it has landed and settled.
 fn execute_batch(shared: &RingShared, mut batch: Vec<Sqe>) {
     let job = batch.pop_if(|sqe| sqe.op.segs().is_empty());
-    let backend = shared.backend.as_ref();
-    let pass = (batch.len() > 1).then(|| write_run(backend, batch.iter().map(|sqe| &sqe.op)));
-    let replayed = matches!(pass, Some(Err(_)));
-    for sqe in batch {
-        let result = match pass {
-            Some(Ok(())) => Ok(()),
-            _ => write_run(backend, std::iter::once(&sqe.op)),
-        };
-        complete(shared, sqe, result, replayed);
+    while let Some(first) = batch.first() {
+        let n = batch.iter().take_while(|sqe| Arc::ptr_eq(&sqe.device, &first.device)).count();
+        let run = batch[..n].iter().map(|sqe| &sqe.op);
+        let pass = (n > 1).then(|| write_run(&*first.device, run));
+        let replayed = matches!(pass, Some(Err(_)));
+        for sqe in batch.drain(..n) {
+            let result = match pass {
+                Some(Ok(())) => Ok(()),
+                _ => write_run(&*sqe.device, std::iter::once(&sqe.op)),
+            };
+            complete(shared, sqe, result, replayed);
+        }
     }
     if let Some(job) = job {
         complete(shared, job, Ok(()), false);
@@ -483,29 +486,24 @@ fn disjoint_runs<'s, 'a>(iovecs: &'s [IoVec<'a>]) -> impl Iterator<Item = &'s [I
     })
 }
 
-/// Run `sqe`'s completion hook, if any, then retire it from the
-/// in-flight count, then fulfil its promise — so whoever sees an empty
+/// Run `sqe`'s completion hook, then retire it from the in-flight
+/// count, then fulfil its promise — so whoever sees an empty
 /// ring sees the hook's work done, and whoever sees the promise also sees
 /// the op out of [`Ring::occupancy`]. The write first gives its snapshot
 /// buffer back for the next one (lock-free), landed or failed: nothing
 /// holds it after its hook, so a waiter that wakes finds it reusable and
 /// a failure nobody waits for pins no memory.
 fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>, replayed: bool) {
-    let Sqe { op, promise, on_complete } = sqe;
-    let result = match on_complete {
-        None => result,
-        // A panicking hook must not kill the reaper, which would strand
-        // every promise of its shard: the panic is the op's error.
-        Some(hook) => {
-            let mut again = || write_run(shared.backend.as_ref(), std::iter::once(&op));
-            let run = AssertUnwindSafe(|| hook(result, replayed, &mut again));
-            panic::catch_unwind(run).unwrap_or_else(|p| {
-                let msg = p.downcast_ref::<&str>().map(|s| s.to_string());
-                let msg = msg.or_else(|| p.downcast_ref::<String>().cloned()).unwrap_or_default();
-                Err(H5Error::Async(format!("ring completion hook panicked: {msg}")))
-            })
-        }
-    };
+    let Sqe { device, op, promise, hook } = sqe;
+    // A panicking hook must not kill the reaper, which would strand every
+    // promise of its shard: the panic is the op's error.
+    let mut again = || write_run(&*device, std::iter::once(&op));
+    let run = AssertUnwindSafe(|| hook(result, replayed, &mut again));
+    let result = panic::catch_unwind(run).unwrap_or_else(|p| {
+        let msg = p.downcast_ref::<&str>().map(|s| s.to_string());
+        let msg = msg.or_else(|| p.downcast_ref::<String>().cloned()).unwrap_or_default();
+        Err(H5Error::Async(format!("ring completion hook panicked: {msg}")))
+    });
     let RingOp::Write { data, .. } = op;
     recycle::give(data);
     shared.in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -669,7 +667,8 @@ mod tests {
         let ran_on = Arc::new(crate::sync::Mutex::new(None));
         let release = Arc::new(AtomicBool::new(false));
         let (seen, go) = (ran_on.clone(), release.clone());
-        let p = ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(move |first, _, _| {
+        let op = RingOp::write_raw(0, vec![1u8; 8]);
+        let p = ring.submit_with(0, Arc::new(MemBackend::new()), op, Box::new(move |first, _, _| {
             *seen.lock() = Some(thread::current().id());
             while !go.load(Ordering::SeqCst) {
                 thread::yield_now();
@@ -709,7 +708,8 @@ mod tests {
         });
         let device = Arc::new(device);
         let ring = Ring::new(device.clone(), RingConfig::default());
-        let a = ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(|first, _, again| {
+        let op = RingOp::write_raw(0, vec![1u8; 8]);
+        let a = ring.submit_with(0, device.clone(), op, Box::new(|first, _, again| {
             assert!(first.as_ref().is_err_and(H5Error::is_retryable), "{first:?}");
             again()
         }));
@@ -721,6 +721,61 @@ mod tests {
         assert!(a.wait_cloned().result.is_ok(), "the retry landed");
         assert!(b.wait_cloned().result.is_ok());
         assert_eq!(*calls.lock(), [0, 0, 64], "A, A's retry, then B");
+    }
+
+    /// One shard, two devices: entries for A and B queued interleaved
+    /// behind an A write held at A's gate. Each device gets only its own
+    /// segments, in queue order; A's consecutive entries still coalesce;
+    /// and a hook's retry after a transient fault on B writes to B.
+    #[test]
+    fn entries_for_two_devices_on_one_shard_each_reach_their_own() {
+        let (a, log_a) = recording(false);
+        let calls_b = Arc::new(crate::sync::Mutex::new(Vec::<Vec<u64>>::new()));
+        let log_b = calls_b.clone();
+        let b = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+            let Call::Write { segments, .. } = call else { return Ok(()) };
+            let mut log = log_b.lock();
+            log.push(segments.iter().map(|v| v.offset).collect());
+            match log.len() {
+                1 => Err(H5Error::Transient("B's first call".into())),
+                _ => Ok(()),
+            }
+        });
+        let b = Arc::new(b);
+        let own = Arc::new(CountingBackend::new(Arc::new(MemBackend::new())));
+        let ring = Ring::new(own.clone(), RingConfig::default());
+        let plain = |device: &Arc<CountingBackend>, addr: u64, byte: u8| {
+            let op = RingOp::write_raw(addr, vec![byte; 8]);
+            ring.submit_with(0, device.clone(), op, Box::new(|first, _, _| first))
+        };
+        let mut promises = vec![plain(&a, 0, 1)];
+        while a.counts().write_batches == 0 {
+            thread::yield_now();
+        }
+        promises.extend([plain(&a, 64, 2), plain(&a, 128, 3)]);
+        let op = RingOp::write_raw(1000, vec![4u8; 8]);
+        promises.push(ring.submit_with(0, b.clone(), op, Box::new(|first, _, again| {
+            assert!(first.as_ref().is_err_and(H5Error::is_retryable), "{first:?}");
+            again()
+        })));
+        promises.extend([plain(&a, 192, 5), plain(&a, 256, 6)]);
+        promises.extend([plain(&b, 2000, 7), plain(&b, 3000, 8)]);
+        log_a.gate.store(true, Ordering::SeqCst);
+        for p in &promises {
+            assert!(p.wait_cloned().result.is_ok(), "every entry landed");
+        }
+        assert_eq!(*log_a.calls.lock(), [vec![0], vec![64, 128], vec![192, 256]]);
+        let b_calls = [vec![1000], vec![1000], vec![2000, 3000]];
+        assert_eq!(*calls_b.lock(), b_calls, "B's retry wrote B");
+        assert!(a.counts().write_batches < 5, "A's 5 entries took {:?}", a.counts());
+        let c = own.counts();
+        assert_eq!(c.writes + c.write_batches, 0, "the ring's own backend was written");
+        for (device, addr, byte) in [(&a, 128, 3u8), (&b, 1000, 4), (&a, 256, 6), (&b, 3000, 8)] {
+            let mut back = [0u8; 8];
+            device.read_at(addr, &mut back).unwrap();
+            assert_eq!(back, [byte; 8], "the bytes at {addr}");
+        }
+        assert_eq!((a.len(), b.len()), (264, 3008), "a device holds the other's bytes");
     }
 
     /// A pass that fails names no op: each of its ops is written again
@@ -746,7 +801,7 @@ mod tests {
         let hooked = |offset: u64| {
             let told = told.clone();
             let op = RingOp::write_raw(offset, vec![1u8; 8]);
-            ring.submit_with(0, op, Box::new(move |first, replayed, _| {
+            ring.submit_with(0, device.clone(), op, Box::new(move |first, replayed, _| {
                 told.lock().push((offset, replayed));
                 first
             }))
@@ -772,7 +827,8 @@ mod tests {
         type Panicking = fn(&Ring) -> Promise<Completion>;
         let inputs: [(&str, Panicking); 2] = [
             ("hook", |ring| {
-                ring.submit_with(0, RingOp::write_raw(0, vec![1u8; 8]), Box::new(|_, _, _| {
+                let op = RingOp::write_raw(0, vec![1u8; 8]);
+                ring.submit_with(0, Arc::new(MemBackend::new()), op, Box::new(|_, _, _| {
                     panic!("hook panics (expected by the test)")
                 }))
             }),

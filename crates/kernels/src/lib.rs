@@ -6,7 +6,7 @@
 //!
 //! - **Real engine** — [`run_real`]: ranks are OS threads writing or
 //!   reading hyperslabs of shared `h5lite` datasets through a VOL
-//!   connector (native, or async on a one-shard ring per container,
+//!   connector (native, or async on the connector's one-shard ring,
 //!   [`make_file`]), with real buffers and wall-clock measurement. Sizes are
 //!   scaled down so the kernels run in test time; the *mechanism*
 //!   (snapshots, background writes, prefetch) is exactly the at-scale one.

@@ -12,10 +12,11 @@ use mpisim::{PhaseMeasure, RunResult, Workload};
 use crate::vpic::{particle_value, PROPERTIES};
 
 /// Open `container` through the connector `mode` selects. The async
-/// connector is [`AsyncVol::new`]: the container writes through a
-/// one-shard ring of its own over its backend. Its handle comes back
-/// beside the file: [`run_real`] takes it as its mode (`None` is native,
-/// synchronous I/O), and the caller reads its stats.
+/// connector is [`AsyncVol::new`]: the container writes through the
+/// connector's one-shard ring, each entry naming the container's backend.
+/// Its handle comes back beside the file: [`run_real`] takes it as its
+/// mode (`None` is native, synchronous I/O), and the caller reads its
+/// stats.
 pub fn make_file(container: Arc<Container>, mode: IoMode) -> (File, Option<Arc<AsyncVol>>) {
     match mode {
         IoMode::Sync => (
@@ -201,7 +202,7 @@ mod tests {
         assert_eq!(f.vol().name(), "async");
         assert!(some.is_some());
 
-        // Async writes go through the container's own ring as raw
+        // Async writes go through the connector's ring as raw
         // segments: with the device holding every write at a closed gate,
         // the epoch's 16 writes queue in the ring, and once the gate opens
         // the reaper lands the ones behind the held pass together, in one

@@ -13,8 +13,9 @@
 //!   reference's bytes.
 //!
 //! Columns: where the connector's writes go × how their snapshots are
-//! staged. With the ring attached it wraps container 0's backend only, so
-//! container 1 is on a ring of its own in that column too.
+//! staged. The connector has one ring and every entry names its
+//! container's device, so in the attached column container 1's writes go
+//! through the ring built over container 0's backend, to container 1's.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,12 +35,13 @@ const OPS: usize = 160;
 /// Scripts per column.
 const SEEDS: u64 = 12;
 
-/// Which ring container 0 writes through.
+/// Which ring both containers write through.
 #[derive(Clone, Copy, Debug)]
 enum Executor {
-    /// A ring attached to the connector, over container 0's backend.
+    /// A ring attached to the connector, built over container 0's
+    /// backend; container 1's entries name container 1's.
     Attached,
-    /// No ring attached: every container gets one of its own.
+    /// No ring attached: the one the connector builds.
     Own,
 }
 

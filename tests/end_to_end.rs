@@ -24,8 +24,8 @@ fn small() -> Workload {
 /// handle [`run_real`] takes as its mode.
 type Open = fn(Arc<Container>) -> (File, Option<Arc<AsyncVol>>);
 
-/// The write stacks: native, a connector with no ring attached (each
-/// container writes through a ring of its own), and `make_file`'s async
+/// The write stacks: native, a connector with no ring attached (it builds
+/// one, whose entries name the container's device), and `make_file`'s async
 /// connector, which attaches none either: the two async rows are one
 /// stack, reached by hand and through `make_file`.
 fn writers() -> [(&'static str, Open); 3] {

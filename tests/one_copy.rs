@@ -126,10 +126,11 @@ fn recording(payload_len: usize) -> (Arc<CountingBackend>, Arc<Payloads>) {
 enum Regime {
     /// Raw segments on the attached ring.
     RingDram,
-    /// No ring attached: raw segments on the container's own ring.
+    /// No ring attached: raw segments on the ring the connector builds,
+    /// naming the container's device.
     TaskDram,
-    /// Snapshots staged to a device: a job on the container's own ring
-    /// that reads its payload back from the log.
+    /// Snapshots staged to a device: a job on the ring the connector
+    /// builds that reads its payload back from the log.
     TaskWal,
     /// Inline on the caller's thread, with the circuit breaker open.
     Degraded,
@@ -282,7 +283,7 @@ fn stale_bytes_never_reach_the_backend() {
 
 /// (c) A write that fails for good gives its snapshot back like one
 /// that lands, with nobody waiting on it, whether it ran as raw segments
-/// on the attached ring or on the container's own ring: 16
+/// on the attached ring or on the one the connector builds: 16
 /// borrowed writes to a device that fails every payload write, each left
 /// to settle and never waited on, and every take after the first finds
 /// a buffer the one before it gave back.

@@ -755,10 +755,13 @@ fn backend_rate_step_fires_drift_alarm_within_k_epochs() {
     for case in 0..4 {
         let factor = rng.f64_in(8.0, 64.0);
         let fast = 2e8; // 200 MB/s: stalls long enough to dominate noise
-        let backend = Arc::new(ThrottledBackend::new(
+        // One lane: on several, the epoch's write is cut into pieces
+        // stalled at once, and a 1 MiB epoch no longer stalls ~5 ms.
+        let backend = Arc::new(ThrottledBackend::with_channel_count(
             Box::new(MemBackend::new()),
             fast,
             0.0,
+            1,
         ));
         let c = Container::create(backend.clone());
         let n = 1u64 << 18; // 1 MiB of f32 per epoch write
@@ -771,10 +774,12 @@ fn backend_rate_step_fires_drift_alarm_within_k_epochs() {
         c.write_selection(ds, &sel, &data).expect("warm write");
 
         let mut rt = AdaptiveRuntime::new();
-        let epoch_write = |rt: &mut AdaptiveRuntime| -> Option<DriftAlarm> {
+        let mut seconds = Vec::new();
+        let mut epoch_write = |rt: &mut AdaptiveRuntime| -> Option<DriftAlarm> {
             let t0 = std::time::Instant::now();
             c.write_selection(ds, &sel, &data).expect("epoch write");
             let secs = t0.elapsed().as_secs_f64();
+            seconds.push(secs);
             rt.observe(epoch_transfer(data.len() as f64, secs));
             rt.end_epoch()
         };
@@ -782,7 +787,8 @@ fn backend_rate_step_fires_drift_alarm_within_k_epochs() {
         for epoch in 0..10 {
             assert!(
                 epoch_write(&mut rt).is_none(),
-                "case {case} (factor {factor:.1}): false alarm at fast epoch {epoch}"
+                "case {case} (factor {factor:.1}): false alarm at fast epoch {epoch}; \
+                 epoch seconds {seconds:.4?}"
             );
         }
 

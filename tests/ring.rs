@@ -3,13 +3,14 @@
 //! a faulted write retried by its completion hook on the reaper, under
 //! the connector's retry policy and circuit breaker — the three ways a
 //! write reaches a ring side by side as one table (raw segments on the
-//! attached ring, raw segments on the container's own, a WAL-staged job;
-//! a write settles where it lands, on each; two containers on one
-//! connector, both with a
-//! dataset of id 2, keep their own bytes, prefetch slots and order; and
-//! on a device of four lanes, where a large write lands as pieces at
-//! once, the later of two writes to the same bytes still lands last and
-//! a failed piece is the write's failure), and a seeded `argolite::explore` sweep over submit/drain
+//! attached ring, raw segments on the ring the connector builds, a
+//! WAL-staged job; a write settles where it lands, on each; two
+//! containers on the connector's one ring, each entry naming its
+//! container's device, both with a dataset of id 2, keep their own
+//! bytes, prefetch slots and order; and on a device of four lanes, where
+//! a large write lands as pieces at once, the later of two writes to the
+//! same bytes still lands last and a failed piece is the write's
+//! failure), and a seeded `argolite::explore` sweep over submit/drain
 //! interleavings. Per-key completion order and shutdown with operations
 //! in flight are `h5lite::ring`'s own unit tests.
 
@@ -226,8 +227,9 @@ enum Transport {
     /// Raw segments on the attached ring, settled in their completion
     /// hook.
     Ring,
-    /// No ring attached: raw segments on the container's own ring,
-    /// settled in their completion hook.
+    /// No ring attached: raw segments on the one-shard ring the
+    /// connector builds, naming the container's device, settled in their
+    /// completion hook.
     Own,
     /// The ring attached and snapshots staged to a device (a second
     /// `MemBackend`): a job on the attached ring that reads its payload
@@ -609,7 +611,7 @@ fn both_transports_settle_a_write_where_it_lands() {
     assert!(failed.is_empty(), "transport parity cells failed: {failed:?}");
 }
 
-/// 16 contiguous writes on a container's own ring, the first held inside
+/// 16 contiguous writes on the ring the connector builds, the first held inside
 /// the device at a closed gate and the other 15 queued behind it: once
 /// the gate opens, the reaper lands the 15 in one pass, so the 16 take
 /// fewer than 16 write calls. A write is raw segments on any ring unless
@@ -630,8 +632,9 @@ fn an_own_ring_coalesces_the_writes_queued_behind_a_held_one() {
 }
 
 /// A strided write whose plan sieves is a job that lands it through the
-/// container's sieved path, on the attached ring as on the container's
-/// own: the device sees the same reads, write calls and segments.
+/// container's sieved path, on the attached ring as on the one the
+/// connector builds: the device sees the same reads, write calls and
+/// segments.
 #[test]
 fn a_sieving_write_makes_the_same_device_calls_on_either_ring() {
     let calls = |attached: bool| {
@@ -664,10 +667,11 @@ fn a_sieving_write_makes_the_same_device_calls_on_either_ring() {
 /// Container A is closed by its user while its raw writes are held at a
 /// gated device. Each entry holds its container until it has settled, so
 /// A stays open, and a tenant, until they land:
-/// - on A's own ring, container B's first write — which retires the
-///   records of closed containers — returns within 2 s, instead of
-///   dropping A's ring and draining A's held writes inside the
-///   connector's lock;
+/// - on either ring, container B's first write — which retires the
+///   records of closed containers — returns within 2 s: a record holds
+///   no ring, so retiring one drains and joins nothing inside the
+///   connector's lock, and B's entry only queues behind A's on the
+///   shared shard;
 /// - on either ring, A's close flushes after its writes have landed, so
 ///   the checksums it stamps cover them and the reopened file reads them
 ///   back verified.

@@ -255,7 +255,7 @@ fn a_flush_that_does_work_brackets_its_read_back_and_its_commit() {
 
 #[test]
 fn retry_attempts_nest_inside_background_execute_spans() {
-    // On the container's own ring, and on an attached one.
+    // On the ring the connector builds, and on an attached one.
     for attached in [false, true] {
         retry_attempts_nest(attached);
     }
