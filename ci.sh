@@ -89,7 +89,9 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #   ring_lockfree     submit/complete takes zero named h5lite::sync
 #                     locks, reaper threads included
 #   ring_threads      16 open containers on a connector of 2 streams add
-#                     at most 2 threads: one ring, not one per container
+#                     at most 2 threads: one ring, not one per container;
+#                     and the same dataset id of two containers keys two
+#                     shards, so both devices hold a write at once
 #   ring_issue_locks  what a connector ring write locks on the issuer
 #                     (3 named locks), on the reaper (1) and in wait_all (1)
 #   one_copy          buffer ownership, recycling, stale bytes; seeded
@@ -117,7 +119,7 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #   end_to_end        write/read pipelines, a real run fed to the model
 APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants
 
-echo "== h5lite in release (overflow, dataspace, read-back lanes) =="
+echo "== h5lite in release (overflow, dataspace, read-back lanes, promise wake-ups) =="
 # The debug run of all of h5lite is in `--workspace` above: XXH64 known
 # answers, the container written at f78ece6 with FNV sums, the
 # O(extents) record/span counts. These rerun in release because
@@ -147,7 +149,10 @@ echo "== h5lite in release (overflow, dataspace, read-back lanes) =="
 # and the covering-block ranges of a verified read, whose offset
 # arithmetic is what a release build would wrap; `kernel` the strided
 # copy kernels against their piece-by-piece reference, whose const-width
-# loops compile differently with optimisation on). A filter that
+# loops compile differently with optimisation on; `promise` the one-shot
+# slot's sleeper count: seeded waiter/fulfil races and two sleeping
+# takers, each under a deadline, since a skipped wake-up hangs and shows
+# more readily at release speed). A filter that
 # matches nothing would pass, so a renamed test would drop out of the
 # release run unseen: each filter must list at least one test.
 release_rerun() {
@@ -161,7 +166,7 @@ release_rerun() {
     echo "release rerun: '$1' selects $listed test(s)"
     cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite "$1"
 }
-for filter in dataspace overflow lane flush_hashes block kernel; do
+for filter in dataspace overflow lane flush_hashes block kernel promise; do
     release_rerun "$filter"
 done
 

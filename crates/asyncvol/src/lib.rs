@@ -24,19 +24,25 @@
 //!   choice of ring entry, container write, completion bookkeeping.
 //! - **One executor**: the connector has one ring — the attached one, or
 //!   one it builds with [`AsyncVolBuilder::streams`] shards — and every
-//!   container's writes and prefetches are entries in its FIFO under the
-//!   dataset's id, like the process-wide execution streams of the HDF5
-//!   async VOL. A DRAM write whose plan does not sieve is raw segments
-//!   that name the container's device; the rest are *jobs*
-//!   ([`Ring::submit_job`]). Every entry holds its container until it
-//!   settles. That one order covers WAW, RAW and WAR.
+//!   container's writes and prefetches are entries in its FIFO under a
+//!   key of (container, dataset): the dataset's id offset by a serial the
+//!   container's record gets when it is made, so the same dataset of two
+//!   containers goes to different shards of a multi-stream ring. That is
+//!   the process-wide execution streams of the HDF5 async VOL. A DRAM
+//!   write whose plan does not sieve is raw segments that name the
+//!   container's device; the rest are *jobs* ([`Ring::submit_job`]).
+//!   Every entry holds its container until it settles. That one order
+//!   covers WAW, RAW and WAR.
 //! - **Reads** are blocking unless a prefetch is in flight or complete for
 //!   the same `(dataset, selection)`: [`AsyncVol::prefetch`] schedules
 //!   background reads of future time steps, and a later `dataset_read`
 //!   with the same key is served from the prefetch slot — the mechanism
 //!   behind BD-CATS-IO's "first read blocking, the rest overlapped"
-//!   behaviour (§V-A2). The background job also decodes what it read,
-//!   so a hit hands the typed API finished elements
+//!   behaviour (§V-A2). A prefetch copies its selection once, for the
+//!   slot's key and the job alike, and a hit that finds its slot filled
+//!   takes it without a wake-up ([`h5lite::Promise`] wakes only
+//!   sleepers). The background job also decodes what it read, so a hit
+//!   hands the typed API finished elements
 //!   ([`h5lite::ReadPayload::Elements`]); a write issued to the dataset
 //!   drops its slots, so no read is served bytes that predate it.
 //! - **Synchronization** mirrors the HDF5 async VOL's event sets:
@@ -75,7 +81,7 @@
 //! staged-but-unflushed records replay into the container after a crash
 //! ([`staging`], [`AsyncVol::recover_staging`]).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -218,6 +224,7 @@ impl AsyncVolBuilder {
             ring,
             inner: named_lock("asyncvol.conn", ConnInner {
                 next_req: 1,
+                next_serial: 0,
                 requests: HashMap::new(),
                 tenants: Vec::new(),
                 stale_prefetches: Vec::new(),
@@ -287,8 +294,9 @@ struct DsOrder {
     /// one: they are all entries under the dataset's key in the
     /// connector's ring, and same-key entries settle in FIFO order.
     last: Option<Promise<Completion>>,
-    /// Completed or in-flight prefetches, by selection.
-    prefetched: HashMap<Selection, PrefetchSlot>,
+    /// Completed or in-flight prefetches, by selection: the key is the
+    /// job's own copy, so a prefetch clones its selection once.
+    prefetched: HashMap<Arc<Selection>, PrefetchSlot>,
 }
 
 impl DsOrder {
@@ -313,17 +321,36 @@ impl DsOrder {
 /// not keep a closed file alive), with its datasets' records.
 struct Tenant {
     container: Weak<Container>,
+    /// Given when the record is made; it spreads ring keys ([`Tenant::key`]).
+    serial: u64,
     datasets: HashMap<ObjectId, DsOrder>,
 }
 
-/// `c`'s tenant record, made on first use. `c` becomes a tenant at its
-/// first write or prefetch; the records of closed containers go then.
-fn tenant<'a>(tenants: &'a mut Vec<Tenant>, c: &Arc<Container>) -> &'a mut Tenant {
+impl Tenant {
+    /// The ring key of dataset `ds`. Every container numbers its datasets
+    /// from the same ids; offset by the serial, consecutive tenants'
+    /// same-id datasets go to different shards (why the key is stable:
+    /// `dispatch`).
+    fn key(&self, ds: ObjectId) -> u64 {
+        ds.wrapping_add(self.serial)
+    }
+}
+
+/// `c`'s tenant record, made on first use with the next serial. `c`
+/// becomes a tenant at its first write or prefetch; the records of closed
+/// containers go then.
+fn tenant<'a>(
+    tenants: &'a mut Vec<Tenant>,
+    next_serial: &mut u64,
+    c: &Arc<Container>,
+) -> &'a mut Tenant {
     let at = match tenants.iter().position(|t| t.container.as_ptr() == Arc::as_ptr(c)) {
         Some(at) => at,
         None => {
             tenants.retain(|t| t.container.strong_count() > 0);
-            tenants.push(Tenant { container: Arc::downgrade(c), datasets: HashMap::new() });
+            let serial = *next_serial;
+            *next_serial += 1;
+            tenants.push(Tenant { container: Arc::downgrade(c), serial, datasets: HashMap::new() });
             tenants.len() - 1
         }
     };
@@ -338,6 +365,8 @@ fn record<'a>(tenants: &'a mut [Tenant], c: &Container, ds: ObjectId) -> Option<
 
 struct ConnInner {
     next_req: u64,
+    /// The next tenant record's serial.
+    next_serial: u64,
     /// Every request that has not been reported to its caller yet.
     requests: HashMap<u64, Promise<Completion>>,
     /// One record per container, each keyed by dataset within it.
@@ -569,23 +598,27 @@ impl AsyncVol {
     /// [`Request::SYNC`]: no second read is issued, and the one slot
     /// serves the read.
     pub fn prefetch(&self, c: &Arc<Container>, ds: ObjectId, sel: &Selection) -> Request {
+        // The one deep copy: the slot's key and the job's selection.
+        let sel = Arc::new(sel.clone());
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let order = tenant(&mut inner.tenants, c).datasets.entry(ds).or_default();
-        if order.prefetched.contains_key(sel) {
+        let tenant = tenant(&mut inner.tenants, &mut inner.next_serial, c);
+        let key = tenant.key(ds);
+        let order = tenant.datasets.entry(ds).or_default();
+        let Entry::Vacant(vacant) = order.prefetched.entry(sel.clone()) else {
             return Request::SYNC;
-        }
+        };
         let req = inner.next_req;
         inner.next_req += 1;
 
         let promise: Promise<Result<ReadPayload>> = Promise::new();
-        let (c, sel_job, sh) = (c.clone(), sel.clone(), self.sh.clone());
+        let (c, sh) = (c.clone(), self.sh.clone());
         let slot = SlotFiller(Some(promise.clone()));
-        let done = self.ring.submit_job(ds, Box::new(move || {
+        let done = self.ring.submit_job(key, move || {
             let mut span = sh.stats.tracer().span("vol.prefetch");
             let t0 = Instant::now();
             let result = with_backoff(&sh.retry, req, t0, &sh.stats, || {
-                c.read_selection_tagged(ds, &sel_job)
+                c.read_selection_tagged(ds, &sel)
             });
             let io_secs = t0.elapsed().as_secs_f64();
             let bytes = result.as_ref().map(|(_, d)| d.len() as u64).unwrap_or(0);
@@ -604,35 +637,37 @@ impl AsyncVol {
                 Elements::decode(dtype, &data).map(ReadPayload::Elements)
             }));
             Ok(()) // a failed read is the slot's, for the read that takes it
-        }));
+        });
 
-        order.last = Some(done.clone());
-        order.prefetched.insert(sel.clone(), PrefetchSlot { promise, done });
+        vacant.insert(PrefetchSlot { promise, done: done.clone() });
+        order.last = Some(done);
         Request(req)
     }
 
     /// Enter one request in the table: under the connector lock, assign
-    /// its id and let `launch` put it on the ring and note it as the
-    /// dataset's last, so per-dataset order is request order (the ring's
-    /// per-key FIFO). Neither the reaper, nor a completion hook, nor a
-    /// job ever takes this lock, so a full-ring block inside `launch`
-    /// still makes progress. Every request admitted is a write, so `c`
+    /// its id, let `launch` put it on the ring under the (container,
+    /// dataset) key it is given, and note it as the dataset's last, so
+    /// per-dataset order is request order (the ring's per-key FIFO).
+    /// Neither the reaper, nor a completion hook, nor a job ever takes
+    /// this lock, so a full-ring block inside `launch` still makes
+    /// progress. Every request admitted is a write, so `c`
     /// becomes a tenant here if it is not one yet, and the dataset's
     /// prefetch slots go stale.
     fn admit(
         &self,
         c: &Arc<Container>,
         ds: ObjectId,
-        launch: impl FnOnce(u64) -> Promise<Completion>,
+        launch: impl FnOnce(u64, u64) -> Promise<Completion>,
     ) -> Request {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         inner.drop_settled();
         let req = inner.next_req;
         inner.next_req += 1;
-        let datasets = &mut tenant(&mut inner.tenants, c).datasets;
-        let order = datasets.entry(ds).or_default().written(&mut inner.stale_prefetches);
-        let done = launch(req);
+        let tenant = tenant(&mut inner.tenants, &mut inner.next_serial, c);
+        let key = tenant.key(ds);
+        let order = tenant.datasets.entry(ds).or_default().written(&mut inner.stale_prefetches);
+        let done = launch(req, key);
         order.last = Some(done.clone());
         inner.requests.insert(req, done);
         Request(req)
@@ -708,14 +743,16 @@ impl AsyncVol {
         Ok(payload)
     }
 
-    /// Put a staged write on the ring, keyed by the dataset id: raw
-    /// segments (DESIGN.md §14) on `c`'s device when the snapshot is in
-    /// DRAM and its plan, made here, does not sieve; else one job that
-    /// lands and settles it
-    /// (the reaper writes raw segments: it cannot read a snapshot back from
-    /// the WAL or sieve a selection). Either entry holds `c` until it has
-    /// settled, so no tenant with work queued is retired. `t0` is when the
-    /// snapshot began: the overhead covers copy and plan.
+    /// Put a staged write on the ring under its (container, dataset) key
+    /// ([`Tenant::key`]): raw segments (DESIGN.md §14) on `c`'s device
+    /// when the snapshot is in DRAM and its plan, made here, does not
+    /// sieve; else one job that lands and settles it (the reaper writes
+    /// raw segments: it cannot read a snapshot back from the WAL or sieve
+    /// a selection). Either entry holds `c` until it has settled, so no
+    /// tenant with work queued is retired: its serial, and with it the
+    /// key, stays the same while anything of it is queued, and one
+    /// (container, dataset) keeps one FIFO. `t0` is when the snapshot
+    /// began: the overhead covers copy and plan.
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
@@ -735,14 +772,14 @@ impl AsyncVol {
         };
         self.sh.stats.record_snapshot(bytes, t0.elapsed().as_secs_f64());
         let (tenant, sh) = (c.clone(), self.sh.clone());
-        self.admit(c, ds, |req| match (payload, segs) {
+        self.admit(c, ds, |req, key| match (payload, segs) {
             (Payload::Dram(data), Some(segs)) => {
                 let since = Instant::now();
                 // Settled on the reaper the moment the write lands, before
                 // the next op on the shard: a retry lands in the write's
                 // FIFO position.
                 let op = RingOp::Write { data, segs };
-                self.ring.submit_with(ds, c.backend(), op, Box::new(move |first, replayed, again| {
+                self.ring.submit_with(key, c.backend(), op, Box::new(move |first, replayed, again| {
                     // Traced only when there is a retry to bracket. A
                     // replay's failed pass was the write's first attempt,
                     // and the replay that gave `first` its retry.
@@ -767,7 +804,7 @@ impl AsyncVol {
             }
             (payload, _) => {
                 let sel = sel.clone();
-                self.ring.submit_job(ds, Box::new(move || {
+                self.ring.submit_job(key, move || {
                     let _exec_span = sh.execute_span(ds, bytes);
                     let since = Instant::now();
                     let outcome = sh.land(&tenant, ds, &sel, payload, req, since);
@@ -775,7 +812,7 @@ impl AsyncVol {
                     // waits: the breaker counts consecutive failures as
                     // writes finish.
                     sh.settle(outcome, probe, Some(Ran { degraded: false, bytes, since }))
-                }))
+                })
             }
         })
     }

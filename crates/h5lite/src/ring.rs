@@ -32,16 +32,20 @@
 //!   it landed or failed, then fulfils its [`Promise`] with the verdict
 //!   alone ([`Completion`]), which resolves the waiting task directly
 //!   (the TASIO-style task-aware sink — there is no completion queue to
-//!   poll, and no operation comes back).
+//!   poll, and no operation comes back). The fulfil wakes a thread only
+//!   if one sleeps on the promise: a completion nobody waits on yet costs
+//!   the reaper a lock, not a `futex_wake`.
 //! - **Jobs**: [`Ring::submit_job`] queues work that is not a write — an
-//!   entry with no segments whose completion hook is the work. A job
+//!   entry with no segments whose completion hook is the work, boxed
+//!   once, as that hook. A job
 //!   ends its reaper pass: when it starts, everything queued before it
 //!   on the shard has landed and settled, and nothing queued after it
 //!   has started. So one FIFO orders a dataset's writes, reads and
 //!   anything else its owner runs in the background.
 //!
-//! Sharding is by caller-provided key (the connector uses the dataset
-//! id), and each shard is FIFO end to end: same-key writes and jobs
+//! Sharding is by caller-provided key (the connector uses the dataset id
+//! offset by its container's serial, so one container's entries and
+//! another's spread over the shards), and each shard is FIFO end to end: same-key writes and jobs
 //! reach their devices, and their promises are fulfilled, in submission
 //! order — which is the connector's whole per-dataset order.
 //!
@@ -287,11 +291,12 @@ impl Ring {
 
     /// Queue `job` on `key`'s shard: the reaper runs it at its FIFO
     /// position, as a pass of its own (see the module docs), and its
-    /// return value, or its panic, is the completion's verdict.
+    /// return value, or its panic, is the completion's verdict. The job is
+    /// boxed once, as the entry's hook.
     pub fn submit_job(
         &self,
         key: u64,
-        job: Box<dyn FnOnce() -> Result<()> + Send>,
+        job: impl FnOnce() -> Result<()> + Send + 'static,
     ) -> Promise<Completion> {
         // No segments, so the device is never written.
         let op = RingOp::Write { data: Vec::new(), segs: Vec::new() };
@@ -832,7 +837,7 @@ mod tests {
                     panic!("hook panics (expected by the test)")
                 }))
             }),
-            ("job", |ring| ring.submit_job(0, Box::new(|| panic!("job panics (expected by the test)")))),
+            ("job", |ring| ring.submit_job(0, || panic!("job panics (expected by the test)"))),
         ];
         for (what, submit_panicking) in inputs {
             let ring = Ring::new(Arc::new(MemBackend::new()), RingConfig::default());
@@ -865,12 +870,12 @@ mod tests {
         let first = submit(&ring, 0, RingOp::write_raw(0, vec![1u8; 8]));
         let seen = Arc::new(crate::sync::Mutex::new(None));
         let (device, saw) = (backend.clone(), seen.clone());
-        let job = ring.submit_job(0, Box::new(move || {
+        let job = ring.submit_job(0, move || {
             let mut back = [0u8; 8];
             device.read_at(0, &mut back)?;
             *saw.lock() = Some(back);
             Ok(())
-        }));
+        });
         let second = submit(&ring, 0, RingOp::write_raw(0, vec![2u8; 8]));
         log.gate.store(true, Ordering::SeqCst);
         for p in [held, first, job, second] {

@@ -52,29 +52,44 @@ pub enum ReadPayload {
     Elements(Elements),
 }
 
-/// An in-flight read: a [`Request`] plus the promise its data arrives on.
+/// An in-flight read: its result, when the connector had it before
+/// returning (a synchronous or cold read), or the promise a background job
+/// fulfils (a prefetch slot). A ready read holds its value, not a promise
+/// of it: no allocation, lock or wake-up.
 #[must_use = "a ReadRequest does nothing unless waited on"]
-pub struct ReadRequest {
-    promise: Promise<Result<ReadPayload>>,
+pub struct ReadRequest(Read);
+
+enum Read {
+    Ready(Result<ReadPayload>),
+    Pending(Promise<Result<ReadPayload>>),
 }
 
 impl ReadRequest {
     /// A read that will be fulfilled later by a background job.
     pub fn pending(promise: Promise<Result<ReadPayload>>) -> Self {
-        ReadRequest { promise }
+        ReadRequest(Read::Pending(promise))
     }
 
     /// A read that already completed as bytes (synchronous connector,
     /// cold read).
     pub fn resolved(result: Result<Vec<u8>>) -> Self {
-        ReadRequest {
-            promise: Promise::resolved(result.map(ReadPayload::Bytes)),
-        }
+        ReadRequest(Read::Ready(result.map(ReadPayload::Bytes)))
     }
 
     /// Whether the data has arrived.
     pub fn is_ready(&self) -> bool {
-        self.promise.is_fulfilled()
+        match &self.0 {
+            Read::Ready(_) => true,
+            Read::Pending(promise) => promise.is_fulfilled(),
+        }
+    }
+
+    /// Block until the data arrives and take it.
+    fn take(self) -> Result<ReadPayload> {
+        match self.0 {
+            Read::Ready(result) => result,
+            Read::Pending(promise) => promise.take(),
+        }
     }
 
     /// Block until the data arrives and take it as `T` elements — how the
@@ -82,7 +97,7 @@ impl ReadRequest {
     /// without a pass over them; bytes (and elements of another type)
     /// decode through [`from_bytes`].
     pub fn wait_as<T: H5Type>(self) -> Result<Vec<T>> {
-        match self.promise.take()? {
+        match self.take()? {
             ReadPayload::Bytes(bytes) => from_bytes(&bytes),
             ReadPayload::Elements(elems) => elems
                 .into_vec()
@@ -96,7 +111,7 @@ impl ReadRequest {
     /// arrives decoded, so taking it here costs one encode back to bytes,
     /// the pass [`ReadRequest::wait_as`] skips.
     pub fn wait(self) -> Result<Vec<u8>> {
-        Ok(match self.promise.take()? {
+        Ok(match self.take()? {
             ReadPayload::Bytes(bytes) => bytes,
             ReadPayload::Elements(elems) => elems.to_bytes(),
         })
