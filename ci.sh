@@ -75,8 +75,8 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #                     containers on the connector's one ring, each entry
 #                     naming its device, keep
 #                     their own bytes, prefetch slots and order; on four
-#                     lanes the later of two same-byte writes lands and a
-#                     failed piece is retried or fails the write), writes
+#                     channels the later of two same-byte writes lands and
+#                     a failed write call is retried or fails the write), writes
 #                     queued on the built ring coalescing, a sieving
 #                     write's device calls alike on both rings, and a
 #                     closed container outliving its held writes; the
@@ -137,13 +137,11 @@ echo "== h5lite in release (overflow, dataspace, read-back lanes, promise wake-u
 # range_…` (the pieces either side of the two-block floor, one read for
 # 128 KiB), `a_flip_in_the_third_lane_piece_…` and
 # `a_failed_or_panicking_verified_read_lane_…` (per-piece failures);
-# and the striped write's lanes, whose piece arithmetic is the same
-# kind: `storage.rs`'s `striped_write_lane_pieces_tile_…`,
-# `one_lane_striped_write_…`, `a_failed_or_panicking_striped_write_lane_…`
-# and `every_wrapper_reports_its_inner_backends_lanes`, and
-# `crates/h5lite/tests/write_lanes.rs` (four writes in flight on four
-# lanes for a ring pass and a native `write_slab`, by count; a one-lane
-# device's exact calls) — 25 tests in all, 17 before write lanes;
+# and `crates/h5lite/tests/write_lanes.rs` (a 512 KiB ring pass and
+# native `write_slab` on four channels are one write call on the writing
+# thread, by count; a 512 KiB write costs at most 1.2 × a 128 KiB one,
+# timed, compiled only here, in release; a one-lane device's exact
+# calls) — 22 tests in all;
 # `flush_hashes` the windowed long extent; `block` the block sums:
 # the hasher's boundaries, the tag-3 codec and its count check at open,
 # and the covering-block ranges of a verified read, whose offset

@@ -509,9 +509,10 @@ fn device_staging_write_order_preserved() {
 
 #[test]
 fn slow_staging_device_shows_in_overhead() {
-    // A deliberately slow staging device: the transactional overhead is
-    // now a device write, visible in the stats.
-    let device = Arc::new(h5lite::ThrottledBackend::in_memory(50e6, 0.0));
+    // A deliberately slow staging device of one channel (a write books
+    // one per 128 KiB, up to the channel count): the transactional
+    // overhead is now a device write, visible in the stats.
+    let device = Arc::new(h5lite::ThrottledBackend::with_channels(50e6, 0.0, 1));
     let vol = AsyncVol::builder().stage_to_device(device).build();
     let c = mem_container();
     let ds = vol

@@ -370,9 +370,9 @@ fn flush_hash_lanes() {
 /// what depth amortizes. The first submission wakes the reaper, and
 /// whatever queues up while it is inside that call goes out as the next
 /// pass, so small-op throughput must rise with depth — the io_uring
-/// shape the paper's async pipelines rely on. A pass of at least 256 KiB
-/// is striped over the four channels, one piece each, so the 1 MiB row
-/// and the deep 64 KiB rows reach the device's aggregate rate.
+/// shape the paper's async pipelines rely on. The device stripes a pass
+/// of at least 256 KiB over its four channels itself, one per 128 KiB,
+/// so the 1 MiB row and the deep 64 KiB rows reach its aggregate rate.
 fn ring_depth_sweep() {
     section("ring_depth");
     for size in [4096usize, 65536, 1 << 20] {

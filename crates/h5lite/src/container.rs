@@ -79,7 +79,7 @@ use crate::plan::{
     COALESCE_WINDOW,
 };
 use crate::recycle;
-use crate::storage::{write_striped, FileBackend, IoVec, IoVecMut, MemBackend, StorageBackend};
+use crate::storage::{write_windowed, FileBackend, IoVec, IoVecMut, MemBackend, StorageBackend};
 use crate::superblock::{self, fnv1a64, Superblock, FNV_BASIS, SUPERBLOCK_AREA};
 
 #[path = "integrity.rs"]
@@ -946,9 +946,8 @@ impl Container {
     /// at a time. A one-piece span is written from `data`; a sieved
     /// span is read whole into a recycled buffer, its pieces are
     /// scattered into it, and it is written back whole — one vectored
-    /// read and one striped write ([`write_striped`]: one vectored call,
-    /// or on a device of several lanes one per piece of a large window,
-    /// its spans being disjoint) per window, under the dataset's write
+    /// read and one vectored write ([`write_windowed`]) per window, which
+    /// a device of several channels stripes itself, under the dataset's write
     /// gate so the read-modify-write is atomic against every other
     /// `write_selection` (DESIGN.md §9).
     ///
@@ -994,7 +993,7 @@ impl Container {
                 segments: batch.len() as u64,
                 bytes: window.iter().map(|s| s.len).sum(),
             });
-            write_striped(self.backend.as_ref(), &batch)?;
+            write_windowed(self.backend.as_ref(), &batch)?;
         }
         Ok(())
     }

@@ -16,9 +16,10 @@
 //! [`Container::scrub_with`] read-repairs corrupt extents from a
 //! durable copy (e.g. the staging WAL).
 //!
-//! All three read on the device's service lanes ([`on_lanes`], up to
-//! [`HASH_LANES`] scoped threads taking jobs off one lock-free queue —
-//! the fan-out a striped write uses too). A
+//! All three read on lanes ([`on_lanes`], up to [`HASH_LANES`] scoped
+//! threads taking jobs off one lock-free queue), which also spread the
+//! hashing; a read books one device channel, so its lanes are what keep
+//! several in flight. A
 //! flush's read-back and a scrub's detection pass share one job list of
 //! whole extents, hashed in windows whose edges are block edges; the
 //! hasher closes a sum at every block boundary. A verified read's jobs

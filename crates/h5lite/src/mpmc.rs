@@ -1,8 +1,7 @@
 //! Lock-free bounded MPMC ring (Vyukov's bounded queue), shared by the
 //! submission/completion rings ([`crate::ring`]), the buffer recycler's
 //! size classes ([`crate::recycle`]) and the job list of the lanes
-//! ([`crate::storage`]'s `on_lanes`: a striped write's pieces, the
-//! integrity reads' jobs).
+//! ([`crate::storage`]'s `on_lanes`: the integrity reads' jobs).
 //!
 //! The only `unsafe` in the crate lives here, and the whole protocol is
 //! carried by one atomic per slot. Memory-ordering argument (the §14

@@ -17,15 +17,15 @@
 //! - **Reaping**: one reaper thread per shard drains its queue and
 //!   executes the entries against their devices. A reaper pass is
 //!   *depth-aware*: every write queued at that moment (up to
-//!   [`COALESCE_WINDOW`] segments) is issued as one striped write per
-//!   run of entries on one device
-//!   ([`write_striped`](crate::storage::write_striped)), so a deeper ring
-//!   buys fewer, larger device requests — small-op throughput scales
-//!   with queue depth at a fixed thread count. On a device of one lane
-//!   that is a single `write_vectored_at`; on a device of several
-//!   ([`StorageBackend::lanes`]) a large run is cut into pieces written
-//!   at once, one per lane, after being cut into runs of disjoint
-//!   segments that are written in queue order.
+//!   [`COALESCE_WINDOW`] segments) is issued as one `write_vectored_at`
+//!   per run of entries on one device, its segments in queue order, so a
+//!   deeper ring buys fewer, larger device requests — small-op throughput
+//!   scales with queue depth at a fixed thread count. A device that serves
+//!   several requests at once spreads the call over them itself (a
+//!   [`ThrottledBackend`](crate::storage::ThrottledBackend) stripes a
+//!   write over its channels): the reaper makes it whole, on its own
+//!   thread. A device call that panics is the pass's error, not a dead
+//!   reaper.
 //! - **Completion**: the reaper runs the entry's completion hook — the
 //!   connector's settlement: retries, breaker, counters — in the op's
 //!   FIFO position, gives the op's buffer back to the recycler whether
@@ -53,7 +53,6 @@
 //! the memory the ring holds is bounded by its capacity and a full ring
 //! throttles the application to device speed.
 
-use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -65,7 +64,7 @@ use crate::mpmc::RingQueue;
 use crate::plan::{IoSegment, COALESCE_WINDOW};
 use crate::promise::Promise;
 use crate::recycle;
-use crate::storage::{write_striped, IoVec, StorageBackend};
+use crate::storage::{write_windowed, IoVec, StorageBackend};
 
 /// Ring geometry.
 #[derive(Clone, Debug)]
@@ -440,11 +439,10 @@ fn execute_batch(shared: &RingShared, mut batch: Vec<Sqe>) {
 
 /// The one write body, for a reaper pass and a hook's retry alike: `run`'s
 /// segments, failed before anything reaches the backend if an op is
-/// malformed, as striped writes ([`write_striped`]). On a device of one
-/// lane that is one vectored call per [`COALESCE_WINDOW`] segments. On
-/// more, whose pieces land in no defined order, the segments are first
-/// cut into runs of disjoint ones ([`disjoint_runs`]), written in queue
-/// order: of two writes to the same bytes, the later lands last.
+/// malformed, as one vectored call per [`COALESCE_WINDOW`] segments, in
+/// queue order ([`write_windowed`]): of two writes to the same bytes, the
+/// later lands last. A device call that panics is an
+/// [`H5Error::Storage`], so the reaper lives to complete the entries.
 fn write_run<'a>(
     backend: &dyn StorageBackend,
     run: impl Iterator<Item = &'a RingOp> + Clone,
@@ -453,42 +451,14 @@ fn write_run<'a>(
     for op in run {
         op.push_iovecs(&mut iovecs)?;
     }
-    if backend.lanes() == 1 {
-        return write_striped(backend, &iovecs);
-    }
-    for disjoint in disjoint_runs(&iovecs) {
-        write_striped(backend, disjoint)?;
-    }
-    Ok(())
+    panic::catch_unwind(AssertUnwindSafe(|| write_windowed(backend, &iovecs)))
+        .unwrap_or_else(|p| Err(H5Error::Storage(format!("a device write panicked: {}", message(&*p)))))
 }
 
-/// `iovecs`, in order, cut into runs of disjoint segments: each run ends
-/// before the first segment that overlaps one already in it.
-fn disjoint_runs<'s, 'a>(iovecs: &'s [IoVec<'a>]) -> impl Iterator<Item = &'s [IoVec<'a>]> {
-    let mut rest = iovecs;
-    std::iter::from_fn(move || {
-        // The run's segments so far, start → end; they are disjoint, so
-        // the last one starting before a segment's end is the only one
-        // that can reach past its start.
-        let mut held = BTreeMap::new();
-        let take = rest
-            .iter()
-            .position(|seg| {
-                if seg.data.is_empty() {
-                    return false;
-                }
-                let end = seg.offset.saturating_add(seg.data.len() as u64);
-                if held.range(..end).next_back().is_some_and(|(_, &e)| e > seg.offset) {
-                    return true;
-                }
-                held.insert(seg.offset, end);
-                false
-            })
-            .unwrap_or(rest.len());
-        let (run, tail) = rest.split_at(take);
-        rest = tail;
-        (!run.is_empty()).then_some(run)
-    })
+/// A caught panic's message, if it carried one.
+fn message(panic: &(dyn std::any::Any + Send)) -> String {
+    let text = panic.downcast_ref::<&str>().map(|s| s.to_string());
+    text.or_else(|| panic.downcast_ref::<String>().cloned()).unwrap_or_default()
 }
 
 /// Run `sqe`'s completion hook, then retire it from the in-flight
@@ -505,9 +475,7 @@ fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>, replayed: bool) {
     let mut again = || write_run(&*device, std::iter::once(&op));
     let run = AssertUnwindSafe(|| hook(result, replayed, &mut again));
     let result = panic::catch_unwind(run).unwrap_or_else(|p| {
-        let msg = p.downcast_ref::<&str>().map(|s| s.to_string());
-        let msg = msg.or_else(|| p.downcast_ref::<String>().cloned()).unwrap_or_default();
-        Err(H5Error::Async(format!("ring completion hook panicked: {msg}")))
+        Err(H5Error::Async(format!("ring completion hook panicked: {}", message(&*p))))
     });
     let RingOp::Write { data, .. } = op;
     recycle::give(data);
@@ -853,6 +821,61 @@ mod tests {
             }
             assert!(b.wait_cloned().result.is_ok(), "the write behind the {what}");
         }
+    }
+
+    /// A device write that panics on the reaper — a lone op's, a pass's,
+    /// or an op's replay — must not kill it: the op completes with an
+    /// [`H5Error::Storage`], and the writes beside it still land.
+    #[test]
+    fn a_panicking_device_write_is_the_ops_error_not_a_dead_reaper() {
+        let gate = Arc::new(AtomicBool::new(false));
+        let open = gate.clone();
+        let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+            let Call::Write { segments, .. } = call else { return Ok(()) };
+            while !open.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            if segments.iter().any(|seg| seg.offset == 64) {
+                panic!("device write panics (expected by the test)");
+            }
+            Ok(())
+        });
+        let device = Arc::new(device);
+        let ring = Ring::new(device.clone(), RingConfig::default());
+        // A lone write that panics, then a pass of three whose replay
+        // panics on the middle op.
+        let lone = submit(&ring, 0, RingOp::write_raw(64, vec![1u8; 8]));
+        gate.store(true, Ordering::SeqCst);
+        assert!(
+            fulfilled_within(std::slice::from_ref(&lone), Duration::from_secs(5)),
+            "a panicking device write left its promise unfulfilled: the reaper is dead"
+        );
+        gate.store(false, Ordering::SeqCst);
+        let held = submit(&ring, 0, RingOp::write_raw(0, vec![2u8; 8]));
+        while device.counts().write_batches < 2 {
+            thread::yield_now();
+        }
+        let pass = [0u64, 64, 128].map(|addr| submit(&ring, 0, RingOp::write_raw(addr, vec![3u8; 8])));
+        gate.store(true, Ordering::SeqCst);
+        let mut all = pass.to_vec();
+        all.extend([lone, held]);
+        assert!(
+            fulfilled_within(&all, Duration::from_secs(5)),
+            "a panicking device write left promises unfulfilled: the reaper is dead"
+        );
+        for (what, p) in [("the lone write", &all[3]), ("the pass's middle write", &all[1])] {
+            match p.wait_cloned().into_result() {
+                Err(H5Error::Storage(m)) => assert!(m.contains("device write panics (expected"), "{m}"),
+                other => panic!("{what}: expected the panic as a Storage error, got {other:?}"),
+            }
+        }
+        for p in [&all[0], &all[2], &all[4]] {
+            assert!(p.wait_cloned().result.is_ok(), "a write beside the panicking one");
+        }
+        ring.drain();
+        let mut back = [0u8; 8];
+        device.read_at(128, &mut back).unwrap();
+        assert_eq!(back, [3u8; 8]);
     }
 
     /// A job ends its reaper pass: queued between two writes to the same

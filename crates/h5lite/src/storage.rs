@@ -19,6 +19,13 @@
 //! amortise them ([`ThrottledBackend`]). Segments are processed in order;
 //! on error, segments before the failing one may already be applied —
 //! exactly the partial state the equivalent scalar sequence would leave.
+//!
+//! A device that serves several requests at once spreads a call over
+//! them itself, as a parallel file system stripes a request over its
+//! targets: a [`ThrottledBackend`] books one channel per
+//! [`PIECE_BLOCKS`] blocks of a write, all at one instant. So a client
+//! makes each write one call, on its own thread ([`write_windowed`]),
+//! and spawns nothing to reach the device's aggregate rate.
 
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
@@ -89,85 +96,23 @@ pub trait StorageBackend: Send + Sync {
 
     /// Flush to durable storage (no-op for memory).
     fn sync(&self) -> Result<()>;
-
-    /// Requests the device serves at once: the writes [`write_striped`]
-    /// keeps in flight. One unless a backend models more service lanes
-    /// ([`ThrottledBackend`]); a wrapper reports its inner backend's.
-    /// Memory and files keep one: buffered writes to one ext4 file
-    /// serialize on its inode lock, and striping them measured slower.
-    fn lanes(&self) -> usize {
-        1
-    }
 }
 
-/// Blocks a lane's piece holds at least, for a striped write
-/// ([`write_striped`]) and a verified read alike: two [`SUM_BLOCK`]s,
-/// 128 KiB. Below two pieces' worth, the work is one piece.
+/// Blocks a share of work holds at least: two [`SUM_BLOCK`]s, 128 KiB.
+/// A [`ThrottledBackend`] write books one channel per share, and a
+/// verified read cuts one lane piece per share. Below two shares' worth,
+/// the work is one share.
 pub(crate) const PIECE_BLOCKS: u64 = 2;
 
-/// Write `batch`, whose segments must not overlap, on the device's
-/// lanes. Its bytes, taken in order, are cut at [`SUM_BLOCK`] multiples
-/// into at most [`StorageBackend::lanes`] pieces of at least
-/// [`PIECE_BLOCKS`] blocks, piece `k` of `n` ending `k·blocks/n` blocks
-/// in, and each piece is written on a lane of its own ([`on_lanes`]) as
-/// vectored calls of at most [`COALESCE_WINDOW`] segments. With one
-/// piece this is the windowed `write_vectored_at` loop on the caller.
-///
-/// Pieces land in no defined order, which is why segments must be
-/// disjoint. Every piece runs; the call then fails with the first
-/// failure in piece order, or [`H5Error::Storage`] for a lane that
-/// panicked, and the pieces that succeeded have landed — the partial
-/// state a failed vectored write may leave.
-pub(crate) fn write_striped(backend: &dyn StorageBackend, batch: &[IoVec<'_>]) -> Result<()> {
-    let windowed = |piece: &[IoVec<'_>]| {
-        piece
-            .chunks(COALESCE_WINDOW)
-            .try_for_each(|window| backend.write_vectored_at(window))
-    };
-    let bytes = batch
-        .iter()
-        .try_fold(0u64, |sum, seg| sum.checked_add(seg.data.len() as u64));
-    let blocks = bytes.unwrap_or(u64::MAX) / SUM_BLOCK;
-    let n = (blocks / PIECE_BLOCKS).clamp(1, backend.lanes().max(1) as u64);
-    if n == 1 {
-        return windowed(batch);
-    }
-    // Where each piece but the last ends, the last taking the rest: at
-    // least PIECE_BLOCKS blocks apart and at most `bytes`, so no piece
-    // is empty.
-    let ends: Vec<u64> = (1..n)
-        .map(|k| k.saturating_mul(blocks) / n * SUM_BLOCK)
-        .collect();
-    let mut pieces: Vec<Vec<IoVec<'_>>> = (0..n).map(|_| Vec::new()).collect();
-    let (mut k, mut at) = (0usize, 0u64);
-    for seg in batch {
-        let (mut offset, mut data) = (seg.offset, seg.data);
-        loop {
-            while ends.get(k).is_some_and(|&end| at >= end) {
-                k += 1;
-            }
-            let room = ends.get(k).map_or(u64::MAX, |&end| end - at);
-            let (head, tail) = data.split_at(room.min(data.len() as u64) as usize);
-            pieces[k].push(IoVec { offset, data: head });
-            at += head.len() as u64;
-            if tail.is_empty() {
-                break;
-            }
-            offset = offset.checked_add(head.len() as u64).ok_or_else(|| {
-                H5Error::Storage(format!("a striped write runs past the device at {offset}"))
-            })?;
-            data = tail;
-        }
-    }
-    let written = on_lanes(pieces.len(), pieces.into_iter(), |piece| windowed(&piece));
-    for outcome in written {
-        match outcome {
-            Some(Ok(())) => {}
-            Some(Err(e)) => return Err(e),
-            None => return Err(H5Error::Storage("a striped write's lane panicked".into())),
-        }
-    }
-    Ok(())
+/// Write `batch` in order, as vectored calls of at most
+/// [`COALESCE_WINDOW`] segments: the one write body of a ring's reaper
+/// pass and a container's window write. A device that serves several
+/// requests at once spreads a call over them itself
+/// ([`ThrottledBackend`]), so the call is made whole, on the caller.
+pub(crate) fn write_windowed(backend: &dyn StorageBackend, batch: &[IoVec<'_>]) -> Result<()> {
+    batch
+        .chunks(COALESCE_WINDOW)
+        .try_for_each(|window| backend.write_vectored_at(window))
 }
 
 /// Run `work` on every job over `lanes` lanes — scoped threads that live
@@ -178,7 +123,7 @@ pub(crate) fn write_striped(backend: &dyn StorageBackend, batch: &[IoVec<'_>]) -
 /// of a lane that panicked are `None`. Takes no lock: the queue is a
 /// [`RingQueue`] filled before any lane starts, and the results come
 /// back through the lanes' join handles. The one fan-out of the crate:
-/// a striped write's pieces, and the integrity reads' jobs.
+/// the integrity reads' jobs.
 pub(crate) fn on_lanes<J: Send, R: Send>(
     lanes: usize,
     jobs: impl ExactSizeIterator<Item = J>,
@@ -448,18 +393,21 @@ impl StorageBackend for FileBackend {
 /// stale-fit invalidation.
 ///
 /// Concurrency is modelled with a fixed pool of *channels* (think PFS
-/// service lanes / NVMe queue pairs): each operation books the
-/// earliest-free channel in virtual time and sleeps until its booked
-/// completion. Up to `channels` operations overlap their stalls; beyond
-/// that, operations queue behind the busiest-free lane. Depth 1 pays one
-/// latency per op; depth `<= channels` overlaps them; only *coalescing*
-/// (one vectored batch, one latency) keeps winning past the cap — which
-/// is exactly the regime a queue-depth sweep needs to measure. One call
-/// books one channel, so a single caller reaches the device's aggregate
-/// rate only with `channels` calls in flight: the channel count is the
-/// backend's [`lanes`](StorageBackend::lanes), over which a striped
-/// write ([`write_striped`]) spreads a large batch and the integrity
-/// reads spread their pieces.
+/// stripes / NVMe queue pairs) booked in virtual time. A read books the
+/// earliest-free channel for `latency + bytes/bandwidth`. A write of
+/// `bytes` is striped by the device, as a PFS stripes a file over its
+/// targets: it books `n` channels at one instant, the earliest-free ones,
+/// one per [`PIECE_BLOCKS`] blocks of payload and at most all of them,
+/// each for `latency + (bytes/n)/bandwidth`. So one large write reaches
+/// the device's aggregate rate with no client threads. A call books, runs
+/// the inner call, then sleeps until its latest booked end: it costs its
+/// modelled service time, with the inner call's own time inside it, and a
+/// failed inner call still costs its booking. Up to `channels` requests
+/// overlap their stalls; beyond that, requests queue behind the
+/// busiest-free channel. Depth 1 pays one latency per op; depth
+/// `<= channels` overlaps them; only *coalescing* (one vectored batch,
+/// one latency) keeps winning past the cap — which is exactly the regime
+/// a queue-depth sweep needs to measure.
 pub struct ThrottledBackend {
     inner: Box<dyn StorageBackend>,
     /// Sustained bandwidth, bytes/s, stored as `f64` bits so concurrent
@@ -467,18 +415,17 @@ pub struct ThrottledBackend {
     bandwidth_bits: AtomicU64,
     /// Per-operation latency, seconds.
     latency: f64,
-    /// Virtual-time channel bookings; the lock is held only to pick a
-    /// lane and book the interval — the sleep happens outside it.
+    /// Virtual-time channel bookings; the lock is held only to book the
+    /// channels — the inner call and the sleep happen outside it.
     channels: Mutex<Channels>,
-    /// The channel count, for [`StorageBackend::lanes`] without the lock.
-    lanes: usize,
 }
 
 /// Per-channel virtual-time bookkeeping for [`ThrottledBackend`].
 struct Channels {
     /// Zero point of the virtual clock.
     epoch: std::time::Instant,
-    /// Seconds-since-epoch at which each channel is next free.
+    /// Seconds-since-epoch at which each channel is next free. Channels
+    /// are interchangeable, so their order carries no meaning.
     free_at: Vec<f64>,
 }
 
@@ -509,7 +456,6 @@ impl ThrottledBackend {
                 epoch: std::time::Instant::now(),
                 free_at: vec![0.0; channels],
             }),
-            lanes: channels,
         }
     }
 
@@ -537,47 +483,52 @@ impl ThrottledBackend {
             .store(bandwidth.to_bits(), Ordering::Relaxed);
     }
 
-    /// Charge one operation of `bytes` payload: book the earliest-free
-    /// channel for `latency + bytes/bandwidth` of service, then sleep
-    /// until the booked completion. Per-batch accounting falls out of
-    /// this — a vectored call is *one* booking for its total bytes.
-    fn stall(&self, bytes: usize) {
-        let service = self.latency + bytes as f64 / self.bandwidth();
-        let (epoch, end) = {
+    /// Book a call of `bytes` payload arriving at `now` (virtual seconds)
+    /// on `ch` and return the latest booked end: a write over
+    /// `clamp(bytes / (PIECE_BLOCKS·SUM_BLOCK), 1, channels)` channels, a
+    /// read over one, each the earliest free and each for `latency +
+    /// (bytes/n)/bandwidth`. Per-batch accounting falls out of this — a
+    /// vectored call is *one* booking for its total bytes.
+    fn book(&self, ch: &mut Channels, now: f64, bytes: usize, write: bool) -> f64 {
+        let n = if write {
+            (bytes as u64 / (PIECE_BLOCKS * SUM_BLOCK)).clamp(1, ch.free_at.len() as u64) as usize
+        } else {
+            1
+        };
+        let service = self.latency + bytes as f64 / n as f64 / self.bandwidth();
+        ch.free_at.sort_unstable_by(f64::total_cmp);
+        ch.free_at[..n].iter_mut().fold(now, |end, free| {
+            *free = free.max(now) + service;
+            end.max(*free)
+        })
+    }
+
+    /// Run `call`, the inner half of a call of `bytes` payload, inside its
+    /// booking ([`book`](Self::book)): book, call, then sleep until the
+    /// latest booked end, whatever the call returned.
+    fn serve(&self, bytes: usize, write: bool, call: impl FnOnce() -> Result<()>) -> Result<()> {
+        let deadline = {
             let mut ch = self.channels.lock();
             let now = ch.epoch.elapsed().as_secs_f64();
-            let mut lane = 0;
-            for (i, free) in ch.free_at.iter().enumerate() {
-                if *free < ch.free_at[lane] {
-                    lane = i;
-                }
-            }
-            let start = if ch.free_at[lane] > now {
-                ch.free_at[lane]
-            } else {
-                now
-            };
-            let end = start + service;
-            ch.free_at[lane] = end;
-            (ch.epoch, end)
+            let end = self.book(&mut ch, now, bytes, write);
+            ch.epoch + std::time::Duration::from_secs_f64(end)
         };
-        let deadline = epoch + std::time::Duration::from_secs_f64(end);
+        let out = call();
         let now = std::time::Instant::now();
         if deadline > now {
             std::thread::sleep(deadline - now);
         }
+        out
     }
 }
 
 impl StorageBackend for ThrottledBackend {
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        self.stall(data.len());
-        self.inner.write_at(offset, data)
+        self.serve(data.len(), true, || self.inner.write_at(offset, data))
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.stall(buf.len());
-        self.inner.read_at(offset, buf)
+        self.serve(buf.len(), false, || self.inner.read_at(offset, buf))
     }
 
     fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
@@ -586,14 +537,12 @@ impl StorageBackend for ThrottledBackend {
         // scatter-gather request. This is the modelled payoff of
         // coalescing: N scalar writes pay N latencies, one batch pays one.
         let total: usize = batch.iter().map(|seg| seg.data.len()).sum();
-        self.stall(total);
-        self.inner.write_vectored_at(batch)
+        self.serve(total, true, || self.inner.write_vectored_at(batch))
     }
 
     fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
         let total: usize = batch.iter().map(|seg| seg.buf.len()).sum();
-        self.stall(total);
-        self.inner.read_vectored_at(batch)
+        self.serve(total, false, || self.inner.read_vectored_at(batch))
     }
 
     fn len(&self) -> u64 {
@@ -603,12 +552,7 @@ impl StorageBackend for ThrottledBackend {
     fn sync(&self) -> Result<()> {
         self.inner.sync()
     }
-
-    fn lanes(&self) -> usize {
-        self.lanes
-    }
 }
-
 
 /// Which backend operation a [`FaultRule`] applies to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -960,10 +904,6 @@ impl StorageBackend for FaultInjector {
             Some(kind) => Err(self.fault_error(&kind, "flush")),
         }
     }
-
-    fn lanes(&self) -> usize {
-        self.inner.lanes()
-    }
 }
 
 /// A shared mutation budget with a cut point: the clock of the
@@ -1131,10 +1071,6 @@ impl StorageBackend for CrashBackend {
             return Err(self.refuse("sync"));
         }
         self.inner.sync()
-    }
-
-    fn lanes(&self) -> usize {
-        self.inner.lanes()
     }
 }
 
@@ -1350,10 +1286,6 @@ impl StorageBackend for CountingBackend {
         Self::count(&self.syncs, 1);
         self.hook(Call::Sync)?;
         self.inner.sync()
-    }
-
-    fn lanes(&self) -> usize {
-        self.inner.lanes()
     }
 }
 
@@ -2020,155 +1952,82 @@ mod tests {
         assert_eq!(s_inner.len(), 2);
     }
 
-    // ----- lanes and striped writes --------------------------------------
+    // ----- the throttle's channel bookings and the write body -------------
 
     #[test]
-    fn every_wrapper_reports_its_inner_backends_lanes() {
-        let four: Arc<dyn StorageBackend> = Arc::new(ThrottledBackend::with_channels(1e12, 0.0, 4));
-        let one: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
-        assert_eq!(ThrottledBackend::in_memory(1e12, 0.0).lanes(), ThrottledBackend::DEFAULT_CHANNELS);
-        for (inner, lanes) in [(four, 4), (one, 1)] {
-            assert_eq!(inner.lanes(), lanes);
-            let injector = FaultInjector::new(inner.clone(), FaultPlan::new(0));
-            assert_eq!(injector.lanes(), lanes, "FaultInjector");
-            let crash = CrashBackend::new(inner.clone(), CrashClock::unlimited());
-            assert_eq!(crash.lanes(), lanes, "CrashBackend");
-            assert_eq!(CountingBackend::new(inner.clone()).lanes(), lanes, "CountingBackend");
-            let stacked = CountingBackend::new(Arc::new(CrashBackend::new(
-                Arc::new(injector),
-                CrashClock::unlimited(),
-            )));
-            assert_eq!(stacked.lanes(), lanes, "a stack of wrappers");
+    fn a_throttled_write_books_a_channel_per_piece_at_one_instant_and_a_read_one() {
+        const KIB: usize = 1 << 10;
+        let (bw, lat) = (400e6, 2e-4);
+        let service = |bytes: usize| lat + bytes as f64 / bw;
+        // (calls as (bytes, write), each channel's end after them, sorted).
+        #[allow(clippy::type_complexity)]
+        let cases: [(&[(usize, bool)], [f64; 4]); 5] = [
+            (&[(512 * KIB, true)], [service(128 * KIB); 4]),
+            (&[(64 * KIB, true)], [0.0, 0.0, 0.0, service(64 * KIB)]),
+            (&[(256 * KIB - 1, true)], [0.0, 0.0, 0.0, service(256 * KIB - 1)]),
+            (&[(512 * KIB, false)], [0.0, 0.0, 0.0, service(512 * KIB)]),
+            // The second write starts where the first one ends.
+            (&[(512 * KIB, true), (512 * KIB, true)], [2.0 * service(128 * KIB); 4]),
+        ];
+        for (calls, want) in cases {
+            let device = ThrottledBackend::with_channels(bw, lat, 4);
+            let mut ch = device.channels.lock();
+            let ends: Vec<f64> = calls
+                .iter()
+                .map(|&(bytes, write)| device.book(&mut ch, 0.0, bytes, write))
+                .collect();
+            let mut free_at = ch.free_at.clone();
+            free_at.sort_unstable_by(f64::total_cmp);
+            let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+            assert!(free_at.iter().zip(want).all(|(&a, b)| close(a, b)), "{calls:?}: {free_at:?}");
+            assert!(close(ends[ends.len() - 1], want[3]), "{calls:?} ends at {ends:?}");
         }
+        // A call arriving after every channel is free starts when it
+        // arrives, on the earliest free channel.
+        let device = ThrottledBackend::with_channels(bw, lat, 2);
+        let mut ch = device.channels.lock();
+        device.book(&mut ch, 0.0, 64 * KIB, false);
+        assert_eq!(device.book(&mut ch, 1.0, 64 * KIB, false), 1.0 + service(64 * KIB));
+        let mut free_at = ch.free_at.clone();
+        free_at.sort_unstable_by(f64::total_cmp);
+        assert_eq!(free_at, [service(64 * KIB), 1.0 + service(64 * KIB)]);
     }
 
-    /// A device of `lanes` lanes that logs every write call's segments as
-    /// `(offset, len)`, and fails or panics as `fault` says for a call
-    /// with a segment at an offset.
-    #[allow(clippy::type_complexity)]
-    fn logging(
-        lanes: usize,
-        fault: impl Fn(u64) -> Result<()> + Send + Sync + 'static,
-    ) -> (CountingBackend, Arc<Mutex<Vec<Vec<(u64, usize)>>>>) {
+    #[test]
+    fn a_throttled_call_costs_its_booking_even_when_it_fails() {
+        // 30 ms of latency on a device whose inner writes fail: the
+        // failure comes back after the booking, not at once.
+        let lat = 0.03;
+        let plan = FaultPlan::new(0).fail_after(FaultOp::Write, 0, FaultKind::Persistent);
+        let inner = FaultInjector::new(Arc::new(MemBackend::new()), plan);
+        let device = ThrottledBackend::with_channel_count(Box::new(inner), 1e12, lat, 4);
+        let t0 = std::time::Instant::now();
+        assert!(device.write_vectored_at(&[IoVec { offset: 0, data: &[1u8; 64] }]).is_err());
+        let took = t0.elapsed().as_secs_f64();
+        assert!(took >= lat * 0.9, "a failed call skipped its booking: {took}");
+    }
+
+    #[test]
+    fn write_windowed_is_one_vectored_call_per_window_in_order_on_the_caller() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let seen = log.clone();
-        let device = ThrottledBackend::with_channels(1e12, 0.0, lanes);
-        let backend = CountingBackend::new(Arc::new(device)).with_hook(move |call| {
-            if let Call::Write { segments, .. } = call {
-                segments.iter().try_for_each(|seg| fault(seg.offset))?;
-                seen.lock().push(segments.iter().map(|seg| (seg.offset, seg.data.len())).collect());
-            }
-            Ok(())
-        });
-        (backend, log)
-    }
-
-    #[test]
-    fn striped_write_lane_pieces_tile_the_batch_at_block_edges() {
-        const B: usize = SUM_BLOCK as usize;
-        let b = B as u64;
-        // (lanes, segments as (offset, len), each call's segments).
-        #[allow(clippy::type_complexity)]
-        let cases: [(usize, Vec<(u64, usize)>, Vec<Vec<(u64, usize)>>); 7] = [
-            (4, vec![(0, 8 * B)], (0..4).map(|k| vec![(2 * k * b, 2 * B)]).collect()),
-            (2, vec![(0, 8 * B)], vec![vec![(0, 4 * B)], vec![(4 * b, 4 * B)]]),
-            // Under two pieces' worth (256 KiB) the batch is one call.
-            (4, vec![(0, 4 * B - 1)], vec![vec![(0, 4 * B - 1)]]),
-            (4, vec![(0, 4 * B)], vec![vec![(0, 2 * B)], vec![(2 * b, 2 * B)]]),
-            // Five blocks and a bit: the short tail goes in the last piece.
-            (4, vec![(0, 5 * B + 10)], vec![vec![(0, 2 * B)], vec![(2 * b, 3 * B + 10)]]),
-            // A piece may take the end of one segment and the start of the
-            // next; cuts are block multiples of the batch, not the device.
-            (
-                4,
-                vec![(100, 3 * B), (10 * b, 5 * B)],
-                vec![
-                    vec![(100, 2 * B)],
-                    vec![(100 + 2 * b, B), (10 * b, B)],
-                    vec![(11 * b, 2 * B)],
-                    vec![(13 * b, 2 * B)],
-                ],
-            ),
-            (1, vec![(0, 8 * B)], vec![vec![(0, 8 * B)]]),
-        ];
-        for (lanes, segments, want) in cases {
-            let (device, log) = logging(lanes, |_| Ok(()));
-            let data: Vec<Vec<u8>> = segments
-                .iter()
-                .enumerate()
-                .map(|(i, &(_, len))| (0..len).map(|j| (i * 7 + j % 251) as u8).collect())
-                .collect();
-            let batch: Vec<IoVec<'_>> = segments
-                .iter()
-                .zip(&data)
-                .map(|(&(offset, _), data)| IoVec { offset, data })
-                .collect();
-            write_striped(&device, &batch).unwrap();
-            let mut calls = log.lock().clone();
-            calls.sort();
-            assert_eq!(calls, want, "{lanes} lanes over {segments:?}");
-            let moved = device.counts();
-            assert_eq!(moved.write_batches, want.len() as u64);
-            assert_eq!(moved.bytes_written, segments.iter().map(|s| s.1 as u64).sum::<u64>());
-            for seg in &batch {
-                let mut back = vec![0u8; seg.data.len()];
-                device.read_at(seg.offset, &mut back).unwrap();
-                assert!(back == seg.data, "the pieces land every byte");
-            }
-        }
-    }
-
-    #[test]
-    fn one_lane_striped_write_is_the_windowed_vectored_loop() {
-        let (device, log) = logging(1, |_| Ok(()));
+        let device = CountingBackend::new(Arc::new(ThrottledBackend::with_channels(1e12, 0.0, 4)))
+            .with_hook(move |call| {
+                if let Call::Write { segments, .. } = call {
+                    seen.lock().push((segments[0].offset, segments.len(), std::thread::current().id()));
+                }
+                Ok(())
+            });
         let n = 2 * COALESCE_WINDOW + 452;
         let bytes = vec![7u8; 64 << 10];
         let batch: Vec<IoVec<'_>> = (0..n as u64)
             .map(|i| IoVec { offset: i * (64 << 10), data: &bytes })
             .collect();
-        write_striped(&device, &batch).unwrap();
-        let sizes: Vec<usize> = log.lock().iter().map(Vec::len).collect();
-        assert_eq!(sizes, [COALESCE_WINDOW, COALESCE_WINDOW, 452], "in order, on the caller");
+        write_windowed(&device, &batch).unwrap();
+        let (me, w) = (std::thread::current().id(), COALESCE_WINDOW as u64);
+        let want = [(0, w as usize, me), (w << 16, w as usize, me), ((2 * w) << 16, 452, me)];
+        assert_eq!(*log.lock(), want, "in order, on the caller");
         assert_eq!(device.counts().most_writes_in_flight, 1);
     }
-
-    #[test]
-    fn a_failed_or_panicking_striped_write_lane_fails_the_write() {
-        // The second of four pieces fails: the write does, with that
-        // error, and the other three pieces have landed.
-        const B: u64 = SUM_BLOCK;
-        let (device, _) = logging(4, |offset| {
-            (offset != 2 * B)
-                .then_some(())
-                .ok_or_else(|| H5Error::Storage(format!("bad sector at {offset}")))
-        });
-        let data = vec![9u8; 8 * B as usize];
-        let err = write_striped(&device, &[IoVec { offset: 0, data: &data }]).unwrap_err();
-        assert!(matches!(err, H5Error::Storage(ref m) if *m == format!("bad sector at {}", 2 * B)));
-        for (k, want) in [(0u64, 9u8), (1, 0), (2, 9), (3, 9)] {
-            let mut back = vec![1u8; 2 * B as usize];
-            device.read_at(2 * k * B, &mut back).unwrap();
-            assert!(back.iter().all(|&x| x == want), "piece {k}");
-        }
-
-        // Every write off this thread panics, and this thread's own first
-        // write waits until one has: a Storage error, not a hang.
-        let owner = std::thread::current().id();
-        let others = Arc::new(AtomicU64::new(0));
-        let seen = others.clone();
-        let (device, _) = logging(4, move |_| {
-            if std::thread::current().id() != owner {
-                seen.fetch_add(1, Ordering::SeqCst);
-                panic!("striped-write lane panics (expected by the test)");
-            }
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            while seen.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            Ok(())
-        });
-        let err = write_striped(&device, &[IoVec { offset: 0, data: &data }]).unwrap_err();
-        assert!(matches!(err, H5Error::Storage(ref m) if m.contains("lane panicked")), "{err:?}");
-        assert!(others.load(Ordering::SeqCst) >= 1);
-    }
 }
+

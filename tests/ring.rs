@@ -7,10 +7,10 @@
 //! WAL-staged job; a write settles where it lands, on each; two
 //! containers on the connector's one ring, each entry naming its
 //! container's device, both with a dataset of id 2, keep their own
-//! bytes, prefetch slots and order; and on a device of four lanes, where
-//! a large write lands as pieces at once, the later of two writes to the
-//! same bytes still lands last and a failed piece is the write's
-//! failure), and a seeded `argolite::explore` sweep over submit/drain
+//! bytes, prefetch slots and order; and on a device of four channels,
+//! which stripes a large write itself, the later of two writes to the
+//! same bytes still lands last and a failed write call is retried or is
+//! the write's failure), and a seeded `argolite::explore` sweep over submit/drain
 //! interleavings. Per-key completion order and shutdown with operations
 //! in flight are `h5lite::ring`'s own unit tests.
 
@@ -266,15 +266,14 @@ impl Parity {
         Parity::over(transport, breaker, Arc::new(MemBackend::new()), 64)
     }
 
-    /// A 512 KiB dataset on four lanes, under a disarmed `FaultInjector`
-    /// running `plan`: a write of the whole dataset lands as four pieces
-    /// of 128 KiB at once.
+    /// A 512 KiB dataset on four channels, under a disarmed
+    /// `FaultInjector` running `plan`: a write of the whole dataset is one
+    /// device call, which the device stripes over its four channels.
     fn on_four_lanes(transport: Transport, plan: FaultPlan) -> (Parity, Arc<FaultInjector>) {
         let lanes = Arc::new(ThrottledBackend::with_channels(1e12, 0.0, 4));
         let injector = Arc::new(FaultInjector::new(lanes, plan));
         injector.set_armed(false);
         let p = Parity::over(transport, BreakerConfig::default(), injector.clone(), 512 << 10);
-        assert_eq!(p.device.lanes(), 4);
         (p, injector)
     }
 
@@ -414,10 +413,11 @@ fn lost_update_read_after_write(t: Transport) {
     });
 }
 
-/// On four lanes, a held write keeps the ring's reaper busy while A
+/// On four channels, a held write keeps the ring's reaper busy while A
 /// (`1`s) and then B (`2`s, the same bytes) are queued, so one reaper
-/// pass holds both. Each piece of A takes 20 ms to land, B's none: if
-/// the pass's pieces went to the lanes together, A would land last.
+/// pass holds both. A call holding A takes 20 ms to land, one of B alone
+/// none: if the pass's writes went to the device apart and together, A
+/// would land last.
 fn lanes_the_later_of_two_same_byte_writes_lands(t: Transport) {
     let (p, _) = Parity::on_four_lanes(t, FaultPlan::new(0));
     p.script.slow_ones.store(true, Ordering::SeqCst);
@@ -429,29 +429,29 @@ fn lanes_the_later_of_two_same_byte_writes_lands(t: Transport) {
     assert_eq!(p.contents(), vec![2u8; p.len], "{t:?}: A landed after the later B");
 }
 
-/// [`lost_update`] on four lanes: one of A's four pieces fails once under
-/// a `FaultInjector`; the write's retry lands A whole before B.
-fn lanes_a_transient_piece_fault_is_retried_before_the_next_write(t: Transport) {
-    let plan = FaultPlan::new(0).fail_at(FaultOp::Write, 1, FaultKind::Transient);
+/// [`lost_update`] on four channels: A's write call fails once under a
+/// `FaultInjector`; the write's retry lands A whole before B.
+fn lanes_a_transient_write_fault_is_retried_before_the_next_write(t: Transport) {
+    let plan = FaultPlan::new(0).fail_at(FaultOp::Write, 0, FaultKind::Transient);
     let (p, injector) = Parity::on_four_lanes(t, plan);
     injector.set_armed(true);
     a_retry_lands_before_b(&p, t, |p, _, _| {
         p.vol.wait_all().expect("A is retried, B lands");
         p.contents()
     });
-    assert_eq!(injector.injected(), 1, "one piece failed");
+    assert_eq!(injector.injected(), 1, "one write call failed");
 }
 
-/// On four lanes, one piece of a write fails for good: the write fails,
+/// On four channels, a write's call fails for good: the write fails,
 /// and `wait_all` reports it.
-fn lanes_a_persistent_piece_failure_fails_the_write(t: Transport) {
-    let plan = FaultPlan::new(0).fail_at(FaultOp::Write, 2, FaultKind::Persistent);
+fn lanes_a_persistent_write_failure_fails_the_write(t: Transport) {
+    let plan = FaultPlan::new(0).fail_at(FaultOp::Write, 0, FaultKind::Persistent);
     let (p, injector) = Parity::on_four_lanes(t, plan);
     injector.set_armed(true);
     let _ = p.write(1).expect("issue");
-    let err = p.vol.wait_all().expect_err("the failed piece fails the write").to_string();
+    let err = p.vol.wait_all().expect_err("the failed call fails the write").to_string();
     assert!(err.contains("1 background operation(s) failed"), "{t:?}: {err}");
-    assert_eq!(injector.injected(), 1, "one piece failed");
+    assert_eq!(injector.injected(), 1, "one write call failed");
 }
 
 /// Two failures on a dead device open a `failure_threshold: 2` breaker as
@@ -594,8 +594,8 @@ fn both_transports_settle_a_write_where_it_lands() {
         ("two tenants: A's prefetch is never B's hit", a_prefetch_is_not_another_tenants_hit),
         ("two tenants: B's cold read skips A's held write", a_cold_read_does_not_wait_for_another_tenant),
         ("lanes: the later of two same-byte writes lands", lanes_the_later_of_two_same_byte_writes_lands),
-        ("lanes: a transient piece fault, retried before B", lanes_a_transient_piece_fault_is_retried_before_the_next_write),
-        ("lanes: a failed piece fails the write", lanes_a_persistent_piece_failure_fails_the_write),
+        ("lanes: a transient write fault, retried before B", lanes_a_transient_write_fault_is_retried_before_the_next_write),
+        ("lanes: a failed write call fails the write", lanes_a_persistent_write_failure_fails_the_write),
     ];
     let mut failed = Vec::new();
     for (name, case) in cases {
