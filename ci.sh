@@ -99,10 +99,9 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #   sieve             per-run equivalence, gate, faults, stale bytes, op
 #                     counts; seeded write/flush/read orders with h5lite's
 #                     named locks forwarded into the recorder
-#   flush_lanes       read-back fan-out wall time against a 4- and a
-#                     1-channel throttle; lane threads, the data
-#                     barrier's thread and a verified read's lanes hold
-#                     no named lock
+#   flush_lanes       a flush's read-back and a verified read on the
+#                     calling thread alone, and the data barrier's
+#                     thread, take no named lock off that thread
 #   chaos, properties fault injection and resilience properties, incl.
 #                     the row-plan/run-plan equivalence
 #   consistency       Strong/Session/Commit visibility under explored
@@ -119,40 +118,43 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #   end_to_end        write/read pipelines, a real run fed to the model
 APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants
 
-echo "== h5lite in release (overflow, dataspace, read-back lanes, promise wake-ups) =="
+echo "== h5lite in release (overflow, dataspace, read-back windows, verified reads, promise wake-ups) =="
 # The debug run of all of h5lite is in `--workspace` above: XXH64 known
 # answers, the container written at f78ece6 with FNV sums, the
 # O(extents) record/span counts. These rerun in release because
 # unchecked arithmetic panics in debug and wraps in release, so one
 # profile alone would pass a half fix: the selection-overflow
-# regressions, and the lanes' windows and job shares (`lane` selects the
-# container's read-back and data-barrier tests and `tests/flush_lanes.rs`:
-# four read-back reads in flight and the barrier arriving while lane reads
-# are held, by count; the lanes' wall time and the barrier's overlap with
-# them timed against a `sync` that costs one read-back, compiled only
-# here, in release; the op sequence either side of the
-# floor; and the verified read's lanes, whose piece arithmetic runs
-# unchecked in release: `verified_read_lanes_put_four_pieces_…` (HASH_LANES
-# reads in flight, the single read's bytes), `…_pieces_tile_the_covering_
-# range_…` (the pieces either side of the two-block floor, one read for
-# 128 KiB), `a_flip_in_the_third_lane_piece_…` and
-# `a_failed_or_panicking_verified_read_lane_…` (per-piece failures);
-# and `crates/h5lite/tests/write_lanes.rs` (a 512 KiB ring pass and
-# native `write_slab` on four channels are one write call on the writing
-# thread, by count; a 512 KiB write costs at most 1.2 × a 128 KiB one,
-# timed, compiled only here, in release; a one-lane device's exact
-# calls) — 22 tests in all;
-# `flush_hashes` the windowed long extent; `block` the block sums:
-# the hasher's boundaries, the tag-3 codec and its count check at open,
-# and the covering-block ranges of a verified read, whose offset
-# arithmetic is what a release build would wrap; `kernel` the strided
+# regressions; the read-back's windows (`window`: the container's
+# window stamps, sums and failures, the long extent, calls of at most
+# 1024 segments for 2500 chunks, and
+# `crates/h5lite/tests/flush_lanes.rs`' barrier arriving while a window
+# read is held by count and the read-back's wall time against a 4- and a
+# 1-channel throttle, compiled only here, in release); the data barrier
+# (`barrier`: a failed or panicking barrier, the op sequence either side
+# of the 4 MiB floor, and its overlap with the read-back timed against a
+# `sync` that costs one read-back, compiled only here); the read-back
+# whole (`read_back`: a panicking read-back unwinding with every extent
+# still dirty, scrub's one read-back and its repair, and the
+# windows' wall time again); the read calls
+# by count (`read_call`: sixteen 2 MiB extents flushed in four calls on
+# the flushing thread, a 512 KiB verified read in one on the caller); the
+# verified read (`verified`: its covering ranges in one call, whose
+# offset arithmetic runs unchecked in release, a 512 KiB one spawning no
+# thread, and a failed read serving nothing); `crates/h5lite/tests/write_lanes.rs` (`lane`: a 512 KiB ring
+# pass and native `write_slab` on four channels are one write call on
+# the writing thread, by count; a 512 KiB write costs at most 1.2 × a
+# 128 KiB one, timed, compiled only here, in release; a one-channel
+# device's exact calls); `flush_hashes` the windowed long extent;
+# `block` the block sums: the hasher's boundaries, the tag-3 codec and
+# its count check at open, a flip in any block naming that block, and
+# the covering-block ranges of a verified read; `kernel` the strided
 # copy kernels against their piece-by-piece reference, whose const-width
 # loops compile differently with optimisation on; `promise` the one-shot
 # slot's sleeper count: seeded waiter/fulfil races and two sleeping
 # takers, each under a deadline, since a skipped wake-up hangs and shows
-# more readily at release speed). A filter that
-# matches nothing would pass, so a renamed test would drop out of the
-# release run unseen: each filter must list at least one test.
+# more readily at release speed). A filter that matches nothing would
+# pass, so a renamed test would drop out of the release run unseen: each
+# filter must list at least one test.
 release_rerun() {
     local listed
     listed="$(cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite "$1" -- --list \
@@ -164,7 +166,7 @@ release_rerun() {
     echo "release rerun: '$1' selects $listed test(s)"
     cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite "$1"
 }
-for filter in dataspace overflow lane flush_hashes block kernel promise; do
+for filter in dataspace overflow window barrier read_back read_call verified lane flush_hashes block kernel promise; do
     release_rerun "$filter"
 done
 

@@ -631,10 +631,13 @@ impl AsyncVol {
             sh.stats.record_read(bytes, io_secs, true);
             // Decode here, on the reaper and during the caller's compute,
             // with the datatype the read was planned against: a hit then
-            // hands the caller its elements (DESIGN.md §17). Not device
+            // hands the caller its elements (DESIGN.md §17), and the bytes
+            // go back to the recycler they were read into. Not device
             // time, so after `io_secs`.
             slot.fill(result.and_then(|(dtype, data)| {
-                Elements::decode(dtype, &data).map(ReadPayload::Elements)
+                let elems = Elements::decode(dtype, &data);
+                recycle::give(data);
+                elems.map(ReadPayload::Elements)
             }));
             Ok(()) // a failed read is the slot's, for the read that takes it
         });

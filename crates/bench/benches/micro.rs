@@ -295,16 +295,18 @@ fn paid_sync(inner: Arc<ThrottledBackend>, secs_per_byte: f64) -> CountingBacken
     })
 }
 
-/// The flush's checksum read-back against the device's lanes
+/// The flush's checksum read-back against the device's channels
 /// (DESIGN.md §13, "Bounded flush memory"): sixteen dirty 2 MiB extents
 /// flushed on a throttled `MemBackend` (400 MB/s, 200 µs per call) of 1,
-/// 2 and 4 channels. The container reads back on up to four lanes, so
-/// the read-back term should shrink about 1 : ½ : ¼ and stay flat past
-/// four channels; the serial term is Σ(latency + len / bandwidth). The
-/// `ch4+sync` row gives the data barrier the price of one four-lane
-/// read-back ("The barrier rides a lane") and prints the flush beside
-/// the `ch4` row's plus that barrier: the two one after the other.
-fn flush_hash_lanes() {
+/// 2 and 4 channels. The container reads them back in four 8 MiB
+/// windows, one call each, hashing each beside the next one's read, and
+/// the device stripes a call over its channels, so the read-back term
+/// should shrink about 1 : ½ : ¼; the serial term is one call per
+/// extent on one channel, Σ(latency + len / bandwidth). The `ch4+sync`
+/// row gives the data barrier the price of a four-channel read-back
+/// ("The barrier rides beside the read-back") and prints the flush
+/// beside the `ch4` row's plus that barrier: the two one after the other.
+fn flush_hash_channels() {
     section("flush_hash");
     const EXTENTS: usize = 16;
     const LEN: usize = 2 << 20;
@@ -479,7 +481,7 @@ fn main() {
     trace_overhead();
     strided_copy();
     integrity_overhead();
-    flush_hash_lanes();
+    flush_hash_channels();
 
     ring_depth_sweep();
     ring_epoch();

@@ -57,6 +57,7 @@
 //! buffer (DESIGN.md §9, "Sieved spans"). See [`Container::plan_io`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -85,10 +86,7 @@ use crate::superblock::{self, fnv1a64, Superblock, FNV_BASIS, SUPERBLOCK_AREA};
 #[path = "integrity.rs"]
 mod integrity;
 
-use integrity::{
-    hash_bytes, hash_lanes, serve_verified, HashJob, IntegrityCounters, VerifyExtent,
-    HASH_LANE_MIN_BYTES,
-};
+use integrity::{hash_bytes, serve_verified, HashJob, IntegrityCounters, VerifyExtent};
 pub use integrity::{IntegrityStats, ScrubReport};
 
 /// Identifier of an object (group or dataset) within a container.
@@ -102,6 +100,11 @@ pub const ROOT_ID: ObjectId = 1;
 /// by `npoints / chunk_elems`, and an `u64::MAX`-element dataset cannot
 /// be allocated).
 const CONTIG_EXTENT: u64 = u64::MAX;
+
+/// Dirty bytes from which a flush's data barrier runs beside its
+/// read-back, on a thread of its own ([`Container::flush`]); below them
+/// the barrier follows the metadata append, as one `sync` for both.
+const OVERLAP_BARRIER_BYTES: u64 = 4 << 20;
 
 /// An attribute value: small typed metadata attached to any object.
 #[derive(Clone, PartialEq, Debug)]
@@ -413,29 +416,29 @@ impl Container {
     /// it), serializes the metadata plane, and commits it through the
     /// dual-slot superblock protocol: metadata extent → sync → one slot
     /// → sync. The read-backs of all dirty extents of all datasets form
-    /// one job list, in (dataset, extent) order, shared out over up to
-    /// [`HASH_LANES`](integrity::HASH_LANES) lanes
-    /// ([`Container::hash_extents`]; under 4 MiB of dirty bytes they run
-    /// on the caller, one after another), each lane holding at most one
-    /// [`HASH_WINDOW`](integrity::HASH_WINDOW) buffer. If any read-back
-    /// fails, the flush returns the first error in job order, stamps
-    /// nothing and keeps every extent marked dirty.
+    /// one job list, read on the flushing thread in address order, in
+    /// windows of at most [`HASH_WINDOW`](integrity::HASH_WINDOW) bytes,
+    /// one vectored call per window, each hashed beside the next one's
+    /// read ([`Container::hash_extents`]). If the read-back fails, the
+    /// flush returns its error, stamps nothing and keeps every extent
+    /// marked dirty; so does a flush that panics, on its way to the
+    /// caller.
     ///
     /// The device sees one of two barrier sequences. Under 4 MiB of
-    /// dirty bytes: `reads…, write(metadata), sync, write(slot), sync` —
-    /// the first `sync` makes the data and the metadata extent durable
-    /// together. From 4 MiB up the data gets a barrier of its own, on a
-    /// scoped thread beside the read-back lanes and joined with them:
-    /// `reads… ‖ sync, write(metadata), sync, write(slot), sync`, so the
-    /// flush pays `max(read-back, data sync)` and the second `sync`
-    /// covers the metadata extent alone. The early barrier is sound
-    /// because every data write the flush covers completed before the
-    /// flush was entered (the quiescence required below) and a read-back
-    /// dirties nothing; the order the slot protocol needs — data
-    /// durable → metadata durable → slot durable — is the same in both.
-    /// A barrier that fails or panics fails the flush like a failed
-    /// read-back does (a read-back error, if there is one too, is the
-    /// one reported).
+    /// dirty bytes (`OVERLAP_BARRIER_BYTES`): `reads…, write(metadata),
+    /// sync, write(slot), sync` — the first `sync` makes the data and
+    /// the metadata extent durable together. From there up the data gets
+    /// a barrier of its own, on a scoped thread beside the read-back and
+    /// joined with it: `reads… ‖ sync, write(metadata), sync,
+    /// write(slot), sync`, so the flush pays `max(read-back, data sync)`
+    /// and the second `sync` covers the metadata extent alone. The early
+    /// barrier is sound because every data write the flush covers
+    /// completed before the flush was entered (the quiescence required
+    /// below) and a read-back dirties nothing; the order the slot
+    /// protocol needs — data durable → metadata durable → slot durable —
+    /// is the same in both. A barrier that fails or panics fails the
+    /// flush like a failed read-back does (a read-back error, if there
+    /// is one too, is the one reported).
     ///
     /// Writers whose durability this flush must cover are
     /// expected to be quiesced (a write racing the flush could be hashed
@@ -457,19 +460,15 @@ impl Container {
         if !self.meta_dirty.load(Ordering::Acquire) && dirty_keys.is_empty() {
             return Ok(());
         }
-        let result = self.flush_inner(&dirty_keys);
-        match result {
-            Ok(()) => {
-                self.plane.publish_flushed();
-                Ok(())
-            }
-            Err(e) => {
-                // The extents are still unchecksummed: put the marks
-                // back so a later, successful flush hashes them.
-                self.dirty_extents.lock().extend(dirty_keys);
-                Err(e)
-            }
+        let result = panic::catch_unwind(AssertUnwindSafe(|| self.flush_inner(&dirty_keys)));
+        if let Ok(Ok(())) = result {
+            self.plane.publish_flushed();
+            return Ok(());
         }
+        // The extents are still unchecksummed: put the marks back so a
+        // later, successful flush hashes them.
+        self.dirty_extents.lock().extend(dirty_keys);
+        result.unwrap_or_else(|cause| panic::resume_unwind(cause))
     }
 
     fn flush_inner(&self, dirty_keys: &[(ObjectId, u64)]) -> Result<()> {
@@ -510,23 +509,15 @@ impl Container {
             }
         }
         // Hash first — these are device reads and must not run under
-        // any metadata lock — and fold nothing unless every read-back
+        // any metadata lock — and fold nothing unless the whole read-back
         // succeeded: a failed flush leaves every stored sum as it was.
-        // Where the read-back is worth fanning out, the barrier that
-        // makes the same bytes durable rides beside it: they were all
-        // written before this call, and reading them dirties nothing.
+        // Where the read-back is long enough, the barrier that makes the
+        // same bytes durable rides beside it: they were all written
+        // before this call, and reading them dirties nothing.
         let dirty_bytes = hash_bytes(&jobs);
-        let overlapped = dirty_bytes >= 2 * HASH_LANE_MIN_BYTES;
-        let hash_span = tracer.span_with(
-            "container.flush_hash",
-            Event::FlushHash {
-                jobs: jobs.len() as u64,
-                bytes: dirty_bytes,
-                lanes: hash_lanes(&jobs),
-                overlapped,
-            },
-        );
-        let (sums, barrier) = if overlapped {
+        let overlapped = dirty_bytes >= OVERLAP_BARRIER_BYTES;
+        let mut hash_span = tracer.span("container.flush_hash");
+        let (read_back, barrier) = if overlapped {
             std::thread::scope(|scope| {
                 let barrier = scope.spawn(|| self.backend.sync());
                 let sums = self.hash_extents(&jobs);
@@ -536,8 +527,14 @@ impl Container {
         } else {
             (self.hash_extents(&jobs), Ok(()))
         };
+        hash_span.set_event(Event::FlushHash {
+            jobs: jobs.len() as u64,
+            bytes: dirty_bytes,
+            reads: read_back.as_ref().map_or(0, |&(_, reads)| reads),
+            overlapped,
+        });
         drop(hash_span);
-        let sums = sums.into_iter().collect::<Result<Vec<Checksum>>>()?;
+        let (sums, _) = read_back?;
         barrier?;
         let _commit_span = tracer.span("container.flush_commit");
         // One copy-on-write mutation per dataset.
@@ -1040,10 +1037,10 @@ impl Container {
     /// into `sieve` — spans back to back in window order. Either shape's
     /// tail can lie past the backend's watermark (an allocated extent
     /// nothing has written to the end of yet); the read stops there and
-    /// the rest is the fill value, exactly as [`Container::hash_extent`]
-    /// sees it: a direct read's destination is already zeroed by the
-    /// caller, a span's is zero-filled here. `sieve` is recycled memory:
-    /// on return every byte of it comes from the device or the zero fill.
+    /// the rest is the fill value, exactly as [`Container::hash_extents`]
+    /// sees it, zero-filled here in either shape. `sieve` and the
+    /// destinations are recycled memory: on return every byte of them
+    /// comes from the device or the zero fill.
     fn read_window<'a>(
         &self,
         tracer: &Tracer,
@@ -1054,8 +1051,9 @@ impl Container {
         let watermark = self.backend.len();
         batch.retain_mut(|seg| {
             let readable = watermark.saturating_sub(seg.offset).min(seg.buf.len() as u64);
-            let buf = std::mem::take(&mut seg.buf);
-            seg.buf = &mut buf[..readable as usize];
+            let (device, past) = std::mem::take(&mut seg.buf).split_at_mut(readable as usize);
+            past.fill(0);
+            seg.buf = device;
             readable > 0
         });
         let mut rest = sieve;
@@ -1135,10 +1133,16 @@ impl Container {
     ///
     /// Of each extent that carries a checksum and is clean (unwritten
     /// since the last flush), the blocks the selection reaches are read
-    /// in one call and verified; the selection's segments are then
-    /// served from the verified bytes, so a bit-flip anywhere on the
-    /// returned path surfaces as [`H5Error::Corrupt`] instead of silently
-    /// reaching the caller.
+    /// in one call (one per [`COALESCE_WINDOW`] extents) and verified;
+    /// the selection's segments are then served from the verified
+    /// bytes, so a bit-flip anywhere on the returned path surfaces as
+    /// [`H5Error::Corrupt`] instead of silently reaching the caller.
+    ///
+    /// The bytes come from the buffer recycler ([`recycle::take`]), so
+    /// the `Vec`'s capacity can be up to twice its length (the next
+    /// power of two); a caller done with them can hand them back with
+    /// [`recycle::give`] for the next read to reuse. The same holds for
+    /// [`Container::read_published`] and [`Container::read_snapshot`].
     pub fn read_selection(&self, id: ObjectId, sel: &Selection) -> Result<Vec<u8>> {
         self.read_selection_tagged(id, sel).map(|(_, bytes)| bytes)
     }
@@ -1164,13 +1168,25 @@ impl Container {
     /// batch — one-piece spans straight into the output, sieved spans
     /// whole into a recycled buffer — and gather. Bytes past the
     /// watermark read as the fill value in both shapes.
+    ///
+    /// The output is recycled memory ([`recycle::take`]), whoever
+    /// decodes it gives it back: the bytes between records (never
+    /// allocated chunks) are zeroed here, and every record's bytes are
+    /// written by the read.
     fn read_planned(
         &self,
         plan: &IoPlan,
         touched: &[Touched],
         verify: &[VerifyExtent],
     ) -> Result<Vec<u8>> {
-        let mut out = vec![0u8; plan.total_bytes() as usize];
+        let mut out = recycle::take(plan.total_bytes() as usize);
+        // Records ascend in cursor space (planner invariant 1).
+        let mut filled = 0usize;
+        for r in plan.records() {
+            out[filled..r.cursor as usize].fill(0);
+            filled = (r.cursor + r.len * r.count) as usize;
+        }
+        out[filled..].fill(0);
         let tracer = self.tracer();
         let verified = self.read_verified(plan.records(), verify)?;
         let unserved;

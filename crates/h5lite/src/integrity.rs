@@ -4,9 +4,9 @@
 //! Every data extent (a contiguous dataset's extent, or one chunk) can
 //! carry a checksum in the metadata ([`crate::checksum`]), refreshed at
 //! flush time for extents written since the previous flush: one XXH64
-//! per [`SUM_BLOCK`] of the extent, or — in files written before block
-//! sums — one sum over the whole extent, which is the same thing with
-//! one block. A planned read of clean checksummed extents
+//! per [`SUM_BLOCK`](crate::checksum::SUM_BLOCK) of the extent, or — in
+//! files written before block sums — one sum over the whole extent,
+//! which is the same thing with one block. A planned read of clean checksummed extents
 //! ([`Container::read_verified`]) fetches, per extent, the block-aligned
 //! range its records reach into one buffer, verifies every block of it
 //! and serves the records from it, failing with [`H5Error::Corrupt`] on
@@ -16,52 +16,34 @@
 //! [`Container::scrub_with`] read-repairs corrupt extents from a
 //! durable copy (e.g. the staging WAL).
 //!
-//! All three read on lanes ([`on_lanes`], up to [`HASH_LANES`] scoped
-//! threads taking jobs off one lock-free queue), which also spread the
-//! hashing; a read books one device channel, so its lanes are what keep
-//! several in flight. A
-//! flush's read-back and a scrub's detection pass share one job list of
-//! whole extents, hashed in windows whose edges are block edges; the
-//! hasher closes a sum at every block boundary. A verified read's jobs
-//! are pieces of its covering ranges: each range is cut at block edges
-//! into at most [`HASH_LANES`] pieces of at least
-//! [`PIECE_BLOCKS`] blocks, each read and checked into its own
-//! slice of the range's buffer.
+//! All three read on the calling thread, one vectored call at a time:
+//! a device of several channels stripes a call over them itself
+//! ([`ThrottledBackend`](crate::storage::ThrottledBackend)), so no read
+//! is fanned out to reach its aggregate rate. A flush's read-back and a
+//! scrub's detection pass share one job list of whole extents, read in
+//! address order in windows of at most [`HASH_WINDOW`] bytes and
+//! [`COALESCE_WINDOW`] extents, one call per window, each window hashed
+//! on a scoped thread while the caller reads the next; the hasher
+//! closes a sum at every block boundary, wherever a window ends. A
+//! verified read fetches the covering ranges of all its extents in one
+//! call (one per [`COALESCE_WINDOW`] ranges, as a write is cut) and
+//! checks them block by block.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::{Container, ObjectId, CONTIG_EXTENT};
-use crate::checksum::{Algorithm, Checksum, Hasher, SUM_BLOCK};
+use crate::checksum::{Algorithm, Checksum, Hasher};
 use crate::error::{H5Error, Result};
 use crate::layout::Layout;
 use crate::meta::extent_bytes;
-use crate::plan::IoRecord;
+use crate::plan::{IoRecord, COALESCE_WINDOW};
 use crate::recycle;
-use crate::storage::{on_lanes, PIECE_BLOCKS};
+use crate::storage::{read_windowed, IoVecMut};
 
-/// Lanes of every integrity read — a flush's read-back, a scrub's
-/// detection pass ([`Container::hash_extents`]) and a verified read
-/// ([`Container::read_verified`]): the service lanes one client gets
-/// from a PFS or an NVMe namespace
-/// ([`ThrottledBackend::DEFAULT_CHANNELS`](crate::storage::ThrottledBackend::DEFAULT_CHANNELS),
-/// and the knee of the ring's depth-scaling curve). A constant of the
-/// container, not the device's [`lanes`](crate::storage::StorageBackend::lanes):
-/// hashing and preads run in parallel from the page cache whatever the
-/// device serves, where a write's lanes are the device's own count. A
-/// verified read's covering range of fewer than two pieces' worth
-/// ([`PIECE_BLOCKS`]: under 256 KiB of block sums, or any whole-extent
-/// sum, which is one block) is read as one piece.
-pub(super) const HASH_LANES: usize = 4;
-/// Dirty bytes a lane must be worth: below two lanes' worth (4 MiB) the
-/// read-back runs inline on the caller.
-pub(super) const HASH_LANE_MIN_BYTES: u64 = 2 << 20;
-/// The longest read a hash issues, and the buffer a lane holds while it
-/// does: read-back memory is at most `HASH_LANES × HASH_WINDOW`, 32 MiB.
+/// The most bytes one read-back call moves: a read-back holds two such
+/// buffers, the one being read and the one being hashed.
 pub(super) const HASH_WINDOW: usize = 8 << 20;
-// Windows end on block boundaries: a read-back's reads and the sums'
-// blocks share their edges, whatever the extent.
-const _: () = assert!((HASH_WINDOW as u64).is_multiple_of(SUM_BLOCK));
 
 /// One extent for [`Container::hash_extents`] to read back and hash.
 pub(super) struct HashJob {
@@ -70,15 +52,46 @@ pub(super) struct HashJob {
     pub algorithm: Algorithm,
 }
 
-/// Bytes a read-back of `jobs` moves.
+/// Bytes a read-back of `jobs` hashes.
 pub(super) fn hash_bytes(jobs: &[HashJob]) -> u64 {
     jobs.iter().fold(0u64, |sum, job| sum.saturating_add(job.len))
 }
 
-/// Threads [`Container::hash_extents`] shares `jobs` over, the caller
-/// included.
-pub(super) fn hash_lanes(jobs: &[HashJob]) -> u64 {
-    (hash_bytes(jobs) / HASH_LANE_MIN_BYTES).clamp(1, HASH_LANES.min(jobs.len()).max(1) as u64)
+/// One piece of a read-back window: a job's index, the device address
+/// of its next bytes, and how many of them the window holds.
+type Piece = (usize, u64, usize);
+
+/// The read-back of `jobs` on a device whose high-water mark is
+/// `watermark`: each job's bytes below it, which are read (the rest
+/// hashes as zeros), and the windows they are read in — in address
+/// order, each at most [`HASH_WINDOW`] bytes of pieces end to end and
+/// at most [`COALESCE_WINDOW`] pieces, so that a window is one call.
+fn read_back_windows(jobs: &[HashJob], watermark: u64) -> (Vec<u64>, Vec<Vec<Piece>>) {
+    let readable: Vec<u64> = jobs
+        .iter()
+        .map(|job| job.addr.saturating_add(job.len).min(watermark).saturating_sub(job.addr))
+        .collect();
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_unstable_by_key(|&i| jobs[i].addr);
+    let (mut windows, mut window) = (Vec::new(), Vec::new());
+    let mut held = 0usize;
+    for i in order {
+        let mut done = 0u64;
+        while done < readable[i] {
+            let take = (readable[i] - done).min((HASH_WINDOW - held) as u64) as usize;
+            window.push((i, jobs[i].addr.saturating_add(done), take));
+            held += take;
+            done += take as u64;
+            if held == HASH_WINDOW || window.len() == COALESCE_WINDOW {
+                windows.push(std::mem::take(&mut window));
+                held = 0;
+            }
+        }
+    }
+    if !window.is_empty() {
+        windows.push(window);
+    }
+    (readable, windows)
 }
 
 #[derive(Default)]
@@ -138,73 +151,86 @@ pub(super) struct VerifyExtent {
 }
 
 impl Container {
-    /// Hash every job's extent and return the sums in job order, over
-    /// `min(HASH_LANES, jobs, bytes / 2 MiB)` lanes ([`on_lanes`]), so a
-    /// device with several service lanes serves several read-backs at
-    /// once. With one lane or none (under 4 MiB in total, or a single
-    /// extent however long) the jobs run on the caller alone, in job
-    /// order. One job's `Err` stops no other job; a lane that panicked
-    /// leaves its jobs an [`H5Error::Storage`].
-    pub(super) fn hash_extents(&self, jobs: &[HashJob]) -> Vec<Result<Checksum>> {
-        on_lanes(hash_lanes(jobs) as usize, jobs.iter(), |job| {
-            self.hash_extent(job.addr, job.len, job.algorithm)
-        })
-        .into_iter()
-        .map(|sum| {
-            sum.unwrap_or_else(|| {
-                Err(H5Error::Storage("a checksum read-back lane panicked".into()))
+    /// Hash every job's extent and return the sums in job order, with
+    /// the number of read calls made. The extents are read on the caller
+    /// in address order, in windows of at most [`HASH_WINDOW`] bytes and
+    /// [`COALESCE_WINDOW`] extent pieces, one vectored call per window: a
+    /// window holds the next bytes of as many extents as fit, so one
+    /// extent longer than a window spans several and sixteen of 2 MiB
+    /// take four. While the caller reads a window, the one before it is
+    /// hashed on a scoped thread beside it, so the hashing hides under
+    /// the device's time; the two alternate between two pooled buffers.
+    /// Bytes past the backend's high-water mark hash as zeros without
+    /// being read or held: an allocated-but-unwritten tail reads back as
+    /// zeros once later appends raise the watermark, so the checksum
+    /// stays stable either way. The first window whose read fails fails
+    /// the whole read-back.
+    pub(super) fn hash_extents(&self, jobs: &[HashJob]) -> Result<(Vec<Checksum>, u64)> {
+        if jobs.iter().any(|job| job.addr.checked_add(job.len).is_none()) {
+            return Err(H5Error::Storage("extent end overflows the device address space".into()));
+        }
+        let (readable, windows) = read_back_windows(jobs, self.backend.len());
+        let size = windows
+            .iter()
+            .map(|w| w.iter().map(|&(.., len)| len).sum())
+            .max()
+            .unwrap_or(0);
+        let second = if windows.len() > 1 { size } else { 0 };
+        let mut bufs = [recycle::lease(size), recycle::lease(second)];
+        let mut hashers: Vec<Hasher> = jobs.iter().map(|job| Hasher::new(job.algorithm)).collect();
+        for (k, window) in windows.iter().enumerate() {
+            let [even, odd] = &mut bufs;
+            let (fill, full) = if k % 2 == 0 { (even, odd) } else { (odd, even) };
+            let hashers = &mut hashers;
+            std::thread::scope(|scope| {
+                if let Some(before) = k.checked_sub(1).map(|k| &windows[k]) {
+                    scope.spawn(move || hash_window(full, before, hashers));
+                }
+                self.read_back_window(fill, window)
+            })?;
+        }
+        if let Some(last) = windows.last() {
+            hash_window(&bufs[(windows.len() - 1) % 2], last, &mut hashers);
+        }
+        let sums = hashers
+            .into_iter()
+            .zip(jobs.iter().zip(readable))
+            .map(|(mut hasher, (job, read))| {
+                hasher.update_zeros(job.len - read);
+                hasher.finish()
             })
-        })
-        .collect()
+            .collect();
+        Ok((sums, windows.len() as u64))
     }
 
-    /// Hash `len` bytes at `addr` under `algorithm`, reading them back
-    /// in windows of [`HASH_WINDOW`]: one pooled buffer whatever the
-    /// extent's size, and one read for any extent up to 8 MiB. An extent
-    /// is never split across lanes — one extent, however long, is read
-    /// window after window by whoever took its job. Bytes past the
-    /// backend's high-water mark hash as zeros without being held
-    /// anywhere: an allocated-but-unwritten tail reads back as zeros
-    /// once later appends raise the watermark, so the checksum stays
-    /// stable either way.
-    fn hash_extent(&self, addr: u64, len: u64, algorithm: Algorithm) -> Result<Checksum> {
-        let end = addr.checked_add(len).ok_or_else(|| {
-            H5Error::Storage("extent end overflows the device address space".into())
-        })?;
-        let readable = end.min(self.backend.len()).saturating_sub(addr);
-        let mut hasher = Hasher::new(algorithm);
-        let mut buf = recycle::lease(readable.min(HASH_WINDOW as u64) as usize);
-        let mut done = 0u64;
-        while done < readable {
-            let window = &mut buf[..(readable - done).min(HASH_WINDOW as u64) as usize];
-            self.backend
-                .read_at(addr.saturating_add(done), window)?; // xtask: allow(planned-io) integrity hash read
-            hasher.update(window);
-            done += window.len() as u64;
+    /// Read one window's pieces into `buf`, end to end, in one vectored
+    /// call.
+    fn read_back_window(&self, buf: &mut [u8], window: &[Piece]) -> Result<()> {
+        let mut rest: &mut [u8] = buf;
+        let mut batch = Vec::with_capacity(window.len());
+        for &(_, offset, len) in window {
+            let (seg, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            batch.push(IoVecMut { offset, buf: seg });
+            rest = tail;
         }
-        hasher.update_zeros(len - readable);
-        Ok(hasher.finish())
+        self.backend.read_vectored_at(&mut batch)
     }
 
     /// Fetch and verify the blocks of each extent of `verify` that
     /// `records` reach: per extent, the block-aligned range from the
     /// block holding the first byte its records reach to the block
-    /// holding the last, fetched into one buffer, and every block of it
-    /// checked against its stored sum. A whole-extent sum is one block,
-    /// so its range is the whole extent. Each range is cut at block
-    /// edges into at most [`HASH_LANES`] pieces of at least
-    /// [`PIECE_BLOCKS`] blocks, and the pieces of all ranges are
-    /// shared out over `min(HASH_LANES, pieces, bytes / 128 KiB)` lanes
-    /// ([`on_lanes`]), each piece one read into its own slice of its
-    /// range's buffer, then checked there. Returns the ranges as
-    /// `(address, bytes)`, ascending by address, for [`serve_verified`];
-    /// an extent no record reaches is not read.
+    /// holding the last, each range in a buffer of its own and all of
+    /// them in one vectored call on the caller (one per
+    /// [`COALESCE_WINDOW`] ranges), then every block of
+    /// every range checked against its stored sum. A whole-extent sum is
+    /// one block, so its range is the whole extent. Returns the ranges
+    /// as `(address, bytes)`, ascending by address, for
+    /// [`serve_verified`]; an extent no record reaches is not read.
     ///
-    /// Every piece runs; the read then fails, serving nothing, if any
-    /// piece did, with the first failure in address order: the piece's
-    /// read error, [`H5Error::Storage`] for a lane that panicked, or
-    /// [`H5Error::Corrupt`] naming the mismatching piece's bytes in its
-    /// extent, which counts one checksum failure for the read.
+    /// A failed read fails the whole read, serving nothing, with the
+    /// device's error. So does a mismatch, with [`H5Error::Corrupt`]
+    /// naming the first mismatching block's bytes in its extent (in
+    /// address order), which counts one checksum failure for the read.
     pub(super) fn read_verified(
         &self,
         records: &[IoRecord],
@@ -237,58 +263,35 @@ impl Container {
             let end = ((hi - v.addr).div_ceil(block) * block).min(v.len);
             ranges.push((v, start, recycle::lease((end - start) as usize)));
         }
-        // Piece `k` of `n` of a range of `blocks` blocks holds blocks
-        // `k·blocks/n .. (k+1)·blocks/n` of it: at least
-        // PIECE_BLOCKS each, the range's short last block in the
-        // last piece.
-        let mut pieces: Vec<Piece<'_>> = Vec::new();
-        let mut bytes = 0u64;
-        for (v, start, buf) in &mut ranges {
-            let block = v.sum.algorithm.block(v.len);
-            bytes += buf.len() as u64;
-            let blocks = (buf.len() as u64).div_ceil(block);
-            let n = (blocks / PIECE_BLOCKS).clamp(1, HASH_LANES as u64);
-            let mut rest: &mut [u8] = buf;
-            let mut taken = 0u64;
-            for k in 1..=n {
-                let upto = k * blocks / n;
-                let len = ((upto - taken) * block).min(rest.len() as u64) as usize;
-                let (buf, tail) = std::mem::take(&mut rest).split_at_mut(len);
-                let first = *start / block + taken;
-                pieces.push(Piece { extent: v, first, at: first * block, buf });
-                rest = tail;
-                taken = upto;
-            }
+        if ranges.is_empty() {
+            return Ok(Vec::new());
         }
-        let lanes = (bytes / (PIECE_BLOCKS * SUM_BLOCK))
-            .clamp(1, HASH_LANES.min(pieces.len()).max(1) as u64);
-        let checked = on_lanes(lanes as usize, pieces.into_iter(), |p| {
-            let v = p.extent;
-            self.backend
-                .read_at(v.addr.saturating_add(p.at), p.buf)?; // xtask: allow(planned-io) integrity verification read
-            if v.sum.verify(v.len, p.first as usize, p.buf) {
-                return Ok(());
-            }
-            Err(H5Error::Corrupt(format!(
+        let mut batch: Vec<IoVecMut<'_>> = ranges
+            .iter_mut()
+            .map(|(v, start, buf)| IoVecMut { offset: v.addr.saturating_add(*start), buf })
+            .collect();
+        read_windowed(self.backend.as_ref(), &mut batch)?;
+        for (v, start, buf) in &ranges {
+            let block = v.sum.algorithm.block(v.len);
+            let first = (start / block) as usize;
+            let Some(k) = buf
+                .chunks(block as usize)
+                .zip(first..)
+                .position(|(bytes, i)| !v.sum.verify(v.len, i, bytes))
+            else {
+                continue;
+            };
+            self.integrity
+                .checksum_failures
+                .fetch_add(1, Ordering::Relaxed);
+            let at = start + k as u64 * block;
+            return Err(H5Error::Corrupt(format!(
                 "extent at {} ({} bytes) fails its checksum in bytes {}..{}",
                 v.addr,
                 v.len,
-                p.at,
-                p.at + p.buf.len() as u64
-            )))
-        });
-        for outcome in checked {
-            let err = match outcome {
-                Some(Ok(())) => continue,
-                Some(Err(e)) => e,
-                None => H5Error::Storage("a verified-read lane panicked".into()),
-            };
-            if matches!(err, H5Error::Corrupt(_)) {
-                self.integrity
-                    .checksum_failures
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            return Err(err);
+                at,
+                (at + block).min(v.len)
+            )));
         }
         self.integrity
             .verified_extents
@@ -345,8 +348,8 @@ impl Container {
     /// datasets to be write-quiesced, like [`Container::flush`].
     ///
     /// Detection comes first and whole: every clean extent is re-hashed
-    /// over the same lanes a flush uses ([`Container::hash_extents`]),
-    /// and a failed read fails the scrub before anything is repaired.
+    /// in the windows a flush uses ([`Container::hash_extents`]), and a
+    /// failed read fails the scrub before anything is repaired.
     /// Repair and the re-hash after it then run one extent at a time in
     /// snapshot order, one replay per dataset. A replay re-marks the
     /// dataset's other extents dirty; the next flush re-stamps them.
@@ -379,7 +382,7 @@ impl Container {
         extents.retain(|&(id, key, ..)| !dirty.contains(&(id, key)));
         report.skipped_dirty = (before - extents.len()) as u64;
         report.checked = extents.len() as u64;
-        // Detection: every clean extent, over the read-back lanes.
+        // Detection: every clean extent, in one read-back.
         let jobs: Vec<HashJob> = extents
             .iter()
             .map(|&(_, _, addr, len, ref sum)| HashJob {
@@ -388,10 +391,7 @@ impl Container {
                 algorithm: sum.algorithm,
             })
             .collect();
-        let found = self
-            .hash_extents(&jobs)
-            .into_iter()
-            .collect::<Result<Vec<Checksum>>>()?;
+        let (found, _) = self.hash_extents(&jobs)?;
         // Repair replays a whole dataset at a time; remember the answer
         // so N corrupt chunks of one dataset replay once.
         let mut repair_ran: BTreeMap<ObjectId, bool> = BTreeMap::new();
@@ -409,7 +409,8 @@ impl Container {
                     ran
                 }
             };
-            if had_copy && self.hash_extent(addr, len, sum.algorithm)? == sum {
+            let job = HashJob { addr, len, algorithm: sum.algorithm };
+            if had_copy && self.hash_extents(&[job])?.0.pop().as_ref() == Some(&sum) {
                 report.repaired += 1;
                 self.integrity.scrub_repaired.fetch_add(1, Ordering::Relaxed);
                 self.dirty_extents.lock().remove(&(id, key));
@@ -421,14 +422,15 @@ impl Container {
     }
 }
 
-/// One piece of a verified read's covering range: blocks `first…` of
-/// `extent`, `at` bytes into it, read into `buf`, which is one slice of
-/// the range's buffer.
-struct Piece<'a> {
-    extent: &'a VerifyExtent,
-    first: u64,
-    at: u64,
-    buf: &'a mut [u8],
+/// Feed each of a window's pieces, laid end to end in `buf`, to its
+/// job's hasher.
+fn hash_window(buf: &[u8], window: &[Piece], hashers: &mut [Hasher]) {
+    let mut rest = buf;
+    for &(job, _, len) in window {
+        let (bytes, tail) = rest.split_at(len);
+        hashers[job].update(bytes);
+        rest = tail;
+    }
 }
 
 /// The index of the item of `items` — ascending, disjoint `(address,
@@ -488,12 +490,15 @@ pub(super) fn serve_verified(
 mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Arc;
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     use super::*;
     use crate::container::tests::stored_sums;
     use crate::container::ROOT_ID;
     use crate::dataspace::{Dataspace, Hyperslab, Selection};
     use crate::datatype::Datatype;
+    use crate::checksum::SUM_BLOCK;
     use crate::storage::{Call, CountingBackend, MemBackend, StorageBackend};
     use crate::sync::Mutex;
 
@@ -525,14 +530,15 @@ mod tests {
         assert_eq!(c.integrity_stats().verified_extents, 1);
     }
 
-    // ----- read-back lanes -------------------------------------------
+    // ----- read-back windows -----------------------------------------
 
     const MIB: usize = 1 << 20;
 
     /// What the read-back asks of the device beyond the counts: the
-    /// longest scalar read. A scalar read at an address in `bad` fails,
-    /// naming the address; the next `sync` fails (`TRAP_FAIL`) or panics
-    /// (`TRAP_PANIC`) as `trap` says, once, then behaves.
+    /// longest read call, in bytes. A read call with a segment at an
+    /// address in `bad` fails, naming the first such address; the next
+    /// `sync` fails (`TRAP_FAIL`) or panics (`TRAP_PANIC`) as `trap`
+    /// says, once, then behaves.
     #[derive(Default)]
     struct Gauge {
         longest: AtomicUsize,
@@ -547,12 +553,14 @@ mod tests {
         let gauge = Arc::new(Gauge::default());
         let g = gauge.clone();
         let backend = CountingBackend::new(inner).with_hook(move |call| match call {
-            Call::Read { segments: [seg], vectored: false } => {
-                g.longest.fetch_max(seg.buf.len(), Ordering::SeqCst);
-                if g.bad.lock().contains(&seg.offset) {
-                    return Err(H5Error::Storage(format!("bad sector at {}", seg.offset)));
+            Call::Read { segments, .. } => {
+                let bytes = segments.iter().map(|seg| seg.buf.len()).sum();
+                g.longest.fetch_max(bytes, Ordering::SeqCst);
+                let bad = g.bad.lock();
+                match segments.iter().find(|seg| bad.contains(&seg.offset)) {
+                    Some(seg) => Err(H5Error::Storage(format!("bad sector at {}", seg.offset))),
+                    None => Ok(()),
                 }
-                Ok(())
             }
             Call::Sync => match g.trap.swap(0, Ordering::SeqCst) {
                 TRAP_FAIL => Err(H5Error::Storage("barrier refused".into())),
@@ -564,12 +572,12 @@ mod tests {
         (Arc::new(backend), gauge)
     }
 
-    fn lane_bytes(salt: usize, len: usize) -> Vec<u8> {
+    fn salted(salt: usize, len: usize) -> Vec<u8> {
         (0..len).map(|i| (i ^ (i >> 11) ^ (salt * 0x9E)) as u8).collect()
     }
 
     /// Create (first call) and overwrite `n` contiguous byte datasets of
-    /// `len` bytes, dataset `i` holding `lane_bytes(salt + i, len)`.
+    /// `len` bytes, dataset `i` holding `salted(salt + i, len)`.
     fn dirty_contiguous(c: &Container, n: usize, len: usize, salt: usize) -> Vec<ObjectId> {
         (0..n)
             .map(|i| {
@@ -579,7 +587,7 @@ mod tests {
                     c.create_dataset(ROOT_ID, &name, Datatype::U8, &space, Layout::Contiguous)
                         .unwrap()
                 });
-                c.write_selection(ds, &Selection::All, &lane_bytes(salt + i, len)).unwrap();
+                c.write_selection(ds, &Selection::All, &salted(salt + i, len)).unwrap();
                 ds
             })
             .collect()
@@ -591,10 +599,11 @@ mod tests {
     }
 
     #[test]
-    fn lane_stamps_are_the_hash_of_the_bytes_read_back_within_the_bounds() {
-        // Sixteen dirty 2 MiB extents and eight dirty 1 MiB chunks on a
-        // four-lane device at 400 MB/s and 0.2 ms a call, so the lanes
-        // do overlap (`tests/flush_lanes.rs` holds the wall time).
+    fn window_stamps_are_the_hash_of_the_bytes_read_back_within_the_bounds() {
+        // Sixteen dirty 2 MiB extents and eight dirty 1 MiB chunks, 40
+        // MiB, on a four-channel device at 400 MB/s and 0.2 ms a call:
+        // five windows of at most 8 MiB, one call each, one at a time
+        // (`tests/flush_lanes.rs` holds the wall time).
         use crate::storage::ThrottledBackend;
         let device = Arc::new(ThrottledBackend::with_channels(1e12, 2e-4, 4));
         let (backend, gauge) = gauged(device.clone());
@@ -603,22 +612,26 @@ mod tests {
         let space = Dataspace::d1(8 * MIB as u64);
         let layout = Layout::Chunked1D { chunk_elems: MIB as u64 };
         let chunked = c.create_dataset(ROOT_ID, "chunked", Datatype::U8, &space, layout).unwrap();
-        c.write_selection(chunked, &Selection::All, &lane_bytes(99, 8 * MIB)).unwrap();
+        c.write_selection(chunked, &Selection::All, &salted(99, 8 * MIB)).unwrap();
         device.set_bandwidth(400e6);
+        let before = backend.counts();
         c.flush().unwrap();
+        let moved = backend.counts() - before;
         device.set_bandwidth(1e12);
 
         // The bounds on read-back memory and on device concurrency, as
         // the device saw them.
-        assert!(gauge.longest.load(Ordering::SeqCst) <= HASH_WINDOW);
-        assert!(backend.counts().most_reads_in_flight <= HASH_LANES as u64);
+        assert_eq!(gauge.longest.load(Ordering::SeqCst), HASH_WINDOW);
+        assert_eq!((moved.reads, moved.read_batches), (0, 5), "{moved:?}");
+        assert_eq!(moved.most_reads_in_flight, 1, "{moved:?}");
+        assert_eq!(moved.bytes_read, 40 * MIB as u64, "{moved:?}");
         for (i, &ds) in contiguous.iter().enumerate() {
             let bytes = c.read_selection(ds, &Selection::All).unwrap();
-            assert_eq!(bytes, lane_bytes(i, 2 * MIB));
+            assert_eq!(bytes, salted(i, 2 * MIB));
             assert_eq!(stored_sums(&c, ds), (stamp(&bytes), vec![]), "dataset {i}");
         }
         let bytes = c.read_selection(chunked, &Selection::All).unwrap();
-        assert_eq!(bytes, lane_bytes(99, 8 * MIB));
+        assert_eq!(bytes, salted(99, 8 * MIB));
         let want = bytes.chunks(MIB).enumerate().map(|(i, b)| (i as u64, stamp(b))).collect();
         assert_eq!(stored_sums(&c, chunked), (None, want));
         let report = c.scrub().unwrap();
@@ -626,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_lane_read_fails_the_flush_and_stamps_nothing_until_a_retry_reads_everything() {
+    fn a_failed_window_read_fails_the_flush_and_stamps_nothing_until_a_retry_reads_everything() {
         use crate::storage::{FaultInjector, FaultKind, FaultOp, FaultPlan};
         let plan = FaultPlan::new(21)
             .fail_after(FaultOp::Read, 5, FaultKind::Persistent)
@@ -638,8 +651,8 @@ mod tests {
         c.flush().unwrap();
         let old: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
 
-        // All eight dirty again with new bytes; the sixth read-back any
-        // lane issues fails.
+        // All eight dirty again with new bytes; the sixth extent's
+        // segment, in the second window, fails.
         dirty_contiguous(&c, 8, 2 * MIB, 100);
         inj.set_armed(true);
         let err = c.flush().unwrap_err();
@@ -657,14 +670,14 @@ mod tests {
         assert!(c.dirty_extents.lock().is_empty());
         for (i, &ds) in ids.iter().enumerate() {
             let bytes = c.read_selection(ds, &Selection::All).unwrap();
-            assert_eq!(bytes, lane_bytes(100 + i, 2 * MIB));
+            assert_eq!(bytes, salted(100 + i, 2 * MIB));
             assert_eq!(stored_sums(&c, ds), (stamp(&bytes), vec![]));
         }
         assert_eq!(c.integrity_stats().checksum_failures, 0);
     }
 
     #[test]
-    fn of_two_failed_lane_reads_the_flush_reports_the_first_in_job_order() {
+    fn of_two_failed_window_reads_the_flush_reports_the_first_in_address_order() {
         let (backend, gauge) = gauged(Arc::new(MemBackend::new()));
         let c = Container::create(backend);
         let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
@@ -681,32 +694,23 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_lane_is_a_storage_error_not_a_panic_or_a_hang() {
-        // Armed, every read from a thread other than this one panics, and
-        // this thread's own first read waits until one has.
-        let owner = std::thread::current().id();
-        let others = Arc::new(AtomicUsize::new(0));
+    fn a_panicking_read_back_unwinds_to_the_caller_and_keeps_every_extent_dirty() {
+        // Armed, every read panics: on the flushing thread, the one that
+        // reads, so the panic reaches the caller of `flush` — with every
+        // mark put back and no sum folded.
         let armed = Arc::new(AtomicBool::new(false));
-        let (seen, on) = (others.clone(), armed.clone());
+        let on = armed.clone();
         let backend = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
             if matches!(call, Call::Read { .. }) && on.load(Ordering::SeqCst) {
-                if std::thread::current().id() != owner {
-                    seen.fetch_add(1, Ordering::SeqCst);
-                    panic!("read-back lane panics (expected by the test)");
-                }
-                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-                while seen.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
+                panic!("read-back panics (expected by the test)");
             }
             Ok(())
         });
         let c = Container::create(Arc::new(backend));
         let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
         armed.store(true, Ordering::SeqCst);
-        let err = c.flush().unwrap_err();
-        assert!(matches!(err, H5Error::Storage(ref m) if m.contains("lane panicked")), "{err:?}");
-        assert!(others.load(Ordering::SeqCst) >= 1);
+        let flushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.flush()));
+        assert!(flushed.is_err(), "the panic unwound out of the flush");
         assert_eq!(c.dirty_extents.lock().len(), 8);
         assert!(ids.iter().all(|&ds| stored_sums(&c, ds) == (None, vec![])));
         armed.store(false, Ordering::SeqCst);
@@ -715,7 +719,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_or_panicked_lane_barrier_is_a_clean_failed_flush() {
+    fn a_failed_or_panicked_data_barrier_is_a_clean_failed_flush() {
         for (trap, want) in [(TRAP_FAIL, "barrier refused"), (TRAP_PANIC, "data barrier panicked")] {
             let (backend, gauge) = gauged(Arc::new(MemBackend::new()));
             let c = Container::create(backend);
@@ -745,14 +749,14 @@ mod tests {
             assert_eq!(c.alloc.lock().generation, generation + 1);
             for (i, &ds) in ids.iter().enumerate() {
                 let bytes = c.read_selection(ds, &Selection::All).unwrap();
-                assert_eq!(bytes, lane_bytes(100 + i, 2 * MIB));
+                assert_eq!(bytes, salted(100 + i, 2 * MIB));
                 assert_eq!(stored_sums(&c, ds), (stamp(&bytes), vec![]));
             }
         }
     }
 
     #[test]
-    fn a_failed_lane_read_is_reported_ahead_of_a_failed_barrier() {
+    fn a_failed_read_back_is_reported_ahead_of_a_failed_barrier() {
         let (backend, gauge) = gauged(Arc::new(MemBackend::new()));
         let c = Container::create(backend);
         let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
@@ -775,13 +779,13 @@ mod tests {
     }
 
     #[test]
-    fn lane_sums_equal_the_direct_hash_over_seeded_dataset_mixes() {
+    fn window_sums_equal_the_direct_hash_over_seeded_dataset_mixes() {
         use crate::storage::Lcg;
         // Each salt: one to six datasets of 0…6 MiB, contiguous or in
         // chunks of 64 KiB…1 MiB, each written from its start to a
         // seeded point — so the last extent allocated straddles the
-        // watermark — then one flush. Some mixes stay under the 4 MiB
-        // floor and run inline, the rest fan out.
+        // watermark — then one flush. Some mixes fit one window, the
+        // rest span several, with window edges inside blocks.
         for salt in 0..16u64 {
             let mut rng = Lcg::new(0x1A7E5 ^ salt);
             let c = Container::create_mem();
@@ -798,7 +802,7 @@ mod tests {
                 };
                 let space = Dataspace::d1(len as u64);
                 let ds = c.create_dataset(ROOT_ID, &format!("d{d}"), Datatype::U8, &space, layout).unwrap();
-                let mut data = lane_bytes(salt as usize + d as usize, written);
+                let mut data = salted(salt as usize + d as usize, written);
                 let head = if len == 0 {
                     Selection::All
                 } else {
@@ -825,13 +829,13 @@ mod tests {
     }
 
     #[test]
-    fn scrub_detects_on_the_lanes_and_repairs_one_dataset_once() {
+    fn scrub_detects_in_one_read_back_and_repairs_one_dataset_once() {
         let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
         let c = Container::create(backend.clone());
         let space = Dataspace::d1(8 * MIB as u64);
         let layout = Layout::Chunked1D { chunk_elems: MIB as u64 };
         let ds = c.create_dataset(ROOT_ID, "x", Datatype::U8, &space, layout).unwrap();
-        let data = lane_bytes(7, 8 * MIB);
+        let data = salted(7, 8 * MIB);
         c.write_selection(ds, &Selection::All, &data).unwrap();
         c.flush().unwrap();
 
@@ -919,7 +923,7 @@ mod tests {
         let c = Container::create(inj.clone());
         let space = Dataspace::d1(4 * BLOCK as u64);
         let ds = c.create_dataset(ROOT_ID, "x", Datatype::U8, &space, Layout::Contiguous).unwrap();
-        let data = lane_bytes(3, 4 * BLOCK);
+        let data = salted(3, 4 * BLOCK);
         c.write_selection(ds, &Selection::All, &data).unwrap();
         c.flush().unwrap();
 
@@ -947,7 +951,7 @@ mod tests {
         let c = Container::create(backend.clone());
         let space = Dataspace::d1(4 * BLOCK as u64);
         let ds = c.create_dataset(ROOT_ID, "x", Datatype::U8, &space, Layout::Contiguous).unwrap();
-        let data = lane_bytes(5, 4 * BLOCK);
+        let data = salted(5, 4 * BLOCK);
         c.write_selection(ds, &Selection::All, &data).unwrap();
         c.flush().unwrap();
         let at = c.plane.working(ds).unwrap().data_addr + 3 * BLOCK as u64 + 17;
@@ -972,10 +976,10 @@ mod tests {
         assert_eq!(c.read_selection(ds, &tail).unwrap(), data[2 * BLOCK..]);
     }
 
-    // ----- verified-read lanes -------------------------------------------
+    // ----- a verified read is one call ----------------------------------
 
     /// A byte-typed contiguous dataset of `len` bytes holding
-    /// `lane_bytes(salt, len)`, flushed so its block sums are stamped,
+    /// `salted(salt, len)`, flushed so its block sums are stamped,
     /// and its extent's address.
     fn stamped(c: &Container, len: usize, salt: usize) -> (ObjectId, u64) {
         let ds = dirty_contiguous(c, 1, len, salt)[0];
@@ -983,76 +987,72 @@ mod tests {
         (ds, c.plane.working(ds).unwrap().data_addr)
     }
 
-    #[test]
-    fn verified_read_lanes_put_four_pieces_in_flight_and_fetch_what_one_read_did() {
-        // The counted device sits over one whose every read, once armed,
-        // waits for HASH_LANES reads to have arrived: the four pieces of
-        // a 512 KiB read are inside the counted device together, or the
-        // test fails at the deadline instead of hanging.
-        let armed = Arc::new(AtomicBool::new(false));
-        let (on, arrived) = (armed.clone(), AtomicUsize::new(0));
-        let gate = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
-            if matches!(call, Call::Read { .. }) && on.load(Ordering::SeqCst) {
-                arrived.fetch_add(1, Ordering::SeqCst);
-                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-                while arrived.load(Ordering::SeqCst) < HASH_LANES
-                    && std::time::Instant::now() < deadline
-                {
-                    std::thread::yield_now();
-                }
+    /// Run `f` on a thread of its own and return what it returned, and
+    /// that thread's id; a call still running after ten seconds fails
+    /// the test instead of hanging it.
+    fn within<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> (R, ThreadId) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || tx.send(f()).unwrap());
+        let id = worker.thread().id();
+        let out = rx.recv_timeout(Duration::from_secs(10)).expect("the call missed its deadline");
+        worker.join().unwrap();
+        (out, id)
+    }
+
+    /// Every read call a [`logged`] device saw: the thread that made it
+    /// and its segments, as (offset, bytes).
+    type CallLog = Mutex<Vec<(ThreadId, Vec<(u64, usize)>)>>;
+
+    /// A device that logs every read call in a [`CallLog`].
+    fn logged(inner: Arc<dyn StorageBackend>) -> (Arc<CountingBackend>, Arc<CallLog>) {
+        let log: Arc<CallLog> = Arc::default();
+        let seen = log.clone();
+        let device = CountingBackend::new(inner).with_hook(move |call| {
+            if let Call::Read { segments, .. } = call {
+                let segments = segments.iter().map(|seg| (seg.offset, seg.buf.len())).collect();
+                seen.lock().push((std::thread::current().id(), segments));
             }
             Ok(())
         });
-        let device = Arc::new(CountingBackend::new(Arc::new(gate)));
-        let c = Container::create(device.clone());
-        let (ds, _) = stamped(&c, 8 * BLOCK, 11);
-        armed.store(true, Ordering::SeqCst);
+        (Arc::new(device), log)
+    }
+
+    #[test]
+    fn a_512_kib_verified_read_on_four_channels_is_one_read_call_on_the_caller() {
+        use crate::storage::ThrottledBackend;
+        let (device, log) = logged(Arc::new(ThrottledBackend::with_channels(1e12, 2e-4, 4)));
+        let c = Arc::new(Container::create(device.clone()));
+        let (ds, addr) = stamped(&c, 8 * BLOCK, 11);
+        log.lock().clear();
         let before = device.counts();
-        let got = c.read_selection(ds, &Selection::All).unwrap();
+        let reader = c.clone();
+        let (got, caller) = within(move || reader.read_selection(ds, &Selection::All).unwrap());
         let moved = device.counts() - before;
-        assert_eq!(got, lane_bytes(11, 8 * BLOCK));
-        assert_eq!(moved.most_reads_in_flight, HASH_LANES as u64);
-        assert_eq!((moved.reads, moved.read_batches), (HASH_LANES as u64, 0));
-        // Exactly the covering range's bytes: the pieces add none.
+        assert_eq!(got, salted(11, 8 * BLOCK));
+        assert_eq!(*log.lock(), [(caller, vec![(addr, 8 * BLOCK)])], "one call, on the caller");
+        assert_eq!((moved.reads, moved.read_batches, moved.most_reads_in_flight), (0, 1, 1));
         assert_eq!(moved.bytes_read, 8 * SUM_BLOCK);
         let verified_one = IntegrityStats { verified_extents: 1, ..Default::default() };
         assert_eq!(c.integrity_stats(), verified_one);
     }
 
     #[test]
-    fn verified_read_lane_pieces_tile_the_covering_range_at_block_edges() {
+    fn a_verified_read_is_one_call_of_its_covering_ranges_at_block_edges() {
         // An extent of nine blocks and a short tenth of 1000 bytes. Each
-        // case: a selection, then the pieces the device must see, as
-        // (offset, length) in the extent — together exactly the one
-        // covering read a single lane would issue.
+        // case: a selection, then the covering range the one call
+        // fetches, as (offset, length) in the extent.
         let len = 9 * BLOCK + 1000;
         let b = |n: usize| (n * BLOCK) as u64;
-        type Pieces = Vec<(u64, usize)>;
-        let cases: [(usize, usize, Pieces); 6] = [
-            // Two blocks and under stay one read: strided_rw's shape.
-            (0, 2 * BLOCK, vec![(0, 2 * BLOCK)]),
-            (10, 20, vec![(0, BLOCK)]),
-            (BLOCK - 10, 20, vec![(0, 2 * BLOCK)]),
-            (2 * BLOCK + 5, 2 * BLOCK, vec![(b(2), 3 * BLOCK)]),
-            // Six blocks: three pieces of two.
-            (BLOCK + 1, 5 * BLOCK, vec![(b(1), 2 * BLOCK), (b(3), 2 * BLOCK), (b(5), 2 * BLOCK)]),
-            // Ten blocks: four pieces, the short block in the last.
-            (
-                0,
-                len,
-                vec![(0, 2 * BLOCK), (b(2), 3 * BLOCK), (b(5), 2 * BLOCK), (b(7), 2 * BLOCK + 1000)],
-            ),
+        let cases: [(usize, usize, (u64, usize)); 6] = [
+            (0, 2 * BLOCK, (0, 2 * BLOCK)),
+            (10, 20, (0, BLOCK)),
+            (BLOCK - 10, 20, (0, 2 * BLOCK)),
+            (2 * BLOCK + 5, 2 * BLOCK, (b(2), 3 * BLOCK)),
+            (BLOCK + 1, 5 * BLOCK, (b(1), 6 * BLOCK)),
+            (0, len, (0, len)),
         ];
-        for (start, n, want) in cases {
-            let log: Arc<Mutex<Pieces>> = Arc::default();
-            let seen = log.clone();
-            let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
-                if let Call::Read { segments: [seg], vectored: false } = call {
-                    seen.lock().push((seg.offset, seg.buf.len()));
-                }
-                Ok(())
-            });
-            let device = Arc::new(device);
+        for (start, n, (at, bytes)) in cases {
+            let (device, log) = logged(Arc::new(MemBackend::new()));
             let c = Container::create(device.clone());
             let (ds, addr) = stamped(&c, len, 4);
             log.lock().clear();
@@ -1060,38 +1060,92 @@ mod tests {
             let sel = Selection::Slab(Hyperslab::range1(start as u64, n as u64));
             let got = c.read_selection(ds, &sel).unwrap();
             let moved = device.counts() - before;
-            assert_eq!(got, lane_bytes(4, len)[start..start + n], "{start}+{n}");
-            let mut pieces: Vec<(u64, usize)> =
-                log.lock().iter().map(|&(offset, len)| (offset - addr, len)).collect();
-            pieces.sort_unstable();
-            assert_eq!(pieces, want, "{start}+{n}");
-            assert_eq!(moved.reads, want.len() as u64, "{start}+{n}");
-            let covering: u64 = want.iter().map(|p| p.1 as u64).sum();
-            assert_eq!(moved.bytes_read, covering, "{start}+{n}");
+            assert_eq!(got, salted(4, len)[start..start + n], "{start}+{n}");
+            let me = std::thread::current().id();
+            assert_eq!(*log.lock(), [(me, vec![(addr + at, bytes)])], "{start}+{n}");
+            assert_eq!((moved.reads, moved.read_batches), (0, 1), "{start}+{n}");
             assert_eq!(c.integrity_stats().checksum_failures, 0);
         }
+        // Chunks of three blocks: a selection from block 2 of chunk 1 into
+        // block 0 of chunk 2 fetches one block of each, in one call.
+        let (device, log) = logged(Arc::new(MemBackend::new()));
+        let c = Container::create(device.clone());
+        let chunk = 3 * BLOCK;
+        let layout = Layout::Chunked1D { chunk_elems: chunk as u64 };
+        let space = Dataspace::d1(4 * chunk as u64);
+        let ds = c.create_dataset(ROOT_ID, "x", Datatype::U8, &space, layout).unwrap();
+        let data = salted(6, 4 * chunk);
+        c.write_selection(ds, &Selection::All, &data).unwrap();
+        c.flush().unwrap();
+        let chunk_at = |i: u64| c.plane.working(ds).unwrap().chunks[&i].addr;
+        log.lock().clear();
+        let start = chunk + 2 * BLOCK + 7;
+        let sel = Selection::Slab(Hyperslab::range1(start as u64, BLOCK as u64));
+        assert_eq!(c.read_selection(ds, &sel).unwrap(), data[start..start + BLOCK]);
+        let me = std::thread::current().id();
+        let want = vec![(chunk_at(1) + b(2), BLOCK), (chunk_at(2), BLOCK)];
+        assert_eq!(*log.lock(), [(me, want)]);
+        assert_eq!(c.integrity_stats().verified_extents, 2);
     }
 
     #[test]
-    fn a_flip_in_the_third_lane_piece_fails_the_read_naming_its_bytes() {
-        // Eight blocks read whole are four pieces of two; the third is
-        // bytes 4·BLOCK..6·BLOCK of the extent. A second flip in the
-        // fourth changes neither the error nor the count.
+    fn a_read_back_and_a_verified_read_of_2500_chunks_are_windows_of_1024_segments() {
+        // 2500 chunks of 64 bytes: the flush reads them back, and a read
+        // of them all verifies them, each in calls of at most
+        // `COALESCE_WINDOW` segments, in address order, on the caller.
+        let (device, log) = logged(Arc::new(MemBackend::new()));
+        let c = Container::create(device.clone());
+        let layout = Layout::Chunked1D { chunk_elems: 64 };
+        let space = Dataspace::d1(2500 * 64);
+        let ds = c.create_dataset(ROOT_ID, "x", Datatype::U8, &space, layout).unwrap();
+        let data = salted(5, 2500 * 64);
+        c.write_selection(ds, &Selection::All, &data).unwrap();
+        let me = std::thread::current().id();
+        let calls = |log: &CallLog| -> Vec<usize> {
+            let log = std::mem::take(&mut *log.lock());
+            assert!(log.iter().all(|(on, _)| *on == me), "every call on the caller");
+            let offsets: Vec<u64> = log.iter().flat_map(|(_, s)| s.iter().map(|&(at, _)| at)).collect();
+            assert!(offsets.is_sorted(), "in address order");
+            log.iter().map(|(_, segments)| segments.len()).collect()
+        };
+        log.lock().clear();
+        c.flush().unwrap();
+        assert_eq!(calls(&log), [COALESCE_WINDOW, COALESCE_WINDOW, 452], "the read-back");
+        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), data);
+        assert_eq!(calls(&log), [COALESCE_WINDOW, COALESCE_WINDOW, 452], "the verified read");
+        assert_eq!(c.integrity_stats().verified_extents, 2500);
+    }
+
+    #[test]
+    fn a_flip_anywhere_in_the_range_fails_the_read_naming_its_block() {
+        // Eight blocks and a short ninth of 1000 bytes, read whole. Each
+        // case: the flipped bytes, then the block the error names — the
+        // first flipped one.
+        let len = 8 * BLOCK + 1000;
         let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
         let c = Container::create(backend.clone());
-        let data = lane_bytes(8, 8 * BLOCK);
-        let (ds, addr) = stamped(&c, 8 * BLOCK, 8);
-        for flips in [vec![4 * BLOCK + 100], vec![4 * BLOCK + 100, 7 * BLOCK]] {
-            for &at in &flips {
+        let data = salted(8, len);
+        let (ds, addr) = stamped(&c, len, 8);
+        let cases: [(&[usize], usize); 5] = [
+            (&[0], 0),
+            (&[5 * BLOCK + 100], 5),
+            (&[6 * BLOCK - 1], 5),
+            (&[len - 1], 8),
+            (&[3 * BLOCK + 1, 7 * BLOCK], 3),
+        ];
+        for (flips, block) in cases {
+            for &at in flips {
                 backend.write_at(addr + at as u64, &[!data[at]]).unwrap();
             }
             let failures = c.integrity_stats().checksum_failures;
             let err = c.read_selection(ds, &Selection::All).unwrap_err();
-            let want = format!("fails its checksum in bytes {}..{}", 4 * BLOCK, 6 * BLOCK);
-            assert!(matches!(err, H5Error::Corrupt(ref m) if m.ends_with(&want)), "{err:?}");
+            let (lo, hi) = (block * BLOCK, ((block + 1) * BLOCK).min(len));
+            let want = format!("fails its checksum in bytes {lo}..{hi}");
+            let named = matches!(err, H5Error::Corrupt(ref m) if m.ends_with(&want));
+            assert!(named, "{flips:?}: {err:?}");
             assert_eq!(c.integrity_stats().checksum_failures, failures + 1);
             assert_eq!(c.integrity_stats().verified_extents, 0, "nothing was served");
-            for &at in &flips {
+            for &at in flips {
                 backend.write_at(addr + at as u64, &data[at..at + 1]).unwrap();
             }
         }
@@ -1099,46 +1153,42 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_or_panicking_verified_read_lane_fails_the_whole_read() {
-        // The second piece's read fails: the whole read does, with that
-        // error, and no checksum failure is counted.
+    fn a_failed_verified_read_serves_nothing() {
+        // The one read call fails: the whole read does, with its error,
+        // and no checksum failure is counted.
         let (backend, gauge) = gauged(Arc::new(MemBackend::new()));
-        let c = Container::create(backend);
+        let c = Container::create(backend.clone());
         let (ds, addr) = stamped(&c, 8 * BLOCK, 2);
-        gauge.bad.lock().push(addr + 2 * SUM_BLOCK);
+        gauge.bad.lock().push(addr);
+        let before = backend.counts();
         let err = c.read_selection(ds, &Selection::All).unwrap_err();
-        let want = format!("bad sector at {}", addr + 2 * SUM_BLOCK);
+        let moved = backend.counts() - before;
+        let want = format!("bad sector at {addr}");
         assert!(matches!(err, H5Error::Storage(ref m) if *m == want), "{err:?}");
+        assert_eq!((moved.reads, moved.read_batches), (0, 1), "{moved:?}");
+        assert_eq!(c.integrity_stats(), IntegrityStats::default());
         gauge.bad.lock().clear();
-        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), lane_bytes(2, 8 * BLOCK));
+        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), salted(2, 8 * BLOCK));
 
-        // Armed, every read off this thread panics, and this thread's own
-        // first read waits until one has: a Storage error, not a hang.
-        let owner = std::thread::current().id();
-        let others = Arc::new(AtomicUsize::new(0));
+        // Armed, every read panics, on the reading thread: the panic
+        // reaches the caller, and nothing was served or counted.
         let armed = Arc::new(AtomicBool::new(false));
-        let (seen, on) = (others.clone(), armed.clone());
+        let on = armed.clone();
         let backend = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
             if matches!(call, Call::Read { .. }) && on.load(Ordering::SeqCst) {
-                if std::thread::current().id() != owner {
-                    seen.fetch_add(1, Ordering::SeqCst);
-                    panic!("verified-read lane panics (expected by the test)");
-                }
-                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-                while seen.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
+                panic!("verified read panics (expected by the test)");
             }
             Ok(())
         });
         let c = Container::create(Arc::new(backend));
         let (ds, _) = stamped(&c, 8 * BLOCK, 3);
         armed.store(true, Ordering::SeqCst);
-        let err = c.read_selection(ds, &Selection::All).unwrap_err();
-        assert!(matches!(err, H5Error::Storage(ref m) if m.contains("lane panicked")), "{err:?}");
-        assert!(others.load(Ordering::SeqCst) >= 1);
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.read_selection(ds, &Selection::All)
+        }));
+        assert!(read.is_err(), "the panic unwound out of the read");
         assert_eq!(c.integrity_stats(), IntegrityStats::default());
         armed.store(false, Ordering::SeqCst);
-        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), lane_bytes(3, 8 * BLOCK));
+        assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), salted(3, 8 * BLOCK));
     }
 }

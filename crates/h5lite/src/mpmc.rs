@@ -1,7 +1,6 @@
 //! Lock-free bounded MPMC ring (Vyukov's bounded queue), shared by the
-//! submission/completion rings ([`crate::ring`]), the buffer recycler's
-//! size classes ([`crate::recycle`]) and the job list of the lanes
-//! ([`crate::storage`]'s `on_lanes`: the integrity reads' jobs).
+//! submission/completion rings ([`crate::ring`]) and the buffer
+//! recycler's size classes ([`crate::recycle`]).
 //!
 //! The only `unsafe` in the crate lives here, and the whole protocol is
 //! carried by one atomic per slot. Memory-ordering argument (the §14
@@ -64,36 +63,6 @@ impl<T> RingQueue<T> {
             mask: capacity - 1,
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
-        }
-    }
-
-    /// A ring that already holds `items`, in order, with room for no
-    /// more than their count rounded up to a power of two (at least 2):
-    /// each slot is built published, as a push at its ticket leaves it.
-    pub(crate) fn filled(items: impl ExactSizeIterator<Item = T>) -> Self {
-        let capacity = items.len().next_power_of_two().max(2);
-        let mut items = items.fuse();
-        let mut held = 0;
-        let slots = (0..capacity)
-            .map(|i| match items.next() {
-                Some(value) => {
-                    held += 1;
-                    Slot {
-                        seq: AtomicUsize::new(i + 1),
-                        val: UnsafeCell::new(MaybeUninit::new(value)),
-                    }
-                }
-                None => Slot {
-                    seq: AtomicUsize::new(i),
-                    val: UnsafeCell::new(MaybeUninit::uninit()),
-                },
-            })
-            .collect();
-        RingQueue {
-            slots,
-            mask: capacity - 1,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(held),
         }
     }
 

@@ -23,9 +23,10 @@
 //! A device that serves several requests at once spreads a call over
 //! them itself, as a parallel file system stripes a request over its
 //! targets: a [`ThrottledBackend`] books one channel per
-//! [`PIECE_BLOCKS`] blocks of a write, all at one instant. So a client
-//! makes each write one call, on its own thread ([`write_windowed`]),
-//! and spawns nothing to reach the device's aggregate rate.
+//! [`PIECE_BLOCKS`] blocks of a call, read or write, all at one
+//! instant. So a client makes each read and each write one call, on its
+//! own thread ([`write_windowed`]), and spawns nothing to reach the
+//! device's aggregate rate.
 
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;
@@ -35,7 +36,6 @@ use std::sync::Arc;
 
 use crate::checksum::SUM_BLOCK;
 use crate::error::{H5Error, Result};
-use crate::mpmc::RingQueue;
 use crate::plan::COALESCE_WINDOW;
 use crate::sync::{Mutex, RwLock};
 
@@ -98,10 +98,9 @@ pub trait StorageBackend: Send + Sync {
     fn sync(&self) -> Result<()>;
 }
 
-/// Blocks a share of work holds at least: two [`SUM_BLOCK`]s, 128 KiB.
-/// A [`ThrottledBackend`] write books one channel per share, and a
-/// verified read cuts one lane piece per share. Below two shares' worth,
-/// the work is one share.
+/// Blocks a share of a device call holds at least: two [`SUM_BLOCK`]s,
+/// 128 KiB. A [`ThrottledBackend`] call books one channel per share;
+/// below two shares' worth, the call is one share.
 pub(crate) const PIECE_BLOCKS: u64 = 2;
 
 /// Write `batch` in order, as vectored calls of at most
@@ -115,39 +114,14 @@ pub(crate) fn write_windowed(backend: &dyn StorageBackend, batch: &[IoVec<'_>]) 
         .try_for_each(|window| backend.write_vectored_at(window))
 }
 
-/// Run `work` on every job over `lanes` lanes — scoped threads that live
-/// for this call, the caller being the first — each taking the next
-/// unclaimed job off one lock-free queue until none is left. With one
-/// lane the jobs run on the caller alone, in order. Returns each job's
-/// result in job order; one job's failure stops no other, and the jobs
-/// of a lane that panicked are `None`. Takes no lock: the queue is a
-/// [`RingQueue`] filled before any lane starts, and the results come
-/// back through the lanes' join handles. The one fan-out of the crate:
-/// the integrity reads' jobs.
-pub(crate) fn on_lanes<J: Send, R: Send>(
-    lanes: usize,
-    jobs: impl ExactSizeIterator<Item = J>,
-    work: impl Fn(J) -> R + Sync,
-) -> Vec<Option<R>> {
-    let mut results: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
-    let queue = RingQueue::filled(jobs.enumerate());
-    let lane = || {
-        let mut done = Vec::new();
-        while let Some((i, job)) = queue.pop() {
-            done.push((i, work(job)));
-        }
-        done
-    };
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
-        let mut done = lane();
-        // A lane that panicked returns nothing: its jobs stay `None`.
-        done.extend(spawned.into_iter().flat_map(|h| h.join().unwrap_or_default()));
-        for (i, result) in done {
-            results[i] = Some(result);
-        }
-    });
-    results
+/// Read `batch` as vectored calls of at most [`COALESCE_WINDOW`]
+/// segments, in order, on the caller: the read twin of
+/// [`write_windowed`], so a device charges a read of many segments as
+/// many calls as the same write.
+pub(crate) fn read_windowed(backend: &dyn StorageBackend, batch: &mut [IoVecMut<'_>]) -> Result<()> {
+    batch
+        .chunks_mut(COALESCE_WINDOW)
+        .try_for_each(|window| backend.read_vectored_at(window))
 }
 
 /// Bytes per page of the sharded memory backend.
@@ -393,18 +367,18 @@ impl StorageBackend for FileBackend {
 /// stale-fit invalidation.
 ///
 /// Concurrency is modelled with a fixed pool of *channels* (think PFS
-/// stripes / NVMe queue pairs) booked in virtual time. A read books the
-/// earliest-free channel for `latency + bytes/bandwidth`. A write of
-/// `bytes` is striped by the device, as a PFS stripes a file over its
-/// targets: it books `n` channels at one instant, the earliest-free ones,
-/// one per [`PIECE_BLOCKS`] blocks of payload and at most all of them,
-/// each for `latency + (bytes/n)/bandwidth`. So one large write reaches
-/// the device's aggregate rate with no client threads. A call books, runs
-/// the inner call, then sleeps until its latest booked end: it costs its
-/// modelled service time, with the inner call's own time inside it, and a
-/// failed inner call still costs its booking. Up to `channels` requests
-/// overlap their stalls; beyond that, requests queue behind the
-/// busiest-free channel. Depth 1 pays one latency per op; depth
+/// stripes / NVMe queue pairs) booked in virtual time. A call of `bytes`
+/// is striped by the device, as a PFS stripes a file over its targets:
+/// it books `n` channels at one instant, the earliest-free ones, one per
+/// [`PIECE_BLOCKS`] blocks of payload and at most all of them, each for
+/// `latency + (bytes/n)/bandwidth`, whether it reads or writes. So one
+/// large call reaches the device's aggregate rate with no client
+/// threads. A call books, runs the inner call, then sleeps until its
+/// latest booked end: it costs its modelled service time, with the inner
+/// call's own time inside it, and a failed inner call still costs its
+/// booking. Up to `channels` requests overlap their stalls; beyond that,
+/// requests queue behind the busiest-free channel. Depth 1 pays one
+/// latency per op; depth
 /// `<= channels` overlaps them; only *coalescing* (one vectored batch,
 /// one latency) keeps winning past the cap — which is exactly the regime
 /// a queue-depth sweep needs to measure.
@@ -484,17 +458,14 @@ impl ThrottledBackend {
     }
 
     /// Book a call of `bytes` payload arriving at `now` (virtual seconds)
-    /// on `ch` and return the latest booked end: a write over
-    /// `clamp(bytes / (PIECE_BLOCKS·SUM_BLOCK), 1, channels)` channels, a
-    /// read over one, each the earliest free and each for `latency +
+    /// on `ch` and return the latest booked end: a read or a write over
+    /// `n = clamp(bytes / (PIECE_BLOCKS·SUM_BLOCK), 1, channels)`
+    /// channels, each the earliest free and each for `latency +
     /// (bytes/n)/bandwidth`. Per-batch accounting falls out of this — a
     /// vectored call is *one* booking for its total bytes.
-    fn book(&self, ch: &mut Channels, now: f64, bytes: usize, write: bool) -> f64 {
-        let n = if write {
-            (bytes as u64 / (PIECE_BLOCKS * SUM_BLOCK)).clamp(1, ch.free_at.len() as u64) as usize
-        } else {
-            1
-        };
+    fn book(&self, ch: &mut Channels, now: f64, bytes: usize) -> f64 {
+        let shares = bytes as u64 / (PIECE_BLOCKS * SUM_BLOCK);
+        let n = shares.clamp(1, ch.free_at.len() as u64) as usize;
         let service = self.latency + bytes as f64 / n as f64 / self.bandwidth();
         ch.free_at.sort_unstable_by(f64::total_cmp);
         ch.free_at[..n].iter_mut().fold(now, |end, free| {
@@ -506,11 +477,11 @@ impl ThrottledBackend {
     /// Run `call`, the inner half of a call of `bytes` payload, inside its
     /// booking ([`book`](Self::book)): book, call, then sleep until the
     /// latest booked end, whatever the call returned.
-    fn serve(&self, bytes: usize, write: bool, call: impl FnOnce() -> Result<()>) -> Result<()> {
+    fn serve(&self, bytes: usize, call: impl FnOnce() -> Result<()>) -> Result<()> {
         let deadline = {
             let mut ch = self.channels.lock();
             let now = ch.epoch.elapsed().as_secs_f64();
-            let end = self.book(&mut ch, now, bytes, write);
+            let end = self.book(&mut ch, now, bytes);
             ch.epoch + std::time::Duration::from_secs_f64(end)
         };
         let out = call();
@@ -524,11 +495,11 @@ impl ThrottledBackend {
 
 impl StorageBackend for ThrottledBackend {
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        self.serve(data.len(), true, || self.inner.write_at(offset, data))
+        self.serve(data.len(), || self.inner.write_at(offset, data))
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.serve(buf.len(), false, || self.inner.read_at(offset, buf))
+        self.serve(buf.len(), || self.inner.read_at(offset, buf))
     }
 
     fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
@@ -537,12 +508,12 @@ impl StorageBackend for ThrottledBackend {
         // scatter-gather request. This is the modelled payoff of
         // coalescing: N scalar writes pay N latencies, one batch pays one.
         let total: usize = batch.iter().map(|seg| seg.data.len()).sum();
-        self.serve(total, true, || self.inner.write_vectored_at(batch))
+        self.serve(total, || self.inner.write_vectored_at(batch))
     }
 
     fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
         let total: usize = batch.iter().map(|seg| seg.buf.len()).sum();
-        self.serve(total, false, || self.inner.read_vectored_at(batch))
+        self.serve(total, || self.inner.read_vectored_at(batch))
     }
 
     fn len(&self) -> u64 {
@@ -1955,27 +1926,23 @@ mod tests {
     // ----- the throttle's channel bookings and the write body -------------
 
     #[test]
-    fn a_throttled_write_books_a_channel_per_piece_at_one_instant_and_a_read_one() {
+    fn a_throttled_call_books_a_channel_per_piece_at_one_instant_read_or_write() {
         const KIB: usize = 1 << 10;
         let (bw, lat) = (400e6, 2e-4);
         let service = |bytes: usize| lat + bytes as f64 / bw;
-        // (calls as (bytes, write), each channel's end after them, sorted).
-        #[allow(clippy::type_complexity)]
-        let cases: [(&[(usize, bool)], [f64; 4]); 5] = [
-            (&[(512 * KIB, true)], [service(128 * KIB); 4]),
-            (&[(64 * KIB, true)], [0.0, 0.0, 0.0, service(64 * KIB)]),
-            (&[(256 * KIB - 1, true)], [0.0, 0.0, 0.0, service(256 * KIB - 1)]),
-            (&[(512 * KIB, false)], [0.0, 0.0, 0.0, service(512 * KIB)]),
-            // The second write starts where the first one ends.
-            (&[(512 * KIB, true), (512 * KIB, true)], [2.0 * service(128 * KIB); 4]),
+        // (calls by bytes, each channel's end after them, sorted).
+        let cases: [(&[usize], [f64; 4]); 4] = [
+            (&[512 * KIB], [service(128 * KIB); 4]),
+            (&[64 * KIB], [0.0, 0.0, 0.0, service(64 * KIB)]),
+            (&[256 * KIB - 1], [0.0, 0.0, 0.0, service(256 * KIB - 1)]),
+            // The second call starts where the first one ends.
+            (&[512 * KIB, 512 * KIB], [2.0 * service(128 * KIB); 4]),
         ];
         for (calls, want) in cases {
             let device = ThrottledBackend::with_channels(bw, lat, 4);
             let mut ch = device.channels.lock();
-            let ends: Vec<f64> = calls
-                .iter()
-                .map(|&(bytes, write)| device.book(&mut ch, 0.0, bytes, write))
-                .collect();
+            let ends: Vec<f64> =
+                calls.iter().map(|&bytes| device.book(&mut ch, 0.0, bytes)).collect();
             let mut free_at = ch.free_at.clone();
             free_at.sort_unstable_by(f64::total_cmp);
             let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
@@ -1986,11 +1953,30 @@ mod tests {
         // arrives, on the earliest free channel.
         let device = ThrottledBackend::with_channels(bw, lat, 2);
         let mut ch = device.channels.lock();
-        device.book(&mut ch, 0.0, 64 * KIB, false);
-        assert_eq!(device.book(&mut ch, 1.0, 64 * KIB, false), 1.0 + service(64 * KIB));
+        device.book(&mut ch, 0.0, 64 * KIB);
+        assert_eq!(device.book(&mut ch, 1.0, 64 * KIB), 1.0 + service(64 * KIB));
         let mut free_at = ch.free_at.clone();
         free_at.sort_unstable_by(f64::total_cmp);
         assert_eq!(free_at, [service(64 * KIB), 1.0 + service(64 * KIB)]);
+        drop(ch);
+        // Through the trait: a 512 KiB read, scalar or vectored, books all
+        // four channels, each past its arrival by a quarter's service.
+        for vectored in [false, true] {
+            let device = ThrottledBackend::with_channels(1e12, lat, 4);
+            device.write_at(0, &vec![3u8; 512 * KIB]).unwrap();
+            device.set_bandwidth(bw);
+            let mut buf = vec![0u8; 512 * KIB];
+            let t0 = device.channels.lock().epoch.elapsed().as_secs_f64();
+            if vectored {
+                device.read_vectored_at(&mut [IoVecMut { offset: 0, buf: &mut buf }]).unwrap();
+            } else {
+                device.read_at(0, &mut buf).unwrap();
+            }
+            let ch = device.channels.lock();
+            let busy: Vec<f64> = ch.free_at.iter().map(|&end| end - t0).collect();
+            assert!(busy.iter().all(|&b| b >= service(128 * KIB) - 1e-9), "{busy:?}");
+            assert!(buf.iter().all(|&b| b == 3));
+        }
     }
 
     #[test]

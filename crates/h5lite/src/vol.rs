@@ -95,10 +95,15 @@ impl ReadRequest {
     /// Block until the data arrives and take it as `T` elements — how the
     /// typed API takes a read. Decoded elements of type `T` move out
     /// without a pass over them; bytes (and elements of another type)
-    /// decode through [`from_bytes`].
+    /// decode through [`from_bytes`], and the bytes go back to the
+    /// recycler ([`crate::recycle`]) they were read into.
     pub fn wait_as<T: H5Type>(self) -> Result<Vec<T>> {
         match self.take()? {
-            ReadPayload::Bytes(bytes) => from_bytes(&bytes),
+            ReadPayload::Bytes(bytes) => {
+                let elems = from_bytes(&bytes);
+                crate::recycle::give(bytes);
+                elems
+            }
             ReadPayload::Elements(elems) => elems
                 .into_vec()
                 .or_else(|elems| from_bytes(&elems.to_bytes())),

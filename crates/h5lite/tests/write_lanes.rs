@@ -8,9 +8,10 @@
 //! reruns `lane` there), such a write is timed against a 128 KiB one:
 //! both book their channels for the same service time.
 //!
-//! On a device of one lane nothing changes: a VPIC-shaped ring script
-//! and a strided native script ask the device exactly what they asked
-//! before writes had lanes, call for call.
+//! On a device of one lane the writes are what they were before writes
+//! had lanes: a VPIC-shaped ring script and a strided native script are
+//! held to their exact calls, the latter's reads one call each (a
+//! flush's read-back window, a verified read).
 //!
 //! The tests take turns ([`turn`]), so that the timed one has the cores.
 
@@ -246,15 +247,15 @@ fn a_strided_native_script_on_one_lane_makes_the_same_calls() {
         assert!(back == bytes(2 + rank as usize, 4 * n as usize));
     }
     let moved = device.counts() - before;
-    // What the script asked before writes had lanes: one sieved window
-    // per write, the flush's read-back, metadata commit and two syncs,
-    // and each read's verified pieces.
+    // One sieved window per write (its read and its write-back), the
+    // flush's read-back window, metadata commit and two syncs, and one
+    // verified call per read.
     let want = CallCounts {
-        reads: 9,
+        reads: 0,
         writes: 3,
-        read_batches: 3,
+        read_batches: 6,
         write_batches: 4,
-        segments: 7,
+        segments: 10,
         bytes_read: 3_145_712,
         bytes_written: 2_097_414,
         syncs: 2,

@@ -92,10 +92,10 @@ fn event_members(e: &Event) -> String {
         Event::FlushHash {
             jobs,
             bytes,
-            lanes,
+            reads,
             overlapped,
         } => format!(
-            "\"type\":\"FlushHash\",\"jobs\":{jobs},\"bytes\":{bytes},\"lanes\":{lanes},\"overlapped\":{overlapped}"
+            "\"type\":\"FlushHash\",\"jobs\":{jobs},\"bytes\":{bytes},\"reads\":{reads},\"overlapped\":{overlapped}"
         ),
         Event::Degrade { dataset, bytes } => {
             format!("\"type\":\"Degrade\",\"dataset\":{dataset},\"bytes\":{bytes}")

@@ -145,10 +145,12 @@ pub enum Event {
         jobs: u64,
         /// Bytes they hold.
         bytes: u64,
-        /// Threads the read-back ran on, the flushing one included.
-        lanes: u64,
-        /// Whether the data barrier ran beside the read-back (at or
-        /// above the fan-out floor) instead of after the metadata append.
+        /// Vectored read calls the read-back made: its bytes below the
+        /// device's high-water mark, in windows of at most 8 MiB and
+        /// 1024 extent pieces (0 if it failed).
+        reads: u64,
+        /// Whether the data barrier ran beside the read-back (from 4 MiB
+        /// of dirty bytes up) instead of after the metadata append.
         overlapped: bool,
     },
     /// A write served synchronously because the breaker degraded the

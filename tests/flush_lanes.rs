@@ -1,12 +1,14 @@
-//! The flush's read-back lanes take no named lock (ISSUE 21): across a
-//! flush that fans sixteen 2 MiB read-backs out over scoped threads, the
-//! process-wide named-lock counter moves by exactly what the flushing
-//! thread itself took. `hash_extent` and `recycle::lease` are lock-free;
-//! this holds them to it, with h5lite's named locks (metadata shards,
-//! allocator, write gates) forwarded into the recorder. The data barrier
-//! (ISSUE 24) is one more such thread — these 32 MiB are over the floor —
-//! and is held to the same count. So are the lanes of a verified read,
-//! which read and check the pieces of one 2 MiB extent side by side.
+//! A flush's read-back and a verified read take no named lock off the
+//! thread that called them: across a flush of sixteen dirty 2 MiB
+//! extents, read back in four windows on the flushing thread — each
+//! window hashed on a scoped thread beside the next one's read — with
+//! the data barrier on a thread of its own (these 32 MiB are over the
+//! floor), the process-wide named-lock counter moves by exactly what the
+//! flushing thread itself took. `hash_extents` and `recycle::lease` are
+//! lock-free; this holds them to it, with h5lite's named locks (metadata
+//! shards, allocator, write gates) forwarded into the recorder. A
+//! verified read of one clean 2 MiB extent is held to the same count,
+//! and reads on the calling thread alone.
 //!
 //! One test in the file: the process-wide counter is shared, and a
 //! second test running beside it would move it mid-measurement.
@@ -14,9 +16,7 @@
 #![cfg(feature = "debug-invariants")]
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use apio::argolite::lock_order;
 use apio::h5lite::sync::Mutex;
@@ -26,7 +26,7 @@ use apio::h5lite::{
 };
 
 #[test]
-fn read_back_lanes_take_no_named_lock() {
+fn the_read_back_and_a_verified_read_take_no_named_lock_off_the_calling_thread() {
     apio::h5lite::sync::order_hook::install(lock_order::acquire_class, lock_order::release_class);
     // Control: the recorder sees a named lock taken on a spawned thread.
     let before = lock_order::total_acquire_count();
@@ -37,24 +37,15 @@ fn read_back_lanes_take_no_named_lock() {
         .expect("control thread");
     assert!(lock_order::total_acquire_count() > before);
 
-    // Records which threads read, and holds the first reader until a
-    // second has arrived, so the lanes are seen side by side rather than
-    // hoped to overlap. Records which thread issued each `sync` as well.
+    // Records which threads read, and which issued each `sync`.
     let readers = Arc::new(std::sync::Mutex::new(HashSet::new()));
     let syncers = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let arrived = Arc::new(AtomicUsize::new(0));
-    let (threads, synced, first) = (readers.clone(), syncers.clone(), arrived.clone());
+    let (threads, synced) = (readers.clone(), syncers.clone());
     let backend = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
         let me = std::thread::current().id();
         match call {
             Call::Read { .. } => {
                 threads.lock().expect("no reader panics").insert(me);
-                if first.fetch_add(1, Ordering::SeqCst) == 0 {
-                    let deadline = Instant::now() + Duration::from_secs(10);
-                    while first.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
-                        std::thread::yield_now();
-                    }
-                }
             }
             Call::Sync => synced.lock().expect("no syncer panics").push(me),
             Call::Write { .. } => {}
@@ -80,14 +71,14 @@ fn read_back_lanes_take_no_named_lock() {
         lock_order::total_acquire_count() - all,
         lock_order::acquire_count() - own,
     );
-    let lanes = readers.lock().expect("no reader panics").len();
-    assert!(lanes >= 2, "the read-back ran on {lanes} thread(s)");
+    let me = std::thread::current().id();
+    let read_on = readers.lock().expect("no reader panics").clone();
+    assert_eq!(read_on, HashSet::from([me]), "the read-back ran on the flushing thread alone");
     assert!(own > 0, "the flush itself folds sums under the metadata shards");
     assert_eq!(all, own, "threads other than the flushing one took {} named lock(s)", all - own);
-    // The count above covers the barrier thread too: the data barrier
-    // came first and from a thread of its own, the two commit barriers
-    // from the flushing thread.
-    let me = std::thread::current().id();
+    // The count above covers the barrier thread: the data barrier came
+    // first and from a thread of its own, the two commit barriers from
+    // the flushing thread.
     let syncers = syncers.lock().expect("no syncer panics");
     assert_eq!(syncers.len(), 3, "data, metadata, slot");
     assert_ne!(syncers[0], me, "the data barrier rides a thread of its own");
@@ -95,10 +86,9 @@ fn read_back_lanes_take_no_named_lock() {
 
     drop(syncers);
 
-    // A verified read of one clean 2 MiB extent: four pieces of 512 KiB
-    // on the read lanes, held to the same count.
+    // A verified read of one clean 2 MiB extent: one read call, on the
+    // reading thread, held to the same count.
     readers.lock().expect("no reader panics").clear();
-    arrived.store(0, Ordering::SeqCst);
     let (all, own) = (lock_order::total_acquire_count(), lock_order::acquire_count());
     let got = c.read_selection(ids[5], &Selection::All).expect("verified read");
     let (all, own) = (
@@ -107,7 +97,7 @@ fn read_back_lanes_take_no_named_lock() {
     );
     assert_eq!(got, data);
     assert_eq!(c.integrity_stats().verified_extents, 1, "the read was verified");
-    let lanes = readers.lock().expect("no reader panics").len();
-    assert!(lanes >= 2, "the verified read ran on {lanes} thread(s)");
+    let read_on = readers.lock().expect("no reader panics").clone();
+    assert_eq!(read_on, HashSet::from([me]), "the verified read ran on the reading thread alone");
     assert_eq!(all, own, "threads other than the reading one took {} named lock(s)", all - own);
 }

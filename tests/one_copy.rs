@@ -1,7 +1,9 @@
 //! The one-copy write path (ISSUE 13, DESIGN.md §17): a deferred write
 //! costs its caller one pass over the data into a recycled buffer, the
 //! connector owns that buffer from issue to retirement, and the buffer
-//! comes back to the recycler.
+//! comes back to the recycler. A read's output is recycled memory too,
+//! given back by whoever decodes it, and (f) holds the bytes no record
+//! fills to zeros.
 //!
 //! The recycler is process-wide and first in, first out, so which buffer
 //! a write gets depends on what every earlier test left behind and on
@@ -19,9 +21,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use apio::asyncvol::{AsyncVol, BreakerConfig, BreakerState, RetryPolicy};
 use apio::h5lite::datatype::to_bytes;
 use apio::h5lite::ring::{Ring, RingConfig};
+use apio::h5lite::container::ROOT_ID;
 use apio::h5lite::{
-    recycle, Call, Container, CountingBackend, Dataspace, File, H5Error, Hyperslab, MemBackend,
-    ObjectId, ReadRequest, Request, Selection, Vol,
+    recycle, Call, Container, CountingBackend, Dataspace, Datatype, File, H5Error, Hyperslab,
+    Layout, MemBackend, ObjectId, ReadRequest, Request, Selection, Vol,
 };
 
 const STALE: u8 = 0xA5;
@@ -599,4 +602,58 @@ fn explored_take_and_give_orders_keep_the_pool_exact() {
     assert!(report.ok(), "failure: {}", report.failure.unwrap());
     assert_eq!(report.seeds_run, seeds);
     assert!(report.distinct_orders >= 2);
+}
+
+/// (f) A read fills recycled memory, and a hole in it reads as zeros:
+/// a chunked dataset with a never-allocated chunk between written ones,
+/// read right after its size class was stocked with buffers full of
+/// `0xAA`, returns the written bytes and zeros in the hole — unflushed
+/// (planned reads only) and flushed (verified reads) alike — and so does
+/// the unwritten tail of an extent past the device's end.
+#[test]
+fn a_hole_in_a_read_into_recycled_memory_reads_as_zeros() {
+    let _turn = pool_turn();
+    const CHUNK: usize = 2048;
+    let len = 5 * CHUNK; // a 16 KiB class
+    let c = Container::create_mem();
+    let layout = Layout::Chunked1D { chunk_elems: CHUNK as u64 };
+    let ds = c
+        .create_dataset(ROOT_ID, "holes", Datatype::U8, &Dataspace::d1(len as u64), layout)
+        .unwrap();
+    let mut want: Vec<u8> = (0..len).map(|i| (i % 251) as u8 + 1).collect();
+    for chunk in [0, 1, 3, 4] {
+        let sel = Selection::Slab(Hyperslab::range1((chunk * CHUNK) as u64, CHUNK as u64));
+        c.write_selection(ds, &sel, &want[chunk * CHUNK..][..CHUNK]).unwrap();
+    }
+    want[2 * CHUNK..3 * CHUNK].fill(0);
+    for flushed in [false, true] {
+        if flushed {
+            c.flush().unwrap();
+        }
+        drain(len);
+        for _ in 0..4 {
+            recycle::give(vec![0xAA; len.next_power_of_two()]);
+        }
+        let hits = recycle::stats().hits;
+        let got = c.read_selection(ds, &Selection::All).unwrap();
+        assert!(recycle::stats().hits > hits, "the read took a recycled buffer");
+        let hole = &got[2 * CHUNK..3 * CHUNK];
+        assert!(hole.iter().all(|&b| b == 0), "flushed {flushed}: a stale hole");
+        assert_eq!(got, want, "flushed {flushed}");
+    }
+    assert_eq!(c.integrity_stats().verified_extents, 4, "the flushed read was verified");
+
+    // A contiguous extent written only at its head, the last thing
+    // allocated: its tail lies past the device's end, and reads as zeros.
+    let space = Dataspace::d1(len as u64);
+    let tail = c.create_dataset(ROOT_ID, "tail", Datatype::U8, &space, Layout::Contiguous).unwrap();
+    let head = Selection::Slab(Hyperslab::range1(0, CHUNK as u64));
+    c.write_selection(tail, &head, &want[..CHUNK]).unwrap();
+    drain(len);
+    for _ in 0..4 {
+        recycle::give(vec![0xAA; len.next_power_of_two()]);
+    }
+    let got = c.read_selection(tail, &Selection::All).unwrap();
+    assert_eq!(got[..CHUNK], want[..CHUNK]);
+    assert!(got[CHUNK..].iter().all(|&b| b == 0), "a stale tail past the device's end");
 }

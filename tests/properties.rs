@@ -809,15 +809,17 @@ fn backend_rate_step_fires_drift_alarm_within_k_epochs() {
     }
 }
 
-/// A counted [`MemBackend`]; while the returned flag is set, each scalar
-/// read comes back with the last byte it fetched flipped.
+/// A counted [`MemBackend`]; while the returned flag is set, every
+/// segment of a read comes back with its last byte flipped.
 fn block_gauge() -> (Arc<CountingBackend>, Arc<AtomicBool>) {
     let flip_last = Arc::new(AtomicBool::new(false));
     let flip = flip_last.clone();
     let gauge = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
-        if let Call::Read { segments: [seg], vectored: false } = call {
-            if let Some(last) = seg.buf.last_mut().filter(|_| flip.load(Ordering::SeqCst)) {
-                *last ^= 0x40;
+        if let Call::Read { segments, .. } = call {
+            for seg in segments.iter_mut() {
+                if let Some(last) = seg.buf.last_mut().filter(|_| flip.load(Ordering::SeqCst)) {
+                    *last ^= 0x40;
+                }
             }
         }
         Ok(())

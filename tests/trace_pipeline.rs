@@ -215,9 +215,10 @@ fn strided_1500_run_selection_plans_once_and_sieves_into_one_span() {
 
 #[test]
 fn a_flush_that_does_work_brackets_its_read_back_and_its_commit() {
-    // Two flushes: 1 KiB dirty (the read-back inline, the data barrier
-    // in the commit) and 4 MiB dirty over two extents (two lanes, the
-    // barrier beside them), then a clean one that records nothing.
+    // Two flushes: 1 KiB dirty (the data barrier in the commit) and 4
+    // MiB dirty over two extents (the barrier beside the read-back),
+    // each read back in one window, then a clean one that records
+    // nothing.
     let (tracer, _clock) = virtual_tracer();
     let c = Container::create_mem();
     let ids: Vec<ObjectId> = (0..2)
@@ -242,8 +243,8 @@ fn a_flush_that_does_work_brackets_its_read_back_and_its_commit() {
     assert_eq!(flushes.len(), 2, "a clean flush records nothing");
     let payloads: Vec<_> = sink.spans("container.flush_hash").iter().map(|r| r.event).collect();
     // The extent is the job, whatever part of it was written.
-    let small = Event::FlushHash { jobs: 1, bytes: 2 << 20, lanes: 1, overlapped: false };
-    let fanned = Event::FlushHash { jobs: 2, bytes: 4 << 20, lanes: 2, overlapped: true };
+    let small = Event::FlushHash { jobs: 1, bytes: 2 << 20, reads: 1, overlapped: false };
+    let fanned = Event::FlushHash { jobs: 2, bytes: 4 << 20, reads: 1, overlapped: true };
     assert_eq!(payloads, [Some(small), Some(fanned)]);
     let commits = sink.spans("container.flush_commit");
     assert_eq!(commits.len(), 2);
