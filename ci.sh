@@ -79,7 +79,12 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #                     a failed write call is retried or fails the write), writes
 #                     queued on the built ring coalescing, a sieving
 #                     write's device calls alike on both rings, and a
-#                     closed container outliving its held writes; the
+#                     closed container outliving its held writes, 16
+#                     prefetches queued behind a held write holding no
+#                     clone of the ring's backend (its Arc count), and
+#                     a prefetch read that failed without a panic
+#                     reported to the read that takes its slot, not by
+#                     wait_all; the
 #                     explore sweep needs the feature (per-key order,
 #                     shutdown and a completion's verdict are
 #                     h5lite::ring's unit tests, run above)

@@ -38,13 +38,18 @@
 //!   background reads of future time steps, and a later `dataset_read`
 //!   with the same key is served from the prefetch slot — the mechanism
 //!   behind BD-CATS-IO's "first read blocking, the rest overlapped"
-//!   behaviour (§V-A2). A prefetch copies its selection once, for the
-//!   slot's key and the job alike, and a hit that finds its slot filled
-//!   takes it without a wake-up ([`h5lite::Promise`] wakes only
-//!   sleepers). The background job also decodes what it read, so a hit
-//!   hands the typed API finished elements
-//!   ([`h5lite::ReadPayload::Elements`]); a write issued to the dataset
-//!   drops its slots, so no read is served bytes that predate it.
+//!   behaviour (§V-A2). A prefetch is one ring job and one promise: the
+//!   slot's. The ring fulfils it once the job has run — with the
+//!   elements the job read and decoded
+//!   ([`h5lite::ReadPayload::Elements`]), or with the job's panic — so
+//!   the slot is also what a later cold read of the dataset waits on and
+//!   what [`h5lite::Vol::wait_all`] joins. The slot's key holds the
+//!   selection inline and the job carries a copy of its own, so a hit
+//!   that finds its slot filled hashes and compares the map's own words,
+//!   touches of what the reaper wrote only the slot, and takes it
+//!   without a wake-up ([`h5lite::Promise`] wakes only sleepers). A
+//!   write issued to the dataset drops its slots, so no read is served
+//!   bytes that predate it.
 //! - **Synchronization** mirrors the HDF5 async VOL's event sets:
 //!   [`h5lite::Vol::wait`] on one request token, or
 //!   [`h5lite::Vol::wait_all`] to drain the connector.
@@ -81,7 +86,9 @@
 //! staged-but-unflushed records replay into the container after a crash
 //! ([`staging`], [`AsyncVol::recover_staging`]).
 
+use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -89,8 +96,8 @@ use apio_trace::{Event, Tracer};
 use h5lite::ring::{Completion, Ring, RingConfig, RingOp};
 use h5lite::sync::Mutex;
 use h5lite::{
-    recycle, Container, Elements, H5Error, MemBackend, ObjectId, Promise, ReadPayload, ReadRequest,
-    Request, Result, Selection, Vol,
+    recycle, Container, Elements, H5Error, Hyperslab, MemBackend, ObjectId, Promise, ReadPayload,
+    ReadRequest, Request, Result, Selection, Vol,
 };
 
 pub mod breaker;
@@ -238,32 +245,20 @@ impl AsyncVolBuilder {
     }
 }
 
-struct PrefetchSlot {
-    promise: Promise<Result<ReadPayload>>,
-    /// The job that fills `promise`.
-    done: Promise<Completion>,
-}
+/// A prefetch's one promise: the ring fulfils it once the job has run,
+/// with what the job read, or with the job's panic.
+type Slot = Promise<Result<ReadPayload>>;
 
-/// A prefetch slot's promise, filled on every exit of the job that owns
-/// it: by [`fill`](Self::fill), or with an error if the job unwinds
-/// first, so the read that takes the slot never waits on an empty one.
-/// The panic itself goes on to the ring, which makes it the job's verdict.
-struct SlotFiller(Option<Promise<Result<ReadPayload>>>);
-
-impl SlotFiller {
-    fn fill(mut self, read: Result<ReadPayload>) {
-        if let Some(slot) = self.0.take() {
-            slot.fulfill(read);
-        }
-    }
-}
-
-impl Drop for SlotFiller {
-    fn drop(&mut self) {
-        if let Some(slot) = self.0.take() {
-            slot.fulfill(Err(H5Error::Async("the prefetch panicked".into())));
-        }
-    }
+/// Block until a prefetch's job has run; the panic it ended in, if it
+/// did. The job's own failures are [`Container`] reads and decodes, none
+/// of which is an [`H5Error::Async`], so a slot holds one only as the
+/// ring's verdict on a job that unwound. A failed read is the slot's, for
+/// the read that takes it, and a slot already taken was reported there.
+fn panic_of(slot: &Slot) -> Option<String> {
+    slot.wait_settled(|read| match read {
+        Some(Err(e @ H5Error::Async(_))) => Some(e.to_string()),
+        _ => None,
+    })
 }
 
 /// One of the connector's named locks. With invariants on, this first
@@ -281,10 +276,137 @@ pub(crate) fn named_lock<T>(name: &'static str, value: T) -> Mutex<T> {
     Mutex::new_named(name, value)
 }
 
-/// Block until a request's entry, or a prefetch's job, has settled; what
-/// failed, if anything.
+/// Block until a request's entry has settled; what failed, if anything.
 fn failure(done: &Promise<Completion>) -> Option<String> {
     done.wait_with(|c| c.result.as_ref().err().map(H5Error::to_string))
+}
+
+/// The promise of a dataset's last ring entry.
+#[derive(Clone)]
+enum Last {
+    /// A write's completion.
+    Write(Promise<Completion>),
+    /// A prefetch's slot, which a hit may have taken since.
+    Prefetch(Slot),
+}
+
+impl Last {
+    /// Block until the entry has run, without taking what it produced.
+    fn wait(&self) {
+        match self {
+            Last::Write(done) => done.wait_settled(|_| ()),
+            Last::Prefetch(slot) => slot.wait_settled(|_| ()),
+        }
+    }
+
+    fn is_settled(&self) -> bool {
+        match self {
+            Last::Write(done) => done.is_settled(),
+            Last::Prefetch(slot) => slot.is_settled(),
+        }
+    }
+}
+
+/// The hash of a tenant's dataset records and prefetch slots: one
+/// multiply-rotate step per word (FxHash's). Their keys are dataset ids
+/// and selections the application made, not untrusted input, so
+/// SipHash's flood resistance buys nothing there, while a prefetch issue
+/// and a hit each hash a dataset id and a slot key under the connector
+/// lock (DESIGN.md §17).
+#[derive(Clone, Copy, Default)]
+struct WordHash;
+
+impl BuildHasher for WordHash {
+    type Hasher = WordHasher;
+
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher(0)
+    }
+}
+
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// Dimensions a prefetch slot's key holds inline.
+const KEY_RANK: usize = 3;
+
+/// A prefetch slot's key: its selection, held inline when it is the
+/// whole dataset or a hyperslab of at most [`KEY_RANK`] dimensions. A
+/// hit then hashes and compares words in the slot map's own memory, and
+/// the job carries a copy of its own in its closure and builds the
+/// selection on the reaper, so neither touches the other's memory, and
+/// the job's frees stay in the reaper's heap (DESIGN.md §14, "The slot
+/// key goes inline"). Any other selection is shared with the job.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum SlotKey {
+    All,
+    Slab {
+        rank: usize,
+        start: [u64; KEY_RANK],
+        count: [u64; KEY_RANK],
+        stride: Option<[u64; KEY_RANK]>,
+    },
+    Shared(Arc<Selection>),
+}
+
+impl SlotKey {
+    fn new(sel: &Selection) -> SlotKey {
+        let inline = |words: &[u64]| {
+            let mut key = [0; KEY_RANK];
+            key[..words.len()].copy_from_slice(words);
+            key
+        };
+        match sel {
+            Selection::All => SlotKey::All,
+            Selection::Slab(h)
+                if h.start.len() <= KEY_RANK
+                    && h.count.len() == h.start.len()
+                    && h.stride.as_ref().is_none_or(|s| s.len() == h.start.len()) =>
+            {
+                SlotKey::Slab {
+                    rank: h.start.len(),
+                    start: inline(&h.start),
+                    count: inline(&h.count),
+                    stride: h.stride.as_deref().map(inline),
+                }
+            }
+            sel => SlotKey::Shared(Arc::new(sel.clone())),
+        }
+    }
+
+    /// The selection the key stands for.
+    fn selection(&self) -> Cow<'_, Selection> {
+        match self {
+            SlotKey::All => Cow::Owned(Selection::All),
+            SlotKey::Slab { rank, start, count, stride } => Cow::Owned(Selection::Slab(Hyperslab {
+                start: start[..*rank].to_vec(),
+                count: count[..*rank].to_vec(),
+                stride: stride.map(|s| s[..*rank].to_vec()),
+            })),
+            SlotKey::Shared(sel) => Cow::Borrowed(sel),
+        }
+    }
 }
 
 /// Everything the connector keeps about one dataset of one container.
@@ -293,25 +415,24 @@ struct DsOrder {
     /// The dataset's last write or prefetch. It implies every earlier
     /// one: they are all entries under the dataset's key in the
     /// connector's ring, and same-key entries settle in FIFO order.
-    last: Option<Promise<Completion>>,
-    /// Completed or in-flight prefetches, by selection: the key is the
-    /// job's own copy, so a prefetch clones its selection once.
-    prefetched: HashMap<Arc<Selection>, PrefetchSlot>,
+    last: Option<Last>,
+    /// Completed or in-flight prefetches, by selection.
+    prefetched: HashMap<SlotKey, Slot, WordHash>,
 }
 
 impl DsOrder {
     /// Whether a write or prefetch is in flight, or a slot is held.
     fn busy(&self) -> bool {
-        self.last.as_ref().is_some_and(|p| !p.is_fulfilled()) || !self.prefetched.is_empty()
+        self.last.as_ref().is_some_and(|l| !l.is_settled()) || !self.prefetched.is_empty()
     }
 
-    /// The record with its prefetch slots dropped (their jobs go to
-    /// `stale`), because a write to the dataset is being issued: what they
-    /// fetched predates it, so the next read must be a cold one.
-    fn written(&mut self, stale: &mut Vec<Promise<Completion>>) -> &mut DsOrder {
+    /// The record with its prefetch slots dropped (they go to `stale`),
+    /// because a write to the dataset is being issued: what they fetched
+    /// predates it, so the next read must be a cold one.
+    fn written(&mut self, stale: &mut Vec<Slot>) -> &mut DsOrder {
         if !self.prefetched.is_empty() {
-            stale.retain(|p| !p.is_fulfilled());
-            stale.extend(self.prefetched.drain().map(|(_, slot)| slot.done));
+            stale.retain(|slot| !slot.is_fulfilled());
+            stale.extend(self.prefetched.drain().map(|(_, slot)| slot));
         }
         self
     }
@@ -323,7 +444,7 @@ struct Tenant {
     container: Weak<Container>,
     /// Given when the record is made; it spreads ring keys ([`Tenant::key`]).
     serial: u64,
-    datasets: HashMap<ObjectId, DsOrder>,
+    datasets: HashMap<ObjectId, DsOrder, WordHash>,
 }
 
 impl Tenant {
@@ -350,7 +471,7 @@ fn tenant<'a>(
             tenants.retain(|t| t.container.strong_count() > 0);
             let serial = *next_serial;
             *next_serial += 1;
-            tenants.push(Tenant { container: Arc::downgrade(c), serial, datasets: HashMap::new() });
+            tenants.push(Tenant { container: Arc::downgrade(c), serial, datasets: HashMap::default() });
             tenants.len() - 1
         }
     };
@@ -371,9 +492,9 @@ struct ConnInner {
     requests: HashMap<u64, Promise<Completion>>,
     /// One record per container, each keyed by dataset within it.
     tenants: Vec<Tenant>,
-    /// Jobs of slots a later write made stale: nobody reads what they
-    /// fetch, but `wait_all` still joins them.
-    stale_prefetches: Vec<Promise<Completion>>,
+    /// Slots a later write made stale: nobody reads what they fetch, but
+    /// `wait_all` still joins them.
+    stale_prefetches: Vec<Slot>,
 }
 
 impl ConnInner {
@@ -598,8 +719,7 @@ impl AsyncVol {
     /// [`Request::SYNC`]: no second read is issued, and the one slot
     /// serves the read.
     pub fn prefetch(&self, c: &Arc<Container>, ds: ObjectId, sel: &Selection) -> Request {
-        // The one deep copy: the slot's key and the job's selection.
-        let sel = Arc::new(sel.clone());
+        let sel = SlotKey::new(sel);
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let tenant = tenant(&mut inner.tenants, &mut inner.next_serial, c);
@@ -611,11 +731,11 @@ impl AsyncVol {
         let req = inner.next_req;
         inner.next_req += 1;
 
-        let promise: Promise<Result<ReadPayload>> = Promise::new();
+        let slot = Slot::new();
         let (c, sh) = (c.clone(), self.sh.clone());
-        let slot = SlotFiller(Some(promise.clone()));
-        let done = self.ring.submit_job(key, move || {
+        self.ring.submit_job(key, slot.clone(), move || {
             let mut span = sh.stats.tracer().span("vol.prefetch");
+            let sel = sel.selection();
             let t0 = Instant::now();
             let result = with_backoff(&sh.retry, req, t0, &sh.stats, || {
                 c.read_selection_tagged(ds, &sel)
@@ -633,17 +753,17 @@ impl AsyncVol {
             // with the datatype the read was planned against: a hit then
             // hands the caller its elements (DESIGN.md §17), and the bytes
             // go back to the recycler they were read into. Not device
-            // time, so after `io_secs`.
-            slot.fill(result.and_then(|(dtype, data)| {
+            // time, so after `io_secs`. A failed read is the slot's, for
+            // the read that takes it.
+            result.and_then(|(dtype, data)| {
                 let elems = Elements::decode(dtype, &data);
                 recycle::give(data);
                 elems.map(ReadPayload::Elements)
-            }));
-            Ok(()) // a failed read is the slot's, for the read that takes it
+            })
         });
 
-        vacant.insert(PrefetchSlot { promise, done: done.clone() });
-        order.last = Some(done);
+        vacant.insert(slot.clone());
+        order.last = Some(Last::Prefetch(slot));
         Request(req)
     }
 
@@ -671,7 +791,7 @@ impl AsyncVol {
         let key = tenant.key(ds);
         let order = tenant.datasets.entry(ds).or_default().written(&mut inner.stale_prefetches);
         let done = launch(req, key);
-        order.last = Some(done.clone());
+        order.last = Some(Last::Write(done.clone()));
         inner.requests.insert(req, done);
         Request(req)
     }
@@ -806,16 +926,18 @@ impl AsyncVol {
                 }))
             }
             (payload, _) => {
-                let sel = sel.clone();
-                self.ring.submit_job(key, move || {
+                let (sel, done) = (sel.clone(), Promise::new());
+                self.ring.submit_job(key, done.clone(), move || {
                     let _exec_span = sh.execute_span(ds, bytes);
                     let since = Instant::now();
                     let outcome = sh.land(&tenant, ds, &sel, payload, req, since);
                     // Settled the moment the write lands, not when somebody
                     // waits: the breaker counts consecutive failures as
                     // writes finish.
-                    sh.settle(outcome, probe, Some(Ran { degraded: false, bytes, since }))
-                })
+                    let ran = Ran { degraded: false, bytes, since };
+                    Completion { result: sh.settle(outcome, probe, Some(ran)) }
+                });
+                done
             }
         })
     }
@@ -857,7 +979,7 @@ impl AsyncVol {
             (salt, order.and_then(|o| o.written(&mut inner.stale_prefetches).last.clone()))
         };
         if let Some(last) = last {
-            last.wait_with(|_| ());
+            last.wait();
         }
         let since = Instant::now();
         let outcome = self.sh.land(c, ds, sel, Payload::Dram(data), salt, since);
@@ -914,10 +1036,10 @@ impl Vol for AsyncVol {
         // Serve from the prefetch slot when warm; else note, in the same
         // section, what is in flight on the dataset.
         let last = match record(&mut self.inner.lock().tenants, c, ds) {
-            Some(order) => match order.prefetched.remove(sel) {
+            Some(order) => match order.prefetched.remove(&SlotKey::new(sel)) {
                 Some(slot) => {
                     self.sh.stats.record_prefetch_hit();
-                    return Ok(ReadRequest::pending(slot.promise));
+                    return Ok(ReadRequest::pending(slot));
                 }
                 None => order.last.clone(),
             },
@@ -929,7 +1051,7 @@ impl Vol for AsyncVol {
         // first-time-step behaviour of the paper's connector.
         let mut read_span = self.sh.stats.tracer().span("vol.read");
         if let Some(last) = last {
-            last.wait_with(|_| ());
+            last.wait();
         }
         let t0 = Instant::now();
         let salt = ds.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -964,15 +1086,15 @@ impl Vol for AsyncVol {
     }
 
     fn wait_all(&self) -> Result<()> {
-        // Drain the request table and the in-flight prefetches, and note
-        // the open tenants, in one section.
-        let (mut requests, prefetches, tenants) = {
+        // Drain the request table and the stale slots, note the live
+        // ones and the open tenants, in one section.
+        let (mut requests, slots, tenants) = {
             let mut inner = self.inner.lock();
             let tenants = inner.open_tenants();
-            let mut pf = std::mem::take(&mut inner.stale_prefetches);
+            let mut slots = std::mem::take(&mut inner.stale_prefetches);
             let records = inner.tenants.iter().flat_map(|t| t.datasets.values());
-            pf.extend(records.flat_map(|o| o.prefetched.values()).map(|s| s.done.clone()));
-            (inner.requests.drain().collect::<Vec<_>>(), pf, tenants)
+            slots.extend(records.flat_map(|o| o.prefetched.values()).cloned());
+            (inner.requests.drain().collect::<Vec<_>>(), slots, tenants)
         };
         // Request order, not map order: the report must not depend on the
         // hasher.
@@ -986,8 +1108,8 @@ impl Vol for AsyncVol {
                 failures.push(format!("req {req}: {msg}"));
             }
         }
-        for done in prefetches {
-            if let Some(msg) = failure(&done) {
+        for slot in slots {
+            if let Some(msg) = panic_of(&slot) {
                 failures.push(format!("prefetch panicked: {msg}"));
             }
         }
@@ -1167,6 +1289,38 @@ mod tests {
     #[test]
     fn task_tenant_records_stay_bounded() {
         tenant_records_stay_bounded(false);
+    }
+
+    /// A slot key stands for exactly its selection, held inline or
+    /// shared: it gives the selection back, and two keys are equal only
+    /// when their selections are.
+    #[test]
+    fn a_slot_key_gives_back_exactly_its_selection() {
+        let slab = |start: &[u64], count: &[u64], stride: Option<&[u64]>| {
+            Selection::Slab(Hyperslab {
+                start: start.to_vec(),
+                count: count.to_vec(),
+                stride: stride.map(<[u64]>::to_vec),
+            })
+        };
+        let sels = [
+            Selection::All,
+            slab(&[], &[], None),
+            slab(&[5], &[80], None),
+            slab(&[5], &[80], Some(&[1])),
+            slab(&[5], &[81], None),
+            slab(&[1, 2, 3], &[4, 5, 6], Some(&[2, 2, 2])),
+            // Past KEY_RANK, and a malformed one: both shared.
+            slab(&[1, 2, 3, 4], &[1, 1, 1, 1], None),
+            slab(&[1, 2], &[3], None),
+        ];
+        for (i, a) in sels.iter().enumerate() {
+            let key = SlotKey::new(a);
+            assert_eq!(*key.selection(), *a, "selection {i}");
+            for (j, b) in sels.iter().enumerate() {
+                assert_eq!(key == SlotKey::new(b), i == j, "the keys of selections {i} and {j}");
+            }
+        }
     }
 
     /// A degraded write runs inline on the caller's thread: to a container

@@ -108,6 +108,12 @@ impl<T> Promise<T> {
         self.inner.slot.lock().value.is_some()
     }
 
+    /// Whether a value has been published, taken since or not.
+    pub fn is_settled(&self) -> bool {
+        let slot = self.inner.slot.lock();
+        slot.value.is_some() || slot.taken
+    }
+
     /// Block until the value arrives, then take it. Panics if the value
     /// was already taken by another waiter — a promise has one consumer.
     pub fn take(&self) -> T {
@@ -135,6 +141,18 @@ impl<T> Promise<T> {
             }
             self.sleep(&mut slot);
         }
+    }
+
+    /// Block until a value has been published, then look at it in place:
+    /// `None` if a taker already has it. Unlike
+    /// [`wait_with`](Self::wait_with), a waiter that only needs the
+    /// producer to be done never races the consumer.
+    pub fn wait_settled<R>(&self, look: impl FnOnce(Option<&T>) -> R) -> R {
+        let mut slot = self.inner.slot.lock();
+        while slot.value.is_none() && !slot.taken {
+            self.sleep(&mut slot);
+        }
+        look(slot.value.as_ref())
     }
 
     /// Block until the value arrives and clone it, leaving it in place.
@@ -318,6 +336,28 @@ mod tests {
         let mut outcomes: Vec<_> = takers.into_iter().map(|t| t.join().ok()).collect();
         outcomes.sort();
         assert_eq!(outcomes, [None, Some(9)], "one takes the value, the other panics");
+    }
+
+    /// A settled wait returns once the value is published, whether the
+    /// taker has it by then or not, and never panics on a spent promise.
+    #[test]
+    fn a_settled_wait_sees_the_value_or_its_taking() {
+        let p = Promise::resolved(4u8);
+        assert!(p.is_settled());
+        assert_eq!(p.wait_settled(|v| v.copied()), Some(4));
+        assert_eq!(p.take(), 4);
+        assert!(p.is_settled() && !p.is_fulfilled());
+        assert_eq!(p.wait_settled(|v| v.copied()), None);
+
+        let p: Promise<u8> = Promise::new();
+        assert!(!p.is_settled());
+        let waiter = p.clone();
+        let t = std::thread::spawn(move || waiter.wait_settled(|_| ()));
+        assert!(sleepers_reach(&p, 1), "the waiter falls asleep");
+        p.fulfill(5);
+        assert_eq!(p.take(), 5);
+        let outcome = panics_within(move || t.join().unwrap(), DEADLINE);
+        assert_eq!(outcome, Some(false), "the waiter wakes (None: it hung)");
     }
 
     /// The wake-up is paid only when somebody sleeps: a fulfil and a take

@@ -36,12 +36,17 @@
 //!   if one sleeps on the promise: a completion nobody waits on yet costs
 //!   the reaper a lock, not a `futex_wake`.
 //! - **Jobs**: [`Ring::submit_job`] queues work that is not a write — an
-//!   entry with no segments whose completion hook is the work, boxed
-//!   once, as that hook. A job
-//!   ends its reaper pass: when it starts, everything queued before it
-//!   on the shard has landed and settled, and nothing queued after it
-//!   has started. So one FIFO orders a dataset's writes, reads and
-//!   anything else its owner runs in the background.
+//!   entry of its own kind that holds the work and the caller's own
+//!   promise, boxed once together. It names no device and makes no
+//!   promise of its own: the reaper runs the work, retires the entry,
+//!   then fulfils the caller's promise with what the work returned, or
+//!   with an [`H5Error::Async`] naming its panic ([`JobResult`]). So the
+//!   promise a job's owner keeps is the job's one completion, and the
+//!   value it waits for is the value it reads. A job ends its reaper
+//!   pass: when it starts, everything queued before it on the shard has
+//!   landed and settled, and nothing queued after it has started. So one
+//!   FIFO orders a dataset's writes, reads and anything else its owner
+//!   runs in the background.
 //!
 //! Sharding is by caller-provided key (the connector uses the dataset id
 //! offset by its container's serial, so one container's entries and
@@ -180,13 +185,43 @@ impl Completion {
 pub type OnComplete =
     Box<dyn FnOnce(Result<()>, bool, &mut dyn FnMut() -> Result<()>) -> Result<()> + Send>;
 
-/// Submission-queue entry: the device it writes, the operation, the
-/// promise its completion fulfils, and the hook that runs first.
-struct Sqe {
+/// What a job's promise holds ([`Ring::submit_job`]): the job's own
+/// value, or what stands for a job that panicked.
+pub trait JobResult: Send + 'static {
+    /// The value of a job that unwound: `error` names the panic.
+    fn panicked(error: H5Error) -> Self;
+}
+
+impl<T: Send + 'static> JobResult for Result<T> {
+    fn panicked(error: H5Error) -> Self {
+        Err(error)
+    }
+}
+
+impl JobResult for Completion {
+    fn panicked(error: H5Error) -> Self {
+        Completion { result: Err(error) }
+    }
+}
+
+/// A write entry: the device it writes, the operation, the promise its
+/// completion fulfils, and the hook that runs first.
+struct WriteSqe {
     device: Arc<dyn StorageBackend>,
     op: RingOp,
     promise: Promise<Completion>,
     hook: OnComplete,
+}
+
+/// A job entry: the caller's work and promise in one box, which the
+/// reaper calls with the ring so the job retires itself between its
+/// return and its fulfil.
+type Job = Box<dyn FnOnce(&RingShared) + Send>;
+
+/// Submission-queue entry.
+enum Sqe {
+    Write(WriteSqe),
+    Job(Job),
 }
 
 /// Outcome of a submission: always [`Submitted::Accepted`], since a full
@@ -223,9 +258,17 @@ struct Shard {
 struct RingShared {
     shards: Vec<Shard>,
     backend: Arc<dyn StorageBackend>,
-    /// Submitted and not yet completed (landed, its hook run).
+    /// Submitted and not yet completed (landed, its hook run; a job run).
     in_flight: AtomicUsize,
     shutdown: AtomicBool,
+}
+
+impl RingShared {
+    /// Take one completed entry out of [`Ring::occupancy`], before its
+    /// promise is fulfilled.
+    fn retire(&self) {
+        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// The sharded submission queues, each entry naming its device. See the
@@ -289,25 +332,32 @@ impl Ring {
     }
 
     /// Queue `job` on `key`'s shard: the reaper runs it at its FIFO
-    /// position, as a pass of its own (see the module docs), and its
-    /// return value, or its panic, is the completion's verdict. The job is
-    /// boxed once, as the entry's hook.
-    pub fn submit_job(
+    /// position, as the end of a pass (see the module docs), and fulfils
+    /// `promise` once the entry has left [`occupancy`](Self::occupancy):
+    /// with the job's value, or, if the job unwound, with an
+    /// [`H5Error::Async`] naming the panic. The entry is the job and the
+    /// promise, boxed once together. `promise` must be pending: the ring
+    /// is its one producer.
+    pub fn submit_job<T: JobResult>(
         &self,
         key: u64,
-        job: impl FnOnce() -> Result<()> + Send + 'static,
-    ) -> Promise<Completion> {
-        // No segments, so the device is never written.
-        let op = RingOp::Write { data: Vec::new(), segs: Vec::new() };
-        self.submit_with(key, self.shared.backend.clone(), op, Box::new(move |_, _, _| job()))
+        promise: Promise<T>,
+        job: impl FnOnce() -> T + Send + 'static,
+    ) {
+        self.push(key, Sqe::Job(Box::new(move |shared: &RingShared| {
+            let value = panic::catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|p| {
+                T::panicked(H5Error::Async(format!("ring job panicked: {}", message(&*p))))
+            });
+            shared.retire();
+            promise.fulfill(value);
+        })));
     }
 
     /// Queue `op`, a write to `device`, on `key`'s shard and wake its
     /// reaper, with a completion hook attached before the operation is
     /// queued, so it never runs on the submitting thread. Same-key
     /// operations share a shard and therefore complete in submission
-    /// order. The one push loop: a full shard blocks the caller until it
-    /// has a slot.
+    /// order.
     pub fn submit_with(
         &self,
         key: u64,
@@ -315,10 +365,16 @@ impl Ring {
         op: RingOp,
         hook: OnComplete,
     ) -> Promise<Completion> {
+        let promise = Promise::new();
+        self.push(key, Sqe::Write(WriteSqe { device, op, promise: promise.clone(), hook }));
+        promise
+    }
+
+    /// The one push loop: queue `sqe` on `key`'s shard and wake its
+    /// reaper. A full shard blocks the caller until it has a slot.
+    fn push(&self, key: u64, mut sqe: Sqe) {
         let shard_idx = (key % self.shared.shards.len() as u64) as usize;
         let shard = &self.shared.shards[shard_idx];
-        let promise = Promise::new();
-        let mut sqe = Sqe { device, op, promise: promise.clone(), hook };
         self.shared.in_flight.fetch_add(1, Ordering::AcqRel);
         while let Err(back) = shard.sq.push(sqe) {
             sqe = back;
@@ -326,11 +382,10 @@ impl Ring {
             thread::park_timeout(SUBMIT_BACKOFF);
         }
         self.unpark(shard_idx);
-        promise
     }
 
-    /// Block until every submitted operation has completed: landed, its
-    /// hook run. Its promise is fulfilled right after.
+    /// Block until every submitted entry has completed: a write landed
+    /// and its hook run, a job run. Its promise is fulfilled right after.
     pub fn drain(&self) {
         while self.shared.in_flight.load(Ordering::Acquire) != 0 {
             for i in 0..self.shared.shards.len() {
@@ -369,45 +424,42 @@ fn reaper_main(shared: Arc<RingShared>, shard_idx: usize) {
     )]
     let _ = shared.shards[shard_idx].reaper.set(thread::current());
     loop {
-        let batch = drain_shard(&shared, shard_idx);
-        if !batch.is_empty() {
-            execute_batch(&shared, batch);
+        // Read before the drain: every push made before `Drop` set the
+        // flag is in the queue by then, so a closing drain that comes
+        // back empty is the last.
+        let closing = shared.shutdown.load(Ordering::Acquire);
+        let (writes, job) = drain_shard(&shared, shard_idx);
+        if !writes.is_empty() || job.is_some() {
+            execute_pass(&shared, writes, job);
             continue;
         }
-        if shared.shutdown.load(Ordering::Acquire) {
-            // A submitter may have pushed between our empty pop and the
-            // shutdown flag; one more drain closes the race.
-            let last = drain_shard(&shared, shard_idx);
-            if last.is_empty() {
-                break;
-            }
-            execute_batch(&shared, last);
-            continue;
+        if closing {
+            break;
         }
-        // No timeout: `submit_with` pushes and `Drop` sets the shutdown
-        // flag before unparking this thread (`drain` unparks it while
-        // work is in flight). The loop above has drained and checked the
-        // flag since, and an unpark that lands before this park leaves
-        // the token that makes it return at once, so no wakeup is lost.
+        // No timeout: a push and `Drop` unpark this thread after queuing
+        // or setting the flag (`drain` unparks it while work is in
+        // flight), and an unpark that lands before this park leaves the
+        // token that makes it return at once, so no wakeup is lost.
         thread::park();
     }
 }
 
-/// Pop up to a coalescing window's worth of segments in one pass, or up
-/// to and including the first job: a job ends its pass.
-fn drain_shard(shared: &RingShared, shard_idx: usize) -> Vec<Sqe> {
-    let mut batch = Vec::new();
+/// Pop up to a coalescing window's worth of write segments in one pass,
+/// or the writes up to the first job and that job: a job ends its pass.
+fn drain_shard(shared: &RingShared, shard_idx: usize) -> (Vec<WriteSqe>, Option<Job>) {
+    let mut writes = Vec::new();
     let mut segments = 0usize;
     while segments < COALESCE_WINDOW {
-        let Some(sqe) = shared.shards[shard_idx].sq.pop() else { break };
-        let job = sqe.op.segs().is_empty();
-        segments += sqe.op.segs().len().max(1);
-        batch.push(sqe);
-        if job {
-            break;
+        match shared.shards[shard_idx].sq.pop() {
+            None => break,
+            Some(Sqe::Job(job)) => return (writes, Some(job)),
+            Some(Sqe::Write(w)) => {
+                segments += w.op.segs().len().max(1);
+                writes.push(w);
+            }
         }
     }
-    batch
+    (writes, None)
 }
 
 /// Execute one reaper pass: each run of consecutive entries on the same
@@ -417,8 +469,7 @@ fn drain_shard(shared: &RingShared, shard_idx: usize) -> Vec<Sqe> {
 /// idempotent (same bytes, same offsets) — and a replay's hook is told it
 /// is one. Completions are delivered in queue order, and a job, which can
 /// only be last, runs once every write before it has landed and settled.
-fn execute_batch(shared: &RingShared, mut batch: Vec<Sqe>) {
-    let job = batch.pop_if(|sqe| sqe.op.segs().is_empty());
+fn execute_pass(shared: &RingShared, mut batch: Vec<WriteSqe>, job: Option<Job>) {
     while let Some(first) = batch.first() {
         let n = batch.iter().take_while(|sqe| Arc::ptr_eq(&sqe.device, &first.device)).count();
         let run = batch[..n].iter().map(|sqe| &sqe.op);
@@ -433,7 +484,7 @@ fn execute_batch(shared: &RingShared, mut batch: Vec<Sqe>) {
         }
     }
     if let Some(job) = job {
-        complete(shared, job, Ok(()), false);
+        job(shared);
     }
 }
 
@@ -468,8 +519,8 @@ fn message(panic: &(dyn std::any::Any + Send)) -> String {
 /// buffer back for the next one (lock-free), landed or failed: nothing
 /// holds it after its hook, so a waiter that wakes finds it reusable and
 /// a failure nobody waits for pins no memory.
-fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>, replayed: bool) {
-    let Sqe { device, op, promise, hook } = sqe;
+fn complete(shared: &RingShared, sqe: WriteSqe, result: Result<()>, replayed: bool) {
+    let WriteSqe { device, op, promise, hook } = sqe;
     // A panicking hook must not kill the reaper, which would strand every
     // promise of its shard: the panic is the op's error.
     let mut again = || write_run(&*device, std::iter::once(&op));
@@ -479,7 +530,7 @@ fn complete(shared: &RingShared, sqe: Sqe, result: Result<()>, replayed: bool) {
     });
     let RingOp::Write { data, .. } = op;
     recycle::give(data);
-    shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+    shared.retire();
     promise.fulfill(Completion { result });
 }
 
@@ -805,7 +856,13 @@ mod tests {
                     panic!("hook panics (expected by the test)")
                 }))
             }),
-            ("job", |ring| ring.submit_job(0, || panic!("job panics (expected by the test)"))),
+            ("job", |ring| {
+                let p = Promise::new();
+                ring.submit_job(0, p.clone(), || -> Completion {
+                    panic!("job panics (expected by the test)")
+                });
+                p
+            }),
         ];
         for (what, submit_panicking) in inputs {
             let ring = Ring::new(Arc::new(MemBackend::new()), RingConfig::default());
@@ -893,11 +950,12 @@ mod tests {
         let first = submit(&ring, 0, RingOp::write_raw(0, vec![1u8; 8]));
         let seen = Arc::new(crate::sync::Mutex::new(None));
         let (device, saw) = (backend.clone(), seen.clone());
-        let job = ring.submit_job(0, move || {
+        let job = Promise::new();
+        ring.submit_job(0, job.clone(), move || {
             let mut back = [0u8; 8];
-            device.read_at(0, &mut back)?;
+            let result = device.read_at(0, &mut back);
             *saw.lock() = Some(back);
-            Ok(())
+            Completion { result }
         });
         let second = submit(&ring, 0, RingOp::write_raw(0, vec![2u8; 8]));
         log.gate.store(true, Ordering::SeqCst);

@@ -10,7 +10,9 @@
 //! bytes, prefetch slots and order; and on a device of four channels,
 //! which stripes a large write itself, the later of two writes to the
 //! same bytes still lands last and a failed write call is retried or is
-//! the write's failure), and a seeded `argolite::explore` sweep over submit/drain
+//! the write's failure), a prefetch as one ring job (it holds no clone of
+//! the ring's backend, and a read it failed is the slot's to report, not
+//! `wait_all`'s), and a seeded `argolite::explore` sweep over submit/drain
 //! interleavings. Per-key completion order and shutdown with operations
 //! in flight are `h5lite::ring`'s own unit tests.
 
@@ -747,4 +749,94 @@ fn a_closed_container_outlives_its_held_raw_writes_on_its_own_ring() {
 #[test]
 fn a_closed_container_outlives_its_held_raw_writes_on_the_attached_ring() {
     a_closed_container_outlives_its_held_raw_writes(true);
+}
+
+/// A prefetch is one ring job holding its closure and its slot, and
+/// nothing of the ring: 16 prefetches queued behind a write held in the
+/// device leave the `Arc` count of the backend the ring was built over
+/// where it was. The device's gate opens at a 5 s deadline at the
+/// latest, so a write that never arrives fails the test rather than
+/// hanging it.
+#[test]
+fn queued_prefetches_hold_no_clone_of_the_rings_backend() {
+    const PREFETCHES: u64 = 16;
+    let closed = Arc::new(AtomicBool::new(false));
+    let gate = closed.clone();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let device = CountingBackend::new(Arc::new(MemBackend::new())).with_hook(move |call| {
+        if let Call::Write { .. } = call {
+            while gate.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+        Ok(())
+    });
+    let device = Arc::new(device);
+    let ring_backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+    let ring = Arc::new(Ring::new(ring_backend.clone(), RingConfig::default()));
+    let vol = AsyncVol::builder().ring(ring.clone()).build();
+    let c = Arc::new(Container::create(device.clone()));
+    let len = 64 * PREFETCHES;
+    let ds = c
+        .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(len), Layout::Contiguous)
+        .expect("create dataset");
+    closed.store(true, Ordering::SeqCst);
+    let before = device.counts();
+    let _ = vol.dataset_write(&c, ds, &Selection::All, &vec![7; len as usize]).expect("issue");
+    while (device.counts() - before).write_batches == 0 {
+        assert!(Instant::now() < deadline, "the write never reached the device");
+        std::thread::yield_now();
+    }
+
+    let held = Arc::strong_count(&ring_backend);
+    let slab = |i: u64| Selection::Slab(Hyperslab::range1(i * 64, 64));
+    for i in 0..PREFETCHES {
+        assert!(!vol.prefetch(&c, ds, &slab(i)).is_sync(), "prefetch {i} was issued");
+    }
+    let (queued, during) = (ring.occupancy(), Arc::strong_count(&ring_backend));
+    let gated = Instant::now() < deadline;
+    closed.store(false, Ordering::SeqCst);
+    assert!(gated, "the gate's deadline passed before the count was read");
+    assert_eq!(queued, 1 + PREFETCHES as usize, "the held write and every prefetch are queued");
+    assert_eq!(during, held, "{PREFETCHES} queued prefetches moved the ring backend's count");
+
+    for i in 0..PREFETCHES {
+        let hit = vol.dataset_read(&c, ds, &slab(i)).expect("read").wait().expect("hit");
+        assert_eq!(hit, vec![7u8; 64], "slab {i}");
+    }
+    assert_eq!(vol.stats().prefetch_hits, PREFETCHES);
+    vol.wait_all().expect("everything landed");
+}
+
+/// A prefetch whose read fails without panicking holds the failure for
+/// the read that takes its slot: `wait_all` before that read returns
+/// `Ok`, the read gets the error, and it is reported once — the drain and
+/// the next read after it see nothing.
+#[test]
+fn a_failed_prefetch_nobody_took_is_the_reads_to_report_not_wait_alls() {
+    let plan = FaultPlan::new(3)
+        .fail_after(FaultOp::Read, 0, FaultKind::Persistent)
+        .times(1);
+    let injector = Arc::new(FaultInjector::new(Arc::new(MemBackend::new()), plan));
+    injector.set_armed(false);
+    let vol = AsyncVol::builder().retry(RetryPolicy::none()).build();
+    let c = Arc::new(Container::create(injector.clone()));
+    let ds = c
+        .create_dataset(ROOT_ID, "x", Datatype::U8, &Dataspace::d1(64), Layout::Contiguous)
+        .expect("create dataset");
+    let req = vol.dataset_write(&c, ds, &Selection::All, &[5; 64]).expect("issue");
+    vol.wait(req).expect("the write lands");
+
+    injector.set_armed(true);
+    let _ = vol.prefetch(&c, ds, &Selection::All);
+    vol.wait_all().expect("a failed prefetch read is not wait_all's to report");
+    assert_eq!(injector.injected(), 1, "the prefetch's read failed");
+    let read = vol.dataset_read(&c, ds, &Selection::All).expect("read").wait();
+    assert!(matches!(read, Err(H5Error::Storage(_))), "the read took the failure: {read:?}");
+
+    vol.wait_all().expect("reported once, by the read");
+    let back = vol.dataset_read(&c, ds, &Selection::All).expect("read").wait();
+    assert_eq!(back.expect("a clean cold read"), vec![5u8; 64]);
+    let s = vol.stats();
+    assert_eq!((s.prefetch_hits, s.blocking_reads), (1, 1));
 }
