@@ -108,7 +108,11 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #                     calling thread alone, and the data barrier's
 #                     thread, take no named lock off that thread
 #   chaos, properties fault injection and resilience properties, incl.
-#                     the row-plan/run-plan equivalence
+#                     the row-plan/run-plan equivalence; properties also
+#                     holds mpisim::run to the pipeline's closed form
+#                     (Eq. 2c, apio-core::epoch) on every field of every
+#                     phase, and a collective phase to its
+#                     processor-sharing flows on desim's engine
 #   consistency       Strong/Session/Commit visibility under explored
 #                     interleavings (floor ⊆ observed ⊆ completed) plus
 #                     scripted replays proving the models distinct

@@ -1,25 +1,26 @@
 #![warn(missing_docs)]
-//! # desim — deterministic discrete-event simulation core
+//! # desim — deterministic simulation primitives
 //!
-//! The substrate under the HPC system models in this workspace. It provides:
+//! The small substrate under the HPC system models in this workspace:
 //!
-//! - [`SimTime`] / [`SimDuration`]: virtual time with nanosecond resolution,
-//!   so a "30 second compute phase" costs nothing in wall-clock time.
-//! - [`Engine`]: a deterministic event scheduler. Events scheduled for the
-//!   same instant fire in insertion order, so a run with a fixed seed is
-//!   byte-for-byte reproducible.
-//! - [`resource`]: fluid-flow *processor-sharing* resources modelling shared
-//!   bandwidth (a parallel file system, a NIC, a DRAM bus). Flows arrive,
-//!   share capacity fairly subject to per-flow caps (water-filling), and
-//!   complete; the resource re-plans completion times on every change.
 //! - [`rng`]: small self-contained deterministic RNG (SplitMix64 /
-//!   xoshiro256**) plus lognormal sampling for the contention model.
+//!   xoshiro256**) plus lognormal sampling for the contention model;
+//!   `mpisim`'s seeded perturbations draw from [`rng::splitmix64`].
 //! - [`stats`]: one-pass mean/variance, for Fig. 8's coefficient of
 //!   variation.
-//!
-//! The engine is intentionally single-threaded: determinism and
-//! reproducibility of the paper's figures matter more than simulator
-//! parallelism at these event counts.
+//! - [`SimTime`] / [`SimDuration`], [`Engine`] and [`resource`]: virtual
+//!   time with nanosecond resolution, a deterministic event scheduler
+//!   (events at one instant fire in insertion order) and fluid-flow
+//!   *processor-sharing* resources (flows share capacity max-min fairly
+//!   under per-flow caps; completions are re-planned on every change).
+//!   No executor runs on them: the simulator's epoch loop is closed form
+//!   (`mpisim::run`, checked against Eq. 2c in `apio_core::epoch`). They
+//!   hold the one thing the closed form assumes and does not derive —
+//!   that a collective phase of capped flows on the file system's server
+//!   term takes what `mpisim::Job::collective_io_time` charges, the
+//!   `min` of the client and server terms — in the root package's
+//!   `tests/properties.rs`, beside their own conservation and
+//!   determinism properties.
 
 pub mod engine;
 pub mod resource;

@@ -17,13 +17,12 @@
 //!   [`workload::RunResult::feed`] is how a run, simulated or real,
 //!   reaches the model's feedback loop: one transfer record per epoch.
 //! - [`runner`] — the executor: [`runner::run`] walks the paper's
-//!   Eq. 1–2 epoch by epoch in closed form, plus buffer depth and the
-//!   prefetch chain. An event-driven run of the same semantics on the
-//!   [`desim`] engine (the file system as a processor-sharing resource,
-//!   genuinely blocking waits) is its test-only oracle: agreement to
-//!   1e-6 on every field is asserted in the crate's tests, and nothing
-//!   outside them can select it — it regenerates every figure
-//!   byte-identically but 570 × slower.
+//!   Eq. 1–2 epoch by epoch, plus buffer depth and the prefetch chain.
+//!   Its reference is Eq. 2c, the closed form of the same pipeline in
+//!   `apio_core::epoch`: the root package's `tests/properties.rs` holds
+//!   `run` to it to 1e-9 on wall time and on every field of every phase,
+//!   and checks each collective phase's time against a processor-sharing
+//!   run of its flows on [`desim`]'s engine.
 //! - [`attribution`] — straggler attribution (DESIGN.md §16):
 //!   [`attribution::straggler_report`] splits each epoch of a finished
 //!   run rank by rank into the operator report's straggler section. The
@@ -32,8 +31,6 @@
 
 pub mod attribution;
 pub mod comm;
-#[cfg(test)]
-mod oracle;
 pub mod runner;
 pub mod workload;
 

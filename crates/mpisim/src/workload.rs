@@ -8,10 +8,11 @@ use apio_core::AdaptiveRuntime;
 /// workload's nominal `compute_secs`, which keeps an unperturbed run
 /// bit-identical to the pre-perturbation model.
 ///
-/// The executor and its oracle apply the same perturbation (an epoch's
-/// effective compute is the slowest rank's), so their agreement holds
-/// under any knob setting — and the per-rank spread is what the
-/// cross-rank tracer attributes.
+/// The executor charges an epoch the slowest rank's compute. A straggler
+/// alone keeps that constant, so Eq. 2c's closed forms still hold with
+/// `t_comp` = [`Workload::effective_compute_secs`]; jitter makes it vary
+/// by epoch, which only the executor's epoch walk follows. The per-rank
+/// spread is what the cross-rank tracer attributes.
 #[derive(Clone, Debug)]
 pub struct Perturbation {
     /// Rank whose compute runs `straggler_factor`× slower every epoch.

@@ -14,7 +14,11 @@ use apio::h5lite::{
 use apio::model::epoch::EpochParams;
 use apio::model::regression::{Design, LinearFit};
 use apio::model::{AdaptiveRuntime, Direction, DriftAlarm, DriftDirection, IoMode, TransferRecord};
-use std::cell::RefCell;
+use apio::mpisim::workload::StagingTier;
+use apio::mpisim::{run, Job, PhaseMeasure, RunConfig, Workload};
+use apio::platform::units::MIB;
+use apio::platform::{cori_haswell, summit, FileSystemModel, IoPattern, SystemConfig};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -150,6 +154,275 @@ fn epoch_equations_invariants() {
         let slow = p.async_time() >= p.sync_time();
         assert_eq!(slow, ov >= io.min(2.0 * comp), "case {case}: comp {comp} io {io} ov {ov}");
     }
+}
+
+/// The closed forms' inputs for one configuration: the epoch's compute,
+/// one phase's I/O (with NVMe's read-back), and the copy the application
+/// pays (the snapshot, or a prefetched step's delivery).
+fn pipeline_params(job: &Job, w: &Workload, cfg: &RunConfig) -> EpochParams {
+    let bytes = w.per_rank_bytes;
+    let io = job.collective_io_time(bytes, w.direction, cfg.contention);
+    let (io, ov) = match (cfg.mode, w.direction, cfg.staging) {
+        (IoMode::Sync, ..) => (io, 0.0),
+        (IoMode::Async, Direction::Write, StagingTier::Nvme) => (
+            io + job.staging_readback_time(bytes),
+            job.snapshot_time_nvme(bytes),
+        ),
+        (IoMode::Async, ..) => (io, job.snapshot_time(bytes)),
+    };
+    EpochParams::new(w.effective_compute_secs(0), io, ov)
+}
+
+/// `sys` with the copy an async write's overhead pays (memcpy, or the
+/// device write when staging on NVMe) re-rated so that a node's `bytes`
+/// per rank take about `secs`.
+fn rerated(mut sys: SystemConfig, copy: StagingTier, bytes: u64, secs: f64) -> SystemConfig {
+    let bw = bytes as f64 * f64::from(sys.ranks_per_node) / secs;
+    match copy {
+        StagingTier::Nvme => sys.nvme.as_mut().expect("node-local device").write_bw = bw,
+        StagingTier::Dram => sys.memcpy.peak_bw = bw,
+    }
+    sys
+}
+
+/// What Eq. 2a, Eq. 2c and the read chain (`apio_core::epoch`) say
+/// `mpisim::run` measures: every phase, and the wall time.
+fn closed_form(job: &Job, w: &Workload, cfg: &RunConfig) -> (Vec<PhaseMeasure>, f64) {
+    let p = pipeline_params(job, w, cfg);
+    let (n, depth) = (w.epochs, cfg.buffer_depth);
+    let measure = |e: u32| {
+        let (visible, background, ov) = match (cfg.mode, w.direction) {
+            (IoMode::Sync, _) => (p.t_io, p.t_io, 0.0),
+            (IoMode::Async, Direction::Write) => {
+                let x = p.write_epoch(depth, e);
+                (x.visible, x.background, p.t_overhead)
+            }
+            (IoMode::Async, Direction::Read) => {
+                let x = p.read_epoch_visible(e);
+                (x, x, if e == 0 { 0.0 } else { p.t_overhead })
+            }
+        };
+        PhaseMeasure {
+            t_comp: p.t_comp,
+            visible_io_secs: visible,
+            overhead_secs: ov,
+            background_io_secs: background,
+        }
+    };
+    let span = match (cfg.mode, w.direction) {
+        (IoMode::Sync, _) => f64::from(n) * p.sync_time(),
+        (IoMode::Async, Direction::Write) => p.write_run_time(depth, n),
+        (IoMode::Async, Direction::Read) => p.read_run_time(n),
+    };
+    ((0..n).map(measure).collect(), w.t_init + span + w.t_term)
+}
+
+/// `run` against the closed forms, to 1e-9 relative on the wall and on
+/// every field of every phase. A field near zero (a wait that did not
+/// happen) is a difference of times of the wall's order, so the relative
+/// bound has a floor of 1e-3 of the wall.
+fn assert_matches_closed_form(job: &Job, w: &Workload, cfg: &RunConfig, ctx: &str) {
+    let got = run(job, w, cfg);
+    let (want, wall) = closed_form(job, w, cfg);
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-3 * wall);
+    assert!(close(got.wall_secs, wall), "{ctx}: wall {} vs {wall}", got.wall_secs);
+    assert_eq!(got.phases.len(), want.len(), "{ctx}");
+    for (e, (g, x)) in got.phases.iter().zip(&want).enumerate() {
+        for (field, a, b) in [
+            ("t_comp", g.t_comp, x.t_comp),
+            ("visible", g.visible_io_secs, x.visible_io_secs),
+            ("overhead", g.overhead_secs, x.overhead_secs),
+            ("background", g.background_io_secs, x.background_io_secs),
+        ] {
+            assert!(close(a, b), "{ctx}: epoch {e} {field}: run {a} vs closed form {b}");
+        }
+    }
+}
+
+/// One collective phase on desim's engine: the metadata delay, one
+/// processor-sharing flow per node on the file system's server term,
+/// each capped at one node's client term, then the closing barrier. Its
+/// end is what `Job::collective_io_time` charges in closed form (the
+/// `min` of the two terms), the phase every pipeline form builds on.
+fn assert_phase_is_processor_sharing(job: &Job, w: &Workload, cfg: &RunConfig) {
+    let pfs = &job.system().pfs;
+    let pattern = match w.direction {
+        Direction::Write => IoPattern::Write,
+        Direction::Read => IoPattern::Read,
+    };
+    let bytes = w.per_rank_bytes;
+    let server = SharedResource::new("pfs", pfs.server_term(bytes, pattern, cfg.contention));
+    let cap = pfs.client_term(1, bytes);
+    let nodes = job.nodes();
+    let per_node = job.total_bytes(bytes) as f64 / f64::from(nodes);
+    let landed = Rc::new(Cell::new(0));
+    let mut engine = Engine::new();
+    let meta = SimDuration::from_secs_f64(pfs.metadata_time(job.ranks()));
+    let count = landed.clone();
+    engine.schedule(meta, move |engine| {
+        let flows = (0..nodes).map(|_| {
+            let count = count.clone();
+            (per_node, Some(cap), move |_: &mut Engine| count.set(count.get() + 1))
+        });
+        server.start_flows(engine, flows);
+    });
+    engine.run();
+    assert_eq!(landed.get(), nodes);
+    let phase = engine.now().as_secs_f64() + job.barrier_time();
+    let want = job.collective_io_time(bytes, w.direction, cfg.contention);
+    assert!((phase - want).abs() <= 1e-6 * want, "phase {phase} vs closed form {want}");
+}
+
+/// One of the six configurations the event-driven oracle used to check
+/// `run` on: the run against the closed forms, its phase against its flows.
+fn assert_config(job: &Job, w: &Workload, cfg: &RunConfig) {
+    assert_matches_closed_form(job, w, cfg, &format!("{cfg:?}, {} s compute", w.compute_secs));
+    assert_phase_is_processor_sharing(job, w, cfg);
+}
+
+#[test]
+fn pipeline_sync_on_summit() {
+    let job = Job::new(summit(), 96);
+    assert_config(&job, &Workload::checkpoint(96, 32 * MIB, 4, 5.0), &RunConfig::sync());
+}
+
+#[test]
+fn pipeline_sync_on_cori_contended() {
+    let job = Job::new(cori_haswell(), 1024);
+    let w = Workload::checkpoint(1024, 32 * MIB, 3, 2.0);
+    assert_config(&job, &w, &RunConfig::sync().with_contention(0.6));
+}
+
+#[test]
+fn pipeline_async_write_long_compute() {
+    // Fig. 1a: compute hides every background write.
+    let job = Job::new(summit(), 768);
+    assert_config(&job, &Workload::checkpoint(768, 32 * MIB, 5, 30.0), &RunConfig::async_io());
+}
+
+#[test]
+fn pipeline_async_write_short_compute() {
+    // Buffer-limited: compute far shorter than the write, so the
+    // application waits for a free buffer at every depth.
+    let job = Job::new(summit(), 6144);
+    let w = Workload::checkpoint(6144, 32 * MIB, 6, 0.05);
+    for depth in [1, 2, 4] {
+        assert_config(&job, &w, &RunConfig::async_io().with_buffer_depth(depth));
+    }
+}
+
+#[test]
+fn pipeline_async_read() {
+    // Long compute hides every prefetch; short compute waits for each.
+    let job = Job::new(summit(), 384);
+    for compute in [30.0, 0.01] {
+        let w = Workload::analysis(384, 32 * MIB, 5, compute);
+        assert_config(&job, &w, &RunConfig::async_io());
+    }
+}
+
+#[test]
+fn pipeline_nvme_staging() {
+    // The read-back rides the background write, in both regimes.
+    let job = Job::new(summit(), 768);
+    let cfg = RunConfig::async_io().with_staging(StagingTier::Nvme);
+    for compute in [30.0, 0.01] {
+        assert_config(&job, &Workload::checkpoint(768, 32 * MIB, 5, compute), &cfg);
+    }
+}
+
+/// Eq. 2b and Eq. 2c against `mpisim::run`: each one's residual against
+/// the simulated epoch, `(wall − t_init − t_term) / epochs` (Eq. 1 solved
+/// for the epoch), on the Summit probe (768 ranks × 256 MiB, 20 epochs)
+/// with its own memcpy and re-rated to two more `t_ov / t_io`. Eq. 2c's
+/// run form is exact; its steady period misses by the fill and drain
+/// spread over the run. EXPERIMENTS.md's table is this test's output
+/// (`cargo test --test properties residuals -- --nocapture`).
+#[test]
+fn eq2b_and_eq2c_residuals_against_the_executor() {
+    let (ranks, bytes, epochs) = (768, 256 * MIB, 20);
+    let io = Job::new(summit(), ranks).collective_io_time(bytes, Direction::Write, 1.0);
+    let jobs = [
+        summit(),
+        rerated(summit(), StagingTier::Dram, bytes, 0.05 * io),
+        rerated(summit(), StagingTier::Dram, bytes, 0.5 * io),
+    ]
+    .map(|sys| Job::new(sys, ranks));
+    let mut header = String::from("| t_comp / t_io | D |");
+    for job in &jobs {
+        let ov = job.snapshot_time(bytes) / io;
+        header += &format!(" Eq. 2b, t_ov = {ov:.2} t_io | Eq. 2c, {ov:.2} |");
+    }
+    println!("{header}\n|---|---|---|---|---|---|---|---|");
+    for ratio in [0.0, 0.25, 0.5, 1.0, 2.0, 4.0] {
+        for depth in [1, 2, 8] {
+            let mut row = format!("| {ratio} | {depth} |");
+            for job in &jobs {
+                let w = Workload::checkpoint(ranks, bytes, epochs, ratio * io);
+                let cfg = RunConfig::async_io().with_buffer_depth(depth);
+                let wall = run(job, &w, &cfg).wall_secs;
+                let epoch = (wall - w.t_init - w.t_term) / f64::from(epochs);
+                let p = pipeline_params(job, &w, &cfg);
+                let residual = |pred: f64| 100.0 * (pred - epoch) / epoch;
+                let run_form = residual(p.write_run_time(depth, epochs) / f64::from(epochs));
+                assert!(run_form.abs() < 1e-7, "{ratio} at {depth}: {run_form}%");
+                let (b, c) = (residual(p.async_time()), residual(p.pipelined_time(depth)));
+                row += &format!(" {b:+.1}% | {c:+.1}% |");
+            }
+            println!("{row}");
+        }
+    }
+}
+
+/// `mpisim::run` equals the closed forms over a seeded grid: `t_comp /
+/// t_io` in [0, 4], `t_ov / t_io` in [0, 0.5], depth 1, 2 and 8, 1–50
+/// epochs, non-zero `t_init` and `t_term`, sync and async, write and
+/// read, DRAM and NVMe, Summit and Cori, a constant straggler or none.
+/// Each case re-rates the copy its overhead pays (memcpy, or the device
+/// write when staging on NVMe) to reach the drawn `t_ov / t_io`.
+#[test]
+fn pipeline_closed_forms_match_the_executor() {
+    let mut rng = Lcg::new(0xE2C);
+    let (mut ov_lo, mut ov_hi, mut comp_hi) = (f64::INFINITY, 0.0f64, 0.0f64);
+    for case in 0..4 * CASES {
+        let sys = if rng.unit() < 0.5 { summit() } else { cori_haswell() };
+        let ranks = rng.in_range(1, 200) as u32 * sys.ranks_per_node;
+        let bytes = MIB * rng.in_range(1, 257);
+        let direction = if rng.unit() < 0.5 { Direction::Write } else { Direction::Read };
+        let staging = if rng.unit() < 0.5 { StagingTier::Dram } else { StagingTier::Nvme };
+        let mode = if rng.unit() < 0.2 { RunConfig::sync() } else { RunConfig::async_io() };
+        let cfg = mode
+            .with_contention(rng.f64_in(0.2, 1.0))
+            .with_buffer_depth([1, 2, 8][rng.in_range(0, 3) as usize])
+            .with_staging(staging);
+        let mut w = Workload::checkpoint(ranks, bytes, rng.in_range(1, 51) as u32, 0.0);
+        w.direction = direction;
+        let io = pipeline_params(&Job::new(sys.clone(), ranks), &w, &cfg).t_io;
+        let copy = if direction == Direction::Write { staging } else { StagingTier::Dram };
+        let job = Job::new(rerated(sys, copy, bytes, rng.f64_in(1e-3, 0.5) * io), ranks);
+        w.compute_secs = match rng.in_range(0, 8) {
+            0 => 0.0,
+            1 => io,
+            _ => rng.f64_in(0.0, 4.0) * io,
+        };
+        w.t_init = rng.f64_in(0.01, 5.0);
+        w.t_term = rng.f64_in(0.01, 2.0);
+        if rng.unit() < 0.25 {
+            let factor = rng.f64_in(1.0, 3.0);
+            w.compute_secs /= factor;
+            w = w.with_straggler(rng.in_range(0, u64::from(ranks)) as u32, factor);
+        }
+        let p = pipeline_params(&job, &w, &cfg);
+        if cfg.mode == IoMode::Async {
+            ov_lo = ov_lo.min(p.t_overhead / p.t_io);
+            ov_hi = ov_hi.max(p.t_overhead / p.t_io);
+        }
+        comp_hi = comp_hi.max(p.t_comp / p.t_io);
+        assert_matches_closed_form(&job, &w, &cfg, &format!("case {case}: {cfg:?} {p:?}"));
+    }
+    // The grid the cases were drawn for is the grid they reached.
+    assert!(ov_lo < 0.05 && ov_hi > 0.45, "t_ov / t_io spans {ov_lo}..{ov_hi}");
+    assert!(comp_hi > 3.5, "t_comp / t_io reaches {comp_hi}");
 }
 
 /// OLS on exactly-linear data recovers predictions regardless of the
