@@ -9,16 +9,19 @@
 //! its own `RwLock`, so concurrent background streams touching disjoint
 //! extents proceed in parallel instead of serializing on one lock.
 //!
-//! Beyond the scalar `write_at`/`read_at`, every backend accepts *vectored*
+//! A backend has one body per direction: it writes and reads *vectored*
 //! batches ([`StorageBackend::write_vectored_at`] /
-//! [`StorageBackend::read_vectored_at`]) of `(offset, bytes)` segments.
-//! Batches are the unit the I/O planner ([`crate::plan`]) emits: a backend
-//! charges per-request costs (latency, lock acquisitions, fault-plan
-//! bookkeeping) once per *segment* where the semantics require it
-//! ([`FaultInjector`]) and once per *batch* where a real device would
+//! [`StorageBackend::read_vectored_at`]) of `(offset, bytes)` segments,
+//! and a scalar `write_at`/`read_at` is the trait's batch of one segment,
+//! so a device call is one request whatever its shape. Batches are the
+//! unit the I/O planner ([`crate::plan`]) emits: a backend charges
+//! per-request costs (latency, fault-plan bookkeeping, crash points) once
+//! per *segment* where the semantics require it ([`FaultInjector`],
+//! [`CrashBackend`]) and once per *call* where a real device would
 //! amortise them ([`ThrottledBackend`]). Segments are processed in order;
 //! on error, segments before the failing one may already be applied —
-//! exactly the partial state the equivalent scalar sequence would leave.
+//! exactly the partial state the same segments, one call each, would
+//! leave.
 //!
 //! A device that serves several requests at once spreads a call over
 //! them itself, as a parallel file system stripes a request over its
@@ -59,31 +62,23 @@ pub struct IoVecMut<'a> {
 
 /// A flat, concurrently accessible byte address space.
 pub trait StorageBackend: Send + Sync {
-    /// Write `data` at `offset`, growing the space as needed.
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()>;
+    /// Write every segment of `batch`, in order, growing the space as
+    /// needed. On error, segments before the failing one may already be
+    /// applied; a backend may amortise per-request costs across the batch.
+    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()>;
 
-    /// Read exactly `buf.len()` bytes at `offset`. Reading past the end is
-    /// an error (the container never does it on valid metadata).
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()>;
+    /// Fill every segment of `batch` exactly, in order. Reading past the
+    /// end is an error (the container never does it on valid metadata).
+    fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()>;
 
-    /// Write every segment of `batch`, in order. Equivalent to the same
-    /// sequence of [`StorageBackend::write_at`] calls — including the
-    /// partial state left behind when a mid-batch segment fails — but a
-    /// backend may amortise per-request costs across the whole batch.
-    fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
-        for seg in batch {
-            self.write_at(seg.offset, seg.data)?;
-        }
-        Ok(())
+    /// Write `data` at `offset`: a batch of one segment.
+    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+        self.write_vectored_at(&[IoVec { offset, data }])
     }
 
-    /// Read every segment of `batch`, in order; the vectored counterpart
-    /// of [`StorageBackend::read_at`] with the same past-the-end error.
-    fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
-        for seg in batch.iter_mut() {
-            self.read_at(seg.offset, seg.buf)?;
-        }
-        Ok(())
+    /// Read exactly `buf.len()` bytes at `offset`: a batch of one segment.
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.read_vectored_at(&mut [IoVecMut { offset, buf }])
     }
 
     /// One past the highest byte ever written.
@@ -210,25 +205,6 @@ impl MemBackend {
 }
 
 impl StorageBackend for MemBackend {
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let end = Self::span_end(offset, data.len(), "write")?;
-        self.copy_in(offset, data);
-        self.len.fetch_max(end, Ordering::AcqRel);
-        Ok(())
-    }
-
-    fn read_at(&self, offset: u64, out: &mut [u8]) -> Result<()> {
-        let end = Self::span_end(offset, out.len(), "read")?;
-        let len = self.len.load(Ordering::Acquire);
-        if end > len {
-            return Err(H5Error::Storage(format!(
-                "short read: wanted {offset}..{end}, backend has {len}"
-            )));
-        }
-        self.copy_out(offset, out);
-        Ok(())
-    }
-
     fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
         // Validate every segment up front so a malformed batch writes
         // nothing, then copy, then publish the new length once.
@@ -307,26 +283,10 @@ impl FileBackend {
 }
 
 impl StorageBackend for FileBackend {
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        use std::os::unix::fs::FileExt;
-        self.file.write_all_at(data, offset)?;
-        // Watermark only; saturating keeps the length monotone even on
-        // an adversarial offset (the write itself would have failed).
-        let end = offset.saturating_add(data.len() as u64);
-        self.len.fetch_max(end, Ordering::AcqRel);
-        Ok(())
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        use std::os::unix::fs::FileExt;
-        self.file.read_exact_at(buf, offset)?;
-        Ok(())
-    }
-
     fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
         use std::os::unix::fs::FileExt;
         // Single pass of positional writes, one length update for the
-        // whole batch (each scalar write_at would fetch_max separately).
+        // whole batch.
         let mut max_end = 0u64;
         for seg in batch {
             self.file.write_all_at(seg.data, seg.offset)?;
@@ -494,19 +454,11 @@ impl ThrottledBackend {
 }
 
 impl StorageBackend for ThrottledBackend {
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        self.serve(data.len(), || self.inner.write_at(offset, data))
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.serve(buf.len(), || self.inner.read_at(offset, buf))
-    }
-
     fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
         // One latency charge per batch, bandwidth on the total bytes —
         // the way a PFS amortises request latency across a large
         // scatter-gather request. This is the modelled payoff of
-        // coalescing: N scalar writes pay N latencies, one batch pays one.
+        // coalescing: N calls pay N latencies, one batch pays one.
         let total: usize = batch.iter().map(|seg| seg.data.len()).sum();
         self.serve(total, || self.inner.write_vectored_at(batch))
     }
@@ -528,9 +480,9 @@ impl StorageBackend for ThrottledBackend {
 /// Which backend operation a [`FaultRule`] applies to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultOp {
-    /// `read_at`.
+    /// One read segment.
     Read,
-    /// `write_at`.
+    /// One write segment.
     Write,
     /// `sync` (flush to durable storage).
     Flush,
@@ -727,8 +679,8 @@ impl FaultInjector {
         }
     }
 
-    /// Convenience: the old `FaultyBackend` shape — every write after the
-    /// first `writes_allowed` fails permanently.
+    /// Convenience: every write after the first `writes_allowed` fails
+    /// permanently.
     pub fn failing_after(inner: Arc<dyn StorageBackend>, writes_allowed: u64) -> Self {
         Self::new(
             inner,
@@ -809,50 +761,27 @@ impl FaultInjector {
 }
 
 impl StorageBackend for FaultInjector {
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        match self.decide(FaultOp::Write) {
-            None => self.inner.write_at(offset, data),
-            Some(FaultKind::Torn { fraction }) => {
-                self.injected.fetch_add(1, Ordering::SeqCst);
-                let keep = ((data.len() as f64) * fraction.clamp(0.0, 1.0)) as usize;
-                // Persist the tear, then report a retryable failure.
-                self.inner.write_at(offset, &data[..keep.min(data.len())])?;
-                Err(H5Error::Transient(format!(
-                    "injected torn write: {keep} of {} bytes persisted",
-                    data.len()
-                )))
-            }
-            Some(kind) => Err(self.fault_error(&kind, "write")),
-        }
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        match self.decide(FaultOp::Read) {
-            None => self.inner.read_at(offset, buf),
-            Some(FaultKind::Corrupt) => {
-                self.inner.read_at(offset, buf)?;
-                if !buf.is_empty() {
-                    self.injected.fetch_add(1, Ordering::SeqCst);
-                    let (byte, bit) = {
-                        let mut st = self.state.lock();
-                        (st.rng.below(buf.len() as u64), st.rng.below(8))
-                    };
-                    buf[byte as usize] ^= 1u8 << bit;
-                }
-                Ok(())
-            }
-            Some(kind) => Err(self.fault_error(&kind, "read")),
-        }
-    }
-
     fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
-        // Deliberately NOT a pass-through to the inner vectored op: each
-        // segment consumes one fault-plan index of its class, so a plan
-        // written against the scalar sequence observes identical faults —
-        // and a mid-batch fault leaves the same partial state (segments
-        // before it applied, segments after it untouched and uncounted).
+        // Deliberately NOT a pass-through to the inner batch: each segment
+        // consumes one fault-plan index of its class and reaches the inner
+        // backend alone, so a mid-batch fault leaves segments before it
+        // applied and segments after it untouched and uncounted.
         for seg in batch {
-            self.write_at(seg.offset, seg.data)?;
+            match self.decide(FaultOp::Write) {
+                None => self.inner.write_vectored_at(std::slice::from_ref(seg))?,
+                Some(FaultKind::Torn { fraction }) => {
+                    self.injected.fetch_add(1, Ordering::SeqCst);
+                    let keep = ((seg.data.len() as f64) * fraction.clamp(0.0, 1.0)) as usize;
+                    let data = &seg.data[..keep.min(seg.data.len())];
+                    // Persist the tear, then report a retryable failure.
+                    self.inner.write_vectored_at(&[IoVec { offset: seg.offset, data }])?;
+                    return Err(H5Error::Transient(format!(
+                        "injected torn write: {keep} of {} bytes persisted",
+                        seg.data.len()
+                    )));
+                }
+                Some(kind) => return Err(self.fault_error(&kind, "write")),
+            }
         }
         Ok(())
     }
@@ -860,7 +789,21 @@ impl StorageBackend for FaultInjector {
     fn read_vectored_at(&self, batch: &mut [IoVecMut<'_>]) -> Result<()> {
         // Same per-segment fault accounting as the write path.
         for seg in batch.iter_mut() {
-            self.read_at(seg.offset, seg.buf)?;
+            match self.decide(FaultOp::Read) {
+                None => self.inner.read_vectored_at(std::slice::from_mut(seg))?,
+                Some(FaultKind::Corrupt) => {
+                    self.inner.read_vectored_at(std::slice::from_mut(seg))?;
+                    if !seg.buf.is_empty() {
+                        self.injected.fetch_add(1, Ordering::SeqCst);
+                        let (byte, bit) = {
+                            let mut st = self.state.lock();
+                            (st.rng.below(seg.buf.len() as u64), st.rng.below(8))
+                        };
+                        seg.buf[byte as usize] ^= 1u8 << bit;
+                    }
+                }
+                Some(kind) => return Err(self.fault_error(&kind, "read")),
+            }
         }
         Ok(())
     }
@@ -878,9 +821,9 @@ impl StorageBackend for FaultInjector {
 }
 
 /// A shared mutation budget with a cut point: the clock of the
-/// crash-point exploration harness. Every mutating backend operation —
-/// each scalar write, each segment of a vectored write, each sync —
-/// asks the clock for admission; once `cut_after` mutations have been
+/// crash-point exploration harness. Every mutation boundary — each
+/// write segment, whatever the shape of its call, and each sync — asks
+/// the clock for admission; once `cut_after` mutations have been
 /// admitted, every later mutation is refused forever, modelling the
 /// device vanishing at one deterministic instant. Share one clock
 /// across several [`CrashBackend`] wrappers (container backend plus
@@ -975,9 +918,9 @@ enum Admission {
 /// the application never gets an ack for data past the cut. Reads pass
 /// through untouched (the process's view survives until it exits; what
 /// matters for durability is what the *inner* backend holds when the
-/// harness reopens it). A vectored write admits each segment separately
-/// — every segment boundary is its own crash point, exactly like the
-/// equivalent scalar sequence.
+/// harness reopens it). A write admits each segment separately: every
+/// write segment is one mutation boundary, its own crash point, so a
+/// batch cuts exactly where the same segments sent one call each would.
 pub struct CrashBackend {
     inner: Arc<dyn StorageBackend>,
     clock: Arc<CrashClock>,
@@ -1001,30 +944,23 @@ impl CrashBackend {
 }
 
 impl StorageBackend for CrashBackend {
-    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        match self.clock.admit_write() {
-            Admission::Full => self.inner.write_at(offset, data),
-            Admission::Torn(keep) => {
-                // The prefix lands on the device; the caller still sees
-                // the crash error — an unacked, torn in-flight write.
-                let keep = (keep as usize).min(data.len());
-                if keep > 0 {
-                    self.inner.write_at(offset, &data[..keep])?;
-                }
-                Err(self.refuse("write (torn mid-flight)"))
-            }
-            Admission::Refused => Err(self.refuse("write")),
-        }
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.inner.read_at(offset, buf)
-    }
-
     fn write_vectored_at(&self, batch: &[IoVec<'_>]) -> Result<()> {
-        // Scalar loop on purpose: each segment is one mutation boundary.
+        // Each segment is one mutation boundary, forwarded alone.
         for seg in batch {
-            self.write_at(seg.offset, seg.data)?;
+            match self.clock.admit_write() {
+                Admission::Full => self.inner.write_vectored_at(std::slice::from_ref(seg))?,
+                Admission::Torn(keep) => {
+                    // The prefix lands on the device; the caller still sees
+                    // the crash error — an unacked, torn in-flight write.
+                    let keep = (keep as usize).min(seg.data.len());
+                    if keep > 0 {
+                        let data = &seg.data[..keep];
+                        self.inner.write_vectored_at(&[IoVec { offset: seg.offset, data }])?;
+                    }
+                    return Err(self.refuse("write (torn mid-flight)"));
+                }
+                Admission::Refused => return Err(self.refuse("write")),
+            }
         }
         Ok(())
     }
@@ -1123,7 +1059,9 @@ type Hook = dyn Fn(Call<'_, '_>) -> Result<()> + Send + Sync;
 /// writes and syncs before they are forwarded, where an `Err` forwards
 /// nothing, and reads after the inner read, with the fetched bytes. The
 /// hook may block, fail or panic; whatever a test needs beyond counting
-/// (a gate, a thread log, an injected failure) lives there.
+/// (a gate, a thread log, an injected failure) lives there. It is the one
+/// backend that overrides `write_at` / `read_at`: it reports the shape
+/// the caller asked for, and forwards it unchanged.
 pub struct CountingBackend {
     inner: Arc<dyn StorageBackend>,
     hook: Option<Box<Hook>>,
@@ -1295,20 +1233,6 @@ mod tests {
     }
 
     #[test]
-    fn mem_backend_contract() {
-        exercise(&MemBackend::new());
-    }
-
-    #[test]
-    fn file_backend_contract() {
-        let dir = std::env::temp_dir().join(format!("h5lite-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("contract.bin");
-        exercise(&FileBackend::create(&path).unwrap());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn file_backend_reopen_preserves_data() {
         let dir = std::env::temp_dir().join(format!("h5lite-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1406,32 +1330,69 @@ mod tests {
     }
 
     #[test]
-    fn mem_vectored_contract() {
-        exercise_vectored(&MemBackend::new());
-    }
-
-    #[test]
-    fn file_vectored_contract() {
+    fn every_backend_keeps_the_contract_scalar_and_vectored() {
         let dir = std::env::temp_dir().join(format!("h5lite-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("vectored.bin");
-        exercise_vectored(&FileBackend::create(&path).unwrap());
+        let path = dir.join("contract.bin");
+        let mem = || -> Arc<dyn StorageBackend> { Arc::new(MemBackend::new()) };
+        type Make<'a> = &'a dyn Fn() -> Box<dyn StorageBackend>;
+        let rows: [(&str, Make<'_>); 6] = [
+            ("mem", &|| Box::new(MemBackend::new())),
+            ("file", &|| Box::new(FileBackend::create(&path).unwrap())),
+            ("throttled", &|| Box::new(ThrottledBackend::in_memory(1e12, 0.0))),
+            ("counting", &|| Box::new(CountingBackend::new(mem()))),
+            ("fault injector", &|| Box::new(FaultInjector::new(mem(), FaultPlan::new(0)))),
+            ("crash", &|| Box::new(CrashBackend::new(mem(), CrashClock::unlimited()))),
+        ];
+        for (name, make) in rows {
+            eprintln!("contract: {name}");
+            exercise(&*make());
+            exercise_vectored(&*make());
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn throttled_vectored_contract() {
-        exercise_vectored(&ThrottledBackend::in_memory(1e12, 0.0));
-    }
+    fn a_scalar_call_is_a_batch_of_one_by_count() {
+        // Four calls, scalar and one-segment batches alternating, call i
+        // writing 8 bytes of `i + 1` at `8 i`; `scalar_first` picks which
+        // shape the even calls have, so the third call is tried as both.
+        fn call(b: &dyn StorageBackend, i: u64, scalar_first: bool) -> Result<()> {
+            let data = [i as u8 + 1; 8];
+            if i.is_multiple_of(2) == scalar_first {
+                b.write_at(8 * i, &data)
+            } else {
+                b.write_vectored_at(&[IoVec { offset: 8 * i, data: &data }])
+            }
+        }
+        for scalar_first in [true, false] {
+            // The fault plan's third write fires on the third call.
+            let inner = Arc::new(MemBackend::new());
+            let plan = FaultPlan::new(3).fail_at(FaultOp::Write, 2, FaultKind::Transient);
+            let b = FaultInjector::new(inner.clone(), plan);
+            let outcomes: Vec<bool> = (0..4).map(|i| call(&b, i, scalar_first).is_ok()).collect();
+            assert_eq!(outcomes, [true, true, false, true], "scalar first: {scalar_first}");
+            assert_eq!(b.injected(), 1);
 
-    #[test]
-    fn counting_contract() {
-        exercise(&CountingBackend::new(Arc::new(MemBackend::new())));
-    }
+            // The crash clock admits exactly two calls, and the device
+            // holds only their bytes.
+            let inner: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+            let clock = CrashClock::cut_after(2);
+            let b = CrashBackend::new(inner.clone(), clock.clone());
+            let outcomes: Vec<bool> = (0..4).map(|i| call(&b, i, scalar_first).is_ok()).collect();
+            assert_eq!(outcomes, [true, true, false, false], "scalar first: {scalar_first}");
+            assert_eq!((clock.mutations(), inner.len()), (4, 16));
+            let mut back = [0u8; 16];
+            inner.read_at(0, &mut back).unwrap();
+            assert_eq!(back, [[1u8; 8], [2u8; 8]].concat()[..]);
 
-    #[test]
-    fn counting_vectored_contract() {
-        exercise_vectored(&CountingBackend::new(Arc::new(MemBackend::new())));
+            // The throttle books one channel per call: four calls of 8
+            // bytes on eight channels leave four booked and four free.
+            let b = ThrottledBackend::with_channels(1e12, 1e-4, 8);
+            (0..4).for_each(|i| call(&b, i, scalar_first).unwrap());
+            let booked = b.channels.lock().free_at.iter().filter(|&&end| end > 0.0).count();
+            assert_eq!(booked, 4, "scalar first: {scalar_first}");
+        }
     }
 
     #[test]
@@ -1679,11 +1640,6 @@ mod tests {
         b.read_at(0, &mut buf).unwrap();
         assert_eq!(buf, [1, 1, 1, 1]);
         assert_eq!(b.len(), 50_000);
-    }
-
-    #[test]
-    fn throttled_contract() {
-        exercise(&ThrottledBackend::in_memory(1e12, 0.0));
     }
 
     #[test]

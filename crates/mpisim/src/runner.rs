@@ -24,7 +24,12 @@
 //! **Asynchronous read** — the first time step is a blocking read (its
 //! data gates the first compute, §V-A2); each completed read triggers the
 //! background prefetch of the next step; later epochs wait only for the
-//! prefetch remainder plus the node-local buffer-delivery copy.
+//! prefetch remainder plus the node-local buffer-delivery copy. The chain
+//! ignores `buffer_depth` and `staging`: the prefetch of step e starts
+//! when step e − 1's lands, whatever the application has consumed, so a
+//! reader with `t_comp ≫ t_io` may hold every remaining step at once.
+//! The real engine (`kernels::run_real`) issues exactly one step ahead;
+//! bounding the chain by the depth waits for ROADMAP item 16 (b).
 
 use std::collections::VecDeque;
 
@@ -243,6 +248,29 @@ mod tests {
         // With depth 1 every epoch after the first waits on the previous
         // write; visible I/O of later epochs includes that wait.
         assert!(d1.phases[1].visible_io_secs > d4.phases[1].visible_io_secs);
+    }
+
+    #[test]
+    fn an_async_read_ignores_buffer_depth_and_staging() {
+        // The prefetch chain runs one landed step after another, so the
+        // depth bounds nothing a read holds and the tier stages nothing.
+        let job = Job::new(summit(), 384);
+        let w = Workload::analysis(384, 32 * MIB, 6, 0.5);
+        let key = |r: &RunResult| {
+            let p = |m: &PhaseMeasure| {
+                [m.t_comp, m.visible_io_secs, m.overhead_secs, m.background_io_secs]
+            };
+            (r.wall_secs, r.phase_bytes, r.phases.iter().map(p).collect::<Vec<_>>())
+        };
+        let at = |depth, tier| {
+            let cfg = RunConfig::async_io().with_buffer_depth(depth).with_staging(tier);
+            run(&job, &w, &cfg)
+        };
+        let want = key(&at(1, StagingTier::Dram));
+        for tier in [StagingTier::Dram, StagingTier::Nvme] {
+            assert_eq!(key(&at(8, tier)), want, "{tier:?} at D = 8");
+            assert_eq!(key(&at(1, tier)), want, "{tier:?} at D = 1");
+        }
     }
 
     #[test]

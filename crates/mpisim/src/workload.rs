@@ -176,9 +176,11 @@ pub struct RunConfig {
     pub contention: f64,
     /// Async double-buffer pool depth: how many snapshots may be in
     /// flight before the application blocks on the oldest background
-    /// write (2 = classic double buffering).
+    /// write (2 = classic double buffering). Writes only: an async read's
+    /// prefetch chain ignores it (see [`crate::runner`]).
     pub buffer_depth: u32,
     /// Where async snapshots live until the background write lands.
+    /// Writes only: an async read stages nothing.
     pub staging: StagingTier,
 }
 

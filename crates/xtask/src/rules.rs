@@ -7,7 +7,7 @@
 //! |-----------------|-----------------------------------------|----------|
 //! | `must-use`      | argolite, h5lite, asyncvol `src/`       | futures/handles/guards cannot be silently dropped |
 //! | `bounded-retry` | h5lite, asyncvol `src/`                 | retry loops carry both an attempt bound and a deadline |
-//! | `planned-io`    | h5lite `container.rs` + `integrity.rs`, asyncvol `lib.rs` | data-path I/O goes through the planner's vectored batches or the ring, not scalar per-run calls |
+//! | `planned-io`    | h5lite `container.rs` + `integrity.rs`, asyncvol `lib.rs` | data-path I/O goes through the planner's vectored batches or the ring, not scalar per-run calls: a scalar call is a one-segment batch, still one request per run |
 //! | `superblock-discipline` | h5lite `src/` except `superblock.rs` | the superblock area (offset 0) is written only through the dual-slot commit protocol |
 //! | `guard-across-boundary` | argolite, asyncvol, h5lite `src/` | no lock guard is live across `submit`/`wait`/`block_on`/channel-recv (dataflow pass) |
 //! | `blocking-in-task` | argolite, asyncvol, h5lite `src/`    | no `std::fs`/`std::net`/`thread::sleep` inside closures handed to a ring job, completion hook, thread or explorer task |
@@ -77,11 +77,12 @@ const MUST_USE_CRATES: [&str; 3] = ["crates/argolite/", "crates/h5lite/", "crate
 /// Crates whose retry loops must be bounded (attempts + deadline).
 const BOUNDED_RETRY_CRATES: [&str; 2] = ["crates/h5lite/", "crates/asyncvol/"];
 /// Files whose data paths must issue I/O through the planner's vectored
-/// batches or the ring. Scalar `write_at`/`read_at` here is a regression
-/// back to per-run request storms; metadata paths carry inline waivers.
-/// In the container every data path is planned; in the connector every
-/// background write is a ring entry (`Ring::submit_keyed`, coalesced by
-/// the reaper) or goes through the container's planned path. The WAL
+/// batches or the ring. A scalar `write_at`/`read_at` is a batch of one
+/// segment, so on a data path it is still one device request per run: a
+/// regression back to per-run request storms; metadata paths carry
+/// inline waivers. In the container every data path is planned; in the
+/// connector every background write is a ring entry (`Ring::submit_with`,
+/// coalesced by the reaper) or goes through the container's planned path. The WAL
 /// staging module is out of scope — its scalar device I/O is the log's
 /// own format.
 const PLANNED_IO_FILES: [&str; 3] = [
@@ -271,7 +272,7 @@ pub fn lint_source_full(rel: &str, src: &str) -> FileLint {
                     push(
                         line,
                         "planned-io",
-                        format!("scalar `.{name}(..)` on a data path; route it through `plan_io` + `write_vectored_at`/`read_vectored_at` or the ring (`submit_keyed`) so requests coalesce (metadata paths may waive inline)"),
+                        format!("scalar `.{name}(..)` on a data path is a one-segment batch, one request per run; route it through `plan_io` + `write_vectored_at`/`read_vectored_at` or the ring (`Ring::submit_with`) so requests coalesce (metadata paths may waive inline)"),
                     );
                 }
             }

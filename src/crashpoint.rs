@@ -4,8 +4,8 @@
 //! durability: instead of enumerating task interleavings, [`sweep`]
 //! enumerates *crash instants*. A recording pass runs the workload
 //! against an unlimited [`CrashClock`] to learn how many mutation
-//! boundaries (scalar writes, vectored-write segments, syncs) the
-//! workload generates; the sweep then re-runs the workload once per
+//! boundaries (each write segment is one, whatever its call's shape;
+//! each sync is one) the workload generates; the sweep then re-runs the workload once per
 //! boundary `k ∈ 0..=M` with persistence cut after the k-th mutation —
 //! every prefix of the mutation sequence a real power cut could leave
 //! behind, including `k = M` (the fault-free baseline).
