@@ -178,7 +178,7 @@ fn scenario_tag(s: Scenario) -> &'static str {
 /// The `pct`-th percentile of ascending `sorted` by nearest rank: the
 /// smallest retained value with at least `pct`% of the values at or
 /// below it (0 when empty).
-fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
+pub fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
     let rank = (sorted.len() * pct).div_ceil(100).max(1);
     sorted.get(rank - 1).copied().unwrap_or(0)
 }

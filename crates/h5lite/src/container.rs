@@ -21,10 +21,13 @@
 //!
 //! ## Data integrity
 //!
-//! Every data extent (a contiguous dataset's extent, or one chunk) can
-//! carry a checksum in the metadata ([`crate::checksum`]: one XXH64 per
-//! 64 KiB block, or the one whole-extent sum — XXH64 or FNV-1a — of
-//! files written before it), refreshed at flush time for extents written
+//! A dataset's data extents are one map (`DatasetState::extents` in
+//! [`crate::meta`]): a chunk under its index, a contiguous dataset's one
+//! extent under key 0, so flush, scrub, the planner and the codec each
+//! read them one way, whatever the layout. Every data extent can carry
+//! a checksum in the metadata ([`crate::checksum`]: one XXH64 per 64 KiB
+//! block, or the one whole-extent sum — XXH64 or FNV-1a — of files
+//! written before it), refreshed at flush time for extents written
 //! since the previous flush. A planned read of a clean checksummed
 //! extent fetches the blocks its records reach in one read, verifies
 //! each, and serves the records from them, failing with
@@ -95,12 +98,6 @@ pub type ObjectId = u64;
 /// The root group always has id 1.
 pub const ROOT_ID: ObjectId = 1;
 
-/// Extent key standing in for "the contiguous data extent" in the dirty
-/// set (chunk indices never reach this value: a chunk index is bounded
-/// by `npoints / chunk_elems`, and an `u64::MAX`-element dataset cannot
-/// be allocated).
-const CONTIG_EXTENT: u64 = u64::MAX;
-
 /// Dirty bytes from which a flush's data barrier runs beside its
 /// read-back, on a thread of its own ([`Container::flush`]); below them
 /// the barrier follows the metadata append, as one `sync` for both.
@@ -162,9 +159,9 @@ pub struct Container {
     alloc: Mutex<Alloc>,
     /// Whether tree/state metadata changed since the last flush.
     meta_dirty: AtomicBool,
-    /// Extents written since the last flush, keyed by
-    /// `(dataset, chunk index | CONTIG_EXTENT)`. Their stored checksums
-    /// are stale: flush recomputes them, reads skip verifying them.
+    /// Extents written since the last flush, keyed by `(dataset, extent
+    /// key)` ([`DatasetState::extents`]). Their stored checksums are
+    /// stale: flush recomputes them, reads skip verifying them.
     dirty_extents: Mutex<BTreeSet<(ObjectId, u64)>>,
     /// Whether per-extent checksums are maintained and verified.
     checksums: AtomicBool,
@@ -210,7 +207,7 @@ pub struct SieveStats {
 }
 
 /// One data extent a plan touches: `(key, addr, len, stored checksum)`,
-/// the key being the chunk index or [`CONTIG_EXTENT`].
+/// the key being its key in [`DatasetState::extents`].
 type Touched = (u64, u64, u64, Option<Checksum>);
 
 /// What [`Container::plan_io`] hands the function that issues the plan.
@@ -256,17 +253,28 @@ impl Container {
     /// Create a fresh container on `backend` under `model` (see
     /// [`ConsistencyModel`] for the publication points).
     pub fn create_with(backend: Arc<dyn StorageBackend>, model: ConsistencyModel) -> Self {
+        let alloc = Alloc {
+            eof: SUPERBLOCK_AREA,
+            generation: 0,
+        };
+        Self::assemble(backend, MetaPlane::new(ROOT_ID, model), alloc, true)
+    }
+
+    /// The one constructor: a container over `backend` holding `plane`
+    /// and allocating from `alloc`. `meta_dirty` says whether its
+    /// metadata has yet to be flushed: a created container's has, an
+    /// opened one's has not.
+    fn assemble(
+        backend: Arc<dyn StorageBackend>,
+        plane: MetaPlane,
+        alloc: Alloc,
+        meta_dirty: bool,
+    ) -> Self {
         Container {
             backend,
-            plane: MetaPlane::new(ROOT_ID, model),
-            alloc: Mutex::new_named(
-                "h5lite.alloc",
-                Alloc {
-                    eof: SUPERBLOCK_AREA,
-                    generation: 0,
-                },
-            ),
-            meta_dirty: AtomicBool::new(true),
+            plane,
+            alloc: Mutex::new_named("h5lite.alloc", alloc),
+            meta_dirty: AtomicBool::new(meta_dirty),
             dirty_extents: Mutex::new(BTreeSet::new()),
             checksums: AtomicBool::new(true),
             integrity: IntegrityCounters::default(),
@@ -369,28 +377,15 @@ impl Container {
         if !tree.objects.contains_key(&ROOT_ID) {
             return Err(H5Error::Corrupt("metadata lacks root group".into()));
         }
-        let integrity = IntegrityCounters::default();
-        integrity
+        let alloc = Alloc {
+            eof: sb.eof,
+            generation: sb.generation,
+        };
+        let c = Self::assemble(backend, MetaPlane::from_parts(tree, states, model), alloc, false);
+        c.integrity
             .superblock_fallbacks
             .store(invalid_slots, Ordering::Relaxed);
-        Ok(Container {
-            backend,
-            plane: MetaPlane::from_parts(tree, states, model),
-            alloc: Mutex::new_named(
-                "h5lite.alloc",
-                Alloc {
-                    eof: sb.eof,
-                    generation: sb.generation,
-                },
-            ),
-            meta_dirty: AtomicBool::new(false),
-            dirty_extents: Mutex::new(BTreeSet::new()),
-            checksums: AtomicBool::new(true),
-            integrity,
-            sieve_gates: new_sieve_gates(),
-            sieve: SieveCounters::default(),
-            tracer: RwLock::new(Tracer::disabled()),
-        })
+        Ok(c)
     }
 
     /// Open a container from a file at `path`.
@@ -485,21 +480,14 @@ impl Container {
             let Some(state) = self.plane.working(id) else {
                 continue;
             };
+            let len = state.extent_len()?;
             for &(_, key) in keys {
-                let (addr, len) = if key == CONTIG_EXTENT {
-                    (state.data_addr, extent_bytes(state.space.npoints(), state.dtype)?)
-                } else if let Layout::Chunked1D { chunk_elems } = state.layout {
-                    let chunk_bytes = extent_bytes(chunk_elems, state.dtype)?;
-                    let Some(entry) = state.chunks.get(&key) else {
-                        continue;
-                    };
-                    (entry.addr, chunk_bytes)
-                } else {
+                let Some(entry) = state.extents.get(&key) else {
                     continue;
                 };
                 let job = (enabled && len > 0).then(|| {
                     jobs.push(HashJob {
-                        addr,
+                        addr: entry.addr,
                         len,
                         algorithm: Algorithm::CURRENT,
                     });
@@ -541,11 +529,8 @@ impl Container {
         for stamps in stamps.chunk_by(|a, b| a.0 == b.0) {
             self.plane.mutate(stamps[0].0, |st| {
                 for &(_, key, job) in stamps {
-                    let sum = job.map(|j| sums[j].clone());
-                    if key == CONTIG_EXTENT {
-                        st.data_sum = sum;
-                    } else if let Some(entry) = st.chunks.get_mut(&key) {
-                        entry.sum = sum;
+                    if let Some(entry) = st.extents.get_mut(&key) {
+                        entry.sum = job.map(|j| sums[j].clone());
                     }
                 }
                 Ok(())
@@ -675,12 +660,7 @@ impl Container {
         id: ObjectId,
         f: impl FnOnce(&BTreeMap<String, ObjectId>) -> R,
     ) -> Result<R> {
-        let tree = self.plane.tree_read();
-        let obj = tree
-            .objects
-            .get(&id)
-            .ok_or_else(|| H5Error::NotFound(format!("object {id}")))?;
-        match &obj.kind {
+        match &self.plane.tree_read().object(id)?.kind {
             NodeKind::Group { links } => Ok(f(links)),
             NodeKind::Dataset => {
                 Err(H5Error::WrongObjectKind(format!("object {id} is a dataset")))
@@ -690,12 +670,7 @@ impl Container {
 
     /// Kind of an object.
     pub fn kind(&self, id: ObjectId) -> Result<ObjectKind> {
-        let tree = self.plane.tree_read();
-        let obj = tree
-            .objects
-            .get(&id)
-            .ok_or_else(|| H5Error::NotFound(format!("object {id}")))?;
-        Ok(match obj.kind {
+        Ok(match self.plane.tree_read().object(id)?.kind {
             NodeKind::Group { .. } => ObjectKind::Group,
             NodeKind::Dataset => ObjectKind::Dataset,
         })
@@ -729,36 +704,11 @@ impl Container {
     /// Create a group under `parent`.
     pub fn create_group(&self, parent: ObjectId, name: &str) -> Result<ObjectId> {
         validate_link_name(name)?;
-        let mut tree = self.plane.tree_write();
-        let id = tree.next_id;
-        {
-            let obj = tree
-                .objects
-                .get_mut(&parent)
-                .ok_or_else(|| H5Error::NotFound(format!("object {parent}")))?;
-            let links = match &mut obj.kind {
-                NodeKind::Group { links } => links,
-                NodeKind::Dataset => {
-                    return Err(H5Error::WrongObjectKind(format!(
-                        "object {parent} is a dataset"
-                    )))
-                }
-            };
-            if links.contains_key(name) {
-                return Err(H5Error::AlreadyExists(name.to_owned()));
-            }
-            links.insert(name.to_owned(), id);
-        }
-        tree.next_id += 1;
-        tree.objects.insert(
-            id,
-            TreeObject {
-                kind: NodeKind::Group {
-                    links: BTreeMap::new(),
-                },
-                attrs: BTreeMap::new(),
-            },
-        );
+        let id = self.plane.tree_write().link_new(parent, name, |_| {
+            Ok(NodeKind::Group {
+                links: BTreeMap::new(),
+            })
+        })?;
         self.meta_dirty.store(true, Ordering::Release);
         Ok(id)
     }
@@ -779,58 +729,26 @@ impl Container {
         // The tree guard is held across the shard insert (tree → shard
         // nesting, same as flush's capture order): an id visible through
         // the tree always has its shard slot installed.
-        let mut tree = self.plane.tree_write();
-        let id = tree.next_id;
-        {
-            let obj = tree
-                .objects
-                .get_mut(&parent)
-                .ok_or_else(|| H5Error::NotFound(format!("object {parent}")))?;
-            let links = match &mut obj.kind {
-                NodeKind::Group { links } => links,
-                NodeKind::Dataset => {
-                    return Err(H5Error::WrongObjectKind(format!(
-                        "object {parent} is a dataset"
-                    )))
-                }
+        let id = self.plane.tree_write().link_new(parent, name, |id| {
+            let mut state = DatasetState {
+                dtype,
+                space: space.clone(),
+                layout,
+                extents: BTreeMap::new(),
+                generation: 0,
             };
-            if links.contains_key(name) {
-                return Err(H5Error::AlreadyExists(name.to_owned()));
-            }
             // Only a contiguous extent is sized by the whole dataspace.
-            let data_addr = match layout {
-                Layout::Contiguous => {
-                    let nbytes = extent_bytes(space.npoints(), dtype)?;
-                    match nbytes {
-                        0 => 0,
-                        _ => self
-                            .reserve(nbytes, &format!("contiguous dataset of {nbytes} bytes"))?,
-                    }
+            if state.layout == Layout::Contiguous {
+                let nbytes = state.extent_len()?;
+                if nbytes > 0 {
+                    let what = format!("contiguous dataset of {nbytes} bytes");
+                    let addr = self.reserve(nbytes, &what)?;
+                    state.extents.insert(0, ChunkEntry { addr, sum: None });
                 }
-                Layout::Chunked1D { .. } => 0,
-            };
-            links.insert(name.to_owned(), id);
-            tree.next_id += 1;
-            self.plane.insert(
-                id,
-                DatasetState {
-                    dtype,
-                    space: space.clone(),
-                    layout,
-                    data_addr,
-                    data_sum: None,
-                    chunks: BTreeMap::new(),
-                    generation: 0,
-                },
-            );
-        }
-        tree.objects.insert(
-            id,
-            TreeObject {
-                kind: NodeKind::Dataset,
-                attrs: BTreeMap::new(),
-            },
-        );
+            }
+            self.plane.insert(id, state);
+            Ok(NodeKind::Dataset)
+        })?;
         self.meta_dirty.store(true, Ordering::Release);
         Ok(id)
     }
@@ -900,23 +818,17 @@ impl Container {
             )));
         }
         let mut tree = self.plane.tree_write();
-        let obj = tree
-            .objects
-            .get_mut(&id)
-            .ok_or_else(|| H5Error::NotFound(format!("object {id}")))?;
-        obj.attrs.insert(name.to_owned(), value);
+        tree.object_mut(id)?.attrs.insert(name.to_owned(), value);
         self.meta_dirty.store(true, Ordering::Release);
         Ok(())
     }
 
     /// Read an attribute.
     pub fn get_attr(&self, id: ObjectId, name: &str) -> Result<AttrValue> {
-        let tree = self.plane.tree_read();
-        let obj = tree
-            .objects
-            .get(&id)
-            .ok_or_else(|| H5Error::NotFound(format!("object {id}")))?;
-        obj.attrs
+        self.plane
+            .tree_read()
+            .object(id)?
+            .attrs
             .get(name)
             .cloned()
             .ok_or_else(|| H5Error::NotFound(format!("attribute '{name}'")))
@@ -924,12 +836,7 @@ impl Container {
 
     /// Attribute names on an object, sorted.
     pub fn list_attrs(&self, id: ObjectId) -> Result<Vec<String>> {
-        let tree = self.plane.tree_read();
-        let obj = tree
-            .objects
-            .get(&id)
-            .ok_or_else(|| H5Error::NotFound(format!("object {id}")))?;
-        Ok(obj.attrs.keys().cloned().collect())
+        Ok(self.plane.tree_read().object(id)?.attrs.keys().cloned().collect())
     }
 
     // ----- dataset I/O -----------------------------------------------
@@ -1291,12 +1198,7 @@ impl Container {
         missing: &[u64],
         tracer: &Tracer,
     ) -> Result<Arc<DatasetState>> {
-        let Layout::Chunked1D { chunk_elems } = state.layout else {
-            return Err(H5Error::Corrupt(format!(
-                "object {id} reported missing chunks without a chunked layout"
-            )));
-        };
-        let chunk_bytes = extent_bytes(chunk_elems, state.dtype)?;
+        let chunk_bytes = state.extent_len()?;
         let (state, fresh) = {
             let _lock_span = tracer.span("container.meta_lock");
             self.plane.mutate(id, |st| {
@@ -1305,7 +1207,7 @@ impl Container {
                 let still: Vec<u64> = missing
                     .iter()
                     .copied()
-                    .filter(|idx| !st.chunks.contains_key(idx))
+                    .filter(|idx| !st.extents.contains_key(idx))
                     .collect();
                 let mut fresh = Vec::with_capacity(still.len());
                 if !still.is_empty() {
@@ -1318,7 +1220,7 @@ impl Container {
                         })?;
                     let mut addr = self.reserve(grow, "chunk allocation")?;
                     for idx in still {
-                        st.chunks.insert(idx, ChunkEntry { addr, sum: None });
+                        st.extents.insert(idx, ChunkEntry { addr, sum: None });
                         fresh.push(addr);
                         // Bounded by the checked reservation above;
                         // saturating keeps the arithmetic wrap-free.
@@ -1408,41 +1310,34 @@ fn plan_from_state(
     // Validates the selection: the planner only ever sees rows that lie
     // inside the dataspace.
     let rows = sel.rows(&state.space)?;
+    let len = state.extent_len()?;
     let mut touched: Vec<Touched> = Vec::new();
     let mut missing: Vec<u64> = Vec::new();
-    match &state.layout {
+    let plan = match state.layout {
         Layout::Contiguous => {
-            let nbytes = extent_bytes(state.space.npoints(), state.dtype)?;
-            if nbytes > 0 {
-                touched.push((CONTIG_EXTENT, state.data_addr, nbytes, state.data_sum.clone()));
-            }
-            Ok(PlanParts {
-                plan: IoPlan::contiguous(state.data_addr, elem, rows)?,
-                touched,
-                missing,
-            })
+            let extent = state.extents.get(&0);
+            touched.extend(extent.map(|e| (0, e.addr, len, e.sum.clone())));
+            IoPlan::contiguous(extent.map_or(0, |e| e.addr), elem, rows)?
         }
         Layout::Chunked1D { chunk_elems } => {
-            let ce = *chunk_elems;
-            let chunk_bytes = extent_bytes(ce, state.dtype)?;
             let mut seen = BTreeSet::new();
-            let plan = IoPlan::chunked(ce, elem, rows, |idx| {
-                let entry = state.chunks.get(&idx);
+            IoPlan::chunked(chunk_elems, elem, rows, |idx| {
+                let entry = state.extents.get(&idx);
                 if seen.insert(idx) {
                     match entry {
-                        Some(e) => touched.push((idx, e.addr, chunk_bytes, e.sum.clone())),
+                        Some(e) => touched.push((idx, e.addr, len, e.sum.clone())),
                         None => missing.push(idx),
                     }
                 }
                 entry.map(|e| e.addr)
-            })?;
-            Ok(PlanParts {
-                plan,
-                touched,
-                missing,
-            })
+            })?
         }
-    }
+    };
+    Ok(PlanParts {
+        plan,
+        touched,
+        missing,
+    })
 }
 
 /// The planner-result payload for a `container.plan_io` span: the plan's
@@ -1495,7 +1390,10 @@ fn validate_link_name(name: &str) -> Result<()> {
 // The byte format predates the sharded plane and is preserved exactly:
 // a flush reassembles the old single-map object shape from the tree and
 // the captured dataset states, and open splits it back apart. Files
-// written before the split reopen byte-identically after it. The one
+// written before the split reopen byte-identically after it. So it
+// predates the one extent map: a dataset still carries a contiguous
+// address and sum (key 0 of a contiguous dataset's map, or 0 and none)
+// and a chunk list (a chunked dataset's map, or empty). The one
 // byte that has since widened is each extent's checksum presence flag,
 // now the algorithm tag (0 none, 1 FNV-1a — what the flag's `true` always
 // meant — 2 XXH64, each followed by its one u64; 3 block sums, followed
@@ -1554,12 +1452,17 @@ fn encode_meta(tree: &Tree, states: &MetaSnapshot) -> Result<Vec<u8>> {
                 w.u8(state.dtype.tag());
                 w.list(state.space.dims(), |w, d| w.u64(*d));
                 w.u8(state.layout.tag());
-                if let Layout::Chunked1D { chunk_elems } = state.layout {
-                    w.u64(chunk_elems);
-                }
-                w.u64(state.data_addr);
-                Checksum::encode(w, state.data_sum.as_ref());
-                let chunks: Vec<(&u64, &ChunkEntry)> = state.chunks.iter().collect();
+                // A contiguous dataset's extent (key 0) goes to the
+                // address and sum fields, chunks to the chunk list.
+                let (contiguous, chunks) = match state.layout {
+                    Layout::Contiguous => (state.extents.get(&0), Vec::new()),
+                    Layout::Chunked1D { chunk_elems } => {
+                        w.u64(chunk_elems);
+                        (None, state.extents.iter().collect())
+                    }
+                };
+                w.u64(contiguous.map_or(0, |e| e.addr));
+                Checksum::encode(w, contiguous.and_then(|e| e.sum.as_ref()));
                 w.list(&chunks, |w, (idx, entry)| {
                     w.u64(**idx);
                     w.u64(entry.addr);
@@ -1615,23 +1518,40 @@ fn decode_meta(bytes: &[u8]) -> Result<(Tree, Vec<(ObjectId, DatasetState)>)> {
                     Layout::Contiguous => 0,
                     Layout::Chunked1D { chunk_elems } => chunk_elems.saturating_mul(elem),
                 };
+                let contig_bytes = space.npoints().saturating_mul(elem);
                 let data_addr = r.u64()?;
-                let data_sum = Checksum::decode(r, space.npoints().saturating_mul(elem))?;
-                let chunks_list = r.list(|r| {
+                let data_sum = Checksum::decode(r, contig_bytes)?;
+                let chunks = r.list(|r| {
                     let idx = r.u64()?;
                     let addr = r.u64()?;
                     let sum = Checksum::decode(r, chunk_bytes)?;
                     Ok((idx, ChunkEntry { addr, sum }))
                 })?;
+                // A contiguous dataset with bytes keeps its extent (key
+                // 0) in the address and sum fields; any other leaves
+                // them 0 and none, and only a chunked one has a chunk
+                // list. Anything else is refused, so every file decoded
+                // re-encodes to its own bytes.
+                let contiguous = layout == Layout::Contiguous;
+                let fields = contiguous && contig_bytes > 0;
+                if (contiguous && !chunks.is_empty())
+                    || (!fields && (data_addr != 0 || data_sum.is_some()))
+                {
+                    return Err(H5Error::Corrupt(format!(
+                        "dataset {id} holds extents its layout has no place for"
+                    )));
+                }
+                let mut extents: BTreeMap<u64, ChunkEntry> = chunks.into_iter().collect();
+                if fields {
+                    extents.insert(0, ChunkEntry { addr: data_addr, sum: data_sum });
+                }
                 states.push((
                     id,
                     DatasetState {
                         dtype,
                         space,
                         layout,
-                        data_addr,
-                        data_sum,
-                        chunks: chunks_list.into_iter().collect(),
+                        extents,
                         generation: 0,
                     },
                 ));
@@ -1673,10 +1593,22 @@ mod tests {
         assert_eq!(c.list_links(ROOT_ID).unwrap(), vec!["run0".to_owned()]);
     }
 
+    /// What a rejected create must leave as it was: the allocation mark,
+    /// `parent`'s links, the id the next create gets, and that id's
+    /// (absent) shard state.
+    type Footprint = (u64, Result<Vec<String>>, ObjectId, bool);
+
+    fn footprint(c: &Container, parent: ObjectId) -> Footprint {
+        let next = c.plane.tree_read().next_id;
+        let installed = c.plane.working(next).is_some();
+        (c.allocated_bytes(), c.list_links(parent), next, installed)
+    }
+
     #[test]
     fn duplicate_names_rejected() {
         let c = Container::create_mem();
         c.create_group(ROOT_ID, "g").unwrap();
+        let before = footprint(&c, ROOT_ID);
         assert!(matches!(
             c.create_group(ROOT_ID, "g").unwrap_err(),
             H5Error::AlreadyExists(_)
@@ -1692,6 +1624,7 @@ mod tests {
             .unwrap_err(),
             H5Error::AlreadyExists(_)
         ));
+        assert_eq!(footprint(&c, ROOT_ID), before);
     }
 
     #[test]
@@ -1717,6 +1650,21 @@ mod tests {
             c.create_group(ds, "sub").unwrap_err(),
             H5Error::WrongObjectKind(_)
         ));
+        // Under a dataset or a missing parent, a create reserves,
+        // links and numbers nothing.
+        let contiguous = |c: &Container, parent| {
+            c.create_dataset(parent, "sub", Datatype::I32, &Dataspace::d1(4), Layout::Contiguous)
+        };
+        let rows = [
+            (ds, H5Error::WrongObjectKind(format!("object {ds} is a dataset"))),
+            (99, H5Error::NotFound("object 99".into())),
+        ];
+        for (parent, want) in rows {
+            let before = footprint(&c, parent);
+            assert_eq!(c.create_group(parent, "sub").unwrap_err(), want);
+            assert_eq!(contiguous(&c, parent).unwrap_err(), want);
+            assert_eq!(footprint(&c, parent), before);
+        }
     }
 
     #[test]
@@ -1870,11 +1818,19 @@ mod tests {
             .unwrap();
         let err = c.write_selection(ds, &Selection::All, &[]).unwrap_err();
         assert!(matches!(err, H5Error::Storage(_)), "got {err:?}");
-        // And a contiguous extent of that size cannot be reserved at all.
+        // And a contiguous extent of that size cannot be reserved at all;
+        // nor can one whose size fits but whose end passes the address
+        // space. Either way nothing is reserved, linked or numbered.
+        let before = footprint(&c, ROOT_ID);
         let err = c
             .create_dataset(ROOT_ID, "y", Datatype::U64, &space, Layout::Contiguous)
             .unwrap_err();
         assert!(matches!(err, H5Error::Storage(_)), "got {err:?}");
+        let err = c
+            .create_dataset(ROOT_ID, "y", Datatype::U8, &Dataspace::d1(u64::MAX - 64), Layout::Contiguous)
+            .unwrap_err();
+        assert!(matches!(err, H5Error::Storage(_)), "got {err:?}");
+        assert_eq!(footprint(&c, ROOT_ID), before);
     }
 
     #[test]
@@ -2230,8 +2186,11 @@ mod tests {
     /// each chunk's by index.
     pub(super) fn stored_sums(c: &Container, id: ObjectId) -> (Option<Checksum>, Vec<(u64, Option<Checksum>)>) {
         let state = c.plane.working(id).unwrap();
-        let chunks = state.chunks.iter().map(|(&idx, e)| (idx, e.sum.clone())).collect();
-        (state.data_sum.clone(), chunks)
+        let sums = state.extents.iter().map(|(&key, e)| (key, e.sum.clone()));
+        match state.layout {
+            Layout::Contiguous => (sums.map(|(_, sum)| sum).next().flatten(), vec![]),
+            Layout::Chunked1D { .. } => (None, sums.collect()),
+        }
     }
 
     /// A 767-byte container written by this repository's code at commit
@@ -2348,7 +2307,7 @@ mod tests {
 
         // At rest: one byte of each chunk rewritten behind the container.
         let state = c.plane.working(chunked).unwrap();
-        for entry in state.chunks.values() {
+        for entry in state.extents.values() {
             backend.write_at(entry.addr + 5, &[0xFF]).unwrap();
         }
         let report = c.scrub().unwrap();
@@ -2361,7 +2320,8 @@ mod tests {
         let mut meta = latest_meta(&backend);
         // The tag is the byte before the sum it describes.
         let (_, states) = decode_meta(&meta).unwrap();
-        let sum = states.iter().find_map(|(_, st)| st.data_sum.clone()).unwrap();
+        let contiguous = states.iter().find(|(_, st)| st.layout == Layout::Contiguous);
+        let sum = contiguous.and_then(|(_, st)| st.extents[&0].sum.clone()).unwrap();
         let at = meta
             .windows(8)
             .position(|w| w == sum.sums[0].to_le_bytes())
@@ -2447,12 +2407,36 @@ mod tests {
             .map(|(i, b)| (i as u64, Some(Checksum::blocks_of(b))))
             .collect();
         assert_eq!(stored_sums(&c, chunked), (None, want));
-        // Decoded and re-encoded, the metadata is the same bytes.
-        let meta = latest_meta(&backend);
-        let (tree, states) = decode_meta(&meta).unwrap();
-        let snap = MetaPlane::from_parts(tree, states, ConsistencyModel::Strong);
-        let again = encode_meta(&snap.tree_read(), &snap.snapshot_working()).unwrap();
-        assert_eq!(again, meta);
+        // Decoded and re-encoded, the metadata is the same bytes: this
+        // file's, the `f78ece6` fixture's, and that of a file holding an
+        // empty contiguous dataset (no extent) and an unwritten chunked
+        // one (no chunks).
+        let unwritten: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
+        {
+            let c = Container::create(unwritten.clone());
+            let empty = Dataspace::d1(0);
+            c.create_dataset(ROOT_ID, "empty", Datatype::F32, &empty, Layout::Contiguous).unwrap();
+            let chunked = Layout::Chunked1D { chunk_elems: 4 };
+            c.create_dataset(ROOT_ID, "chunked", Datatype::F32, &Dataspace::d1(8), chunked).unwrap();
+            c.flush().unwrap();
+        }
+        for file in [backend.clone(), legacy_backend(), unwritten.clone()] {
+            let meta = latest_meta(&file);
+            let (tree, states) = decode_meta(&meta).unwrap();
+            let snap = MetaPlane::from_parts(tree, states, ConsistencyModel::Strong);
+            let again = encode_meta(&snap.tree_read(), &snap.snapshot_working()).unwrap();
+            assert_eq!(again, meta);
+        }
+        // A contiguous address on the chunked dataset would not survive
+        // that trip: it is refused.
+        let mut meta = latest_meta(&unwritten);
+        // Layout tag 1, 4 elements a chunk, address 0, no sum, no chunks.
+        let mut fields = vec![1u8];
+        fields.extend_from_slice(&4u64.to_le_bytes());
+        fields.extend_from_slice(&[0; 13]);
+        let at = meta.windows(fields.len()).position(|w| w == fields).unwrap();
+        meta[at + 9] = 0x80;
+        assert!(matches!(decode_meta(&meta), Err(H5Error::Corrupt(ref m)) if m.contains("no place")));
         for ds in [contig, chunked] {
             assert_eq!(c.read_selection(ds, &Selection::All).unwrap(), bytes);
         }

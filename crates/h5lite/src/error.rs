@@ -34,8 +34,6 @@ pub enum H5Error {
     Transient(String),
     /// The container's on-disk bytes are not a valid h5lite file.
     Corrupt(String),
-    /// Operation on a closed file or connector.
-    Closed,
     /// An asynchronous operation failed in the background; the error
     /// surfaces at wait time, as with the HDF5 async VOL.
     Async(String),
@@ -56,37 +54,18 @@ impl fmt::Display for H5Error {
             H5Error::Storage(m) => write!(f, "storage error: {m}"),
             H5Error::Transient(m) => write!(f, "transient storage error: {m}"),
             H5Error::Corrupt(m) => write!(f, "corrupt container: {m}"),
-            H5Error::Closed => write!(f, "file is closed"),
             H5Error::Async(m) => write!(f, "async operation failed: {m}"),
         }
     }
 }
 
-/// Coarse classification of an error for retry policies: is the failure
-/// worth retrying, or is the operation doomed no matter how often it is
-/// reissued?
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ErrorClass {
-    /// A retry of the same operation may succeed (transient device
-    /// faults, interrupted syscalls).
-    Retryable,
-    /// Retrying cannot help: the request itself is wrong (shape or type
-    /// mismatch, missing object) or the device failed permanently.
-    Fatal,
-}
-
 impl H5Error {
-    /// Classify this error for retry decisions.
-    pub fn class(&self) -> ErrorClass {
-        match self {
-            H5Error::Transient(_) => ErrorClass::Retryable,
-            _ => ErrorClass::Fatal,
-        }
-    }
-
-    /// Whether a backoff-and-retry of the same operation may succeed.
+    /// Whether a backoff-and-retry of the same operation may succeed: only
+    /// a transient device fault (device busy, interrupted syscall) may.
+    /// Every other error is fatal — the request itself is wrong (shape or
+    /// type mismatch, missing object) or the device failed permanently.
     pub fn is_retryable(&self) -> bool {
-        self.class() == ErrorClass::Retryable
+        matches!(self, H5Error::Transient(_))
     }
 
     /// Whether the failure originated in the storage device (as opposed
@@ -127,7 +106,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("f64") && s.contains("i32"));
-        assert!(H5Error::Closed.to_string().contains("closed"));
     }
 
     #[test]
@@ -147,19 +125,14 @@ mod tests {
 
     #[test]
     fn taxonomy_classifies_retryable_vs_fatal() {
-        assert_eq!(
-            H5Error::Transient("busy".into()).class(),
-            ErrorClass::Retryable
-        );
+        assert!(H5Error::Transient("busy".into()).is_retryable());
         for fatal in [
             H5Error::Storage("dead".into()),
             H5Error::NotFound("x".into()),
             H5Error::ShapeMismatch("m".into()),
-            H5Error::Closed,
             H5Error::Async("m".into()),
         ] {
-            assert_eq!(fatal.class(), ErrorClass::Fatal, "{fatal:?}");
-            assert!(!fatal.is_retryable());
+            assert!(!fatal.is_retryable(), "{fatal:?}");
         }
     }
 

@@ -1,9 +1,11 @@
 //! Data integrity (DESIGN.md §13): the read-back that stamps each dirty
 //! extent's checksum at flush, the verified read, and scrub.
 //!
-//! Every data extent (a contiguous dataset's extent, or one chunk) can
-//! carry a checksum in the metadata ([`crate::checksum`]), refreshed at
-//! flush time for extents written since the previous flush: one XXH64
+//! Every data extent — an entry of its dataset's one extent map: a
+//! contiguous dataset's extent under key 0, or one chunk under its
+//! index — can carry a checksum in the metadata ([`crate::checksum`]),
+//! refreshed at flush time for extents written since the previous
+//! flush, and the three walk it alike whatever the layout: one XXH64
 //! per [`SUM_BLOCK`](crate::checksum::SUM_BLOCK) of the extent, or — in
 //! files written before block sums — one sum over the whole extent,
 //! which is the same thing with one block. A planned read of clean checksummed extents
@@ -32,11 +34,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use super::{Container, ObjectId, CONTIG_EXTENT};
+use super::{Container, ObjectId};
 use crate::checksum::{Algorithm, Checksum, Hasher};
 use crate::error::{H5Error, Result};
-use crate::layout::Layout;
-use crate::meta::extent_bytes;
 use crate::plan::{IoRecord, COALESCE_WINDOW};
 use crate::recycle;
 use crate::storage::{read_windowed, IoVecMut};
@@ -364,16 +364,9 @@ impl Container {
         let snap = self.plane.snapshot_working();
         let mut extents: Vec<(ObjectId, u64, u64, u64, Checksum)> = Vec::new();
         for (id, state) in snap.iter() {
-            if let Some(sum) = state.data_sum.clone() {
-                let len = extent_bytes(state.space.npoints(), state.dtype)?;
-                extents.push((id, CONTIG_EXTENT, state.data_addr, len, sum));
-            }
-            if let Layout::Chunked1D { chunk_elems } = state.layout {
-                let chunk_bytes = extent_bytes(chunk_elems, state.dtype)?;
-                for (&idx, entry) in &state.chunks {
-                    if let Some(sum) = entry.sum.clone() {
-                        extents.push((id, idx, entry.addr, chunk_bytes, sum));
-                    }
+            for (&key, entry) in &state.extents {
+                if let Some(sum) = entry.sum.clone() {
+                    extents.push((id, key, entry.addr, state.extent_len()?, sum));
                 }
             }
         }
@@ -499,6 +492,7 @@ mod tests {
     use crate::dataspace::{Dataspace, Hyperslab, Selection};
     use crate::datatype::Datatype;
     use crate::checksum::SUM_BLOCK;
+    use crate::layout::Layout;
     use crate::storage::{Call, CountingBackend, MemBackend, StorageBackend};
     use crate::sync::Mutex;
 
@@ -662,7 +656,7 @@ mod tests {
         // included, and every mark is back.
         let now: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
         assert_eq!(now, old);
-        let marks: Vec<_> = ids.iter().map(|&ds| (ds, CONTIG_EXTENT)).collect();
+        let marks: Vec<_> = ids.iter().map(|&ds| (ds, 0)).collect();
         assert_eq!(c.dirty_extents.lock().iter().copied().collect::<Vec<_>>(), marks);
 
         // The rule is spent: the retry reads all eight back.
@@ -681,7 +675,7 @@ mod tests {
         let (backend, gauge) = gauged(Arc::new(MemBackend::new()));
         let c = Container::create(backend);
         let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
-        let addr = |i: usize| c.plane.working(ids[i]).unwrap().data_addr;
+        let addr = |i: usize| c.plane.working(ids[i]).unwrap().extents[&0].addr;
         *gauge.bad.lock() = vec![addr(6), addr(2)];
         for _ in 0..8 {
             let err = c.flush().unwrap_err();
@@ -738,7 +732,7 @@ mod tests {
             assert_eq!(gauge.trap.load(Ordering::SeqCst), 0, "the trap was sprung");
             let now: Vec<_> = ids.iter().map(|&ds| stored_sums(&c, ds)).collect();
             assert_eq!(now, old, "no sum is folded behind a failed barrier");
-            let marks: Vec<_> = ids.iter().map(|&ds| (ds, CONTIG_EXTENT)).collect();
+            let marks: Vec<_> = ids.iter().map(|&ds| (ds, 0)).collect();
             assert_eq!(c.dirty_extents.lock().iter().copied().collect::<Vec<_>>(), marks);
             assert_eq!(c.alloc.lock().generation, generation);
             assert_eq!(c.allocated_bytes(), eof, "and no metadata extent is appended");
@@ -760,7 +754,7 @@ mod tests {
         let (backend, gauge) = gauged(Arc::new(MemBackend::new()));
         let c = Container::create(backend);
         let ids = dirty_contiguous(&c, 8, 2 * MIB, 0);
-        let addr = |i: usize| c.plane.working(ids[i]).unwrap().data_addr;
+        let addr = |i: usize| c.plane.working(ids[i]).unwrap().extents[&0].addr;
         *gauge.bad.lock() = vec![addr(6), addr(2)];
         for _ in 0..8 {
             gauge.trap.store(TRAP_FAIL, Ordering::SeqCst);
@@ -842,7 +836,7 @@ mod tests {
         // Rot in the third and the sixth chunk, behind the container.
         let state = c.plane.working(ds).unwrap();
         for idx in [2, 5] {
-            let at = state.chunks[&idx].addr + 4096;
+            let at = state.extents[&idx].addr + 4096;
             backend.write_at(at, &[!data[idx as usize * MIB + 4096]]).unwrap();
         }
         let found = c.scrub().unwrap();
@@ -954,7 +948,7 @@ mod tests {
         let data = salted(5, 4 * BLOCK);
         c.write_selection(ds, &Selection::All, &data).unwrap();
         c.flush().unwrap();
-        let at = c.plane.working(ds).unwrap().data_addr + 3 * BLOCK as u64 + 17;
+        let at = c.plane.working(ds).unwrap().extents[&0].addr + 3 * BLOCK as u64 + 17;
         backend.write_at(at, &[!data[3 * BLOCK + 17]]).unwrap();
 
         // The first half never touches the rotten block.
@@ -984,7 +978,7 @@ mod tests {
     fn stamped(c: &Container, len: usize, salt: usize) -> (ObjectId, u64) {
         let ds = dirty_contiguous(c, 1, len, salt)[0];
         c.flush().unwrap();
-        (ds, c.plane.working(ds).unwrap().data_addr)
+        (ds, c.plane.working(ds).unwrap().extents[&0].addr)
     }
 
     /// Run `f` on a thread of its own and return what it returned, and
@@ -1077,7 +1071,7 @@ mod tests {
         let data = salted(6, 4 * chunk);
         c.write_selection(ds, &Selection::All, &data).unwrap();
         c.flush().unwrap();
-        let chunk_at = |i: u64| c.plane.working(ds).unwrap().chunks[&i].addr;
+        let chunk_at = |i: u64| c.plane.working(ds).unwrap().extents[&i].addr;
         log.lock().clear();
         let start = chunk + 2 * BLOCK + 7;
         let sel = Selection::Slab(Hyperslab::range1(start as u64, BLOCK as u64));

@@ -67,7 +67,7 @@ pub use api::{Dataset, File, Group};
 pub use container::{Container, IntegrityStats, ObjectId, ScrubReport, SieveStats};
 pub use dataspace::{Dataspace, Hyperslab, Row, Selection};
 pub use datatype::{Datatype, Elements, H5Type};
-pub use error::{ErrorClass, H5Error, Result};
+pub use error::{H5Error, Result};
 pub use layout::Layout;
 pub use meta::{shard_of, ConsistencyModel, MetaLockStats, MetaSnapshot, META_SHARDS};
 pub use native::NativeVol;

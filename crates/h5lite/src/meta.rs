@@ -8,7 +8,7 @@
 //!
 //! - **The tree** (`objects`, links, attributes, `next_id`): a single
 //!   `RwLock<Tree>` — namespace operations are rare and cold.
-//! - **Dataset state** (shape, layout, chunk map, checksums): sharded
+//! - **Dataset state** (shape, layout, extent map, checksums): sharded
 //!   [`META_SHARDS`] ways by object id, the same 16-way split the PR 3
 //!   `MemBackend` uses for pages. `plan_io` for datasets in different
 //!   shards never touches the same lock.
@@ -118,9 +118,10 @@ pub enum ConsistencyModel {
     Commit,
 }
 
-/// One chunk's storage: extent address plus the optional checksum
-/// recorded at the last flush (`None` until the chunk has been flushed
-/// after a write, or when checksumming is disabled).
+/// One data extent's storage — a contiguous dataset's extent, or one
+/// chunk: its address plus the optional checksum recorded at the last
+/// flush (`None` until the extent has been flushed after a write, or
+/// when checksumming is disabled).
 #[derive(Clone, Debug)]
 pub(crate) struct ChunkEntry {
     pub addr: u64,
@@ -134,16 +135,27 @@ pub(crate) struct DatasetState {
     pub dtype: Datatype,
     pub space: Dataspace,
     pub layout: Layout,
-    /// Extent address for contiguous layout (0 for empty datasets).
-    pub data_addr: u64,
-    /// Checksum of the contiguous extent, like [`ChunkEntry::sum`].
-    pub data_sum: Option<Checksum>,
-    /// chunk index → extent entry, for chunked layout.
-    pub chunks: BTreeMap<u64, ChunkEntry>,
+    /// The dataset's data extents by key, each
+    /// [`DatasetState::extent_len`] bytes long: a chunk under its index,
+    /// a contiguous dataset's one extent under 0 — present only when
+    /// the dataset has bytes, reserved whole at creation.
+    pub extents: BTreeMap<u64, ChunkEntry>,
     /// Mutation stamp: bumped by every copy-on-write mutation. Strictly
     /// monotone per dataset; lets tests and tools tell two states apart
-    /// without comparing chunk maps.
+    /// without comparing extent maps.
     pub generation: u64,
+}
+
+impl DatasetState {
+    /// Bytes of each of this dataset's extents: the whole dataspace when
+    /// contiguous, one chunk when chunked.
+    pub fn extent_len(&self) -> Result<u64> {
+        let elems = match self.layout {
+            Layout::Contiguous => self.space.npoints(),
+            Layout::Chunked1D { chunk_elems } => chunk_elems,
+        };
+        extent_bytes(elems, self.dtype)
+    }
 }
 
 /// Bytes of `elems` elements of `dtype`: the one checked size of a
@@ -187,6 +199,49 @@ pub(crate) struct TreeObject {
 pub(crate) struct Tree {
     pub objects: BTreeMap<ObjectId, TreeObject>,
     pub next_id: ObjectId,
+}
+
+impl Tree {
+    /// Object `id`, or the one `NotFound` for a missing object.
+    pub(crate) fn object(&self, id: ObjectId) -> Result<&TreeObject> {
+        self.objects
+            .get(&id)
+            .ok_or_else(|| H5Error::NotFound(format!("object {id}")))
+    }
+
+    /// [`Tree::object`], mutably.
+    pub(crate) fn object_mut(&mut self, id: ObjectId) -> Result<&mut TreeObject> {
+        self.objects
+            .get_mut(&id)
+            .ok_or_else(|| H5Error::NotFound(format!("object {id}")))
+    }
+
+    /// Link a new object as `name` under group `parent` and return its
+    /// id. In order: check that `parent` is a group without `name`; run
+    /// `make(id)`, which builds the object's kind (and, for a dataset,
+    /// reserves its extent and installs its shard state); only then
+    /// link and insert it. An error at any step links, inserts and
+    /// numbers nothing.
+    pub(crate) fn link_new(
+        &mut self,
+        parent: ObjectId,
+        name: &str,
+        make: impl FnOnce(ObjectId) -> Result<NodeKind>,
+    ) -> Result<ObjectId> {
+        let id = self.next_id;
+        let NodeKind::Group { links } = &mut self.object_mut(parent)?.kind else {
+            return Err(H5Error::WrongObjectKind(format!("object {parent} is a dataset")));
+        };
+        if links.contains_key(name) {
+            return Err(H5Error::AlreadyExists(name.to_owned()));
+        }
+        let kind = make(id)?;
+        links.insert(name.to_owned(), id);
+        self.next_id += 1;
+        let attrs = BTreeMap::new();
+        self.objects.insert(id, TreeObject { kind, attrs });
+        Ok(id)
+    }
 }
 
 /// Per-shard breakdown of metadata-lock acquisitions
@@ -541,9 +596,7 @@ mod tests {
             dtype: Datatype::U8,
             space: Dataspace::d1(16),
             layout: Layout::Chunked1D { chunk_elems: 4 },
-            data_addr: 0,
-            data_sum: None,
-            chunks: BTreeMap::new(),
+            extents: BTreeMap::new(),
             generation: 0,
         }
     }
@@ -554,12 +607,12 @@ mod tests {
         plane.insert(2, state());
         plane
             .mutate(2, |st| {
-                st.chunks.insert(0, ChunkEntry { addr: 128, sum: None });
+                st.extents.insert(0, ChunkEntry { addr: 128, sum: None });
                 Ok(())
             })
             .unwrap();
         let pub_state = plane.published(2).unwrap();
-        assert_eq!(pub_state.chunks.get(&0).map(|e| e.addr), Some(128));
+        assert_eq!(pub_state.extents.get(&0).map(|e| e.addr), Some(128));
         assert_eq!(pub_state.generation, 1);
     }
 
@@ -569,14 +622,14 @@ mod tests {
         plane.insert(2, state());
         plane
             .mutate(2, |st| {
-                st.chunks.insert(0, ChunkEntry { addr: 128, sum: None });
+                st.extents.insert(0, ChunkEntry { addr: 128, sum: None });
                 Ok(())
             })
             .unwrap();
-        assert!(plane.published(2).unwrap().chunks.is_empty());
-        assert_eq!(plane.working(2).unwrap().chunks.len(), 1);
+        assert!(plane.published(2).unwrap().extents.is_empty());
+        assert_eq!(plane.working(2).unwrap().extents.len(), 1);
         plane.publish_settled();
-        assert_eq!(plane.published(2).unwrap().chunks.len(), 1);
+        assert_eq!(plane.published(2).unwrap().extents.len(), 1);
     }
 
     #[test]
@@ -585,14 +638,14 @@ mod tests {
         plane.insert(2, state());
         plane
             .mutate(2, |st| {
-                st.chunks.insert(0, ChunkEntry { addr: 128, sum: None });
+                st.extents.insert(0, ChunkEntry { addr: 128, sum: None });
                 Ok(())
             })
             .unwrap();
         plane.publish_settled(); // settlement must NOT publish under Commit
-        assert!(plane.published(2).unwrap().chunks.is_empty());
+        assert!(plane.published(2).unwrap().extents.is_empty());
         plane.publish_flushed();
-        assert_eq!(plane.published(2).unwrap().chunks.len(), 1);
+        assert_eq!(plane.published(2).unwrap().extents.len(), 1);
     }
 
     #[test]
@@ -601,19 +654,19 @@ mod tests {
         plane.insert(2, state());
         plane
             .mutate(2, |st| {
-                st.chunks.insert(0, ChunkEntry { addr: 128, sum: None });
+                st.extents.insert(0, ChunkEntry { addr: 128, sum: None });
                 Ok(())
             })
             .unwrap();
         let snap = plane.snapshot();
         plane
             .mutate(2, |st| {
-                st.chunks.insert(1, ChunkEntry { addr: 256, sum: None });
+                st.extents.insert(1, ChunkEntry { addr: 256, sum: None });
                 Ok(())
             })
             .unwrap();
-        assert_eq!(snap.get(2).unwrap().chunks.len(), 1);
-        assert_eq!(plane.snapshot().get(2).unwrap().chunks.len(), 2);
+        assert_eq!(snap.get(2).unwrap().extents.len(), 1);
+        assert_eq!(plane.snapshot().get(2).unwrap().extents.len(), 2);
     }
 
     #[test]
@@ -621,11 +674,11 @@ mod tests {
         let plane = MetaPlane::new(1, ConsistencyModel::Strong);
         plane.insert(2, state());
         let err = plane.mutate(2, |st| {
-            st.chunks.insert(0, ChunkEntry { addr: 1, sum: None });
+            st.extents.insert(0, ChunkEntry { addr: 1, sum: None });
             Err::<(), _>(H5Error::Storage("boom".into()))
         });
         assert!(err.is_err());
-        assert!(plane.working(2).unwrap().chunks.is_empty());
+        assert!(plane.working(2).unwrap().extents.is_empty());
         assert_eq!(plane.working(2).unwrap().generation, 0);
     }
 

@@ -12,7 +12,7 @@
 //! observed overlap efficiency matches Eq. 2 on unperturbed configs.
 
 use apio_core::history::{Direction, IoMode};
-use apio_core::report::{StragglerEpoch, StragglerReport};
+use apio_core::report::{nearest_rank, StragglerEpoch, StragglerReport};
 use platform::pfs::FileSystemModel;
 
 use crate::comm::Job;
@@ -42,17 +42,6 @@ pub fn predicted_overlap_efficiency(job: &Job, w: &Workload, cfg: &RunConfig) ->
 /// Seconds → nanoseconds, clamped at zero.
 fn secs_to_nanos(secs: f64) -> u64 {
     (secs.max(0.0) * 1e9) as u64
-}
-
-/// `values[⌈q·n⌉-1]` over an ascending-sorted slice (0 when empty).
-fn percentile_sorted(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((q * sorted.len() as f64).ceil() as usize)
-        .saturating_sub(1)
-        .min(sorted.len() - 1);
-    sorted[idx]
 }
 
 /// Attribute `result` — the run of `w` under `cfg` on `job` — rank by
@@ -108,8 +97,8 @@ pub fn straggler_report(
                 write_nanos: write,
                 meta_nanos: meta,
                 wait_nanos: c_max - c_s + buf_wait,
-                skew_p50_nanos: percentile_sorted(&busy, 0.50),
-                skew_p99_nanos: percentile_sorted(&busy, 0.99),
+                skew_p50_nanos: nearest_rank(&busy, 50),
+                skew_p99_nanos: nearest_rank(&busy, 99),
             });
         }
         compute.push(c);

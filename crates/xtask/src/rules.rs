@@ -11,7 +11,7 @@
 //! | `superblock-discipline` | h5lite `src/` except `superblock.rs` | the superblock area (offset 0) is written only through the dual-slot commit protocol |
 //! | `guard-across-boundary` | argolite, asyncvol, h5lite `src/` | no lock guard is live across `submit`/`wait`/`block_on`/channel-recv (dataflow pass) |
 //! | `blocking-in-task` | argolite, asyncvol, h5lite `src/`    | no `std::fs`/`std::net`/`thread::sleep` inside closures handed to a ring job, completion hook, thread or explorer task |
-//! | `checked-offset-arith` | h5lite `storage.rs`, `container.rs` + `integrity.rs`, `plan.rs` | device offsets/addresses use `checked_*`/`saturating_*`, never raw `+`/`*` |
+//! | `checked-offset-arith` | h5lite `storage.rs`, `container.rs` + `integrity.rs`, `meta.rs`, `plan.rs` | device offsets/addresses use `checked_*`/`saturating_*`, never raw `+`/`*` |
 //!
 //! Four of the rules are token patterns; the other three ride the
 //! intra-procedural dataflow passes in [`crate::dataflow`]. One lex of
@@ -100,10 +100,11 @@ const MUST_USE_TYPES: [&str; 3] = [
 /// their jobs): guard liveness and blocking-call discipline apply.
 const SCHEDULED_CRATES: [&str; 3] = ["crates/argolite/", "crates/asyncvol/", "crates/h5lite/"];
 /// Files carrying device-address arithmetic.
-const OFFSET_ARITH_FILES: [&str; 4] = [
+const OFFSET_ARITH_FILES: [&str; 5] = [
     "crates/h5lite/src/storage.rs",
     "crates/h5lite/src/container.rs",
     "crates/h5lite/src/integrity.rs",
+    "crates/h5lite/src/meta.rs",
     "crates/h5lite/src/plan.rs",
 ];
 /// The one module allowed to write the superblock area (offset 0): the
@@ -643,6 +644,10 @@ fn f(ring: &Ring) {
         );
         assert_eq!(
             rules_fired("crates/h5lite/src/storage.rs", bad),
+            ["checked-offset-arith"]
+        );
+        assert_eq!(
+            rules_fired("crates/h5lite/src/meta.rs", bad),
             ["checked-offset-arith"]
         );
         // Not the whole crate: chunk-count math elsewhere is fine.
