@@ -127,7 +127,7 @@ echo "== root suites, once: lock-order recorder on, 64 explorer seeds =="
 #   end_to_end        write/read pipelines, a real run fed to the model
 APIO_EXPLORE_SEEDS=64 cargo test -q "${CARGO_FLAGS[@]}" --features debug-invariants
 
-echo "== h5lite in release (overflow, dataspace, read-back windows, verified reads, promise wake-ups) =="
+echo "== h5lite and asyncvol in release (overflow, dataspace, read-back windows, verified reads, promise wake-ups, decodes, cold reads) =="
 # The debug run of all of h5lite is in `--workspace` above: XXH64 known
 # answers, the container written at f78ece6 with FNV sums, the
 # O(extents) record/span counts. These rerun in release because
@@ -161,23 +161,32 @@ echo "== h5lite in release (overflow, dataspace, read-back windows, verified rea
 # loops compile differently with optimisation on; `promise` the one-shot
 # slot's sleeper count: seeded waiter/fulfil races and two sleeping
 # takers, each under a deadline, since a skipped wake-up hangs and shows
-# more readily at release speed). A filter that matches nothing would
-# pass, so a renamed test would drop out of the release run unseen: each
-# filter must list at least one test.
+# more readily at release speed; `decode` the slice decoders, whose
+# const-width loops compile differently with optimisation on:
+# `decode_into` against `decode_slice` for all ten types, NaN payloads
+# included, and `crates/h5lite/tests/decode_faults.rs`, decoding into
+# written elements taking almost no page faults). Then asyncvol's
+# `cold_read`: `crates/asyncvol/tests/cold_read.rs`, a cold read
+# decoding into the elements an idle ring made while its device read was
+# held, skipping a held prefetch of another selection, and not waiting
+# on a busy ring, each under a deadline. A filter that matches nothing
+# would pass, so a renamed test would drop out of the release run
+# unseen: each filter must list at least one test of its package.
 release_rerun() {
-    local listed
-    listed="$(cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite "$1" -- --list \
+    local package="$1" filter="$2" listed
+    listed="$(cargo test -q "${CARGO_FLAGS[@]}" --release -p "$package" "$filter" -- --list \
         | grep -c ': test$' || true)"
     if [ "$listed" -eq 0 ]; then
-        echo "release rerun: filter '$1' matches no h5lite test"
+        echo "release rerun: filter '$filter' matches no $package test"
         exit 1
     fi
-    echo "release rerun: '$1' selects $listed test(s)"
-    cargo test -q "${CARGO_FLAGS[@]}" --release -p h5lite "$1"
+    echo "release rerun: $package '$filter' selects $listed test(s)"
+    cargo test -q "${CARGO_FLAGS[@]}" --release -p "$package" "$filter"
 }
-for filter in dataspace overflow window barrier read_back read_call verified lane flush_hashes block kernel promise; do
-    release_rerun "$filter"
+for filter in dataspace overflow window barrier read_back read_call verified lane flush_hashes block kernel promise decode; do
+    release_rerun h5lite "$filter"
 done
+release_rerun asyncvol cold_read
 
 echo "== operator report smoke (drift demo must flip the advice) =="
 report_json="$(cargo run -q "${CARGO_FLAGS[@]}" -p apio-apps --bin apio-report -- --json)"

@@ -42,14 +42,21 @@
 //!   slot's. The ring fulfils it once the job has run — with the
 //!   elements the job read and decoded
 //!   ([`h5lite::ReadPayload::Elements`]), or with the job's panic — so
-//!   the slot is also what a later cold read of the dataset waits on and
-//!   what [`h5lite::Vol::wait_all`] joins. The slot's key holds the
-//!   selection inline and the job carries a copy of its own, so a hit
-//!   that finds its slot filled hashes and compares the map's own words,
-//!   touches of what the reaper wrote only the slot, and takes it
-//!   without a wake-up ([`h5lite::Promise`] wakes only sleepers). A
-//!   write issued to the dataset drops its slots, so no read is served
-//!   bytes that predate it.
+//!   the slot is also what [`h5lite::Vol::wait_all`] joins. The slot's
+//!   key holds the selection inline and the job carries a copy of its
+//!   own, so a hit that finds its slot filled hashes and compares the
+//!   map's own words, touches of what the reaper wrote only the slot,
+//!   and takes it without a wake-up ([`h5lite::Promise`] wakes only
+//!   sleepers). A write issued to the dataset drops its slots, so no
+//!   read is served bytes that predate it. A cold read waits on its
+//!   dataset's last write only — a read after a read has no hazard —
+//!   then reads, verifies and gathers on the caller's thread. If the
+//!   ring is idle, one ring job meanwhile allocates the read's elements
+//!   and writes every one, so their pages are faulted in on the reaper
+//!   rather than by the decode; the read takes them if the job has
+//!   finished by then, and the typed API decodes into them
+//!   ([`h5lite::ReadRequest::resolved_into`]). Otherwise it decodes
+//!   into fresh memory, as every cold read did before.
 //! - **Synchronization** mirrors the HDF5 async VOL's event sets:
 //!   [`h5lite::Vol::wait`] on one request token, or
 //!   [`h5lite::Vol::wait_all`] to drain the connector.
@@ -416,6 +423,10 @@ struct DsOrder {
     /// one: they are all entries under the dataset's key in the
     /// connector's ring, and same-key entries settle in FIFO order.
     last: Option<Last>,
+    /// The dataset's last write, which implies every earlier write: what
+    /// a cold read waits on. A read after a read has no hazard, so a
+    /// prefetch of another selection does not hold a cold read up.
+    last_write: Option<Promise<Completion>>,
     /// Completed or in-flight prefetches, by selection.
     prefetched: HashMap<SlotKey, Slot, WordHash>,
 }
@@ -792,6 +803,7 @@ impl AsyncVol {
         let order = tenant.datasets.entry(ds).or_default().written(&mut inner.stale_prefetches);
         let done = launch(req, key);
         order.last = Some(Last::Write(done.clone()));
+        order.last_write = Some(done.clone());
         inner.requests.insert(req, done);
         Request(req)
     }
@@ -942,6 +954,30 @@ impl AsyncVol {
         })
     }
 
+    /// The elements a cold read of `(c, ds, sel)` will decode into, made
+    /// by one job on the ring if the ring is idle: the job allocates them
+    /// and writes every one, so their pages are faulted in on the reaper
+    /// while the caller waits on the device (DESIGN.md §17). `None` when
+    /// the ring holds anything — the job would queue behind it — or the
+    /// selection does not fit the dataset, which the read then reports.
+    fn prepare(
+        &self,
+        c: &Container,
+        ds: ObjectId,
+        sel: &Selection,
+    ) -> Option<Promise<Result<Elements>>> {
+        if self.ring.occupancy() != 0 {
+            return None;
+        }
+        let info = c.dataset_info(ds).ok()?;
+        sel.validate(&info.space).ok()?;
+        let len = usize::try_from(sel.npoints(&info.space)).ok()?;
+        let dst = Promise::new();
+        // Every shard is idle, so the key only picks one.
+        self.ring.submit_job(ds, dst.clone(), move || Ok(Elements::written(info.dtype, len)));
+        Some(dst)
+    }
+
     /// Synchronous passthrough write, used while the circuit breaker has
     /// the connector degraded. Runs on the caller's thread: the result is
     /// known before returning, so an `Ok` here is as durable as the
@@ -1034,24 +1070,26 @@ impl Vol for AsyncVol {
         sel: &Selection,
     ) -> Result<ReadRequest> {
         // Serve from the prefetch slot when warm; else note, in the same
-        // section, what is in flight on the dataset.
-        let last = match record(&mut self.inner.lock().tenants, c, ds) {
+        // section, the dataset's last write.
+        let last_write = match record(&mut self.inner.lock().tenants, c, ds) {
             Some(order) => match order.prefetched.remove(&SlotKey::new(sel)) {
                 Some(slot) => {
                     self.sh.stats.record_prefetch_hit();
                     return Ok(ReadRequest::pending(slot));
                 }
-                None => order.last.clone(),
+                None => order.last_write.clone(),
             },
             None => None,
         };
 
-        // Cold read: block on the dataset's last write or prefetch (RAW
-        // ordering), then read on the calling thread — the
-        // first-time-step behaviour of the paper's connector.
+        // Cold read: block on the dataset's last write (RAW ordering),
+        // then read on the calling thread — the first-time-step behaviour
+        // of the paper's connector — while an idle ring makes the
+        // elements the read decodes into.
         let mut read_span = self.sh.stats.tracer().span("vol.read");
-        if let Some(last) = last {
-            last.wait();
+        let dst = self.prepare(c, ds, sel);
+        if let Some(done) = last_write {
+            done.wait_settled(|_| ());
         }
         let t0 = Instant::now();
         let salt = ds.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -1067,7 +1105,16 @@ impl Vol for AsyncVol {
         });
         drop(read_span);
         self.sh.stats.record_read(bytes, io_secs, false);
-        Ok(ReadRequest::resolved(result))
+        // Taken only if the job has run: waiting for it could mean
+        // waiting behind whatever was queued on its shard since.
+        let dst = dst.filter(Promise::is_fulfilled).map(|dst| dst.take());
+        Ok(match (result, dst) {
+            (Ok(bytes), Some(Ok(dst))) => {
+                self.sh.stats.record_prepared_read();
+                ReadRequest::resolved_into(bytes, dst)
+            }
+            (result, _) => ReadRequest::resolved(result),
+        })
     }
 
     fn wait(&self, req: Request) -> Result<()> {

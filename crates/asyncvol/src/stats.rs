@@ -12,9 +12,10 @@ use apio_trace::{Counter, Event, Metrics, Tracer};
 
 /// Registry names for every connector counter, in snapshot order.
 /// Reports iterate the registry, so the names are the public contract.
-const COUNTER_NAMES: [&str; 16] = [
+const COUNTER_NAMES: [&str; 17] = [
     "vol.writes",
     "vol.reads_blocking",
+    "vol.prepared_reads",
     "vol.prefetches",
     "vol.prefetch_hits",
     "vol.snapshot_bytes",
@@ -36,6 +37,7 @@ const COUNTER_NAMES: [&str; 16] = [
 struct Handles {
     writes: Counter,
     reads_blocking: Counter,
+    prepared_reads: Counter,
     prefetches: Counter,
     prefetch_hits: Counter,
     snapshot_bytes: Counter,
@@ -54,11 +56,12 @@ struct Handles {
 
 impl Handles {
     fn register(metrics: &Metrics) -> Self {
-        let [writes, reads_blocking, prefetches, prefetch_hits, snapshot_bytes, snapshot_nanos, write_bytes, write_io_nanos, read_bytes, read_io_nanos, retries, retry_successes, degraded_writes, breaker_opens, breaker_closes, probes] =
+        let [writes, reads_blocking, prepared_reads, prefetches, prefetch_hits, snapshot_bytes, snapshot_nanos, write_bytes, write_io_nanos, read_bytes, read_io_nanos, retries, retry_successes, degraded_writes, breaker_opens, breaker_closes, probes] =
             COUNTER_NAMES.map(|name| metrics.counter(name));
         Handles {
             writes,
             reads_blocking,
+            prepared_reads,
             prefetches,
             prefetch_hits,
             snapshot_bytes,
@@ -173,6 +176,11 @@ impl StatsCells {
         self.handles.read_io_nanos.add(to_nanos(io_secs));
     }
 
+    /// A cold read handed the elements an idle ring made for it.
+    pub(crate) fn record_prepared_read(&self) {
+        self.handles.prepared_reads.inc();
+    }
+
     pub(crate) fn record_prefetch_hit(&self) {
         self.handles.prefetch_hits.inc();
     }
@@ -225,6 +233,7 @@ impl StatsCells {
         AsyncVolStats {
             writes: h.writes.get(),
             blocking_reads: h.reads_blocking.get(),
+            prepared_reads: h.prepared_reads.get(),
             prefetches: h.prefetches.get(),
             prefetch_hits: h.prefetch_hits.get(),
             snapshot_bytes: h.snapshot_bytes.get(),
@@ -251,8 +260,14 @@ pub struct AsyncVolStats {
     /// Background writes landed and settled — counted the moment each
     /// lands, not when it is waited for.
     pub writes: u64,
-    /// Cold (blocking) reads served on the caller's thread.
+    /// Cold (blocking) reads: each waits on its dataset's last write,
+    /// then reads, verifies and gathers on the caller's thread.
     pub blocking_reads: u64,
+    /// Cold reads handed the elements an idle ring made for them while
+    /// the caller waited on the device, for the typed API to decode into
+    /// (DESIGN.md §17). The other blocking reads decode into fresh
+    /// memory: the ring was busy, or its job had not finished.
+    pub prepared_reads: u64,
     /// Background prefetch reads completed.
     pub prefetches: u64,
     /// Reads served from a warm prefetch slot.

@@ -109,6 +109,13 @@ pub trait H5Type: Copy + Default + Send + Sync + 'static {
     /// Decode little-endian `src`; trailing bytes short of one element
     /// are ignored ([`from_bytes`] rejects them first).
     fn decode_slice(src: &[u8]) -> Vec<Self>;
+
+    /// Decode little-endian `src` over all of `dst`, which must hold
+    /// exactly `src.len() / DTYPE.size()` elements: [`decode_slice`]
+    /// into memory the caller already has.
+    ///
+    /// [`decode_slice`]: H5Type::decode_slice
+    fn decode_into(src: &[u8], dst: &mut [Self]);
 }
 
 macro_rules! impl_h5type {
@@ -116,7 +123,7 @@ macro_rules! impl_h5type {
         impl H5Type for $t {
             const DTYPE: Datatype = $dt;
 
-            // Both loops run over chunks of a constant width, so on a
+            // The loops run over chunks of a constant width, so on a
             // little-endian target they compile to a block copy.
             fn encode_slice(src: &[Self], dst: &mut [u8]) {
                 const N: usize = std::mem::size_of::<$t>();
@@ -135,6 +142,16 @@ macro_rules! impl_h5type {
                         <$t>::from_le_bytes(le)
                     })
                     .collect()
+            }
+
+            fn decode_into(src: &[u8], dst: &mut [Self]) {
+                const N: usize = std::mem::size_of::<$t>();
+                assert_eq!(src.len(), dst.len() * N, "decode buffer length");
+                for (v, chunk) in dst.iter_mut().zip(src.chunks_exact(N)) {
+                    let mut le = [0u8; N];
+                    le.copy_from_slice(chunk);
+                    *v = <$t>::from_le_bytes(le);
+                }
             }
         }
     };
@@ -173,6 +190,25 @@ pub fn from_bytes<T: H5Type>(bytes: &[u8]) -> Result<Vec<T>> {
     Ok(T::decode_slice(bytes))
 }
 
+/// Call the generic `$f::<T>($arg)` for the `T` of the run-time
+/// datatype `$dtype`.
+macro_rules! by_dtype {
+    ($dtype:expr, $f:ident($arg:expr)) => {
+        match $dtype {
+            Datatype::U8 => $f::<u8>($arg),
+            Datatype::I8 => $f::<i8>($arg),
+            Datatype::U16 => $f::<u16>($arg),
+            Datatype::I16 => $f::<i16>($arg),
+            Datatype::U32 => $f::<u32>($arg),
+            Datatype::I32 => $f::<i32>($arg),
+            Datatype::U64 => $f::<u64>($arg),
+            Datatype::I64 => $f::<i64>($arg),
+            Datatype::F32 => $f::<f32>($arg),
+            Datatype::F64 => $f::<f64>($arg),
+        }
+    };
+}
+
 /// Decoded elements whose Rust type is known only at run time: a
 /// `Vec<T>` for the [`Datatype`] it is tagged with. A background reader
 /// knows a dataset's datatype but not the caller's `T`; it decodes into
@@ -196,21 +232,24 @@ impl Elements {
                 encode: encode_any::<T>,
             })
         }
-        match dtype {
-            Datatype::U8 => typed::<u8>(bytes),
-            Datatype::I8 => typed::<i8>(bytes),
-            Datatype::U16 => typed::<u16>(bytes),
-            Datatype::I16 => typed::<i16>(bytes),
-            Datatype::U32 => typed::<u32>(bytes),
-            Datatype::I32 => typed::<i32>(bytes),
-            Datatype::U64 => typed::<u64>(bytes),
-            Datatype::I64 => typed::<i64>(bytes),
-            Datatype::F32 => typed::<f32>(bytes),
-            Datatype::F64 => typed::<f64>(bytes),
-        }
+        by_dtype!(dtype, typed(bytes))
     }
 
-    /// The datatype the elements were decoded as.
+    /// `len` elements of `dtype`, every one written, for a reader to
+    /// decode into ([`crate::ReadRequest::wait_as`]). The value written
+    /// is opaque to the compiler, so the allocation cannot become a
+    /// lazily zeroed `calloc`: the pages are faulted in here, on the
+    /// thread that makes the elements, not on the one that fills them.
+    pub fn written(dtype: Datatype, len: usize) -> Elements {
+        fn typed<T: H5Type>(len: usize) -> Elements {
+            let mut vec = Vec::with_capacity(len);
+            vec.resize(len, std::hint::black_box(T::default()));
+            Elements { dtype: T::DTYPE, vec: Box::new(vec), encode: encode_any::<T> }
+        }
+        by_dtype!(dtype, typed(len))
+    }
+
+    /// The datatype of the elements.
     pub fn dtype(&self) -> Datatype {
         self.dtype
     }
@@ -350,5 +389,41 @@ mod tests {
         same::<f64>(&bytes);
         let err = Elements::decode(Datatype::F64, &[0u8; 7]).unwrap_err();
         assert!(matches!(err, H5Error::ShapeMismatch(_)));
+    }
+
+    #[test]
+    fn decode_into_matches_decode_slice_for_every_type() {
+        let mut rng = crate::storage::Lcg::new(0xDEC0DE);
+        let mut bytes: Vec<u8> = (0..4096).map(|_| rng.below(256) as u8).collect();
+        // NaNs with payload bits, quiet and signalling, at both widths.
+        bytes[..4].copy_from_slice(&0x7fa1_2345u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&0xff80_0001u32.to_le_bytes());
+        bytes[8..16].copy_from_slice(&0x7ff4_0000_dead_beefu64.to_le_bytes());
+        bytes[16..24].copy_from_slice(&0xfff8_0000_0000_0001u64.to_le_bytes());
+        // Compared as bytes, so NaN payloads compare too; into elements
+        // made by `Elements::written`, as a cold read's are.
+        fn same<T: H5Type>(bytes: &[u8]) {
+            let len = bytes.len() / T::DTYPE.size();
+            let mut dst = Elements::written(T::DTYPE, len).into_vec::<T>().unwrap();
+            T::decode_into(bytes, &mut dst);
+            assert_eq!(to_bytes(&dst), to_bytes(&T::decode_slice(bytes)), "{}", T::DTYPE.name());
+            assert_eq!(to_bytes(&dst), bytes, "{}", T::DTYPE.name());
+        }
+        same::<u8>(&bytes);
+        same::<i8>(&bytes);
+        same::<u16>(&bytes);
+        same::<i16>(&bytes);
+        same::<u32>(&bytes);
+        same::<i32>(&bytes);
+        same::<u64>(&bytes);
+        same::<i64>(&bytes);
+        same::<f32>(&bytes);
+        same::<f64>(&bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "decode buffer length")]
+    fn decode_into_refuses_a_destination_of_another_length() {
+        f32::decode_into(&[0u8; 8], &mut [0.0; 3]);
     }
 }

@@ -335,8 +335,10 @@ impl StorageBackend for FileBackend {
 /// large call reaches the device's aggregate rate with no client
 /// threads. A call books, runs the inner call, then sleeps until its
 /// latest booked end: it costs its modelled service time, with the inner
-/// call's own time inside it, and a failed inner call still costs its
-/// booking. Up to `channels` requests overlap their stalls; beyond that,
+/// call's own time inside it, plus however late the host's
+/// `thread::sleep` wakes it — 60–75 µs a call on the 2-core Linux VM
+/// the benchmarks ran on, which no booking sees — and a failed inner
+/// call still costs its booking. Up to `channels` requests overlap their stalls; beyond that,
 /// requests queue behind the busiest-free channel. Depth 1 pays one
 /// latency per op; depth
 /// `<= channels` overlaps them; only *coalescing* (one vectored batch,
@@ -436,7 +438,8 @@ impl ThrottledBackend {
 
     /// Run `call`, the inner half of a call of `bytes` payload, inside its
     /// booking ([`book`](Self::book)): book, call, then sleep until the
-    /// latest booked end, whatever the call returned.
+    /// latest booked end, whatever the call returned. The sleep overshoots
+    /// that end by the host's wake-up latency (see the type's docs).
     fn serve(&self, bytes: usize, call: impl FnOnce() -> Result<()>) -> Result<()> {
         let deadline = {
             let mut ch = self.channels.lock();

@@ -61,6 +61,9 @@ pub struct ReadRequest(Read);
 
 enum Read {
     Ready(Result<ReadPayload>),
+    /// Read bytes and the elements made to take them
+    /// ([`ReadRequest::resolved_into`]).
+    Into(Vec<u8>, Elements),
     Pending(Promise<Result<ReadPayload>>),
 }
 
@@ -76,10 +79,19 @@ impl ReadRequest {
         ReadRequest(Read::Ready(result.map(ReadPayload::Bytes)))
     }
 
+    /// A read that already completed as `bytes`, with `dst` made to
+    /// receive them ([`Elements::written`]): [`wait_as`](Self::wait_as)
+    /// decodes into `dst` when it holds the caller's `T` and exactly as
+    /// many elements as `bytes` does, and is [`resolved`](Self::resolved)
+    /// otherwise. [`wait`](Self::wait) drops `dst`.
+    pub fn resolved_into(bytes: Vec<u8>, dst: Elements) -> Self {
+        ReadRequest(Read::Into(bytes, dst))
+    }
+
     /// Whether the data has arrived.
     pub fn is_ready(&self) -> bool {
         match &self.0 {
-            Read::Ready(_) => true,
+            Read::Ready(_) | Read::Into(..) => true,
             Read::Pending(promise) => promise.is_fulfilled(),
         }
     }
@@ -88,26 +100,36 @@ impl ReadRequest {
     fn take(self) -> Result<ReadPayload> {
         match self.0 {
             Read::Ready(result) => result,
+            Read::Into(bytes, _) => Ok(ReadPayload::Bytes(bytes)),
             Read::Pending(promise) => promise.take(),
         }
     }
 
     /// Block until the data arrives and take it as `T` elements — how the
     /// typed API takes a read. Decoded elements of type `T` move out
-    /// without a pass over them; bytes (and elements of another type)
-    /// decode through [`from_bytes`], and the bytes go back to the
-    /// recycler ([`crate::recycle`]) they were read into.
+    /// without a pass over them. Bytes decode into the elements made to
+    /// receive them when those fit, else through [`from_bytes`] (as do
+    /// elements of another type), and go back to the recycler
+    /// ([`crate::recycle`]) they were read into.
     pub fn wait_as<T: H5Type>(self) -> Result<Vec<T>> {
-        match self.take()? {
-            ReadPayload::Bytes(bytes) => {
-                let elems = from_bytes(&bytes);
-                crate::recycle::give(bytes);
-                elems
+        let (bytes, dst) = match self.0 {
+            Read::Into(bytes, dst) => (bytes, Some(dst)),
+            read => match ReadRequest(read).take()? {
+                ReadPayload::Bytes(bytes) => (bytes, None),
+                ReadPayload::Elements(elems) => {
+                    return elems.into_vec().or_else(|elems| from_bytes(&elems.to_bytes()))
+                }
+            },
+        };
+        let elems = match dst.map(Elements::into_vec::<T>) {
+            Some(Ok(mut dst)) if std::mem::size_of_val(&dst[..]) == bytes.len() => {
+                T::decode_into(&bytes, &mut dst);
+                Ok(dst)
             }
-            ReadPayload::Elements(elems) => elems
-                .into_vec()
-                .or_else(|elems| from_bytes(&elems.to_bytes())),
-        }
+            _ => from_bytes(&bytes),
+        };
+        crate::recycle::give(bytes);
+        elems
     }
 
     /// Block until the data arrives and take it as on-disk bytes — for
